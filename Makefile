@@ -1,6 +1,6 @@
 # Convenience targets for the citusgo reproduction.
 
-.PHONY: all build test bench figures examples vet fmt fmt-check lint race bench-smoke trace-smoke chaos-smoke chaos-soak soak soak-smoke fuzz-smoke ci
+.PHONY: all build test bench figures examples vet fmt fmt-check lint race stress bench-smoke trace-smoke chaos-smoke chaos-soak soak soak-smoke fuzz-smoke ci
 
 all: build vet test
 
@@ -38,6 +38,16 @@ test:
 # a failure prints the shuffle seed, reproduce with -shuffle=<seed>
 race:
 	go test -race -shuffle=on -timeout 20m ./internal/...
+
+# the flake guards (mirrors the last step of the CI race job): the two
+# plan-invalid stress tests 100 times each — `cached plan is invalid` must
+# never reach a client, however DDL interleaves with re-prepares — then the
+# slow-start ramp test and the real-TCP benchmark's own tests under the race
+# detector, which is where the ramp's wg.Add/wg.Wait race first showed
+stress:
+	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
+	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
+	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
 # benchmarks live in the root package, on top of internal/bench, plus the
@@ -115,7 +125,7 @@ fuzz-smoke:
 	go test ./internal/engine -run '^$$' -fuzz FuzzVecParity -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
-ci: build vet fmt-check lint test race bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke
+ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke
 
 # one testing.B benchmark per paper figure (test scale)
 bench:

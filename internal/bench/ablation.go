@@ -502,7 +502,9 @@ func AblationVectorized(sc Scale) (Series, error) {
 // pushdown on vs ablated off. The win is not primarily latency at test
 // scale — it is shipped rows: Extra records how many rows the coordinator
 // merge collected and how many the workers pruned, which is the
-// O(workers × k) contract made visible.
+// O(workers × k) contract made visible. The table is row-store, so the
+// worker's TopN heap does all the pruning (topn_pruned); topn_bound, the
+// rows a vectorized grouped scan cuts before grouping them, stays zero.
 func ablationTopNPushdown(sc Scale) ([]Point, error) {
 	variants := []struct {
 		name    string
@@ -578,6 +580,7 @@ func ablationTopNPushdown(sc Scale) ([]Point, error) {
 			Extra: map[string]float64{
 				"merge_rows":     float64(d.Sum("citus_merge_rows_total")),
 				"topn_pruned":    float64(d.Sum("vec_topn_pruned_rows_total")),
+				"topn_bound":     float64(d.Sum("columnar_vec_topn_bound_rows_total")),
 				"topn_pushdowns": float64(d.Sum("citus_topn_pushdowns_total")),
 			},
 		})

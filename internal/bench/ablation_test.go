@@ -175,6 +175,13 @@ func TestAblationVectorized(t *testing.T) {
 		t.Errorf("TopN pruning split inverted: pushdown pruned %v, baseline %v",
 			on.Extra["topn_pruned"], off.Extra["topn_pruned"])
 	}
+	// dash_events is row-store: its heap does the pruning asserted above and
+	// the vectorized scan bound (columnar_vec_topn_bound_rows_total, checked
+	// on columnar shards by TestTopNPushdownParity) must not move at all.
+	if on.Extra["topn_bound"] != 0 || off.Extra["topn_bound"] != 0 {
+		t.Errorf("row-store dashboard moved the vec TopN bound counter: on %v, off %v",
+			on.Extra["topn_bound"], off.Extra["topn_bound"])
+	}
 	if on.Extra["merge_rows"]*4 > off.Extra["merge_rows"] {
 		t.Errorf("TopN pushdown merge rows %v not ≪ baseline %v (want ≥4x reduction)",
 			on.Extra["merge_rows"], off.Extra["merge_rows"])

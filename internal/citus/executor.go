@@ -51,8 +51,8 @@ var (
 // Bounded retry policy for transient connection failures on idempotent
 // (read-only, non-transactional) tasks: up to maxTaskAttempts total
 // attempts with doubling backoff. Distinct from the plan-invalid
-// re-prepare retry inside queryTask, which may retry even writes because
-// the worker rejected before executing anything.
+// re-prepare loop (retryPlanInvalid), which has its own cap and may retry
+// even writes because the worker rejected before executing anything.
 const (
 	maxTaskAttempts  = 4
 	taskRetryBackoff = 500 * time.Microsecond
@@ -247,6 +247,12 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 	}
 	close(taskCh)
 
+	// drained closes once no further connection can help: the general queue
+	// is empty or the run aborted. It is what ends the slow-start ramp.
+	drained := make(chan struct{})
+	var drainedOnce sync.Once
+	markDrained := func() { drainedOnce.Do(func() { close(drained) }) }
+
 	var mu sync.Mutex
 	var runErr error
 	var aborted atomic.Bool
@@ -257,6 +263,12 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 		}
 		mu.Unlock()
 		aborted.Store(true)
+		markDrained()
+	}
+	finished := func(batch []int) {
+		if remaining.Add(-int64(len(batch))) == 0 {
+			markDrained()
+		}
 	}
 
 	window := 1
@@ -323,12 +335,12 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 				}
 			}
 			if aborted.Load() {
-				remaining.Add(-int64(len(batch)))
+				finished(batch)
 				batch = batch[:0]
 				continue
 			}
 			err := n.runTaskWindow(s, st, wc, batch, tasks, results, txnMode)
-			remaining.Add(-int64(len(batch)))
+			finished(batch)
 			batch = batch[:0]
 			if err != nil {
 				noteErr(err)
@@ -347,24 +359,26 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 		}()
 	}
 
-	// Existing pinned/assigned connections start immediately.
-	started := 0
+	// Existing pinned/assigned connections start immediately. started is
+	// atomic because the ramp goroutine below takes over counting from the
+	// caller.
+	var started atomic.Int64
 	startedSet := map[*workerConn]bool{}
 	for wc, private := range assigned {
 		startConn(wc, private)
 		startedSet[wc] = true
-		started++
+		started.Add(1)
 	}
 	for _, wc := range pinned {
 		if !startedSet[wc] {
 			startConn(wc, nil)
 			startedSet[wc] = true
-			started++
+			started.Add(1)
 		}
 	}
 
 	openNew := func() bool {
-		wc, err := n.acquireConn(p, nodeID, started == 0)
+		wc, err := n.acquireConn(p, nodeID, started.Load() == 0)
 		if err != nil {
 			if errors.Is(err, pool.ErrLimit) {
 				return false
@@ -377,7 +391,7 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 		newConns = append(newConns, wc)
 		newMu.Unlock()
 		startConn(wc, nil)
-		started++
+		started.Add(1)
 		return true
 	}
 
@@ -385,44 +399,42 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 	// allowance grows by one, and we open min(allowance, pending tasks).
 	// A negative interval disables the ramp entirely (instant fan-out, the
 	// ablation baseline).
-	if started == 0 && (len(general) > 0 || txnMode) {
+	if started.Load() == 0 && (len(general) > 0 || txnMode) {
 		openNew()
 	}
 	if n.Cfg.SlowStartInterval < 0 {
-		for started < len(general) && !aborted.Load() {
+		for int(started.Load()) < len(general) && !aborted.Load() {
 			if !openNew() {
 				break
 			}
 		}
 	}
-	stopRamp := make(chan struct{})
-	var rampWg sync.WaitGroup
 	if n.Cfg.SlowStartInterval > 0 && len(general) > 1 {
-		rampWg.Add(1)
+		// The ramp holds a count in wg for as long as it may open
+		// connections, so each wg.Add it makes through startConn is ordered
+		// before wg.Wait can return, and every connection it opens is in
+		// newConns by the disposition pass below.
+		wg.Add(1)
 		go func() {
-			defer rampWg.Done()
+			defer wg.Done()
 			allowance := 1
 			ticker := time.NewTicker(n.Cfg.SlowStartInterval)
 			defer ticker.Stop()
 			for {
 				select {
-				case <-stopRamp:
+				case <-drained:
 					return
 				case <-ticker.C:
 					allowance++
 					metSlowStartRounds.Inc()
-					pendingTasks := int(remaining.Load())
-					want := allowance
-					if pendingTasks-started < want {
-						want = pendingTasks - started
+					want := int(remaining.Load() - started.Load())
+					if allowance < want {
+						want = allowance
 					}
 					for k := 0; k < want; k++ {
 						if aborted.Load() || !openNew() {
 							break
 						}
-					}
-					if remaining.Load() == 0 {
-						return
 					}
 				}
 			}
@@ -430,8 +442,6 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 	}
 
 	wg.Wait()
-	close(stopRamp)
-	rampWg.Wait()
 
 	// Connection disposition: transactional connections pin to the
 	// session; others return to the shared pool.
@@ -747,17 +757,7 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 		}
 		if err == nil {
 			res, err = sl.pd.Result()
-			if wire.IsPlanInvalid(err) {
-				// The worker rejected before executing (DDL bumped its schema
-				// version between Prepare and Execute): re-prepare and retry
-				// with plain round trips, exactly as queryTask does.
-				attempts++
-				if perr := wc.conn.Prepare(sl.name, t.sql); perr != nil {
-					err = perr
-				} else {
-					res, err = wc.conn.ExecutePrepared(sl.name, t.params...)
-				}
-			}
+			res, attempts, err = retryPlanInvalid(wc.conn, sl.name, t, res, err)
 		}
 		if err != nil && wire.IsTransient(err) {
 			wc.broken = true
@@ -864,11 +864,9 @@ func (n *Node) refreshConn(wc *workerConn) error {
 // prepared-statement protocol so each (connection, statement shape) pair
 // parses at most once worker-side; subsequent executions ship only the
 // statement name and parameters. DDL and other parameterless one-off
-// statements use plain Query. A plan-invalid rejection (worker DDL bumped
-// its schema version since Prepare) is returned before the worker executes
-// anything, so re-preparing and retrying once is safe even for writes.
-// The second return value is the number of execution attempts (2 after a
-// plan-invalid retry), recorded on the task span.
+// statements use plain Query. The second return value is the number of
+// execution attempts (more than 1 after plan-invalid retries), recorded on
+// the task span.
 func (n *Node) queryTask(wc *workerConn, t *task) (*engine.Result, int, error) {
 	// executor.task, keyed "read"/"write": fails or delays a task at the
 	// moment of issue, before anything reaches the wire.
@@ -889,14 +887,34 @@ func (n *Node) queryTask(wc *workerConn, t *task) (*engine.Result, int, error) {
 			return nil, 1, err
 		}
 	}
-	attempts := 1
 	res, err := wc.conn.ExecutePrepared(name, t.params...)
-	if wire.IsPlanInvalid(err) {
+	return retryPlanInvalid(wc.conn, name, t, res, err)
+}
+
+// maxPlanInvalidAttempts caps the executions of one prepared task under
+// back-to-back DDL; past it the rejection surfaces rather than spin.
+const maxPlanInvalidAttempts = 6
+
+// retryPlanInvalid takes the outcome of executing t's prepared statement
+// and, while the worker rejects the plan as stale (DDL bumped its schema
+// version after the Prepare), re-prepares and executes again with plain
+// round trips. Every round-trip and pipelined execution goes through here,
+// so the internal error reaches a client only past the cap. The worker
+// rejects before it executes anything, which makes the loop safe for
+// writes too. It returns the final outcome and the number of executions.
+func retryPlanInvalid(conn *wire.Conn, name string, t *task, res *engine.Result, err error) (*engine.Result, int, error) {
+	attempts := 1
+	for wire.IsPlanInvalid(err) && attempts < maxPlanInvalidAttempts {
 		attempts++
-		if perr := wc.conn.Prepare(name, t.sql); perr != nil {
+		if perr := conn.Prepare(name, t.sql); perr != nil {
 			return nil, attempts, perr
 		}
-		res, err = wc.conn.ExecutePrepared(name, t.params...)
+		// executor.reprepare: the window in which one more DDL makes the
+		// fresh plan stale again before it runs.
+		if ferr := fault.Check(fault.PointExecutorReprepare); ferr != nil {
+			return nil, attempts, ferr
+		}
+		res, err = conn.ExecutePrepared(name, t.params...)
 	}
 	return res, attempts, err
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"citusgo/internal/citus"
 	"citusgo/internal/cluster"
+	"citusgo/internal/fault"
 	"citusgo/internal/types"
 )
 
@@ -190,5 +192,37 @@ func TestSlowStartOpensConnectionsGradually(t *testing.T) {
 	total, _ := c.Coordinator().PoolStats(2)
 	if total > 2 {
 		t.Fatalf("slow start disabled ramping, but %d connections were opened", total)
+	}
+}
+
+// TestSlowStartRampRace pins the ramp's synchronisation. Tasks are slowed
+// so that a query outlasts several ramp ticks, and every pool checkout is
+// slowed more, so that the ramp is still inside a checkout when the last
+// task finishes. That connection used to be started (wg.Add beside the
+// caller's wg.Wait) after the caller had already disposed of the others,
+// and was never put back. Run under -race -count=10 (make ci does).
+func TestSlowStartRampRace(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	c, err := cluster.New(cluster.Config{Workers: 1, ShardCount: 16,
+		Citus: citus.Config{SlowStartInterval: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE ssr (k bigint PRIMARY KEY)")
+	mustExec(t, s, "SELECT create_distributed_table('ssr', 'k')")
+	for i := 0; i < 64; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO ssr (k) VALUES (%d)", i))
+	}
+	fault.Arm(fault.Rule{Point: fault.PointExecutorTask, Key: "read", Action: fault.ActDelay, Delay: time.Millisecond})
+	fault.Arm(fault.Rule{Point: fault.PointPoolCheckout, Action: fault.ActDelay, Delay: 3 * time.Millisecond})
+	for i := 0; i < 10; i++ {
+		expectRows(t, mustExec(t, s, "SELECT count(*) FROM ssr"), "64")
+		// every connection the ramp opened went back to the pool
+		if total, idle := c.Coordinator().PoolStats(2); total != idle {
+			t.Fatalf("query %d: %d connections open but only %d idle: one was never returned", i, total, idle)
+		}
 	}
 }

@@ -58,6 +58,7 @@ var _ [chunkPageStride - maxPagesPerChunk]struct{}
 type colStats struct {
 	min, max types.Datum
 	bad      bool // mixed or unordered types; stats unusable
+	nulls    bool // the chunk holds at least one NULL
 }
 
 func statsTracked(v types.Datum) bool {
@@ -87,7 +88,11 @@ func sameStatType(a, b types.Datum) bool {
 }
 
 func (s *colStats) update(v types.Datum) {
-	if v == nil || s.bad {
+	if v == nil {
+		s.nulls = true
+		return
+	}
+	if s.bad {
 		return
 	}
 	if !statsTracked(v) {
@@ -199,6 +204,11 @@ func (v StripeView) Stats(col int) (min, max types.Datum, ok bool) {
 	}
 	return s.min, s.max, true
 }
+
+// HasNulls reports whether the column chunk holds any NULL. Min/max cover
+// only the non-NULL values, so a proof that must also hold for NULL rows
+// (an ascending TopN bound, where NULL sorts first) needs this beside them.
+func (v StripeView) HasNulls(col int) bool { return v.st.stats[col].nulls }
 
 // VisibleStripes snapshots the stripes visible to s. No chunk I/O is
 // charged: stats live in stripe metadata, so a caller can decide which

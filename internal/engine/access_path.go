@@ -18,9 +18,10 @@ type accessPath struct {
 }
 
 // isConstExpr reports whether e references no columns (it may reference
-// parameters) and returns its evaluator.
-func isConstExpr(e sql.Expr) (expr.Evaluator, bool) {
-	ev, err := expr.Compile(e, nil)
+// parameters) and returns its evaluator, typed after the column it bounds
+// exactly as the scan's recheck filter types it (expr.CompileAgainst).
+func isConstExpr(e sql.Expr, colTyp types.Type) (expr.Evaluator, bool) {
+	ev, err := expr.CompileAgainst(e, nil, colTyp)
 	if err != nil {
 		return nil, false
 	}
@@ -56,26 +57,26 @@ func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope,
 		}
 		return b
 	}
-	resolveCol := func(e sql.Expr) (int, bool) {
+	resolveCol := func(e sql.Expr) (int, types.Type, bool) {
 		cr, ok := e.(*sql.ColumnRef)
 		if !ok {
-			return 0, false
+			return 0, 0, false
 		}
-		ord, _, err := sc.Resolve(cr.Table, cr.Name)
+		ord, typ, err := sc.Resolve(cr.Table, cr.Name)
 		if err != nil {
-			return 0, false
+			return 0, 0, false
 		}
-		return ord, true
+		return ord, typ, true
 	}
 	var likeConjuncts []*sql.LikeExpr
 	for _, c := range conjuncts {
 		switch n := c.(type) {
 		case *sql.BinaryExpr:
-			ord, isCol := resolveCol(n.L)
+			ord, typ, isCol := resolveCol(n.L)
 			other := n.R
 			op := n.Op
 			if !isCol {
-				if ord, isCol = resolveCol(n.R); !isCol {
+				if ord, typ, isCol = resolveCol(n.R); !isCol {
 					continue
 				}
 				other = n.L
@@ -91,7 +92,7 @@ func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope,
 					op = sql.OpLe
 				}
 			}
-			ev, isConst := isConstExpr(other)
+			ev, isConst := isConstExpr(other, typ)
 			if !isConst {
 				continue
 			}
@@ -112,12 +113,12 @@ func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope,
 			if n.Not {
 				continue
 			}
-			ord, isCol := resolveCol(n.E)
+			ord, typ, isCol := resolveCol(n.E)
 			if !isCol {
 				continue
 			}
-			loEv, ok1 := isConstExpr(n.Lo)
-			hiEv, ok2 := isConstExpr(n.Hi)
+			loEv, ok1 := isConstExpr(n.Lo, typ)
+			hiEv, ok2 := isConstExpr(n.Hi, typ)
 			if !ok1 || !ok2 {
 				continue
 			}
@@ -175,7 +176,7 @@ func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope,
 			if lc.E.String() != indexedText {
 				continue
 			}
-			patEv, isConst := isConstExpr(lc.Pattern)
+			patEv, isConst := isConstExpr(lc.Pattern, types.Unknown)
 			if !isConst {
 				continue
 			}

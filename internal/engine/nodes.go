@@ -756,36 +756,12 @@ func (n *limitNode) explain(indent string) []string {
 }
 
 func (n *limitNode) run(ec *execCtx, emit func(types.Row) error) error {
-	limit := int64(-1)
-	offset := int64(0)
-	if n.limit != nil {
-		v, err := ec.evalWith(n.limit, nil)
-		if err != nil {
-			return err
-		}
-		if v != nil {
-			c, err := types.CoerceTo(v, types.Int)
-			if err != nil {
-				return err
-			}
-			limit = c.(int64)
-		}
-	}
-	if n.offset != nil {
-		v, err := ec.evalWith(n.offset, nil)
-		if err != nil {
-			return err
-		}
-		if v != nil {
-			c, err := types.CoerceTo(v, types.Int)
-			if err != nil {
-				return err
-			}
-			offset = c.(int64)
-		}
+	limit, offset, err := evalLimitOffset(ec.eval, n.limit, n.offset)
+	if err != nil {
+		return err
 	}
 	var seen, emitted int64
-	err := n.child.run(ec, func(row types.Row) error {
+	err = n.child.run(ec, func(row types.Row) error {
 		seen++
 		if seen <= offset {
 			return nil

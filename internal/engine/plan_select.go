@@ -262,8 +262,10 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 		orderExprs[i] = o.Expr
 	}
 
+	var rw *aggRewriter
+	var vecAgg *vecAggNode // the aggregate, when it runs vectorized
 	if hasAgg {
-		rw := newAggRewriter(groupBy)
+		rw = newAggRewriter(groupBy)
 		for i := range projExprs {
 			projExprs[i] = rw.rewrite(projExprs[i])
 		}
@@ -281,6 +283,7 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 		// batched filter kernels + partial-aggregate folds over column
 		// chunks, with row-at-a-time fallback for everything else.
 		if vecN, vecScope, okVec := s.tryVectorizedAgg(cur, groupBy, rw); okVec {
+			vecAgg = vecN
 			cur = planned{n: vecN, sc: vecScope}
 		} else {
 			aggN, aggScope, err := buildAggNode(cur, groupBy, rw, params, s)
@@ -358,6 +361,18 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 		// ORDER BY + LIMIT fuses into a bounded TopN heap: only the
 		// k = limit+offset best rows are retained, which on a Citus worker
 		// is what keeps pushed-down grouped TopN shipments at O(k).
+		if vecAgg != nil && having == nil && !sel.Distinct {
+			// Ordered first by a group column, the TopN also bounds the
+			// grouped scan below it: rows of groups that k better keys
+			// already precede are cut before they are encoded.
+			first := orderExprs[0]
+			if keys[0].col < visible {
+				first = projExprs[keys[0].col]
+			}
+			if ord, ok := rw.groupOrdinal(first); ok {
+				vecAgg.pushTopN(ord, keys[0].desc, limEv, offEv)
+			}
+		}
 		return &topNNode{child: out, keys: keys, trim: visible,
 			limit: limEv, offset: offEv}, nil
 	}
@@ -759,6 +774,21 @@ func newAggRewriter(groupBy []sql.Expr) *aggRewriter {
 
 func (rw *aggRewriter) groupCol(i int) string { return fmt.Sprintf("__grp%d", i) }
 func (rw *aggRewriter) aggCol(i int) string   { return fmt.Sprintf("__agg%d", i) }
+
+// groupOrdinal reports which grouping expression a rewritten expression is
+// a bare reference to.
+func (rw *aggRewriter) groupOrdinal(e sql.Expr) (int, bool) {
+	cr, ok := e.(*sql.ColumnRef)
+	if !ok || cr.Table != "" {
+		return 0, false
+	}
+	for i := range rw.groupText {
+		if cr.Name == rw.groupCol(i) {
+			return i, true
+		}
+	}
+	return 0, false
+}
 
 // rewrite returns a copy of e with group expressions and aggregates
 // replaced by synthetic column references.

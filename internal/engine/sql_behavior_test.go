@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"time"
 )
 
 func TestExistsSubquery(t *testing.T) {
@@ -138,4 +139,28 @@ func TestEmptyInList(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE none (v bigint)")
 	expectRows(t, mustExec(t, s, "SELECT count(*) FROM ei WHERE v IN (SELECT v FROM none)"), "0")
 	expectRows(t, mustExec(t, s, "SELECT count(*) FROM ei WHERE v NOT IN (SELECT v FROM none)"), "1")
+}
+
+// TestCachedStatementKeepsVolatileFunctionsLive: constant folding must stop
+// at volatile functions. The second execution below is served from the
+// session statement cache; it still has to read the clock and the RNG anew.
+func TestCachedStatementKeepsVolatileFunctionsLive(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	const q = "SELECT random(), now(), 1 + 2"
+	first := mustExec(t, s, q)
+	hits := metStmtCacheHits.Value()
+	second := mustExec(t, s, q)
+	if metStmtCacheHits.Value() == hits {
+		t.Fatal("second execution missed the session statement cache")
+	}
+	if first.Rows[0][0] == second.Rows[0][0] {
+		t.Errorf("random() repeated %v across executions", first.Rows[0][0])
+	}
+	if t1, t2 := first.Rows[0][1].(time.Time), second.Rows[0][1].(time.Time); !t2.After(t1) {
+		t.Errorf("now() did not advance across executions: %v then %v", t1, t2)
+	}
+	if second.Rows[0][2] != int64(3) {
+		t.Errorf("1 + 2 = %v", second.Rows[0][2])
+	}
 }

@@ -88,37 +88,41 @@ func (n *topNNode) rowLess(a, b *topnItem) bool {
 	return a.seq < b.seq
 }
 
-// evalBound evaluates a LIMIT/OFFSET expression with limitNode's rules:
-// nil evaluator or NULL value yields def.
-func (n *topNNode) evalBound(ec *execCtx, ev expr.Evaluator, def int64) (int64, error) {
-	if ev == nil {
-		return def, nil
+// evalLimitOffset evaluates LIMIT and OFFSET for limitNode, topNNode and
+// the TopN bound pushed into vecAggNode: an absent or NULL LIMIT is -1
+// (unlimited); an absent, NULL or negative OFFSET is 0. Both expressions
+// are row-free, so c's current row is never read.
+func evalLimitOffset(c *expr.Ctx, limitEv, offsetEv expr.Evaluator) (limit, offset int64, err error) {
+	bound := func(ev expr.Evaluator, def int64) (int64, error) {
+		if ev == nil {
+			return def, nil
+		}
+		v, err := ev(c)
+		if err != nil || v == nil {
+			return def, err
+		}
+		n, err := types.CoerceTo(v, types.Int)
+		if err != nil {
+			return 0, err
+		}
+		return n.(int64), nil
 	}
-	v, err := ec.evalWith(ev, nil)
-	if err != nil {
-		return 0, err
+	if limit, err = bound(limitEv, -1); err != nil {
+		return 0, 0, err
 	}
-	if v == nil {
-		return def, nil
-	}
-	c, err := types.CoerceTo(v, types.Int)
-	if err != nil {
-		return 0, err
-	}
-	return c.(int64), nil
-}
-
-func (n *topNNode) run(ec *execCtx, emit func(types.Row) error) error {
-	limit, err := n.evalBound(ec, n.limit, -1)
-	if err != nil {
-		return err
-	}
-	offset, err := n.evalBound(ec, n.offset, 0)
-	if err != nil {
-		return err
+	if offset, err = bound(offsetEv, 0); err != nil {
+		return 0, 0, err
 	}
 	if offset < 0 {
 		offset = 0
+	}
+	return limit, offset, nil
+}
+
+func (n *topNNode) run(ec *execCtx, emit func(types.Row) error) error {
+	limit, offset, err := evalLimitOffset(ec.eval, n.limit, n.offset)
+	if err != nil {
+		return err
 	}
 
 	var items []topnItem
@@ -136,14 +140,18 @@ func (n *topNNode) run(ec *execCtx, emit func(types.Row) error) error {
 		k := limit + offset
 		h := &topnHeap{n: n}
 		if err := n.child.run(ec, func(row types.Row) error {
-			it := topnItem{row: row.Clone(), seq: seq}
+			// the child may reuse row, so a row is cloned — but only once it
+			// is known to stay
+			it := topnItem{row: row, seq: seq}
 			seq++
 			if int64(len(h.items)) < k {
+				it.row = row.Clone()
 				heap.Push(h, it)
 				return nil
 			}
 			pruned++
 			if k > 0 && n.rowLess(&it, &h.items[0]) {
+				it.row = row.Clone()
 				h.items[0] = it
 				heap.Fix(h, 0)
 			}

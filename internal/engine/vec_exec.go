@@ -30,7 +30,16 @@ var (
 		"vectorized scans that split stripes across a goroutine pool").With()
 	metVecGroupBatches = obs.Default().Counter("columnar_vec_group_batches_total",
 		"column-chunk batches folded through the group-ID vector path").With()
+	metVecTopNBoundRows = obs.Default().Counter("columnar_vec_topn_bound_rows_total",
+		"rows a pushed-down TopN bound cut from the grouped scan before group encoding").With()
+	metVecTopNBoundStripes = obs.Default().Counter("columnar_vec_topn_bound_stripes_total",
+		"stripes a pushed-down TopN bound skipped via chunk min/max without reading any chunk").With()
 )
+
+// vecTopNBoundMaxK caps the k a TopN bound is pushed down for: the bound
+// keeps its k best keys in a sorted array, so a new key costs O(k) to
+// place, and a bound that wide cuts little anyway.
+const vecTopNBoundMaxK = 1024
 
 // vecFilterSpec is one compiled WHERE conjunct: a column compared against
 // a constant expression, or an OR chain of such comparisons (or is
@@ -144,6 +153,12 @@ func (n *numSpec) bind(ec *execCtx) (*vec.NumExpr, error) {
 	}
 }
 
+// canFail reports whether evaluating the expression can fail on some rows
+// and not others: only division and modulo do (by zero).
+func (n *numSpec) canFail() bool {
+	return n.isBin && (n.op == vec.Div || n.op == vec.Mod || n.l.canFail() || n.r.canFail())
+}
+
 // vecAggSpec is one aggregate call of the vectorized node.
 type vecAggSpec struct {
 	kind   vec.AggKind
@@ -171,6 +186,48 @@ type vecAggNode struct {
 	aggs      []vecAggSpec
 	cols      []string // __grp0..N ++ __agg0..M
 	needed    []int    // column ordinals the scan must load
+	topn      *vecTopN // nil unless a TopN above bounds the scan
+}
+
+// vecTopN is the topNNode above a grouped vecAggNode, as far as the scan
+// can use it: the first ORDER BY key is the group column at table ordinal
+// col, and only limit+offset groups survive. Each scan partial turns it
+// into a vec.TopNBound.
+type vecTopN struct {
+	col           int
+	desc          bool
+	limit, offset expr.Evaluator
+}
+
+// k evaluates limit+offset; 0 means the scan runs unbounded (no LIMIT
+// value, LIMIT 0, or more than vecTopNBoundMaxK).
+func (t *vecTopN) k(c *expr.Ctx) (int, error) {
+	limit, offset, err := evalLimitOffset(c, t.limit, t.offset)
+	if err != nil || limit < 0 || limit+offset > vecTopNBoundMaxK {
+		return 0, err
+	}
+	return int(limit + offset), nil
+}
+
+// pushTopN offers the node the TopN stacked directly above it (no HAVING,
+// no DISTINCT in between, so every group is exactly one TopN input row)
+// whose first sort key is group column ord. A float key is declined: it
+// can hold NaN, which types.Compare ties with every value, and no bound is
+// exact under such an order. So is an aggregate argument that can fail
+// (sum(a/b)): the bound cuts rows before the arguments are evaluated, and
+// a division by zero in a cut row must still fail the query, as it does
+// unbounded and row-at-a-time.
+func (n *vecAggNode) pushTopN(ord int, desc bool, limit, offset expr.Evaluator) {
+	col := n.groupOrds[ord]
+	if n.st.table.Columns[col].Type == types.Float {
+		return
+	}
+	for _, a := range n.aggs {
+		if a.num != nil && a.num.canFail() {
+			return
+		}
+	}
+	n.topn = &vecTopN{col: col, desc: desc, limit: limit, offset: offset}
 }
 
 func (n *vecAggNode) columns() []string { return n.cols }
@@ -180,6 +237,21 @@ func (n *vecAggNode) explain(indent string) []string {
 	if len(n.groupOrds) == 0 {
 		kind = "Vectorized Aggregate"
 	}
+	lines := []string{indent + kind}
+	if n.topn != nil {
+		// a parameterised LIMIT has no value until execution
+		k, err := n.topn.k(&expr.Ctx{})
+		kText, dir := "?", "ASC"
+		if err == nil {
+			kText = strconv.Itoa(k)
+		}
+		if n.topn.desc {
+			dir = "DESC"
+		}
+		if err != nil || k > 0 {
+			lines = append(lines, indent+"  TopN bound: "+n.st.table.Columns[n.topn.col].Name+" "+dir+" k="+kText)
+		}
+	}
 	scan := indent + "  Vectorized Columnar Scan on " + n.st.table.Name
 	if len(n.filters) > 0 {
 		parts := make([]string, len(n.filters))
@@ -188,7 +260,7 @@ func (n *vecAggNode) explain(indent string) []string {
 		}
 		scan += " (filter: " + strings.Join(parts, " AND ") + ")"
 	}
-	return []string{indent + kind, scan}
+	return append(lines, scan)
 }
 
 // vecPartial is one scan goroutine's private accumulation state. Grouped
@@ -203,13 +275,21 @@ type vecPartial struct {
 	selA, selB vec.Sel
 	orSc       vec.OrScratch
 	scratch    vec.Scratch
+	bound      *vec.TopNBound // nil when no TopN bounds the scan
 	batches    int64
 	rows       int64
 	groupBatch int64
+	// rows the bound cut after the filters, and stripes it skipped whole
+	boundRows, boundStripes int64
 }
 
-func (n *vecAggNode) newPartial() *vecPartial {
+// newPartial returns one scan goroutine's state; topK > 0 gives it a TopN
+// bound of that many keys.
+func (n *vecAggNode) newPartial(topK int) *vecPartial {
 	p := &vecPartial{}
+	if topK > 0 {
+		p.bound = vec.NewTopNBound(n.topn.col, n.topn.desc, topK)
+	}
 	if len(n.groupOrds) == 0 {
 		p.ungrouped = make([]*vec.AggState, len(n.aggs))
 		for i, a := range n.aggs {
@@ -227,6 +307,15 @@ func (n *vecAggNode) newPartial() *vecPartial {
 
 // processStripe folds one stripe into the partial.
 func (n *vecAggNode) processStripe(p *vecPartial, filters []boundFilter, nums []*vec.NumExpr, view columnar.StripeView) error {
+	keyNulls := false
+	if p.bound != nil {
+		keyNulls = view.HasNulls(n.topn.col)
+		min, max, ok := view.Stats(n.topn.col)
+		if p.bound.Skip(min, max, ok, keyNulls) {
+			p.boundStripes++
+			return nil
+		}
+	}
 	chunk := n.tab.LoadChunk(view, n.needed)
 	nrows := view.NumRows()
 	p.batches++
@@ -275,6 +364,15 @@ func (n *vecAggNode) processStripe(p *vecPartial, filters []boundFilter, nums []
 			}
 		}
 		return nil
+	}
+
+	if p.bound != nil {
+		var cut int
+		sel, cut = p.bound.Apply(chunk, keyNulls, sel, nrows)
+		p.boundRows += int64(cut)
+		if sel != nil && len(sel) == 0 {
+			return nil
+		}
 	}
 
 	// grouped fold: dictionary-encode the key columns into a group-ID
@@ -330,6 +428,14 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 		}
 	}
 
+	topK := 0
+	if n.topn != nil {
+		var err error
+		if topK, err = n.topn.k(ec.eval); err != nil {
+			return err
+		}
+	}
+
 	views := n.tab.VisibleStripes(eng.Txns, ec.snap)
 
 	// stripe skipping: a filter whose constant falls outside the chunk's
@@ -358,7 +464,7 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 	}
 	var partials []*vecPartial
 	if degree <= 1 {
-		p := n.newPartial()
+		p := n.newPartial(topK)
 		for _, v := range work {
 			if err := n.processStripe(p, filters, nums, v); err != nil {
 				return err
@@ -376,7 +482,7 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 		for w := 0; w < degree; w++ {
 			lo := w * len(work) / degree
 			hi := (w + 1) * len(work) / degree
-			p := n.newPartial()
+			p := n.newPartial(topK)
 			partials[w] = p
 			wg.Add(1)
 			go func(w, lo, hi int, p *vecPartial) {
@@ -399,16 +505,20 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 		}
 	}
 
-	var batches, rows, groupBatches int64
+	var batches, rows, groupBatches, boundRows, boundStripes int64
 	for _, p := range partials {
 		batches += p.batches
 		rows += p.rows
 		groupBatches += p.groupBatch
+		boundRows += p.boundRows
+		boundStripes += p.boundStripes
 	}
 	metVecBatches.Add(batches)
 	metVecRows.Add(rows)
 	metVecStripesSkipped.Add(skipped)
 	metVecGroupBatches.Add(groupBatches)
+	metVecTopNBoundRows.Add(boundRows)
+	metVecTopNBoundStripes.Add(boundStripes)
 
 	// merge partials in stripe order: the first partial's dictionary keeps
 	// the sequential first-seen order, and later partials re-intern their
@@ -443,6 +553,7 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 			sp.SetAttr("parallelism", strconv.Itoa(degree))
 			sp.SetAttr("groups", strconv.FormatInt(groups, 10))
 			sp.SetAttr("group_batches", strconv.FormatInt(groupBatches, 10))
+			sp.SetAttr("bound_rows", strconv.FormatInt(boundRows, 10))
 			sp.Finish()
 		}
 	}
@@ -497,29 +608,6 @@ func (e *Engine) SetVectorized(on bool) { e.vecOff.Store(!on) }
 // SetVecParallelism sets the parallel chunk-scan goroutine budget
 // (0 restores the default of min(GOMAXPROCS, 4)).
 func (e *Engine) SetVecParallelism(n int) { e.vecPar.Store(int32(n)) }
-
-// constSubexpr reports whether e can be evaluated without a row: no column
-// references, no subqueries, no aggregates.
-func constSubexpr(e sql.Expr) bool {
-	ok := true
-	expr.WalkExpr(e, func(x sql.Expr) bool {
-		switch n := x.(type) {
-		case *sql.ColumnRef:
-			ok = false
-			return false
-		case *sql.SubqueryExpr, *sql.ExistsExpr:
-			ok = false
-			return false
-		case *sql.FuncCall:
-			if expr.IsAggregate(n.Name) {
-				ok = false
-				return false
-			}
-		}
-		return true
-	})
-	return ok
-}
 
 func cmpOpOf(op sql.BinOp) (vec.CmpOp, bool) {
 	switch op {
@@ -586,17 +674,20 @@ func compileVecFilter(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 	return compileVecFilterSingle(e, sc)
 }
 
+// The constant sides compile through expr.CompileAgainst, the rule the row
+// evaluator applies to the same comparison, so a string literal against a
+// timestamp column reaches the kernels as a time on both paths.
 func compileVecFilterSingle(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
-	resolveCol := func(x sql.Expr) (int, bool) {
+	resolveCol := func(x sql.Expr) (int, types.Type, bool) {
 		cr, ok := x.(*sql.ColumnRef)
 		if !ok {
-			return 0, false
+			return 0, 0, false
 		}
-		idx, _, err := sc.Resolve(cr.Table, cr.Name)
+		idx, typ, err := sc.Resolve(cr.Table, cr.Name)
 		if err != nil {
-			return 0, false
+			return 0, 0, false
 		}
-		return idx, true
+		return idx, typ, true
 	}
 	switch b := e.(type) {
 	case *sql.BinaryExpr:
@@ -604,22 +695,22 @@ func compileVecFilterSingle(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 		if !ok {
 			return vecFilterSpec{}, false
 		}
-		if ord, isCol := resolveCol(b.L); isCol && constSubexpr(b.R) {
-			ev, err := expr.Compile(b.R, nil)
+		if ord, typ, isCol := resolveCol(b.L); isCol && expr.RowFree(b.R) {
+			ev, err := expr.CompileAgainst(b.R, nil, typ)
 			if err != nil {
 				return vecFilterSpec{}, false
 			}
 			return vecFilterSpec{col: ord, op: op, k: ev, text: e.String()}, true
 		}
-		if ord, isCol := resolveCol(b.R); isCol && constSubexpr(b.L) {
-			ev, err := expr.Compile(b.L, nil)
+		if ord, typ, isCol := resolveCol(b.R); isCol && expr.RowFree(b.L) {
+			ev, err := expr.CompileAgainst(b.L, nil, typ)
 			if err != nil {
 				return vecFilterSpec{}, false
 			}
 			return vecFilterSpec{col: ord, op: flipCmp(op), k: ev, text: e.String()}, true
 		}
 	case *sql.IsNullExpr:
-		ord, isCol := resolveCol(b.E)
+		ord, _, isCol := resolveCol(b.E)
 		if !isCol {
 			return vecFilterSpec{}, false
 		}
@@ -628,15 +719,15 @@ func compileVecFilterSingle(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 		if b.Not {
 			return vecFilterSpec{}, false
 		}
-		ord, isCol := resolveCol(b.E)
-		if !isCol || !constSubexpr(b.Lo) || !constSubexpr(b.Hi) {
+		ord, typ, isCol := resolveCol(b.E)
+		if !isCol || !expr.RowFree(b.Lo) || !expr.RowFree(b.Hi) {
 			return vecFilterSpec{}, false
 		}
-		loEv, err := expr.Compile(b.Lo, nil)
+		loEv, err := expr.CompileAgainst(b.Lo, nil, typ)
 		if err != nil {
 			return vecFilterSpec{}, false
 		}
-		hiEv, err := expr.Compile(b.Hi, nil)
+		hiEv, err := expr.CompileAgainst(b.Hi, nil, typ)
 		if err != nil {
 			return vecFilterSpec{}, false
 		}
@@ -650,7 +741,7 @@ func compileVecFilterSingle(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 // subtrees bind per execution, operators are + - * / % with expr.arith
 // semantics.
 func compileNumSpec(e sql.Expr, sc *scope) (*numSpec, bool) {
-	if constSubexpr(e) {
+	if expr.RowFree(e) {
 		ev, err := expr.Compile(e, nil)
 		if err != nil {
 			return nil, false
@@ -726,7 +817,7 @@ func vecGroupable(t types.Type) bool {
 // above the scan, IN/LIKE predicates (or OR chains containing them),
 // DISTINCT aggregates, non-numeric computed arguments, or a GROUP BY
 // that is not plain columns.
-func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRewriter) (node, *scope, bool) {
+func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRewriter) (*vecAggNode, *scope, bool) {
 	if s.Eng.vecOff.Load() {
 		return nil, nil, false
 	}

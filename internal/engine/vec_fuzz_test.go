@@ -87,7 +87,7 @@ func splitmix(seed uint64) func() uint64 {
 func randVecQuery(rng func() uint64) string {
 	numCols := []string{"k", "q", "price", "n"}
 	allCols := []string{"k", "q", "price", "flag", "status", "n"}
-	groupable := []string{"flag", "status", "n", "k"}
+	groupable := []string{"flag", "status", "n", "k", "q"}
 
 	randPred := func() string {
 		col := allCols[rng()%uint64(len(allCols))]
@@ -173,13 +173,30 @@ func randVecQuery(rng func() uint64) string {
 	}
 	if len(groups) > 0 {
 		q += " GROUP BY " + strings.Join(groups, ", ")
-		if rng()%2 == 0 { // TopN tail over the group keys
+		if rng()%4 == 0 { // between the aggregate and the TopN: no scan-side bound
+			q += fmt.Sprintf(" HAVING count(*) > %d", rng()%3)
+		}
+		if rng()%2 == 0 {
+			// TopN tail: a prefix of the group keys — all of them half the
+			// time — so the TopN bounds the grouped scan, and sometimes an
+			// aggregate behind it (tiebreak, still bounded) or ahead of it
+			// (never bounded). Ties fall to first-seen group order, which
+			// both paths share.
 			dirs := make([]string, len(groups))
 			for i := range groups {
 				dirs[i] = groups[i]
 				if rng()%2 == 0 {
 					dirs[i] += " DESC"
 				}
+			}
+			if rng()%2 == 0 {
+				dirs = dirs[:1+rng()%uint64(len(dirs))]
+			}
+			switch agg := sel[len(groups)] + " DESC"; rng() % 4 {
+			case 0:
+				dirs = append(dirs, agg)
+			case 1:
+				dirs = append([]string{agg}, dirs...)
 			}
 			q += " ORDER BY " + strings.Join(dirs, ", ")
 			q += fmt.Sprintf(" LIMIT %d", rng()%8)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"citusgo/internal/types"
@@ -281,5 +282,223 @@ func TestVectorizedStripeSkipping(t *testing.T) {
 	}
 	if batches := metVecBatches.Value() - preBatch; batches != 0 {
 		t.Errorf("fully-skipped scan still read %d batches", batches)
+	}
+}
+
+// vecTopNGoldenQueries extends the matrix with ORDER BY ... LIMIT over a
+// vectorized grouped aggregate. cuts says what the TopN bound pushed into
+// the scan must do there: cut rows (the first ORDER BY key is a group
+// column), skip whole stripes as well, or stay out (ineligible shape, or
+// fewer groups than k).
+var vecTopNGoldenQueries = []struct {
+	name   string
+	q      string
+	cuts   bool
+	skips  bool
+	params []types.Datum
+}{
+	// l_comment_len is NULL in a fifth of the rows: ascending the NULL
+	// group is the first row, descending the NULL rows are cut
+	{"asc_null_keys", `SELECT l_comment_len, count(*), sum(l_quantity) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len LIMIT 5`, true, false, nil},
+	{"asc_limit_1_null_first", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len LIMIT 1`, true, false, nil},
+	{"desc_null_keys", `SELECT l_comment_len, count(*), avg(l_discount) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len DESC LIMIT 5`, true, false, nil},
+	{"desc_offset", `SELECT l_comment_len, min(l_shipdate) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len DESC LIMIT 3 OFFSET 4`, true, false, nil},
+	{"positional", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY 1 ORDER BY 1 LIMIT 3`, true, false, nil},
+	{"param_limit_offset", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len LIMIT $1 OFFSET $2`, true, false,
+		[]types.Datum{int64(4), int64(2)}},
+	{"filtered", `SELECT l_linenumber, sum(l_extendedprice) FROM lineitem
+		WHERE l_quantity < 25 AND l_returnflag <> 'N'
+		GROUP BY l_linenumber ORDER BY l_linenumber LIMIT 2`, true, false, nil},
+	{"multi_col_all_keys", `SELECT l_comment_len, l_returnflag, count(*) FROM lineitem
+		GROUP BY l_comment_len, l_returnflag ORDER BY l_comment_len DESC, l_returnflag LIMIT 7`, true, false, nil},
+	{"multi_col_prefix_agg_tiebreak", `SELECT l_comment_len, l_returnflag, count(*) FROM lineitem
+		GROUP BY l_comment_len, l_returnflag ORDER BY l_comment_len, count(*) DESC LIMIT 7`, true, false, nil},
+	{"second_group_col_first", `SELECT l_returnflag, l_comment_len, sum(l_quantity) FROM lineitem
+		GROUP BY l_returnflag, l_comment_len ORDER BY l_comment_len DESC, l_returnflag LIMIT 6`, true, false, nil},
+	{"hidden_order_key", `SELECT count(*), sum(l_quantity) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len DESC LIMIT 4`, true, false, nil},
+	{"timestamp_key", `SELECT l_shipdate, count(*) FROM lineitem
+		GROUP BY l_shipdate ORDER BY l_shipdate DESC LIMIT 10`, true, false, nil},
+	{"text_key", `SELECT l_returnflag, count(*) FROM lineitem
+		GROUP BY l_returnflag ORDER BY l_returnflag LIMIT 2`, true, false, nil},
+	// l_orderkey rises with the load order, so later stripes start behind
+	// the bound and are never read
+	{"stripe_skip", `SELECT l_orderkey, sum(l_quantity) FROM lineitem
+		GROUP BY l_orderkey ORDER BY l_orderkey LIMIT 5`, true, true, nil},
+
+	{"k_exceeds_groups", `SELECT l_returnflag, l_linestatus, count(*) FROM lineitem
+		GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag DESC, l_linestatus LIMIT 50`, false, false, nil},
+	{"limit_zero", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len LIMIT 0`, false, false, nil},
+	{"limit_null", `SELECT l_linenumber, count(*) FROM lineitem
+		GROUP BY l_linenumber ORDER BY l_linenumber LIMIT NULL`, false, false, nil},
+	{"having_blocks", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY l_comment_len HAVING count(*) > 14 ORDER BY l_comment_len LIMIT 5`, false, false, nil},
+	{"aggregate_first_blocks", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY l_comment_len ORDER BY count(*) DESC, l_comment_len LIMIT 5`, false, false, nil},
+	{"expression_key_blocks", `SELECT l_comment_len, count(*) FROM lineitem
+		GROUP BY l_comment_len ORDER BY l_comment_len % 7, l_comment_len LIMIT 5`, false, false, nil},
+	{"distinct_blocks", `SELECT DISTINCT l_linestatus, count(*) FROM lineitem
+		GROUP BY l_linestatus, l_returnflag ORDER BY l_linestatus LIMIT 1`, false, false, nil},
+	{"float_key_blocks", `SELECT l_quantity, count(*) FROM lineitem
+		GROUP BY l_quantity ORDER BY l_quantity LIMIT 5`, false, false, nil},
+}
+
+// TestVectorizedTopNBoundGolden: with the TopN bound pushed into the
+// grouped scan, every shape returns the rows of the row-at-a-time path at
+// parallel degree 1 and 3, and the bound's counters move exactly where the
+// shape is eligible.
+func TestVectorizedTopNBoundGolden(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	loadVecGoldenLineitem(t, s, 1000)
+	defer e.SetVecParallelism(0)
+	defer e.SetVectorized(true)
+
+	for _, degree := range []int{1, 3} {
+		for _, tc := range vecTopNGoldenQueries {
+			t.Run(fmt.Sprintf("par%d/%s", degree, tc.name), func(t *testing.T) {
+				e.SetVectorized(true)
+				e.SetVecParallelism(degree)
+				preQueries := metVecQueries.Value()
+				preRows, preStripes := metVecTopNBoundRows.Value(), metVecTopNBoundStripes.Value()
+				vecRes, err := s.Exec(tc.q, tc.params...)
+				if err != nil {
+					t.Fatalf("vectorized exec: %v", err)
+				}
+				if metVecQueries.Value() == preQueries {
+					t.Errorf("expected the vectorized path, but it never ran")
+				}
+				cutRows := metVecTopNBoundRows.Value() - preRows
+				skipped := metVecTopNBoundStripes.Value() - preStripes
+				if tc.cuts != (cutRows > 0) {
+					t.Errorf("bound cut %d rows, want cuts=%v", cutRows, tc.cuts)
+				}
+				if tc.skips != (skipped > 0) {
+					t.Errorf("bound skipped %d stripes, want skips=%v", skipped, tc.skips)
+				}
+
+				e.SetVectorized(false)
+				rowRes, err := s.Exec(tc.q, tc.params...)
+				if err != nil {
+					t.Fatalf("row-path exec: %v", err)
+				}
+				rowsMatch(t, tc.name, vecRes.Rows, rowRes.Rows)
+			})
+		}
+	}
+}
+
+// TestVectorizedTopNBoundExplain pins the EXPLAIN line of a bounded scan.
+func TestVectorizedTopNBoundExplain(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE ex (part bigint, qty double precision) USING columnar`)
+	expectRows(t, mustExec(t, s, `EXPLAIN SELECT part, sum(qty) FROM ex
+		GROUP BY part ORDER BY part DESC LIMIT 10 OFFSET 5`), `
+TopN
+  Project
+    Vectorized HashAggregate
+      TopN bound: part DESC k=15
+      Vectorized Columnar Scan on ex`)
+	// k is unknown until a parameterised LIMIT is bound
+	expectRows(t, mustExec(t, s, `EXPLAIN SELECT part, sum(qty) FROM ex
+		GROUP BY part ORDER BY part LIMIT $1`, int64(3)), `
+TopN
+  Project
+    Vectorized HashAggregate
+      TopN bound: part ASC k=?
+      Vectorized Columnar Scan on ex`)
+	// a float key is never bounded
+	expectRows(t, mustExec(t, s, `EXPLAIN SELECT qty, count(*) FROM ex
+		GROUP BY qty ORDER BY qty LIMIT 3`), `
+TopN
+  Project
+    Vectorized HashAggregate
+      Vectorized Columnar Scan on ex`)
+	// nor is a scan whose aggregate argument can fail on a row
+	expectRows(t, mustExec(t, s, `EXPLAIN SELECT part, sum(10 / part) FROM ex
+		GROUP BY part ORDER BY part LIMIT 3`), `
+TopN
+  Project
+    Vectorized HashAggregate
+      Vectorized Columnar Scan on ex`)
+}
+
+// TestVectorizedTopNBoundKeepsRowErrors: a division by zero in a row of a
+// group far behind the top k still fails the query on both paths — the
+// bound, which would cut that row before its argument is evaluated, is
+// declined for aggregate arguments that can fail.
+func TestVectorizedTopNBoundKeepsRowErrors(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE zz (k bigint, x bigint) USING columnar`)
+	for k := 0; k < 50; k++ {
+		x := 1
+		if k == 40 {
+			x = 0
+		}
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO zz VALUES (%d, %d)`, k, x))
+	}
+	defer e.SetVectorized(true)
+	for _, q := range []string{
+		`SELECT k, sum(10 / x) FROM zz GROUP BY k ORDER BY k LIMIT 2`,
+		`SELECT k, sum(1 + k % x) FROM zz GROUP BY k ORDER BY k LIMIT 2`,
+	} {
+		for _, vectorized := range []bool{true, false} {
+			e.SetVectorized(vectorized)
+			if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Errorf("%s (vectorized=%v): err %v, want division by zero", q, vectorized, err)
+			}
+		}
+	}
+}
+
+// TestTimestampLiteralMidnight is the regression test for comparing a
+// timestamp column with a bare date literal: as text, midnight
+// ("1994-01-01 00:00:00") sorted after "1994-01-01"; typed, they are equal.
+// The columnar table answers through the vectorized and the row-at-a-time
+// path, the heap table through a sequential scan and a btree range.
+func TestTimestampLiteralMidnight(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE ev_col (id bigint, ts timestamp) USING columnar`)
+	mustExec(t, s, `CREATE TABLE ev_heap (id bigint PRIMARY KEY, ts timestamp)`)
+	mustExec(t, s, `CREATE TABLE ev_idx (id bigint PRIMARY KEY, ts timestamp)`)
+	mustExec(t, s, `CREATE INDEX ev_idx_ts ON ev_idx (ts)`)
+	for i, ts := range []string{"1993-12-31 23:59:59", "1994-01-01", "1994-01-01 00:00:01", "1994-01-02 00:00:00"} {
+		for _, tab := range []string{"ev_col", "ev_heap", "ev_idx"} {
+			mustExec(t, s, fmt.Sprintf(`INSERT INTO %s VALUES (%d, '%s')`, tab, i, ts))
+		}
+	}
+	defer e.SetVectorized(true)
+	for _, tc := range []struct {
+		where string
+		want  string
+	}{
+		{"ts > '1994-01-01'", "2"},
+		{"ts >= '1994-01-01'", "3"},
+		{"ts <= '1994-01-01'", "2"},
+		{"ts < '1994-01-01'", "1"},
+		{"ts = '1994-01-01'", "1"},
+		{"'1994-01-01' < ts", "2"},
+		{"ts BETWEEN '1994-01-01' AND '1994-01-02'", "3"},
+		{"ts > '1994-01-01' OR ts = '1993-12-31 23:59:59'", "3"},
+	} {
+		for _, vectorized := range []bool{true, false} {
+			e.SetVectorized(vectorized)
+			for _, tab := range []string{"ev_col", "ev_heap", "ev_idx"} {
+				res := mustExec(t, s, fmt.Sprintf(`SELECT count(*) FROM %s WHERE %s`, tab, tc.where))
+				if got := strings.TrimSpace(rowsToString(res.Rows)); got != tc.want {
+					t.Errorf("%s WHERE %s (vectorized=%v): count %s, want %s", tab, tc.where, vectorized, got, tc.want)
+				}
+			}
+		}
 	}
 }

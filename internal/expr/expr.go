@@ -53,12 +53,21 @@ func (c *Ctx) runSubquery(sel *sql.SelectStmt) ([]types.Row, error) {
 type Evaluator func(*Ctx) (types.Datum, error)
 
 // Compile builds an evaluator for e, resolving columns through r (which may
-// be nil for constant expressions).
+// be nil for constant expressions). Every immutable subtree is evaluated
+// here, once, instead of once per row (see fold).
 func Compile(e sql.Expr, r Resolver) (Evaluator, error) {
+	ev, err := compile(e, r)
+	if err != nil {
+		return nil, err
+	}
+	ev, _, _ = fold(e, ev)
+	return ev, nil
+}
+
+func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 	switch n := e.(type) {
 	case *sql.Literal:
-		v := n.Value
-		return func(*Ctx) (types.Datum, error) { return v, nil }, nil
+		return constant(n.Value), nil
 
 	case *sql.Param:
 		idx := n.Index - 1
@@ -135,11 +144,12 @@ func Compile(e sql.Expr, r Resolver) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		lo, err := Compile(n.Lo, r)
+		typ := columnType(n.E, r)
+		lo, err := CompileAgainst(n.Lo, r, typ)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := Compile(n.Hi, r)
+		hi, err := CompileAgainst(n.Hi, r, typ)
 		if err != nil {
 			return nil, err
 		}
@@ -241,15 +251,21 @@ func Compile(e sql.Expr, r Resolver) (Evaluator, error) {
 }
 
 func compileBinary(n *sql.BinaryExpr, r Resolver) (Evaluator, error) {
-	l, err := Compile(n.L, r)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := Compile(n.R, r)
-	if err != nil {
-		return nil, err
-	}
 	op := n.Op
+	// a comparison types each side after the column on the other side
+	lTyp, rTyp := types.Unknown, types.Unknown
+	switch op {
+	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+		lTyp, rTyp = columnType(n.L, r), columnType(n.R, r)
+	}
+	l, err := CompileAgainst(n.L, r, rTyp)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := CompileAgainst(n.R, r, lTyp)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case sql.OpAnd:
 		return func(c *Ctx) (types.Datum, error) {

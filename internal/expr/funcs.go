@@ -320,6 +320,10 @@ func init() {
 			return "number", nil
 		}
 	})
+
+	for name := range Scalars {
+		immutableFuncs[name] = name != "now" && name != "random"
+	}
 }
 
 func numeric1(name string, fn func(float64) float64) ScalarFunc {

@@ -49,6 +49,10 @@ const (
 	PointSoakAck         = "soak.ack"          // key: soak workload class; canary for the soak's acked-write ledger
 )
 
+// PointExecutorReprepare sits between a plan-invalid re-prepare and the
+// execution that follows it (internal/citus/executor.go); no key.
+const PointExecutorReprepare = "executor.reprepare"
+
 // Action says what an armed rule does when it fires.
 type Action int
 

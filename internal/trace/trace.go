@@ -96,10 +96,10 @@ const (
 	// emits to the log.
 	maxSlowLogSpans = 12
 	// maxSpanAttrs is the per-span annotation capacity. Attrs beyond it
-	// are dropped — the richest span today (a pipelined task span, which
-	// adds pipeline_depth) sets exactly six: shard_group, node, plancache,
-	// pipeline_depth, attempt, rows-or-error.
-	maxSpanAttrs = 6
+	// are dropped — the richest span today (vec_scan) sets exactly seven:
+	// batches, rows, stripes_skipped, parallelism, groups, group_batches,
+	// bound_rows.
+	maxSpanAttrs = 7
 )
 
 var (
