@@ -43,22 +43,28 @@ race:
 # plan-invalid stress tests 100 times each — `cached plan is invalid` must
 # never reach a client, however DDL interleaves with re-prepares — then the
 # slow-start ramp test and the real-TCP benchmark's own tests under the race
-# detector, which is where the ramp's wg.Add/wg.Wait race first showed
+# detector, which is where the ramp's wg.Add/wg.Wait race first showed; and
+# 20 times under -race, concurrent sessions sharing the coordinator's merge
+# relations (a prefix drop took other sessions' relations with it), the
+# PipelineWindow 1-vs-8 parity run, the issue fault at every position of a
+# replicated fan-out and the bounded transient retry
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
+	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound' -count=20 -timeout 10m ./internal/citus
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
 # benchmarks live in the root package, on top of internal/bench, plus the
 # vectorized-kernel microbenchmark in internal/vec), and run the A3
-# plan-cache, A4 pipelining, A5 vectorization, and A6 replica-routing
-# ablations once (all variants) so the cached/pipelined/vectorized/
-# replicated execution paths can't either — A5 and A6 also assert their
-# counter splits (vec batches, replicated vs primary reads)
+# plan-cache, A4 pipelining, A5 vectorization, A6 replica-routing and A7
+# SSI ablations once (all variants) so the cached/pipelined/vectorized/
+# replicated/serializable execution paths can't either — A5 and A6 also
+# assert their counter splits (vec batches, replicated vs primary reads).
+# The CI bench-smoke job runs this target, so this is the one list.
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' -timeout 15m . ./internal/bench/... ./internal/vec
-	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting' -count=1 -timeout 10m ./internal/bench
+	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting|TestAblationSSI' -count=1 -timeout 10m ./internal/bench
 
 # run citusbench with the slow-query log catching everything and assert the
 # tracing pipeline emitted at least one trace (see docs/tracing.md)

@@ -268,9 +268,10 @@ func AblationSlowStart(sc Scale) ([]Series, error) {
 // AblationPipelining isolates the wire-protocol pipelining win: a
 // multi-shard fan-out under a shared connection limit that forces several
 // tasks onto each worker connection (16 shards over 2 workers with
-// MaxSharedPoolSize 2 → ≥4 tasks per connection). Serially each task pays
-// its own round trip; pipelined, a connection's whole task queue rides one
-// window for ~1 RTT. Reported as the median fan-out latency at several
+// MaxSharedPoolSize 2 → ≥4 tasks per connection). Serially (PipelineWindow
+// 1) each task pays its own round trip; pipelined (the default window), a
+// connection's whole task queue rides one window for ~1 RTT. Reported as
+// the median fan-out latency at several
 // simulated RTTs; each point's Extra carries the
 // wire_pipeline_batches_total delta, proving the "pipelined" variant
 // batched and the "serial" one never did.
@@ -279,13 +280,13 @@ func AblationPipelining(sc Scale) (Series, error) {
 	rtts := []time.Duration{0, 100 * time.Microsecond, 200 * time.Microsecond, time.Millisecond}
 	for _, rtt := range rtts {
 		for _, variant := range []struct {
-			name    string
-			disable bool
+			name   string
+			window int
 		}{
-			{"pipelined", false},
-			{"serial", true},
+			{"pipelined", 0},
+			{"serial", 1},
 		} {
-			med, batches, err := pipelineFanout(sc, rtt, variant.disable)
+			med, batches, err := pipelineFanout(sc, rtt, variant.window)
 			if err != nil {
 				return out, fmt.Errorf("rtt %v %s: %w", rtt, variant.name, err)
 			}
@@ -302,12 +303,12 @@ func AblationPipelining(sc Scale) (Series, error) {
 // pipelineFanout boots one connection-limited cluster variant and returns
 // the median latency of a full fan-out aggregate over repeated runs, plus
 // the number of pipelined batches flushed during the measured runs.
-func pipelineFanout(sc Scale, rtt time.Duration, disable bool) (time.Duration, int64, error) {
+func pipelineFanout(sc Scale, rtt time.Duration, window int) (time.Duration, int64, error) {
 	c, err := cluster.New(cluster.Config{
 		Workers:    2,
 		ShardCount: 16,
 		NetworkRTT: rtt,
-		Citus:      citus.Config{MaxSharedPoolSize: 2, DisablePipelining: disable},
+		Citus:      citus.Config{MaxSharedPoolSize: 2, PipelineWindow: window},
 		Trace:      ClusterTrace,
 	})
 	if err != nil {

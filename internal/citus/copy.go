@@ -127,8 +127,8 @@ func (n *Node) distributeRows(table string, dt *metadata.DistTable, columns []st
 				// window: all COPY requests for this connection are encoded
 				// back-to-back and the per-shard results drained afterwards,
 				// so a stream pays one round trip for its whole queue instead
-				// of one per shard. With pipelining disabled the window is 1,
-				// which degenerates to the sequential round-trip loop.
+				// of one per shard. At PipelineWindow 1 every request is
+				// drained as it is sent: the sequential round-trip loop.
 				type flight struct {
 					pd      *wire.Pending
 					shardID int64
@@ -136,32 +136,6 @@ func (n *Node) distributeRows(table string, dt *metadata.DistTable, columns []st
 				var conn *wire.Conn
 				var pl *wire.Pipeline
 				var inflight []flight
-				broken := false
-				resolve := func() {
-					if pl == nil {
-						return
-					}
-					_ = pl.Flush()
-					mu.Lock()
-					for _, f := range inflight {
-						cnt, err := f.pd.Affected()
-						if err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							if wire.IsTransient(err) {
-								broken = true
-							}
-							continue
-						}
-						// count only the primary placement toward the total
-						if n.Meta.Placements(f.shardID)[0] == nodeID {
-							total += cnt
-						}
-					}
-					mu.Unlock()
-					inflight = inflight[:0]
-				}
 				for b := range work {
 					if conn == nil {
 						c, err := n.acquireConn(p, nodeID, true)
@@ -174,25 +148,42 @@ func (n *Node) distributeRows(table string, dt *metadata.DistTable, columns []st
 							return
 						}
 						conn = c.conn
-						pl = conn.Pipeline(n.pipelineWindow())
+						pl = conn.Pipeline(n.Cfg.PipelineWindow)
 					}
 					inflight = append(inflight, flight{
 						pd:      pl.Copy(b.shard.ShardName(), cols, b.rows),
 						shardID: b.shard.ID,
 					})
-					if n.Cfg.DisablePipelining {
-						resolve()
+				}
+				if conn == nil {
+					return
+				}
+				_ = pl.Flush()
+				broken := false
+				mu.Lock()
+				for _, f := range inflight {
+					cnt, err := f.pd.Affected()
+					if err != nil {
+						if firstErr == nil {
+							firstErr = err
+						}
+						if wire.IsTransient(err) {
+							broken = true
+						}
+						continue
+					}
+					// count only the primary placement toward the total
+					if n.Meta.Placements(f.shardID)[0] == nodeID {
+						total += cnt
 					}
 				}
-				resolve()
-				if conn != nil {
-					// a transport-level failure leaves the connection desynced:
-					// discard it instead of recycling it into the pool
-					if broken {
-						p.Discard(conn)
-					} else {
-						p.Put(conn)
-					}
+				mu.Unlock()
+				// a transport-level failure leaves the connection desynced:
+				// discard it instead of recycling it into the pool
+				if broken {
+					p.Discard(conn)
+				} else {
+					p.Put(conn)
 				}
 			}(nodeID)
 		}

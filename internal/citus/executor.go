@@ -215,260 +215,262 @@ func (n *Node) latencyFor(nodeID int) *obs.Histogram {
 	return actual.(*obs.Histogram)
 }
 
+// nodeRun schedules one worker node's share of a statement's tasks across
+// that node's connections: partition splits them into per-connection queues
+// and the general queue, every connection runs drain, ramp opens more
+// connections on the slow-start schedule, dispose hands the opened
+// connections back.
+type nodeRun struct {
+	n       *Node
+	s       *engine.Session
+	st      *sessState
+	nodeID  int
+	pool    *pool.NodePool
+	tasks   []task
+	results []*engine.Result
+	txnMode bool
+
+	// general is the queue any connection may take from; remaining counts
+	// its tasks not yet finished.
+	general   chan int
+	remaining atomic.Int64
+	// fairShare is how many general tasks a connection takes per window.
+	fairShare int
+
+	// conns counts connections running drain, ramp included while it may
+	// still open one; started counts them for the ramp's arithmetic.
+	conns   sync.WaitGroup
+	started atomic.Int64
+	// drained closes once no further connection can help: the general queue
+	// is finished or the run aborted. It is what ends the ramp.
+	drained     chan struct{}
+	drainedOnce sync.Once
+	aborted     atomic.Bool
+
+	mu     sync.Mutex // guards err and opened
+	err    error
+	opened []*workerConn
+}
+
 // runNodeTasks schedules one worker node's tasks across its connections.
 func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs []int, tasks []task, results []*engine.Result, txnMode bool) error {
 	p, err := n.poolFor(nodeID)
 	if err != nil {
 		return err
 	}
-
-	// Split tasks into per-connection assigned queues (transaction
-	// affinity) and the general pool for this worker.
-	st.mu.Lock()
-	assigned := make(map[*workerConn][]int)
-	var general []int
-	for _, i := range idxs {
-		if g := tasks[i].shardGroup; g >= 0 {
-			if wc, ok := st.groupConn[g]; ok && wc.nodeID == nodeID {
-				assigned[wc] = append(assigned[wc], i)
-				continue
-			}
-		}
-		general = append(general, i)
+	r := &nodeRun{
+		n: n, s: s, st: st, nodeID: nodeID, pool: p,
+		tasks: tasks, results: results, txnMode: txnMode,
+		drained: make(chan struct{}),
 	}
-	pinned := append([]*workerConn(nil), st.conns[nodeID]...)
-	st.mu.Unlock()
+	assigned, pinned, general := r.partition(idxs)
 
-	var remaining atomic.Int64
-	remaining.Store(int64(len(general)))
-	taskCh := make(chan int, len(general))
-	for _, i := range general {
-		taskCh <- i
-	}
-	close(taskCh)
-
-	// drained closes once no further connection can help: the general queue
-	// is empty or the run aborted. It is what ends the slow-start ramp.
-	drained := make(chan struct{})
-	var drainedOnce sync.Once
-	markDrained := func() { drainedOnce.Do(func() { close(drained) }) }
-
-	var mu sync.Mutex
-	var runErr error
-	var aborted atomic.Bool
-	noteErr := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-		aborted.Store(true)
-		markDrained()
-	}
-	finished := func(batch []int) {
-		if remaining.Add(-int64(len(batch))) == 0 {
-			markDrained()
-		}
-	}
-
-	window := 1
-	if !n.Cfg.DisablePipelining {
-		window = n.Cfg.PipelineWindow
-	}
-	// fairShare is a connection's pipelined batch size for the general
-	// queue. The shared connection limit caps this node's possible fan-out,
-	// so when it forces multiple tasks per connection the surplus rides one
-	// pipelined window instead of paying a round trip each; when the limit
-	// would permit one connection per task, batches stay at 1 and the
-	// adaptive fan-out keeps its full cross-connection parallelism. The
-	// share is fixed from the initial queue length rather than the live
-	// remainder: a shrinking target would hand the first grab a full share
-	// and every later grab a sliver (windows of 4,2,1,1 instead of 4,4 for
-	// 8 tasks under limit 2), paying round trips for parallelism the limit
-	// can't deliver anyway.
-	fairShare := 1
-	if window > 1 && n.Cfg.MaxSharedPoolSize > 0 {
-		fairShare = (len(general) + n.Cfg.MaxSharedPoolSize - 1) / n.Cfg.MaxSharedPoolSize
-		if fairShare < 1 {
-			fairShare = 1
-		}
-		if fairShare > window {
-			fairShare = window
-		}
-	}
-
-	runOn := func(wc *workerConn, private []int) {
-		// The assigned queue is this connection's alone (transaction
-		// affinity pins its shard groups here), so it pipelines in full
-		// windows — there is no parallelism to preserve by holding back.
-		for start := 0; start < len(private); start += window {
-			if aborted.Load() {
-				return
-			}
-			end := start + window
-			if end > len(private) {
-				end = len(private)
-			}
-			if err := n.runTaskWindow(s, st, wc, private[start:end], tasks, results, txnMode); err != nil {
-				noteErr(err)
-				return
-			}
-		}
-		batch := make([]int, 0, window)
-		for {
-			i, ok := <-taskCh
-			if !ok {
-				return
-			}
-			batch = append(batch, i)
-			target := fairShare
-		fill:
-			for len(batch) < target {
-				select {
-				case j, ok := <-taskCh:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, j)
-				default:
-					break fill
-				}
-			}
-			if aborted.Load() {
-				finished(batch)
-				batch = batch[:0]
-				continue
-			}
-			err := n.runTaskWindow(s, st, wc, batch, tasks, results, txnMode)
-			finished(batch)
-			batch = batch[:0]
-			if err != nil {
-				noteErr(err)
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	var newConns []*workerConn
-	var newMu sync.Mutex
-	startConn := func(wc *workerConn, private []int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runOn(wc, private)
-		}()
-	}
-
-	// Existing pinned/assigned connections start immediately. started is
-	// atomic because the ramp goroutine below takes over counting from the
-	// caller.
-	var started atomic.Int64
-	startedSet := map[*workerConn]bool{}
+	// Existing pinned/assigned connections start immediately.
 	for wc, private := range assigned {
-		startConn(wc, private)
-		startedSet[wc] = true
-		started.Add(1)
+		r.start(wc, private)
 	}
 	for _, wc := range pinned {
-		if !startedSet[wc] {
-			startConn(wc, nil)
-			startedSet[wc] = true
-			started.Add(1)
+		if _, ok := assigned[wc]; !ok {
+			r.start(wc, nil)
 		}
 	}
-
-	openNew := func() bool {
-		wc, err := n.acquireConn(p, nodeID, started.Load() == 0)
-		if err != nil {
-			if errors.Is(err, pool.ErrLimit) {
-				return false
-			}
-			noteErr(err)
-			return false
-		}
-		metConnsOpenedBy.With(strconv.Itoa(nodeID)).Inc()
-		newMu.Lock()
-		newConns = append(newConns, wc)
-		newMu.Unlock()
-		startConn(wc, nil)
-		started.Add(1)
-		return true
-	}
-
 	// Slow start: n=1 connection may be opened now; every interval the
 	// allowance grows by one, and we open min(allowance, pending tasks).
 	// A negative interval disables the ramp entirely (instant fan-out, the
 	// ablation baseline).
-	if started.Load() == 0 && (len(general) > 0 || txnMode) {
-		openNew()
+	if r.started.Load() == 0 && (general > 0 || txnMode) {
+		r.open()
 	}
 	if n.Cfg.SlowStartInterval < 0 {
-		for int(started.Load()) < len(general) && !aborted.Load() {
-			if !openNew() {
+		for int(r.started.Load()) < general && !r.aborted.Load() {
+			if !r.open() {
 				break
 			}
 		}
 	}
-	if n.Cfg.SlowStartInterval > 0 && len(general) > 1 {
-		// The ramp holds a count in wg for as long as it may open
-		// connections, so each wg.Add it makes through startConn is ordered
-		// before wg.Wait can return, and every connection it opens is in
-		// newConns by the disposition pass below.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			allowance := 1
-			ticker := time.NewTicker(n.Cfg.SlowStartInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-drained:
-					return
-				case <-ticker.C:
-					allowance++
-					metSlowStartRounds.Inc()
-					want := int(remaining.Load() - started.Load())
-					if allowance < want {
-						want = allowance
-					}
-					for k := 0; k < want; k++ {
-						if aborted.Load() || !openNew() {
-							break
-						}
-					}
-				}
-			}
-		}()
+	if n.Cfg.SlowStartInterval > 0 && general > 1 {
+		// The ramp holds a count in conns for as long as it may open
+		// connections, so each Add it makes through start is ordered before
+		// Wait can return, and every connection it opens is in r.opened by
+		// the time dispose runs.
+		r.conns.Add(1)
+		go r.ramp()
 	}
+	r.conns.Wait()
+	r.dispose()
+	return r.err
+}
 
-	wg.Wait()
+// partition splits the node's tasks into per-connection assigned queues
+// (transaction affinity: a shard group stays on the connection that first
+// touched it) and the general queue, which it fills, and returns the
+// session's connections already pinned to this node. It also fixes
+// fairShare, a connection's window size for the general queue. The shared
+// connection limit caps this node's possible fan-out, so when it forces
+// multiple tasks per connection the surplus rides one pipelined window
+// instead of paying a round trip each; when the limit would permit one
+// connection per task, windows stay at 1 and the adaptive fan-out keeps its
+// full cross-connection parallelism. The share is fixed from the initial
+// queue length rather than the live remainder: a shrinking target would hand
+// the first grab a full share and every later grab a sliver (windows of
+// 4,2,1,1 instead of 4,4 for 8 tasks under limit 2), paying round trips for
+// parallelism the limit can't deliver anyway.
+func (r *nodeRun) partition(idxs []int) (assigned map[*workerConn][]int, pinned []*workerConn, general int) {
+	assigned = make(map[*workerConn][]int)
+	r.general = make(chan int, len(idxs))
+	r.st.mu.Lock()
+	for _, i := range idxs {
+		if g := r.tasks[i].shardGroup; g >= 0 {
+			if wc, ok := r.st.groupConn[g]; ok && wc.nodeID == r.nodeID {
+				assigned[wc] = append(assigned[wc], i)
+				continue
+			}
+		}
+		r.general <- i
+	}
+	pinned = append(pinned, r.st.conns[r.nodeID]...)
+	r.st.mu.Unlock()
+	close(r.general)
+	general = len(r.general)
+	r.remaining.Store(int64(general))
 
-	// Connection disposition: transactional connections pin to the
-	// session; others return to the shared pool.
-	newMu.Lock()
-	opened := newConns
-	newMu.Unlock()
-	st.mu.Lock()
-	for _, wc := range opened {
-		if wc.gone {
-			continue
-		} else if wc.inTxn {
-			st.conns[nodeID] = append(st.conns[nodeID], wc)
-		} else if wc.broken {
-			st.mu.Unlock()
-			p.Discard(wc.conn)
-			st.mu.Lock()
-		} else {
-			st.mu.Unlock()
-			p.Put(wc.conn)
-			st.mu.Lock()
+	limit := r.n.Cfg.MaxSharedPoolSize
+	r.fairShare = max(1, min((general+limit-1)/limit, r.n.Cfg.PipelineWindow))
+	return assigned, pinned, general
+}
+
+// start runs drain for one connection on its own goroutine.
+func (r *nodeRun) start(wc *workerConn, private []int) {
+	r.started.Add(1)
+	r.conns.Add(1)
+	go func() {
+		defer r.conns.Done()
+		r.drain(wc, private)
+	}()
+}
+
+// drain is the per-connection loop: first the connection's private queue,
+// then windows of fairShare tasks from the general queue until it is empty.
+// The private queue is this connection's alone (transaction affinity pins
+// its shard groups here), so it goes out in full windows — there is no
+// parallelism to preserve by holding back.
+func (r *nodeRun) drain(wc *workerConn, private []int) {
+	window := r.n.Cfg.PipelineWindow
+	for len(private) > 0 {
+		if r.aborted.Load() {
+			return
+		}
+		k := min(len(private), window)
+		if err := r.n.runTaskWindow(r.s, r.st, wc, private[:k], r.tasks, r.results, r.txnMode); err != nil {
+			r.fail(err)
+			return
+		}
+		private = private[k:]
+	}
+	batch := make([]int, 0, r.fairShare)
+	for i := range r.general {
+		batch = append(batch[:0], i)
+	fill:
+		for len(batch) < r.fairShare {
+			select {
+			case j, ok := <-r.general:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, j)
+			default:
+				break fill
+			}
+		}
+		if !r.aborted.Load() {
+			if err := r.n.runTaskWindow(r.s, r.st, wc, batch, r.tasks, r.results, r.txnMode); err != nil {
+				r.fail(err)
+			}
+		}
+		if r.remaining.Add(-int64(len(batch))) == 0 {
+			r.markDrained()
 		}
 	}
-	st.mu.Unlock()
+}
 
-	mu.Lock()
-	defer mu.Unlock()
-	return runErr
+func (r *nodeRun) markDrained() { r.drainedOnce.Do(func() { close(r.drained) }) }
+
+// fail records the run's first error and aborts it: queued tasks are
+// consumed without being issued.
+func (r *nodeRun) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.aborted.Store(true)
+	r.markDrained()
+}
+
+// open checks a new connection out of the node's pool and starts it on the
+// general queue. It reports false when the shared connection limit (not an
+// error) or a failed checkout (the run's error) left nothing to start.
+func (r *nodeRun) open() bool {
+	wc, err := r.n.acquireConn(r.pool, r.nodeID, r.started.Load() == 0)
+	if err != nil {
+		if !errors.Is(err, pool.ErrLimit) {
+			r.fail(err)
+		}
+		return false
+	}
+	metConnsOpenedBy.With(strconv.Itoa(r.nodeID)).Inc()
+	r.mu.Lock()
+	r.opened = append(r.opened, wc)
+	r.mu.Unlock()
+	r.start(wc, nil)
+	return true
+}
+
+// ramp is the slow-start schedule (§3.6.1): each tick the allowance grows by
+// one and it opens min(allowance, tasks no connection has reached yet) new
+// connections, until the general queue is drained.
+func (r *nodeRun) ramp() {
+	defer r.conns.Done()
+	allowance := 1
+	ticker := time.NewTicker(r.n.Cfg.SlowStartInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-r.drained:
+			return
+		case <-ticker.C:
+			allowance++
+			metSlowStartRounds.Inc()
+			want := int(r.remaining.Load() - r.started.Load())
+			if allowance < want {
+				want = allowance
+			}
+			for k := 0; k < want; k++ {
+				if r.aborted.Load() || !r.open() {
+					break
+				}
+			}
+		}
+	}
+}
+
+// dispose is the connection disposition for the connections this run
+// opened: transactional ones pin to the session, broken ones are discarded,
+// the rest return to the shared pool.
+func (r *nodeRun) dispose() {
+	for _, wc := range r.opened {
+		switch {
+		case wc.gone:
+		case wc.inTxn:
+			r.st.mu.Lock()
+			r.st.conns[r.nodeID] = append(r.st.conns[r.nodeID], wc)
+			r.st.mu.Unlock()
+		case wc.broken:
+			r.pool.Discard(wc.conn)
+		default:
+			r.pool.Put(wc.conn)
+		}
+	}
 }
 
 // acquireConn gets a connection from the pool, waiting under the shared
@@ -489,13 +491,34 @@ func (n *Node) acquireConn(p *pool.NodePool, nodeID int, mustHave bool) (*worker
 	}
 }
 
+// pipelineStmts issues session-control statements on conn as one window and
+// checks every reply. It returns the index of the first statement that
+// failed, with its error. Nothing is sent behind a statement already known
+// to have failed (at window 1 that is every failure).
+func (n *Node) pipelineStmts(conn *wire.Conn, stmts ...string) (int, error) {
+	pl := conn.Pipeline(n.Cfg.PipelineWindow)
+	pending := make([]*wire.Pending, 0, len(stmts))
+	for _, q := range stmts {
+		pending = append(pending, pl.Query(q))
+		if pending[len(pending)-1].Failed() {
+			break
+		}
+	}
+	_ = pl.Flush()
+	for i, pd := range pending {
+		if err := pd.Err(); err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
+}
+
 // beginTxnBlock opens the remote transaction block the first time a
 // transactional task lands on a connection. BEGIN and the session SETs
 // (dist txn id, plus the isolation level for serializable sessions) ride
-// one pipelined batch (one round trip instead of two or three); all are
-// checked before any task request is issued, so a failed BEGIN can never
-// let a write execute outside the block. With pipelining disabled they
-// fall back to plain round trips.
+// one window (one round trip instead of two or three); all are checked
+// before any task request is issued, so a failed BEGIN can never let a
+// write execute outside the block.
 func (n *Node) beginTxnBlock(s *engine.Session, st *sessState, wc *workerConn) error {
 	stmts := []string{
 		"BEGIN",
@@ -513,33 +536,12 @@ func (n *Node) beginTxnBlock(s *engine.Session, st *sessState, wc *workerConn) e
 	// queries in SSI tracking, and a stale dist txn id could let a
 	// cluster-wide pivot abort doom an innocent transaction.
 	wc.dirty = true
-	if n.Cfg.DisablePipelining {
-		for i, q := range stmts {
-			if _, err := wc.conn.Query(q); err != nil {
-				wc.broken = true
-				if i == 0 {
-					return fmt.Errorf("opening transaction block on node %d: %w", wc.nodeID, err)
-				}
-				return err
-			}
+	if i, err := n.pipelineStmts(wc.conn, stmts...); err != nil {
+		wc.broken = true
+		if i == 0 {
+			return fmt.Errorf("opening transaction block on node %d: %w", wc.nodeID, err)
 		}
-		wc.inTxn = true
-		return nil
-	}
-	pl := wc.conn.Pipeline(len(stmts))
-	pending := make([]*wire.Pending, len(stmts))
-	for i, q := range stmts {
-		pending[i] = pl.Query(q)
-	}
-	_ = pl.Flush()
-	for i, pd := range pending {
-		if _, err := pd.Result(); err != nil {
-			wc.broken = true
-			if i == 0 {
-				return fmt.Errorf("opening transaction block on node %d: %w", wc.nodeID, err)
-			}
-			return err
-		}
+		return err
 	}
 	wc.inTxn = true
 	return nil
@@ -554,166 +556,56 @@ func (n *Node) beginTxnBlock(s *engine.Session, st *sessState, wc *workerConn) e
 // pivot abort matches on dist id). Returns false when the reset itself
 // failed, in which case the connection must be discarded, not pooled.
 func (n *Node) resetWorkerSession(wc *workerConn) bool {
-	stmts := []string{
+	_, err := n.pipelineStmts(wc.conn,
 		"SET citus.dist_txn_id = ''",
-		"SET transaction_isolation = 'read committed'",
-	}
-	if n.Cfg.DisablePipelining {
-		for _, q := range stmts {
-			if _, err := wc.conn.Query(q); err != nil {
-				return false
-			}
-		}
-		wc.dirty = false
-		return true
-	}
-	pl := wc.conn.Pipeline(len(stmts))
-	pending := make([]*wire.Pending, len(stmts))
-	for i, q := range stmts {
-		pending[i] = pl.Query(q)
-	}
-	_ = pl.Flush()
-	for _, pd := range pending {
-		if _, err := pd.Result(); err != nil {
-			return false
-		}
+		"SET transaction_isolation = 'read committed'")
+	if err != nil {
+		return false
 	}
 	wc.dirty = false
 	return true
 }
 
-// runTask executes one task on one connection, opening a remote
-// transaction block first when in transactional mode.
-func (n *Node) runTask(s *engine.Session, st *sessState, wc *workerConn, t *task, results []*engine.Result, i int, txnMode bool) error {
-	if txnMode && !wc.inTxn {
-		if err := n.beginTxnBlock(s, st, wc); err != nil {
-			return err
-		}
-	}
-	// One child span per task (§3.6.1 meets the trace model): labeled with
-	// the shard group, target node, plan-cache disposition, and — after the
-	// round trip — the attempt count and row count. The trace context is
-	// stamped onto the connection so the worker's engine spans (parse, plan,
-	// execute, lock_wait, wal_fsync) nest under this task span.
-	sp := n.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "task", t.sql)
-	if sp != nil {
-		sp.SetAttr("shard_group", strconv.FormatInt(t.shardGroup, 10))
-		sp.SetAttr("node", strconv.Itoa(t.nodeID))
-		cache := t.cache
-		if cache == "" {
-			cache = "miss"
-		}
-		sp.SetAttr("plancache", cache)
-		wc.conn.SetTrace(s.TraceID, sp.SpanID())
-	}
-	start := time.Now()
-	res, attempts, err := n.queryTask(wc, t)
-	// Transient transport failures (connection reset, dropped response) on
-	// idempotent work retry on a fresh connection with doubling backoff.
-	// Only read-only tasks outside a transaction block qualify: a write or
-	// an in-transaction task may have taken effect on the worker before
-	// the response was lost, so re-running it is not safe.
-	if err != nil && !t.isWrite && !txnMode && wc.pool != nil {
-		for wire.IsTransient(err) && attempts < maxTaskAttempts {
-			time.Sleep(taskRetryBackoff << (attempts - 1))
-			if rerr := n.refreshConn(wc); rerr != nil {
-				break
-			}
-			if sp != nil {
-				wc.conn.SetTrace(s.TraceID, sp.SpanID())
-			}
-			metTaskRetries.Inc()
-			attempts++
-			res, _, err = n.queryTask(wc, t)
-		}
-	}
-	if err != nil && wire.IsTransient(err) {
-		// A transport-level failure means the connection's streams can no
-		// longer be trusted (the transport may even be closed): mark it
-		// broken so every disposition path discards it instead of
-		// recycling it into the pool — even if the task itself is rescued
-		// by the primary fallback below.
-		wc.broken = true
-	}
-	if err != nil && n.canFallbackToPrimary(t, txnMode, wc) {
-		if fres, ferr := n.replicaFallback(t); ferr == nil {
-			res, err = fres, nil
-		}
-	}
-	metTaskLatency.ObserveSince(start)
-	n.latencyFor(wc.nodeID).ObserveSince(start)
-	if sp != nil {
-		sp.SetAttr("attempt", strconv.Itoa(attempts))
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
-			sp.SetAttr("rows", strconv.Itoa(len(res.Rows)))
-		}
-		sp.Finish()
-		wc.conn.ClearTrace()
-	}
-	if err != nil {
-		return fmt.Errorf("task on node %d failed: %w", wc.nodeID, err)
-	}
-	results[i] = res
-	if t.isWrite {
-		wc.wrote = true
-	}
-	if txnMode && t.shardGroup >= 0 {
-		st.mu.Lock()
-		if _, ok := st.groupConn[t.shardGroup]; !ok {
-			st.groupConn[t.shardGroup] = wc
-		}
-		st.mu.Unlock()
-	}
-	return nil
+// issuedTask is one task between its issue and resolve steps: the wire
+// requests in flight for it and what finishing it needs.
+type issuedTask struct {
+	idx   int
+	sp    *trace.ActiveSpan
+	start time.Time
+	// name is the prepared statement pd executes ("" for a plain Query);
+	// prep is set when the window also had to prepare it.
+	name     string
+	prep, pd *wire.Pending
+	err      error // executor.task fault: nothing was sent
 }
 
-// runTaskWindow issues a batch of tasks bound for one connection as a
-// single pipelined window (§3.6.1 meets libpq pipeline mode): all requests
-// are encoded back-to-back and the responses drained in order, so a queue
-// of k tasks costs one network round trip instead of k. Single-task
-// batches (and the DisablePipelining ablation, which never builds larger
-// ones) take the plain runTask path. Error semantics are runTask's:
-// semantic errors fail their own task; a transport failure marks the
+// runTaskWindow is the one way a task reaches a connection (§3.6.1 meets
+// libpq pipeline mode). It issues a batch of tasks bound for one connection
+// as a single window — all requests encoded back-to-back — and resolves the
+// responses in order, so a queue of k tasks costs one network round trip
+// instead of k; serial issue is the same code at a window of 1. In
+// transactional mode the remote transaction block is opened first.
+// Semantic errors fail their own task; a transport failure marks the
 // connection broken, poisons the rest of the window, and — for read-only
-// tasks outside a transaction — re-issues the failed tasks individually on
-// a fresh connection, with writes never retried.
+// tasks outside a transaction — re-issues the failed tasks one by one on a
+// fresh connection, with writes never retried.
 func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, idxs []int, tasks []task, results []*engine.Result, txnMode bool) error {
-	if len(idxs) == 1 {
-		return n.runTask(s, st, wc, &tasks[idxs[0]], results, idxs[0], txnMode)
-	}
 	if txnMode && !wc.inTxn {
 		if err := n.beginTxnBlock(s, st, wc); err != nil {
 			return err
 		}
 	}
-	depth := strconv.Itoa(len(idxs))
 	pl := wc.conn.Pipeline(n.Cfg.PipelineWindow)
-	type slot struct {
-		idx   int
-		sp    *trace.ActiveSpan
-		prep  *wire.Pending
-		pd    *wire.Pending
-		name  string
-		start time.Time
-	}
-	slots := make([]slot, 0, len(idxs))
-	var issueErr error
+	issued := make([]issuedTask, 0, len(idxs))
 	for _, i := range idxs {
 		t := &tasks[i]
-		// executor.task fires per pipelined request exactly as it does per
-		// round trip; a fault here stops issuing the rest of the window
-		// (those tasks never reach the wire and report the same error).
-		kind := "read"
-		if t.isWrite {
-			kind = "write"
-		}
-		if err := fault.CheckKey(fault.PointExecutorTask, kind); err != nil {
-			issueErr = err
-			break
-		}
-		sl := slot{idx: i, start: time.Now()}
+		// One child span per task: labeled with the shard group, target node,
+		// plan-cache disposition, and — once resolved — the attempt count and
+		// row count. The trace context is stamped onto the connection and
+		// captured in the request header at enqueue time, so the worker's
+		// engine spans (parse, plan, execute, lock_wait, wal_fsync) nest under
+		// their own task span even though the window shares the connection.
+		start := time.Now()
 		sp := n.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "task", t.sql)
 		if sp != nil {
 			sp.SetAttr("shard_group", strconv.FormatInt(t.shardGroup, 10))
@@ -723,92 +615,35 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 				cache = "miss"
 			}
 			sp.SetAttr("plancache", cache)
-			sp.SetAttr("pipeline_depth", depth)
-			// The request header is captured at enqueue time, so each task's
-			// worker-side spans nest under its own task span even though the
-			// whole window shares the connection.
+			if len(idxs) > 1 {
+				sp.SetAttr("pipeline_depth", strconv.Itoa(len(idxs)))
+			}
 			wc.conn.SetTrace(s.TraceID, sp.SpanID())
 		}
-		sl.sp = sp
-		if n.Cfg.DisablePlanCache || len(t.params) == 0 {
-			sl.pd = pl.Query(t.sql, t.params...)
-		} else {
-			sl.name = preparedName(t.sql)
-			if wc.conn.PreparedSQL(sl.name) != t.sql {
-				sl.prep = pl.Prepare(sl.name, t.sql)
-			}
-			sl.pd = pl.ExecutePrepared(sl.name, t.params...)
+		is := n.sendTask(wc.conn, pl, t)
+		is.idx, is.sp, is.start = i, sp, start
+		issued = append(issued, is)
+		if is.err != nil {
+			// A fault at issue stops the window: the remaining tasks never
+			// reach the wire and the statement fails with this error.
+			break
 		}
-		slots = append(slots, sl)
 	}
 	_ = pl.Flush()
 	wc.conn.ClearTrace()
 
 	var firstErr error
-	refreshed := false
-	for k := range slots {
-		sl := &slots[k]
-		t := &tasks[sl.idx]
-		attempts := 1
-		var res *engine.Result
-		var err error
-		if sl.prep != nil {
-			err = sl.prep.Err()
-		}
-		if err == nil {
-			res, err = sl.pd.Result()
-			res, attempts, err = retryPlanInvalid(wc.conn, sl.name, t, res, err)
-		}
-		if err != nil && wire.IsTransient(err) {
-			wc.broken = true
-			// Re-issue transient failures on idempotent work, as runTask
-			// does — the connection is refreshed once for the whole window,
-			// then each failed read-only task retries individually on it.
-			if !t.isWrite && !txnMode && wc.pool != nil {
-				for wire.IsTransient(err) && attempts < maxTaskAttempts {
-					time.Sleep(taskRetryBackoff << (attempts - 1))
-					if !refreshed || wc.broken {
-						if rerr := n.refreshConn(wc); rerr != nil {
-							break
-						}
-						refreshed = true
-					}
-					if sl.sp != nil {
-						wc.conn.SetTrace(s.TraceID, sl.sp.SpanID())
-					}
-					metTaskRetries.Inc()
-					attempts++
-					res, _, err = n.queryTask(wc, t)
-					if err != nil && wire.IsTransient(err) {
-						wc.broken = true
-					}
-				}
-				wc.conn.ClearTrace()
-			}
-		}
-		if err != nil && n.canFallbackToPrimary(t, txnMode, wc) {
-			if fres, ferr := n.replicaFallback(t); ferr == nil {
-				res, err = fres, nil
-			}
-		}
-		metTaskLatency.ObserveSince(sl.start)
-		n.latencyFor(wc.nodeID).ObserveSince(sl.start)
-		if sl.sp != nil {
-			sl.sp.SetAttr("attempt", strconv.Itoa(attempts))
-			if err != nil {
-				sl.sp.SetAttr("error", err.Error())
-			} else {
-				sl.sp.SetAttr("rows", strconv.Itoa(len(res.Rows)))
-			}
-			sl.sp.Finish()
-		}
+	for k := range issued {
+		is := &issued[k]
+		t := &tasks[is.idx]
+		res, err := n.finishTask(s, wc, t, is, txnMode)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("task on node %d failed: %w", wc.nodeID, err)
 			}
 			continue
 		}
-		results[sl.idx] = res
+		results[is.idx] = res
 		if t.isWrite {
 			wc.wrote = true
 		}
@@ -820,10 +655,110 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 			st.mu.Unlock()
 		}
 	}
-	if firstErr == nil && issueErr != nil {
-		firstErr = fmt.Errorf("task on node %d failed: %w", wc.nodeID, issueErr)
+	if firstErr == nil && len(issued) < len(idxs) {
+		// The faulted task itself was rescued (primary fallback), but the
+		// tasks behind it were never issued and have no result.
+		firstErr = fmt.Errorf("task on node %d failed: %w", wc.nodeID, issued[len(issued)-1].err)
 	}
 	return firstErr
+}
+
+// sendTask is the issue step: it enqueues t's request on pl. Parameterized
+// tasks use the prepared-statement protocol so each (connection, statement
+// shape) pair parses at most once worker-side; subsequent executions ship
+// only the statement name and parameters. DDL and other parameterless
+// one-off statements use plain Query.
+func (n *Node) sendTask(conn *wire.Conn, pl *wire.Pipeline, t *task) issuedTask {
+	// executor.task, keyed "read"/"write": fails or delays a task at the
+	// moment of issue, before anything reaches the wire.
+	kind := "read"
+	if t.isWrite {
+		kind = "write"
+	}
+	if err := fault.CheckKey(fault.PointExecutorTask, kind); err != nil {
+		return issuedTask{err: err}
+	}
+	if n.Cfg.DisablePlanCache || len(t.params) == 0 {
+		return issuedTask{pd: pl.Query(t.sql, t.params...)}
+	}
+	is := issuedTask{name: preparedName(t.sql)}
+	if conn.PreparedSQL(is.name) != t.sql {
+		is.prep = pl.Prepare(is.name, t.sql)
+		if is.prep.Failed() {
+			return is // recvTask reports the Prepare error; nothing to execute
+		}
+	}
+	is.pd = pl.ExecutePrepared(is.name, t.params...)
+	return is
+}
+
+// recvTask is the resolve step, valid once the window holding is was
+// flushed: the task's result, with stale-plan rejections re-prepared (see
+// retryPlanInvalid). The second return value is the number of execution
+// attempts, recorded on the task span.
+func recvTask(conn *wire.Conn, t *task, is *issuedTask) (*engine.Result, int, error) {
+	if is.err != nil {
+		return nil, 1, is.err
+	}
+	if is.prep != nil {
+		if err := is.prep.Err(); err != nil {
+			return nil, 1, err
+		}
+	}
+	res, err := is.pd.Result()
+	return retryPlanInvalid(conn, is.name, t, res, err)
+}
+
+// finishTask resolves one issued task and applies the executor's recovery
+// policy to its outcome, then closes its span and records its latency.
+func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issuedTask, txnMode bool) (*engine.Result, error) {
+	res, attempts, err := recvTask(wc.conn, t, is)
+	// Transient transport failures (connection reset, dropped response) on
+	// idempotent work retry on a fresh connection with doubling backoff.
+	// Only read-only tasks outside a transaction block qualify: a write or
+	// an in-transaction task may have taken effect on the worker before
+	// the response was lost, so re-running it is not safe.
+	//
+	// A transport-level failure also means the connection's streams can no
+	// longer be trusted (the transport may even be closed): it is marked
+	// broken so every disposition path discards it instead of recycling it
+	// into the pool — even if the task itself is rescued by a retry on a
+	// fresh connection or by the primary fallback below.
+	if wire.IsTransient(err) {
+		wc.broken = true
+	}
+	retryable := !t.isWrite && !txnMode && wc.pool != nil
+	for retryable && wire.IsTransient(err) && attempts < maxTaskAttempts {
+		time.Sleep(taskRetryBackoff << (attempts - 1))
+		if n.refreshConn(wc) != nil {
+			break
+		}
+		if is.sp != nil {
+			wc.conn.SetTrace(s.TraceID, is.sp.SpanID())
+		}
+		metTaskRetries.Inc()
+		attempts++
+		res, _, err = n.queryTask(wc.conn, t)
+		wc.conn.ClearTrace()
+		wc.broken = wire.IsTransient(err)
+	}
+	if err != nil && n.canFallbackToPrimary(t, txnMode, wc) {
+		if fres, ferr := n.replicaFallback(t); ferr == nil {
+			res, err = fres, nil
+		}
+	}
+	metTaskLatency.ObserveSince(is.start)
+	n.latencyFor(wc.nodeID).ObserveSince(is.start)
+	if is.sp != nil {
+		is.sp.SetAttr("attempt", strconv.Itoa(attempts))
+		if err != nil {
+			is.sp.SetAttr("error", err.Error())
+		} else {
+			is.sp.SetAttr("rows", strconv.Itoa(len(res.Rows)))
+		}
+		is.sp.Finish()
+	}
+	return res, err
 }
 
 // refreshConn swaps a worker connection's transport for a freshly dialed
@@ -860,35 +795,14 @@ func (n *Node) refreshConn(wc *workerConn) error {
 	return nil
 }
 
-// queryTask ships one task to its worker. Parameterized tasks use the
-// prepared-statement protocol so each (connection, statement shape) pair
-// parses at most once worker-side; subsequent executions ship only the
-// statement name and parameters. DDL and other parameterless one-off
-// statements use plain Query. The second return value is the number of
-// execution attempts (more than 1 after plan-invalid retries), recorded on
-// the task span.
-func (n *Node) queryTask(wc *workerConn, t *task) (*engine.Result, int, error) {
-	// executor.task, keyed "read"/"write": fails or delays a task at the
-	// moment of issue, before anything reaches the wire.
-	kind := "read"
-	if t.isWrite {
-		kind = "write"
-	}
-	if err := fault.CheckKey(fault.PointExecutorTask, kind); err != nil {
-		return nil, 1, err
-	}
-	if n.Cfg.DisablePlanCache || len(t.params) == 0 {
-		res, err := wc.conn.Query(t.sql, t.params...)
-		return res, 1, err
-	}
-	name := preparedName(t.sql)
-	if wc.conn.PreparedSQL(name) != t.sql {
-		if err := wc.conn.Prepare(name, t.sql); err != nil {
-			return nil, 1, err
-		}
-	}
-	res, err := wc.conn.ExecutePrepared(name, t.params...)
-	return retryPlanInvalid(wc.conn, name, t, res, err)
+// queryTask ships one task on its own: issue one, resolve one. The
+// transient-retry loop and the replica fallback use it once a task's
+// window is gone.
+func (n *Node) queryTask(conn *wire.Conn, t *task) (*engine.Result, int, error) {
+	pl := conn.Pipeline(n.Cfg.PipelineWindow)
+	is := n.sendTask(conn, pl, t)
+	_ = pl.Flush()
+	return recvTask(conn, t, &is)
 }
 
 // maxPlanInvalidAttempts caps the executions of one prepared task under
@@ -941,7 +855,7 @@ func (n *Node) replicaFallback(t *task) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := n.queryTask(wc, t)
+	res, _, err := n.queryTask(wc.conn, t)
 	if err != nil {
 		p.Discard(wc.conn)
 		return nil, err

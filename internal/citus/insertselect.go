@@ -218,22 +218,16 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 	if len(cols) == 0 {
 		cols = n.tableColumnsFromSchema(dt)
 	}
-	prefix := fmt.Sprintf("citus_isrepart_%d", n.distSeq.Add(1))
-
 	srcTable := dist[0]
 	srcShards := n.Meta.Shards(srcTable)
 	plan := &distPlan{
-		node:          n,
-		isDML:         true,
-		tag:           "INSERT 0",
-		cleanupPrefix: prefix,
+		node:  n,
+		isDML: true,
+		tag:   "INSERT 0",
 		explain: []string{
 			"Custom Scan (Citus INSERT ... SELECT)",
 			"  INSERT/SELECT method: repartition",
 		},
-	}
-	for _, node := range n.Meta.ActiveNodes() {
-		plan.cleanupNodes = append(plan.cleanupNodes, node.ID)
 	}
 	plan.prepare = func(s *engine.Session, params []types.Datum) ([]task, error) {
 		// phase 1: run the SELECT per source shard and collect rows

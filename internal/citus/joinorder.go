@@ -81,7 +81,8 @@ func (n *Node) distTableRows(table string) (int64, error) {
 // intermediate result and delegates the rewritten query to the pushdown
 // planner (§3.5 "broadcast joins").
 func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smallTable, bigTable string) (*distPlan, error) {
-	irName := fmt.Sprintf("citus_bcast_%d", n.distSeq.Add(1))
+	prefix := fmt.Sprintf("citus_bcast_%d_", n.distSeq.Add(1))
+	irName := prefix + "rel"
 
 	rewritten, err := sql.CloneStatement(sel)
 	if err != nil {
@@ -104,7 +105,7 @@ func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smal
 		"Custom Scan (Citus Adaptive)",
 		fmt.Sprintf("  Join-Order: broadcast join, %s replicated to all workers as %s", smallTable, irName),
 	}, inner.explain[1:]...)
-	inner.cleanupPrefix = irName
+	inner.cleanupPrefix = prefix
 	for _, node := range n.Meta.ActiveNodes() {
 		inner.cleanupNodes = append(inner.cleanupNodes, node.ID)
 	}
@@ -188,7 +189,7 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 		columns:       pq.columns,
 		mergeName:     fmt.Sprintf("citus_merge_%d", seq),
 		mergeQuery:    pq.merge.String(),
-		cleanupPrefix: fmt.Sprintf("citus_repart_%d", seq),
+		cleanupPrefix: fmt.Sprintf("citus_repart_%d_", seq),
 		explain: []string{
 			"Custom Scan (Citus Adaptive)",
 			fmt.Sprintf("  Join-Order: re-partition join on %s.%s = %s.%s into %d buckets", a, keyA, b, keyB, buckets),

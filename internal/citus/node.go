@@ -62,13 +62,11 @@ type Config struct {
 	// means every execution re-plans and ships full SQL text).
 	DisablePlanCache bool
 	// PipelineWindow bounds how many requests the executor keeps in flight
-	// per worker connection when it pipelines a multi-task queue (the
-	// libpq-pipeline-mode window). 0 = 32.
+	// per worker connection (the libpq-pipeline-mode window): task queues,
+	// BEGIN + session SETs and COPY streams all issue through it. 1 is
+	// serial issue, every request its own round trip (the ablation A4
+	// baseline; see docs/wire.md). 0 = 32.
 	PipelineWindow int
-	// DisablePipelining makes every task request its own round trip
-	// (mirroring DisablePlanCache as the ablation toggle for the pipelined
-	// wire protocol; see docs/wire.md).
-	DisablePipelining bool
 	// DisableTopNPushdown stops the coordinator from shipping
 	// ORDER BY <group col> LIMIT k down to the workers of a cross-shard
 	// grouped aggregate, so every worker returns its full grouped result
@@ -217,15 +215,6 @@ func (n *Node) SetDialer(nodeID int, d pool.Dialer) {
 	if old != nil {
 		old.CloseAll()
 	}
-}
-
-// pipelineWindow is the in-flight window for pipelined request batches —
-// 1 (i.e. plain round trips) when the pipelining ablation is off.
-func (n *Node) pipelineWindow() int {
-	if n.Cfg.DisablePipelining {
-		return 1
-	}
-	return n.Cfg.PipelineWindow
 }
 
 // poolFor returns the shared connection pool toward a node.

@@ -70,7 +70,8 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 	const readers = 6
 	const minIters = 40
 	const maxIters = 5000
-	var ddlDone atomic.Bool
+	var ddlDone, dropsDone, readerGone atomic.Bool
+	var pointReads [readers]atomic.Int64 // point reads completed, per reader
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers+2)
 
@@ -78,6 +79,7 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			defer readerGone.Store(true)
 			sess := c.Session()
 			for i := 1; i <= maxIters; i++ {
 				// Full fan-out: 16 shard tasks over ≤2 connections per
@@ -109,7 +111,8 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 						id, i, k, res.Rows, k*7)
 					return
 				}
-				if i >= minIters && ddlDone.Load() {
+				pointReads[id].Add(1)
+				if i >= minIters && ddlDone.Load() && dropsDone.Load() {
 					return
 				}
 			}
@@ -136,16 +139,32 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 	// Fault loop: periodically kill one connection mid-pipeline (recv of a
 	// prepared point-read execution). Readers must absorb it through the
 	// refresh-and-retry path; keying on exec_prepared keeps the DDL
-	// writes out of the blast radius (writes are never retried).
+	// writes out of the blast radius (writes are never retried). There are
+	// 8 drops, and the readers stay until the last has fired. The next one
+	// is armed only once the previous one has fired and every reader has
+	// since completed a point read, so no read meets two drops. Armed on
+	// the wall clock they pile up behind a slow first fan-out (-race), and
+	// even one at a time the first reader out of that fan-out is alone on
+	// the wire long enough to meet four in a row — its whole retry budget.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 8 && !ddlDone.Load(); i++ {
+		defer dropsDone.Store(true)
+		wait := func(cond func() bool) {
+			for !cond() && !readerGone.Load() {
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+		for i := int64(0); i < 8 && !readerGone.Load(); i++ {
 			fault.Arm(fault.Rule{
 				Point: fault.PointWireRecv, Key: "exec_prepared",
 				Action: fault.ActDropConn, Count: 1,
 			})
-			time.Sleep(3 * time.Millisecond)
+			wait(func() bool { return fault.Fired(fault.PointWireRecv) > i })
+			for r := range pointReads {
+				seen := pointReads[r].Load()
+				wait(func() bool { return pointReads[r].Load() > seen })
+			}
 		}
 	}()
 
@@ -155,8 +174,67 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 		t.Error(err)
 	}
 
+	if n := fault.Fired(fault.PointWireRecv); n != 8 {
+		t.Errorf("%d connection drops injected, want 8", n)
+	}
 	if batchesAfter := obs.Default().Snapshot().Sum("wire_pipeline_batches_total"); batchesAfter <= batchesBefore {
 		t.Fatalf("stress run never flushed a pipelined batch (%d -> %d)", batchesBefore, batchesAfter)
+	}
+}
+
+// TestTransientRetryBound pins the bounded retry the stress test above no
+// longer drives past its second attempt: a point read whose response is
+// dropped k times in a row succeeds after k retries while k < maxTaskAttempts
+// (4), and at k = 4 fails with the budget spent — three retries, no more.
+func TestTransientRetryBound(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	c := pipelineCluster(t, citus.Config{})
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE rb (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('rb', 'k')")
+	mustExec(t, s, "INSERT INTO rb (k, v) VALUES (1, 7)")
+
+	for _, tc := range []struct {
+		drops       int
+		wantRetries int64
+		wantErr     bool
+	}{{1, 1, false}, {2, 2, false}, {3, 3, false}, {4, 3, true}} {
+		before := obs.Default().Snapshot()
+		fault.Arm(fault.Rule{
+			Point: fault.PointWireRecv, Key: "exec_prepared",
+			Action: fault.ActDropConn, Count: tc.drops,
+		})
+		start := time.Now()
+		res, err := s.Exec("SELECT v FROM rb WHERE k = $1", int64(1))
+		elapsed := time.Since(start)
+		fired := fault.Fired(fault.PointWireRecv)
+		fault.Reset()
+		after := obs.Default().Snapshot()
+		if fired != int64(tc.drops) {
+			t.Errorf("%d drops armed, %d fired", tc.drops, fired)
+		}
+		if got := after.Sum("executor_task_retries_total") - before.Sum("executor_task_retries_total"); got != tc.wantRetries {
+			t.Errorf("%d drops: %d retries, want %d", tc.drops, got, tc.wantRetries)
+		}
+		if got := after.Sum("pool_discards_total") - before.Sum("pool_discards_total"); got != int64(tc.drops) {
+			t.Errorf("%d drops: %d connections discarded, want %d", tc.drops, got, tc.drops)
+		}
+		// Doubling backoff: 500µs before the first retry, 1ms, then 2ms.
+		if min := 500 * time.Microsecond * time.Duration(1<<tc.wantRetries-1); elapsed < min {
+			t.Errorf("%d drops: took %v, less than the %v of backoff", tc.drops, elapsed, min)
+		}
+		switch {
+		case tc.wantErr && err == nil:
+			t.Errorf("%d drops: read succeeded, want the retry budget spent", tc.drops)
+		case !tc.wantErr && err != nil:
+			t.Errorf("%d drops: %v", tc.drops, err)
+		case !tc.wantErr && rowsText(res) != "7":
+			t.Errorf("%d drops: read %q, want 7", tc.drops, rowsText(res))
+		}
+	}
+	if rowsText(mustExec(t, s, "SELECT v FROM rb WHERE k = $1", int64(1))) != "7" {
+		t.Error("cluster unusable after the exhausted retry")
 	}
 }
 

@@ -49,7 +49,9 @@ type distPlan struct {
 	mergeQuery string
 	mergeCols  []string
 
-	// cleanup of intermediate results on every involved node
+	// cleanup of intermediate results on every involved node: everything
+	// named cleanupPrefix+<member>. The prefix ends in "_" so that query 1's
+	// prefix cannot match query 10's relations.
 	cleanupPrefix string
 	cleanupNodes  []int
 
@@ -118,7 +120,9 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 			Columns: cols,
 			Rows:    rows,
 		})
-		defer p.node.Eng.DropIntermediateResults(p.mergeName)
+		// By exact name: a prefix drop of citus_merge_1 would take the
+		// citus_merge_10…19 of concurrent sessions with it.
+		defer p.node.Eng.DropIntermediateResult(p.mergeName)
 		res, err := s.Exec(p.mergeQuery, params...)
 		if err != nil {
 			return nil, fmt.Errorf("merge step failed: %w", err)

@@ -464,8 +464,17 @@ func (e *Engine) AppendIntermediateResult(name string, cols []string, rows []typ
 	r.Rows = append(r.Rows, rows...)
 }
 
+// DropIntermediateResult removes the relation with exactly this name.
+func (e *Engine) DropIntermediateResult(name string) {
+	e.imu.Lock()
+	defer e.imu.Unlock()
+	delete(e.intermediate, name)
+}
+
 // DropIntermediateResults removes all relations with the given prefix
-// (cleanup at distributed query end).
+// (cleanup at distributed query end). Concurrent queries number their
+// relations, so a prefix must end in a delimiter: "x_1" would take "x_10"
+// with it, "x_1_" cannot.
 func (e *Engine) DropIntermediateResults(prefix string) {
 	e.imu.Lock()
 	defer e.imu.Unlock()

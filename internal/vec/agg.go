@@ -300,18 +300,6 @@ func (s *AggState) AddVec(v *NumVec) error {
 	return nil
 }
 
-// AddVecAt folds element j of an evaluated vector (the grouped fold).
-func (s *AggState) AddVecAt(v *NumVec, j int) error {
-	if v.Null[j] {
-		return nil
-	}
-	if s.Kind == AggCount {
-		s.count++
-		return nil
-	}
-	return s.AddDatum(v.At(j))
-}
-
 // Merge folds another partial state (from a later chunk range) into s.
 // Call in scan order to keep results identical to a sequential fold.
 func (s *AggState) Merge(o *AggState) error {

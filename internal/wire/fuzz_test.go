@@ -13,7 +13,9 @@ package wire
 //     property — a response delivered to the caller without error either
 //     carries the matching Seq or a legacy zero; any detectable mismatch
 //     must poison the pipeline rather than silently hand over another
-//     request's rows.
+//     request's rows. Each script is also replayed through a window-1
+//     pipeline and through plain Conn.Query round trips, which must agree
+//     request by request.
 //
 // CI runs these with a short -fuzztime smoke (make fuzz-smoke); longer
 // local runs just extend the same corpus.
@@ -196,6 +198,32 @@ func FuzzPipelineSeq(f *testing.F) {
 				if want := fmt.Sprintf("answers-%d", pd.seq); pd.resp.Tag != want {
 					t.Fatalf("silent misdelivery: pending seq=%d got %q", pd.seq, pd.resp.Tag)
 				}
+			}
+		}
+
+		// Differential: a window of 1 is serial issue, so the same script
+		// replayed through plain Conn.Query round trips must give every
+		// request the window-1 pipeline's outcome — this is what pins the
+		// send and receive steps the two share. The comparison stops at the
+		// first transport failure: the pipeline poisons what follows, a
+		// plain caller would stop using the connection.
+		outcome := func(res *engine.Result, err error) string {
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			return res.Tag
+		}
+		one := (&Conn{t: &scriptTransport{script: script}, node: "scripted"}).Pipeline(1)
+		plain := &Conn{t: &scriptTransport{script: script}, node: "scripted"}
+		for i := 0; i < reqs; i++ {
+			q := fmt.Sprintf("req-%d", i)
+			pd := one.Query(q) // window 1: drained as it is sent
+			res, err := plain.Query(q)
+			if got, want := outcome(pd.Result()), outcome(res, err); got != want {
+				t.Fatalf("request %d: window-1 pipeline %q, plain round trip %q", i, got, want)
+			}
+			if err != nil {
+				break
 			}
 		}
 	})

@@ -2,11 +2,8 @@ package wire
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 
 	"citusgo/internal/engine"
-	"citusgo/internal/fault"
 	"citusgo/internal/types"
 )
 
@@ -24,7 +21,11 @@ const DefaultPipelineWindow = 32
 // network round trip instead of k — this is what makes the adaptive
 // executor's many-tasks-per-connection regime cheap (see docs/wire.md).
 //
-// Error semantics mirror the single-request path: a transport-level
+// A window of 1 is serial issue: every request is drained before the next
+// is sent, which is exactly a plain round trip per request.
+//
+// Each request takes the same Conn.send / Conn.recv steps as a plain round
+// trip, so error semantics are the same: a transport-level
 // failure (send/recv fault, broken socket, correlation mismatch) surfaces
 // as a ConnError on the request that hit it and *poisons* the rest of the
 // batch — every later Pending fails with the same ConnError without
@@ -39,6 +40,7 @@ type Pipeline struct {
 	inflight []*Pending // sent, response not yet drained
 	failed   error      // first transport failure; poisons the rest
 	batch    int        // requests enqueued since the last Flush
+	overlap  bool       // two of them were in flight together
 }
 
 // Pipeline starts a pipelined batch on the connection with the given
@@ -63,75 +65,39 @@ type Pending struct {
 	done bool
 }
 
-func (pd *Pending) fail(err error) {
-	pd.err = err
-	pd.done = true
-}
-
-// enqueue runs the same per-request steps as Conn.roundTrip up to the
-// response: wire.send fault point, Seq assignment, transport send. When
-// the in-flight window is full it drains the oldest response first.
+// enqueue sends one request (Conn.send) and, once the in-flight window is
+// full, drains the oldest response. Any transport failure poisons the
+// pipeline, so later requests fail without touching the (untrustworthy)
+// streams.
 func (p *Pipeline) enqueue(req *Request) *Pending {
 	pd := &Pending{kind: req.Kind}
 	p.batch++
+	if p.failed == nil {
+		p.failed = p.c.send(req)
+	}
 	if p.failed != nil {
-		pd.fail(p.failed)
-		return pd
-	}
-	if err := fault.CheckKey(fault.PointWireSend, req.Kind.String()); err != nil {
-		p.poison(p.c.transportFailure(err))
-		pd.fail(p.failed)
-		return pd
-	}
-	p.c.seq++
-	req.Seq = p.c.seq
-	if err := p.c.t.send(req); err != nil {
-		p.poison(&ConnError{Node: p.c.node, Err: err})
-		pd.fail(p.failed)
+		pd.err, pd.done = p.failed, true
 		return pd
 	}
 	pd.seq = req.Seq
 	p.inflight = append(p.inflight, pd)
+	if len(p.inflight) > 1 {
+		p.overlap = true
+	}
 	if len(p.inflight) >= p.window {
 		p.drainOne()
 	}
 	return pd
 }
 
-func (p *Pipeline) poison(err error) {
-	if p.failed == nil {
-		p.failed = err
-	}
-}
-
-// drainOne resolves the oldest in-flight request: recv, correlation
-// check, wire.recv fault point. Any transport failure poisons the
-// pipeline, so later pendings fail without reading the (untrustworthy)
-// stream.
+// drainOne resolves the oldest in-flight request (Conn.recv).
 func (p *Pipeline) drainOne() {
 	pd := p.inflight[0]
 	p.inflight = p.inflight[1:]
-	if p.failed != nil {
-		pd.fail(p.failed)
-		return
+	if p.failed == nil {
+		pd.resp, p.failed = p.c.recv(pd.kind, pd.seq)
 	}
-	resp, err := p.c.t.recv()
-	if err != nil {
-		p.poison(&ConnError{Node: p.c.node, Err: err})
-		pd.fail(p.failed)
-		return
-	}
-	if resp.Seq != 0 && resp.Seq != pd.seq {
-		p.poison(p.c.misdelivery(pd.seq, resp.Seq))
-		pd.fail(p.failed)
-		return
-	}
-	if err := fault.CheckKey(fault.PointWireRecv, pd.kind.String()); err != nil {
-		p.poison(p.c.transportFailure(err))
-		pd.fail(p.failed)
-		return
-	}
-	pd.resp = resp
+	pd.err = p.failed
 	pd.done = true
 }
 
@@ -139,15 +105,17 @@ func (p *Pipeline) drainOne() {
 // transport-level failure, if any (semantic errors stay on the individual
 // Pendings). The pipeline is reusable after Flush unless it failed — a
 // poisoned pipeline stays poisoned, like the broken connection under it.
+// Only requests that shared a flight count as a pipelined batch in the
+// metrics: one request, or a window of 1, is plain round trips.
 func (p *Pipeline) Flush() error {
 	for len(p.inflight) > 0 {
 		p.drainOne()
 	}
-	if p.batch > 0 {
+	if p.overlap {
 		metPipelineBatches.Inc()
 		metPipelineDepth.Observe(int64(p.batch))
-		p.batch = 0
 	}
+	p.batch, p.overlap = 0, false
 	return p.failed
 }
 
@@ -160,9 +128,13 @@ func (p *Pipeline) Query(sqlText string, params ...types.Datum) *Pending {
 // connection's prepared map is updated optimistically at enqueue time so
 // later requests in the same batch can already count on the name; if the
 // server rejects the parse, the stale entry self-heals through the usual
-// plan-invalid retry on the next execution.
+// plan-invalid retry on the next execution. A parse already known to have
+// failed (window 1) leaves the map alone, as Conn.Prepare does.
 func (p *Pipeline) Prepare(name, sqlText string) *Pending {
 	pd := p.enqueue(&Request{Kind: ReqPrepare, Hdr: p.c.hdr(), Name: name, SQL: sqlText})
+	if pd.Failed() {
+		return pd
+	}
 	if p.c.prepared == nil {
 		p.c.prepared = make(map[string]string)
 	}
@@ -195,6 +167,14 @@ func (pd *Pending) Err() error {
 	return err
 }
 
+// Failed reports whether the response is already in and is an error. At a
+// window of 1 that is known as soon as the request was enqueued, so a caller
+// can stop before issuing a request that depends on this one, as serial
+// round trips would.
+func (pd *Pending) Failed() bool {
+	return pd.done && pd.Err() != nil
+}
+
 // Result returns the request's result set, mirroring Conn.Query /
 // Conn.ExecutePrepared.
 func (pd *Pending) Result() (*engine.Result, error) {
@@ -221,11 +201,5 @@ func (pd *Pending) result() (*Response, error) {
 	if pd.err != nil {
 		return nil, pd.err
 	}
-	if pd.resp.Err != "" {
-		if pd.kind == ReqExecPrepared && strings.HasPrefix(pd.resp.Err, planInvalidPrefix) {
-			return nil, fmt.Errorf("%w: %s", ErrPlanInvalid, strings.TrimPrefix(pd.resp.Err, planInvalidPrefix))
-		}
-		return nil, errors.New(pd.resp.Err)
-	}
-	return pd.resp, nil
+	return pd.resp, respErr(pd.kind, pd.resp)
 }

@@ -240,6 +240,42 @@ func TestPipelinePendingBeforeFlush(t *testing.T) {
 	}
 }
 
+// TestPendingFailedAtWindowOne: at a window of 1 a failure is known as soon
+// as the request was enqueued, so a caller can stop before the request that
+// depends on it, and a rejected Prepare is not recorded on the connection
+// (both as with Conn.Prepare). At a wider window nothing is known until the
+// flush.
+func TestPendingFailedAtWindowOne(t *testing.T) {
+	e := newEngine(t)
+	conn := DialLocal(e, 0)
+	defer conn.Close()
+
+	pl := conn.Pipeline(1)
+	if pd := pl.Query("SELECT 1"); pd.Failed() {
+		t.Fatalf("healthy request reported failed: %v", pd.Err())
+	}
+	bad := pl.Prepare("bad", "SELEC nonsense")
+	if !bad.Failed() {
+		t.Fatal("window 1: rejected Prepare not known failed after enqueue")
+	}
+	if conn.PreparedSQL("bad") != "" {
+		t.Fatal("window 1: rejected Prepare recorded on the connection")
+	}
+	if err := pl.Flush(); err != nil {
+		t.Fatalf("semantic error must not poison the pipeline: %v", err)
+	}
+
+	pl = conn.Pipeline(8)
+	bad = pl.Prepare("bad", "SELEC nonsense")
+	if bad.Failed() {
+		t.Fatal("window 8: failure known before the response was drained")
+	}
+	_ = pl.Flush()
+	if !bad.Failed() {
+		t.Fatal("window 8: rejected Prepare not failed after the flush")
+	}
+}
+
 func TestSeqCorrelationOnSingleRoundTrips(t *testing.T) {
 	e := newEngine(t)
 	conn := DialLocal(e, 0)

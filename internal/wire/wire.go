@@ -269,40 +269,75 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// roundTrip is the chokepoint for every non-pipelined client request: it
-// evaluates the wire.send fault point before the transport (request lost
-// before reaching the peer) and wire.recv after (peer executed, but the
-// response was lost), and wraps all transport failures in ConnError so
-// callers can tell transient breakage from semantic errors. Pipelined
-// requests go through the same steps per request in Pipeline.
-func (c *Conn) roundTrip(req *Request) (*Response, error) {
-	kind := req.Kind.String()
-	if err := fault.CheckKey(fault.PointWireSend, kind); err != nil {
-		return nil, c.transportFailure(err)
+// send is the one issue step every client request takes, pipelined or not:
+// the wire.send fault point (request lost before reaching the peer), Seq
+// assignment, transport send. All failures come back as ConnError so
+// callers can tell transient breakage from semantic errors.
+func (c *Conn) send(req *Request) error {
+	if err := fault.CheckKey(fault.PointWireSend, req.Kind.String()); err != nil {
+		return c.transportFailure(err)
 	}
 	c.seq++
 	req.Seq = c.seq
 	if err := c.t.send(req); err != nil {
-		return nil, &ConnError{Node: c.node, Err: err}
+		return &ConnError{Node: c.node, Err: err}
 	}
+	return nil
+}
+
+// recv is the matching receive step for the oldest outstanding request:
+// transport recv, correlation check, then the wire.recv fault point (peer
+// executed, but the response was lost).
+func (c *Conn) recv(kind RequestKind, seq uint64) (*Response, error) {
 	resp, err := c.t.recv()
 	if err != nil {
 		return nil, &ConnError{Node: c.node, Err: err}
 	}
-	if resp.Seq != 0 && resp.Seq != req.Seq {
-		return nil, c.misdelivery(req.Seq, resp.Seq)
+	if resp.Seq != 0 && resp.Seq != seq {
+		return nil, c.misdelivery(seq, resp.Seq)
 	}
-	if err := fault.CheckKey(fault.PointWireRecv, kind); err != nil {
+	if err := fault.CheckKey(fault.PointWireRecv, kind.String()); err != nil {
 		return nil, c.transportFailure(err)
 	}
 	return resp, nil
+}
+
+// roundTrip is one request with nothing else in flight: send, then recv.
+func (c *Conn) roundTrip(req *Request) (*Response, error) {
+	if err := c.send(req); err != nil {
+		return nil, err
+	}
+	return c.recv(req.Kind, req.Seq)
+}
+
+// call is roundTrip for requests whose response can carry a semantic
+// error: the peer's Response.Err comes back as the error.
+func (c *Conn) call(req *Request) (*Response, error) {
+	resp, err := c.roundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	return resp, respErr(req.Kind, resp)
+}
+
+// respErr maps a response to the semantic error the peer reported, if any.
+// Errors cross the wire as text; a prepared execution the server refused as
+// stale becomes the retryable ErrPlanInvalid.
+func respErr(kind RequestKind, resp *Response) error {
+	if resp.Err == "" {
+		return nil
+	}
+	if kind == ReqExecPrepared && strings.HasPrefix(resp.Err, planInvalidPrefix) {
+		return fmt.Errorf("%w: %s", ErrPlanInvalid, strings.TrimPrefix(resp.Err, planInvalidPrefix))
+	}
+	return errors.New(resp.Err)
 }
 
 // misdelivery handles a correlation-id mismatch: the connection's
 // request/response streams are out of sync (something consumed or
 // produced a message we didn't account for), so nothing further read
 // from it can be trusted. Close it and surface a transport-level error;
-// a zero response Seq is tolerated in roundTrip/drain as "pre-Seq peer".
+// a zero response Seq is tolerated in recv as "pre-Seq peer".
 func (c *Conn) misdelivery(want, got uint64) error {
 	_ = c.Close()
 	return &ConnError{
@@ -335,12 +370,9 @@ func (c *Conn) Close() error {
 
 // Query executes SQL on the peer.
 func (c *Conn) Query(sqlText string, params ...types.Datum) (*engine.Result, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqQuery, Hdr: c.hdr(), SQL: sqlText, Params: params})
+	resp, err := c.call(&Request{Kind: ReqQuery, Hdr: c.hdr(), SQL: sqlText, Params: params})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
 	}
 	return respToResult(resp), nil
 }
@@ -363,12 +395,8 @@ func IsPlanInvalid(err error) bool { return errors.Is(err, ErrPlanInvalid) }
 // connection records what it prepared so the executor prepares each task
 // shape at most once per connection.
 func (c *Conn) Prepare(name, sqlText string) error {
-	resp, err := c.roundTrip(&Request{Kind: ReqPrepare, Hdr: c.hdr(), Name: name, SQL: sqlText})
-	if err != nil {
+	if _, err := c.call(&Request{Kind: ReqPrepare, Hdr: c.hdr(), Name: name, SQL: sqlText}); err != nil {
 		return err
-	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
 	}
 	if c.prepared == nil {
 		c.prepared = make(map[string]string)
@@ -385,29 +413,20 @@ func (c *Conn) PreparedSQL(name string) string { return c.prepared[name] }
 // A plan-invalid failure (see ErrPlanInvalid) means the server refused
 // before executing; re-Prepare and retry.
 func (c *Conn) ExecutePrepared(name string, params ...types.Datum) (*engine.Result, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqExecPrepared, Hdr: c.hdr(), Name: name, Params: params})
+	resp, err := c.call(&Request{Kind: ReqExecPrepared, Hdr: c.hdr(), Name: name, Params: params})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		if strings.HasPrefix(resp.Err, planInvalidPrefix) {
-			return nil, fmt.Errorf("%w: %s", ErrPlanInvalid, strings.TrimPrefix(resp.Err, planInvalidPrefix))
-		}
-		return nil, errors.New(resp.Err)
 	}
 	return respToResult(resp), nil
 }
 
 // Copy bulk-loads rows.
 func (c *Conn) Copy(table string, columns []string, rows []types.Row) (int, error) {
-	resp, err := c.roundTrip(&Request{
+	resp, err := c.call(&Request{
 		Kind: ReqCopy, Hdr: c.hdr(), Table: table, Columns: columns, Rows: rowsToWire(rows),
 	})
 	if err != nil {
 		return 0, err
-	}
-	if resp.Err != "" {
-		return 0, errors.New(resp.Err)
 	}
 	return resp.Affected, nil
 }
@@ -422,12 +441,9 @@ func (c *Conn) LockGraph() ([]engine.LockEdge, error) {
 // rw-antidependency edges — one round trip feeds both the distributed
 // deadlock detector and the background pivot-abort scan.
 func (c *Conn) LockGraphEx() ([]engine.LockEdge, []ssi.WireEdge, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqLockGraph})
+	resp, err := c.call(&Request{Kind: ReqLockGraph})
 	if err != nil {
 		return nil, nil, err
-	}
-	if resp.Err != "" {
-		return nil, nil, errors.New(resp.Err)
 	}
 	return resp.Edges, resp.SSIEdges, nil
 }
@@ -435,12 +451,9 @@ func (c *Conn) LockGraphEx() ([]engine.LockEdge, []ssi.WireEdge, error) {
 // SSIEdges polls the node's rw-antidependency edges (the coordinator's
 // pre-commit merged conflict-graph check).
 func (c *Conn) SSIEdges() ([]ssi.WireEdge, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqSSIEdges})
+	resp, err := c.call(&Request{Kind: ReqSSIEdges})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
 	}
 	return resp.SSIEdges, nil
 }
@@ -467,16 +480,10 @@ func (c *Conn) CancelDistTxn(distID string) (bool, error) {
 
 // AppendIntermediateResult ships rows into a named relation on the peer.
 func (c *Conn) AppendIntermediateResult(name string, columns []string, rows []types.Row) error {
-	resp, err := c.roundTrip(&Request{
+	_, err := c.call(&Request{
 		Kind: ReqAppendResult, Name: name, Columns: columns, Rows: rowsToWire(rows),
 	})
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
+	return err
 }
 
 // DropIntermediateResults removes relations by prefix.
@@ -496,12 +503,9 @@ func (c *Conn) TableRows(table string) (int64, error) {
 
 // ListPrepared lists the peer's pending prepared transactions.
 func (c *Conn) ListPrepared() ([]PreparedTxn, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqListPrepared})
+	resp, err := c.call(&Request{Kind: ReqListPrepared})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
 	}
 	return resp.Prepared, nil
 }
@@ -509,14 +513,11 @@ func (c *Conn) ListPrepared() ([]PreparedTxn, error) {
 // TraceSpans fetches the peer's ring-buffered spans for a trace — the
 // remote half of citus_trace() reassembly.
 func (c *Conn) TraceSpans(traceID uint64) ([]trace.Span, error) {
-	resp, err := c.roundTrip(&Request{
+	resp, err := c.call(&Request{
 		Kind: ReqTraceSpans, Hdr: Header{Version: HeaderV1, TraceID: traceID},
 	})
 	if err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
 	}
 	return resp.Spans, nil
 }
