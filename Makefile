@@ -61,9 +61,13 @@ stress:
 # SSI ablations once (all variants) so the cached/pipelined/vectorized/
 # replicated/serializable execution paths can't either — A5 and A6 also
 # assert their counter splits (vec batches, replicated vs primary reads).
+# The ingest path's two microbenchmarks (one jsonb event across both wire
+# hops plus the index expression; one GIN insert) run long enough for their
+# allocs/op to mean something, and print them.
 # The CI bench-smoke job runs this target, so this is the one list.
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' -timeout 15m . ./internal/bench/... ./internal/vec
+	go test -bench 'BenchmarkJSONBHop|BenchmarkGINInsert' -benchtime=2000x -benchmem -run '^$$' ./internal/jsonb ./internal/index
 	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting|TestAblationSSI' -count=1 -timeout 10m ./internal/bench
 
 # run citusbench with the slow-query log catching everything and assert the
@@ -121,14 +125,17 @@ soak-smoke:
 	@echo "soak-smoke: clean run passed, canary caught + reproduced"
 
 # short native-fuzz smoke: wire protocol (framing + pipeline Seq
-# correlation) and vectorized-vs-row-path parity; longer local runs just
-# extend the same corpus:
+# correlation), vectorized-vs-row-path parity, and the flat jsonb encoding
+# against its tree oracle (plus arbitrary bytes through GobDecode); longer
+# local runs just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzVecParity -fuzztime 10m
+#   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzPipelineSeq -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzVecParity -fuzztime 15s
+	go test ./internal/jsonb -run '^$$' -fuzz FuzzJSONB -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

@@ -315,7 +315,6 @@ func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 		seq := &seqScanNode{st: n.st, cols: n.cols, filter: n.filter}
 		return seq.run(ec, emit)
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 	// GIN search is lossy and pattern-shaped: conservative table lock.
 	ec.ssi.lockTable(n.st.table.ID)
 	for _, tid := range candidates {

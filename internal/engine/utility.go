@@ -355,7 +355,10 @@ func (e *Engine) Vacuum(table string) int {
 				}
 			}
 			for _, g := range st.gins {
-				g.gin.Remove(vt.TID)
+				// the index keeps no text: recompute what was indexed
+				if v, err := g.eval(ctx); err == nil && v != nil {
+					g.gin.Remove(types.Format(v), vt.TID)
+				}
 			}
 		}
 		st.mu.Unlock()

@@ -176,11 +176,33 @@ func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		pv, err := Compile(n.Pattern, r)
+		pv, err := compile(n.Pattern, r)
 		if err != nil {
 			return nil, err
 		}
 		ilike, not := n.ILike, n.Not
+		// ILIKE matches the text against the lower-cased pattern; a constant
+		// pattern, the usual case, is formatted and lower-cased here, once
+		preparePattern := func(p types.Datum) string {
+			if ilike {
+				return strings.ToLower(types.Format(p))
+			}
+			return types.Format(p)
+		}
+		match := func(v types.Datum, pat string) types.Datum {
+			return matchLike(types.Format(v), pat, ilike) != not
+		}
+		pv, p, isConst := fold(n.Pattern, pv)
+		if isConst && p != nil {
+			pat := preparePattern(p)
+			return func(c *Ctx) (types.Datum, error) {
+				v, err := ev(c)
+				if err != nil || v == nil {
+					return nil, err
+				}
+				return match(v, pat), nil
+			}, nil
+		}
 		return func(c *Ctx) (types.Datum, error) {
 			v, err := ev(c)
 			if err != nil || v == nil {
@@ -190,11 +212,7 @@ func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 			if err != nil || p == nil {
 				return nil, err
 			}
-			s, pat := types.Format(v), types.Format(p)
-			if ilike {
-				s, pat = strings.ToLower(s), strings.ToLower(pat)
-			}
-			return MatchLike(s, pat) != not, nil
+			return match(v, preparePattern(p)), nil
 		}, nil
 
 	case *sql.IsNullExpr:
@@ -640,12 +658,27 @@ func CastDatum(v types.Datum, to types.Type) (types.Datum, error) {
 
 // MatchLike implements SQL LIKE matching (% = any run, _ = any single
 // byte) with iterative backtracking.
-func MatchLike(s, pattern string) bool {
+func MatchLike(s, pattern string) bool { return matchLike(s, pattern, false) }
+
+// matchLike is MatchLike; with foldCase it is ILIKE against a pattern the
+// caller has lower-cased. ASCII text, the common case, is folded byte by
+// byte during the comparison; only text with a byte >= 0x80 is lower-cased
+// into a copy first.
+func matchLike(s, pattern string, foldCase bool) bool {
+	if foldCase {
+		for i := 0; i < len(s); i++ {
+			if s[i] >= 0x80 {
+				s = strings.ToLower(s)
+				break
+			}
+		}
+	}
 	var si, pi int
 	star, match := -1, 0
 	for si < len(s) {
+		c := foldByte(s[si], foldCase)
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == c):
 			si++
 			pi++
 		case pi < len(pattern) && pattern[pi] == '%':
@@ -655,6 +688,12 @@ func MatchLike(s, pattern string) bool {
 		case star != -1:
 			pi = star + 1
 			match++
+			if pi < len(pattern) && pattern[pi] != '_' && pattern[pi] != '%' {
+				// the run after % starts with a literal: resume where it occurs
+				for match < len(s) && foldByte(s[match], foldCase) != pattern[pi] {
+					match++
+				}
+			}
 			si = match
 		default:
 			return false
@@ -664,4 +703,11 @@ func MatchLike(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
+}
+
+func foldByte(c byte, foldCase bool) byte {
+	if foldCase && c >= 'A' && c <= 'Z' {
+		return c | 0x20
+	}
+	return c
 }

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +162,66 @@ func TestLikeContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// likeRef is LIKE by definition: % matches any run, _ any one byte.
+func likeRef(s, p string) bool {
+	if p == "" {
+		return s == ""
+	}
+	if p[0] == '%' {
+		for i := 0; i <= len(s); i++ {
+			if likeRef(s[i:], p[1:]) {
+				return true
+			}
+		}
+		return false
+	}
+	return s != "" && (p[0] == '_' || p[0] == s[0]) && likeRef(s[1:], p[1:])
+}
+
+// TestMatchLikeAgainstReference drives the backtracking matcher, its skip to
+// the next occurrence of the literal after %, and ILIKE's folding (byte by
+// byte for ASCII text, strings.ToLower otherwise) with short strings over a
+// small alphabet, where near-misses and repeats are common.
+func TestMatchLikeAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gen := func(alphabet []rune, max int) string {
+		r := make([]rune, rng.Intn(max))
+		for i := range r {
+			r[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(r)
+	}
+	texts, patterns := []rune("aabBAé\u212A"), []rune("abBA%%_é\u212A")
+	for i := 0; i < 20000; i++ {
+		if i == 10000 {
+			texts = []rune("abAB") // ASCII only: the folding-in-place path
+		}
+		s, pat := gen(texts, 9), gen(patterns, 6)
+		if got, want := MatchLike(s, pat), likeRef(s, pat); got != want {
+			t.Fatalf("MatchLike(%q, %q) = %v, want %v", s, pat, got, want)
+		}
+		lowered := strings.ToLower(pat)
+		if got, want := matchLike(s, lowered, true), likeRef(strings.ToLower(s), lowered); got != want {
+			t.Fatalf("ILIKE: matchLike(%q, %q, fold) = %v, want %v", s, lowered, got, want)
+		}
+	}
+}
+
+func TestILikeEvaluator(t *testing.T) {
+	for src, want := range map[string]bool{
+		"'Fix POSTGRES bug' ILIKE '%Postgres%'":     true,
+		"'Fix POSTGRES bug' LIKE '%Postgres%'":      false,
+		"'Fix POSTGRES bug' NOT ILIKE '%postgres%'": false,
+		"'ÉCOLE' ILIKE 'école'":                     true,
+		"'abc' ILIKE 'A_' || 'C'":                   true, // a folded, non-literal pattern
+		"'a_c' ILIKE 'A_C'":                         true,
+	} {
+		if got := evalConst(t, src); got != want {
+			t.Errorf("%s = %v, want %v", src, got, want)
+		}
 	}
 }
 

@@ -304,21 +304,7 @@ func init() {
 		if !ok {
 			return nil, argErr("jsonb_typeof", "a jsonb argument")
 		}
-		s := j.String()
-		switch {
-		case s == "null":
-			return "null", nil
-		case strings.HasPrefix(s, "{"):
-			return "object", nil
-		case strings.HasPrefix(s, "["):
-			return "array", nil
-		case strings.HasPrefix(s, "\""):
-			return "string", nil
-		case s == "true" || s == "false":
-			return "boolean", nil
-		default:
-			return "number", nil
-		}
+		return j.Kind().String(), nil
 	})
 
 	for name := range Scalars {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -11,116 +12,150 @@ import (
 // a pg_trgm GIN index. It answers [I]LIKE '%substring%' queries by
 // intersecting the posting lists of the pattern's trigrams; matches must be
 // rechecked against the heap (lossy, exactly like the real thing).
+//
+// A trigram is three bytes of [a-z0-9 ] packed into a uint32; a posting
+// list is the ascending TIDs of the rows whose text has that trigram. The
+// index keeps no copy of the text: Remove is given it again.
 type GIN struct {
 	mu      sync.RWMutex
-	posting map[string]map[heap.TID]struct{}
-	indexed map[heap.TID]string // remembered text for removal
+	posting map[uint32][]heap.TID
+	tuples  int
 }
 
 // NewGIN creates an empty trigram index.
 func NewGIN() *GIN {
-	return &GIN{
-		posting: make(map[string]map[heap.TID]struct{}),
-		indexed: make(map[heap.TID]string),
-	}
+	return &GIN{posting: make(map[uint32][]heap.TID)}
 }
 
-// Trigrams extracts the lower-cased trigram set of s using pg_trgm's
-// padding convention (two leading and one trailing space per word).
-func Trigrams(s string) []string {
-	seen := make(map[string]struct{})
-	for _, word := range strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
-	}) {
-		padded := "  " + word + " "
-		for i := 0; i+3 <= len(padded); i++ {
-			seen[padded[i:i+3]] = struct{}{}
+func isAlnum(c byte) bool { return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' }
+
+func pack(a, b, c byte) uint32 { return uint32(a)<<16 | uint32(b)<<8 | uint32(c) }
+
+func lowerASCII(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		return c | 0x20
+	}
+	return c
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
-	}
-	return out
+	return true
 }
 
-// Insert indexes text under tid.
+// appendTrigrams returns the lower-cased trigram set of s, ascending and
+// without duplicates, built in the empty slice dst (which lends a caller's
+// stack buffer), using pg_trgm's padding convention (two leading and
+// one trailing space per word; a word is a run of letters and digits).
+// ASCII text, the common case, is folded byte by byte; only other text pays
+// for strings.ToLower, after which the bytes of its multi-byte runes
+// separate words like any other non-alphanumeric.
+func appendTrigrams(dst []uint32, s string) []uint32 {
+	if !isASCII(s) {
+		s = strings.ToLower(s)
+	}
+	a, b := byte(' '), byte(' ')
+	inWord := false
+	for i := 0; i < len(s); i++ {
+		c := lowerASCII(s[i])
+		if isAlnum(c) {
+			dst = append(dst, pack(a, b, c))
+			a, b, inWord = b, c, true
+		} else if inWord {
+			dst = append(dst, pack(a, b, ' '))
+			a, b, inWord = ' ', ' ', false
+		}
+	}
+	if inWord {
+		dst = append(dst, pack(a, b, ' '))
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
+}
+
+// Insert indexes text under tid. Rows usually arrive in TID order (COPY,
+// index build), which makes every posting an append.
 func (g *GIN) Insert(text string, tid heap.TID) {
-	grams := Trigrams(text)
+	var stack [128]uint32
+	grams := appendTrigrams(stack[:0], text)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.indexed[tid] = text
+	added := false
 	for _, gram := range grams {
-		set, ok := g.posting[gram]
-		if !ok {
-			set = make(map[heap.TID]struct{})
-			g.posting[gram] = set
+		list := g.posting[gram]
+		if n := len(list); n == 0 || list[n-1] < tid {
+			g.posting[gram] = append(list, tid)
+			added = true
+		} else if i, found := slices.BinarySearch(list, tid); !found {
+			g.posting[gram] = slices.Insert(list, i, tid)
+			added = true
 		}
-		set[tid] = struct{}{}
+	}
+	if added {
+		g.tuples++
 	}
 }
 
-// Remove drops tid from the index.
-func (g *GIN) Remove(tid heap.TID) {
+// Remove drops tid, which was inserted with text, from the index.
+func (g *GIN) Remove(text string, tid heap.TID) {
+	var stack [128]uint32
+	grams := appendTrigrams(stack[:0], text)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	text, ok := g.indexed[tid]
-	if !ok {
-		return
-	}
-	delete(g.indexed, tid)
-	for _, gram := range Trigrams(text) {
-		if set := g.posting[gram]; set != nil {
-			delete(set, tid)
-			if len(set) == 0 {
-				delete(g.posting, gram)
-			}
+	removed := false
+	for _, gram := range grams {
+		list := g.posting[gram]
+		i, found := slices.BinarySearch(list, tid)
+		if !found {
+			continue
 		}
+		removed = true
+		if len(list) == 1 {
+			delete(g.posting, gram)
+		} else {
+			g.posting[gram] = slices.Delete(list, i, i+1)
+		}
+	}
+	if removed {
+		g.tuples--
 	}
 }
 
-// Len returns the number of indexed tuples.
+// Len returns the number of indexed tuples: those with at least one
+// trigram, the only ones a search can return.
 func (g *GIN) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.indexed)
+	return g.tuples
 }
 
 // patternTrigrams extracts searchable trigrams from the literal runs of a
 // LIKE pattern (%, _ are wildcards). Runs shorter than 3 characters yield
 // no trigrams.
-func patternTrigrams(pattern string) []string {
-	var grams []string
+func patternTrigrams(pattern string) []uint32 {
+	var grams []uint32
 	for _, run := range strings.FieldsFunc(pattern, func(r rune) bool {
 		return r == '%' || r == '_'
 	}) {
-		if len(run) < 3 {
-			continue
-		}
 		// interior trigrams only: the run may start/end mid-word, so padded
 		// boundary trigrams would be wrong
 		lower := strings.ToLower(run)
 		for i := 0; i+3 <= len(lower); i++ {
-			gram := lower[i : i+3]
-			ok := true
-			for j := 0; j < 3; j++ {
-				c := gram[j]
-				if !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9') {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				grams = append(grams, gram)
+			if isAlnum(lower[i]) && isAlnum(lower[i+1]) && isAlnum(lower[i+2]) {
+				grams = append(grams, pack(lower[i], lower[i+1], lower[i+2]))
 			}
 		}
 	}
 	return grams
 }
 
-// Search returns candidate TIDs for a LIKE pattern by intersecting trigram
-// posting lists. usable=false means the pattern has no extractable trigrams
-// and the caller must fall back to a sequential scan.
+// Search returns candidate TIDs, ascending, for a LIKE pattern by
+// intersecting trigram posting lists. usable=false means the pattern has no
+// extractable trigrams and the caller must fall back to a sequential scan.
 func (g *GIN) Search(pattern string) (candidates []heap.TID, usable bool) {
 	grams := patternTrigrams(pattern)
 	if len(grams) == 0 {
@@ -128,29 +163,39 @@ func (g *GIN) Search(pattern string) (candidates []heap.TID, usable bool) {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	// intersect starting from the rarest posting list
-	smallest := -1
+	lists := make([][]heap.TID, len(grams))
 	for i, gram := range grams {
-		set, ok := g.posting[gram]
-		if !ok {
+		if lists[i] = g.posting[gram]; len(lists[i]) == 0 {
 			return nil, true // some trigram absent: no matches at all
 		}
-		if smallest == -1 || len(set) < len(g.posting[grams[smallest]]) {
-			smallest = i
-			_ = set
-		}
 	}
-	for tid := range g.posting[grams[smallest]] {
-		all := true
-		for _, gram := range grams {
-			if _, ok := g.posting[gram][tid]; !ok {
-				all = false
-				break
+	// merge from the rarest list: every pass is bounded by what is left of it
+	slices.SortFunc(lists, func(a, b []heap.TID) int { return len(a) - len(b) })
+	candidates = slices.Clone(lists[0])
+	for _, list := range lists[1:] {
+		kept := candidates[:0]
+		for _, tid := range candidates {
+			i, found := seek(list, tid)
+			if found {
+				kept = append(kept, tid)
 			}
+			list = list[i:]
 		}
-		if all {
-			candidates = append(candidates, tid)
-		}
+		candidates = kept
 	}
 	return candidates, true
+}
+
+// seek finds tid in an ascending list as slices.BinarySearch does, but
+// probes from the front in doubling steps first: merging two lists of
+// similar length costs a step or two per element, a short list against a
+// long one the logarithm of each gap.
+func seek(list []heap.TID, tid heap.TID) (int, bool) {
+	hi := 1
+	for hi < len(list) && list[hi-1] < tid {
+		hi <<= 1
+	}
+	lo := hi >> 1 // everything before lo is below tid
+	i, found := slices.BinarySearch(list[lo:min(hi, len(list))], tid)
+	return lo + i, found
 }

@@ -2,10 +2,13 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"citusgo/internal/expr"
 	"citusgo/internal/heap"
 	"citusgo/internal/types"
 )
@@ -225,12 +228,12 @@ func TestGINRemove(t *testing.T) {
 	g := NewGIN()
 	g.Insert("postgres rocks", 1)
 	g.Insert("postgres rolls", 2)
-	g.Remove(1)
+	g.Remove("postgres rocks", 1)
 	cands, _ := g.Search("%postgres%")
 	if len(cands) != 1 || cands[0] != 2 {
 		t.Fatalf("after remove: %v", cands)
 	}
-	g.Remove(99) // removing the unknown is a no-op
+	g.Remove("postgres rocks", 99) // removing the unknown is a no-op
 	if g.Len() != 1 {
 		t.Fatalf("len = %d", g.Len())
 	}
@@ -275,17 +278,140 @@ func containsWord(s, w string) bool {
 	})()
 }
 
+func gramString(g uint32) string { return string([]byte{byte(g >> 16), byte(g >> 8), byte(g)}) }
+
 func TestTrigramsExtraction(t *testing.T) {
-	grams := Trigrams("Fix Bug")
-	set := map[string]bool{}
-	for _, g := range grams {
-		set[g] = true
-	}
-	// pg_trgm padding: "  fix " yields "  f", " fi", "fix", "ix "
-	for _, want := range []string{"  f", " fi", "fix", "ix ", "  b", "bug"} {
-		if !set[want] {
-			t.Fatalf("missing trigram %q in %v", want, grams)
+	// pg_trgm padding: "  fix " yields "  f", " fi", "fix", "ix "; the set
+	// comes out ascending, each trigram once, lower-cased
+	for _, c := range []struct {
+		text string
+		want []string
+	}{
+		{"Fix Bug", []string{"  b", "  f", " bu", " fi", "bug", "fix", "ix ", "ug "}},
+		{"a-a A", []string{"  a", " a "}},
+		{"", nil},
+		{"?! ...", nil},
+		{"ÉaB9é", []string{"  a", " ab", "ab9", "b9 "}},    // non-ASCII letters separate words
+		{"\u212Aey", []string{"  k", " ke", "ey ", "key"}}, // the Kelvin sign lower-cases to k
+	} {
+		var got []string
+		for _, g := range appendTrigrams(nil, c.text) {
+			got = append(got, gramString(g))
 		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("trigrams of %q = %q, want %q", c.text, got, c.want)
+		}
+	}
+}
+
+// TestGINAgainstBruteForce inserts random texts in shuffled TID order with
+// removals in between and checks Search against ILIKE over the live texts:
+// a sorted, duplicate-free superset of the matches, and no removed TID.
+func TestGINAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []rune("abcABCxyzXYZ019 .,-_%\"'éÉßİ\u212Aж")
+	randText := func() string {
+		r := make([]rune, rng.Intn(40))
+		for i := range r {
+			r[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(r)
+	}
+	ilike := func(text, pattern string) bool {
+		return expr.MatchLike(strings.ToLower(text), strings.ToLower(pattern))
+	}
+
+	g := NewGIN()
+	live := map[heap.TID]string{}
+	removed := map[heap.TID]bool{}
+	check := func() {
+		t.Helper()
+		indexed := 0
+		var patterns []string
+		for _, text := range live {
+			if len(appendTrigrams(nil, text)) > 0 {
+				indexed++
+			}
+			if r := []rune(text); len(r) >= 3 && len(patterns) < 40 {
+				from := rng.Intn(len(r) - 2)
+				sub := string(r[from : from+3+rng.Intn(len(r)-from-2)])
+				patterns = append(patterns, "%"+sub+"%", sub+"%", "%"+sub, "%"+sub+"_%"+sub+"%")
+			}
+		}
+		if g.Len() != indexed {
+			t.Fatalf("Len() = %d, %d live texts have a trigram", g.Len(), indexed)
+		}
+		for _, pattern := range patterns {
+			cands, usable := g.Search(pattern)
+			if !usable {
+				continue
+			}
+			if !slices.IsSorted(cands) || len(slices.Compact(slices.Clone(cands))) != len(cands) {
+				t.Fatalf("Search(%q) is not sorted and duplicate-free: %v", pattern, cands)
+			}
+			for _, tid := range cands {
+				if removed[tid] {
+					t.Fatalf("Search(%q) returned the removed TID %d", pattern, tid)
+				}
+			}
+			for tid, text := range live {
+				if _, found := slices.BinarySearch(cands, tid); !found && ilike(text, pattern) {
+					t.Fatalf("Search(%q) misses TID %d %q", pattern, tid, text)
+				}
+			}
+		}
+	}
+
+	tids := rng.Perm(600)
+	for i, n := range tids {
+		tid := heap.TID(n)
+		live[tid] = randText()
+		g.Insert(live[tid], tid)
+		if i%3 == 2 { // remove a random live one
+			victim := heap.TID(tids[rng.Intn(i+1)])
+			if text, ok := live[victim]; ok {
+				g.Remove(text, victim)
+				delete(live, victim)
+				removed[victim] = true
+			}
+		}
+		if i%100 == 99 {
+			check()
+		}
+	}
+	for tid, text := range live {
+		g.Remove(text, tid)
+		delete(live, tid)
+		removed[tid] = true
+	}
+	check()
+	if len(g.posting) != 0 {
+		t.Fatalf("%d posting lists left after removing everything", len(g.posting))
+	}
+}
+
+// BenchmarkGINInsert indexes commit-message arrays as the ingest path
+// renders them, in TID order.
+func BenchmarkGINInsert(b *testing.B) {
+	words := []string{"fix", "bug", "add", "feature", "update", "docs", "refactor", "postgres", "index", "performance"}
+	rng := rand.New(rand.NewSource(1))
+	texts := make([]string, 1024)
+	for i := range texts {
+		msgs := make([]string, 1+rng.Intn(4))
+		for j := range msgs {
+			w := make([]string, 3+rng.Intn(6))
+			for k := range w {
+				w[k] = words[rng.Intn(len(words))]
+			}
+			msgs[j] = `"` + strings.Join(w, " ") + `"`
+		}
+		texts[i] = "[" + strings.Join(msgs, ", ") + "]"
+	}
+	g := NewGIN()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Insert(texts[i%len(texts)], heap.TID(i))
 	}
 }
 

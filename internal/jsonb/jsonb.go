@@ -1,363 +1,479 @@
-// Package jsonb implements the JSONB value model and the subset of
-// PostgreSQL's JSONB operators that the workloads in the paper rely on:
-// -> / ->> navigation, jsonb_array_length, jsonb_path_query_array with
-// wildcard array steps, and containment. Values are stored parsed (binary
-// form) rather than as text, matching JSONB rather than JSON semantics.
+// Package jsonb implements the JSONB datum and the subset of PostgreSQL's
+// JSONB operators that the workloads in the paper rely on: -> / ->>
+// navigation, jsonb_array_length, jsonb_typeof, jsonb_path_query_array with
+// wildcard array steps, and containment.
+//
+// A Value is one flat byte string, produced once by Parse or FromGo and
+// then carried unchanged over the wire, into the heap tuple and through
+// every operator, which navigate it in place (PostgreSQL's JSONB container
+// idea). Every node is self-contained, so a child is a sub-slice of its
+// parent:
+//
+//	null | false | true   tag
+//	number                tag, float64 (8 bytes, little-endian)
+//	string                tag, uvarint length, bytes
+//	array                 tag, count (uint32), count end offsets (uint32), elements
+//	object                tag, count (uint32), count end offsets (uint32), members
+//
+// All integers are little-endian. An end offset is where that child stops,
+// counted from the first byte after the offset table; a child starts where
+// its predecessor ends. An object member is its key (uvarint length, bytes)
+// followed by its value node; members are sorted bytewise by key and keys
+// are unique, so -> is a binary search and rendering needs no sort.
 package jsonb
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Value is a parsed JSONB document. The wrapped value uses the standard
-// encoding/json representation: nil, bool, float64, string, []any,
-// map[string]any.
+const (
+	tagNull byte = iota
+	tagFalse
+	tagTrue
+	tagNumber
+	tagString
+	tagArray
+	tagObject
+)
+
+// formatVersion leads the wire form. It is no byte a JSON text can start
+// with, so a text payload is refused instead of being misread.
+const formatVersion = 1
+
+// maxDepth bounds container nesting in Parse and GobDecode, and with it the
+// recursion of every operator.
+const maxDepth = 10000
+
+// headerSize is a container's tag and count; its offset table follows.
+const headerSize = 5
+
+// ErrMalformed is wrapped by every GobDecode failure: the bytes are not a
+// jsonb datum of this format version.
+var ErrMalformed = errors.New("malformed jsonb datum")
+
+// Value is a JSONB document or a part of one. The zero Value is JSON null.
 type Value struct {
-	v any
+	b []byte // one node; sub-values alias their document
 }
 
 // IsJSONB marks Value as the JSONB datum for package types.
 func (Value) IsJSONB() {}
 
-// Parse parses a JSON document into a Value.
-func Parse(s string) (Value, error) {
-	var v any
-	dec := json.NewDecoder(strings.NewReader(s))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return Value{}, fmt.Errorf("invalid jsonb: %w", err)
+var nullNode = []byte{tagNull}
+
+func (j Value) node() []byte {
+	if len(j.b) == 0 {
+		return nullNode
 	}
-	return Value{v: normalize(v)}, nil
+	return j.b
 }
 
-// MustParse parses s and panics on error. For tests and generators.
-func MustParse(s string) Value {
-	v, err := Parse(s)
-	if err != nil {
-		panic(err)
+func u32(b []byte) int { return int(binary.LittleEndian.Uint32(b)) }
+
+// children splits a container node into its child count, end-offset table
+// and child area.
+func children(n []byte) (count int, table, kids []byte) {
+	count = u32(n[1:])
+	return count, n[headerSize : headerSize+4*count], n[headerSize+4*count:]
+}
+
+// child returns the i-th child of a container: an element node, or a member.
+func child(table, kids []byte, i int) []byte {
+	start := 0
+	if i > 0 {
+		start = u32(table[4*(i-1):])
 	}
-	return v
+	end := u32(table[4*i:])
+	return kids[start:end:end]
 }
 
-// FromGo wraps a Go value (maps, slices, strings, numbers, bools) as JSONB.
-func FromGo(v any) Value { return Value{v: normalize(v)} }
-
-func normalize(v any) any {
-	switch t := v.(type) {
-	case json.Number:
-		if f, err := t.Float64(); err == nil {
-			return f
-		}
-		return t.String()
-	case int:
-		return float64(t)
-	case int64:
-		return float64(t)
-	case []any:
-		for i := range t {
-			t[i] = normalize(t[i])
-		}
-		return t
-	case map[string]any:
-		for k := range t {
-			t[k] = normalize(t[k])
-		}
-		return t
-	default:
-		return v
+// uvarint is binary.Uvarint with the one-byte case, lengths below 128,
+// decided before the general loop.
+func uvarint(b []byte) (n, width int) {
+	if b[0] < 0x80 {
+		return int(b[0]), 1
 	}
+	v, w := binary.Uvarint(b)
+	return int(v), w
 }
 
-// String renders the value as compact JSON with sorted object keys, which
-// makes output deterministic (JSONB, like in PostgreSQL, does not preserve
-// key order).
-func (j Value) String() string {
-	var sb strings.Builder
-	writeJSON(&sb, j.v)
-	return sb.String()
+// member splits an object member into its key and its value node.
+func member(m []byte) (key, val []byte) {
+	n, w := uvarint(m)
+	return m[w : w+n], m[w+n:]
 }
 
-func writeJSON(sb *strings.Builder, v any) {
-	switch t := v.(type) {
-	case nil:
-		sb.WriteString("null")
-	case bool:
-		if t {
-			sb.WriteString("true")
+// str returns the bytes of a string node.
+func str(n []byte) []byte {
+	l, w := uvarint(n[1:])
+	return n[1+w : 1+w+l]
+}
+
+func number(n []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(n[1:]))
+}
+
+// lookup binary-searches an object node for key and returns the value node,
+// or nil.
+func lookup(n []byte, key string) []byte {
+	count, table, kids := children(n)
+	lo, hi := 0, count
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		k, v := member(child(table, kids, mid))
+		if string(k) == key {
+			return v
+		}
+		if string(k) < key {
+			lo = mid + 1
 		} else {
-			sb.WriteString("false")
+			hi = mid
 		}
-	case float64:
-		if t == math.Trunc(t) && math.Abs(t) < 1e15 {
-			sb.WriteString(strconv.FormatInt(int64(t), 10))
-		} else {
-			sb.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		}
-	case string:
-		b, _ := json.Marshal(t)
-		sb.Write(b)
-	case []any:
-		sb.WriteByte('[')
-		for i, e := range t {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			writeJSON(sb, e)
-		}
-		sb.WriteByte(']')
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sb.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			b, _ := json.Marshal(k)
-			sb.Write(b)
-			sb.WriteString(": ")
-			writeJSON(sb, t[k])
-		}
-		sb.WriteByte('}')
-	default:
-		sb.WriteString(fmt.Sprintf("%v", t))
 	}
-}
-
-// GobEncode serializes the document as JSON text (wire protocol transport).
-func (j Value) GobEncode() ([]byte, error) { return []byte(j.String()), nil }
-
-// GobDecode parses the JSON text form.
-func (j *Value) GobDecode(b []byte) error {
-	v, err := Parse(string(b))
-	if err != nil {
-		return err
-	}
-	*j = v
 	return nil
 }
 
+// element returns the i-th element node of an array node, counting from the
+// end when i is negative, or nil.
+func element(n []byte, i int) []byte {
+	count, table, kids := children(n)
+	if i < 0 {
+		i += count
+	}
+	if i < 0 || i >= count {
+		return nil
+	}
+	return child(table, kids, i)
+}
+
+// Kind is the JSON type of a value.
+type Kind uint8
+
+const (
+	Null Kind = iota
+	Bool
+	Number
+	String
+	Array
+	Object
+)
+
+// String is the name jsonb_typeof reports.
+func (k Kind) String() string {
+	return [...]string{"null", "boolean", "number", "string", "array", "object"}[k]
+}
+
+// Kind reports the JSON type of the value.
+func (j Value) Kind() Kind {
+	switch j.node()[0] {
+	case tagFalse, tagTrue:
+		return Bool
+	case tagNumber:
+		return Number
+	case tagString:
+		return String
+	case tagArray:
+		return Array
+	case tagObject:
+		return Object
+	}
+	return Null
+}
+
 // IsNull reports whether the document is JSON null.
-func (j Value) IsNull() bool { return j.v == nil }
+func (j Value) IsNull() bool { return j.node()[0] == tagNull }
 
 // Get implements the -> operator with a text key: object field access.
 // Returns ok=false when the field is absent or the value is not an object.
 func (j Value) Get(key string) (Value, bool) {
-	obj, ok := j.v.(map[string]any)
-	if !ok {
-		return Value{}, false
+	if n := j.node(); n[0] == tagObject {
+		if v := lookup(n, key); v != nil {
+			return Value{b: v}, true
+		}
 	}
-	v, ok := obj[key]
-	if !ok {
-		return Value{}, false
-	}
-	return Value{v: v}, true
+	return Value{}, false
 }
 
 // Index implements the -> operator with an integer key: array element
 // access. Negative indexes count from the end, as in PostgreSQL.
 func (j Value) Index(i int) (Value, bool) {
-	arr, ok := j.v.([]any)
-	if !ok {
-		return Value{}, false
+	if n := j.node(); n[0] == tagArray {
+		if e := element(n, i); e != nil {
+			return Value{b: e}, true
+		}
 	}
-	if i < 0 {
-		i += len(arr)
-	}
-	if i < 0 || i >= len(arr) {
-		return Value{}, false
-	}
-	return Value{v: arr[i]}, true
+	return Value{}, false
 }
 
 // Text implements the ->> operator's final step: scalar values render
 // unquoted, composite values render as JSON text. Returns ok=false for
 // JSON null (which maps to SQL NULL).
 func (j Value) Text() (string, bool) {
-	switch t := j.v.(type) {
-	case nil:
+	switch n := j.node(); n[0] {
+	case tagNull:
 		return "", false
-	case string:
-		return t, true
-	default:
-		return j.String(), true
+	case tagString:
+		return string(str(n)), true
 	}
+	return j.String(), true
 }
 
 // ArrayLength implements jsonb_array_length.
 func (j Value) ArrayLength() (int, error) {
-	arr, ok := j.v.([]any)
-	if !ok {
+	n := j.node()
+	if n[0] != tagArray {
 		return 0, fmt.Errorf("cannot get array length of a non-array")
 	}
-	return len(arr), nil
+	return u32(n[1:]), nil
 }
 
 // Number returns the numeric value of a JSON number.
 func (j Value) Number() (float64, bool) {
-	f, ok := j.v.(float64)
-	return f, ok
-}
-
-// PathQueryArray implements a practical subset of
-// jsonb_path_query_array(doc, '$.a.b[*].c'): dotted field steps and [*]
-// wildcard array steps, returning all matches wrapped in a JSON array.
-// This is exactly the shape the paper's GitHub-archive benchmark uses
-// ('$.payload.commits[*].message').
-func (j Value) PathQueryArray(path string) (Value, error) {
-	steps, err := parsePath(path)
-	if err != nil {
-		return Value{}, err
+	n := j.node()
+	if n[0] != tagNumber {
+		return 0, false
 	}
-	var out []any
-	collectPath(j.v, steps, &out)
-	return Value{v: out}, nil
+	return number(n), true
 }
 
-type pathStep struct {
-	field    string // field access when non-empty
-	wildcard bool   // [*] step
-	index    int    // [n] step when !wildcard and field==""
+// String renders the value as JSON text the way PostgreSQL prints jsonb:
+// object keys in stored (sorted) order, ", " and ": " separators, and only
+// the quote, the backslash and control characters escaped.
+func (j Value) String() string {
+	n := j.node()
+	var sb strings.Builder
+	sb.Grow(len(n))
+	writeText(&sb, n)
+	return sb.String()
 }
 
-func parsePath(path string) ([]pathStep, error) {
-	path = strings.TrimSpace(path)
-	if !strings.HasPrefix(path, "$") {
-		return nil, fmt.Errorf("jsonpath must start with $: %q", path)
+func writeText(sb *strings.Builder, n []byte) {
+	switch n[0] {
+	case tagNull:
+		sb.WriteString("null")
+	case tagFalse:
+		sb.WriteString("false")
+	case tagTrue:
+		sb.WriteString("true")
+	case tagNumber:
+		var buf [32]byte
+		if f := number(n); f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			sb.Write(strconv.AppendInt(buf[:0], int64(f), 10))
+		} else {
+			sb.Write(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
+		}
+	case tagString:
+		writeQuoted(sb, str(n))
+	case tagArray:
+		count, table, kids := children(n)
+		sb.WriteByte('[')
+		for i := 0; i < count; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeText(sb, child(table, kids, i))
+		}
+		sb.WriteByte(']')
+	case tagObject:
+		count, table, kids := children(n)
+		sb.WriteByte('{')
+		for i := 0; i < count; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			key, val := member(child(table, kids, i))
+			writeQuoted(sb, key)
+			sb.WriteString(": ")
+			writeText(sb, val)
+		}
+		sb.WriteByte('}')
 	}
-	rest := path[1:]
-	var steps []pathStep
-	for rest != "" {
-		switch {
-		case strings.HasPrefix(rest, "."):
-			rest = rest[1:]
-			end := strings.IndexAny(rest, ".[")
-			if end == -1 {
-				end = len(rest)
-			}
-			name := rest[:end]
-			if name == "" {
-				return nil, fmt.Errorf("empty field step in jsonpath")
-			}
-			steps = append(steps, pathStep{field: name})
-			rest = rest[end:]
-		case strings.HasPrefix(rest, "[*]"):
-			steps = append(steps, pathStep{wildcard: true})
-			rest = rest[3:]
-		case strings.HasPrefix(rest, "["):
-			end := strings.Index(rest, "]")
-			if end == -1 {
-				return nil, fmt.Errorf("unterminated [ in jsonpath")
-			}
-			n, err := strconv.Atoi(rest[1:end])
-			if err != nil {
-				return nil, fmt.Errorf("bad array index in jsonpath: %w", err)
-			}
-			steps = append(steps, pathStep{index: n})
-			rest = rest[end+1:]
+}
+
+const hexDigits = "0123456789abcdef"
+
+func writeQuoted(sb *strings.Builder, s []byte) {
+	sb.WriteByte('"')
+	start := 0
+	for i, c := range s {
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		sb.Write(s[start:i])
+		start = i + 1
+		switch c {
+		case '"', '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\b':
+			sb.WriteString(`\b`)
+		case '\f':
+			sb.WriteString(`\f`)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\r':
+			sb.WriteString(`\r`)
+		case '\t':
+			sb.WriteString(`\t`)
 		default:
-			return nil, fmt.Errorf("unexpected jsonpath syntax near %q", rest)
+			sb.WriteString(`\u00`)
+			sb.WriteByte(hexDigits[c>>4])
+			sb.WriteByte(hexDigits[c&0xf])
 		}
 	}
-	return steps, nil
-}
-
-func collectPath(v any, steps []pathStep, out *[]any) {
-	if len(steps) == 0 {
-		*out = append(*out, v)
-		return
-	}
-	step := steps[0]
-	switch {
-	case step.field != "":
-		if obj, ok := v.(map[string]any); ok {
-			if child, ok := obj[step.field]; ok {
-				collectPath(child, steps[1:], out)
-			}
-		}
-	case step.wildcard:
-		if arr, ok := v.([]any); ok {
-			for _, e := range arr {
-				collectPath(e, steps[1:], out)
-			}
-		}
-	default:
-		if arr, ok := v.([]any); ok {
-			i := step.index
-			if i < 0 {
-				i += len(arr)
-			}
-			if i >= 0 && i < len(arr) {
-				collectPath(arr[i], steps[1:], out)
-			}
-		}
-	}
+	sb.Write(s[start:])
+	sb.WriteByte('"')
 }
 
 // Contains implements the @> containment operator: j contains other when
 // every structure in other appears in j (object subset, array element
 // subset, scalar equality).
-func (j Value) Contains(other Value) bool { return contains(j.v, other.v) }
+func (j Value) Contains(other Value) bool { return contains(j.node(), other.node()) }
 
-func contains(a, b any) bool {
-	switch bt := b.(type) {
-	case map[string]any:
-		at, ok := a.(map[string]any)
-		if !ok {
+func contains(a, b []byte) bool {
+	switch b[0] {
+	case tagObject:
+		if a[0] != tagObject {
 			return false
 		}
-		for k, bv := range bt {
-			av, ok := at[k]
-			if !ok || !contains(av, bv) {
-				return false
+		// both member lists are sorted by key: one merge pass
+		an, atable, akids := children(a)
+		bn, btable, bkids := children(b)
+		ai := 0
+		for bi := 0; bi < bn; bi++ {
+			bk, bv := member(child(btable, bkids, bi))
+			for {
+				if ai == an {
+					return false
+				}
+				ak, av := member(child(atable, akids, ai))
+				ai++
+				if c := bytes.Compare(ak, bk); c > 0 {
+					return false
+				} else if c == 0 {
+					if !contains(av, bv) {
+						return false
+					}
+					break
+				}
 			}
 		}
 		return true
-	case []any:
-		at, ok := a.([]any)
-		if !ok {
+	case tagArray:
+		if a[0] != tagArray {
 			return false
 		}
-		for _, bv := range bt {
+		an, atable, akids := children(a)
+		bn, btable, bkids := children(b)
+		for bi := 0; bi < bn; bi++ {
+			be := child(btable, bkids, bi)
 			found := false
-			for _, av := range at {
-				if contains(av, bv) {
-					found = true
-					break
-				}
+			for ai := 0; ai < an && !found; ai++ {
+				found = contains(child(atable, akids, ai), be)
 			}
 			if !found {
 				return false
 			}
 		}
 		return true
-	default:
-		return equalScalar(a, b)
+	case tagNumber:
+		return a[0] == tagNumber && number(a) == number(b)
+	case tagString:
+		return a[0] == tagString && bytes.Equal(str(a), str(b))
 	}
+	return a[0] == b[0]
 }
 
-func equalScalar(a, b any) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+// GobEncode is the datum's wire form: the format version byte, then the
+// node bytes exactly as they sit in memory.
+func (j Value) GobEncode() ([]byte, error) {
+	n := j.node()
+	out := make([]byte, 1+len(n))
+	out[0] = formatVersion
+	copy(out[1:], n)
+	return out, nil
+}
+
+// GobDecode copies the wire form out of gob's buffer and checks, in one
+// pass, everything the operators rely on (see validate). Nothing is parsed:
+// a node that only forwards the datum pays for the copy and the check.
+func (j *Value) GobDecode(b []byte) error {
+	if len(b) == 0 || b[0] != formatVersion {
+		return fmt.Errorf("%w: not format version %d", ErrMalformed, formatVersion)
 	}
-	switch at := a.(type) {
-	case float64:
-		bf, ok := b.(float64)
-		return ok && at == bf
-	case string:
-		bs, ok := b.(string)
-		return ok && at == bs
-	case bool:
-		bb, ok := b.(bool)
-		return ok && at == bb
+	n := bytes.Clone(b[1:])
+	if err := validate(n, 0); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	return false
+	j.b = n
+	return nil
+}
+
+// validate checks that n is exactly one well-formed node: lengths and
+// offsets in bounds, children filling their container with no gap, object
+// keys strictly ascending, nesting within maxDepth. The operators index a
+// Value's bytes without further checks.
+func validate(n []byte, depth int) error {
+	if len(n) == 0 {
+		return errors.New("empty node")
+	}
+	switch n[0] {
+	case tagNull, tagFalse, tagTrue:
+		if len(n) != 1 {
+			return errors.New("trailing bytes after a literal")
+		}
+	case tagNumber:
+		if len(n) != 9 {
+			return errors.New("a number is not 8 bytes")
+		}
+	case tagString:
+		l, w := binary.Uvarint(n[1:])
+		if w <= 0 || l != uint64(len(n)-1-w) {
+			return errors.New("string length does not match its node")
+		}
+	case tagArray, tagObject:
+		if depth >= maxDepth {
+			return errors.New("nesting too deep")
+		}
+		if len(n) < headerSize || (len(n)-headerSize)/4 < u32(n[1:]) {
+			return errors.New("offset table out of bounds")
+		}
+		count, table, kids := children(n)
+		start := 0
+		var prevKey []byte
+		for i := 0; i < count; i++ {
+			end := u32(table[4*i:])
+			if end < start || end > len(kids) {
+				return errors.New("child offset out of bounds")
+			}
+			c := kids[start:end]
+			if n[0] == tagObject {
+				l, w := binary.Uvarint(c)
+				if w <= 0 || l > uint64(len(c)-w) {
+					return errors.New("key length out of bounds")
+				}
+				key := c[w : w+int(l)]
+				if i > 0 && bytes.Compare(prevKey, key) >= 0 {
+					return errors.New("object keys not in ascending order")
+				}
+				prevKey, c = key, c[w+int(l):]
+			}
+			if err := validate(c, depth+1); err != nil {
+				return err
+			}
+			start = end
+		}
+		if start != len(kids) {
+			return errors.New("bytes after the last child")
+		}
+	default:
+		return fmt.Errorf("unknown tag %d", n[0])
+	}
+	return nil
 }

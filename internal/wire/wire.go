@@ -45,6 +45,9 @@ func init() {
 	gob.Register(false)
 	gob.Register("")
 	gob.Register(time.Time{})
+	// A jsonb datum crosses as its in-memory bytes behind a version byte:
+	// decoding is a copy and a bounds check, so a node that only forwards
+	// rows (the COPY coordinator) never parses one. See docs/wire.md.
 	gob.Register(jsonb.Value{})
 }
 
@@ -845,11 +848,20 @@ func (s *Server) serveConn(conn net.Conn) {
 	enc := gob.NewEncoder(conn)
 	for {
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		var resp *Response
+		switch err := dec.Decode(&req); {
+		case errors.Is(err, jsonb.ErrMalformed):
+			// gob frames every message, so the stream is intact after a
+			// datum its GobDecode refused: fail this request only. Seq,
+			// which follows the rows in the message, was not reached; zero
+			// is the value clients do not verify.
+			resp = &Response{Err: err.Error()}
+		case err != nil:
 			return
+		default:
+			resp = h.handle(&req)
+			resp.Seq = req.Seq
 		}
-		resp := h.handle(&req)
-		resp.Seq = req.Seq
 		if err := enc.Encode(resp); err != nil {
 			return
 		}

@@ -1,6 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"io"
+	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,5 +245,125 @@ func TestTraceSpansRequest(t *testing.T) {
 	defer c2.Close()
 	if spans, err := c2.TraceSpans(99); err != nil || len(spans) != 0 {
 		t.Fatalf("tracer-less node: spans=%v err=%v", spans, err)
+	}
+}
+
+// corruptingProxy forwards a TCP connection to addr and, while armed,
+// overwrites the next occurrence of a byte string in the client's stream
+// with another of the same length — gob's framing stays intact, only the
+// datum inside is no longer what its GobDecode accepts.
+type corruptingProxy struct {
+	ln        net.Listener
+	mu        sync.Mutex
+	from, to  []byte
+	corrupted int
+}
+
+func newCorruptingProxy(t *testing.T, addr string) *corruptingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &corruptingProxy{ln: ln}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		client, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer client.Close()
+		server, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer server.Close()
+		go func() { _, _ = io.Copy(client, server) }()
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := client.Read(buf)
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			if i := bytes.Index(buf[:n], p.from); p.from != nil && i >= 0 {
+				copy(buf[i:], p.to)
+				p.from = nil
+				p.corrupted++
+			}
+			p.mu.Unlock()
+			if _, err := server.Write(buf[:n]); err != nil {
+				return
+			}
+		}
+	}()
+	return p
+}
+
+func (p *corruptingProxy) arm(from, to []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.from, p.to = from, to
+}
+
+// TestMalformedJSONBFailsOnlyItsRequest: jsonb bytes that arrive damaged, or
+// in the JSON text form a node from before the flat encoding sends, are an
+// error response to that one request; connection and server carry on.
+func TestMalformedJSONBFailsOnlyItsRequest(t *testing.T) {
+	e := newEngine(t)
+	srv, err := Serve(e, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy := newCorruptingProxy(t, srv.Addr())
+	conn, err := Dial(proxy.ln.Addr().String(), "node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	mustQ(t, conn, "CREATE TABLE j (k bigint PRIMARY KEY, d jsonb)")
+
+	doc := jsonb.MustParse(`{"marker": "0123456789abcdef", "n": [1, 2]}`)
+	good, _ := doc.GobEncode()
+	textForm := append([]byte(`{"marker": "x"}`), bytes.Repeat([]byte(" "), len(good))...)[:len(good)]
+	// good is the version byte, the object's tag, its member count (4
+	// bytes), then one end offset (4 bytes) per member
+	badCount := bytes.Clone(good)
+	badCount[2] = 0xff
+	badOffset := bytes.Clone(good)
+	badOffset[10] = 0xff
+
+	for i, bad := range [][]byte{textForm, badCount, badOffset} {
+		key := int64(i)
+		proxy.arm(good, bad)
+		_, err := conn.Copy("j", nil, []types.Row{{key, doc}})
+		if err == nil || IsTransient(err) || !strings.Contains(err.Error(), jsonb.ErrMalformed.Error()) {
+			t.Fatalf("case %d: COPY of damaged jsonb: %v", i, err)
+		}
+		// the same connection, and the same row undamaged, still work
+		if n, err := conn.Copy("j", nil, []types.Row{{key, doc}}); err != nil || n != 1 {
+			t.Fatalf("case %d: COPY after the refused one: %d %v", i, n, err)
+		}
+		proxy.arm(good, bad)
+		if _, err := conn.Query("INSERT INTO j (k, d) VALUES ($1, $2)", key+100, doc); err == nil || IsTransient(err) {
+			t.Fatalf("case %d: INSERT with a damaged jsonb parameter: %v", i, err)
+		}
+	}
+	if proxy.corrupted != 6 {
+		t.Fatalf("proxy damaged %d requests, want 6", proxy.corrupted)
+	}
+	res, err := conn.Query("SELECT count(*), min(d->>'marker') FROM j")
+	if err != nil || res.Rows[0][0].(int64) != 3 || res.Rows[0][1].(string) != "0123456789abcdef" {
+		t.Fatalf("after the refused requests: %v %v", res, err)
+	}
+	// a second client is served too
+	other, err := Dial(srv.Addr(), "node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.Ping(); err != nil {
+		t.Fatal(err)
 	}
 }
