@@ -1,6 +1,6 @@
 # Convenience targets for the citusgo reproduction.
 
-.PHONY: all build test bench figures examples vet fmt fmt-check lint race stress bench-smoke trace-smoke chaos-smoke chaos-soak soak soak-smoke fuzz-smoke ci
+.PHONY: all build test bench figures examples vet fmt fmt-check lint race stress bench-smoke bench-diff trace-smoke chaos-smoke chaos-soak soak soak-smoke fuzz-smoke ci
 
 all: build vet test
 
@@ -61,14 +61,26 @@ stress:
 # SSI ablations once (all variants) so the cached/pipelined/vectorized/
 # replicated/serializable execution paths can't either — A5 and A6 also
 # assert their counter splits (vec batches, replicated vs primary reads).
-# The ingest path's two microbenchmarks (one jsonb event across both wire
+# The wire's and the ingest path's microbenchmarks (one hop of a point
+# operation through the frame codec; one jsonb event's COPY frame across both
 # hops plus the index expression; one GIN insert) run long enough for their
 # allocs/op to mean something, and print them.
 # The CI bench-smoke job runs this target, so this is the one list.
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' -timeout 15m . ./internal/bench/... ./internal/vec
-	go test -bench 'BenchmarkJSONBHop|BenchmarkGINInsert' -benchtime=2000x -benchmem -run '^$$' ./internal/jsonb ./internal/index
+	go test -bench 'BenchmarkCodecPointOp|BenchmarkJSONBHop|BenchmarkGINInsert' -benchtime=2000x -benchmem -run '^$$' ./internal/wire ./internal/index
 	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting|TestAblationSSI' -count=1 -timeout 10m ./internal/bench
+
+# the repo benchmark's committed trajectory: BENCH_<pr>.json is
+#   go run ./benchmark -seed 1 -trace 1 -out BENCH_<pr>.json
+# at that PR's commit; this compares the two newest, metric by metric, with
+# the benchmark's own bounds and verdicts (benchmark/README.md). One suite run
+# each says where the numbers stand, not whether a gain is real: a claim still
+# takes the ten alternating pairs of EXPERIMENTS.md.
+bench-diff:
+	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2); \
+		test $$# -eq 2 || { echo "bench-diff: need two BENCH_*.json files"; exit 1; }; \
+		echo "bench-diff: $$1 -> $$2"; go run ./benchmark -compare $$1 $$2
 
 # run citusbench with the slow-query log catching everything and assert the
 # tracing pipeline emitted at least one trace (see docs/tracing.md)
@@ -124,15 +136,16 @@ soak-smoke:
 		-soak-artifacts $(CURDIR)/soak-artifacts-canary
 	@echo "soak-smoke: clean run passed, canary caught + reproduced"
 
-# short native-fuzz smoke: wire protocol (framing + pipeline Seq
-# correlation), vectorized-vs-row-path parity, and the flat jsonb encoding
-# against its tree oracle (plus arbitrary bytes through GobDecode); longer
-# local runs just extend the same corpus:
+# short native-fuzz smoke: wire protocol (framing, the frame codec against
+# its gob reference, pipeline Seq correlation), vectorized-vs-row-path parity,
+# and the flat jsonb encoding against its tree oracle (plus arbitrary bytes
+# through jsonb.FromWire); longer local runs just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzVecParity -fuzztime 10m
 #   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
+	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzPipelineSeq -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzVecParity -fuzztime 15s
 	go test ./internal/jsonb -run '^$$' -fuzz FuzzJSONB -fuzztime 15s

@@ -3,7 +3,6 @@ package citus
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -132,29 +131,33 @@ func (n *Node) executeTasks(s *engine.Session, tasks []task) ([]*engine.Result, 
 		n.registerTxnCallbacks(s, st)
 	}
 
-	// Fast path: a single task outside a multi-connection transaction
-	// round-trips on one connection with minimal overhead.
 	results := make([]*engine.Result, len(tasks))
-
-	byNode := make(map[int][]int) // node -> task indexes
-	for i := range tasks {
-		byNode[tasks[i].nodeID] = append(byNode[tasks[i].nodeID], i)
-	}
-
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	for nodeID, idxs := range byNode {
-		wg.Add(1)
-		go func(nodeID int, idxs []int) {
-			defer wg.Done()
-			if err := n.runNodeTasks(s, st, nodeID, idxs, tasks, results, txnMode); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-			}
-		}(nodeID, idxs)
-	}
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return nil, err
+	if len(tasks) == 1 {
+		// One task (every router and fast-path statement): there is nothing
+		// to run beside it, so it runs here, on the session's goroutine.
+		if err := n.runNodeTasks(s, st, tasks[0].nodeID, []int{0}, tasks, results, txnMode); err != nil {
+			return nil, err
+		}
+	} else {
+		byNode := make(map[int][]int) // node -> task indexes
+		for i := range tasks {
+			byNode[tasks[i].nodeID] = append(byNode[tasks[i].nodeID], i)
+		}
+		var wg sync.WaitGroup
+		var firstErr atomic.Value
+		for nodeID, idxs := range byNode {
+			wg.Add(1)
+			go func(nodeID int, idxs []int) {
+				defer wg.Done()
+				if err := n.runNodeTasks(s, st, nodeID, idxs, tasks, results, txnMode); err != nil {
+					firstErr.CompareAndSwap(nil, err)
+				}
+			}(nodeID, idxs)
+		}
+		wg.Wait()
+		if err, ok := firstErr.Load().(error); ok && err != nil {
+			return nil, err
+		}
 	}
 	// Replication barrier for autocommit writes and shard DDL: the worker
 	// committed (or ran the DDL) inside the task round trip, so the
@@ -230,6 +233,10 @@ type nodeRun struct {
 	results []*engine.Result
 	txnMode bool
 
+	// inline: the node has one task, so the first connection started runs
+	// it on the caller's goroutine and any other finds the queue empty.
+	inline bool
+
 	// general is the queue any connection may take from; remaining counts
 	// its tasks not yet finished.
 	general   chan int
@@ -242,7 +249,8 @@ type nodeRun struct {
 	conns   sync.WaitGroup
 	started atomic.Int64
 	// drained closes once no further connection can help: the general queue
-	// is finished or the run aborted. It is what ends the ramp.
+	// is finished or the run aborted. It is what ends the ramp, and is nil
+	// in a run that has none.
 	drained     chan struct{}
 	drainedOnce sync.Once
 	aborted     atomic.Bool
@@ -261,9 +269,13 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 	r := &nodeRun{
 		n: n, s: s, st: st, nodeID: nodeID, pool: p,
 		tasks: tasks, results: results, txnMode: txnMode,
-		drained: make(chan struct{}),
+		inline: len(idxs) == 1,
 	}
 	assigned, pinned, general := r.partition(idxs)
+	ramps := n.Cfg.SlowStartInterval > 0 && general > 1
+	if ramps {
+		r.drained = make(chan struct{})
+	}
 
 	// Existing pinned/assigned connections start immediately.
 	for wc, private := range assigned {
@@ -288,7 +300,7 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 			}
 		}
 	}
-	if n.Cfg.SlowStartInterval > 0 && general > 1 {
+	if ramps {
 		// The ramp holds a count in conns for as long as it may open
 		// connections, so each Add it makes through start is ordered before
 		// Wait can return, and every connection it opens is in r.opened by
@@ -316,12 +328,14 @@ func (n *Node) runNodeTasks(s *engine.Session, st *sessState, nodeID int, idxs [
 // 4,2,1,1 instead of 4,4 for 8 tasks under limit 2), paying round trips for
 // parallelism the limit can't deliver anyway.
 func (r *nodeRun) partition(idxs []int) (assigned map[*workerConn][]int, pinned []*workerConn, general int) {
-	assigned = make(map[*workerConn][]int)
 	r.general = make(chan int, len(idxs))
 	r.st.mu.Lock()
 	for _, i := range idxs {
 		if g := r.tasks[i].shardGroup; g >= 0 {
 			if wc, ok := r.st.groupConn[g]; ok && wc.nodeID == r.nodeID {
+				if assigned == nil {
+					assigned = make(map[*workerConn][]int)
+				}
 				assigned[wc] = append(assigned[wc], i)
 				continue
 			}
@@ -339,9 +353,14 @@ func (r *nodeRun) partition(idxs []int) (assigned map[*workerConn][]int, pinned 
 	return assigned, pinned, general
 }
 
-// start runs drain for one connection on its own goroutine.
+// start runs drain for one connection: on its own goroutine, or, when the
+// node's one task leaves nothing to run in parallel, right here.
 func (r *nodeRun) start(wc *workerConn, private []int) {
 	r.started.Add(1)
+	if r.inline {
+		r.drain(wc, private)
+		return
+	}
 	r.conns.Add(1)
 	go func() {
 		defer r.conns.Done()
@@ -393,7 +412,11 @@ func (r *nodeRun) drain(wc *workerConn, private []int) {
 	}
 }
 
-func (r *nodeRun) markDrained() { r.drainedOnce.Do(func() { close(r.drained) }) }
+func (r *nodeRun) markDrained() {
+	if r.drained != nil {
+		r.drainedOnce.Do(func() { close(r.drained) })
+	}
+}
 
 // fail records the run's first error and aborts it: queued tasks are
 // consumed without being issued.
@@ -705,7 +728,7 @@ func recvTask(conn *wire.Conn, t *task, is *issuedTask) (*engine.Result, int, er
 			return nil, 1, err
 		}
 	}
-	res, err := is.pd.Result()
+	res, err := is.pd.EncodedResult()
 	return retryPlanInvalid(conn, is.name, t, res, err)
 }
 
@@ -754,7 +777,7 @@ func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issued
 		if err != nil {
 			is.sp.SetAttr("error", err.Error())
 		} else {
-			is.sp.SetAttr("rows", strconv.Itoa(len(res.Rows)))
+			is.sp.SetAttr("rows", strconv.Itoa(res.NumRows()))
 		}
 		is.sp.Finish()
 	}
@@ -869,7 +892,10 @@ func (n *Node) replicaFallback(t *task) (*engine.Result, error) {
 // collision is harmless: PreparedSQL compares the full text, so a colliding
 // shape just re-Prepares (the server overwrites the name).
 func preparedName(sqlText string) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(sqlText))
-	return "cs_" + strconv.FormatUint(h.Sum64(), 16)
+	h := uint64(14695981039346656037) // FNV-1a, in place: every task of every statement passes here
+	for i := 0; i < len(sqlText); i++ {
+		h = (h ^ uint64(sqlText[i])) * 1099511628211
+	}
+	var buf [3 + 16]byte
+	return string(strconv.AppendUint(append(buf[:0], "cs_"...), h, 16))
 }

@@ -253,7 +253,7 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 		var rows []types.Row
 		for _, r := range results {
 			if r != nil {
-				rows = append(rows, r.Rows...)
+				rows = append(rows, r.DecodeRows()...)
 			}
 		}
 		// phase 2: repartition rows by the destination distribution column

@@ -301,7 +301,7 @@ func (n *Node) repartitionTable(s *engine.Session, table, key, irName string, wo
 				return fmt.Errorf("join key %q not found in %q", key, table)
 			}
 		}
-		for _, row := range r.Rows {
+		for _, row := range r.DecodeRows() {
 			h := types.HashDatum(row[keyIdx])
 			bucket := int(uint32(h)) % len(workers)
 			buckets[bucket] = append(buckets[bucket], row)

@@ -236,12 +236,8 @@ func (n *Node) poolFor(nodeID int) (*pool.NodePool, error) {
 // canCoordinate reports whether this node may plan distributed queries: it
 // must have the metadata (coordinator, or a worker after metadata sync).
 func (n *Node) canCoordinate() bool {
-	for _, node := range n.Meta.Nodes() {
-		if node.ID == n.ID {
-			return node.IsCoordinator || node.HasMetadata
-		}
-	}
-	return false
+	node, ok := n.Meta.Node(n.ID)
+	return ok && (node.IsCoordinator || node.HasMetadata)
 }
 
 // StartDaemons launches the maintenance daemon: distributed deadlock

@@ -3,6 +3,7 @@ package citus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"citusgo/internal/citus/metadata"
@@ -95,12 +96,12 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 			}
 			// RETURNING rows pass through (replica writes return identical
 			// rows; keep the first set only)
-			if len(r.Rows) > 0 && len(r.Columns) > 0 && (!p.dedupeReplicaCounts || len(res.Rows) == 0) {
+			if r.NumRows() > 0 && len(r.Columns) > 0 && (!p.dedupeReplicaCounts || len(res.Rows) == 0) {
 				res.Columns = r.Columns
-				res.Rows = append(res.Rows, r.Rows...)
+				res.Rows = append(res.Rows, r.DecodeRows()...)
 			}
 		}
-		res.Tag = fmt.Sprintf("%s %d", p.tag, res.Affected)
+		res.Tag = p.tag + " " + strconv.Itoa(res.Affected)
 		return res, nil
 	}
 
@@ -112,7 +113,7 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 				if cols == nil {
 					cols = r.Columns
 				}
-				rows = append(rows, r.Rows...)
+				rows = append(rows, r.DecodeRows()...)
 			}
 		}
 		metCitusMergeRows.Add(int64(len(rows)))
@@ -134,14 +135,25 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 		return res, nil
 	}
 
+	if len(results) == 1 && results[0] != nil {
+		// One task and no merge (router, fast path): the worker's result goes
+		// up as it arrived, its rows still encoded if they came over TCP.
+		res := results[0]
+		if p.columns != nil {
+			res.Columns = p.columns
+		}
+		res.Tag, res.Affected = "", 0 // runPlan names the SELECT
+		return res, nil
+	}
 	res := &engine.Result{Columns: p.columns}
 	for _, r := range results {
-		if r != nil {
-			if res.Columns == nil {
-				res.Columns = r.Columns
-			}
-			res.Rows = append(res.Rows, r.Rows...)
+		if r == nil {
+			continue
 		}
+		if res.Columns == nil {
+			res.Columns = r.Columns
+		}
+		res.Rows = append(res.Rows, r.DecodeRows()...)
 	}
 	return res, nil
 }

@@ -19,7 +19,9 @@ import (
 // requests share a flight and nothing else: the same statements, run at
 // window 1 (serial issue) and window 8 over a shared connection limit of 2,
 // return the same rows and errors and move pool_discards_total and
-// executor_task_retries_total by the same amounts step for step. The
+// executor_task_retries_total by the same amounts step for step — over the
+// in-process transport and over real TCP, where a window is one write each
+// way, and the two transports agree with each other as well. The
 // permitted differences are the batch counter, which must stay 0 at window 1,
 // and the counters of the step that drops a connection under a multi-task
 // window, where window 8 also retries the poisoned neighbours.
@@ -98,9 +100,16 @@ func TestPipelineWindowParity(t *testing.T) {
 	}
 
 	counters := []string{"pool_discards_total", "executor_task_retries_total"}
-	runAt := func(window int) (trace []string, batches int64) {
+	runAt := func(window int, tcp bool) (trace []string, batches int64) {
 		fault.Reset()
-		c := pipelineCluster(t, citus.Config{MaxSharedPoolSize: 2, PipelineWindow: window})
+		c, err := cluster.New(cluster.Config{
+			Workers: 2, ShardCount: 16, UseTCP: tcp,
+			Citus: citus.Config{MaxSharedPoolSize: 2, PipelineWindow: window, DeadlockInterval: -1, RecoveryInterval: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
 		s := c.Session()
 		mustExec(t, s, "CREATE TABLE wp (k bigint PRIMARY KEY, v bigint)")
 		mustExec(t, s, "SELECT create_distributed_table('wp', 'k')")
@@ -120,18 +129,24 @@ func TestPipelineWindowParity(t *testing.T) {
 		return trace, obs.Default().Snapshot().Sum("wire_pipeline_batches_total") - start.Sum("wire_pipeline_batches_total")
 	}
 
-	serial, serialBatches := runAt(1)
-	piped, pipedBatches := runAt(8)
-	for i := range steps {
-		if serial[i] != piped[i] {
-			t.Errorf("window 1 and window 8 diverge:\n  1: %s\n  8: %s", serial[i], piped[i])
+	serial, serialBatches := runAt(1, false)
+	for _, tcp := range []bool{false, true} {
+		other, otherBatches := serial, serialBatches
+		if tcp {
+			other, otherBatches = runAt(1, true)
 		}
-	}
-	if serialBatches != 0 {
-		t.Errorf("window 1 flushed %d pipelined batches, want 0", serialBatches)
-	}
-	if pipedBatches <= 0 {
-		t.Errorf("window 8 flushed no pipelined batch")
+		piped, pipedBatches := runAt(8, tcp)
+		for i := range steps {
+			if serial[i] != other[i] || serial[i] != piped[i] {
+				t.Errorf("tcp=%v: window 1 in process, window 1 and window 8 diverge:\n  1: %s\n  1: %s\n  8: %s", tcp, serial[i], other[i], piped[i])
+			}
+		}
+		if otherBatches != 0 {
+			t.Errorf("tcp=%v: window 1 flushed %d pipelined batches, want 0", tcp, otherBatches)
+		}
+		if pipedBatches <= 0 {
+			t.Errorf("tcp=%v: window 8 flushed no pipelined batch", tcp)
+		}
 	}
 	// The faults did what the test says they did.
 	for _, want := range []struct{ step, suffix string }{

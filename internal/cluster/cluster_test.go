@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"citusgo/internal/engine"
+	"citusgo/internal/jsonb"
+	"citusgo/internal/obs"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/types"
 )
 
@@ -116,5 +122,101 @@ func TestConnSpeaksToCluster(t *testing.T) {
 	res, err := conn.Query("SELECT v FROM viaconn WHERE k = 5")
 	if err != nil || types.Format(res.Rows[0][0]) != "five" {
 		t.Fatalf("query via conn: %v %v", res, err)
+	}
+}
+
+// TestRouterResultForwardedUndecoded: over TCP a one-task plan's rows reach
+// the client as the worker encoded them. The coordinator reads the row count
+// for the command tag and nothing else, so its row-decode counter stands
+// still, while a fan-out that merges on the coordinator moves it by the rows
+// it merged; and the client's rows are, byte for byte, the shard's.
+func TestRouterResultForwardedUndecoded(t *testing.T) {
+	c, err := New(Config{Workers: 2, ShardCount: 4, UseTCP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn := c.Conn()
+	defer conn.Close()
+	for _, q := range []string{
+		"CREATE TABLE fw (k bigint PRIMARY KEY, v text, n double precision, at timestamp, d jsonb)",
+		"SELECT create_distributed_table('fw', 'k')",
+	} {
+		if _, err := conn.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	for k := int64(0); k < 16; k++ {
+		if _, err := conn.Query("INSERT INTO fw (k, v, n, at, d) VALUES ($1, $2, $3, $4, $5)",
+			k, "value", float64(k)/3, time.Date(2021, 1, 1, 0, 0, int(k), 0, time.UTC),
+			jsonb.MustParse(`{"k": [1, 2, {"deep": true}]}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded := func() int64 { return obs.Default().Snapshot().Sum("engine_result_rows_decoded_total") }
+	encode := func(res *engine.Result) []byte {
+		b, err := rowbatch.Append(nil, res.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	const key = int64(7)
+	before := decoded()
+	viaCoordinator, err := conn.Query("SELECT * FROM fw WHERE k = $1", key) // warm: plans and prepares
+	if err == nil {
+		viaCoordinator, err = conn.Query("SELECT * FROM fw WHERE k = $1", key)
+	}
+	if err != nil || len(viaCoordinator.Rows) != 1 || viaCoordinator.Tag != "SELECT 1" || viaCoordinator.Rows[0][0] != types.Datum(key) {
+		t.Fatalf("router SELECT: %+v %v", viaCoordinator, err)
+	}
+	if moved := decoded() - before; moved != 0 {
+		t.Fatalf("two router SELECTs made the coordinator decode %d rows", moved)
+	}
+	// a write with RETURNING is a one-task plan too
+	if res, err := conn.Query("UPDATE fw SET v = 'new' WHERE k = $1 RETURNING k, v", key); err != nil ||
+		res.Affected != 1 || len(res.Rows) != 1 || res.Rows[0][1] != types.Datum("new") {
+		t.Fatalf("UPDATE RETURNING: %+v %v", res, err)
+	}
+
+	shard, err := c.Meta.ShardForValue("fw", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := c.Meta.PrimaryPlacement(shard.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := c.ConnTo(owner - 1)
+	defer direct.Close()
+	viaCoordinator, err = conn.Query("SELECT * FROM fw WHERE k = $1", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromShard, err := direct.Query("SELECT * FROM "+shard.ShardName()+" WHERE k = $1", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(viaCoordinator), encode(fromShard)) || !reflect.DeepEqual(viaCoordinator.Columns, fromShard.Columns) {
+		t.Fatalf("through the coordinator %v %v, from the shard %v %v", viaCoordinator.Columns, viaCoordinator.Rows, fromShard.Columns, fromShard.Rows)
+	}
+
+	// the in-process entry point decodes at its boundary: callers read Rows
+	before = decoded()
+	res, err := c.Session().Exec("SELECT * FROM fw WHERE k = $1", key)
+	if err != nil || len(res.Rows) != 1 || !bytes.Equal(encode(res), encode(fromShard)) {
+		t.Fatalf("Session.Exec: %+v %v", res, err)
+	}
+	if moved := decoded() - before; moved != 1 {
+		t.Fatalf("Session.Exec of a router SELECT decoded %d rows, want 1", moved)
+	}
+	// and a multi-task plan decodes what it merges
+	before = decoded()
+	if res, err := conn.Query("SELECT k FROM fw ORDER BY k"); err != nil || len(res.Rows) != 16 {
+		t.Fatalf("fan-out: %+v %v", res, err)
+	}
+	if moved := decoded() - before; moved != 16 {
+		t.Fatalf("a 16-row fan-out decoded %d rows on the coordinator", moved)
 	}
 }

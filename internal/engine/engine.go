@@ -14,6 +14,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,7 @@ import (
 	"citusgo/internal/index"
 	"citusgo/internal/lock"
 	"citusgo/internal/obs"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/ssi"
 	"citusgo/internal/trace"
@@ -98,7 +100,33 @@ type Result struct {
 	Rows     []types.Row
 	Tag      string
 	Affected int
+
+	// Batch is set, and Rows nil, while the rows are still in the wire form
+	// a worker sent them in: the distributed layer hands a one-task plan's
+	// result up as it arrived, and a caller that only passes it on (the wire
+	// server, through ExecForward) never decodes it. Everything else reads
+	// the rows through DecodeRows; Exec and ExecStmt return them decoded.
+	Batch rowbatch.Batch
 }
+
+// metResultRowsDecoded counts rows DecodeRows took out of their wire form:
+// worker rows the coordinator had to look at (merge, joins, INSERT..SELECT,
+// EXPLAIN ANALYZE, in-process callers). A forwarded result adds nothing.
+var metResultRowsDecoded = obs.Default().Counter("engine_result_rows_decoded_total",
+	"rows of worker results decoded from wire form on this side of the wire").With()
+
+// DecodeRows returns the result's rows, decoding them first — once — if they
+// are still in wire form.
+func (r *Result) DecodeRows() []types.Row {
+	if n := r.Batch.NumRows(); n > 0 {
+		metResultRowsDecoded.Add(int64(n))
+		r.Rows, r.Batch = r.Batch.Rows(), rowbatch.Batch{}
+	}
+	return r.Rows
+}
+
+// NumRows is the number of rows in the result, in either form.
+func (r *Result) NumRows() int { return len(r.Rows) + r.Batch.NumRows() }
 
 // Plan is an executable query plan. The distributed layer returns Plans
 // from the PlannerHook; they are the equivalent of a CustomScan node.
@@ -645,19 +673,35 @@ func (s *Session) finishImplicit(t *txn.Txn, commit bool) error {
 // reused as-is — the only AST mutator in the tree (sql.RewriteTables) runs
 // exclusively on clones, so re-execution is safe.
 func (s *Session) Exec(query string, params ...types.Datum) (*Result, error) {
+	return decoded(s.ExecForward(query, params...))
+}
+
+// decoded finishes Exec and ExecStmt: the caller gets rows.
+func decoded(res *Result, err error) (*Result, error) {
+	if res != nil {
+		res.DecodeRows()
+	}
+	return res, err
+}
+
+// ExecForward is Exec for a caller that passes the result on without reading
+// its rows: a result that reached this session in wire form comes back that
+// way (Result.Batch). Statements the session runs inside this one still see
+// decoded rows.
+func (s *Session) ExecForward(query string, params ...types.Datum) (*Result, error) {
 	s.QueryLabel = query
 	if s.Eng.stmtCacheOff.Load() {
 		stmt, err := s.parse(query)
 		if err != nil {
 			return nil, err
 		}
-		return s.ExecStmt(stmt, params)
+		return s.ExecStmtForward(stmt, params)
 	}
 	ver := s.Eng.schemaVer.Load()
 	if cs, ok := s.stmtCache[query]; ok {
 		if cs.ver == ver {
 			metStmtCacheHits.Inc()
-			return s.ExecStmt(cs.stmt, params)
+			return s.ExecStmtForward(cs.stmt, params)
 		}
 		delete(s.stmtCache, query)
 		metStmtCacheInvalid.Inc()
@@ -675,7 +719,7 @@ func (s *Session) Exec(query string, params ...types.Datum) (*Result, error) {
 		}
 		s.stmtCache[query] = cachedStmt{stmt: stmt, ver: ver}
 	}
-	return s.ExecStmt(stmt, params)
+	return s.ExecStmtForward(stmt, params)
 }
 
 // parse wraps sql.Parse in a "parse" span when the session carries a
@@ -719,6 +763,11 @@ func (s *Session) ExecScript(script string) error {
 
 // ExecStmt executes a parsed statement with bound parameters.
 func (s *Session) ExecStmt(stmt sql.Statement, params []types.Datum) (*Result, error) {
+	return decoded(s.ExecStmtForward(stmt, params))
+}
+
+// ExecStmtForward is to ExecStmt what ExecForward is to Exec.
+func (s *Session) ExecStmtForward(stmt sql.Statement, params []types.Datum) (*Result, error) {
 	kind := stmtKind(stmt)
 	metStatements[kind].Inc()
 	label := s.QueryLabel
@@ -906,8 +955,8 @@ func (s *Session) runPlan(plan Plan, params []types.Datum) (*Result, error) {
 		return nil, s.statementFailed(err)
 	}
 	if res.Tag == "" {
-		res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-		res.Affected = len(res.Rows)
+		res.Affected = res.NumRows()
+		res.Tag = "SELECT " + strconv.Itoa(res.Affected)
 	}
 	return res, nil
 }

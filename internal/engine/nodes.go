@@ -92,7 +92,7 @@ func (s *Session) runSubquery(sel *sql.SelectStmt, params []types.Datum) ([]type
 	if err != nil {
 		return nil, err
 	}
-	return res.Rows, nil
+	return res.DecodeRows(), nil
 }
 
 // evalWith temporarily points the shared eval context at row.

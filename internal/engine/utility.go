@@ -448,8 +448,8 @@ func (s *Session) runExplainAnalyze(stmt sql.Statement, plan Plan, params []type
 		lines = append(lines, ea.ExplainAnalyzeLines(s.TraceID)...)
 	}
 	rows := res.Affected
-	if len(res.Rows) > 0 {
-		rows = len(res.Rows)
+	if n := res.NumRows(); n > 0 {
+		rows = n
 	}
 	lines = append(lines,
 		fmt.Sprintf("Actual Rows: %d", rows),

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // BenchmarkCheckDisarmed proves the disarmed fast path is a single atomic
@@ -42,29 +44,52 @@ func BenchmarkCheckArmedMiss(b *testing.B) {
 	}
 }
 
-// TestDisarmedOverheadBound is the CI-enforceable form of the ≤2ns claim.
-// Timing bounds are flaky on shared runners, so the assertion uses a
-// generous 50ns ceiling — an order of magnitude above the measured ~1–2ns,
-// but still far below what any mutex- or map-based implementation could
-// hit. The honest number lives in BenchmarkCheckDisarmed / docs/fault.md.
+// TestDisarmedOverheadBound is the CI-enforceable form of "a disarmed check
+// is one atomic load": it allocates nothing, and it costs no more than a
+// small multiple of a loop around one atomic load and a branch, timed in the
+// same run, interleaved with it, best of several rounds. A bound in
+// nanoseconds measured the host (and the race detector, which makes every
+// atomic load a call) more than the code; the ratio moves with neither. The
+// honest number lives in BenchmarkCheckDisarmed / docs/fault.md.
 func TestDisarmedOverheadBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	Reset()
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := Check(PointWireSend); err != nil {
-				b.Fatal(err)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := CheckKey(PointWireSend, "query"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("disarmed CheckKey allocates %v times per call", allocs)
+	}
+
+	const iters, rounds, maxRatio = 2_000_000, 7, 6.0
+	var gate atomic.Int32
+	best := func(prev, d time.Duration) time.Duration {
+		if prev == 0 || d < prev {
+			return d
+		}
+		return prev
+	}
+	var floor, check time.Duration
+	for r := 0; r < rounds; r++ {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if gate.Load() != 0 {
+				t.Fatal("the gate is never set")
 			}
 		}
-	})
-	nsPerOp := float64(res.T.Nanoseconds()) / float64(res.N)
-	t.Logf("disarmed Check: %.2f ns/op (%d iterations)", nsPerOp, res.N)
-	if nsPerOp > 50 {
-		t.Fatalf("disarmed Check costs %.1f ns/op; want ~1–2ns (bound 50ns)", nsPerOp)
+		floor = best(floor, time.Since(start))
+		start = time.Now()
+		for i := 0; i < iters; i++ {
+			if err := CheckKey(PointWireSend, "query"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check = best(check, time.Since(start))
 	}
-	if res.AllocsPerOp() != 0 {
-		t.Fatalf("disarmed Check allocates %d/op", res.AllocsPerOp())
+	ratio := float64(check) / float64(floor)
+	t.Logf("disarmed CheckKey %.2f ns/op, one atomic load %.2f ns/op, ratio %.2f",
+		float64(check.Nanoseconds())/iters, float64(floor.Nanoseconds())/iters, ratio)
+	if ratio > maxRatio {
+		t.Fatalf("a disarmed CheckKey costs %.1fx a loop around one atomic load (bound %.0fx): it is doing more than one", ratio, maxRatio)
 	}
 }

@@ -139,10 +139,8 @@ func TestKindAndZeroValue(t *testing.T) {
 	if _, ok := zero.Text(); ok {
 		t.Fatal("the zero Value has text")
 	}
-	enc, _ := zero.GobEncode()
-	var back Value
-	if err := back.GobDecode(enc); err != nil || !back.IsNull() {
-		t.Fatalf("zero Value over gob: %s %v", back, err)
+	if back, err := FromWire(zero.AppendWire(nil)); err != nil || !back.IsNull() {
+		t.Fatalf("zero Value over the wire: %s %v", back, err)
 	}
 }
 
@@ -156,10 +154,8 @@ func TestSubValuesAliasTheDocument(t *testing.T) {
 		t.Fatalf("navigated to %s", c)
 	}
 	// a sub-value is a self-contained node: it encodes and decodes alone
-	enc, _ := e.GobEncode()
-	var back Value
-	if err := back.GobDecode(enc); err != nil || back.String() != `{"c": "deep"}` {
-		t.Fatalf("sub-value over gob: %s %v", back, err)
+	if back, err := FromWire(e.AppendWire(nil)); err != nil || back.String() != `{"c": "deep"}` {
+		t.Fatalf("sub-value over the wire: %s %v", back, err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		a, _ := doc.Get("a")
@@ -171,8 +167,8 @@ func TestSubValuesAliasTheDocument(t *testing.T) {
 	}
 }
 
-func TestGobDecodeRejectsMalformed(t *testing.T) {
-	good, _ := MustParse(`{"a": [1, "x"], "b": {"c": null}}`).GobEncode()
+func TestFromWireRejectsMalformed(t *testing.T) {
+	good := MustParse(`{"a": [1, "x"], "b": {"c": null}}`).AppendWire(nil)
 	mutate := func(i int, b byte) []byte {
 		out := bytes.Clone(good)
 		out[i] = b
@@ -201,57 +197,13 @@ func TestGobDecodeRejectsMalformed(t *testing.T) {
 		"member without value": object(1, 0, 0, 0, 2, 0, 0, 0, 1, 'a'),
 	}
 	for name, in := range cases {
-		var v Value
-		if err := v.GobDecode(in); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: GobDecode = %v (value %s), want ErrMalformed", name, err, v)
+		if v, err := FromWire(in); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: FromWire = %v (value %s), want ErrMalformed", name, err, v)
 		}
 	}
 	// the hand-built layouts above are right apart from their one defect
-	var v Value
 	sorted := object(2, 0, 0, 0, 3, 0, 0, 0, 6, 0, 0, 0, 1, 'a', tagNull, 1, 'b', tagNull)
-	if err := v.GobDecode(sorted); err != nil || v.String() != `{"a": null, "b": null}` {
+	if v, err := FromWire(sorted); err != nil || v.String() != `{"a": null, "b": null}` {
 		t.Fatalf("well-formed hand-built object: %s %v", v, err)
-	}
-}
-
-var hopSink string
-
-// BenchmarkJSONBHop is what one ingested event costs in this package: the
-// client's and the coordinator's encode, the coordinator's and the worker's
-// decode, then the index expression's path query and ::text.
-func BenchmarkJSONBHop(b *testing.B) {
-	commits := make([]any, 3)
-	for i := range commits {
-		commits[i] = map[string]any{
-			"sha":     "0123456789abcdef",
-			"message": "fix postgres index cache performance",
-			"author":  map[string]any{"name": "user123"},
-		}
-	}
-	doc := FromGo(map[string]any{
-		"type":       "PushEvent",
-		"created_at": "2020-02-03T04:05:06Z",
-		"actor":      map[string]any{"login": "user42"},
-		"repo":       map[string]any{"name": "org/repo7"},
-		"payload":    map[string]any{"push_id": 12345, "commits": commits},
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := doc
-		for hop := 0; hop < 2; hop++ {
-			enc, err := v.GobEncode()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := v.GobDecode(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		msgs, err := v.PathQueryArray("$.payload.commits[*].message")
-		if err != nil {
-			b.Fatal(err)
-		}
-		hopSink = msgs.String()
 	}
 }

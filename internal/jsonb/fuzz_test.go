@@ -2,7 +2,6 @@ package jsonb
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"sort"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 // FuzzJSONB compares the flat encoding with the tree oracle on arbitrary
-// text, and checks that arbitrary bytes never get past GobDecode in a state
+// text, and checks that arbitrary bytes never get past FromWire in a state
 // an operator cannot handle.
 func FuzzJSONB(f *testing.F) {
 	docs := []string{
@@ -24,7 +23,7 @@ func FuzzJSONB(f *testing.F) {
 	for i, d := range docs {
 		var raw []byte
 		if v, err := Parse(d); err == nil {
-			raw, _ = v.GobEncode()
+			raw = v.AppendWire(nil)
 		}
 		f.Add(d, docs[(i+1)%len(docs)], paths[i%len(paths)], raw)
 	}
@@ -78,7 +77,7 @@ func fuzzText(t *testing.T, doc, other, path string) {
 	if err != nil || back.String() != v.String() {
 		t.Fatalf("Parse(String()) of %s: %s, %v", v, back, err)
 	}
-	gobRoundTrip(t, v, qv)
+	wireRoundTrip(t, v, qv)
 }
 
 // agree walks both representations in step and compares every accessor.
@@ -158,47 +157,41 @@ func agree(t *testing.T, v Value, o oracle) {
 	}
 }
 
-// gobRoundTrip sends two values down one gob stream. Decoding must be the
-// identity, and must copy: gob reuses its buffer for the second value, so a
-// decoded Value that aliased it would change under the first one.
-func gobRoundTrip(t *testing.T, a, b Value) {
+// wireRoundTrip sends two values through one buffer, as two datums of a
+// frame are. Decoding must be the identity, and must copy: the buffer is
+// reused for the next frame, so a decoded Value that aliased it would change
+// under its owner.
+func wireRoundTrip(t *testing.T, a, b Value) {
 	t.Helper()
-	var stream bytes.Buffer
-	enc := gob.NewEncoder(&stream)
-	if err := enc.Encode(a); err != nil {
-		t.Fatal(err)
+	buf := b.AppendWire(a.AppendWire(nil))
+	gotA, err := FromWire(buf[:a.WireSize()])
+	if err != nil {
+		t.Fatalf("wire form of %s refused: %v", a, err)
 	}
-	if err := enc.Encode(b); err != nil {
-		t.Fatal(err)
+	gotB, err := FromWire(buf[a.WireSize():])
+	if err != nil {
+		t.Fatalf("wire form of %s refused: %v", b, err)
 	}
-	dec := gob.NewDecoder(&stream)
-	var gotA, gotB Value
-	if err := dec.Decode(&gotA); err != nil {
-		t.Fatalf("gob decode of %s: %v", a, err)
+	for i := range buf {
+		buf[i] = 0xff
 	}
-	before := bytes.Clone(gotA.b)
-	if err := dec.Decode(&gotB); err != nil {
-		t.Fatalf("gob decode of %s: %v", b, err)
-	}
-	if !bytes.Equal(gotA.b, before) || !bytes.Equal(gotA.b, a.node()) || !bytes.Equal(gotB.b, b.node()) {
-		t.Fatalf("gob round trip changed %s or %s", a, b)
+	if !bytes.Equal(gotA.b, a.node()) || !bytes.Equal(gotB.b, b.node()) {
+		t.Fatalf("wire round trip changed %s or %s", a, b)
 	}
 }
 
-// fuzzBytes: whatever GobDecode accepts, every operator must handle.
+// fuzzBytes: whatever FromWire accepts, every operator must handle.
 func fuzzBytes(t *testing.T, raw []byte, path string) {
 	in := bytes.Clone(raw)
-	var v Value
-	if err := v.GobDecode(in); err != nil {
+	v, err := FromWire(in)
+	if err != nil {
 		return
 	}
 	for i := range in {
 		in[i] = 0xff // the value must not alias its input
 	}
 	exercise(t, v, path)
-	enc, _ := v.GobEncode()
-	var back Value
-	if err := back.GobDecode(enc); err != nil || !bytes.Equal(back.b, v.b) {
+	if back, err := FromWire(v.AppendWire(nil)); err != nil || !bytes.Equal(back.b, v.b) {
 		t.Fatalf("re-encoding an accepted datum: %v", err)
 	}
 }

@@ -46,14 +46,14 @@ const (
 // with, so a text payload is refused instead of being misread.
 const formatVersion = 1
 
-// maxDepth bounds container nesting in Parse and GobDecode, and with it the
+// maxDepth bounds container nesting in Parse and ValidateWire, and with it the
 // recursion of every operator.
 const maxDepth = 10000
 
 // headerSize is a container's tag and count; its offset table follows.
 const headerSize = 5
 
-// ErrMalformed is wrapped by every GobDecode failure: the bytes are not a
+// ErrMalformed is wrapped by every ValidateWire failure: the bytes are not a
 // jsonb datum of this format version.
 var ErrMalformed = errors.New("malformed jsonb datum")
 
@@ -390,29 +390,40 @@ func contains(a, b []byte) bool {
 	return a[0] == b[0]
 }
 
-// GobEncode is the datum's wire form: the format version byte, then the
-// node bytes exactly as they sit in memory.
-func (j Value) GobEncode() ([]byte, error) {
-	n := j.node()
-	out := make([]byte, 1+len(n))
-	out[0] = formatVersion
-	copy(out[1:], n)
-	return out, nil
+// WireSize is the length of the datum's wire form.
+func (j Value) WireSize() int { return 1 + len(j.node()) }
+
+// AppendWire appends the datum's wire form: the format version byte, then
+// the node bytes exactly as they sit in memory.
+func (j Value) AppendWire(dst []byte) []byte {
+	return append(append(dst, formatVersion), j.node()...)
 }
 
-// GobDecode copies the wire form out of gob's buffer and checks, in one
-// pass, everything the operators rely on (see validate). Nothing is parsed:
-// a node that only forwards the datum pays for the copy and the check.
-func (j *Value) GobDecode(b []byte) error {
+// ValidateWire checks, in one pass and without building anything, that b is
+// the wire form of a datum: the version byte, then everything the operators
+// rely on (see validate). A node that only forwards the datum does this and
+// no more.
+func ValidateWire(b []byte) error {
 	if len(b) == 0 || b[0] != formatVersion {
 		return fmt.Errorf("%w: not format version %d", ErrMalformed, formatVersion)
 	}
-	n := bytes.Clone(b[1:])
-	if err := validate(n, 0); err != nil {
+	if err := validate(b[1:], 0); err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	j.b = n
 	return nil
+}
+
+// FromValidWire copies a datum out of a wire form that ValidateWire has
+// accepted.
+func FromValidWire(b []byte) Value { return Value{b: bytes.Clone(b[1:])} }
+
+// FromWire is ValidateWire followed by FromValidWire: nothing is parsed, a
+// receiver pays for the check and the copy.
+func FromWire(b []byte) (Value, error) {
+	if err := ValidateWire(b); err != nil {
+		return Value{}, err
+	}
+	return FromValidWire(b), nil
 }
 
 // validate checks that n is exactly one well-formed node: lengths and

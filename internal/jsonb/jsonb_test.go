@@ -142,18 +142,18 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
+func TestWireRoundTrip(t *testing.T) {
 	v := MustParse(`{"x": [1, 2, {"y": "z"}]}`)
-	b, err := v.GobEncode()
+	b := v.AppendWire(nil)
+	if len(b) != v.WireSize() {
+		t.Fatalf("WireSize %d, AppendWire wrote %d bytes", v.WireSize(), len(b))
+	}
+	back, err := FromWire(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Value
-	if err := back.GobDecode(b); err != nil {
-		t.Fatal(err)
-	}
 	if back.String() != v.String() {
-		t.Fatalf("gob round trip: %s vs %s", back.String(), v.String())
+		t.Fatalf("wire round trip: %s vs %s", back.String(), v.String())
 	}
 }
 

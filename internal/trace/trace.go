@@ -37,7 +37,7 @@ import (
 )
 
 // Span is one timed unit of work attributed to a trace. All fields are
-// exported so spans travel over the gob wire protocol unchanged.
+// exported: the wire codec (internal/wire) carries every one of them.
 type Span struct {
 	TraceID  uint64
 	SpanID   uint64

@@ -2,11 +2,14 @@ package wire
 
 // Native Go fuzz targets for the wire protocol.
 //
-//   - FuzzWireFraming feeds arbitrary bytes through the exact
-//     decode-handle loop Server.serveConn runs: whatever gob makes of the
-//     bytes, the handler must return a response without panicking. Seeds
-//     cover every request kind plus malformed variants (bogus kind,
-//     truncated frames, absurd field values).
+//   - FuzzWireFraming feeds arbitrary bytes to the loop every server-side
+//     connection runs (serve: cut a frame, decode the request, handle it,
+//     encode the response): whatever the bytes are, it returns without
+//     panicking. Seeds cover every request kind plus malformed variants
+//     (bogus kind, truncated frames, absurd field values).
+//   - FuzzCodecParity (codec_test.go) builds requests and responses from the
+//     fuzzer's bytes and requires the frame codec to round-trip them to what
+//     the previous codec, encoding/gob, round-trips them to.
 //   - FuzzPipelineSeq drives Pipeline against a scripted transport that
 //     misdelivers: wrong Seq, zero Seq (legacy peer), out-of-order
 //     responses, transport errors. The oracle is the protocol's safety
@@ -22,58 +25,65 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"citusgo/internal/engine"
+	"citusgo/internal/jsonb"
+	"citusgo/internal/types"
 )
 
-// encodeRequests gob-encodes a request stream the way tcpTransport does,
-// for seeding the framing corpus.
-func encodeRequests(t *testing.F, reqs ...*Request) []byte {
+// encodeRequests encodes a request stream the way tcpTransport does.
+func encodeRequests(t testing.TB, reqs ...*Request) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	var buf []byte
 	for _, r := range reqs {
-		if err := enc.Encode(r); err != nil {
+		var err error
+		if buf, err = appendRequest(buf, r); err != nil {
 			t.Fatalf("seed encode: %v", err)
 		}
 	}
-	return buf.Bytes()
+	return buf
 }
 
 func FuzzWireFraming(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0xff})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, codecVersion, 0, 0, 0, 0, 0}) // 4 GiB claimed
 	f.Add(encodeRequests(f, &Request{Kind: ReqPing, Seq: 1}))
 	f.Add(encodeRequests(f,
 		&Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 1},
 		&Request{Kind: ReqQuery, SQL: "INSERT INTO t VALUES (1, 'x')", Seq: 2},
-		&Request{Kind: ReqQuery, SQL: "SELECT * FROM t WHERE k = $1", Params: []any{int64(1)}, Seq: 3},
+		&Request{Kind: ReqQuery, SQL: "SELECT * FROM t WHERE k = $1", Params: []types.Datum{int64(1)}, Seq: 3},
 	))
 	f.Add(encodeRequests(f,
 		&Request{Kind: ReqPrepare, Name: "p1", SQL: "SELECT k FROM t WHERE k = $1", Seq: 1},
-		&Request{Kind: ReqExecPrepared, Name: "p1", Params: []any{int64(2)}, Seq: 2},
+		&Request{Kind: ReqExecPrepared, Name: "p1", Params: []types.Datum{int64(2)}, Seq: 2},
 		&Request{Kind: ReqExecPrepared, Name: "missing", Seq: 3},
 	))
 	f.Add(encodeRequests(f,
-		&Request{Kind: ReqCopy, Table: "t", Columns: []string{"k", "v"}, Rows: [][]any{{int64(7), "z"}}},
+		&Request{Kind: ReqCopy, Table: "t", Columns: []string{"k", "v"}, Rows: []types.Row{{int64(7), "z"}}},
 		&Request{Kind: ReqTableRows, Table: "t"},
 		&Request{Kind: ReqListPrepared},
 		&Request{Kind: ReqLockGraph},
 		&Request{Kind: ReqSSIEdges},
 	))
 	f.Add(encodeRequests(f,
-		&Request{Kind: RequestKind(999), SQL: "nonsense"},
+		&Request{Kind: RequestKind(200), SQL: "nonsense"},
 		&Request{Kind: ReqQuery, SQL: "", Hdr: Header{Version: 77, TraceID: ^uint64(0)}},
 		&Request{Kind: ReqCancelDist, Name: "no-such-dist-txn"},
 		&Request{Kind: ReqDoomDist, Name: ""},
 		&Request{Kind: ReqDropResults, Name: "../weird//prefix"},
-		&Request{Kind: ReqAppendResult, Name: "r", Columns: []string{"a"}, Rows: [][]any{{nil}}},
+		&Request{Kind: ReqAppendResult, Name: "r", Columns: []string{"a"}, Rows: []types.Row{{nil}}},
 		&Request{Kind: ReqTraceSpans, Hdr: Header{Version: HeaderV1, TraceID: 42}},
+		&Request{Kind: ReqQuery, SQL: "SELECT $1", Params: []types.Datum{jsonb.MustParse(`{"a": [1, "x"]}`)}},
 	))
+	// a frame of another codec version in the middle of a stream
+	other := encodeRequests(f, &Request{Kind: ReqPing, Seq: 2})
+	other[lenSize] = codecVersion + 1
+	f.Add(append(encodeRequests(f, &Request{Kind: ReqPing, Seq: 1}), other...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := engine.New(engine.Config{Name: "fuzz"})
@@ -82,18 +92,27 @@ func FuzzWireFraming(f *testing.F) {
 		if resp := h.handle(&Request{Kind: ReqQuery, SQL: "CREATE TABLE t (k BIGINT PRIMARY KEY, v TEXT)"}); resp.Err != "" {
 			t.Fatalf("setup: %s", resp.Err)
 		}
-		// The exact loop Server.serveConn runs: decode until the stream
-		// errors, handle every request that decodes. Bounded so a frame
-		// that decodes into a huge valid stream can't stall the fuzzer.
-		dec := gob.NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 64; i++ {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				return
+		// The loop Server.serveConn runs, until the bytes run out or stop
+		// being frames. Every request that decodes is handled, and every
+		// frame with a readable prefix is answered.
+		var out bytes.Buffer
+		err := serve(h, bytes.NewReader(data), &out)
+		if err == nil {
+			t.Fatal("serve returned without an error on a finite stream")
+		}
+		fr := newFrameReader(&out)
+		for {
+			frame, err := fr.next()
+			if err == io.EOF {
+				break
 			}
-			resp := h.handle(&req)
-			if resp == nil {
-				t.Fatalf("handler returned nil response for kind %v", req.Kind)
+			if err == nil {
+				if _, _, err = framePrefix(frame); err == nil {
+					err = decodeResponse(frame, new(Response))
+				}
+			}
+			if err != nil {
+				t.Fatalf("the server wrote a response this codec cannot read: %v", err)
 			}
 		}
 	})
@@ -126,9 +145,9 @@ func (t *scriptTransport) send(req *Request) error {
 	return nil
 }
 
-func (t *scriptTransport) recv() (*Response, error) {
+func (t *scriptTransport) recv() (Response, error) {
 	if len(t.queue) == 0 {
-		return nil, errors.New("protocol error: recv with no request in flight")
+		return Response{}, errors.New("protocol error: recv with no request in flight")
 	}
 	op := t.nextOp()
 	pick := 0
@@ -138,14 +157,14 @@ func (t *scriptTransport) recv() (*Response, error) {
 	}
 	req := t.queue[pick]
 	t.queue = append(t.queue[:pick], t.queue[pick+1:]...)
-	resp := &Response{Tag: fmt.Sprintf("answers-%d", req.Seq), Seq: req.Seq}
+	resp := Response{Tag: fmt.Sprintf("answers-%d", req.Seq), Seq: req.Seq}
 	switch op % 5 {
 	case 1: // legacy peer: Seq not echoed
 		resp.Seq = 0
 	case 2: // corrupted correlation id
 		resp.Seq = req.Seq + 1 + uint64(t.nextOp())
 	case 3: // transport failure
-		return nil, errors.New("connection reset by script")
+		return Response{}, errors.New("connection reset by script")
 	}
 	return resp, nil
 }

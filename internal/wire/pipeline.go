@@ -60,7 +60,8 @@ func (c *Conn) Pipeline(window int) *Pipeline {
 type Pending struct {
 	kind RequestKind
 	seq  uint64
-	resp *Response
+	req  Request // until the response is in: a transport may hold on to it
+	resp Response
 	err  error
 	done bool
 }
@@ -69,17 +70,17 @@ type Pending struct {
 // full, drains the oldest response. Any transport failure poisons the
 // pipeline, so later requests fail without touching the (untrustworthy)
 // streams.
-func (p *Pipeline) enqueue(req *Request) *Pending {
-	pd := &Pending{kind: req.Kind}
+func (p *Pipeline) enqueue(req Request) *Pending {
+	pd := &Pending{kind: req.Kind, req: req}
 	p.batch++
 	if p.failed == nil {
-		p.failed = p.c.send(req)
+		p.failed = p.c.send(&pd.req)
 	}
 	if p.failed != nil {
-		pd.err, pd.done = p.failed, true
+		pd.err, pd.done, pd.req = p.failed, true, Request{}
 		return pd
 	}
-	pd.seq = req.Seq
+	pd.seq = pd.req.Seq
 	p.inflight = append(p.inflight, pd)
 	if len(p.inflight) > 1 {
 		p.overlap = true
@@ -95,10 +96,13 @@ func (p *Pipeline) drainOne() {
 	pd := p.inflight[0]
 	p.inflight = p.inflight[1:]
 	if p.failed == nil {
-		pd.resp, p.failed = p.c.recv(pd.kind, pd.seq)
+		if pd.resp, p.failed = p.c.recv(pd.kind, pd.seq); p.failed == nil {
+			// the rows alias the read buffer, which the next recv reuses
+			pd.resp.Batch = pd.resp.Batch.Clone()
+		}
 	}
 	pd.err = p.failed
-	pd.done = true
+	pd.done, pd.req = true, Request{}
 }
 
 // Flush drains every outstanding response and returns the batch's
@@ -121,7 +125,7 @@ func (p *Pipeline) Flush() error {
 
 // Query enqueues a SQL execution (the pipelined Conn.Query).
 func (p *Pipeline) Query(sqlText string, params ...types.Datum) *Pending {
-	return p.enqueue(&Request{Kind: ReqQuery, Hdr: p.c.hdr(), SQL: sqlText, Params: params})
+	return p.enqueue(Request{Kind: ReqQuery, Hdr: p.c.hdr(), SQL: sqlText, Params: params})
 }
 
 // Prepare enqueues a statement parse (the pipelined Conn.Prepare). The
@@ -131,7 +135,7 @@ func (p *Pipeline) Query(sqlText string, params ...types.Datum) *Pending {
 // plan-invalid retry on the next execution. A parse already known to have
 // failed (window 1) leaves the map alone, as Conn.Prepare does.
 func (p *Pipeline) Prepare(name, sqlText string) *Pending {
-	pd := p.enqueue(&Request{Kind: ReqPrepare, Hdr: p.c.hdr(), Name: name, SQL: sqlText})
+	pd := p.enqueue(Request{Kind: ReqPrepare, Hdr: p.c.hdr(), Name: name, SQL: sqlText})
 	if pd.Failed() {
 		return pd
 	}
@@ -146,13 +150,13 @@ func (p *Pipeline) Prepare(name, sqlText string) *Pending {
 // Conn.ExecutePrepared). Plan-invalid rejections surface as ErrPlanInvalid
 // from Result, exactly like the unpipelined path.
 func (p *Pipeline) ExecutePrepared(name string, params ...types.Datum) *Pending {
-	return p.enqueue(&Request{Kind: ReqExecPrepared, Hdr: p.c.hdr(), Name: name, Params: params})
+	return p.enqueue(Request{Kind: ReqExecPrepared, Hdr: p.c.hdr(), Name: name, Params: params})
 }
 
 // Copy enqueues a bulk load (the pipelined Conn.Copy).
 func (p *Pipeline) Copy(table string, columns []string, rows []types.Row) *Pending {
-	return p.enqueue(&Request{
-		Kind: ReqCopy, Hdr: p.c.hdr(), Table: table, Columns: columns, Rows: rowsToWire(rows),
+	return p.enqueue(Request{
+		Kind: ReqCopy, Hdr: p.c.hdr(), Table: table, Columns: columns, Rows: rows,
 	})
 }
 
@@ -185,6 +189,17 @@ func (pd *Pending) Result() (*engine.Result, error) {
 	return respToResult(resp), nil
 }
 
+// EncodedResult is Result for a caller that may pass the rows on without
+// reading them: rows that arrived in wire form stay in it
+// (engine.Result.Batch, read through DecodeRows).
+func (pd *Pending) EncodedResult() (*engine.Result, error) {
+	resp, err := pd.result()
+	if err != nil {
+		return nil, err
+	}
+	return respToEncodedResult(resp), nil
+}
+
 // Affected returns the request's affected-row count, mirroring Conn.Copy.
 func (pd *Pending) Affected() (int, error) {
 	resp, err := pd.result()
@@ -201,5 +216,5 @@ func (pd *Pending) result() (*Response, error) {
 	if pd.err != nil {
 		return nil, pd.err
 	}
-	return pd.resp, respErr(pd.kind, pd.resp)
+	return &pd.resp, respErr(pd.kind, &pd.resp)
 }

@@ -1,25 +1,23 @@
-// Package wire implements the client/server protocol between nodes: a
-// simple length-delimited gob protocol over TCP, plus an in-process
-// transport with configurable simulated network latency for single-process
-// clusters. Worker nodes speak this protocol the way PostgreSQL servers
+// Package wire implements the client/server protocol between nodes:
+// length-prefixed binary frames over TCP (codec.go, tcp.go), plus an
+// in-process transport with configurable simulated network latency for
+// single-process clusters, which hands requests over without encoding them. Worker nodes speak this protocol the way PostgreSQL servers
 // speak the PostgreSQL protocol in a Citus cluster — the coordinator is
 // just another client to them.
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"strings"
 	"sync"
 	"time"
 
 	"citusgo/internal/engine"
 	"citusgo/internal/fault"
-	"citusgo/internal/jsonb"
 	"citusgo/internal/obs"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/ssi"
 	"citusgo/internal/trace"
@@ -39,20 +37,9 @@ var (
 		"requests per flushed pipeline batch", nil).With()
 )
 
-func init() {
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register(false)
-	gob.Register("")
-	gob.Register(time.Time{})
-	// A jsonb datum crosses as its in-memory bytes behind a version byte:
-	// decoding is a copy and a bounds check, so a node that only forwards
-	// rows (the COPY coordinator) never parses one. See docs/wire.md.
-	gob.Register(jsonb.Value{})
-}
-
-// RequestKind enumerates protocol messages.
-type RequestKind int
+// RequestKind enumerates protocol messages. It is one byte of the frame
+// prefix.
+type RequestKind uint8
 
 const (
 	// ReqQuery executes SQL and returns rows.
@@ -140,7 +127,7 @@ const HeaderV1 = 1
 // sends — a server treats it as "no extension data" and must accept it,
 // keeping mixed-version clusters working.
 type Header struct {
-	Version int
+	Version uint8
 	// TraceID/SpanID propagate the coordinator statement's trace context
 	// (Version >= HeaderV1): server-side execution records its spans
 	// under TraceID, parented at SpanID. Zero means untraced.
@@ -153,11 +140,11 @@ type Request struct {
 	Kind    RequestKind
 	Hdr     Header
 	SQL     string
-	Params  []any
+	Params  []types.Datum
 	Table   string
 	Columns []string
-	Rows    [][]any
-	Name    string // intermediate result name / dist txn id / prefix
+	Rows    []types.Row // all of one length (rowbatch.Append)
+	Name    string      // intermediate result name / dist txn id / prefix
 
 	// Seq is the per-connection correlation id, assigned by the client
 	// and echoed in the matching Response. Requests and responses travel
@@ -170,8 +157,13 @@ type Request struct {
 
 // Response is one protocol response.
 type Response struct {
-	Columns  []string
-	Rows     [][]any
+	Columns []string
+	// The result's rows, one way or the other: Rows as the engine produced
+	// them (a server's own result, and every response of the in-process
+	// transport), or Batch, the wire form a TCP client received — and a
+	// coordinator passes on as it is for a one-task plan.
+	Rows     []types.Row
+	Batch    rowbatch.Batch
 	Tag      string
 	Affected int
 	Err      string
@@ -205,10 +197,11 @@ type PreparedTxn struct {
 // send enqueues/encodes one request without waiting, recv delivers the
 // oldest outstanding response. Responses always arrive in request order —
 // the protocol has no out-of-order delivery — and the Seq correlation id
-// lets the client verify that invariant held.
+// lets the client verify that invariant held. A response's Batch may alias
+// the transport's read buffer: it is good until the next recv.
 type transport interface {
 	send(req *Request) error
-	recv() (*Response, error)
+	recv() (Response, error)
 	close() error
 }
 
@@ -268,6 +261,9 @@ func (e *ConnError) Unwrap() error { return e.Err }
 // IsTransient reports whether err is a transport-level connection failure
 // (the executor's retry-on-idempotent-task predicate).
 func IsTransient(err error) bool {
+	if err == nil {
+		return false
+	}
 	var ce *ConnError
 	return errors.As(err, &ce)
 }
@@ -291,36 +287,36 @@ func (c *Conn) send(req *Request) error {
 // recv is the matching receive step for the oldest outstanding request:
 // transport recv, correlation check, then the wire.recv fault point (peer
 // executed, but the response was lost).
-func (c *Conn) recv(kind RequestKind, seq uint64) (*Response, error) {
+func (c *Conn) recv(kind RequestKind, seq uint64) (Response, error) {
 	resp, err := c.t.recv()
 	if err != nil {
-		return nil, &ConnError{Node: c.node, Err: err}
+		return Response{}, &ConnError{Node: c.node, Err: err}
 	}
 	if resp.Seq != 0 && resp.Seq != seq {
-		return nil, c.misdelivery(seq, resp.Seq)
+		return Response{}, c.misdelivery(seq, resp.Seq)
 	}
 	if err := fault.CheckKey(fault.PointWireRecv, kind.String()); err != nil {
-		return nil, c.transportFailure(err)
+		return Response{}, c.transportFailure(err)
 	}
 	return resp, nil
 }
 
 // roundTrip is one request with nothing else in flight: send, then recv.
-func (c *Conn) roundTrip(req *Request) (*Response, error) {
-	if err := c.send(req); err != nil {
-		return nil, err
+func (c *Conn) roundTrip(req Request) (Response, error) {
+	if err := c.send(&req); err != nil {
+		return Response{}, err
 	}
 	return c.recv(req.Kind, req.Seq)
 }
 
 // call is roundTrip for requests whose response can carry a semantic
 // error: the peer's Response.Err comes back as the error.
-func (c *Conn) call(req *Request) (*Response, error) {
+func (c *Conn) call(req Request) (Response, error) {
 	resp, err := c.roundTrip(req)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
-	return resp, respErr(req.Kind, resp)
+	return resp, respErr(req.Kind, &resp)
 }
 
 // respErr maps a response to the semantic error the peer reported, if any.
@@ -373,11 +369,11 @@ func (c *Conn) Close() error {
 
 // Query executes SQL on the peer.
 func (c *Conn) Query(sqlText string, params ...types.Datum) (*engine.Result, error) {
-	resp, err := c.call(&Request{Kind: ReqQuery, Hdr: c.hdr(), SQL: sqlText, Params: params})
+	resp, err := c.call(Request{Kind: ReqQuery, Hdr: c.hdr(), SQL: sqlText, Params: params})
 	if err != nil {
 		return nil, err
 	}
-	return respToResult(resp), nil
+	return respToResult(&resp), nil
 }
 
 // ErrPlanInvalid is the retryable prepared-statement failure: the server
@@ -398,7 +394,7 @@ func IsPlanInvalid(err error) bool { return errors.Is(err, ErrPlanInvalid) }
 // connection records what it prepared so the executor prepares each task
 // shape at most once per connection.
 func (c *Conn) Prepare(name, sqlText string) error {
-	if _, err := c.call(&Request{Kind: ReqPrepare, Hdr: c.hdr(), Name: name, SQL: sqlText}); err != nil {
+	if _, err := c.call(Request{Kind: ReqPrepare, Hdr: c.hdr(), Name: name, SQL: sqlText}); err != nil {
 		return err
 	}
 	if c.prepared == nil {
@@ -416,17 +412,17 @@ func (c *Conn) PreparedSQL(name string) string { return c.prepared[name] }
 // A plan-invalid failure (see ErrPlanInvalid) means the server refused
 // before executing; re-Prepare and retry.
 func (c *Conn) ExecutePrepared(name string, params ...types.Datum) (*engine.Result, error) {
-	resp, err := c.call(&Request{Kind: ReqExecPrepared, Hdr: c.hdr(), Name: name, Params: params})
+	resp, err := c.call(Request{Kind: ReqExecPrepared, Hdr: c.hdr(), Name: name, Params: params})
 	if err != nil {
 		return nil, err
 	}
-	return respToResult(resp), nil
+	return respToResult(&resp), nil
 }
 
 // Copy bulk-loads rows.
 func (c *Conn) Copy(table string, columns []string, rows []types.Row) (int, error) {
-	resp, err := c.call(&Request{
-		Kind: ReqCopy, Hdr: c.hdr(), Table: table, Columns: columns, Rows: rowsToWire(rows),
+	resp, err := c.call(Request{
+		Kind: ReqCopy, Hdr: c.hdr(), Table: table, Columns: columns, Rows: rows,
 	})
 	if err != nil {
 		return 0, err
@@ -444,7 +440,7 @@ func (c *Conn) LockGraph() ([]engine.LockEdge, error) {
 // rw-antidependency edges — one round trip feeds both the distributed
 // deadlock detector and the background pivot-abort scan.
 func (c *Conn) LockGraphEx() ([]engine.LockEdge, []ssi.WireEdge, error) {
-	resp, err := c.call(&Request{Kind: ReqLockGraph})
+	resp, err := c.call(Request{Kind: ReqLockGraph})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -454,7 +450,7 @@ func (c *Conn) LockGraphEx() ([]engine.LockEdge, []ssi.WireEdge, error) {
 // SSIEdges polls the node's rw-antidependency edges (the coordinator's
 // pre-commit merged conflict-graph check).
 func (c *Conn) SSIEdges() ([]ssi.WireEdge, error) {
-	resp, err := c.call(&Request{Kind: ReqSSIEdges})
+	resp, err := c.call(Request{Kind: ReqSSIEdges})
 	if err != nil {
 		return nil, err
 	}
@@ -465,7 +461,7 @@ func (c *Conn) SSIEdges() ([]ssi.WireEdge, error) {
 // CancelDistTxn it does not interrupt running statements — the member's
 // commit fails with a retryable serialization error instead.
 func (c *Conn) DoomDistTxn(distID string) (bool, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqDoomDist, Name: distID})
+	resp, err := c.roundTrip(Request{Kind: ReqDoomDist, Name: distID})
 	if err != nil {
 		return false, err
 	}
@@ -474,7 +470,7 @@ func (c *Conn) DoomDistTxn(distID string) (bool, error) {
 
 // CancelDistTxn cancels the local participant of a distributed transaction.
 func (c *Conn) CancelDistTxn(distID string) (bool, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqCancelDist, Name: distID})
+	resp, err := c.roundTrip(Request{Kind: ReqCancelDist, Name: distID})
 	if err != nil {
 		return false, err
 	}
@@ -483,21 +479,21 @@ func (c *Conn) CancelDistTxn(distID string) (bool, error) {
 
 // AppendIntermediateResult ships rows into a named relation on the peer.
 func (c *Conn) AppendIntermediateResult(name string, columns []string, rows []types.Row) error {
-	_, err := c.call(&Request{
-		Kind: ReqAppendResult, Name: name, Columns: columns, Rows: rowsToWire(rows),
+	_, err := c.call(Request{
+		Kind: ReqAppendResult, Name: name, Columns: columns, Rows: rows,
 	})
 	return err
 }
 
 // DropIntermediateResults removes relations by prefix.
 func (c *Conn) DropIntermediateResults(prefix string) error {
-	_, err := c.roundTrip(&Request{Kind: ReqDropResults, Name: prefix})
+	_, err := c.roundTrip(Request{Kind: ReqDropResults, Name: prefix})
 	return err
 }
 
 // TableRows fetches the peer's row-count estimate for a table.
 func (c *Conn) TableRows(table string) (int64, error) {
-	resp, err := c.roundTrip(&Request{Kind: ReqTableRows, Table: table})
+	resp, err := c.roundTrip(Request{Kind: ReqTableRows, Table: table})
 	if err != nil {
 		return 0, err
 	}
@@ -506,7 +502,7 @@ func (c *Conn) TableRows(table string) (int64, error) {
 
 // ListPrepared lists the peer's pending prepared transactions.
 func (c *Conn) ListPrepared() ([]PreparedTxn, error) {
-	resp, err := c.call(&Request{Kind: ReqListPrepared})
+	resp, err := c.call(Request{Kind: ReqListPrepared})
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +512,7 @@ func (c *Conn) ListPrepared() ([]PreparedTxn, error) {
 // TraceSpans fetches the peer's ring-buffered spans for a trace — the
 // remote half of citus_trace() reassembly.
 func (c *Conn) TraceSpans(traceID uint64) ([]trace.Span, error) {
-	resp, err := c.call(&Request{
+	resp, err := c.call(Request{
 		Kind: ReqTraceSpans, Hdr: Header{Version: HeaderV1, TraceID: traceID},
 	})
 	if err != nil {
@@ -527,7 +523,7 @@ func (c *Conn) TraceSpans(traceID uint64) ([]trace.Span, error) {
 
 // Ping checks the peer is alive.
 func (c *Conn) Ping() error {
-	resp, err := c.roundTrip(&Request{Kind: ReqPing})
+	resp, err := c.roundTrip(Request{Kind: ReqPing})
 	if err != nil {
 		return err
 	}
@@ -537,26 +533,24 @@ func (c *Conn) Ping() error {
 	return nil
 }
 
-func rowsToWire(rows []types.Row) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
-}
-
-func wireToRows(rows [][]any) []types.Row {
-	out := make([]types.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
-}
-
+// respToResult is the result a client asked for: the rows decoded. It must
+// run before the connection's next recv (see tcpTransport.recv).
 func respToResult(resp *Response) *engine.Result {
+	res := respToEncodedResult(resp)
+	if res.Rows == nil {
+		res.Rows = res.Batch.Rows()
+	}
+	res.Batch = rowbatch.Batch{}
+	return res
+}
+
+// respToEncodedResult leaves rows that arrived in wire form as they are
+// (engine.Result.Batch), for a caller that may pass them on unread.
+func respToEncodedResult(resp *Response) *engine.Result {
 	return &engine.Result{
 		Columns:  resp.Columns,
-		Rows:     wireToRows(resp.Rows),
+		Rows:     resp.Rows,
+		Batch:    resp.Batch,
 		Tag:      resp.Tag,
 		Affected: resp.Affected,
 	}
@@ -600,41 +594,38 @@ func (h *handler) applyTrace(req *Request) {
 	}
 }
 
-func (h *handler) handle(req *Request) *Response {
+func (h *handler) handle(req *Request) Response {
 	switch req.Kind {
 	case ReqQuery:
 		h.applyTrace(req)
-		res, err := h.sess.Exec(req.SQL, req.Params...)
+		res, err := h.sess.ExecForward(req.SQL, req.Params...)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return Response{Err: err.Error()}
 		}
-		return &Response{
-			Columns: res.Columns, Rows: rowsToWire(res.Rows),
-			Tag: res.Tag, Affected: res.Affected,
-		}
+		return resultResponse(res)
 	case ReqCopy:
 		h.applyTrace(req)
-		n, err := h.sess.CopyFrom(req.Table, req.Columns, wireToRows(req.Rows))
+		n, err := h.sess.CopyFrom(req.Table, req.Columns, req.Rows)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return Response{Err: err.Error()}
 		}
-		return &Response{Affected: n, Tag: fmt.Sprintf("COPY %d", n)}
+		return Response{Affected: n, Tag: fmt.Sprintf("COPY %d", n)}
 	case ReqLockGraph:
-		return &Response{Edges: h.eng.LockGraph(), SSIEdges: h.eng.SSIWireEdges()}
+		return Response{Edges: h.eng.LockGraph(), SSIEdges: h.eng.SSIWireEdges()}
 	case ReqSSIEdges:
-		return &Response{SSIEdges: h.eng.SSIWireEdges()}
+		return Response{SSIEdges: h.eng.SSIWireEdges()}
 	case ReqCancelDist:
-		return &Response{OK: h.eng.CancelByDistID(req.Name)}
+		return Response{OK: h.eng.CancelByDistID(req.Name)}
 	case ReqDoomDist:
-		return &Response{OK: h.eng.DoomByDistID(req.Name)}
+		return Response{OK: h.eng.DoomByDistID(req.Name)}
 	case ReqAppendResult:
-		h.eng.AppendIntermediateResult(req.Name, req.Columns, wireToRows(req.Rows))
-		return &Response{OK: true}
+		h.eng.AppendIntermediateResult(req.Name, req.Columns, req.Rows)
+		return Response{OK: true}
 	case ReqDropResults:
 		h.eng.DropIntermediateResults(req.Name)
-		return &Response{OK: true}
+		return Response{OK: true}
 	case ReqTableRows:
-		return &Response{Count: h.eng.TableRows(req.Table)}
+		return Response{Count: h.eng.TableRows(req.Table)}
 	case ReqListPrepared:
 		var out []PreparedTxn
 		now := time.Now()
@@ -647,18 +638,18 @@ func (h *handler) handle(req *Request) *Response {
 			}
 			out = append(out, PreparedTxn{GID: p.GID, DistID: p.DistID, AgeNs: age})
 		}
-		return &Response{Prepared: out}
+		return Response{Prepared: out}
 	case ReqPing:
-		return &Response{OK: true}
+		return Response{OK: true}
 	case ReqTraceSpans:
-		return &Response{Spans: h.eng.Tracer.Collect(req.Hdr.TraceID)}
+		return Response{Spans: h.eng.Tracer.Collect(req.Hdr.TraceID)}
 	case ReqPrepare:
 		h.applyTrace(req)
 		psp := h.eng.Tracer.StartSpan(h.sess.TraceID, h.sess.SpanID, "parse", req.SQL)
 		stmt, err := sql.Parse(req.SQL)
 		psp.Finish()
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return Response{Err: err.Error()}
 		}
 		metPreparedParses.Inc()
 		if h.prepared == nil {
@@ -667,29 +658,35 @@ func (h *handler) handle(req *Request) *Response {
 		h.prepared[req.Name] = &preparedStmt{
 			sql: req.SQL, stmt: stmt, schemaVer: h.eng.SchemaVersion(),
 		}
-		return &Response{OK: true}
+		return Response{OK: true}
 	case ReqExecPrepared:
 		ps := h.prepared[req.Name]
 		if ps == nil {
-			return &Response{Err: planInvalidPrefix + fmt.Sprintf("no prepared statement %q", req.Name)}
+			return Response{Err: planInvalidPrefix + fmt.Sprintf("no prepared statement %q", req.Name)}
 		}
 		if ps.schemaVer != h.eng.SchemaVersion() {
 			delete(h.prepared, req.Name)
-			return &Response{Err: planInvalidPrefix + "schema version changed"}
+			return Response{Err: planInvalidPrefix + "schema version changed"}
 		}
 		metPreparedExecs.Inc()
 		h.applyTrace(req)
 		h.sess.QueryLabel = ps.sql
-		res, err := h.sess.ExecStmt(ps.stmt, req.Params)
+		res, err := h.sess.ExecStmtForward(ps.stmt, req.Params)
 		if err != nil {
-			return &Response{Err: err.Error()}
+			return Response{Err: err.Error()}
 		}
-		return &Response{
-			Columns: res.Columns, Rows: rowsToWire(res.Rows),
-			Tag: res.Tag, Affected: res.Affected,
-		}
+		return resultResponse(res)
 	}
-	return &Response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
+	return Response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
+}
+
+// resultResponse answers a statement with its result. Rows the session got
+// in wire form from a worker and did not look at go out the same way.
+func resultResponse(res *engine.Result) Response {
+	return Response{
+		Columns: res.Columns, Rows: res.Rows, Batch: res.Batch,
+		Tag: res.Tag, Affected: res.Affected,
+	}
 }
 
 // closeSession aborts any open transaction when the client goes away.
@@ -718,7 +715,7 @@ type localTransport struct {
 	// pending holds requests sent but not yet executed; ready holds
 	// executed responses not yet delivered to recv.
 	pending []*Request
-	ready   []*Response
+	ready   []Response
 }
 
 // DialLocal opens an in-process connection to e with the given simulated
@@ -737,15 +734,15 @@ func (t *localTransport) send(req *Request) error {
 	return nil
 }
 
-func (t *localTransport) recv() (*Response, error) {
+func (t *localTransport) recv() (Response, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return nil, errors.New("connection is closed")
+		return Response{}, errors.New("connection is closed")
 	}
 	if len(t.ready) == 0 {
 		if len(t.pending) == 0 {
-			return nil, errors.New("protocol error: recv with no request in flight")
+			return Response{}, errors.New("protocol error: recv with no request in flight")
 		}
 		// One RTT covers everything currently in flight: the batch was
 		// encoded back-to-back, so its first response arrives one round
@@ -755,7 +752,7 @@ func (t *localTransport) recv() (*Response, error) {
 		}
 		if t.h.eng.Crashed() {
 			t.pending = nil
-			return nil, errors.New("connection reset: node is down")
+			return Response{}, errors.New("connection reset: node is down")
 		}
 		for _, req := range t.pending {
 			resp := t.h.handle(req)
@@ -778,126 +775,3 @@ func (t *localTransport) close() error {
 	}
 	return nil
 }
-
-// ---------------------------------------------------------------------------
-// TCP transport
-
-// Server serves the wire protocol over TCP.
-type Server struct {
-	Eng *engine.Engine
-	ln  net.Listener
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-}
-
-// Serve starts listening on addr ("127.0.0.1:0" for an ephemeral port).
-func Serve(e *engine.Engine, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{Eng: e, ln: ln, conns: make(map[net.Conn]struct{})}
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and all connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	return s.ln.Close()
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	h := newHandler(s.Eng)
-	defer h.closeSession()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		var resp *Response
-		switch err := dec.Decode(&req); {
-		case errors.Is(err, jsonb.ErrMalformed):
-			// gob frames every message, so the stream is intact after a
-			// datum its GobDecode refused: fail this request only. Seq,
-			// which follows the rows in the message, was not reached; zero
-			// is the value clients do not verify.
-			resp = &Response{Err: err.Error()}
-		case err != nil:
-			return
-		default:
-			resp = h.handle(&req)
-			resp.Seq = req.Seq
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
-// tcpTransport is the client side of the TCP protocol.
-type tcpTransport struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// Dial connects to a node server over TCP.
-func Dial(addr string, nodeName string) (*Conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Conn{
-		t:    &tcpTransport{conn: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)},
-		node: nodeName,
-	}, nil
-}
-
-// send encodes one request onto the socket without waiting for its
-// response; the server's decode-handle-encode loop plus socket buffering
-// give TCP pipelining for free.
-func (t *tcpTransport) send(req *Request) error { return t.enc.Encode(req) }
-
-func (t *tcpTransport) recv() (*Response, error) {
-	var resp Response
-	if err := t.dec.Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (t *tcpTransport) close() error { return t.conn.Close() }

@@ -250,8 +250,8 @@ func TestTraceSpansRequest(t *testing.T) {
 
 // corruptingProxy forwards a TCP connection to addr and, while armed,
 // overwrites the next occurrence of a byte string in the client's stream
-// with another of the same length — gob's framing stays intact, only the
-// datum inside is no longer what its GobDecode accepts.
+// with another of the same length — the framing stays intact, only the datum
+// inside is no longer what jsonb.ValidateWire accepts.
 type corruptingProxy struct {
 	ln        net.Listener
 	mu        sync.Mutex
@@ -308,7 +308,9 @@ func (p *corruptingProxy) arm(from, to []byte) {
 
 // TestMalformedJSONBFailsOnlyItsRequest: jsonb bytes that arrive damaged, or
 // in the JSON text form a node from before the flat encoding sends, are an
-// error response to that one request; connection and server carry on.
+// error response to that one request, under that request's Seq; connection
+// and server carry on, and so do the request's neighbours in a pipelined
+// window.
 func TestMalformedJSONBFailsOnlyItsRequest(t *testing.T) {
 	e := newEngine(t)
 	srv, err := Serve(e, "127.0.0.1:0")
@@ -325,7 +327,7 @@ func TestMalformedJSONBFailsOnlyItsRequest(t *testing.T) {
 	mustQ(t, conn, "CREATE TABLE j (k bigint PRIMARY KEY, d jsonb)")
 
 	doc := jsonb.MustParse(`{"marker": "0123456789abcdef", "n": [1, 2]}`)
-	good, _ := doc.GobEncode()
+	good := doc.AppendWire(nil)
 	textForm := append([]byte(`{"marker": "x"}`), bytes.Repeat([]byte(" "), len(good))...)[:len(good)]
 	// good is the version byte, the object's tag, its member count (4
 	// bytes), then one end offset (4 bytes) per member
@@ -345,15 +347,41 @@ func TestMalformedJSONBFailsOnlyItsRequest(t *testing.T) {
 		if n, err := conn.Copy("j", nil, []types.Row{{key, doc}}); err != nil || n != 1 {
 			t.Fatalf("case %d: COPY after the refused one: %d %v", i, n, err)
 		}
+		// the refusal carries the Seq of the request it answers
 		proxy.arm(good, bad)
-		if _, err := conn.Query("INSERT INTO j (k, d) VALUES ($1, $2)", key+100, doc); err == nil || IsTransient(err) {
-			t.Fatalf("case %d: INSERT with a damaged jsonb parameter: %v", i, err)
+		req := &Request{Kind: ReqQuery, SQL: "INSERT INTO j (k, d) VALUES ($1, $2)", Params: []types.Datum{key + 100, doc}}
+		if err := conn.send(req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := conn.t.recv()
+		if err != nil || resp.Seq != req.Seq || resp.Seq == 0 || !strings.Contains(resp.Err, jsonb.ErrMalformed.Error()) {
+			t.Fatalf("case %d: INSERT with a damaged jsonb parameter (seq %d): %+v %v", i, req.Seq, resp, err)
+		}
+
+		// a window of three with the damaged request in the middle
+		other := jsonb.MustParse(`{"marker": "other"}`)
+		proxy.arm(good, bad)
+		pl := conn.Pipeline(8)
+		before := pl.Copy("j", nil, []types.Row{{key + 200, other}})
+		middle := pl.Copy("j", nil, []types.Row{{key + 300, doc}})
+		after := pl.Query("SELECT count(*) FROM j WHERE k >= 200")
+		if err := pl.Flush(); err != nil {
+			t.Fatalf("case %d: a refused datum poisoned the window: %v", i, err)
+		}
+		if n, err := before.Affected(); err != nil || n != 1 {
+			t.Fatalf("case %d: request before the refused one: %d %v", i, n, err)
+		}
+		if err := middle.Err(); err == nil || IsTransient(err) || !strings.Contains(err.Error(), jsonb.ErrMalformed.Error()) {
+			t.Fatalf("case %d: refused request inside a window: %v", i, err)
+		}
+		if res, err := after.Result(); err != nil || res.Rows[0][0].(int64) != int64(i+1) {
+			t.Fatalf("case %d: request after the refused one: %v %v", i, res, err)
 		}
 	}
-	if proxy.corrupted != 6 {
-		t.Fatalf("proxy damaged %d requests, want 6", proxy.corrupted)
+	if proxy.corrupted != 9 {
+		t.Fatalf("proxy damaged %d requests, want 9", proxy.corrupted)
 	}
-	res, err := conn.Query("SELECT count(*), min(d->>'marker') FROM j")
+	res, err := conn.Query("SELECT count(*), min(d->>'marker') FROM j WHERE k < 100")
 	if err != nil || res.Rows[0][0].(int64) != 3 || res.Rows[0][1].(string) != "0123456789abcdef" {
 		t.Fatalf("after the refused requests: %v %v", res, err)
 	}
