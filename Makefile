@@ -47,11 +47,18 @@ race:
 # 20 times under -race, concurrent sessions sharing the coordinator's merge
 # relations (a prefix drop took other sessions' relations with it), the
 # PipelineWindow 1-vs-8 parity run, the issue fault at every position of a
-# replicated fan-out and the bounded transient retry
+# replicated fan-out, the bounded transient retry, and the transaction block
+# and commit flights: an open that fails executes nothing, a stale plan
+# re-issued inside its block, a pooled connection free of transaction state,
+# a failed flight request discarding its connection, the round-trip budget
+# counted over real TCP, and the 2PC matrix rows for overlapping requests
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
 	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
+	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
@@ -64,11 +71,14 @@ stress:
 # The wire's and the ingest path's microbenchmarks (one hop of a point
 # operation through the frame codec; one jsonb event's COPY frame across both
 # hops plus the index expression; one GIN insert) run long enough for their
-# allocs/op to mean something, and print them.
+# allocs/op to mean something, and print them. BenchmarkTxnBlock (the
+# two-update transaction over real TCP, single-node and cross-node) fails
+# unless each costs its budget of worker requests and waits: 3 in 3, 6 in 4.
 # The CI bench-smoke job runs this target, so this is the one list.
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' -timeout 15m . ./internal/bench/... ./internal/vec
 	go test -bench 'BenchmarkCodecPointOp|BenchmarkJSONBHop|BenchmarkGINInsert' -benchtime=2000x -benchmem -run '^$$' ./internal/wire ./internal/index
+	go test -bench 'BenchmarkTxnBlock' -benchtime=500x -run '^$$' ./internal/cluster
 	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting|TestAblationSSI' -count=1 -timeout 10m ./internal/bench
 
 # the repo benchmark's committed trajectory: BENCH_<pr>.json is
@@ -76,7 +86,10 @@ bench-smoke:
 # at that PR's commit; this compares the two newest, metric by metric, with
 # the benchmark's own bounds and verdicts (benchmark/README.md). One suite run
 # each says where the numbers stand, not whether a gain is real: a claim still
-# takes the ten alternating pairs of EXPERIMENTS.md.
+# takes the ten alternating pairs of EXPERIMENTS.md. BENCH_<pr>r.json is that
+# PR's commit recorded again in the next PR's session, for when the host has
+# moved in between (it sorts behind BENCH_<pr>.json, so the next PR's point is
+# compared with it).
 bench-diff:
 	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2); \
 		test $$# -eq 2 || { echo "bench-diff: need two BENCH_*.json files"; exit 1; }; \

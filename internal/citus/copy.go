@@ -192,6 +192,17 @@ func (n *Node) distributeRows(table string, dt *metadata.DistTable, columns []st
 	if firstErr != nil {
 		return 0, firstErr
 	}
+	// Replication barrier, as for any autocommit write (executeTasks): the
+	// workers committed their batches inside the COPY round trips, and the
+	// client is not acknowledged — nor does its next statement read a
+	// standby — until the rows are on the standbys too.
+	if n.SyncWaiter != nil {
+		for nodeID := range byNode {
+			if err := n.SyncWaiter(nodeID); err != nil {
+				return 0, fmt.Errorf("replication wait after COPY on node %d: %w", nodeID, err)
+			}
+		}
+	}
 	return total, nil
 }
 

@@ -2,6 +2,7 @@ package citus
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -43,6 +44,9 @@ var (
 // §3.7): pre-commit runs PREPARE TRANSACTION on every involved worker and
 // writes commit records; the end callback resolves the prepared
 // transactions on a best-effort basis, with the recovery daemon as backstop.
+// Each phase is one flight: its requests go out on all participants'
+// connections before any response is read, so a phase costs one wait however
+// many participants there are.
 func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 	st.mu.Lock()
 	if st.registered {
@@ -67,10 +71,6 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 	// the ring and reassemble via citus_trace, they just miss the slow log).
 	traceID, traceSpanID := s.TraceID, s.SpanID
 
-	type preparedConn struct {
-		wc  *workerConn
-		gid string
-	}
 	var prepared []preparedConn
 	committedRecords := false
 	var commitStart time.Time
@@ -102,19 +102,24 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 				return err
 			}
 		}
+		stmts := make([]flightStmt, len(participants))
 		// Single-node delegation (§3.7.1): with at most one writer there
 		// is nothing to make atomic across nodes — plain COMMIT suffices
 		// and the worker provides full ACID locally.
 		if writers <= 1 {
+			for i, wc := range participants {
+				stmts[i] = flightStmt{wc: wc, sql: "COMMIT"}
+			}
 			var firstErr error
-			for _, wc := range participants {
-				if _, err := wc.conn.Query("COMMIT"); err != nil {
-					wc.broken = true
+			for i, err := range flight(stmts) {
+				wc := participants[i]
+				if err != nil {
 					if wc.wrote && firstErr == nil {
 						firstErr = err
 					}
 					continue
 				}
+				wc.inTxn = false
 				// Sync-replication barrier: the worker committed, but the
 				// client is not acknowledged until the write is on the
 				// standbys (or within the async lag bound).
@@ -123,50 +128,52 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 						firstErr = fmt.Errorf("replication wait after commit on node %d: %w", wc.nodeID, err)
 					}
 				}
-				wc.inTxn = false
 			}
 			if firstErr == nil {
 				metSingleNodeCommits.Inc()
 			}
 			return firstErr
 		}
-		// Two-phase commit (§3.7.2).
+		// Two-phase commit (§3.7.2). The prepare flight: PREPARE TRANSACTION
+		// to every writer — behind 2pc.prepare, keyed by worker node ID, where
+		// chaos schedules stop (gate) to crash a participant or fail the
+		// prepare outright — and, since they have nothing to make atomic,
+		// COMMIT to the read-only participants.
 		commitStart = time.Now()
 		psp := n.Eng.Tracer.StartSpan(traceID, traceSpanID, "2pc_prepare", st.distID)
 		defer psp.Finish()
+		gids := make([]string, len(participants))
 		for i, wc := range participants {
 			if !wc.wrote {
+				stmts[i] = flightStmt{wc: wc, sql: "COMMIT"}
 				continue
 			}
-			gid := fmt.Sprintf("citus_%d_%d_%d", n.ID, localXID, i)
 			met2pcPrepares.Inc()
-			// 2pc.prepare, keyed by worker node ID: chaos schedules stop
-			// here (gate) to crash a participant, or fail the prepare
-			// outright — either way the transaction must abort everywhere.
-			err := fault.CheckKey(fault.Point2PCPrepare, strconv.Itoa(wc.nodeID))
-			if err == nil {
-				_, err = wc.conn.Query("PREPARE TRANSACTION " + types.QuoteString(gid))
-			}
-			if err != nil {
-				wc.broken = true
-				// abort everything prepared or open so far
-				for _, p := range prepared {
-					_, _ = p.wc.conn.Query("ROLLBACK PREPARED " + types.QuoteString(p.gid))
-					p.wc.inTxn = false
-				}
-				prepared = nil
-				met2pcAborts.Inc()
-				return fmt.Errorf("prepare on node %d failed: %w", wc.nodeID, err)
-			}
-			wc.inTxn = false
-			prepared = append(prepared, preparedConn{wc: wc, gid: gid})
+			gids[i] = fmt.Sprintf("citus_%d_%d_%d", n.ID, localXID, i)
+			stmts[i] = flightStmt{wc: wc, point: fault.Point2PCPrepare,
+				sql: "PREPARE TRANSACTION " + types.QuoteString(gids[i])}
 		}
-		// Read-only participants just commit.
-		for _, wc := range participants {
-			if wc.inTxn {
-				_, _ = wc.conn.Query("COMMIT")
+		var prepareErr error
+		for i, err := range flight(stmts) {
+			wc := participants[i]
+			switch {
+			case err == nil:
 				wc.inTxn = false
+				if wc.wrote {
+					prepared = append(prepared, preparedConn{wc: wc, gid: gids[i]})
+				}
+			case wc.wrote && prepareErr == nil:
+				prepareErr = fmt.Errorf("prepare on node %d failed: %w", wc.nodeID, err)
 			}
+		}
+		if prepareErr != nil {
+			// Every participant must abort: roll back those that did
+			// prepare. One whose vote was lost in transit may be prepared
+			// too; with no commit record, the recovery daemon rolls it back.
+			resolve(prepared, false)
+			prepared = nil
+			met2pcAborts.Inc()
+			return prepareErr
 		}
 		// 2pc.commit_record, keyed by dist txn id: this is the moment the
 		// commit-record rule pivots on. A failure here means no record
@@ -192,44 +199,21 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 	})
 
 	t.OnEnd(func(committed bool) {
-		// Resolve prepared transactions best-effort; failures are left to
-		// the recovery daemon, guided by the commit records.
+		// Resolve prepared transactions best-effort, in one flight; failures
+		// are left to the recovery daemon, guided by the commit records.
 		if len(prepared) > 0 {
 			rsp := n.Eng.Tracer.StartSpan(traceID, traceSpanID, "2pc_resolve", st.distID)
 			defer rsp.Finish()
-		}
-		allResolved := true
-		for _, p := range prepared {
-			// 2pc.commit / 2pc.abort, keyed by worker node ID: a fault here
-			// leaves the prepared transaction dangling on that worker, which
-			// is exactly the state the recovery daemon must resolve from the
-			// commit records.
-			var err error
-			if committed && committedRecords {
-				err = fault.CheckKey(fault.Point2PCCommit, strconv.Itoa(p.wc.nodeID))
-				if err == nil {
-					_, err = p.wc.conn.Query("COMMIT PREPARED " + types.QuoteString(p.gid))
+			commit := committed && committedRecords
+			allResolved := resolve(prepared, commit)
+			if committedRecords && allResolved {
+				n.commitMu.Lock()
+				for _, p := range prepared {
+					delete(n.commitRecords, p.gid)
 				}
-			} else {
-				err = fault.CheckKey(fault.Point2PCAbort, strconv.Itoa(p.wc.nodeID))
-				if err == nil {
-					_, err = p.wc.conn.Query("ROLLBACK PREPARED " + types.QuoteString(p.gid))
-				}
+				n.commitMu.Unlock()
 			}
-			if err != nil {
-				p.wc.broken = true
-				allResolved = false
-			}
-		}
-		if committedRecords && allResolved {
-			n.commitMu.Lock()
-			for _, p := range prepared {
-				delete(n.commitRecords, p.gid)
-			}
-			n.commitMu.Unlock()
-		}
-		if len(prepared) > 0 {
-			if committed && committedRecords {
+			if commit {
 				met2pcCommits.Inc()
 				// Sync-replication barrier after COMMIT PREPARED: the
 				// decision is final (commit records are durable), so a wait
@@ -249,20 +233,95 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 			}
 		}
 		// Abort any connection still holding an open transaction block
-		// (statement failure or local rollback).
+		// (statement failure or local rollback). A broken one is about to be
+		// discarded, which ends its block on the worker.
+		var open []flightStmt
 		for _, wc := range st.txnConns() {
-			if wc.inTxn {
-				if _, err := wc.conn.Query("ROLLBACK"); err != nil {
-					wc.broken = true
-				}
-				wc.inTxn = false
+			if wc.inTxn && !wc.broken {
+				open = append(open, flightStmt{wc: wc, sql: "ROLLBACK"})
+			}
+		}
+		for i, err := range flight(open) {
+			if err == nil {
+				open[i].wc.inTxn = false
 			}
 		}
 		n.releaseSessionConns(st)
 	})
 }
 
-// txnConns flattens the session's pinned connections.
+// preparedConn is a participant that voted yes, with the name of its vote.
+type preparedConn struct {
+	wc  *workerConn
+	gid string
+}
+
+// flightStmt is one connection's statement in a flight.
+type flightStmt struct {
+	wc *workerConn
+	// point, when set, is the 2pc.* fault point checked, keyed by the
+	// worker's node ID, before this statement is issued: an error there
+	// fails this participant alone, a gate holds the rest of the flight back
+	// with the earlier participants' requests already on the wire.
+	point string
+	sql   string
+}
+
+// flight issues one statement on each of several connections before it reads
+// any response: the participants work at the same time and the coordinator,
+// on the caller's goroutine, waits once for all of them. It returns each
+// participant's error. A participant whose statement failed is marked broken
+// and so discarded, never pooled — after a transport failure its connection
+// may hold a response nobody read, after any other its session is not where
+// the commit protocol assumes.
+func flight(stmts []flightStmt) []error {
+	errs := make([]error, len(stmts))
+	pending := make([]*wire.Pending, len(stmts))
+	for i, f := range stmts {
+		if f.point != "" {
+			errs[i] = fault.CheckKey(f.point, strconv.Itoa(f.wc.nodeID))
+		}
+		if errs[i] == nil {
+			pending[i] = f.wc.conn.Start(f.sql)
+		}
+	}
+	for i, f := range stmts {
+		if pending[i] != nil {
+			_, errs[i] = f.wc.conn.Finish(pending[i])
+		}
+		if errs[i] != nil {
+			f.wc.broken = true
+		}
+	}
+	return errs
+}
+
+// resolve finishes prepared transactions in one flight — COMMIT PREPARED, or
+// ROLLBACK PREPARED — each behind its 2pc.commit / 2pc.abort fault point: a
+// fault there leaves the prepared transaction dangling on that worker, which
+// is exactly the state the recovery daemon must resolve from the commit
+// records. It serves the commit, the abort after a local rollback and the
+// abort after a failed prepare, and reports whether every participant
+// confirmed.
+func resolve(prepared []preparedConn, commit bool) bool {
+	verb, point := "ROLLBACK PREPARED ", fault.Point2PCAbort
+	if commit {
+		verb, point = "COMMIT PREPARED ", fault.Point2PCCommit
+	}
+	stmts := make([]flightStmt, len(prepared))
+	for i, p := range prepared {
+		stmts[i] = flightStmt{wc: p.wc, point: point, sql: verb + types.QuoteString(p.gid)}
+	}
+	all := true
+	for _, err := range flight(stmts) {
+		all = all && err == nil
+	}
+	return all
+}
+
+// txnConns flattens the session's pinned connections, ordered by node so
+// that a transaction's participants — their flight positions and gids — do
+// not depend on map iteration.
 func (st *sessState) txnConns() []*workerConn {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -270,11 +329,14 @@ func (st *sessState) txnConns() []*workerConn {
 	for _, conns := range st.conns {
 		out = append(out, conns...)
 	}
+	slices.SortStableFunc(out, func(a, b *workerConn) int { return a.nodeID - b.nodeID })
 	return out
 }
 
 // releaseSessionConns returns the session's pinned connections to the
-// shared pools and resets per-transaction state.
+// shared pools and resets per-transaction state. A connection's session kept
+// nothing of the transaction — its id and isolation level ended with the
+// block — so a sound one goes back as it is.
 func (n *Node) releaseSessionConns(st *sessState) {
 	st.mu.Lock()
 	conns := st.conns
@@ -289,7 +351,7 @@ func (n *Node) releaseSessionConns(st *sessState) {
 			continue
 		}
 		for _, wc := range list {
-			if wc.broken || wc.inTxn || (wc.dirty && !n.resetWorkerSession(wc)) {
+			if wc.broken || wc.inTxn {
 				p.Discard(wc.conn)
 			} else {
 				p.Put(wc.conn)

@@ -514,81 +514,6 @@ func (n *Node) acquireConn(p *pool.NodePool, nodeID int, mustHave bool) (*worker
 	}
 }
 
-// pipelineStmts issues session-control statements on conn as one window and
-// checks every reply. It returns the index of the first statement that
-// failed, with its error. Nothing is sent behind a statement already known
-// to have failed (at window 1 that is every failure).
-func (n *Node) pipelineStmts(conn *wire.Conn, stmts ...string) (int, error) {
-	pl := conn.Pipeline(n.Cfg.PipelineWindow)
-	pending := make([]*wire.Pending, 0, len(stmts))
-	for _, q := range stmts {
-		pending = append(pending, pl.Query(q))
-		if pending[len(pending)-1].Failed() {
-			break
-		}
-	}
-	_ = pl.Flush()
-	for i, pd := range pending {
-		if err := pd.Err(); err != nil {
-			return i, err
-		}
-	}
-	return -1, nil
-}
-
-// beginTxnBlock opens the remote transaction block the first time a
-// transactional task lands on a connection. BEGIN and the session SETs
-// (dist txn id, plus the isolation level for serializable sessions) ride
-// one window (one round trip instead of two or three); all are checked
-// before any task request is issued, so a failed BEGIN can never let a
-// write execute outside the block.
-func (n *Node) beginTxnBlock(s *engine.Session, st *sessState, wc *workerConn) error {
-	stmts := []string{
-		"BEGIN",
-		fmt.Sprintf("SET citus.dist_txn_id = '%s'", st.distID),
-	}
-	// Serializable sessions propagate the isolation level so the worker's
-	// local transaction registers for SSI tracking (SIREAD locks and
-	// rw-antidependency edges happen where the data lives; see docs/ssi.md).
-	if s.Serializable() && n.ssiActive() {
-		stmts = append(stmts, "SET transaction_isolation = 'serializable'")
-	}
-	// The pool is shared across coordinator sessions, so these session-level
-	// GUCs must be wiped before the connection is reused (see
-	// resetWorkerSession) — a leaked 'serializable' would enroll unrelated
-	// queries in SSI tracking, and a stale dist txn id could let a
-	// cluster-wide pivot abort doom an innocent transaction.
-	wc.dirty = true
-	if i, err := n.pipelineStmts(wc.conn, stmts...); err != nil {
-		wc.broken = true
-		if i == 0 {
-			return fmt.Errorf("opening transaction block on node %d: %w", wc.nodeID, err)
-		}
-		return err
-	}
-	wc.inTxn = true
-	return nil
-}
-
-// resetWorkerSession wipes the session-level GUCs beginTxnBlock installed
-// (dist txn id, isolation level) before a connection goes back to the
-// shared pool — the moral equivalent of a pooler's server_reset_query.
-// Without it the next checkout inherits another session's serializable
-// isolation (enrolling plain autocommit reads in SSI tracking) and its
-// stale dist txn id (misattributing stat rows, and worse: a cluster-wide
-// pivot abort matches on dist id). Returns false when the reset itself
-// failed, in which case the connection must be discarded, not pooled.
-func (n *Node) resetWorkerSession(wc *workerConn) bool {
-	_, err := n.pipelineStmts(wc.conn,
-		"SET citus.dist_txn_id = ''",
-		"SET transaction_isolation = 'read committed'")
-	if err != nil {
-		return false
-	}
-	wc.dirty = false
-	return true
-}
-
 // issuedTask is one task between its issue and resolve steps: the wire
 // requests in flight for it and what finishing it needs.
 type issuedTask struct {
@@ -607,16 +532,21 @@ type issuedTask struct {
 // as a single window — all requests encoded back-to-back — and resolves the
 // responses in order, so a queue of k tasks costs one network round trip
 // instead of k; serial issue is the same code at a window of 1. In
-// transactional mode the remote transaction block is opened first.
+// transactional mode every request names the distributed transaction's block
+// (wire.Block) and the worker enters it — opening it for the first request
+// to arrive — as one step with executing the statement: the block costs no
+// round trip of its own, and at any window a request whose block cannot be
+// entered executes nothing. Serializable sessions pass the isolation level
+// along, so the worker's transaction registers for SSI tracking where the
+// data lives (docs/ssi.md).
 // Semantic errors fail their own task; a transport failure marks the
 // connection broken, poisons the rest of the window, and — for read-only
 // tasks outside a transaction — re-issues the failed tasks one by one on a
 // fresh connection, with writes never retried.
 func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, idxs []int, tasks []task, results []*engine.Result, txnMode bool) error {
-	if txnMode && !wc.inTxn {
-		if err := n.beginTxnBlock(s, st, wc); err != nil {
-			return err
-		}
+	if txnMode {
+		wc.conn.SetBlock(wire.Block{DistID: st.distID, Serializable: s.Serializable() && n.ssiActive()})
+		defer wc.conn.ClearBlock()
 	}
 	pl := wc.conn.Pipeline(n.Cfg.PipelineWindow)
 	issued := make([]issuedTask, 0, len(idxs))
@@ -650,6 +580,12 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 			// A fault at issue stops the window: the remaining tasks never
 			// reach the wire and the statement fails with this error.
 			break
+		}
+		if txnMode {
+			// The worker may be inside the block from here on, whatever
+			// becomes of the response: the connection stays with the
+			// transaction.
+			wc.inTxn = true
 		}
 	}
 	_ = pl.Flush()
@@ -746,8 +682,9 @@ func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issued
 	// longer be trusted (the transport may even be closed): it is marked
 	// broken so every disposition path discards it instead of recycling it
 	// into the pool — even if the task itself is rescued by a retry on a
-	// fresh connection or by the primary fallback below.
-	if wire.IsTransient(err) {
+	// fresh connection or by the primary fallback below. So is a connection
+	// whose session refused the transaction block: it is in some other one.
+	if wire.IsTransient(err) || wire.IsBlockRefused(err) {
 		wc.broken = true
 	}
 	retryable := !t.isWrite && !txnMode && wc.pool != nil

@@ -62,10 +62,10 @@ type Config struct {
 	// means every execution re-plans and ships full SQL text).
 	DisablePlanCache bool
 	// PipelineWindow bounds how many requests the executor keeps in flight
-	// per worker connection (the libpq-pipeline-mode window): task queues,
-	// BEGIN + session SETs and COPY streams all issue through it. 1 is
-	// serial issue, every request its own round trip (the ablation A4
-	// baseline; see docs/wire.md). 0 = 32.
+	// per worker connection (the libpq-pipeline-mode window): task queues
+	// and COPY streams issue through it. 1 is serial issue, every request on
+	// a connection its own round trip (the ablation A4 baseline; see
+	// docs/wire.md). 0 = 32.
 	PipelineWindow int
 	// DisableTopNPushdown stops the coordinator from shipping
 	// ORDER BY <group col> LIMIT k down to the workers of a cross-shard
@@ -382,9 +382,8 @@ type workerConn struct {
 	conn   *wire.Conn
 	nodeID int
 	pool   *pool.NodePool // originating pool, for mid-task replacement
-	inTxn  bool           // BEGIN sent for the current distributed transaction
+	inTxn  bool           // a request naming the transaction's block went out, and the block has not ended
 	wrote  bool           // performed a write in this transaction
-	dirty  bool           // session GUCs were SET; reset before the shared pool reuses it
 	broken bool           // protocol error: discard instead of returning to pool
 	gone   bool           // already discarded mid-task (failed refresh); skip disposition
 }

@@ -21,10 +21,13 @@ import (
 // return the same rows and errors and move pool_discards_total and
 // executor_task_retries_total by the same amounts step for step — over the
 // in-process transport and over real TCP, where a window is one write each
-// way, and the two transports agree with each other as well. The
-// permitted differences are the batch counter, which must stay 0 at window 1,
-// and the counters of the step that drops a connection under a multi-task
-// window, where window 8 also retries the poisoned neighbours.
+// way, and the two transports agree with each other as well. A two-node
+// transaction of one-task statements also moves engine_statements_total by
+// the same amounts, the count of a transaction's requests (a statement for
+// each, and one for each block opened): no window adds a request of its own.
+// The permitted differences are the batch counter, which must stay 0 at
+// window 1, and the counters of the step that drops a connection under a
+// multi-task window, where window 8 also retries the poisoned neighbours.
 func TestPipelineWindowParity(t *testing.T) {
 	defer fault.Reset()
 	type step struct {
@@ -44,6 +47,10 @@ func TestPipelineWindowParity(t *testing.T) {
 			}
 			return res.Tag + " " + rowsText(res)
 		}
+	}
+	var keyA, keyB int64 // on distinct workers; found once the table exists
+	onKey := func(q string, v int64, key *int64) func(*testing.T, *engine.Session) string {
+		return func(t *testing.T, s *engine.Session) string { return query(q, v, *key)(t, s) }
 	}
 	armed := func(r fault.Rule, run func(*testing.T, *engine.Session) string) func(*testing.T, *engine.Session) string {
 		return func(t *testing.T, s *engine.Session) string {
@@ -75,6 +82,10 @@ func TestPipelineWindowParity(t *testing.T) {
 		{"txn fan-out", query("SELECT count(*), sum(v) FROM wp")},
 		{"txn commit", query("COMMIT")},
 		{"after commit", query("SELECT k, v FROM wp ORDER BY k LIMIT 8")},
+		{"txn2 begin", query("BEGIN")},
+		{"txn2 write on one worker", onKey("UPDATE wp SET v = $1 WHERE k = $2", 7, &keyA)},
+		{"txn2 write on the other", onKey("UPDATE wp SET v = $1 WHERE k = $2", 7, &keyB)},
+		{"txn2 commit", query("COMMIT")},
 		{"read, response dropped", armed(
 			fault.Rule{Point: fault.PointWireRecv, Key: "exec_prepared", Action: fault.ActDropConn, Count: 1},
 			query("SELECT v FROM wp WHERE k = $1", int64(9)))},
@@ -113,6 +124,8 @@ func TestPipelineWindowParity(t *testing.T) {
 		s := c.Session()
 		mustExec(t, s, "CREATE TABLE wp (k bigint PRIMARY KEY, v bigint)")
 		mustExec(t, s, "SELECT create_distributed_table('wp', 'k')")
+		keys := keysOnNodes(t, c, "wp", 2, 3)
+		keyA, keyB = keys[0], keys[1]
 		start := obs.Default().Snapshot()
 		for _, st := range steps {
 			pre := obs.Default().Snapshot()
@@ -123,6 +136,9 @@ func TestPipelineWindowParity(t *testing.T) {
 					break
 				}
 				line += fmt.Sprintf(" %s+%d", name, post.Sum(name)-pre.Sum(name))
+			}
+			if strings.HasPrefix(st.name, "txn2") {
+				line += fmt.Sprintf(" engine_statements_total+%d", post.Sum("engine_statements_total")-pre.Sum("engine_statements_total"))
 			}
 			trace = append(trace, line)
 		}
@@ -156,6 +172,12 @@ func TestPipelineWindowParity(t *testing.T) {
 		{"write, fault at issue", "error: injected pool_discards_total+0 executor_task_retries_total+0"},
 		{"fan-out, fault at issue inside the window", "error: injected pool_discards_total+0 executor_task_retries_total+0"},
 		{"multi-shard update, fault at issue inside the window", "error: injected pool_discards_total+0 executor_task_retries_total+0"},
+		// The round-trip budget in statements: the coordinator's own, plus on
+		// the worker the block's open and the UPDATE, in one request; then the
+		// coordinator's COMMIT, two PREPARE TRANSACTIONs, two COMMIT PREPAREDs.
+		{"txn2 write on one worker", " engine_statements_total+3"},
+		{"txn2 write on the other", " engine_statements_total+3"},
+		{"txn2 commit", " engine_statements_total+5"},
 	} {
 		for i, st := range steps {
 			if st.name == want.step && !strings.HasSuffix(serial[i], want.suffix) {

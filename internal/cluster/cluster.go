@@ -291,8 +291,12 @@ func (c *Cluster) crashNode(i int) error {
 		return fmt.Errorf("crash supports only the in-process transport")
 	}
 	eng := c.Engines[i]
-	eng.WAL.Seal()
+	// Dead first, then the log sealed: from the moment an append can be
+	// dropped, no response leaves the node (wire's in-process transport
+	// checks Crashed after handling), so nothing the log lacks is ever
+	// reported done.
 	eng.Crash()
+	eng.WAL.Seal()
 	c.Nodes[i].Close()
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"citusgo/internal/catalog"
 	"citusgo/internal/columnar"
 	"citusgo/internal/expr"
+	"citusgo/internal/fault"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
 	"citusgo/internal/lock"
@@ -591,6 +592,13 @@ type Session struct {
 	txn       *txn.Txn
 	explicit  bool
 	txnFailed bool
+	// block is the coordinator's name for the open transaction block, when a
+	// coordinator opened it (OpenBlock). It is scoped to the block: endBlock
+	// clears it, so a pooled connection's session carries nothing of it on.
+	block struct {
+		distID       string
+		serializable bool
+	}
 
 	// stmtCache holds parsed statements keyed by query text — PostgreSQL's
 	// prepared-statement plan cache scoped to the session. Entries carry the
@@ -622,9 +630,7 @@ func (s *Session) ensureTxn() (*txn.Txn, bool) {
 		return s.txn, false
 	}
 	t := s.Eng.Txns.Begin()
-	if dist := s.Settings["citus.dist_txn_id"]; dist != "" {
-		t.DistID = dist
-	}
+	t.DistID = s.block.distID
 	if s.TraceID != 0 {
 		t.SetTraceSpan(s.TraceID, s.curSpanKind)
 	}
@@ -737,8 +743,8 @@ func (s *Session) parse(query string) (sql.Statement, error) {
 
 // cacheableStmt limits the statement cache to the shapes that repeat in
 // OLTP workloads. Utility and transaction-control statements are cheap to
-// parse and would pollute the cache (every `SET citus.dist_txn_id = ...`
-// has a distinct text).
+// parse and would pollute the cache (a PREPARE TRANSACTION's text is
+// distinct every time).
 func cacheableStmt(stmt sql.Statement) bool {
 	switch stmt.(type) {
 	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
@@ -798,11 +804,8 @@ func (s *Session) ExecStmtForward(stmt sql.Statement, params []types.Datum) (*Re
 			return nil, err
 		}
 		s.Settings[st.Name] = types.Format(v)
-		if st.Name == "citus.dist_txn_id" && s.txn != nil {
-			s.txn.DistID = types.Format(v)
-		}
-		// The pipelined BEGIN/SET window delivers BEGIN before this SET, so
-		// an already-open transaction enrolls in SSI here.
+		// BEGIN; SET TRANSACTION ISOLATION LEVEL SERIALIZABLE: the already
+		// open transaction enrolls in SSI here.
 		if st.Name == "transaction_isolation" {
 			s.maybeRegisterSSI(s.txn)
 		}
@@ -961,18 +964,52 @@ func (s *Session) runPlan(plan Plan, params []types.Datum) (*Result, error) {
 	return res, nil
 }
 
+// OpenBlock puts the session inside the transaction block a coordinator
+// names distID: BEGIN, with the distributed transaction id and the isolation
+// level given to the block itself, not to the session. With no block open it
+// opens one, and the transaction enrols in SSI tracking there and then if the
+// block is serializable; with that same block already open it does nothing;
+// inside any other block it fails, having changed nothing. The wire server
+// calls it as one step with executing the statement of a request that
+// carries a block, so a statement never runs outside the block it was sent
+// for.
+func (s *Session) OpenBlock(distID string, serializable bool) error {
+	if s.explicit {
+		if s.block.distID == distID {
+			return nil
+		}
+		return fmt.Errorf("session is inside transaction block %q, not %q", s.block.distID, distID)
+	}
+	// engine.block_open, keyed by dist txn id: fails the open before it has
+	// begun anything.
+	if err := fault.CheckKey(fault.PointEngineBlockOpen, distID); err != nil {
+		return err
+	}
+	metStatements["txn_control"].Inc()
+	s.block.distID, s.block.serializable = distID, serializable
+	s.ensureTxn()
+	s.explicit = true
+	return nil
+}
+
+// endBlock leaves the transaction block: the session is back in autocommit
+// and keeps nothing of the block, neither its coordinator's name for it nor
+// its isolation level.
+func (s *Session) endBlock() {
+	s.txn, s.explicit, s.txnFailed = nil, false, false
+	s.block.distID, s.block.serializable = "", false
+}
+
 func (s *Session) execCommit() (*Result, error) {
-	if s.txn == nil {
+	t, failed := s.txn, s.txnFailed
+	s.endBlock()
+	if t == nil {
 		// an aborted transaction block commits as a rollback
-		failed := s.txnFailed
-		s.explicit, s.txnFailed = false, false
 		if failed {
 			return &Result{Tag: "ROLLBACK"}, nil
 		}
 		return &Result{Tag: "COMMIT"}, nil
 	}
-	t := s.txn
-	s.txn, s.explicit, s.txnFailed = nil, false, false
 	if err := s.finishImplicit(t, true); err != nil {
 		return nil, err
 	}
@@ -980,12 +1017,11 @@ func (s *Session) execCommit() (*Result, error) {
 }
 
 func (s *Session) execRollback() (*Result, error) {
-	if s.txn == nil {
-		s.explicit, s.txnFailed = false, false
+	t := s.txn
+	s.endBlock()
+	if t == nil {
 		return &Result{Tag: "ROLLBACK"}, nil
 	}
-	t := s.txn
-	s.txn, s.explicit, s.txnFailed = nil, false, false
 	if err := s.finishImplicit(t, false); err != nil {
 		return nil, err
 	}
@@ -1006,7 +1042,7 @@ func (s *Session) execPrepareTransaction(gid string) (*Result, error) {
 	}
 	// The session leaves the transaction; its locks stay held by the
 	// prepared transaction until COMMIT/ROLLBACK PREPARED.
-	s.txn, s.explicit = nil, false
+	s.endBlock()
 	s.Eng.WAL.Append(wal.Record{Type: wal.RecPrepare, XID: t.XID, GID: gid})
 	return &Result{Tag: "PREPARE TRANSACTION"}, nil
 }

@@ -44,9 +44,11 @@ func (e *Engine) SSIWireEdges() []ssi.WireEdge { return e.SSI.Export() }
 // SSISessions exports per-transaction SSI state for citus_stat_ssi().
 func (e *Engine) SSISessions() []ssi.SessionState { return e.SSI.Sessions() }
 
-// serializableRequested reports whether the session asked for SERIALIZABLE.
+// serializableRequested reports whether transactions of the session run
+// SERIALIZABLE now: the client set it on the session, or a coordinator
+// opened the current block with it (OpenBlock).
 func (s *Session) serializableRequested() bool {
-	return strings.EqualFold(s.Settings["transaction_isolation"], "serializable")
+	return s.block.serializable || strings.EqualFold(s.Settings["transaction_isolation"], "serializable")
 }
 
 // Serializable reports whether the session requested SERIALIZABLE isolation
@@ -56,8 +58,8 @@ func (s *Session) Serializable() bool { return s.serializableRequested() }
 
 // maybeRegisterSSI enrolls the transaction in SSI tracking if the session
 // runs serializable. Idempotent — called both from ensureTxn and from the
-// SET handler, because a worker's pipelined BEGIN arrives before its `SET
-// transaction_isolation` in the same window.
+// SET handler, because a client may set the level inside the block it
+// opened.
 func (s *Session) maybeRegisterSSI(t *txn.Txn) {
 	if t == nil || !s.serializableRequested() || s.Eng.ssiOff.Load() {
 		return

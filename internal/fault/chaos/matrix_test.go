@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
+	"citusgo/internal/engine"
 	"citusgo/internal/fault"
+	"citusgo/internal/wal"
 )
 
 // TestTwoPhaseCommitFaultMatrix is the golden table for the §3.7.2
@@ -110,5 +113,183 @@ func TestTwoPhaseCommitFaultMatrix(t *testing.T) {
 		if visible := h.CheckAtomic("m", keys, batch); visible != row.wantVisible {
 			t.Fatalf("%s: batch %d visible = %v, want %v (seed %d)", row.name, batch, visible, row.wantVisible, h.Seed)
 		}
+	}
+}
+
+// TestTwoPhaseCommitFlightMatrix is the matrix for what the flights made
+// possible: PREPARE TRANSACTION, and then COMMIT PREPARED, are on all
+// participants' connections before any response is read, so one
+// participant's request can fail, or its worker die, with another's already
+// on the wire or already answered. Participants take their places in node
+// order: participant 0 is the lower node ID. Every row asserts
+// all-or-nothing once RecoverTwoPhaseCommits has run, and how many prepared
+// transactions the coordinator had to leave to it.
+func TestTwoPhaseCommitFlightMatrix(t *testing.T) {
+	// commit runs COMMIT on its own goroutine, for rows that stop it at a gate.
+	commit := func(s *engine.Session) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Exec("COMMIT")
+			done <- err
+		}()
+		return done
+	}
+	rows := []struct {
+		name string
+		// run commits the open two-writer transaction under the row's faults
+		// and returns what COMMIT returned.
+		run           func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error
+		wantCommitErr bool
+		wantVisible   bool
+		// wantDangling counts the prepared transactions left on live workers
+		// when COMMIT has returned (and a crashed worker is back).
+		wantDangling int
+	}{
+		{
+			// Participant 1 prepared, and is rolled back at once; participant
+			// 0 prepared too, but nobody heard: with no commit record its
+			// transaction is recovery's to roll back.
+			name: "PREPARE response dropped on participant 0 while participant 1 prepared",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, Count: 1})
+				_, err := s.Exec("COMMIT")
+				if n := len(h.C.Engines[nodeIDs[0]-1].Txns.ListPrepared()); n != 1 {
+					t.Errorf("participant 0 holds %d prepared transactions, want the one whose vote was lost", n)
+				}
+				return err
+			},
+			wantCommitErr: true, wantVisible: false, wantDangling: 1,
+		},
+		{
+			name: "participant 1 crashed at the 2pc.prepare gate with participant 0's PREPARE already on the wire",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				arrived, release := fault.ArmGate(fault.Point2PCPrepare, strconv.Itoa(nodeIDs[1]))
+				done := commit(s)
+				<-arrived
+				if err := h.C.CrashWorker(nodeIDs[1] - 1); err != nil {
+					t.Fatal(err)
+				}
+				release(nil)
+				err := <-done
+				if err := h.C.RestartWorker(nodeIDs[1] - 1); err != nil {
+					t.Fatal(err)
+				}
+				return err
+			},
+			wantCommitErr: true, wantVisible: false, wantDangling: 0,
+		},
+		{
+			// The worker did commit; the coordinator cannot know, keeps the
+			// commit record, and recovery finds nothing left to do.
+			name: "COMMIT PREPARED response dropped on participant 0 and delivered on participant 1",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, After: 2, Count: 1})
+				_, err := s.Exec("COMMIT")
+				return err
+			},
+			wantCommitErr: false, wantVisible: true, wantDangling: 0,
+		},
+		{
+			// The same loss one step earlier: the request never arrived. The
+			// commit record kept for the unconfirmed participant is what lets
+			// recovery commit it.
+			name: "COMMIT PREPARED request lost on participant 1 and delivered on participant 0",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				fault.Arm(fault.Rule{Point: fault.PointWireSend, Key: "query", Action: fault.ActDropConn, After: 3, Count: 1})
+				_, err := s.Exec("COMMIT")
+				if n := len(h.C.Engines[nodeIDs[1]-1].Txns.ListPrepared()); n != 1 {
+					t.Errorf("participant 1 holds %d prepared transactions, want the one COMMIT PREPARED never reached", n)
+				}
+				return err
+			},
+			wantCommitErr: false, wantVisible: true, wantDangling: 1,
+		},
+		{
+			name: "2pc.commit fault on all participants",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				fault.Arm(fault.Rule{Point: fault.Point2PCCommit, Action: fault.ActError})
+				_, err := s.Exec("COMMIT")
+				if got := fault.Fired(fault.Point2PCCommit); got != 2 {
+					t.Errorf("2pc.commit fired %d times, want once per participant", got)
+				}
+				return err
+			},
+			wantCommitErr: false, wantVisible: true, wantDangling: 2,
+		},
+		{
+			// A worker that dies inside PREPARE TRANSACTION, after the
+			// transaction left the active set but before the record reached
+			// the log, has not voted: a dead process answers nothing, and its
+			// restart will not find the transaction. Counting the vote commits
+			// the other participant alone.
+			name: "participant 0 crashed inside PREPARE TRANSACTION before its record was durable",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecPrepare.String())
+				done := commit(s)
+				<-arrived
+				if err := h.C.CrashWorker(nodeIDs[0] - 1); err != nil {
+					t.Fatal(err)
+				}
+				release(nil)
+				err := <-done
+				if err := h.C.RestartWorker(nodeIDs[0] - 1); err != nil {
+					t.Fatal(err)
+				}
+				return err
+			},
+			wantCommitErr: true, wantVisible: false, wantDangling: 0,
+		},
+		{
+			// The same death inside COMMIT PREPARED: the restarted worker
+			// still holds the transaction prepared, and the commit record
+			// must still be there for recovery to commit it.
+			name: "participant 0 crashed inside COMMIT PREPARED before its record was durable",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommitPrepared.String())
+				done := commit(s)
+				<-arrived
+				if err := h.C.CrashWorker(nodeIDs[0] - 1); err != nil {
+					t.Fatal(err)
+				}
+				release(nil)
+				err := <-done
+				if err := h.C.RestartWorker(nodeIDs[0] - 1); err != nil {
+					t.Fatal(err)
+				}
+				return err
+			},
+			wantCommitErr: false, wantVisible: true, wantDangling: 1,
+		},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			h := New(t, Options{})
+			h.CreateTable("fm")
+			keys, nodeIDs := h.KeysOnDistinctWorkers("fm", 2)
+			h.SeedRows("fm", keys)
+			s := h.C.Session()
+			if _, err := s.Exec("BEGIN"); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range keys {
+				if _, err := s.Exec("UPDATE fm SET v = $1 WHERE k = $2", int64(7), k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := row.run(t, h, s, nodeIDs)
+			fault.Reset()
+			if (err != nil) != row.wantCommitErr {
+				t.Fatalf("commit error = %v, want error %v (seed %d)", err, row.wantCommitErr, h.Seed)
+			}
+			if got := h.DanglingPrepared(); got != row.wantDangling {
+				t.Errorf("%d prepared transactions left to recovery, want %d (seed %d)", got, row.wantDangling, h.Seed)
+			}
+			if resolved := h.Quiesce(2 * time.Second); resolved != row.wantDangling {
+				t.Errorf("recovery resolved %d transactions, want %d (seed %d)", resolved, row.wantDangling, h.Seed)
+			}
+			if visible := h.CheckAtomic("fm", keys, 7); visible != row.wantVisible {
+				t.Fatalf("visible = %v, want %v (seed %d)", visible, row.wantVisible, h.Seed)
+			}
+		})
 	}
 }

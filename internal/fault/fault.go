@@ -47,6 +47,7 @@ const (
 	PointSSICheck        = "ssi.check"         // key: distributed txn id ("" for local txns)
 	PointSSIEdgePoll     = "ssi.edge_poll"     // key: worker node ID (decimal)
 	PointSoakAck         = "soak.ack"          // key: soak workload class; canary for the soak's acked-write ledger
+	PointEngineBlockOpen = "engine.block_open" // key: distributed txn id; a worker session opening a coordinator's transaction block
 )
 
 // PointExecutorReprepare sits between a plan-invalid re-prepare and the

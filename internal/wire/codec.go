@@ -19,7 +19,8 @@ import (
 //	uint8   codecVersion
 //	uint8   RequestKind (a response echoes its request's)
 //	uint64  Seq
-//	...     request: Hdr (version, trace id, span id), then the fields
+//	...     request: Hdr (version, trace id, span id, block isolation), then
+//	        the fields, the block's dist txn id first
 //	        response: flags, then the fields
 //
 // Integers in the header are fixed-width little-endian; in the fields,
@@ -29,8 +30,9 @@ import (
 
 // codecVersion is the second thing a receiver reads, after the length. A
 // frame with any other version closes the connection: the nodes of a cluster
-// change version together.
-const codecVersion = 1
+// change version together. Version 2 added the transaction block to the
+// request header.
+const codecVersion = 2
 
 // MaxFrameSize bounds the length a frame may claim. The largest frame the
 // repository's benchmark sends is a COPY batch of about half a megabyte.
@@ -38,11 +40,13 @@ const MaxFrameSize = 64 << 20
 
 const (
 	lenSize      = 4
-	prefixSize   = 1 + 1 + 8           // version, kind, seq: what both directions share
-	reqHdrSize   = prefixSize + 1 + 16 // + Hdr
-	respHdrSize  = prefixSize + 1      // + flags
+	prefixSize   = 1 + 1 + 8               // version, kind, seq: what both directions share
+	reqHdrSize   = prefixSize + 1 + 16 + 1 // + Hdr: version, trace id, span id, block isolation
+	respHdrSize  = prefixSize + 1          // + flags
 	respFlagOK   = 1 << 0
 	respFlagMask = respFlagOK
+	// the block isolation byte: 0 is read committed
+	blockSerializable = 1
 )
 
 // errFrame marks a frame whose prefix cannot be trusted — too long, too
@@ -80,6 +84,12 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	dst = append(dst, req.Hdr.Version)
 	dst = binary.LittleEndian.AppendUint64(dst, req.Hdr.TraceID)
 	dst = binary.LittleEndian.AppendUint64(dst, req.Hdr.SpanID)
+	var isolation byte
+	if req.Hdr.Block.Serializable {
+		isolation = blockSerializable
+	}
+	dst = append(dst, isolation)
+	dst = appendString(dst, req.Hdr.Block.DistID)
 	dst = appendString(dst, req.SQL)
 	dst = appendString(dst, req.Name)
 	dst = appendString(dst, req.Table)
@@ -194,6 +204,10 @@ func decodeRequest(frame []byte, req *Request) error {
 	if len(frame) < reqHdrSize {
 		return fmt.Errorf("%w: request header cut short", errBody)
 	}
+	isolation := frame[reqHdrSize-1]
+	if isolation > blockSerializable {
+		return fmt.Errorf("%w: unknown block isolation level %d", errBody, isolation)
+	}
 	*req = Request{
 		Kind: RequestKind(frame[1]),
 		Seq:  binary.LittleEndian.Uint64(frame[2:]),
@@ -201,9 +215,11 @@ func decodeRequest(frame []byte, req *Request) error {
 			Version: frame[prefixSize],
 			TraceID: binary.LittleEndian.Uint64(frame[prefixSize+1:]),
 			SpanID:  binary.LittleEndian.Uint64(frame[prefixSize+9:]),
+			Block:   Block{Serializable: isolation == blockSerializable},
 		},
 	}
 	r := reader{b: frame[reqHdrSize:]}
+	req.Hdr.Block.DistID = r.str()
 	req.SQL = r.str()
 	req.Name = r.str()
 	req.Table = r.str()

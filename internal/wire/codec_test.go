@@ -33,6 +33,8 @@ type gobRequest struct {
 	Hdr  struct {
 		Version         int
 		TraceID, SpanID uint64
+		DistID          string
+		Serializable    bool
 	}
 	SQL     string
 	Params  []any
@@ -137,10 +139,12 @@ func requestViaGob(t testing.TB, req *Request) *Request {
 		Columns: req.Columns, Rows: toGobRows(req.Rows), Name: req.Name, Seq: req.Seq,
 	}
 	in.Hdr.Version, in.Hdr.TraceID, in.Hdr.SpanID = int(req.Hdr.Version), req.Hdr.TraceID, req.Hdr.SpanID
+	in.Hdr.DistID, in.Hdr.Serializable = req.Hdr.Block.DistID, req.Hdr.Block.Serializable
 	var out gobRequest
 	gobRoundTrip(t, &in, &out)
 	return &Request{
-		Kind: RequestKind(out.Kind), Hdr: Header{Version: uint8(out.Hdr.Version), TraceID: out.Hdr.TraceID, SpanID: out.Hdr.SpanID},
+		Kind: RequestKind(out.Kind), Hdr: Header{Version: uint8(out.Hdr.Version), TraceID: out.Hdr.TraceID, SpanID: out.Hdr.SpanID,
+			Block: Block{DistID: out.Hdr.DistID, Serializable: out.Hdr.Serializable}},
 		SQL: out.SQL, Params: fromGobRow(t, out.Params), Table: out.Table, Columns: out.Columns,
 		Rows: fromGobRows(t, out.Rows), Name: out.Name, Seq: out.Seq,
 	}
@@ -364,6 +368,7 @@ func (g *gen) request() *Request {
 		Hdr:  Header{Version: g.byte(), TraceID: g.u64(), SpanID: g.u64()},
 		SQL:  g.str(), Table: g.str(), Columns: g.strs(), Rows: g.rows(), Name: g.str(), Seq: g.u64(),
 	}
+	req.Hdr.Block = Block{DistID: g.str(), Serializable: g.byte()%2 == 1}
 	if n := g.n(4); n > 0 {
 		req.Params = make([]types.Datum, n)
 		for i := range req.Params {
@@ -430,7 +435,8 @@ func TestCodecParity(t *testing.T) {
 	for kind := ReqQuery; kind <= ReqDoomDist; kind++ {
 		checkRequestParity(t, &Request{Kind: kind})
 		checkRequestParity(t, &Request{
-			Kind: kind, Hdr: Header{Version: HeaderV1, TraceID: 1 << 63, SpanID: 7}, SQL: "SELECT $1", Params: every.Clone(),
+			Kind: kind, Hdr: Header{Version: HeaderV2, TraceID: 1 << 63, SpanID: 7, Block: Block{DistID: "1:1609556645000000006:42", Serializable: true}},
+			SQL: "SELECT $1", Params: every.Clone(),
 			Table: "t", Columns: []string{"a", "", "ccc"}, Rows: []types.Row{every.Clone(), every.Clone()}, Name: "n", Seq: math.MaxUint64,
 		})
 		checkResponseParity(t, &Response{}, kind)

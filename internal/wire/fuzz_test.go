@@ -169,6 +169,8 @@ func (t *scriptTransport) recv() (Response, error) {
 	return resp, nil
 }
 
+func (t *scriptTransport) flush() error { return nil }
+
 func (t *scriptTransport) close() error { t.closed = true; return nil }
 
 func FuzzPipelineSeq(f *testing.F) {
@@ -221,9 +223,10 @@ func FuzzPipelineSeq(f *testing.F) {
 		}
 
 		// Differential: a window of 1 is serial issue, so the same script
-		// replayed through plain Conn.Query round trips must give every
+		// replayed through plain Conn.Query round trips, and through the
+		// round trip in its two halves (Start, Finish), must give every
 		// request the window-1 pipeline's outcome — this is what pins the
-		// send and receive steps the two share. The comparison stops at the
+		// send and receive steps the three share. The comparison stops at the
 		// first transport failure: the pipeline poisons what follows, a
 		// plain caller would stop using the connection.
 		outcome := func(res *engine.Result, err error) string {
@@ -234,12 +237,16 @@ func FuzzPipelineSeq(f *testing.F) {
 		}
 		one := (&Conn{t: &scriptTransport{script: script}, node: "scripted"}).Pipeline(1)
 		plain := &Conn{t: &scriptTransport{script: script}, node: "scripted"}
+		halves := &Conn{t: &scriptTransport{script: script}, node: "scripted"}
 		for i := 0; i < reqs; i++ {
 			q := fmt.Sprintf("req-%d", i)
 			pd := one.Query(q) // window 1: drained as it is sent
 			res, err := plain.Query(q)
 			if got, want := outcome(pd.Result()), outcome(res, err); got != want {
 				t.Fatalf("request %d: window-1 pipeline %q, plain round trip %q", i, got, want)
+			}
+			if got, want := outcome(halves.Finish(halves.Start(q))), outcome(res, err); got != want {
+				t.Fatalf("request %d: Start+Finish %q, plain round trip %q", i, got, want)
 			}
 			if err != nil {
 				break

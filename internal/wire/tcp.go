@@ -237,7 +237,13 @@ func Dial(addr string, nodeName string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{t: &tcpTransport{conn: c, fr: newFrameReader(c)}, node: nodeName}, nil
+	return NewConn(c, nodeName), nil
+}
+
+// NewConn is the client side of the protocol over a stream the caller
+// opened: Dial's, or one a test has wrapped to watch what crosses it.
+func NewConn(c net.Conn, nodeName string) *Conn {
+	return &Conn{t: &tcpTransport{conn: c, fr: newFrameReader(c)}, node: nodeName}
 }
 
 // send encodes one request behind those already waiting. They are written
@@ -253,6 +259,8 @@ func (t *tcpTransport) send(req *Request) error {
 	return nil
 }
 
+// flush writes the buffered requests. A caller that will read the responses
+// later (Conn.Start) calls it so that the peer starts on them now.
 func (t *tcpTransport) flush() error {
 	if len(t.wbuf) == 0 {
 		return nil

@@ -117,8 +117,12 @@ func (k RequestKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// HeaderV1 is the current header extension version: trace context.
-const HeaderV1 = 1
+// Header extension versions: HeaderV1 added the trace context, HeaderV2 the
+// transaction block.
+const (
+	HeaderV1 = 1
+	HeaderV2 = 2
+)
 
 // Header is the versioned extension header carried by every Request.
 // New cross-cutting request metadata goes here (with a version bump)
@@ -133,6 +137,22 @@ type Header struct {
 	// under TraceID, parented at SpanID. Zero means untraced.
 	TraceID uint64
 	SpanID  uint64
+	// Block (Version >= HeaderV2) is the transaction block the request's
+	// statement belongs to; the zero value is none, an autocommit statement.
+	Block Block
+}
+
+// Block names a coordinator's transaction block on a worker session. Every
+// request a coordinator issues inside a distributed transaction carries it,
+// and the server opens the block as one step with executing the statement
+// (handler.enterBlock): there is no request that only opens a block, so no
+// statement can run outside the block its coordinator meant it for.
+type Block struct {
+	// DistID is the distributed transaction id; "" means no block.
+	DistID string
+	// Serializable is the block's isolation level: the worker's transaction
+	// enrols in SSI tracking when the block opens (docs/ssi.md).
+	Serializable bool
 }
 
 // Request is one protocol request.
@@ -201,6 +221,9 @@ type PreparedTxn struct {
 // the transport's read buffer: it is good until the next recv.
 type transport interface {
 	send(req *Request) error
+	// flush writes out what send has buffered without waiting for a
+	// response; recv does so too, before it reads.
+	flush() error
 	recv() (Response, error)
 	close() error
 }
@@ -225,6 +248,8 @@ type Conn struct {
 	// clears them when the connection is checked back in.
 	traceID uint64
 	spanID  uint64
+	// block is stamped the same way, for the length of one task window.
+	block Block
 
 	// seq numbers every request sent on this connection (correlation
 	// ids); responses must come back carrying the same sequence.
@@ -240,9 +265,18 @@ func (c *Conn) SetTrace(traceID, spanID uint64) {
 // ClearTrace detaches the trace context (pool check-in).
 func (c *Conn) ClearTrace() { c.traceID, c.spanID = 0, 0 }
 
+// SetBlock attaches a transaction block to the connection: subsequent
+// statement requests carry it (re-issues after a stale-plan rejection
+// included) until ClearBlock.
+func (c *Conn) SetBlock(b Block) { c.block = b }
+
+// ClearBlock detaches the transaction block: later requests, the block's own
+// COMMIT or PREPARE TRANSACTION among them, name none.
+func (c *Conn) ClearBlock() { c.block = Block{} }
+
 // hdr builds the versioned request header from the connection state.
 func (c *Conn) hdr() Header {
-	return Header{Version: HeaderV1, TraceID: c.traceID, SpanID: c.spanID}
+	return Header{Version: HeaderV2, TraceID: c.traceID, SpanID: c.spanID, Block: c.block}
 }
 
 // ConnError marks a transport-level failure: the request may never have
@@ -321,13 +355,17 @@ func (c *Conn) call(req Request) (Response, error) {
 
 // respErr maps a response to the semantic error the peer reported, if any.
 // Errors cross the wire as text; a prepared execution the server refused as
-// stale becomes the retryable ErrPlanInvalid.
+// stale becomes the retryable ErrPlanInvalid, a request refused for its
+// transaction block ErrBlockRefused.
 func respErr(kind RequestKind, resp *Response) error {
 	if resp.Err == "" {
 		return nil
 	}
 	if kind == ReqExecPrepared && strings.HasPrefix(resp.Err, planInvalidPrefix) {
 		return fmt.Errorf("%w: %s", ErrPlanInvalid, strings.TrimPrefix(resp.Err, planInvalidPrefix))
+	}
+	if strings.HasPrefix(resp.Err, blockRefusedPrefix) {
+		return fmt.Errorf("%w: %s", ErrBlockRefused, strings.TrimPrefix(resp.Err, blockRefusedPrefix))
 	}
 	return errors.New(resp.Err)
 }
@@ -389,6 +427,44 @@ const planInvalidPrefix = "plan invalid: "
 
 // IsPlanInvalid reports whether err is the retryable plan-invalid error.
 func IsPlanInvalid(err error) bool { return errors.Is(err, ErrPlanInvalid) }
+
+// ErrBlockRefused is a request the server would not execute because the
+// transaction block it names (Header.Block) could not be entered: the
+// session is inside another block, or opening this one failed. Nothing of
+// the statement ran. The session is not in the state its client assumes, so
+// the client discards the connection.
+var ErrBlockRefused = errors.New("transaction block refused")
+
+const blockRefusedPrefix = "block refused: "
+
+// IsBlockRefused reports whether err is ErrBlockRefused.
+func IsBlockRefused(err error) bool { return errors.Is(err, ErrBlockRefused) }
+
+// Start is the first half of Query: the request is sent and written out, and
+// its response is left for Finish to read. A caller with one statement for
+// each of several connections starts them all before it finishes any, so the
+// peers work at the same time and it waits once (the commit protocol's
+// flights). It is one request in flight on this connection, which any
+// pipeline window allows; nothing else may use the connection until Finish.
+func (c *Conn) Start(sqlText string) *Pending {
+	pd := &Pending{kind: ReqQuery, req: Request{Kind: ReqQuery, Hdr: c.hdr(), SQL: sqlText}}
+	if pd.err = c.send(&pd.req); pd.err == nil {
+		if err := c.t.flush(); err != nil {
+			pd.err = &ConnError{Node: c.node, Err: err}
+		}
+	}
+	pd.seq, pd.done = pd.req.Seq, pd.err != nil
+	return pd
+}
+
+// Finish is the second half: it reads the response to a started request.
+func (c *Conn) Finish(pd *Pending) (*engine.Result, error) {
+	if !pd.done {
+		pd.resp, pd.err = c.recv(pd.kind, pd.seq)
+		pd.done, pd.req = true, Request{}
+	}
+	return pd.Result()
+}
 
 // Prepare parses and names a statement in the server-side session. The
 // connection records what it prepared so the executor prepares each task
@@ -594,10 +670,29 @@ func (h *handler) applyTrace(req *Request) {
 	}
 }
 
+// enterBlock puts the session inside the transaction block the request
+// names, if it names one: it opens the block when the session has none,
+// proceeds when that block is already open, and refuses the request
+// otherwise. Every kind that executes a statement calls it directly before
+// executing, so the open and the statement are one step.
+func (h *handler) enterBlock(req *Request) error {
+	b := req.Hdr.Block
+	if req.Hdr.Version < HeaderV2 || b.DistID == "" {
+		return nil
+	}
+	if err := h.sess.OpenBlock(b.DistID, b.Serializable); err != nil {
+		return errors.New(blockRefusedPrefix + err.Error())
+	}
+	return nil
+}
+
 func (h *handler) handle(req *Request) Response {
 	switch req.Kind {
 	case ReqQuery:
 		h.applyTrace(req)
+		if err := h.enterBlock(req); err != nil {
+			return Response{Err: err.Error()}
+		}
 		res, err := h.sess.ExecForward(req.SQL, req.Params...)
 		if err != nil {
 			return Response{Err: err.Error()}
@@ -605,6 +700,9 @@ func (h *handler) handle(req *Request) Response {
 		return resultResponse(res)
 	case ReqCopy:
 		h.applyTrace(req)
+		if err := h.enterBlock(req); err != nil {
+			return Response{Err: err.Error()}
+		}
 		n, err := h.sess.CopyFrom(req.Table, req.Columns, req.Rows)
 		if err != nil {
 			return Response{Err: err.Error()}
@@ -670,6 +768,10 @@ func (h *handler) handle(req *Request) Response {
 		}
 		metPreparedExecs.Inc()
 		h.applyTrace(req)
+		// after the stale-plan check: a rejected plan opens nothing
+		if err := h.enterBlock(req); err != nil {
+			return Response{Err: err.Error()}
+		}
 		h.sess.QueryLabel = ps.sql
 		res, err := h.sess.ExecStmtForward(ps.stmt, req.Params)
 		if err != nil {
@@ -734,6 +836,9 @@ func (t *localTransport) send(req *Request) error {
 	return nil
 }
 
+// flush has nothing to write: recv hands the requests over.
+func (t *localTransport) flush() error { return nil }
+
 func (t *localTransport) recv() (Response, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -750,16 +855,27 @@ func (t *localTransport) recv() (Response, error) {
 		if t.rtt > 0 {
 			time.Sleep(t.rtt)
 		}
-		if t.h.eng.Crashed() {
-			t.pending = nil
-			return Response{}, errors.New("connection reset: node is down")
-		}
+		// A dead node answers nothing — not before it is asked, and not if
+		// it died while it was handling the window: what a statement did by
+		// then may or may not have reached the log, and reporting it done
+		// would count, say, a PREPARE TRANSACTION the restart will know
+		// nothing of as a vote. The requests of a window are answered
+		// together, as the TCP server writes them, so they are lost together.
+		crashed := t.h.eng.Crashed()
 		for _, req := range t.pending {
+			if crashed {
+				break
+			}
 			resp := t.h.handle(req)
 			resp.Seq = req.Seq
 			t.ready = append(t.ready, resp)
+			crashed = t.h.eng.Crashed()
 		}
 		t.pending = nil
+		if crashed {
+			t.ready = nil
+			return Response{}, errors.New("connection reset: node is down")
+		}
 	}
 	resp := t.ready[0]
 	t.ready = t.ready[1:]
