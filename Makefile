@@ -40,25 +40,30 @@ race:
 	go test -race -shuffle=on -timeout 20m ./internal/...
 
 # the flake guards (mirrors the last step of the CI race job): the two
-# plan-invalid stress tests 100 times each — `cached plan is invalid` must
-# never reach a client, however DDL interleaves with re-prepares — then the
+# DDL-under-load stress tests 100 times each — however DDL interleaves with
+# cached router statements and pipelined windows, no error of any kind reaches
+# a session and every read sees its own writes — then the
 # slow-start ramp test and the real-TCP benchmark's own tests under the race
 # detector, which is where the ramp's wg.Add/wg.Wait race first showed; and
 # 20 times under -race, concurrent sessions sharing the coordinator's merge
 # relations (a prefix drop took other sessions' relations with it), the
 # PipelineWindow 1-vs-8 parity run, the issue fault at every position of a
-# replicated fan-out, the bounded transient retry, and the transaction block
-# and commit flights: an open that fails executes nothing, a stale plan
-# re-issued inside its block, a pooled connection free of transaction state,
+# replicated fan-out, the bounded transient retry, a retry under a saturated
+# connection limit getting its slot back, and the transaction block
+# and commit flights: an open that fails executes nothing, worker DDL between
+# two executions of one task text (outside and inside a block: one re-parse,
+# one execution, in the block), a pooled connection free of transaction state,
 # a failed flight request discarding its connection, the round-trip budget
-# counted over real TCP, and the 2PC matrix rows for overlapping requests
+# counted over real TCP, the 2PC matrix rows for overlapping requests, and a
+# connection's statement state bounded by its session's cache
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
-	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound' -count=20 -timeout 10m ./internal/citus
-	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound|TestRefreshUnderLimitGetsItsSlotBack' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestDDLBetweenExecutions|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
+	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
@@ -67,7 +72,9 @@ stress:
 # plan-cache, A4 pipelining, A5 vectorization, A6 replica-routing and A7
 # SSI ablations once (all variants) so the cached/pipelined/vectorized/
 # replicated/serializable execution paths can't either — A5 and A6 also
-# assert their counter splits (vec batches, replicated vs primary reads).
+# assert their counter splits (vec batches and rows, exactly; replicated vs
+# primary reads), and A3 its own: no cached plan or statement on the off arm,
+# more statement-cache hits than statements on the on arm — the workers'.
 # The wire's and the ingest path's microbenchmarks (one hop of a point
 # operation through the frame codec; one jsonb event's COPY frame across both
 # hops plus the index expression; one GIN insert) run long enough for their

@@ -167,10 +167,10 @@ func AblationColumnar(sc Scale) (Series, error) {
 // ramp against an immediate full fan-out, for a cheap router query (where
 // extra connections are waste) and an expensive fan-out query (where they
 // are the whole point). The slow-start variants also toggle the end-to-end
-// plan cache (coordinator plan cache + prepared-statement execution +
-// session statement cache), so the router series quantifies the win of
-// planning once instead of per execution; the figure footer carries the
-// plancache counter deltas.
+// plan cache (coordinator plan cache + every node's session statement
+// cache), so the router series quantifies the win of planning and parsing
+// once instead of per execution; the figure footer carries the plancache
+// counter deltas.
 func AblationSlowStart(sc Scale) ([]Series, error) {
 	router := Series{Figure: "Ablation A3", Metric: "router query µs (per-query, concurrent)"}
 	fanout := Series{Figure: "Ablation A3", Metric: "fan-out query ms"}
@@ -243,8 +243,8 @@ func AblationSlowStart(sc Scale) ([]Series, error) {
 			Config: variant.name,
 			Value:  float64(best.Microseconds()) / routerRuns,
 			Extra: map[string]float64{
-				"plancache_hits": float64(d.Sum("citus_plancache_hits")),
-				"prepared_exec":  float64(d.Sum("wire_prepared_executes")),
+				"plancache_hits":        float64(d.Sum("citus_plancache_hits")),
+				"engine_plancache_hits": float64(d.Sum("engine_plancache_hits")),
 			},
 		})
 		// fan-out latency
@@ -350,6 +350,15 @@ func pipelineFanout(sc Scale, rtt time.Duration, window int) (time.Duration, int
 	return lat[runs/2], batches, nil
 }
 
+// a5Runs is the timed executions of each A5 cell; a5Rows the lineitem rows
+// at a scale: 16x the TPC-H order count, with a hard floor — the vectorized
+// win is per-row CPU work, and the per-query fixed cost (parse, plan, emit)
+// is ~1ms regardless of scale, which below ~40k rows dominates the
+// vectorized side.
+const a5Runs = 7
+
+func a5Rows(sc Scale) int { return max(sc.Orders*16, 40000) }
+
 // AblationVectorized measures the vectorized columnar execution win (A5):
 // TPC-H-subset aggregates (a Q1-style grouped report and a Q6-style
 // filtered revenue sum) over a columnar lineitem subset on one node,
@@ -382,14 +391,7 @@ func AblationVectorized(sc Scale) (Series, error) {
 
 	flags := []string{"A", "N", "R"}
 	status := []string{"O", "F"}
-	// 16x the TPC-H order count, with a hard floor: the vectorized win is
-	// per-row CPU work, and the per-query fixed cost (parse, plan, emit)
-	// is ~1ms regardless of scale — below ~40k rows it dominates the
-	// vectorized side and the grouped ≥3x assertion drowns in jitter.
-	total := sc.Orders * 16
-	if total < 40000 {
-		total = 40000
-	}
+	total := a5Rows(sc)
 	seed := uint64(7)
 	next := func() uint64 {
 		seed = seed*6364136223846793005 + 1442695040888963407
@@ -449,7 +451,6 @@ func AblationVectorized(sc Scale) (Series, error) {
 		{"vectorized x1", true, 1},
 		{"vectorized", true, 0}, // default parallel degree
 	}
-	const runs = 7
 	for _, q := range queries {
 		for _, v := range variants {
 			eng.SetVectorized(v.vec)
@@ -462,8 +463,8 @@ func AblationVectorized(sc Scale) (Series, error) {
 			// inflate even the best-of-runs sample
 			runtime.GC()
 			pre := ObsSnapshot()
-			lat := make([]time.Duration, 0, runs)
-			for i := 0; i < runs; i++ {
+			lat := make([]time.Duration, 0, a5Runs)
+			for i := 0; i < a5Runs; i++ {
 				start := time.Now()
 				if _, err := s.Exec(q.q); err != nil {
 					return out, err
@@ -474,7 +475,7 @@ func AblationVectorized(sc Scale) (Series, error) {
 			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 			out.Points = append(out.Points, Point{
 				Config: fmt.Sprintf("%s, %s", q.name, v.name),
-				Value:  float64(lat[runs/2].Microseconds()) / 1000,
+				Value:  float64(lat[a5Runs/2].Microseconds()) / 1000,
 				Extra: map[string]float64{
 					"vec_batches":       float64(d.Sum("columnar_vec_batches_total")),
 					"vec_rows":          float64(d.Sum("columnar_vec_rows_total")),

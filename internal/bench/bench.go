@@ -188,7 +188,7 @@ func ObsSnapshot() obs.Snapshot { return obs.Default().Snapshot() }
 // layer's instrumentation (see docs/observability.md).
 var distFamilies = []string{
 	"executor_", "dtxn_", "deadlock_", "pool_", "engine_", "wal_",
-	"citus_plancache_", "wire_prepared_", "wire_pipeline_", "trace_",
+	"citus_plancache_", "wire_pipeline_", "trace_",
 	"columnar_",
 }
 

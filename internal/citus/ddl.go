@@ -56,9 +56,6 @@ func (n *Node) utilityHook(s *engine.Session, stmt sql.Statement) (bool, *engine
 		if _, err := s.ExecUtilityLocal(st); err != nil {
 			return true, nil, err
 		}
-		// idle pooled connections hold prepared statements against the
-		// dropped shards; discard them rather than revalidate on checkout
-		n.flushIdleConns()
 		return true, &engine.Result{Tag: "DROP TABLE"}, nil
 	case *sql.AlterTableAddColumnStmt:
 		if !n.Meta.IsCitusTable(st.Table) {

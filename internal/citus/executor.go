@@ -49,9 +49,7 @@ var (
 
 // Bounded retry policy for transient connection failures on idempotent
 // (read-only, non-transactional) tasks: up to maxTaskAttempts total
-// attempts with doubling backoff. Distinct from the plan-invalid
-// re-prepare loop (retryPlanInvalid), which has its own cap and may retry
-// even writes because the worker rejected before executing anything.
+// attempts with doubling backoff.
 const (
 	maxTaskAttempts  = 4
 	taskRetryBackoff = 500 * time.Microsecond
@@ -410,6 +408,15 @@ func (r *nodeRun) drain(wc *workerConn, private []int) {
 			r.markDrained()
 		}
 	}
+	// Outside a transaction every connection is one this run opened (there is
+	// no private queue) and nothing ties it to the statement once the queue is
+	// empty, so it goes back to the pool now and not when the statement ends:
+	// a retry that gave its slot of the shared limit up to dial again
+	// (refreshConn) would otherwise wait for slots its own statement sits on
+	// until that retry is over.
+	if !r.txnMode {
+		r.release(wc)
+	}
 }
 
 func (r *nodeRun) markDrained() {
@@ -478,22 +485,31 @@ func (r *nodeRun) ramp() {
 }
 
 // dispose is the connection disposition for the connections this run
-// opened: transactional ones pin to the session, broken ones are discarded,
-// the rest return to the shared pool.
+// opened and still has: transactional ones pin to the session, the rest are
+// released.
 func (r *nodeRun) dispose() {
 	for _, wc := range r.opened {
-		switch {
-		case wc.gone:
-		case wc.inTxn:
+		if wc.inTxn && !wc.gone {
 			r.st.mu.Lock()
 			r.st.conns[r.nodeID] = append(r.st.conns[r.nodeID], wc)
 			r.st.mu.Unlock()
-		case wc.broken:
-			r.pool.Discard(wc.conn)
-		default:
-			r.pool.Put(wc.conn)
+		} else {
+			r.release(wc)
 		}
 	}
+}
+
+// release hands a connection this run opened back, once: a broken one is
+// discarded, a sound one returns to the shared pool.
+func (r *nodeRun) release(wc *workerConn) {
+	switch {
+	case wc.gone:
+	case wc.broken:
+		r.pool.Discard(wc.conn)
+	default:
+		r.pool.Put(wc.conn)
+	}
+	wc.gone = true
 }
 
 // acquireConn gets a connection from the pool, waiting under the shared
@@ -515,16 +531,13 @@ func (n *Node) acquireConn(p *pool.NodePool, nodeID int, mustHave bool) (*worker
 }
 
 // issuedTask is one task between its issue and resolve steps: the wire
-// requests in flight for it and what finishing it needs.
+// request in flight for it and what finishing it needs.
 type issuedTask struct {
 	idx   int
 	sp    *trace.ActiveSpan
 	start time.Time
-	// name is the prepared statement pd executes ("" for a plain Query);
-	// prep is set when the window also had to prepare it.
-	name     string
-	prep, pd *wire.Pending
-	err      error // executor.task fault: nothing was sent
+	pd    *wire.Pending
+	err   error // executor.task fault: nothing was sent
 }
 
 // runTaskWindow is the one way a task reaches a connection (§3.6.1 meets
@@ -573,7 +586,7 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 			}
 			wc.conn.SetTrace(s.TraceID, sp.SpanID())
 		}
-		is := n.sendTask(wc.conn, pl, t)
+		is := sendTask(pl, t)
 		is.idx, is.sp, is.start = i, sp, start
 		issued = append(issued, is)
 		if is.err != nil {
@@ -622,12 +635,11 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 	return firstErr
 }
 
-// sendTask is the issue step: it enqueues t's request on pl. Parameterized
-// tasks use the prepared-statement protocol so each (connection, statement
-// shape) pair parses at most once worker-side; subsequent executions ship
-// only the statement name and parameters. DDL and other parameterless
-// one-off statements use plain Query.
-func (n *Node) sendTask(conn *wire.Conn, pl *wire.Pipeline, t *task) issuedTask {
+// sendTask is the issue step: it enqueues t's request on pl, the task's text
+// and its parameters. The worker session behind a pooled connection parses a
+// text once and keeps the tree (engine.Session.ExecForward), so a repeated
+// task shape costs the worker a map lookup.
+func sendTask(pl *wire.Pipeline, t *task) issuedTask {
 	// executor.task, keyed "read"/"write": fails or delays a task at the
 	// moment of issue, before anything reaches the wire.
 	kind := "read"
@@ -637,41 +649,23 @@ func (n *Node) sendTask(conn *wire.Conn, pl *wire.Pipeline, t *task) issuedTask 
 	if err := fault.CheckKey(fault.PointExecutorTask, kind); err != nil {
 		return issuedTask{err: err}
 	}
-	if n.Cfg.DisablePlanCache || len(t.params) == 0 {
-		return issuedTask{pd: pl.Query(t.sql, t.params...)}
-	}
-	is := issuedTask{name: preparedName(t.sql)}
-	if conn.PreparedSQL(is.name) != t.sql {
-		is.prep = pl.Prepare(is.name, t.sql)
-		if is.prep.Failed() {
-			return is // recvTask reports the Prepare error; nothing to execute
-		}
-	}
-	is.pd = pl.ExecutePrepared(is.name, t.params...)
-	return is
+	return issuedTask{pd: pl.Query(t.sql, t.params...)}
 }
 
 // recvTask is the resolve step, valid once the window holding is was
-// flushed: the task's result, with stale-plan rejections re-prepared (see
-// retryPlanInvalid). The second return value is the number of execution
-// attempts, recorded on the task span.
-func recvTask(conn *wire.Conn, t *task, is *issuedTask) (*engine.Result, int, error) {
+// flushed: the task's result.
+func recvTask(is *issuedTask) (*engine.Result, error) {
 	if is.err != nil {
-		return nil, 1, is.err
+		return nil, is.err
 	}
-	if is.prep != nil {
-		if err := is.prep.Err(); err != nil {
-			return nil, 1, err
-		}
-	}
-	res, err := is.pd.EncodedResult()
-	return retryPlanInvalid(conn, is.name, t, res, err)
+	return is.pd.EncodedResult()
 }
 
 // finishTask resolves one issued task and applies the executor's recovery
 // policy to its outcome, then closes its span and records its latency.
 func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issuedTask, txnMode bool) (*engine.Result, error) {
-	res, attempts, err := recvTask(wc.conn, t, is)
+	res, err := recvTask(is)
+	attempts := 1 // recorded on the task span
 	// Transient transport failures (connection reset, dropped response) on
 	// idempotent work retry on a fresh connection with doubling backoff.
 	// Only read-only tasks outside a transaction block qualify: a write or
@@ -698,7 +692,7 @@ func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issued
 		}
 		metTaskRetries.Inc()
 		attempts++
-		res, _, err = n.queryTask(wc.conn, t)
+		res, err = n.queryTask(wc.conn, t)
 		wc.conn.ClearTrace()
 		wc.broken = wire.IsTransient(err)
 	}
@@ -758,39 +752,11 @@ func (n *Node) refreshConn(wc *workerConn) error {
 // queryTask ships one task on its own: issue one, resolve one. The
 // transient-retry loop and the replica fallback use it once a task's
 // window is gone.
-func (n *Node) queryTask(conn *wire.Conn, t *task) (*engine.Result, int, error) {
+func (n *Node) queryTask(conn *wire.Conn, t *task) (*engine.Result, error) {
 	pl := conn.Pipeline(n.Cfg.PipelineWindow)
-	is := n.sendTask(conn, pl, t)
+	is := sendTask(pl, t)
 	_ = pl.Flush()
-	return recvTask(conn, t, &is)
-}
-
-// maxPlanInvalidAttempts caps the executions of one prepared task under
-// back-to-back DDL; past it the rejection surfaces rather than spin.
-const maxPlanInvalidAttempts = 6
-
-// retryPlanInvalid takes the outcome of executing t's prepared statement
-// and, while the worker rejects the plan as stale (DDL bumped its schema
-// version after the Prepare), re-prepares and executes again with plain
-// round trips. Every round-trip and pipelined execution goes through here,
-// so the internal error reaches a client only past the cap. The worker
-// rejects before it executes anything, which makes the loop safe for
-// writes too. It returns the final outcome and the number of executions.
-func retryPlanInvalid(conn *wire.Conn, name string, t *task, res *engine.Result, err error) (*engine.Result, int, error) {
-	attempts := 1
-	for wire.IsPlanInvalid(err) && attempts < maxPlanInvalidAttempts {
-		attempts++
-		if perr := conn.Prepare(name, t.sql); perr != nil {
-			return nil, attempts, perr
-		}
-		// executor.reprepare: the window in which one more DDL makes the
-		// fresh plan stale again before it runs.
-		if ferr := fault.Check(fault.PointExecutorReprepare); ferr != nil {
-			return nil, attempts, ferr
-		}
-		res, err = conn.ExecutePrepared(name, t.params...)
-	}
-	return res, attempts, err
+	return recvTask(&is)
 }
 
 // canFallbackToPrimary reports whether a failed read may be re-issued on
@@ -815,7 +781,7 @@ func (n *Node) replicaFallback(t *task) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := n.queryTask(wc.conn, t)
+	res, err := n.queryTask(wc.conn, t)
 	if err != nil {
 		p.Discard(wc.conn)
 		return nil, err
@@ -823,16 +789,4 @@ func (n *Node) replicaFallback(t *task) (*engine.Result, error) {
 	p.Put(wc.conn)
 	metReplicaFallbacks.Inc()
 	return res, nil
-}
-
-// preparedName derives a stable statement name from the task SQL. A hash
-// collision is harmless: PreparedSQL compares the full text, so a colliding
-// shape just re-Prepares (the server overwrites the name).
-func preparedName(sqlText string) string {
-	h := uint64(14695981039346656037) // FNV-1a, in place: every task of every statement passes here
-	for i := 0; i < len(sqlText); i++ {
-		h = (h ^ uint64(sqlText[i])) * 1099511628211
-	}
-	var buf [3 + 16]byte
-	return string(strconv.AppendUint(append(buf[:0], "cs_"...), h, 16))
 }

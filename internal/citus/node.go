@@ -57,9 +57,9 @@ type Config struct {
 	// BroadcastRowThreshold is the size under which the join-order planner
 	// prefers broadcasting a relation over repartitioning (rows).
 	BroadcastRowThreshold int64
-	// DisablePlanCache turns off the coordinator distributed-plan cache and
-	// the prepared-statement task execution path (the ablation toggle; off
-	// means every execution re-plans and ships full SQL text).
+	// DisablePlanCache turns off the coordinator distributed-plan cache and,
+	// in a cluster, every node's session statement cache (the ablation
+	// toggle; off means every execution re-plans and every node re-parses).
 	DisablePlanCache bool
 	// PipelineWindow bounds how many requests the executor keeps in flight
 	// per worker connection (the libpq-pipeline-mode window): task queues
@@ -280,24 +280,6 @@ func (n *Node) WaitExecutorIdle(timeout time.Duration) bool {
 	return true
 }
 
-// flushIdleConns closes idle pooled connections toward every node. Called
-// when DDL invalidates server-side prepared statements wholesale (DROP
-// TABLE): idle connections' sessions hold statements referencing dropped
-// shards, and discarding them is cheaper than re-validating on checkout.
-// Checked-out and transaction-pinned connections are untouched — their
-// stale statements bounce off the worker's schema-version check instead.
-func (n *Node) flushIdleConns() {
-	n.mu.Lock()
-	pools := make([]*pool.NodePool, 0, len(n.pools))
-	for _, p := range n.pools {
-		pools = append(pools, p)
-	}
-	n.mu.Unlock()
-	for _, p := range pools {
-		p.FlushIdle()
-	}
-}
-
 // RegisterDistributedProcedure enables worker delegation for a stored
 // procedure previously registered on every node's engine.
 func (n *Node) RegisterDistributedProcedure(name string, spec DistProcedure) {
@@ -385,7 +367,7 @@ type workerConn struct {
 	inTxn  bool           // a request naming the transaction's block went out, and the block has not ended
 	wrote  bool           // performed a write in this transaction
 	broken bool           // protocol error: discard instead of returning to pool
-	gone   bool           // already discarded mid-task (failed refresh); skip disposition
+	gone   bool           // already handed back: discarded mid-task (failed refresh) or released; skip disposition
 }
 
 func (n *Node) state(s *engine.Session) *sessState {

@@ -156,25 +156,25 @@ func TestObsPlanCacheCounters(t *testing.T) {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO obs_pc (id, val) VALUES (%d, %d)", i, i))
 	}
 
+	const rounds, keys = 10, 8
 	before := statCounters(t, s)
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 8; i++ {
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < keys; i++ {
 			mustExec(t, s, "SELECT val FROM obs_pc WHERE id = $1", int64(i))
 		}
 	}
 	after := statCounters(t, s)
 
-	// all three caching layers must be exercised by the repeated workload:
-	// the coordinator plan cache, the wire prepared-statement path, and the
-	// worker session statement cache
-	if d := familyDelta(before, after, "citus_plancache_hits"); d <= 0 {
-		t.Errorf("citus_plancache_hits delta = %d, want > 0", d)
+	// both caching layers must be exercised by the repeated workload: the
+	// coordinator plan cache, and the session statement cache on the workers
+	// as well as the coordinator (whose one session hits at most once per
+	// statement, so the hits beyond the statements are the workers')
+	hits := familyDelta(before, after, "citus_plancache_hits")
+	if hits <= 0 {
+		t.Errorf("citus_plancache_hits delta = %d, want > 0", hits)
 	}
-	if d := familyDelta(before, after, "wire_prepared_executes"); d <= 0 {
-		t.Errorf("wire_prepared_executes delta = %d, want > 0", d)
-	}
-	if d := familyDelta(before, after, "engine_plancache_hits"); d <= 0 {
-		t.Errorf("engine_plancache_hits delta = %d, want > 0", d)
+	if d := familyDelta(before, after, "engine_plancache_hits"); d <= rounds*keys {
+		t.Errorf("engine_plancache_hits delta = %d over %d statements, want more: the worker sessions parsed their tasks again", d, rounds*keys)
 	}
 
 	// citus_plancache_stats() exposes the same cache as a relation

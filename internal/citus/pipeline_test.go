@@ -38,8 +38,8 @@ func pipelineCluster(t *testing.T, cfg citus.Config) *cluster.Cluster {
 // wire protocol: concurrent multi-shard fan-out queries and point reads
 // run over connections that carry ≥4 tasks per pipelined window (shared
 // connection limit 2 against 8 shards per worker), while a DDL loop keeps
-// bumping the worker schema versions (stale-plan rejections mid-window)
-// and injected drop-conn faults kill connections mid-pipeline. Correctness
+// bumping the worker schema versions (stale parse trees mid-window) and
+// injected drop-conn faults kill connections mid-pipeline. Correctness
 // conditions: every response lands on the request that issued it (a point
 // read must see exactly its own key's value — a misdelivered response
 // fails this), no stale plan executes, and teardown is clean.
@@ -70,7 +70,7 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 	const readers = 6
 	const minIters = 40
 	const maxIters = 5000
-	var ddlDone, dropsDone, readerGone atomic.Bool
+	var loopDone, readerGone atomic.Bool
 	var pointReads [readers]atomic.Int64 // point reads completed, per reader
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers+2)
@@ -112,52 +112,48 @@ func TestPipelineStressMisdelivery(t *testing.T) {
 					return
 				}
 				pointReads[id].Add(1)
-				if i >= minIters && ddlDone.Load() && dropsDone.Load() {
+				if i >= minIters && loopDone.Load() {
 					return
 				}
 			}
 		}(w)
 	}
 
-	// DDL loop: each CREATE INDEX bumps worker schema versions, so
-	// prepared executions inside in-flight pipelined windows hit the
-	// plan-invalid rejection and must re-prepare, never run stale.
+	// DDL and fault loop. Each CREATE INDEX bumps worker schema versions, so
+	// the sessions behind in-flight pipelined windows find their cached parse
+	// trees stale and parse again in place, never run stale. Between two DDL
+	// statements one connection is killed mid-pipeline (recv of a task's
+	// response): every task on the wire then is a reader's, which must absorb
+	// the drop through the refresh-and-retry path — a task is a task on the
+	// wire, so what keeps the DDL writes out of the blast radius (writes are
+	// never retried) is that no drop is armed while one runs. There are 8
+	// drops, and the readers stay until the last has fired. The next one is
+	// armed only once the previous one has fired and every reader has since
+	// completed a point read, so no read meets two drops. Armed on the wall
+	// clock they pile up behind a slow first fan-out (-race), and even one at
+	// a time the first reader out of that fan-out is alone on the wire long
+	// enough to meet four in a row — its whole retry budget.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer ddlDone.Store(true)
+		defer loopDone.Store(true)
 		sess := c.Session()
-		for i := 0; i < 12; i++ {
-			if _, err := sess.Exec(fmt.Sprintf("CREATE INDEX ps_stress_%d ON ps_ddl (v)", i)); err != nil {
-				errCh <- fmt.Errorf("ddl %d: %w", i, err)
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	// Fault loop: periodically kill one connection mid-pipeline (recv of a
-	// prepared point-read execution). Readers must absorb it through the
-	// refresh-and-retry path; keying on exec_prepared keeps the DDL
-	// writes out of the blast radius (writes are never retried). There are
-	// 8 drops, and the readers stay until the last has fired. The next one
-	// is armed only once the previous one has fired and every reader has
-	// since completed a point read, so no read meets two drops. Armed on
-	// the wall clock they pile up behind a slow first fan-out (-race), and
-	// even one at a time the first reader out of that fan-out is alone on
-	// the wire long enough to meet four in a row — its whole retry budget.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer dropsDone.Store(true)
 		wait := func(cond func() bool) {
 			for !cond() && !readerGone.Load() {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
-		for i := int64(0); i < 8 && !readerGone.Load(); i++ {
+		for i := int64(0); i < 12 && !readerGone.Load(); i++ {
+			if _, err := sess.Exec(fmt.Sprintf("CREATE INDEX ps_stress_%d ON ps_ddl (v)", i)); err != nil {
+				errCh <- fmt.Errorf("ddl %d: %w", i, err)
+				return
+			}
+			if i >= 8 {
+				time.Sleep(2 * time.Millisecond)
+				continue
+			}
 			fault.Arm(fault.Rule{
-				Point: fault.PointWireRecv, Key: "exec_prepared",
+				Point: fault.PointWireRecv, Key: "query",
 				Action: fault.ActDropConn, Count: 1,
 			})
 			wait(func() bool { return fault.Fired(fault.PointWireRecv) > i })
@@ -202,7 +198,7 @@ func TestTransientRetryBound(t *testing.T) {
 	}{{1, 1, false}, {2, 2, false}, {3, 3, false}, {4, 3, true}} {
 		before := obs.Default().Snapshot()
 		fault.Arm(fault.Rule{
-			Point: fault.PointWireRecv, Key: "exec_prepared",
+			Point: fault.PointWireRecv, Key: "query",
 			Action: fault.ActDropConn, Count: tc.drops,
 		})
 		start := time.Now()
@@ -298,5 +294,50 @@ func TestBrokenConnNeverReturnsToPool(t *testing.T) {
 	}
 	if !strings.Contains(mustExec(t, s, "SELECT count(*) FROM bc").Tag, "SELECT") {
 		t.Fatal("cluster unusable after COPY failure")
+	}
+}
+
+// TestRefreshUnderLimitGetsItsSlotBack: a fan-out window loses its connection
+// while the statement holds every slot of the shared connection limit. The
+// retry gives the dead connection's slot up in order to dial again, and must
+// get one back: the statement's own slow-start ramp, which ticks far more
+// often here than the retry polls, takes the freed slot for a connection that
+// finds the queue empty, and if that connection and the ones that have
+// finished kept their slots until the statement ended, it never would.
+func TestRefreshUnderLimitGetsItsSlotBack(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	c := pipelineCluster(t, citus.Config{MaxSharedPoolSize: 2, PipelineWindow: 8, SlowStartInterval: 50 * time.Microsecond})
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE rl (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('rl', 'k')")
+	rows := make([]types.Row, 0, 64)
+	for k := int64(0); k < 64; k++ {
+		rows = append(rows, types.Row{k, k})
+	}
+	if _, err := s.CopyFrom("rl", []string{"k", "v"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, After: i % 8, Count: 1})
+		done := make(chan string, 1)
+		go func() {
+			res, err := s.Exec("SELECT count(*), sum(v) FROM rl")
+			if err != nil {
+				done <- err.Error()
+				return
+			}
+			done <- rowsText(res)
+		}()
+		select {
+		case got := <-done:
+			if got != "64|2016" {
+				t.Fatalf("round %d: %s, want 64|2016", i, got)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("round %d: the statement never finished: its retry waits for a slot the statement itself holds", i)
+		}
+		fault.Reset()
+		noConnCheckedOut(t, c, 2, 3)
 	}
 }

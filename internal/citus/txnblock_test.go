@@ -8,6 +8,7 @@ import (
 
 	"citusgo/internal/citus"
 	"citusgo/internal/cluster"
+	"citusgo/internal/engine"
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/types"
@@ -160,54 +161,127 @@ func TestBlockOpenFailureExecutesNothing(t *testing.T) {
 	}
 }
 
-// TestStalePlanInsideBlock: DDL lands between a statement's Prepare and its
-// first execution inside a transaction. The worker rejects the stale plan
-// before it opens anything, the re-issue (retryPlanInvalid: Prepare, then
-// ExecutePrepared, as plain round trips) names the block again, and the write
-// lands inside the block, once.
-func TestStalePlanInsideBlock(t *testing.T) {
-	defer fault.Reset()
-	fault.Reset()
-	c := blockCluster(t, 1, citus.Config{MaxSharedPoolSize: 1})
-	s := c.Session()
-	mustExec(t, s, "CREATE TABLE spb (k bigint PRIMARY KEY, v bigint)")
-	mustExec(t, s, "SELECT create_distributed_table('spb', 'k')")
-	mustExec(t, s, "INSERT INTO spb (k, v) VALUES (1, 10)")
-	const update = "UPDATE spb SET v = v + $1 WHERE k = $2"
-	mustExec(t, s, update, int64(0), int64(1)) // prepared on the worker's one connection
-	worker := c.SessionOn(1)
-	mustExec(t, worker, "CREATE TABLE spb_bump (x bigint)")
-	sh, err := c.Meta.ShardForValue("spb", int64(1))
+// ddlCluster boots one worker behind one pooled connection, in process or
+// over TCP, with table name(k, v) holding (1, 10), and returns a session on
+// the worker and the name of the row's shard there.
+func ddlCluster(t *testing.T, tcp bool, name string) (c *cluster.Cluster, worker *engine.Session, shard string) {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{Workers: 1, ShardCount: 4, UseTCP: tcp,
+		Citus: citus.Config{MaxSharedPoolSize: 1, DeadlockInterval: -1, RecoveryInterval: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := func() string { // what the worker shows a session outside the block
-		return rowsText(mustExec(t, worker, fmt.Sprintf("SELECT v FROM %s WHERE k = 1", sh.ShardName())))
+	t.Cleanup(c.Close)
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE "+name+" (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('"+name+"', 'k')")
+	mustExec(t, s, "INSERT INTO "+name+" (k, v) VALUES (1, 10)")
+	sh, err := c.Meta.ShardForValue(name, int64(1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return c, c.SessionOn(1), sh.ShardName()
+}
 
-	// a rule that does nothing, to count the passes through executor.reprepare
-	fault.Arm(fault.Rule{Point: fault.PointExecutorReprepare, Action: fault.ActDelay})
-	before := obs.Default().Snapshot()
-	mustExec(t, s, "BEGIN")
-	mustExec(t, s, update, int64(5), int64(1))
-	if got := fault.Fired(fault.PointExecutorReprepare); got != 1 {
-		t.Fatalf("the stale plan was re-prepared %d times, want 1", got)
+// TestDDLBetweenExecutions: a task travels as its text, and what keeps the
+// worker from parsing a repeated text again is its session's statement cache
+// alone. DDL on the worker between two executions of one text makes the
+// cached tree stale; the session parses the text again where it finds it and
+// executes it once, against the new schema: no error, no retry, no connection
+// lost — in process and over TCP.
+func TestDDLBetweenExecutions(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
+			c, worker, shard := ddlCluster(t, tcp, "dbe")
+			s := c.Session()
+			const read = "SELECT * FROM dbe WHERE k = $1"
+			res := mustExec(t, s, read, int64(1)) // cached by the worker's one session
+			if got := fmt.Sprint(res.Columns, " ", rowsText(res)); got != "[k v] 1|10" {
+				t.Fatalf("before the DDL: %s", got)
+			}
+			for i, ddl := range []string{
+				"ALTER TABLE " + shard + " ADD COLUMN w bigint",
+				"CREATE INDEX dbe_v ON " + shard + " (v)",
+			} {
+				mustExec(t, worker, ddl)
+				before := obs.Default().Snapshot()
+				res = mustExec(t, s, read, int64(1))
+				after := obs.Default().Snapshot()
+				if got := fmt.Sprint(res.Columns, " ", rowsText(res)); got != "[k v w] 1|10|NULL" {
+					t.Errorf("after DDL %d: %s, want the new column", i, got)
+				}
+				for name, want := range map[string]int64{
+					"engine_plancache_invalidations":         1, // the worker's session; the coordinator's saw no DDL
+					`engine_statements_total{kind="select"}`: 2, // the coordinator's statement and one execution of its task
+					"executor_task_retries_total":            0,
+					"pool_discards_total":                    0,
+				} {
+					if got := after.Sum(name) - before.Sum(name); got != want {
+						t.Errorf("after DDL %d: %s moved by %d, want %d", i, name, got, want)
+					}
+				}
+			}
+			// what follows a re-parse is a hit again
+			before := obs.Default().Snapshot()
+			mustExec(t, s, read, int64(1))
+			after := obs.Default().Snapshot()
+			if got := counterDelta(before, after, "engine_plancache_hits"); got != 2 {
+				t.Errorf("execution after the re-parse: engine_plancache_hits moved by %d, want 2 (coordinator and worker)", got)
+			}
+		})
 	}
-	if got := committed(); got != "10" {
-		t.Errorf("outside the block v = %s, want 10: the re-issued write was autocommitted", got)
-	}
-	expectRows(t, mustExec(t, s, "SELECT v FROM spb WHERE k = 1"), "15") // inside the block
-	mustExec(t, s, "COMMIT")
-	if got := committed(); got != "15" {
-		t.Errorf("after COMMIT v = %s, want 15: the write landed other than once", got)
-	}
-	after := obs.Default().Snapshot()
-	// the coordinator's statement and the worker's: the rejected attempt ran nothing
-	if got := counterDelta(before, after, `engine_statements_total{kind="update"}`); got != 2 {
-		t.Errorf("%d UPDATE statements executed, want 2", got)
-	}
-	if got := counterDelta(before, after, "dtxn_single_node_commits_total"); got != 1 {
-		t.Errorf("dtxn_single_node_commits_total moved by %d, want 1", got)
+}
+
+// TestStalePlanInsideBlock: DDL lands between a statement's first execution
+// and its next, which is the first statement of a transaction. The worker's
+// session finds its parse tree stale only after the request has entered the
+// block, parses the text again there, and the write lands inside the block,
+// once; the statement after it runs in the same block.
+func TestStalePlanInsideBlock(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
+			c, worker, shard := ddlCluster(t, tcp, "spb")
+			s := c.Session()
+			const update = "UPDATE spb SET v = v + $1 WHERE k = $2"
+			mustExec(t, s, update, int64(0), int64(1)) // cached by the worker's one session
+			mustExec(t, worker, "CREATE TABLE spb_bump (x bigint)")
+			committed := func() string { // what the worker shows a session outside the block
+				return rowsText(mustExec(t, worker, "SELECT v FROM "+shard+" WHERE k = 1"))
+			}
+
+			// one execution on each side, of a text the worker parses again
+			updateOnce := func() {
+				t.Helper()
+				before := obs.Default().Snapshot()
+				mustExec(t, s, update, int64(5), int64(1))
+				after := obs.Default().Snapshot()
+				if inv, upd := counterDelta(before, after, "engine_plancache_invalidations"), counterDelta(before, after, `engine_statements_total{kind="update"}`); inv != 1 || upd != 2 {
+					t.Errorf("UPDATE after DDL: %d stale trees parsed again, %d UPDATE statements executed; want 1 and 2", inv, upd)
+				}
+			}
+			before := obs.Default().Snapshot()
+			mustExec(t, s, "BEGIN")
+			updateOnce()
+			if got := committed(); got != "10" {
+				t.Errorf("outside the block v = %s, want 10: the write after the DDL was autocommitted", got)
+			}
+			mustExec(t, worker, "CREATE TABLE spb_bump2 (x bigint)") // and once more, inside the block
+			updateOnce()
+			expectRows(t, mustExec(t, s, "SELECT v FROM spb WHERE k = 1"), "20") // inside the block
+			if got := committed(); got != "10" {
+				t.Errorf("outside the block v = %s, want 10: a statement after the DDL left the block", got)
+			}
+			mustExec(t, s, "COMMIT")
+			if got := committed(); got != "20" {
+				t.Errorf("after COMMIT v = %s, want 20: a write landed other than once", got)
+			}
+			after := obs.Default().Snapshot()
+			for name, want := range map[string]int64{"dtxn_single_node_commits_total": 1, "pool_discards_total": 0} {
+				if got := after.Sum(name) - before.Sum(name); got != want {
+					t.Errorf("%s moved by %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -87,10 +87,10 @@ func TestPipelineWindowParity(t *testing.T) {
 		{"txn2 write on the other", onKey("UPDATE wp SET v = $1 WHERE k = $2", 7, &keyB)},
 		{"txn2 commit", query("COMMIT")},
 		{"read, response dropped", armed(
-			fault.Rule{Point: fault.PointWireRecv, Key: "exec_prepared", Action: fault.ActDropConn, Count: 1},
+			fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, Count: 1},
 			query("SELECT v FROM wp WHERE k = $1", int64(9)))},
 		{"write, response lost", armed(
-			fault.Rule{Point: fault.PointWireRecv, Key: "exec_prepared", Action: fault.ActError, Count: 1},
+			fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActError, Count: 1},
 			query("UPDATE wp SET v = 0 WHERE k = $1", int64(9)))},
 		{"read, fault at issue", armed(
 			fault.Rule{Point: fault.PointExecutorTask, Key: "read", Action: fault.ActError, Count: 1},

@@ -152,7 +152,9 @@ func txn(tb testing.TB, s *engine.Session, stmts []string, keys []int64) {
 // in one flight, so a cross-node one is 6 requests in 4 waits (it was 14
 // requests in 10). A serializable transaction costs the same: the isolation
 // level rides the block. Its cross-node commit adds what the merged SSI check
-// needs, one edge poll per participant node, and nothing for the level.
+// needs, one edge poll per participant node, and nothing for the level. Tasks
+// and transaction control are the same kind of request; executor_tasks_total
+// says that two of each transaction's are its tasks.
 func TestTxnRoundTripBudget(t *testing.T) {
 	c, log, onNode2, onNode3 := budgetCluster(t)
 	twoUpdates := []string{budgetUpdate, budgetUpdate}
@@ -166,20 +168,20 @@ func TestTxnRoundTripBudget(t *testing.T) {
 		counters     map[string]int64
 	}{
 		{"local two-update", false, twoUpdates, onNode2[:],
-			map[string]int{"exec_prepared": 2, "query": 1}, 3,
+			map[string]int{"query": 3}, 3,
 			map[string]int64{"dtxn_single_node_commits_total": 1, "dtxn_2pc_prepares_total": 0}},
 		{"cross-node two-writer", false, twoUpdates, []int64{onNode2[0], onNode3},
-			map[string]int{"exec_prepared": 2, "query": 4}, 4,
+			map[string]int{"query": 6}, 4,
 			map[string]int64{"dtxn_2pc_commits_total": 1, "dtxn_2pc_prepares_total": 2}},
 		// single-node delegation: both COMMITs in one flight
 		{"one writer, one read-only participant", false, []string{budgetUpdate, budgetSelect}, []int64{onNode2[0], onNode3},
-			map[string]int{"exec_prepared": 2, "query": 2}, 3,
+			map[string]int{"query": 4}, 3,
 			map[string]int64{"dtxn_single_node_commits_total": 1, "dtxn_2pc_prepares_total": 0}},
 		{"serializable local two-update", true, twoUpdates, onNode2[:],
-			map[string]int{"exec_prepared": 2, "query": 1}, 3,
+			map[string]int{"query": 3}, 3,
 			map[string]int64{"dtxn_single_node_commits_total": 1}},
 		{"serializable cross-node two-writer", true, twoUpdates, []int64{onNode2[0], onNode3},
-			map[string]int{"exec_prepared": 2, "query": 4, "ssi_edges": 2}, 4 + 2,
+			map[string]int{"query": 6, "ssi_edges": 2}, 4 + 2,
 			map[string]int64{"dtxn_2pc_commits_total": 1, "ssi_dist_checks_total": 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,7 +189,7 @@ func TestTxnRoundTripBudget(t *testing.T) {
 			if tc.serializable {
 				exec(t, s, "SET transaction_isolation = 'serializable'")
 			}
-			txn(t, s, tc.stmts, tc.keys) // connections dialed, statements prepared
+			txn(t, s, tc.stmts, tc.keys) // connections dialed, statements parsed
 			log.reset()
 			before := obs.Default().Snapshot()
 			txn(t, s, tc.stmts, tc.keys)
@@ -200,6 +202,7 @@ func TestTxnRoundTripBudget(t *testing.T) {
 			if log.waits != tc.waits {
 				t.Errorf("%d waits, want %d", log.waits, tc.waits)
 			}
+			tc.counters["executor_tasks_total"] = 2
 			for name, want := range tc.counters {
 				if got := after.Sum(name) - before.Sum(name); got != want {
 					t.Errorf("%s moved by %d, want %d", name, got, want)

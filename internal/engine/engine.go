@@ -208,8 +208,7 @@ type Engine struct {
 
 	// schemaVer is bumped by DDL (table/index create/drop, column adds) and
 	// keys the per-session statement cache: a cached statement whose version
-	// no longer matches is re-parsed, and prepared wire statements built
-	// against an older version are rejected with a retryable error.
+	// no longer matches is re-parsed.
 	schemaVer atomic.Int64
 	// stmtCacheOff disables per-session statement caching (ablation toggle).
 	stmtCacheOff atomic.Bool
@@ -245,9 +244,6 @@ type Engine struct {
 	// alignment promotion and crash-restart rely on.
 	applyMode atomic.Bool
 }
-
-// SchemaVersion returns the engine's DDL version counter.
-func (e *Engine) SchemaVersion() int64 { return e.schemaVer.Load() }
 
 // bumpSchemaVersion invalidates cached statements engine-wide; called by
 // every DDL path (including WAL replay, which reuses the same methods).
@@ -581,10 +577,9 @@ type Session struct {
 	// LastTraceID is the trace ID of the most recent traced root
 	// statement (tests and EXPLAIN ANALYZE reassemble it afterwards).
 	LastTraceID uint64
-	// QueryLabel labels the next statement's span with its source text;
-	// Exec sets it from the raw query, the wire layer sets it for
-	// prepared-statement executions. Consumed (and cleared) by ExecStmt.
-	QueryLabel string
+	// queryLabel labels the next statement's span with its source text:
+	// ExecForward sets it from the raw query, execStmtForward consumes it.
+	queryLabel string
 	// curSpanKind mirrors the kind of the statement span currently open,
 	// copied into the transaction for citus_stat_activity.
 	curSpanKind string
@@ -600,10 +595,11 @@ type Session struct {
 		serializable bool
 	}
 
-	// stmtCache holds parsed statements keyed by query text — PostgreSQL's
-	// prepared-statement plan cache scoped to the session. Entries carry the
-	// schema version they were parsed under and are dropped on mismatch.
-	// Sessions are single-threaded, so no lock.
+	// stmtCache holds parsed statements keyed by query text — on a worker,
+	// the texts of the tasks its coordinators send, which is all that stands
+	// between a repeated task and the parser. Entries carry the schema
+	// version they were parsed under and are dropped on mismatch. Sessions
+	// are single-threaded, so no lock.
 	stmtCache map[string]cachedStmt
 }
 
@@ -695,19 +691,19 @@ func decoded(res *Result, err error) (*Result, error) {
 // way (Result.Batch). Statements the session runs inside this one still see
 // decoded rows.
 func (s *Session) ExecForward(query string, params ...types.Datum) (*Result, error) {
-	s.QueryLabel = query
+	s.queryLabel = query
 	if s.Eng.stmtCacheOff.Load() {
 		stmt, err := s.parse(query)
 		if err != nil {
 			return nil, err
 		}
-		return s.ExecStmtForward(stmt, params)
+		return s.execStmtForward(stmt, params)
 	}
 	ver := s.Eng.schemaVer.Load()
 	if cs, ok := s.stmtCache[query]; ok {
 		if cs.ver == ver {
 			metStmtCacheHits.Inc()
-			return s.ExecStmtForward(cs.stmt, params)
+			return s.execStmtForward(cs.stmt, params)
 		}
 		delete(s.stmtCache, query)
 		metStmtCacheInvalid.Inc()
@@ -725,7 +721,7 @@ func (s *Session) ExecForward(query string, params ...types.Datum) (*Result, err
 		}
 		s.stmtCache[query] = cachedStmt{stmt: stmt, ver: ver}
 	}
-	return s.ExecStmtForward(stmt, params)
+	return s.execStmtForward(stmt, params)
 }
 
 // parse wraps sql.Parse in a "parse" span when the session carries a
@@ -769,15 +765,15 @@ func (s *Session) ExecScript(script string) error {
 
 // ExecStmt executes a parsed statement with bound parameters.
 func (s *Session) ExecStmt(stmt sql.Statement, params []types.Datum) (*Result, error) {
-	return decoded(s.ExecStmtForward(stmt, params))
+	return decoded(s.execStmtForward(stmt, params))
 }
 
-// ExecStmtForward is to ExecStmt what ExecForward is to Exec.
-func (s *Session) ExecStmtForward(stmt sql.Statement, params []types.Datum) (*Result, error) {
+// execStmtForward is to ExecStmt what ExecForward is to Exec.
+func (s *Session) execStmtForward(stmt sql.Statement, params []types.Datum) (*Result, error) {
 	kind := stmtKind(stmt)
 	metStatements[kind].Inc()
-	label := s.QueryLabel
-	s.QueryLabel = ""
+	label := s.queryLabel
+	s.queryLabel = ""
 	// Transaction control is handled before the failed-transaction check,
 	// like PostgreSQL (ROLLBACK must always work).
 	switch st := stmt.(type) {

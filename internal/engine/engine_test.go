@@ -642,3 +642,30 @@ func TestStoredProcedure(t *testing.T) {
 	mustExec(t, s, "CALL bump(5, 7)")
 	expectRows(t, mustExec(t, s, "SELECT v FROM t WHERE k = 7"), "5")
 }
+
+// TestSessionStmtCacheBounded: the statement cache is all the per-text state a
+// session keeps, on a worker as anywhere, and it is bounded: more distinct
+// texts than sessionStmtCacheCap never hold more entries than that. A text the
+// flush dropped is parsed again on its next use; one seen since is a hit.
+func TestSessionStmtCacheBounded(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE sc (k bigint PRIMARY KEY)")
+	text := func(i int) string { return fmt.Sprintf("SELECT k FROM sc WHERE k = %d", i) }
+	const texts = sessionStmtCacheCap + 44
+	for i := 0; i < texts; i++ {
+		mustExec(t, s, text(i))
+		if n := len(s.stmtCache); n > sessionStmtCacheCap {
+			t.Fatalf("after %d distinct texts the cache holds %d entries, cap %d", i+1, n, sessionStmtCacheCap)
+		}
+	}
+	if n := len(s.stmtCache); n != 44 {
+		t.Fatalf("%d entries after %d distinct texts, want the 44 since the flush", n, texts)
+	}
+	if _, ok := s.stmtCache[text(0)]; ok {
+		t.Fatal("the first text survived the flush")
+	}
+	if _, ok := s.stmtCache[text(texts-1)]; !ok {
+		t.Fatal("the last text is not cached")
+	}
+}

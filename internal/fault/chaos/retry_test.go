@@ -17,8 +17,7 @@ func TestExecutorRetriesTransientReadFailure(t *testing.T) {
 	h.SeedRows("rt", keys)
 
 	before := CounterSum("executor_task_retries_total")
-	// Multi-shard count tasks are parameterless and ship as plain queries;
-	// lose exactly one response.
+	// Lose exactly one of the count's task responses.
 	fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, Count: 1})
 	res := h.MustExec("SELECT count(*) FROM rt")
 	if got := fault.Fired(fault.PointWireRecv); got != 1 {
@@ -42,9 +41,9 @@ func TestExecutorDoesNotRetryWrites(t *testing.T) {
 	h.SeedRows("wt", keys)
 
 	before := CounterSum("executor_task_retries_total")
-	// Single-shard parameterized UPDATEs execute over the prepared-
-	// statement protocol; lose the execution's response.
-	fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "exec_prepared", Action: fault.ActDropConn, Count: 1})
+	// An autocommit single-shard UPDATE is one task and nothing else on the
+	// wire; lose its response.
+	fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, Count: 1})
 	_, err := h.S.Exec("UPDATE wt SET v = $1 WHERE k = $2", int64(5), keys[0])
 	if err == nil {
 		t.Fatalf("write succeeded despite losing its response (seed %d)", h.Seed)

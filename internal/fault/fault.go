@@ -50,10 +50,6 @@ const (
 	PointEngineBlockOpen = "engine.block_open" // key: distributed txn id; a worker session opening a coordinator's transaction block
 )
 
-// PointExecutorReprepare sits between a plan-invalid re-prepare and the
-// execution that follows it (internal/citus/executor.go); no key.
-const PointExecutorReprepare = "executor.reprepare"
-
 // Action says what an armed rule does when it fires.
 type Action int
 

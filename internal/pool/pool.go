@@ -26,8 +26,6 @@ var (
 		"Get calls turned away at the shared connection limit (paper §3.6.1)", "node")
 	metDiscards = obs.Default().Counter("pool_discards_total",
 		"connections closed instead of returned to the pool", "node")
-	metFlushed = obs.Default().Counter("pool_flushed_conns_total",
-		"idle connections closed by cache-invalidation flushes (DDL)", "node")
 	metOpen = obs.Default().Gauge("pool_open_conns",
 		"currently open connections per node pool", "node")
 )
@@ -50,8 +48,8 @@ type NodePool struct {
 	idle  []*wire.Conn
 	total int
 
-	gets, dials, limitWaits, discards, flushed *obs.Counter
-	open                                       *obs.Gauge
+	gets, dials, limitWaits, discards *obs.Counter
+	open                              *obs.Gauge
 }
 
 // New creates a pool. limit <= 0 means unlimited.
@@ -62,7 +60,6 @@ func New(node string, limit int, dial Dialer) *NodePool {
 		dials:      metDials.With(node),
 		limitWaits: metLimitWaits.With(node),
 		discards:   metDiscards.With(node),
-		flushed:    metFlushed.With(node),
 		open:       metOpen.With(node),
 	}
 }
@@ -140,19 +137,6 @@ func (p *NodePool) Stats() (total, idle int) {
 
 // CloseAll drops all idle connections (shutdown).
 func (p *NodePool) CloseAll() {
-	p.dropIdle()
-}
-
-// FlushIdle closes all idle connections and reports how many were dropped.
-// The distributed layer calls it when DDL invalidates the prepared
-// statements cached in pooled connections' server sessions wholesale.
-func (p *NodePool) FlushIdle() int {
-	n := p.dropIdle()
-	p.flushed.Add(int64(n))
-	return n
-}
-
-func (p *NodePool) dropIdle() int {
 	p.mu.Lock()
 	idle := p.idle
 	p.idle = nil
@@ -162,5 +146,4 @@ func (p *NodePool) dropIdle() int {
 	for _, c := range idle {
 		_ = c.Close()
 	}
-	return len(idle)
 }

@@ -56,7 +56,7 @@ func TestBlockOpensWithItsStatement(t *testing.T) {
 
 	// another block's request: refused, nothing executed, this block intact
 	resp := h.handle(blockReq("7:1:2", "INSERT INTO b (k) VALUES (3)"))
-	if err := respErr(ReqQuery, &resp); !IsBlockRefused(err) {
+	if err := respErr(&resp); !IsBlockRefused(err) {
 		t.Fatalf("request naming another block: %v, want ErrBlockRefused", err)
 	}
 	if open := h.sess.Txn(); open == nil || open.DistID != "7:1:1" {
@@ -113,47 +113,11 @@ func TestBlockOpensWithItsStatement(t *testing.T) {
 	fault.Arm(fault.Rule{Point: fault.PointEngineBlockOpen, Action: fault.ActError, Count: 1})
 	before := countRows(t, e, "b")
 	resp = h.handle(blockReq("7:1:5", "INSERT INTO b (k) VALUES (7)"))
-	if err := respErr(ReqQuery, &resp); !IsBlockRefused(err) || !strings.Contains(err.Error(), fault.ErrInjected.Error()) {
+	if err := respErr(&resp); !IsBlockRefused(err) || !strings.Contains(err.Error(), fault.ErrInjected.Error()) {
 		t.Fatalf("open failed in the engine: %v, want ErrBlockRefused wrapping the fault", err)
 	}
 	if h.sess.InTransaction() || countRows(t, e, "b") != before {
 		t.Fatal("a failed open left a block open or let its statement run")
-	}
-}
-
-// TestStalePlanOpensNothing: a prepared execution the server rejects as stale
-// is rejected before its block is entered, so the re-issue finds the session
-// as the first attempt did.
-func TestStalePlanOpensNothing(t *testing.T) {
-	e := newEngine(t)
-	conn := DialLocal(e, 0)
-	defer conn.Close()
-	mustQ(t, conn, "CREATE TABLE sp (k bigint PRIMARY KEY)")
-	if err := conn.Prepare("ins", "INSERT INTO sp (k) VALUES ($1)"); err != nil {
-		t.Fatal(err)
-	}
-	mustQ(t, conn, "CREATE INDEX sp_k ON sp (k)") // bumps the schema version
-
-	conn.SetBlock(Block{DistID: "7:2:1"})
-	defer conn.ClearBlock()
-	if _, err := conn.ExecutePrepared("ins", int64(1)); !IsPlanInvalid(err) {
-		t.Fatalf("stale execution: %v, want ErrPlanInvalid", err)
-	}
-	sess := conn.t.(*localTransport).h.sess
-	if sess.InTransaction() {
-		t.Fatal("the rejected execution opened its block")
-	}
-	if err := conn.Prepare("ins", "INSERT INTO sp (k) VALUES ($1)"); err != nil {
-		t.Fatal(err)
-	}
-	if sess.InTransaction() {
-		t.Fatal("a Prepare opened a block: it executes nothing")
-	}
-	if _, err := conn.ExecutePrepared("ins", int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !sess.InTransaction() || countRows(t, e, "sp") != 0 {
-		t.Fatal("the re-issued execution did not land inside its block")
 	}
 }
 

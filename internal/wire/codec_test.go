@@ -596,6 +596,25 @@ func TestFrameLimits(t *testing.T) {
 		}
 	})
 
+	t.Run("a retired kind fails only its request", func(t *testing.T) {
+		// 9 and 10 are what a peer from before the prepared-statement pair
+		// was deleted sends; they name no request here, and the kinds on
+		// either side of them kept their bytes
+		if ReqPing != 8 || ReqTraceSpans != 11 || ReqDoomDist != 13 {
+			t.Fatalf("request kinds renumbered: ping %d, trace_spans %d, doom_dist %d", ReqPing, ReqTraceSpans, ReqDoomDist)
+		}
+		for _, kind := range []RequestKind{9, 10} {
+			old := encodeRequests(t, &Request{Kind: kind, Name: "cs_1", SQL: "SELECT 1", Params: []types.Datum{int64(1)}, Seq: 2})
+			resps, err := serveBytes(t, append(append(ping(1), old...), ping(3)...))
+			if err != io.EOF || len(resps) != 3 || !okPing(resps[0], 1) || !okPing(resps[2], 3) {
+				t.Fatalf("kind %d: %d responses, %v; want all three answered and the pings served", kind, len(resps), err)
+			}
+			if r := resps[1]; r.Seq != 2 || !strings.Contains(r.Err, "unknown request kind") {
+				t.Fatalf("kind %d answered %+v; want Seq 2 and an unknown-kind error", kind, r)
+			}
+		}
+	})
+
 	t.Run("a message over the limit is refused by its sender", func(t *testing.T) {
 		huge := strings.Repeat("x", MaxFrameSize)
 		buf, err := appendRequest([]byte("kept"), &Request{Kind: ReqQuery, SQL: huge})
@@ -673,7 +692,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 var (
 	pointRequest = &Request{
-		Kind: ReqExecPrepared, Hdr: Header{Version: HeaderV1}, Name: "cs_9f8e7d6c5b4a3921", Seq: 12345,
+		Kind: ReqQuery, Hdr: Header{Version: HeaderV1}, SQL: "UPDATE usertable_102013 SET field3 = $1 WHERE ycsb_key = $2", Seq: 12345,
 		Params: []types.Datum{strings.Repeat("v", 100), int64(123456)},
 	}
 	pointResponse = func() *Response {
@@ -699,7 +718,7 @@ func TestCodecAllocBudget(t *testing.T) {
 			if buf, err = appendRequest(buf[:0], pointRequest); err != nil {
 				t.Fatal(err)
 			}
-			if buf, err = appendResponse(buf, resp, ReqExecPrepared); err != nil {
+			if buf, err = appendResponse(buf, resp, ReqQuery); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -711,7 +730,7 @@ func TestCodecAllocBudget(t *testing.T) {
 
 	reqFrame := encodeRequests(t, pointRequest)[lenSize:]
 	var req Request
-	// name, parameters (cells, one string header array, one int64 array, the
+	// text, parameters (cells, one string header array, one int64 array, the
 	// string's bytes)
 	const reqBudget = 5
 	if n := testing.AllocsPerRun(200, func() {
@@ -723,7 +742,7 @@ func TestCodecAllocBudget(t *testing.T) {
 	}
 
 	decode := func(resp *Response) float64 {
-		frame, err := appendResponse(nil, resp, ReqExecPrepared)
+		frame, err := appendResponse(nil, resp, ReqQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -768,7 +787,7 @@ func BenchmarkCodecPointOp(b *testing.B) {
 		if err := decodeRequest(buf[lenSize:], &req); err != nil {
 			b.Fatal(err)
 		}
-		if buf, err = appendResponse(buf[:0], pointResponse, ReqExecPrepared); err != nil {
+		if buf, err = appendResponse(buf[:0], pointResponse, ReqQuery); err != nil {
 			b.Fatal(err)
 		}
 		if err := decodeResponse(buf[lenSize:], &resp); err != nil {

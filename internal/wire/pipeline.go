@@ -128,31 +128,6 @@ func (p *Pipeline) Query(sqlText string, params ...types.Datum) *Pending {
 	return p.enqueue(Request{Kind: ReqQuery, Hdr: p.c.hdr(), SQL: sqlText, Params: params})
 }
 
-// Prepare enqueues a statement parse (the pipelined Conn.Prepare). The
-// connection's prepared map is updated optimistically at enqueue time so
-// later requests in the same batch can already count on the name; if the
-// server rejects the parse, the stale entry self-heals through the usual
-// plan-invalid retry on the next execution. A parse already known to have
-// failed (window 1) leaves the map alone, as Conn.Prepare does.
-func (p *Pipeline) Prepare(name, sqlText string) *Pending {
-	pd := p.enqueue(Request{Kind: ReqPrepare, Hdr: p.c.hdr(), Name: name, SQL: sqlText})
-	if pd.Failed() {
-		return pd
-	}
-	if p.c.prepared == nil {
-		p.c.prepared = make(map[string]string)
-	}
-	p.c.prepared[name] = sqlText
-	return pd
-}
-
-// ExecutePrepared enqueues a prepared-statement execution (the pipelined
-// Conn.ExecutePrepared). Plan-invalid rejections surface as ErrPlanInvalid
-// from Result, exactly like the unpipelined path.
-func (p *Pipeline) ExecutePrepared(name string, params ...types.Datum) *Pending {
-	return p.enqueue(Request{Kind: ReqExecPrepared, Hdr: p.c.hdr(), Name: name, Params: params})
-}
-
 // Copy enqueues a bulk load (the pipelined Conn.Copy).
 func (p *Pipeline) Copy(table string, columns []string, rows []types.Row) *Pending {
 	return p.enqueue(Request{
@@ -164,23 +139,14 @@ func (p *Pipeline) Copy(table string, columns []string, rows []types.Row) *Pendi
 var errNotDrained = errors.New("wire: pending request not drained; call Pipeline.Flush first")
 
 // Err returns the request's failure: the poisoning ConnError for
-// transport-level trouble, or the peer's semantic error (with the same
-// plan-invalid mapping as the unpipelined accessors).
+// transport-level trouble, or the peer's semantic error (mapped as the
+// unpipelined accessors map it).
 func (pd *Pending) Err() error {
 	_, err := pd.result()
 	return err
 }
 
-// Failed reports whether the response is already in and is an error. At a
-// window of 1 that is known as soon as the request was enqueued, so a caller
-// can stop before issuing a request that depends on this one, as serial
-// round trips would.
-func (pd *Pending) Failed() bool {
-	return pd.done && pd.Err() != nil
-}
-
-// Result returns the request's result set, mirroring Conn.Query /
-// Conn.ExecutePrepared.
+// Result returns the request's result set, mirroring Conn.Query.
 func (pd *Pending) Result() (*engine.Result, error) {
 	resp, err := pd.result()
 	if err != nil {
@@ -216,5 +182,5 @@ func (pd *Pending) result() (*Response, error) {
 	if pd.err != nil {
 		return nil, pd.err
 	}
-	return &pd.resp, respErr(pd.kind, &pd.resp)
+	return &pd.resp, respErr(&pd.resp)
 }

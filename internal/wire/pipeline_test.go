@@ -70,22 +70,11 @@ func testPipelineBehavior(t *testing.T, conn *Conn) {
 		t.Fatalf("request after the failing one: %v %v", res, err)
 	}
 
-	// Prepared statements and COPY ride the pipeline too.
+	// COPY rides the pipeline too.
 	pl = conn.Pipeline(0)
-	prep := pl.Prepare("get_p", "SELECT v FROM p WHERE k = $1")
-	exec := pl.ExecutePrepared("get_p", int64(3))
 	cp := pl.Copy("p", []string{"k", "v"}, []types.Row{{int64(100), "x"}, {int64(101), "y"}})
 	if err := pl.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
-	}
-	if err := prep.Err(); err != nil {
-		t.Fatalf("pipelined prepare: %v", err)
-	}
-	if conn.PreparedSQL("get_p") == "" {
-		t.Fatal("pipelined prepare not recorded on the connection")
-	}
-	if res, err := exec.Result(); err != nil || res.Rows[0][0].(string) != "v" {
-		t.Fatalf("pipelined execute-prepared: %v %v", res, err)
 	}
 	if n, err := cp.Affected(); err != nil || n != 2 {
 		t.Fatalf("pipelined copy: %d %v", n, err)
@@ -237,42 +226,6 @@ func TestPipelinePendingBeforeFlush(t *testing.T) {
 	}
 	if err := pd.Err(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPendingFailedAtWindowOne: at a window of 1 a failure is known as soon
-// as the request was enqueued, so a caller can stop before the request that
-// depends on it, and a rejected Prepare is not recorded on the connection
-// (both as with Conn.Prepare). At a wider window nothing is known until the
-// flush.
-func TestPendingFailedAtWindowOne(t *testing.T) {
-	e := newEngine(t)
-	conn := DialLocal(e, 0)
-	defer conn.Close()
-
-	pl := conn.Pipeline(1)
-	if pd := pl.Query("SELECT 1"); pd.Failed() {
-		t.Fatalf("healthy request reported failed: %v", pd.Err())
-	}
-	bad := pl.Prepare("bad", "SELEC nonsense")
-	if !bad.Failed() {
-		t.Fatal("window 1: rejected Prepare not known failed after enqueue")
-	}
-	if conn.PreparedSQL("bad") != "" {
-		t.Fatal("window 1: rejected Prepare recorded on the connection")
-	}
-	if err := pl.Flush(); err != nil {
-		t.Fatalf("semantic error must not poison the pipeline: %v", err)
-	}
-
-	pl = conn.Pipeline(8)
-	bad = pl.Prepare("bad", "SELEC nonsense")
-	if bad.Failed() {
-		t.Fatal("window 8: failure known before the response was drained")
-	}
-	_ = pl.Flush()
-	if !bad.Failed() {
-		t.Fatal("window 8: rejected Prepare not failed after the flush")
 	}
 }
 

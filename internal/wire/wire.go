@@ -18,19 +18,12 @@ import (
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/rowbatch"
-	"citusgo/internal/sql"
 	"citusgo/internal/ssi"
 	"citusgo/internal/trace"
 	"citusgo/internal/types"
 )
 
-// Prepared-statement protocol counters (the extended-query-protocol
-// analog: Parse once, Execute many).
 var (
-	metPreparedParses = obs.Default().Counter("wire_prepared_parses",
-		"statements parsed server-side via the prepared-statement protocol").With()
-	metPreparedExecs = obs.Default().Counter("wire_prepared_executes",
-		"prepared-statement executions served").With()
 	metPipelineBatches = obs.Default().Counter("wire_pipeline_batches_total",
 		"pipelined request batches flushed").With()
 	metPipelineDepth = obs.Default().Histogram("wire_pipeline_depth",
@@ -41,8 +34,12 @@ var (
 // prefix.
 type RequestKind uint8
 
+// The values are the protocol. 9 and 10 are retired (an earlier version's
+// prepared-statement pair) and stay unassigned: a frame from a peer that
+// still sends one is an unknown kind, refused under its own Seq, never some
+// other request.
 const (
-	// ReqQuery executes SQL and returns rows.
+	// ReqQuery executes SQL, with its parameters, and returns rows.
 	ReqQuery RequestKind = iota
 	// ReqCopy bulk-loads pre-parsed rows into a table.
 	ReqCopy
@@ -63,15 +60,9 @@ const (
 	ReqListPrepared
 	// ReqPing checks liveness.
 	ReqPing
-	// ReqPrepare parses and names a statement in the server session (the
-	// Parse message of PostgreSQL's extended query protocol).
-	ReqPrepare
-	// ReqExecPrepared executes a named prepared statement with parameters
-	// (Bind + Execute).
-	ReqExecPrepared
 	// ReqTraceSpans returns the node's ring-buffered spans for the trace
 	// id in the request header (citus_trace reassembly).
-	ReqTraceSpans
+	ReqTraceSpans RequestKind = iota + 2 // 11: past the retired 9 and 10
 	// ReqSSIEdges returns the node's cross-transaction rw-antidependency
 	// edges (the coordinator's merged SSI conflict graph polls this; the
 	// edges also piggyback on every ReqLockGraph response).
@@ -103,10 +94,6 @@ func (k RequestKind) String() string {
 		return "list_prepared"
 	case ReqPing:
 		return "ping"
-	case ReqPrepare:
-		return "prepare"
-	case ReqExecPrepared:
-		return "exec_prepared"
 	case ReqTraceSpans:
 		return "trace_spans"
 	case ReqSSIEdges:
@@ -237,12 +224,6 @@ type Conn struct {
 	node   string
 	closed bool
 
-	// prepared mirrors the server session's named prepared statements
-	// (name -> SQL). Connections survive in the pool across executor
-	// checkouts, so this is the per-connection statement cache: callers
-	// check PreparedSQL before paying a Prepare round trip.
-	prepared map[string]string
-
 	// traceID/spanID are stamped into the header of every statement
 	// request until cleared — the executor sets them per task; the pool
 	// clears them when the connection is checked back in.
@@ -266,8 +247,7 @@ func (c *Conn) SetTrace(traceID, spanID uint64) {
 func (c *Conn) ClearTrace() { c.traceID, c.spanID = 0, 0 }
 
 // SetBlock attaches a transaction block to the connection: subsequent
-// statement requests carry it (re-issues after a stale-plan rejection
-// included) until ClearBlock.
+// statement requests carry it until ClearBlock.
 func (c *Conn) SetBlock(b Block) { c.block = b }
 
 // ClearBlock detaches the transaction block: later requests, the block's own
@@ -350,19 +330,15 @@ func (c *Conn) call(req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	return resp, respErr(req.Kind, &resp)
+	return resp, respErr(&resp)
 }
 
 // respErr maps a response to the semantic error the peer reported, if any.
-// Errors cross the wire as text; a prepared execution the server refused as
-// stale becomes the retryable ErrPlanInvalid, a request refused for its
-// transaction block ErrBlockRefused.
-func respErr(kind RequestKind, resp *Response) error {
+// Errors cross the wire as text; a request refused for its transaction block
+// becomes ErrBlockRefused.
+func respErr(resp *Response) error {
 	if resp.Err == "" {
 		return nil
-	}
-	if kind == ReqExecPrepared && strings.HasPrefix(resp.Err, planInvalidPrefix) {
-		return fmt.Errorf("%w: %s", ErrPlanInvalid, strings.TrimPrefix(resp.Err, planInvalidPrefix))
 	}
 	if strings.HasPrefix(resp.Err, blockRefusedPrefix) {
 		return fmt.Errorf("%w: %s", ErrBlockRefused, strings.TrimPrefix(resp.Err, blockRefusedPrefix))
@@ -414,20 +390,6 @@ func (c *Conn) Query(sqlText string, params ...types.Datum) (*engine.Result, err
 	return respToResult(&resp), nil
 }
 
-// ErrPlanInvalid is the retryable prepared-statement failure: the server
-// dropped or invalidated the named statement (DDL bumped its engine schema
-// version, or the session never prepared it). The server rejects before
-// executing anything, so callers can safely re-Prepare and retry — even
-// for writes.
-var ErrPlanInvalid = errors.New("cached plan is invalid")
-
-// planInvalidPrefix marks plan-invalid failures in Response.Err (errors
-// cross the wire as text).
-const planInvalidPrefix = "plan invalid: "
-
-// IsPlanInvalid reports whether err is the retryable plan-invalid error.
-func IsPlanInvalid(err error) bool { return errors.Is(err, ErrPlanInvalid) }
-
 // ErrBlockRefused is a request the server would not execute because the
 // transaction block it names (Header.Block) could not be entered: the
 // session is inside another block, or opening this one failed. Nothing of
@@ -464,35 +426,6 @@ func (c *Conn) Finish(pd *Pending) (*engine.Result, error) {
 		pd.done, pd.req = true, Request{}
 	}
 	return pd.Result()
-}
-
-// Prepare parses and names a statement in the server-side session. The
-// connection records what it prepared so the executor prepares each task
-// shape at most once per connection.
-func (c *Conn) Prepare(name, sqlText string) error {
-	if _, err := c.call(Request{Kind: ReqPrepare, Hdr: c.hdr(), Name: name, SQL: sqlText}); err != nil {
-		return err
-	}
-	if c.prepared == nil {
-		c.prepared = make(map[string]string)
-	}
-	c.prepared[name] = sqlText
-	return nil
-}
-
-// PreparedSQL returns the SQL this connection last prepared under name, or
-// "" if the name is unknown.
-func (c *Conn) PreparedSQL(name string) string { return c.prepared[name] }
-
-// ExecutePrepared runs a named prepared statement with fresh parameters.
-// A plan-invalid failure (see ErrPlanInvalid) means the server refused
-// before executing; re-Prepare and retry.
-func (c *Conn) ExecutePrepared(name string, params ...types.Datum) (*engine.Result, error) {
-	resp, err := c.call(Request{Kind: ReqExecPrepared, Hdr: c.hdr(), Name: name, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return respToResult(&resp), nil
 }
 
 // Copy bulk-loads rows.
@@ -635,22 +568,12 @@ func respToEncodedResult(resp *Response) *engine.Result {
 // ---------------------------------------------------------------------------
 // Server-side request handling (shared by both transports)
 
-// handler owns one server-side session.
+// handler owns one server-side session. The session's statement cache
+// (engine.Session.ExecForward) is what keeps a repeated task from being parsed
+// again; the protocol has no state of its own to go stale.
 type handler struct {
 	eng  *engine.Engine
 	sess *engine.Session
-
-	// prepared holds the session's named statements, parsed once at
-	// Prepare time and stamped with the engine schema version; execution
-	// rejects stale versions with a retryable plan-invalid error instead
-	// of running against a pre-DDL parse tree.
-	prepared map[string]*preparedStmt
-}
-
-type preparedStmt struct {
-	sql       string
-	stmt      sql.Statement
-	schemaVer int64
 }
 
 func newHandler(e *engine.Engine) *handler {
@@ -741,43 +664,6 @@ func (h *handler) handle(req *Request) Response {
 		return Response{OK: true}
 	case ReqTraceSpans:
 		return Response{Spans: h.eng.Tracer.Collect(req.Hdr.TraceID)}
-	case ReqPrepare:
-		h.applyTrace(req)
-		psp := h.eng.Tracer.StartSpan(h.sess.TraceID, h.sess.SpanID, "parse", req.SQL)
-		stmt, err := sql.Parse(req.SQL)
-		psp.Finish()
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		metPreparedParses.Inc()
-		if h.prepared == nil {
-			h.prepared = make(map[string]*preparedStmt)
-		}
-		h.prepared[req.Name] = &preparedStmt{
-			sql: req.SQL, stmt: stmt, schemaVer: h.eng.SchemaVersion(),
-		}
-		return Response{OK: true}
-	case ReqExecPrepared:
-		ps := h.prepared[req.Name]
-		if ps == nil {
-			return Response{Err: planInvalidPrefix + fmt.Sprintf("no prepared statement %q", req.Name)}
-		}
-		if ps.schemaVer != h.eng.SchemaVersion() {
-			delete(h.prepared, req.Name)
-			return Response{Err: planInvalidPrefix + "schema version changed"}
-		}
-		metPreparedExecs.Inc()
-		h.applyTrace(req)
-		// after the stale-plan check: a rejected plan opens nothing
-		if err := h.enterBlock(req); err != nil {
-			return Response{Err: err.Error()}
-		}
-		h.sess.QueryLabel = ps.sql
-		res, err := h.sess.ExecStmtForward(ps.stmt, req.Params)
-		if err != nil {
-			return Response{Err: err.Error()}
-		}
-		return resultResponse(res)
 	}
 	return Response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
 }

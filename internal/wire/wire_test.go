@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"citusgo/internal/engine"
 	"citusgo/internal/jsonb"
+	"citusgo/internal/obs"
 	"citusgo/internal/trace"
 	"citusgo/internal/types"
 )
@@ -135,6 +137,65 @@ func TestConnCloseRollsBackOpenTransaction(t *testing.T) {
 	res, err := c2.Query("SELECT count(*) FROM r")
 	if err != nil || res.Rows[0][0].(int64) != 0 {
 		t.Fatalf("dropped connection's transaction leaked: %v %v", res, err)
+	}
+}
+
+// TestConnKeepsNoStatementState: a connection's only per-text state is its
+// server session's statement cache, which is bounded (the engine pins the
+// bound: TestSessionStmtCacheBounded). 300 distinct texts, more than the cache
+// holds, are each parsed once; then the first is no longer cached and is
+// parsed again, and the last is still a hit — in process and over TCP.
+func TestConnKeepsNoStatementState(t *testing.T) {
+	dial := map[string]func(*testing.T, *engine.Engine) *Conn{
+		"local": func(_ *testing.T, e *engine.Engine) *Conn { return DialLocal(e, 0) },
+		"tcp": func(t *testing.T, e *engine.Engine) *Conn {
+			srv, err := Serve(e, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			conn, err := Dial(srv.Addr(), "node")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		},
+	}
+	for name, d := range dial {
+		t.Run(name, func(t *testing.T) {
+			conn := d(t, newEngine(t))
+			defer conn.Close()
+			mustQ(t, conn, "CREATE TABLE sc (k bigint PRIMARY KEY)")
+			text := func(i int) string { return fmt.Sprintf("SELECT k FROM sc WHERE k = $1 AND k <> %d", i) }
+			moved := func(run func()) (hits, misses int64) {
+				before := obs.Default().Snapshot()
+				run()
+				after := obs.Default().Snapshot()
+				return after.Sum("engine_plancache_hits") - before.Sum("engine_plancache_hits"),
+					after.Sum("engine_plancache_misses") - before.Sum("engine_plancache_misses")
+			}
+			query := func(i int) func() {
+				return func() {
+					if _, err := conn.Query(text(i), int64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			const texts = 300
+			if hits, misses := moved(func() {
+				for i := 0; i < texts; i++ {
+					query(i)()
+				}
+			}); hits != 0 || misses != texts {
+				t.Fatalf("%d distinct texts: %d hits, %d misses; want each parsed once", texts, hits, misses)
+			}
+			if hits, misses := moved(query(texts - 1)); hits != 1 || misses != 0 {
+				t.Errorf("the last text again: %d hits, %d misses; want a hit", hits, misses)
+			}
+			if hits, misses := moved(query(0)); hits != 0 || misses != 1 {
+				t.Errorf("the first text again: %d hits, %d misses; want it parsed again: %d texts fit no bounded cache", hits, misses, texts)
+			}
+		})
 	}
 }
 
