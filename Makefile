@@ -53,14 +53,16 @@ race:
 # and commit flights: an open that fails executes nothing, worker DDL between
 # two executions of one task text (outside and inside a block: one re-parse,
 # one execution, in the block), a pooled connection free of transaction state,
-# a failed flight request discarding its connection, the round-trip budget
-# counted over real TCP, the 2PC matrix rows for overlapping requests, and a
-# connection's statement state bounded by its session's cache
+# an implicit transaction keeping its pinned connections across statements that
+# run outside transactional mode, a failed flight request discarding its
+# connection, the round-trip budget counted over real TCP, the 2PC matrix rows
+# for overlapping requests, and a connection's statement state bounded by its
+# session's cache
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
 	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound|TestRefreshUnderLimitGetsItsSlotBack' -count=20 -timeout 10m ./internal/citus
-	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestDDLBetweenExecutions|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestDDLBetweenExecutions|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestImplicitTxnKeepsPinnedConns|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine

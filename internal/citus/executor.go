@@ -218,9 +218,10 @@ func (n *Node) latencyFor(nodeID int) *obs.Histogram {
 
 // nodeRun schedules one worker node's share of a statement's tasks across
 // that node's connections: partition splits them into per-connection queues
-// and the general queue, every connection runs drain, ramp opens more
-// connections on the slow-start schedule, dispose hands the opened
-// connections back.
+// and the general queue, every connection runs drain and, unless a
+// transaction holds it by then, goes back to the pool at its end, ramp opens
+// more connections on the slow-start schedule, dispose pins the opened
+// connections a transaction holds to the session.
 type nodeRun struct {
 	n       *Node
 	s       *engine.Session
@@ -408,14 +409,20 @@ func (r *nodeRun) drain(wc *workerConn, private []int) {
 			r.markDrained()
 		}
 	}
-	// Outside a transaction every connection is one this run opened (there is
-	// no private queue) and nothing ties it to the statement once the queue is
-	// empty, so it goes back to the pool now and not when the statement ends:
-	// a retry that gave its slot of the shared limit up to dial again
-	// (refreshConn) would otherwise wait for slots its own statement sits on
-	// until that retry is over.
-	if !r.txnMode {
-		r.release(wc)
+	// A connection no transaction holds — so one this run opened: the
+	// session's pinned ones are all inside its block — has nothing more to do
+	// for the statement once the queue is empty, and goes back now, not when
+	// the statement ends: a retry that gave its slot of the shared limit up to
+	// dial again (refreshConn) would otherwise wait for slots its own
+	// statement sits on until that retry is over.
+	if !wc.inTxn {
+		switch {
+		case wc.gone:
+		case wc.broken:
+			r.pool.Discard(wc.conn)
+		default:
+			r.pool.Put(wc.conn)
+		}
 	}
 }
 
@@ -471,6 +478,11 @@ func (r *nodeRun) ramp() {
 		case <-ticker.C:
 			allowance++
 			metSlowStartRounds.Inc()
+			// Unfinished tasks less started connections: at a task per window
+			// that is the tasks still queued less the connections about to
+			// take one. A wider window in flight counts all its tasks, and the
+			// connection opened for them finds the queue empty and goes
+			// straight back (drain).
 			want := int(r.remaining.Load() - r.started.Load())
 			if allowance < want {
 				want = allowance
@@ -484,32 +496,16 @@ func (r *nodeRun) ramp() {
 	}
 }
 
-// dispose is the connection disposition for the connections this run
-// opened and still has: transactional ones pin to the session, the rest are
-// released.
+// dispose pins the connections this run opened that are now inside the
+// transaction's block to the session; drain has handed back the rest.
 func (r *nodeRun) dispose() {
 	for _, wc := range r.opened {
 		if wc.inTxn && !wc.gone {
 			r.st.mu.Lock()
 			r.st.conns[r.nodeID] = append(r.st.conns[r.nodeID], wc)
 			r.st.mu.Unlock()
-		} else {
-			r.release(wc)
 		}
 	}
-}
-
-// release hands a connection this run opened back, once: a broken one is
-// discarded, a sound one returns to the shared pool.
-func (r *nodeRun) release(wc *workerConn) {
-	switch {
-	case wc.gone:
-	case wc.broken:
-		r.pool.Discard(wc.conn)
-	default:
-		r.pool.Put(wc.conn)
-	}
-	wc.gone = true
 }
 
 // acquireConn gets a connection from the pool, waiting under the shared

@@ -367,7 +367,7 @@ type workerConn struct {
 	inTxn  bool           // a request naming the transaction's block went out, and the block has not ended
 	wrote  bool           // performed a write in this transaction
 	broken bool           // protocol error: discard instead of returning to pool
-	gone   bool           // already handed back: discarded mid-task (failed refresh) or released; skip disposition
+	gone   bool           // already discarded mid-task (failed refresh); skip disposition
 }
 
 func (n *Node) state(s *engine.Session) *sessState {

@@ -367,6 +367,54 @@ func TestPooledConnCarriesNoTxnState(t *testing.T) {
 	}
 }
 
+// TestImplicitTxnKeepsPinnedConns: a procedure the coordinator runs itself
+// under an autocommit CALL is one implicit transaction of several statements.
+// Its multi-shard write pins connections, and the reads behind it run on them
+// outside transactional mode — the session is in no explicit block. The
+// connections stay the transaction's until it commits: none goes back to the
+// pool in between, where another session could be handed it inside this
+// transaction, and each is handed back once.
+func TestImplicitTxnKeepsPinnedConns(t *testing.T) {
+	c := blockCluster(t, 2, citus.Config{MaxSharedPoolSize: 2})
+	checkedOut := func() (out [2]int) {
+		for i := range out {
+			total, idle := c.Coordinator().PoolStats(i + 2) // the workers are nodes 2 and 3
+			out[i] = total - idle
+		}
+		return out
+	}
+	var pinned, afterPoint, afterFanOut [2]int
+	c.Engines[0].RegisterProcedure("bump_all", func(s *engine.Session, _ []types.Datum) error {
+		if _, err := s.Exec("UPDATE ip SET v = v + 1"); err != nil {
+			return err
+		}
+		pinned = checkedOut()
+		if _, err := s.Exec("SELECT v FROM ip WHERE k = 1"); err != nil {
+			return err
+		}
+		afterPoint = checkedOut()
+		_, err := s.Exec("SELECT count(*) FROM ip")
+		afterFanOut = checkedOut()
+		return err
+	})
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE ip (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('ip', 'k')")
+	for k := 0; k < 32; k++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO ip (k, v) VALUES (%d, 0)", k))
+	}
+	mustExec(t, s, "CALL bump_all()")
+	if pinned[0] == 0 || pinned[1] == 0 {
+		t.Fatalf("the multi-shard UPDATE pinned %v connections per worker, want some on each", pinned)
+	}
+	if afterPoint != pinned || afterFanOut != pinned {
+		t.Errorf("connections checked out per worker: %v after the UPDATE, %v after the point read, %v after the fan-out; the transaction is to keep its own", pinned, afterPoint, afterFanOut)
+	}
+	noConnCheckedOut(t, c, 2, 3)
+	expectRows(t, mustExec(t, s, "SELECT count(*), sum(v) FROM ip"), "32|32")
+	noConnCheckedOut(t, c, 2, 3)
+}
+
 // TestCommitFlightTransportErrorsDiscard: a participant whose request in a
 // commit-protocol flight fails at transport level is discarded, never pooled
 // — the COMMIT of a read-only participant and the ROLLBACK PREPARED after a
