@@ -56,8 +56,9 @@ race:
 # an implicit transaction keeping its pinned connections across statements that
 # run outside transactional mode, a failed flight request discarding its
 # connection, the round-trip budget counted over real TCP, the 2PC matrix rows
-# for overlapping requests, and a connection's statement state bounded by its
-# session's cache
+# for overlapping requests, a connection's statement state bounded by its
+# session's cache, and readers of a columnar stripe's typed vectors seeing a
+# consistent prefix while its transaction keeps appending to them
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
@@ -66,11 +67,14 @@ stress:
 	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
+	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan' -count=10 -timeout 10m ./internal/columnar
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
 # benchmarks live in the root package, on top of internal/bench, plus the
-# vectorized-kernel microbenchmark in internal/vec), and run the A3
+# vectorized-kernel microbenchmark in internal/vec — filter, projection, sum
+# and the wide-group fold, each over typed vectors and row at a time), and
+# run the A3
 # plan-cache, A4 pipelining, A5 vectorization, A6 replica-routing and A7
 # SSI ablations once (all variants) so the cached/pipelined/vectorized/
 # replicated/serializable execution paths can't either — A5 and A6 also

@@ -1,12 +1,15 @@
 package columnar
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
+	"citusgo/internal/vec"
 )
 
 // TestBatchVisibility drives the chunk-granular API through the same MVCC
@@ -31,9 +34,9 @@ func TestBatchVisibility(t *testing.T) {
 	if len(views) != 1 {
 		t.Fatalf("outside snapshot sees %d stripes, want 1 (committed only)", len(views))
 	}
-	chunk := tbl.LoadChunk(views[0], nil)
-	if chunk[1][0] != "committed" {
-		t.Fatalf("visible stripe holds %v", chunk[1][0])
+	chunk := tbl.LoadChunk(views[0], nil, nil)
+	if got := chunk[1].Datum(0); got != "committed" {
+		t.Fatalf("visible stripe holds %v", got)
 	}
 
 	// the in-progress writer sees its own stripe plus the committed one
@@ -160,10 +163,10 @@ func TestTruncateDuringScan(t *testing.T) {
 	tbl.Truncate()
 	total := 0
 	for _, v := range views {
-		chunk := tbl.LoadChunk(v, []int{1})
+		chunk := tbl.LoadChunk(v, []int{1}, nil)
 		for r := 0; r < v.NumRows(); r++ {
-			if chunk[1][r] != "gen1" {
-				t.Fatalf("stale view returned %v", chunk[1][r])
+			if got := chunk[1].Datum(r); got != "gen1" {
+				t.Fatalf("stale view returned %v", got)
 			}
 			total++
 		}
@@ -231,5 +234,259 @@ func TestScanScratchRowAliasing(t *testing.T) {
 	// the retained (un-copied) rows all alias the scratch buffer
 	if &retained[0][0] != &retained[1][0] {
 		t.Fatal("scan allocated per-row; scratch reuse regressed")
+	}
+}
+
+// scanRows collects what the row-at-a-time path returns.
+func scanRows(tbl *Table, mgr *txn.Manager, snap txn.Snapshot, needed []int) []types.Row {
+	var rows []types.Row
+	tbl.Scan(mgr, snap, needed, func(row types.Row) bool {
+		rows = append(rows, row.Clone())
+		return true
+	})
+	return rows
+}
+
+// chunkRows reads the same rows through the batch API, vector by vector.
+func chunkRows(tbl *Table, mgr *txn.Manager, snap txn.Snapshot) []types.Row {
+	var rows []types.Row
+	for _, v := range tbl.VisibleStripes(mgr, snap) {
+		chunk := tbl.LoadChunk(v, nil, nil)
+		for r := 0; r < v.NumRows(); r++ {
+			row := make(types.Row, len(chunk))
+			for ci := range chunk {
+				row[ci] = chunk[ci].Datum(r)
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// TestChunkKinds: a column chunk is a vector of the kind of its first
+// non-NULL value, a leading run of NULLs notwithstanding, and a value of a
+// second type — which only a direct Insert can bring, SQL casts to the
+// column's type — demotes that one chunk to boxed datums: both paths still
+// return every row as it was inserted, the stripe offers no statistics for
+// the column, and the kernels still select what types.Compare selects.
+func TestChunkKinds(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, 5, nil)
+	day := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
+	inserted := []types.Row{
+		{nil, nil, nil, nil, nil},
+		{nil, int64(4), "x", nil, day},
+		{int64(1), nil, "y", 1.5, nil},
+		{int64(2), int64(6), "x", 2.5, day.AddDate(0, 0, 1)},
+	}
+	w := mgr.Begin()
+	for _, row := range inserted {
+		tbl.Insert(w.XID, row)
+	}
+	view := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(w))[0]
+	chunk := tbl.LoadChunk(view, nil, nil)
+	for ci, want := range []vec.Kind{vec.KindInt, vec.KindInt, vec.KindString, vec.KindFloat, vec.KindTime} {
+		if chunk[ci].Kind != want || chunk[ci].Nulls == nil {
+			t.Fatalf("column %d: kind %d (want %d), mask %v", ci, chunk[ci].Kind, want, chunk[ci].Nulls)
+		}
+		if _, _, ok := view.Stats(ci); !ok || !view.HasNulls(ci) {
+			t.Fatalf("column %d: typed chunk without statistics, or its NULLs forgotten", ci)
+		}
+	}
+
+	// foreign values: a string among ints, a float among strings
+	foreign := []types.Row{
+		{int64(3), "seven", 8.5, 3.5, day},
+		{int64(4), int64(5), "z", 4.5, day},
+	}
+	for _, row := range foreign {
+		tbl.Insert(w.XID, row)
+	}
+	inserted = append(inserted, foreign...)
+	_ = mgr.Commit(w)
+
+	snap := mgr.TakeSnapshot(nil)
+	view = tbl.VisibleStripes(mgr, snap)[0]
+	chunk = tbl.LoadChunk(view, nil, chunk)
+	for ci, want := range []vec.Kind{vec.KindInt, vec.KindGeneric, vec.KindGeneric, vec.KindFloat, vec.KindTime} {
+		if chunk[ci].Kind != want {
+			t.Fatalf("column %d after the foreign values: kind %d, want %d", ci, chunk[ci].Kind, want)
+		}
+		if _, _, ok := view.Stats(ci); ok != (want != vec.KindGeneric) {
+			t.Fatalf("column %d (kind %d): statistics usable = %v", ci, want, ok)
+		}
+	}
+	if got := scanRows(tbl, mgr, snap, nil); !reflect.DeepEqual(got, inserted) {
+		t.Fatalf("row path returns\n%v\nwant\n%v", got, inserted)
+	}
+	if got := chunkRows(tbl, mgr, snap); !reflect.DeepEqual(got, inserted) {
+		t.Fatalf("vectors return\n%v\nwant\n%v", got, inserted)
+	}
+	for _, f := range []vec.Filter{
+		{Col: 1, Op: vec.Ge, K: int64(5)}, {Col: 1, Op: vec.Lt, K: "t"}, {Col: 2, Op: vec.Eq, K: "x"},
+		{Col: 2, Between: true, Lo: int64(8), Hi: 9.0}, {Col: 1, NullTest: true},
+	} {
+		var want vec.Sel
+		for r, row := range inserted {
+			d := row[f.Col]
+			switch {
+			case f.NullTest:
+				if d == nil {
+					want = append(want, int32(r))
+				}
+			case d == nil:
+			case f.Between:
+				if types.Compare(d, f.Lo) >= 0 && types.Compare(d, f.Hi) <= 0 {
+					want = append(want, int32(r))
+				}
+			case (f.Op == vec.Ge && types.Compare(d, f.K) >= 0) || (f.Op == vec.Lt && types.Compare(d, f.K) < 0) ||
+				(f.Op == vec.Eq && types.Compare(d, f.K) == 0):
+				want = append(want, int32(r))
+			}
+		}
+		if got := f.Apply(&chunk[f.Col], nil, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s over the demoted chunk selects %v, the row evaluator %v", f.String(), got, want)
+		}
+	}
+}
+
+// TestTimestampRoundTrip: whatever time goes in comes out identical, zone
+// and all, on both paths; only UTC times inside UnixNano's range are held as
+// nanoseconds.
+func TestTimestampRoundTrip(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, 2, nil)
+	utc := time.Date(2024, 3, 1, 10, 20, 30, 456, time.UTC)
+	times := []time.Time{
+		utc,
+		utc.In(time.FixedZone("", 5*3600+1800)), // a fixed-offset zone
+		{},                                      // the zero time
+		time.Date(1600, 2, 29, 0, 0, 0, 0, time.UTC),
+	}
+	w := mgr.Begin()
+	var inserted []types.Row
+	for _, ts := range times {
+		inserted = append(inserted, types.Row{utc, ts})
+		tbl.Insert(w.XID, inserted[len(inserted)-1])
+	}
+	_ = mgr.Commit(w)
+	snap := mgr.TakeSnapshot(nil)
+	chunk := tbl.LoadChunk(tbl.VisibleStripes(mgr, snap)[0], nil, nil)
+	if chunk[0].Kind != vec.KindTime || chunk[1].Kind != vec.KindGeneric {
+		t.Fatalf("kinds %d and %d, want nanoseconds and boxed datums", chunk[0].Kind, chunk[1].Kind)
+	}
+	for how, got := range map[string][]types.Row{"row path": scanRows(tbl, mgr, snap, nil), "vectors": chunkRows(tbl, mgr, snap)} {
+		for r := range inserted {
+			for c := range inserted[r] {
+				// ==, not Equal: the same instant in another zone is another datum
+				if got[r][c] != inserted[r][c] {
+					t.Fatalf("%s: row %d column %d reads back %#v, want %#v", how, r, c, got[r][c], inserted[r][c])
+				}
+			}
+		}
+	}
+}
+
+// TestStringDictionaryInStripe fills one stripe's text column with 1, 255,
+// 256 and (the most a stripe takes) StripeRows distinct values.
+func TestStringDictionaryInStripe(t *testing.T) {
+	for _, distinct := range []int{1, 255, 256, StripeRows} {
+		mgr := txn.NewManager()
+		tbl := NewTable(1, 1, nil)
+		w := mgr.Begin()
+		for i := 0; i < StripeRows; i++ {
+			tbl.Insert(w.XID, types.Row{fmt.Sprintf("v%05d", i%distinct)})
+		}
+		_ = mgr.Commit(w)
+		snap := mgr.TakeSnapshot(nil)
+		if tbl.NumStripes() != 1 {
+			t.Fatalf("%d stripes", tbl.NumStripes())
+		}
+		chunk := tbl.LoadChunk(tbl.VisibleStripes(mgr, snap)[0], nil, nil)
+		if chunk[0].Kind != vec.KindString || len(chunk[0].Dict) != distinct {
+			t.Fatalf("%d distinct values: kind %d, dictionary of %d", distinct, chunk[0].Kind, len(chunk[0].Dict))
+		}
+		for r, row := range scanRows(tbl, mgr, snap, nil) {
+			if want := fmt.Sprintf("v%05d", r%distinct); row[0] != want || chunk[0].Datum(r) != want {
+				t.Fatalf("%d distinct values: row %d is %v / %v, want %s", distinct, r, row[0], chunk[0].Datum(r), want)
+			}
+		}
+	}
+}
+
+// TestOwnStripeViewIsAPrefix: a transaction reads its own open stripe while
+// it keeps inserting into it (a cursor, a parallel scan's goroutines). A view
+// is the rows the stripe held when it was taken: every reader sees exactly
+// those, whole, however far the writer has got — across the start of a NULL
+// mask, dictionary growth and a demotion. Run under -race this also proves
+// that the readers touch nothing the writer writes.
+func TestOwnStripeViewIsAPrefix(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, 4, nil)
+	w := mgr.Begin()
+	rowAt := func(i int) types.Row {
+		row := types.Row{int64(i), fmt.Sprintf("s%d", i%300), float64(i) / 2, int64(i)}
+		if i >= 700 && i%7 == 0 {
+			row[2] = nil // the mask starts late
+		}
+		if i >= 1500 && i%5 == 0 {
+			row[3] = "foreign" // and so does the demotion
+		}
+		return row
+	}
+	const total = 3000
+	tbl.Insert(w.XID, rowAt(0))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []vec.Vector
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				views := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(w))
+				if len(views) != 1 {
+					t.Errorf("the writer's snapshot sees %d stripes", len(views))
+					return
+				}
+				view := views[0]
+				n := view.NumRows()
+				min, max, ok := view.Stats(0)
+				if !ok || min != types.Datum(int64(0)) || max.(int64) < int64(n-1) {
+					t.Errorf("stats of a view of %d rows: %v..%v ok=%v", n, min, max, ok)
+					return
+				}
+				buf = tbl.LoadChunk(view, nil, buf)
+				for ci := range buf {
+					if buf[ci].Len() != n {
+						t.Errorf("view of %d rows, column %d has %d", n, ci, buf[ci].Len())
+						return
+					}
+				}
+				for _, r := range []int{0, n / 2, n - 1} {
+					for ci, want := range rowAt(r) {
+						if got := buf[ci].Datum(r); got != want {
+							t.Errorf("view of %d rows: row %d column %d is %v, want %v", n, r, ci, got, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for i := 1; i < total; i++ {
+		tbl.Insert(w.XID, rowAt(i))
+	}
+	close(stop)
+	wg.Wait()
+	_ = mgr.Commit(w)
+	if got := scanRows(tbl, mgr, mgr.TakeSnapshot(nil), []int{0, 3}); len(got) != total || got[total-5][3] != "foreign" {
+		t.Fatalf("after the commit: %d rows, row %d = %v", len(got), total-5, got[total-5])
 	}
 }

@@ -5,11 +5,13 @@
 // and column chunks compress (modelled as a reduced page count charged to
 // the buffer pool), which is where the fast-scan advantage comes from.
 //
-// Beyond the row-at-a-time Scan, the table exposes chunk-granular batch
-// access (VisibleStripes + LoadChunk): an executor reads whole column
-// slices per stripe without materializing rows, consults per-column
-// min/max chunk statistics to skip stripes a predicate can never match,
-// and runs vectorized kernels (internal/vec) over the raw slices.
+// A column chunk is a typed vector (vec.Vector): a slice of int64, float64,
+// bool, UTC nanoseconds or dictionary codes, with a NULL mask — 8 bytes a
+// cell or less, and nothing boxed. Beyond the row-at-a-time Scan, the table
+// exposes chunk-granular batch access (VisibleStripes + LoadChunk): an
+// executor reads whole vectors per stripe without materializing rows,
+// consults per-column min/max chunk statistics to skip stripes a predicate
+// can never match, and runs vectorized kernels (internal/vec) over them.
 //
 // Like the early Citus columnar access method, the format is append-only:
 // INSERT and COPY are supported, UPDATE/DELETE are not.
@@ -18,11 +20,11 @@ package columnar
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"citusgo/internal/bufpool"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
+	"citusgo/internal/vec"
 )
 
 // StripeRows caps how many rows one stripe holds.
@@ -50,77 +52,73 @@ const maxPagesPerChunk = (StripeRows + rowsPerHeapPage*CompressionFactor - 1) /
 // Compile-time guard: one chunk's pages fit inside its page-ID stride.
 var _ [chunkPageStride - maxPagesPerChunk]struct{}
 
-// colStats tracks the min/max of one column chunk for stripe skipping.
-// Only homogeneous chunks of ordered types (int64, float64, string,
-// time.Time) carry stats; NULLs are ignored (they never satisfy a
-// comparison predicate, so a [min,max] proof over non-null values is
-// enough to skip the whole stripe).
+// colStats tracks the min/max of one column chunk for stripe skipping, as
+// the rows that hold them: typed vectors compare their own elements, so no
+// value is boxed to keep the statistics. Only chunks of the ordered kinds
+// (int, float, timestamp, string) carry stats; NULLs are ignored (they never
+// satisfy a comparison predicate, so a [min,max] proof over non-null values
+// is enough to skip the whole stripe).
 type colStats struct {
-	min, max types.Datum
-	bad      bool // mixed or unordered types; stats unusable
-	nulls    bool // the chunk holds at least one NULL
+	minAt, maxAt int32
+	set          bool // minAt and maxAt are rows
+	bad          bool // stats unusable: see update
+	nulls        bool // the chunk holds at least one NULL
+	// boxed is min and max as datums, made by the first Stats call after
+	// they last moved; a settled stripe answers every later call from it.
+	boxed atomic.Pointer[[2]types.Datum]
 }
 
-func statsTracked(v types.Datum) bool {
-	switch v.(type) {
-	case int64, float64, string, time.Time:
-		return true
-	}
-	return false
-}
-
-func sameStatType(a, b types.Datum) bool {
-	switch a.(type) {
-	case int64:
-		_, ok := b.(int64)
-		return ok
-	case float64:
-		_, ok := b.(float64)
-		return ok
-	case string:
-		_, ok := b.(string)
-		return ok
-	case time.Time:
-		_, ok := b.(time.Time)
-		return ok
-	}
-	return false
-}
-
-func (s *colStats) update(v types.Datum) {
-	if v == nil {
+// update takes in row i of v, just appended. The stats go bad, for good,
+// when the chunk is or becomes KindGeneric — values of mixed or unordered
+// types have no order a [min,max] proof could rest on — or holds a bool, or
+// a NaN, which types.Compare ties with every value.
+func (s *colStats) update(v *vec.Vector, i int) {
+	if v.IsNull(i) {
 		s.nulls = true
 		return
 	}
 	if s.bad {
 		return
 	}
-	if !statsTracked(v) {
+	below, above := false, false
+	first := !s.set
+	switch v.Kind {
+	case vec.KindInt, vec.KindTime:
+		if !first {
+			below, above = v.Ints[i] < v.Ints[s.minAt], v.Ints[i] > v.Ints[s.maxAt]
+		}
+	case vec.KindFloat:
+		if x := v.Floats[i]; x != x {
+			s.bad = true
+		} else if !first {
+			below, above = x < v.Floats[s.minAt], x > v.Floats[s.maxAt]
+		}
+	case vec.KindString:
+		if c := v.Codes[i]; !first && c != v.Codes[s.minAt] && c != v.Codes[s.maxAt] {
+			below, above = v.Dict[c] < v.Dict[v.Codes[s.minAt]], v.Dict[c] > v.Dict[v.Codes[s.maxAt]]
+		}
+	default:
 		s.bad = true
-		s.min, s.max = nil, nil
+	}
+	switch {
+	case s.bad:
+		s.set = false
+	case first:
+		s.minAt, s.maxAt, s.set = int32(i), int32(i), true
+	case below:
+		s.minAt = int32(i)
+	case above:
+		s.maxAt = int32(i)
+	default:
 		return
 	}
-	if s.min == nil {
-		s.min, s.max = v, v
-		return
-	}
-	if !sameStatType(s.min, v) {
-		s.bad = true
-		s.min, s.max = nil, nil
-		return
-	}
-	if types.Compare(v, s.min) < 0 {
-		s.min = v
-	}
-	if types.Compare(v, s.max) > 0 {
-		s.max = v
-	}
+	s.boxed.Store(nil)
 }
 
 type stripe struct {
 	xmin  uint64
-	cols  [][]types.Datum // column-major
-	stats []colStats      // per-column chunk min/max
+	cols  []vec.Vector // column-major
+	stats []colStats   // per-column chunk min/max
 	n     int
 }
 
@@ -153,12 +151,17 @@ func (t *Table) Insert(xid uint64, row types.Row) {
 		last := t.stripes[n-1]
 		if last.xmin == xid && last.n < StripeRows {
 			st = last
+		} else {
+			// only the last stripe ever takes rows
+			for i := range last.cols {
+				last.cols[i].Freeze()
+			}
 		}
 	}
 	if st == nil {
 		st = &stripe{
 			xmin:  xid,
-			cols:  make([][]types.Datum, t.ncols),
+			cols:  make([]vec.Vector, t.ncols),
 			stats: make([]colStats, t.ncols),
 		}
 		t.stripes = append(t.stripes, st)
@@ -168,8 +171,8 @@ func (t *Table) Insert(xid uint64, row types.Row) {
 		if i < len(row) {
 			v = row[i]
 		}
-		st.cols[i] = append(st.cols[i], v)
-		st.stats[i].update(v)
+		st.cols[i].Append(v)
+		st.stats[i].update(&st.cols[i], st.n)
 	}
 	st.n++
 	t.mu.Unlock()
@@ -182,92 +185,116 @@ func pagesForChunk(nrows int) int32 {
 	return int32((nrows + rowsPerPage - 1) / rowsPerPage)
 }
 
-// StripeView is a read-only handle on one visible stripe. The underlying
-// column slices are append-only and the stripe was committed (or written
-// by the scanning transaction itself) before the view was taken, so the
-// view stays valid without locks even across a concurrent Truncate.
+// StripeView is a read-only handle on the rows a stripe held when the view
+// was taken. The stripe was committed by then, or is the scanning
+// transaction's own; vectors are append-only, so the view stays valid across
+// a concurrent Truncate, and while its own transaction keeps appending to
+// the stripe it still reads exactly those rows.
 type StripeView struct {
+	t  *Table
 	st *stripe
 	si int // stripe index at view time; keys the simulated page IDs
+	n  int // rows at view time
 }
 
-// NumRows returns the stripe's row count.
-func (v StripeView) NumRows() int { return v.st.n }
+// NumRows returns the view's row count.
+func (v StripeView) NumRows() int { return v.n }
 
 // Stats returns the chunk min/max for one column. ok is false when the
 // chunk carries no usable statistics (empty, all NULL, or values of mixed
 // or unordered types) — callers must then treat the stripe as unskippable.
+// The stripe's statistics may cover rows appended after the view was taken:
+// a wider [min,max], which proves no less about the view's rows.
 func (v StripeView) Stats(col int) (min, max types.Datum, ok bool) {
+	v.t.mu.RLock()
+	defer v.t.mu.RUnlock()
 	s := &v.st.stats[col]
-	if s.bad || s.min == nil {
+	if !s.set {
 		return nil, nil, false
 	}
-	return s.min, s.max, true
+	b := s.boxed.Load()
+	if b == nil {
+		c := &v.st.cols[col]
+		b = &[2]types.Datum{c.Datum(int(s.minAt)), c.Datum(int(s.maxAt))}
+		s.boxed.Store(b)
+	}
+	return b[0], b[1], true
 }
 
 // HasNulls reports whether the column chunk holds any NULL. Min/max cover
 // only the non-NULL values, so a proof that must also hold for NULL rows
 // (an ascending TopN bound, where NULL sorts first) needs this beside them.
-func (v StripeView) HasNulls(col int) bool { return v.st.stats[col].nulls }
+func (v StripeView) HasNulls(col int) bool {
+	v.t.mu.RLock()
+	defer v.t.mu.RUnlock()
+	return v.st.stats[col].nulls
+}
 
 // VisibleStripes snapshots the stripes visible to s. No chunk I/O is
 // charged: stats live in stripe metadata, so a caller can decide which
 // stripes to skip before paying for any column chunk.
 func (t *Table) VisibleStripes(mgr *txn.Manager, s txn.Snapshot) []StripeView {
 	t.mu.RLock()
-	// The backing array is append-only and stripes are never reassigned,
-	// so reading the slice header under the read lock is all the copying
-	// a scan needs.
-	stripes := t.stripes
-	t.mu.RUnlock()
-
-	views := make([]StripeView, 0, len(stripes))
-	for si, st := range stripes {
+	defer t.mu.RUnlock()
+	views := make([]StripeView, 0, len(t.stripes))
+	for si, st := range t.stripes {
 		if st.xmin == s.Self || mgr.Sees(s, st.xmin) {
-			views = append(views, StripeView{st: st, si: si})
+			views = append(views, StripeView{t: t, st: st, si: si, n: st.n})
 		}
 	}
 	return views
 }
 
 // LoadChunk charges buffer-pool I/O for the needed columns of one stripe
-// (nil = all) and returns the stripe's column slices, indexed by table
-// column ordinal; columns outside needed are nil. The slices are live
-// storage: callers must treat them as read-only.
-func (t *Table) LoadChunk(v StripeView, needed []int) [][]types.Datum {
-	out := make([][]types.Datum, t.ncols)
-	charge := func(ci int) {
-		pages := pagesForChunk(v.st.n)
+// (nil = all) and returns the view's rows of those columns as vectors,
+// indexed by table column ordinal; columns outside needed are empty. buf is
+// nil or the result of an earlier LoadChunk of this table with the same
+// needed, which is then overwritten and returned: a scan allocates once, not
+// per stripe. The vectors are live storage: callers must treat them as
+// read-only.
+func (t *Table) LoadChunk(v StripeView, needed []int, buf []vec.Vector) []vec.Vector {
+	if buf == nil {
+		buf = make([]vec.Vector, t.ncols)
+	}
+	load := func(ci int) {
+		pages := pagesForChunk(v.n)
 		base := int32(v.si*t.ncols+ci) * chunkPageStride
 		for p := int32(0); p < pages; p++ {
 			t.pool.Access(bufpool.PageID{Table: t.ID, Page: base + p})
 		}
+		v.st.cols[ci].PrefixInto(&buf[ci], v.n)
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if needed == nil {
 		for ci := 0; ci < t.ncols; ci++ {
-			charge(ci)
-			out[ci] = v.st.cols[ci][:v.st.n]
+			load(ci)
 		}
-		return out
+		return buf
 	}
 	for _, ci := range needed {
-		charge(ci)
-		out[ci] = v.st.cols[ci][:v.st.n]
+		load(ci)
 	}
-	return out
+	return buf
 }
 
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return t.ncols }
 
+// scanBlock is how many rows Scan turns into datums at a time.
+const scanBlock = 1024
+
 // Scan iterates visible rows, charging buffer-pool I/O only for the needed
-// columns (nil = all). fn returning false stops the scan.
+// columns (nil = all). fn returning false stops the scan. This is the
+// row-at-a-time path: the needed cells of a row are datums that point into
+// the stripe's vectors (vec.Vector.AppendDatums), made a block of rows at a
+// time, so nothing is allocated per cell.
 //
 // Aliasing contract: the types.Row passed to fn is a scratch buffer reused
 // for every row. Callers that retain a row beyond the callback must copy
 // it first (the engine's executor nodes either transform rows into fresh
 // output rows or clone before buffering, so the hot scan path allocates
-// nothing per row).
+// nothing per row). The datums in it may be kept.
 func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, needed []int, fn func(row types.Row) bool) {
 	views := t.VisibleStripes(mgr, s)
 	if len(views) == 0 {
@@ -281,14 +308,22 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, needed []int, fn func(row
 		}
 	}
 	scratch := make(types.Row, t.ncols)
+	cells := make([][]types.Datum, t.ncols)
+	var chunk []vec.Vector
 	for _, v := range views {
-		chunk := t.LoadChunk(v, needed)
-		for r := 0; r < v.NumRows(); r++ {
+		chunk = t.LoadChunk(v, needed, chunk)
+		for lo := 0; lo < v.n; lo += scanBlock {
+			hi := min(lo+scanBlock, v.n)
 			for _, ci := range cols {
-				scratch[ci] = chunk[ci][r]
+				cells[ci] = chunk[ci].AppendDatums(cells[ci][:0], lo, hi)
 			}
-			if !fn(scratch) {
-				return
+			for r := 0; r < hi-lo; r++ {
+				for _, ci := range cols {
+					scratch[ci] = cells[ci][r]
+				}
+				if !fn(scratch) {
+					return
+				}
 			}
 		}
 	}

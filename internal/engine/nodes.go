@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
@@ -404,34 +403,44 @@ func (n *hashJoinNode) explain(indent string) []string {
 	return out
 }
 
-func hashKeyString(vals []types.Datum) string {
-	var sb strings.Builder
+// appendHashKey appends the hash key of vals to buf: every value in its
+// types.Format text, NULL apart from any text, a separator behind each.
+func appendHashKey(buf []byte, vals []types.Datum) []byte {
 	for _, v := range vals {
 		if v == nil {
-			sb.WriteString("\x00N")
+			buf = append(buf, "\x00N"...)
 		} else {
-			sb.WriteString(types.Format(v))
+			buf = types.AppendFormat(buf, v)
 		}
-		sb.WriteByte('\x1f')
+		buf = append(buf, '\x1f')
 	}
-	return sb.String()
+	return buf
 }
+
+func hashKeyString(vals []types.Datum) string { return string(appendHashKey(nil, vals)) }
 
 func (n *hashJoinNode) run(ec *execCtx, emit func(types.Row) error) error {
 	table := make(map[string][]types.Row)
-	err := n.right.run(ec, func(row types.Row) error {
-		keys := make([]types.Datum, len(n.rightKeys))
-		for i, ev := range n.rightKeys {
-			v, err := ec.evalWith(ev, row)
-			if err != nil {
-				return err
+	// one key slice and one key buffer for the whole join: a probe allocates
+	// only the rows it emits
+	keys := make([]types.Datum, len(n.rightKeys))
+	var buf []byte
+	// joinKey evaluates evs over row into buf; ok is false when a key is
+	// NULL, which never joins.
+	joinKey := func(evs []expr.Evaluator, row types.Row) (ok bool, err error) {
+		for i, ev := range evs {
+			if keys[i], err = ec.evalWith(ev, row); err != nil || keys[i] == nil {
+				return false, err
 			}
-			if v == nil {
-				return nil // NULL keys never join
-			}
-			keys[i] = v
 		}
-		k := hashKeyString(keys)
+		buf = appendHashKey(buf[:0], keys)
+		return true, nil
+	}
+	err := n.right.run(ec, func(row types.Row) error {
+		if ok, err := joinKey(n.rightKeys, row); !ok {
+			return err
+		}
+		k := string(buf)
 		table[k] = append(table[k], row.Clone())
 		return nil
 	})
@@ -439,23 +448,15 @@ func (n *hashJoinNode) run(ec *execCtx, emit func(types.Row) error) error {
 		return err
 	}
 	return n.left.run(ec, func(lrow types.Row) error {
-		keys := make([]types.Datum, len(n.leftKeys))
-		nullKey := false
-		for i, ev := range n.leftKeys {
-			v, err := ec.evalWith(ev, lrow)
-			if err != nil {
-				return err
-			}
-			if v == nil {
-				nullKey = true
-				break
-			}
-			keys[i] = v
+		ok, err := joinKey(n.leftKeys, lrow)
+		if err != nil {
+			return err
 		}
 		matched := false
-		if !nullKey {
-			for _, rrow := range table[hashKeyString(keys)] {
-				combined := append(append(types.Row{}, lrow...), rrow...)
+		if ok {
+			for _, rrow := range table[string(buf)] {
+				combined := make(types.Row, len(lrow)+len(rrow))
+				copy(combined[copy(combined, lrow):], rrow)
 				pass, err := ec.filterPasses(n.residual, combined)
 				if err != nil {
 					return err
@@ -470,7 +471,8 @@ func (n *hashJoinNode) run(ec *execCtx, emit func(types.Row) error) error {
 			}
 		}
 		if !matched && n.joinType == sql.LeftJoin {
-			combined := append(append(types.Row{}, lrow...), make(types.Row, n.rightWidth)...)
+			combined := make(types.Row, len(lrow)+n.rightWidth)
+			copy(combined, lrow)
 			return emit(combined)
 		}
 		return nil

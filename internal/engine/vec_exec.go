@@ -65,11 +65,11 @@ type boundFilter struct {
 	or     *vec.OrFilter // nil unless the conjunct is an OR chain
 }
 
-func (f *boundFilter) apply(chunk [][]types.Datum, sel vec.Sel, out vec.Sel, sc *vec.OrScratch) vec.Sel {
+func (f *boundFilter) apply(chunk []vec.Vector, sel vec.Sel, out vec.Sel, sc *vec.OrScratch) vec.Sel {
 	if f.or != nil {
 		return f.or.Apply(chunk, sel, out, sc)
 	}
-	return f.single.Apply(chunk[f.single.Col], sel, out)
+	return f.single.Apply(&chunk[f.single.Col], sel, out)
 }
 
 // skip reports whether the stripe's chunk statistics prove no row passes.
@@ -263,15 +263,16 @@ func (n *vecAggNode) explain(indent string) []string {
 	return append(lines, scan)
 }
 
-// vecPartial is one scan goroutine's private accumulation state. Grouped
-// partials carry a private group dictionary plus one typed per-group
-// accumulator array per aggregate; the cross-partial merge re-interns
-// representative keys into the first partial's dictionary.
+// vecPartial is one scan goroutine's private accumulation state: one typed
+// per-group accumulator per aggregate and, for a grouped query, a private
+// group dictionary; the cross-partial merge re-interns representative keys
+// into the first partial's dictionary. Without GROUP BY there is no
+// dictionary and no ID vector: every row folds into group 0.
 type vecPartial struct {
-	dict       *vec.GroupDict
+	dict       *vec.GroupDict // nil when the query has no GROUP BY
 	gaggs      []*vec.GroupedAgg
-	ids        []uint32 // per-chunk group-ID vector scratch
-	ungrouped  []*vec.AggState
+	ids        []uint32     // per-chunk group-ID vector scratch
+	chunk      []vec.Vector // LoadChunk's buffer
 	selA, selB vec.Sel
 	orSc       vec.OrScratch
 	scratch    vec.Scratch
@@ -283,6 +284,15 @@ type vecPartial struct {
 	boundRows, boundStripes int64
 }
 
+// groups is the number of groups the partial holds: the one of a query
+// without GROUP BY, or its dictionary's.
+func (p *vecPartial) groups() int {
+	if p.dict == nil {
+		return 1
+	}
+	return p.dict.NumGroups()
+}
+
 // newPartial returns one scan goroutine's state; topK > 0 gives it a TopN
 // bound of that many keys.
 func (n *vecAggNode) newPartial(topK int) *vecPartial {
@@ -290,18 +300,17 @@ func (n *vecAggNode) newPartial(topK int) *vecPartial {
 	if topK > 0 {
 		p.bound = vec.NewTopNBound(n.topn.col, n.topn.desc, topK)
 	}
-	if len(n.groupOrds) == 0 {
-		p.ungrouped = make([]*vec.AggState, len(n.aggs))
-		for i, a := range n.aggs {
-			p.ungrouped[i] = vec.NewAggState(a.kind)
-		}
-		return p
-	}
-	p.dict = vec.NewGroupDict()
 	p.gaggs = make([]*vec.GroupedAgg, len(n.aggs))
 	for i, a := range n.aggs {
 		p.gaggs[i] = vec.NewGroupedAgg(a.kind)
 	}
+	if len(n.groupOrds) == 0 {
+		for _, g := range p.gaggs {
+			g.Grow(1)
+		}
+		return p
+	}
+	p.dict = vec.NewGroupDict()
 	return p
 }
 
@@ -316,8 +325,8 @@ func (n *vecAggNode) processStripe(p *vecPartial, filters []boundFilter, nums []
 			return nil
 		}
 	}
-	chunk := n.tab.LoadChunk(view, n.needed)
-	nrows := view.NumRows()
+	p.chunk = n.tab.LoadChunk(view, n.needed, p.chunk)
+	chunk, nrows := p.chunk, view.NumRows()
 	p.batches++
 	p.rows += int64(nrows)
 
@@ -339,33 +348,6 @@ func (n *vecAggNode) processStripe(p *vecPartial, filters []boundFilter, nums []
 		}
 	}
 
-	p.scratch.Reset()
-	if len(n.groupOrds) == 0 {
-		for ai, a := range n.aggs {
-			switch {
-			case a.star:
-				cnt := int64(nrows)
-				if sel != nil {
-					cnt = int64(len(sel))
-				}
-				p.ungrouped[ai].AddStar(cnt)
-			case a.num != nil:
-				v, err := nums[ai].Eval(chunk, nrows, sel, &p.scratch)
-				if err != nil {
-					return err
-				}
-				if err := p.ungrouped[ai].AddVec(&v); err != nil {
-					return err
-				}
-			default:
-				if err := p.ungrouped[ai].AddDatums(chunk[a.colOrd], sel); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
 	if p.bound != nil {
 		var cut int
 		sel, cut = p.bound.Apply(chunk, keyNulls, sel, nrows)
@@ -375,28 +357,36 @@ func (n *vecAggNode) processStripe(p *vecPartial, filters []boundFilter, nums []
 		}
 	}
 
-	// grouped fold: dictionary-encode the key columns into a group-ID
-	// vector, then batch-fold each aggregate by ID into its typed
-	// per-group arrays — no per-row map probe, no interface-keyed lookup.
-	p.groupBatch++
-	p.ids = p.dict.Encode(chunk, n.groupOrds, sel, nrows, p.ids)
-	for _, g := range p.gaggs {
-		g.Grow(p.dict.NumGroups())
+	// grouped fold: turn the key columns into a group-ID vector, then
+	// batch-fold each aggregate by ID into its typed per-group arrays — no
+	// per-row map probe, no interface-keyed lookup. Without GROUP BY the ID
+	// vector stays nil: one group.
+	var ids []uint32
+	if p.dict != nil {
+		p.groupBatch++
+		p.ids = p.dict.Encode(chunk, n.groupOrds, sel, nrows, p.ids)
+		ids = p.ids
+		for _, g := range p.gaggs {
+			g.Grow(p.dict.NumGroups())
+		}
 	}
+	p.scratch.Reset()
 	for ai, a := range n.aggs {
 		switch {
 		case a.star:
-			p.gaggs[ai].AddStar(p.ids)
+			cnt := nrows
+			if sel != nil {
+				cnt = len(sel)
+			}
+			p.gaggs[ai].AddStar(ids, cnt)
 		case a.num != nil:
 			v, err := nums[ai].Eval(chunk, nrows, sel, &p.scratch)
 			if err != nil {
 				return err
 			}
-			if err := p.gaggs[ai].AddVec(&v, p.ids); err != nil {
-				return err
-			}
+			p.gaggs[ai].AddVec(&v, ids)
 		default:
-			if err := p.gaggs[ai].AddCol(chunk[a.colOrd], sel, p.ids); err != nil {
+			if err := p.gaggs[ai].AddCol(&chunk[a.colOrd], sel, ids); err != nil {
 				return err
 			}
 		}
@@ -522,26 +512,21 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 
 	// merge partials in stripe order: the first partial's dictionary keeps
 	// the sequential first-seen order, and later partials re-intern their
-	// representative keys so their IDs map onto the merged slots.
-	groups := int64(0)
-	var merged *vecPartial
-	if len(n.groupOrds) > 0 {
-		merged = partials[0]
-		for _, p := range partials[1:] {
-			np := p.dict.NumGroups()
-			if np == 0 {
-				continue
-			}
-			idMap := make([]uint32, np)
-			for g := 0; g < np; g++ {
+	// representative keys so their IDs map onto the merged slots. Without
+	// GROUP BY every partial's one group maps onto the one group.
+	merged := partials[0]
+	for _, p := range partials[1:] {
+		idMap := []uint32{0}
+		if merged.dict != nil {
+			idMap = make([]uint32, p.dict.NumGroups())
+			for g := range idMap {
 				idMap[g] = merged.dict.Intern(p.dict.Key(uint32(g)))
 			}
-			for ai := range merged.gaggs {
-				merged.gaggs[ai].Grow(merged.dict.NumGroups())
-				merged.gaggs[ai].MergeFrom(p.gaggs[ai], idMap)
-			}
 		}
-		groups = int64(merged.dict.NumGroups())
+		for ai := range merged.gaggs {
+			merged.gaggs[ai].Grow(merged.groups())
+			merged.gaggs[ai].MergeFrom(p.gaggs[ai], idMap)
+		}
 	}
 
 	if tr := eng.Tracer; tr != nil && ec.sess.TraceID != 0 {
@@ -551,32 +536,22 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 			sp.SetAttr("rows", strconv.FormatInt(rows, 10))
 			sp.SetAttr("stripes_skipped", strconv.FormatInt(skipped, 10))
 			sp.SetAttr("parallelism", strconv.Itoa(degree))
-			sp.SetAttr("groups", strconv.FormatInt(groups, 10))
+			groups := 0 // none without GROUP BY
+			if merged.dict != nil {
+				groups = merged.groups()
+			}
+			sp.SetAttr("groups", strconv.Itoa(groups))
 			sp.SetAttr("group_batches", strconv.FormatInt(groupBatches, 10))
 			sp.SetAttr("bound_rows", strconv.FormatInt(boundRows, 10))
 			sp.Finish()
 		}
 	}
 
-	if len(n.groupOrds) == 0 {
-		final := partials[0].ungrouped
-		for _, p := range partials[1:] {
-			for ai := range final {
-				if err := final[ai].Merge(p.ungrouped[ai]); err != nil {
-					return err
-				}
-			}
-		}
-		out := make(types.Row, 0, len(final))
-		for _, st := range final {
-			out = append(out, st.Result())
-		}
-		return emit(out)
-	}
-
-	for id := uint32(0); id < uint32(merged.dict.NumGroups()); id++ {
+	for id := uint32(0); id < uint32(merged.groups()); id++ {
 		out := make(types.Row, 0, len(n.groupOrds)+len(n.aggs))
-		out = append(out, merged.dict.Key(id)...)
+		if merged.dict != nil {
+			out = append(out, merged.dict.Key(id)...)
+		}
 		for _, g := range merged.gaggs {
 			out = append(out, g.Result(id))
 		}

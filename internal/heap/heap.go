@@ -155,12 +155,14 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, row type
 	t.mu.RLock()
 	numPages := len(t.pages)
 	t.mu.RUnlock()
+	// one buffer for the whole scan: fn is handed a tuple's row, never the
+	// tuple, so nothing can keep a reference into it
+	tuples := make([]Tuple, 0, TuplesPerPage)
 	for p := 0; p < numPages; p++ {
 		t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(p)})
 		t.mu.RLock()
 		// copy the page's tuples so fn runs without the table lock
-		tuples := make([]Tuple, len(t.pages[p].tuples))
-		copy(tuples, t.pages[p].tuples)
+		tuples = append(tuples[:0], t.pages[p].tuples...)
 		t.mu.RUnlock()
 		for slot := range tuples {
 			if !Visible(mgr, s, tuples[slot]) {
@@ -180,10 +182,10 @@ func (t *Table) AllTuples(fn func(tid TID, tup Tuple) bool) {
 	t.mu.RLock()
 	numPages := len(t.pages)
 	t.mu.RUnlock()
+	tuples := make([]Tuple, 0, TuplesPerPage) // reused: fn gets each tuple by value
 	for p := 0; p < numPages; p++ {
 		t.mu.RLock()
-		tuples := make([]Tuple, len(t.pages[p].tuples))
-		copy(tuples, t.pages[p].tuples)
+		tuples = append(tuples[:0], t.pages[p].tuples...)
 		t.mu.RUnlock()
 		for slot := range tuples {
 			if tuples[slot].Dead {

@@ -285,11 +285,11 @@ func (bt Batch) Cells() []types.Datum {
 			l, w := binary.Uvarint(b[i:])
 			i += w
 			strs[0] = string(b[i : i+int(l)])
-			cells[k] = boxString(&strs[0])
+			cells[k] = types.BoxString(&strs[0])
 			strs, i = strs[1:], i+int(l)
 		case tagTime:
 			times[0] = DecodeTime(b[i:])
-			cells[k] = boxTime(&times[0])
+			cells[k] = types.BoxTime(&times[0])
 			times, i = times[1:], i+TimeSize
 		case tagJSONB:
 			l, w := binary.Uvarint(b[i:])

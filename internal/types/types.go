@@ -209,10 +209,8 @@ func Format(d Datum) string {
 	case int64:
 		return strconv.FormatInt(v, 10)
 	case float64:
-		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-			return strconv.FormatFloat(v, 'f', 1, 64)
-		}
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		var buf [32]byte
+		return string(appendFloat(buf[:0], v))
 	case bool:
 		if v {
 			return "true"
@@ -221,12 +219,43 @@ func Format(d Datum) string {
 	case string:
 		return v
 	case time.Time:
-		return v.UTC().Format("2006-01-02 15:04:05.999999")
+		return v.UTC().Format(timeLayout)
 	case fmt.Stringer:
 		return v.String()
 	default:
 		return fmt.Sprintf("%v", v)
 	}
+}
+
+// timeLayout is the textual form of a timestamp: UTC, microseconds, trailing
+// fraction zeros trimmed.
+const timeLayout = "2006-01-02 15:04:05.999999"
+
+// appendFloat appends a float's textual form: one decimal when it is a whole
+// number of moderate size (1.0, not 1), the shortest form that round-trips
+// otherwise.
+func appendFloat(dst []byte, v float64) []byte {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.AppendFloat(dst, v, 'f', 1, 64)
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// AppendFormat appends Format(d) to dst, without the intermediate string for
+// the kinds a hot loop formats (a join or grouping key of ints, floats,
+// strings, times).
+func AppendFormat(dst []byte, d Datum) []byte {
+	switch v := d.(type) {
+	case int64:
+		return strconv.AppendInt(dst, v, 10)
+	case float64:
+		return appendFloat(dst, v)
+	case string:
+		return append(dst, v...)
+	case time.Time:
+		return v.UTC().AppendFormat(dst, timeLayout)
+	}
+	return append(dst, Format(d)...)
 }
 
 // QuoteLiteral renders a datum as a SQL literal suitable for embedding in a

@@ -212,3 +212,34 @@ func TestFormatTimestamp(t *testing.T) {
 		t.Fatalf("parse: %v %v", parsed, err)
 	}
 }
+
+// TestAppendFormatIsFormat: the hash join keys its buckets by AppendFormat
+// and the row-path aggregate by Format; the two must be the same text.
+func TestAppendFormatIsFormat(t *testing.T) {
+	type other struct{ a, b int }
+	for _, d := range []Datum{
+		nil, int64(0), int64(-42), int64(math.MaxInt64),
+		0.0, math.Copysign(0, -1), 1.0, -2.5, 1e15, 1e14, 123456789.125, 1e-7, math.NaN(), math.Inf(-1),
+		true, false, "", "text",
+		time.Date(2021, 6, 20, 12, 30, 45, 123456000, time.UTC),
+		time.Date(2021, 6, 20, 12, 30, 45, 0, time.FixedZone("", 3600)),
+		time.Time{}, other{1, 2},
+	} {
+		if got, want := string(AppendFormat([]byte("key:"), d)), "key:"+Format(d); got != want {
+			t.Errorf("%#v: AppendFormat %q, Format %q", d, got, want)
+		}
+	}
+}
+
+// TestBoxedDatum: a datum built around a caller's pointer is the datum the
+// compiler would have built around a copy.
+func TestBoxedDatum(t *testing.T) {
+	i, f, s, ts := int64(7), 2.5, "seven", time.Date(2021, 6, 20, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct{ boxed, plain Datum }{
+		{BoxInt64(&i), i}, {BoxFloat64(&f), f}, {BoxString(&s), s}, {BoxTime(&ts), ts},
+	} {
+		if c.boxed != c.plain || TypeOf(c.boxed) != TypeOf(c.plain) || Format(c.boxed) != Format(c.plain) {
+			t.Errorf("boxed %#v is not %#v", c.boxed, c.plain)
+		}
+	}
+}

@@ -5,16 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"citusgo/internal/expr"
 	"citusgo/internal/types"
 )
 
 func TestGroupDictEncodeFirstSeenOrder(t *testing.T) {
 	d := NewGroupDict()
-	flag := []types.Datum{"R", "A", "R", nil, "A", "R", nil}
-	num := []types.Datum{int64(1), int64(2), int64(1), int64(1), int64(2), int64(9), int64(1)}
-	chunk := [][]types.Datum{flag, num}
+	flag := vecOf("R", "A", "R", nil, "A", "R", nil)
+	num := vecOf(int64(1), int64(2), int64(1), int64(1), int64(2), int64(9), int64(1))
+	chunk := chunkOf(flag, num)
 
-	ids := d.Encode(chunk, []int{0, 1}, nil, len(flag), nil)
+	ids := d.Encode(chunk, []int{0, 1}, nil, flag.Len(), nil)
 	want := []uint32{0, 1, 0, 2, 1, 3, 2}
 	if len(ids) != len(want) {
 		t.Fatalf("ids len %d, want %d", len(ids), len(want))
@@ -33,7 +34,7 @@ func TestGroupDictEncodeFirstSeenOrder(t *testing.T) {
 	}
 
 	// a second chunk reuses existing IDs and extends the dictionary
-	ids = d.Encode([][]types.Datum{{"A", "Z"}, {int64(2), int64(2)}}, []int{0, 1}, nil, 2, ids)
+	ids = d.Encode(chunkOf(vecOf("A", "Z"), vecOf(int64(2), int64(2))), []int{0, 1}, nil, 2, ids)
 	if ids[0] != 1 || ids[1] != 4 {
 		t.Fatalf("second chunk ids = %v, want [1 4]", ids)
 	}
@@ -41,8 +42,8 @@ func TestGroupDictEncodeFirstSeenOrder(t *testing.T) {
 
 func TestGroupDictSelAndIntern(t *testing.T) {
 	d := NewGroupDict()
-	col := []types.Datum{int64(10), int64(20), int64(10), int64(30)}
-	ids := d.Encode([][]types.Datum{col}, []int{0}, Sel{1, 2, 3}, len(col), nil)
+	col := vecOf(int64(10), int64(20), int64(10), int64(30))
+	ids := d.Encode(chunkOf(col), []int{0}, Sel{1, 2, 3}, col.Len(), nil)
 	if len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 2 {
 		t.Fatalf("ids = %v", ids)
 	}
@@ -76,10 +77,10 @@ func TestGroupDictTypeTags(t *testing.T) {
 		{math.Copysign(0, -1), "x"}, // -0.0 is its own group,
 		{float64(0), "x"},           //   distinct from +0.0 (like the row path)
 	}
-	cols := make([][]types.Datum, 2)
+	cols := make([]Vector, 2)
 	for _, r := range rows {
-		cols[0] = append(cols[0], r[0])
-		cols[1] = append(cols[1], r[1])
+		cols[0].Append(r[0])
+		cols[1].Append(r[1])
 	}
 	ids := d.Encode(cols, []int{0, 1}, nil, len(rows), nil)
 	want := []uint32{0, 1, 2, 3, 4, 5, 0, 6, 7, 8, 8, 9, 10}
@@ -90,31 +91,50 @@ func TestGroupDictTypeTags(t *testing.T) {
 	}
 }
 
-// TestGroupedAggMatchesAggState folds the same stream through GroupedAgg
-// and a per-group AggState and expects identical results, including the
-// int→float sum promotion point.
+// TestGroupedAggMatchesAggState folds the same stream through GroupedAgg —
+// as one mixed-type column, which is a KindGeneric vector, and as a run of
+// typed chunks — and through the row path's expr.AggState per group, and
+// expects identical results, including the int→float sum promotion point.
 func TestGroupedAggMatchesAggState(t *testing.T) {
 	vals := []types.Datum{
 		int64(3), nil, int64(4), float64(0.5), int64(2),
 		float64(1.25), nil, int64(7), int64(1), float64(-2),
 	}
 	ids := []uint32{0, 0, 1, 0, 1, 1, 1, 0, 2, 2}
-	for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax, AggAvg} {
-		g := NewGroupedAgg(kind)
-		g.Grow(3)
-		if err := g.AddCol(vals, nil, ids); err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
+	for _, name := range []string{"count", "sum", "min", "max", "avg"} {
+		kind, _ := KindOf(name)
+		generic := NewGroupedAgg(kind)
+		generic.Grow(3)
+		if err := generic.AddCol(vecOf(vals...), nil, ids); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		ref := []*AggState{NewAggState(kind), NewAggState(kind), NewAggState(kind)}
+		typed := NewGroupedAgg(kind)
+		typed.Grow(3)
+		for lo := 0; lo < len(vals); { // one chunk per run of one type
+			hi := lo + 1
+			for hi < len(vals) && (vals[hi] == nil || kindOf(vals[hi]) == kindOf(vals[lo])) {
+				hi++
+			}
+			if err := typed.AddCol(vecOf(vals[lo:hi]...), nil, ids[lo:hi]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			lo = hi
+		}
+		var ref [3]*expr.AggState
+		for id := range ref {
+			ref[id], _ = expr.NewAggState(name, false)
+		}
 		for i, v := range vals {
-			if err := ref[ids[i]].AddDatum(v); err != nil {
+			if err := ref[ids[i]].Add(v); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for id := 0; id < 3; id++ {
-			got, want := g.Result(uint32(id)), ref[id].Result()
-			if !datumEq(got, want) {
-				t.Fatalf("kind %d group %d: got %v (%T), want %v (%T)", kind, id, got, got, want, want)
+			want := ref[id].Result()
+			for how, g := range map[string]*GroupedAgg{"generic": generic, "typed": typed} {
+				if got := g.Result(uint32(id)); !datumEq(got, want) {
+					t.Fatalf("%s %s group %d: got %v (%T), want %v (%T)", name, how, id, got, got, want, want)
+				}
 			}
 		}
 	}
@@ -133,7 +153,7 @@ func datumEq(a, b types.Datum) bool {
 func TestGroupedAggStarAndVec(t *testing.T) {
 	g := NewGroupedAgg(AggCount)
 	g.Grow(2)
-	g.AddStar([]uint32{0, 1, 0, 0})
+	g.AddStar([]uint32{0, 1, 0, 0}, 4)
 	if g.Result(0) != int64(3) || g.Result(1) != int64(1) {
 		t.Fatalf("star counts: %v %v", g.Result(0), g.Result(1))
 	}
@@ -142,16 +162,14 @@ func TestGroupedAggStarAndVec(t *testing.T) {
 	v := NumVec{Ints: []int64{5, 6, 7}, Null: []bool{false, true, false}, N: 3}
 	s := NewGroupedAgg(AggSum)
 	s.Grow(2)
-	if err := s.AddVec(&v, []uint32{0, 0, 1}); err != nil {
-		t.Fatal(err)
-	}
+	s.AddVec(&v, []uint32{0, 0, 1})
 	if s.Result(0) != int64(5) || s.Result(1) != int64(7) {
 		t.Fatalf("vec sums: %v %v", s.Result(0), s.Result(1))
 	}
 	// sum over only-NULL input stays NULL
 	empty := NewGroupedAgg(AggSum)
 	empty.Grow(1)
-	if err := empty.AddCol([]types.Datum{nil, nil}, nil, []uint32{0, 0}); err != nil {
+	if err := empty.AddCol(vecOf(nil, nil), nil, []uint32{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if empty.Result(0) != nil {
@@ -163,12 +181,12 @@ func TestGroupedAggSumPromotionAcrossMerge(t *testing.T) {
 	// partial A: group 0 sums ints only; partial B promotes it with a float.
 	a := NewGroupedAgg(AggSum)
 	a.Grow(1)
-	if err := a.AddCol([]types.Datum{int64(1), int64(2)}, nil, []uint32{0, 0}); err != nil {
+	if err := a.AddCol(vecOf(int64(1), int64(2)), nil, []uint32{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	b := NewGroupedAgg(AggSum)
 	b.Grow(2)
-	if err := b.AddCol([]types.Datum{float64(0.5), int64(4)}, nil, []uint32{0, 1}); err != nil {
+	if err := b.AddCol(vecOf(float64(0.5), int64(4)), nil, []uint32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	// b's group 0 merges into a's group 0; b's group 1 is new (slot 1)
@@ -185,12 +203,12 @@ func TestGroupedAggSumPromotionAcrossMerge(t *testing.T) {
 	big := NewGroupedAgg(AggSum)
 	big.Grow(1)
 	huge := int64(1) << 60
-	if err := big.AddCol([]types.Datum{huge, int64(1)}, nil, []uint32{0, 0}); err != nil {
+	if err := big.AddCol(vecOf(huge, int64(1)), nil, []uint32{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	big2 := NewGroupedAgg(AggSum)
 	big2.Grow(1)
-	if err := big2.AddCol([]types.Datum{huge}, nil, []uint32{0}); err != nil {
+	if err := big2.AddCol(vecOf(huge), nil, []uint32{0}); err != nil {
 		t.Fatal(err)
 	}
 	big.MergeFrom(big2, []uint32{0})
@@ -202,12 +220,12 @@ func TestGroupedAggSumPromotionAcrossMerge(t *testing.T) {
 func TestGroupedAggAvgMergeCounts(t *testing.T) {
 	a := NewGroupedAgg(AggAvg)
 	a.Grow(1)
-	if err := a.AddCol([]types.Datum{int64(1), int64(2), nil}, nil, []uint32{0, 0, 0}); err != nil {
+	if err := a.AddCol(vecOf(int64(1), int64(2), nil), nil, []uint32{0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	b := NewGroupedAgg(AggAvg)
 	b.Grow(1)
-	if err := b.AddCol([]types.Datum{int64(9)}, nil, []uint32{0}); err != nil {
+	if err := b.AddCol(vecOf(int64(9)), nil, []uint32{0}); err != nil {
 		t.Fatal(err)
 	}
 	a.MergeFrom(b, []uint32{0})
@@ -217,9 +235,9 @@ func TestGroupedAggAvgMergeCounts(t *testing.T) {
 }
 
 func TestOrFilterUnion(t *testing.T) {
-	flagCol := []types.Datum{"R", "A", "N", "R", nil, "A"}
-	qtyCol := []types.Datum{int64(5), int64(40), int64(50), int64(1), int64(99), nil}
-	chunk := [][]types.Datum{flagCol, qtyCol}
+	flagCol := vecOf("R", "A", "N", "R", nil, "A")
+	qtyCol := vecOf(int64(5), int64(40), int64(50), int64(1), int64(99), nil)
+	chunk := chunkOf(flagCol, qtyCol)
 
 	or := &OrFilter{Branches: []Filter{
 		{Col: 0, Op: Eq, K: "R"},

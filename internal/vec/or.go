@@ -34,12 +34,12 @@ type OrScratch struct {
 // Apply evaluates the disjunction over one chunk: branches may touch
 // different columns, so it takes the whole chunk. The result (appended to
 // out[:0]) is the ascending union of the branch selections drawn from sel.
-func (f *OrFilter) Apply(chunk [][]types.Datum, sel Sel, out Sel, sc *OrScratch) Sel {
+func (f *OrFilter) Apply(chunk []Vector, sel Sel, out Sel, sc *OrScratch) Sel {
 	out = out[:0]
 	acc := sc.acc[:0]
 	for bi := range f.Branches {
 		b := &f.Branches[bi]
-		sc.branch = b.Apply(chunk[b.Col], sel, sc.branch)
+		sc.branch = b.Apply(&chunk[b.Col], sel, sc.branch)
 		if bi == 0 {
 			acc = append(acc, sc.branch...)
 			continue

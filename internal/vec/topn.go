@@ -1,6 +1,10 @@
 package vec
 
-import "citusgo/internal/types"
+import (
+	"time"
+
+	"citusgo/internal/types"
+)
 
 // TopNBound pushes an ORDER BY <group key> LIMIT k above a grouped
 // aggregate down into the scan. It remembers the k best distinct values of
@@ -77,16 +81,61 @@ func (b *TopNBound) filter() (f Filter, ok bool) {
 	return Filter{Col: b.col, Op: op, K: b.vals[room-1]}, true
 }
 
-// observe folds the keys of the selected rows into the bound.
-func (b *TopNBound) observe(col []types.Datum, sel Sel, nrows int) {
-	if sel == nil {
-		for i := 0; i < nrows; i++ {
-			b.add(col[i])
+// observe folds the keys of the selected rows into the bound. Once the
+// bound holds k keys nearly every row is no better than the k-th, and for an
+// int, timestamp or string vector one typed comparison dismisses it; only a
+// row that may move the bound is read as a datum and goes through add.
+func (b *TopNBound) observe(v *Vector, sel Sel, nrows int) {
+	m := selLen(sel, nrows)
+	switch v.Kind {
+	case KindInt:
+		observeTyped(b, v, v.Ints, nil, sel, m, func(d types.Datum) (int64, bool) {
+			k, ok := d.(int64)
+			return k, ok
+		})
+	case KindTime:
+		observeTyped(b, v, v.Ints, nil, sel, m, func(d types.Datum) (int64, bool) {
+			if t, ok := d.(time.Time); ok {
+				return instantNanos(t)
+			}
+			return 0, false
+		})
+	case KindString:
+		observeTyped(b, v, v.Dict, v.Codes, sel, m, func(d types.Datum) (string, bool) {
+			k, ok := d.(string)
+			return k, ok
+		})
+	default:
+		for j := 0; j < m; j++ {
+			b.add(v.Datum(sel.at(j)))
 		}
-		return
 	}
-	for _, i := range sel {
-		b.add(col[i])
+}
+
+// observeTyped is observe over keys of type T: vals[i], or vals[codes[i]]
+// for a dictionary. as converts the k-th best key; while it cannot (the
+// bound is not full, or holds keys of another type) every row takes add.
+func observeTyped[T ordered](b *TopNBound, v *Vector, vals []T, codes []uint32, sel Sel, m int, as func(types.Datum) (T, bool)) {
+	kth := func() (k T, full bool) {
+		if room := b.room(); room > 0 && len(b.vals) == room {
+			return as(b.vals[room-1])
+		}
+		return k, false
+	}
+	k, full := kth()
+	for j := 0; j < m; j++ {
+		i := sel.at(j)
+		if !v.IsNull(i) && full {
+			at := i
+			if codes != nil {
+				at = int(codes[i])
+			}
+			if x := vals[at]; (b.desc && x <= k) || (!b.desc && x >= k) {
+				continue // no better than the k-th best
+			}
+		}
+		b.add(v.Datum(i))
+		k, full = kth()
 	}
 }
 
@@ -126,9 +175,9 @@ func (b *TopNBound) add(v types.Datum) {
 }
 
 // cut applies f to sel, letting NULL keys through an ascending bound.
-func (b *TopNBound) cut(f Filter, chunk [][]types.Datum, hasNulls bool, sel Sel, out Sel) Sel {
+func (b *TopNBound) cut(f Filter, chunk []Vector, hasNulls bool, sel Sel, out Sel) Sel {
 	if b.desc || !hasNulls || f.NullTest {
-		return f.Apply(chunk[b.col], sel, out)
+		return f.Apply(&chunk[b.col], sel, out)
 	}
 	b.or.Branches[0] = f
 	return b.or.Apply(chunk, sel, out, &b.orSc)
@@ -139,17 +188,14 @@ func (b *TopNBound) cut(f Filter, chunk [][]types.Datum, hasNulls bool, sel Sel,
 // then as the surviving rows of this chunk tightened it. It returns the
 // remaining selection, valid until the next Apply, and the number of rows
 // cut. hasNulls says whether the chunk's key column may hold NULLs.
-func (b *TopNBound) Apply(chunk [][]types.Datum, hasNulls bool, sel Sel, nrows int) (Sel, int) {
-	before := nrows
-	if sel != nil {
-		before = len(sel)
-	}
+func (b *TopNBound) Apply(chunk []Vector, hasNulls bool, sel Sel, nrows int) (Sel, int) {
+	before := selLen(sel, nrows)
 	if f, ok := b.filter(); ok {
 		b.selA = b.cut(f, chunk, hasNulls, sel, b.selA)
 		sel = b.selA
 	}
 	b.moved = false
-	b.observe(chunk[b.col], sel, nrows)
+	b.observe(&chunk[b.col], sel, nrows)
 	if b.moved {
 		if f, ok := b.filter(); ok {
 			b.selB = b.cut(f, chunk, hasNulls, sel, b.selB)

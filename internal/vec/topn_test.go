@@ -61,6 +61,13 @@ func TestTopNBoundIsExact(t *testing.T) {
 		"int":  func(r *rand.Rand) types.Datum { return int64(r.Intn(40)) },
 		"text": func(r *rand.Rand) types.Datum { return fmt.Sprintf("k%02d", r.Intn(40)) },
 		"time": func(r *rand.Rand) types.Datum { return epoch.Add(time.Duration(r.Intn(40)) * time.Hour) },
+		// a column that holds two types is a KindGeneric vector
+		"mixed": func(r *rand.Rand) types.Datum {
+			if r.Intn(2) == 0 {
+				return int64(r.Intn(40))
+			}
+			return float64(r.Intn(40)) + 0.5
+		},
 	}
 	totalCut := 0
 	for name, gen := range gens {
@@ -105,7 +112,7 @@ func TestTopNBoundIsExact(t *testing.T) {
 			for ci, c := range chunks {
 				kept := map[int]bool{}
 				if !b.Skip(c.min, c.max, c.statsOK, c.hasNulls) {
-					out, cut := b.Apply([][]types.Datum{c.col}, c.hasNulls, c.sel, len(c.col))
+					out, cut := b.Apply(chunkOf(vecOf(c.col...)), c.hasNulls, c.sel, len(c.col))
 					forSel(out, len(c.col), func(i int) { kept[i] = true })
 					in := len(c.col)
 					if c.sel != nil {
@@ -150,7 +157,7 @@ func forSel(sel Sel, n int, fn func(i int)) {
 func TestTopNBoundTightensWithinChunk(t *testing.T) {
 	col := []types.Datum{int64(5), nil, int64(1), int64(9), int64(3), int64(1), nil, int64(7)}
 	asc := NewTopNBound(0, false, 3) // best keys: NULL, 1, 3
-	sel, cut := asc.Apply([][]types.Datum{col}, true, nil, len(col))
+	sel, cut := asc.Apply(chunkOf(vecOf(col...)), true, nil, len(col))
 	if want := (Sel{1, 2, 4, 5, 6}); fmt.Sprint(sel) != fmt.Sprint(want) || cut != 3 {
 		t.Fatalf("ascending: kept %v cut %d, want %v cut 3", sel, cut, want)
 	}
@@ -161,7 +168,7 @@ func TestTopNBoundTightensWithinChunk(t *testing.T) {
 		t.Fatal("ascending: kept a stripe whose smallest key 4 is behind the bound 3")
 	}
 	desc := NewTopNBound(0, true, 3) // best keys: 9, 7, 5
-	sel, cut = desc.Apply([][]types.Datum{col}, true, nil, len(col))
+	sel, cut = desc.Apply(chunkOf(vecOf(col...)), true, nil, len(col))
 	if want := (Sel{0, 3, 7}); fmt.Sprint(sel) != fmt.Sprint(want) || cut != 5 {
 		t.Fatalf("descending: kept %v cut %d, want %v cut 5", sel, cut, want)
 	}

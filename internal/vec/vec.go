@@ -1,8 +1,12 @@
 // Package vec implements batched (vectorized) evaluation kernels for the
-// columnar execution path: typed filter kernels producing selection
-// vectors, vectorized numeric expression evaluation, and partial-aggregate
-// accumulators that fold whole column chunks without per-row interface
-// dispatch.
+// columnar execution path, and the typed column vector they run on (Vector,
+// which is also how internal/columnar stores a column chunk): typed filter
+// kernels producing selection vectors, vectorized numeric expression
+// evaluation, group-ID encoding, and partial-aggregate accumulators that fold
+// whole column chunks. A kernel looks at the vector's kind once per chunk and
+// then runs one loop over a slice of int64, float64 or dictionary codes; only
+// a KindGeneric chunk — jsonb, or a column that has held values of two
+// types — is read datum by datum.
 //
 // The kernels are semantically identical to the row-at-a-time evaluator in
 // internal/expr — comparisons follow types.Compare, arithmetic follows
@@ -105,23 +109,61 @@ func (f *Filter) String() string {
 	return fmt.Sprintf("col%d %s %s", f.Col, f.Op, types.Format(f.K))
 }
 
-// applyNullTest is the IS [NOT] NULL kernel: wantNull selects the NULL
-// rows, !wantNull the non-NULL ones.
-func applyNullTest(col []types.Datum, sel Sel, out Sel, wantNull bool) Sel {
+// growSel returns out with room for m indexes, and never nil: an empty
+// selection must not read as "all rows". The kernels below write every
+// candidate index and advance only past the ones that pass, which keeps
+// their loops free of a data-dependent branch.
+func growSel(out Sel, m int) Sel {
+	if out == nil {
+		return make(Sel, m)
+	}
+	return room(out, m)
+}
+
+// room returns b with length m, reallocated if it must be; what it holds is
+// whatever was there. Every scratch buffer of the kernels is sized by it.
+func room[T any](b []T, m int) []T {
+	if cap(b) < m {
+		return make([]T, m)
+	}
+	return b[:m]
+}
+
+// at returns the j-th selected row: sel[j], or j when sel is nil (all rows).
+func (sel Sel) at(j int) int {
 	if sel == nil {
-		for i := 0; i < len(col); i++ {
-			if (col[i] == nil) == wantNull {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+		return j
 	}
-	for _, i := range sel {
-		if (col[i] == nil) == wantNull {
-			out = append(out, i)
+	return int(sel[j])
+}
+
+// selLen is the number of rows a kernel visits: len(sel), or all n rows
+// when sel is nil.
+func selLen(sel Sel, n int) int {
+	if sel == nil {
+		return n
+	}
+	return len(sel)
+}
+
+// applyNullTest is the IS [NOT] NULL kernel: wantNull selects the NULL
+// rows, !wantNull the non-NULL ones. It reads the NULL mask alone, whatever
+// the vector's kind.
+func applyNullTest(v *Vector, sel Sel, out Sel, wantNull bool) Sel {
+	m := selLen(sel, v.n)
+	if v.Nulls == nil && wantNull {
+		return growSel(out, 0)
+	}
+	out = growSel(out, m)
+	n := 0
+	for j := 0; j < m; j++ {
+		i := int32(sel.at(j))
+		out[n] = i
+		if (v.Nulls != nil && v.Nulls[i]) == wantNull {
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
 type ordered interface {
@@ -140,200 +182,210 @@ func relOf[T ordered](v, k T) int {
 	return 0
 }
 
-func relTime(v, k time.Time) int {
-	if v.Before(k) {
+func relBool(v, k bool) int {
+	if v == k {
+		return 0
+	}
+	if !v {
 		return -1
 	}
-	if v.After(k) {
-		return 1
-	}
-	return 0
+	return 1
 }
 
-// applyCmp is the typed comparison kernel: rows whose value is the
-// constant's type take the direct comparison; rarities (cross-type rows)
-// fall back to types.Compare, exactly like the row evaluator.
-func applyCmp[T ordered](col []types.Datum, sel Sel, out Sel, op CmpOp, k T, kd types.Datum) Sel {
-	if sel == nil {
-		for i := 0; i < len(col); i++ {
-			v := col[i]
-			if v == nil {
-				continue
-			}
-			var rel int
-			if tv, ok := v.(T); ok {
-				rel = relOf(tv, k)
-			} else {
-				rel = types.Compare(v, kd)
-			}
-			if relPass(rel, op) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		v := col[i]
-		if v == nil {
-			continue
-		}
-		var rel int
-		if tv, ok := v.(T); ok {
-			rel = relOf(tv, k)
-		} else {
-			rel = types.Compare(v, kd)
-		}
-		if relPass(rel, op) {
-			out = append(out, i)
+// cmpKernel is the typed comparison kernel: one monomorphic loop per element
+// type. "Equal" is "neither below nor above", so a NaN ties with everything,
+// as under types.Compare.
+func cmpKernel[T ordered](vals []T, nulls []bool, sel Sel, out Sel, op CmpOp, k T) Sel {
+	lt, eq, gt := relPass(-1, op), relPass(0, op), relPass(1, op)
+	m := selLen(sel, len(vals))
+	out = growSel(out, m)
+	n := 0
+	for j := 0; j < m; j++ {
+		i := int32(sel.at(j))
+		v := vals[i]
+		out[n] = i
+		below, above := v < k, v > k
+		if ((below && lt) || (above && gt) || (eq && !below && !above)) && !(nulls != nil && nulls[i]) {
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
-func applyCmpTime(col []types.Datum, sel Sel, out Sel, op CmpOp, k time.Time, kd types.Datum) Sel {
-	if sel == nil {
-		for i := 0; i < len(col); i++ {
-			v := col[i]
-			if v == nil {
-				continue
-			}
-			var rel int
-			if tv, ok := v.(time.Time); ok {
-				rel = relTime(tv, k)
-			} else {
-				rel = types.Compare(v, kd)
-			}
-			if relPass(rel, op) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		v := col[i]
-		if v == nil {
-			continue
-		}
-		var rel int
-		if tv, ok := v.(time.Time); ok {
-			rel = relTime(tv, k)
-		} else {
-			rel = types.Compare(v, kd)
-		}
-		if relPass(rel, op) {
-			out = append(out, i)
+func betweenKernel[T ordered](vals []T, nulls []bool, sel Sel, out Sel, lo, hi T) Sel {
+	m := selLen(sel, len(vals))
+	out = growSel(out, m)
+	n := 0
+	for j := 0; j < m; j++ {
+		i := int32(sel.at(j))
+		v := vals[i]
+		out[n] = i
+		if !(v < lo) && !(v > hi) && !(nulls != nil && nulls[i]) {
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
-func applyCmpGeneric(col []types.Datum, sel Sel, out Sel, op CmpOp, kd types.Datum) Sel {
-	if sel == nil {
-		for i := 0; i < len(col); i++ {
-			if v := col[i]; v != nil && relPass(types.Compare(v, kd), op) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
+// dictKernel filters a string vector: pass is asked once per dictionary
+// entry, and each row then costs one table look-up by its code.
+func dictKernel(v *Vector, sel Sel, out Sel, pass func(s string) bool) Sel {
+	var small [64]bool
+	table := small[:]
+	if len(v.Dict) > len(small) {
+		table = make([]bool, len(v.Dict))
 	}
-	for _, i := range sel {
-		if v := col[i]; v != nil && relPass(types.Compare(v, kd), op) {
-			out = append(out, i)
+	for c, s := range v.Dict {
+		table[c] = pass(s)
+	}
+	m := selLen(sel, v.n)
+	out = growSel(out, m)
+	n := 0
+	for j := 0; j < m; j++ {
+		i := int32(sel.at(j))
+		out[n] = i
+		if table[v.Codes[i]] && !(v.Nulls != nil && v.Nulls[i]) {
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
-func applyBetween[T ordered](col []types.Datum, sel Sel, out Sel, lo, hi T, lod, hid types.Datum) Sel {
-	pass := func(v types.Datum) bool {
-		if v == nil {
-			return false
-		}
-		if tv, ok := v.(T); ok {
-			return relOf(tv, lo) >= 0 && relOf(tv, hi) <= 0
-		}
-		return types.Compare(v, lod) >= 0 && types.Compare(v, hid) <= 0
-	}
-	if sel == nil {
-		for i := 0; i < len(col); i++ {
-			if pass(col[i]) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if pass(col[i]) {
-			out = append(out, i)
+func boolKernel(v *Vector, sel Sel, out Sel, passFalse, passTrue bool) Sel {
+	m := selLen(sel, v.n)
+	out = growSel(out, m)
+	n := 0
+	for j := 0; j < m; j++ {
+		i := int32(sel.at(j))
+		out[n] = i
+		if ((v.Bools[i] && passTrue) || (!v.Bools[i] && passFalse)) && !(v.Nulls != nil && v.Nulls[i]) {
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
-func applyBetweenGeneric(col []types.Datum, sel Sel, out Sel, lod, hid types.Datum) Sel {
-	pass := func(v types.Datum) bool {
-		return v != nil && types.Compare(v, lod) >= 0 && types.Compare(v, hid) <= 0
-	}
-	if sel == nil {
-		for i := 0; i < len(col); i++ {
-			if pass(col[i]) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if pass(col[i]) {
-			out = append(out, i)
+// datumKernel is the fallback for everything the typed kernels do not
+// cover — a KindGeneric or KindNull vector, a constant of another type than
+// the vector's: each row is read as a datum and pass decides, which is
+// types.Compare and so exactly the row evaluator.
+func datumKernel(v *Vector, sel Sel, out Sel, pass func(d types.Datum) bool) Sel {
+	m := selLen(sel, v.n)
+	out = growSel(out, m)
+	n := 0
+	for j := 0; j < m; j++ {
+		i := int32(sel.at(j))
+		if d := v.Datum(int(i)); d != nil && pass(d) {
+			out[n] = i
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
-// Apply filters one column chunk: it appends to out[:0] the indexes of the
-// rows (drawn from sel, or all of col when sel is nil) whose value passes
-// the predicate, and returns the new selection. NULL values never pass; a
-// NULL constant selects nothing (SQL three-valued logic: the predicate is
-// never true).
-func (f *Filter) Apply(col []types.Datum, sel Sel, out Sel) Sel {
-	out = out[:0]
+// instantNanos returns t's instant as nanoseconds since the Unix epoch, and
+// whether it fits: a KindTime vector compares by instant, as time.Before
+// does, whatever zone a constant carries.
+func instantNanos(t time.Time) (int64, bool) {
+	ns := t.UnixNano()
+	return ns, time.Unix(0, ns).Equal(t)
+}
+
+// Apply filters one column chunk: it writes to out the indexes of the rows
+// (drawn from sel, or all of v when sel is nil) whose value passes the
+// predicate, and returns the new selection, never nil. NULL values never
+// pass; a NULL constant selects nothing (SQL three-valued logic: the
+// predicate is never true). The vector's kind and the constant's type pick
+// the kernel once per chunk.
+func (f *Filter) Apply(v *Vector, sel Sel, out Sel) Sel {
 	if f.NullTest {
-		return applyNullTest(col, sel, out, !f.NotNull)
+		return applyNullTest(v, sel, out, !f.NotNull)
 	}
 	if f.Between {
 		if f.Lo == nil || f.Hi == nil {
-			return out
+			return growSel(out, 0)
 		}
-		switch lo := f.Lo.(type) {
-		case int64:
-			if hi, ok := f.Hi.(int64); ok {
-				return applyBetween(col, sel, out, lo, hi, f.Lo, f.Hi)
-			}
+		return f.applyBetween(v, sel, out)
+	}
+	if f.K == nil {
+		return growSel(out, 0)
+	}
+	switch v.Kind {
+	case KindInt:
+		if k, ok := f.K.(int64); ok {
+			return cmpKernel(v.Ints, v.Nulls, sel, out, f.Op, k)
+		}
+	case KindFloat:
+		switch k := f.K.(type) {
 		case float64:
-			if hi, ok := f.Hi.(float64); ok {
-				return applyBetween(col, sel, out, lo, hi, f.Lo, f.Hi)
-			}
-		case string:
-			if hi, ok := f.Hi.(string); ok {
-				return applyBetween(col, sel, out, lo, hi, f.Lo, f.Hi)
+			return cmpKernel(v.Floats, v.Nulls, sel, out, f.Op, k)
+		case int64:
+			return cmpKernel(v.Floats, v.Nulls, sel, out, f.Op, float64(k))
+		}
+	case KindTime:
+		if k, ok := f.K.(time.Time); ok {
+			if ns, fits := instantNanos(k); fits {
+				return cmpKernel(v.Ints, v.Nulls, sel, out, f.Op, ns)
 			}
 		}
-		return applyBetweenGeneric(col, sel, out, f.Lo, f.Hi)
+	case KindString:
+		if k, ok := f.K.(string); ok {
+			return dictKernel(v, sel, out, func(s string) bool { return relPass(relOf(s, k), f.Op) })
+		}
+	case KindBool:
+		if k, ok := f.K.(bool); ok {
+			return boolKernel(v, sel, out, relPass(relBool(false, k), f.Op), relPass(relBool(true, k), f.Op))
+		}
 	}
-	switch k := f.K.(type) {
-	case nil:
-		return out
-	case int64:
-		return applyCmp(col, sel, out, f.Op, k, f.K)
+	return datumKernel(v, sel, out, func(d types.Datum) bool { return relPass(types.Compare(d, f.K), f.Op) })
+}
+
+func (f *Filter) applyBetween(v *Vector, sel Sel, out Sel) Sel {
+	switch v.Kind {
+	case KindInt:
+		lo, okLo := f.Lo.(int64)
+		hi, okHi := f.Hi.(int64)
+		if okLo && okHi {
+			return betweenKernel(v.Ints, v.Nulls, sel, out, lo, hi)
+		}
+	case KindFloat:
+		lo, okLo := constFloat(f.Lo)
+		hi, okHi := constFloat(f.Hi)
+		if okLo && okHi {
+			return betweenKernel(v.Floats, v.Nulls, sel, out, lo, hi)
+		}
+	case KindTime:
+		lo, okLo := f.Lo.(time.Time)
+		hi, okHi := f.Hi.(time.Time)
+		if okLo && okHi {
+			loNs, fitsLo := instantNanos(lo)
+			hiNs, fitsHi := instantNanos(hi)
+			if fitsLo && fitsHi {
+				return betweenKernel(v.Ints, v.Nulls, sel, out, loNs, hiNs)
+			}
+		}
+	case KindString:
+		lo, okLo := f.Lo.(string)
+		hi, okHi := f.Hi.(string)
+		if okLo && okHi {
+			return dictKernel(v, sel, out, func(s string) bool { return s >= lo && s <= hi })
+		}
+	}
+	return datumKernel(v, sel, out, func(d types.Datum) bool {
+		return types.Compare(d, f.Lo) >= 0 && types.Compare(d, f.Hi) <= 0
+	})
+}
+
+// constFloat returns a numeric constant as the float64 types.Compare would
+// compare a float64 value against.
+func constFloat(d types.Datum) (float64, bool) {
+	switch k := d.(type) {
 	case float64:
-		return applyCmp(col, sel, out, f.Op, k, f.K)
-	case string:
-		return applyCmp(col, sel, out, f.Op, k, f.K)
-	case time.Time:
-		return applyCmpTime(col, sel, out, f.Op, k, f.K)
-	default:
-		return applyCmpGeneric(col, sel, out, f.Op, f.K)
+		return k, true
+	case int64:
+		return float64(k), true
 	}
+	return 0, false
 }
 
 // statClass buckets datum types whose types.Compare ordering is mutually
@@ -522,7 +574,10 @@ func Bin(op ArithOp, l, r *NumExpr) *NumExpr {
 
 // NumVec is the result of evaluating a NumExpr over the selected rows of a
 // chunk: element j corresponds to sel[j]. Exactly one of Ints/Floats is
-// populated, per the expression's static type; Null marks SQL NULLs.
+// populated, per the expression's static type. Null marks SQL NULLs and is
+// nil when no element is NULL; a NULL element's value is unspecified. The
+// slices are read-only: a bare column over an unfiltered chunk is the
+// chunk's own storage.
 type NumVec struct {
 	Ints   []int64
 	Floats []float64
@@ -544,63 +599,34 @@ type Scratch struct {
 // Reset recycles all buffers for the next chunk.
 func (s *Scratch) Reset() { s.ni, s.nf, s.nb = 0, 0, 0 }
 
-func (s *Scratch) getInts(n int) []int64 {
-	if s.ni == len(s.ints) {
-		s.ints = append(s.ints, make([]int64, 0, n))
+// nextBuf hands out the pool's next buffer with room for n elements. Its
+// contents are whatever the last chunk left there.
+func nextBuf[T any](pool *[][]T, next *int, n int) []T {
+	if *next == len(*pool) {
+		*pool = append(*pool, nil)
 	}
-	b := s.ints[s.ni][:0]
-	s.ni++
-	if cap(b) < n {
-		b = make([]int64, 0, n)
-		s.ints[s.ni-1] = b
-	}
-	return b[:n]
-}
-
-func (s *Scratch) getFloats(n int) []float64 {
-	if s.nf == len(s.floats) {
-		s.floats = append(s.floats, make([]float64, 0, n))
-	}
-	b := s.floats[s.nf][:0]
-	s.nf++
-	if cap(b) < n {
-		b = make([]float64, 0, n)
-		s.floats[s.nf-1] = b
-	}
-	return b[:n]
-}
-
-func (s *Scratch) getBools(n int) []bool {
-	if s.nb == len(s.bools) {
-		s.bools = append(s.bools, make([]bool, 0, n))
-	}
-	b := s.bools[s.nb][:0]
-	s.nb++
-	if cap(b) < n {
-		b = make([]bool, 0, n)
-		s.bools[s.nb-1] = b
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
+	b := room((*pool)[*next], n)
+	(*pool)[*next] = b
+	*next++
 	return b
 }
 
+func (s *Scratch) getInts(n int) []int64     { return nextBuf(&s.ints, &s.ni, n) }
+func (s *Scratch) getFloats(n int) []float64 { return nextBuf(&s.floats, &s.nf, n) }
+func (s *Scratch) getBools(n int) []bool     { return nextBuf(&s.bools, &s.nb, n) }
+
 // Eval evaluates the expression over the selected rows of a chunk
 // (sel nil = all n rows). The returned vector's buffers belong to scratch
-// and are valid until the next Reset.
-func (e *NumExpr) Eval(cols [][]types.Datum, n int, sel Sel, scratch *Scratch) (NumVec, error) {
-	m := n
-	if sel != nil {
-		m = len(sel)
-	}
+// (or to the chunk) and are valid until the next Reset.
+func (e *NumExpr) Eval(cols []Vector, n int, sel Sel, scratch *Scratch) (NumVec, error) {
+	m := selLen(sel, n)
 	switch e.Kind {
 	case NumCol:
-		return evalColLeaf(e, cols[e.Col], n, sel, scratch, m)
+		return evalColLeaf(e, &cols[e.Col], sel, scratch, m)
 	case NumConst:
-		out := NumVec{Float: e.Float, N: m, Null: scratch.getBools(m)}
+		out := NumVec{Float: e.Float, N: m}
 		if e.IsNull {
+			out.Null = scratch.getBools(m)
 			for j := range out.Null {
 				out.Null[j] = true
 			}
@@ -631,115 +657,149 @@ func (e *NumExpr) Eval(cols [][]types.Datum, n int, sel Sel, scratch *Scratch) (
 	return NumVec{}, fmt.Errorf("invalid NumExpr kind %d", e.Kind)
 }
 
-func evalColLeaf(e *NumExpr, col []types.Datum, n int, sel Sel, scratch *Scratch, m int) (NumVec, error) {
-	out := NumVec{Float: e.Float, N: m, Null: scratch.getBools(m)}
-	gather := func(j int, v types.Datum) error {
-		if v == nil {
-			out.Null[j] = true
-			return nil
-		}
-		if e.Float {
-			f, ok := v.(float64)
-			if !ok {
-				// int values can appear in float context (e.g. literals cast
-				// on an older insert path); promote like toFloat would.
-				iv, okI := v.(int64)
-				if !okI {
-					return fmt.Errorf("expected a number, got %s", types.TypeOf(v))
-				}
-				f = float64(iv)
-			}
-			out.Floats[j] = f
-			return nil
-		}
-		iv, ok := v.(int64)
-		if !ok {
-			return fmt.Errorf("expected a number, got %s", types.TypeOf(v))
-		}
-		out.Ints[j] = iv
-		return nil
+// gather copies the selected elements of src into dst.
+func gather[T any](dst, src []T, sel Sel) []T {
+	for j, i := range sel {
+		dst[j] = src[i]
 	}
+	return dst
+}
+
+// evalColLeaf reads a column as the leaf's declared type. A vector of that
+// type is used as it stands (gathered through sel, if there is one) and an
+// int vector under a float leaf is converted; anything else goes row by row
+// as datums, which is where a value that is no number fails the query.
+func evalColLeaf(e *NumExpr, v *Vector, sel Sel, scratch *Scratch, m int) (NumVec, error) {
+	out := NumVec{Float: e.Float, N: m}
+	switch {
+	case v.Kind == KindFloat && e.Float:
+		out.Floats = v.Floats
+		if sel != nil {
+			out.Floats = gather(scratch.getFloats(m), v.Floats, sel)
+		}
+	case v.Kind == KindInt && !e.Float:
+		out.Ints = v.Ints
+		if sel != nil {
+			out.Ints = gather(scratch.getInts(m), v.Ints, sel)
+		}
+	case v.Kind == KindInt && e.Float:
+		out.Floats = scratch.getFloats(m)
+		if sel == nil {
+			for j, iv := range v.Ints {
+				out.Floats[j] = float64(iv)
+			}
+		} else {
+			for j, i := range sel {
+				out.Floats[j] = float64(v.Ints[i])
+			}
+		}
+	default:
+		return evalDatumLeaf(e, v, sel, scratch, m)
+	}
+	out.Null = v.Nulls
+	if sel != nil && v.Nulls != nil {
+		out.Null = gather(scratch.getBools(m), v.Nulls, sel)
+	}
+	return out, nil
+}
+
+func evalDatumLeaf(e *NumExpr, v *Vector, sel Sel, scratch *Scratch, m int) (NumVec, error) {
+	out := NumVec{Float: e.Float, N: m, Null: scratch.getBools(m)}
 	if e.Float {
 		out.Floats = scratch.getFloats(m)
 	} else {
 		out.Ints = scratch.getInts(m)
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if err := gather(i, col[i]); err != nil {
-				return NumVec{}, err
+	for j := 0; j < m; j++ {
+		i := sel.at(j)
+		d := v.Datum(i)
+		out.Null[j] = d == nil
+		switch x := d.(type) {
+		case nil:
+		case int64:
+			if e.Float {
+				// int values can appear in float context (e.g. literals cast
+				// on an older insert path); promote like toFloat would.
+				out.Floats[j] = float64(x)
+			} else {
+				out.Ints[j] = x
 			}
-		}
-	} else {
-		for j, i := range sel {
-			if err := gather(j, col[i]); err != nil {
-				return NumVec{}, err
+		case float64:
+			if !e.Float {
+				return NumVec{}, fmt.Errorf("expected a number, got %s", types.TypeOf(d))
 			}
+			out.Floats[j] = x
+		default:
+			return NumVec{}, fmt.Errorf("expected a number, got %s", types.TypeOf(d))
 		}
 	}
 	return out, nil
 }
 
+// orNulls merges two NULL masks: nil when neither side has one.
+func orNulls(l, r []bool, scratch *Scratch, m int) []bool {
+	switch {
+	case l == nil:
+		return r
+	case r == nil:
+		return l
+	}
+	out := scratch.getBools(m)
+	for j := range out {
+		out[j] = l[j] || r[j]
+	}
+	return out
+}
+
+// arith runs one operator over two vectors, the operator chosen outside the
+// loop. Addition, subtraction and multiplication compute NULL elements too
+// (their result is never read); division and modulo must not, because a zero
+// divisor beside a NULL is no error.
+func arith[T int64 | float64](op ArithOp, out, l, r []T, null []bool, mod func(l, r T) T) error {
+	l, r = l[:len(out)], r[:len(out)]
+	switch op {
+	case Add:
+		for j := range out {
+			out[j] = l[j] + r[j]
+		}
+	case Sub:
+		for j := range out {
+			out[j] = l[j] - r[j]
+		}
+	case Mul:
+		for j := range out {
+			out[j] = l[j] * r[j]
+		}
+	case Div, Mod:
+		for j := range out {
+			if null != nil && null[j] {
+				continue
+			}
+			if r[j] == 0 {
+				return errDivZero
+			}
+			if op == Div {
+				out[j] = l[j] / r[j]
+			} else {
+				out[j] = mod(l[j], r[j])
+			}
+		}
+	}
+	return nil
+}
+
 func evalBin(e *NumExpr, lv, rv NumVec, scratch *Scratch, m int) (NumVec, error) {
-	out := NumVec{Float: e.Float, N: m, Null: scratch.getBools(m)}
+	out := NumVec{Float: e.Float, N: m, Null: orNulls(lv.Null, rv.Null, scratch, m)}
 	if !e.Float {
 		// pure integer arithmetic (expr.arith's int64 branch)
 		out.Ints = scratch.getInts(m)
-		l, r := lv.Ints, rv.Ints
-		for j := 0; j < m; j++ {
-			if lv.Null[j] || rv.Null[j] {
-				out.Null[j] = true
-				continue
-			}
-			switch e.Op {
-			case Add:
-				out.Ints[j] = l[j] + r[j]
-			case Sub:
-				out.Ints[j] = l[j] - r[j]
-			case Mul:
-				out.Ints[j] = l[j] * r[j]
-			case Div:
-				if r[j] == 0 {
-					return NumVec{}, errDivZero
-				}
-				out.Ints[j] = l[j] / r[j]
-			case Mod:
-				if r[j] == 0 {
-					return NumVec{}, errDivZero
-				}
-				out.Ints[j] = l[j] % r[j]
-			}
-		}
-		return out, nil
+		err := arith(e.Op, out.Ints, lv.Ints, rv.Ints, out.Null, func(l, r int64) int64 { return l % r })
+		return out, err
 	}
 	out.Floats = scratch.getFloats(m)
-	lf := asFloats(lv, scratch)
-	rf := asFloats(rv, scratch)
-	for j := 0; j < m; j++ {
-		if lv.Null[j] || rv.Null[j] {
-			out.Null[j] = true
-			continue
-		}
-		switch e.Op {
-		case Add:
-			out.Floats[j] = lf[j] + rf[j]
-		case Sub:
-			out.Floats[j] = lf[j] - rf[j]
-		case Mul:
-			out.Floats[j] = lf[j] * rf[j]
-		case Div:
-			if rf[j] == 0 {
-				return NumVec{}, errDivZero
-			}
-			out.Floats[j] = lf[j] / rf[j]
-		case Mod:
-			if rf[j] == 0 {
-				return NumVec{}, errDivZero
-			}
-			out.Floats[j] = float64(int64(lf[j]) % int64(rf[j]))
-		}
-	}
-	return out, nil
+	err := arith(e.Op, out.Floats, asFloats(lv, scratch), asFloats(rv, scratch), out.Null,
+		func(l, r float64) float64 { return float64(int64(l) % int64(r)) })
+	return out, err
 }
 
 func asFloats(v NumVec, scratch *Scratch) []float64 {
@@ -747,19 +807,8 @@ func asFloats(v NumVec, scratch *Scratch) []float64 {
 		return v.Floats
 	}
 	f := scratch.getFloats(v.N)
-	for j, iv := range v.Ints {
+	for j, iv := range v.Ints[:v.N] {
 		f[j] = float64(iv)
 	}
 	return f
-}
-
-// At returns element j as a datum (used by the grouped fold).
-func (v *NumVec) At(j int) types.Datum {
-	if v.Null[j] {
-		return nil
-	}
-	if v.Float {
-		return v.Floats[j]
-	}
-	return v.Ints[j]
 }

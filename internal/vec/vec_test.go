@@ -8,6 +8,32 @@ import (
 	"citusgo/internal/types"
 )
 
+// vecOf builds a vector the way a stripe does, one Append per value.
+func vecOf(vals ...types.Datum) *Vector {
+	v := &Vector{}
+	for _, d := range vals {
+		v.Append(d)
+	}
+	return v
+}
+
+// chunkOf lines vectors up as the columns of one chunk.
+func chunkOf(cols ...*Vector) []Vector {
+	chunk := make([]Vector, len(cols))
+	for i, c := range cols {
+		chunk[i] = *c
+	}
+	return chunk
+}
+
+// oneGroup is an aggregate without GROUP BY: GroupedAgg's one-group case,
+// where nil stands for every ID vector.
+func oneGroup(kind AggKind) *GroupedAgg {
+	g := NewGroupedAgg(kind)
+	g.Grow(1)
+	return g
+}
+
 func selEqual(a Sel, want []int32) bool {
 	if len(a) != len(want) {
 		return false
@@ -21,15 +47,15 @@ func selEqual(a Sel, want []int32) bool {
 }
 
 func TestFilterTypedKernels(t *testing.T) {
-	intCol := []types.Datum{int64(5), nil, int64(10), int64(3), int64(10)}
-	floatCol := []types.Datum{0.5, 1.5, nil, 2.5, 1.5}
-	strCol := []types.Datum{"b", "a", "c", nil, "b"}
+	intCol := vecOf(int64(5), nil, int64(10), int64(3), int64(10))
+	floatCol := vecOf(0.5, 1.5, nil, 2.5, 1.5)
+	strCol := vecOf("b", "a", "c", nil, "b")
 	ts := func(d int) time.Time { return time.Date(2020, 1, d, 0, 0, 0, 0, time.UTC) }
-	timeCol := []types.Datum{ts(1), ts(5), nil, ts(10), ts(5)}
+	timeCol := vecOf(ts(1), ts(5), nil, ts(10), ts(5))
 
 	cases := []struct {
 		f    Filter
-		col  []types.Datum
+		col  *Vector
 		want []int32
 	}{
 		{Filter{Col: 0, Op: Eq, K: int64(10)}, intCol, []int32{2, 4}},
@@ -58,7 +84,7 @@ func TestFilterTypedKernels(t *testing.T) {
 }
 
 func TestFilterNullTestKernel(t *testing.T) {
-	col := []types.Datum{int64(5), nil, int64(10), nil, int64(3)}
+	col := vecOf(int64(5), nil, int64(10), nil, int64(3))
 	isNull := Filter{Col: 0, NullTest: true}
 	isNotNull := Filter{Col: 0, NullTest: true, NotNull: true}
 
@@ -89,7 +115,7 @@ func TestFilterNullTestKernel(t *testing.T) {
 }
 
 func TestFilterChainsSelections(t *testing.T) {
-	col := []types.Datum{int64(1), int64(2), int64(3), int64(4), int64(5), int64(6)}
+	col := vecOf(int64(1), int64(2), int64(3), int64(4), int64(5), int64(6))
 	f1 := Filter{Op: Gt, K: int64(2)}
 	f2 := Filter{Op: Lt, K: int64(6)}
 	sel := f1.Apply(col, nil, nil)
@@ -150,10 +176,10 @@ func TestFilterSkip(t *testing.T) {
 }
 
 func TestNumExprEval(t *testing.T) {
-	price := []types.Datum{10.0, 20.0, nil, 40.0}
-	disc := []types.Datum{0.1, nil, 0.3, 0.5}
-	qty := []types.Datum{int64(2), int64(4), int64(6), int64(8)}
-	cols := [][]types.Datum{price, disc, qty}
+	price := vecOf(10.0, 20.0, nil, 40.0)
+	disc := vecOf(0.1, nil, 0.3, 0.5)
+	qty := vecOf(int64(2), int64(4), int64(6), int64(8))
+	cols := chunkOf(price, disc, qty)
 	var scratch Scratch
 
 	// float product with NULL propagation
@@ -165,7 +191,7 @@ func TestNumExprEval(t *testing.T) {
 	if !v.Float || v.N != 4 {
 		t.Fatalf("bad vec: %+v", v)
 	}
-	if v.Floats[0] != 1.0 || !v.Null[1] || !v.Null[2] || v.Floats[3] != 20.0 {
+	if v.Floats[0] != 1.0 || !v.Null[1] || !v.Null[2] || v.Null[3] || v.Floats[3] != 20.0 {
 		t.Fatalf("product = %v nulls %v", v.Floats, v.Null)
 	}
 
@@ -215,126 +241,125 @@ func TestNumExprEval(t *testing.T) {
 	}
 }
 
+// The three tests below hold the fold without GROUP BY — the one-group case
+// of GroupedAgg — to expr.AggState's semantics.
+
 func TestAggStateMatchesRowSemantics(t *testing.T) {
 	// sum starts int64 and promotes to float64 on the first float
-	s := NewAggState(AggSum)
-	if err := s.AddDatums([]types.Datum{int64(1), int64(2), nil}, nil); err != nil {
+	s := oneGroup(AggSum)
+	if err := s.AddCol(vecOf(int64(1), int64(2), nil), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Result(); got != int64(3) {
+	if got := s.Result(0); got != int64(3) {
 		t.Fatalf("int sum = %v (%T)", got, got)
 	}
-	if err := s.AddDatums([]types.Datum{1.5}, nil); err != nil {
+	if err := s.AddCol(vecOf(1.5), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Result(); got != 4.5 {
+	if got := s.Result(0); got != 4.5 {
 		t.Fatalf("promoted sum = %v (%T)", got, got)
 	}
 
 	// sum over only NULLs stays NULL
-	s = NewAggState(AggSum)
-	if err := s.AddDatums([]types.Datum{nil, nil}, nil); err != nil {
+	s = oneGroup(AggSum)
+	if err := s.AddCol(vecOf(nil, nil), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.Result() != nil {
-		t.Fatalf("sum over NULLs = %v", s.Result())
+	if s.Result(0) != nil {
+		t.Fatalf("sum over NULLs = %v", s.Result(0))
 	}
 
 	// avg counts only non-NULL inputs
-	s = NewAggState(AggAvg)
-	_ = s.AddDatums([]types.Datum{int64(2), nil, int64(4)}, nil)
-	if got := s.Result(); got != 3.0 {
+	s = oneGroup(AggAvg)
+	_ = s.AddCol(vecOf(int64(2), nil, int64(4)), nil, nil)
+	if got := s.Result(0); got != 3.0 {
 		t.Fatalf("avg = %v (%T)", got, got)
 	}
 
 	// count(col) skips NULLs; AddStar counts all
-	s = NewAggState(AggCount)
-	_ = s.AddDatums([]types.Datum{int64(1), nil, int64(3)}, nil)
-	if got := s.Result(); got != int64(2) {
+	s = oneGroup(AggCount)
+	_ = s.AddCol(vecOf(int64(1), nil, int64(3)), nil, nil)
+	if got := s.Result(0); got != int64(2) {
 		t.Fatalf("count(col) = %v", got)
 	}
-	s = NewAggState(AggCount)
-	s.AddStar(5)
-	if got := s.Result(); got != int64(5) {
+	s = oneGroup(AggCount)
+	s.AddStar(nil, 5)
+	if got := s.Result(0); got != int64(5) {
 		t.Fatalf("count(*) = %v", got)
 	}
 
 	// min/max across types, non-numeric sum errors
-	s = NewAggState(AggMin)
-	_ = s.AddDatums([]types.Datum{"b", "a", nil, "c"}, nil)
-	if got := s.Result(); got != "a" {
+	s = oneGroup(AggMin)
+	_ = s.AddCol(vecOf("b", "a", nil, "c"), nil, nil)
+	if got := s.Result(0); got != "a" {
 		t.Fatalf("min = %v", got)
 	}
-	s = NewAggState(AggSum)
-	if err := s.AddDatums([]types.Datum{"oops"}, nil); err == nil {
+	s = oneGroup(AggSum)
+	if err := s.AddCol(vecOf("oops"), nil, nil); err == nil {
 		t.Fatal("sum over text did not error")
 	}
 }
 
 func TestAggStateMerge(t *testing.T) {
 	// int + int stays int; int partial + float partial promotes
-	a, b := NewAggState(AggSum), NewAggState(AggSum)
-	_ = a.AddDatums([]types.Datum{int64(1), int64(2)}, nil)
-	_ = b.AddDatums([]types.Datum{int64(3)}, nil)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Result(); got != int64(6) {
+	a, b := oneGroup(AggSum), oneGroup(AggSum)
+	_ = a.AddCol(vecOf(int64(1), int64(2)), nil, nil)
+	_ = b.AddCol(vecOf(int64(3)), nil, nil)
+	a.MergeFrom(b, []uint32{0})
+	if got := a.Result(0); got != int64(6) {
 		t.Fatalf("merged int sum = %v (%T)", got, got)
 	}
-	c := NewAggState(AggSum)
-	_ = c.AddDatums([]types.Datum{0.5}, nil)
-	_ = a.Merge(c)
-	if got := a.Result(); got != 6.5 {
+	c := oneGroup(AggSum)
+	_ = c.AddCol(vecOf(0.5), nil, nil)
+	a.MergeFrom(c, []uint32{0})
+	if got := a.Result(0); got != 6.5 {
 		t.Fatalf("merged mixed sum = %v (%T)", got, got)
 	}
 
 	// avg merges counts and sums
-	x, y := NewAggState(AggAvg), NewAggState(AggAvg)
-	_ = x.AddDatums([]types.Datum{int64(1), int64(2)}, nil)
-	_ = y.AddDatums([]types.Datum{int64(6)}, nil)
-	_ = x.Merge(y)
-	if got := x.Result(); got != 3.0 {
+	x, y := oneGroup(AggAvg), oneGroup(AggAvg)
+	_ = x.AddCol(vecOf(int64(1), int64(2)), nil, nil)
+	_ = y.AddCol(vecOf(int64(6)), nil, nil)
+	x.MergeFrom(y, []uint32{0})
+	if got := x.Result(0); got != 3.0 {
 		t.Fatalf("merged avg = %v", got)
 	}
 
 	// min/max merge keeps extrema; empty partials are no-ops
-	m, n := NewAggState(AggMax), NewAggState(AggMax)
-	_ = m.AddDatums([]types.Datum{int64(10)}, nil)
-	_ = m.Merge(n)
-	if got := m.Result(); got != int64(10) {
+	m, n := oneGroup(AggMax), oneGroup(AggMax)
+	_ = m.AddCol(vecOf(int64(10)), nil, nil)
+	m.MergeFrom(n, []uint32{0})
+	if got := m.Result(0); got != int64(10) {
 		t.Fatalf("max after empty merge = %v", got)
 	}
-	_ = n.AddDatums([]types.Datum{int64(99)}, nil)
-	_ = m.Merge(n)
-	if got := m.Result(); got != int64(99) {
+	_ = n.AddCol(vecOf(int64(99)), nil, nil)
+	m.MergeFrom(n, []uint32{0})
+	if got := m.Result(0); got != int64(99) {
 		t.Fatalf("max after merge = %v", got)
 	}
 }
 
 func TestAggVecFolds(t *testing.T) {
 	v := NumVec{Float: true, N: 4, Floats: []float64{1, 2, 3, 4}, Null: []bool{false, true, false, false}}
-	s := NewAggState(AggSum)
-	if err := s.AddVec(&v); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Result(); got != 8.0 {
+	s := oneGroup(AggSum)
+	s.AddVec(&v, nil)
+	if got := s.Result(0); got != 8.0 {
 		t.Fatalf("sum(vec) = %v", got)
 	}
 	iv := NumVec{N: 3, Ints: []int64{5, 6, 7}, Null: make([]bool, 3)}
-	si := NewAggState(AggSum)
-	_ = si.AddVec(&iv)
-	if got := si.Result(); got != int64(18) {
+	si := oneGroup(AggSum)
+	si.AddVec(&iv, nil)
+	if got := si.Result(0); got != int64(18) {
 		t.Fatalf("sum(int vec) = %v (%T)", got, got)
 	}
-	mn := NewAggState(AggMin)
-	_ = mn.AddVec(&v)
-	if got := mn.Result(); got != 1.0 {
+	mn := oneGroup(AggMin)
+	mn.AddVec(&v, nil)
+	if got := mn.Result(0); got != 1.0 {
 		t.Fatalf("min(vec) = %v", got)
 	}
-	ct := NewAggState(AggCount)
-	_ = ct.AddVec(&v)
-	if got := ct.Result(); got != int64(3) {
+	ct := oneGroup(AggCount)
+	ct.AddVec(&v, nil)
+	if got := ct.Result(0); got != int64(3) {
 		t.Fatalf("count(vec) = %v", got)
 	}
 }
@@ -352,10 +377,11 @@ func TestMaterializeAll(t *testing.T) {
 
 func TestScratchReuse(t *testing.T) {
 	var s Scratch
-	cols := [][]types.Datum{make([]types.Datum, 1000)}
-	for i := range cols[0] {
-		cols[0][i] = int64(i)
+	col := &Vector{}
+	for i := 0; i < 1000; i++ {
+		col.Append(int64(i))
 	}
+	cols := chunkOf(col)
 	e := Bin(Add, Column(0, false), Column(0, false))
 	for chunk := 0; chunk < 3; chunk++ {
 		s.Reset()
@@ -380,7 +406,7 @@ func TestScratchReuse(t *testing.T) {
 }
 
 func ExampleFilter_Apply() {
-	col := []types.Datum{int64(1), int64(7), nil, int64(9)}
+	col := vecOf(int64(1), int64(7), nil, int64(9))
 	f := Filter{Op: Gt, K: int64(5)}
 	fmt.Println(f.Apply(col, nil, nil))
 	// Output: [1 3]
