@@ -57,8 +57,14 @@ race:
 # run outside transactional mode, a failed flight request discarding its
 # connection, the round-trip budget counted over real TCP, the 2PC matrix rows
 # for overlapping requests, a connection's statement state bounded by its
-# session's cache, and readers of a columnar stripe's typed vectors seeing a
-# consistent prefix while its transaction keeps appending to them
+# session's cache, readers of a columnar stripe's typed vectors seeing a
+# consistent prefix while its transaction keeps appending to them, and the
+# checkpoint's seams: a stream reading across cuts that race its acks, two
+# tables scanning and growing over the stripes an image lets them share, a
+# standby taking its primary's bases and then a failover, a second crash of a
+# restarted worker, a rejoin below the new primary's base, a shard move's
+# delta against a checkpoint of its source, and a coordinator restart reading
+# back only the commit records its log still holds
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
@@ -67,7 +73,10 @@ stress:
 	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
-	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan' -count=10 -timeout 10m ./internal/columnar
+	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared' -count=10 -timeout 10m ./internal/columnar
+	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
+	go test -race -run 'TestStandbyTakesPrimaryBases|TestSecondCrashOfARestartedWorker' -count=20 -timeout 10m ./internal/cluster
+	go test -race -run 'TestRejoinBelowTheNewPrimarysBase|TestRebalanceMoveDeltaSurvivesCheckpoint|TestRestartedCoordinatorForgetsResolvedCommitRecords' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
@@ -136,10 +145,13 @@ chaos-soak:
 # ILIKE dashboards + 2PC ledger + serializable bank) at fixed arrival
 # rates with seeded faults and periodic failovers, invariants checked
 # continuously. A violation dumps seed + trace rings to soak-artifacts/
-# and reproduces with the printed -soak-seed
+# and reproduces with the printed -soak-seed. Twenty minutes: long enough
+# for every node's log to be cut many times over, which is what the
+# per-node WAL retention samples watch, and from ten minutes on the live-heap
+# leak floor is 16 MiB, not the 64 of a PR-sized run (internal/soak/leaks.go)
 soak:
 	CHAOS_ARTIFACT_DIR=$(CURDIR)/soak-artifacts \
-	go run ./cmd/citusbench -soak -soak-duration 120s -soak-failovers 3
+	go run ./cmd/citusbench -soak -soak-duration 1200s -soak-failovers 3
 
 # the PR-sized soak slice: a 30s mixed run with one failover (must pass),
 # then the checker self-test — a canary run that deliberately loses one
@@ -164,17 +176,22 @@ soak-smoke:
 
 # short native-fuzz smoke: wire protocol (framing, the frame codec against
 # its gob reference, pipeline Seq correlation), vectorized-vs-row-path parity,
-# and the flat jsonb encoding against its tree oracle (plus arbitrary bytes
-# through jsonb.FromWire); longer local runs just extend the same corpus:
+# the flat jsonb encoding against its tree oracle (plus arbitrary bytes
+# through jsonb.FromWire), and the recovery oracle (random schedules with
+# checkpoints forced at random points: an engine rebuilt from base + tail, one
+# rebuilt from the whole log and the live one must agree); longer local runs
+# just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzVecParity -fuzztime 10m
 #   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
+#   go test ./internal/engine -fuzz FuzzRecovery -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzPipelineSeq -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzVecParity -fuzztime 15s
 	go test ./internal/jsonb -run '^$$' -fuzz FuzzJSONB -fuzztime 15s
+	go test ./internal/engine -run '^$$' -fuzz FuzzRecovery -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

@@ -660,9 +660,11 @@ func TestConsistentRestorePoint(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE rp (k bigint PRIMARY KEY, v bigint)")
 	mustExec(t, s, "SELECT create_distributed_table('rp', 'k')")
 	mustExec(t, s, "INSERT INTO rp (k, v) VALUES (1, 1), (2, 2), (3, 3)")
+	c.Checkpoint()
 
 	mustExec(t, s, "SELECT create_restore_point('before_disaster')")
 	mustExec(t, s, "UPDATE rp SET v = v * 100")
+	c.Checkpoint()
 
 	// every node has the restore point in its WAL
 	for _, eng := range c.Engines {
@@ -670,4 +672,11 @@ func TestConsistentRestorePoint(t *testing.T) {
 			t.Fatalf("node %s: %v", eng.Name, err)
 		}
 	}
+	// and the cluster as of the point comes back from base + tail
+	restored, err := c.RestoreToPoint("before_disaster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	expectRows(t, mustExec(t, restored.Session(), "SELECT sum(v) FROM rp"), "6")
 }

@@ -12,7 +12,6 @@ import (
 	"citusgo/internal/obs"
 	"citusgo/internal/ssi"
 	"citusgo/internal/types"
-	"citusgo/internal/wal"
 	"citusgo/internal/wire"
 )
 
@@ -190,8 +189,7 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 		// serializes against restore-point creation (§3.9).
 		n.commitMu.Lock()
 		for _, p := range prepared {
-			n.commitRecords[p.gid] = struct{}{}
-			n.Eng.WAL.Append(wal.Record{Type: wal.RecCommitRecord, GID: p.gid})
+			n.writeCommitRecordLocked(p.gid)
 		}
 		n.commitMu.Unlock()
 		committedRecords = true
@@ -209,7 +207,7 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 			if committedRecords && allResolved {
 				n.commitMu.Lock()
 				for _, p := range prepared {
-					delete(n.commitRecords, p.gid)
+					n.dropCommitRecordLocked(p.gid)
 				}
 				n.commitMu.Unlock()
 			}
@@ -387,21 +385,34 @@ func (n *Node) RecoverTwoPhaseCommits() int {
 	myPrefix := fmt.Sprintf("citus_%d_", n.ID)
 	grace := n.Cfg.RecoveryGrace
 	resolved := 0
+	// The commit records that exist before any node is asked: a record
+	// follows its transaction's prepares, so each of these is prepared on
+	// its participant by now, or no longer.
+	n.commitMu.Lock()
+	unclaimed := make(map[string]bool, len(n.commitRecords))
+	for gid := range n.commitRecords {
+		unclaimed[gid] = true
+	}
+	n.commitMu.Unlock()
+	listedAll := true
 	// Standbys are deliberately excluded: their prepared transactions are
 	// replicas of a primary's, and the stream will deliver the COMMIT
 	// PREPARED / ROLLBACK PREPARED outcome. Resolving them here would race
 	// the stream and could roll back a transaction the primary committed.
 	for _, node := range n.Meta.ActiveNodes() {
+		listed := false
 		n.withNodeConn(node.ID, func(c *wire.Conn) error {
 			pendings, err := c.ListPrepared()
 			if err != nil {
 				return err
 			}
+			listed = true
 			var firstErr error
 			for _, p := range pendings {
 				if !strings.HasPrefix(p.GID, myPrefix) {
 					continue
 				}
+				delete(unclaimed, p.GID)
 				// Grace period: a transaction prepared moments ago almost
 				// certainly has a live coordinator txn about to write its
 				// commit record and resolve it. The Active check below
@@ -434,12 +445,30 @@ func (n *Node) RecoverTwoPhaseCommits() int {
 				}
 				if qerr == nil {
 					resolved++
+					if committed {
+						n.commitMu.Lock()
+						n.dropCommitRecordLocked(p.GID)
+						n.commitMu.Unlock()
+					}
 				} else if firstErr == nil {
 					firstErr = qerr
 				}
 			}
 			return firstErr
 		})
+		listedAll = listedAll && listed
+	}
+	// A record whose transaction no node that could hold it still has
+	// prepared is resolved — its COMMIT PREPARED went through and only the
+	// answer was lost, or a restart read it back from above the log's cut —
+	// and nothing will ever ask for it again. With a node unheard from, it
+	// may be that node's to commit after its restart, and stays.
+	if listedAll {
+		n.commitMu.Lock()
+		for gid := range unclaimed {
+			n.dropCommitRecordLocked(gid)
+		}
+		n.commitMu.Unlock()
 	}
 	metRecoveryResolved.Add(int64(resolved))
 	return resolved

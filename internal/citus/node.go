@@ -17,6 +17,7 @@ package citus
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,10 +126,12 @@ type Node struct {
 	pools   map[int]*pool.NodePool
 	peers   map[int]*engine.Engine
 
-	// pg_dist_transaction: commit records for 2PC recovery. commitMu also
-	// serializes record writes against restore-point creation (§3.9).
+	// pg_dist_transaction: commit records for 2PC recovery, each with the
+	// holder that keeps its WAL record from being cut while the transaction
+	// is unresolved — a restart rebuilds this table from the log. commitMu
+	// also serializes record writes against restore-point creation (§3.9).
 	commitMu      sync.Mutex
-	commitRecords map[string]struct{}
+	commitRecords map[string]*wal.Holder
 
 	// ssiCommitMu serializes the SSI merged-graph commit check against the
 	// worker commits of other serializable distributed transactions from
@@ -189,7 +192,7 @@ func NewNode(id int, eng *engine.Engine, meta *metadata.Catalog, cfg Config) *No
 		Cfg:           cfg.withDefaults(),
 		dialers:       make(map[int]pool.Dialer),
 		pools:         make(map[int]*pool.NodePool),
-		commitRecords: make(map[string]struct{}),
+		commitRecords: make(map[string]*wal.Holder),
 		stopCh:        make(chan struct{}),
 		distProcs:     make(map[string]DistProcedure),
 		fences:        make(map[int64]chan struct{}),
@@ -311,24 +314,55 @@ func (n *Node) PoolStats(nodeID int) (total, idle int) {
 func (n *Node) AddCommitRecordForTest(gid string) {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
-	n.commitRecords[gid] = struct{}{}
+	n.writeCommitRecordLocked(gid)
+}
+
+// CommitRecords lists the transactions this node holds a commit record for
+// (its pg_dist_transaction rows), sorted.
+func (n *Node) CommitRecords() []string {
+	n.commitMu.Lock()
+	defer n.commitMu.Unlock()
+	gids := make([]string, 0, len(n.commitRecords))
+	for gid := range n.commitRecords {
+		gids = append(gids, gid)
+	}
+	slices.Sort(gids)
+	return gids
+}
+
+// writeCommitRecordLocked makes gid's commit record durable and holds the
+// log from that record on until dropCommitRecordLocked. Callers hold
+// commitMu.
+func (n *Node) writeCommitRecordLocked(gid string) {
+	n.commitRecords[gid] = n.Eng.WAL.Hold("commit_record")
 	n.Eng.WAL.Append(wal.Record{Type: wal.RecCommitRecord, GID: gid})
 }
 
-// RecoverCommitRecords rebuilds the commit-record table from WAL records
-// (restore/restart path): the records' WAL durability is what §3.7.2
-// relies on ("the commit records are durably stored").
-func (n *Node) RecoverCommitRecords(recs []wal.Record, upTo int64) {
+// dropCommitRecordLocked forgets a resolved transaction's commit record and
+// lets the log cut it. Callers hold commitMu.
+func (n *Node) dropCommitRecordLocked(gid string) {
+	if h, ok := n.commitRecords[gid]; ok {
+		h.Release()
+		delete(n.commitRecords, gid)
+	}
+}
+
+// RecoverCommitRecords rebuilds the commit-record table from the node's
+// recovered WAL (restore/restart path): the records' WAL durability is what
+// §3.7.2 relies on ("the commit records are durably stored"). The log holds
+// every unresolved record — and whatever resolved ones lie above its last
+// cut, which the first recovery passes find nothing prepared for and drop.
+func (n *Node) RecoverCommitRecords() {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
-	for _, r := range recs {
+	for _, r := range n.Eng.WAL.Records() {
 		if r.Type != wal.RecCommitRecord {
 			continue
 		}
-		if upTo > 0 && r.LSN > upTo {
-			continue
+		if h, err := n.Eng.WAL.HoldAt("commit_record", r.LSN); err == nil {
+			n.dropCommitRecordLocked(r.GID)
+			n.commitRecords[r.GID] = h
 		}
-		n.commitRecords[r.GID] = struct{}{}
 	}
 }
 

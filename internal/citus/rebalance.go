@@ -158,14 +158,17 @@ func (n *Node) moveOneShard(s *engine.Session, sh *metadata.Shard, colocationID,
 	}
 
 	// 2. snapshot copy while the source keeps serving traffic; remember
-	// the WAL position first so the delta can be replayed
+	// the WAL position first so the delta can be replayed, and hold the
+	// source's log from there on until it has been
 	if err := fault.CheckKey(fault.PointRebalanceMove, "snapshot_copy"); err != nil {
 		return fmt.Errorf("moving shard %d: %w", sh.ID, err)
 	}
-	walPos, err := n.remoteWALPosition(from)
+	walHold, err := n.holdRemoteWAL(from)
 	if err != nil {
 		return err
 	}
+	defer walHold.Release()
+	walPos := walHold.LSN() - 1
 	if err := n.copyShardRows(from, to, shardName); err != nil {
 		return err
 	}
@@ -199,15 +202,17 @@ func (n *Node) moveOneShard(s *engine.Session, sh *metadata.Shard, colocationID,
 	return derr
 }
 
-// remoteWALPosition reads a node's current WAL length. For remote nodes we
-// use the record count exposed through the loopback engines (the cluster
-// runs in-process); a networked deployment would use a replication slot.
-func (n *Node) remoteWALPosition(nodeID int) (int64, error) {
+// holdRemoteWAL takes a node's current WAL position — the holder's LSN is
+// the first a delta replay will read — and keeps the node's checkpoints from
+// cutting the log above it until the holder is released. For remote nodes we
+// reach the log through the loopback engines (the cluster runs in-process);
+// a networked deployment would use a replication slot.
+func (n *Node) holdRemoteWAL(nodeID int) (*wal.Holder, error) {
 	eng, ok := n.peerEngine(nodeID)
 	if !ok {
-		return 0, fmt.Errorf("node %d engine is not reachable for replication", nodeID)
+		return nil, fmt.Errorf("node %d engine is not reachable for replication", nodeID)
 	}
-	return int64(eng.WAL.Len()), nil
+	return eng.WAL.Hold("shard_move"), nil
 }
 
 // RegisterPeerEngine exposes a peer node's engine for shard-move
@@ -260,27 +265,35 @@ func (n *Node) copyShardRows(from, to int, shardName string) error {
 }
 
 // replayShardDelta applies committed WAL changes to the shard since pos —
-// the logical-replication catchup step.
+// the logical-replication catchup step. It fails if the source's log no
+// longer holds the records after pos (the source restarted under the move
+// and its new log, which the move does not hold, was cut): replaying what
+// is left would silently drop writes.
 func (n *Node) replayShardDelta(from, to int, shardName string, pos int64) error {
 	src, ok := n.peerEngine(from)
 	if !ok {
 		return fmt.Errorf("node %d engine is not reachable for replication", from)
 	}
-	recs := src.WAL.Records()
+	recs, err := src.WAL.Since(pos)
+	if err != nil {
+		return fmt.Errorf("moving %s: %w", shardName, err)
+	}
+	committed := make(map[uint64]bool)
+	for _, r := range recs {
+		if r.Type == wal.RecCommit || r.Type == wal.RecCommitPrepared {
+			committed[r.XID] = true
+		}
+	}
 	var deltaIns, deltaDel []types.Row
 	for _, r := range recs {
-		if r.LSN <= pos || r.Table != shardName {
+		if r.Table != shardName || !committed[r.XID] {
 			continue
 		}
 		switch r.Type {
 		case wal.RecInsert:
-			if committedInWAL(recs, r.XID) {
-				deltaIns = append(deltaIns, r.Row)
-			}
+			deltaIns = append(deltaIns, r.Row)
 		case wal.RecDelete:
-			if committedInWAL(recs, r.XID) {
-				deltaDel = append(deltaDel, r.Row)
-			}
+			deltaDel = append(deltaDel, r.Row)
 		}
 	}
 	if len(deltaIns) == 0 && len(deltaDel) == 0 {
@@ -305,20 +318,6 @@ func (n *Node) replayShardDelta(from, to int, shardName string, pos int64) error
 		return rerr
 	})
 	return rerr
-}
-
-// committedInWAL reports whether a transaction has a commit record.
-func committedInWAL(recs []wal.Record, xid uint64) bool {
-	for _, r := range recs {
-		if r.XID != xid {
-			continue
-		}
-		switch r.Type {
-		case wal.RecCommit, wal.RecCommitPrepared:
-			return true
-		}
-	}
-	return false
 }
 
 // shardTableBase strips the shard id suffix to find the logical table name.

@@ -46,6 +46,12 @@ func TestClusterRestoreToPoint(t *testing.T) {
 	}
 	c.Coordinator().AddCommitRecordForTest(gid)
 
+	// A base under every node, with the 2PC in flight: the restore below is
+	// base image + tail up to the point, the prepared transaction's records
+	// and the commit record among what the cut had to leave.
+	if n := c.Checkpoint(); n != len(c.Engines) {
+		t.Fatalf("%d of %d nodes took the checkpoint", n, len(c.Engines))
+	}
 	mustExec(t, s, "SELECT create_restore_point('backup_2026_07')")
 
 	// resolve the in-flight 2PC and write more data — all after the point
@@ -54,6 +60,11 @@ func TestClusterRestoreToPoint(t *testing.T) {
 	}
 	mustExec(t, s, "UPDATE facts SET v = 9999 WHERE k = 9")
 	mustExec(t, s, "INSERT INTO facts (k, v) VALUES (100, 100)")
+	// The kept restore point holds every base at or below itself: an image
+	// taken now would hold the writes above, which the restore must not see.
+	if n := c.Checkpoint(); n != 0 {
+		t.Fatalf("%d nodes put a base above a kept restore point", n)
+	}
 
 	restored, err := c.RestoreToPoint("backup_2026_07")
 	if err != nil {

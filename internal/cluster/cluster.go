@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,9 +55,10 @@ type Config struct {
 	// DeadlockInterval overrides the per-node local deadlock detector
 	// period (tests use small values).
 	LocalDeadlockInterval time.Duration
-	// AutoVacuumInterval for every node; 0 = 500ms (PostgreSQL-style
-	// autovacuum keeps MVCC chains short under sustained updates),
-	// negative disables.
+	// AutoVacuumInterval is every node's maintenance pass (vacuum, then a
+	// checkpoint when the node's log is due one); 0 = 500ms
+	// (PostgreSQL-style autovacuum keeps MVCC chains short under sustained
+	// updates), negative disables both.
 	AutoVacuumInterval time.Duration
 
 	// ReplicationFactor is the number of WAL-streaming standbys booted per
@@ -333,29 +335,20 @@ func (c *Cluster) restartNode(i int) error {
 			return c.rejoinStandby(i, meta.StandbyOf)
 		}
 	}
+	// Base image, then the tail, the new incarnation's log carrying the same
+	// history on (a process restart keeps its on-disk log): a second crash of
+	// the same worker recovers from what this one recovered from plus
+	// whatever it wrote since. Transactions the log left in progress died
+	// with the old incarnation and are aborted; prepared ones stay pending
+	// for 2PC recovery.
 	eng := c.newEngine(i, old.Name)
-	// Carry the full history into the new incarnation's WAL (a process
-	// restart keeps its on-disk log): without this, a second crash of the
-	// same worker would seal a log holding only post-restart writes and
-	// recovery would silently lose everything before the first crash.
-	// Apply mode keeps replayed DDL from appending a second copy.
-	eng.SetApplyMode(true)
-	for _, rec := range old.WAL.Records() {
-		rec.LSN = 0 // the new log assigns its own; orders coincide
-		eng.WAL.Append(rec)
+	if err := eng.RecoverFrom(old.WAL, 0); err != nil {
+		return err
 	}
-	err := old.WAL.ReplayInto(eng.ReplayTarget(), 0)
-	eng.SetApplyMode(false)
-	if err != nil {
-		return fmt.Errorf("replaying %s WAL: %w", old.Name, err)
-	}
-	// End-of-recovery: transactions the log left in-progress died with
-	// the old incarnation and must not block the new one's writers.
-	eng.FinishRecovery()
 	node := citus.NewNode(i+1, eng, c.Meta, c.cfg.Citus)
 	// Commit records this node wrote as a coordinator (MX mode) are
 	// rebuilt from its WAL, the same way RestoreToPoint does it.
-	node.RecoverCommitRecords(old.WAL.Records(), 0)
+	node.RecoverCommitRecords()
 	// Quiesce gate: an executor on a live node may still be inside a
 	// read-retry backoff holding a pool bound to the dead incarnation.
 	// Swapping its dialer mid-retry races the re-dial (the retry can land
@@ -397,37 +390,47 @@ func (c *Cluster) restartNode(i int) error {
 }
 
 // rejoinStandby rebuilds a failed-over worker as a standby of the node
-// promoted in its place. The recovered engine replays its own sealed WAL —
-// a strict prefix of the promoted primary's log, since promotion drained
-// the winner to the sealed tip before flipping roles — and then resumes
-// streaming from the new primary at exactly its own last LSN (the logs
-// append the same records in the same order, so positions coincide). The
-// node re-enters the catalog as a live standby once it has caught up to
-// the primary's current tip, at which point replica reads route to it and
-// sync-mode commits wait for its acks again.
+// promoted in its place. The recovered engine comes back from its own sealed
+// WAL — a strict prefix of the promoted primary's log, since promotion
+// drained the winner to the sealed tip before flipping roles — and then
+// resumes streaming from the new primary at exactly its own last LSN (the
+// logs hold the same records under the same LSNs). If the new primary has
+// checkpointed in the meantime and cut its log past that LSN, there is
+// nothing to resume from: the node starts empty and takes a base backup of
+// the new primary instead (repl.Manager.AddStandby). The node re-enters the
+// catalog as a live standby once it has caught up to the primary's current
+// tip, at which point replica reads route to it and sync-mode commits wait
+// for its acks again.
 func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	old := c.Engines[i]
 	nodeID := i + 1
+	c.mu.Lock()
+	primaryEng := c.standbys[primaryID]
+	c.mu.Unlock()
+	if primaryEng == nil {
+		return fmt.Errorf("promoted node %d has no engine", primaryID)
+	}
 	eng := c.newEngine(i, old.Name)
 	// Standbys never self-log: the shipper appends each primary record into
 	// this WAL itself, and replayed history must share the same alignment.
 	eng.SetApplyMode(true)
-	for _, rec := range old.WAL.Records() {
-		rec.LSN = 0 // the new log assigns its own; orders coincide
-		eng.WAL.Append(rec)
+	// Hold the new primary's log at this node's last LSN while it recovers,
+	// so that what it resumes from cannot be cut in between.
+	if hold, err := primaryEng.WAL.HoldAt("standby", old.WAL.LastLSN()+1); err == nil {
+		defer hold.Release()
+		// End of crash recovery included: transactions in flight on the dead
+		// timeline have no commit record anywhere — the promoted primary
+		// aborted the same set from the same log prefix when it took over,
+		// so resolving them here keeps both copies' clogs consistent.
+		// Without this, their xmax stamps read as in-progress forever: old
+		// row versions stay visible on this standby and the new primary's
+		// streamed deletes no longer match them, forking the version chain.
+		// Prepared (2PC) XIDs are exempt; their COMMIT/ROLLBACK PREPARED
+		// arrives via the stream.
+		if err := eng.RecoverFrom(old.WAL, 0); err != nil {
+			return err
+		}
 	}
-	if err := old.WAL.ReplayInto(eng.ReplayTarget(), 0); err != nil {
-		return fmt.Errorf("replaying %s WAL: %w", old.Name, err)
-	}
-	// End of crash recovery: transactions in flight on the dead timeline
-	// have no commit record anywhere — the promoted primary aborted the
-	// same set from the same log prefix when it took over, so resolving
-	// them here keeps both copies' clogs consistent. Without this, their
-	// xmax stamps read as in-progress forever: old row versions stay
-	// visible on this standby and the new primary's streamed deletes no
-	// longer match them, forking the version chain. Prepared (2PC) XIDs
-	// are exempt; their COMMIT/ROLLBACK PREPARED arrives via the stream.
-	eng.FinishRecovery()
 	// Standby-local sessions (replica reads) allocate XIDs from a range
 	// disjoint from any primary's, same as standbys booted at New.
 	eng.Txns.AdvanceXIDBase(uint64(nodeID) << 40)
@@ -467,13 +470,7 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	var tip int64
-	c.mu.Lock()
-	primaryEng := c.standbys[primaryID]
-	c.mu.Unlock()
-	if primaryEng != nil {
-		tip = primaryEng.WAL.LastLSN()
-	}
+	tip := primaryEng.WAL.LastLSN()
 	g, ok := c.Repl.Group(primaryID)
 	if !ok {
 		return fmt.Errorf("promoted node %d lost its replication group", primaryID)
@@ -519,8 +516,8 @@ func (c *Cluster) Failover(i int) (int, error) {
 	// as bare heap stamps with no commit record to come — must be aborted,
 	// or the first write touching their tuples waits on them forever.
 	if eng := c.standbys[newID]; eng != nil {
-		eng.SetApplyMode(false)
 		eng.FinishRecovery()
+		eng.SetApplyMode(false)
 	}
 	// The promoted engine replicated the primary's commit records through
 	// the stream; if an MX worker wrote them, recovery needs them rebuilt
@@ -636,9 +633,8 @@ func (c *Cluster) RestoreToPoint(name string) (*Cluster, error) {
 	}
 	// the restored cluster keeps the same shard metadata
 	restored.Meta = c.Meta
-	for i, node := range restored.Nodes {
+	for _, node := range restored.Nodes {
 		node.Meta = c.Meta
-		_ = i
 	}
 	for i, eng := range c.Engines {
 		lsn, err := eng.WAL.FindRestorePoint(name)
@@ -646,19 +642,40 @@ func (c *Cluster) RestoreToPoint(name string) (*Cluster, error) {
 			restored.Close()
 			return nil, fmt.Errorf("node %s: %w", eng.Name, err)
 		}
-		if err := eng.WAL.ReplayInto(restored.Engines[i].ReplayTarget(), lsn); err != nil {
-			restored.Close()
-			return nil, fmt.Errorf("replaying node %s: %w", eng.Name, err)
-		}
-		// rebuild commit records from the replayed coordinator WAL
-		restored.Nodes[i].RecoverCommitRecords(eng.WAL.Records(), lsn)
-		// end-of-recovery: writers in flight at the restore point have no
+		// base + tail up to the point; writers in flight there have no
 		// commit record before it and are implicitly aborted
-		restored.Engines[i].FinishRecovery()
+		if err := restored.Engines[i].RecoverFrom(eng.WAL, lsn); err != nil {
+			restored.Close()
+			return nil, err
+		}
+		// rebuild commit records from the recovered coordinator WAL
+		restored.Nodes[i].RecoverCommitRecords()
 	}
 	// resolve prepared transactions left pending at the restore point
 	restored.Coordinator().RecoverTwoPhaseCommits()
 	return restored, nil
+}
+
+// Checkpoint has every live node checkpoint now and returns how many logs
+// took a new base. Nodes do this themselves, every wal.CheckpointEvery
+// records; tests call it to put a base under a schedule at a chosen step.
+// Standbys take their primary's bases as they apply them.
+func (c *Cluster) Checkpoint() int {
+	c.mu.Lock()
+	engines := append([]*engine.Engine(nil), c.Engines...)
+	for _, eng := range c.standbys {
+		if !slices.Contains(engines, eng) {
+			engines = append(engines, eng)
+		}
+	}
+	c.mu.Unlock()
+	n := 0
+	for _, eng := range engines {
+		if eng.Checkpoint() { // a crashed node, like a standby, refuses
+			n++
+		}
+	}
+	return n
 }
 
 // Close shuts the cluster down.

@@ -220,3 +220,58 @@ func TestRouterResultForwardedUndecoded(t *testing.T) {
 		t.Fatalf("a 16-row fan-out decoded %d rows on the coordinator", moved)
 	}
 }
+
+// TestSecondCrashOfARestartedWorker: a restarted worker's log carries on
+// from what it recovered from — base image and tail — so a crash of the new
+// incarnation, after checkpoints of its own, loses nothing from before the
+// first.
+func TestSecondCrashOfARestartedWorker(t *testing.T) {
+	c, err := New(Config{Workers: 2, ShardCount: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Session()
+	exec(t, s, "CREATE TABLE kv (k bigint PRIMARY KEY, v bigint)")
+	exec(t, s, "SELECT create_distributed_table('kv', 'k')")
+	exec(t, s, "CREATE TABLE ev (k bigint, v bigint) USING columnar")
+	exec(t, s, "SELECT create_distributed_table('ev', 'k')")
+	write := func(round int64) {
+		t.Helper()
+		for k := int64(0); k < 40; k++ {
+			exec(t, s, "INSERT INTO kv (k, v) VALUES ($1, $2) ON CONFLICT (k) DO UPDATE SET v = $2", k, round)
+			exec(t, s, "INSERT INTO ev (k, v) VALUES ($1, $2)", k, round)
+		}
+	}
+	check := func(rounds int64) {
+		t.Helper()
+		res := exec(t, c.Session(), "SELECT count(*), sum(v) FROM kv")
+		if res.Rows[0][0].(int64) != 40 || res.Rows[0][1].(int64) != 40*rounds {
+			t.Fatalf("kv after round %d: %v", rounds, res.Rows)
+		}
+		res = exec(t, c.Session(), "SELECT count(*), sum(v) FROM ev")
+		if res.Rows[0][0].(int64) != 40*rounds || res.Rows[0][1].(int64) != 40*rounds*(rounds+1)/2 {
+			t.Fatalf("ev after round %d: %v", rounds, res.Rows)
+		}
+	}
+	for round := int64(1); round <= 3; round++ {
+		write(round)
+		if round != 2 { // one incarnation crashes with a tail above its base, one without
+			c.Checkpoint()
+			exec(t, s, "UPDATE kv SET v = v WHERE k = 0")
+		}
+		for w := 1; w <= 2; w++ {
+			if err := c.CrashWorker(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RestartWorker(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s = c.Session()
+		check(round)
+	}
+	if c.Engines[1].WAL.FirstLSN() == 1 {
+		t.Fatal("no worker log was ever cut")
+	}
+}

@@ -302,3 +302,66 @@ func mustExec(t *testing.T, s *engine.Session, q string) {
 		t.Fatalf("%s: %v", q, err)
 	}
 }
+
+// TestStandbyTakesPrimaryBases: a standby never checkpoints itself. Its log
+// is its primary's, record for record, so the primary's base goes under it
+// too — the image shared, not copied — and its log is cut the same way. A
+// failover then promotes an engine whose log is base + tail, and the
+// promoted node takes its own checkpoints from there.
+func TestStandbyTakesPrimaryBases(t *testing.T) {
+	c := replCluster(t, repl.ModeSync, 40)
+	defer c.Close()
+	primary := c.Engines[1]
+	sbID := c.Meta.StandbysOf(2)[0]
+	standby := c.StandbyEngine(sbID)
+	if standby.Checkpoint() {
+		t.Fatal("a standby took a checkpoint of its own")
+	}
+	if !primary.Checkpoint() {
+		t.Fatal("primary refused to checkpoint")
+	}
+	for deadline := time.Now().Add(5 * time.Second); standby.WAL.Base() != primary.WAL.Base(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the standby's log sits on base %p, the primary's on %p", standby.WAL.Base(), primary.WAL.Base())
+		}
+	}
+	if standby.WAL.Len() != 0 || standby.WAL.FirstLSN() != primary.WAL.FirstLSN() {
+		t.Fatalf("standby log: %d records from LSN %d; primary's starts at %d",
+			standby.WAL.Len(), standby.WAL.FirstLSN(), primary.WAL.FirstLSN())
+	}
+
+	s := c.Session()
+	mustExec(t, s, "UPDATE r SET v = v + 1")
+	promoted, err := c.Failover(1)
+	if err != nil || promoted != sbID {
+		t.Fatalf("failover: node %d, %v", promoted, err)
+	}
+	mustExec(t, s, "UPDATE r SET v = v + 1")
+	if !standby.Checkpoint() || standby.WAL.Len() != 0 {
+		t.Fatalf("the promoted node's checkpoint left %d records", standby.WAL.Len())
+	}
+	res, err := c.Session().Exec("SELECT count(*), sum(v) FROM r")
+	if err != nil || res.Rows[0][0].(int64) != 40 || res.Rows[0][1].(int64) != 39*40/2*10+80 {
+		t.Fatalf("after failover: %v, %v", res, err)
+	}
+	// the old primary comes back under a primary that has cut past it
+	if err := c.RestartWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "UPDATE r SET v = v + 1")
+	rejoined := c.StandbyEngine(2)
+	for _, sh := range c.Meta.Shards("r") {
+		if node, _ := c.Meta.PrimaryPlacement(sh.ID); node != sbID {
+			continue
+		}
+		q := "SELECT count(*), sum(v) FROM " + sh.ShardName()
+		want, err := standby.NewSession().Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rejoined.NewSession().Exec(q)
+		if err != nil || got.Rows[0][0] != want.Rows[0][0] || got.Rows[0][1] != want.Rows[0][1] {
+			t.Fatalf("%s on the rejoined standby: %v, %v; on its primary: %v", sh.ShardName(), got, err, want.Rows)
+		}
+	}
+}

@@ -120,6 +120,21 @@ type stripe struct {
 	cols  []vec.Vector // column-major
 	stats []colStats   // per-column chunk min/max
 	n     int
+	// frozen: the stripe takes no more rows and its vectors have dropped what
+	// only Append needs. A frozen stripe is never written to again, so a
+	// checkpoint's image, and the tables rebuilt from it, may share it.
+	frozen bool
+}
+
+// freeze marks the stripe full. Callers hold the table's write lock.
+func (st *stripe) freeze() {
+	if st.frozen {
+		return
+	}
+	for i := range st.cols {
+		st.cols[i].Freeze()
+	}
+	st.frozen = true
 }
 
 // Table is an append-only columnar table.
@@ -149,13 +164,11 @@ func (t *Table) Insert(xid uint64, row types.Row) {
 	var st *stripe
 	if n := len(t.stripes); n > 0 {
 		last := t.stripes[n-1]
-		if last.xmin == xid && last.n < StripeRows {
+		if last.xmin == xid && last.n < StripeRows && !last.frozen {
 			st = last
 		} else {
 			// only the last stripe ever takes rows
-			for i := range last.cols {
-				last.cols[i].Freeze()
-			}
+			last.freeze()
 		}
 	}
 	if st == nil {
@@ -200,6 +213,9 @@ type StripeView struct {
 // NumRows returns the view's row count.
 func (v StripeView) NumRows() int { return v.n }
 
+// Xmin returns the transaction that wrote the stripe.
+func (v StripeView) Xmin() uint64 { return v.st.xmin }
+
 // Stats returns the chunk min/max for one column. ok is false when the
 // chunk carries no usable statistics (empty, all NULL, or values of mixed
 // or unordered types) — callers must then treat the stripe as unskippable.
@@ -243,6 +259,35 @@ func (t *Table) VisibleStripes(mgr *txn.Manager, s txn.Snapshot) []StripeView {
 		}
 	}
 	return views
+}
+
+// FrozenStripes is VisibleStripes for a checkpoint's image: the stripes s
+// sees committed, each frozen first — its transaction has ended, so it takes
+// no more rows — and so safe to share with the tables Adopt rebuilds from
+// the image.
+func (t *Table) FrozenStripes(mgr *txn.Manager, s txn.Snapshot) []StripeView {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var views []StripeView
+	for si, st := range t.stripes {
+		if mgr.Sees(s, st.xmin) {
+			st.freeze()
+			views = append(views, StripeView{t: t, st: st, si: si, n: st.n})
+		}
+	}
+	return views
+}
+
+// Adopt appends the stripes of an image to this table, sharing their
+// vectors with the table they were taken from. The caller marks each
+// stripe's Xmin committed.
+func (t *Table) Adopt(views []StripeView) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, v := range views {
+		t.stripes = append(t.stripes, v.st)
+		t.nRows.Add(int64(v.n))
+	}
 }
 
 // LoadChunk charges buffer-pool I/O for the needed columns of one stripe

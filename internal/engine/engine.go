@@ -236,6 +236,16 @@ type Engine struct {
 	// every client sees connection failures exactly as if the peer died.
 	crashed atomic.Bool
 
+	// ddlMu orders DDL against checkpoints: a DDL holds it shared from its
+	// first effect on the catalog or on storage until its record is in the
+	// log, a checkpoint holds it exclusively while it builds its image, so an
+	// image reflects exactly the DDL records below its LSN. ddl is the
+	// schema as the statements that built it, in order, without those of
+	// tables since dropped: what a checkpoint's image carries instead of
+	// every DDL record ever written.
+	ddlMu sync.RWMutex
+	ddl   []ddlEntry
+
 	// applyMode marks the engine as a WAL-application target — a
 	// replication standby, or a restart mid-replay. The applier owns log
 	// continuity (it copies the original records into this engine's WAL
@@ -275,12 +285,29 @@ func (e *Engine) FinishRecovery() int {
 	return len(aborted)
 }
 
-// logDDL appends a DDL record unless the engine is applying someone
-// else's log (see SetApplyMode).
-func (e *Engine) logDDL(ddl string) {
-	if !e.applyMode.Load() {
-		e.WAL.Append(wal.Record{Type: wal.RecDDL, Name: ddl})
+// ddlEntry is one statement of the schema's history and the table it is
+// about.
+type ddlEntry struct{ table, text string }
+
+// logDDL records a DDL statement about table: in the schema history, unless
+// all it did was throw the table's rows away (wipes: TRUNCATE, and DROP
+// TABLE, which has taken the table's statements out of the history), and in
+// the log, unless the engine is applying someone else's (see SetApplyMode).
+// Callers hold ddlMu shared.
+func (e *Engine) logDDL(table, ddl string, wipes bool) {
+	if !wipes {
+		e.mu.Lock()
+		e.ddl = append(e.ddl, ddlEntry{table, ddl})
+		e.mu.Unlock()
 	}
+	if e.applyMode.Load() {
+		return
+	}
+	rec := wal.Record{Type: wal.RecDDL, Name: ddl}
+	if wipes {
+		rec.Table = table
+	}
+	e.WAL.Append(rec)
 }
 
 // IntermediateResult is a named, in-memory relation used by the
@@ -300,10 +327,13 @@ type Config struct {
 	// DeadlockInterval is how often the node-local deadlock detector runs
 	// (PostgreSQL's deadlock_timeout); default 100ms, negative disables.
 	DeadlockInterval time.Duration
-	// AutoVacuumInterval runs the auto-vacuum daemon. Without it, hot rows
-	// grow unbounded MVCC version chains and index lookups degrade
-	// (exactly the auto-vacuuming behavior §2.3 of the paper discusses).
-	// 0 disables (unit tests vacuum explicitly); cluster nodes enable it.
+	// AutoVacuumInterval runs the node's maintenance pass: vacuum, then a
+	// checkpoint when the log is due one. Without vacuum, hot rows grow
+	// unbounded MVCC version chains and index lookups degrade (exactly the
+	// auto-vacuuming behavior §2.3 of the paper discusses); without
+	// checkpoints the log keeps every record since LSN 1.
+	// 0 disables (unit tests vacuum and checkpoint explicitly); cluster nodes
+	// enable it.
 	AutoVacuumInterval time.Duration
 }
 
@@ -332,15 +362,20 @@ func New(cfg Config) *Engine {
 	if interval > 0 {
 		go e.deadlockDetectorLoop(interval)
 	}
+	e.WAL.Node = cfg.Name
 	if cfg.AutoVacuumInterval > 0 {
-		go e.autoVacuumLoop(cfg.AutoVacuumInterval)
+		go e.maintenanceLoop(cfg.AutoVacuumInterval)
 	}
 	return e
 }
 
-// autoVacuumLoop periodically reclaims dead tuple versions, playing the
-// role of PostgreSQL's autovacuum workers.
-func (e *Engine) autoVacuumLoop(interval time.Duration) {
+// maintenanceLoop is the node's one background pass, the role of
+// PostgreSQL's autovacuum workers and checkpointer: every interval it
+// reclaims dead tuple versions and then, if wal.CheckpointEvery records have
+// arrived since the last one, checkpoints. The log wakes it early for the
+// checkpoint half the moment that many have, so what a node holds when it
+// goes quiet depends on how much it wrote, not on where a tick fell.
+func (e *Engine) maintenanceLoop(interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -349,6 +384,10 @@ func (e *Engine) autoVacuumLoop(interval time.Duration) {
 			return
 		case <-ticker.C:
 			e.Vacuum("")
+		case <-e.WAL.CheckpointDue():
+		}
+		if e.WAL.Due() {
+			e.Checkpoint()
 		}
 	}
 }

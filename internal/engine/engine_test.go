@@ -562,7 +562,7 @@ func TestWALReplayRebuildsState(t *testing.T) {
 	// (no commit)
 
 	e2 := newTestEngine(t)
-	if err := e.WAL.ReplayInto(e2.ReplayTarget(), 0); err != nil {
+	if err := e2.RecoverFrom(e.WAL, 0); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e2.NewSession()
@@ -579,7 +579,7 @@ func TestWALReplayPreparedPending(t *testing.T) {
 	mustExec(t, s, "PREPARE TRANSACTION 'pending'")
 
 	e2 := newTestEngine(t)
-	if err := e.WAL.ReplayInto(e2.ReplayTarget(), 0); err != nil {
+	if err := e2.RecoverFrom(e.WAL, 0); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e2.NewSession()

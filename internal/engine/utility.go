@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"citusgo/internal/catalog"
@@ -58,17 +59,9 @@ func (s *Session) ExecUtilityLocal(stmt sql.Statement) (*Result, error) {
 		s.Eng.truncateStorage(store)
 		return &Result{Tag: "TRUNCATE TABLE"}, nil
 	case *sql.AlterTableAddColumnStmt:
-		col := catalog.Column{
-			Name:    st.Column.Name,
-			Type:    st.Column.Type,
-			NotNull: st.Column.NotNull,
-			Default: st.Column.Default,
-		}
-		if _, err := s.Eng.Catalog.AddColumn(st.Table, col); err != nil {
+		if err := s.Eng.addColumn(st); err != nil {
 			return nil, s.statementFailed(err)
 		}
-		s.Eng.logDDL(st.String())
-		s.Eng.bumpSchemaVersion()
 		return &Result{Tag: "ALTER TABLE"}, nil
 	case *sql.VacuumStmt:
 		n := s.Eng.Vacuum(st.Table)
@@ -116,8 +109,27 @@ func (s *Session) execCall(st *sql.CallStmt) (*Result, error) {
 	return &Result{Tag: "CALL"}, nil
 }
 
+func (e *Engine) addColumn(st *sql.AlterTableAddColumnStmt) error {
+	e.ddlMu.RLock()
+	defer e.ddlMu.RUnlock()
+	col := catalog.Column{
+		Name:    st.Column.Name,
+		Type:    st.Column.Type,
+		NotNull: st.Column.NotNull,
+		Default: st.Column.Default,
+	}
+	if _, err := e.Catalog.AddColumn(st.Table, col); err != nil {
+		return err
+	}
+	e.logDDL(st.Table, st.String(), false)
+	e.bumpSchemaVersion()
+	return nil
+}
+
 // CreateTable creates a table with its storage and primary key index.
 func (e *Engine) CreateTable(st *sql.CreateTableStmt) error {
+	e.ddlMu.RLock()
+	defer e.ddlMu.RUnlock()
 	tbl, err := e.Catalog.Create(st)
 	if err != nil {
 		return err
@@ -148,13 +160,15 @@ func (e *Engine) CreateTable(st *sql.CreateTableStmt) error {
 			return err
 		}
 	}
-	e.logDDL(st.String())
+	e.logDDL(tbl.Name, st.String(), false)
 	e.bumpSchemaVersion()
 	return nil
 }
 
 // CreateIndex creates and backfills an index.
 func (e *Engine) CreateIndex(st *sql.CreateIndexStmt) error {
+	e.ddlMu.RLock()
+	defer e.ddlMu.RUnlock()
 	def := &catalog.IndexDef{
 		Name:   st.Name,
 		Table:  st.Table,
@@ -175,7 +189,7 @@ func (e *Engine) CreateIndex(st *sql.CreateIndexStmt) error {
 	if err := e.attachIndex(store, def, true); err != nil {
 		return err
 	}
-	e.logDDL(st.String())
+	e.logDDL(st.Table, st.String(), false)
 	e.bumpSchemaVersion()
 	return nil
 }
@@ -269,10 +283,13 @@ func (e *Engine) backfillGIN(store *storage, g *ginIndex) error {
 
 // DropTable removes a table and its storage.
 func (e *Engine) DropTable(name string, ifExists bool) error {
+	e.ddlMu.RLock()
+	defer e.ddlMu.RUnlock()
 	e.mu.Lock()
 	store, ok := e.stores[name]
 	if ok {
 		delete(e.stores, name)
+		e.ddl = slices.DeleteFunc(e.ddl, func(d ddlEntry) bool { return d.table == name })
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -288,12 +305,14 @@ func (e *Engine) DropTable(name string, ifExists bool) error {
 	if store.col != nil {
 		store.col.Truncate()
 	}
-	e.logDDL("DROP TABLE " + name)
+	e.logDDL(name, "DROP TABLE "+name, true)
 	e.bumpSchemaVersion()
 	return nil
 }
 
 func (e *Engine) truncateStorage(store *storage) {
+	e.ddlMu.RLock()
+	defer e.ddlMu.RUnlock()
 	store.mu.Lock()
 	defer store.mu.Unlock()
 	if store.heap != nil {
@@ -308,7 +327,7 @@ func (e *Engine) truncateStorage(store *storage) {
 	for name, g := range store.gins {
 		store.gins[name] = &ginIndex{def: g.def, gin: index.NewGIN(), eval: g.eval}
 	}
-	e.logDDL("TRUNCATE " + store.table.Name)
+	e.logDDL(store.table.Name, "TRUNCATE "+store.table.Name, true)
 }
 
 // Vacuum reclaims dead tuples table-wide or for one table, cleaning index
@@ -460,7 +479,8 @@ func (s *Session) runExplainAnalyze(stmt sql.Statement, plan Plan, params []type
 // ---------------------------------------------------------------------------
 // WAL replay (wal.Applier)
 
-// replayTarget adapts an Engine for wal.ReplayInto.
+// replayTarget adapts an Engine for wal.Log.RecoverInto and wal.ApplyRecord
+// (ApplyBase is in checkpoint.go, beside the image it loads).
 type replayTarget struct{ e *Engine }
 
 // ReplayTarget returns the wal.Applier that rebuilds this engine from a log.

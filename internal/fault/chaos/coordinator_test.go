@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"citusgo/internal/fault"
+	"citusgo/internal/wal"
 )
 
 // crashCoordinatorMid2PC drives a two-participant transaction into an
@@ -50,6 +51,9 @@ func crashCoordinatorMid2PC(t *testing.T, point string, batch int64) bool {
 		_, _ = s.Exec("COMMIT")
 	}()
 	fault.Reset()
+	// A checkpoint between the commit records and the crash: unresolved,
+	// they hold the coordinator's log, and its restart still finds them.
+	h.C.Checkpoint()
 	if err := h.C.CrashCoordinator(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,5 +90,77 @@ func TestScheduleCoordinatorCrashBeforeCommitRecord(t *testing.T) {
 func TestScheduleCoordinatorCrashAfterCommitRecord(t *testing.T) {
 	if !crashCoordinatorMid2PC(t, fault.Point2PCCommit, 12) {
 		t.Fatal("committed transaction not visible after coordinator restart and recovery")
+	}
+}
+
+// TestRestartedCoordinatorForgetsResolvedCommitRecords: a coordinator's log
+// is cut below its oldest unresolved commit record, so a restart reads back
+// that record and the ones above it — not every record ever written — and
+// the first recovery passes drop those with nothing left prepared anywhere.
+func TestRestartedCoordinatorForgetsResolvedCommitRecords(t *testing.T) {
+	h := New(t, Options{})
+	h.CreateTable("cr")
+	keys, _ := h.KeysOnDistinctWorkers("cr", 2)
+	h.SeedRows("cr", keys)
+	// the transaction left unresolved keeps its row locks: rows of its own
+	h.CreateTable("cr_stuck")
+	stuck, _ := h.KeysOnDistinctWorkers("cr_stuck", 2)
+	h.SeedRows("cr_stuck", stuck)
+	s := h.C.Session()
+	const txns, unresolved = 20, 10
+	for i := 1; i <= txns; i++ {
+		table, rows := "cr", keys
+		if i == unresolved {
+			// COMMIT PREPARED reaches nobody: the client sees success, both
+			// participants stay prepared, both commit records stay
+			fault.Arm(fault.Rule{Point: fault.Point2PCCommit, Action: fault.ActError})
+			table, rows = "cr_stuck", stuck
+		}
+		if err := h.UpdateAll(s, table, rows, int64(i)); err != nil {
+			t.Fatalf("batch %d: %v (seed %d)", i, err, h.Seed)
+		}
+		fault.Reset()
+	}
+	if got := h.C.Coordinator().CommitRecords(); len(got) != 2 {
+		t.Fatalf("the coordinator holds commit records %v, want the unresolved transaction's two (seed %d)", got, h.Seed)
+	}
+	coord := h.C.Engines[0]
+	if !coord.Checkpoint() {
+		t.Fatal("coordinator refused to checkpoint")
+	}
+	var held int
+	for _, rec := range coord.WAL.Records() {
+		if rec.Type == wal.RecCommitRecord {
+			held++
+		}
+	}
+	// the unresolved transaction's two, and those of the transactions after it
+	if want := 2 * (txns - unresolved + 1); held != want || coord.WAL.FirstLSN() == 1 {
+		t.Fatalf("the log holds %d commit records from LSN %d on, want %d of the %d written (seed %d)",
+			held, coord.WAL.FirstLSN(), want, 2*txns, h.Seed)
+	}
+
+	if err := h.C.CrashCoordinator(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.C.RestartCoordinator(); err != nil {
+		t.Fatalf("coordinator restart: %v (seed %d)", err, h.Seed)
+	}
+	h.S = h.C.Session()
+	if got := h.C.Coordinator().CommitRecords(); len(got) != held {
+		t.Fatalf("the restarted coordinator read back %d commit records, want the %d its log held (seed %d)", len(got), held, h.Seed)
+	}
+	if resolved := h.Quiesce(5 * time.Second); resolved != 2 {
+		t.Fatalf("recovery resolved %d transactions, want 2 (seed %d)", resolved, h.Seed)
+	}
+	h.C.Coordinator().RecoverTwoPhaseCommits() // a pass that finds nothing prepared drops the rest
+	if got := h.C.Coordinator().CommitRecords(); len(got) != 0 {
+		t.Fatalf("commit records %v still held with nothing prepared anywhere (seed %d)", got, h.Seed)
+	}
+	if !h.CheckAtomic("cr", keys, txns) || !h.CheckAtomic("cr_stuck", stuck, unresolved) {
+		t.Fatalf("rows are not at their last batches after recovery (seed %d)", h.Seed)
+	}
+	if h.C.Engines[0].Checkpoint(); h.C.Engines[0].WAL.Len() != 0 {
+		t.Fatalf("the coordinator's log still holds %d records at rest (seed %d)", h.C.Engines[0].WAL.Len(), h.Seed)
 	}
 }

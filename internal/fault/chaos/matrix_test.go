@@ -98,6 +98,9 @@ func TestTwoPhaseCommitFaultMatrix(t *testing.T) {
 				t.Fatalf("%s: update: %v", row.name, err)
 			}
 		}
+		// a base under every node with the transaction in progress: whatever
+		// the row does next is recovered from base + tail
+		h.C.Checkpoint()
 		for _, r := range row.rules {
 			fault.Arm(r)
 		}
@@ -275,6 +278,11 @@ func TestTwoPhaseCommitFlightMatrix(t *testing.T) {
 				if _, err := s.Exec("UPDATE fm SET v = $1 WHERE k = $2", int64(7), k); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// a base under every node with the transaction in progress: a
+			// worker the row crashes restarts from base + tail
+			if n := h.C.Checkpoint(); n != len(h.C.Engines) {
+				t.Fatalf("%d of %d nodes took the checkpoint", n, len(h.C.Engines))
 			}
 			err := row.run(t, h, s, nodeIDs)
 			fault.Reset()

@@ -179,3 +179,93 @@ func TestRebalanceMoveDropSourceFailure(t *testing.T) {
 	}
 	h.MustExec(fmt.Sprintf("UPDATE rbd SET v = v + 1 WHERE k = %d", int64(0)))
 }
+
+// TestRebalanceMoveDeltaSurvivesCheckpoint stops a shard move between its
+// snapshot copy and its catch-up, writes to the source shard behind the
+// coordinator's back — the writes a move's delta exists for — and has the
+// source checkpoint. The move holds the source's log from its start
+// position, so the cut leaves the delta and the target ends with every row.
+// Then the same with the hold gone: the source restarts under the move, and
+// its new log, which nobody holds, is cut. Catching up from what is left
+// would drop the writes; the move fails and the placement stays.
+func TestRebalanceMoveDeltaSurvivesCheckpoint(t *testing.T) {
+	for _, restartSource := range []bool{false, true} {
+		name := "held"
+		if restartSource {
+			name = "source restarted"
+		}
+		t.Run(name, func(t *testing.T) {
+			h := New(t, Options{Workers: 2, ShardCount: 4})
+			h.CreateTable("mv")
+			for k := int64(0); k < 40; k++ {
+				h.MustExec("INSERT INTO mv (k, v) VALUES ($1, $2)", k, k)
+			}
+			sh := h.C.Meta.Shards("mv")[0]
+			from, _ := h.C.Meta.PrimaryPlacement(sh.ID)
+			to := 5 - from // workers are nodes 2 and 3
+			var onShard []int64
+			for k := int64(0); k < 40; k++ {
+				if got, _ := h.C.Meta.ShardForValue("mv", k); got.ID == sh.ID {
+					onShard = append(onShard, k)
+				}
+			}
+			if len(onShard) < 2 {
+				t.Fatalf("shard %d holds %v", sh.ID, onShard)
+			}
+
+			arrived, release := fault.ArmGate(fault.PointRebalanceMove, "catchup")
+			moved := make(chan error, 1)
+			go func() { moved <- h.C.Coordinator().MoveShardPlacement(h.C.Session(), sh.ID, from, to) }()
+			<-arrived
+			if restartSource {
+				if err := h.C.CrashWorker(from - 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.C.RestartWorker(from - 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src := h.C.ConnTo(from - 1)
+			defer src.Close()
+			for _, q := range []string{
+				fmt.Sprintf("UPDATE %s SET v = 1000 WHERE k = %d", sh.ShardName(), onShard[0]),
+				fmt.Sprintf("DELETE FROM %s WHERE k = %d", sh.ShardName(), onShard[1]),
+			} {
+				if _, err := src.Query(q); err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+			}
+			if !h.C.Engines[from-1].Checkpoint() {
+				t.Fatal("source refused to checkpoint")
+			}
+			release(nil)
+			err := <-moved
+
+			cur, _ := h.C.Meta.PrimaryPlacement(sh.ID)
+			if restartSource {
+				if err == nil || !strings.Contains(err.Error(), "are gone") || cur != from {
+					t.Fatalf("move over a cut delta: err %v, placement on %d (want an error, and %d)", err, cur, from)
+				}
+				return
+			}
+			if err != nil || cur != to {
+				t.Fatalf("move: %v, placement on %d, want %d (seed %d)", err, cur, to, h.Seed)
+			}
+			if held := h.C.Engines[from-1].WAL.Len(); held == 0 {
+				t.Fatal("the source's checkpoint cut the move's delta")
+			}
+			res := h.MustExec("SELECT v FROM mv WHERE k = $1", onShard[0])
+			if len(res.Rows) != 1 || res.Rows[0][0].(int64) != 1000 {
+				t.Fatalf("the update made during the move is lost: %v", res.Rows)
+			}
+			if res := h.MustExec("SELECT count(*) FROM mv"); res.Rows[0][0].(int64) != 39 {
+				t.Fatalf("%v rows after the move, want 39", res.Rows[0][0])
+			}
+			// the move over, nothing holds the source's log
+			h.C.Engines[from-1].Checkpoint()
+			if held := h.C.Engines[from-1].WAL.Len(); held != 0 {
+				t.Fatalf("the source still holds %d records after the move", held)
+			}
+		})
+	}
+}

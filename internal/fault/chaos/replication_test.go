@@ -313,6 +313,20 @@ func TestChaosPromoteCrashPoints(t *testing.T) {
 // WAL, rejoins the promoted primary's replication group at its own tip,
 // streams the post-failover history it missed, and re-enters read rotation.
 func TestRestartFailedOverPrimaryRejoinsAsStandby(t *testing.T) {
+	rejoinAfterFailover(t, false)
+}
+
+// TestRejoinBelowTheNewPrimarysBase is the same schedule with one step
+// more: before the crashed node comes back, the promoted primary checkpoints
+// and cuts its log past the crashed node's last LSN. There is no position
+// left to resume the stream from, so the node starts empty and takes a base
+// backup — the new primary's image and tail — and streams from where that
+// copy stopped.
+func TestRejoinBelowTheNewPrimarysBase(t *testing.T) {
+	rejoinAfterFailover(t, true)
+}
+
+func rejoinAfterFailover(t *testing.T, cutPast bool) {
 	h := New(t, Options{
 		ReplicationFactor: 1,
 		ReplicationMode:   repl.ModeSync,
@@ -336,9 +350,25 @@ func TestRestartFailedOverPrimaryRejoinsAsStandby(t *testing.T) {
 	if err := h.UpdateAll(s, "rj", keys, 2); err != nil {
 		t.Fatalf("post-failover batch: %v (seed %d)", err, h.Seed)
 	}
+	if cutPast {
+		crashedAt := h.C.Engines[victim-1].WAL.LastLSN()
+		primary := h.C.StandbyEngine(newID)
+		if !primary.Checkpoint() {
+			t.Fatalf("promoted node %d refused to checkpoint (seed %d)", newID, h.Seed)
+		}
+		if first := primary.WAL.FirstLSN(); first <= crashedAt+1 {
+			t.Fatalf("promoted node's log starts at %d, not past the crashed node's last LSN %d (seed %d)",
+				first, crashedAt, h.Seed)
+		}
+	}
 
 	if err := h.C.RestartWorker(victim - 1); err != nil {
 		t.Fatalf("restart of failed-over node %d: %v (seed %d)", victim, err, h.Seed)
+	}
+	if cutPast {
+		if got, want := h.C.StandbyEngine(victim).WAL.Base(), h.C.StandbyEngine(newID).WAL.Base(); got == nil || got != want {
+			t.Fatalf("rejoined standby's log sits on base %p, want the new primary's %p (seed %d)", got, want, h.Seed)
+		}
 	}
 	node, ok := h.C.Meta.Node(victim)
 	if !ok || !node.Standby || node.StandbyOf != newID {

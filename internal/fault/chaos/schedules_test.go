@@ -87,7 +87,10 @@ func TestScheduleCrashBeforeCommitRecord(t *testing.T) {
 		done <- err
 	}()
 	<-arrived
-	// Both participants are prepared; no commit record exists yet.
+	// Both participants are prepared; no commit record exists yet. A
+	// checkpoint here cuts nothing the prepared transactions wrote: the
+	// victim restarts from base + tail with its own still pending.
+	h.C.Checkpoint()
 	victim := nodeIDs[0] - 1 // engine index of the first participant
 	if err := h.C.CrashWorker(victim); err != nil {
 		t.Fatal(err)

@@ -87,16 +87,38 @@ func TestChaosSmoke(t *testing.T) {
 		}(w)
 	}
 
-	// Kill worker 1 mid-workload and bring it back from its WAL.
-	time.Sleep(30 * time.Millisecond)
-	if err := h.C.CrashWorker(1); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if err := h.C.RestartWorker(1); err != nil {
-		t.Fatal(err)
+	// Checkpoints land wherever they land in the workload, far more often
+	// than a node's own maintenance pass would take them.
+	stopCheckpoints := make(chan struct{})
+	checkpointsDone := make(chan struct{})
+	go func() {
+		defer close(checkpointsDone)
+		for {
+			select {
+			case <-stopCheckpoints:
+				return
+			case <-time.After(3 * time.Millisecond):
+				h.C.Checkpoint()
+			}
+		}
+	}()
+
+	// Kill worker 1 mid-workload and bring it back from its WAL — base image
+	// and tail — and then once more: the second incarnation's log must carry
+	// everything the first recovered.
+	for crash := 0; crash < 2; crash++ {
+		time.Sleep(30 * time.Millisecond)
+		if err := h.C.CrashWorker(1); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(30 * time.Millisecond)
+		if err := h.C.RestartWorker(1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
+	close(stopCheckpoints)
+	<-checkpointsDone
 
 	// Stop injecting and let recovery settle every dangling prepared txn.
 	fired := fault.Fired(fault.PointWireSend) + fault.Fired(fault.PointWireRecv)

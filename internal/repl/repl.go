@@ -8,7 +8,18 @@
 // WAL (the standby "has the WAL", so a promoted or restarted standby can
 // itself be replayed or replicated from) and then applied incrementally
 // through wal.ApplyRecord; the stream ack then advances, which is what
-// sync-commit waits and lag accounting observe.
+// sync-commit waits and lag accounting observe — and what the primary's log
+// keeps its records for: an open stream holds everything above its ack
+// against the primary's checkpoints.
+//
+// A standby takes no checkpoints of its own. Its log holds the primary's
+// records under the primary's LSNs, so the primary's base image is a base
+// for it too: the shipper puts each new one under the standby's log once the
+// standby has applied everything the image reflects, and the standby's log
+// is cut the same way. A standby that joins below the primary's base — a
+// failed-over primary coming back after the new one has cut past its last
+// LSN — starts from a base backup: the primary's image and tail, then the
+// stream (AddStandby).
 //
 // Two modes, chosen per cluster:
 //
@@ -104,6 +115,7 @@ type standby struct {
 	applied atomic.Int64
 	failed  atomic.Bool
 	done    chan struct{}
+	base    *wal.Base // the primary's base last put under this standby's log
 
 	shipped *obs.Counter
 	lag     *obs.Gauge
@@ -136,6 +148,8 @@ type Group struct {
 	mu       sync.Mutex
 	standbys []*standby
 	stopped  bool
+
+	ackLag atomic.Int64 // see noteAckLag
 }
 
 // NewGroup starts shipping primary's WAL to the targets. Shipping begins
@@ -143,27 +157,27 @@ type Group struct {
 func NewGroup(primaryID int, primaryName string, log *wal.Log, cfg Config, targets []StandbyTarget) *Group {
 	g := &Group{primaryID: primaryID, primaryName: primaryName, log: log, cfg: cfg.withDefaults()}
 	for _, t := range targets {
-		sb := &standby{
-			StandbyTarget: t,
-			stream:        log.StreamFrom(0),
-			done:          make(chan struct{}),
-			shipped:       metShipped.With(t.Name),
-			lag:           metLag.With(t.Name),
+		if err := g.resumeStandby(t, 0); err != nil {
+			panic(err) // a group is created with its node, before the log's first checkpoint
 		}
-		g.standbys = append(g.standbys, sb)
-		go g.ship(sb)
 	}
 	return g
 }
 
-// resumeStandby re-parents an existing standby onto this group's log after
-// a promotion: the standby's applied prefix is identical to the new
-// primary's log prefix (both copied the old primary's WAL), so the stream
-// resumes exactly at the standby's applied LSN.
-func (g *Group) resumeStandby(t StandbyTarget, appliedLSN int64) {
+// resumeStandby attaches a standby to this group's log at its applied LSN.
+// After a promotion that re-parents an existing standby: its applied prefix
+// is identical to the new primary's log prefix (both copied the old
+// primary's WAL), so the stream resumes exactly there. It fails when the log
+// has been cut past that position.
+func (g *Group) resumeStandby(t StandbyTarget, appliedLSN int64) error {
+	stream := g.log.StreamFrom(appliedLSN)
+	if stream.Behind() {
+		return fmt.Errorf("repl: standby %s is at LSN %d, %s's log now starts at %d: it needs a base backup",
+			t.Name, appliedLSN, g.primaryName, g.log.FirstLSN())
+	}
 	sb := &standby{
 		StandbyTarget: t,
-		stream:        g.log.StreamFrom(appliedLSN),
+		stream:        stream,
 		done:          make(chan struct{}),
 		shipped:       metShipped.With(t.Name),
 		lag:           metLag.With(t.Name),
@@ -173,12 +187,16 @@ func (g *Group) resumeStandby(t StandbyTarget, appliedLSN int64) {
 	g.standbys = append(g.standbys, sb)
 	g.mu.Unlock()
 	go g.ship(sb)
+	return nil
 }
 
 // ship is the per-standby replication loop.
 func (g *Group) ship(sb *standby) {
 	defer close(sb.done)
+	// a standby that has stopped applying holds the primary's log no longer
+	defer sb.stream.Close()
 	for {
+		g.takeBase(sb)
 		rec, ok := sb.stream.Next(g.cfg.PollInterval)
 		if !ok {
 			if sb.stream.Done() {
@@ -217,6 +235,15 @@ func (g *Group) ship(sb *standby) {
 		sb.applied.Store(rec.LSN)
 		sb.shipped.Inc()
 		sb.lag.Set(sb.stream.Lag())
+	}
+}
+
+// takeBase puts the primary's newest base under the standby's log, once the
+// standby has applied every record the image reflects.
+func (g *Group) takeBase(sb *standby) {
+	if b := g.log.Base(); b != nil && b != sb.base && sb.WAL != nil && sb.applied.Load() >= b.At-1 {
+		sb.WAL.Checkpoint(b)
+		sb.base = b
 	}
 }
 
@@ -288,14 +315,35 @@ func (g *Group) WaitSync(lsn int64, timeout time.Duration) error {
 	}
 }
 
-// WaitLag blocks until every live standby trails the log tip by at most
-// maxLag records — the async-mode flow control that bounds staleness.
+// WaitLag blocks until every live standby trails the log tip, as it is now,
+// by at most maxLag records — the async-mode flow control that bounds
+// staleness.
 func (g *Group) WaitLag(maxLag int64, timeout time.Duration) error {
 	tip := g.log.LastLSN()
-	if tip <= maxLag {
-		return nil
+	var err error
+	if tip > maxLag {
+		err = g.WaitSync(tip-maxLag, timeout)
 	}
-	return g.WaitSync(tip-maxLag, timeout)
+	g.noteAckLag(tip)
+	return err
+}
+
+// noteAckLag records how far the furthest-behind live standby trails tip,
+// the log's tip when a write's WaitLag began, now that the wait is over and
+// the write is about to be acknowledged. This is where async mode's bound
+// holds: no write is acknowledged with a standby more than MaxAsyncLag
+// records behind it. The lag read off a moving log at any other moment also
+// counts the records of every writer that has appended and not yet waited.
+func (g *Group) noteAckLag(tip int64) {
+	for _, sb := range g.live() {
+		lag := tip - sb.applied.Load()
+		for {
+			cur := g.ackLag.Load()
+			if lag <= cur || g.ackLag.CompareAndSwap(cur, lag) {
+				break
+			}
+		}
+	}
 }
 
 // MaxLag returns the largest lag (in records) among live standbys.
@@ -369,13 +417,34 @@ func (m *Manager) Group(nodeID int) (*Group, bool) {
 // WAL is a prefix of the new primary's log (promotion drained the winner to
 // the sealed tip before flipping roles) and LSNs coincide across the two
 // logs, so shipping resumes exactly at appliedLSN with no gap or overlap.
+//
+// When the primary's log has been cut past appliedLSN there is nothing to
+// resume from, and the standby takes a base backup first: the primary's
+// base image and tail go into the target, which must be empty (appliedLSN
+// 0), and the stream starts where that copy stopped. Transactions in flight
+// on the primary stay in progress on the standby — unlike a restart, nothing
+// ends here — and resolve through the stream.
 func (m *Manager) AddStandby(primaryID int, t StandbyTarget, appliedLSN int64) error {
 	g, ok := m.Group(primaryID)
 	if !ok {
 		return fmt.Errorf("repl: node %d has no replication group", primaryID)
 	}
-	g.resumeStandby(t, appliedLSN)
-	return nil
+	if appliedLSN == 0 {
+		// Hold the log while the stream is set up: from its first record if
+		// that is still there, else from its tip, so that where the copy
+		// stops is still there to stream from when the copy is done.
+		hold, err := g.log.HoldAt("standby", 1)
+		if err != nil {
+			hold = g.log.Hold("standby")
+			if err := g.log.RecoverInto(t.WAL, t.Apply, 0); err != nil {
+				hold.Release()
+				return fmt.Errorf("repl: base backup of %s for %s: %w", g.primaryName, t.Name, err)
+			}
+			appliedLSN = t.WAL.LastLSN()
+		}
+		defer hold.Release()
+	}
+	return g.resumeStandby(t, appliedLSN)
 }
 
 // Wait is the commit-path hook: after a write on nodeID it enforces the
@@ -455,8 +524,20 @@ func (m *Manager) Promote(failedPrimary int) (int, error) {
 	if err := m.meta.PromoteNode(failedPrimary, winner.NodeID); err != nil {
 		return 0, err
 	}
-	// Stop the old group's shippers, then re-parent the surviving standbys
-	// onto the new primary's WAL at their applied positions.
+	// Re-parent the surviving standbys onto the new primary's WAL at their
+	// applied positions. The winner's log was cut by the old primary's
+	// checkpoints as it applied them, perhaps past a slower sibling: that
+	// one first drains the sealed log too — which still holds what it has
+	// not acknowledged — and resumes at the tip, where no log is ever cut.
+	for _, sb := range live {
+		if sb == winner || sb.WAL == nil || winner.WAL == nil {
+			continue
+		}
+		for sb.applied.Load()+1 < winner.WAL.FirstLSN() && sb.applied.Load() < tip &&
+			!sb.failed.Load() && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 	g.Stop()
 	var ng *Group
 	for _, sb := range g.live() {
@@ -466,7 +547,11 @@ func (m *Manager) Promote(failedPrimary int) (int, error) {
 		if ng == nil {
 			ng = m.AddGroup(winner.NodeID, winner.Name, winner.WAL, nil)
 		}
-		ng.resumeStandby(sb.StandbyTarget, sb.applied.Load())
+		if err := ng.resumeStandby(sb.StandbyTarget, sb.applied.Load()); err != nil {
+			// too far behind to drain in time: out of the group, like a
+			// standby that failed to apply
+			metApplyErrors.With(sb.Name).Inc()
+		}
 	}
 	if ng == nil && winner.WAL != nil {
 		// keep an (empty) group so future AddStandby/rewiring has a home;
@@ -475,6 +560,17 @@ func (m *Manager) Promote(failedPrimary int) (int, error) {
 	}
 	metPromotions.Inc()
 	return winner.NodeID, nil
+}
+
+// AckLag reports the largest lag a write on nodeID has been acknowledged at
+// in async mode (0 when the node is unreplicated): the number MaxAsyncLag
+// bounds.
+func (m *Manager) AckLag(nodeID int) int64 {
+	g, ok := m.Group(nodeID)
+	if !ok {
+		return 0
+	}
+	return g.ackLag.Load()
 }
 
 // Lag reports the largest standby lag of a primary's group (0 when the

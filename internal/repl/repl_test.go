@@ -25,7 +25,8 @@ func newMemApplier() *memApplier {
 	return &memApplier{rows: map[string][]types.Row{}, commits: map[uint64]bool{}, prepared: map[string]uint64{}}
 }
 
-func (m *memApplier) ApplyDDL(string) error { return nil }
+func (m *memApplier) ApplyBase(*wal.Base) error { return nil }
+func (m *memApplier) ApplyDDL(string) error     { return nil }
 func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -236,5 +237,112 @@ func TestPromoteWithNoLiveStandbyFails(t *testing.T) {
 	}
 	if _, err := m.Promote(99); err == nil {
 		t.Fatal("promotion of unreplicated node succeeded")
+	}
+}
+
+// TestPromoteDrainsASiblingTheWinnerWasCutPast: the old primary
+// checkpointed, the fast standby took that base and its log was cut with it,
+// and the slow standby is still below that cut when the primary dies. The
+// winner's log has nothing to resume the sibling from, so the promotion lets
+// it drain the sealed log — which its own stream still holds — to the tip
+// first, and re-parents it there.
+func TestPromoteDrainsASiblingTheWinnerWasCutPast(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	meta := promoteCatalog()
+	m := NewManager(meta, Config{Mode: ModeAsync, MaxAsyncLag: 1000})
+	primary := wal.New()
+	a1, a2 := newMemApplier(), newMemApplier()
+	l1, l2 := wal.New(), wal.New()
+	g := m.AddGroup(2, "w1", primary, []StandbyTarget{
+		{NodeID: 4, Name: "w1-sb1", WAL: l1, Apply: a1},
+		{NodeID: 5, Name: "w1-sb2", WAL: l2, Apply: a2},
+	})
+	defer m.Stop()
+
+	fault.Arm(fault.Rule{Point: fault.PointReplApply, Key: "w1-sb2", Action: fault.ActDelay, Delay: 2 * time.Millisecond})
+	for i := 0; i < 50; i++ {
+		appendTxn(primary, uint64(10+i), "t", int64(i))
+	}
+	at, _ := primary.BeginCheckpoint()
+	primary.Checkpoint(&wal.Base{Redo: at, At: at, Xmax: 100})
+	if first := primary.FirstLSN(); first >= at {
+		t.Fatalf("the primary cut to %d past the slow standby's stream", first)
+	}
+	for deadline := time.Now().Add(5 * time.Second); l1.Base() != primary.Base(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the fast standby never took the primary's base")
+		}
+	}
+	if l1.FirstLSN() != at || g.Applied()[5]+1 >= at {
+		t.Fatalf("fast standby's log starts at %d (want %d), slow standby applied %d: not the schedule under test",
+			l1.FirstLSN(), at, g.Applied()[5])
+	}
+
+	primary.Seal()
+	newID, err := m.Promote(2)
+	if err != nil || newID != 4 {
+		t.Fatalf("promote: node %d, %v", newID, err)
+	}
+	ng, _ := m.Group(4)
+	if applied := ng.Applied(); applied[5] != primary.LastLSN() {
+		t.Fatalf("the sibling was re-parented at %v, want the sealed tip %d", applied, primary.LastLSN())
+	}
+	if got := a2.rowCount("t"); got != 50 {
+		t.Fatalf("the sibling holds %d rows after draining, want 50", got)
+	}
+	appendTxn(l1, 1<<41, "t", 999)
+	if err := ng.WaitSync(l1.LastLSN(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := a2.rowCount("t"); got != 51 {
+		t.Fatalf("the sibling holds %d rows, want 51 (re-parented stream)", got)
+	}
+}
+
+// TestAddStandbyBelowBaseTakesBaseBackup: a standby that joins a primary
+// whose log no longer starts at LSN 1 gets the primary's base and tail
+// first, then the stream from where that copy stopped; one that claims a
+// position the log was cut past is refused.
+func TestAddStandbyBelowBaseTakesBaseBackup(t *testing.T) {
+	fault.Reset()
+	meta := promoteCatalog()
+	m := NewManager(meta, Config{Mode: ModeSync})
+	primary := wal.New()
+	m.AddGroup(2, "w1", primary, nil)
+	defer m.Stop()
+	for i := 0; i < 20; i++ {
+		appendTxn(primary, uint64(10+i), "t", int64(i))
+	}
+	at, _ := primary.BeginCheckpoint()
+	primary.Checkpoint(&wal.Base{Redo: at, At: at, Xmax: 30, Image: "image"})
+	appendTxn(primary, 50, "t", 20)                                                                 // the tail
+	primary.Append(wal.Record{Type: wal.RecInsert, XID: 51, Table: "t", Row: types.Row{int64(21)}}) // in flight
+
+	a, l := newMemApplier(), wal.New()
+	if err := m.AddStandby(2, StandbyTarget{NodeID: 4, Name: "w1-sb1", WAL: l, Apply: a}, 5); err == nil {
+		t.Fatal("a standby at a position the log was cut past was attached")
+	}
+	if err := m.AddStandby(2, StandbyTarget{NodeID: 4, Name: "w1-sb1", WAL: l, Apply: a}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if l.Base() != primary.Base() || l.LastLSN() != primary.LastLSN() {
+		t.Fatalf("standby log: base %p tip %d, want %p and %d", l.Base(), l.LastLSN(), primary.Base(), primary.LastLSN())
+	}
+	// the tail's committed row and the in-flight transaction's, not the 20 the image stands for
+	if got := a.rowCount("t"); got != 2 {
+		t.Fatalf("base backup applied %d tail rows, want 2", got)
+	}
+	primary.Append(wal.Record{Type: wal.RecCommit, XID: 51})
+	g, _ := m.Group(2)
+	if err := g.WaitSync(primary.LastLSN(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	committed := a.commits[51]
+	a.mu.Unlock()
+	if !committed || l.LastLSN() != primary.LastLSN() {
+		t.Fatalf("the stream did not bring the in-flight transaction's outcome (committed %v, tip %d of %d)",
+			committed, l.LastLSN(), primary.LastLSN())
 	}
 }

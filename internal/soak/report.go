@@ -54,7 +54,7 @@ type Report struct {
 	Classes    []ClassReport
 	Violations []Violation
 
-	// LeakSamples are the per-checkpoint goroutine/heap measurements;
+	// LeakSamples are the per-checkpoint goroutine/heap/WAL measurements;
 	// LeakFlags are the monotonic-growth verdicts derived from them. A
 	// non-empty LeakFlags fails the run like any invariant violation.
 	LeakSamples []LeakSample
@@ -156,7 +156,7 @@ func (r *runner) buildReport(elapsed time.Duration) *Report {
 		Violations:  violations,
 		FailOnSLO:   r.cfg.FailOnSLO,
 		LeakSamples: leakSamples,
-		LeakFlags:   analyzeLeaks(leakSamples),
+		LeakFlags:   analyzeLeaks(leakSamples, leakHeapFloor(r.cfg.Duration)),
 	}
 	for _, d := range r.classes {
 		c := ClassReport{

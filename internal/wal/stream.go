@@ -10,15 +10,18 @@ import (
 // each worker, §2). A stream delivers records in LSN order starting after
 // the position passed to StreamFrom, blocking in Next until the primary
 // appends more. Because LSNs are dense (assigned 1,2,3,... under the log
-// mutex) a stream reads the record slice at its own cursor and never
-// misses or duplicates a record, regardless of how long it lags.
+// mutex) a stream finds its next record at its LSN minus the log's first and
+// never misses or duplicates a record, regardless of how long it lags.
 //
 // Ack records the highest LSN the subscriber has durably applied; the
-// replication layer uses it for sync-commit waits and lag accounting.
+// replication layer uses it for sync-commit waits and lag accounting, and
+// the log keeps every record above it until the stream is closed: an open
+// stream is a retention holder.
 type Stream struct {
 	l      *Log
-	pos    int64 // LSN of the last record delivered
-	acked  atomic.Int64
+	pos    int64   // LSN of the last record delivered
+	hold   *Holder // at acked+1
+	behind bool
 	closed atomic.Bool
 	stop   chan struct{}
 }
@@ -26,14 +29,28 @@ type Stream struct {
 // StreamFrom opens a stream delivering records with LSN > lsn (0 streams
 // from the beginning). Opening a stream on a sealed log is valid: the
 // subscriber drains the sealed prefix and then sees end-of-log.
+//
+// A position the log has already been cut past cannot be streamed from:
+// the stream is Behind, delivers nothing and holds nothing, and its
+// subscriber needs a base backup (RecoverInto) first.
 func (l *Log) StreamFrom(lsn int64) *Stream {
 	if lsn < 0 {
 		lsn = 0
 	}
 	s := &Stream{l: l, pos: lsn, stop: make(chan struct{})}
-	s.acked.Store(lsn)
+	l.mu.Lock()
+	s.behind = lsn+1 < l.first
+	s.hold = l.holdLocked("standby", lsn+1)
+	if s.behind {
+		delete(l.holders, s.hold)
+	}
+	l.mu.Unlock()
 	return s
 }
+
+// Behind reports whether the log had been cut past the stream's position
+// when it was opened.
+func (s *Stream) Behind() bool { return s.behind }
 
 // Next returns the next record, blocking up to timeout for one to be
 // appended. ok=false means no record was delivered: either the wait timed
@@ -43,12 +60,12 @@ func (s *Stream) Next(timeout time.Duration) (rec Record, ok bool) {
 	var timer *time.Timer
 	var expired <-chan time.Time
 	for {
-		if s.closed.Load() {
+		if s.closed.Load() || s.behind {
 			return Record{}, false
 		}
 		s.l.mu.Lock()
-		if s.pos < int64(len(s.l.records)) {
-			rec = s.l.records[s.pos]
+		if i := s.pos + 1 - s.l.first; i < int64(len(s.l.records)) {
+			rec = s.l.records[i]
 			s.pos++
 			s.l.mu.Unlock()
 			if timer != nil {
@@ -64,6 +81,7 @@ func (s *Stream) Next(timeout time.Duration) (rec Record, ok bool) {
 			return Record{}, false
 		}
 		watch := s.l.watch
+		s.l.waiters++
 		s.l.mu.Unlock()
 		if timer == nil {
 			timer = time.NewTimer(timeout)
@@ -71,26 +89,31 @@ func (s *Stream) Next(timeout time.Duration) (rec Record, ok bool) {
 		}
 		select {
 		case <-watch:
+			continue
 		case <-s.stop:
-			if timer != nil {
-				timer.Stop()
-			}
-			return Record{}, false
+			timer.Stop()
 		case <-expired:
-			return Record{}, false
 		}
+		// not woken: leave the count as found, unless a wake-up has just
+		// reset it
+		s.l.mu.Lock()
+		if s.l.watch == watch {
+			s.l.waiters--
+		}
+		s.l.mu.Unlock()
+		return Record{}, false
 	}
 }
 
 // Done reports whether the stream will never deliver another record: it
 // was closed, or the log is sealed and the cursor has reached its tip.
 func (s *Stream) Done() bool {
-	if s.closed.Load() {
+	if s.closed.Load() || s.behind {
 		return true
 	}
 	s.l.mu.Lock()
 	defer s.l.mu.Unlock()
-	return s.l.sealed.Load() && s.pos >= int64(len(s.l.records))
+	return s.l.sealed.Load() && s.pos >= s.l.nextLSN-1
 }
 
 // Pos returns the LSN of the last record delivered by Next.
@@ -104,31 +127,33 @@ func (s *Stream) Pos() int64 {
 // subscriber. Acks are monotonic; a lower LSN is ignored.
 func (s *Stream) Ack(lsn int64) {
 	for {
-		cur := s.acked.Load()
-		if lsn <= cur {
+		cur := s.hold.lsn.Load()
+		if lsn < cur {
 			return
 		}
-		if s.acked.CompareAndSwap(cur, lsn) {
+		if s.hold.lsn.CompareAndSwap(cur, lsn+1) {
 			return
 		}
 	}
 }
 
 // AckedLSN returns the highest acknowledged LSN.
-func (s *Stream) AckedLSN() int64 { return s.acked.Load() }
+func (s *Stream) AckedLSN() int64 { return s.hold.lsn.Load() - 1 }
 
 // Lag returns how many records the subscriber's ack trails the log tip.
 func (s *Stream) Lag() int64 {
-	lag := s.l.LastLSN() - s.acked.Load()
+	lag := s.l.LastLSN() - s.AckedLSN()
 	if lag < 0 {
 		return 0
 	}
 	return lag
 }
 
-// Close detaches the stream; a blocked Next wakes and returns ok=false.
+// Close detaches the stream; a blocked Next wakes and returns ok=false, and
+// the log stops holding records for it.
 func (s *Stream) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.stop)
+		s.hold.Release()
 	}
 }

@@ -6,10 +6,16 @@
 // The distributed layer relies on two WAL properties from the paper:
 // prepared transactions survive restart and recovery (§3.7.2), and a
 // cluster-wide consistent restore point can be created in every node's WAL
-// while 2PC commits are blocked (§3.9). Both are reproduced: ReplayInto
+// while 2PC commits are blocked (§3.9). Both are reproduced: RecoverInto
 // rebuilds engine state from the log, leaving prepared-but-unresolved
 // transactions pending, and RestorePoint marks a cut LSN so a replay up to
 // the restore point yields a consistent node image.
+//
+// A log does not hold every record for ever. A node's checkpoint puts a base
+// under it — an image of the node under one snapshot (Base) — and the log
+// drops the records below the base that no holder (a standby's stream, a
+// kept restore point, a shard move, an unresolved commit record) still
+// needs. Whatever reads "the log" reads base + tail.
 package wal
 
 import (
@@ -83,27 +89,135 @@ func init() {
 
 // Record is one WAL entry.
 type Record struct {
-	LSN   int64
-	Type  RecordType
-	XID   uint64
+	LSN  int64
+	Type RecordType
+	XID  uint64
+	// Table is the table an insert or delete wrote to; on a DDL record, the
+	// table whose rows the statement threw away (TRUNCATE, DROP TABLE), empty
+	// for every other DDL.
 	Table string
 	Row   types.Row // insert: the new row; delete: the key image
 	GID   string    // prepared transaction identifier
 	Name  string    // restore point name / DDL text
 }
 
-// Log is an append-only in-memory WAL. (Archiving to remote storage is a
-// platform concern in the paper; here the "archive" is simply the retained
-// record slice, which Restore replays.)
+// CheckpointEvery is how many records a log takes in between two checkpoints
+// of its node: Append wakes the node's maintenance pass when that many have
+// arrived since the last one began. It bounds what a node holds in memory
+// and what a restart replays.
+const CheckpointEvery = 8192
+
+// RestorePointsKept is how many named restore points a log keeps restorable,
+// the newest ones. A kept restore point holds the base at or below itself: a
+// restore needs an image from before the point and every record from there
+// to the point.
+const RestorePointsKept = 4
+
+// Base is what a checkpoint leaves in place of the records it cuts: an image
+// of the node under one MVCC snapshot, and what replay of the records that
+// follow must know about that snapshot.
+type Base struct {
+	// Redo is where replay starts: the first record of the oldest
+	// transaction the snapshot saw in progress, At when there was none.
+	Redo int64
+	// At is the next LSN when the snapshot was taken. The image holds the
+	// effect of every DDL record below it and of none from it on.
+	At int64
+	// Xmax and InProgress are the snapshot's: a transaction below Xmax and
+	// not in InProgress had ended, so the image holds its rows if it
+	// committed and replay skips its records either way.
+	Xmax       uint64
+	InProgress map[uint64]struct{}
+	// Image is the node's own: the Applier of the engine that built it
+	// loads it (ApplyBase). It shares row slices and column vectors with the
+	// engine it was taken from, which never writes to either again.
+	Image any
+}
+
+// settled reports whether the image's snapshot saw xid ended.
+func (b *Base) settled(xid uint64) bool {
+	if xid >= b.Xmax {
+		return false
+	}
+	_, busy := b.InProgress[xid]
+	return !busy
+}
+
+// Holder keeps a log from cutting records at or above an LSN: a standby's
+// stream, a restore point, a running shard move, a commit record not yet
+// resolved. Release it when the records are no longer needed.
+type Holder struct {
+	l    *Log
+	kind string
+	lsn  atomic.Int64
+}
+
+// LSN is the lowest LSN the holder keeps.
+func (h *Holder) LSN() int64 { return h.lsn.Load() }
+
+// Release lets the log cut past the holder. Safe to call twice.
+func (h *Holder) Release() {
+	h.l.mu.Lock()
+	delete(h.l.holders, h)
+	h.l.mu.Unlock()
+}
+
+type restorePoint struct {
+	name string
+	lsn  int64
+}
+
+var (
+	metCheckpoints = obs.Default().Counter("wal_checkpoints_total",
+		"checkpoints that put a new base under a log").With()
+	metCut = obs.Default().Counter("wal_records_cut_total",
+		"WAL records dropped from memory below a checkpoint's base").With()
+	metReplayed = obs.Default().Counter("wal_records_replayed_total",
+		"WAL records read back above a base while rebuilding a node").With()
+	metBaseLSN = obs.Default().Gauge("wal_base_lsn",
+		"LSN below which a node's log has been cut", "node")
+	metHolder = obs.Default().Gauge("wal_retention_holder",
+		"lowest LSN held back at a node's last checkpoint, by kind of holder (0: none)", "node", "kind")
+)
+
+// holderKinds are the kinds wal_retention_holder reports.
+var holderKinds = []string{"standby", "restore_point", "shard_move", "commit_record"}
+
+// Log is an append-only in-memory WAL: a base image, once the node has
+// checkpointed, and the records that follow it. (Archiving to remote storage
+// is a platform concern in the paper; here the "archive" is the base and the
+// retained record slice, which RecoverInto replays.)
 type Log struct {
-	mu      sync.Mutex
+	// Node labels the log's gauges.
+	Node string
+
+	mu sync.Mutex
+	// base is the last checkpoint's, nil before the first. Read without mu
+	// by a shipper watching for a new one.
+	base atomic.Pointer[Base]
+	// records[i] has LSN first+i. What lies below first has been cut; what
+	// lies below base.Redo is kept only because a holder asked for it.
+	first   int64
 	records []Record
 	nextLSN int64
 
-	// watch is the stream wakeup channel: closed and replaced under mu on
-	// every append and on Seal, so a Stream blocked in Next wakes without
-	// the log having to track subscribers.
-	watch chan struct{}
+	// open maps a transaction with no outcome record yet to the LSN of its
+	// first record: what a checkpoint needs to place Redo.
+	open    map[uint64]int64
+	holders map[*Holder]struct{}
+	// restorePoints are the RestorePointsKept newest, oldest first.
+	restorePoints []restorePoint
+
+	// ckptAt is the next LSN when the last checkpoint began; due is sent on
+	// when CheckpointEvery records have arrived since.
+	ckptAt int64
+	due    chan struct{}
+
+	// watch wakes streams parked in Next: closed and replaced under mu by an
+	// append or a Seal that finds waiters > 0, so a log nobody is streaming
+	// from pays nothing per record.
+	watch   chan struct{}
+	waiters int
 
 	// sealed freezes the log at a crash instant: appends racing with the
 	// crash are dropped, modeling writes that never reached stable storage
@@ -113,7 +227,15 @@ type Log struct {
 }
 
 // New creates an empty log.
-func New() *Log { return &Log{nextLSN: 1, watch: make(chan struct{})} }
+func New() *Log {
+	return &Log{
+		first: 1, nextLSN: 1, ckptAt: 1,
+		open:    make(map[uint64]int64),
+		holders: make(map[*Holder]struct{}),
+		due:     make(chan struct{}, 1),
+		watch:   make(chan struct{}),
+	}
+}
 
 // Seal freezes the log: every subsequent Append is silently dropped
 // (returning LSN 0), as if the process died before the write hit disk.
@@ -128,10 +250,14 @@ func (l *Log) Seal() {
 	l.mu.Unlock()
 }
 
-// wakeLocked broadcasts to every blocked Stream. Callers hold l.mu.
+// wakeLocked wakes every Stream parked in Next. Callers hold l.mu.
 func (l *Log) wakeLocked() {
+	if l.waiters == 0 {
+		return
+	}
 	close(l.watch)
 	l.watch = make(chan struct{})
+	l.waiters = 0
 }
 
 // Sealed reports whether the log has been frozen by Seal.
@@ -164,15 +290,53 @@ func (l *Log) Append(rec Record) int64 {
 		metRecords[t].Inc()
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.sealed.Load() {
+		l.mu.Unlock()
 		return 0
 	}
 	rec.LSN = l.nextLSN
 	l.nextLSN++
 	l.records = append(l.records, rec)
+	l.noteLocked(rec)
 	l.wakeLocked()
+	due := l.nextLSN-l.ckptAt == CheckpointEvery
+	l.mu.Unlock()
+	if due {
+		select {
+		case l.due <- struct{}{}:
+		default:
+		}
+	}
 	return rec.LSN
+}
+
+// noteLocked keeps open and restorePoints current with one more record.
+func (l *Log) noteLocked(rec Record) {
+	switch rec.Type {
+	case RecBegin, RecInsert, RecDelete, RecPrepare:
+		if _, ok := l.open[rec.XID]; !ok {
+			l.open[rec.XID] = rec.LSN
+		}
+	case RecCommit, RecAbort, RecCommitPrepared, RecAbortPrepared:
+		delete(l.open, rec.XID)
+	case RecRestorePoint:
+		l.restorePoints = append(l.restorePoints, restorePoint{rec.Name, rec.LSN})
+		if n := len(l.restorePoints) - RestorePointsKept; n > 0 {
+			l.restorePoints = append(l.restorePoints[:0], l.restorePoints[n:]...)
+		}
+	}
+}
+
+// CheckpointDue is sent on when CheckpointEvery records have been appended
+// since the last checkpoint began: the node's maintenance pass waits on it.
+func (l *Log) CheckpointDue() <-chan struct{} { return l.due }
+
+// Due reports whether CheckpointEvery records have arrived since the last
+// checkpoint began.
+func (l *Log) Due() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextLSN-l.ckptAt >= CheckpointEvery
 }
 
 // LastLSN returns the LSN of the most recently appended record (0 for an
@@ -184,39 +348,165 @@ func (l *Log) LastLSN() int64 {
 	return l.nextLSN - 1
 }
 
+// FirstLSN returns the lowest LSN still held in memory (LastLSN+1 when none
+// is).
+func (l *Log) FirstLSN() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.first
+}
+
+// Base returns the last checkpoint's base, nil before the first.
+func (l *Log) Base() *Base { return l.base.Load() }
+
 // RestorePoint appends a named restore point and returns its LSN.
 func (l *Log) RestorePoint(name string) int64 {
 	return l.Append(Record{Type: RecRestorePoint, Name: name})
 }
 
-// Len returns the number of records.
+// Len returns the number of records held in memory.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.records)
 }
 
-// Records returns a copy of all records (tests, replication).
+// Records returns a copy of the records held in memory.
 func (l *Log) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Record(nil), l.records...)
 }
 
-// FindRestorePoint returns the LSN of the named restore point.
+// Since returns a copy of the records above lsn. It fails when the log has
+// been cut past lsn+1: whoever reads a log from a position must hold it
+// (Hold, StreamFrom) from the moment it takes the position.
+func (l *Log) Since(lsn int64) ([]Record, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn+1 < l.first {
+		return nil, fmt.Errorf("wal: records after LSN %d are gone, the log starts at %d", lsn, l.first)
+	}
+	return append([]Record(nil), l.records[lsn+1-l.first:]...), nil
+}
+
+// FindRestorePoint returns the LSN of the named restore point, if it is one
+// of the RestorePointsKept newest.
 func (l *Log) FindRestorePoint(name string) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(l.records) - 1; i >= 0; i-- {
-		if l.records[i].Type == RecRestorePoint && l.records[i].Name == name {
-			return l.records[i].LSN, nil
+	for i := len(l.restorePoints) - 1; i >= 0; i-- {
+		if l.restorePoints[i].name == name {
+			return l.restorePoints[i].lsn, nil
 		}
 	}
 	return 0, fmt.Errorf("restore point %q not found", name)
 }
 
+// Hold keeps every record appended from now on, until the holder is
+// released: h.LSN()-1 is the position the caller reads from.
+func (l *Log) Hold(kind string) *Holder {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.holdLocked(kind, l.nextLSN)
+}
+
+// HoldAt keeps the records from lsn on. It fails when the log has already
+// been cut past lsn.
+func (l *Log) HoldAt(kind string, lsn int64) (*Holder, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if lsn < l.first {
+		return nil, fmt.Errorf("wal: cannot hold LSN %d, the log starts at %d", lsn, l.first)
+	}
+	return l.holdLocked(kind, lsn), nil
+}
+
+func (l *Log) holdLocked(kind string, lsn int64) *Holder {
+	h := &Holder{l: l, kind: kind}
+	h.lsn.Store(lsn)
+	l.holders[h] = struct{}{}
+	return h
+}
+
+// BeginCheckpoint starts a checkpoint: it returns the next LSN and the
+// transactions that have records below it but no outcome record, each with
+// the LSN of its first. The caller takes its snapshot after this call, so
+// whatever the snapshot sees ended has every data record below at, and
+// builds the Base that Checkpoint installs.
+func (l *Log) BeginCheckpoint() (at int64, open map[uint64]int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	open = make(map[uint64]int64, len(l.open))
+	for xid, lsn := range l.open {
+		open[xid] = lsn
+	}
+	return l.nextLSN, open
+}
+
+// Checkpoint puts b under the log and cuts the records nobody can need any
+// more: those below b.Redo and below every holder. It reports whether b was
+// installed. It is not when a kept restore point lies below b.At — the image
+// would hold transactions that committed after the point — and the log then
+// stays whole until RestorePointsKept newer points have pushed that one out.
+//
+// b may come from another log that holds the same records under the same
+// LSNs: a standby's log takes its primary's bases this way, once it has the
+// records up to b.At.
+func (l *Log) Checkpoint(b *Base) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if b.At > l.ckptAt {
+		l.ckptAt = b.At
+	}
+	if old := l.base.Load(); old != nil && old.At > b.At {
+		return false
+	}
+	held := map[string]int64{}
+	hold := func(kind string, lsn int64) {
+		if cur, ok := held[kind]; !ok || lsn < cur {
+			held[kind] = lsn
+		}
+	}
+	if len(l.restorePoints) > 0 {
+		hold("restore_point", l.restorePoints[0].lsn)
+	}
+	for h := range l.holders {
+		hold(h.kind, h.lsn.Load())
+	}
+	for _, kind := range holderKinds {
+		metHolder.With(l.Node, kind).Set(held[kind])
+	}
+	if rp, ok := held["restore_point"]; ok && rp < b.At {
+		return false
+	}
+	cut := b.Redo
+	for _, lsn := range held {
+		cut = min(cut, lsn)
+	}
+	if n := cut - l.first; n > 0 {
+		// a fresh array: re-slicing would keep the cut records reachable
+		l.records = append([]Record(nil), l.records[n:]...)
+		l.first = cut
+		metCut.Add(n)
+	}
+	for xid, lsn := range l.open {
+		// below Redo and not in progress to the snapshot: ended, its outcome
+		// record not yet written or never to be (aborted at end of recovery)
+		if lsn < b.Redo {
+			delete(l.open, xid)
+		}
+	}
+	l.base.Store(b)
+	metCheckpoints.Inc()
+	metBaseLSN.With(l.Node).Set(l.first - 1)
+	return true
+}
+
 // Applier is the replay target: the engine implements it to rebuild state.
 type Applier interface {
+	// ApplyBase loads a checkpoint's image into an empty target.
+	ApplyBase(b *Base) error
 	ApplyDDL(ddl string) error
 	ApplyInsert(xid uint64, table string, row types.Row) error
 	ApplyDelete(xid uint64, table string, row types.Row) error
@@ -227,21 +517,56 @@ type Applier interface {
 	ApplyAbortPrepared(gid string)
 }
 
-// ReplayInto replays records with LSN <= upTo (0 = everything) into a.
-// Transactions with neither a commit nor an abort before the cut are
-// treated as aborted, except prepared transactions, which stay pending for
-// 2PC recovery — this is what makes the paper's consistent-restore-point
-// scheme work.
-func (l *Log) ReplayInto(a Applier, upTo int64) error {
-	recs := l.Records()
-	// First pass: find transaction outcomes before the cut.
+// RecoverInto rebuilds a node from this log — its base image, then the
+// records from the base's Redo up to upTo (0 = the tip) — into a, and makes
+// dst, an empty log, the continuation of that history: the same base, the
+// same records under the same LSNs, the next append at upTo+1. It is the one
+// way a node comes back from a log: a restart, a standby taking a base
+// backup, a restore to a named point.
+//
+// Of the records replayed, a transaction's are skipped when the base's
+// snapshot saw it ended (the image has its rows, or it aborted), and when
+// it has neither a commit nor an abort before the cut and the cut is where
+// the history ends: a sealed log's tip, or upTo. A prepared transaction is
+// the exception, it stays pending for 2PC recovery: this is what makes the
+// paper's consistent-restore-point scheme work. The tip of a live log is not
+// the end: a standby taking a base backup applies the records of the
+// transactions in flight and the stream brings their outcomes.
+func (l *Log) RecoverInto(dst *Log, a Applier, upTo int64) error {
+	l.mu.Lock()
+	base := l.base.Load()
+	live := upTo == 0 && !l.sealed.Load()
+	recs := l.records
+	if upTo > 0 && upTo < l.nextLSN-1 {
+		recs = recs[:max(upTo+1-l.first, 0)]
+	}
+	recs = append([]Record(nil), recs...)
+	first, next := l.first, l.first+int64(len(recs))
+	l.mu.Unlock()
+
+	redo, at := int64(1), int64(1)
+	if base != nil {
+		if upTo > 0 && base.At > upTo+1 {
+			return fmt.Errorf("wal: cannot rebuild the node as of LSN %d, its base was taken at %d", upTo, base.At)
+		}
+		if err := a.ApplyBase(base); err != nil {
+			return err
+		}
+		redo, at = base.Redo, base.At
+	}
+	if redo < first {
+		return fmt.Errorf("wal: the log starts at LSN %d, above its base's redo point %d", first, redo)
+	}
+	tail := recs[redo-first:]
+	metReplayed.Add(int64(len(tail)))
+
+	// First pass: transaction outcomes before the cut, and where the
+	// statements the image already reflects threw a table's rows away.
 	outcome := map[uint64]RecordType{}
 	preparedGID := map[uint64]string{}
 	gidOutcome := map[string]RecordType{}
-	for _, r := range recs {
-		if upTo > 0 && r.LSN > upTo {
-			break
-		}
+	wiped := map[string]int64{}
+	for _, r := range tail {
 		switch r.Type {
 		case RecCommit, RecAbort:
 			outcome[r.XID] = r.Type
@@ -250,26 +575,47 @@ func (l *Log) ReplayInto(a Applier, upTo int64) error {
 			preparedGID[r.XID] = r.GID
 		case RecCommitPrepared, RecAbortPrepared:
 			gidOutcome[r.GID] = r.Type
+		case RecDDL:
+			if r.LSN < at && r.Table != "" {
+				wiped[r.Table] = r.LSN
+			}
 		}
 	}
-	for _, r := range recs {
-		if upTo > 0 && r.LSN > upTo {
-			break
+	skip := func(r Record) bool {
+		if base != nil && base.settled(r.XID) {
+			return true
 		}
+		if r.LSN < wiped[r.Table] {
+			return true
+		}
+		switch outcome[r.XID] {
+		case RecCommit:
+			return false
+		case RecAbort:
+			return true
+		case RecPrepare:
+			return gidOutcome[preparedGID[r.XID]] == RecAbortPrepared
+		}
+		return !live
+	}
+	for _, r := range tail {
 		switch r.Type {
 		case RecDDL:
+			if r.LSN < at {
+				continue // in the image
+			}
 			if err := a.ApplyDDL(r.Name); err != nil {
 				return err
 			}
 		case RecInsert:
-			if skipReplay(outcome, gidOutcome, preparedGID, r.XID) {
+			if skip(r) {
 				continue
 			}
 			if err := a.ApplyInsert(r.XID, r.Table, r.Row); err != nil {
 				return err
 			}
 		case RecDelete:
-			if skipReplay(outcome, gidOutcome, preparedGID, r.XID) {
+			if skip(r) {
 				continue
 			}
 			if err := a.ApplyDelete(r.XID, r.Table, r.Row); err != nil {
@@ -280,6 +626,9 @@ func (l *Log) ReplayInto(a Applier, upTo int64) error {
 		case RecAbort:
 			a.ApplyAbort(r.XID)
 		case RecPrepare:
+			if base != nil && base.settled(r.XID) {
+				continue // resolved before the image was taken
+			}
 			switch gidOutcome[r.GID] {
 			case RecCommitPrepared:
 				a.ApplyCommit(r.XID)
@@ -290,11 +639,19 @@ func (l *Log) ReplayInto(a Applier, upTo int64) error {
 			}
 		}
 	}
+
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	dst.base.Store(base)
+	dst.first, dst.records, dst.nextLSN, dst.ckptAt = first, recs, next, at
+	for _, r := range recs {
+		dst.noteLocked(r)
+	}
 	return nil
 }
 
 // ApplyRecord applies one streamed record to a — the incremental
-// counterpart of ReplayInto used by WAL shipping. Data records are applied
+// counterpart of RecoverInto used by WAL shipping. Data records are applied
 // the moment they arrive; their visibility on the subscriber follows the
 // transaction-status records (commit/abort/prepare) exactly as it does on
 // the primary, so a lagging standby exposes a consistent, slightly stale
@@ -321,17 +678,4 @@ func ApplyRecord(a Applier, rec Record) error {
 	// RecBegin, RecRestorePoint, and RecCommitRecord need no engine-state
 	// change; the shipper still copies them into the standby's own WAL.
 	return nil
-}
-
-// skipReplay reports whether a data record's effects should be skipped:
-// the transaction aborted, or never reached commit/prepare before the cut.
-func skipReplay(outcome map[uint64]RecordType, gidOutcome map[string]RecordType, preparedGID map[uint64]string, xid uint64) bool {
-	switch outcome[xid] {
-	case RecCommit:
-		return false
-	case RecPrepare:
-		return gidOutcome[preparedGID[xid]] == RecAbortPrepared
-	default:
-		return true
-	}
 }

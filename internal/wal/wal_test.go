@@ -21,6 +21,7 @@ func newMemApplier() *memApplier {
 	}
 }
 
+func (m *memApplier) ApplyBase(*Base) error     { return nil }
 func (m *memApplier) ApplyDDL(ddl string) error { return nil }
 func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row) error {
 	m.tables[table] = append(m.tables[table], row)
@@ -53,9 +54,10 @@ func TestReplaySkipsUncommittedAndAborted(t *testing.T) {
 	l.Append(Record{Type: RecAbort, XID: 6})
 	// crashed txn 7 (no outcome)
 	l.Append(Record{Type: RecInsert, XID: 7, Table: "t", Row: types.Row{int64(3)}})
+	l.Seal()
 
 	a := newMemApplier()
-	if err := l.ReplayInto(a, 0); err != nil {
+	if err := l.RecoverInto(New(), a, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.tables["t"]) != 1 || a.tables["t"][0][0].(int64) != 1 {
@@ -69,7 +71,7 @@ func TestReplayPreparedStaysPending(t *testing.T) {
 	l.Append(Record{Type: RecPrepare, XID: 5, GID: "g1"})
 
 	a := newMemApplier()
-	if err := l.ReplayInto(a, 0); err != nil {
+	if err := l.RecoverInto(New(), a, 0); err != nil {
 		t.Fatal(err)
 	}
 	// the insert is applied (it becomes visible iff the prepared txn
@@ -92,7 +94,7 @@ func TestReplayResolvedPrepared(t *testing.T) {
 	l.Append(Record{Type: RecAbortPrepared, XID: 6, GID: "g2"})
 
 	a := newMemApplier()
-	if err := l.ReplayInto(a, 0); err != nil {
+	if err := l.RecoverInto(New(), a, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.tables["t"]) != 1 || a.status[5] != "commit" {
@@ -116,7 +118,7 @@ func TestReplayUpToRestorePoint(t *testing.T) {
 		t.Fatalf("restore point: %d %v", found, err)
 	}
 	a := newMemApplier()
-	if err := l.ReplayInto(a, lsn); err != nil {
+	if err := l.RecoverInto(New(), a, lsn); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.tables["t"]) != 1 {
@@ -138,7 +140,7 @@ func TestRestorePointAtomicityOf2PC(t *testing.T) {
 	l.Append(Record{Type: RecCommitPrepared, XID: 5, GID: "g1"})
 
 	a := newMemApplier()
-	if err := l.ReplayInto(a, lsn); err != nil {
+	if err := l.RecoverInto(New(), a, lsn); err != nil {
 		t.Fatal(err)
 	}
 	if a.prepared["g1"] != 5 {
