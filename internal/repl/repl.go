@@ -239,9 +239,10 @@ func (g *Group) ship(sb *standby) {
 }
 
 // takeBase puts the primary's newest base under the standby's log, once the
-// standby has applied every record the image reflects.
+// standby has applied every record the primary's log held when it took the
+// base (wal.Base.Tip): the image reflects none above those.
 func (g *Group) takeBase(sb *standby) {
-	if b := g.log.Base(); b != nil && b != sb.base && sb.WAL != nil && sb.applied.Load() >= b.At-1 {
+	if b := g.log.Base(); b != nil && b != sb.base && sb.WAL != nil && sb.applied.Load() >= b.Tip-1 {
 		sb.WAL.Checkpoint(b)
 		sb.base = b
 	}
@@ -435,6 +436,9 @@ func (m *Manager) AddStandby(primaryID int, t StandbyTarget, appliedLSN int64) e
 		// stops is still there to stream from when the copy is done.
 		hold, err := g.log.HoldAt("standby", 1)
 		if err != nil {
+			if t.WAL == nil {
+				return fmt.Errorf("repl: %s has cut its log and %s has no log of its own to take a base backup into", g.primaryName, t.Name)
+			}
 			hold = g.log.Hold("standby")
 			if err := g.log.RecoverInto(t.WAL, t.Apply, 0); err != nil {
 				hold.Release()

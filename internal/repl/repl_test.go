@@ -300,6 +300,47 @@ func TestPromoteDrainsASiblingTheWinnerWasCutPast(t *testing.T) {
 	}
 }
 
+// TestStandbyTakesBaseAfterItsTip: a restore point the primary appended while
+// a checkpoint was building its image reaches the standby's log before the
+// base does, so that on the standby too the point restores from what was
+// under the log before it, not from an image taken after it.
+func TestStandbyTakesBaseAfterItsTip(t *testing.T) {
+	fault.Reset()
+	primary := wal.New()
+	for i := 0; i < 5; i++ {
+		appendTxn(primary, uint64(10+i), "t", int64(i))
+	}
+	at, _ := primary.BeginCheckpoint()
+	point := primary.RestorePoint("mid")
+	appendTxn(primary, 20, "t", 99) // the image holds this one
+	b := &wal.Base{Redo: at, At: at, Xmax: 21}
+	primary.Checkpoint(b)
+	if b.Tip != primary.LastLSN()+1 {
+		t.Fatalf("base tip %d, the log's next LSN is %d", b.Tip, primary.LastLSN()+1)
+	}
+
+	sbLog := wal.New()
+	g := NewGroup(2, "w1", primary, Config{Mode: ModeSync},
+		[]StandbyTarget{{NodeID: 4, Name: "w1-sb1", WAL: sbLog, Apply: newMemApplier()}})
+	defer g.Stop()
+	appendTxn(primary, 21, "t", 100)
+	if err := g.WaitSync(primary.LastLSN(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); sbLog.Base() != b; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the standby never took the primary's base")
+		}
+	}
+	restored := wal.New()
+	if err := sbLog.RecoverInto(restored, newMemApplier(), point); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Base() != nil {
+		t.Fatal("the standby's log restores the point from an image taken after it")
+	}
+}
+
 // TestAddStandbyBelowBaseTakesBaseBackup: a standby that joins a primary
 // whose log no longer starts at LSN 1 gets the primary's base and tail
 // first, then the stream from where that copy stopped; one that claims a
@@ -322,6 +363,9 @@ func TestAddStandbyBelowBaseTakesBaseBackup(t *testing.T) {
 	a, l := newMemApplier(), wal.New()
 	if err := m.AddStandby(2, StandbyTarget{NodeID: 4, Name: "w1-sb1", WAL: l, Apply: a}, 5); err == nil {
 		t.Fatal("a standby at a position the log was cut past was attached")
+	}
+	if err := m.AddStandby(2, StandbyTarget{NodeID: 4, Name: "w1-sb1", Apply: a}, 0); err == nil {
+		t.Fatal("a standby with no log of its own took a base backup")
 	}
 	if err := m.AddStandby(2, StandbyTarget{NodeID: 4, Name: "w1-sb1", WAL: l, Apply: a}, 0); err != nil {
 		t.Fatal(err)

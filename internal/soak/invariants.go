@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"citusgo/internal/citus/metadata"
+	"citusgo/internal/engine"
 	"citusgo/internal/repl"
 )
 
@@ -55,19 +56,24 @@ func (r *runner) checkpoint(label string) {
 }
 
 // quiesce2PC drives coordinator 2PC recovery until no prepared transaction
-// dangles on any live engine. A transaction still prepared after the
+// dangles on any live primary. A transaction still prepared after the
 // deadline means recovery is wedged — an atomicity hazard in itself.
+//
+// The primaries are the catalog's, not r.c.Engines: after a failover that
+// slice holds the rejoined standby in the victim's place, which shows a
+// transaction prepared on the promoted node only once its PREPARE has been
+// replicated — and one the fault brew left there moments ago is too young
+// for the first recovery pass to touch.
 func (r *runner) quiesce2PC(label string) {
 	metChecks.With("2pc-quiesce").Inc()
 	end := time.Now().Add(quiesceDeadline)
 	for {
 		r.c.Coordinator().RecoverTwoPhaseCommits()
 		dangling := 0
-		for _, eng := range r.c.Engines {
-			if eng.Crashed() {
-				continue
+		for _, node := range r.c.Meta.ActiveNodes() {
+			if eng := r.engineOf(node.ID); eng != nil && !eng.Crashed() {
+				dangling += len(eng.Txns.ListPrepared())
 			}
-			dangling += len(eng.Txns.ListPrepared())
 		}
 		if dangling == 0 {
 			return
@@ -79,6 +85,19 @@ func (r *runner) quiesce2PC(label string) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// engineOf returns the engine behind a catalog node: a booted, promoted or
+// rejoined standby's from the cluster's standby engines, an original node's
+// from its slot.
+func (r *runner) engineOf(nodeID int) *engine.Engine {
+	if eng := r.c.StandbyEngine(nodeID); eng != nil {
+		return eng
+	}
+	if nodeID >= 1 && nodeID <= len(r.c.Engines) {
+		return r.c.Engines[nodeID-1]
+	}
+	return nil
 }
 
 // drainRepl waits until every primary's replication group has fully caught
@@ -130,38 +149,8 @@ func (r *runner) checkLedgerAtomicity(label string) {
 		seen[v] = append(seen[v], k)
 	}
 	if len(seen) > 1 {
-		// Under async replication a failover may take a batch's tail away
-		// from one participant and not the other: the keys then differ by a
-		// batch the staleness contract excuses, until the next batch writes
-		// them all again.
-		var newest int64
-		for batch := range seen {
-			newest = max(newest, batch)
-		}
-		if !r.lostToAsyncFailover(newest) {
-			r.violate("2pc-atomicity", "%s: ledger keys split across batches %v — a 2PC half-applied", label, seen)
-		}
+		r.violate("2pc-atomicity", "%s: ledger keys split across batches %v — a 2PC half-applied", label, seen)
 	}
-}
-
-// lostToAsyncFailover reports whether losing ledger batch is within async
-// replication's staleness contract: it was acknowledged within MaxAsyncLag
-// records of a failover's crash. The crash lies between the two marks each
-// failover leaves (the last batch acknowledged before Failover was called,
-// and when it returned), and a mark may trail the writer by the batch in
-// flight and the next.
-func (r *runner) lostToAsyncFailover(batch int64) bool {
-	if r.cfg.ReplicationMode != repl.ModeAsync {
-		return false
-	}
-	r.ledger.mu.Lock()
-	defer r.ledger.mu.Unlock()
-	for _, m := range r.ledger.failoverMarks {
-		if batch > m-r.cfg.MaxAsyncLag && batch <= m+2 {
-			return true
-		}
-	}
-	return false
 }
 
 // checkAckedWrites asserts no acked write lost: every ledger batch whose
@@ -187,10 +176,23 @@ func (r *runner) checkAckedWrites(label string) {
 
 	r.ledger.mu.Lock()
 	acked := append([]int64(nil), r.ledger.acked...)
+	marks := append([]int64(nil), r.ledger.failoverMarks...)
 	r.ledger.mu.Unlock()
 
+	async := r.cfg.ReplicationMode == repl.ModeAsync
+	excused := func(batch int64) bool {
+		if !async {
+			return false
+		}
+		for _, m := range marks {
+			if batch > m-r.cfg.MaxAsyncLag && batch <= m+2 {
+				return true
+			}
+		}
+		return false
+	}
 	for _, b := range acked {
-		if !logged[b] && !r.lostToAsyncFailover(b) {
+		if !logged[b] && !excused(b) {
 			r.violate("acked-write", "%s: ledger batch %d was acknowledged but is missing from the log", label, b)
 		}
 	}

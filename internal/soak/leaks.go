@@ -66,11 +66,7 @@ func (r *runner) sampleLeaks(label string) {
 		WALRetained: map[string]int{}}
 	total := 0
 	for _, node := range r.c.Meta.Nodes() {
-		eng := r.c.StandbyEngine(node.ID)
-		if eng == nil && node.ID <= len(r.c.Engines) {
-			eng = r.c.Engines[node.ID-1]
-		}
-		if eng != nil && !eng.Crashed() {
+		if eng := r.engineOf(node.ID); eng != nil && !eng.Crashed() {
 			s.WALRetained[eng.Name] = eng.WAL.Len()
 			total += eng.WAL.Len()
 		}

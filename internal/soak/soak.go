@@ -559,8 +559,6 @@ func (r *runner) injectFailover(i int) {
 	r.ledger.markFailover()
 	r.cfg.Logf("soak: failing over worker node %d", victim+1)
 	newID, err := r.c.Failover(victim)
-	// the crash happened somewhere between the mark above and this one
-	r.ledger.markFailover()
 	if err != nil {
 		r.failoverActive.Store(false)
 		r.violate("failover", "failover of node %d: %v", victim+1, err)

@@ -125,30 +125,90 @@ func TestHoldersKeepRecords(t *testing.T) {
 	}
 }
 
-func TestRestorePointHoldsBase(t *testing.T) {
+// TestRestorePointKeepsItsBase: a restore point keeps the base that was under
+// the log when it was made and the records from that base's redo point on;
+// newer bases go under the log all the same, a restore to the point loads the
+// kept one, and once the point has left the ring the log is cut again.
+func TestRestorePointKeepsItsBase(t *testing.T) {
 	l := New()
 	appendCommitted(l, 10, 1)
-	rp := l.RestorePoint("keep")
+	older := baseAt(l, 11)
+	l.Checkpoint(older) // cuts LSN 1-2
 	appendCommitted(l, 11, 2)
-	if l.Checkpoint(baseAt(l, 12)) {
-		t.Fatal("a base taken after a kept restore point was installed")
+	rp := l.RestorePoint("keep")
+	appendCommitted(l, 12, 3)
+	newer := baseAt(l, 13)
+	if !l.Checkpoint(newer) || l.Base() != newer {
+		t.Fatal("a base taken after a kept restore point was not installed")
 	}
-	if l.FirstLSN() != 1 {
-		t.Fatalf("log cut to %d under a kept restore point", l.FirstLSN())
+	if l.FirstLSN() != older.Redo {
+		t.Fatalf("log starts at %d, the kept point restores from %d", l.FirstLSN(), older.Redo)
 	}
-	a := newMemApplier()
-	if err := l.RecoverInto(New(), a, rp); err != nil || len(a.tables["t"]) != 1 {
-		t.Fatalf("restore to the point: %v, rows %v", err, a.tables["t"])
+	a, dst := newMemApplier(), New()
+	if err := l.RecoverInto(dst, a, rp); err != nil {
+		t.Fatal(err)
 	}
+	if a.base != older || dst.Base() != older {
+		t.Fatal("the restore loaded a base taken after the point")
+	}
+	if rows := a.tables["t"]; len(rows) != 1 || rows[0][0].(int64) != 2 {
+		t.Fatalf("restore to the point replayed %v, want only the row between base and point", rows)
+	}
+	// the restored log keeps the point restorable in its turn
+	if lsn, err := dst.FindRestorePoint("keep"); err != nil || lsn != rp {
+		t.Fatalf("restored log: point at %d, %v", lsn, err)
+	}
+	dst.Checkpoint(baseAt(dst, 13))
+	if err := dst.RecoverInto(New(), newMemApplier(), rp); err != nil {
+		t.Fatalf("second restore, from the restored log: %v", err)
+	}
+
+	// a restart carries the point and its base over too
+	a, dst = newMemApplier(), New()
+	if err := l.RecoverInto(dst, a, 0); err != nil || a.base != newer {
+		t.Fatalf("recovery to the tip: %v, base %p want %p", err, a.base, newer)
+	}
+	a = newMemApplier()
+	if err := dst.RecoverInto(New(), a, rp); err != nil || a.base != older {
+		t.Fatalf("restore from the restarted log: %v, base %p want %p", err, a.base, older)
+	}
+
+	// RestorePointsKept newer points push "keep" out, each keeping `newer`
 	for i := 0; i < RestorePointsKept; i++ {
 		l.RestorePoint("newer")
 	}
 	if _, err := l.FindRestorePoint("keep"); err == nil {
 		t.Fatalf("restore point still kept after %d newer ones", RestorePointsKept)
 	}
+	l.Checkpoint(baseAt(l, 13))
+	if l.FirstLSN() != newer.Redo {
+		t.Fatalf("log starts at %d with %d restore points made; the kept ones restore from %d",
+			l.FirstLSN(), RestorePointsKept+1, newer.Redo)
+	}
+}
+
+// TestRestorePointDuringCheckpoint: a restore point, and a commit after it,
+// that land while a checkpoint is building its image. The image holds the
+// commit; the point must not restore from it.
+func TestRestorePointDuringCheckpoint(t *testing.T) {
+	l := New()
+	appendCommitted(l, 10, 1)
 	at, _ := l.BeginCheckpoint()
-	if l.Checkpoint(&Base{Redo: at, At: at, Xmax: 12}) {
-		t.Fatal("the newer restore points hold the base too")
+	rp := l.RestorePoint("mid")
+	appendCommitted(l, 11, 2) // the snapshot, taken after this, sees it committed
+	l.Checkpoint(&Base{Redo: at, At: at, Xmax: 12})
+	if l.FirstLSN() != 1 {
+		t.Fatalf("log cut to %d: the point was made with no base under the log", l.FirstLSN())
+	}
+	a := newMemApplier()
+	if err := l.RecoverInto(New(), a, rp); err != nil {
+		t.Fatal(err)
+	}
+	if a.base != nil {
+		t.Fatal("the restore loaded the image that was being built when the point was made")
+	}
+	if rows := a.tables["t"]; len(rows) != 1 || rows[0][0].(int64) != 1 {
+		t.Fatalf("restore to the point replayed %v, want only the row before it", rows)
 	}
 }
 

@@ -108,9 +108,11 @@ type Record struct {
 const CheckpointEvery = 8192
 
 // RestorePointsKept is how many named restore points a log keeps restorable,
-// the newest ones. A kept restore point holds the base at or below itself: a
+// the newest ones. A kept restore point keeps the base that was under the log
+// when the point was made, and the records from that base's Redo on: a
 // restore needs an image from before the point and every record from there
-// to the point.
+// to the point. Newer bases go under the log all the same; when a point
+// leaves the ring, the next checkpoint cuts what only it held.
 const RestorePointsKept = 4
 
 // Base is what a checkpoint leaves in place of the records it cuts: an image
@@ -128,6 +130,12 @@ type Base struct {
 	// committed and replay skips its records either way.
 	Xmax       uint64
 	InProgress map[uint64]struct{}
+	// Tip is the next LSN when the base went under the log it was built on;
+	// Checkpoint sets it. The snapshot was taken before that, so whatever the
+	// image holds was visible on the node before any record from Tip on
+	// existed: a restore point at or above Tip may restore from this base,
+	// and a standby's log takes the base over once it has the records below.
+	Tip int64
 	// Image is the node's own: the Applier of the engine that built it
 	// loads it (ApplyBase). It shares row slices and column vectors with the
 	// engine it was taken from, which never writes to either again.
@@ -165,6 +173,17 @@ func (h *Holder) Release() {
 type restorePoint struct {
 	name string
 	lsn  int64
+	// base was under the log when the point was appended (base.Tip <= lsn),
+	// nil when none was: its image was taken before the point existed.
+	base *Base
+}
+
+// redo is where a restore to the point starts reading records.
+func (p restorePoint) redo() int64 {
+	if p.base == nil {
+		return 1
+	}
+	return p.base.Redo
 }
 
 var (
@@ -320,7 +339,7 @@ func (l *Log) noteLocked(rec Record) {
 	case RecCommit, RecAbort, RecCommitPrepared, RecAbortPrepared:
 		delete(l.open, rec.XID)
 	case RecRestorePoint:
-		l.restorePoints = append(l.restorePoints, restorePoint{rec.Name, rec.LSN})
+		l.restorePoints = append(l.restorePoints, restorePoint{rec.Name, rec.LSN, l.base.Load()})
 		if n := len(l.restorePoints) - RestorePointsKept; n > 0 {
 			l.restorePoints = append(l.restorePoints[:0], l.restorePoints[n:]...)
 		}
@@ -445,14 +464,15 @@ func (l *Log) BeginCheckpoint() (at int64, open map[uint64]int64) {
 }
 
 // Checkpoint puts b under the log and cuts the records nobody can need any
-// more: those below b.Redo and below every holder. It reports whether b was
-// installed. It is not when a kept restore point lies below b.At — the image
-// would hold transactions that committed after the point — and the log then
-// stays whole until RestorePointsKept newer points have pushed that one out.
+// more: those below b.Redo, below every holder, and below the Redo of the
+// base each kept restore point restores from. It reports whether b was
+// installed; it is not when the log already has a newer base.
 //
 // b may come from another log that holds the same records under the same
 // LSNs: a standby's log takes its primary's bases this way, once it has the
-// records up to b.At.
+// records below b.Tip — not merely those below b.At, or a restore point that
+// the primary appended while the image was being built could reach the
+// standby's log after the base and keep an image taken after itself.
 func (l *Log) Checkpoint(b *Base) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -462,23 +482,23 @@ func (l *Log) Checkpoint(b *Base) bool {
 	if old := l.base.Load(); old != nil && old.At > b.At {
 		return false
 	}
+	if b.Tip == 0 {
+		b.Tip = l.nextLSN
+	}
 	held := map[string]int64{}
 	hold := func(kind string, lsn int64) {
 		if cur, ok := held[kind]; !ok || lsn < cur {
 			held[kind] = lsn
 		}
 	}
-	if len(l.restorePoints) > 0 {
-		hold("restore_point", l.restorePoints[0].lsn)
+	for _, rp := range l.restorePoints {
+		hold("restore_point", rp.redo())
 	}
 	for h := range l.holders {
 		hold(h.kind, h.lsn.Load())
 	}
 	for _, kind := range holderKinds {
 		metHolder.With(l.Node, kind).Set(held[kind])
-	}
-	if rp, ok := held["restore_point"]; ok && rp < b.At {
-		return false
 	}
 	cut := b.Redo
 	for _, lsn := range held {
@@ -522,7 +542,8 @@ type Applier interface {
 // dst, an empty log, the continuation of that history: the same base, the
 // same records under the same LSNs, the next append at upTo+1. It is the one
 // way a node comes back from a log: a restart, a standby taking a base
-// backup, a restore to a named point.
+// backup, a restore to a named point. When upTo is a kept restore point the
+// base is the one that point kept, not the log's newest.
 //
 // Of the records replayed, a transaction's are skipped when the base's
 // snapshot saw it ended (the image has its rows, or it aborted), and when
@@ -535,6 +556,15 @@ type Applier interface {
 func (l *Log) RecoverInto(dst *Log, a Applier, upTo int64) error {
 	l.mu.Lock()
 	base := l.base.Load()
+	var points []restorePoint
+	for _, rp := range l.restorePoints {
+		if upTo == 0 || rp.lsn <= upTo {
+			points = append(points, rp)
+		}
+		if rp.lsn == upTo {
+			base = rp.base
+		}
+	}
 	live := upTo == 0 && !l.sealed.Load()
 	recs := l.records
 	if upTo > 0 && upTo < l.nextLSN-1 {
@@ -647,6 +677,7 @@ func (l *Log) RecoverInto(dst *Log, a Applier, upTo int64) error {
 	for _, r := range recs {
 		dst.noteLocked(r)
 	}
+	dst.restorePoints = points // each with the base it kept, not dst's
 	return nil
 }
 

@@ -11,6 +11,7 @@ type memApplier struct {
 	tables   map[string][]types.Row
 	status   map[uint64]string
 	prepared map[string]uint64
+	base     *Base // what ApplyBase was handed
 }
 
 func newMemApplier() *memApplier {
@@ -21,7 +22,7 @@ func newMemApplier() *memApplier {
 	}
 }
 
-func (m *memApplier) ApplyBase(*Base) error     { return nil }
+func (m *memApplier) ApplyBase(b *Base) error   { m.base = b; return nil }
 func (m *memApplier) ApplyDDL(ddl string) error { return nil }
 func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row) error {
 	m.tables[table] = append(m.tables[table], row)
