@@ -49,7 +49,8 @@ race:
 # relations (a prefix drop took other sessions' relations with it), the
 # PipelineWindow 1-vs-8 parity run, the issue fault at every position of a
 # replicated fan-out, the bounded transient retry, a retry under a saturated
-# connection limit getting its slot back, and the transaction block
+# connection limit dialling again inside the slot it holds (alone, and with a
+# second session parked on the limit), and the transaction block
 # and commit flights: an open that fails executes nothing, worker DDL between
 # two executions of one task text (outside and inside a block: one re-parse,
 # one execution, in the block), a pooled connection free of transaction state,
@@ -58,7 +59,8 @@ race:
 # connection, the round-trip budget counted over real TCP, the 2PC matrix rows
 # for overlapping requests, a connection's statement state bounded by its
 # session's cache, readers of a columnar stripe's typed vectors seeing a
-# consistent prefix while its transaction keeps appending to them, and the
+# consistent prefix while its transaction keeps appending to them, batched heap
+# scans beside inserts, deletes and vacuum, and the
 # checkpoint's seams: a stream reading across cuts that race its acks, two
 # tables scanning and growing over the stripes an image lets them share, a
 # standby taking its primary's bases and then a failover, a second crash of a
@@ -68,12 +70,13 @@ race:
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
-	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound|TestRefreshUnderLimitGetsItsSlotBack' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound|TestRefreshUnderLimitGetsItsSlotBack|TestRetryRedialsInsideItsSlot' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestDDLBetweenExecutions|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestImplicitTxnKeepsPinnedConns|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
 	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared' -count=10 -timeout 10m ./internal/columnar
+	go test -race -run 'TestBatchScanConcurrentWriters' -count=10 -timeout 10m ./internal/heap
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
 	go test -race -run 'TestStandbyTakesPrimaryBases|TestSecondCrashOfARestartedWorker' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRejoinBelowTheNewPrimarysBase|TestRebalanceMoveDeltaSurvivesCheckpoint|TestRestartedCoordinatorForgetsResolvedCommitRecords' -count=20 -timeout 10m ./internal/fault/chaos
@@ -175,7 +178,8 @@ soak-smoke:
 	@echo "soak-smoke: clean run passed, canary caught + reproduced"
 
 # short native-fuzz smoke: wire protocol (framing, the frame codec against
-# its gob reference, pipeline Seq correlation), vectorized-vs-row-path parity,
+# its gob reference, pipeline Seq correlation), vectorized-vs-row-path parity
+# (columnar and heap tables, hash joins, tuples of open and aborted transactions),
 # the flat jsonb encoding against its tree oracle (plus arbitrary bytes
 # through jsonb.FromWire), and the recovery oracle (random schedules with
 # checkpoints forced at random points: an engine rebuilt from base + tail, one

@@ -490,12 +490,105 @@ func AblationVectorized(sc Scale) (Series, error) {
 		}
 	}
 
+	q3, err := ablationVectorizedJoin(s, eng, sc)
+	if err != nil {
+		return out, err
+	}
+	out.Points = append(out.Points, q3...)
+
 	topn, err := ablationTopNPushdown(sc)
 	if err != nil {
 		return out, err
 	}
 	out.Points = append(out.Points, topn...)
 	return out, nil
+}
+
+// ablationVectorizedJoin is the row-store leg of A5: TPC-H Q3 — customer ⋈
+// orders ⋈ lineitem, the repo benchmark's q_join — over heap tables on the
+// same node, row at a time vs through the batched heap scan and the
+// vectorized hash join. What each cell's Extra records is the work split
+// the speed-up stands for, as counts: heap batches and rows that entered the
+// kernels, and the rows the joins built their tables on and probed with. The
+// row path's planner is left-deep and builds on its right input, which in
+// Q3 is the larger one both times; the vectorized join builds on whichever
+// input turned out smaller.
+func ablationVectorizedJoin(s *engine.Session, eng *engine.Engine, sc Scale) ([]Point, error) {
+	for _, ddl := range []string{
+		`CREATE TABLE customer (c_custkey bigint PRIMARY KEY, c_mktsegment text)`,
+		`CREATE TABLE orders (o_orderkey bigint PRIMARY KEY, o_custkey bigint, o_orderdate timestamp, o_shippriority bigint)`,
+		`CREATE TABLE lineitem_row (l_orderkey bigint, l_linenumber bigint, l_extendedprice double precision,
+			l_discount double precision, l_shipdate timestamp, PRIMARY KEY (l_orderkey, l_linenumber))`,
+	} {
+		if _, err := s.Exec(ddl); err != nil {
+			return nil, err
+		}
+	}
+	seed := uint64(3)
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed >> 33
+	}
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
+	orderCount := sc.Orders * 4
+	var customers, orders, lines []types.Row
+	for c := 1; c <= orderCount/10; c++ {
+		customers = append(customers, types.Row{int64(c), segments[next()%5]})
+	}
+	for o := 1; o <= orderCount; o++ {
+		date := time.Date(1992+int(next()%7), 1, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, int(next()%365))
+		orders = append(orders, types.Row{int64(o), int64(next()%uint64(len(customers))) + 1, date, int64(0)})
+		for l, n := 1, 1+int(next()%7); l <= n; l++ {
+			lines = append(lines, types.Row{int64(o), int64(l), float64(next()%90000)/100 + 900,
+				float64(next()%11) / 100, date.AddDate(0, 0, 1+int(next()%120))})
+		}
+	}
+	for table, rows := range map[string][]types.Row{"customer": customers, "orders": orders, "lineitem_row": lines} {
+		if _, err := s.CopyFrom(table, nil, rows); err != nil {
+			return nil, err
+		}
+	}
+	const q3 = `SELECT l_orderkey, sum(l_extendedprice * (1 - l_discount)) AS revenue, o_orderdate, o_shippriority
+		FROM customer, orders, lineitem_row
+		WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey AND l_orderkey = o_orderkey
+		AND o_orderdate < '1995-03-15'::timestamp AND l_shipdate > '1995-03-15'::timestamp
+		GROUP BY l_orderkey, o_orderdate, o_shippriority
+		ORDER BY revenue DESC, o_orderdate LIMIT 10`
+	var points []Point
+	for _, v := range []struct {
+		name string
+		vec  bool
+	}{{"row-at-a-time", false}, {"vectorized", true}} {
+		eng.SetVectorized(v.vec)
+		if _, err := s.Exec(q3); err != nil { // warm caches
+			return nil, fmt.Errorf("Q3 %s: %w", v.name, err)
+		}
+		runtime.GC()
+		pre := ObsSnapshot()
+		lat := make([]time.Duration, 0, a5Runs)
+		for i := 0; i < a5Runs; i++ {
+			start := time.Now()
+			if _, err := s.Exec(q3); err != nil {
+				return nil, err
+			}
+			lat = append(lat, time.Since(start))
+		}
+		d := ObsSnapshot().Delta(pre)
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		points = append(points, Point{
+			Config: "Q3 row-store join, " + v.name,
+			Value:  float64(lat[a5Runs/2].Microseconds()) / 1000,
+			Extra: map[string]float64{
+				"heap_vec_batches": float64(d.Sum("heap_vec_batches_total")),
+				"heap_vec_rows":    float64(d.Sum("heap_vec_rows_total")),
+				"join_build_rows":  float64(d.Sum("vec_join_build_rows_total")),
+				"join_probe_rows":  float64(d.Sum("vec_join_probe_rows_total")),
+				"table_rows":       float64(a5Runs * (len(customers) + len(orders) + len(lines))),
+				"best_ms":          float64(lat[0].Microseconds()) / 1000,
+			},
+		})
+	}
+	return points, nil
 }
 
 // ablationTopNPushdown measures the distributed TopN leg of A5: a grouped

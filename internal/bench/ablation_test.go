@@ -120,8 +120,8 @@ func TestAblationVectorized(t *testing.T) {
 		t.Fatalf("A5: %v", err)
 	}
 	t.Log("\n" + series.String())
-	if len(series.Points) != 11 {
-		t.Fatalf("A5 incomplete: %d points, want 11", len(series.Points))
+	if len(series.Points) != 13 {
+		t.Fatalf("A5 incomplete: %d points, want 13", len(series.Points))
 	}
 	points := make(map[string]Point, len(series.Points))
 	for _, p := range series.Points {
@@ -160,6 +160,28 @@ func TestAblationVectorized(t *testing.T) {
 	if points["Q6 filtered sum, vectorized"].Extra["stripes_skipped"] <= 0 {
 		t.Errorf("Q6 date filter pruned no stripes despite shipdate-ordered load: %+v",
 			points["Q6 filtered sum, vectorized"].Extra)
+	}
+
+	// The row-store join, a work split and not a timing: the vectorized Q3
+	// read every row of its three tables through the batched heap scan, each
+	// of its joins built on the smaller input, and row at a time none of the
+	// four counters moved.
+	q3Vec, q3Row := points["Q3 row-store join, vectorized"].Extra, points["Q3 row-store join, row-at-a-time"].Extra
+	if q3Vec == nil || q3Row == nil {
+		t.Fatal("A5 missing the Q3 row-store join cells")
+	}
+	if q3Vec["heap_vec_batches"] <= 0 || q3Vec["heap_vec_rows"] != q3Vec["table_rows"] {
+		t.Errorf("vectorized Q3 read %v heap rows in %v batches, want all %v rows of its tables",
+			q3Vec["heap_vec_rows"], q3Vec["heap_vec_batches"], q3Vec["table_rows"])
+	}
+	if q3Vec["join_build_rows"] <= 0 || q3Vec["join_build_rows"] >= q3Vec["join_probe_rows"] {
+		t.Errorf("vectorized Q3 built on %v rows and probed with %v: not the smaller input",
+			q3Vec["join_build_rows"], q3Vec["join_probe_rows"])
+	}
+	for _, name := range []string{"heap_vec_batches", "heap_vec_rows", "join_build_rows", "join_probe_rows"} {
+		if q3Row[name] != 0 {
+			t.Errorf("row-at-a-time Q3 recorded %s = %v, want 0", name, q3Row[name])
+		}
 	}
 
 	// Distributed TopN: the pushdown variant must actually push down, the

@@ -412,9 +412,8 @@ func (r *nodeRun) drain(wc *workerConn, private []int) {
 	// A connection no transaction holds — so one this run opened: the
 	// session's pinned ones are all inside its block — has nothing more to do
 	// for the statement once the queue is empty, and goes back now, not when
-	// the statement ends: a retry that gave its slot of the shared limit up to
-	// dial again (refreshConn) would otherwise wait for slots its own
-	// statement sits on until that retry is over.
+	// the statement ends: its slot of the shared limit is another session's to
+	// take while this statement's slower connections finish.
 	if !wc.inTxn {
 		switch {
 		case wc.gone:
@@ -711,37 +710,18 @@ func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issued
 	return res, err
 }
 
-// refreshConn swaps a worker connection's transport for a freshly dialed
-// one from the originating pool (the old connection is presumed broken).
-// The new connection is acquired before the old one is discarded so a
-// failed dial leaves wc untouched — the normal broken-connection
-// disposition then discards it exactly once. Under a tight shared
-// connection limit the broken connection may itself hold the last slot:
-// on ErrLimit the old one is discarded first to free its slot and the
-// checkout retried with the same bounded wait acquireConn uses (the
-// caller holds ≥1 slot's worth of claim and must get a connection to
-// make progress).
+// refreshConn swaps a worker connection's transport, presumed broken, for a
+// freshly dialed one inside the slot of the shared connection limit the old
+// one holds (pool.Replace): the retry competes with no other session for a
+// slot, however tight the limit. A failed dial leaves wc without a
+// connection and without a slot.
 func (n *Node) refreshConn(wc *workerConn) error {
-	c, err := wc.pool.Get()
-	if errors.Is(err, pool.ErrLimit) {
-		wc.pool.Discard(wc.conn)
-		wc.gone = true
-		for errors.Is(err, pool.ErrLimit) {
-			metConnWaits.Inc()
-			time.Sleep(200 * time.Microsecond)
-			c, err = wc.pool.Get()
-		}
-	}
+	c, err := wc.pool.Replace(wc.conn)
 	if err != nil {
-		wc.broken = true
+		wc.gone, wc.broken = true, true
 		return err
 	}
-	if !wc.gone {
-		wc.pool.Discard(wc.conn)
-	}
-	wc.conn = c
-	wc.gone = false
-	wc.broken = false
+	wc.conn, wc.broken = c, false
 	return nil
 }
 

@@ -301,12 +301,11 @@ func TestBrokenConnNeverReturnsToPool(t *testing.T) {
 }
 
 // TestRefreshUnderLimitGetsItsSlotBack: a fan-out window loses its connection
-// while the statement holds every slot of the shared connection limit. The
-// retry gives the dead connection's slot up in order to dial again, and must
-// get one back: the statement's own slow-start ramp, which ticks far more
-// often here than the retry polls, takes the freed slot for a connection that
-// finds the queue empty, and if that connection and the ones that have
-// finished kept their slots until the statement ended, it never would.
+// while the statement holds every slot of the shared connection limit, again
+// and again, with the statement's own slow-start ramp — which ticks far more
+// often here than a retry backs off — asking the pool for more. The retry
+// dials again inside the dead connection's slot; every round answers, and no
+// connection is left checked out.
 func TestRefreshUnderLimitGetsItsSlotBack(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
@@ -338,9 +337,89 @@ func TestRefreshUnderLimitGetsItsSlotBack(t *testing.T) {
 				t.Fatalf("round %d: %s, want 64|2016", i, got)
 			}
 		case <-time.After(20 * time.Second):
-			t.Fatalf("round %d: the statement never finished: its retry waits for a slot the statement itself holds", i)
+			t.Fatalf("round %d: the statement never finished", i)
 		}
 		fault.Reset()
 		noConnCheckedOut(t, c, 2, 3)
 	}
+}
+
+// TestRetryRedialsInsideItsSlot: at a shared limit of one connection per
+// worker, a read whose connection dies re-dials inside the slot that
+// connection held (pool.Replace). Alone, the retrying session never waits for
+// a connection: executor_conn_waits_total stands still. And with a second
+// session parked on the limit — waiting for the very slot the dead connection
+// holds — the retry still succeeds, and so then does the parked session.
+func TestRetryRedialsInsideItsSlot(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	c := pipelineCluster(t, citus.Config{MaxSharedPoolSize: 1, PipelineWindow: 8})
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE rs (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('rs', 'k')")
+	rows := make([]types.Row, 0, 64)
+	for k := int64(0); k < 64; k++ {
+		rows = append(rows, types.Row{k, k})
+	}
+	if _, err := s.CopyFrom("rs", []string{"k", "v"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	const q, want = "SELECT count(*), sum(v) FROM rs", "64|2016"
+
+	before := obs.Default().Snapshot()
+	fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, Count: 1})
+	if got := rowsText(mustExec(t, s, q)); got != want {
+		t.Fatalf("alone: %s, want %s", got, want)
+	}
+	fault.Reset()
+	after := obs.Default().Snapshot()
+	if counterDelta(before, after, "executor_task_retries_total") == 0 {
+		t.Fatal("alone: the dropped connection caused no retry")
+	}
+	if waits := counterDelta(before, after, "executor_conn_waits_total"); waits != 0 {
+		t.Errorf("alone: the retrying session waited for a connection %d times, want 0: it holds a slot", waits)
+	}
+	noConnCheckedOut(t, c, 2, 3)
+
+	// The first session stops where it is about to read a response; the
+	// second one starts and parks on the limit of the worker whose slot the
+	// first holds; then the first's connection dies.
+	arrived, release := fault.ArmGate(fault.PointWireRecv, "query")
+	first := make(chan string, 1)
+	go func() {
+		res, err := s.Exec(q)
+		if err != nil {
+			first <- err.Error()
+			return
+		}
+		first <- rowsText(res)
+	}()
+	<-arrived
+	parkedFrom := obs.Default().Snapshot().Sum("executor_conn_waits_total")
+	second := make(chan string, 1)
+	s2 := c.Session()
+	go func() {
+		res, err := s2.Exec(q)
+		if err != nil {
+			second <- err.Error()
+			return
+		}
+		second <- rowsText(res)
+	}()
+	for obs.Default().Snapshot().Sum("executor_conn_waits_total") == parkedFrom {
+		time.Sleep(100 * time.Microsecond) // until the second session is turned away at the limit
+	}
+	release(fault.ErrDropConn)
+	for name, done := range map[string]chan string{"retrying": first, "parked": second} {
+		select {
+		case got := <-done:
+			if got != want {
+				t.Errorf("%s session: %s, want %s", name, got, want)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s session never finished", name)
+		}
+	}
+	fault.Reset()
+	noConnCheckedOut(t, c, 2, 3)
 }

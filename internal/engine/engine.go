@@ -622,6 +622,9 @@ type Session struct {
 	// curSpanKind mirrors the kind of the statement span currently open,
 	// copied into the transaction for citus_stat_activity.
 	curSpanKind string
+	// analyzeNotes is non-nil while EXPLAIN ANALYZE executes its statement:
+	// a plan node appends a line about what this execution did.
+	analyzeNotes *[]string
 
 	txn       *txn.Txn
 	explicit  bool

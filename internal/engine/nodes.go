@@ -388,6 +388,12 @@ type hashJoinNode struct {
 	residual            expr.Evaluator // over the combined row
 	cols                []string
 	rightWidth          int
+	// What the planner compiled the join from — each input's scope, the key
+	// pairs and the residual conjuncts as ASTs — so that it can re-plan an
+	// aggregate over the join through the vectorized path (vec_source.go).
+	leftSc, rightSc     *scope
+	leftKeyX, rightKeyX []sql.Expr
+	residualX           []sql.Expr
 }
 
 func (n *hashJoinNode) columns() []string { return n.cols }
@@ -666,6 +672,10 @@ func (n *projectNode) run(ec *execCtx, emit func(types.Row) error) error {
 type filterNode struct {
 	child node
 	pred  expr.Evaluator
+	// conjuncts keeps the WHERE/ON conjunct ASTs compiled into pred, as
+	// seqScanNode.conjuncts does and for the same planner; nil above an
+	// aggregate (HAVING) and above a subquery.
+	conjuncts []sql.Expr
 }
 
 func (n *filterNode) columns() []string { return n.child.columns() }

@@ -227,7 +227,7 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 		if err != nil {
 			return nil, err
 		}
-		cur = planned{n: &filterNode{child: cur.n, pred: pred}, sc: cur.sc}
+		cur = planned{n: &filterNode{child: cur.n, pred: pred, conjuncts: rest}, sc: cur.sc}
 	}
 
 	// Expand * / t.* into concrete select items.
@@ -279,9 +279,9 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 				orderExprs[i] = rw.rewrite(orderExprs[i])
 			}
 		}
-		// A columnar scan under an eligible aggregate runs vectorized:
-		// batched filter kernels + partial-aggregate folds over column
-		// chunks, with row-at-a-time fallback for everything else.
+		// An eligible aggregate over sequential scans, or hash joins of them,
+		// runs vectorized: batched filter kernels + partial-aggregate folds
+		// over column chunks, with row-at-a-time fallback for everything else.
 		if vecN, vecScope, okVec := s.tryVectorizedAgg(cur, groupBy, rw); okVec {
 			vecAgg = vecN
 			cur = planned{n: vecN, sc: vecScope}
@@ -546,7 +546,7 @@ func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool, params []typ
 			if err != nil {
 				return planned{}, err
 			}
-			left = planned{n: &filterNode{child: left.n, pred: pred}, sc: left.sc}
+			left = planned{n: &filterNode{child: left.n, pred: pred, conjuncts: taken}, sc: left.sc}
 		}
 		right, err := s.planTableRef(t.Right, pool, params)
 		if err != nil {
@@ -557,7 +557,7 @@ func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool, params []typ
 			if err != nil {
 				return planned{}, err
 			}
-			right = planned{n: &filterNode{child: right.n, pred: pred}, sc: right.sc}
+			right = planned{n: &filterNode{child: right.n, pred: pred, conjuncts: taken}, sc: right.sc}
 		}
 		return s.buildJoin(t.Type, left, right, onPool, pool, params)
 	}
@@ -672,7 +672,7 @@ func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, whereP
 
 	// classify equi-join keys
 	var leftKeys, rightKeys []expr.Evaluator
-	var residual []sql.Expr
+	var leftKeyX, rightKeyX, residual []sql.Expr
 	for _, c := range onConjuncts {
 		b, ok := c.(*sql.BinaryExpr)
 		if ok && b.Op == sql.OpEq {
@@ -688,6 +688,7 @@ func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, whereP
 				}
 				leftKeys = append(leftKeys, le)
 				rightKeys = append(rightKeys, re)
+				leftKeyX, rightKeyX = append(leftKeyX, b.L), append(rightKeyX, b.R)
 				continue
 			case exprResolvesIn(b.R, left.sc) && exprResolvesIn(b.L, right.sc):
 				le, err := expr.Compile(b.R, left.sc)
@@ -700,6 +701,7 @@ func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, whereP
 				}
 				leftKeys = append(leftKeys, le)
 				rightKeys = append(rightKeys, re)
+				leftKeyX, rightKeyX = append(leftKeyX, b.R), append(rightKeyX, b.L)
 				continue
 			}
 		}
@@ -726,6 +728,8 @@ func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, whereP
 			left: left.n, right: right.n,
 			leftKeys: leftKeys, rightKeys: rightKeys,
 			joinType: jt, residual: residualEv, cols: cols, rightWidth: rightWidth,
+			leftSc: left.sc, rightSc: right.sc,
+			leftKeyX: leftKeyX, rightKeyX: rightKeyX, residualX: residual,
 		}
 	} else {
 		var onEv expr.Evaluator
@@ -747,7 +751,7 @@ func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, whereP
 			if err != nil {
 				return planned{}, err
 			}
-			out = planned{n: &filterNode{child: out.n, pred: pred}, sc: combined}
+			out = planned{n: &filterNode{child: out.n, pred: pred, conjuncts: taken}, sc: combined}
 		}
 	}
 	return out, nil

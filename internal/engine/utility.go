@@ -450,6 +450,9 @@ func (s *Session) runExplainAnalyze(stmt sql.Statement, plan Plan, params []type
 			s.TraceID, s.SpanID, s.curSpanKind = 0, 0, ""
 		}()
 	}
+	var notes []string
+	s.analyzeNotes = &notes
+	defer func() { s.analyzeNotes = nil }()
 	start := time.Now()
 	var res *Result
 	var err error
@@ -462,7 +465,7 @@ func (s *Session) runExplainAnalyze(stmt sql.Statement, plan Plan, params []type
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	var lines []string
+	lines := notes
 	if ea, ok := plan.(ExplainAnalyzer); ok && s.TraceID != 0 {
 		lines = append(lines, ea.ExplainAnalyzeLines(s.TraceID)...)
 	}

@@ -34,6 +34,16 @@ var (
 		"rows a pushed-down TopN bound cut from the grouped scan before group encoding").With()
 	metVecTopNBoundStripes = obs.Default().Counter("columnar_vec_topn_bound_stripes_total",
 		"stripes a pushed-down TopN bound skipped via chunk min/max without reading any chunk").With()
+	// the vectorized path's work outside columnar storage, under names of its
+	// own: the columnar_vec_* counters keep meaning columnar stripes
+	metHeapVecBatches = obs.Default().Counter("heap_vec_batches_total",
+		"batches of heap pages read as typed vectors by vectorized aggregates").With()
+	metHeapVecRows = obs.Default().Counter("heap_vec_rows_total",
+		"visible heap rows entering vectorized kernels (before filtering)").With()
+	metVecJoinBuildRows = obs.Default().Counter("vec_join_build_rows_total",
+		"rows vectorized hash joins built their tables on (the smaller input)").With()
+	metVecJoinProbeRows = obs.Default().Counter("vec_join_probe_rows_total",
+		"rows vectorized hash joins probed with (the larger input)").With()
 )
 
 // vecTopNBoundMaxK caps the k a TopN bound is pushed down for: the bound
@@ -167,32 +177,30 @@ type vecAggSpec struct {
 	num    *numSpec // computed numeric argument
 }
 
-// vecAggNode executes scan→filter→partial-aggregate over a columnar table
-// with vectorized kernels: per visible stripe it loads whole column chunks,
-// runs typed filter kernels into a selection vector, folds partial
-// aggregate states directly from the column slices, and merges partials.
-// Stripes whose chunk min/max statistics contradict a filter are skipped
-// without reading a single chunk, and stripe ranges are split across a
-// bounded goroutine pool (intra-worker parallel scan).
+// vecAggNode executes scan→filter→partial-aggregate with vectorized kernels:
+// its chunk source (vec_source.go) yields filtered column chunks — the stripes
+// of a columnar table, batches of a heap's pages, or the matches of a hash
+// join of such — and one fold loop turns each chunk's key columns into a
+// group-ID vector and folds the aggregate arguments into typed per-group
+// arrays. A source that splits its scan gives every range a goroutine and a
+// partial of its own; the partials are merged in scan order.
 //
 // The node is a drop-in replacement for seqScan→filter→aggNode: it emits
 // the identical __grpN/__aggN row layout, so HAVING, projection and ORDER
 // BY above it are untouched.
 type vecAggNode struct {
-	st        *storage
-	tab       *columnar.Table
-	filters   []vecFilterSpec
+	src       chunkSource
+	label     string // what the vec_scan trace span says was scanned
+	columnar  bool   // a scan below is columnar: the execution counts in columnar_vec_queries_total
 	groupOrds []int
 	aggs      []vecAggSpec
 	cols      []string // __grp0..N ++ __agg0..M
-	needed    []int    // column ordinals the scan must load
-	topn      *vecTopN // nil unless a TopN above bounds the scan
 }
 
-// vecTopN is the topNNode above a grouped vecAggNode, as far as the scan
-// can use it: the first ORDER BY key is the group column at table ordinal
-// col, and only limit+offset groups survive. Each scan partial turns it
-// into a vec.TopNBound.
+// vecTopN is the topNNode above a grouped vecAggNode, as far as a columnar
+// scan can use it: the first ORDER BY key is the group column at table
+// ordinal col, and only limit+offset groups survive. Each of the scan's
+// cursors turns it into a vec.TopNBound.
 type vecTopN struct {
 	col           int
 	desc          bool
@@ -211,15 +219,17 @@ func (t *vecTopN) k(c *expr.Ctx) (int, error) {
 
 // pushTopN offers the node the TopN stacked directly above it (no HAVING,
 // no DISTINCT in between, so every group is exactly one TopN input row)
-// whose first sort key is group column ord. A float key is declined: it
-// can hold NaN, which types.Compare ties with every value, and no bound is
-// exact under such an order. So is an aggregate argument that can fail
-// (sum(a/b)): the bound cuts rows before the arguments are evaluated, and
-// a division by zero in a cut row must still fail the query, as it does
-// unbounded and row-at-a-time.
+// whose first sort key is group column ord. Only a columnar scan directly
+// under the aggregate takes it: the bound skips stripes by their statistics,
+// and its counters say so. A float key is declined: it can hold NaN, which
+// types.Compare ties with every value, and no bound is exact under such an
+// order. So is an aggregate argument that can fail (sum(a/b)): the bound
+// cuts rows before the arguments are evaluated, and a division by zero in a
+// cut row must still fail the query, as it does unbounded and row-at-a-time.
 func (n *vecAggNode) pushTopN(ord int, desc bool, limit, offset expr.Evaluator) {
+	scan, ok := n.src.(*columnarSource)
 	col := n.groupOrds[ord]
-	if n.st.table.Columns[col].Type == types.Float {
+	if !ok || scan.st.table.Columns[col].Type == types.Float {
 		return
 	}
 	for _, a := range n.aggs {
@@ -227,7 +237,7 @@ func (n *vecAggNode) pushTopN(ord int, desc bool, limit, offset expr.Evaluator) 
 			return
 		}
 	}
-	n.topn = &vecTopN{col: col, desc: desc, limit: limit, offset: offset}
+	scan.topn = &vecTopN{col: col, desc: desc, limit: limit, offset: offset}
 }
 
 func (n *vecAggNode) columns() []string { return n.cols }
@@ -237,51 +247,20 @@ func (n *vecAggNode) explain(indent string) []string {
 	if len(n.groupOrds) == 0 {
 		kind = "Vectorized Aggregate"
 	}
-	lines := []string{indent + kind}
-	if n.topn != nil {
-		// a parameterised LIMIT has no value until execution
-		k, err := n.topn.k(&expr.Ctx{})
-		kText, dir := "?", "ASC"
-		if err == nil {
-			kText = strconv.Itoa(k)
-		}
-		if n.topn.desc {
-			dir = "DESC"
-		}
-		if err != nil || k > 0 {
-			lines = append(lines, indent+"  TopN bound: "+n.st.table.Columns[n.topn.col].Name+" "+dir+" k="+kText)
-		}
-	}
-	scan := indent + "  Vectorized Columnar Scan on " + n.st.table.Name
-	if len(n.filters) > 0 {
-		parts := make([]string, len(n.filters))
-		for i := range n.filters {
-			parts[i] = n.filters[i].text
-		}
-		scan += " (filter: " + strings.Join(parts, " AND ") + ")"
-	}
-	return append(lines, scan)
+	return append([]string{indent + kind}, n.src.explain(indent+"  ")...)
 }
 
-// vecPartial is one scan goroutine's private accumulation state: one typed
+// vecPartial is one fold goroutine's private accumulation state: one typed
 // per-group accumulator per aggregate and, for a grouped query, a private
 // group dictionary; the cross-partial merge re-interns representative keys
 // into the first partial's dictionary. Without GROUP BY there is no
 // dictionary and no ID vector: every row folds into group 0.
 type vecPartial struct {
-	dict       *vec.GroupDict // nil when the query has no GROUP BY
-	gaggs      []*vec.GroupedAgg
-	ids        []uint32     // per-chunk group-ID vector scratch
-	chunk      []vec.Vector // LoadChunk's buffer
-	selA, selB vec.Sel
-	orSc       vec.OrScratch
-	scratch    vec.Scratch
-	bound      *vec.TopNBound // nil when no TopN bounds the scan
-	batches    int64
-	rows       int64
-	groupBatch int64
-	// rows the bound cut after the filters, and stripes it skipped whole
-	boundRows, boundStripes int64
+	dict    *vec.GroupDict // nil when the query has no GROUP BY
+	gaggs   []*vec.GroupedAgg
+	ids     []uint32 // per-chunk group-ID vector scratch
+	scratch vec.Scratch
+	chunks  int64 // chunks folded
 }
 
 // groups is the number of groups the partial holds: the one of a query
@@ -293,13 +272,8 @@ func (p *vecPartial) groups() int {
 	return p.dict.NumGroups()
 }
 
-// newPartial returns one scan goroutine's state; topK > 0 gives it a TopN
-// bound of that many keys.
-func (n *vecAggNode) newPartial(topK int) *vecPartial {
+func (n *vecAggNode) newPartial() *vecPartial {
 	p := &vecPartial{}
-	if topK > 0 {
-		p.bound = vec.NewTopNBound(n.topn.col, n.topn.desc, topK)
-	}
 	p.gaggs = make([]*vec.GroupedAgg, len(n.aggs))
 	for i, a := range n.aggs {
 		p.gaggs[i] = vec.NewGroupedAgg(a.kind)
@@ -314,99 +288,58 @@ func (n *vecAggNode) newPartial(topK int) *vecPartial {
 	return p
 }
 
-// processStripe folds one stripe into the partial.
-func (n *vecAggNode) processStripe(p *vecPartial, filters []boundFilter, nums []*vec.NumExpr, view columnar.StripeView) error {
-	keyNulls := false
-	if p.bound != nil {
-		keyNulls = view.HasNulls(n.topn.col)
-		min, max, ok := view.Stats(n.topn.col)
-		if p.bound.Skip(min, max, ok, keyNulls) {
-			p.boundStripes++
-			return nil
+// fold drains one cursor into the partial.
+func (n *vecAggNode) fold(p *vecPartial, cur chunkCursor, nums []*vec.NumExpr) error {
+	for {
+		chunk, nrows, sel, ok, err := cur.next()
+		if err != nil || !ok {
+			return err
 		}
-	}
-	p.chunk = n.tab.LoadChunk(view, n.needed, p.chunk)
-	chunk, nrows := p.chunk, view.NumRows()
-	p.batches++
-	p.rows += int64(nrows)
+		p.chunks++
 
-	// filter chain: each kernel consumes the previous selection
-	var sel vec.Sel
-	for fi := range filters {
-		out := p.selA
-		if fi%2 == 1 {
-			out = p.selB
-		}
-		sel = filters[fi].apply(chunk, sel, out, &p.orSc)
-		if fi%2 == 1 {
-			p.selB = sel
-		} else {
-			p.selA = sel
-		}
-		if len(sel) == 0 {
-			return nil
-		}
-	}
-
-	if p.bound != nil {
-		var cut int
-		sel, cut = p.bound.Apply(chunk, keyNulls, sel, nrows)
-		p.boundRows += int64(cut)
-		if sel != nil && len(sel) == 0 {
-			return nil
-		}
-	}
-
-	// grouped fold: turn the key columns into a group-ID vector, then
-	// batch-fold each aggregate by ID into its typed per-group arrays — no
-	// per-row map probe, no interface-keyed lookup. Without GROUP BY the ID
-	// vector stays nil: one group.
-	var ids []uint32
-	if p.dict != nil {
-		p.groupBatch++
-		p.ids = p.dict.Encode(chunk, n.groupOrds, sel, nrows, p.ids)
-		ids = p.ids
-		for _, g := range p.gaggs {
-			g.Grow(p.dict.NumGroups())
-		}
-	}
-	p.scratch.Reset()
-	for ai, a := range n.aggs {
-		switch {
-		case a.star:
-			cnt := nrows
-			if sel != nil {
-				cnt = len(sel)
+		// grouped fold: turn the key columns into a group-ID vector, then
+		// batch-fold each aggregate by ID into its typed per-group arrays — no
+		// per-row map probe, no interface-keyed lookup. Without GROUP BY the ID
+		// vector stays nil: one group.
+		var ids []uint32
+		if p.dict != nil {
+			p.ids = p.dict.Encode(chunk, n.groupOrds, sel, nrows, p.ids)
+			ids = p.ids
+			for _, g := range p.gaggs {
+				g.Grow(p.dict.NumGroups())
 			}
-			p.gaggs[ai].AddStar(ids, cnt)
-		case a.num != nil:
-			v, err := nums[ai].Eval(chunk, nrows, sel, &p.scratch)
-			if err != nil {
-				return err
-			}
-			p.gaggs[ai].AddVec(&v, ids)
-		default:
-			if err := p.gaggs[ai].AddCol(&chunk[a.colOrd], sel, ids); err != nil {
-				return err
+		}
+		p.scratch.Reset()
+		for ai, a := range n.aggs {
+			switch {
+			case a.star:
+				cnt := nrows
+				if sel != nil {
+					cnt = len(sel)
+				}
+				p.gaggs[ai].AddStar(ids, cnt)
+			case a.num != nil:
+				v, err := nums[ai].Eval(chunk, nrows, sel, &p.scratch)
+				if err != nil {
+					return err
+				}
+				p.gaggs[ai].AddVec(&v, ids)
+			default:
+				if err := p.gaggs[ai].AddCol(&chunk[a.colOrd], sel, ids); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return nil
 }
 
 func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 	eng := ec.sess.Eng
-	metVecQueries.Add(1)
+	if n.columnar {
+		metVecQueries.Add(1)
+	}
 
 	// bind per-execution constants (parameters, casts)
-	filters := make([]boundFilter, len(n.filters))
-	for i := range n.filters {
-		f, err := n.filters[i].bind(ec)
-		if err != nil {
-			return err
-		}
-		filters[i] = f
-	}
 	nums := make([]*vec.NumExpr, len(n.aggs))
 	for ai, a := range n.aggs {
 		if a.num != nil {
@@ -418,74 +351,30 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 		}
 	}
 
-	topK := 0
-	if n.topn != nil {
-		var err error
-		if topK, err = n.topn.k(ec.eval); err != nil {
+	cursors, err := n.src.open(ec, eng.vecParallelism())
+	if err != nil {
+		return err
+	}
+	partials := make([]*vecPartial, len(cursors))
+	for w := range partials {
+		partials[w] = n.newPartial()
+	}
+	if len(cursors) == 1 {
+		if err := n.fold(partials[0], cursors[0], nums); err != nil {
 			return err
 		}
-	}
-
-	views := n.tab.VisibleStripes(eng.Txns, ec.snap)
-
-	// stripe skipping: a filter whose constant falls outside the chunk's
-	// min/max proves no row in the stripe can pass — drop the stripe
-	// before charging any chunk I/O.
-	work := views[:0:0]
-	skipped := int64(0)
-	for _, v := range views {
-		skip := false
-		for i := range filters {
-			if filters[i].skip(v) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			skipped++
-			continue
-		}
-		work = append(work, v)
-	}
-
-	degree := eng.vecParallelism()
-	if degree > len(work) {
-		degree = len(work)
-	}
-	var partials []*vecPartial
-	if degree <= 1 {
-		p := n.newPartial(topK)
-		for _, v := range work {
-			if err := n.processStripe(p, filters, nums, v); err != nil {
-				return err
-			}
-		}
-		partials = []*vecPartial{p}
 	} else {
 		metVecParallelScans.Add(1)
-		// contiguous stripe ranges keep the merge order equal to a
-		// sequential scan, so grouped output order (first-seen) and int
-		// sums are identical to the row path.
-		partials = make([]*vecPartial, degree)
-		errs := make([]error, degree)
+		// nums is shared: a vec.NumExpr is read-only during Eval, and the
+		// scratch it evaluates into is the partial's
+		errs := make([]error, len(cursors))
 		var wg sync.WaitGroup
-		for w := 0; w < degree; w++ {
-			lo := w * len(work) / degree
-			hi := (w + 1) * len(work) / degree
-			p := n.newPartial(topK)
-			partials[w] = p
+		for w := range cursors {
 			wg.Add(1)
-			go func(w, lo, hi int, p *vecPartial) {
+			go func(w int) {
 				defer wg.Done()
-				// each goroutine binds its own NumExpr views? not needed:
-				// vec.NumExpr is read-only during Eval; scratch is per-partial
-				for _, v := range work[lo:hi] {
-					if err := n.processStripe(p, filters, nums, v); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w, lo, hi, p)
+				errs[w] = n.fold(partials[w], cursors[w], nums)
+			}(w)
 		}
 		wg.Wait()
 		for _, err := range errs {
@@ -495,22 +384,30 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 		}
 	}
 
-	var batches, rows, groupBatches, boundRows, boundStripes int64
-	for _, p := range partials {
-		batches += p.batches
-		rows += p.rows
-		groupBatches += p.groupBatch
-		boundRows += p.boundRows
-		boundStripes += p.boundStripes
+	var st vecStats
+	var chunks int64
+	for w, cur := range cursors {
+		cur.report(&st)
+		chunks += partials[w].chunks
 	}
-	metVecBatches.Add(batches)
-	metVecRows.Add(rows)
-	metVecStripesSkipped.Add(skipped)
+	// every chunk a grouped fold takes goes through the group-ID path; the
+	// counter is the columnar scan's, like the other columnar_vec_* ones
+	groupBatches := int64(0)
+	if _, ok := n.src.(*columnarSource); ok && len(n.groupOrds) > 0 {
+		groupBatches = chunks
+	}
+	metVecBatches.Add(st.batches)
+	metVecRows.Add(st.rows)
+	metVecStripesSkipped.Add(st.stripesSkipped)
 	metVecGroupBatches.Add(groupBatches)
-	metVecTopNBoundRows.Add(boundRows)
-	metVecTopNBoundStripes.Add(boundStripes)
+	metVecTopNBoundRows.Add(st.boundRows)
+	metVecTopNBoundStripes.Add(st.boundStripes)
+	metHeapVecBatches.Add(st.heapBatches)
+	metHeapVecRows.Add(st.heapRows)
+	metVecJoinBuildRows.Add(st.buildRows)
+	metVecJoinProbeRows.Add(st.probeRows)
 
-	// merge partials in stripe order: the first partial's dictionary keeps
+	// merge partials in scan order: the first partial's dictionary keeps
 	// the sequential first-seen order, and later partials re-intern their
 	// representative keys so their IDs map onto the merged slots. Without
 	// GROUP BY every partial's one group maps onto the one group.
@@ -530,19 +427,21 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 	}
 
 	if tr := eng.Tracer; tr != nil && ec.sess.TraceID != 0 {
-		sp := tr.StartSpan(ec.sess.TraceID, ec.sess.SpanID, "vec_scan", n.st.table.Name)
+		sp := tr.StartSpan(ec.sess.TraceID, ec.sess.SpanID, "vec_scan", n.label)
 		if sp != nil {
-			sp.SetAttr("batches", strconv.FormatInt(batches, 10))
-			sp.SetAttr("rows", strconv.FormatInt(rows, 10))
-			sp.SetAttr("stripes_skipped", strconv.FormatInt(skipped, 10))
-			sp.SetAttr("parallelism", strconv.Itoa(degree))
+			sp.SetAttr("batches", strconv.FormatInt(st.batches+st.heapBatches, 10))
+			sp.SetAttr("rows", strconv.FormatInt(st.rows+st.heapRows, 10))
+			sp.SetAttr("stripes_skipped", strconv.FormatInt(st.stripesSkipped, 10))
+			sp.SetAttr("parallelism", strconv.Itoa(len(cursors)))
 			groups := 0 // none without GROUP BY
 			if merged.dict != nil {
 				groups = merged.groups()
 			}
 			sp.SetAttr("groups", strconv.Itoa(groups))
 			sp.SetAttr("group_batches", strconv.FormatInt(groupBatches, 10))
-			sp.SetAttr("bound_rows", strconv.FormatInt(boundRows, 10))
+			sp.SetAttr("bound_rows", strconv.FormatInt(st.boundRows, 10))
+			sp.SetAttr("join_build_rows", strconv.FormatInt(st.buildRows, 10))
+			sp.SetAttr("join_probe_rows", strconv.FormatInt(st.probeRows, 10))
 			sp.Finish()
 		}
 	}
@@ -785,39 +684,20 @@ func vecGroupable(t types.Type) bool {
 	return false
 }
 
-// tryVectorizedAgg plans scan→filter→aggregate over a columnar base table
-// through the vectorized path. It returns ok=false — leaving planning to
-// the row-at-a-time buildAggNode — whenever any piece of the query is
-// outside the vectorized subset: non-columnar input, residual filters
-// above the scan, IN/LIKE predicates (or OR chains containing them),
-// DISTINCT aggregates, non-numeric computed arguments, or a GROUP BY
-// that is not plain columns.
+// tryVectorizedAgg plans an aggregate through the vectorized path when its
+// input is a tree the chunk sources cover (vecSource: sequential scans of
+// base tables, columnar or heap, under INNER hash joins on plain columns)
+// and every piece of the query is inside the kernels' subset. It returns
+// ok=false — leaving planning to the row-at-a-time buildAggNode — for
+// everything else: IN/LIKE predicates (or OR chains containing them),
+// DISTINCT aggregates, non-numeric computed arguments, or a GROUP BY that is
+// not plain columns.
 func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRewriter) (*vecAggNode, *scope, bool) {
 	if s.Eng.vecOff.Load() {
 		return nil, nil, false
 	}
-	scan, ok := input.n.(*seqScanNode)
-	if !ok || scan.st.col == nil {
-		return nil, nil, false
-	}
 
 	needed := map[int]bool{}
-
-	filters := make([]vecFilterSpec, 0, len(scan.conjuncts))
-	for _, c := range scan.conjuncts {
-		spec, okF := compileVecFilter(c, input.sc)
-		if !okF {
-			return nil, nil, false
-		}
-		filters = append(filters, spec)
-		if len(spec.or) > 0 {
-			for i := range spec.or {
-				needed[spec.or[i].col] = true
-			}
-		} else {
-			needed[spec.col] = true
-		}
-	}
 
 	groupOrds := make([]int, len(groupBy))
 	for i, g := range groupBy {
@@ -871,15 +751,9 @@ func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRew
 		aggs = append(aggs, spec)
 	}
 
-	neededList := make([]int, 0, len(needed))
-	for ord := range needed {
-		neededList = append(neededList, ord)
-	}
-	// deterministic I/O order
-	for i := 1; i < len(neededList); i++ {
-		for j := i; j > 0 && neededList[j-1] > neededList[j]; j-- {
-			neededList[j-1], neededList[j] = neededList[j], neededList[j-1]
-		}
+	src, ok := s.vecSource(input.n, input.sc, needed, nil)
+	if !ok {
+		return nil, nil, false
 	}
 
 	aggScope := &scope{}
@@ -893,16 +767,25 @@ func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRew
 		cols = append(cols, rw.aggCol(i))
 	}
 
-	n := &vecAggNode{
-		st:        scan.st,
-		tab:       scan.st.col,
-		filters:   filters,
-		groupOrds: groupOrds,
-		aggs:      aggs,
-		cols:      cols,
-		needed:    neededList,
-	}
+	n := &vecAggNode{src: src, groupOrds: groupOrds, aggs: aggs, cols: cols}
+	n.label, n.columnar = describeSource(src)
 	return n, aggScope, true
+}
+
+// describeSource names a source for the trace span — its table, or the
+// tables it joins — and reports whether any scan in it is columnar.
+func describeSource(src chunkSource) (label string, columnar bool) {
+	switch x := src.(type) {
+	case *columnarSource:
+		return x.st.table.Name, true
+	case *heapSource:
+		return x.st.table.Name, false
+	case *joinSource:
+		l, lc := describeSource(x.left)
+		r, rc := describeSource(x.right)
+		return l + " ⋈ " + r, lc || rc
+	}
+	return "", false
 }
 
 func collectNumCols(n *numSpec, needed map[int]bool) {

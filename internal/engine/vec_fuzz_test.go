@@ -6,17 +6,31 @@ import (
 	"testing"
 )
 
-// FuzzVecParity generates random columnar tables and random aggregate
-// queries — predicates (including OR chains), group keys, aggregate sets,
-// and TopN tails — and asserts the vectorized path returns exactly what the
-// row path returns, at parallel degrees 1 and 3. Shapes outside the
-// vectorized subset are fine: they fall back and compare trivially, so the
-// fuzzer also exercises the eligibility boundary itself.
+// FuzzVecParity generates random tables and random aggregate queries —
+// predicates (including OR chains), group keys, aggregate sets, and TopN
+// tails, over one table or over an equi-join of two — and asserts the
+// vectorized path returns exactly what the row path returns, at parallel
+// degrees 1 and 3. Shapes outside the vectorized subset are fine: they fall
+// back and compare trivially, so the fuzzer also exercises the eligibility
+// boundary itself.
 //
-// The table has a column of every vector kind — bigint, double precision,
-// text (dictionary), timestamp, boolean, and jsonb for the boxed kind — and
-// NULLs in every one of them, the group keys included, so that each typed
-// kernel and the NULL mask are on the fuzzed path.
+// The fact table exists twice, columnar (fz) and as a heap (fzh), with a
+// column of every vector kind — bigint, double precision, text (dictionary),
+// timestamp, boolean, and jsonb for the boxed kind — and NULLs in every one of
+// them, the group keys included, so that each typed kernel and the NULL mask
+// are on the fuzzed path. The heap twin is then worked on by other sessions:
+// rows updated and deleted, by transactions that committed, that rolled back
+// and that are still open when the query runs, and rows inserted by the latter
+// two kinds — every case of the visibility rules under the batched scan. The
+// second table (dim, a heap) is small, sometimes empty, sometimes all NULL in
+// its keys, and repeats its key values, as the fact table does: joins on one
+// or two of (k, dk), (flag, dflag), (n, dn) have duplicates on both sides and
+// either side may be the smaller.
+//
+// Rows are compared in order: the vectorized join hands its matches on in the
+// row path's order, so group order, and with it every tie a TopN breaks, is
+// the same. Float sums are compared to a tolerance (a parallel columnar scan
+// adds its partial sums in another order).
 func FuzzVecParity(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(42), uint64(7))
@@ -25,12 +39,17 @@ func FuzzVecParity(f *testing.F) {
 	// once false positives: ORDER BY sum(q) DESC tied two groups whose sums
 	// differ in the last bit at parallel degree 3 (see randVecQuery)
 	f.Add(uint64(570), uint64(307))
+	// joins: comma and JOIN syntax, the small table on either side, one key
+	// and two, an empty and an all-NULL small table
+	for seed := uint64(100); seed < 124; seed++ {
+		f.Add(seed, seed*7+3)
+	}
 
 	f.Fuzz(func(t *testing.T, dataSeed, querySeed uint64) {
 		dataRng := splitmix(dataSeed)
 		e := newTestEngine(t)
 		s := e.NewSession()
-		mustExec(t, s, `CREATE TABLE fz (
+		const factCols = `(
 			k bigint,
 			q double precision,
 			price double precision,
@@ -40,39 +59,88 @@ func FuzzVecParity(f *testing.F) {
 			ts timestamp,
 			ok boolean,
 			doc jsonb
-		) USING columnar`)
+		)`
+		mustExec(t, s, `CREATE TABLE fz `+factCols+` USING columnar`)
+		mustExec(t, s, `CREATE TABLE fzh `+factCols)
+		mustExec(t, s, `CREATE TABLE dim (dk bigint, dflag text, dn bigint, dq double precision, dts timestamp)`)
 		flags := []string{"A", "N", "R"}
 		status := []string{"O", "F"}
+		// one value in eight is NULL, in every column
+		val := func(format string, args ...any) string {
+			if dataRng()%8 == 0 {
+				return "NULL"
+			}
+			return fmt.Sprintf(format, args...)
+		}
+		factRow := func() string {
+			nval := "NULL"
+			if dataRng()%4 != 0 {
+				nval = fmt.Sprintf("%d", dataRng()%30)
+			}
+			return "(" + strings.Join([]string{
+				val("%d", int(dataRng()%1000)),
+				val("%d.%d", dataRng()%50, dataRng()%10),
+				val("%d.%02d", dataRng()%500, dataRng()%100),
+				val("'%s'", flags[dataRng()%3]),
+				val("'%s'", status[dataRng()%2]),
+				nval,
+				val("'2024-01-%02d %02d:00:00'", 1+dataRng()%28, dataRng()%24),
+				val("%t", dataRng()%2 == 0),
+				val(`'{"a": %d}'`, dataRng()%5),
+			}, ", ") + ")"
+		}
 		rows := 40 + int(dataRng()%160)
 		const stripe = 60
 		for lo := 0; lo < rows; lo += stripe {
 			mustExec(t, s, "BEGIN")
 			for i := lo; i < rows && i < lo+stripe; i++ {
-				// one value in eight is NULL, in every column
-				val := func(format string, args ...any) string {
-					if dataRng()%8 == 0 {
-						return "NULL"
-					}
-					return fmt.Sprintf(format, args...)
-				}
-				nval := "NULL"
-				if dataRng()%4 != 0 {
-					nval = fmt.Sprintf("%d", dataRng()%30)
-				}
-				mustExec(t, s, "INSERT INTO fz VALUES ("+strings.Join([]string{
-					val("%d", int(dataRng()%1000)),
-					val("%d.%d", dataRng()%50, dataRng()%10),
-					val("%d.%02d", dataRng()%500, dataRng()%100),
-					val("'%s'", flags[dataRng()%3]),
-					val("'%s'", status[dataRng()%2]),
-					nval,
-					val("'2024-01-%02d %02d:00:00'", 1+dataRng()%28, dataRng()%24),
-					val("%t", dataRng()%2 == 0),
-					val(`'{"a": %d}'`, dataRng()%5),
-				}, ", ")+")")
+				row := factRow()
+				mustExec(t, s, "INSERT INTO fz VALUES "+row)
+				mustExec(t, s, "INSERT INTO fzh VALUES "+row)
 			}
 			mustExec(t, s, "COMMIT")
 		}
+
+		// dim: up to 40 rows — none at all one time in eight — whose keys are
+		// drawn from a few of the fact table's values, so that they repeat;
+		// one time in eight every key is NULL
+		dimRows, nullKeys := int(dataRng()%41), dataRng()%8 == 0
+		if dataRng()%8 == 0 {
+			dimRows = 0
+		}
+		for i := 0; i < dimRows; i++ {
+			key := func(format string, args ...any) string {
+				if nullKeys {
+					return "NULL"
+				}
+				return val(format, args...)
+			}
+			mustExec(t, s, "INSERT INTO dim VALUES ("+strings.Join([]string{
+				key("%d", int(dataRng()%1000)/(1+int(dataSeed%50))),
+				key("'%s'", flags[dataRng()%3]),
+				key("%d", dataRng()%30),
+				val("%d.%d", dataRng()%50, dataRng()%10),
+				val("'2024-01-%02d'", 1+dataRng()%28),
+			}, ", ")+")")
+		}
+
+		// Other sessions at the heap twin. Committed: an update and a delete.
+		// Rolled back: an insert, an update and a delete. And still open while
+		// the queries run: the same three.
+		change := func(o *Session) {
+			mustExec(t, o, "INSERT INTO fzh VALUES "+factRow()+", "+factRow())
+			mustExec(t, o, fmt.Sprintf("UPDATE fzh SET q = q + 1, n = %d WHERE k %% 7 = %d", dataRng()%30, dataRng()%7))
+			mustExec(t, o, fmt.Sprintf("DELETE FROM fzh WHERE k %% 11 = %d", dataRng()%11))
+		}
+		mustExec(t, s, fmt.Sprintf("UPDATE fzh SET price = price * 2, flag = 'N' WHERE k %% 5 = %d", dataRng()%5))
+		mustExec(t, s, fmt.Sprintf("DELETE FROM fzh WHERE k %% 13 = %d", dataRng()%13))
+		rolledBack, open := e.NewSession(), e.NewSession()
+		mustExec(t, rolledBack, "BEGIN")
+		change(rolledBack)
+		mustExec(t, rolledBack, "ROLLBACK")
+		mustExec(t, open, "BEGIN")
+		change(open)
+		defer open.Exec("ROLLBACK")
 
 		qRng := splitmix(querySeed)
 		q := randVecQuery(qRng)
@@ -107,11 +175,41 @@ func splitmix(seed uint64) func() uint64 {
 	}
 }
 
-// randVecQuery assembles one aggregate query over the fz table.
+// randVecQuery assembles one aggregate query: over fz, over its heap twin, or
+// over a join of either with dim.
 func randVecQuery(rng func() uint64) string {
 	numCols := []string{"k", "q", "price", "n"}
 	allCols := []string{"k", "q", "price", "flag", "status", "n", "ts", "ok", "doc"}
 	groupable := []string{"flag", "status", "n", "k", "q", "ts", "ok"}
+
+	from := "fz"
+	var conjuncts []string
+	if pick := rng() % 8; pick >= 3 {
+		fact := []string{"fz", "fzh"}[rng()%2]
+		from = fact
+		if pick >= 5 {
+			pairs := []string{"k = dk", "flag = dflag", "n = dn", "dk = k", "dn = n"}
+			keys := []string{pairs[rng()%uint64(len(pairs))]}
+			if rng()%3 == 0 {
+				keys = append(keys, []string{"flag = dflag", "n = dn", "status = dflag"}[rng()%3])
+			}
+			on := strings.Join(keys, " AND ")
+			switch rng() % 4 {
+			case 0:
+				from, conjuncts = fact+", dim", keys
+			case 1:
+				from = fact + " JOIN dim ON " + on
+			case 2:
+				from = "dim JOIN " + fact + " ON " + on
+			default: // a filter on one side in the ON clause
+				from = fact + " JOIN dim ON " + on + " AND " +
+					[]string{"dq > 20", "n < 15", "dts >= '2024-01-10'", "(flag = 'A' OR dn > 10)"}[rng()%4]
+			}
+			numCols = append(numCols, "dk", "dn", "dq")
+			allCols = append(allCols, "dk", "dflag", "dn", "dq", "dts")
+			groupable = append(groupable, "dk", "dflag", "dn", "dts")
+		}
+	}
 
 	randPred := func() string {
 		col := allCols[rng()%uint64(len(allCols))]
@@ -123,12 +221,12 @@ func randVecQuery(rng func() uint64) string {
 			return fmt.Sprintf("%s IS NOT NULL", col)
 		case 2:
 			switch col {
-			case "flag":
-				return fmt.Sprintf("flag = '%s'", []string{"A", "N", "R"}[rng()%3])
+			case "flag", "dflag":
+				return fmt.Sprintf("%s = '%s'", col, []string{"A", "N", "R"}[rng()%3])
 			case "status":
 				return fmt.Sprintf("status = '%s'", []string{"O", "F"}[rng()%2])
-			case "ts":
-				return fmt.Sprintf("ts BETWEEN %s AND %s", day(), day())
+			case "ts", "dts":
+				return fmt.Sprintf("%s BETWEEN %s AND %s", col, day(), day())
 			case "ok", "doc":
 				return fmt.Sprintf("ok = %t", rng()%2 == 0)
 			}
@@ -136,10 +234,10 @@ func randVecQuery(rng func() uint64) string {
 		default:
 			op := []string{"<", "<=", ">", ">=", "=", "<>"}[rng()%6]
 			switch col {
-			case "flag", "status":
+			case "flag", "status", "dflag":
 				return fmt.Sprintf("%s %s 'N'", col, op)
-			case "ts":
-				return fmt.Sprintf("ts %s %s", op, day())
+			case "ts", "dts":
+				return fmt.Sprintf("%s %s %s", col, op, day())
 			case "ok", "doc":
 				return fmt.Sprintf("ok %s true", op)
 			}
@@ -147,7 +245,6 @@ func randVecQuery(rng func() uint64) string {
 		}
 	}
 
-	var conjuncts []string
 	for i := uint64(0); i < rng()%4; i++ {
 		if rng()%3 == 0 { // OR chain
 			branches := []string{randPred(), randPred()}
@@ -201,7 +298,7 @@ func randVecQuery(rng func() uint64) string {
 		}
 	}
 
-	q := "SELECT " + strings.Join(sel, ", ") + " FROM fz"
+	q := "SELECT " + strings.Join(sel, ", ") + " FROM " + from
 	if len(conjuncts) > 0 {
 		q += " WHERE " + strings.Join(conjuncts, " AND ")
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -500,5 +501,221 @@ func TestTimestampLiteralMidnight(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// loadVecJoinTables creates the row-store Q3 tables — customer, orders,
+// lineitem_row, the benchmark's q_join schema — and fills them from a
+// deterministic generator: the orders outnumber the customers of one market
+// segment, and the lineitems outnumber the orders a customer ⋈ orders join
+// leaves, so each of Q3's two joins has its smaller input on the left.
+func loadVecJoinTables(tb testing.TB, s *Session, customers, orders int) {
+	tb.Helper()
+	exec := func(q string) {
+		if _, err := s.Exec(q); err != nil {
+			tb.Fatalf("exec %q: %v", q, err)
+		}
+	}
+	exec(`CREATE TABLE customer (c_custkey bigint PRIMARY KEY, c_mktsegment text)`)
+	exec(`CREATE TABLE orders (o_orderkey bigint PRIMARY KEY, o_custkey bigint,
+		o_orderdate timestamp, o_shippriority bigint)`)
+	exec(`CREATE TABLE lineitem_row (l_orderkey bigint, l_linenumber bigint,
+		l_extendedprice double precision, l_discount double precision, l_shipdate timestamp,
+		PRIMARY KEY (l_orderkey, l_linenumber))`)
+	seed := uint64(11)
+	next := func() uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return seed >> 33
+	}
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
+	day := func(d int) string { return fmt.Sprintf("%d-%02d-%02d", 1992+d/336, d/28%12+1, d%28+1) }
+	exec("BEGIN")
+	for c := 1; c <= customers; c++ {
+		exec(fmt.Sprintf(`INSERT INTO customer VALUES (%d, '%s')`, c, segments[next()%5]))
+	}
+	for o := 1; o <= orders; o++ {
+		d := int(next() % (4 * 336))
+		exec(fmt.Sprintf(`INSERT INTO orders VALUES (%d, %d, '%s', 0)`, o, 1+next()%uint64(customers), day(d)))
+		for l, n := 1, 1+int(next()%7); l <= n; l++ {
+			exec(fmt.Sprintf(`INSERT INTO lineitem_row VALUES (%d, %d, %d.%02d, 0.%02d, '%s')`,
+				o, l, 900+next()%50000, next()%100, next()%11, day(d+1+int(next()%120))))
+		}
+	}
+	exec("COMMIT")
+}
+
+const vecJoinQ3 = `SELECT l_orderkey, sum(l_extendedprice * (1 - l_discount)) AS revenue, o_orderdate, o_shippriority
+	FROM customer, orders, lineitem_row
+	WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey AND l_orderkey = o_orderkey
+	AND o_orderdate < '1995-03-15'::timestamp AND l_shipdate > '1995-03-15'::timestamp
+	GROUP BY l_orderkey, o_orderdate, o_shippriority
+	ORDER BY revenue DESC, o_orderdate LIMIT 10`
+
+// vecJoinQueries must run through the vectorized join — or, marked so, fall
+// back — and answer as the row path does, row for row: the join hands its
+// matches on in the row path's order.
+var vecJoinQueries = []struct {
+	name, q      string
+	vectorizable bool
+}{
+	{"q3", vecJoinQ3, true},
+	{"q3_no_limit", `SELECT l_orderkey, sum(l_extendedprice * (1 - l_discount)), o_orderdate
+		FROM customer, orders, lineitem_row
+		WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey AND l_orderkey = o_orderkey
+		AND l_shipdate > '1995-03-15' GROUP BY l_orderkey, o_orderdate`, true},
+	{"explicit_join_on_filter", `SELECT o_custkey, count(*), min(l_shipdate), max(l_extendedprice)
+		FROM orders JOIN lineitem_row ON o_orderkey = l_orderkey AND l_discount < 0.05
+		WHERE o_orderdate >= '1994-01-01' GROUP BY o_custkey`, true},
+	{"smaller_input_on_the_right", `SELECT o_custkey, count(*), sum(l_extendedprice) FROM lineitem_row, orders
+		WHERE l_orderkey = o_orderkey AND o_orderdate < '1993-01-01' GROUP BY o_custkey`, true},
+	{"ungrouped", `SELECT count(*), sum(l_extendedprice), avg(l_discount) FROM orders, lineitem_row
+		WHERE o_orderkey = l_orderkey AND o_custkey < 40`, true},
+	{"two_keys", `SELECT a.l_linenumber, count(*) FROM lineitem_row a JOIN lineitem_row b
+		ON a.l_orderkey = b.l_orderkey AND a.l_linenumber = b.l_linenumber GROUP BY a.l_linenumber`, true},
+	{"duplicate_keys_both_sides", `SELECT a.l_linenumber, b.l_linenumber, count(*), sum(a.l_discount)
+		FROM lineitem_row a, lineitem_row b WHERE a.l_orderkey = b.l_orderkey AND a.l_discount < 0.03
+		GROUP BY a.l_linenumber, b.l_linenumber`, true},
+	{"residual_or_across_sides", `SELECT count(*), sum(l_discount) FROM orders JOIN lineitem_row
+		ON o_orderkey = l_orderkey AND (o_custkey < 10 OR l_discount > 0.08)`, true},
+	{"where_or_across_sides", `SELECT count(*) FROM orders, lineitem_row
+		WHERE o_orderkey = l_orderkey AND (o_custkey = 3 OR l_linenumber = 1)`, true},
+	{"empty_side", `SELECT count(*), sum(l_discount) FROM orders, lineitem_row
+		WHERE o_orderkey = l_orderkey AND o_custkey < 0`, true},
+	{"heap_scan_alone", `SELECT l_linenumber, count(*), sum(l_extendedprice * l_discount) FROM lineitem_row
+		WHERE l_shipdate > '1995-03-15' GROUP BY l_linenumber`, true},
+	{"heap_or_selects_nothing", `SELECT count(*), sum(l_discount) FROM lineitem_row
+		WHERE l_linenumber = 98 OR l_linenumber = 99`, true},
+
+	{"fallback_left_join", `SELECT count(*), count(l_orderkey) FROM orders LEFT JOIN lineitem_row
+		ON o_orderkey = l_orderkey AND l_discount > 0.09`, false},
+	{"fallback_expression_key", `SELECT count(*) FROM orders, lineitem_row WHERE o_orderkey + 1 = l_orderkey`, false},
+	{"fallback_non_equi", `SELECT count(*) FROM orders, customer WHERE o_custkey < c_custkey AND o_orderkey < 20`, false},
+	{"fallback_col_vs_col_residual", `SELECT count(*) FROM orders JOIN lineitem_row
+		ON o_orderkey = l_orderkey AND l_shipdate > o_orderdate`, false},
+	{"fallback_key_types_differ", `SELECT count(*) FROM orders, lineitem_row WHERE o_orderkey = l_discount`, false},
+	{"fallback_index_scan_side", `SELECT count(*) FROM orders, lineitem_row
+		WHERE o_orderkey = l_orderkey AND o_orderkey = 7`, false},
+}
+
+// vecWork reads the four work counters of the vectorized path outside
+// columnar storage.
+func vecWork() [4]int64 {
+	return [4]int64{metHeapVecBatches.Value(), metHeapVecRows.Value(),
+		metVecJoinBuildRows.Value(), metVecJoinProbeRows.Value()}
+}
+
+func TestVectorizedJoinGolden(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	loadVecJoinTables(t, s, 120, 750)
+	defer e.SetVectorized(true)
+	for _, tc := range vecJoinQueries {
+		t.Run(tc.name, func(t *testing.T) {
+			e.SetVectorized(true)
+			before := vecWork()
+			vecRes := mustExec(t, s, tc.q)
+			if ran := vecWork() != before; ran != tc.vectorizable {
+				t.Errorf("vectorized path ran: %v, want %v", ran, tc.vectorizable)
+			}
+			e.SetVectorized(false)
+			before = vecWork()
+			rowRes := mustExec(t, s, tc.q)
+			if vecWork() != before {
+				t.Errorf("SetVectorized(false) still moved the vectorized counters")
+			}
+			rowsMatch(t, tc.name, vecRes.Rows, rowRes.Rows)
+		})
+	}
+}
+
+// TestVectorizedHeapDeclinesUnderSerializable: a SERIALIZABLE transaction's
+// sequential scan of a heap table checks every tuple version, visible or not,
+// against concurrent writers, which the batched scan does not do — so its
+// aggregates are planned row at a time, and go back to the vectorized path
+// when the session leaves SERIALIZABLE.
+func TestVectorizedHeapDeclinesUnderSerializable(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	loadVecJoinTables(t, s, 120, 750)
+	ran := func(q string) bool {
+		before := vecWork()
+		mustExec(t, s, q)
+		return vecWork() != before
+	}
+	const heapAgg = `SELECT count(*), sum(l_discount) FROM lineitem_row WHERE l_linenumber < 3`
+	if !ran(heapAgg) || !ran(vecJoinQ3) {
+		t.Fatal("READ COMMITTED: the heap aggregates did not run vectorized")
+	}
+	mustExec(t, s, `SET transaction_isolation = 'serializable'`)
+	if ran(heapAgg) || ran(vecJoinQ3) {
+		t.Error("SERIALIZABLE: a heap aggregate ran through the batched scan")
+	}
+	expectRows(t, mustExec(t, s, "EXPLAIN "+heapAgg), `
+Project
+  Aggregate
+    Seq Scan on lineitem_row (filtered)`)
+	mustExec(t, s, `SET transaction_isolation = 'read committed'`)
+	if !ran(heapAgg) {
+		t.Error("back at READ COMMITTED the heap aggregate stayed on the row path")
+	}
+}
+
+// TestVectorizedJoinExplain pins the plan of Q3 and what EXPLAIN ANALYZE says
+// of its execution: each join built on its smaller input, which here is the
+// left one both times — the side the row path's join probes with.
+func TestVectorizedJoinExplain(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	loadVecJoinTables(t, s, 120, 750)
+	const plan = `
+TopN
+  Project
+    Vectorized HashAggregate
+      Vectorized Hash Join (o_orderkey = l_orderkey; build: smaller input)
+        Vectorized Hash Join (c_custkey = o_custkey; build: smaller input)
+          Vectorized Heap Scan on customer (filter: (c_mktsegment = 'BUILDING'))
+          Vectorized Heap Scan on orders (filter: (o_orderdate < ('1995-03-15')::timestamp))
+        Vectorized Heap Scan on lineitem_row (filter: (l_shipdate > ('1995-03-15')::timestamp))`
+	expectRows(t, mustExec(t, s, "EXPLAIN "+vecJoinQ3), plan)
+
+	before := vecWork()
+	res := mustExec(t, s, "EXPLAIN ANALYZE "+vecJoinQ3)
+	got := regexp.MustCompile(`Execution Time: .*`).ReplaceAllString(rowsToString(res.Rows), "Execution Time:")
+	want := strings.TrimSpace(plan) + `
+Vectorized Hash Join (c_custkey = o_custkey): built on the left input, 25 rows; probed with 603 rows; 134 matches
+Vectorized Hash Join (o_orderkey = l_orderkey): built on the left input, 134 rows; probed with 733 rows; 39 matches
+Actual Rows: 10
+Execution Time:`
+	if strings.TrimSpace(got) != want {
+		t.Fatalf("EXPLAIN ANALYZE:\n%s\nwant:\n%s", got, want)
+	}
+	after := vecWork()
+	if build, probe := after[2]-before[2], after[3]-before[3]; build != 25+134 || probe != 603+733 {
+		t.Errorf("join counters moved by build %d, probe %d; want %d and %d", build, probe, 25+134, 603+733)
+	}
+	if rows := after[1] - before[1]; rows != 120+750+int64(e.TableRows("lineitem_row")) {
+		t.Errorf("heap_vec_rows_total moved by %d, want every row of the three tables", rows)
+	}
+}
+
+// BenchmarkVectorizedJoinQ3 runs Q3 over tables the size of one shard of the
+// repo benchmark's q_join (1 200 customers, 750 orders, ~3 000 lineitems; a
+// 16th of analytics_fanout's), row at a time and vectorized: the worker's
+// share of a q_join task, without the wire and the coordinator around it.
+func BenchmarkVectorizedJoinQ3(b *testing.B) {
+	e := New(Config{Name: "bench"})
+	defer e.Close()
+	s := e.NewSession()
+	loadVecJoinTables(b, s, 1200, 750)
+	for _, vectorized := range []bool{false, true} {
+		b.Run(fmt.Sprintf("vectorized=%v", vectorized), func(b *testing.B) {
+			e.SetVectorized(vectorized)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Exec(vecJoinQ3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

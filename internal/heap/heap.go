@@ -148,6 +148,33 @@ func Visible(mgr *txn.Manager, s txn.Snapshot, tup Tuple) bool {
 	return !mgr.Sees(s, tup.Xmax)
 }
 
+// scanVisibility decides visibility for one scan under one snapshot, and
+// remembers the snapshot's verdict on the last writer it asked about: a page
+// of tuples that one COPY or one transaction wrote costs one look at the
+// commit log, not one per tuple. The verdict on a writer that had ended when
+// the snapshot was taken cannot change; one that ends while the scan runs
+// (a standby applying its primary's log) keeps, for the tuples that follow
+// each other, the verdict the first of them got.
+type scanVisibility struct {
+	mgr  *txn.Manager
+	s    txn.Snapshot
+	xmin uint64 // the last Xmin asked about; 0, which sees nothing, before the first
+	sees bool
+}
+
+// visible is Visible(v.mgr, v.s, *tup). Only a live tuple that nobody has
+// deleted and that another transaction wrote is answered from memory; every
+// other takes the full rules.
+func (v *scanVisibility) visible(tup *Tuple) bool {
+	if tup.Dead || tup.Xmax != 0 || tup.Xmin == v.s.Self {
+		return Visible(v.mgr, v.s, *tup)
+	}
+	if tup.Xmin != v.xmin {
+		v.xmin, v.sees = tup.Xmin, v.mgr.Sees(v.s, tup.Xmin)
+	}
+	return v.sees
+}
+
 // Scan iterates all visible tuples under snapshot s, calling fn for each;
 // fn returning false stops the scan. Page accesses are charged to the
 // buffer pool.
@@ -155,17 +182,22 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, row type
 	t.mu.RLock()
 	numPages := len(t.pages)
 	t.mu.RUnlock()
+	vis := scanVisibility{mgr: mgr, s: s}
 	// one buffer for the whole scan: fn is handed a tuple's row, never the
 	// tuple, so nothing can keep a reference into it
 	tuples := make([]Tuple, 0, TuplesPerPage)
 	for p := 0; p < numPages; p++ {
 		t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(p)})
 		t.mu.RLock()
+		if p >= len(t.pages) { // dropped or truncated since the scan began
+			t.mu.RUnlock()
+			return
+		}
 		// copy the page's tuples so fn runs without the table lock
 		tuples = append(tuples[:0], t.pages[p].tuples...)
 		t.mu.RUnlock()
 		for slot := range tuples {
-			if !Visible(mgr, s, tuples[slot]) {
+			if !vis.visible(&tuples[slot]) {
 				continue
 			}
 			tid := TID(int64(p)*TuplesPerPage + int64(slot))
@@ -174,6 +206,64 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, row type
 			}
 		}
 	}
+}
+
+// BatchPages is how many pages a BatchScan reads into one batch: 256 tuple
+// slots, enough to spread a filter kernel's per-chunk set-up thin, and a
+// buffer of row headers (6 KB) small enough to be made for every scan.
+const BatchPages = 4
+
+// BatchScan is Scan for a vectorized reader: the same pages in the same
+// order, each charged to the buffer pool as Scan charges it and its
+// visibility decided the same way, under the table lock — and the visible
+// rows handed on BatchPages pages at a time, for the reader to turn the
+// columns it needs into vectors (vec.Vector.AppendColumn).
+type BatchScan struct {
+	t        *Table
+	vis      scanVisibility
+	page     int
+	numPages int
+	rows     []types.Row
+}
+
+// NewBatchScan starts a batched scan of the pages the table has now.
+func (t *Table) NewBatchScan(mgr *txn.Manager, s txn.Snapshot) *BatchScan {
+	t.mu.RLock()
+	numPages := len(t.pages)
+	t.mu.RUnlock()
+	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, numPages: numPages,
+		rows: make([]types.Row, 0, min(numPages, BatchPages)*TuplesPerPage)}
+}
+
+// Progress returns how many of the scan's pages have been read, and how many
+// there are.
+func (b *BatchScan) Progress() (read, pages int) { return b.page, b.numPages }
+
+// Next returns the visible rows of the next batch of pages that has any, and
+// false when the scan is over. The slice is the scan's own, good until the
+// next call; the rows, like every stored row, are immutable.
+func (b *BatchScan) Next() ([]types.Row, bool) {
+	t := b.t
+	b.rows = b.rows[:0]
+	for len(b.rows) == 0 && b.page < b.numPages {
+		for end := min(b.page+BatchPages, b.numPages); b.page < end; b.page++ {
+			t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(b.page)})
+			// Visibility is decided under the table lock, on the page itself:
+			// a page's tuples nearly always share a writer, so the commit log
+			// is asked once a page (scanVisibility), and nothing is copied.
+			t.mu.RLock()
+			if b.page < len(t.pages) { // else dropped or truncated since the scan began
+				tuples := t.pages[b.page].tuples
+				for slot := range tuples {
+					if b.vis.visible(&tuples[slot]) {
+						b.rows = append(b.rows, tuples[slot].Row)
+					}
+				}
+			}
+			t.mu.RUnlock()
+		}
+	}
+	return b.rows, len(b.rows) > 0
 }
 
 // AllTuples visits every non-dead tuple version regardless of visibility

@@ -1,8 +1,10 @@
 package heap
 
 import (
+	"sync"
 	"testing"
 
+	"citusgo/internal/bufpool"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
 )
@@ -204,4 +206,185 @@ func visibleCount(tbl *Table, mgr *txn.Manager, snap txn.Snapshot) int {
 	count := 0
 	tbl.Scan(mgr, snap, func(TID, types.Row) bool { count++; return true })
 	return count
+}
+
+// TestScanVisibilityMatchesVisible: the per-scan memo of the snapshot's
+// verdict on the last writer answers every tuple as the full rules do —
+// whatever tuple came before it — over writers committed, aborted, in
+// progress and prepared, the snapshot's own inserts and deletes, and deleters
+// of every outcome; and Scan and BatchScan, which both decide through it,
+// return exactly the versions Visible admits, in order.
+func TestScanVisibilityMatchesVisible(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	committed, aborted, running, prepared, self := mgr.Begin(), mgr.Begin(), mgr.Begin(), mgr.Begin(), mgr.Begin()
+	deleter, abortedDeleter, runningDeleter := mgr.Begin(), mgr.Begin(), mgr.Begin()
+
+	// every writer's tuples twice in a row (the memo answers the second), and
+	// then interleaved (each answer replaces the last)
+	writers := []*txn.Txn{committed, committed, aborted, aborted, running, running, prepared, prepared, self, self,
+		committed, aborted, committed, running, committed, prepared, committed, self, committed}
+	for i, w := range writers {
+		tbl.Insert(w.XID, types.Row{int64(i)})
+	}
+	// committed tuples with a deleter of every kind, each twice
+	for i, d := range []*txn.Txn{deleter, deleter, abortedDeleter, abortedDeleter, runningDeleter, runningDeleter, prepared, self, self} {
+		tid := tbl.Insert(committed.XID, types.Row{int64(100 + i)})
+		tbl.MarkDeleted(tid, d.XID, NilTID)
+	}
+	// the snapshot's own insert, deleted by itself
+	tbl.MarkDeleted(tbl.Insert(self.XID, types.Row{int64(200)}), self.XID, NilTID)
+	tbl.Insert(committed.XID, types.Row{int64(201)})
+
+	_ = mgr.Commit(committed)
+	mgr.Abort(aborted)
+	if err := mgr.Prepare(prepared, "gid"); err != nil {
+		t.Fatal(err)
+	}
+	_ = mgr.Commit(deleter)
+	mgr.Abort(abortedDeleter)
+	// a version vacuum has reclaimed
+	if reclaimed := tbl.Vacuum(mgr, 0); len(reclaimed) == 0 {
+		t.Fatal("vacuum reclaimed nothing: no dead tuple in the table")
+	}
+
+	for name, s := range map[string]txn.Snapshot{"outside": mgr.TakeSnapshot(nil), "own": mgr.TakeSnapshot(self)} {
+		var tuples []Tuple
+		var want []types.Row
+		tbl.mu.RLock()
+		for _, pg := range tbl.pages {
+			tuples = append(tuples, pg.tuples...)
+		}
+		tbl.mu.RUnlock()
+		vis := scanVisibility{mgr: mgr, s: s}
+		seen := map[bool]int{}
+		for i := range tuples {
+			full := Visible(mgr, s, tuples[i])
+			if got := vis.visible(&tuples[i]); got != full {
+				t.Errorf("%s snapshot, tuple %d (%+v): memo says %v, Visible %v", name, i, tuples[i], got, full)
+			}
+			if full {
+				want = append(want, tuples[i].Row)
+			}
+			seen[full]++
+		}
+		if seen[true] == 0 || seen[false] == 0 {
+			t.Fatalf("%s snapshot: %v: the table must hold visible and invisible versions", name, seen)
+		}
+
+		var scanned, batched []types.Row
+		tbl.Scan(mgr, s, func(_ TID, row types.Row) bool { scanned = append(scanned, row); return true })
+		for b := tbl.NewBatchScan(mgr, s); ; {
+			rows, ok := b.Next()
+			if !ok {
+				break
+			}
+			batched = append(batched, rows...)
+		}
+		for kind, got := range map[string][]types.Row{"Scan": scanned, "BatchScan": batched} {
+			if len(got) != len(want) {
+				t.Fatalf("%s snapshot: %s returned %d rows, Visible admits %d", name, kind, len(got), len(want))
+			}
+			for i := range got {
+				if got[i][0] != want[i][0] {
+					t.Errorf("%s snapshot: %s row %d is %v, want %v", name, kind, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBatchScanChargesWhatScanCharges: a batched scan touches the buffer pool
+// exactly as Scan does — every page once, in page order — so that under a
+// pool smaller than the table, two passes of either leave the same hits and
+// the same misses. Modelled I/O does not move when a query changes path.
+func TestBatchScanChargesWhatScanCharges(t *testing.T) {
+	mgr := txn.NewManager()
+	const pages, capacity = 2*BatchPages + 5, BatchPages + 3
+	stats := map[string][2]int64{}
+	for _, kind := range []string{"Scan", "BatchScan"} {
+		pool := bufpool.New(bufpool.Config{})
+		tbl := NewTable(1, pool)
+		w := mgr.Begin()
+		for i := 0; i < pages*TuplesPerPage-7; i++ {
+			tbl.Insert(w.XID, types.Row{int64(i)})
+		}
+		_ = mgr.Commit(w)
+		pool.SetCapacity(capacity)
+		pool.SetIOLatency(0, 1) // count, do not sleep
+		for pass := 0; pass < 2; pass++ {
+			rows := 0
+			if kind == "Scan" {
+				tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, types.Row) bool { rows++; return true })
+			} else {
+				for b := tbl.NewBatchScan(mgr, mgr.TakeSnapshot(nil)); ; {
+					batch, ok := b.Next()
+					if !ok {
+						break
+					}
+					rows += len(batch)
+				}
+			}
+			if rows != pages*TuplesPerPage-7 {
+				t.Fatalf("%s returned %d rows", kind, rows)
+			}
+		}
+		hits, misses := pool.Stats()
+		stats[kind] = [2]int64{hits, misses}
+	}
+	if stats["Scan"] != stats["BatchScan"] || stats["Scan"][0]+stats["Scan"][1] != 2*pages {
+		t.Fatalf("(hits, misses) over two passes of %d pages: Scan %v, BatchScan %v", pages, stats["Scan"], stats["BatchScan"])
+	}
+}
+
+// TestBatchScanConcurrentWriters: batched scans run beside inserts, deletes
+// and vacuum (run it under -race). A scan sees each committed row at most
+// once and never a half-written one.
+func TestBatchScanConcurrentWriters(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := mgr.Begin()
+			tid := tbl.Insert(w.XID, types.Row{i, i * 2})
+			if i%3 == 0 {
+				tbl.MarkDeleted(tid, w.XID, NilTID)
+			}
+			if i%5 == 0 {
+				mgr.Abort(w)
+			} else {
+				_ = mgr.Commit(w)
+			}
+			if i%64 == 0 {
+				tbl.Vacuum(mgr, mgr.GlobalXmin())
+			}
+		}
+	}()
+	for round := 0; round < 200; round++ {
+		seen := map[int64]bool{}
+		for b := tbl.NewBatchScan(mgr, mgr.TakeSnapshot(nil)); ; {
+			rows, ok := b.Next()
+			if !ok {
+				break
+			}
+			for _, r := range rows {
+				k := r[0].(int64)
+				if seen[k] || r[1].(int64) != 2*k || k%3 == 0 || k%5 == 0 {
+					t.Fatalf("round %d: row %v (seen before: %v)", round, r, seen[k])
+				}
+				seen[k] = true
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -87,6 +87,17 @@ func (p *NodePool) Get() (*wire.Conn, error) {
 	p.total++
 	p.mu.Unlock()
 
+	c, err := p.dialInSlot()
+	if err != nil {
+		return nil, err
+	}
+	p.open.Inc()
+	return c, nil
+}
+
+// dialInSlot dials a connection for a slot of the limit the caller has
+// taken, and gives the slot up when the dial fails.
+func (p *NodePool) dialInSlot() (*wire.Conn, error) {
 	c, err := p.dial()
 	if err == nil {
 		if ferr := fault.CheckKey(fault.PointPoolDial, p.Node); ferr != nil {
@@ -102,8 +113,23 @@ func (p *NodePool) Get() (*wire.Conn, error) {
 	}
 	p.gets.Inc()
 	p.dials.Inc()
-	p.open.Inc()
 	return c, nil
+}
+
+// Replace closes a connection the caller holds — a dead one — and dials a new
+// one inside the slot of the shared limit the old one held. The slot is never
+// given up in between, so the limit is neither consulted nor exceeded and no
+// other session can take the slot from a caller that must have a connection
+// to make progress. old is closed either way; when the dial fails its slot is
+// released, as by Discard.
+func (p *NodePool) Replace(old *wire.Conn) (*wire.Conn, error) {
+	_ = old.Close()
+	p.discards.Inc()
+	c, err := p.dialInSlot()
+	if err != nil {
+		p.open.Dec()
+	}
+	return c, err
 }
 
 // Put returns a connection to the cache for reuse ("Citus caches

@@ -87,3 +87,61 @@ func TestUnlimitedPool(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaceKeepsTheSlot: Replace dials the new connection inside the slot
+// the old one held. At a limit of one the slot is taken for the whole of the
+// dial — a Get made while Replace waits for its dialer is turned away — and
+// the pool counts one connection before, during and after.
+func TestReplaceKeepsTheSlot(t *testing.T) {
+	e := engine.New(engine.Config{Name: "n"})
+	t.Cleanup(e.Close)
+	dialing, proceed := make(chan struct{}, 1), make(chan struct{}, 1)
+	proceed <- struct{}{} // the first dial goes straight through
+	p := New("n", 1, func() (*wire.Conn, error) {
+		dialing <- struct{}{}
+		<-proceed
+		return wire.DialLocal(e, 0), nil
+	})
+	old, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-dialing
+
+	type replaced struct {
+		c   *wire.Conn
+		err error
+	}
+	done := make(chan replaced)
+	go func() {
+		c, err := p.Replace(old)
+		done <- replaced{c, err}
+	}()
+	<-dialing // Replace is inside its dial
+	if _, err := p.Get(); !errors.Is(err, ErrLimit) {
+		t.Fatalf("Get during Replace's dial: %v, want ErrLimit: the slot was given up", err)
+	}
+	proceed <- struct{}{}
+	r := <-done
+	if r.err != nil || r.c == nil || r.c == old {
+		t.Fatalf("Replace returned %v, %v", r.c, r.err)
+	}
+	if total, idle := p.Stats(); total != 1 || idle != 0 {
+		t.Fatalf("after Replace: %d open, %d idle, want 1 and 0", total, idle)
+	}
+	if _, err := old.Query("SELECT 1"); err == nil {
+		t.Error("the replaced connection is still open")
+	}
+	if _, err := r.c.Query("SELECT 1"); err != nil {
+		t.Errorf("the new connection: %v", err)
+	}
+
+	// a failed dial closes the old connection all the same and frees its slot
+	p.dial = func() (*wire.Conn, error) { return nil, errors.New("refused") }
+	if _, err := p.Replace(r.c); err == nil {
+		t.Fatal("Replace with a failing dialer succeeded")
+	}
+	if total, _ := p.Stats(); total != 0 {
+		t.Fatalf("after a failed Replace: %d open, want 0", total)
+	}
+}

@@ -365,9 +365,79 @@ var timestampLayouts = []string{
 	"2006-01-02",
 }
 
+// daysIn is the length of each month, February's in a leap year.
+var daysIn = [12]int{31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+
+// twoDigits reads s[i:i+2] as a number; ok is false unless both are digits.
+func twoDigits(s string, i int) (n int, ok bool) {
+	a, b := s[i]-'0', s[i+1]-'0'
+	return int(a)*10 + int(b), a <= 9 && b <= 9
+}
+
+// parseTimestampFixed parses the shapes nearly every timestamp text has, by
+// position and without allocating: YYYY-MM-DD, YYYY-MM-DD HH:MM:SS[.f] and
+// the RFC 3339 YYYY-MM-DDTHH:MM:SS[.f]Z, f being one to nine digits. ok is
+// false for everything else — an offset, a field out of range, anything
+// before or after — which is then timestampLayouts' to accept or refuse: what
+// this function does accept, it reads as they do.
+func parseTimestampFixed(s string) (t time.Time, ok bool) {
+	if len(s) < 10 || s[4] != '-' || s[7] != '-' {
+		return t, false
+	}
+	century, ok1 := twoDigits(s, 0)
+	years, ok2 := twoDigits(s, 2)
+	month, ok3 := twoDigits(s, 5)
+	day, ok4 := twoDigits(s, 8)
+	year := century*100 + years
+	if !ok1 || !ok2 || !ok3 || !ok4 || month < 1 || month > 12 || day < 1 {
+		return t, false
+	}
+	leap := year%4 == 0 && (year%100 != 0 || year%400 == 0)
+	if day > daysIn[month-1] || (month == 2 && day == 29 && !leap) {
+		return t, false
+	}
+	if len(s) == 10 {
+		return time.Date(year, time.Month(month), day, 0, 0, 0, 0, time.UTC), true
+	}
+	sep := s[10]
+	if len(s) < 19 || (sep != ' ' && sep != 'T') || s[13] != ':' || s[16] != ':' {
+		return t, false
+	}
+	hour, ok1 := twoDigits(s, 11)
+	min, ok2 := twoDigits(s, 14)
+	sec, ok3 := twoDigits(s, 17)
+	if !ok1 || !ok2 || !ok3 || hour > 23 || min > 59 || sec > 59 {
+		return t, false
+	}
+	rest, nsec := s[19:], 0
+	if len(rest) > 1 && rest[0] == '.' {
+		i, scale := 1, 100_000_000
+		for ; i < len(rest) && rest[i]-'0' <= 9 && scale > 0; i++ {
+			nsec += int(rest[i]-'0') * scale
+			scale /= 10
+		}
+		if i == 1 {
+			return t, false
+		}
+		rest = rest[i:]
+	}
+	if (sep == ' ' && rest != "") || (sep == 'T' && rest != "Z") {
+		return t, false
+	}
+	return time.Date(year, time.Month(month), day, hour, min, sec, nsec, time.UTC), true
+}
+
 // ParseTimestamp parses the timestamp formats the engine accepts.
 func ParseTimestamp(s string) (time.Time, error) {
 	s = strings.TrimSpace(s)
+	if t, ok := parseTimestampFixed(s); ok {
+		return t, nil
+	}
+	return parseTimestampLayouts(s)
+}
+
+// parseTimestampLayouts tries every accepted layout in turn.
+func parseTimestampLayouts(s string) (time.Time, error) {
 	for _, layout := range timestampLayouts {
 		if ts, err := time.Parse(layout, s); err == nil {
 			return ts.UTC(), nil

@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -240,6 +241,83 @@ func TestBoxedDatum(t *testing.T) {
 	} {
 		if c.boxed != c.plain || TypeOf(c.boxed) != TypeOf(c.plain) || Format(c.boxed) != Format(c.plain) {
 			t.Errorf("boxed %#v is not %#v", c.boxed, c.plain)
+		}
+	}
+}
+
+// TestParseTimestampFixedAgreesWithLayouts: the positional fast path of
+// ParseTimestamp accepts only what the layout loop accepts and reads it to
+// the same instant, and everything else — invalid months and days, a leap
+// second, offsets, text before or behind — it leaves to the loop. So
+// ParseTimestamp answers every entry exactly as the loop alone does. The fast
+// path allocates nothing.
+func TestParseTimestampFixedAgreesWithLayouts(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		fixed bool // the fast path takes it
+	}{
+		{"2024-01-15", true},
+		{"0000-01-01", true},
+		{"9999-12-31", true},
+		{"2024-02-29", true},
+		{"2000-02-29", true},
+		{"2024-01-15 10:30:00", true},
+		{"2024-01-15 23:59:59", true},
+		{"2024-01-15 10:30:00.5", true},
+		{"2024-01-15 10:30:00.123456", true},
+		{"2024-01-15 10:30:00.123456789", true},
+		{"2024-01-15T10:30:00Z", true},
+		{"2024-01-15T10:30:00.25Z", true},
+		{"  2024-01-15 10:30:00\n", true}, // ParseTimestamp trims first
+
+		{"2023-02-29", false}, // no leap year
+		{"1900-02-29", false},
+		{"2024-02-30", false},
+		{"2024-04-31", false},
+		{"2024-13-01", false},
+		{"2024-00-10", false},
+		{"2024-01-00", false},
+		{"2024-01-32", false},
+		{"2024-1-15", false},
+		{"24-01-15", false},
+		{"2024/01/15", false},
+		{"2024-01-15 24:00:00", false},
+		{"2024-01-15 10:60:00", false},
+		{"2024-01-15 23:59:60", false}, // leap second
+		{"2024-01-15 10:30", false},
+		{"2024-01-15 10:30:00.", false},
+		{"2024-01-15 10:30:00,5", false},          // the loop reads a comma as a period
+		{"2024-01-15 10:30:00.1234567891", false}, // ten digits: the loop cuts them to nine
+		{"2024-01-15T10:30:00", false},            // no zone
+		{"2024-01-15 10:30:00Z", false},
+		{"2024-01-15T10:30:00+02:00", false},
+		{"2024-01-15T10:30:00.5-07:00", false},
+		{"2024-01-15T10:30:00z", false},
+		{"2024-01-15 10:30:00 UTC", false},
+		{"2024-01-15x", false},
+		{"x2024-01-15", false},
+		{"2024-01-15 1x:30:00", false},
+		{"", false},
+		{"not a date", false},
+		{"２０２４-01-15", false},
+	} {
+		in := strings.TrimSpace(tc.in)
+		want, wantErr := parseTimestampLayouts(in)
+		fixed, ok := parseTimestampFixed(in)
+		if ok != tc.fixed {
+			t.Errorf("%q: fast path took it: %v, want %v", tc.in, ok, tc.fixed)
+		}
+		if ok && (wantErr != nil || fixed != want) {
+			t.Errorf("%q: fast path %v, layouts %v (%v)", tc.in, fixed, want, wantErr)
+		}
+		got, err := ParseTimestamp(tc.in)
+		if (err == nil) != (wantErr == nil) || got != want {
+			t.Errorf("%q: ParseTimestamp %v (%v), layouts alone %v (%v)", tc.in, got, err, want, wantErr)
+		}
+	}
+	for _, in := range []string{"2024-01-15", "2024-01-15 10:30:00.123456", "2024-01-15T10:30:00Z"} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = ParseTimestamp(in) }); n != 0 {
+			t.Errorf("ParseTimestamp(%q) allocates %v times, want 0", in, n)
 		}
 	}
 }

@@ -76,6 +76,9 @@ type keyDict struct {
 	strs  map[string]uint32
 	other map[string]uint32 // values of no typed kind, by types.Format
 	n     uint32            // codes handed out
+	// frozen: a value without a code gets none, and reads as code 0
+	// (GroupDict.Freeze)
+	frozen bool
 
 	// win is a window on nums[winTag] for an int64 column (ints, or
 	// timestamps): win[x-base] is the code of x, 0 when x has none yet or the
@@ -102,7 +105,7 @@ func (k *keyDict) num(tag int, bits uint64) uint32 {
 		k.nums[tag] = m
 	}
 	c, ok := m[bits]
-	if !ok {
+	if !ok && !k.frozen {
 		k.n++
 		c = k.n
 		m[bits] = c
@@ -115,7 +118,7 @@ func (k *keyDict) text(m *map[string]uint32, s string) uint32 {
 		*m = make(map[string]uint32)
 	}
 	c, ok := (*m)[s]
-	if !ok {
+	if !ok && !k.frozen {
 		k.n++
 		c = k.n
 		(*m)[s] = c
@@ -180,11 +183,25 @@ type GroupDict struct {
 	codes    []uint32
 	colCodes [][]uint32 // per-chunk scratch: column g's code of every row
 
-	trans []uint32 // per-chunk scratch: chunk-local code → column code
+	trans  []uint32 // per-chunk scratch: chunk-local code → column code
+	frozen bool     // see Freeze
 }
 
 // NewGroupDict returns an empty dictionary.
 func NewGroupDict() *GroupDict { return &GroupDict{} }
+
+// NoGroup is the ID a frozen dictionary gives a key it does not hold.
+const NoGroup = ^uint32(0)
+
+// Freeze ends the dictionary's learning: from here on Encode looks keys up,
+// gives NoGroup to one it has not seen, and adds neither a group nor a code.
+// This is a hash join's probe: the build side's keys are the groups.
+func (d *GroupDict) Freeze() {
+	d.frozen = true
+	for g := range d.cols {
+		d.cols[g].frozen = true
+	}
+}
 
 // NumGroups returns the number of distinct keys seen so far.
 func (d *GroupDict) NumGroups() int { return d.n }
@@ -321,6 +338,9 @@ func (k *keyDict) encodeInts(tag int, vals []int64, nulls []bool, sel Sel, out [
 // value seen, if those are still dense enough for one.
 func (k *keyDict) intSlow(x int64) uint32 {
 	c := k.num(k.winTag, uint64(x))
+	if k.frozen {
+		return c
+	}
 	if k.win == nil {
 		k.lo, k.hi = x, x
 	}
@@ -395,6 +415,12 @@ func (d *GroupDict) assign(ids []uint32, encode func(g int, out []uint32, shift 
 		}
 		for j, comp := range ids {
 			id := d.direct[comp]
+			if id == 0 && d.frozen {
+				// a value without a code left its bits 0, and no key of a frozen
+				// dictionary's groups has a NULL: see NewJoinTable
+				ids[j] = NoGroup
+				continue
+			}
 			if id == 0 {
 				d.comps = append(d.comps, comp)
 				id = d.add(j, addKey)
@@ -501,6 +527,9 @@ func (d *GroupDict) probe(j int, addKey func(j int)) uint32 {
 	nk := len(d.cols)
 	for s := slot(h, len(d.hashed)); ; s = (s + 1) & (len(d.hashed) - 1) {
 		e := d.hashed[s]
+		if e == 0 && d.frozen {
+			return NoGroup
+		}
 		if e == 0 {
 			for _, codes := range d.colCodes {
 				d.codes = append(d.codes, codes[j])

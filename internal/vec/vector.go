@@ -90,8 +90,47 @@ func kindOf(d types.Datum) Kind {
 	return KindGeneric
 }
 
+// appendTyped adds d when it is a value of the vector's own typed kind, which
+// nearly every value is, and reports whether it was: one switch on d's type
+// instead of Append's three.
+func (v *Vector) appendTyped(d types.Datum) bool {
+	switch x := d.(type) {
+	case int64:
+		if v.Kind != KindInt {
+			return false
+		}
+		v.Ints = append(v.Ints, x)
+	case float64:
+		if v.Kind != KindFloat {
+			return false
+		}
+		v.Floats = append(v.Floats, x)
+	case string:
+		if v.Kind != KindString {
+			return false
+		}
+		v.Codes = append(v.Codes, v.code(x))
+	case time.Time:
+		ns, exact := timeNanos(x)
+		if v.Kind != KindTime || !exact {
+			return false
+		}
+		v.Ints = append(v.Ints, ns)
+	default:
+		return false
+	}
+	v.n++
+	if v.Nulls != nil {
+		v.Nulls = append(v.Nulls, false)
+	}
+	return true
+}
+
 // Append adds one row. The caller serialises appends (the table lock).
 func (v *Vector) Append(d types.Datum) {
+	if v.appendTyped(d) {
+		return
+	}
 	i := v.n
 	v.n++
 	if d == nil {
@@ -127,6 +166,122 @@ func (v *Vector) Append(d types.Datum) {
 	}
 }
 
+// AppendColumn appends column col of rows sel (all of them when sel is nil),
+// NULL where a row is shorter: how a row store's tuples become a chunk. Room
+// for all of them is made once, when the first value has given the vector its
+// kind.
+func (v *Vector) AppendColumn(rows []types.Row, col int, sel Sel) {
+	m := selLen(sel, len(rows))
+	grown := false
+	for j := 0; j < m; j++ {
+		var d types.Datum
+		if r := rows[sel.at(j)]; col < len(r) {
+			d = r[col]
+		}
+		v.Append(d)
+		if !grown && v.Kind != KindNull {
+			v.Reserve(m - j - 1)
+			grown = true
+		}
+	}
+}
+
+// Reserve makes room for n more rows in the storage the vector's kind uses; a
+// vector that holds no value yet has none to make it in.
+func (v *Vector) Reserve(n int) {
+	switch v.Kind {
+	case KindInt, KindTime:
+		v.Ints = slices.Grow(v.Ints, n)
+	case KindFloat:
+		v.Floats = slices.Grow(v.Floats, n)
+	case KindBool:
+		v.Bools = slices.Grow(v.Bools, n)
+	case KindString:
+		v.Codes = slices.Grow(v.Codes, n)
+	case KindGeneric:
+		v.Datums = slices.Grow(v.Datums, n)
+	}
+	if v.Nulls != nil {
+		v.Nulls = slices.Grow(v.Nulls, n)
+	}
+}
+
+// appendSel appends to dst the elements of src that idx names, all of src
+// when idx is nil.
+func appendSel[T any](dst, src []T, idx Sel) []T {
+	if idx == nil {
+		return append(dst, src...)
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, len(idx))[:at+len(idx)]
+	for j, i := range idx {
+		dst[at+j] = src[i]
+	}
+	return dst
+}
+
+// AppendRows appends rows idx of src, in that order — all of src when idx is
+// nil. idx need not ascend and may repeat a row: it is a filter's selection
+// when an operator keeps what passed, and a join's match list when it
+// gathers its output. Vectors of one typed kind copy slice to slice (a
+// string's code through the dictionaries); any other pairing goes datum by
+// datum through Append, which is where v demotes if it must. src is only
+// read, and v may keep pointing into it: src's storage must stay as it is
+// for as long as v lives.
+func (v *Vector) AppendRows(src *Vector, idx Sel) {
+	m := selLen(idx, src.n)
+	if m == 0 {
+		return
+	}
+	if v.Kind == KindNull && src.Kind != KindNull && src.Kind != KindGeneric {
+		v.start(src.Kind, v.n)
+	}
+	if v.Kind != src.Kind || v.Kind == KindGeneric || v.Kind == KindNull {
+		for j := 0; j < m; j++ {
+			v.Append(src.Datum(idx.at(j)))
+		}
+		return
+	}
+	at := v.n
+	v.n += m
+	if src.Nulls != nil || v.Nulls != nil {
+		if v.Nulls == nil {
+			v.Nulls = make([]bool, at, at+m)
+		}
+		if src.Nulls == nil {
+			v.Nulls = append(v.Nulls, make([]bool, m)...)
+		} else {
+			v.Nulls = appendSel(v.Nulls, src.Nulls[:src.n], idx)
+		}
+	}
+	switch v.Kind {
+	case KindInt, KindTime:
+		v.Ints = appendSel(v.Ints, src.Ints[:src.n], idx)
+	case KindFloat:
+		v.Floats = appendSel(v.Floats, src.Floats[:src.n], idx)
+	case KindBool:
+		v.Bools = appendSel(v.Bools, src.Bools[:src.n], idx)
+	case KindString:
+		if len(v.Dict) == 0 {
+			// src's dictionary as it stands, its capacity cut so that a later
+			// string of another source is appended to a copy
+			v.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
+			v.Codes = appendSel(v.Codes, src.Codes[:src.n], idx)
+			return
+		}
+		// each of src's codes is looked up in v's dictionary once; a NULL
+		// row's code 0 comes along, which keeps v's own code 0 in existence
+		trans := make([]uint32, len(src.Dict))
+		for j := 0; j < m; j++ {
+			c := src.Codes[idx.at(j)]
+			if trans[c] == 0 {
+				trans[c] = v.code(src.Dict[c]) + 1
+			}
+			v.Codes = append(v.Codes, trans[c]-1)
+		}
+	}
+}
+
 // appendZero adds the placeholder of a NULL row.
 func (v *Vector) appendZero() {
 	switch v.Kind {
@@ -143,21 +298,38 @@ func (v *Vector) appendZero() {
 	}
 }
 
+// zeros returns i zero values with room for a few more, in buf's storage when
+// that is large enough (a Reset vector's) and in new storage otherwise.
+func zeros[T any](buf []T, i int) []T {
+	buf = slices.Grow(buf[:0], i+8)[:i]
+	clear(buf)
+	return buf
+}
+
 // start gives a vector of i NULL rows its kind.
 func (v *Vector) start(k Kind, i int) {
 	v.Kind = k
 	switch k {
 	case KindInt, KindTime:
-		v.Ints = make([]int64, i, i+8)
+		v.Ints = zeros(v.Ints, i)
 	case KindFloat:
-		v.Floats = make([]float64, i, i+8)
+		v.Floats = zeros(v.Floats, i)
 	case KindBool:
-		v.Bools = make([]bool, i, i+8)
+		v.Bools = zeros(v.Bools, i)
 	case KindString:
-		v.Codes = make([]uint32, i, i+8)
+		v.Codes = zeros(v.Codes, i)
 	case KindGeneric:
-		v.Datums = make([]types.Datum, i, i+8)
+		v.Datums = zeros(v.Datums, i)
 	}
+}
+
+// Reset empties the vector and keeps its storage for the rows to come. Only
+// the owner of a vector nothing else points into may call it: a scratch
+// vector whose rows were read and dropped, never one a view, a datum or
+// another vector (AppendRows) was taken from.
+func (v *Vector) Reset() {
+	*v = Vector{Ints: v.Ints[:0], Floats: v.Floats[:0], Codes: v.Codes[:0], Dict: v.Dict[:0],
+		Bools: v.Bools[:0], Datums: v.Datums[:0]}
 }
 
 // demote rebuilds the first i rows as boxed datums. The typed storage is
@@ -176,8 +348,8 @@ func (v *Vector) code(s string) uint32 {
 				return uint32(c)
 			}
 		}
-		if len(v.Dict) == dictLinear {
-			v.index = make(map[string]uint32, 2*dictLinear)
+		if len(v.Dict) >= dictLinear { // more than that when AppendRows took another vector's over
+			v.index = make(map[string]uint32, 2*len(v.Dict))
 			for c, have := range v.Dict {
 				v.index[have] = uint32(c)
 			}
@@ -198,8 +370,10 @@ func (v *Vector) code(s string) uint32 {
 func (v *Vector) Freeze() { v.index = nil }
 
 // PrefixInto makes *p a view of the first n rows. The view shares storage
-// with v and must be taken under the lock that serialises Append. It reads
-// and writes only the fields v's kind uses: a scan takes a view of every
+// with v and must be taken under the lock that serialises Append; its slices
+// end at their length, so that appending to a view — a reader that takes it
+// over as the start of a vector of its own — copies and never writes into v.
+// It reads and writes only the fields v's kind uses: a scan takes a view of every
 // needed column of every stripe, and the stripes' vectors are cold memory.
 func (v *Vector) PrefixInto(p *Vector, n int) {
 	if p.Kind != v.Kind {
@@ -208,19 +382,19 @@ func (v *Vector) PrefixInto(p *Vector, n int) {
 	p.n = n
 	switch v.Kind {
 	case KindInt, KindTime:
-		p.Ints = v.Ints[:n]
+		p.Ints = v.Ints[:n:n]
 	case KindFloat:
-		p.Floats = v.Floats[:n]
+		p.Floats = v.Floats[:n:n]
 	case KindBool:
-		p.Bools = v.Bools[:n]
+		p.Bools = v.Bools[:n:n]
 	case KindString:
-		p.Codes, p.Dict = v.Codes[:n], v.Dict
+		p.Codes, p.Dict = v.Codes[:n:n], v.Dict[:len(v.Dict):len(v.Dict)]
 	case KindGeneric:
-		p.Datums = v.Datums[:n]
+		p.Datums = v.Datums[:n:n]
 	}
 	p.Nulls = nil
 	if v.Nulls != nil {
-		p.Nulls = v.Nulls[:n]
+		p.Nulls = v.Nulls[:n:n]
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"citusgo/internal/cluster"
 	"citusgo/internal/engine"
+	"citusgo/internal/obs"
 	"citusgo/internal/types"
 	"citusgo/internal/workload/tpch"
 )
@@ -107,5 +108,67 @@ func TestRunReportsQPH(t *testing.T) {
 	}
 	if res.QueriesPerHour <= 0 || len(res.PerQuery) != len(tpch.Queries) {
 		t.Fatalf("bad result: %+v", res)
+	}
+}
+
+// TestVectorizedMatchesRowPath: every supported query answers with identical
+// rows whether its aggregates run vectorized — over the heap scans and, from
+// Q3 on, through trees of vectorized hash joins — or row at a time
+// (SetVectorized(false)), on a plain engine and on a distributed cluster,
+// where the shard queries a worker plans are what changes path. Q3, the
+// benchmark's q_join, must have taken the vectorized join.
+func TestVectorizedMatchesRowPath(t *testing.T) {
+	cfg := tpch.Config{Orders: 600, Customers: 80, Parts: 120, Suppliers: 30}
+	pg := engine.New(engine.Config{Name: "pg"})
+	defer pg.Close()
+	if err := tpch.Load(pg.NewSession(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Config{Workers: 2, ShardCount: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	distCfg := cfg
+	distCfg.Distributed = true
+	if err := tpch.Load(c.Session(), distCfg); err != nil {
+		t.Fatal(err)
+	}
+	joinRows := func() int64 { return obs.Default().Snapshot().Sum("vec_join_build_rows_total") }
+
+	for _, target := range []struct {
+		name    string
+		sess    *engine.Session
+		engines []*engine.Engine
+	}{{"local", pg.NewSession(), []*engine.Engine{pg}}, {"distributed", c.Session(), c.Engines}} {
+		for _, q := range tpch.Queries {
+			before := joinRows()
+			vec, err := target.sess.Exec(q.SQL)
+			if err != nil {
+				t.Fatalf("%s Q%d vectorized: %v", target.name, q.Num, err)
+			}
+			joined := joinRows() != before
+			for _, e := range target.engines {
+				e.SetVectorized(false)
+			}
+			before = joinRows()
+			row, err := target.sess.Exec(q.SQL)
+			for _, e := range target.engines {
+				e.SetVectorized(true)
+			}
+			if err != nil {
+				t.Fatalf("%s Q%d row at a time: %v", target.name, q.Num, err)
+			}
+			if joinRows() != before {
+				t.Errorf("%s Q%d: SetVectorized(false) still ran a vectorized join", target.name, q.Num)
+			}
+			if q.Num == 3 && !joined {
+				t.Errorf("%s Q3 did not take the vectorized join", target.name)
+			}
+			if v, r := canonical(vec.Rows, q.Num), canonical(row.Rows, q.Num); v != r {
+				t.Errorf("%s Q%d results differ:\nvectorized (%d rows):\n%s\nrow at a time (%d rows):\n%s",
+					target.name, q.Num, len(vec.Rows), clip(v), len(row.Rows), clip(r))
+			}
+		}
 	}
 }
