@@ -60,7 +60,8 @@ race:
 # for overlapping requests, a connection's statement state bounded by its
 # session's cache, readers of a columnar stripe's typed vectors seeing a
 # consistent prefix while its transaction keeps appending to them, batched heap
-# scans beside inserts, deletes and vacuum, and the
+# scans beside inserts, deletes and vacuum, the vectorized dashboard fetching
+# its GIN candidates in batches beside COPY, deletes and vacuum, and the
 # checkpoint's seams: a stream reading across cuts that race its acks, two
 # tables scanning and growing over the stripes an image lets them share, a
 # standby taking its primary's bases and then a failover, a second crash of a
@@ -77,6 +78,7 @@ stress:
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
 	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared' -count=10 -timeout 10m ./internal/columnar
 	go test -race -run 'TestBatchScanConcurrentWriters' -count=10 -timeout 10m ./internal/heap
+	go test -race -run 'TestDashboardUnderConcurrentCopy' -count=10 -timeout 10m ./internal/engine
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
 	go test -race -run 'TestStandbyTakesPrimaryBases|TestSecondCrashOfARestartedWorker' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRejoinBelowTheNewPrimarysBase|TestRebalanceMoveDeltaSurvivesCheckpoint|TestRestartedCoordinatorForgetsResolvedCommitRecords' -count=20 -timeout 10m ./internal/fault/chaos
@@ -99,11 +101,15 @@ stress:
 # allocs/op to mean something, and print them. BenchmarkTxnBlock (the
 # two-update transaction over real TCP, single-node and cross-node) fails
 # unless each costs its budget of worker requests and waits: 3 in 3, 6 in 4.
+# BenchmarkVectorizedJoinQ3 and BenchmarkVectorizedDashboard are one shard's
+# task of the repo benchmark's q_join and of its dashboard, row at a time and
+# vectorized, with their allocations.
 # The CI bench-smoke job runs this target, so this is the one list.
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' -timeout 15m . ./internal/bench/... ./internal/vec
 	go test -bench 'BenchmarkCodecPointOp|BenchmarkJSONBHop|BenchmarkGINInsert' -benchtime=2000x -benchmem -run '^$$' ./internal/wire ./internal/index
 	go test -bench 'BenchmarkTxnBlock' -benchtime=500x -run '^$$' ./internal/cluster
+	go test -bench 'BenchmarkVectorizedJoinQ3|BenchmarkVectorizedDashboard' -benchtime=100x -benchmem -run '^$$' ./internal/engine
 	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting|TestAblationSSI' -count=1 -timeout 10m ./internal/bench
 
 # the repo benchmark's committed trajectory: BENCH_<pr>.json is
@@ -179,7 +185,8 @@ soak-smoke:
 
 # short native-fuzz smoke: wire protocol (framing, the frame codec against
 # its gob reference, pipeline Seq correlation), vectorized-vs-row-path parity
-# (columnar and heap tables, hash joins, tuples of open and aborted transactions),
+# (columnar and heap tables, hash joins, tuples of open and aborted transactions,
+# derived columns over jsonb documents with and without a trigram GIN index),
 # the flat jsonb encoding against its tree oracle (plus arbitrary bytes
 # through jsonb.FromWire), and the recovery oracle (random schedules with
 # checkpoints forced at random points: an engine rebuilt from base + tail, one

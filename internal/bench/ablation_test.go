@@ -109,7 +109,8 @@ func TestAblationReplicaRouting(t *testing.T) {
 // group-ID fold (vec_group_batches split), the shipdate-ordered load must
 // let the chunk statistics prune stripes for the Q6 date-range filter,
 // and off the race detector the vectorized path must at least halve Q6
-// and hit ≥3x on the wide grouped rollup. The distributed TopN leg must
+// and hit ≥3x on the wide grouped rollup. The row-store cells — Q3's joins and
+// the dashboard's GIN scan — are gated on their work splits. The distributed TopN leg must
 // show the worker-side pruning: with the pushdown on, workers discard
 // the non-top-k groups (vec_topn_pruned_rows_total) and the coordinator
 // merge collects O(tasks × k) rows instead of every group from every
@@ -120,8 +121,8 @@ func TestAblationVectorized(t *testing.T) {
 		t.Fatalf("A5: %v", err)
 	}
 	t.Log("\n" + series.String())
-	if len(series.Points) != 13 {
-		t.Fatalf("A5 incomplete: %d points, want 13", len(series.Points))
+	if len(series.Points) != 15 {
+		t.Fatalf("A5 incomplete: %d points, want 15", len(series.Points))
 	}
 	points := make(map[string]Point, len(series.Points))
 	for _, p := range series.Points {
@@ -181,6 +182,25 @@ func TestAblationVectorized(t *testing.T) {
 	for _, name := range []string{"heap_vec_batches", "heap_vec_rows", "join_build_rows", "join_probe_rows"} {
 		if q3Row[name] != 0 {
 			t.Errorf("row-at-a-time Q3 recorded %s = %v, want 0", name, q3Row[name])
+		}
+	}
+
+	// The dashboard's GIN scan, a work split too: vectorized, every candidate
+	// the index named — every event that mentions postgres, each run — came
+	// through the batched fetch and passed the recheck, under the GIN scan's own
+	// counters and not the heap scan's; row at a time none of them moved.
+	dashVec, dashRow := points["dashboard GIN scan, vectorized"].Extra, points["dashboard GIN scan, row-at-a-time"].Extra
+	if dashVec == nil || dashRow == nil {
+		t.Fatal("A5 missing the dashboard GIN scan cells")
+	}
+	if dashVec["matching_events"] <= 0 || dashVec["gin_vec_candidates"] != dashVec["matching_events"] ||
+		dashVec["gin_vec_rows"] != dashVec["matching_events"] || dashVec["heap_vec_rows"] != 0 {
+		t.Errorf("vectorized dashboard fetched %v candidates, %v passed the recheck, %v rows went through the heap scan; want %v, %v and 0",
+			dashVec["gin_vec_candidates"], dashVec["gin_vec_rows"], dashVec["heap_vec_rows"], dashVec["matching_events"], dashVec["matching_events"])
+	}
+	for _, name := range []string{"gin_vec_candidates", "gin_vec_rows", "heap_vec_rows"} {
+		if dashRow[name] != 0 {
+			t.Errorf("row-at-a-time dashboard recorded %s = %v, want 0", name, dashRow[name])
 		}
 	}
 

@@ -203,6 +203,21 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 			rsp := n.Eng.Tracer.StartSpan(traceID, traceSpanID, "2pc_resolve", st.distID)
 			defer rsp.Finish()
 			commit := committed && committedRecords
+			if committedRecords && !commit {
+				// The local commit failed behind durable commit records: the
+				// coordinator's transaction was cancelled — a distributed
+				// deadlock's victim — after its pre-commit callbacks had run.
+				// The decision is abort, and it is made durable before the
+				// first ROLLBACK PREPARED goes out: a rollback that is lost
+				// leaves its participant prepared, and recovery commits
+				// whatever a record still names.
+				n.commitMu.Lock()
+				for _, p := range prepared {
+					n.deleteCommitRecordLocked(p.gid)
+				}
+				n.commitMu.Unlock()
+				committedRecords = false
+			}
 			allResolved := resolve(prepared, commit)
 			if committedRecords && allResolved {
 				n.commitMu.Lock()

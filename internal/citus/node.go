@@ -347,6 +347,15 @@ func (n *Node) dropCommitRecordLocked(gid string) {
 	}
 }
 
+// deleteCommitRecordLocked takes gid's commit record back, durably: the
+// transaction's fate has become abort, and neither this node's recovery
+// passes nor a restart reading the log may find the record again. Callers
+// hold commitMu.
+func (n *Node) deleteCommitRecordLocked(gid string) {
+	n.Eng.WAL.Append(wal.Record{Type: wal.RecCommitRecordDeleted, GID: gid})
+	n.dropCommitRecordLocked(gid)
+}
+
 // RecoverCommitRecords rebuilds the commit-record table from the node's
 // recovered WAL (restore/restart path): the records' WAL durability is what
 // §3.7.2 relies on ("the commit records are durably stored"). The log holds
@@ -356,12 +365,14 @@ func (n *Node) RecoverCommitRecords() {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
 	for _, r := range n.Eng.WAL.Records() {
-		if r.Type != wal.RecCommitRecord {
-			continue
-		}
-		if h, err := n.Eng.WAL.HoldAt("commit_record", r.LSN); err == nil {
+		switch r.Type {
+		case wal.RecCommitRecord:
+			if h, err := n.Eng.WAL.HoldAt("commit_record", r.LSN); err == nil {
+				n.dropCommitRecordLocked(r.GID)
+				n.commitRecords[r.GID] = h
+			}
+		case wal.RecCommitRecordDeleted:
 			n.dropCommitRecordLocked(r.GID)
-			n.commitRecords[r.GID] = h
 		}
 	}
 }

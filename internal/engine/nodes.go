@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"time"
 
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
@@ -299,6 +302,9 @@ type ginScanNode struct {
 	cols    []string
 	pattern string
 	filter  expr.Evaluator
+	// conjuncts keeps the WHERE conjunct ASTs compiled into filter, as
+	// seqScanNode.conjuncts does and for the same planner.
+	conjuncts []sql.Expr
 }
 
 func (n *ginScanNode) columns() []string { return n.cols }
@@ -573,11 +579,74 @@ type aggGroup struct {
 	states []*expr.AggState
 }
 
+// appendGroupKey appends the grouping key of vals to buf. Two rows are one
+// group when appendHashKey's text for them is the same — every value in its
+// types.Format text, so 1 and '1' are one key, and a timestamp is its UTC
+// microseconds whatever zone it carries — but the key is never shown, and
+// formatting a bigint or a timestamp per input row is most of what a hash
+// aggregate over such keys costs. So those two go in fixed width, and a
+// string that is the text of one goes in as that one, which keeps the groups
+// what they were.
+func appendGroupKey(buf []byte, vals []types.Datum) []byte {
+	for _, v := range vals {
+		switch x := v.(type) {
+		case nil:
+			buf = append(buf, "\x00N"...)
+		case int64:
+			buf = appendIntKey(buf, x)
+		case time.Time:
+			buf = appendTimeKey(buf, x)
+		case string:
+			buf = appendStringKey(buf, x)
+		case float64, bool: // their text is no bigint's and no timestamp's
+			buf = types.AppendFormat(buf, v)
+		default:
+			buf = appendStringKey(buf, types.Format(v))
+		}
+		buf = append(buf, '\x1f')
+	}
+	return buf
+}
+
+func appendIntKey(buf []byte, x int64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, "\x00I"...), uint64(x))
+}
+
+// appendTimeKey appends t's second and microsecond: what its text shows.
+func appendTimeKey(buf []byte, t time.Time) []byte {
+	buf = binary.BigEndian.AppendUint64(append(buf, "\x00T"...), uint64(t.Unix()))
+	return binary.BigEndian.AppendUint32(buf, uint32(t.Nanosecond()/1000))
+}
+
+// appendStringKey appends s — as the bigint or the timestamp it is the
+// types.Format text of, when it is one's. Few strings get past the first
+// look: a bigint's text starts with a digit or a minus and has at most 20
+// bytes; a timestamp's has 19, or up to 26 with a fraction that does not end
+// in 0, and its separators in place.
+func appendStringKey(buf []byte, s string) []byte {
+	n := len(s)
+	if n > 0 && n <= 20 && (s[0] == '-' || s[0]-'0' <= 9) {
+		var text [20]byte
+		if x, err := strconv.ParseInt(s, 10, 64); err == nil && string(strconv.AppendInt(text[:0], x, 10)) == s {
+			return appendIntKey(buf, x)
+		}
+	}
+	if n >= 19 && n <= 26 && s[4] == '-' && s[10] == ' ' && (n == 19 || (s[19] == '.' && s[n-1] != '0')) {
+		if t, err := types.ParseTimestamp(s); err == nil {
+			return appendTimeKey(buf, t)
+		}
+	}
+	return append(buf, s...)
+}
+
 func (n *aggNode) run(ec *execCtx, emit func(types.Row) error) error {
 	groups := make(map[string]*aggGroup)
-	var order []string // deterministic output order (first-seen)
+	var order []*aggGroup // deterministic output order (first-seen)
+	// one key slice and one key buffer for the whole aggregate: a row of a
+	// group that exists allocates nothing here
+	keys := make(types.Row, len(n.groupEvals))
+	var buf []byte
 	err := n.child.run(ec, func(row types.Row) error {
-		keys := make(types.Row, len(n.groupEvals))
 		for i, ev := range n.groupEvals {
 			v, err := ec.evalWith(ev, row)
 			if err != nil {
@@ -585,10 +654,10 @@ func (n *aggNode) run(ec *execCtx, emit func(types.Row) error) error {
 			}
 			keys[i] = v
 		}
-		k := hashKeyString(keys)
-		g, ok := groups[k]
+		buf = appendGroupKey(buf[:0], keys)
+		g, ok := groups[string(buf)]
 		if !ok {
-			g = &aggGroup{keys: keys}
+			g = &aggGroup{keys: keys.Clone()}
 			for _, a := range n.aggs {
 				st, err := expr.NewAggState(a.name, a.distinct)
 				if err != nil {
@@ -596,8 +665,8 @@ func (n *aggNode) run(ec *execCtx, emit func(types.Row) error) error {
 				}
 				g.states = append(g.states, st)
 			}
-			groups[k] = g
-			order = append(order, k)
+			groups[string(buf)] = g
+			order = append(order, g)
 		}
 		for i, a := range n.aggs {
 			var v types.Datum = int64(1) // count(*) placeholder
@@ -617,18 +686,16 @@ func (n *aggNode) run(ec *execCtx, emit func(types.Row) error) error {
 	if err != nil {
 		return err
 	}
-	if len(groups) == 0 && len(n.groupEvals) == 0 {
+	if len(order) == 0 && len(n.groupEvals) == 0 {
 		// aggregate over empty input still yields one row
 		g := &aggGroup{}
 		for _, a := range n.aggs {
 			st, _ := expr.NewAggState(a.name, a.distinct)
 			g.states = append(g.states, st)
 		}
-		groups[""] = g
-		order = append(order, "")
+		order = append(order, g)
 	}
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		out := make(types.Row, 0, len(g.keys)+len(g.states))
 		out = append(out, g.keys...)
 		for _, st := range g.states {

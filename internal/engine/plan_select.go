@@ -620,7 +620,7 @@ func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool, params []t
 	var n node
 	switch {
 	case path != nil && path.gin != nil:
-		n = &ginScanNode{st: st, idx: path.gin, cols: colNames, pattern: path.ginPattern, filter: filter}
+		n = &ginScanNode{st: st, idx: path.gin, cols: colNames, pattern: path.ginPattern, filter: filter, conjuncts: taken}
 	case path != nil && path.idx != nil:
 		n = &indexScanNode{
 			st: st, idx: path.idx, cols: colNames, filter: filter,

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"citusgo/internal/jsonb"
+	"citusgo/internal/types"
 )
 
 func TestExistsSubquery(t *testing.T) {
@@ -163,4 +167,57 @@ func TestCachedStatementKeepsVolatileFunctionsLive(t *testing.T) {
 	if second.Rows[0][2] != int64(3) {
 		t.Errorf("1 + 2 = %v", second.Rows[0][2])
 	}
+}
+
+// TestGroupKeyGroupsAsFormattedText: the hash aggregate's key — bigints and
+// timestamps in fixed width, never formatted — puts two values in one group
+// exactly when their types.Format texts are the same, which is what its key
+// was before: 1 and '1' are one key and 1.0 another, NULL is none of them, a
+// timestamp groups with itself in another zone, with any other within its
+// microsecond and with its own text.
+func TestGroupKeyGroupsAsFormattedText(t *testing.T) {
+	utc := time.Date(2024, 1, 15, 10, 30, 0, 123456000, time.UTC)
+	values := []types.Datum{
+		nil, "NULL", "", int64(1), "1", float64(1), "1.0", "01", "+1", "-0", int64(0), "0", int64(-1), "-1",
+		int64(math.MinInt64), "-9223372036854775808", "9223372036854775808", int64(100), "100", true, "true",
+		utc, utc.In(time.FixedZone("east", 2*3600)), utc.Add(999 * time.Nanosecond), utc.Add(time.Microsecond),
+		"2024-01-15 10:30:00.123456", "2024-01-15 10:30:00.1234560", "2024-01-15T10:30:00.123456Z",
+		utc.Truncate(time.Second), "2024-01-15 10:30:00", "2024-01-15 10:30:00.0", "2024-01-15 10:30:00 ",
+		utc.Truncate(24 * time.Hour), "2024-01-15 00:00:00", "2024-01-15",
+		time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), "0000-01-01 00:00:00", time.Unix(0, 0).UTC(), "1970-01-01 00:00:00",
+		jsonb.MustParse(`{"a": 1}`), `{"a": 1}`, jsonb.MustParse(`1`),
+	}
+	for i, a := range values {
+		for j, b := range values {
+			was := hashKeyString([]types.Datum{a}) == hashKeyString([]types.Datum{b})
+			is := string(appendGroupKey(nil, []types.Datum{a})) == string(appendGroupKey(nil, []types.Datum{b}))
+			if was != is {
+				t.Errorf("%T %v and %T %v: one group by their text: %v, by the key: %v", a, a, b, b, was, is)
+			}
+			// and as the second of two columns, beside every first
+			for _, first := range []types.Datum{nil, int64(7), "x", utc} {
+				was := hashKeyString([]types.Datum{first, a}) == hashKeyString([]types.Datum{values[(i+j)%len(values)], b})
+				is := string(appendGroupKey(nil, []types.Datum{first, a})) == string(appendGroupKey(nil, []types.Datum{values[(i+j)%len(values)], b}))
+				if was != is {
+					t.Errorf("(%v, %v) and (%v, %v): one group by their text: %v, by the key: %v", first, a, values[(i+j)%len(values)], b, was, is)
+				}
+			}
+		}
+	}
+
+	// through the executor: a key column that holds all of them at once
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE mixed (id bigint, n bigint, t text, ts timestamp, u text)`)
+	mustExec(t, s, `INSERT INTO mixed VALUES (1, 1, '1', '2024-01-15 10:30:00', NULL), (2, 1, '1', '2024-01-15T12:30:00+02:00', '2024-01-15 10:30:00'),
+		(3, NULL, NULL, NULL, NULL), (4, 2, '1.0', '2024-01-15 10:30:00.0000005', NULL)`)
+	expectRows(t, mustExec(t, s, `SELECT CASE WHEN id % 2 = 1 THEN n ELSE t END, count(*) FROM mixed GROUP BY 1 ORDER BY 2 DESC, 1`), `
+1|2
+NULL|1
+1.0|1`)
+	expectRows(t, mustExec(t, s, `SELECT COALESCE(n, 1), COALESCE(t, '1'), count(*), sum(id) FROM mixed GROUP BY 1, 2 ORDER BY 3 DESC`), `
+1|1|3|6
+2|1.0|1|4`)
+	expectRows(t, mustExec(t, s, `SELECT CASE WHEN id = 2 THEN u ELSE ts END, count(*) FROM mixed WHERE ts IS NOT NULL GROUP BY 1`), `
+2024-01-15 10:30:00|3`)
 }

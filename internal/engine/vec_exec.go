@@ -44,6 +44,10 @@ var (
 		"rows vectorized hash joins built their tables on (the smaller input)").With()
 	metVecJoinProbeRows = obs.Default().Counter("vec_join_probe_rows_total",
 		"rows vectorized hash joins probed with (the larger input)").With()
+	metGinVecCandidates = obs.Default().Counter("gin_vec_candidates_total",
+		"candidate tuples of GIN searches fetched in batches by vectorized aggregates").With()
+	metGinVecRows = obs.Default().Counter("gin_vec_rows_total",
+		"GIN candidates that were visible and passed the recheck of a vectorized aggregate").With()
 )
 
 // vecTopNBoundMaxK caps the k a TopN bound is pushed down for: the bound
@@ -52,38 +56,54 @@ var (
 const vecTopNBoundMaxK = 1024
 
 // vecFilterSpec is one compiled WHERE conjunct: a column compared against
-// a constant expression, or an OR chain of such comparisons (or is
-// non-empty). The constant sides are bound per execution (they may
-// reference parameters), then handed to the typed vec.Filter kernels.
+// a constant expression, an OR chain of such comparisons (or is non-empty),
+// or a text-valued derived expression over column col matched against a
+// constant pattern (like is set, k is the pattern). The constant sides are
+// bound per execution (they may reference parameters), then handed to the
+// typed vec.Filter kernels.
 type vecFilterSpec struct {
 	col      int
 	op       vec.CmpOp
 	between  bool
 	nullTest bool // col IS [NOT] NULL
 	notNull  bool
-	k        expr.Evaluator // comparison constant
+	k        expr.Evaluator // comparison constant, or LIKE pattern
 	lo, hi   expr.Evaluator // BETWEEN bounds
 	or       []vecFilterSpec
+	like     *likeSpec
 	text     string // for EXPLAIN
 }
 
-// boundFilter is one executable conjunct: either a single column kernel or
-// a disjunction of them. Bound filters are read-only during the scan and
-// shared across the parallel scan goroutines.
+// boundFilter is one executable conjunct: a single column kernel, a
+// disjunction of them, or a LIKE over a derived text. Bound filters are
+// read-only during the scan and shared across the parallel scan goroutines.
 type boundFilter struct {
 	single vec.Filter
 	or     *vec.OrFilter // nil unless the conjunct is an OR chain
+	like   *boundLike    // nil unless the conjunct is a LIKE
 }
 
-func (f *boundFilter) apply(chunk []vec.Vector, sel vec.Sel, out vec.Sel, sc *vec.OrScratch) vec.Sel {
-	if f.or != nil {
-		return f.or.Apply(chunk, sel, out, sc)
+// filterScratch is what the kernels of one filter chain write into.
+type filterScratch struct {
+	or   vec.OrScratch
+	text []byte // the text of the row a LIKE is looking at
+}
+
+func (f *boundFilter) apply(chunk []vec.Vector, sel vec.Sel, out vec.Sel, sc *filterScratch) vec.Sel {
+	switch {
+	case f.or != nil:
+		return f.or.Apply(chunk, sel, out, &sc.or)
+	case f.like != nil:
+		return f.like.apply(chunk, sel, out, sc)
 	}
 	return f.single.Apply(&chunk[f.single.Col], sel, out)
 }
 
 // skip reports whether the stripe's chunk statistics prove no row passes.
 func (f *boundFilter) skip(view columnar.StripeView) bool {
+	if f.like != nil {
+		return false
+	}
 	if f.or != nil {
 		return f.or.Skip(func(col int) (types.Datum, types.Datum, bool) {
 			return view.Stats(col)
@@ -94,6 +114,18 @@ func (f *boundFilter) skip(view columnar.StripeView) bool {
 }
 
 func (f *vecFilterSpec) bind(ec *execCtx) (boundFilter, error) {
+	if f.like != nil {
+		p, err := ec.evalWith(f.k, nil)
+		if err != nil {
+			return boundFilter{}, err
+		}
+		l := &boundLike{d: f.like.d, never: p == nil}
+		if p != nil {
+			pat := expr.CompileLike(types.Format(p), f.like.ilike)
+			l.f = vec.LikeFilter{M: &pat, Not: f.like.not}
+		}
+		return boundFilter{like: l}, nil
+	}
 	if len(f.or) > 0 {
 		of := &vec.OrFilter{Branches: make([]vec.Filter, len(f.or))}
 		for i := range f.or {
@@ -195,6 +227,9 @@ type vecAggNode struct {
 	groupOrds []int
 	aggs      []vecAggSpec
 	cols      []string // __grp0..N ++ __agg0..M
+	// derivedKeys are the group keys that are derived columns, as SQL: what
+	// EXPLAIN says the scan below computes
+	derivedKeys []string
 }
 
 // vecTopN is the topNNode above a grouped vecAggNode, as far as a columnar
@@ -246,6 +281,9 @@ func (n *vecAggNode) explain(indent string) []string {
 	kind := "Vectorized HashAggregate"
 	if len(n.groupOrds) == 0 {
 		kind = "Vectorized Aggregate"
+	}
+	if len(n.derivedKeys) > 0 {
+		kind += " (derived keys: " + strings.Join(n.derivedKeys, ", ") + ")"
 	}
 	return append([]string{indent + kind}, n.src.explain(indent+"  ")...)
 }
@@ -406,6 +444,8 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 	metHeapVecRows.Add(st.heapRows)
 	metVecJoinBuildRows.Add(st.buildRows)
 	metVecJoinProbeRows.Add(st.probeRows)
+	metGinVecCandidates.Add(st.ginCandidates)
+	metGinVecRows.Add(st.ginRows)
 
 	// merge partials in scan order: the first partial's dictionary keeps
 	// the sequential first-seen order, and later partials re-intern their
@@ -430,7 +470,7 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 		sp := tr.StartSpan(ec.sess.TraceID, ec.sess.SpanID, "vec_scan", n.label)
 		if sp != nil {
 			sp.SetAttr("batches", strconv.FormatInt(st.batches+st.heapBatches, 10))
-			sp.SetAttr("rows", strconv.FormatInt(st.rows+st.heapRows, 10))
+			sp.SetAttr("rows", strconv.FormatInt(st.rows+st.heapRows+st.ginCandidates, 10))
 			sp.SetAttr("stripes_skipped", strconv.FormatInt(st.stripesSkipped, 10))
 			sp.SetAttr("parallelism", strconv.Itoa(len(cursors)))
 			groups := 0 // none without GROUP BY
@@ -527,8 +567,10 @@ func splitDisjuncts(e sql.Expr, out []sql.Expr) []sql.Expr {
 
 // compileVecFilter compiles one WHERE conjunct into a column-vs-constant
 // filter spec — or, for an OR chain whose every disjunct is itself a
-// col-vs-const shape, into a selection-vector union spec. Anything else
-// reports that the conjunct needs the row path.
+// col-vs-const shape, into a selection-vector union spec, or, for a LIKE
+// over a text-valued derived expression (vec_derived.go), into a match of the
+// text each row has for it. Anything else — a LIKE over a plain column or
+// inside an OR chain too — reports that the conjunct needs the row path.
 func compileVecFilter(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 	if b, ok := e.(*sql.BinaryExpr); ok && b.Op == sql.OpOr {
 		disjuncts := splitDisjuncts(e, nil)
@@ -536,7 +578,7 @@ func compileVecFilter(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 		parts := make([]string, 0, len(disjuncts))
 		for _, d := range disjuncts {
 			spec, okB := compileVecFilter(d, sc)
-			if !okB || len(spec.or) > 0 {
+			if !okB || len(spec.or) > 0 || spec.like != nil {
 				return vecFilterSpec{}, false
 			}
 			branches = append(branches, spec)
@@ -606,15 +648,29 @@ func compileVecFilterSingle(e sql.Expr, sc *scope) (vecFilterSpec, bool) {
 			return vecFilterSpec{}, false
 		}
 		return vecFilterSpec{col: ord, between: true, lo: loEv, hi: hiEv, text: e.String()}, true
+	case *sql.LikeExpr:
+		d, ok := compileDerived(b.E, sc)
+		if !ok || !d.textValued() || !expr.RowFree(b.Pattern) {
+			return vecFilterSpec{}, false
+		}
+		pat, err := expr.Compile(b.Pattern, nil)
+		if err != nil {
+			return vecFilterSpec{}, false
+		}
+		return vecFilterSpec{col: d.base, k: pat, like: &likeSpec{d: d, ilike: b.ILike, not: b.Not}, text: e.String()}, true
 	}
 	return vecFilterSpec{}, false
 }
 
+// columnResolver resolves an expression that is a column of the chunk — a
+// plain column, or a derived one (vec_derived.go) — to its ordinal and type.
+type columnResolver func(e sql.Expr) (ord int, typ types.Type, ok bool)
+
 // compileNumSpec compiles a numeric aggregate argument into a vectorized
-// expression spec: column leaves must be declared Int or Float, constant
-// subtrees bind per execution, operators are + - * / % with expr.arith
-// semantics.
-func compileNumSpec(e sql.Expr, sc *scope) (*numSpec, bool) {
+// expression spec: a leaf is a column declared Int or Float or a derived
+// column of one of those types, constant subtrees bind per execution,
+// operators are + - * / % with expr.arith semantics.
+func compileNumSpec(e sql.Expr, column columnResolver) (*numSpec, bool) {
 	if expr.RowFree(e) {
 		ev, err := expr.Compile(e, nil)
 		if err != nil {
@@ -623,23 +679,14 @@ func compileNumSpec(e sql.Expr, sc *scope) (*numSpec, bool) {
 		return &numSpec{isConst: true, constEv: ev}, true
 	}
 	switch x := e.(type) {
-	case *sql.ColumnRef:
-		idx, typ, err := sc.Resolve(x.Table, x.Name)
-		if err != nil {
-			return nil, false
-		}
-		switch typ {
-		case types.Int:
-			return &numSpec{col: idx}, true
-		case types.Float:
-			return &numSpec{col: idx, isFloat: true}, true
-		}
-		return nil, false
+	case *sql.ColumnRef, *sql.CastExpr, *sql.FuncCall:
+		ord, typ, ok := column(e)
+		return &numSpec{col: ord, isFloat: typ == types.Float}, ok && (typ == types.Int || typ == types.Float)
 	case *sql.UnaryExpr:
 		if x.Op != "-" {
 			return nil, false
 		}
-		inner, ok := compileNumSpec(x.E, sc)
+		inner, ok := compileNumSpec(x.E, column)
 		if !ok {
 			return nil, false
 		}
@@ -661,11 +708,11 @@ func compileNumSpec(e sql.Expr, sc *scope) (*numSpec, bool) {
 		default:
 			return nil, false
 		}
-		l, ok := compileNumSpec(x.L, sc)
+		l, ok := compileNumSpec(x.L, column)
 		if !ok {
 			return nil, false
 		}
-		r, ok := compileNumSpec(x.R, sc)
+		r, ok := compileNumSpec(x.R, column)
 		if !ok {
 			return nil, false
 		}
@@ -685,32 +732,46 @@ func vecGroupable(t types.Type) bool {
 }
 
 // tryVectorizedAgg plans an aggregate through the vectorized path when its
-// input is a tree the chunk sources cover (vecSource: sequential scans of
-// base tables, columnar or heap, under INNER hash joins on plain columns)
-// and every piece of the query is inside the kernels' subset. It returns
-// ok=false — leaving planning to the row-at-a-time buildAggNode — for
-// everything else: IN/LIKE predicates (or OR chains containing them),
-// DISTINCT aggregates, non-numeric computed arguments, or a GROUP BY that is
-// not plain columns.
+// input is a tree the chunk sources cover (vecSource: sequential and GIN
+// scans of base tables, columnar or heap, under INNER hash joins on plain
+// columns) and every piece of the query is inside the kernels' subset. A
+// group key or an aggregate argument is a plain column or a derived column
+// (vec_derived.go), which the scan fills. It returns ok=false — leaving
+// planning to the row-at-a-time buildAggNode — for everything else: IN
+// predicates and LIKE over plain columns (or OR chains containing them),
+// DISTINCT aggregates, non-numeric computed arguments, or a GROUP BY of any
+// other expression.
 func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRewriter) (*vecAggNode, *scope, bool) {
 	if s.Eng.vecOff.Load() {
 		return nil, nil, false
 	}
 
-	needed := map[int]bool{}
+	needed := map[int]bool{} // the plain columns read above the source
+	ds := &derivedSet{sc: input.sc}
+	// column resolves a key, a bare argument or a numeric expression's leaf
+	column := func(e sql.Expr) (ord int, typ types.Type, ok bool) {
+		if cr, isCol := e.(*sql.ColumnRef); isCol {
+			idx, typ, err := input.sc.Resolve(cr.Table, cr.Name)
+			if err != nil {
+				return 0, 0, false
+			}
+			needed[idx] = true
+			return idx, typ, true
+		}
+		d, ok := ds.column(e)
+		if !ok {
+			return 0, 0, false
+		}
+		return d.ord, d.typ, true
+	}
 
 	groupOrds := make([]int, len(groupBy))
 	for i, g := range groupBy {
-		cr, isCol := g.(*sql.ColumnRef)
-		if !isCol {
+		ord, typ, ok := column(g)
+		if !ok || !vecGroupable(typ) {
 			return nil, nil, false
 		}
-		idx, typ, err := input.sc.Resolve(cr.Table, cr.Name)
-		if err != nil || !vecGroupable(typ) {
-			return nil, nil, false
-		}
-		groupOrds[i] = idx
-		needed[idx] = true
+		groupOrds[i] = ord
 	}
 
 	aggs := make([]vecAggSpec, 0, len(rw.aggCalls))
@@ -731,27 +792,20 @@ func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRew
 		if len(fc.Args) != 1 {
 			return nil, nil, false
 		}
-		arg := fc.Args[0]
-		if cr, isCol := arg.(*sql.ColumnRef); isCol {
-			idx, _, err := input.sc.Resolve(cr.Table, cr.Name)
-			if err != nil {
-				return nil, nil, false
-			}
-			spec.colOrd = idx
-			needed[idx] = true
+		if ord, _, ok := column(fc.Args[0]); ok {
+			spec.colOrd = ord
 			aggs = append(aggs, spec)
 			continue
 		}
-		num, okN := compileNumSpec(arg, input.sc)
+		num, okN := compileNumSpec(fc.Args[0], column)
 		if !okN {
 			return nil, nil, false
 		}
 		spec.num = num
-		collectNumCols(num, needed)
 		aggs = append(aggs, spec)
 	}
 
-	src, ok := s.vecSource(input.n, input.sc, needed, nil)
+	src, ok := s.vecSource(input.n, input.sc, needed, nil, ds.cols)
 	if !ok {
 		return nil, nil, false
 	}
@@ -768,6 +822,11 @@ func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRew
 	}
 
 	n := &vecAggNode{src: src, groupOrds: groupOrds, aggs: aggs, cols: cols}
+	for i, g := range groupBy {
+		if groupOrds[i] >= len(input.sc.cols) {
+			n.derivedKeys = append(n.derivedKeys, g.String())
+		}
+	}
 	n.label, n.columnar = describeSource(src)
 	return n, aggScope, true
 }
@@ -786,15 +845,4 @@ func describeSource(src chunkSource) (label string, columnar bool) {
 		return l + " ⋈ " + r, lc || rc
 	}
 	return "", false
-}
-
-func collectNumCols(n *numSpec, needed map[int]bool) {
-	if n == nil {
-		return
-	}
-	if !n.isConst && !n.isBin {
-		needed[n.col] = true
-	}
-	collectNumCols(n.l, needed)
-	collectNumCols(n.r, needed)
 }

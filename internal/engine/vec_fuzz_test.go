@@ -27,6 +27,19 @@ import (
 // or two of (k, dk), (flag, dflag), (n, dn) have duplicates on both sides and
 // either side may be the smaller.
 //
+// The jsonb column holds documents for the derived columns (vec_derived.go):
+// keys present, missing and JSON null, an array and now and then something
+// else under jsonb_array_length, timestamps plain, with a zone offset and —
+// for one data seed in four — unparsable, numbers as numbers, as text, padded
+// and in a form only one of bigint and double precision takes, messages in
+// ASCII, upper case and outside ASCII. Half the data seeds give the heap twin
+// a trigram GIN index over its messages, built before the load or after, so
+// that a searchable pattern makes both paths scan its candidates. Queries draw
+// group keys, aggregate arguments and [NOT] LIKE / ILIKE filters from that
+// set, with patterns that have _, an inner %, a backslash, fewer than three
+// characters or none. A cast that fails must fail both paths or neither: the
+// comparison is of errors first, then of rows.
+//
 // Rows are compared in order: the vectorized join hands its matches on in the
 // row path's order, so group order, and with it every tie a TopN breaks, is
 // the same. Float sums are compared to a tolerance (a parallel columnar scan
@@ -40,12 +53,20 @@ func FuzzVecParity(f *testing.F) {
 	// differ in the last bit at parallel degree 3 (see randVecQuery)
 	f.Add(uint64(570), uint64(307))
 	// joins: comma and JOIN syntax, the small table on either side, one key
-	// and two, an empty and an all-NULL small table
+	// and two, an empty and an all-NULL small table; and from seed 100 on,
+	// derived columns over the jsonb documents
 	for seed := uint64(100); seed < 124; seed++ {
 		f.Add(seed, seed*7+3)
 	}
 
-	f.Fuzz(func(t *testing.T, dataSeed, querySeed uint64) {
+	f.Fuzz(func(t *testing.T, dataSeed, querySeed uint64) { vecParityCase(t, dataSeed, querySeed) })
+}
+
+// vecParityCase builds the tables of dataSeed, runs the query of querySeed
+// both ways and compares. It returns the query and the error both paths
+// answered it with, if they did.
+func vecParityCase(t *testing.T, dataSeed, querySeed uint64) (string, error) {
+	{
 		dataRng := splitmix(dataSeed)
 		e := newTestEngine(t)
 		s := e.NewSession()
@@ -62,6 +83,11 @@ func FuzzVecParity(f *testing.F) {
 		)`
 		mustExec(t, s, `CREATE TABLE fz `+factCols+` USING columnar`)
 		mustExec(t, s, `CREATE TABLE fzh `+factCols)
+		const msgsIndex = `CREATE INDEX fzh_msgs ON fzh USING gin ((jsonb_path_query_array(doc, '$.msgs[*]')::text) gin_trgm_ops)`
+		indexed, indexFirst := dataRng()%2 == 0, dataRng()%2 == 0
+		if indexed && indexFirst {
+			mustExec(t, s, msgsIndex)
+		}
 		mustExec(t, s, `CREATE TABLE dim (dk bigint, dflag text, dn bigint, dq double precision, dts timestamp)`)
 		flags := []string{"A", "N", "R"}
 		status := []string{"O", "F"}
@@ -71,6 +97,48 @@ func FuzzVecParity(f *testing.F) {
 				return "NULL"
 			}
 			return fmt.Sprintf(format, args...)
+		}
+		messages := []string{"fix postgres bug", "Add POSTGRES index", "ünïcode Ärger im Büro", "100% done_ok",
+			`back\\slash and \"quote\"`, "ab", "İstanbul \u212Aelvin", "", "postgresql 9.6 to 16"}
+		badValues := dataRng()%4 == 0 // a timestamp no cast takes, a string where an array should be
+		doc := func() string {
+			var fields []string
+			field := func(name, format string, args ...any) {
+				switch dataRng() % 8 {
+				case 0: // missing
+				case 1:
+					fields = append(fields, fmt.Sprintf(`"%s": null`, name))
+				default:
+					fields = append(fields, fmt.Sprintf(`"%s": `+format, append([]any{name}, args...)...))
+				}
+			}
+			field("a", "%d", dataRng()%5)
+			day, hour := 1+dataRng()%5, dataRng()%24
+			switch pick := dataRng() % 16; {
+			case pick == 0 && badValues:
+				field("at", `"the day before"`)
+			case pick < 4:
+				field("at", `"2024-01-%02dT%02d:30:00+05:00"`, day, hour)
+			case pick < 6:
+				field("at", `"2024-01-%02d"`, day)
+			case pick < 8:
+				field("at", `"2024-01-%02dT%02d:00:00Z"`, day, hour)
+			default:
+				field("at", `"2024-01-%02d %02d:15:00.5"`, day, hour)
+			}
+			field("n", []string{`%d`, `%d`, `"%d"`, `"%d"`, `" %d "`, `" %d "`, `"%de1"`, `%d.5`}[dataRng()%8], dataRng()%40)
+			msgs := make([]string, dataRng()%4)
+			for i := range msgs {
+				msgs[i] = `"` + messages[dataRng()%uint64(len(messages))] + `"`
+			}
+			field("msgs", "[%s]", strings.Join(msgs, ", "))
+			if pick := dataRng() % 16; pick == 0 && badValues {
+				field("tags", `"none"`)
+			} else {
+				field("tags", "[%s]", strings.TrimSuffix(strings.Repeat("1, ", int(pick%4)), ", "))
+			}
+			field("o", `{"k": "v%d", "arr": [1, 2, %d]}`, dataRng()%3, dataRng()%3)
+			return "'{" + strings.Join(fields, ", ") + "}'"
 		}
 		factRow := func() string {
 			nval := "NULL"
@@ -86,7 +154,7 @@ func FuzzVecParity(f *testing.F) {
 				nval,
 				val("'2024-01-%02d %02d:00:00'", 1+dataRng()%28, dataRng()%24),
 				val("%t", dataRng()%2 == 0),
-				val(`'{"a": %d}'`, dataRng()%5),
+				val("%s", doc()),
 			}, ", ") + ")"
 		}
 		rows := 40 + int(dataRng()%160)
@@ -99,6 +167,10 @@ func FuzzVecParity(f *testing.F) {
 				mustExec(t, s, "INSERT INTO fzh VALUES "+row)
 			}
 			mustExec(t, s, "COMMIT")
+		}
+
+		if indexed && !indexFirst {
+			mustExec(t, s, msgsIndex)
 		}
 
 		// dim: up to 40 rows — none at all one time in eight — whose keys are
@@ -156,12 +228,13 @@ func FuzzVecParity(f *testing.F) {
 				t.Fatalf("error disagreement for %q: row=%v vec=%v", q, rowErr, vecErr)
 			}
 			if rowErr != nil {
-				return
+				return q, rowErr
 			}
 			rowsMatch(t, fmt.Sprintf("par%d %s", degree, q), vecRes.Rows, rowRes.Rows)
 		}
 		e.SetVecParallelism(0)
-	})
+		return q, nil
+	}
 }
 
 // splitmix is a tiny deterministic PRNG over the fuzz seed.
@@ -208,6 +281,40 @@ func randVecQuery(rng func() uint64) string {
 			numCols = append(numCols, "dk", "dn", "dq")
 			allCols = append(allCols, "dk", "dflag", "dn", "dq", "dts")
 			groupable = append(groupable, "dk", "dflag", "dn", "dts")
+		}
+	}
+
+	// derived columns over the fact tables' jsonb documents: keys, numeric
+	// leaves, and texts for LIKE
+	derivedKeys := []string{"doc->>'a'", "(doc->>'a')::bigint", "(doc->>'at')::date", "(doc->>'at')::timestamp",
+		"doc->'o'->>'k'", "jsonb_array_length(doc->'o'->'arr')", "jsonb_array_length(doc->'tags')",
+		"jsonb_path_query_array(doc, '$.msgs[*]')::text", "(doc->>'n')::double precision", "doc->'msgs'->>0",
+		"(doc->>'n')::text", "jsonb_array_length(doc->'tags')::text", "doc->'o'->'arr'->>2"}
+	derivedNums := []string{"jsonb_array_length(doc->'tags')", "(doc->>'a')::bigint", "(doc->>'n')::double precision",
+		"(doc->>'n')::bigint", "jsonb_array_length(doc->'msgs')::double precision"}
+	derivedTexts := []string{"jsonb_path_query_array(doc, '$.msgs[*]')::text", "jsonb_path_query_array(doc, '$.msgs[*]')::text",
+		"doc->'msgs'->>0", "doc->'msgs'->>1", "doc->'o'->>'k'", "(doc->>'a')::text"}
+	patterns := []string{"%postgres%", "%POSTGRES%", "%Postgres bug%", "%ünï%", "%ÄRGER%", "%o_t%", "%fix%bug%", `%back\\slash%`,
+		`%\\%`, "%ab%", "%a%", "ab", "%", "", "v1%", "%İ%", "%kelvin%", "%done_ok%", `%100\%%`, "%sql 9%", "_ostgres%"}
+	aggCols := allCols // what count, min and max take
+	if (from == "fz" || from == "fzh") && rng()%2 == 0 {
+		if rng()%4 != 0 {
+			from = "fzh" // the columnar twin has no scan that computes them
+		}
+		if rng()%2 == 0 {
+			groupable = append(groupable, derivedKeys...)
+		}
+		if rng()%2 == 0 {
+			numCols = append(numCols, derivedNums...)
+			aggCols = append(aggCols[:len(aggCols):len(aggCols)], derivedKeys...)
+		}
+		if rng()%2 == 0 { // what the heap twin's index, when it has one, can search
+			conjuncts = append(conjuncts, fmt.Sprintf("%s %s '%s'", derivedTexts[0],
+				[]string{"LIKE", "ILIKE"}[rng()%2], patterns[rng()%9]))
+		}
+		for i := uint64(0); i < rng()%3; i++ {
+			conjuncts = append(conjuncts, fmt.Sprintf("%s %s '%s'", derivedTexts[rng()%uint64(len(derivedTexts))],
+				[]string{"LIKE", "ILIKE", "ILIKE", "NOT LIKE", "NOT ILIKE"}[rng()%5], patterns[rng()%uint64(len(patterns))]))
 		}
 	}
 
@@ -286,15 +393,15 @@ func randVecQuery(rng func() uint64) string {
 		case 0:
 			sel = append(sel, "count(*)")
 		case 1:
-			sel = append(sel, fmt.Sprintf("count(%s)", allCols[rng()%uint64(len(allCols))]))
+			sel = append(sel, fmt.Sprintf("count(%s)", aggCols[rng()%uint64(len(aggCols))]))
 		case 2:
 			sel = append(sel, fmt.Sprintf("sum(%s)", randAggArg()))
 		case 3:
 			sel = append(sel, fmt.Sprintf("avg(%s)", randAggArg()))
 		case 4:
-			sel = append(sel, fmt.Sprintf("min(%s)", allCols[rng()%uint64(len(allCols))]))
+			sel = append(sel, fmt.Sprintf("min(%s)", aggCols[rng()%uint64(len(aggCols))]))
 		default:
-			sel = append(sel, fmt.Sprintf("max(%s)", allCols[rng()%uint64(len(allCols))]))
+			sel = append(sel, fmt.Sprintf("max(%s)", aggCols[rng()%uint64(len(aggCols))]))
 		}
 	}
 

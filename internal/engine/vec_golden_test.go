@@ -3,10 +3,13 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"citusgo/internal/jsonb"
 	"citusgo/internal/types"
 )
 
@@ -630,33 +633,89 @@ func TestVectorizedJoinGolden(t *testing.T) {
 
 // TestVectorizedHeapDeclinesUnderSerializable: a SERIALIZABLE transaction's
 // sequential scan of a heap table checks every tuple version, visible or not,
-// against concurrent writers, which the batched scan does not do — so its
-// aggregates are planned row at a time, and go back to the vectorized path
-// when the session leaves SERIALIZABLE.
+// against concurrent writers, and its GIN scan every candidate's, which the
+// batched scans do not do — so its aggregates are planned row at a time, and
+// go back to the vectorized path when the session leaves SERIALIZABLE.
 func TestVectorizedHeapDeclinesUnderSerializable(t *testing.T) {
 	e := newTestEngine(t)
 	s := e.NewSession()
 	loadVecJoinTables(t, s, 120, 750)
+	loadPushEvents(t, s, 200, true)
 	ran := func(q string) bool {
-		before := vecWork()
+		heapBefore, ginBefore := vecWork(), ginWork()
 		mustExec(t, s, q)
-		return vecWork() != before
+		return vecWork() != heapBefore || ginWork() != ginBefore
 	}
 	const heapAgg = `SELECT count(*), sum(l_discount) FROM lineitem_row WHERE l_linenumber < 3`
-	if !ran(heapAgg) || !ran(vecJoinQ3) {
+	if !ran(heapAgg) || !ran(vecJoinQ3) || !ran(dashboardSQL) {
 		t.Fatal("READ COMMITTED: the heap aggregates did not run vectorized")
 	}
 	mustExec(t, s, `SET transaction_isolation = 'serializable'`)
-	if ran(heapAgg) || ran(vecJoinQ3) {
-		t.Error("SERIALIZABLE: a heap aggregate ran through the batched scan")
+	if ran(heapAgg) || ran(vecJoinQ3) || ran(dashboardSQL) {
+		t.Error("SERIALIZABLE: a heap aggregate ran through a batched scan")
 	}
 	expectRows(t, mustExec(t, s, "EXPLAIN "+heapAgg), `
 Project
   Aggregate
     Seq Scan on lineitem_row (filtered)`)
+	expectRows(t, mustExec(t, s, "EXPLAIN "+dashboardSQL), `
+Sort
+  Project
+    HashAggregate
+      Bitmap Heap Scan on github_events
+        -> Bitmap Index Scan using text_search_idx (trigram)`)
 	mustExec(t, s, `SET transaction_isolation = 'read committed'`)
-	if !ran(heapAgg) {
-		t.Error("back at READ COMMITTED the heap aggregate stayed on the row path")
+	if !ran(heapAgg) || !ran(dashboardSQL) {
+		t.Error("back at READ COMMITTED a heap aggregate stayed on the row path")
+	}
+}
+
+// TestGINSourceChargesWhatGINScanCharges: the vectorized dashboard reads the
+// trigram index's candidates through the buffer pool exactly as the
+// row-at-a-time Bitmap Heap Scan does — one access a candidate, hit for hit
+// and miss for miss with the cache a few pages short — and counts every
+// candidate, and every one the recheck let through, under the GIN scan's own
+// counters.
+func TestGINSourceChargesWhatGINScanCharges(t *testing.T) {
+	const countSQL = `SELECT count(*) FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%postgres%'`
+	var charged [2][2]int64
+	var answers [2]string
+	for i, vectorized := range []bool{false, true} {
+		e := newTestEngine(t)
+		s := e.NewSession()
+		loadPushEvents(t, s, 2000, true)
+		mustExec(t, s, `DELETE FROM github_events WHERE event_id < 'evt-000000000100'`)
+		e.SetVectorized(vectorized)
+		candidates := int64(len(search(t, ginOf(t, e, "github_events"), "%postgres%")))
+		passed := mustExec(t, s, countSQL).Rows[0][0].(int64)
+		if passed == 0 || passed >= candidates {
+			t.Fatalf("%d of %d candidates pass the recheck: the deleted ones must not", passed, candidates)
+		}
+		e.Pool.SetCapacity(8)
+		e.Pool.SetIOLatency(0, 1) // count, do not sleep
+		hits, misses := e.Pool.Stats()
+		before := ginWork()
+		answers[i] = rowsToString(mustExec(t, s, dashboardSQL).Rows)
+		hitsAfter, missesAfter := e.Pool.Stats()
+		charged[i] = [2]int64{hitsAfter - hits, missesAfter - misses}
+		if got := charged[i][0] + charged[i][1]; got != candidates {
+			t.Errorf("vectorized=%v: %d page accesses for %d candidates", vectorized, got, candidates)
+		}
+		want := [2]int64{}
+		if vectorized {
+			want = [2]int64{candidates, passed}
+		}
+		if after := ginWork(); [2]int64{after[0] - before[0], after[1] - before[1]} != want {
+			t.Errorf("vectorized=%v: gin_vec counters moved by %d candidates and %d rows, want %v",
+				vectorized, after[0]-before[0], after[1]-before[1], want)
+		}
+	}
+	if charged[0] != charged[1] || charged[0][1] == 0 {
+		t.Errorf("(hits, misses): row at a time %v, vectorized %v", charged[0], charged[1])
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("row at a time:\n%s\nvectorized:\n%s", answers[0], answers[1])
 	}
 }
 
@@ -713,6 +772,280 @@ func BenchmarkVectorizedJoinQ3(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Exec(vecJoinQ3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// pushEvents generates n GitHub push events of the shape the repo benchmark's
+// ingest_live COPYs (benchmark/ingest.go): one to four commits of three to
+// eight words, "postgres" one word in 28, a created_at within seven days.
+func pushEvents(seed int64, from, n int) []types.Row {
+	words := []string{
+		"fix", "bug", "add", "feature", "update", "docs", "refactor", "test",
+		"remove", "improve", "cleanup", "merge", "branch", "release", "version",
+		"postgres", "index", "query", "cache", "api", "server", "client",
+		"support", "error", "handling", "performance", "initial", "commit",
+	}
+	rng := rand.New(rand.NewSource(seed))
+	base := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
+	rows := make([]types.Row, n)
+	for i := range rows {
+		commits := make([]any, 1+rng.Intn(4))
+		for c := range commits {
+			msg := make([]string, 3+rng.Intn(6))
+			for w := range msg {
+				msg[w] = words[rng.Intn(len(words))]
+			}
+			commits[c] = map[string]any{
+				"sha":     fmt.Sprintf("%08x%08x", rng.Uint32(), rng.Uint32()),
+				"message": strings.Join(msg, " "),
+				"author":  map[string]any{"name": fmt.Sprint("user", rng.Intn(1000))},
+			}
+		}
+		ts := base.Add(time.Duration(rng.Intn(7*24*3600)) * time.Second)
+		rows[i] = types.Row{fmt.Sprintf("evt-%012d", from+i), jsonb.FromGo(map[string]any{
+			"type":       "PushEvent",
+			"created_at": ts.Format(time.RFC3339),
+			"actor":      map[string]any{"login": fmt.Sprint("user", rng.Intn(1000))},
+			"repo":       map[string]any{"name": fmt.Sprint("org/repo", rng.Intn(200))},
+			"payload":    map[string]any{"push_id": from + i, "commits": commits},
+		})}
+	}
+	return rows
+}
+
+const (
+	pushEventsDDL   = `CREATE TABLE github_events (event_id text PRIMARY KEY, data jsonb)`
+	pushEventsIndex = `CREATE INDEX text_search_idx ON github_events USING gin
+		((jsonb_path_query_array(data, '$.payload.commits[*].message')::text) gin_trgm_ops)`
+	// the §4.2 dashboard, as ingest_live sends it
+	dashboardSQL = `SELECT (data->>'created_at')::date,
+		sum(jsonb_array_length(data->'payload'->'commits'))
+		FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%postgres%'
+		GROUP BY 1 ORDER BY 1 ASC`
+)
+
+// loadPushEvents creates github_events, with its trigram index or without,
+// and COPYs n generated events into it.
+func loadPushEvents(tb testing.TB, s *Session, n int, indexed bool) {
+	tb.Helper()
+	ddl := []string{pushEventsDDL}
+	if indexed {
+		ddl = append(ddl, pushEventsIndex)
+	}
+	for _, q := range ddl {
+		if _, err := s.Exec(q); err != nil {
+			tb.Fatalf("exec %q: %v", q, err)
+		}
+	}
+	if _, err := s.CopyFrom("github_events", nil, pushEvents(1, 0, n)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// ginWork reads the two work counters of the vectorized GIN scan.
+func ginWork() [2]int64 { return [2]int64{metGinVecCandidates.Value(), metGinVecRows.Value()} }
+
+// vecDerivedQueries are aggregates over github_events whose group keys,
+// arguments and LIKE filters are derived columns — or, marked so, something
+// next to them that the compile step declines. With the trigram index they
+// scan its candidates when their WHERE clause has a pattern it can search.
+var vecDerivedQueries = []struct {
+	name, q      string
+	vectorizable bool
+	viaGIN       bool // with the index in place
+}{
+	{"dashboard", dashboardSQL, true, true},
+	{"dashboard_not_ilike", `SELECT (data->>'created_at')::date, count(*) FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text NOT ILIKE '%postgres%'
+		GROUP BY 1 ORDER BY 1`, true, false},
+	{"like_is_case_sensitive", `SELECT count(*) FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text LIKE '%Postgres%'`, true, true},
+	{"short_pattern_scans_the_heap", `SELECT count(*), sum(jsonb_array_length(data->'payload'->'commits'))
+		FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%pg%'`, true, false},
+	{"inner_wildcards", `SELECT count(*) FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%fix%postgres_in%'`, true, true},
+	{"parameter_pattern", `SELECT count(*) FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%' || 'index' || '%'`, true, true},
+	{"two_likes_and_a_column_filter", `SELECT data->'repo'->>'name', count(*) FROM github_events
+		WHERE jsonb_path_query_array(data, '$.payload.commits[*].message')::text ILIKE '%postgres%'
+		AND data->'actor'->>'login' LIKE 'user1%' AND event_id <> 'evt-000000000100'
+		GROUP BY 1 ORDER BY 2 DESC, 1 LIMIT 5`, true, true},
+	{"text_key_and_timestamp_minmax", `SELECT data->>'type', min((data->>'created_at')::timestamp),
+		max((data->>'created_at')::timestamp), count(data->'payload'->>'push_id') FROM github_events GROUP BY 1`, true, false},
+	{"numeric_expression_over_derived_leaves", `SELECT sum(jsonb_array_length(data->'payload'->'commits') * 2 + 1),
+		avg((data->'payload'->>'push_id')::bigint), max((data->'payload'->>'push_id')::double precision / 4)
+		FROM github_events WHERE event_id <> 'evt-000000000300'`, true, false},
+	{"array_index_steps", `SELECT data->'payload'->'commits'->0->'author'->>'name', count(*),
+		min(data->'payload'->'commits'->1->>'sha') FROM github_events GROUP BY 1 ORDER BY 2 DESC, 1 LIMIT 3`, true, false},
+	{"missing_keys_are_null", `SELECT data->'nowhere'->>'x', count(*), count(jsonb_array_length(data->'nowhere')),
+		sum((data->>'nothing')::bigint) FROM github_events GROUP BY 1`, true, false},
+	{"length_as_text_and_float", `SELECT jsonb_array_length(data->'payload'->'commits')::text,
+		sum(jsonb_array_length(data->'payload'->'commits')::double precision) FROM github_events GROUP BY 1 ORDER BY 1`, true, false},
+
+	{"fallback_jsonb_key", `SELECT data->'repo', count(*) FROM github_events GROUP BY 1 ORDER BY 2 DESC LIMIT 2`, false, false},
+	{"fallback_parameter_key", `SELECT data->>$1, count(*) FROM github_events GROUP BY 1`, false, false},
+	{"fallback_contains", `SELECT count(*) FROM github_events WHERE data @> '{"type": "PushEvent"}'::jsonb`, false, false},
+	{"fallback_case_key", `SELECT CASE WHEN data->>'type' = 'PushEvent' THEN 1 ELSE 0 END, count(*)
+		FROM github_events GROUP BY 1`, false, false},
+	{"fallback_like_on_a_column", `SELECT count(*) FROM github_events WHERE event_id LIKE 'evt-0000000001%'`, false, false},
+	{"fallback_like_in_or", `SELECT count(*) FROM github_events
+		WHERE data->>'type' LIKE 'Pull%' OR event_id < 'evt-000000000010'`, false, false},
+	{"fallback_path_without_text_cast", `SELECT jsonb_array_length(jsonb_path_query_array(data, '$.payload.commits[*].sha')), count(*)
+		FROM github_events GROUP BY 1`, false, false},
+	{"fallback_length_as_date", `SELECT count(jsonb_array_length(data->'nowhere')::date) FROM github_events`, false, false},
+}
+
+// TestVectorizedDerivedGolden: every query answers as the row path does, row
+// for row, over the table with its trigram index and without; it runs through
+// the path the table says; and with the index, the vectorized scan sees
+// exactly the index's candidates.
+func TestVectorizedDerivedGolden(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		e := newTestEngine(t)
+		s := e.NewSession()
+		loadPushEvents(t, s, 1500, indexed)
+		// versions the scans must not see: deleted, and rolled back
+		mustExec(t, s, `DELETE FROM github_events WHERE event_id < 'evt-000000000040'`)
+		mustExec(t, s, "BEGIN")
+		if _, err := s.CopyFrom("github_events", nil, pushEvents(9, 5000, 50)); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "ROLLBACK")
+		for _, tc := range vecDerivedQueries {
+			t.Run(fmt.Sprintf("indexed=%v/%s", indexed, tc.name), func(t *testing.T) {
+				var params []types.Datum
+				if strings.Contains(tc.q, "$1") {
+					params = []types.Datum{"type"}
+				}
+				e.SetVectorized(true)
+				defer e.SetVectorized(true)
+				heapBefore, ginBefore := vecWork(), ginWork()
+				vecRes := mustExec(t, s, tc.q, params...)
+				viaGIN := ginWork() != ginBefore
+				if ran := viaGIN || vecWork() != heapBefore; ran != tc.vectorizable {
+					t.Errorf("vectorized path ran: %v, want %v", ran, tc.vectorizable)
+				}
+				if want := indexed && tc.viaGIN; viaGIN != want {
+					t.Errorf("scanned GIN candidates: %v, want %v", viaGIN, want)
+				}
+				if viaGIN && vecWork() != heapBefore {
+					t.Errorf("a GIN scan moved the heap_vec counters")
+				}
+				e.SetVectorized(false)
+				heapBefore, ginBefore = vecWork(), ginWork()
+				rowRes := mustExec(t, s, tc.q, params...)
+				if vecWork() != heapBefore || ginWork() != ginBefore {
+					t.Errorf("SetVectorized(false) still moved the vectorized counters")
+				}
+				if len(rowRes.Rows) == 0 {
+					t.Fatal("the query selects nothing: it compares nothing")
+				}
+				rowsMatch(t, tc.name, vecRes.Rows, rowRes.Rows)
+			})
+		}
+	}
+}
+
+// TestVectorizedDerivedErrors: a cast or a jsonb_array_length that fails on a
+// row fails the query exactly when the WHERE clause keeps that row, with the
+// row path's error, and not at all when it drops it.
+func TestVectorizedDerivedErrors(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE docs (id bigint PRIMARY KEY, data jsonb)`)
+	mustExec(t, s, `INSERT INTO docs (id, data) VALUES
+		(1, '{"at": "2024-03-01T10:00:00Z", "n": "7", "list": [1, 2], "msg": "keep"}'),
+		(2, '{"at": "2024-03-01T23:30:00+02:00", "n": " 8 ", "list": [], "msg": "keep"}'),
+		(3, '{"at": "yesterday", "n": "nine", "list": {"not": "an array"}, "msg": "drop"}'),
+		(4, '{"at": null, "n": null, "list": null, "msg": "drop"}'),
+		(5, NULL)`)
+	defer e.SetVectorized(true)
+	for _, tc := range []struct{ sel, wantErr string }{
+		{`(data->>'at')::date, count(*)`, `invalid timestamp: "yesterday"`},
+		{`count((data->>'at')::timestamp)`, `invalid timestamp: "yesterday"`},
+		{`sum((data->>'n')::bigint)`, `invalid input for bigint: "nine"`},
+		{`sum((data->>'n')::double precision + 1)`, `invalid input for double precision: "nine"`},
+		{`sum(jsonb_array_length(data->'list'))`, `cannot get array length of a non-array`},
+	} {
+		groupBy := ""
+		if strings.Contains(tc.sel, ", ") {
+			groupBy = " GROUP BY 1 ORDER BY 1"
+		}
+		kept := `SELECT ` + tc.sel + ` FROM docs` + groupBy
+		dropped := `SELECT ` + tc.sel + ` FROM docs WHERE data->>'msg' LIKE 'keep'` + groupBy
+		var results [2]*Result
+		for i, vectorized := range []bool{true, false} {
+			e.SetVectorized(vectorized)
+			before := vecWork()
+			if _, err := s.Exec(kept); err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s (vectorized=%v): error %v, want %s", kept, vectorized, err, tc.wantErr)
+			}
+			res, err := s.Exec(dropped)
+			if err != nil {
+				t.Fatalf("%s (vectorized=%v): %v", dropped, vectorized, err)
+			}
+			if ran := vecWork() != before; ran != vectorized {
+				t.Errorf("%s (vectorized=%v): vectorized path ran: %v", tc.sel, vectorized, ran)
+			}
+			results[i] = res
+		}
+		rowsMatch(t, dropped, results[0].Rows, results[1].Rows)
+	}
+	// row 2's 23:30 at +02:00 is 21:30 UTC of the same day: the kept rows are one group
+	e.SetVectorized(true)
+	expectRows(t, mustExec(t, s, `SELECT (data->>'at')::date, sum((data->>'n')::bigint), sum(jsonb_array_length(data->'list'))
+		FROM docs WHERE data->>'msg' LIKE 'keep' GROUP BY 1`), "2024-03-01 00:00:00|15|2")
+}
+
+// TestVectorizedDashboardExplain pins the plan of the dashboard over the
+// trigram index, and that a table without one scans its heap.
+func TestVectorizedDashboardExplain(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	loadPushEvents(t, s, 10, true)
+	expectRows(t, mustExec(t, s, "EXPLAIN "+dashboardSQL), `
+Sort
+  Project
+    Vectorized HashAggregate (derived keys: ((data ->> 'created_at'))::date)
+      Vectorized Bitmap Heap Scan on github_events (recheck: ((jsonb_path_query_array(data, '$.payload.commits[*].message'))::text ILIKE '%postgres%'))
+        -> Bitmap Index Scan using text_search_idx (trigram)`)
+	mustExec(t, s, `CREATE TABLE plain_events (event_id text PRIMARY KEY, data jsonb)`)
+	expectRows(t, mustExec(t, s, "EXPLAIN "+strings.Replace(dashboardSQL, "github_events", "plain_events", 1)), `
+Sort
+  Project
+    Vectorized HashAggregate (derived keys: ((data ->> 'created_at'))::date)
+      Vectorized Heap Scan on plain_events (filter: ((jsonb_path_query_array(data, '$.payload.commits[*].message'))::text ILIKE '%postgres%'))`)
+	e.SetVectorized(false)
+	defer e.SetVectorized(true)
+	expectRows(t, mustExec(t, s, "EXPLAIN "+dashboardSQL), `
+Sort
+  Project
+    HashAggregate
+      Bitmap Heap Scan on github_events
+        -> Bitmap Index Scan using text_search_idx (trigram)`)
+}
+
+// BenchmarkVectorizedDashboard runs the §4.2 dashboard over one shard's worth
+// of ingest_live's events at the schedule's cap (100 000 events over 16
+// shards: 6 250, ~39 % of which mention postgres), through the trigram index,
+// row at a time and vectorized: the worker's share of a dashboard task.
+func BenchmarkVectorizedDashboard(b *testing.B) {
+	e := New(Config{Name: "bench"})
+	defer e.Close()
+	s := e.NewSession()
+	loadPushEvents(b, s, 6250, true)
+	for _, vectorized := range []bool{false, true} {
+		b.Run(fmt.Sprintf("vectorized=%v", vectorized), func(b *testing.B) {
+			e.SetVectorized(vectorized)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Exec(dashboardSQL); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,7 +19,8 @@ import (
 // sources — is a chunkSource. A chunk is a []vec.Vector indexed by the
 // source's column ordinals (a table's, or for a join its left input's
 // followed by its right input's, like the row path's combined row), holding
-// only the columns the plan asked the source for.
+// only the columns the plan asked the source for — and, past those ordinals,
+// the derived columns (vec_derived.go) a heap-backed scan fills.
 
 type chunkSource interface {
 	explain(indent string) []string
@@ -51,6 +52,8 @@ type vecStats struct {
 	boundRows, boundStripes int64
 	heapBatches, heapRows   int64 // heap batches, and the visible rows in them
 	buildRows, probeRows    int64 // hash joins: rows built on, rows probed with
+	// GIN scans: the candidates fetched, and those visible and past the recheck
+	ginCandidates, ginRows int64
 }
 
 func (st *vecStats) add(o *vecStats) {
@@ -63,16 +66,18 @@ func (st *vecStats) add(o *vecStats) {
 	st.heapRows += o.heapRows
 	st.buildRows += o.buildRows
 	st.probeRows += o.probeRows
+	st.ginCandidates += o.ginCandidates
+	st.ginRows += o.ginRows
 }
 
 // filterChain runs a source's bound conjuncts over a chunk, each kernel
 // consuming the selection of the one before. The bound filters are read-only
-// and shared by the cursors of a split scan; the selection buffers are the
-// chain's own.
+// and shared by the cursors of a split scan; the selection buffers and the
+// scratch are the chain's own.
 type filterChain struct {
 	filters    []boundFilter
 	selA, selB vec.Sel
-	orSc       vec.OrScratch
+	scratch    filterScratch
 }
 
 // apply returns the rows of chunk that pass every filter: nil, all of them,
@@ -84,7 +89,7 @@ func (c *filterChain) apply(chunk []vec.Vector) vec.Sel {
 		if fi%2 == 1 {
 			out = &c.selB
 		}
-		*out = c.filters[fi].apply(chunk, sel, *out, &c.orSc)
+		*out = c.filters[fi].apply(chunk, sel, *out, &c.scratch)
 		if sel = *out; len(sel) == 0 {
 			return vec.Sel{} // not nil, whatever the kernel returned: nil reads as all rows
 		}
@@ -107,8 +112,9 @@ func bindFilters(ec *execCtx, specs []vecFilterSpec) ([]boundFilter, error) {
 	return filters, nil
 }
 
-// filterText is the filters' part of an EXPLAIN line.
-func filterText(filters []vecFilterSpec) string {
+// filterText is the filters' part of an EXPLAIN line, under the name they go
+// by at the node: "filter", or "recheck" above an index scan.
+func filterText(what string, filters []vecFilterSpec) string {
 	if len(filters) == 0 {
 		return ""
 	}
@@ -116,12 +122,12 @@ func filterText(filters []vecFilterSpec) string {
 	for i := range filters {
 		parts[i] = filters[i].text
 	}
-	return " (filter: " + strings.Join(parts, " AND ") + ")"
+	return " (" + what + ": " + strings.Join(parts, " AND ") + ")"
 }
 
 // scanLine is a scan's EXPLAIN line.
 func scanLine(indent, kind, table string, filters []vecFilterSpec) string {
-	return indent + "Vectorized " + kind + " Scan on " + table + filterText(filters)
+	return indent + "Vectorized " + kind + " Scan on " + table + filterText("filter", filters)
 }
 
 // ---------------------------------------------------------------------------
@@ -259,18 +265,31 @@ const heapChunkRows = 4096
 // visibility of the row-at-a-time scan, a batch of visible rows at a time.
 // The columns the filters read become vectors first, in scratch vectors no
 // one else sees; the columns read above the scan are then built from the
-// rows that passed alone, appended to the chunk being gathered. So a chunk
-// is dense — no selection — and a row the filters drop costs one value a
-// filter column. One cursor: the pages are read in order.
+// rows that passed alone, appended to the chunk being gathered, and the
+// derived columns computed for those rows from their jsonb columns' scratch
+// vectors. So a chunk is dense — no selection — and a row the filters drop
+// costs one value a filter column. One cursor: the pages are read in order.
+//
+// With gin set it is the vectorized form of ginScanNode: the index's
+// candidates for the pattern fetched a batch at a time (heap.NewTIDScan) in
+// place of every page, and the filters — the whole WHERE clause, as there —
+// the recheck. A pattern the index cannot search opens the page scan.
 type heapSource struct {
 	st         *storage
 	filters    []vecFilterSpec
-	filterCols []int // what the filters read
-	out        []int // what is read above the scan
+	filterCols []int          // what the filters and the derived columns read: the scratch vectors
+	out        []int          // what is read above the scan
+	derived    []*derivedExpr // what is computed for it
+	gin        *ginIndex
+	pattern    string
 }
 
 func (h *heapSource) explain(indent string) []string {
-	return []string{scanLine(indent, "Heap", h.st.table.Name, h.filters)}
+	if h.gin == nil {
+		return []string{scanLine(indent, "Heap", h.st.table.Name, h.filters)}
+	}
+	return []string{indent + "Vectorized Bitmap Heap Scan on " + h.st.table.Name + filterText("recheck", h.filters),
+		indent + "  -> Bitmap Index Scan using " + h.gin.def.Name + " (trigram)"}
 }
 
 func (h *heapSource) open(ec *execCtx, _ int) ([]chunkCursor, error) {
@@ -278,17 +297,28 @@ func (h *heapSource) open(ec *execCtx, _ int) ([]chunkCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []chunkCursor{&heapCursor{src: h, chain: filterChain{filters: filters},
-		scan:  h.st.heap.NewBatchScan(ec.sess.Eng.Txns, ec.snap),
-		probe: make([]vec.Vector, len(h.st.table.Columns))}}, nil
+	cur := &heapCursor{src: h, chain: filterChain{filters: filters},
+		probe: make([]vec.Vector, len(h.st.table.Columns))}
+	if h.gin != nil {
+		if candidates, usable := h.gin.gin.Search(h.pattern); usable {
+			cur.byIndex = true
+			cur.stats.ginCandidates = int64(len(candidates))
+			cur.scan = h.st.heap.NewTIDScan(ec.sess.Eng.Txns, ec.snap, candidates)
+			return []chunkCursor{cur}, nil
+		}
+	}
+	cur.scan = h.st.heap.NewBatchScan(ec.sess.Eng.Txns, ec.snap)
+	return []chunkCursor{cur}, nil
 }
 
 type heapCursor struct {
-	src   *heapSource
-	scan  *heap.BatchScan
-	chain filterChain
-	probe []vec.Vector // the filter columns of the batch at hand
-	stats vecStats
+	src     *heapSource
+	scan    *heap.BatchScan
+	byIndex bool // the scan fetches a GIN search's candidates
+	chain   filterChain
+	probe   []vec.Vector // the filter columns of the batch at hand
+	text    []byte       // the derived columns' scratch
+	stats   vecStats
 }
 
 func (c *heapCursor) next() ([]vec.Vector, int, vec.Sel, bool, error) {
@@ -301,8 +331,10 @@ func (c *heapCursor) next() ([]vec.Vector, int, vec.Sel, bool, error) {
 		if !ok {
 			break
 		}
-		c.stats.heapBatches++
-		c.stats.heapRows += int64(len(rows))
+		if !c.byIndex {
+			c.stats.heapBatches++
+			c.stats.heapRows += int64(len(rows))
+		}
 		for _, col := range c.src.filterCols {
 			c.probe[col].Reset()
 			c.probe[col].AppendColumn(rows, col, nil)
@@ -315,20 +347,32 @@ func (c *heapCursor) next() ([]vec.Vector, int, vec.Sel, bool, error) {
 		if sel != nil {
 			passed = len(sel)
 		}
+		if c.byIndex {
+			c.stats.ginRows += int64(passed)
+		}
 		first := chunk == nil
 		if first {
-			chunk = make([]vec.Vector, len(c.probe))
+			chunk = make([]vec.Vector, len(c.probe)+len(c.src.derived))
 		}
 		for _, col := range c.src.out {
 			chunk[col].AppendColumn(rows, col, sel)
 		}
+		for _, d := range c.src.derived {
+			var err error
+			if c.text, err = d.fill(&chunk[d.ord], &c.probe[d.base], sel, len(rows), c.text); err != nil {
+				return nil, 0, nil, false, err
+			}
+		}
 		if first {
 			// room, made once, for what the rest of the scan passes if it
 			// goes on as this batch did
-			read, pages := c.scan.Progress()
-			room := min(passed*(pages-read)/read+passed/8, heapChunkRows)
+			read, total := c.scan.Progress()
+			room := min(passed*(total-read)/read+passed/8, heapChunkRows)
 			for _, col := range c.src.out {
 				chunk[col].Reserve(room)
+			}
+			for _, d := range c.src.derived {
+				chunk[d.ord].Reserve(room)
 			}
 		}
 		n += passed
@@ -365,7 +409,7 @@ type joinSource struct {
 }
 
 func (j *joinSource) explain(indent string) []string {
-	line := indent + "Vectorized Hash Join (" + j.keyText + "; build: smaller input)" + filterText(j.residual)
+	line := indent + "Vectorized Hash Join (" + j.keyText + "; build: smaller input)" + filterText("filter", j.residual)
 	lines := append([]string{line}, j.left.explain(indent+"  ")...)
 	return append(lines, j.right.explain(indent+"  ")...)
 }
@@ -492,13 +536,32 @@ func (c *joinCursor) report(st *vecStats) {
 // sc: a sequential scan of a base table, an INNER hash join of two such
 // trees on columns of one groupable type, or a filter over either whose
 // conjuncts compile to filter kernels. out are the column ordinals the
-// consumer reads and extra the filters a filter node above p adds to p's. ok is
-// false — the aggregate is then planned row at a time — for everything else:
-// index, GIN and intermediate-result scans, subqueries, LEFT and nested-loop
-// joins, keys that are expressions, conjuncts outside the kernels' subset,
-// and a heap table under a SERIALIZABLE transaction, whose row-at-a-time scan
-// checks every tuple version against concurrent writers.
-func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilterSpec) (chunkSource, bool) {
+// consumer reads, derived the derived columns it reads past them, and extra
+// the filters a filter node above p adds to p's. ok is false — the aggregate is
+// then planned row at a time — for everything else: btree index and
+// intermediate-result scans, subqueries, LEFT and nested-loop joins, keys that
+// are expressions, conjuncts outside the kernels' subset, derived columns over
+// anything but a heap table's own scan (a columnar table's chunks are views of
+// its stripes, with nothing past their columns; a join's ordinals are two
+// inputs' side by side), and a heap table under a SERIALIZABLE transaction,
+// whose row-at-a-time scan checks every tuple version against concurrent
+// writers.
+func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilterSpec, derived []*derivedExpr) (chunkSource, bool) {
+	// heapScan is the source over a heap table's pages, or over the candidates
+	// of a GIN search for pattern when gin is set.
+	heapScan := func(st *storage, conjuncts []sql.Expr, gin *ginIndex, pattern string) (chunkSource, bool) {
+		filters, ok := compileVecFilters(conjuncts, sc)
+		if !ok || (s.serializableRequested() && !s.Eng.ssiOff.Load()) {
+			return nil, false
+		}
+		filters = append(filters, extra...)
+		read := filterColumns(filters, map[int]bool{})
+		for _, d := range derived {
+			read[d.base] = true
+		}
+		return &heapSource{st: st, filters: filters, out: sortedOrds(out), derived: derived,
+			filterCols: sortedOrds(read), gin: gin, pattern: pattern}, true
+	}
 	switch x := p.(type) {
 	case *filterNode:
 		if x.conjuncts == nil {
@@ -508,23 +571,21 @@ func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilt
 		if !ok {
 			return nil, false
 		}
-		return s.vecSource(x.child, sc, out, append(filters, extra...))
+		return s.vecSource(x.child, sc, out, append(filters, extra...), derived)
 	case *seqScanNode:
+		if x.st.col == nil {
+			return heapScan(x.st, x.conjuncts, nil, "")
+		}
 		filters, ok := compileVecFilters(x.conjuncts, sc)
-		if !ok {
+		if !ok || len(derived) > 0 {
 			return nil, false
 		}
 		filters = append(filters, extra...)
-		if x.st.col != nil {
-			return &columnarSource{st: x.st, filters: filters, load: sortedOrds(filterColumns(filters, out))}, true
-		}
-		if s.serializableRequested() && !s.Eng.ssiOff.Load() {
-			return nil, false
-		}
-		return &heapSource{st: x.st, filters: filters, out: sortedOrds(out),
-			filterCols: sortedOrds(filterColumns(filters, map[int]bool{}))}, true
+		return &columnarSource{st: x.st, filters: filters, load: sortedOrds(filterColumns(filters, out))}, true
+	case *ginScanNode:
+		return heapScan(x.st, x.conjuncts, x.idx, x.pattern)
 	case *hashJoinNode:
-		if x.joinType == sql.LeftJoin || x.leftSc == nil {
+		if x.joinType == sql.LeftJoin || x.leftSc == nil || len(derived) > 0 {
 			return nil, false
 		}
 		residual, ok := compileVecFilters(x.residualX, sc)
@@ -560,10 +621,10 @@ func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilt
 		}
 		j.keyText = strings.Join(keys, " AND ")
 		j.leftCols, j.rightCols = sortedOrds(leftOut), sortedOrds(rightOut)
-		if j.left, ok = s.vecSource(x.left, x.leftSc, leftOut, nil); !ok {
+		if j.left, ok = s.vecSource(x.left, x.leftSc, leftOut, nil, nil); !ok {
 			return nil, false
 		}
-		if j.right, ok = s.vecSource(x.right, x.rightSc, rightOut, nil); !ok {
+		if j.right, ok = s.vecSource(x.right, x.rightSc, rightOut, nil, nil); !ok {
 			return nil, false
 		}
 		return j, true

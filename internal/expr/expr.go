@@ -5,6 +5,7 @@
 package expr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -181,26 +182,16 @@ func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 			return nil, err
 		}
 		ilike, not := n.ILike, n.Not
-		// ILIKE matches the text against the lower-cased pattern; a constant
-		// pattern, the usual case, is formatted and lower-cased here, once
-		preparePattern := func(p types.Datum) string {
-			if ilike {
-				return strings.ToLower(types.Format(p))
-			}
-			return types.Format(p)
-		}
-		match := func(v types.Datum, pat string) types.Datum {
-			return matchLike(types.Format(v), pat, ilike) != not
-		}
 		pv, p, isConst := fold(n.Pattern, pv)
 		if isConst && p != nil {
-			pat := preparePattern(p)
+			// a constant pattern, the usual case, is prepared here, once
+			pat := CompileLike(types.Format(p), ilike)
 			return func(c *Ctx) (types.Datum, error) {
 				v, err := ev(c)
 				if err != nil || v == nil {
 					return nil, err
 				}
-				return match(v, pat), nil
+				return pat.Match(types.Format(v)) != not, nil
 			}, nil
 		}
 		return func(c *Ctx) (types.Datum, error) {
@@ -212,7 +203,8 @@ func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 			if err != nil || p == nil {
 				return nil, err
 			}
-			return match(v, preparePattern(p)), nil
+			pat := CompileLike(types.Format(p), ilike)
+			return pat.Match(types.Format(v)) != not, nil
 		}, nil
 
 	case *sql.IsNullExpr:
@@ -656,23 +648,128 @@ func CastDatum(v types.Datum, to types.Type) (types.Datum, error) {
 	return types.CoerceTo(v, to)
 }
 
+// LikePattern is a LIKE or ILIKE pattern prepared for matching many texts:
+// the one matcher of the row evaluator and of the vectorized filter kernel
+// (which matches text it holds only in a scratch buffer, hence MatchBytes).
+// % is any run, _ any single byte; ILIKE lower-cases the pattern here and
+// folds the text while it compares.
+type LikePattern struct {
+	pattern string
+	fold    bool
+	// sub is the literal of a %literal% pattern (no _ and no % inside),
+	// which is a substring search; isSub says that the pattern is one.
+	sub   string
+	isSub bool
+}
+
+// CompileLike prepares pattern; ilike makes the match case-insensitive.
+func CompileLike(pattern string, ilike bool) LikePattern {
+	if ilike {
+		pattern = strings.ToLower(pattern)
+	}
+	return newLikePattern(pattern, ilike)
+}
+
+// newLikePattern is CompileLike for a pattern that is lower-cased already.
+func newLikePattern(pattern string, fold bool) LikePattern {
+	p := LikePattern{pattern: pattern, fold: fold}
+	if n := len(pattern); n >= 2 && pattern[0] == '%' && pattern[n-1] == '%' &&
+		!strings.ContainsAny(pattern[1:n-1], "%_") {
+		p.sub, p.isSub = pattern[1:n-1], true
+	}
+	return p
+}
+
+// text is what a pattern is matched against: a string, or the bytes of one.
+type text interface{ ~string | ~[]byte }
+
+// hasHighByte reports whether s holds a byte outside ASCII.
+func hasHighByte(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return true
+		}
+	}
+	return false
+}
+
+// hasHighByteIn is hasHighByte for bytes, eight at a time: the kernel asks it
+// of every text it matches.
+func hasHighByteIn(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b)&0x8080808080808080 != 0 {
+			return true
+		}
+	}
+	for _, c := range b {
+		if c >= 0x80 {
+			return true
+		}
+	}
+	return false
+}
+
+// Match reports whether s matches the pattern. ASCII text, the common case,
+// is folded byte by byte during the comparison; only text with a byte >= 0x80
+// is lower-cased into a copy first.
+func (p *LikePattern) Match(s string) bool {
+	if p.fold && hasHighByte(s) {
+		s = strings.ToLower(s)
+	}
+	return matchText(p, s)
+}
+
+// MatchBytes is Match(string(b)) without the string, unless b has to be
+// lower-cased as a whole.
+func (p *LikePattern) MatchBytes(b []byte) bool {
+	if p.fold && hasHighByteIn(b) {
+		return matchText(p, strings.ToLower(string(b)))
+	}
+	return matchText(p, b)
+}
+
+func matchText[T text](p *LikePattern, s T) bool {
+	if p.isSub {
+		return containsFolded(s, p.sub, p.fold)
+	}
+	return matchBacktrack(s, p.pattern, p.fold)
+}
+
+// containsFolded reports whether sub occurs in s, each byte of s folded first
+// when foldCase is set.
+func containsFolded[T text](s T, sub string, foldCase bool) bool {
+	if len(sub) == 0 {
+		return true
+	}
+	for i := 0; i+len(sub) <= len(s); i++ {
+		if foldByte(s[i], foldCase) != sub[0] {
+			continue
+		}
+		j := 1
+		for j < len(sub) && foldByte(s[i+j], foldCase) == sub[j] {
+			j++
+		}
+		if j == len(sub) {
+			return true
+		}
+	}
+	return false
+}
+
 // MatchLike implements SQL LIKE matching (% = any run, _ = any single
 // byte) with iterative backtracking.
 func MatchLike(s, pattern string) bool { return matchLike(s, pattern, false) }
 
 // matchLike is MatchLike; with foldCase it is ILIKE against a pattern the
-// caller has lower-cased. ASCII text, the common case, is folded byte by
-// byte during the comparison; only text with a byte >= 0x80 is lower-cased
-// into a copy first.
+// caller has lower-cased.
 func matchLike(s, pattern string, foldCase bool) bool {
-	if foldCase {
-		for i := 0; i < len(s); i++ {
-			if s[i] >= 0x80 {
-				s = strings.ToLower(s)
-				break
-			}
-		}
-	}
+	p := newLikePattern(pattern, foldCase)
+	return p.Match(s)
+}
+
+// matchBacktrack is the general matcher: iterative backtracking over the
+// last % seen.
+func matchBacktrack[T text](s T, pattern string, foldCase bool) bool {
 	var si, pi int
 	star, match := -1, 0
 	for si < len(s) {

@@ -184,7 +184,9 @@ func likeRef(s, p string) bool {
 // TestMatchLikeAgainstReference drives the backtracking matcher, its skip to
 // the next occurrence of the literal after %, and ILIKE's folding (byte by
 // byte for ASCII text, strings.ToLower otherwise) with short strings over a
-// small alphabet, where near-misses and repeats are common.
+// small alphabet, where near-misses and repeats are common. Every third
+// pattern is wrapped in %…%, which with no wildcard inside is the substring
+// search; and what Match says of a string, MatchBytes says of its bytes.
 func TestMatchLikeAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := func(alphabet []rune, max int) string {
@@ -200,12 +202,20 @@ func TestMatchLikeAgainstReference(t *testing.T) {
 			texts = []rune("abAB") // ASCII only: the folding-in-place path
 		}
 		s, pat := gen(texts, 9), gen(patterns, 6)
+		if i%3 == 0 {
+			pat = "%" + pat + "%"
+		}
 		if got, want := MatchLike(s, pat), likeRef(s, pat); got != want {
 			t.Fatalf("MatchLike(%q, %q) = %v, want %v", s, pat, got, want)
 		}
 		lowered := strings.ToLower(pat)
 		if got, want := matchLike(s, lowered, true), likeRef(strings.ToLower(s), lowered); got != want {
 			t.Fatalf("ILIKE: matchLike(%q, %q, fold) = %v, want %v", s, lowered, got, want)
+		}
+		for _, ilike := range []bool{false, true} {
+			if p := CompileLike(pat, ilike); p.MatchBytes([]byte(s)) != p.Match(s) {
+				t.Fatalf("MatchBytes(%q) against %q (ilike %v) = %v, Match says %v", s, pat, ilike, !p.Match(s), p.Match(s))
+			}
 		}
 	}
 }

@@ -263,6 +263,48 @@ func TestTwoPhaseCommitFlightMatrix(t *testing.T) {
 			},
 			wantCommitErr: false, wantVisible: true, wantDangling: 1,
 		},
+		{
+			// The coordinator's own transaction is cancelled — what the
+			// distributed deadlock detector does to a victim — with COMMIT held
+			// between the prepares and the commit records: the records are
+			// written, the local commit then fails, and the decision is abort
+			// with records in the log that say commit. While they are there a
+			// lost ROLLBACK PREPARED is a participant recovery will commit
+			// alone; so they are taken back, durably, before the first rollback
+			// goes out — and a coordinator that restarts right after reads them
+			// and their deletion, and rolls the straggler back all the same.
+			name: "coordinator cancelled behind its commit records and ROLLBACK PREPARED lost on participant 0",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				distID := s.Txn().DistID
+				arrived, release := fault.ArmGate(fault.Point2PCCommitRecord, "")
+				fault.Arm(fault.Rule{Point: fault.Point2PCAbort, Key: strconv.Itoa(nodeIDs[0]), Action: fault.ActError, Count: 1})
+				done := commit(s)
+				<-arrived
+				if !h.C.Coordinator().Eng.CancelByDistID(distID) {
+					t.Fatalf("no transaction %s to cancel", distID)
+				}
+				release(nil)
+				err := <-done
+				if fault.Fired(fault.Point2PCAbort) != 1 {
+					t.Errorf("2pc.abort fired %d times, want once: on participant 0", fault.Fired(fault.Point2PCAbort))
+				}
+				if got := h.C.Coordinator().CommitRecords(); len(got) != 0 {
+					t.Errorf("commit records %v outlived the abort they were written before", got)
+				}
+				if err := h.C.CrashCoordinator(); err != nil {
+					t.Fatal(err)
+				}
+				if err := h.C.RestartCoordinator(); err != nil {
+					t.Fatal(err)
+				}
+				h.S = h.C.Session()
+				if got := h.C.Coordinator().CommitRecords(); len(got) != 0 {
+					t.Errorf("the restarted coordinator read back commit records %v of an aborted transaction", got)
+				}
+				return err
+			},
+			wantCommitErr: true, wantVisible: false, wantDangling: 1,
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -217,53 +217,102 @@ const BatchPages = 4
 // order, each charged to the buffer pool as Scan charges it and its
 // visibility decided the same way, under the table lock — and the visible
 // rows handed on BatchPages pages at a time, for the reader to turn the
-// columns it needs into vectors (vec.Vector.AppendColumn).
+// columns it needs into vectors (vec.Vector.AppendColumn). Started by
+// NewTIDScan it reads the tuples an index named instead of every page, as
+// many to a batch.
 type BatchScan struct {
-	t        *Table
-	vis      scanVisibility
-	page     int
-	numPages int
+	t    *Table
+	vis  scanVisibility
+	tids []TID // nil: every page
+	// pos of end pages — or tids — are read
+	pos, end int
 	rows     []types.Row
 }
+
+// batchTuples is the most tuple slots one batch covers.
+const batchTuples = BatchPages * TuplesPerPage
 
 // NewBatchScan starts a batched scan of the pages the table has now.
 func (t *Table) NewBatchScan(mgr *txn.Manager, s txn.Snapshot) *BatchScan {
 	t.mu.RLock()
 	numPages := len(t.pages)
 	t.mu.RUnlock()
-	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, numPages: numPages,
-		rows: make([]types.Row, 0, min(numPages, BatchPages)*TuplesPerPage)}
+	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, end: numPages,
+		rows: make([]types.Row, 0, min(numPages*TuplesPerPage, batchTuples))}
 }
 
-// Progress returns how many of the scan's pages have been read, and how many
-// there are.
-func (b *BatchScan) Progress() (read, pages int) { return b.page, b.numPages }
+// NewTIDScan starts a batched fetch of the tuples at tids, an index's
+// candidates: what a Get and a Visible per TID read, in the order given, with
+// the page access Get charges for each — but the table's read lock taken once
+// a batch, not once a tuple, and a run of tuples one transaction wrote costing
+// one look at the commit log.
+func (t *Table) NewTIDScan(mgr *txn.Manager, s txn.Snapshot, tids []TID) *BatchScan {
+	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, tids: tids, end: len(tids),
+		rows: make([]types.Row, 0, min(len(tids), batchTuples))}
+}
 
-// Next returns the visible rows of the next batch of pages that has any, and
-// false when the scan is over. The slice is the scan's own, good until the
-// next call; the rows, like every stored row, are immutable.
+// Progress returns how many of the scan's pages — of its TIDs, for a TID
+// scan — have been read, and how many there are.
+func (b *BatchScan) Progress() (read, total int) { return b.pos, b.end }
+
+// Next returns the visible rows of the next batch that has any, and false
+// when the scan is over. The slice is the scan's own, good until the next
+// call; the rows, like every stored row, are immutable.
 func (b *BatchScan) Next() ([]types.Row, bool) {
-	t := b.t
 	b.rows = b.rows[:0]
-	for len(b.rows) == 0 && b.page < b.numPages {
-		for end := min(b.page+BatchPages, b.numPages); b.page < end; b.page++ {
-			t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(b.page)})
-			// Visibility is decided under the table lock, on the page itself:
-			// a page's tuples nearly always share a writer, so the commit log
-			// is asked once a page (scanVisibility), and nothing is copied.
-			t.mu.RLock()
-			if b.page < len(t.pages) { // else dropped or truncated since the scan began
-				tuples := t.pages[b.page].tuples
-				for slot := range tuples {
-					if b.vis.visible(&tuples[slot]) {
-						b.rows = append(b.rows, tuples[slot].Row)
-					}
-				}
-			}
-			t.mu.RUnlock()
+	for len(b.rows) == 0 && b.pos < b.end {
+		if b.tids != nil {
+			b.readTIDs()
+		} else {
+			b.readPages()
 		}
 	}
 	return b.rows, len(b.rows) > 0
+}
+
+// readPages appends the visible rows of the next BatchPages pages.
+func (b *BatchScan) readPages() {
+	t := b.t
+	for end := min(b.pos+BatchPages, b.end); b.pos < end; b.pos++ {
+		t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(b.pos)})
+		// Visibility is decided under the table lock, on the page itself:
+		// a page's tuples nearly always share a writer, so the commit log
+		// is asked once a page (scanVisibility), and nothing is copied.
+		t.mu.RLock()
+		if b.pos < len(t.pages) { // else dropped or truncated since the scan began
+			tuples := t.pages[b.pos].tuples
+			for slot := range tuples {
+				if b.vis.visible(&tuples[slot]) {
+					b.rows = append(b.rows, tuples[slot].Row)
+				}
+			}
+		}
+		t.mu.RUnlock()
+	}
+}
+
+// readTIDs appends the visible rows among the next batchTuples TIDs: every
+// page access first, as Get charges them, then all the tuples under one hold
+// of the table lock.
+func (b *BatchScan) readTIDs() {
+	t := b.t
+	batch := b.tids[b.pos:min(b.pos+batchTuples, b.end)]
+	b.pos += len(batch)
+	for _, tid := range batch {
+		if tid >= 0 {
+			t.pool.Access(bufpool.PageID{Table: t.ID, Page: tid.page()})
+		}
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, tid := range batch {
+		// a TID past the table's end: dropped or truncated since the index was read
+		if p := int(tid.page()); tid >= 0 && p < len(t.pages) && tid.slot() < len(t.pages[p].tuples) {
+			if tup := &t.pages[p].tuples[tid.slot()]; b.vis.visible(tup) {
+				b.rows = append(b.rows, tup.Row)
+			}
+		}
+	}
 }
 
 // AllTuples visits every non-dead tuple version regardless of visibility

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -387,4 +388,74 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTIDScanMatchesGet: a TID scan over an index's candidate list — sparse,
+// with a TID past the table's end and a nil one among them — returns the rows
+// that a Get and a Visible per TID return, in the order given, and charges the
+// buffer pool the same accesses, hit for hit and miss for miss, with the cache
+// a few pages short of what the candidates touch.
+func TestTIDScanMatchesGet(t *testing.T) {
+	mgr := txn.NewManager()
+	const tuples = 9*TuplesPerPage - 5
+	stats := map[string][2]int64{}
+	got := map[string][]int64{}
+	for _, kind := range []string{"Get", "TIDScan"} {
+		pool := bufpool.New(bufpool.Config{})
+		tbl := NewTable(1, pool)
+		var tids []TID
+		for i := 0; i < tuples; i++ {
+			w := mgr.Begin()
+			tid := tbl.Insert(w.XID, types.Row{int64(i)})
+			switch {
+			case i%7 == 0:
+				mgr.Abort(w)
+			case i%11 == 0:
+				tbl.MarkDeleted(tid, w.XID, NilTID)
+				_ = mgr.Commit(w)
+			default:
+				_ = mgr.Commit(w)
+			}
+			if i%3 != 1 {
+				tids = append(tids, tid)
+			}
+		}
+		open := mgr.Begin() // still running when the snapshot is taken
+		tids = append(tids, tbl.Insert(open.XID, types.Row{int64(-1)}), TID(100*TuplesPerPage), NilTID)
+		tbl.Vacuum(mgr, mgr.GlobalXmin())
+		pool.SetCapacity(4)
+		pool.SetIOLatency(0, 1) // count, do not sleep
+		snap := mgr.TakeSnapshot(nil)
+		for pass := 0; pass < 2; pass++ {
+			if kind == "Get" {
+				for _, tid := range tids {
+					if tup, ok := tbl.Get(tid); ok && Visible(mgr, snap, tup) {
+						got[kind] = append(got[kind], tup.Row[0].(int64))
+					}
+				}
+				continue
+			}
+			for b := tbl.NewTIDScan(mgr, snap, tids); ; {
+				rows, ok := b.Next()
+				if !ok {
+					if read, total := b.Progress(); read != total || total != len(tids) {
+						t.Fatalf("a finished scan of %d TIDs reports %d of %d read", len(tids), read, total)
+					}
+					break
+				}
+				for _, r := range rows {
+					got[kind] = append(got[kind], r[0].(int64))
+				}
+			}
+		}
+		hits, misses := pool.Stats()
+		stats[kind] = [2]int64{hits, misses}
+		mgr.Abort(open)
+	}
+	if len(got["Get"]) == 0 || !slices.Equal(got["Get"], got["TIDScan"]) {
+		t.Fatalf("Get per TID returned %d rows, the TID scan %d, or not the same ones", len(got["Get"]), len(got["TIDScan"]))
+	}
+	if stats["Get"] != stats["TIDScan"] || stats["Get"][1] == 0 {
+		t.Fatalf("(hits, misses): Get per TID %v, TID scan %v", stats["Get"], stats["TIDScan"])
+	}
 }

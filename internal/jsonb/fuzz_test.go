@@ -59,6 +59,15 @@ func fuzzText(t *testing.T, doc, other, path string) {
 	}
 	if qerr == nil {
 		agree(t, qv, qo)
+		// the path's text written from the matches is the text of the array
+		// built from them, on top of whatever the buffer held
+		p, err := CompilePath(path)
+		if err != nil {
+			t.Fatalf("CompilePath(%q) refused a path PathQueryArray took: %v", path, err)
+		}
+		if got, want := string(v.AppendPathText([]byte("x"), p)), "x"+qv.String(); got != want {
+			t.Fatalf("AppendPathText(%q) of %s: %s, want %s", path, v, got, want)
+		}
 	}
 
 	if !v.Contains(v) {
@@ -86,7 +95,13 @@ func agree(t *testing.T, v Value, o oracle) {
 	if got, want := v.String(), unescapeHTML(o.String()); got != want {
 		t.Fatalf("String: flat %s, oracle %s", got, want)
 	}
+	if got, want := string(v.AppendText(nil)), v.String(); got != want {
+		t.Fatalf("AppendText(nil) = %s, String() = %s", got, want)
+	}
 	gt, gok := v.Text()
+	if at, aok := v.AppendAsText([]byte("x")); string(at) != "x"+gt || aok != gok {
+		t.Fatalf("AppendAsText: %q %v, Text: %q %v", at, aok, gt, gok)
+	}
 	wt, wok := o.Text()
 	if _, isString := o.v.(string); !isString {
 		wt = unescapeHTML(wt) // a composite's text is its rendering

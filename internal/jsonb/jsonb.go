@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
+	"unsafe"
 )
 
 const (
@@ -224,6 +224,19 @@ func (j Value) Text() (string, bool) {
 	return j.String(), true
 }
 
+// AppendAsText is Text into a buffer: what ->> yields is appended to dst, and
+// no string is made of it.
+func (j Value) AppendAsText(dst []byte) ([]byte, bool) {
+	switch n := j.node(); n[0] {
+	case tagNull:
+		return dst, false
+	case tagString:
+		return append(dst, str(n)...), true
+	default:
+		return appendText(dst, n), true
+	}
+}
+
 // ArrayLength implements jsonb_array_length.
 func (j Value) ArrayLength() (int, error) {
 	n := j.node()
@@ -247,88 +260,86 @@ func (j Value) Number() (float64, bool) {
 // the quote, the backslash and control characters escaped.
 func (j Value) String() string {
 	n := j.node()
-	var sb strings.Builder
-	sb.Grow(len(n))
-	writeText(&sb, n)
-	return sb.String()
+	b := appendText(make([]byte, 0, len(n)), n)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never written again
 }
 
-func writeText(sb *strings.Builder, n []byte) {
+// AppendText appends String() to dst.
+func (j Value) AppendText(dst []byte) []byte { return appendText(dst, j.node()) }
+
+// appendText is the one writer of JSON text: String, AppendText, AppendAsText
+// and AppendPathText are all it.
+func appendText(dst, n []byte) []byte {
 	switch n[0] {
 	case tagNull:
-		sb.WriteString("null")
+		return append(dst, "null"...)
 	case tagFalse:
-		sb.WriteString("false")
+		return append(dst, "false"...)
 	case tagTrue:
-		sb.WriteString("true")
+		return append(dst, "true"...)
 	case tagNumber:
-		var buf [32]byte
-		if f := number(n); f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			sb.Write(strconv.AppendInt(buf[:0], int64(f), 10))
-		} else {
-			sb.Write(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
+		f := number(n)
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.AppendInt(dst, int64(f), 10)
 		}
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	case tagString:
-		writeQuoted(sb, str(n))
+		return appendQuoted(dst, str(n))
 	case tagArray:
 		count, table, kids := children(n)
-		sb.WriteByte('[')
+		dst = append(dst, '[')
 		for i := 0; i < count; i++ {
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			writeText(sb, child(table, kids, i))
+			dst = appendText(dst, child(table, kids, i))
 		}
-		sb.WriteByte(']')
+		return append(dst, ']')
 	case tagObject:
 		count, table, kids := children(n)
-		sb.WriteByte('{')
+		dst = append(dst, '{')
 		for i := 0; i < count; i++ {
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
 			key, val := member(child(table, kids, i))
-			writeQuoted(sb, key)
-			sb.WriteString(": ")
-			writeText(sb, val)
+			dst = append(appendQuoted(dst, key), ": "...)
+			dst = appendText(dst, val)
 		}
-		sb.WriteByte('}')
+		return append(dst, '}')
 	}
+	return dst
 }
 
 const hexDigits = "0123456789abcdef"
 
-func writeQuoted(sb *strings.Builder, s []byte) {
-	sb.WriteByte('"')
+func appendQuoted(dst, s []byte) []byte {
+	dst = append(dst, '"')
 	start := 0
 	for i, c := range s {
 		if c >= 0x20 && c != '"' && c != '\\' {
 			continue
 		}
-		sb.Write(s[start:i])
+		dst = append(dst, s[start:i]...)
 		start = i + 1
 		switch c {
 		case '"', '\\':
-			sb.WriteByte('\\')
-			sb.WriteByte(c)
+			dst = append(dst, '\\', c)
 		case '\b':
-			sb.WriteString(`\b`)
+			dst = append(dst, `\b`...)
 		case '\f':
-			sb.WriteString(`\f`)
+			dst = append(dst, `\f`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			sb.WriteString(`\u00`)
-			sb.WriteByte(hexDigits[c>>4])
-			sb.WriteByte(hexDigits[c&0xf])
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
 		}
 	}
-	sb.Write(s[start:])
-	sb.WriteByte('"')
+	return append(append(dst, s[start:]...), '"')
 }
 
 // Contains implements the @> containment operator: j contains other when

@@ -38,6 +38,30 @@ func (j Value) PathQueryArray(path string) (Value, error) {
 	return Value{b: out}, nil
 }
 
+// Path is a compiled jsonpath of the subset PathQueryArray implements, for a
+// caller that applies one path to many documents.
+type Path struct{ steps []pathStep }
+
+// CompilePath parses path.
+func CompilePath(path string) (Path, error) {
+	steps, err := compilePath(path)
+	return Path{steps: steps}, err
+}
+
+// AppendPathText appends the text of the array PathQueryArray returns for p —
+// its String() — to dst, from the matches themselves: the array is never built.
+func (j Value) AppendPathText(dst []byte, p Path) []byte {
+	var stack [8][]byte
+	dst = append(dst, '[')
+	for i, m := range collectPath(stack[:0], j.node(), p.steps) {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendText(dst, m)
+	}
+	return append(dst, ']')
+}
+
 type pathStep struct {
 	field    string // field access when non-empty
 	wildcard bool   // [*] step

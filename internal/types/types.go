@@ -368,8 +368,12 @@ var timestampLayouts = []string{
 // daysIn is the length of each month, February's in a leap year.
 var daysIn = [12]int{31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
 
+// timestampText is what a timestamp is parsed from: a string, or the bytes of
+// one still in the buffer they were written to.
+type timestampText interface{ ~string | ~[]byte }
+
 // twoDigits reads s[i:i+2] as a number; ok is false unless both are digits.
-func twoDigits(s string, i int) (n int, ok bool) {
+func twoDigits[T timestampText](s T, i int) (n int, ok bool) {
 	a, b := s[i]-'0', s[i+1]-'0'
 	return int(a)*10 + int(b), a <= 9 && b <= 9
 }
@@ -380,7 +384,7 @@ func twoDigits(s string, i int) (n int, ok bool) {
 // false for everything else — an offset, a field out of range, anything
 // before or after — which is then timestampLayouts' to accept or refuse: what
 // this function does accept, it reads as they do.
-func parseTimestampFixed(s string) (t time.Time, ok bool) {
+func parseTimestampFixed[T timestampText](s T) (t time.Time, ok bool) {
 	if len(s) < 10 || s[4] != '-' || s[7] != '-' {
 		return t, false
 	}
@@ -409,19 +413,18 @@ func parseTimestampFixed(s string) (t time.Time, ok bool) {
 	if !ok1 || !ok2 || !ok3 || hour > 23 || min > 59 || sec > 59 {
 		return t, false
 	}
-	rest, nsec := s[19:], 0
-	if len(rest) > 1 && rest[0] == '.' {
-		i, scale := 1, 100_000_000
-		for ; i < len(rest) && rest[i]-'0' <= 9 && scale > 0; i++ {
-			nsec += int(rest[i]-'0') * scale
+	end, nsec := 19, 0 // end: where the seconds, or their fraction, stop
+	if len(s) > 20 && s[19] == '.' {
+		scale := 100_000_000
+		for end = 20; end < len(s) && s[end]-'0' <= 9 && scale > 0; end++ {
+			nsec += int(s[end]-'0') * scale
 			scale /= 10
 		}
-		if i == 1 {
+		if end == 20 {
 			return t, false
 		}
-		rest = rest[i:]
 	}
-	if (sep == ' ' && rest != "") || (sep == 'T' && rest != "Z") {
+	if (sep == ' ' && end != len(s)) || (sep == 'T' && (end != len(s)-1 || s[end] != 'Z')) {
 		return t, false
 	}
 	return time.Date(year, time.Month(month), day, hour, min, sec, nsec, time.UTC), true
@@ -434,6 +437,15 @@ func ParseTimestamp(s string) (time.Time, error) {
 		return t, nil
 	}
 	return parseTimestampLayouts(s)
+}
+
+// ParseTimestampBytes is ParseTimestamp(string(b)); the shapes
+// parseTimestampFixed knows are read where they lie, without the string.
+func ParseTimestampBytes(b []byte) (time.Time, error) {
+	if t, ok := parseTimestampFixed(b); ok {
+		return t, nil
+	}
+	return ParseTimestamp(string(b))
 }
 
 // parseTimestampLayouts tries every accepted layout in turn.

@@ -314,10 +314,18 @@ func TestParseTimestampFixedAgreesWithLayouts(t *testing.T) {
 		if (err == nil) != (wantErr == nil) || got != want {
 			t.Errorf("%q: ParseTimestamp %v (%v), layouts alone %v (%v)", tc.in, got, err, want, wantErr)
 		}
+		gotB, errB := ParseTimestampBytes([]byte(tc.in))
+		if gotB != got || (errB == nil) != (err == nil) || (err != nil && errB.Error() != err.Error()) {
+			t.Errorf("%q: ParseTimestampBytes %v (%v), ParseTimestamp %v (%v)", tc.in, gotB, errB, got, err)
+		}
 	}
 	for _, in := range []string{"2024-01-15", "2024-01-15 10:30:00.123456", "2024-01-15T10:30:00Z"} {
 		if n := testing.AllocsPerRun(100, func() { _, _ = ParseTimestamp(in) }); n != 0 {
 			t.Errorf("ParseTimestamp(%q) allocates %v times, want 0", in, n)
+		}
+		b := []byte(in)
+		if n := testing.AllocsPerRun(100, func() { _, _ = ParseTimestampBytes(b) }); n != 0 {
+			t.Errorf("ParseTimestampBytes(%q) allocates %v times, want 0", in, n)
 		}
 	}
 }

@@ -119,11 +119,63 @@ func (v *Vector) appendTyped(d types.Datum) bool {
 	default:
 		return false
 	}
+	v.grew()
+	return true
+}
+
+// grew counts a non-NULL row whose value has been appended.
+func (v *Vector) grew() {
 	v.n++
 	if v.Nulls != nil {
 		v.Nulls = append(v.Nulls, false)
 	}
-	return true
+}
+
+// AppendInt, AppendFloat, AppendTime and AppendText add one row from a value
+// the caller holds unboxed — an expression kernel's result. A value of the
+// vector's own kind, which is every value but a vector's first, goes straight
+// into its slice; anything else is Append's.
+
+// AppendInt is Append(x).
+func (v *Vector) AppendInt(x int64) {
+	if v.Kind != KindInt {
+		v.Append(x)
+		return
+	}
+	v.Ints = append(v.Ints, x)
+	v.grew()
+}
+
+// AppendFloat is Append(x).
+func (v *Vector) AppendFloat(x float64) {
+	if v.Kind != KindFloat {
+		v.Append(x)
+		return
+	}
+	v.Floats = append(v.Floats, x)
+	v.grew()
+}
+
+// AppendTime is Append(t).
+func (v *Vector) AppendTime(t time.Time) {
+	ns, exact := timeNanos(t)
+	if v.Kind != KindTime || !exact {
+		v.Append(t)
+		return
+	}
+	v.Ints = append(v.Ints, ns)
+	v.grew()
+}
+
+// AppendText is Append(string(b)): the string is made only when the
+// dictionary does not hold it yet.
+func (v *Vector) AppendText(b []byte) {
+	if v.Kind != KindString {
+		v.Append(string(b))
+		return
+	}
+	v.Codes = append(v.Codes, v.codeBytes(b))
+	v.grew()
 }
 
 // Append adds one row. The caller serialises appends (the table lock).
@@ -363,6 +415,22 @@ func (v *Vector) code(s string) uint32 {
 		v.index[s] = c
 	}
 	return c
+}
+
+// codeBytes is code(string(b)), looking b up as it lies.
+func (v *Vector) codeBytes(b []byte) uint32 {
+	if v.index != nil {
+		if c, ok := v.index[string(b)]; ok {
+			return c
+		}
+	} else {
+		for c, have := range v.Dict {
+			if have == string(b) {
+				return uint32(c)
+			}
+		}
+	}
+	return v.code(string(b)) // new: once per distinct value
 }
 
 // Freeze drops what only Append needs; the owner calls it when the vector

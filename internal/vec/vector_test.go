@@ -321,3 +321,58 @@ func TestGroupDictIntWindow(t *testing.T) {
 		t.Fatalf("timestamp 5ns and int 5 grouped as %v (int 5 is group %d)", ids, got[0])
 	}
 }
+
+// TestTypedAppends: AppendInt, AppendFloat, AppendTime and AppendText leave a
+// vector exactly as Append of the same value boxed leaves it — as its first
+// value, behind NULLs, into its own kind, and into a vector of another kind,
+// which demotes — and a text the dictionary holds costs no string.
+func TestTypedAppends(t *testing.T) {
+	ts := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	far := time.Date(9000, 1, 1, 0, 0, 0, 0, time.UTC) // no UnixNano: demotes a time vector
+	type op struct {
+		typed func(v *Vector)
+		boxed types.Datum
+	}
+	ops := []op{
+		{func(v *Vector) { v.AppendInt(7) }, int64(7)},
+		{func(v *Vector) { v.AppendInt(1 << 40) }, int64(1 << 40)},
+		{func(v *Vector) { v.AppendFloat(2.5) }, 2.5},
+		{func(v *Vector) { v.AppendTime(ts) }, ts},
+		{func(v *Vector) { v.AppendTime(far) }, far},
+		{func(v *Vector) { v.AppendText([]byte("alpha")) }, "alpha"},
+		{func(v *Vector) { v.AppendText([]byte("")) }, ""},
+		{func(v *Vector) { v.Append(nil) }, nil},
+	}
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 500; round++ {
+		got, want := &Vector{}, &Vector{}
+		// mostly one kind, so that long typed runs and rare demotions both occur
+		home := ops[rng.Intn(len(ops))]
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			o := home
+			if rng.Intn(6) == 0 {
+				o = ops[rng.Intn(len(ops))]
+			}
+			o.typed(got)
+			want.Append(o.boxed)
+		}
+		if got.Kind != want.Kind || got.Len() != want.Len() || !reflect.DeepEqual(datumsOf(t, got), datumsOf(t, want)) {
+			t.Fatalf("round %d: typed appends made kind %d %v, Append made kind %d %v",
+				round, got.Kind, datumsOf(t, got), want.Kind, datumsOf(t, want))
+		}
+	}
+
+	// a text the dictionary holds — found by walking it, or in its map — is
+	// appended without becoming a string
+	for _, words := range []int{dictLinear / 2, 3 * dictLinear} {
+		v := &Vector{}
+		for i := 0; i < words; i++ {
+			v.AppendText([]byte(fmt.Sprintf("word%02d", i)))
+		}
+		v.Reserve(1000)
+		text := []byte("word01 and more")[:6]
+		if n := testing.AllocsPerRun(100, func() { v.AppendText(text) }); n != 0 {
+			t.Errorf("a text one of %d dictionary entries holds: %v allocations, want 0", words, n)
+		}
+	}
+}

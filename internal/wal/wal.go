@@ -46,6 +46,10 @@ const (
 	// paper's "Citus metadata" commit record, §3.7.2): its durability with
 	// the local commit is what makes 2PC recovery decisions safe.
 	RecCommitRecord
+	// RecCommitRecordDeleted takes a commit record back: the coordinator's
+	// own commit failed behind it, the transaction's fate is abort, and a
+	// restart that reads the record must read this after it.
+	RecCommitRecordDeleted
 )
 
 func (t RecordType) String() string {
@@ -72,17 +76,19 @@ func (t RecordType) String() string {
 		return "ddl"
 	case RecCommitRecord:
 		return "commit_record"
+	case RecCommitRecordDeleted:
+		return "commit_record_deleted"
 	}
 	return "unknown"
 }
 
 // metRecords counts appended WAL records by type; the per-type counters
 // are resolved once at init so Append pays a single atomic add.
-var metRecords [RecCommitRecord + 2]*obs.Counter
+var metRecords [RecCommitRecordDeleted + 2]*obs.Counter
 
 func init() {
 	vec := obs.Default().Counter("wal_records_total", "WAL records appended, by record type", "type")
-	for t := RecBegin; t <= RecCommitRecord+1; t++ {
+	for t := RecBegin; t <= RecCommitRecordDeleted+1; t++ {
 		metRecords[t] = vec.With(t.String())
 	}
 }
@@ -286,7 +292,7 @@ func (l *Log) Sealed() bool { return l.sealed.Load() }
 // where a real WAL would fsync before acknowledging.
 func durable(t RecordType) bool {
 	switch t {
-	case RecCommit, RecPrepare, RecCommitPrepared, RecAbortPrepared, RecCommitRecord:
+	case RecCommit, RecPrepare, RecCommitPrepared, RecAbortPrepared, RecCommitRecord, RecCommitRecordDeleted:
 		return true
 	}
 	return false
@@ -706,7 +712,7 @@ func ApplyRecord(a Applier, rec Record) error {
 	case RecAbortPrepared:
 		a.ApplyAbortPrepared(rec.GID)
 	}
-	// RecBegin, RecRestorePoint, and RecCommitRecord need no engine-state
-	// change; the shipper still copies them into the standby's own WAL.
+	// RecBegin, RecRestorePoint, RecCommitRecord and RecCommitRecordDeleted
+	// need no engine-state change; the shipper still copies them into the standby's own WAL.
 	return nil
 }
