@@ -66,8 +66,10 @@ race:
 # tables scanning and growing over the stripes an image lets them share, a
 # standby taking its primary's bases and then a failover, a second crash of a
 # restarted worker, a rejoin below the new primary's base, a shard move's
-# delta against a checkpoint of its source, and a coordinator restart reading
-# back only the commit records its log still holds
+# delta against a checkpoint of its source, a coordinator restart reading
+# back only the commit records its log still holds, and index readers (Range,
+# SearchEqual, GIN Search) beside writers whose inserts and removes split
+# B-tree leaves and re-encode posting-list blocks
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
@@ -79,6 +81,7 @@ stress:
 	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared' -count=10 -timeout 10m ./internal/columnar
 	go test -race -run 'TestBatchScanConcurrentWriters' -count=10 -timeout 10m ./internal/heap
 	go test -race -run 'TestDashboardUnderConcurrentCopy' -count=10 -timeout 10m ./internal/engine
+	go test -race -run 'TestIndexConcurrentReadersAndWriters' -count=10 -timeout 10m ./internal/index
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
 	go test -race -run 'TestStandbyTakesPrimaryBases|TestSecondCrashOfARestartedWorker' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRejoinBelowTheNewPrimarysBase|TestRebalanceMoveDeltaSurvivesCheckpoint|TestRestartedCoordinatorForgetsResolvedCommitRecords' -count=20 -timeout 10m ./internal/fault/chaos
@@ -95,10 +98,11 @@ stress:
 # assert their counter splits (vec batches and rows, exactly; replicated vs
 # primary reads), and A3 its own: no cached plan or statement on the off arm,
 # more statement-cache hits than statements on the on arm — the workers'.
-# The wire's and the ingest path's microbenchmarks (one hop of a point
-# operation through the frame codec; one jsonb event's COPY frame across both
-# hops plus the index expression; one GIN insert) run long enough for their
-# allocs/op to mean something, and print them. BenchmarkTxnBlock (the
+# The wire's, the ingest path's and the indexes' microbenchmarks (one hop of
+# a point operation through the frame codec; one jsonb event's COPY frame
+# across both hops plus the index expression; a GIN insert and search; a
+# B-tree insert, in order and not, and equality search) run long enough for
+# their allocs/op to mean something, and print them. BenchmarkTxnBlock (the
 # two-update transaction over real TCP, single-node and cross-node) fails
 # unless each costs its budget of worker requests and waits: 3 in 3, 6 in 4.
 # BenchmarkVectorizedJoinQ3 and BenchmarkVectorizedDashboard are one shard's
@@ -107,7 +111,7 @@ stress:
 # The CI bench-smoke job runs this target, so this is the one list.
 bench-smoke:
 	go test -bench=. -benchtime=1x -run '^$$' -timeout 15m . ./internal/bench/... ./internal/vec
-	go test -bench 'BenchmarkCodecPointOp|BenchmarkJSONBHop|BenchmarkGINInsert' -benchtime=2000x -benchmem -run '^$$' ./internal/wire ./internal/index
+	go test -bench 'BenchmarkCodecPointOp|BenchmarkJSONBHop|BenchmarkGIN|BenchmarkBTree' -benchtime=2000x -benchmem -run '^$$' ./internal/wire ./internal/index
 	go test -bench 'BenchmarkTxnBlock' -benchtime=500x -run '^$$' ./internal/cluster
 	go test -bench 'BenchmarkVectorizedJoinQ3|BenchmarkVectorizedDashboard' -benchtime=100x -benchmem -run '^$$' ./internal/engine
 	go test -run 'TestAblationSlowStartPlanCache|TestAblationPipelining|TestAblationVectorized|TestAblationReplicaRouting|TestAblationSSI' -count=1 -timeout 10m ./internal/bench
@@ -188,14 +192,17 @@ soak-smoke:
 # (columnar and heap tables, hash joins, tuples of open and aborted transactions,
 # derived columns over jsonb documents with and without a trigram GIN index),
 # the flat jsonb encoding against its tree oracle (plus arbitrary bytes
-# through jsonb.FromWire), and the recovery oracle (random schedules with
+# through jsonb.FromWire), the recovery oracle (random schedules with
 # checkpoints forced at random points: an engine rebuilt from base + tail, one
-# rebuilt from the whole log and the live one must agree); longer local runs
-# just extend the same corpus:
+# rebuilt from the whole log and the live one must agree), and the index
+# oracle (a byte script driving a B-tree and a GIN against a sorted slice and
+# a map, every search compared after every step); longer local runs just
+# extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzVecParity -fuzztime 10m
 #   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzRecovery -fuzztime 10m
+#   go test ./internal/index -fuzz FuzzIndex -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
@@ -203,6 +210,7 @@ fuzz-smoke:
 	go test ./internal/engine -run '^$$' -fuzz FuzzVecParity -fuzztime 15s
 	go test ./internal/jsonb -run '^$$' -fuzz FuzzJSONB -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzRecovery -fuzztime 15s
+	go test ./internal/index -run '^$$' -fuzz FuzzIndex -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

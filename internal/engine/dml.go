@@ -169,12 +169,18 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, onConfli
 	// DESIGN.md).
 	store.mu.Lock()
 	conflictTID := heap.NilTID
+	var scratch [4]types.Datum
+	key := scratch[:0]
+	var ctx *expr.Ctx
 	for _, bidx := range store.btrees {
 		if !bidx.def.Unique {
 			continue
 		}
-		key, err := s.indexKey(bidx, full, params)
-		if err != nil {
+		if ctx == nil {
+			ctx = &expr.Ctx{Params: params, Row: full}
+		}
+		var err error
+		if key, err = bidx.evalKey(key, ctx); err != nil {
 			store.mu.Unlock()
 			return nil, false, err
 		}
@@ -351,16 +357,17 @@ func (s *Session) refExists(ref *storage, t *txn.Txn, col string, val types.Datu
 	return found
 }
 
-// indexKey computes a btree key for a table row.
-func (s *Session) indexKey(bidx *btreeIndex, row types.Row, params []types.Datum) (index.Key, error) {
-	ctx := &expr.Ctx{Params: params, Row: row}
-	key := make(index.Key, len(bidx.evals))
-	for i, ev := range bidx.evals {
+// evalKey evaluates the index's key over ctx.Row into key's backing array
+// and returns it. Callers reuse one key row after row: BTree.Insert copies
+// a key in, and the tree's searches only read it.
+func (b *btreeIndex) evalKey(key index.Key, ctx *expr.Ctx) (index.Key, error) {
+	key = key[:0]
+	for _, ev := range b.evals {
 		v, err := ev(ctx)
 		if err != nil {
-			return nil, err
+			return key, err
 		}
-		key[i] = v
+		key = append(key, v)
 	}
 	return key, nil
 }
@@ -368,14 +375,12 @@ func (s *Session) indexKey(bidx *btreeIndex, row types.Row, params []types.Datum
 // insertIndexEntries adds tid to every index. Caller holds store.mu.
 func (s *Session) insertIndexEntries(store *storage, row types.Row, tid heap.TID, params []types.Datum) error {
 	ctx := &expr.Ctx{Params: params, Row: row}
+	var scratch [4]types.Datum
+	key := scratch[:0]
 	for _, bidx := range store.btrees {
-		key := make(index.Key, len(bidx.evals))
-		for i, ev := range bidx.evals {
-			v, err := ev(ctx)
-			if err != nil {
-				return err
-			}
-			key[i] = v
+		var err error
+		if key, err = bidx.evalKey(key, ctx); err != nil {
+			return err
 		}
 		bidx.tree.Insert(key, tid)
 	}

@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"strings"
 
+	"citusgo/internal/expr"
 	"citusgo/internal/fault"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
@@ -217,7 +218,7 @@ func (s *Session) indexWriteKeys(store *storage, keys []ssi.Key, row types.Row, 
 	store.mu.RLock()
 	defer store.mu.RUnlock()
 	for _, bidx := range store.btrees {
-		key, err := s.indexKey(bidx, row, params)
+		key, err := bidx.evalKey(nil, &expr.Ctx{Params: params, Row: row})
 		if err != nil {
 			continue
 		}

@@ -230,7 +230,7 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 			}
 			evals[i] = ev
 		}
-		b := &btreeIndex{def: def, tree: index.NewBTree(), evals: evals}
+		b := &btreeIndex{def: def, tree: index.NewBTree(len(evals)), evals: evals}
 		store.mu.Lock()
 		store.btrees[def.Name] = b
 		store.mu.Unlock()
@@ -245,17 +245,12 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 
 func (e *Engine) backfillBTree(store *storage, b *btreeIndex) error {
 	var buildErr error
+	var key index.Key
 	ctx := &expr.Ctx{}
 	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
 		ctx.Row = tup.Row
-		key := make(index.Key, len(b.evals))
-		for i, ev := range b.evals {
-			v, err := ev(ctx)
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			key[i] = v
+		if key, buildErr = b.evalKey(key, ctx); buildErr != nil {
+			return false
 		}
 		b.tree.Insert(key, tid)
 		return true
@@ -322,7 +317,7 @@ func (e *Engine) truncateStorage(store *storage) {
 		store.col.Truncate()
 	}
 	for name, b := range store.btrees {
-		store.btrees[name] = &btreeIndex{def: b.def, tree: index.NewBTree(), evals: b.evals}
+		store.btrees[name] = &btreeIndex{def: b.def, tree: index.NewBTree(len(b.evals)), evals: b.evals}
 	}
 	for name, g := range store.gins {
 		store.gins[name] = &ginIndex{def: g.def, gin: index.NewGIN(), eval: g.eval}
@@ -355,21 +350,13 @@ func (e *Engine) Vacuum(table string) int {
 			continue
 		}
 		st.mu.Lock()
+		var key index.Key
 		ctx := &expr.Ctx{}
 		for _, vt := range reclaimed {
 			ctx.Row = vt.Row
 			for _, b := range st.btrees {
-				key := make(index.Key, len(b.evals))
-				bad := false
-				for i, ev := range b.evals {
-					v, err := ev(ctx)
-					if err != nil {
-						bad = true
-						break
-					}
-					key[i] = v
-				}
-				if !bad {
+				var err error
+				if key, err = b.evalKey(key, ctx); err == nil {
 					b.tree.Remove(key, vt.TID)
 				}
 			}

@@ -6,6 +6,8 @@
 package index
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"citusgo/internal/heap"
@@ -51,31 +53,38 @@ func HasPrefix(key, prefix Key) bool {
 	return true
 }
 
-const btreeFanout = 64
+// btreeFanout is the most entries a leaf holds (unless they all share one
+// key) and the most separators an inner node holds. A leaf's arrays are
+// allocated once with one slot more, the entry that makes it split: 64
+// slots fill whole size classes, 1 KiB of datums per key column and 512 B
+// of TIDs.
+const btreeFanout = 63
 
-type btreeLeaf struct {
-	keys []Key
-	vals [][]heap.TID
-	next *btreeLeaf
+// btreeNode is a leaf when children is nil. Keys are flat, width datums an
+// entry: entry i's key is keys[i*width:(i+1)*width]. A leaf's entry i points
+// at tids[i]; an inner node's children[i] covers the keys below its
+// separator i, and children[len(children)-1] the rest.
+type btreeNode struct {
+	keys     []types.Datum
+	tids     []heap.TID
+	children []*btreeNode
+	next     *btreeNode // the leaf to the right
 }
 
-type btreeInner struct {
-	// children[i] covers keys < keys[i]; children[len(keys)] covers the rest
-	keys     []Key
-	children []any // *btreeInner or *btreeLeaf
-}
-
-// BTree is a concurrency-safe B+tree mapping composite keys to posting
-// lists of tuple ids.
+// BTree is a concurrency-safe B+tree from composite keys of a fixed width
+// to tuple ids. Entries with equal keys sit side by side in insertion order
+// and never straddle two leaves: a split moves to the nearest boundary
+// between runs of equal keys, and a leaf that is one run grows instead.
 type BTree struct {
 	mu      sync.RWMutex
-	root    any // *btreeInner or *btreeLeaf
+	width   int
+	root    *btreeNode
 	entries int
 }
 
-// NewBTree creates an empty tree.
-func NewBTree() *BTree {
-	return &BTree{root: &btreeLeaf{}}
+// NewBTree creates an empty tree over keys of width datums.
+func NewBTree(width int) *BTree {
+	return &BTree{width: width, root: &btreeNode{}}
 }
 
 // Len returns the number of (key, tid) entries.
@@ -85,103 +94,144 @@ func (t *BTree) Len() int {
 	return t.entries
 }
 
-// Insert adds tid under key.
+// key returns entry (or separator) i of n, capped so that appending to it
+// cannot write into the node.
+func (t *BTree) key(n *btreeNode, i int) Key {
+	return n.keys[i*t.width : (i+1)*t.width : (i+1)*t.width]
+}
+
+// lowerBound returns the first entry of n whose key is >= key.
+func (t *BTree) lowerBound(n *btreeNode, key Key) int {
+	lo, hi := 0, len(n.keys)/t.width
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if CompareKeys(t.key(n, mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// upperBound returns the first entry of n whose key is > key: the end of
+// key's run in a leaf, and the child to descend into from an inner node
+// (equal keys go right, a separator being the first key of its right
+// child).
+func (t *BTree) upperBound(n *btreeNode, key Key) int {
+	lo, hi := 0, len(n.keys)/t.width
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if CompareKeys(t.key(n, mid), key) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Insert adds tid under key, after the entries already under it. The key's
+// datums are copied in: the caller may reuse key.
 func (t *BTree) Insert(key Key, tid heap.TID) {
+	if len(key) != t.width {
+		panic(fmt.Sprintf("index: inserting a key of %d datums into a tree of width %d", len(key), t.width))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	newKey, newChild := t.insert(t.root, key, tid)
-	if newChild != nil {
-		t.root = &btreeInner{keys: []Key{newKey}, children: []any{t.root, newChild}}
+	t.entries++
+	if sep, right := t.insert(t.root, key, tid); right != nil {
+		t.root = &btreeNode{keys: sep, children: []*btreeNode{t.root, right}}
 	}
 }
 
-// insert descends into node; on split it returns the separator key and the
-// new right sibling.
-func (t *BTree) insert(node any, key Key, tid heap.TID) (Key, any) {
-	switch n := node.(type) {
-	case *btreeLeaf:
-		i := lowerBound(n.keys, key)
-		if i < len(n.keys) && CompareKeys(n.keys[i], key) == 0 {
-			n.vals[i] = append(n.vals[i], tid)
-			t.entries++
-			return nil, nil
-		}
-		n.keys = append(n.keys, nil)
-		n.vals = append(n.vals, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		copy(n.vals[i+1:], n.vals[i:])
-		n.keys[i] = key
-		n.vals[i] = []heap.TID{tid}
-		t.entries++
-		if len(n.keys) <= btreeFanout {
-			return nil, nil
-		}
-		mid := len(n.keys) / 2
-		right := &btreeLeaf{
-			keys: append([]Key(nil), n.keys[mid:]...),
-			vals: append([][]heap.TID(nil), n.vals[mid:]...),
-			next: n.next,
-		}
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
-		n.next = right
-		return right.keys[0], right
-	case *btreeInner:
-		i := upperBound(n.keys, key)
-		sepKey, newChild := t.insert(n.children[i], key, tid)
-		if newChild == nil {
-			return nil, nil
-		}
-		n.keys = append(n.keys, nil)
-		n.children = append(n.children, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		copy(n.children[i+2:], n.children[i+1:])
-		n.keys[i] = sepKey
-		n.children[i+1] = newChild
-		if len(n.keys) <= btreeFanout {
-			return nil, nil
-		}
-		mid := len(n.keys) / 2
-		right := &btreeInner{
-			keys:     append([]Key(nil), n.keys[mid+1:]...),
-			children: append([]any(nil), n.children[mid+1:]...),
-		}
-		sep := n.keys[mid]
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
-		return sep, right
+// insert descends into n; on a split it returns the separator (a key of its
+// own) and the new right sibling.
+func (t *BTree) insert(n *btreeNode, key Key, tid heap.TID) (Key, *btreeNode) {
+	i := t.upperBound(n, key)
+	if n.children == nil {
+		t.insertEntry(n, i, key, tid)
+		return t.splitLeaf(n, i)
 	}
-	return nil, nil
+	sep, right := t.insert(n.children[i], key, tid)
+	if right == nil {
+		return nil, nil
+	}
+	n.keys = slices.Insert(n.keys, i*t.width, sep...)
+	n.children = slices.Insert(n.children, i+1, right)
+	if len(n.children) <= btreeFanout+1 {
+		return nil, nil
+	}
+	mid := btreeFanout / 2
+	w := t.width
+	sep = slices.Clone(n.keys[mid*w : (mid+1)*w])
+	right = &btreeNode{
+		keys:     slices.Clone(n.keys[(mid+1)*w:]),
+		children: slices.Clone(n.children[mid+1:]),
+	}
+	clear(n.keys[mid*w:])
+	clear(n.children[mid+1:])
+	n.keys = n.keys[:mid*w]
+	n.children = n.children[:mid+1]
+	return sep, right
 }
 
-// lowerBound returns the first index with keys[i] >= key.
-func lowerBound(keys []Key, key Key) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if CompareKeys(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// insertEntry puts (key, tid) at entry i of leaf n. A leaf's arrays are
+// allocated at btreeFanout+1 slots; only a leaf that is one run outgrows
+// them.
+func (t *BTree) insertEntry(n *btreeNode, i int, key Key, tid heap.TID) {
+	w, cnt := t.width, len(n.tids)
+	if cnt == cap(n.tids) {
+		size := max(btreeFanout+1, 2*cnt)
+		keys, tids := make([]types.Datum, cnt*w, size*w), make([]heap.TID, cnt, size)
+		copy(keys, n.keys)
+		copy(tids, n.tids)
+		n.keys, n.tids = keys, tids
 	}
-	return lo
+	n.keys = n.keys[:(cnt+1)*w]
+	copy(n.keys[(i+1)*w:], n.keys[i*w:cnt*w])
+	copy(n.keys[i*w:], key)
+	n.tids = n.tids[:cnt+1]
+	copy(n.tids[i+1:], n.tids[i:cnt])
+	n.tids[i] = tid
 }
 
-// upperBound returns the child slot for descending: first index with
-// keys[i] > key, so equal keys go right (B+tree convention with left-open
-// separators).
-func upperBound(keys []Key, key Key) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if CompareKeys(keys[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// splitLeaf splits leaf n once it holds more than btreeFanout entries, the
+// last insert having gone to entry pos. The split point is the middle, or
+// the last entry when the insert appended to the rightmost leaf (so an
+// ascending load leaves every leaf full, as nbtree's rightmost split does),
+// moved to the nearest boundary between runs; a leaf that is one run does
+// not split.
+func (t *BTree) splitLeaf(n *btreeNode, pos int) (Key, *btreeNode) {
+	cnt := len(n.tids)
+	if cnt <= btreeFanout {
+		return nil, nil
 	}
-	return lo
+	at := cnt / 2
+	if n.next == nil && pos == cnt-1 {
+		at = cnt - 1
+	}
+	run := t.key(n, at)
+	lo, hi := t.lowerBound(n, run), t.upperBound(n, run)
+	switch {
+	case lo == 0 && hi == cnt:
+		return nil, nil
+	case lo == 0 || hi < cnt && hi-at < at-lo:
+		at = hi
+	default:
+		at = lo
+	}
+	w, size := t.width, max(btreeFanout+1, cnt-at)
+	right := &btreeNode{
+		keys: make([]types.Datum, (cnt-at)*w, size*w),
+		tids: make([]heap.TID, cnt-at, size),
+		next: n.next,
+	}
+	copy(right.keys, n.keys[at*w:])
+	copy(right.tids, n.tids[at:])
+	clear(n.keys[at*w:])
+	n.keys, n.tids, n.next = n.keys[:at*w], n.tids[:at], right
+	return slices.Clone(t.key(right, 0)), right
 }
 
 // Remove deletes one (key, tid) entry. Underfull nodes are not rebalanced —
@@ -191,66 +241,71 @@ func (t *BTree) Remove(key Key, tid heap.TID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	leaf := t.findLeaf(key)
-	i := lowerBound(leaf.keys, key)
-	if i >= len(leaf.keys) || CompareKeys(leaf.keys[i], key) != 0 {
-		return false
-	}
-	vals := leaf.vals[i]
-	for j, v := range vals {
-		if v == tid {
-			leaf.vals[i] = append(vals[:j], vals[j+1:]...)
+	for i := t.lowerBound(leaf, key); i < len(leaf.tids) && CompareKeys(t.key(leaf, i), key) == 0; i++ {
+		if leaf.tids[i] == tid {
+			w, cnt := t.width, len(leaf.tids)
+			copy(leaf.keys[i*w:], leaf.keys[(i+1)*w:])
+			clear(leaf.keys[(cnt-1)*w:])
+			leaf.keys = leaf.keys[:(cnt-1)*w]
+			leaf.tids = slices.Delete(leaf.tids, i, i+1)
 			t.entries--
-			if len(leaf.vals[i]) == 0 {
-				leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-				leaf.vals = append(leaf.vals[:i], leaf.vals[i+1:]...)
-			}
 			return true
 		}
 	}
 	return false
 }
 
-func (t *BTree) findLeaf(key Key) *btreeLeaf {
-	node := t.root
-	for {
-		switch n := node.(type) {
-		case *btreeLeaf:
-			return n
-		case *btreeInner:
-			node = n.children[upperBound(n.keys, key)]
-		}
+func (t *BTree) findLeaf(key Key) *btreeNode {
+	n := t.root
+	for n.children != nil {
+		n = n.children[t.upperBound(n, key)]
 	}
+	return n
 }
 
-// SearchEqual returns the posting list for an exact key.
+// SearchEqual returns a copy of the tuple ids under an exact key, in
+// insertion order.
 func (t *BTree) SearchEqual(key Key) []heap.TID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	leaf := t.findLeaf(key)
-	i := lowerBound(leaf.keys, key)
-	if i < len(leaf.keys) && CompareKeys(leaf.keys[i], key) == 0 {
-		return append([]heap.TID(nil), leaf.vals[i]...)
+	i := t.lowerBound(leaf, key)
+	end := i
+	for end < len(leaf.tids) && CompareKeys(t.key(leaf, end), key) == 0 {
+		end++
 	}
-	return nil
+	if end == i {
+		return nil
+	}
+	return slices.Clone(leaf.tids[i:end])
 }
 
-// Range visits entries with lo <= key <= hi in key order (nil bounds are
-// unbounded; set loIncl/hiIncl for open bounds). fn returning false stops.
+// Range visits the distinct keys with lo <= key <= hi in key order, once
+// each with all the tuple ids under it (nil bounds are unbounded; clear
+// loIncl/hiIncl for open bounds). fn returning false stops. key and tids
+// are views of the leaf, valid only during the call: fn copies what it
+// keeps.
 func (t *BTree) Range(lo, hi Key, loIncl, hiIncl bool, fn func(key Key, tids []heap.TID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var leaf *btreeLeaf
-	var i int
+	leaf, i := t.root, 0
 	if lo == nil {
-		leaf = t.leftmostLeaf()
-		i = 0
+		for leaf.children != nil {
+			leaf = leaf.children[0]
+		}
 	} else {
 		leaf = t.findLeaf(lo)
-		i = lowerBound(leaf.keys, lo)
+		i = t.lowerBound(leaf, lo)
 	}
-	for leaf != nil {
-		for ; i < len(leaf.keys); i++ {
-			k := leaf.keys[i]
+	for ; leaf != nil; leaf, i = leaf.next, 0 {
+		for i < len(leaf.tids) {
+			k := t.key(leaf, i)
+			end := i + 1
+			for end < len(leaf.tids) && CompareKeys(t.key(leaf, end), k) == 0 {
+				end++
+			}
+			tids := leaf.tids[i:end:end]
+			i = end
 			if lo != nil && !loIncl && CompareKeys(k, lo) == 0 {
 				continue
 			}
@@ -266,28 +321,14 @@ func (t *BTree) Range(lo, hi Key, loIncl, hiIncl bool, fn func(key Key, tids []h
 					return
 				}
 			}
-			if !fn(k, leaf.vals[i]) {
+			if !fn(k, tids) {
 				return
 			}
 		}
-		leaf = leaf.next
-		i = 0
 	}
 }
 
-func (t *BTree) leftmostLeaf() *btreeLeaf {
-	node := t.root
-	for {
-		switch n := node.(type) {
-		case *btreeLeaf:
-			return n
-		case *btreeInner:
-			node = n.children[0]
-		}
-	}
-}
-
-// SearchPrefix visits all entries whose key starts with prefix.
+// SearchPrefix visits all keys that start with prefix, as Range does.
 func (t *BTree) SearchPrefix(prefix Key, fn func(key Key, tids []heap.TID) bool) {
 	t.Range(prefix, prefix, true, true, func(k Key, tids []heap.TID) bool {
 		if !HasPrefix(k, prefix) {

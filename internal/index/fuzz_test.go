@@ -1,0 +1,419 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"citusgo/internal/heap"
+	"citusgo/internal/types"
+)
+
+// FuzzIndex is a differential oracle for both index layouts. A byte script
+// drives one B-tree (composite keys of mixed datum kinds with NULLs; runs of
+// equal keys longer than a leaf placed first, last and mid-tree; ascending
+// loads; removes of single entries and of whole runs) and one GIN
+// (non-ASCII and upper-case text; a common and a rare word, so searches
+// skip blocks; TIDs in order, out of order and across block boundaries;
+// removes that empty blocks and lists) against a slice
+// kept sorted by key and a map, and after every step compares SearchEqual, Range under all
+// four bound inclusivities, SearchPrefix, Search and Len, and checks both
+// structures' invariants. Run it longer with
+//
+//	go test ./internal/index -run '^$' -fuzz FuzzIndex -fuzztime 10m
+func FuzzIndex(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 3, 0, 10, 2, 1, 0, 2, 2, 77, 200, 4, 9, 6, 40, 5, 3, 7, 40, 7, 200, 8, 5, 9, 3})
+	f.Add([]byte{3, 99, 2, 2, 1, 0, 0, 60, 4, 128, 6, 128, 3, 99, 7, 39, 7, 39, 7, 39, 7, 39, 9, 0, 9, 4})
+	f.Add([]byte("\x07\x27\x07\x27\x07\xff\x07\x27\x08\x00\x40\x08\x80\x40\x09\x09\x09\x0a\x07\x10"))
+	f.Add([]byte("\x02\x00\x00\x02\x01\x00\x02\x02\x05\x30\x06\x00\x06\xff\x03\x50\x00\x3b\x01\x16"))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		seed := make([]byte, 64+rng.Intn(192))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		s := &indexScript{script: script, bt: NewBTree(2), gin: NewGIN(), live: map[heap.TID]liveDoc{}, grams: map[uint32]int{}}
+		for step := 0; len(s.script) > 0; step++ {
+			op := s.next()
+			if err := s.apply(op); err != nil {
+				t.Fatalf("step %d (op %d): %v", step, op%10, err)
+			}
+			if err := s.compare(rand.New(rand.NewSource(int64(step)))); err != nil {
+				t.Fatalf("after step %d (op %d): %v", step, op%10, err)
+			}
+		}
+	})
+}
+
+// The fuzzer's caps: enough for a tree three levels deep and lists of
+// several blocks, small enough that every step is checked in full.
+const (
+	fuzzMaxEntries = 4000
+	fuzzMaxDocs    = 1500
+)
+
+var (
+	fuzzStrings = []string{"", "a", "B", "b", "É", "é", "straße", "STRASSE", "ж"}
+	fuzzWords   = []string{"fix", "bug", "Postgres", "POSTGRES", "índex", "ÉTÉ", "straße", "Ünïcode", "go", "data", "a1b2", "q"}
+	fuzzRare    = "zyzzyva"
+	fuzzSeps    = []string{" ", ", ", `", "`, "-"}
+	fuzzLikes   = []string{"%postgres%", "%POSTGRES%", "%gres%", "%fix bug%", "%ix_bu%", "%straße%", "%zyzz%", "%zyzzyva%data%", "%go%", "Postgres%", "%índex%", "%a1b2%", "%code%", "%ünï%"}
+)
+
+type refEntry struct {
+	key Key
+	tid heap.TID
+}
+
+type liveDoc struct {
+	text  string
+	grams []uint32
+}
+
+type indexScript struct {
+	script []byte
+	bt     *BTree
+	ref    []refEntry // by key, equal keys in insertion order
+	nextID heap.TID
+	asc    int64
+
+	gin     *GIN
+	live    map[heap.TID]liveDoc
+	grams   map[uint32]int // live documents per trigram
+	indexed int            // live documents with a trigram
+	ginNext heap.TID
+}
+
+func (s *indexScript) next() byte {
+	if len(s.script) == 0 {
+		return 0
+	}
+	b := s.script[0]
+	s.script = s.script[1:]
+	return b
+}
+
+// genKey builds a two-column key from two bytes: the first column NULL, an
+// int64, a float64 between two ints, or a float64 equal to an int (one run
+// of equal keys then holds two representations); the second NULL or text.
+func genKey(next func() byte) Key {
+	x, y := next(), next()
+	v := int64(x/8) % 16
+	var k0, k1 types.Datum
+	switch x % 8 {
+	case 0:
+	case 1:
+		k0 = float64(v) + 0.5
+	case 2:
+		k0 = float64(v)
+	default:
+		k0 = v
+	}
+	if y%6 != 0 {
+		k1 = fuzzStrings[int(y/6)%len(fuzzStrings)]
+	}
+	return Key{k0, k1}
+}
+
+func (s *indexScript) insert(key Key) {
+	if len(s.ref) >= fuzzMaxEntries {
+		return
+	}
+	s.nextID++
+	s.bt.Insert(key, s.nextID)
+	i := sort.Search(len(s.ref), func(i int) bool { return CompareKeys(s.ref[i].key, key) > 0 })
+	s.ref = slices.Insert(s.ref, i, refEntry{slices.Clone(key), s.nextID})
+}
+
+// remove drops the first entry of its run with tid from ref, as the tree
+// does.
+func (s *indexScript) remove(key Key, tid heap.TID) error {
+	i := slices.IndexFunc(s.ref, func(e refEntry) bool { return e.tid == tid && CompareKeys(e.key, key) == 0 })
+	if got := s.bt.Remove(key, tid); got != (i >= 0) {
+		return fmt.Errorf("Remove(%v, %d) = %v, reference has it: %v", key, tid, got, i >= 0)
+	}
+	if i >= 0 {
+		s.ref = slices.Delete(s.ref, i, i+1)
+	}
+	return nil
+}
+
+// genText builds a document of one to four words. Half the documents open
+// with "data" and one word in a hundred is the rare "zyzzyva", so a search
+// can intersect lists whose lengths differ a hundredfold, and its cursor skip
+// whole blocks of the longer one.
+func genText(rng *rand.Rand) string {
+	var words []string
+	if rng.Intn(2) == 0 {
+		words = append(words, "data")
+	}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		if rng.Intn(100) == 0 {
+			words = append(words, fuzzRare)
+		} else {
+			words = append(words, fuzzWords[rng.Intn(len(fuzzWords))])
+		}
+	}
+	return strings.Join(words, fuzzSeps[rng.Intn(len(fuzzSeps))])
+}
+
+func (s *indexScript) ginInsert(tid heap.TID, text string) {
+	if _, ok := s.live[tid]; ok || len(s.live) >= fuzzMaxDocs {
+		return
+	}
+	s.gin.Insert(text, tid)
+	doc := liveDoc{text, appendTrigrams(nil, text)}
+	s.live[tid] = doc
+	for _, g := range doc.grams {
+		s.grams[g]++
+	}
+	if len(doc.grams) > 0 {
+		s.indexed++
+	}
+}
+
+func (s *indexScript) ginRemove(tid heap.TID) {
+	doc, ok := s.live[tid]
+	if !ok {
+		return
+	}
+	s.gin.Remove(doc.text, tid)
+	delete(s.live, tid)
+	for _, g := range doc.grams {
+		if s.grams[g]--; s.grams[g] == 0 {
+			delete(s.grams, g)
+		}
+	}
+	if len(doc.grams) > 0 {
+		s.indexed--
+	}
+}
+
+func (s *indexScript) apply(op byte) error {
+	switch op % 10 {
+	case 0, 1: // one entry
+		s.insert(genKey(s.next))
+	case 2: // a run longer than a leaf: first, last or mid-tree
+		var key Key
+		switch s.next() % 3 {
+		case 0:
+			key = Key{nil, nil}
+		case 1:
+			key = Key{int64(1 << 40), "zz"}
+		default:
+			key = genKey(s.next)
+		}
+		for n := btreeFanout + 1 + int(s.next())%btreeFanout; n > 0; n-- {
+			s.insert(key)
+		}
+	case 3: // an ascending load past every key so far
+		for n := 1 + int(s.next())%128; n > 0; n-- {
+			s.asc++
+			s.insert(Key{int64(1<<20) + s.asc, fuzzStrings[s.asc%int64(len(fuzzStrings))]})
+		}
+	case 4: // remove an entry that is there
+		if len(s.ref) > 0 {
+			e := s.ref[(int(s.next())<<8|int(s.next()))%len(s.ref)]
+			return s.remove(e.key, e.tid)
+		}
+	case 5: // remove an entry that is not
+		return s.remove(genKey(s.next), s.nextID+1)
+	case 6: // remove a whole run
+		if len(s.ref) > 0 {
+			key := s.ref[(int(s.next())<<8|int(s.next()))%len(s.ref)].key
+			for _, e := range slices.Clone(s.ref) {
+				if CompareKeys(e.key, key) == 0 {
+					if err := s.remove(key, e.tid); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	case 7: // up to 256 documents from a generator the next byte seeds: in TID
+		// order, with gaps of one to three varint bytes, or out of order
+		n, rng := 1+int(s.next()), rand.New(rand.NewSource(int64(s.next())))
+		for ; n > 0; n-- {
+			switch r := rng.Intn(64); {
+			case r < 8 && s.ginNext > 0:
+				s.ginInsert(heap.TID(rng.Intn(int(s.ginNext))), genText(rng))
+				continue
+			case r == 8:
+				s.ginNext += 300
+			case r == 9:
+				s.ginNext += 70_000
+			default:
+				s.ginNext++
+			}
+			s.ginInsert(s.ginNext, genText(rng))
+		}
+	case 8: // remove a TID range, emptying blocks; or a TID never inserted
+		if s.ginNext == 0 {
+			return nil
+		}
+		from := heap.TID(int(s.next()) * int(s.ginNext) / 256)
+		for tid, end := from, from+heap.TID(s.next()); tid < end; tid++ {
+			s.ginRemove(tid)
+		}
+		s.gin.Remove(genText(rand.New(rand.NewSource(int64(s.next())))), s.ginNext+1)
+	case 9: // remove every document with a word, emptying its lists
+		word := fuzzRare
+		if b := int(s.next()) % (len(fuzzWords) + 1); b < len(fuzzWords) {
+			word = fuzzWords[b]
+		}
+		for tid, doc := range s.live {
+			if strings.Contains(doc.text, word) {
+				s.ginRemove(tid)
+			}
+		}
+	}
+	return nil
+}
+
+// refRun is one distinct key of the reference: the key of its earliest
+// entry and the TIDs in insertion order, which is what the tree reports.
+type refRun struct {
+	key  Key
+	tids []heap.TID
+}
+
+func (s *indexScript) runs() []refRun {
+	var runs []refRun
+	for _, e := range s.ref {
+		if n := len(runs); n > 0 && CompareKeys(runs[n-1].key, e.key) == 0 {
+			runs[n-1].tids = append(runs[n-1].tids, e.tid)
+		} else {
+			runs = append(runs, refRun{e.key, []heap.TID{e.tid}})
+		}
+	}
+	return runs
+}
+
+func collect(scan func(fn func(Key, []heap.TID) bool)) []refRun {
+	var got []refRun
+	scan(func(k Key, tids []heap.TID) bool {
+		got = append(got, refRun{slices.Clone(k), slices.Clone(tids)})
+		return true
+	})
+	return got
+}
+
+func sameRuns(what string, got, want []refRun) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: %d keys, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		// the datums themselves, not Compare: int64(3) and float64(3) are one
+		// run, whose key is its earliest entry's
+		if !slices.Equal(got[i].key, want[i].key) || !slices.Equal(got[i].tids, want[i].tids) {
+			return fmt.Errorf("%s: key %d is %v %v, want %v %v", what, i, got[i].key, got[i].tids, want[i].key, want[i].tids)
+		}
+	}
+	return nil
+}
+
+// boundKey is a Range bound: nil, one column (a prefix) or two.
+func boundKey(rng *rand.Rand) Key {
+	next := func() byte { return byte(rng.Intn(256)) }
+	switch rng.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return genKey(next)[:1]
+	default:
+		return genKey(next)
+	}
+}
+
+func (s *indexScript) compare(rng *rand.Rand) error {
+	if err := s.bt.check(); err != nil {
+		return err
+	}
+	if s.bt.Len() != len(s.ref) {
+		return fmt.Errorf("Len %d, reference %d", s.bt.Len(), len(s.ref))
+	}
+	runs := s.runs()
+	if err := sameRuns("full Range", collect(func(fn func(Key, []heap.TID) bool) { s.bt.Range(nil, nil, true, true, fn) }), runs); err != nil {
+		return err
+	}
+	lo, hi := boundKey(rng), boundKey(rng)
+	if len(s.ref) > 0 && rng.Intn(2) == 0 {
+		lo = s.ref[rng.Intn(len(s.ref))].key
+	}
+	for _, incl := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+		var want []refRun
+		for _, r := range runs {
+			cl, ch := CompareKeys(r.key, lo), CompareKeys(r.key, hi)
+			if (lo == nil || cl > 0 || cl == 0 && incl[0]) &&
+				(hi == nil || ch < 0 || incl[1] && (ch == 0 || HasPrefix(r.key, hi))) {
+				want = append(want, r)
+			}
+		}
+		what := fmt.Sprintf("Range(%v, %v, %v, %v)", lo, hi, incl[0], incl[1])
+		got := collect(func(fn func(Key, []heap.TID) bool) { s.bt.Range(lo, hi, incl[0], incl[1], fn) })
+		if err := sameRuns(what, got, want); err != nil {
+			return err
+		}
+	}
+	probe := genKey(func() byte { return byte(rng.Intn(256)) })
+	if len(s.ref) > 0 && rng.Intn(2) == 0 {
+		probe = s.ref[rng.Intn(len(s.ref))].key
+	}
+	var want []refRun
+	for _, r := range runs {
+		if CompareKeys(r.key, probe) == 0 {
+			want = append(want, r)
+		}
+	}
+	if got := s.bt.SearchEqual(probe); len(want) == 0 && got != nil || len(want) > 0 && !slices.Equal(got, want[0].tids) {
+		return fmt.Errorf("SearchEqual(%v) = %v, want %v", probe, got, want)
+	}
+	want = want[:0]
+	for _, r := range runs {
+		if HasPrefix(r.key, probe[:1]) {
+			want = append(want, r)
+		}
+	}
+	if err := sameRuns(fmt.Sprintf("SearchPrefix(%v)", probe[:1]), collect(func(fn func(Key, []heap.TID) bool) { s.bt.SearchPrefix(probe[:1], fn) }), want); err != nil {
+		return err
+	}
+	return s.compareGIN()
+}
+
+func (s *indexScript) compareGIN() error {
+	if s.gin.Len() != s.indexed {
+		return fmt.Errorf("GIN Len %d, %d live texts have a trigram", s.gin.Len(), s.indexed)
+	}
+	if len(s.gin.posting) != len(s.grams) {
+		return fmt.Errorf("GIN holds %d lists, the live texts have %d trigrams", len(s.gin.posting), len(s.grams))
+	}
+	for gram, l := range s.gin.posting {
+		if err := l.check(); err != nil {
+			return fmt.Errorf("list %q: %v", gramString(gram), err)
+		}
+	}
+	for _, pattern := range fuzzLikes {
+		need := patternTrigrams(pattern)
+		got, usable := s.gin.Search(pattern)
+		if usable != (len(need) > 0) {
+			return fmt.Errorf("Search(%q) usable = %v", pattern, usable)
+		}
+		if !usable {
+			continue
+		}
+		var want []heap.TID
+		for tid, doc := range s.live {
+			if !slices.ContainsFunc(need, func(g uint32) bool { _, found := slices.BinarySearch(doc.grams, g); return !found }) {
+				want = append(want, tid)
+			}
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("Search(%q) = %d TIDs, want %d", pattern, len(got), len(want))
+		}
+	}
+	return nil
+}

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"encoding/binary"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 
@@ -13,18 +15,39 @@ import (
 // intersecting the posting lists of the pattern's trigrams; matches must be
 // rechecked against the heap (lossy, exactly like the real thing).
 //
-// A trigram is three bytes of [a-z0-9 ] packed into a uint32; a posting
-// list is the ascending TIDs of the rows whose text has that trigram. The
-// index keeps no copy of the text: Remove is given it again.
+// A trigram is three bytes of [a-z0-9 ] packed into a uint32; its posting
+// list is the ascending TIDs of the rows whose text has it, delta-packed
+// as PostgreSQL's ginpostinglist.c packs them. The index keeps no copy of
+// the text: Remove is given it again.
 type GIN struct {
 	mu      sync.RWMutex
-	posting map[uint32][]heap.TID
+	posting map[uint32]*postingList
 	tuples  int
+}
+
+// ginBlockLen is the most TIDs one block of a posting list holds.
+const ginBlockLen = 128
+
+// postingList holds its TIDs in blocks of at most ginBlockLen. A block's
+// head keeps its first and last TID, absolute, and where in data the
+// uvarint gaps to its other entries begin; they end where the next block's
+// begin. An in-order insert appends one gap, and an out-of-order insert or a
+// remove rewrites one block; a search decodes one list and steps through
+// the others, skipping whole blocks by their heads.
+type postingList struct {
+	data   []byte
+	blocks []postingBlock
+}
+
+type postingBlock struct {
+	first, last heap.TID
+	off         uint32 // where the gap to the block's second entry is
+	n           uint32 // entries
 }
 
 // NewGIN creates an empty trigram index.
 func NewGIN() *GIN {
-	return &GIN{posting: make(map[uint32][]heap.TID)}
+	return &GIN{posting: make(map[uint32]*postingList)}
 }
 
 func isAlnum(c byte) bool { return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' }
@@ -86,14 +109,12 @@ func (g *GIN) Insert(text string, tid heap.TID) {
 	defer g.mu.Unlock()
 	added := false
 	for _, gram := range grams {
-		list := g.posting[gram]
-		if n := len(list); n == 0 || list[n-1] < tid {
-			g.posting[gram] = append(list, tid)
-			added = true
-		} else if i, found := slices.BinarySearch(list, tid); !found {
-			g.posting[gram] = slices.Insert(list, i, tid)
-			added = true
+		l := g.posting[gram]
+		if l == nil {
+			l = &postingList{}
+			g.posting[gram] = l
 		}
+		added = l.insert(tid) || added
 	}
 	if added {
 		g.tuples++
@@ -108,16 +129,13 @@ func (g *GIN) Remove(text string, tid heap.TID) {
 	defer g.mu.Unlock()
 	removed := false
 	for _, gram := range grams {
-		list := g.posting[gram]
-		i, found := slices.BinarySearch(list, tid)
-		if !found {
+		l := g.posting[gram]
+		if l == nil || !l.remove(tid) {
 			continue
 		}
 		removed = true
-		if len(list) == 1 {
+		if len(l.blocks) == 0 {
 			delete(g.posting, gram)
-		} else {
-			g.posting[gram] = slices.Delete(list, i, i+1)
 		}
 	}
 	if removed {
@@ -163,39 +181,164 @@ func (g *GIN) Search(pattern string) (candidates []heap.TID, usable bool) {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	lists := make([][]heap.TID, len(grams))
+	lists := make([]*postingList, len(grams))
 	for i, gram := range grams {
-		if lists[i] = g.posting[gram]; len(lists[i]) == 0 {
+		if lists[i] = g.posting[gram]; lists[i] == nil {
 			return nil, true // some trigram absent: no matches at all
 		}
 	}
-	// merge from the rarest list: every pass is bounded by what is left of it
-	slices.SortFunc(lists, func(a, b []heap.TID) int { return len(a) - len(b) })
-	candidates = slices.Clone(lists[0])
-	for _, list := range lists[1:] {
+	// decode the rarest list; every other one only filters what is left of it
+	slices.SortFunc(lists, func(a, b *postingList) int { return a.len() - b.len() })
+	candidates = make([]heap.TID, 0, lists[0].len())
+	for b := range lists[0].blocks {
+		candidates = lists[0].appendBlock(candidates, b)
+	}
+	for _, l := range lists[1:] {
+		c := postingCursor{l: l, pos: -1}
 		kept := candidates[:0]
 		for _, tid := range candidates {
-			i, found := seek(list, tid)
-			if found {
+			if c.seek(tid) {
 				kept = append(kept, tid)
 			}
-			list = list[i:]
 		}
 		candidates = kept
 	}
 	return candidates, true
 }
 
-// seek finds tid in an ascending list as slices.BinarySearch does, but
-// probes from the front in doubling steps first: merging two lists of
-// similar length costs a step or two per element, a short list against a
-// long one the logarithm of each gap.
-func seek(list []heap.TID, tid heap.TID) (int, bool) {
-	hi := 1
-	for hi < len(list) && list[hi-1] < tid {
-		hi <<= 1
+func (l *postingList) len() int {
+	n := 0
+	for _, b := range l.blocks {
+		n += int(b.n)
 	}
-	lo := hi >> 1 // everything before lo is below tid
-	i, found := slices.BinarySearch(list[lo:min(hi, len(list))], tid)
-	return lo + i, found
+	return n
+}
+
+// end returns where block b's gaps end in data.
+func (l *postingList) end(b int) int {
+	if b+1 < len(l.blocks) {
+		return int(l.blocks[b+1].off)
+	}
+	return len(l.data)
+}
+
+// appendBlock appends block b's TIDs to dst.
+func (l *postingList) appendBlock(dst []heap.TID, b int) []heap.TID {
+	tid := l.blocks[b].first
+	dst = append(dst, tid)
+	for data := l.data[l.blocks[b].off:l.end(b)]; len(data) > 0; {
+		gap, k := binary.Uvarint(data)
+		tid += heap.TID(gap)
+		dst = append(dst, tid)
+		data = data[k:]
+	}
+	return dst
+}
+
+// insert adds tid, reporting whether it was absent.
+func (l *postingList) insert(tid heap.TID) bool {
+	if len(l.blocks) == 0 {
+		l.blocks = append(l.blocks, postingBlock{first: tid, last: tid, n: 1})
+		return true
+	}
+	last := &l.blocks[len(l.blocks)-1]
+	switch {
+	case tid > last.last && last.n < ginBlockLen:
+		l.data = binary.AppendUvarint(l.data, uint64(tid-last.last))
+		last.last = tid
+		last.n++
+		return true
+	case tid > last.last:
+		l.blocks = append(l.blocks, postingBlock{first: tid, last: tid, off: uint32(len(l.data)), n: 1})
+		return true
+	}
+	// out of order: into the last block starting at or below tid
+	b := max(sort.Search(len(l.blocks), func(i int) bool { return l.blocks[i].first > tid })-1, 0)
+	var stack [ginBlockLen + 1]heap.TID
+	tids := l.appendBlock(stack[:0], b)
+	i, found := slices.BinarySearch(tids, tid)
+	if found {
+		return false
+	}
+	l.rewrite(b, slices.Insert(tids, i, tid))
+	return true
+}
+
+// remove drops tid, reporting whether it was there.
+func (l *postingList) remove(tid heap.TID) bool {
+	b := sort.Search(len(l.blocks), func(i int) bool { return l.blocks[i].last >= tid })
+	if b == len(l.blocks) || l.blocks[b].first > tid {
+		return false
+	}
+	var stack [ginBlockLen]heap.TID
+	tids := l.appendBlock(stack[:0], b)
+	i, found := slices.BinarySearch(tids, tid)
+	if !found {
+		return false
+	}
+	l.rewrite(b, slices.Delete(tids, i, i+1))
+	return true
+}
+
+// rewrite re-encodes block b as tids, ascending and at most ginBlockLen+1
+// of them: no tids drop the block, and ginBlockLen+1 split it in halves.
+func (l *postingList) rewrite(b int, tids []heap.TID) {
+	var heads [2]postingBlock
+	var enc [(ginBlockLen + 1) * binary.MaxVarintLen64]byte
+	off, end := int(l.blocks[b].off), l.end(b)
+	buf, nb := enc[:0], 0
+	for half := len(tids) / 2; len(tids) > 0; nb++ {
+		m := len(tids)
+		if m > ginBlockLen {
+			m = half
+		}
+		heads[nb] = postingBlock{first: tids[0], last: tids[m-1], off: uint32(off + len(buf)), n: uint32(m)}
+		for i := 1; i < m; i++ {
+			buf = binary.AppendUvarint(buf, uint64(tids[i]-tids[i-1]))
+		}
+		tids = tids[m:]
+	}
+	l.data = slices.Replace(l.data, off, end, buf...)
+	l.blocks = slices.Replace(l.blocks, b, b+1, heads[:nb]...)
+	for j := b + nb; j < len(l.blocks); j++ {
+		l.blocks[j].off = uint32(int(l.blocks[j].off) + len(buf) - (end - off))
+	}
+}
+
+// postingCursor steps forward through a posting list.
+type postingCursor struct {
+	l   *postingList
+	b   int      // the block the cursor is in
+	pos int      // where the next gap is in data; -1 before the block's first entry
+	tid heap.TID // the entry the cursor is at
+}
+
+// seek advances the cursor to the first entry >= tid, which must not be
+// below the one it is at, and reports whether that entry is tid. Blocks
+// ending below tid are skipped by their heads, undecoded.
+func (c *postingCursor) seek(tid heap.TID) bool {
+	blocks := c.l.blocks
+	if c.b < len(blocks) && blocks[c.b].last < tid {
+		for c.b++; c.b < len(blocks) && blocks[c.b].last < tid; c.b++ {
+		}
+		c.pos = -1
+	}
+	if c.b == len(blocks) {
+		return false
+	}
+	if c.pos < 0 {
+		c.tid, c.pos = blocks[c.b].first, int(blocks[c.b].off)
+	}
+	data := c.l.data
+	for c.tid < tid {
+		if g := data[c.pos]; g < 0x80 {
+			c.tid += heap.TID(g)
+			c.pos++
+		} else {
+			gap, k := binary.Uvarint(data[c.pos:])
+			c.tid += heap.TID(gap)
+			c.pos += k
+		}
+	}
+	return c.tid == tid
 }

@@ -10,11 +10,10 @@ import (
 
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
-	"citusgo/internal/types"
 )
 
 func TestBTreeBasicOperations(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for i := 0; i < 1000; i++ {
 		bt.Insert(Key{int64(i)}, heap.TID(i))
 	}
@@ -39,7 +38,7 @@ func TestBTreeBasicOperations(t *testing.T) {
 }
 
 func TestBTreeDuplicateKeys(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for i := 0; i < 10; i++ {
 		bt.Insert(Key{"same"}, heap.TID(i))
 	}
@@ -54,7 +53,7 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 }
 
 func TestBTreeRangeScan(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(1)
 	for i := 0; i < 500; i += 2 { // even keys only
 		bt.Insert(Key{int64(i)}, heap.TID(i))
 	}
@@ -93,7 +92,7 @@ func TestBTreeRangeScan(t *testing.T) {
 }
 
 func TestBTreeCompositeKeysAndPrefix(t *testing.T) {
-	bt := NewBTree()
+	bt := NewBTree(2)
 	for w := int64(1); w <= 4; w++ {
 		for d := int64(1); d <= 10; d++ {
 			bt.Insert(Key{w, d}, heap.TID(w*100+d))
@@ -117,7 +116,7 @@ func TestBTreeCompositeKeysAndPrefix(t *testing.T) {
 // map-based reference and compares ordered iteration.
 func TestBTreeMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	bt := NewBTree()
+	bt := NewBTree(1)
 	ref := map[int64]map[heap.TID]bool{}
 	for op := 0; op < 20000; op++ {
 		k := int64(rng.Intn(500))
@@ -389,49 +388,3 @@ func TestGINAgainstBruteForce(t *testing.T) {
 		t.Fatalf("%d posting lists left after removing everything", len(g.posting))
 	}
 }
-
-// BenchmarkGINInsert indexes commit-message arrays as the ingest path
-// renders them, in TID order.
-func BenchmarkGINInsert(b *testing.B) {
-	words := []string{"fix", "bug", "add", "feature", "update", "docs", "refactor", "postgres", "index", "performance"}
-	rng := rand.New(rand.NewSource(1))
-	texts := make([]string, 1024)
-	for i := range texts {
-		msgs := make([]string, 1+rng.Intn(4))
-		for j := range msgs {
-			w := make([]string, 3+rng.Intn(6))
-			for k := range w {
-				w[k] = words[rng.Intn(len(words))]
-			}
-			msgs[j] = `"` + strings.Join(w, " ") + `"`
-		}
-		texts[i] = "[" + strings.Join(msgs, ", ") + "]"
-	}
-	g := NewGIN()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Insert(texts[i%len(texts)], heap.TID(i))
-	}
-}
-
-func BenchmarkBTreeInsert(b *testing.B) {
-	bt := NewBTree()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Insert(Key{int64(i)}, heap.TID(i))
-	}
-}
-
-func BenchmarkBTreeSearch(b *testing.B) {
-	bt := NewBTree()
-	for i := 0; i < 100000; i++ {
-		bt.Insert(Key{int64(i)}, heap.TID(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.SearchEqual(Key{int64(i % 100000)})
-	}
-}
-
-var _ = types.Format // keep types import for future assertions

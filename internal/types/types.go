@@ -281,6 +281,8 @@ func QuoteString(s string) string {
 
 // CoerceTo converts a datum to the named type, mirroring PostgreSQL's
 // assignment casts. It is used on INSERT/COPY and when binding parameters.
+// A datum that already has the type comes back as it went in, not boxed
+// again (a date is still truncated to its day).
 func CoerceTo(d Datum, t Type) (Datum, error) {
 	if d == nil {
 		return nil, nil
@@ -289,7 +291,7 @@ func CoerceTo(d Datum, t Type) (Datum, error) {
 	case Int:
 		switch v := d.(type) {
 		case int64:
-			return v, nil
+			return d, nil
 		case float64:
 			return int64(v), nil
 		case bool:
@@ -309,7 +311,7 @@ func CoerceTo(d Datum, t Type) (Datum, error) {
 		case int64:
 			return float64(v), nil
 		case float64:
-			return v, nil
+			return d, nil
 		case string:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil {
@@ -320,7 +322,7 @@ func CoerceTo(d Datum, t Type) (Datum, error) {
 	case Bool:
 		switch v := d.(type) {
 		case bool:
-			return v, nil
+			return d, nil
 		case int64:
 			return v != 0, nil
 		case string:
@@ -333,6 +335,9 @@ func CoerceTo(d Datum, t Type) (Datum, error) {
 			return nil, fmt.Errorf("invalid input for boolean: %q", v)
 		}
 	case Text:
+		if _, ok := d.(string); ok {
+			return d, nil
+		}
 		return Format(d), nil
 	case Timestamp, Date:
 		switch v := d.(type) {
@@ -340,7 +345,7 @@ func CoerceTo(d Datum, t Type) (Datum, error) {
 			if t == Date {
 				return v.Truncate(24 * time.Hour), nil
 			}
-			return v, nil
+			return d, nil
 		case string:
 			ts, err := ParseTimestamp(v)
 			if err != nil {

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -100,6 +101,79 @@ func TestCoerceTo(t *testing.T) {
 	}
 	if _, err := CoerceTo("maybe", Bool); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestCoerceToSameTypeAllocatesNothing: a datum that already has the
+// target type comes back as the interface value it went in as.
+func TestCoerceToSameTypeAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		d   Datum
+		typ Type
+	}{
+		{int64(1 << 40), Int},
+		{float64(2.5), Float},
+		{true, Bool},
+		{"a cell of text", Text},
+		{time.Date(2020, 2, 1, 10, 30, 0, 0, time.FixedZone("+01", 3600)), Timestamp},
+	} {
+		var got Datum
+		if n := testing.AllocsPerRun(100, func() { got, _ = CoerceTo(c.d, c.typ) }); n != 0 {
+			t.Errorf("CoerceTo(%v, %s): %.0f allocations, want 0", c.d, c.typ, n)
+		}
+		if got != c.d {
+			t.Errorf("CoerceTo(%v, %s) = %v", c.d, c.typ, got)
+		}
+	}
+}
+
+type stringer struct{}
+
+func (stringer) String() string { return "stringer" }
+
+// TestCoerceToTable pins CoerceTo's result for every pair of datum kind and
+// type: the value, or that it fails.
+func TestCoerceToTable(t *testing.T) {
+	fail := errors.New("fails")
+	zoned := time.Date(2020, 2, 1, 10, 30, 0, 0, time.FixedZone("+01", 3600))
+	parsed, err := ParseTimestamp("2020-02-01T10:30:00+01:00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := 24 * time.Hour
+	types := []Type{Unknown, Int, Float, Bool, Text, Timestamp, Date, JSONB}
+	for _, c := range []struct {
+		d    Datum
+		want []any // one per entry of types
+	}{
+		{nil, []any{nil, nil, nil, nil, nil, nil, nil, nil}},
+		{int64(300), []any{int64(300), int64(300), float64(300), true, "300", fail, fail, int64(300)}},
+		{int64(0), []any{int64(0), int64(0), float64(0), false, "0", fail, fail, int64(0)}},
+		{float64(2.5), []any{2.5, int64(2), 2.5, fail, "2.5", fail, fail, 2.5}},
+		{float64(-3), []any{float64(-3), int64(-3), float64(-3), fail, "-3.0", fail, fail, float64(-3)}},
+		{true, []any{true, int64(1), fail, true, "true", fail, fail, true}},
+		{false, []any{false, int64(0), fail, false, "false", fail, fail, false}},
+		{"42", []any{"42", int64(42), float64(42), fail, "42", fail, fail, "42"}},
+		{" 7 ", []any{" 7 ", int64(7), float64(7), fail, " 7 ", fail, fail, " 7 "}},
+		{"2.5", []any{"2.5", fail, 2.5, fail, "2.5", fail, fail, "2.5"}},
+		{" On ", []any{" On ", fail, fail, true, " On ", fail, fail, " On "}},
+		{"0", []any{"0", int64(0), float64(0), false, "0", fail, fail, "0"}},
+		{"2020-02-01T10:30:00+01:00", []any{"2020-02-01T10:30:00+01:00", fail, fail, fail, "2020-02-01T10:30:00+01:00", parsed, parsed.Truncate(day), "2020-02-01T10:30:00+01:00"}},
+		{"abc", []any{"abc", fail, fail, fail, "abc", fail, fail, "abc"}},
+		{zoned, []any{zoned, fail, fail, fail, "2020-02-01 09:30:00", zoned, zoned.Truncate(day), zoned}},
+		{stringer{}, []any{stringer{}, fail, fail, fail, "stringer", fail, fail, stringer{}}},
+	} {
+		for i, typ := range types {
+			got, err := CoerceTo(c.d, typ)
+			switch want := c.want[i]; {
+			case want == fail:
+				if err == nil {
+					t.Errorf("CoerceTo(%#v, %s) = %#v, want an error", c.d, typ, got)
+				}
+			case err != nil || got != want:
+				t.Errorf("CoerceTo(%#v, %s) = %#v, %v; want %#v", c.d, typ, got, err, want)
+			}
+		}
 	}
 }
 

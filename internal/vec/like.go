@@ -1,12 +1,9 @@
 package vec
 
-import "citusgo/internal/types"
-
 // TextMatcher decides LIKE or ILIKE for one text against a prepared pattern.
 // The engine hands in the row evaluator's own (expr.LikePattern), so a row
 // passes here exactly when it passes there.
 type TextMatcher interface {
-	Match(s string) bool
 	MatchBytes(b []byte) bool
 }
 
@@ -15,16 +12,6 @@ type TextMatcher interface {
 type LikeFilter struct {
 	M   TextMatcher
 	Not bool
-}
-
-// Apply filters a vector of texts. A string vector asks the matcher once per
-// dictionary entry; any other kind matches each value's types.Format text, as
-// the row evaluator does.
-func (f *LikeFilter) Apply(v *Vector, sel Sel, out Sel) Sel {
-	if v.Kind == KindString {
-		return dictKernel(v, sel, out, func(s string) bool { return f.M.Match(s) != f.Not })
-	}
-	return datumKernel(v, sel, out, func(d types.Datum) bool { return f.M.Match(types.Format(d)) != f.Not })
 }
 
 // ApplyText filters n rows whose texts are in no vector: text writes row i's
