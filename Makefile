@@ -118,17 +118,20 @@ bench-smoke:
 
 # the repo benchmark's committed trajectory: BENCH_<pr>.json is
 #   go run ./benchmark -seed 1 -trace 1 -out BENCH_<pr>.json
-# at that PR's commit; this compares the two newest, metric by metric, with
-# the benchmark's own bounds and verdicts (benchmark/README.md). One suite run
-# each says where the numbers stand, not whether a gain is real: a claim still
-# takes the ten alternating pairs of EXPERIMENTS.md. BENCH_<pr>r.json is that
-# PR's commit recorded again in the next PR's session, for when the host has
-# moved in between (it sorts behind BENCH_<pr>.json, so the next PR's point is
-# compared with it).
+# at that PR's commit, and BENCH_<prev>r.json the previous point's commit
+# recorded again in the same session — the host moves 20-35 % between
+# sessions, so only two files from one session compare. This pairs the newest
+# BENCH_<pr>.json with its session's BENCH_<prev>r.json, metric by metric, with
+# the benchmark's own bounds and verdicts (benchmark/README.md), and refuses
+# when that partner is missing. One suite run each says where the numbers
+# stand, not whether a gain is real: a claim still takes the ten alternating
+# pairs of EXPERIMENTS.md.
 bench-diff:
-	@set -- $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2); \
-		test $$# -eq 2 || { echo "bench-diff: need two BENCH_*.json files"; exit 1; }; \
-		echo "bench-diff: $$1 -> $$2"; go run ./benchmark -compare $$1 $$2
+	@set -- $$(ls BENCH_*.json | grep -v 'r\.json$$' | tr -dc '0-9\n' | sort -n | tail -2); \
+		test $$# -eq 2 || { echo "bench-diff: need two BENCH_<pr>.json files"; exit 1; }; \
+		test -f BENCH_$${1}r.json || { echo "bench-diff: BENCH_$$2.json has no partner from its session (BENCH_$${1}r.json);" \
+			"BENCH_$$1.json was recorded in another session and does not compare"; exit 1; }; \
+		echo "bench-diff: BENCH_$${1}r.json -> BENCH_$$2.json"; go run ./benchmark -compare BENCH_$${1}r.json BENCH_$$2.json
 
 # run citusbench with the slow-query log catching everything and assert the
 # tracing pipeline emitted at least one trace (see docs/tracing.md)

@@ -189,7 +189,7 @@ func AblationSlowStart(sc Scale) ([]Series, error) {
 		c, err := cluster.New(cluster.Config{
 			Workers:    2,
 			ShardCount: sc.ShardCount,
-			Citus:      citus.Config{DisablePlanCache: variant.noCache},
+			Features:   engine.Features{NoPlanCache: variant.noCache},
 			Trace:      ClusterTrace,
 		})
 		if err != nil {
@@ -379,10 +379,7 @@ func AblationVectorized(sc Scale) (Series, error) {
 	}
 	defer c.Close()
 	eng := c.Engines[0]
-	defer func() {
-		eng.SetVectorized(true)
-		eng.SetVecParallelism(0)
-	}()
+	defer eng.SetFeatures(engine.Features{})
 	s := c.Session()
 	if _, err := s.Exec(`CREATE TABLE lineitem (
 		l_orderkey bigint, l_linenumber bigint, l_quantity double precision,
@@ -456,8 +453,7 @@ func AblationVectorized(sc Scale) (Series, error) {
 	}
 	for _, q := range queries {
 		for _, v := range variants {
-			eng.SetVectorized(v.vec)
-			eng.SetVecParallelism(v.par)
+			eng.SetFeatures(engine.Features{NoVectorized: !v.vec, VecParallelism: v.par})
 			if _, err := s.Exec(q.q); err != nil { // warm caches and pool
 				return out, fmt.Errorf("%s %s: %w", q.name, v.name, err)
 			}
@@ -568,7 +564,7 @@ func ablationVectorizedJoin(s *engine.Session, eng *engine.Engine, sc Scale) ([]
 		name string
 		vec  bool
 	}{{"row-at-a-time", false}, {"vectorized", true}} {
-		eng.SetVectorized(v.vec)
+		eng.SetFeatures(engine.Features{NoVectorized: !v.vec})
 		if _, err := s.Exec(q3); err != nil { // warm caches
 			return nil, fmt.Errorf("Q3 %s: %w", v.name, err)
 		}
@@ -635,7 +631,7 @@ func ablationVectorizedDashboard(s *engine.Session, eng *engine.Engine, sc Scale
 		name string
 		vec  bool
 	}{{"row-at-a-time", false}, {"vectorized", true}} {
-		eng.SetVectorized(v.vec)
+		eng.SetFeatures(engine.Features{NoVectorized: !v.vec})
 		if _, err := s.Exec(gharchive.DashboardSQL); err != nil { // warm caches
 			return nil, fmt.Errorf("dashboard %s: %w", v.name, err)
 		}
@@ -687,7 +683,8 @@ func ablationTopNPushdown(sc Scale) ([]Point, error) {
 	for _, v := range variants {
 		c, err := cluster.New(cluster.Config{
 			Workers: 2, ShardCount: sc.ShardCount, Trace: ClusterTrace,
-			Citus: citus.Config{DeadlockInterval: -1, DisableTopNPushdown: v.disable},
+			Citus:    citus.Config{DeadlockInterval: -1},
+			Features: engine.Features{NoTopNPushdown: v.disable},
 		})
 		if err != nil {
 			return nil, err
@@ -931,7 +928,7 @@ func serializableTPCC(sc Scale, disableSSI bool) (float64, float64, obs.Snapshot
 		ShardCount:   sc.ShardCount,
 		SyncMetadata: true, // workers plan the delegated procedures (MX)
 		Trace:        ClusterTrace,
-		Citus:        citus.Config{DisableSSI: disableSSI},
+		Features:     engine.Features{NoSSI: disableSSI},
 	})
 	if err != nil {
 		return 0, 0, obs.Snapshot{}, err
@@ -978,7 +975,8 @@ func writeSkewMicro(sc Scale, disableSSI bool) (int, int, obs.Snapshot, error) {
 		Workers:    2,
 		ShardCount: sc.ShardCount,
 		Trace:      ClusterTrace,
-		Citus:      citus.Config{DisableSSI: disableSSI, DeadlockInterval: -1, RecoveryInterval: -1},
+		Citus:      citus.Config{DeadlockInterval: -1, RecoveryInterval: -1},
+		Features:   engine.Features{NoSSI: disableSSI},
 	})
 	if err != nil {
 		return 0, 0, obs.Snapshot{}, err

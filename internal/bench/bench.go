@@ -71,7 +71,6 @@ type Scale struct {
 	// memory / network simulation
 	MemoryFraction float64       // per-node buffer pool as a fraction of total pages
 	IOLatency      time.Duration // per page miss
-	IOConcurrency  int
 	NetworkRTT     time.Duration
 
 	ShardCount int
@@ -90,7 +89,7 @@ func Default() Scale {
 		Orders:      12000,
 		PgbenchRows: 30000, PgbenchConns: 24, PgbenchRun: 4 * time.Second,
 		YCSBRows: 40000, YCSBThreads: 24, YCSBRun: 4 * time.Second,
-		MemoryFraction: 0.34, IOLatency: 150 * time.Microsecond, IOConcurrency: 4,
+		MemoryFraction: 0.34, IOLatency: 150 * time.Microsecond,
 		NetworkRTT: 100 * time.Microsecond,
 		ShardCount: 16,
 		SlowStart:  2 * time.Millisecond,
@@ -106,7 +105,7 @@ func Tiny() Scale {
 		Orders:      600,
 		PgbenchRows: 200, PgbenchConns: 4, PgbenchRun: 300 * time.Millisecond,
 		YCSBRows: 1000, YCSBThreads: 4, YCSBRun: 300 * time.Millisecond,
-		MemoryFraction: 0.5, IOLatency: 30 * time.Microsecond, IOConcurrency: 4,
+		MemoryFraction: 0.5, IOLatency: 30 * time.Microsecond,
 		NetworkRTT: 0,
 		ShardCount: 8,
 		SlowStart:  2 * time.Millisecond,
@@ -170,7 +169,7 @@ func boundMemory(c *cluster.Cluster, sc Scale) {
 		capacity = 16
 	}
 	for _, eng := range c.Engines {
-		eng.Pool.SetIOLatency(sc.IOLatency, sc.IOConcurrency)
+		eng.Pool.SetIOLatency(sc.IOLatency, 4)
 		eng.Pool.SetCapacity(capacity)
 	}
 }

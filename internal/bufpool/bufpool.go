@@ -44,29 +44,22 @@ type Config struct {
 	CapacityPages int
 	// IOLatency is charged per page miss (default 200µs when capacity > 0).
 	IOLatency time.Duration
-	// IOConcurrency bounds parallel simulated I/Os, modelling a disk's
-	// queue depth / IOPS limit (default 4).
-	IOConcurrency int
 }
+
+// ioConcurrency bounds parallel simulated I/Os, modelling a disk's queue
+// depth / IOPS limit, until SetIOLatency says otherwise.
+const ioConcurrency = 4
 
 // New creates a pool.
 func New(cfg Config) *Pool {
-	if cfg.CapacityPages > 0 {
-		if cfg.IOLatency == 0 {
-			cfg.IOLatency = 200 * time.Microsecond
-		}
-		if cfg.IOConcurrency <= 0 {
-			cfg.IOConcurrency = 4
-		}
-	}
 	p := &Pool{
 		capacity:  cfg.CapacityPages,
 		ioLatency: cfg.IOLatency,
 		lru:       list.New(),
 		resident:  make(map[PageID]*list.Element),
 	}
-	if cfg.IOConcurrency > 0 {
-		p.ioSem = make(chan struct{}, cfg.IOConcurrency)
+	if cfg.CapacityPages > 0 {
+		p.SetCapacity(cfg.CapacityPages)
 	}
 	return p
 }
@@ -83,7 +76,7 @@ func (p *Pool) SetCapacity(pages int) {
 	defer p.mu.Unlock()
 	p.capacity = pages
 	if p.ioSem == nil {
-		p.ioSem = make(chan struct{}, 4)
+		p.ioSem = make(chan struct{}, ioConcurrency)
 	}
 	if p.ioLatency == 0 {
 		p.ioLatency = 200 * time.Microsecond

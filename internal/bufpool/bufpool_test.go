@@ -55,7 +55,7 @@ func TestWorkingSetEffect(t *testing.T) {
 	// the core of the paper's benchmark setup: a working set larger than
 	// the pool pays latency on nearly every access; a fitting one is free
 	const latency = 300 * time.Microsecond
-	p := New(Config{CapacityPages: 10, IOLatency: latency, IOConcurrency: 1})
+	p := New(Config{CapacityPages: 10, IOLatency: latency})
 	// fits: 8 pages scanned twice, second pass all hits
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 8; i++ {
@@ -67,7 +67,7 @@ func TestWorkingSetEffect(t *testing.T) {
 		t.Fatalf("fitting working set: hits=%d", hits)
 	}
 	// thrashes: 20 pages cycled LRU means zero hits
-	p2 := New(Config{CapacityPages: 10, IOLatency: time.Microsecond, IOConcurrency: 4})
+	p2 := New(Config{CapacityPages: 10, IOLatency: time.Microsecond})
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 20; i++ {
 			p2.Access(PageID{Table: 1, Page: int32(i)})
@@ -113,7 +113,7 @@ func TestSetCapacityEnablesAndShrinks(t *testing.T) {
 
 func TestIOLatencyIsCharged(t *testing.T) {
 	const latency = 2 * time.Millisecond
-	p := New(Config{CapacityPages: 1, IOLatency: latency, IOConcurrency: 1})
+	p := New(Config{CapacityPages: 1, IOLatency: latency})
 	start := time.Now()
 	p.Access(PageID{Table: 1, Page: 0})
 	p.Access(PageID{Table: 1, Page: 1})

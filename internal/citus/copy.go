@@ -253,14 +253,15 @@ func (n *Node) buildInsertTasks(table string, dt *metadata.DistTable, cols []str
 			if end > len(shardRows) {
 				end = len(shardRows)
 			}
-			ins := &engineInsert{table: sh.ShardName(), cols: cols, rows: shardRows[start:end]}
-			for _, nodeID := range placements {
+			text := (&engineInsert{table: sh.ShardName(), cols: cols, rows: shardRows[start:end]}).SQL()
+			for i, nodeID := range placements {
 				tasks = append(tasks, task{
 					nodeID:     nodeID,
 					shardGroup: metadata.ShardGroupID(dt.ColocationID, sh.Index),
-					sql:        ins.SQL(),
+					sql:        text,
 					params:     params,
 					isWrite:    true,
+					replica:    i > 0,
 				})
 			}
 		}

@@ -71,6 +71,10 @@ type task struct {
 	// autocommit reads, the primary inside transactions (read-your-writes).
 	// readNodes[0] is also the fallback when a replica read fails.
 	readNodes []int
+	// replica marks a write another task of the plan also makes, on another
+	// placement of the same shard (a reference table's): the statement's
+	// affected count and RETURNING rows come from the other task.
+	replica bool
 }
 
 // executeTasks is the adaptive executor (§3.6.1). It runs tasks over the

@@ -35,7 +35,7 @@ func (n *Node) colocatedInsertSelectOK(ins *sql.InsertStmt, dt *metadata.DistTab
 		return false
 	}
 	sel := ins.Select
-	dist, _ := n.citusTablesIn(sel)
+	dist := n.distTablesIn(sel)
 	if len(dist) == 0 {
 		return false
 	}
@@ -50,11 +50,7 @@ func (n *Node) colocatedInsertSelectOK(ins *sql.InsertStmt, dt *metadata.DistTab
 	// the SELECT must not need a merge step
 	hasAgg := len(sel.GroupBy) > 0
 	for _, it := range sel.Columns {
-		if it.Star {
-			hasAgg = hasAgg || false
-			continue
-		}
-		if containsAgg(it.Expr) {
+		if !it.Star && containsAgg(it.Expr) {
 			hasAgg = true
 		}
 	}
@@ -191,7 +187,7 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 		return nil, nil
 	}
 	sel := ins.Select
-	dist, _ := n.citusTablesIn(sel)
+	dist := n.distTablesIn(sel)
 	if len(dist) == 0 {
 		return nil, nil
 	}
@@ -301,18 +297,7 @@ func (p *insertSelectCoordinatorPlan) Execute(s *engine.Session, params []types.
 		if err != nil {
 			return nil, err
 		}
-		results, err := n.executeTasks(s, tasks)
-		if err != nil {
-			return nil, err
-		}
-		out := &engine.Result{}
-		for _, r := range results {
-			if r != nil {
-				out.Affected += r.Affected
-			}
-		}
-		out.Tag = fmt.Sprintf("INSERT 0 %d", out.Affected)
-		return out, nil
+		return (&distPlan{node: n, tasks: tasks, isDML: true, tag: "INSERT 0"}).Execute(s, nil)
 	}
 	// destination is a plain local table
 	ncopied, err := s.CopyFrom(p.ins.Table, cols, res.Rows)

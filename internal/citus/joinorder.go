@@ -18,7 +18,7 @@ import (
 // projections pushed into the subplan"), after which the rewritten query is
 // planned by the pushdown planner.
 func (n *Node) planJoinOrder(sel *sql.SelectStmt, params []types.Datum) (*distPlan, error) {
-	dist, _ := n.citusTablesIn(sel)
+	dist := n.distTablesIn(sel)
 	if len(dist) != 2 {
 		return nil, nil // N-way non-co-located joins are a known limitation
 	}

@@ -55,30 +55,12 @@ type Config struct {
 	// negative disables (tests that hand-craft orphans resolve at once).
 	// WAL-adopted orphans report infinite age and are never graced.
 	RecoveryGrace time.Duration
-	// BroadcastRowThreshold is the size under which the join-order planner
-	// prefers broadcasting a relation over repartitioning (rows).
-	BroadcastRowThreshold int64
-	// DisablePlanCache turns off the coordinator distributed-plan cache and,
-	// in a cluster, every node's session statement cache (the ablation
-	// toggle; off means every execution re-plans and every node re-parses).
-	DisablePlanCache bool
 	// PipelineWindow bounds how many requests the executor keeps in flight
 	// per worker connection (the libpq-pipeline-mode window): task queues
 	// and COPY streams issue through it. 1 is serial issue, every request on
 	// a connection its own round trip (the ablation A4 baseline; see
 	// docs/wire.md). 0 = 32.
 	PipelineWindow int
-	// DisableTopNPushdown stops the coordinator from shipping
-	// ORDER BY <group col> LIMIT k down to the workers of a cross-shard
-	// grouped aggregate, so every worker returns its full grouped result
-	// (the ablation A5 TopN toggle; see docs/columnar.md).
-	DisableTopNPushdown bool
-	// DisableSSI turns off serializable snapshot isolation cluster-wide
-	// (the ablation A7 toggle): `SET transaction_isolation = 'serializable'`
-	// is still accepted but degrades to plain snapshot isolation — no SIREAD
-	// locks, no rw-antidependency tracking, no merged-graph commit check.
-	// See docs/ssi.md.
-	DisableSSI bool
 }
 
 func (c Config) withDefaults() Config {
@@ -104,9 +86,6 @@ func (c Config) withDefaults() Config {
 		c.RecoveryGrace = 5 * time.Second
 	} else if c.RecoveryGrace < 0 {
 		c.RecoveryGrace = 0
-	}
-	if c.BroadcastRowThreshold <= 0 {
-		c.BroadcastRowThreshold = 10000
 	}
 	return c
 }

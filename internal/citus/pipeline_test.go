@@ -10,6 +10,7 @@ import (
 
 	"citusgo/internal/citus"
 	"citusgo/internal/cluster"
+	"citusgo/internal/engine"
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/types"
@@ -246,7 +247,10 @@ func TestTransientRetryBound(t *testing.T) {
 func TestBrokenConnNeverReturnsToPool(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
-	c := pipelineCluster(t, citus.Config{DisablePlanCache: true})
+	c := pipelineCluster(t, citus.Config{})
+	for _, e := range c.Engines {
+		e.SetFeatures(engine.Features{NoPlanCache: true})
+	}
 	s := c.Session()
 	mustExec(t, s, "CREATE TABLE bc (k bigint PRIMARY KEY, v bigint)")
 	mustExec(t, s, "SELECT create_distributed_table('bc', 'k')")

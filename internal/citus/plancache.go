@@ -200,7 +200,7 @@ func analyzeRouterShape(n *Node, key string, ver int64) *planEntry {
 	if err != nil {
 		return nil
 	}
-	dist, _ := n.citusTablesIn(norm)
+	dist := n.distTablesIn(norm)
 	if len(dist) != 1 {
 		return nil
 	}

@@ -32,7 +32,8 @@ func clusterNewNoCache() (*cluster.Cluster, error) {
 	return cluster.New(cluster.Config{
 		Workers:    2,
 		ShardCount: 8,
-		Citus:      citus.Config{DisablePlanCache: true, DeadlockInterval: 50 * time.Millisecond},
+		Citus:      citus.Config{DeadlockInterval: 50 * time.Millisecond},
+		Features:   engine.Features{NoPlanCache: true},
 	})
 }
 
@@ -187,7 +188,7 @@ func TestPlanCacheStressInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: with DisablePlanCache the workload still answers
+// TestPlanCacheDisabled: with NoPlanCache the workload still answers
 // correctly and the cache stays empty.
 func TestPlanCacheDisabled(t *testing.T) {
 	c, err := clusterNewNoCache()

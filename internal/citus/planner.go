@@ -2,9 +2,9 @@ package citus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
@@ -55,10 +55,6 @@ type distPlan struct {
 	// prefix cannot match query 10's relations.
 	cleanupPrefix string
 	cleanupNodes  []int
-
-	// reference-table writes run on every replica; report one count
-	// instead of the sum
-	dedupeReplicaCounts bool
 }
 
 func (p *distPlan) Columns() []string      { return p.columns }
@@ -83,20 +79,13 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 
 	if p.isDML {
 		res := &engine.Result{}
-		for _, r := range results {
-			if r == nil {
+		for i, r := range results {
+			if r == nil || tasks[i].replica {
 				continue
 			}
-			if p.dedupeReplicaCounts {
-				if res.Affected == 0 {
-					res.Affected = r.Affected
-				}
-			} else {
-				res.Affected += r.Affected
-			}
-			// RETURNING rows pass through (replica writes return identical
-			// rows; keep the first set only)
-			if r.NumRows() > 0 && len(r.Columns) > 0 && (!p.dedupeReplicaCounts || len(res.Rows) == 0) {
+			res.Affected += r.Affected
+			// RETURNING rows pass through
+			if r.NumRows() > 0 && len(r.Columns) > 0 {
 				res.Columns = r.Columns
 				res.Rows = append(res.Rows, r.DecodeRows()...)
 			}
@@ -207,7 +196,7 @@ func (n *Node) plannerHook(s *engine.Session, stmt sql.Statement, params []types
 	}
 	// fast path: repeated router statements plan from the distributed-plan
 	// cache, skipping the tier walk below entirely
-	if !n.Cfg.DisablePlanCache {
+	if !n.Eng.Features().NoPlanCache {
 		if plan, handled, err := n.planCache.tryPlan(n, stmt, params); handled || err != nil {
 			return plan, err
 		}
@@ -228,13 +217,10 @@ func (n *Node) plannerHook(s *engine.Session, stmt sql.Statement, params []types
 // ---------------------------------------------------------------------------
 // Distribution-column filter extraction
 
-// distFilter records "range/table X has distribution column = const value".
-type distFilters map[string]types.Datum // range or table name (lower) -> value
-
-// collectDistFilters finds `col = const` conjuncts anywhere in the
-// statement for the given (rangeName -> tableName) map, keyed per citus
-// table. The router and fast-path planners both use it.
-func (n *Node) collectDistFilters(stmt sql.Statement, params []types.Datum) (map[string]types.Datum, map[string]string) {
+// collectDistFilters finds `col = const` conjuncts on a distribution column
+// anywhere in the statement and returns the value per distributed table.
+// The router and fast-path planners both use it.
+func (n *Node) collectDistFilters(stmt sql.Statement, params []types.Datum) map[string]types.Datum {
 	// map range names to table names across all FROM clauses; tables keeps
 	// each table once so unqualified conjuncts probe it once (ranges holds
 	// both alias and name entries, which would double-probe)
@@ -334,7 +320,7 @@ func (n *Node) collectDistFilters(stmt sql.Statement, params []types.Datum) (map
 			visitConjunct(c)
 		}
 	}
-	return values, ranges
+	return values
 }
 
 func splitAnd(e sql.Expr) []sql.Expr {
@@ -347,26 +333,15 @@ func splitAnd(e sql.Expr) []sql.Expr {
 	return []sql.Expr{e}
 }
 
-// citusTablesIn lists the distinct citus tables a statement references,
-// split by type.
-func (n *Node) citusTablesIn(stmt sql.Statement) (dist, ref []string) {
-	seen := map[string]bool{}
+// distTablesIn lists the distinct distributed tables a statement references.
+func (n *Node) distTablesIn(stmt sql.Statement) []string {
+	var dist []string
 	for _, name := range sql.StatementTables(stmt) {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		dt, ok := n.Meta.Table(name)
-		if !ok {
-			continue
-		}
-		if dt.Type == metadata.ReferenceTable {
-			ref = append(ref, name)
-		} else {
+		if dt, ok := n.Meta.Table(name); ok && dt.Type != metadata.ReferenceTable && !slices.Contains(dist, name) {
 			dist = append(dist, name)
 		}
 	}
-	return dist, ref
+	return dist
 }
 
 // shardNameRewriter builds the table→shard renaming for one shard index.
@@ -393,7 +368,7 @@ func (n *Node) shardNameRewriter(shardIndex int) func(string) string {
 // planRouter attempts to scope the whole statement to one co-located shard
 // group (§3.5). Returns nil when the query is not routable.
 func (n *Node) planRouter(stmt sql.Statement, params []types.Datum, isWrite bool, tag string) (*distPlan, error) {
-	dist, ref := n.citusTablesIn(stmt)
+	dist := n.distTablesIn(stmt)
 
 	// Reference-table-only statements route to the local replica (reads)
 	// — writes to reference tables are handled by the DML planners.
@@ -412,7 +387,7 @@ func (n *Node) planRouter(stmt sql.Statement, params []types.Datum, isWrite bool
 		}, nil
 	}
 
-	values, _ := n.collectDistFilters(stmt, params)
+	values := n.collectDistFilters(stmt, params)
 
 	// every distributed table needs a distribution column filter, all in
 	// the same co-location group, all landing on the same shard index
@@ -441,7 +416,6 @@ func (n *Node) planRouter(stmt sql.Statement, params []types.Datum, isWrite bool
 			return nil, nil
 		}
 	}
-	_ = ref
 
 	nodeID, err := n.Meta.PrimaryPlacement(groupShard.ID)
 	if err != nil {
@@ -530,7 +504,7 @@ func (n *Node) planDistInsert(ins *sql.InsertStmt, params []types.Datum) (engine
 	}
 
 	if dt.Type == metadata.ReferenceTable {
-		return n.planReferenceWrite(ins, params, "INSERT")
+		return n.planReferenceWrite(ins, params, "INSERT 0")
 	}
 
 	// distributed VALUES insert: route each row by its distribution column
@@ -614,31 +588,30 @@ func (n *Node) planDistInsert(ins *sql.InsertStmt, params []types.Datum) (engine
 
 // planReferenceWrite replicates a write to every node's replica of a
 // reference table (§3.3.3: "writes to the reference table are replicated
-// to all nodes"), under 2PC.
+// to all nodes"), under 2PC. The first replica's task reports the count and
+// any RETURNING rows; the others are replicas.
 func (n *Node) planReferenceWrite(stmt sql.Statement, params []types.Datum, tag string) (engine.Plan, error) {
+	clone, err := sql.CloneStatement(stmt)
+	if err != nil {
+		return nil, err
+	}
+	sql.RewriteTables(clone, n.shardNameRewriter(0))
+	text := clone.String()
+	var tasks []task
 	// active nodes only: a standby's reference replica is maintained by its
 	// primary's WAL stream, and writing to it directly would double-apply
-	nodes := n.Meta.ActiveNodes()
-	var tasks []task
-	for _, node := range nodes {
-		clone, err := sql.CloneStatement(stmt)
-		if err != nil {
-			return nil, err
-		}
-		sql.RewriteTables(clone, n.shardNameRewriter(0))
+	for i, node := range n.Meta.ActiveNodes() {
 		tasks = append(tasks, task{
 			nodeID: node.ID, shardGroup: -1,
-			sql: clone.String(), params: params, isWrite: true,
+			sql: text, params: params, isWrite: true, replica: i > 0,
 		})
 	}
 	return &distPlan{
 		node:    n,
 		tasks:   tasks,
 		isDML:   true,
-		tag:     tag + " 0",
+		tag:     tag,
 		explain: []string{"Custom Scan (Citus Reference Table Write)", fmt.Sprintf("  Task Count: %d", len(tasks))},
-		// every replica reports the affected count; average them back by
-		// dividing later is unnecessary — report the first
 	}, nil
 }
 
@@ -652,15 +625,7 @@ func (n *Node) planDistModify(stmt sql.Statement, table string, where sql.Expr, 
 		tag = "DELETE"
 	}
 	if dt.Type == metadata.ReferenceTable {
-		plan, err := n.planReferenceWrite(stmt, params, tag)
-		if err != nil {
-			return nil, err
-		}
-		// replicas all report the same affected count; keep only one
-		p := plan.(*distPlan)
-		p.tag = tag
-		p.dedupeReplicaCounts = true
-		return p, nil
+		return n.planReferenceWrite(stmt, params, tag)
 	}
 
 	// router: single shard when the distribution column is pinned
@@ -718,9 +683,4 @@ func (n *Node) tableColumnsFromSchema(dt *metadata.DistTable) []string {
 		cols[i] = c.Name
 	}
 	return cols
-}
-
-// quoteIdentList is a small deparse helper.
-func quoteIdentList(cols []string) string {
-	return strings.Join(cols, ", ")
 }

@@ -17,7 +17,7 @@ import (
 // aggregates are split into worker-side partial aggregates and a
 // coordinator-side combine step (count→sum, avg→sum/count, ...).
 func (n *Node) planPushdown(sel *sql.SelectStmt, params []types.Datum) (*distPlan, error) {
-	dist, _ := n.citusTablesIn(sel)
+	dist := n.distTablesIn(sel)
 	if len(dist) == 0 {
 		return nil, nil
 	}
@@ -222,7 +222,7 @@ func (n *Node) subqueriesPushdownable(sel *sql.SelectStmt) error {
 		if topLevel {
 			return nil
 		}
-		dist, _ := n.citusTablesIn(s)
+		dist := n.distTablesIn(s)
 		if len(dist) == 0 {
 			return nil
 		}
@@ -558,7 +558,7 @@ func (n *Node) buildPartialAggMerge(sel *sql.SelectStmt, irName string) (*pushdo
 // binding before plan-cache time); anything else leaves the worker query
 // unbounded, exactly as before.
 func (n *Node) pushTopNToWorkers(sel *sql.SelectStmt, pr *partialRewriter, worker *sql.SelectStmt) {
-	if n.Cfg.DisableTopNPushdown || sel.Limit == nil || sel.Having != nil || len(sel.OrderBy) == 0 {
+	if n.Eng.Features().NoTopNPushdown || sel.Limit == nil || sel.Having != nil || len(sel.OrderBy) == 0 {
 		return
 	}
 	limit, ok := literalInt(sel.Limit)

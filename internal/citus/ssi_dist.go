@@ -30,11 +30,8 @@ var (
 )
 
 // ssiActive reports whether serializable commits through this node run the
-// SSI machinery (the DisableSSI config and the engine gate agree by
-// construction — cluster boot wires both — but check both defensively).
-func (n *Node) ssiActive() bool {
-	return !n.Cfg.DisableSSI && n.Eng.SSIEnabled()
-}
+// SSI machinery: the switch the engine's sessions read (Features.NoSSI).
+func (n *Node) ssiActive() bool { return !n.Eng.Features().NoSSI }
 
 // ssiPollFailure converts a failed edge poll into a retryable serialization
 // error. The check fails closed: a graph with missing edges could validate a

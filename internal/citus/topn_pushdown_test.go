@@ -7,6 +7,7 @@ import (
 
 	"citusgo/internal/citus"
 	"citusgo/internal/cluster"
+	"citusgo/internal/engine"
 	"citusgo/internal/types"
 )
 
@@ -19,7 +20,8 @@ func topnCluster(t *testing.T, disable bool) *cluster.Cluster {
 	c, err := cluster.New(cluster.Config{
 		Workers:    2,
 		ShardCount: 8,
-		Citus:      citus.Config{DeadlockInterval: -1, DisableTopNPushdown: disable},
+		Citus:      citus.Config{DeadlockInterval: -1},
+		Features:   engine.Features{NoTopNPushdown: disable},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,13 +33,9 @@ type Config struct {
 	// NetworkRTT is the simulated round-trip time between distinct nodes
 	// (0 for none; loopback connections never pay it).
 	NetworkRTT time.Duration
-	// BufferPoolPages bounds each node's simulated buffer pool; 0 turns
-	// the memory/I/O simulation off.
-	BufferPoolPages int
-	// IOLatency is charged per buffer pool miss.
+	// IOLatency is charged per buffer pool miss once a harness bounds the
+	// pools (Pool.SetCapacity; they boot unbounded).
 	IOLatency time.Duration
-	// IOConcurrency bounds parallel simulated I/Os per node.
-	IOConcurrency int
 	// UseTCP runs the wire protocol over real TCP sockets instead of the
 	// in-process transport.
 	UseTCP bool
@@ -48,6 +44,9 @@ type Config struct {
 	SyncMetadata bool
 	// Citus layer tuning; zero values use the defaults.
 	Citus citus.Config
+	// Features every node's engine runs with — primaries, standbys and
+	// restarted nodes alike; the zero value turns every optimisation on.
+	Features engine.Features
 	// Trace configures every node's tracer (sampling, ring size, slow-query
 	// log). The zero value means always-on tracing with defaults; set
 	// SampleRate negative to disable tracing entirely.
@@ -67,17 +66,16 @@ type Config struct {
 	// ReplicationMode selects sync (commit waits for standby acks) or
 	// async (bounded-lag) WAL shipping.
 	ReplicationMode repl.Mode
-	// SyncTimeout bounds sync-commit waits and promotion drains (default 5s).
-	SyncTimeout time.Duration
 	// MaxAsyncLag is the async-mode staleness bound in WAL records.
 	MaxAsyncLag int64
 	// HealthInterval enables coordinator-side placement health probing (and
 	// automatic failover) at this period; 0 disables.
 	HealthInterval time.Duration
-	// HealthFailures is how many consecutive failed probes mark a worker
-	// down and trigger failover (default 3).
-	HealthFailures int
 }
+
+// healthFailures is how many consecutive failed probes mark a worker down
+// and trigger failover.
+const healthFailures = 3
 
 // Cluster is a running set of nodes.
 type Cluster struct {
@@ -179,7 +177,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		mgr := repl.NewManager(meta, repl.Config{
 			Mode:        cfg.ReplicationMode,
-			SyncTimeout: cfg.SyncTimeout,
 			MaxAsyncLag: cfg.MaxAsyncLag,
 		})
 		c.Repl = mgr
@@ -245,26 +242,13 @@ func (c *Cluster) newEngine(i int, name string) *engine.Engine {
 		autovac = 0
 	}
 	eng := engine.New(engine.Config{
-		Name: name,
-		BufferPool: bufpool.Config{
-			CapacityPages: c.cfg.BufferPoolPages,
-			IOLatency:     c.cfg.IOLatency,
-			IOConcurrency: c.cfg.IOConcurrency,
-		},
+		Name:               name,
+		BufferPool:         bufpool.Config{IOLatency: c.cfg.IOLatency},
 		DeadlockInterval:   c.cfg.LocalDeadlockInterval,
 		AutoVacuumInterval: autovac,
+		Features:           c.cfg.Features,
 	})
 	eng.Tracer = trace.New(i+1, name, c.cfg.Trace)
-	if c.cfg.Citus.DisablePlanCache {
-		// the ablation toggle disables all caching layers together so
-		// the off variant measures the genuinely uncached baseline
-		eng.SetStmtCacheEnabled(false)
-	}
-	if c.cfg.Citus.DisableSSI {
-		// ablation A7 off-arm: serializable sessions run plain SI on
-		// every node (no SIREAD tracking, no commit-time checks)
-		eng.SetSSIEnabled(false)
-	}
 	return eng
 }
 
@@ -466,16 +450,12 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	}
 	// Catch up to the promoted primary's current tip before going back into
 	// read rotation, so replica reads never regress past the failover.
-	timeout := c.cfg.SyncTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
 	tip := primaryEng.WAL.LastLSN()
 	g, ok := c.Repl.Group(primaryID)
 	if !ok {
 		return fmt.Errorf("promoted node %d lost its replication group", primaryID)
 	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(repl.SyncTimeout)
 	for g.Applied()[nodeID] < tip {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("standby %s stuck at LSN %d catching up to %d",
@@ -535,13 +515,9 @@ func (c *Cluster) StandbyEngine(nodeID int) *engine.Engine {
 
 // healthLoop is the coordinator-side placement health prober: every
 // HealthInterval it runs a trivial query against each primary worker;
-// HealthFailures consecutive failures mark the node down in the catalog
+// healthFailures consecutive failures mark the node down in the catalog
 // (readers instantly re-route to standbys) and trigger automatic failover.
 func (c *Cluster) healthLoop() {
-	threshold := c.cfg.HealthFailures
-	if threshold <= 0 {
-		threshold = 3
-	}
 	failures := make(map[int]int)
 	ticker := time.NewTicker(c.cfg.HealthInterval)
 	defer ticker.Stop()
@@ -567,7 +543,7 @@ func (c *Cluster) healthLoop() {
 					continue
 				}
 				failures[nodeID]++
-				if failures[nodeID] < threshold {
+				if failures[nodeID] < healthFailures {
 					continue
 				}
 				c.Meta.SetNodeDown(nodeID, true)

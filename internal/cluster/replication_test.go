@@ -204,7 +204,6 @@ func TestHealthProbeAutoFailover(t *testing.T) {
 		ReplicationFactor: 1,
 		ReplicationMode:   repl.ModeSync,
 		HealthInterval:    2 * time.Millisecond,
-		HealthFailures:    2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -132,8 +132,11 @@ func TestDistributedSSIPivotAbort(t *testing.T) {
 // anomaly the merged-graph check exists to prevent.
 func TestDistributedSIAllowsWriteSkew(t *testing.T) {
 	c, keyA, keyB := ssiCluster(t, citus.Config{
-		DeadlockInterval: -1, RecoveryInterval: -1, DisableSSI: true,
+		DeadlockInterval: -1, RecoveryInterval: -1,
 	})
+	for _, e := range c.Engines {
+		e.SetFeatures(engine.Features{NoSSI: true})
+	}
 	s1, s2 := c.Session(), c.Session()
 	mustExec(t, s1, "SET TRANSACTION ISOLATION LEVEL SERIALIZABLE")
 	mustExec(t, s2, "SET TRANSACTION ISOLATION LEVEL SERIALIZABLE")

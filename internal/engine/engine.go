@@ -210,18 +210,9 @@ type Engine struct {
 	// keys the per-session statement cache: a cached statement whose version
 	// no longer matches is re-parsed.
 	schemaVer atomic.Int64
-	// stmtCacheOff disables per-session statement caching (ablation toggle).
-	stmtCacheOff atomic.Bool
 
-	// vecOff disables the vectorized columnar execution path (ablation
-	// toggle; see vec_exec.go). vecPar overrides the parallel chunk-scan
-	// degree (0 = default).
-	vecOff atomic.Bool
-	vecPar atomic.Int32
-
-	// ssiOff disables SSI tracking for serializable sessions (DisableSSI
-	// config / ablation A7): SERIALIZABLE then degrades to plain SI.
-	ssiOff atomic.Bool
+	// features is what Features returns; never nil.
+	features atomic.Pointer[Features]
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -259,9 +250,12 @@ type Engine struct {
 // every DDL path (including WAL replay, which reuses the same methods).
 func (e *Engine) bumpSchemaVersion() { e.schemaVer.Add(1) }
 
-// SetStmtCacheEnabled toggles the per-session statement cache, on by
-// default. Benchmarks disable it to measure the uncached baseline.
-func (e *Engine) SetStmtCacheEnabled(enabled bool) { e.stmtCacheOff.Store(!enabled) }
+// Features reports which optimisations the engine has switched off.
+func (e *Engine) Features() Features { return *e.features.Load() }
+
+// SetFeatures switches optimisations on a running engine; statements that
+// start afterwards see the new set.
+func (e *Engine) SetFeatures(f Features) { e.features.Store(&f) }
 
 // SetApplyMode flags the engine as a WAL-application target (replication
 // standby or restart replay): DDL stops self-logging because the applier
@@ -335,6 +329,33 @@ type Config struct {
 	// 0 disables (unit tests vacuum and checkpoint explicitly); cluster nodes
 	// enable it.
 	AutoVacuumInterval time.Duration
+	// Features the node starts with (see SetFeatures).
+	Features Features
+}
+
+// Features switches the paper's optimisations off one at a time: the
+// ablations measure each against the plain path, and the differential tests
+// compare their answers. The zero value turns everything on. Each switch is
+// read at one place.
+type Features struct {
+	// NoPlanCache turns off both plan caches: the coordinator's
+	// distributed-plan cache (citus plannerHook) and every session's
+	// statement cache (Session.ExecForward), so each execution re-plans and
+	// re-parses.
+	NoPlanCache bool
+	// NoTopNPushdown stops a coordinator shipping ORDER BY <group column>
+	// LIMIT k to the workers of a cross-shard grouped aggregate, so every
+	// worker returns its whole grouped result (docs/columnar.md).
+	NoTopNPushdown bool
+	// NoSSI runs SERIALIZABLE as plain snapshot isolation: no SIREAD locks,
+	// no rw-antidependency tracking, no commit-time check, local or merged
+	// (docs/ssi.md).
+	NoSSI bool
+	// NoVectorized plans every aggregate row at a time (vec_exec.go).
+	NoVectorized bool
+	// VecParallelism is the vectorized path's parallel chunk-scan degree;
+	// 0 is min(GOMAXPROCS, 4).
+	VecParallelism int
 }
 
 // New creates a node and starts its local deadlock detector.
@@ -354,6 +375,7 @@ func New(cfg Config) *Engine {
 		stopCh:       make(chan struct{}),
 	}
 	e.stopCtx, e.stopCancel = context.WithCancel(context.Background())
+	e.SetFeatures(cfg.Features)
 	e.nextObjID.Store(1)
 	interval := cfg.DeadlockInterval
 	if interval == 0 {
@@ -734,7 +756,7 @@ func decoded(res *Result, err error) (*Result, error) {
 // decoded rows.
 func (s *Session) ExecForward(query string, params ...types.Datum) (*Result, error) {
 	s.queryLabel = query
-	if s.Eng.stmtCacheOff.Load() {
+	if s.Eng.Features().NoPlanCache {
 		stmt, err := s.parse(query)
 		if err != nil {
 			return nil, err

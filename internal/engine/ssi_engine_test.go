@@ -81,11 +81,11 @@ func TestSIAllowsWriteSkew(t *testing.T) {
 	}
 }
 
-// TestSSIDisabledDegradesToSI: the DisableSSI gate turns SERIALIZABLE into
+// TestSSIDisabledDegradesToSI: the NoSSI switch turns SERIALIZABLE into
 // plain SI (ablation A7's off-arm).
 func TestSSIDisabledDegradesToSI(t *testing.T) {
 	e, s1, s2 := setupSSIBank(t)
-	e.SetSSIEnabled(false)
+	e.SetFeatures(Features{NoSSI: true})
 	mustExec(t, s1, "SET transaction_isolation = 'serializable'")
 	mustExec(t, s2, "SET transaction_isolation = 'serializable'")
 	if err := runWriteSkew(t, s1, s2); err != nil {

@@ -22,14 +22,6 @@ import (
 	"citusgo/internal/types"
 )
 
-// SetSSIEnabled gates the whole SSI subsystem (DisableSSI config /
-// ablation A7). With SSI off, `SET transaction_isolation = 'serializable'`
-// is accepted but runs under plain snapshot isolation.
-func (e *Engine) SetSSIEnabled(enabled bool) { e.ssiOff.Store(!enabled) }
-
-// SSIEnabled reports whether serializable sessions get SSI tracking.
-func (e *Engine) SSIEnabled() bool { return !e.ssiOff.Load() }
-
 // DoomByDistID marks the local member of a distributed transaction for
 // abort at commit (the coordinator's cluster-wide pivot abort). Unlike
 // CancelByDistID it does not interrupt the transaction — it fails its
@@ -45,24 +37,27 @@ func (e *Engine) SSIWireEdges() []ssi.WireEdge { return e.SSI.Export() }
 // SSISessions exports per-transaction SSI state for citus_stat_ssi().
 func (e *Engine) SSISessions() []ssi.SessionState { return e.SSI.Sessions() }
 
-// serializableRequested reports whether transactions of the session run
-// SERIALIZABLE now: the client set it on the session, or a coordinator
-// opened the current block with it (OpenBlock).
-func (s *Session) serializableRequested() bool {
+// Serializable reports whether transactions of the session run SERIALIZABLE
+// now: the client set it on the session, or a coordinator opened the current
+// block with it (OpenBlock). The distributed layer propagates it to worker
+// sessions and runs the coordinator-side merged conflict-graph check.
+func (s *Session) Serializable() bool {
 	return s.block.serializable || strings.EqualFold(s.Settings["transaction_isolation"], "serializable")
 }
 
-// Serializable reports whether the session requested SERIALIZABLE isolation
-// (the distributed layer propagates this to worker sessions and runs the
-// coordinator-side merged conflict-graph check).
-func (s *Session) Serializable() bool { return s.serializableRequested() }
+// ssiTracked reports whether the session's transactions get SSI tracking:
+// they run SERIALIZABLE and the engine has SSI on. With Features.NoSSI,
+// SERIALIZABLE is accepted and runs under plain snapshot isolation.
+func (s *Session) ssiTracked() bool {
+	return s.Serializable() && !s.Eng.Features().NoSSI
+}
 
 // maybeRegisterSSI enrolls the transaction in SSI tracking if the session
 // runs serializable. Idempotent — called both from ensureTxn and from the
 // SET handler, because a client may set the level inside the block it
 // opened.
 func (s *Session) maybeRegisterSSI(t *txn.Txn) {
-	if t == nil || !s.serializableRequested() || s.Eng.ssiOff.Load() {
+	if t == nil || !s.ssiTracked() {
 		return
 	}
 	e := s.Eng
@@ -82,7 +77,7 @@ func (s *Session) maybeRegisterSSI(t *txn.Txn) {
 // ssiState returns the transaction's SSI state, or nil when it is not
 // tracked (session not serializable, or SSI disabled).
 func (s *Session) ssiState(t *txn.Txn) *ssi.TxnState {
-	if t == nil || s.Eng.ssiOff.Load() || !s.serializableRequested() {
+	if t == nil || !s.ssiTracked() {
 		return nil
 	}
 	return s.Eng.SSI.StateFor(t.XID)

@@ -506,22 +506,11 @@ func (n *vecAggNode) run(ec *execCtx, emit func(types.Row) error) error {
 
 // vecParallelism returns the intra-worker parallel chunk-scan degree.
 func (e *Engine) vecParallelism() int {
-	if n := e.vecPar.Load(); n > 0 {
-		return int(n)
-	}
-	if n := runtime.GOMAXPROCS(0); n < 4 {
+	if n := e.Features().VecParallelism; n > 0 {
 		return n
 	}
-	return 4
+	return min(runtime.GOMAXPROCS(0), 4)
 }
-
-// SetVectorized toggles the vectorized columnar execution path (on by
-// default; the A5 ablation's row-at-a-time cells turn it off).
-func (e *Engine) SetVectorized(on bool) { e.vecOff.Store(!on) }
-
-// SetVecParallelism sets the parallel chunk-scan goroutine budget
-// (0 restores the default of min(GOMAXPROCS, 4)).
-func (e *Engine) SetVecParallelism(n int) { e.vecPar.Store(int32(n)) }
 
 func cmpOpOf(op sql.BinOp) (vec.CmpOp, bool) {
 	switch op {
@@ -742,7 +731,7 @@ func vecGroupable(t types.Type) bool {
 // DISTINCT aggregates, non-numeric computed arguments, or a GROUP BY of any
 // other expression.
 func (s *Session) tryVectorizedAgg(input planned, groupBy []sql.Expr, rw *aggRewriter) (*vecAggNode, *scope, bool) {
-	if s.Eng.vecOff.Load() {
+	if s.Eng.Features().NoVectorized {
 		return nil, nil, false
 	}
 

@@ -217,12 +217,10 @@ func vecParityCase(t *testing.T, dataSeed, querySeed uint64) (string, error) {
 		qRng := splitmix(querySeed)
 		q := randVecQuery(qRng)
 
-		e.SetVecParallelism(1)
-		e.SetVectorized(false)
+		e.SetFeatures(Features{NoVectorized: true, VecParallelism: 1})
 		rowRes, rowErr := s.Exec(q)
-		e.SetVectorized(true)
 		for _, degree := range []int{1, 3} {
-			e.SetVecParallelism(degree)
+			e.SetFeatures(Features{VecParallelism: degree})
 			vecRes, vecErr := s.Exec(q)
 			if (rowErr == nil) != (vecErr == nil) {
 				t.Fatalf("error disagreement for %q: row=%v vec=%v", q, rowErr, vecErr)
@@ -232,7 +230,7 @@ func vecParityCase(t *testing.T, dataSeed, querySeed uint64) (string, error) {
 			}
 			rowsMatch(t, fmt.Sprintf("par%d %s", degree, q), vecRes.Rows, rowRes.Rows)
 		}
-		e.SetVecParallelism(0)
+		e.SetFeatures(Features{})
 		return q, nil
 	}
 }

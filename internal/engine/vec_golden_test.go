@@ -200,8 +200,7 @@ func TestVectorizedGolden(t *testing.T) {
 	for _, degree := range []int{1, 3} {
 		for _, tc := range vecGoldenQueries {
 			t.Run(fmt.Sprintf("par%d/%s", degree, tc.name), func(t *testing.T) {
-				e.SetVectorized(true)
-				e.SetVecParallelism(degree)
+				e.SetFeatures(Features{VecParallelism: degree})
 				preQueries := metVecQueries.Value()
 				vecRes, err := s.Exec(tc.q, tc.params...)
 				if err != nil {
@@ -215,21 +214,20 @@ func TestVectorizedGolden(t *testing.T) {
 					t.Errorf("expected row-path fallback, but the vectorized path ran")
 				}
 
-				e.SetVectorized(false)
+				e.SetFeatures(Features{NoVectorized: true})
 				preQueries = metVecQueries.Value()
 				rowRes, err := s.Exec(tc.q, tc.params...)
 				if err != nil {
 					t.Fatalf("row-path exec: %v", err)
 				}
 				if d := metVecQueries.Value() - preQueries; d != 0 {
-					t.Fatalf("SetVectorized(false) still ran the vectorized path %d times", d)
+					t.Fatalf("NoVectorized still ran the vectorized path %d times", d)
 				}
 				rowsMatch(t, tc.name, vecRes.Rows, rowRes.Rows)
 			})
 		}
 	}
-	e.SetVectorized(true)
-	e.SetVecParallelism(0)
+	e.SetFeatures(Features{})
 }
 
 // TestVectorizedEmptyTable pins the SQL aggregate-over-empty-input rule
@@ -239,7 +237,7 @@ func TestVectorizedEmptyTable(t *testing.T) {
 	s := e.NewSession()
 	mustExec(t, s, `CREATE TABLE empty_col (a bigint, b double precision) USING columnar`)
 	for _, on := range []bool{true, false} {
-		e.SetVectorized(on)
+		e.SetFeatures(Features{NoVectorized: !on})
 		res := mustExec(t, s, `SELECT count(*), sum(a), avg(b), min(a) FROM empty_col`)
 		expectRows(t, res, "0|NULL|NULL|NULL")
 		res = mustExec(t, s, `SELECT a, count(*) FROM empty_col GROUP BY a`)
@@ -247,7 +245,7 @@ func TestVectorizedEmptyTable(t *testing.T) {
 			t.Fatalf("grouped aggregate over empty input returned %d rows", len(res.Rows))
 		}
 	}
-	e.SetVectorized(true)
+	e.SetFeatures(Features{})
 }
 
 // TestVectorizedStripeSkipping asserts the min/max chunk statistics prune
@@ -264,8 +262,8 @@ func TestVectorizedStripeSkipping(t *testing.T) {
 		}
 		mustExec(t, s, "COMMIT")
 	}
-	e.SetVecParallelism(1)
-	defer e.SetVecParallelism(0)
+	e.SetFeatures(Features{VecParallelism: 1})
+	defer e.SetFeatures(Features{})
 
 	preSkip, preBatch := metVecStripesSkipped.Value(), metVecBatches.Value()
 	res := mustExec(t, s, `SELECT count(*) FROM skiptest WHERE k >= 1000 AND k < 1050`)
@@ -362,14 +360,12 @@ func TestVectorizedTopNBoundGolden(t *testing.T) {
 	e := newTestEngine(t)
 	s := e.NewSession()
 	loadVecGoldenLineitem(t, s, 1000)
-	defer e.SetVecParallelism(0)
-	defer e.SetVectorized(true)
+	defer e.SetFeatures(Features{})
 
 	for _, degree := range []int{1, 3} {
 		for _, tc := range vecTopNGoldenQueries {
 			t.Run(fmt.Sprintf("par%d/%s", degree, tc.name), func(t *testing.T) {
-				e.SetVectorized(true)
-				e.SetVecParallelism(degree)
+				e.SetFeatures(Features{VecParallelism: degree})
 				preQueries := metVecQueries.Value()
 				preRows, preStripes := metVecTopNBoundRows.Value(), metVecTopNBoundStripes.Value()
 				vecRes, err := s.Exec(tc.q, tc.params...)
@@ -388,7 +384,7 @@ func TestVectorizedTopNBoundGolden(t *testing.T) {
 					t.Errorf("bound skipped %d stripes, want skips=%v", skipped, tc.skips)
 				}
 
-				e.SetVectorized(false)
+				e.SetFeatures(Features{NoVectorized: true})
 				rowRes, err := s.Exec(tc.q, tc.params...)
 				if err != nil {
 					t.Fatalf("row-path exec: %v", err)
@@ -450,13 +446,13 @@ func TestVectorizedTopNBoundKeepsRowErrors(t *testing.T) {
 		}
 		mustExec(t, s, fmt.Sprintf(`INSERT INTO zz VALUES (%d, %d)`, k, x))
 	}
-	defer e.SetVectorized(true)
+	defer e.SetFeatures(Features{})
 	for _, q := range []string{
 		`SELECT k, sum(10 / x) FROM zz GROUP BY k ORDER BY k LIMIT 2`,
 		`SELECT k, sum(1 + k % x) FROM zz GROUP BY k ORDER BY k LIMIT 2`,
 	} {
 		for _, vectorized := range []bool{true, false} {
-			e.SetVectorized(vectorized)
+			e.SetFeatures(Features{NoVectorized: !vectorized})
 			if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "division by zero") {
 				t.Errorf("%s (vectorized=%v): err %v, want division by zero", q, vectorized, err)
 			}
@@ -481,7 +477,7 @@ func TestTimestampLiteralMidnight(t *testing.T) {
 			mustExec(t, s, fmt.Sprintf(`INSERT INTO %s VALUES (%d, '%s')`, tab, i, ts))
 		}
 	}
-	defer e.SetVectorized(true)
+	defer e.SetFeatures(Features{})
 	for _, tc := range []struct {
 		where string
 		want  string
@@ -496,7 +492,7 @@ func TestTimestampLiteralMidnight(t *testing.T) {
 		{"ts > '1994-01-01' OR ts = '1993-12-31 23:59:59'", "3"},
 	} {
 		for _, vectorized := range []bool{true, false} {
-			e.SetVectorized(vectorized)
+			e.SetFeatures(Features{NoVectorized: !vectorized})
 			for _, tab := range []string{"ev_col", "ev_heap", "ev_idx"} {
 				res := mustExec(t, s, fmt.Sprintf(`SELECT count(*) FROM %s WHERE %s`, tab, tc.where))
 				if got := strings.TrimSpace(rowsToString(res.Rows)); got != tc.want {
@@ -611,20 +607,20 @@ func TestVectorizedJoinGolden(t *testing.T) {
 	e := newTestEngine(t)
 	s := e.NewSession()
 	loadVecJoinTables(t, s, 120, 750)
-	defer e.SetVectorized(true)
+	defer e.SetFeatures(Features{})
 	for _, tc := range vecJoinQueries {
 		t.Run(tc.name, func(t *testing.T) {
-			e.SetVectorized(true)
+			e.SetFeatures(Features{})
 			before := vecWork()
 			vecRes := mustExec(t, s, tc.q)
 			if ran := vecWork() != before; ran != tc.vectorizable {
 				t.Errorf("vectorized path ran: %v, want %v", ran, tc.vectorizable)
 			}
-			e.SetVectorized(false)
+			e.SetFeatures(Features{NoVectorized: true})
 			before = vecWork()
 			rowRes := mustExec(t, s, tc.q)
 			if vecWork() != before {
-				t.Errorf("SetVectorized(false) still moved the vectorized counters")
+				t.Errorf("NoVectorized still moved the vectorized counters")
 			}
 			rowsMatch(t, tc.name, vecRes.Rows, rowRes.Rows)
 		})
@@ -686,7 +682,7 @@ func TestGINSourceChargesWhatGINScanCharges(t *testing.T) {
 		s := e.NewSession()
 		loadPushEvents(t, s, 2000, true)
 		mustExec(t, s, `DELETE FROM github_events WHERE event_id < 'evt-000000000100'`)
-		e.SetVectorized(vectorized)
+		e.SetFeatures(Features{NoVectorized: !vectorized})
 		candidates := int64(len(search(t, ginOf(t, e, "github_events"), "%postgres%")))
 		passed := mustExec(t, s, countSQL).Rows[0][0].(int64)
 		if passed == 0 || passed >= candidates {
@@ -768,7 +764,7 @@ func BenchmarkVectorizedJoinQ3(b *testing.B) {
 	loadVecJoinTables(b, s, 1200, 750)
 	for _, vectorized := range []bool{false, true} {
 		b.Run(fmt.Sprintf("vectorized=%v", vectorized), func(b *testing.B) {
-			e.SetVectorized(vectorized)
+			e.SetFeatures(Features{NoVectorized: !vectorized})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Exec(vecJoinQ3); err != nil {
@@ -923,8 +919,8 @@ func TestVectorizedDerivedGolden(t *testing.T) {
 				if strings.Contains(tc.q, "$1") {
 					params = []types.Datum{"type"}
 				}
-				e.SetVectorized(true)
-				defer e.SetVectorized(true)
+				e.SetFeatures(Features{})
+				defer e.SetFeatures(Features{})
 				heapBefore, ginBefore := vecWork(), ginWork()
 				vecRes := mustExec(t, s, tc.q, params...)
 				viaGIN := ginWork() != ginBefore
@@ -937,11 +933,11 @@ func TestVectorizedDerivedGolden(t *testing.T) {
 				if viaGIN && vecWork() != heapBefore {
 					t.Errorf("a GIN scan moved the heap_vec counters")
 				}
-				e.SetVectorized(false)
+				e.SetFeatures(Features{NoVectorized: true})
 				heapBefore, ginBefore = vecWork(), ginWork()
 				rowRes := mustExec(t, s, tc.q, params...)
 				if vecWork() != heapBefore || ginWork() != ginBefore {
-					t.Errorf("SetVectorized(false) still moved the vectorized counters")
+					t.Errorf("NoVectorized still moved the vectorized counters")
 				}
 				if len(rowRes.Rows) == 0 {
 					t.Fatal("the query selects nothing: it compares nothing")
@@ -965,7 +961,7 @@ func TestVectorizedDerivedErrors(t *testing.T) {
 		(3, '{"at": "yesterday", "n": "nine", "list": {"not": "an array"}, "msg": "drop"}'),
 		(4, '{"at": null, "n": null, "list": null, "msg": "drop"}'),
 		(5, NULL)`)
-	defer e.SetVectorized(true)
+	defer e.SetFeatures(Features{})
 	for _, tc := range []struct{ sel, wantErr string }{
 		{`(data->>'at')::date, count(*)`, `invalid timestamp: "yesterday"`},
 		{`count((data->>'at')::timestamp)`, `invalid timestamp: "yesterday"`},
@@ -981,7 +977,7 @@ func TestVectorizedDerivedErrors(t *testing.T) {
 		dropped := `SELECT ` + tc.sel + ` FROM docs WHERE data->>'msg' LIKE 'keep'` + groupBy
 		var results [2]*Result
 		for i, vectorized := range []bool{true, false} {
-			e.SetVectorized(vectorized)
+			e.SetFeatures(Features{NoVectorized: !vectorized})
 			before := vecWork()
 			if _, err := s.Exec(kept); err == nil || err.Error() != tc.wantErr {
 				t.Errorf("%s (vectorized=%v): error %v, want %s", kept, vectorized, err, tc.wantErr)
@@ -998,7 +994,7 @@ func TestVectorizedDerivedErrors(t *testing.T) {
 		rowsMatch(t, dropped, results[0].Rows, results[1].Rows)
 	}
 	// row 2's 23:30 at +02:00 is 21:30 UTC of the same day: the kept rows are one group
-	e.SetVectorized(true)
+	e.SetFeatures(Features{})
 	expectRows(t, mustExec(t, s, `SELECT (data->>'at')::date, sum((data->>'n')::bigint), sum(jsonb_array_length(data->'list'))
 		FROM docs WHERE data->>'msg' LIKE 'keep' GROUP BY 1`), "2024-03-01 00:00:00|15|2")
 }
@@ -1021,8 +1017,8 @@ Sort
   Project
     Vectorized HashAggregate (derived keys: ((data ->> 'created_at'))::date)
       Vectorized Heap Scan on plain_events (filter: ((jsonb_path_query_array(data, '$.payload.commits[*].message'))::text ILIKE '%postgres%'))`)
-	e.SetVectorized(false)
-	defer e.SetVectorized(true)
+	e.SetFeatures(Features{NoVectorized: true})
+	defer e.SetFeatures(Features{})
 	expectRows(t, mustExec(t, s, "EXPLAIN "+dashboardSQL), `
 Sort
   Project
@@ -1042,7 +1038,7 @@ func BenchmarkVectorizedDashboard(b *testing.B) {
 	loadPushEvents(b, s, 6250, true)
 	for _, vectorized := range []bool{false, true} {
 		b.Run(fmt.Sprintf("vectorized=%v", vectorized), func(b *testing.B) {
-			e.SetVectorized(vectorized)
+			e.SetFeatures(Features{NoVectorized: !vectorized})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Exec(dashboardSQL); err != nil {

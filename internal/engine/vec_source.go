@@ -551,7 +551,7 @@ func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilt
 	// of a GIN search for pattern when gin is set.
 	heapScan := func(st *storage, conjuncts []sql.Expr, gin *ginIndex, pattern string) (chunkSource, bool) {
 		filters, ok := compileVecFilters(conjuncts, sc)
-		if !ok || (s.serializableRequested() && !s.Eng.ssiOff.Load()) {
+		if !ok || s.ssiTracked() {
 			return nil, false
 		}
 		filters = append(filters, extra...)

@@ -71,14 +71,15 @@ func (m Mode) String() string {
 	return "sync"
 }
 
+// SyncTimeout bounds a sync-commit wait or async-mode lag wait, each
+// promotion drain step, and a rejoining standby's catch-up. A timed-out
+// commit wait does not undo the local commit — it is counted and surfaced,
+// exactly like a PostgreSQL sync standby falling out of quorum.
+const SyncTimeout = 5 * time.Second
+
 // Config tunes the replication substrate.
 type Config struct {
 	Mode Mode
-	// SyncTimeout bounds a sync-commit wait (and each promotion drain
-	// step). Default 5s. A timed-out wait does not undo the local commit —
-	// it is counted and surfaced, exactly like a PostgreSQL sync standby
-	// falling out of quorum.
-	SyncTimeout time.Duration
 	// MaxAsyncLag is the async-mode staleness bound in WAL records
 	// (default 256): a write path finding a standby further behind blocks
 	// until it catches back into the bound.
@@ -89,9 +90,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SyncTimeout <= 0 {
-		c.SyncTimeout = 5 * time.Second
-	}
 	if c.MaxAsyncLag <= 0 {
 		c.MaxAsyncLag = 256
 	}
@@ -463,9 +461,9 @@ func (m *Manager) Wait(nodeID int) error {
 	start := time.Now()
 	var err error
 	if m.cfg.Mode == ModeSync {
-		err = g.WaitSync(g.log.LastLSN(), m.cfg.SyncTimeout)
+		err = g.WaitSync(g.log.LastLSN(), SyncTimeout)
 	} else {
-		err = g.WaitLag(m.cfg.MaxAsyncLag, m.cfg.SyncTimeout)
+		err = g.WaitLag(m.cfg.MaxAsyncLag, SyncTimeout)
 	}
 	metSyncWaitNs.Observe(time.Since(start).Nanoseconds())
 	if err != nil {
@@ -510,7 +508,7 @@ func (m *Manager) Promote(failedPrimary int) (int, error) {
 		}
 	}
 	tip := g.log.LastLSN()
-	deadline := time.Now().Add(g.cfg.SyncTimeout)
+	deadline := time.Now().Add(SyncTimeout)
 	for winner.applied.Load() < tip {
 		if winner.failed.Load() {
 			return 0, fmt.Errorf("repl: standby %s failed during promotion drain", winner.Name)

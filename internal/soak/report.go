@@ -169,7 +169,7 @@ func (r *runner) buildReport(elapsed time.Duration) *Report {
 			P50:     time.Duration(d.lat.Quantile(0.50)),
 			P99:     time.Duration(d.lat.Quantile(0.99)),
 			P999:    time.Duration(d.lat.Quantile(0.999)),
-			SLO:     r.cfg.slo(d.name),
+			SLO:     classSLOs[d.name],
 		}
 		c.SLOOK = sloOK(c)
 		rep.Classes = append(rep.Classes, c)

@@ -51,7 +51,7 @@ import (
 	"citusgo/internal/workload/ycsb"
 )
 
-// Class names, used as the obs label, the Rates/SLOs map key, and the
+// Class names, used as the obs label, the classRates/classSLOs key, and the
 // fault key of PointSoakAck.
 const (
 	ClassTPCC    = "tpcc"
@@ -101,21 +101,13 @@ type Config struct {
 
 	Tenants int // TPC-C warehouses = tenant count (default 4)
 
-	// Rates overrides arrivals/sec per class (see defaultRates). RateScale
-	// multiplies every rate (default 1.0).
-	Rates     map[string]float64
+	// RateScale multiplies every class's arrivals/sec in classRates
+	// (default 1.0).
 	RateScale float64
 
-	// MaxInFlight bounds concurrent operations per class (default 4; the
-	// ledger is always single-writer). Arrivals beyond the bound are
-	// dropped and counted, preserving open-loop semantics.
-	MaxInFlight int
-
-	// SLOs overrides the per-class latency objectives (see defaultSLOs).
-	// SLO verdicts are always reported; they fail the run only when
-	// FailOnSLO is set (latency on shared CI runners is noisy — the
-	// invariants are the hard gate).
-	SLOs      map[string]SLO
+	// FailOnSLO fails the run on a class outside its classSLOs. SLO verdicts
+	// are always reported; latency on shared CI runners is noisy — the
+	// invariants are the hard gate.
 	FailOnSLO bool
 
 	// Faults arms the background brew: probabilistic replication
@@ -163,19 +155,21 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RateScale == 0 {
 		cfg.RateScale = 1.0
 	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 4
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	return cfg
 }
 
-// defaultRates is the mixed-tenant traffic shape in arrivals/sec, sized so
+// maxInFlight bounds concurrent operations per class (the ledger is always
+// single-writer). Arrivals beyond the bound are dropped and counted,
+// preserving open-loop semantics.
+const maxInFlight = 4
+
+// classRates is the mixed-tenant traffic shape in arrivals/sec, sized so
 // the short CI smoke stays comfortably inside one core while still running
 // every class concurrently.
-var defaultRates = map[string]float64{
+var classRates = map[string]float64{
 	ClassTPCC:    40,
 	ClassYCSB:    120,
 	ClassILike:   8,
@@ -183,30 +177,15 @@ var defaultRates = map[string]float64{
 	ClassSSIBank: 30,
 }
 
-// defaultSLOs are deliberately loose: the point of the default report is
-// the p50/p99/p999 numbers themselves, with verdicts that only trip on
+// classSLOs are deliberately loose: the point of the report is the
+// p50/p99/p999 numbers themselves, with verdicts that only trip on
 // something pathological.
-var defaultSLOs = map[string]SLO{
+var classSLOs = map[string]SLO{
 	ClassTPCC:    {P50: 50 * time.Millisecond, P99: 500 * time.Millisecond, P999: 2 * time.Second},
 	ClassYCSB:    {P50: 20 * time.Millisecond, P99: 250 * time.Millisecond, P999: time.Second},
 	ClassILike:   {P50: 100 * time.Millisecond, P99: time.Second, P999: 4 * time.Second},
 	ClassLedger:  {P50: 100 * time.Millisecond, P99: time.Second, P999: 4 * time.Second},
 	ClassSSIBank: {P50: 50 * time.Millisecond, P99: 500 * time.Millisecond, P999: 2 * time.Second},
-}
-
-func (cfg Config) rate(class string) float64 {
-	r, ok := cfg.Rates[class]
-	if !ok {
-		r = defaultRates[class]
-	}
-	return r * cfg.RateScale
-}
-
-func (cfg Config) slo(class string) SLO {
-	if s, ok := cfg.SLOs[class]; ok {
-		return s
-	}
-	return defaultSLOs[class]
 }
 
 // runner is one soak run's live state.
@@ -237,7 +216,7 @@ type runner struct {
 }
 
 // classDriver is one workload class: its Poisson dispatcher feeds the
-// arrivals channel; MaxInFlight workers (each owning a session and an RNG)
+// arrivals channel; maxInFlight workers (each owning a session and an RNG)
 // consume it. The gate is the quiesce mechanism: every operation runs under
 // RLock, so a checkpoint taking Lock observes the class fully drained.
 type classDriver struct {
@@ -327,7 +306,7 @@ func Run(cfg Config) (*Report, error) {
 	for i, d := range r.classes {
 		r.wg.Add(1)
 		go r.dispatch(d, int64(i))
-		workers := cfg.MaxInFlight
+		workers := maxInFlight
 		if d.name == ClassLedger {
 			workers = 1 // the ledger is a single sequential writer by design
 		}
@@ -416,8 +395,8 @@ func (r *runner) setup() error {
 	for _, name := range Classes {
 		d := &classDriver{
 			name:     name,
-			rate:     cfg.rate(name),
-			arrivals: make(chan time.Time, cfg.MaxInFlight),
+			rate:     classRates[name] * cfg.RateScale,
+			arrivals: make(chan time.Time, maxInFlight),
 			ok:       metOps.With(name, "ok"),
 			errs:     metOps.With(name, "error"),
 			retries:  metOps.With(name, "retry"),

@@ -114,7 +114,7 @@ func TestRunReportsQPH(t *testing.T) {
 // TestVectorizedMatchesRowPath: every supported query answers with identical
 // rows whether its aggregates run vectorized — over the heap scans and, from
 // Q3 on, through trees of vectorized hash joins — or row at a time
-// (SetVectorized(false)), on a plain engine and on a distributed cluster,
+// (Features.NoVectorized), on a plain engine and on a distributed cluster,
 // where the shard queries a worker plans are what changes path. Q3, the
 // benchmark's q_join, must have taken the vectorized join.
 func TestVectorizedMatchesRowPath(t *testing.T) {
@@ -149,18 +149,18 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 			}
 			joined := joinRows() != before
 			for _, e := range target.engines {
-				e.SetVectorized(false)
+				e.SetFeatures(engine.Features{NoVectorized: true})
 			}
 			before = joinRows()
 			row, err := target.sess.Exec(q.SQL)
 			for _, e := range target.engines {
-				e.SetVectorized(true)
+				e.SetFeatures(engine.Features{})
 			}
 			if err != nil {
 				t.Fatalf("%s Q%d row at a time: %v", target.name, q.Num, err)
 			}
 			if joinRows() != before {
-				t.Errorf("%s Q%d: SetVectorized(false) still ran a vectorized join", target.name, q.Num)
+				t.Errorf("%s Q%d: NoVectorized still ran a vectorized join", target.name, q.Num)
 			}
 			if q.Num == 3 && !joined {
 				t.Errorf("%s Q3 did not take the vectorized join", target.name)
