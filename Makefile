@@ -202,6 +202,8 @@ soak-smoke:
 # a map, every search compared after every step); longer local runs just
 # extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
+#   go test ./internal/wire -fuzz FuzzCodecParity -fuzztime 10m
+#   go test ./internal/wire -fuzz FuzzPipelineSeq -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzVecParity -fuzztime 10m
 #   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzRecovery -fuzztime 10m

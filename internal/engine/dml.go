@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"citusgo/internal/catalog"
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
@@ -22,17 +23,9 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 	if !ok {
 		return nil, fmt.Errorf("relation %q does not exist", st.Table)
 	}
-	cols := st.Columns
-	if len(cols) == 0 {
-		cols = store.table.ColumnNames()
-	}
-	colOrds := make([]int, len(cols))
-	for i, c := range cols {
-		ord := store.table.ColumnIndex(c)
-		if ord == -1 {
-			return nil, fmt.Errorf("column %q of relation %q does not exist", c, st.Table)
-		}
-		colOrds[i] = ord
+	target, err := newInsertTarget(store, st.Table, st.Columns, params)
+	if err != nil {
+		return nil, err
 	}
 
 	var inputRows []types.Row
@@ -47,8 +40,8 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 			return s.runSubquery(sel, params)
 		}}
 		for _, exprRow := range st.Rows {
-			if len(exprRow) != len(cols) {
-				return nil, fmt.Errorf("INSERT has %d expressions but %d target columns", len(exprRow), len(cols))
+			if len(exprRow) != target.width {
+				return nil, fmt.Errorf("INSERT has %d expressions but %d target columns", len(exprRow), target.width)
 			}
 			row := make(types.Row, len(exprRow))
 			for i, e := range exprRow {
@@ -69,10 +62,10 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 	var returning []types.Row
 	inserted := 0
 	for _, in := range inputRows {
-		if len(in) != len(cols) {
-			return nil, fmt.Errorf("INSERT source row has %d columns, expected %d", len(in), len(cols))
+		if len(in) != target.width {
+			return nil, fmt.Errorf("INSERT source row has %d columns, expected %d", len(in), target.width)
 		}
-		full, err := s.buildFullRow(store, colOrds, in, params)
+		full, err := target.build(in)
 		if err != nil {
 			return nil, err
 		}
@@ -98,24 +91,59 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 	return res, nil
 }
 
-// buildFullRow maps the insert column list onto the table's full column
-// order, applying defaults and type coercion and checking NOT NULL.
-func (s *Session) buildFullRow(store *storage, colOrds []int, in types.Row, params []types.Datum) (types.Row, error) {
+// insertTarget says where each column of a row an INSERT or a COPY stores
+// takes its value from, worked out once per statement: an ordinal of the
+// statement's column list, or else the column's DEFAULT, compiled once.
+type insertTarget struct {
+	table    *catalog.Table
+	width    int              // columns in an input row
+	input    []int            // per table column: the input ordinal filling it, -1 for none
+	defaults []expr.Evaluator // per table column filled by no input: its DEFAULT, nil for none
+	ctx      *expr.Ctx
+}
+
+// newInsertTarget resolves cols, every column of the table when empty, against
+// the table stored in store, which the statement names table.
+func newInsertTarget(store *storage, table string, cols []string, params []types.Datum) (*insertTarget, error) {
 	tbl := store.table
-	full := make(types.Row, len(tbl.Columns))
-	provided := make([]bool, len(tbl.Columns))
-	for i, ord := range colOrds {
-		full[ord] = in[i]
-		provided[ord] = true
+	if len(cols) == 0 {
+		cols = tbl.ColumnNames()
 	}
-	ctx := &expr.Ctx{Params: params}
+	it := &insertTarget{table: tbl, width: len(cols), input: make([]int, len(tbl.Columns)),
+		defaults: make([]expr.Evaluator, len(tbl.Columns)), ctx: &expr.Ctx{Params: params}}
+	for i := range it.input {
+		it.input[i] = -1
+	}
+	for i, c := range cols {
+		ord := tbl.ColumnIndex(c)
+		if ord == -1 {
+			return nil, fmt.Errorf("column %q of relation %q does not exist", c, table)
+		}
+		it.input[ord] = i
+	}
 	for i, col := range tbl.Columns {
-		if !provided[i] && col.Default != nil {
-			ev, err := expr.Compile(col.Default, nil)
-			if err != nil {
-				return nil, err
-			}
-			v, err := ev(ctx)
+		if it.input[i] != -1 || col.Default == nil {
+			continue
+		}
+		ev, err := expr.Compile(col.Default, nil)
+		if err != nil {
+			// fails the first row that needs the default, as evaluating it would
+			ev = func(*expr.Ctx) (types.Datum, error) { return nil, err }
+		}
+		it.defaults[i] = ev
+	}
+	return it, nil
+}
+
+// build maps one input row onto the table's full column order, applying
+// defaults and type coercion and checking NOT NULL.
+func (it *insertTarget) build(in types.Row) (types.Row, error) {
+	full := make(types.Row, len(it.table.Columns))
+	for i, col := range it.table.Columns {
+		if o := it.input[i]; o != -1 {
+			full[i] = in[o]
+		} else if def := it.defaults[i]; def != nil {
+			v, err := def(it.ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +214,7 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, onConfli
 		}
 		for _, tid := range bidx.tree.SearchEqual(key) {
 			latestTID, tup, ok := store.heap.LatestVersion(tid)
-			if !ok || tup.Dead {
+			if !ok || tup.Dead() {
 				continue
 			}
 			if s.Eng.Txns.Status(tup.Xmin) == txn.Aborted {
@@ -521,7 +549,7 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 	cur := tid
 	for {
 		tup, ok := store.heap.Get(cur)
-		if !ok || tup.Dead {
+		if !ok || tup.Dead() {
 			return heap.NilTID, heap.Tuple{}, false, nil
 		}
 		// Every writer locks a version before stamping its xmax, so
@@ -543,7 +571,7 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 			return heap.NilTID, heap.Tuple{}, false, err
 		}
 		tup, ok = store.heap.Get(cur) // re-read under the lock
-		if !ok || tup.Dead {
+		if !ok || tup.Dead() {
 			return heap.NilTID, heap.Tuple{}, false, nil
 		}
 		if s.Eng.Txns.Status(tup.Xmin) == txn.Aborted {
@@ -892,22 +920,14 @@ func (s *Session) CopyFrom(table string, columns []string, rows []types.Row) (in
 	if !ok {
 		return 0, fmt.Errorf("relation %q does not exist", table)
 	}
-	cols := columns
-	if len(cols) == 0 {
-		cols = store.table.ColumnNames()
-	}
-	colOrds := make([]int, len(cols))
-	for i, c := range cols {
-		ord := store.table.ColumnIndex(c)
-		if ord == -1 {
-			return 0, fmt.Errorf("column %q of relation %q does not exist", c, table)
-		}
-		colOrds[i] = ord
+	target, err := newInsertTarget(store, table, columns, nil)
+	if err != nil {
+		return 0, err
 	}
 	t, implicit := s.ensureTxn()
 	n := 0
 	for _, in := range rows {
-		full, err := s.buildFullRow(store, colOrds, in, nil)
+		full, err := target.build(in)
 		if err == nil {
 			_, _, err = s.insertRow(store, t, full, nil, nil)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"citusgo/internal/heap"
 	"citusgo/internal/types"
 )
 
@@ -480,6 +481,93 @@ func TestCopyFrom(t *testing.T) {
 		t.Fatalf("copy: n=%d err=%v", n, err)
 	}
 	expectRows(t, mustExec(t, s, "SELECT count(*) FROM t"), "3")
+}
+
+// TestInsertAndCopyFillColumnsAlike: INSERT and COPY map a column list out of
+// the table's order onto its columns the same way — a DEFAULT fills what the
+// list leaves out, NOT NULL and type checks see the filled row — and fail
+// the same way. A DEFAULT that cannot be computed fails only a row that
+// needs it.
+func TestInsertAndCopyFillColumnsAlike(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE t (k bigint PRIMARY KEY, d text DEFAULT 'dflt', n bigint NOT NULL, x double precision)")
+	mustExec(t, s, "CREATE TABLE src (a bigint, b bigint)")
+	mustExec(t, s, "INSERT INTO t (n, k) VALUES (10, 1), (20, 2)")
+	if n, err := s.CopyFrom("t", []string{"n", "k"}, []types.Row{{int64(30), int64(3)}, {int64(40), int64(4)}}); err != nil || n != 2 {
+		t.Fatalf("copy: %d, %v", n, err)
+	}
+	mustExec(t, s, "INSERT INTO src (a, b) VALUES (50, 5), (60, 6)")
+	mustExec(t, s, "INSERT INTO t (n, k) SELECT a, b FROM src")
+	mustExec(t, s, "INSERT INTO t (x, k, n, d) VALUES (1.5, 7, 70, NULL)")
+	if _, err := s.CopyFrom("t", []string{"x", "k", "n", "d"}, []types.Row{{int64(2), int64(8), "80", nil}}); err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, mustExec(t, s, "SELECT k, d, n, x FROM t ORDER BY k"),
+		"1|dflt|10|NULL\n2|dflt|20|NULL\n3|dflt|30|NULL\n4|dflt|40|NULL\n5|dflt|50|NULL\n6|dflt|60|NULL\n7|NULL|70|1.5\n8|NULL|80|2.0")
+
+	for _, c := range []struct {
+		sql  string
+		cols []string
+		row  types.Row
+		want string
+	}{
+		{"INSERT INTO t (k, d) VALUES (9, 'e')", []string{"k", "d"}, types.Row{int64(9), "e"},
+			`null value in column "n" violates not-null constraint`},
+		{"INSERT INTO t (n, k) VALUES ('many', 9)", []string{"n", "k"}, types.Row{"many", int64(9)},
+			`column "n": `},
+		{"INSERT INTO t (n, nope) VALUES (1, 9)", []string{"n", "nope"}, types.Row{int64(1), int64(9)},
+			`column "nope" of relation "t" does not exist`},
+	} {
+		_, ierr := s.Exec(c.sql)
+		_, cerr := s.CopyFrom("t", c.cols, []types.Row{c.row})
+		if ierr == nil || cerr == nil || ierr.Error() != cerr.Error() || !strings.Contains(ierr.Error(), c.want) {
+			t.Errorf("%s: INSERT fails with %v, COPY with %v; want both %q", c.sql, ierr, cerr, c.want)
+		}
+	}
+
+	mustExec(t, s, "CREATE TABLE bad (k bigint, v bigint DEFAULT k)")
+	mustExec(t, s, "INSERT INTO bad (k) SELECT a FROM src WHERE a < 0") // no row needs the default
+	mustExec(t, s, "INSERT INTO bad (k, v) VALUES (1, 1)")
+	_, ierr := s.Exec("INSERT INTO bad (k) VALUES (2)")
+	_, cerr := s.CopyFrom("bad", []string{"k"}, []types.Row{{int64(2)}})
+	if want := `column "k" cannot be referenced here`; ierr == nil || cerr == nil || ierr.Error() != want || cerr.Error() != want {
+		t.Fatalf("a default that does not compile: INSERT fails with %v, COPY with %v; want %q", ierr, cerr, want)
+	}
+	expectRows(t, mustExec(t, s, "SELECT k, v FROM bad"), "1|1")
+}
+
+// TestReclaimedSlotStaysInvisible: a heap slot vacuum reclaimed while an index
+// still names it — the moment between the heap pass and the index pass of
+// Vacuum — and that a stale writer then stamped an Xmax on, is skipped by the
+// unique check of an INSERT, by an index scan and by UPDATE and DELETE.
+func TestReclaimedSlotStaysInvisible(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE u (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO u (k, v) VALUES (1, 0)")
+	mustExec(t, s, "ROLLBACK")
+	st, _ := e.store("u")
+	reclaimed := st.heap.Vacuum(e.Txns, e.Txns.GlobalXmin()) // the heap only: the index keeps the entry
+	if len(reclaimed) != 1 {
+		t.Fatalf("vacuum reclaimed %d versions, want the aborted insert", len(reclaimed))
+	}
+	stale := e.Txns.Begin()
+	st.heap.MarkDeleted(reclaimed[0].TID, stale.XID, heap.NilTID)
+	if err := e.Txns.Commit(stale); err != nil {
+		t.Fatal(err)
+	}
+
+	mustExec(t, s, "INSERT INTO u (k, v) VALUES (1, 1)")
+	expectRows(t, mustExec(t, s, "SELECT v FROM u WHERE k = 1"), "1")
+	if res := mustExec(t, s, "UPDATE u SET v = 2 WHERE k = 1"); res.Affected != 1 {
+		t.Fatalf("UPDATE touched %d rows, want 1", res.Affected)
+	}
+	if res := mustExec(t, s, "DELETE FROM u WHERE k = 1"); res.Affected != 1 {
+		t.Fatalf("DELETE touched %d rows, want 1", res.Affected)
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM u"), "0")
 }
 
 func TestAlterTableAddColumn(t *testing.T) {

@@ -26,14 +26,20 @@ const NilTID TID = -1
 func (t TID) page() int32 { return int32(t / TuplesPerPage) }
 func (t TID) slot() int   { return int(t % TuplesPerPage) }
 
-// Tuple is one stored row version.
+// Tuple is one stored row version: 48 bytes, so a page of TuplesPerPage
+// slots is exactly a size class of the Go allocator.
 type Tuple struct {
-	Xmin uint64
+	Xmin uint64 // 0 once vacuum has reclaimed the slot
 	Xmax uint64
 	Next TID // newer version in the update chain, NilTID if latest
-	Dead bool
 	Row  types.Row
 }
+
+// Dead reports whether vacuum has reclaimed the slot. No transaction has XID
+// 0 (txn.Manager starts at 2), so no live version has Xmin 0 — but a
+// snapshot taken outside a transaction has Self 0, so visibility must ask
+// Dead before it compares Xmin with Self.
+func (tup Tuple) Dead() bool { return tup.Xmin == 0 }
 
 type page struct {
 	tuples []Tuple
@@ -44,10 +50,9 @@ type Table struct {
 	ID   int64
 	pool *bufpool.Pool
 
-	mu      sync.RWMutex
-	pages   []*page
-	nLive   atomic.Int64
-	nTuples atomic.Int64
+	mu    sync.RWMutex
+	pages []*page
+	nLive atomic.Int64
 }
 
 // NewTable creates an empty heap for table id, charging page accesses to
@@ -75,7 +80,6 @@ func (t *Table) Insert(xid uint64, row types.Row) TID {
 	t.mu.Unlock()
 
 	t.nLive.Add(1)
-	t.nTuples.Add(1)
 	t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(pageIdx)})
 	return TID(int64(pageIdx)*TuplesPerPage + int64(slot))
 }
@@ -129,7 +133,7 @@ func (t *Table) ClearDelete(tid TID) {
 
 // Visible applies the MVCC visibility rules for tuple tup under snapshot s.
 func Visible(mgr *txn.Manager, s txn.Snapshot, tup Tuple) bool {
-	if tup.Dead {
+	if tup.Dead() {
 		return false
 	}
 	if tup.Xmin == s.Self {
@@ -166,7 +170,7 @@ type scanVisibility struct {
 // deleted and that another transaction wrote is answered from memory; every
 // other takes the full rules.
 func (v *scanVisibility) visible(tup *Tuple) bool {
-	if tup.Dead || tup.Xmax != 0 || tup.Xmin == v.s.Self {
+	if tup.Dead() || tup.Xmax != 0 || tup.Xmin == v.s.Self {
 		return Visible(v.mgr, v.s, *tup)
 	}
 	if tup.Xmin != v.xmin {
@@ -327,7 +331,7 @@ func (t *Table) AllTuples(fn func(tid TID, tup Tuple) bool) {
 		tuples = append(tuples[:0], t.pages[p].tuples...)
 		t.mu.RUnlock()
 		for slot := range tuples {
-			if tuples[slot].Dead {
+			if tuples[slot].Dead() {
 				continue
 			}
 			if !fn(TID(int64(p)*TuplesPerPage+int64(slot)), tuples[slot]) {
@@ -361,7 +365,7 @@ type VacuumedTuple struct {
 
 // Vacuum reclaims dead tuple versions: versions deleted by a transaction
 // that committed before the global xmin horizon, and versions created by
-// aborted transactions. Slots are tombstoned (TIDs stay stable), and the
+// aborted transactions. Slots are tombstoned (Dead; TIDs stay stable), and the
 // reclaimed tuples are returned so the caller can vacuum indexes.
 func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64) []VacuumedTuple {
 	var reclaimed []VacuumedTuple
@@ -370,7 +374,7 @@ func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64) []VacuumedTuple {
 	for p, pg := range t.pages {
 		for slot := range pg.tuples {
 			tup := &pg.tuples[slot]
-			if tup.Dead {
+			if tup.Dead() {
 				continue
 			}
 			dead := false
@@ -384,8 +388,7 @@ func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64) []VacuumedTuple {
 					TID: TID(int64(p)*TuplesPerPage + int64(slot)),
 					Row: tup.Row,
 				})
-				tup.Dead = true
-				tup.Row = nil
+				tup.Xmin, tup.Xmax, tup.Row = 0, 0, nil
 				t.nLive.Add(-1)
 			}
 		}
@@ -399,7 +402,6 @@ func (t *Table) Truncate() {
 	t.pages = nil
 	t.mu.Unlock()
 	t.nLive.Store(0)
-	t.nTuples.Store(0)
 	t.pool.Forget(t.ID)
 }
 
@@ -412,6 +414,3 @@ func (t *Table) NumPages() int {
 	defer t.mu.RUnlock()
 	return len(t.pages)
 }
-
-// NoteDeleteCommitted adjusts the live-row statistic after a delete commits.
-func (t *Table) NoteDeleteCommitted() { t.nLive.Add(-1) }

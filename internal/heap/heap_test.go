@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"citusgo/internal/bufpool"
 	"citusgo/internal/txn"
@@ -457,5 +458,73 @@ func TestTIDScanMatchesGet(t *testing.T) {
 	}
 	if stats["Get"] != stats["TIDScan"] || stats["Get"][1] == 0 {
 		t.Fatalf("(hits, misses): Get per TID %v, TID scan %v", stats["Get"], stats["TIDScan"])
+	}
+}
+
+// TestTupleSize: a slot is 48 bytes, so a page of TuplesPerPage slots (3 072
+// bytes) is exactly one of the allocator's size classes; one more field would
+// round every page up to the next (4 096).
+func TestTupleSize(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n != 48 {
+		t.Fatalf("a Tuple is %d bytes, want 48", n)
+	}
+}
+
+// TestReclaimedSlotInvisible: a slot vacuum reclaimed (Xmin 0) is skipped by
+// every reader, under a snapshot taken outside a transaction too, whose Self
+// is 0 like the slot's Xmin — even once a stale writer has stamped an Xmax on
+// it, which makes "our own insert, not deleted by us" true of it.
+func TestReclaimedSlotInvisible(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	aborted, committed := mgr.Begin(), mgr.Begin()
+	dead := tbl.Insert(aborted.XID, types.Row{int64(0)})
+	live := tbl.Insert(committed.XID, types.Row{int64(1)})
+	mgr.Abort(aborted)
+	_ = mgr.Commit(committed)
+	if n := len(tbl.Vacuum(mgr, mgr.GlobalXmin())); n != 1 {
+		t.Fatalf("vacuum reclaimed %d versions, want the aborted insert", n)
+	}
+	stale := mgr.Begin()
+	tbl.MarkDeleted(dead, stale.XID, NilTID)
+	_ = mgr.Commit(stale)
+
+	snap := mgr.TakeSnapshot(nil)
+	if snap.Self != 0 {
+		t.Fatalf("a snapshot outside a transaction has Self %d", snap.Self)
+	}
+	tup, ok := tbl.Get(dead)
+	if !ok || !tup.Dead() || tup.Row != nil {
+		t.Fatalf("Get(reclaimed) = %+v, %v: want a dead slot without its row", tup, ok)
+	}
+	if Visible(mgr, snap, tup) {
+		t.Fatal("Visible admits a reclaimed slot under a snapshot with Self 0")
+	}
+	only := func(reader string, tids []TID) {
+		t.Helper()
+		if len(tids) != 1 || tids[0] != live {
+			t.Errorf("%s returned TIDs %v, want only %d", reader, tids, live)
+		}
+	}
+	var scanned []TID
+	tbl.Scan(mgr, snap, func(tid TID, _ types.Row) bool { scanned = append(scanned, tid); return true })
+	only("Scan", scanned)
+	var all []TID
+	tbl.AllTuples(func(tid TID, _ Tuple) bool { all = append(all, tid); return true })
+	only("AllTuples", all)
+	for name, b := range map[string]*BatchScan{
+		"BatchScan": tbl.NewBatchScan(mgr, snap),
+		"TIDScan":   tbl.NewTIDScan(mgr, snap, []TID{dead, live, dead}),
+	} {
+		var rows []types.Row
+		for batch, ok := b.Next(); ok; batch, ok = b.Next() {
+			rows = append(rows, batch...)
+		}
+		if len(rows) != 1 || rows[0][0] != int64(1) {
+			t.Errorf("%s returned %v, want only the live row", name, rows)
+		}
+	}
+	if _, tup, ok := tbl.LatestVersion(dead); ok && !tup.Dead() {
+		t.Errorf("LatestVersion(reclaimed) = %+v: a live version", tup)
 	}
 }

@@ -425,16 +425,24 @@ func ValidateWire(b []byte) error {
 }
 
 // FromValidWire copies a datum out of a wire form that ValidateWire has
-// accepted.
-func FromValidWire(b []byte) Value { return Value{b: bytes.Clone(b[1:])} }
+// accepted into the front of dst, which must have room for its len(b)-1
+// bytes, and returns it with the rest of dst. The datum's capacity ends with
+// its bytes, so nothing appended to it can reach what follows it in dst.
+func FromValidWire(dst, b []byte) (Value, []byte) {
+	n := len(b) - 1
+	v := dst[:n:n]
+	copy(v, b[1:])
+	return Value{b: v}, dst[n:]
+}
 
-// FromWire is ValidateWire followed by FromValidWire: nothing is parsed, a
-// receiver pays for the check and the copy.
+// FromWire is ValidateWire followed by FromValidWire into bytes of its own:
+// nothing is parsed, a receiver pays for the check and the copy.
 func FromWire(b []byte) (Value, error) {
 	if err := ValidateWire(b); err != nil {
 		return Value{}, err
 	}
-	return FromValidWire(b), nil
+	v, _ := FromValidWire(make([]byte, len(b)-1), b)
+	return v, nil
 }
 
 // validate checks that n is exactly one well-formed node: lengths and

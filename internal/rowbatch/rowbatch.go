@@ -7,10 +7,12 @@
 // batch without allocating; a node that only passes rows on (the coordinator
 // of a one-task plan) stops there and forwards the bytes. Rows decodes a
 // parsed batch into one backing array for all cells and one more per kind of
-// value present (box.go), whatever the number of rows and columns; only the
-// bytes of each string and jsonb document are allocated one by one, so that
-// a datum which outlives its request (a heap tuple) keeps alive no more than
-// one small slot per datum of its batch.
+// value present (box.go), whatever the number of rows and columns, and copies
+// the bytes of each row's strings and jsonb documents into one array of that
+// row's own. A datum which outlives its request (a heap tuple) thus keeps
+// alive one small slot per datum of its batch and the bytes of its row —
+// which the tuple holding the row keeps alive anyway — and never the frame
+// the batch arrived in.
 package rowbatch
 
 import (
@@ -264,9 +266,18 @@ func (bt Batch) Cells() []types.Datum {
 		times = make([]time.Time, bt.times)
 		strs  = make([]string, bt.strs)
 		docs  = make([]jsonb.Value, bt.docs)
+		arena []byte // what the current row's strings and documents have not taken
 	)
 	b, i := bt.b, bt.data
+	next := 0 // the cell the next row starts at
 	for k := range cells {
+		if k == next && bt.strs+bt.docs > 0 {
+			next += bt.ncols
+			arena = nil
+			if n := rowBytes(b[i:], bt.ncols); n > 0 {
+				arena = make([]byte, n)
+			}
+		}
 		tag := b[i]
 		i++
 		switch tag {
@@ -284,7 +295,7 @@ func (bt Batch) Cells() []types.Datum {
 		case tagString:
 			l, w := binary.Uvarint(b[i:])
 			i += w
-			strs[0] = string(b[i : i+int(l)])
+			strs[0], arena = arenaString(arena, b[i:i+int(l)])
 			cells[k] = types.BoxString(&strs[0])
 			strs, i = strs[1:], i+int(l)
 		case tagTime:
@@ -294,12 +305,38 @@ func (bt Batch) Cells() []types.Datum {
 		case tagJSONB:
 			l, w := binary.Uvarint(b[i:])
 			i += w
-			docs[0] = jsonb.FromValidWire(b[i : i+int(l)])
+			docs[0], arena = jsonb.FromValidWire(arena, b[i:i+int(l)])
 			cells[k] = boxJSONB(&docs[0])
 			docs, i = docs[1:], i+int(l)
 		}
 	}
 	return cells
+}
+
+// rowBytes is how many bytes the strings and jsonb nodes of the row of ncols
+// datums at the start of b take once decoded. Parse has checked every length.
+func rowBytes(b []byte, ncols int) int {
+	n, i := 0, 0
+	for c := 0; c < ncols; c++ {
+		tag := b[i]
+		i++
+		switch tag {
+		case tagInt64, tagFloat64:
+			i += 8
+		case tagBool:
+			i++
+		case tagTime:
+			i += TimeSize
+		case tagString, tagJSONB:
+			l, w := binary.Uvarint(b[i:])
+			i += w + int(l)
+			n += int(l)
+			if tag == tagJSONB {
+				n-- // the version byte is not kept
+			}
+		}
+	}
+	return n
 }
 
 // DecodeTime rebuilds a time from the TimeSize bytes at the start of b the

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"citusgo/internal/jsonb"
 	"citusgo/internal/types"
@@ -176,9 +177,10 @@ func TestParseRefuses(t *testing.T) {
 }
 
 // TestDecodeAllocations: what Rows allocates does not grow with the number
-// of rows and columns: the rows, the cells, and one array per kind of value
-// present (int64 and float64 share one). A string or a jsonb document adds
-// one for its bytes.
+// of columns, nor with the rows unless they hold text: the rows, the cells,
+// and one array per kind of value present (int64 and float64 share one),
+// plus one array per row that has a string or a jsonb document, for all of
+// that row's bytes.
 func TestDecodeAllocations(t *testing.T) {
 	when := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	narrow := types.Row{int64(1 << 33)}
@@ -200,11 +202,77 @@ func TestDecodeAllocations(t *testing.T) {
 	if n := measure(many); n != 4 {
 		t.Fatalf("100 rows of 11 fixed-width columns: %v allocations, want 4", n)
 	}
-	if n := measure([]types.Row{{int64(1 << 33), "a string", jsonb.MustParse(`[1]`)}}); n != 7 {
-		t.Fatalf("int64 + string + jsonb: %v allocations, want 7 (rows, cells, three arrays, two values' bytes)", n)
+	if n := measure([]types.Row{{int64(1 << 33), "a string", jsonb.MustParse(`[1]`)}}); n != 6 {
+		t.Fatalf("int64 + string + jsonb: %v allocations, want 6 (rows, cells, three arrays, the row's bytes)", n)
 	}
-	if n := measure([]types.Row{{"aa", "bb", "cc", "dd"}, {"ee", "ff", "gg", "hh"}}); n != 3+8 {
-		t.Fatalf("8 strings: %v allocations, want 3 + one per string", n)
+	if n := measure([]types.Row{{"aa", "bb", "cc", "dd"}, {"ee", "ff", "gg", "hh"}}); n != 3+2 {
+		t.Fatalf("2 rows of 4 strings: %v allocations, want 3 + one per row", n)
+	}
+	// a row whose strings are all empty, or that has none, has no bytes
+	if n := measure([]types.Row{{"", int64(1)}, {"x", int64(2)}, {nil, int64(3)}, {"", nil}}); n != 4+1 {
+		t.Fatalf("4 rows, one with a non-empty string: %v allocations, want 4 + 1", n)
+	}
+}
+
+// TestRowArena: a decoded row's strings and documents lie one after the
+// other in one array, no document's capacity reaching the value after it; no
+// two rows share an array; and empty strings and null documents decode as
+// themselves.
+func TestRowArena(t *testing.T) {
+	in := []types.Row{
+		{"first", int64(1), "", jsonb.MustParse(`{"a": [1, "two"]}`), jsonb.Value{}, "last of row 0"},
+		{"", int64(2), "x", jsonb.MustParse(`[]`), nil, "a longer string"},
+		{"", nil, "", jsonb.Value{}, nil, ""},
+	}
+	enc := mustAppend(t, in)
+	bt, _, err := Parse(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := bt.Rows()
+	if again := mustAppend(t, rows); !bytes.Equal(again, enc) || rows[1][0] != "" || !rows[2][3].(jsonb.Value).IsNull() {
+		t.Fatalf("decoded\n%v\nwant\n%v", rows, in)
+	}
+	// where each row's bytes start and end
+	type span struct{ start, end uintptr }
+	spans := make([]span, len(rows))
+	for r, row := range rows {
+		for _, d := range row {
+			var p unsafe.Pointer
+			var n int
+			switch v := d.(type) {
+			case string:
+				p, n = unsafe.Pointer(unsafe.StringData(v)), len(v)
+			case jsonb.Value:
+				b := reflect.ValueOf(v).Field(0) // the node bytes
+				if b.Cap() != b.Len() {
+					t.Fatalf("row %d: a document of %d bytes has capacity %d: an append would overwrite what follows", r, b.Len(), b.Cap())
+				}
+				p, n = b.UnsafePointer(), b.Len()
+			}
+			if n == 0 {
+				continue
+			}
+			if spans[r].end != 0 && uintptr(p) != spans[r].end {
+				t.Fatalf("row %d: a value at %#x does not follow the one before it, which ends at %#x: not one array", r, p, spans[r].end)
+			}
+			if spans[r].end == 0 {
+				spans[r].start = uintptr(p)
+			}
+			spans[r].end = uintptr(p) + uintptr(n)
+		}
+	}
+	// Rows 0 and 1 take 57 and 21 bytes, no size class of the allocator: two
+	// arrays of their own cannot abut, slices of one would.
+	for r := 1; r < len(spans); r++ {
+		if spans[r].start == spans[r-1].end {
+			t.Fatalf("row %d starts where row %d ends: the rows share one array", r, r-1)
+		}
+		for q := range spans[:r] {
+			if spans[r].start < spans[q].end && spans[q].start < spans[r].end {
+				t.Fatalf("rows %d and %d overlap", q, r)
+			}
+		}
 	}
 }
 

@@ -405,6 +405,35 @@ func (g *gen) response() *Response {
 	return resp
 }
 
+// wideRowsSeed is a generator input for a query request, and then a
+// response, each carrying three rows of 12 columns in which strings, empty
+// strings, jsonb documents and the zero jsonb.Value take turns (shift moves
+// the pattern along): many values in each row's bytes, of both kinds.
+func wideRowsSeed(shift int) []byte {
+	rows := func(seed []byte) []byte {
+		seed = append(seed, 3, 11, 2) // 3 rows, 1+11 columns, built
+		for i := 0; i < 3*12; i++ {
+			switch (i + shift) % 4 {
+			case 0: // a string of 20 to 39 bytes
+				seed = append(seed, 6, 4, byte(20+i%20))
+				seed = append(seed, bytes.Repeat([]byte{'a' + byte(i%26)}, 20+i%20)...)
+			case 1: // ""
+				seed = append(seed, 6, 0)
+			case 2: // one of jsonDocs
+				seed = append(seed, 10, byte(i))
+			case 3: // jsonb.Value{}
+				seed = append(seed, 9)
+			}
+		}
+		return seed
+	}
+	// the request: kind 0, a zero header, no SQL, table or columns
+	seed := rows(make([]byte, 1+1+8+8+3))
+	// its name, seq, block and parameters, then the response's columns
+	seed = append(seed, make([]byte, 1+8+2+1+1)...)
+	return rows(seed)
+}
+
 // FuzzCodecParity: any message the generator builds round-trips through the
 // frame codec to what it round-trips to through gob.
 func FuzzCodecParity(f *testing.F) {
@@ -417,6 +446,9 @@ func FuzzCodecParity(f *testing.F) {
 			seed = append(seed, byte(i*7+kind*13))
 		}
 		f.Add(seed)
+	}
+	for shift := 0; shift < 4; shift++ {
+		f.Add(wideRowsSeed(shift))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &gen{b: data}
