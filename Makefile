@@ -59,7 +59,8 @@ race:
 # connection, the round-trip budget counted over real TCP, the 2PC matrix rows
 # for overlapping requests, a connection's statement state bounded by its
 # session's cache, readers of a columnar stripe's typed vectors seeing a
-# consistent prefix while its transaction keeps appending to them, batched heap
+# consistent prefix while its transaction keeps appending to them, readers of a
+# stripe's views while a checkpoint freezes it into clipped arrays, batched heap
 # scans beside inserts, deletes and vacuum, the vectorized dashboard fetching
 # its GIN candidates in batches beside COPY, deletes and vacuum, and the
 # checkpoint's seams: a stream reading across cuts that race its acks, two
@@ -78,7 +79,7 @@ stress:
 	go test -race -run 'TestTxnRoundTripBudget' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestTwoPhaseCommitFaultMatrix|TestTwoPhaseCommitFlightMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
-	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared' -count=10 -timeout 10m ./internal/columnar
+	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared|TestFrozenVectorIsClipped' -count=10 -timeout 10m ./internal/columnar
 	go test -race -run 'TestBatchScanConcurrentWriters' -count=10 -timeout 10m ./internal/heap
 	go test -race -run 'TestDashboardUnderConcurrentCopy' -count=10 -timeout 10m ./internal/engine
 	go test -race -run 'TestIndexConcurrentReadersAndWriters' -count=10 -timeout 10m ./internal/index
@@ -193,10 +194,12 @@ soak-smoke:
 # short native-fuzz smoke: wire protocol (framing, the frame codec against
 # its gob reference, pipeline Seq correlation), vectorized-vs-row-path parity
 # (columnar and heap tables, hash joins, tuples of open and aborted transactions,
-# derived columns over jsonb documents with and without a trigram GIN index),
+# columnar stripes cut by checkpoints and holding such transactions' segments
+# between committed ones, derived columns over jsonb documents with and without a trigram GIN index),
 # the flat jsonb encoding against its tree oracle (plus arbitrary bytes
 # through jsonb.FromWire), the recovery oracle (random schedules with
-# checkpoints forced at random points: an engine rebuilt from base + tail, one
+# checkpoints forced at random points, one while a columnar insert is open: an
+# engine rebuilt from base + tail, one
 # rebuilt from the whole log and the live one must agree), and the index
 # oracle (a byte script driving a B-tree and a GIN against a sorted slice and
 # a map, every search compared after every step); longer local runs just

@@ -171,8 +171,12 @@ func runFeatureArm(t *testing.T, features engine.Features, counters []string,
 	mustExec(t, s, "INSERT INTO loc VALUES (1, 100)")
 	mustExec(t, s, "CREATE TABLE ev (tenant bigint, bucket bigint, val bigint) USING columnar")
 	mustExec(t, s, "SELECT create_distributed_table('ev', 'tenant')")
-	// two loads: two stripes on every shard, for a parallel scan to split
+	// two loads with a checkpoint between, which freezes the stripes the
+	// first filled: two stripes on every shard, for a parallel scan to split
 	for load := 0; load < 2; load++ {
+		if load > 0 {
+			c.Checkpoint()
+		}
 		var rows []string
 		for tenant := 0; tenant < 24; tenant++ {
 			rows = append(rows, fmt.Sprintf("(%d, %d, %d)", tenant, (tenant+load)%7, tenant*10+load))

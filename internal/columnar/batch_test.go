@@ -206,7 +206,7 @@ func TestTruncateDuringScan(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if tbl.EstimatedRows() != 0 || tbl.NumStripes() != 0 {
+	if tbl.EstimatedRows() != 0 || len(tbl.stripes) != 0 {
 		t.Fatal("truncate left data behind")
 	}
 }
@@ -399,8 +399,8 @@ func TestStringDictionaryInStripe(t *testing.T) {
 		}
 		_ = mgr.Commit(w)
 		snap := mgr.TakeSnapshot(nil)
-		if tbl.NumStripes() != 1 {
-			t.Fatalf("%d stripes", tbl.NumStripes())
+		if len(tbl.stripes) != 1 {
+			t.Fatalf("%d stripes", len(tbl.stripes))
 		}
 		chunk := tbl.LoadChunk(tbl.VisibleStripes(mgr, snap)[0], nil, nil)
 		if chunk[0].Kind != vec.KindString || len(chunk[0].Dict) != distinct {
@@ -491,30 +491,44 @@ func TestOwnStripeViewIsAPrefix(t *testing.T) {
 	}
 }
 
-// TestAdoptedStripesAreShared: a checkpoint's image holds a table's
-// committed stripes frozen, and a table rebuilt from it adopts the very same
-// stripes. Both tables keep taking rows and serving scans at once; neither
-// writes to what they share.
+// TestAdoptedStripesAreShared: a checkpoint's image holds the committed runs
+// of a table's stripes, each stripe frozen, and a table rebuilt from it
+// adopts the very same stripes — their committed, aborted and still-open
+// segments alike, of which it shows the committed ones only. Both tables
+// keep taking rows and serving scans at once; neither writes to what they
+// share.
 func TestAdoptedStripesAreShared(t *testing.T) {
 	mgr := txn.NewManager()
 	src := NewTable(1, 2, nil)
-	for i := 0; i < 3; i++ {
-		tx := mgr.Begin()
-		for r := 0; r < 50; r++ {
-			src.Insert(tx.XID, types.Row{int64(i*50 + r), "s"})
+	load := func(tx *txn.Txn, tag string, n int) {
+		for r := 0; r < n; r++ {
+			src.Insert(tx.XID, types.Row{int64(r), tag})
 		}
+	}
+	commit := func() {
+		tx := mgr.Begin()
+		load(tx, "s", 50)
 		if err := mgr.Commit(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
+	commit()
+	aborted := mgr.Begin()
+	load(aborted, "aborted", 10)
+	mgr.Abort(aborted)
+	commit()
 	open := mgr.Begin() // in progress: not in the image
-	src.Insert(open.XID, types.Row{int64(999), "open"})
+	load(open, "open", 1)
+	commit()
 	views := src.FrozenStripes(mgr, mgr.TakeSnapshot(nil))
-	if len(views) != 3 {
-		t.Fatalf("image holds %d stripes, want the 3 committed ones", len(views))
+	if len(views) != 3 || len(src.stripes) != 1 {
+		t.Fatalf("image holds %d runs of %d stripes, want the 3 committed runs of one", len(views), len(src.stripes))
 	}
 	dst := NewTable(2, 2, nil)
-	dst.Adopt(views)
+	dst.Adopt(views, 1)
+	if len(dst.stripes) != 1 || &dst.stripes[0].cols[0] != &src.stripes[0].cols[0] {
+		t.Fatal("the rebuilt table does not share the source's stripe")
+	}
 
 	count := func(tbl *Table) int {
 		n := 0
@@ -549,5 +563,93 @@ func TestAdoptedStripesAreShared(t *testing.T) {
 	}
 	if got := count(src); got != 170 {
 		t.Fatalf("source table shows %d rows, want 170 (its open transaction's row is invisible)", got)
+	}
+	// The open transaction commits. Its row shows in the source; the rebuilt
+	// table stamped it XID 0 and never shows it — a recovery takes it from
+	// the log's tail instead.
+	if err := mgr.Commit(open); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(src); got != 171 {
+		t.Fatalf("source table shows %d rows after the commit, want 171", got)
+	}
+	for _, row := range scanRows(dst, mgr, mgr.TakeSnapshot(nil), nil) {
+		if tag := row[1].(string); tag != "s" && tag != "more" {
+			t.Fatalf("the rebuilt table shows a row tagged %q", tag)
+		}
+	}
+	if got := count(dst); got != 170 {
+		t.Fatalf("rebuilt table holds %d rows after the source's commit, want 170", got)
+	}
+}
+
+// TestFrozenVectorIsClipped: freezing a stripe moves each of its vectors'
+// slices into an array of exactly its length, so that the room append grew
+// past the rows goes; readers holding views taken before the freeze keep
+// reading the old arrays, whole, while it happens. Run under -race this also
+// proves the freeze writes nothing they read.
+func TestFrozenVectorIsClipped(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, 4, nil)
+	rowAt := func(i int) types.Row {
+		row := types.Row{int64(i), fmt.Sprintf("s%d", i%300), float64(i) / 2, int64(i)}
+		if i%7 == 0 {
+			row[2] = nil
+		}
+		if i%5 == 0 {
+			row[3] = "foreign"
+		}
+		return row
+	}
+	const n = 1000
+	for i := 0; i < n; i++ {
+		w := mgr.Begin()
+		tbl.Insert(w.XID, rowAt(i))
+		_ = mgr.Commit(w)
+	}
+	views := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(nil))
+	if len(views) != 1 {
+		t.Fatalf("%d views", len(views))
+	}
+	held := tbl.LoadChunk(views[0], nil, nil)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var buf []vec.Vector
+			for pass := 0; pass < 20; pass++ {
+				// the view held from before, and one loaded again, on whichever
+				// arrays the freeze has left the stripe
+				buf = tbl.LoadChunk(views[0], nil, buf)
+				for _, chunk := range [][]vec.Vector{held, buf} {
+					for i := pass; i < n; i += 37 {
+						for ci, want := range rowAt(i) {
+							if got := chunk[ci].Datum(i); got != want {
+								t.Errorf("row %d column %d reads %v, want %v", i, ci, got, want)
+								return
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	tbl.FrozenStripes(mgr, mgr.TakeSnapshot(nil))
+	wg.Wait()
+
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	for ci := range tbl.stripes[0].cols {
+		v := &tbl.stripes[0].cols[ci]
+		if cap(v.Nulls) != len(v.Nulls) || cap(v.Ints) != len(v.Ints) || cap(v.Floats) != len(v.Floats) ||
+			cap(v.Codes) != len(v.Codes) || cap(v.Dict) != len(v.Dict) || cap(v.Bools) != len(v.Bools) ||
+			cap(v.Datums) != len(v.Datums) {
+			t.Fatalf("column %d (kind %d) keeps room past its rows after the freeze", ci, v.Kind)
+		}
 	}
 }

@@ -13,6 +13,10 @@
 // consults per-column min/max chunk statistics to skip stripes a predicate
 // can never match, and runs vectorized kernels (internal/vec) over them.
 //
+// A stripe outlives the transaction that opened it: it fills with the rows of
+// whatever transactions insert next, each one's rows a segment stamped with
+// its XID, until it holds StripeRows rows or a checkpoint freezes it.
+//
 // Like the early Citus columnar access method, the format is append-only:
 // INSERT and COPY are supported, UPDATE/DELETE are not.
 package columnar
@@ -38,16 +42,18 @@ const CompressionFactor = 8
 // rowsPerHeapPage mirrors heap.TuplesPerPage for the I/O cost model.
 const rowsPerHeapPage = 64
 
+// rowsPerPage is how many rows of one column a columnar page holds.
+const rowsPerPage = rowsPerHeapPage * CompressionFactor
+
 // chunkPageStride is the page-ID stride reserved per (stripe, column)
 // chunk: chunk (si, ci) owns pages [(si*ncols+ci)*stride,
-// (si*ncols+ci+1)*stride). A full stripe needs
-// ceil(StripeRows/(rowsPerHeapPage*CompressionFactor)) pages, so distinct
-// chunks can never collide as long as that fits in the stride.
+// (si*ncols+ci+1)*stride), row r of it lying on page r/rowsPerPage of them.
+// A full stripe needs ceil(StripeRows/rowsPerPage) pages, so distinct chunks
+// can never collide as long as that fits in the stride.
 const chunkPageStride = 1024
 
 // maxPagesPerChunk is the page count of a full stripe's chunk.
-const maxPagesPerChunk = (StripeRows + rowsPerHeapPage*CompressionFactor - 1) /
-	(rowsPerHeapPage * CompressionFactor)
+const maxPagesPerChunk = (StripeRows + rowsPerPage - 1) / rowsPerPage
 
 // Compile-time guard: one chunk's pages fit inside its page-ID stride.
 var _ [chunkPageStride - maxPagesPerChunk]struct{}
@@ -115,10 +121,19 @@ func (s *colStats) update(v *vec.Vector, i int) {
 	s.boxed.Store(nil)
 }
 
+// segment is a run of a stripe's rows that one transaction wrote: rows
+// [the previous segment's end, end).
+type segment struct {
+	xid uint64
+	end int
+}
+
+// stripe holds up to StripeRows rows of any number of transactions, each
+// one's rows a segment: visibility is decided a segment at a time.
 type stripe struct {
-	xmin  uint64
+	segs  []segment
 	cols  []vec.Vector // column-major
-	stats []colStats   // per-column chunk min/max
+	stats []colStats   // per-column chunk min/max, over every row of the stripe
 	n     int
 	// frozen: the stripe takes no more rows and its vectors have dropped what
 	// only Append needs. A frozen stripe is never written to again, so a
@@ -135,6 +150,27 @@ func (st *stripe) freeze() {
 		st.cols[i].Freeze()
 	}
 	st.frozen = true
+}
+
+// visible appends to views one view per maximal run of st's segments that s
+// sees.
+func (st *stripe) visible(views []StripeView, t *Table, si int, mgr *txn.Manager, s txn.Snapshot) []StripeView {
+	lo, at := -1, 0
+	for _, sg := range st.segs {
+		if mgr.Sees(s, sg.xid) {
+			if lo < 0 {
+				lo = at
+			}
+		} else if lo >= 0 {
+			views = append(views, StripeView{t: t, st: st, si: si, lo: lo, hi: at})
+			lo = -1
+		}
+		at = sg.end
+	}
+	if lo >= 0 {
+		views = append(views, StripeView{t: t, st: st, si: si, lo: lo, hi: at})
+	}
+	return views
 }
 
 // Table is an append-only columnar table.
@@ -156,15 +192,16 @@ func NewTable(id int64, ncols int, pool *bufpool.Pool) *Table {
 	return &Table{ID: id, ncols: ncols, pool: pool}
 }
 
-// Insert appends a row written by transaction xid. Rows from different
-// transactions go to different stripes so stripe visibility stays a single
-// xmin check.
+// Insert appends a row written by transaction xid to the last stripe, or to
+// a new one when that is frozen or full, whichever transactions wrote the
+// stripe's earlier rows. The row extends the stripe's last segment when xid
+// wrote that one too, and opens a segment of its own otherwise.
 func (t *Table) Insert(xid uint64, row types.Row) {
 	t.mu.Lock()
 	var st *stripe
 	if n := len(t.stripes); n > 0 {
 		last := t.stripes[n-1]
-		if last.xmin == xid && last.n < StripeRows && !last.frozen {
+		if last.n < StripeRows && !last.frozen {
 			st = last
 		} else {
 			// only the last stripe ever takes rows
@@ -173,7 +210,6 @@ func (t *Table) Insert(xid uint64, row types.Row) {
 	}
 	if st == nil {
 		st = &stripe{
-			xmin:  xid,
 			cols:  make([]vec.Vector, t.ncols),
 			stats: make([]colStats, t.ncols),
 		}
@@ -188,39 +224,41 @@ func (t *Table) Insert(xid uint64, row types.Row) {
 		st.stats[i].update(&st.cols[i], st.n)
 	}
 	st.n++
+	if k := len(st.segs); k > 0 && st.segs[k-1].xid == xid {
+		st.segs[k-1].end = st.n
+	} else {
+		st.segs = append(st.segs, segment{xid: xid, end: st.n})
+	}
 	t.mu.Unlock()
 	t.nRows.Add(1)
 }
 
 // pagesForChunk computes the simulated page count of one column chunk.
 func pagesForChunk(nrows int) int32 {
-	rowsPerPage := rowsPerHeapPage * CompressionFactor
 	return int32((nrows + rowsPerPage - 1) / rowsPerPage)
 }
 
-// StripeView is a read-only handle on the rows a stripe held when the view
-// was taken. The stripe was committed by then, or is the scanning
-// transaction's own; vectors are append-only, so the view stays valid across
-// a concurrent Truncate, and while its own transaction keeps appending to
-// the stripe it still reads exactly those rows.
+// StripeView is a read-only handle on rows [lo, hi) of a stripe: a run of
+// its segments, each committed when the view was taken or the scanning
+// transaction's own. Vectors are append-only, so the view stays valid across
+// a concurrent Truncate, and while transactions keep appending to the stripe
+// it still reads exactly those rows.
 type StripeView struct {
-	t  *Table
-	st *stripe
-	si int // stripe index at view time; keys the simulated page IDs
-	n  int // rows at view time
+	t      *Table
+	st     *stripe
+	si     int // stripe index at view time; keys the simulated page IDs
+	lo, hi int
 }
 
 // NumRows returns the view's row count.
-func (v StripeView) NumRows() int { return v.n }
-
-// Xmin returns the transaction that wrote the stripe.
-func (v StripeView) Xmin() uint64 { return v.st.xmin }
+func (v StripeView) NumRows() int { return v.hi - v.lo }
 
 // Stats returns the chunk min/max for one column. ok is false when the
 // chunk carries no usable statistics (empty, all NULL, or values of mixed
 // or unordered types) — callers must then treat the stripe as unskippable.
-// The stripe's statistics may cover rows appended after the view was taken:
-// a wider [min,max], which proves no less about the view's rows.
+// The statistics are the whole stripe's: they may cover rows outside the
+// view, another transaction's or appended after the view was taken — a
+// wider [min,max], which proves no less about the view's rows.
 func (v StripeView) Stats(col int) (min, max types.Datum, ok bool) {
 	v.t.mu.RLock()
 	defer v.t.mu.RUnlock()
@@ -237,77 +275,91 @@ func (v StripeView) Stats(col int) (min, max types.Datum, ok bool) {
 	return b[0], b[1], true
 }
 
-// HasNulls reports whether the column chunk holds any NULL. Min/max cover
-// only the non-NULL values, so a proof that must also hold for NULL rows
-// (an ascending TopN bound, where NULL sorts first) needs this beside them.
+// HasNulls reports whether the column chunk holds any NULL, in the view's
+// rows or the rest of the stripe's. Min/max cover only the non-NULL values,
+// so a proof that must also hold for NULL rows (an ascending TopN bound,
+// where NULL sorts first) needs this beside them.
 func (v StripeView) HasNulls(col int) bool {
 	v.t.mu.RLock()
 	defer v.t.mu.RUnlock()
 	return v.st.stats[col].nulls
 }
 
-// VisibleStripes snapshots the stripes visible to s. No chunk I/O is
-// charged: stats live in stripe metadata, so a caller can decide which
+// VisibleStripes snapshots the rows visible to s: one view per maximal run
+// of a stripe's segments that s sees, at one clog check a segment. No chunk
+// I/O is charged: stats live in stripe metadata, so a caller can decide which
 // stripes to skip before paying for any column chunk.
 func (t *Table) VisibleStripes(mgr *txn.Manager, s txn.Snapshot) []StripeView {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	views := make([]StripeView, 0, len(t.stripes))
 	for si, st := range t.stripes {
-		if st.xmin == s.Self || mgr.Sees(s, st.xmin) {
-			views = append(views, StripeView{t: t, st: st, si: si, n: st.n})
-		}
+		views = st.visible(views, t, si, mgr, s)
 	}
 	return views
 }
 
-// FrozenStripes is VisibleStripes for a checkpoint's image: the stripes s
-// sees committed, each frozen first — its transaction has ended, so it takes
-// no more rows — and so safe to share with the tables Adopt rebuilds from
-// the image.
+// FrozenStripes is VisibleStripes for a checkpoint's image: the runs s sees
+// committed, each stripe that has one frozen — it takes no more rows — and so
+// safe to share with the tables Adopt rebuilds from the image.
 func (t *Table) FrozenStripes(mgr *txn.Manager, s txn.Snapshot) []StripeView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var views []StripeView
 	for si, st := range t.stripes {
-		if mgr.Sees(s, st.xmin) {
+		n := len(views)
+		if views = st.visible(views, t, si, mgr, s); len(views) > n {
 			st.freeze()
-			views = append(views, StripeView{t: t, st: st, si: si, n: st.n})
 		}
 	}
 	return views
 }
 
-// Adopt appends the stripes of an image to this table, sharing their
-// vectors with the table they were taken from. The caller marks each
-// stripe's Xmin committed.
-func (t *Table) Adopt(views []StripeView) {
+// Adopt appends the stripes of an image to this table, sharing their vectors
+// and statistics with the table they were taken from. Each stripe gets
+// segments of its own: the image's runs are stamped xid, which must be one
+// every snapshot sees, and the rest of the stripe XID 0, which none does.
+func (t *Table) Adopt(views []StripeView, xid uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, v := range views {
-		t.stripes = append(t.stripes, v.st)
-		t.nRows.Add(int64(v.n))
+	for i := 0; i < len(views); {
+		src := views[i].st
+		st := &stripe{cols: src.cols, stats: src.stats, n: src.n, frozen: true}
+		at := 0
+		for ; i < len(views) && views[i].st == src; i++ {
+			v := views[i]
+			if v.lo > at {
+				st.segs = append(st.segs, segment{end: v.lo})
+			}
+			st.segs = append(st.segs, segment{xid: xid, end: v.hi})
+			at = v.hi
+			t.nRows.Add(int64(v.hi - v.lo))
+		}
+		if at < st.n {
+			st.segs = append(st.segs, segment{end: st.n})
+		}
+		t.stripes = append(t.stripes, st)
 	}
 }
 
-// LoadChunk charges buffer-pool I/O for the needed columns of one stripe
-// (nil = all) and returns the view's rows of those columns as vectors,
-// indexed by table column ordinal; columns outside needed are empty. buf is
-// nil or the result of an earlier LoadChunk of this table with the same
-// needed, which is then overwritten and returned: a scan allocates once, not
-// per stripe. The vectors are live storage: callers must treat them as
-// read-only.
+// LoadChunk charges buffer-pool I/O for the needed columns of one view (nil
+// = all) — the pages its rows lie on — and returns the view's rows of those
+// columns as vectors, indexed by table column ordinal; columns outside needed
+// are empty. buf is nil or the result of an earlier LoadChunk of this table
+// with the same needed, which is then overwritten and returned: a scan
+// allocates once, not per stripe. The vectors are live storage: callers must
+// treat them as read-only.
 func (t *Table) LoadChunk(v StripeView, needed []int, buf []vec.Vector) []vec.Vector {
 	if buf == nil {
 		buf = make([]vec.Vector, t.ncols)
 	}
+	first, last := int32(v.lo/rowsPerPage), int32((v.hi-1)/rowsPerPage)
 	load := func(ci int) {
-		pages := pagesForChunk(v.n)
 		base := int32(v.si*t.ncols+ci) * chunkPageStride
-		for p := int32(0); p < pages; p++ {
+		for p := first; p <= last; p++ {
 			t.pool.Access(bufpool.PageID{Table: t.ID, Page: base + p})
 		}
-		v.st.cols[ci].PrefixInto(&buf[ci], v.n)
+		v.st.cols[ci].RangeInto(&buf[ci], v.lo, v.hi)
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -357,8 +409,9 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, needed []int, fn func(row
 	var chunk []vec.Vector
 	for _, v := range views {
 		chunk = t.LoadChunk(v, needed, chunk)
-		for lo := 0; lo < v.n; lo += scanBlock {
-			hi := min(lo+scanBlock, v.n)
+		n := v.NumRows()
+		for lo := 0; lo < n; lo += scanBlock {
+			hi := min(lo+scanBlock, n)
 			for _, ci := range cols {
 				cells[ci] = chunk[ci].AppendDatums(cells[ci][:0], lo, hi)
 			}
@@ -377,11 +430,16 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, needed []int, fn func(row
 // EstimatedRows returns the row count statistic.
 func (t *Table) EstimatedRows() int64 { return t.nRows.Load() }
 
-// NumStripes returns the stripe count.
-func (t *Table) NumStripes() int {
+// NumPages returns the simulated page count of the table: every column chunk
+// of every stripe, at the pages a LoadChunk of all its rows charges.
+func (t *Table) NumPages() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.stripes)
+	total := 0
+	for _, st := range t.stripes {
+		total += int(pagesForChunk(st.n)) * t.ncols
+	}
+	return total
 }
 
 // Truncate drops all data.

@@ -5,7 +5,6 @@ import (
 
 	"citusgo/internal/columnar"
 	"citusgo/internal/heap"
-	"citusgo/internal/txn"
 	"citusgo/internal/types"
 	"citusgo/internal/wal"
 )
@@ -127,10 +126,7 @@ func (r replayTarget) ApplyBase(b *wal.Base) error {
 			return fmt.Errorf("replay: base image holds relation %q, its DDL does not", ti.name)
 		}
 		if store.col != nil {
-			store.col.Adopt(ti.stripes)
-			for _, v := range ti.stripes {
-				r.e.Txns.ForceStatus(v.Xmin(), txn.Committed)
-			}
+			store.col.Adopt(ti.stripes, bootstrapXID)
 			continue
 		}
 		store.mu.Lock()
@@ -144,7 +140,7 @@ func (r replayTarget) ApplyBase(b *wal.Base) error {
 		store.mu.Unlock()
 	}
 	// The next transaction here must not take an XID the old incarnation
-	// gave out: its standbys' clogs, and the stripes just adopted, know them.
+	// gave out: its standbys' clogs know them.
 	r.e.Txns.AdvanceXIDBase(b.Xmax)
 	return nil
 }

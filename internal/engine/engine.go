@@ -585,8 +585,8 @@ func (e *Engine) store(name string) (*storage, bool) {
 	return st, ok
 }
 
-// TotalPages sums the heap page counts of every table on the node (the
-// benchmark harness sizes buffer pools relative to this).
+// TotalPages sums the simulated page counts of every table on the node, heap
+// and columnar (the benchmark harness sizes buffer pools relative to this).
 func (e *Engine) TotalPages() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -596,7 +596,7 @@ func (e *Engine) TotalPages() int {
 			total += st.heap.NumPages()
 		}
 		if st.col != nil {
-			total += st.col.NumStripes() * len(st.table.Columns)
+			total += st.col.NumPages()
 		}
 	}
 	return total

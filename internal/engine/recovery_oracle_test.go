@@ -16,8 +16,11 @@ import (
 // commits, rollbacks, PREPARE TRANSACTION resolved later or left pending,
 // CREATE/DROP TABLE under a handful of reused names, TRUNCATE, CREATE INDEX,
 // ADD COLUMN — runs with checkpoints forced at random points: between
-// statements, so also between a transaction's first write and its commit,
-// and inside COMMIT between the clog flip and the commit record. It runs
+// statements, so also between a transaction's first write and its commit —
+// among them right after an open transaction's columnar insert with a
+// committed row behind it in the same stripe, which the image then holds as
+// a segment no snapshot sees — and inside COMMIT between the clog flip and
+// the commit record. It runs
 // twice, the same statements in the same order: on an engine whose log is
 // really cut, and on one whose log a holder at LSN 1 keeps whole. Then four
 // engines must agree — the two live ones, one recovered from the first's
@@ -317,7 +320,21 @@ func (r *oracleRun) step() {
 			r.nextCol++
 			_, _ = r.e.NewSession().Exec(fmt.Sprintf("ALTER TABLE %s ADD COLUMN x%d bigint", tables[r.pick(len(tables))], r.nextCol))
 		}
-	case op < 96:
+	case op < 93:
+		r.e.Checkpoint()
+	case op < 96: // a checkpoint while a columnar insert is open, a committed row behind it
+		tables := r.liveTables("c")
+		if len(tables) == 0 {
+			return
+		}
+		insert := fmt.Sprintf("INSERT INTO %s (k, v, s) VALUES ($1, $2, $3)", tables[r.pick(len(tables))])
+		if !os.open {
+			r.exec(os, "BEGIN")
+			os.open = true
+		}
+		r.exec(os, insert, r.nextKey, int64(r.pick(20)), "open")
+		_, _ = r.e.NewSession().Exec(insert, r.nextKey+1, int64(r.pick(20)), "committed")
+		r.nextKey += 2
 		r.e.Checkpoint()
 	default: // a checkpoint inside COMMIT: clog flipped, commit record not yet written
 		if !os.open {

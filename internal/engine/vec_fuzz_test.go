@@ -22,6 +22,10 @@ import (
 // rows updated and deleted, by transactions that committed, that rolled back
 // and that are still open when the query runs, and rows inserted by the latter
 // two kinds — every case of the visibility rules under the batched scan. The
+// same two sessions put rows into the columnar table between the committed
+// ones, so its stripes — several, cut by checkpoints between some of the load's
+// transactions — hold segments of committed, rolled-back and open
+// transactions interleaved. The
 // second table (dim, a heap) is small, sometimes empty, sometimes all NULL in
 // its keys, and repeats its key values, as the fact table does: joins on one
 // or two of (k, dk), (flag, dflag), (n, dn) have duplicates on both sides and
@@ -157,16 +161,31 @@ func vecParityCase(t *testing.T, dataSeed, querySeed uint64) (string, error) {
 				val("%s", doc()),
 			}, ", ") + ")"
 		}
+		// The load: transactions of 60 rows, now and then a checkpoint between
+		// two, which freezes the stripe and starts another. Two other sessions
+		// — one that will roll back, one still open when the queries run —
+		// put rows of their own into fz between the committed ones: segments
+		// of three transactions interleaved in one stripe.
+		rolledBack, open := e.NewSession(), e.NewSession()
+		mustExec(t, rolledBack, "BEGIN")
+		mustExec(t, open, "BEGIN")
+		defer open.Exec("ROLLBACK")
 		rows := 40 + int(dataRng()%160)
-		const stripe = 60
-		for lo := 0; lo < rows; lo += stripe {
+		const batch = 60
+		for lo := 0; lo < rows; lo += batch {
 			mustExec(t, s, "BEGIN")
-			for i := lo; i < rows && i < lo+stripe; i++ {
+			for i := lo; i < rows && i < lo+batch; i++ {
 				row := factRow()
 				mustExec(t, s, "INSERT INTO fz VALUES "+row)
 				mustExec(t, s, "INSERT INTO fzh VALUES "+row)
+				if dataRng()%8 == 0 {
+					mustExec(t, []*Session{rolledBack, open}[dataRng()%2], "INSERT INTO fz VALUES "+factRow())
+				}
 			}
 			mustExec(t, s, "COMMIT")
+			if dataRng()%3 == 0 {
+				e.Checkpoint()
+			}
 		}
 
 		if indexed && !indexFirst {
@@ -206,13 +225,9 @@ func vecParityCase(t *testing.T, dataSeed, querySeed uint64) (string, error) {
 		}
 		mustExec(t, s, fmt.Sprintf("UPDATE fzh SET price = price * 2, flag = 'N' WHERE k %% 5 = %d", dataRng()%5))
 		mustExec(t, s, fmt.Sprintf("DELETE FROM fzh WHERE k %% 13 = %d", dataRng()%13))
-		rolledBack, open := e.NewSession(), e.NewSession()
-		mustExec(t, rolledBack, "BEGIN")
 		change(rolledBack)
 		mustExec(t, rolledBack, "ROLLBACK")
-		mustExec(t, open, "BEGIN")
 		change(open)
-		defer open.Exec("ROLLBACK")
 
 		qRng := splitmix(querySeed)
 		q := randVecQuery(qRng)

@@ -98,8 +98,9 @@ var vecGoldenQueries = []struct {
 }
 
 // loadVecGoldenLineitem creates a columnar lineitem subset and fills it
-// with deterministic pseudo-random data across several stripes (separate
-// transactions), including NULLs and an aborted transaction's stripe.
+// with deterministic pseudo-random data across several stripes (a
+// checkpoint between two transactions cuts one), including NULLs and an
+// aborted transaction's segment at the end of the last stripe.
 func loadVecGoldenLineitem(t *testing.T, s *Session, rows int) {
 	t.Helper()
 	mustExec(t, s, `CREATE TABLE lineitem (
@@ -121,8 +122,11 @@ func loadVecGoldenLineitem(t *testing.T, s *Session, rows int) {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		return seed >> 33
 	}
-	const batch = 200 // one txn (= one stripe) per batch
+	const batch = 200 // one txn, and one stripe, per batch
 	for lo := 0; lo < rows; lo += batch {
+		if lo > 0 {
+			s.Eng.Checkpoint()
+		}
 		mustExec(t, s, "BEGIN")
 		for i := lo; i < rows && i < lo+batch; i++ {
 			day := int(next() % 2500)
@@ -141,7 +145,7 @@ func loadVecGoldenLineitem(t *testing.T, s *Session, rows int) {
 		}
 		mustExec(t, s, "COMMIT")
 	}
-	// an aborted stripe must stay invisible to both paths
+	// an aborted segment must stay invisible to both paths
 	mustExec(t, s, "BEGIN")
 	mustExec(t, s, `INSERT INTO lineitem VALUES (999999, 1, 1.0, 1.0, 0.99, 'X', 'X', '2099-01-01', 0)`)
 	mustExec(t, s, "ROLLBACK")
@@ -254,13 +258,15 @@ func TestVectorizedStripeSkipping(t *testing.T) {
 	e := newTestEngine(t)
 	s := e.NewSession()
 	mustExec(t, s, `CREATE TABLE skiptest (k bigint, v double precision) USING columnar`)
-	// three stripes with disjoint key ranges
+	// three stripes with disjoint key ranges: a checkpoint freezes the stripe
+	// a load filled, and the next load starts another
 	for stripe := 0; stripe < 3; stripe++ {
 		mustExec(t, s, "BEGIN")
 		for i := 0; i < 50; i++ {
 			mustExec(t, s, fmt.Sprintf("INSERT INTO skiptest VALUES (%d, %d.5)", stripe*1000+i, i))
 		}
 		mustExec(t, s, "COMMIT")
+		e.Checkpoint()
 	}
 	e.SetFeatures(Features{VecParallelism: 1})
 	defer e.SetFeatures(Features{})

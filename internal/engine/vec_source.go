@@ -455,7 +455,7 @@ func drain(cur chunkCursor, width int, cols []int) ([]vec.Vector, int, error) {
 		}
 		for _, c := range cols {
 			if sel == nil && out[c].Len() == 0 {
-				out[c] = chunk[c] // taken over: appending to it copies (PrefixInto)
+				out[c] = chunk[c] // taken over: appending to it copies (RangeInto)
 			} else {
 				out[c].AppendRows(&chunk[c], sel)
 			}

@@ -104,7 +104,7 @@ func TestAppendRowsAndColumn(t *testing.T) {
 	// appending to a view never writes into the vector it was taken from
 	live := vectorOf(int64(1), int64(2), int64(3))
 	var view, taken Vector
-	live.PrefixInto(&view, 2)
+	live.RangeInto(&view, 1, 3)
 	taken = view
 	taken.AppendRows(&live, Sel{0})
 	if got := datumsOf(t, &live); !reflect.DeepEqual(got, []types.Datum{int64(1), int64(2), int64(3)}) {

@@ -433,36 +433,52 @@ func (v *Vector) codeBytes(b []byte) uint32 {
 	return v.code(string(b)) // new: once per distinct value
 }
 
-// Freeze drops what only Append needs; the owner calls it when the vector
-// will take no more rows.
-func (v *Vector) Freeze() { v.index = nil }
+// Freeze drops what only Append needs and the room append grew past the
+// rows: the owner calls it, under the lock that serialises Append, when the
+// vector will take no more rows. Each slice moves to an array of exactly its
+// length; a view taken before keeps reading the old one.
+func (v *Vector) Freeze() {
+	v.index = nil
+	v.Nulls, v.Ints, v.Floats = clip(v.Nulls), clip(v.Ints), clip(v.Floats)
+	v.Codes, v.Dict, v.Bools, v.Datums = clip(v.Codes), clip(v.Dict), clip(v.Bools), clip(v.Datums)
+}
 
-// PrefixInto makes *p a view of the first n rows. The view shares storage
-// with v and must be taken under the lock that serialises Append; its slices
-// end at their length, so that appending to a view — a reader that takes it
-// over as the start of a vector of its own — copies and never writes into v.
-// It reads and writes only the fields v's kind uses: a scan takes a view of every
-// needed column of every stripe, and the stripes' vectors are cold memory.
-func (v *Vector) PrefixInto(p *Vector, n int) {
+// clip returns s in an array of exactly its length.
+func clip[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
+}
+
+// RangeInto makes *p a view of rows [lo, hi). The view shares storage with v
+// and must be taken under the lock that serialises Append; its slices end at
+// hi, so that appending to a view — a reader that takes it over as the start
+// of a vector of its own — copies and never writes into v. It reads and
+// writes only the fields v's kind uses: a scan takes a view of every needed
+// column of every stripe, and the stripes' vectors are cold memory.
+func (v *Vector) RangeInto(p *Vector, lo, hi int) {
 	if p.Kind != v.Kind {
 		*p = Vector{Kind: v.Kind}
 	}
-	p.n = n
+	p.n = hi - lo
 	switch v.Kind {
 	case KindInt, KindTime:
-		p.Ints = v.Ints[:n:n]
+		p.Ints = v.Ints[lo:hi:hi]
 	case KindFloat:
-		p.Floats = v.Floats[:n:n]
+		p.Floats = v.Floats[lo:hi:hi]
 	case KindBool:
-		p.Bools = v.Bools[:n:n]
+		p.Bools = v.Bools[lo:hi:hi]
 	case KindString:
-		p.Codes, p.Dict = v.Codes[:n:n], v.Dict[:len(v.Dict):len(v.Dict)]
+		p.Codes, p.Dict = v.Codes[lo:hi:hi], v.Dict[:len(v.Dict):len(v.Dict)]
 	case KindGeneric:
-		p.Datums = v.Datums[:n:n]
+		p.Datums = v.Datums[lo:hi:hi]
 	}
 	p.Nulls = nil
 	if v.Nulls != nil {
-		p.Nulls = v.Nulls[:n:n]
+		p.Nulls = v.Nulls[lo:hi:hi]
 	}
 }
 

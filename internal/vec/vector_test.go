@@ -81,7 +81,7 @@ func TestVectorDemotion(t *testing.T) {
 		var before Vector
 		for i, d := range rows {
 			if v.Kind != KindGeneric {
-				v.PrefixInto(&before, i)
+				v.RangeInto(&before, 0, i)
 			}
 			v.Append(d)
 		}
