@@ -70,7 +70,15 @@ race:
 # delta against a checkpoint of its source, a coordinator restart reading
 # back only the commit records its log still holds, and index readers (Range,
 # SearchEqual, GIN Search) beside writers whose inserts and removes split
-# B-tree leaves and re-encode posting-list blocks
+# B-tree leaves and re-encode posting-list blocks; and 20 times under -race,
+# relation locks in both modes (sharing, upgrades, the waits-for edges of a
+# shared wait), DDL waiting for the writers it would erase and a write woken
+# by a drop keeping its block, a DDL-versus-writer deadlock, and shard moves
+# under writers: the regressions of the move (hot row, insert then delete,
+# an open writer across the block, a co-located join mid-move, an MX writer,
+# the start point), its deadlock with an open block, a move giving way to an
+# idle writer, and the matrix of two co-located tables x every stage x
+# {autocommit, open block, 2PC, multi-shard} writers
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
@@ -86,6 +94,9 @@ stress:
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
 	go test -race -run 'TestStandbyTakesPrimaryBases|TestSecondCrashOfARestartedWorker' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRejoinBelowTheNewPrimarysBase|TestRebalanceMoveDeltaSurvivesCheckpoint|TestRestartedCoordinatorForgetsResolvedCommitRecords' -count=20 -timeout 10m ./internal/fault/chaos
+	go test -race -run 'TestSharedRelationLock|TestUpgradeSoleSharedHolder|TestSharedWaitEdges' -count=20 -timeout 10m ./internal/lock
+	go test -race -run 'TestTruncateWaitsForWriter|TestDropTableWaitsForWriter|TestAlterWaitsForWriter|TestReaderNotBlockedByWaitingDDL|TestWriterWokenByDropKeepsItsBlock|TestDDLWriterDeadlock' -count=20 -timeout 10m ./internal/engine
+	go test -race -run 'TestMove|TestRebalanceMoveMatrix' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure

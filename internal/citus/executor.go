@@ -99,9 +99,6 @@ func (n *Node) executeTasks(s *engine.Session, tasks []task) ([]*engine.Result, 
 	for i := range tasks {
 		if tasks[i].isWrite {
 			writeTasks++
-			if tasks[i].shardGroup >= 0 {
-				n.fenceWait(tasks[i].shardGroup)
-			}
 		}
 	}
 	metTasksWrite.Add(int64(writeTasks))

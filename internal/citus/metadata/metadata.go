@@ -7,6 +7,7 @@ package metadata
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -456,41 +457,44 @@ func (c *Catalog) PrimaryPlacement(shardID int64) (int, error) {
 	return 0, fmt.Errorf("shard %d has no primary placement", shardID)
 }
 
-// MovePlacement reassigns a shard's primary to another node (rebalancer
-// metadata update). Standby rows tied to the old primary's standbys are
-// rewritten to the new primary's standbys, since the shard's WAL now
-// streams from the new node.
-func (c *Catalog) MovePlacement(shardID int64, from, to int) error {
+// MovePlacement reassigns the primaries of a co-located shard group — every
+// shard in shardIDs — from one node to another in one metadata version (the
+// rebalancer's flip, §3.4): no plan ever sees the group split. It changes
+// nothing unless every shard has its primary on from. Standby rows tied to
+// the old primary's standbys are rewritten to the new primary's standbys,
+// since the shards' WAL now streams from the new node.
+func (c *Catalog) MovePlacement(shardIDs []int64, from, to int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rows := c.placements[shardID]
-	moved := false
-	for i := range rows {
-		if rows[i].NodeID == from && rows[i].Role == RolePrimary {
-			rows[i].NodeID = to
-			rows[i].Down = c.nodeDownLocked(to)
-			moved = true
-			break
+	primary := make([]int, len(shardIDs))
+	for i, id := range shardIDs {
+		primary[i] = slices.IndexFunc(c.placements[id], func(p Placement) bool {
+			return p.NodeID == from && p.Role == RolePrimary
+		})
+		if primary[i] < 0 {
+			return fmt.Errorf("shard %d has no placement on node %d", id, from)
 		}
-	}
-	if !moved {
-		return fmt.Errorf("shard %d has no placement on node %d", shardID, from)
 	}
 	oldStandbys := map[int]bool{}
 	for _, sb := range c.standbysOfLocked(from) {
 		oldStandbys[sb] = true
 	}
-	kept := rows[:0]
-	for _, p := range rows {
-		if p.Role == RoleStandby && oldStandbys[p.NodeID] {
-			continue
+	for i, id := range shardIDs {
+		rows := c.placements[id]
+		rows[primary[i]].NodeID = to
+		rows[primary[i]].Down = c.nodeDownLocked(to)
+		kept := rows[:0]
+		for _, p := range rows {
+			if p.Role == RoleStandby && oldStandbys[p.NodeID] {
+				continue
+			}
+			kept = append(kept, p)
 		}
-		kept = append(kept, p)
+		for _, sb := range c.standbysOfLocked(to) {
+			kept = append(kept, Placement{NodeID: sb, Role: RoleStandby, Down: c.nodeDownLocked(sb)})
+		}
+		c.placements[id] = kept
 	}
-	for _, sb := range c.standbysOfLocked(to) {
-		kept = append(kept, Placement{NodeID: sb, Role: RoleStandby, Down: c.nodeDownLocked(sb)})
-	}
-	c.placements[shardID] = kept
 	c.version.Add(1)
 	return nil
 }

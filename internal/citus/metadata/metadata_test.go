@@ -115,15 +115,36 @@ func TestPlacementMoves(t *testing.T) {
 	c.AddNode(&Node{ID: 3, Name: "w2"})
 	addTestTable(t, c, "t", c.NewColocationGroup(4, types.Int), []int{2})
 	sh := c.Shards("t")[0]
-	if err := c.MovePlacement(sh.ID, 2, 3); err != nil {
+	if err := c.MovePlacement([]int64{sh.ID}, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	nodeID, err := c.PrimaryPlacement(sh.ID)
 	if err != nil || nodeID != 3 {
 		t.Fatalf("after move: %d %v", nodeID, err)
 	}
-	if err := c.MovePlacement(sh.ID, 2, 3); err == nil {
+	if err := c.MovePlacement([]int64{sh.ID}, 2, 3); err == nil {
 		t.Fatal("moving from the wrong source must fail")
+	}
+	// a group moves whole or not at all, in one version
+	group := []int64{c.Shards("t")[1].ID, sh.ID}
+	ver := c.Version()
+	if err := c.MovePlacement(group, 2, 3); err == nil {
+		t.Fatal("a group with a shard off the source must not move")
+	}
+	if nodeID, _ := c.PrimaryPlacement(group[0]); nodeID != 2 || c.Version() != ver {
+		t.Fatalf("a refused group move changed the catalog: shard on %d, version %d -> %d", nodeID, ver, c.Version())
+	}
+	if err := c.MovePlacement(group, 3, 2); err == nil {
+		t.Fatal("a group with a shard off the source must not move")
+	}
+	c.MovePlacement([]int64{sh.ID}, 3, 2)
+	if err := c.MovePlacement(group, 2, 3); err != nil || c.Version() != ver+2 {
+		t.Fatalf("group move: %v, version %d -> %d, want one bump", err, ver+1, c.Version())
+	}
+	for _, id := range group {
+		if nodeID, _ := c.PrimaryPlacement(id); nodeID != 3 {
+			t.Fatalf("shard %d on %d after the group move", id, nodeID)
+		}
 	}
 }
 

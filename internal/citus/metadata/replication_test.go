@@ -141,7 +141,7 @@ func TestMovePlacementRewritesStandbyRows(t *testing.T) {
 			break
 		}
 	}
-	if err := c.MovePlacement(sh.ID, 2, 3); err != nil {
+	if err := c.MovePlacement([]int64{sh.ID}, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	rows := c.PlacementRows(sh.ID)

@@ -131,10 +131,6 @@ type Node struct {
 	procMu    sync.Mutex
 	distProcs map[string]DistProcedure
 
-	// shard-move write fences (rebalancer)
-	fenceMu sync.Mutex
-	fences  map[int64]chan struct{}
-
 	// planCache caches fast-path router plans keyed by normalized statement
 	// text and metadata version (see plancache.go).
 	planCache *planCache
@@ -174,7 +170,6 @@ func NewNode(id int, eng *engine.Engine, meta *metadata.Catalog, cfg Config) *No
 		commitRecords: make(map[string]*wal.Holder),
 		stopCh:        make(chan struct{}),
 		distProcs:     make(map[string]DistProcedure),
-		fences:        make(map[int64]chan struct{}),
 		planCache:     newPlanCache(),
 	}
 	eng.PlannerHook = n.plannerHook
@@ -404,32 +399,4 @@ func (n *Node) state(s *engine.Session) *sessState {
 	}
 	s.Ext = st
 	return st
-}
-
-// fenceWait blocks while a shard group is fenced for a shard move.
-func (n *Node) fenceWait(group int64) {
-	for {
-		n.fenceMu.Lock()
-		ch, fenced := n.fences[group]
-		n.fenceMu.Unlock()
-		if !fenced {
-			return
-		}
-		<-ch
-	}
-}
-
-// fence blocks writers of a shard group; the returned release function
-// unblocks them (used by the rebalancer during the final catchup, §3.4).
-func (n *Node) fence(group int64) func() {
-	ch := make(chan struct{})
-	n.fenceMu.Lock()
-	n.fences[group] = ch
-	n.fenceMu.Unlock()
-	return func() {
-		n.fenceMu.Lock()
-		delete(n.fences, group)
-		n.fenceMu.Unlock()
-		close(ch)
-	}
 }

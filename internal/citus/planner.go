@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
@@ -40,9 +41,13 @@ type distPlan struct {
 	tasks   []task
 	prepare func(s *engine.Session, params []types.Datum) ([]task, error)
 
-	// DML plans sum affected rows instead of returning them.
+	// DML plans sum affected rows instead of returning them. stmt is the
+	// statement the plan was made for, planned again when its one task — a
+	// write or a SELECT … FOR UPDATE — waited out a shard move and found its
+	// shard moved (replan).
 	isDML bool
 	tag   string
+	stmt  sql.Statement
 
 	// merge: load task results into an intermediate result on the
 	// coordinator and run the merge ("master") query over it locally.
@@ -73,6 +78,9 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 	results, err := p.node.executeTasks(s, tasks)
 	if err != nil {
 		p.cleanup()
+		if again := p.replan(s, tasks, params, err); again != nil {
+			return again.Execute(s, params)
+		}
 		return nil, err
 	}
 	defer p.cleanup()
@@ -147,6 +155,26 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 	return res, nil
 }
 
+// replan plans a one-task write again when it waited out a shard move's
+// write block on the source and woke to find its shard moved there
+// (engine.ErrRelationGone), and the current metadata routes it elsewhere.
+// The task had no effect on the source, so it can run on the new placement.
+// A plan of several tasks is not run again: its other tasks may have run
+// already, and running them twice would apply their writes twice. Such a
+// statement fails as a whole; the distributed transaction is aborted with
+// it. replan returns nil when the statement stands failed.
+func (p *distPlan) replan(s *engine.Session, tasks []task, params []types.Datum, err error) *distPlan {
+	if p.stmt == nil || len(tasks) != 1 || !strings.Contains(err.Error(), engine.ErrRelationGone.Error()) {
+		return nil
+	}
+	plan, perr := p.node.plannerHook(s, p.stmt, params)
+	again, ok := plan.(*distPlan)
+	if perr != nil || !ok || len(again.tasks) != 1 || again.tasks[0].nodeID == tasks[0].nodeID {
+		return nil
+	}
+	return again
+}
+
 func (p *distPlan) cleanup() {
 	if p.cleanupPrefix == "" {
 		return
@@ -172,6 +200,14 @@ func (p *distPlan) cleanup() {
 // "Citus iterates over the four planners, from lowest to highest
 // overhead").
 func (n *Node) plannerHook(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, error) {
+	plan, err := n.planStatement(s, stmt, params)
+	if p, ok := plan.(*distPlan); ok {
+		p.stmt = stmt
+	}
+	return plan, err
+}
+
+func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, error) {
 	if plan, handled, err := n.matchUDF(s, stmt, params); handled {
 		return plan, err
 	}

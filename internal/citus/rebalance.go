@@ -1,15 +1,17 @@
 package citus
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
 	"citusgo/internal/fault"
-	"citusgo/internal/types"
+	"citusgo/internal/obs"
+	"citusgo/internal/sql"
 	"citusgo/internal/wal"
-	"citusgo/internal/wire"
 )
 
 // RebalanceTableShards implements the shard rebalancer (§3.4): it moves
@@ -18,10 +20,11 @@ import (
 // moves performed.
 //
 // Shard moves reproduce the paper's logical-replication flow: a snapshot of
-// the shard is copied while it keeps serving reads and writes, then writes
-// are briefly blocked while the WAL delta since the snapshot is replayed on
-// the target ("the last few steps typically only take a few seconds, hence
-// there is minimal write downtime").
+// the shard group is copied while it keeps serving reads and writes, the
+// WAL since the snapshot streams to the target, then writes are briefly
+// blocked on the source while the last of it is drained and the placements
+// flip ("the last few steps typically only take a few seconds, hence there
+// is minimal write downtime").
 func (n *Node) RebalanceTableShards(s *engine.Session) (int, error) {
 	workers := n.Meta.WorkerNodes()
 	if len(workers) < 2 {
@@ -93,8 +96,9 @@ func (n *Node) planNextMove(workers []*metadata.Node) *shardMove {
 	return &shardMove{shardID: shards[0], from: maxNode, to: minNode}
 }
 
-// MoveShardPlacement moves one shard (and its co-located shards) from one
-// node to another.
+// MoveShardPlacement moves a shard and its co-located shards — the shard
+// group, so joins and foreign keys on the distribution column stay local —
+// from one node to another, as one unit.
 func (n *Node) MoveShardPlacement(s *engine.Session, shardID int64, from, to int) error {
 	sh, ok := n.Meta.ShardByID(shardID)
 	if !ok {
@@ -104,115 +108,233 @@ func (n *Node) MoveShardPlacement(s *engine.Session, shardID int64, from, to int
 	if !ok {
 		return fmt.Errorf("shard %d has no distributed table", shardID)
 	}
-	// move all co-located shards with the same index together, so joins
-	// and foreign keys on the distribution column stay local
-	group := []*metadata.Shard{sh}
-	for _, other := range n.Meta.Tables() {
-		if other.Name == dt.Name || other.Type != metadata.DistributedTable ||
-			other.ColocationID != dt.ColocationID {
-			continue
-		}
-		shards := n.Meta.Shards(other.Name)
-		if sh.Index < len(shards) {
-			group = append(group, shards[sh.Index])
+	var group []*metadata.Shard // ordered by table name: every move locks in one order
+	for _, t := range n.Meta.Tables() {
+		if t.Type == metadata.DistributedTable && t.ColocationID == dt.ColocationID {
+			if shards := n.Meta.Shards(t.Name); sh.Index < len(shards) {
+				group = append(group, shards[sh.Index])
+			}
 		}
 	}
-	for _, g := range group {
-		if err := n.moveOneShard(s, g, dt.ColocationID, from, to); err != nil {
+	return n.moveGroup(s, group, from, to)
+}
+
+var metWriteBlocked = obs.Default().Histogram("rebalance_write_blocked_ms",
+	"per shard-group move that requested its write block: milliseconds from requesting the exclusive locks on the source shards to the flip, or to the move giving way when they are not granted",
+	obs.ExponentialBounds(1, 2, 16)).With()
+
+// ErrWriteBlockTimeout fails a shard move whose write block was not granted
+// within one deadlock-detection interval: a writer of the group stayed open
+// (idle in its transaction, or prepared and not yet resolved) while later
+// writers queued behind the move. The move gives way to them and leaves the
+// placements as they were; it can be retried.
+var ErrWriteBlockTimeout = errors.New("writers of the shard group did not finish within the deadlock-detection interval; retry the move")
+
+// moveGroup runs the logical-replication move flow (§3.4) for one shard
+// group. Every stage evaluates the rebalance.move fault point (keyed by stage
+// name) so chaos tests can interrupt a move at any seam. The flip in
+// metadata_flip is the commit point: an interruption before it leaves the
+// placements as they were and at worst orphan target tables, which the next
+// attempt clears before re-creating the shards — so failed moves are
+// retryable.
+func (n *Node) moveGroup(s *engine.Session, group []*metadata.Shard, from, to int) error {
+	stage := func(name string) error {
+		if err := fault.CheckKey(fault.PointRebalanceMove, name); err != nil {
+			return fmt.Errorf("moving shard group of %d: %w", group[0].ID, err)
+		}
+		return nil
+	}
+	names := make([]string, len(group))
+	ids := make([]int64, len(group))
+	for i, sh := range group {
+		names[i], ids[i] = sh.ShardName(), sh.ID
+	}
+	dst, ok := n.peerEngine(to)
+	if !ok {
+		return fmt.Errorf("node %d engine is not reachable for replication", to)
+	}
+
+	// 1. create the target shard tables, dropping any orphan an interrupted
+	// move left behind (the target never holds a live placement at this
+	// point — the metadata still routes to the source)
+	if err := stage("create_shard"); err != nil {
+		return err
+	}
+	for _, sh := range group {
+		ct, indexes, err := n.schemaStatements(sh.Table)
+		if err == nil {
+			_, err = dst.NewSession().Exec("DROP TABLE IF EXISTS " + sh.ShardName())
+		}
+		if err == nil {
+			err = n.createShardOnNode(s, to, sh, ct, indexes)
+		}
+		if err != nil {
 			return err
+		}
+	}
+
+	// 2. snapshot copy while the source keeps serving traffic, read at the
+	// catch-up stream's start point
+	if err := stage("snapshot_copy"); err != nil {
+		return err
+	}
+	src, ok := n.peerEngine(from)
+	if !ok {
+		return fmt.Errorf("node %d engine is not reachable for replication", from)
+	}
+	start, rows, hold, err := src.CopyStart(names)
+	if err != nil {
+		return err
+	}
+	defer hold.Release()
+	for i, name := range names {
+		if _, err := dst.NewSession().CopyFrom(name, nil, rows[i]); err != nil {
+			return err
+		}
+	}
+
+	// 3. catch up while writes go on; then block them on the source worker —
+	// whichever coordinator sends them — drain, and flip the whole group
+	if err := stage("catchup"); err != nil {
+		return err
+	}
+	// the engine serving the source now: if the node restarted since the
+	// copy, its new log does not reach back to the start point, and the
+	// catch-up must fail on it rather than read the old one's
+	if src, ok = n.peerEngine(from); !ok {
+		return fmt.Errorf("node %d engine is not reachable for replication", from)
+	}
+	c := &catchup{start: start, pos: start.Redo - 1, shards: map[string]bool{}, pending: map[uint64][]wal.Record{}}
+	for _, name := range names {
+		c.shards[name] = true
+	}
+	if err := c.run(src, dst); err != nil {
+		return err
+	}
+	block := src.NewSession()
+	if _, err := block.Exec("BEGIN"); err != nil {
+		return err
+	}
+	defer block.Exec("ROLLBACK") // a no-op once the block has committed
+	blocked := time.Now()        // writers queue behind the first exclusive request
+	if err := n.blockWrites(block, names); err != nil {
+		metWriteBlocked.Observe(time.Since(blocked).Milliseconds())
+		return fmt.Errorf("blocking writes to shard group of %d: %w", ids[0], err)
+	}
+	if err := c.run(src, dst); err != nil {
+		return err
+	}
+	if len(c.pending) > 0 {
+		// under the exclusive lock only a prepared transaction the source
+		// adopted from its log (which holds no locks) can still be open
+		return fmt.Errorf("moving shard group of %d: %d transactions that wrote to it are unresolved", ids[0], len(c.pending))
+	}
+	if err := stage("metadata_flip"); err != nil {
+		return err
+	}
+	if err := n.Meta.MovePlacement(ids, from, to); err != nil {
+		return err
+	}
+	metWriteBlocked.Observe(time.Since(blocked).Milliseconds())
+
+	// 4. drop the source shards before the write block ends: the writes it
+	// held off find them gone, and a one-task write is planned again against
+	// the new placement (distPlan.replan). The move is already durable in the metadata; when the drop
+	// fails the orphans stay behind, and the held-off writes are cancelled
+	// rather than let through to them.
+	err = stage("drop_source")
+	for _, name := range names {
+		if err == nil {
+			_, err = block.Exec("DROP TABLE IF EXISTS " + name)
+		}
+	}
+	if err != nil {
+		src.CancelWaiters(names...)
+		return err
+	}
+	_, err = block.Exec("COMMIT")
+	return err
+}
+
+// catchup streams a move's source log from pos, in LSN order, into the
+// target: the records of the group's shards collect per transaction and go
+// over as one transaction of the target's at its commit or COMMIT PREPARED
+// record (engine.ApplyTxn), or are dropped at its abort. A transaction the
+// start point's snapshot saw ended is in the copy already, and is skipped.
+type catchup struct {
+	start   *wal.Base
+	pos     int64
+	shards  map[string]bool
+	pending map[uint64][]wal.Record
+}
+
+// run applies what the source's log holds beyond pos. It fails if the log no
+// longer holds the records after pos — the source restarted under the move
+// and its new log, which the move does not hold, was cut: catching up from
+// what is left would silently drop writes.
+func (c *catchup) run(src, dst *engine.Engine) error {
+	recs, err := src.WAL.Since(c.pos)
+	if err != nil {
+		return fmt.Errorf("moving shard group: %w", err)
+	}
+	for _, r := range recs {
+		c.pos = r.LSN
+		switch r.Type {
+		case wal.RecInsert, wal.RecDelete:
+			if c.shards[r.Table] && !c.start.Settled(r.XID) {
+				c.pending[r.XID] = append(c.pending[r.XID], r)
+			}
+		case wal.RecCommit, wal.RecCommitPrepared:
+			if txn, ok := c.pending[r.XID]; ok {
+				delete(c.pending, r.XID)
+				if err := dst.ApplyTxn(txn); err != nil {
+					return err
+				}
+			}
+		case wal.RecAbort, wal.RecAbortPrepared:
+			delete(c.pending, r.XID)
+		case wal.RecDDL: // below At, the DDL the snapshot — and the copy — saw
+			if r.LSN >= c.start.At && c.shards[ddlTable(r.Name)] {
+				return fmt.Errorf("moving shard group: %q ran on the source during the move", r.Name)
+			}
 		}
 	}
 	return nil
 }
 
-// moveOneShard runs the logical-replication move flow for one shard. Every
-// stage evaluates the rebalance.move fault point (keyed by stage name) so
-// chaos tests can interrupt a move at any seam; an interrupted move leaves
-// the placement metadata untouched (the flip in stage 3 is the commit
-// point) and at worst an orphan target table, which the next attempt
-// clears before re-creating the shard — so failed moves are retryable.
-func (n *Node) moveOneShard(s *engine.Session, sh *metadata.Shard, colocationID, from, to int) error {
-	dt, _ := n.Meta.Table(sh.Table)
-	ct, indexes, err := n.schemaStatements(sh.Table)
-	if err != nil {
-		return err
+// ddlTable is the table a DDL statement changes.
+func ddlTable(ddl string) string {
+	switch st, _ := sql.Parse(ddl); st := st.(type) {
+	case *sql.AlterTableAddColumnStmt:
+		return st.Table
+	case *sql.CreateIndexStmt:
+		return st.Table
+	case *sql.TruncateStmt:
+		return st.Name
+	case *sql.DropTableStmt:
+		return st.Name
 	}
-	_ = dt
-	shardName := sh.ShardName()
-	// 1. create the target shard table, dropping any orphan left behind by
-	// a previously interrupted move (the target never holds a live
-	// placement at this point — the metadata still routes to the source)
-	if err := fault.CheckKey(fault.PointRebalanceMove, "create_shard"); err != nil {
-		return fmt.Errorf("moving shard %d: %w", sh.ID, err)
-	}
-	var cleanErr error
-	n.withNodeConn(to, func(c *wire.Conn) error {
-		_, cleanErr = c.Query("DROP TABLE IF EXISTS " + shardName)
-		return cleanErr
-	})
-	if cleanErr != nil {
-		return cleanErr
-	}
-	if err := n.createShardOnNode(s, to, sh, ct, indexes); err != nil {
-		return err
-	}
-
-	// 2. snapshot copy while the source keeps serving traffic; remember
-	// the WAL position first so the delta can be replayed, and hold the
-	// source's log from there on until it has been
-	if err := fault.CheckKey(fault.PointRebalanceMove, "snapshot_copy"); err != nil {
-		return fmt.Errorf("moving shard %d: %w", sh.ID, err)
-	}
-	walHold, err := n.holdRemoteWAL(from)
-	if err != nil {
-		return err
-	}
-	defer walHold.Release()
-	walPos := walHold.LSN() - 1
-	if err := n.copyShardRows(from, to, shardName); err != nil {
-		return err
-	}
-
-	// 3. block writes briefly, replay the WAL delta, flip the metadata
-	release := n.fence(metadata.ShardGroupID(colocationID, sh.Index))
-	defer release()
-	if err := fault.CheckKey(fault.PointRebalanceMove, "catchup"); err != nil {
-		return fmt.Errorf("moving shard %d: %w", sh.ID, err)
-	}
-	if err := n.replayShardDelta(from, to, shardName, walPos); err != nil {
-		return err
-	}
-	if err := fault.CheckKey(fault.PointRebalanceMove, "metadata_flip"); err != nil {
-		return fmt.Errorf("moving shard %d: %w", sh.ID, err)
-	}
-	if err := n.Meta.MovePlacement(sh.ID, from, to); err != nil {
-		return err
-	}
-	// 4. drop the source shard (the move is already durable in the
-	// metadata: a failure here strands an orphan source table but queries
-	// route to the new placement)
-	if err := fault.CheckKey(fault.PointRebalanceMove, "drop_source"); err != nil {
-		return fmt.Errorf("moving shard %d: %w", sh.ID, err)
-	}
-	var derr error
-	n.withNodeConn(from, func(c *wire.Conn) error {
-		_, derr = c.Query("DROP TABLE IF EXISTS " + shardName)
-		return derr
-	})
-	return derr
+	return ""
 }
 
-// holdRemoteWAL takes a node's current WAL position — the holder's LSN is
-// the first a delta replay will read — and keeps the node's checkpoints from
-// cutting the log above it until the holder is released. For remote nodes we
-// reach the log through the loopback engines (the cluster runs in-process);
-// a networked deployment would use a replication slot.
-func (n *Node) holdRemoteWAL(nodeID int) (*wal.Holder, error) {
-	eng, ok := n.peerEngine(nodeID)
-	if !ok {
-		return nil, fmt.Errorf("node %d engine is not reachable for replication", nodeID)
+// blockWrites takes the exclusive relation lock on the source shards in
+// block's transaction. It waits out their open and prepared writers, and
+// every later writer of the group queues behind it, so it waits at most one
+// deadlock-detection interval of the coordinator's: by then a detector has
+// broken any cycle through the move, and a writer still in the way is idle
+// or unresolved. The move then cancels its own request, the queued writers
+// go ahead, and the move fails with ErrWriteBlockTimeout. With the detector
+// off, the wait has no limit.
+func (n *Node) blockWrites(block *engine.Session, names []string) error {
+	if n.Cfg.DeadlockInterval <= 0 {
+		return block.LockExclusive(names...)
 	}
-	return eng.WAL.Hold("shard_move"), nil
+	timer := time.AfterFunc(n.Cfg.DeadlockInterval, block.Txn().Cancel)
+	err := block.LockExclusive(names...)
+	if !timer.Stop() {
+		return ErrWriteBlockTimeout
+	}
+	return err
 }
 
 // RegisterPeerEngine exposes a peer node's engine for shard-move
@@ -235,117 +357,4 @@ func (n *Node) peerEngine(nodeID int) (*engine.Engine, bool) {
 	defer n.mu.Unlock()
 	e, ok := n.peers[nodeID]
 	return e, ok
-}
-
-// copyShardRows streams the current contents of a shard to the target.
-func (n *Node) copyShardRows(from, to int, shardName string) error {
-	var rows []types.Row
-	var cols []string
-	var qerr error
-	n.withNodeConn(from, func(c *wire.Conn) error {
-		var res *engine.Result
-		res, qerr = c.Query("SELECT * FROM " + shardName)
-		if qerr == nil {
-			rows, cols = res.Rows, res.Columns
-		}
-		return qerr
-	})
-	if qerr != nil {
-		return qerr
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	var cerr error
-	n.withNodeConn(to, func(c *wire.Conn) error {
-		_, cerr = c.Copy(shardName, cols, rows)
-		return cerr
-	})
-	return cerr
-}
-
-// replayShardDelta applies committed WAL changes to the shard since pos —
-// the logical-replication catchup step. It fails if the source's log no
-// longer holds the records after pos (the source restarted under the move
-// and its new log, which the move does not hold, was cut): replaying what
-// is left would silently drop writes.
-func (n *Node) replayShardDelta(from, to int, shardName string, pos int64) error {
-	src, ok := n.peerEngine(from)
-	if !ok {
-		return fmt.Errorf("node %d engine is not reachable for replication", from)
-	}
-	recs, err := src.WAL.Since(pos)
-	if err != nil {
-		return fmt.Errorf("moving %s: %w", shardName, err)
-	}
-	committed := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Type == wal.RecCommit || r.Type == wal.RecCommitPrepared {
-			committed[r.XID] = true
-		}
-	}
-	var deltaIns, deltaDel []types.Row
-	for _, r := range recs {
-		if r.Table != shardName || !committed[r.XID] {
-			continue
-		}
-		switch r.Type {
-		case wal.RecInsert:
-			deltaIns = append(deltaIns, r.Row)
-		case wal.RecDelete:
-			deltaDel = append(deltaDel, r.Row)
-		}
-	}
-	if len(deltaIns) == 0 && len(deltaDel) == 0 {
-		return nil
-	}
-	var rerr error
-	n.withNodeConn(to, func(c *wire.Conn) error {
-		for _, row := range deltaDel {
-			// delete by full-row image
-			_, rerr = c.Query(deleteByImageSQL(shardName, row, to, n))
-			if rerr != nil {
-				return rerr
-			}
-		}
-		if len(deltaIns) > 0 {
-			var cols []string
-			if tbl, ok := n.Eng.Catalog.Get(shardTableBase(shardName)); ok {
-				cols = tbl.ColumnNames()
-			}
-			_, rerr = c.Copy(shardName, cols, deltaIns)
-		}
-		return rerr
-	})
-	return rerr
-}
-
-// shardTableBase strips the shard id suffix to find the logical table name.
-func shardTableBase(shardName string) string {
-	for i := len(shardName) - 1; i >= 0; i-- {
-		if shardName[i] == '_' {
-			return shardName[:i]
-		}
-	}
-	return shardName
-}
-
-// deleteByImageSQL builds a DELETE matching a full row image.
-func deleteByImageSQL(shardName string, row types.Row, nodeID int, n *Node) string {
-	tbl, ok := n.Eng.Catalog.Get(shardTableBase(shardName))
-	if !ok {
-		return "DELETE FROM " + shardName + " WHERE false"
-	}
-	q := "DELETE FROM " + shardName + " WHERE "
-	for i, c := range tbl.Columns {
-		if i > 0 {
-			q += " AND "
-		}
-		if i < len(row) && row[i] != nil {
-			q += c.Name + " = " + types.QuoteLiteral(row[i])
-		} else {
-			q += c.Name + " IS NULL"
-		}
-	}
-	return q
 }

@@ -5,6 +5,7 @@ import (
 
 	"citusgo/internal/columnar"
 	"citusgo/internal/heap"
+	"citusgo/internal/txn"
 	"citusgo/internal/types"
 	"citusgo/internal/wal"
 )
@@ -51,12 +52,7 @@ func (e *Engine) Checkpoint() bool {
 	defer e.ddlMu.Unlock()
 	at, open := e.WAL.BeginCheckpoint()
 	snap := e.Txns.TakeSnapshot(nil)
-	redo := at
-	for xid := range snap.InProgress {
-		if lsn, ok := open[xid]; ok && lsn < redo {
-			redo = lsn
-		}
-	}
+	b := newBase(at, open, snap)
 
 	img := &image{}
 	e.mu.RLock()
@@ -73,23 +69,75 @@ func (e *Engine) Checkpoint() bool {
 		if st.col != nil {
 			ti.stripes = st.col.FrozenStripes(e.Txns, snap)
 		} else {
-			// AllTuples, not Scan: the walk is not a query and must not
-			// evict what queries keep in the buffer pool
-			ti.rows = make([]types.Row, 0, max(st.heap.EstimatedRows(), 0))
-			st.heap.AllTuples(func(_ heap.TID, tup heap.Tuple) bool {
-				if heap.Visible(e.Txns, snap, tup) {
-					ti.rows = append(ti.rows, tup.Row)
-				}
-				return true
-			})
+			ti.rows = e.heapRows(st, snap)
 		}
 		img.tables = append(img.tables, ti)
 	}
-	return e.WAL.Checkpoint(&wal.Base{
-		Redo: redo, At: at,
-		Xmax: snap.Xmax, InProgress: snap.InProgress,
-		Image: img,
+	b.Image = img
+	return e.WAL.Checkpoint(b)
+}
+
+// newBase places a snapshot taken right after the log stood at at, with the
+// transactions open then (wal.Log.BeginCheckpoint), in the log: replay of
+// the records from Redo, skipping those of the transactions the snapshot
+// saw ended, carries what it saw forward.
+func newBase(at int64, open map[uint64]int64, snap txn.Snapshot) *wal.Base {
+	redo := at
+	for xid := range snap.InProgress {
+		if lsn, ok := open[xid]; ok && lsn < redo {
+			redo = lsn
+		}
+	}
+	return &wal.Base{Redo: redo, At: at, Xmax: snap.Xmax, InProgress: snap.InProgress}
+}
+
+// heapRows is what snap sees of a heap table. AllTuples, not Scan: the walk
+// is not a query and must not evict what queries keep in the buffer pool.
+func (e *Engine) heapRows(st *storage, snap txn.Snapshot) []types.Row {
+	rows := make([]types.Row, 0, max(st.heap.EstimatedRows(), 0))
+	st.heap.AllTuples(func(_ heap.TID, tup heap.Tuple) bool {
+		if heap.Visible(e.Txns, snap, tup) {
+			rows = append(rows, tup.Row)
+		}
+		return true
 	})
+	return rows
+}
+
+// CopyStart is the start point of a logical copy of some of the node's
+// tables, a shard move's (§3.4): the rows of each that one snapshot sees,
+// and where in the log the stream of what follows begins. It is taken the
+// way a checkpoint takes its base: the log's position first, under its
+// append lock, which here also holds the log from the first record of every
+// transaction then open; the snapshot after. Replaying the records from
+// start.Redo, less those of the transactions start.Settled, brings a copy of
+// the rows up to date. Release the holder once the copy has caught up.
+// The cluster runs in process, so a move reaches the source's log through
+// its engine; a networked deployment would use a replication slot created
+// with an exported snapshot.
+func (e *Engine) CopyStart(tables []string) (start *wal.Base, rows [][]types.Row, h *wal.Holder, err error) {
+	h, at, open := e.WAL.BeginHold("shard_move")
+	t := e.Txns.Begin() // keeps vacuum below the snapshot while it is read
+	defer e.Txns.Abort(t)
+	snap := e.Txns.TakeSnapshot(t)
+	for _, name := range tables {
+		st, ok := e.store(name)
+		if !ok {
+			h.Release()
+			return nil, nil, nil, fmt.Errorf("relation %q does not exist", name)
+		}
+		if st.heap != nil {
+			rows = append(rows, e.heapRows(st, snap))
+			continue
+		}
+		var rs []types.Row
+		st.col.Scan(e.Txns, snap, nil, func(r types.Row) bool {
+			rs = append(rs, r.Clone())
+			return true
+		})
+		rows = append(rows, rs)
+	}
+	return newBase(at, open, snap), rows, h, nil
 }
 
 // RecoverFrom makes this engine, fresh from New, the continuation of the

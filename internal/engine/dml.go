@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"citusgo/internal/catalog"
@@ -19,9 +20,9 @@ import (
 // INSERT
 
 func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Txn) (*Result, error) {
-	store, ok := s.Eng.store(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("relation %q does not exist", st.Table)
+	store, err := s.writeTarget(t, st.Table)
+	if err != nil {
+		return nil, err
 	}
 	target, err := newInsertTarget(store, st.Table, st.Columns, params)
 	if err != nil {
@@ -557,15 +558,15 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 		// in-progress deleter of this version.
 		key := lock.Key{Table: store.table.ID, Tuple: int64(cur)}
 		var err error
-		if s.TraceID != 0 && !s.Eng.Locks.TryAcquire(t.XID, key) {
+		if s.TraceID != 0 && !s.Eng.Locks.TryAcquire(t.XID, key, lock.Exclusive) {
 			// Contended and traced: the blocking wait gets its own span
 			// (uncontended acquisitions stay span-free, keeping the hot
 			// path cheap and the trace focused on actual waiting).
 			sp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "lock_wait", "")
-			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, t.AbortCh())
+			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, lock.Exclusive, t.AbortCh())
 			sp.Finish()
 		} else if s.TraceID == 0 {
-			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, t.AbortCh())
+			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, lock.Exclusive, t.AbortCh())
 		}
 		if err != nil {
 			return heap.NilTID, heap.Tuple{}, false, err
@@ -650,9 +651,9 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 }
 
 func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.Txn) (*Result, error) {
-	store, ok := s.Eng.store(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("relation %q does not exist", stmt.Table)
+	store, err := s.writeTarget(t, stmt.Table)
+	if err != nil {
+		return nil, err
 	}
 	targets, sc, err := s.collectTargets(store, stmt.Where, params, t)
 	if err != nil {
@@ -757,9 +758,9 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 }
 
 func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.Txn) (*Result, error) {
-	store, ok := s.Eng.store(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("relation %q does not exist", stmt.Table)
+	store, err := s.writeTarget(t, stmt.Table)
+	if err != nil {
+		return nil, err
 	}
 	targets, sc, err := s.collectTargets(store, stmt.Where, params, t)
 	if err != nil {
@@ -812,11 +813,13 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 	if !ok {
 		return nil, fmt.Errorf("FOR UPDATE is only supported on a single table")
 	}
-	store, ok := s.Eng.store(bt.Name)
-	if !ok {
-		return nil, fmt.Errorf("relation %q does not exist", bt.Name)
-	}
 	return s.execDML(func(t *txn.Txn) (*Result, error) {
+		// its row locks are a writer's: the relation lock keeps the table
+		// from being erased or moved under them
+		store, err := s.writeTarget(t, bt.Name)
+		if err != nil {
+			return nil, err
+		}
 		targets, sc, err := s.collectTargets(store, sel.Where, params, t)
 		if err != nil {
 			return nil, err
@@ -916,35 +919,65 @@ func (s *Session) CopyFrom(table string, columns []string, rows []types.Row) (in
 			return n, err
 		}
 	}
-	store, ok := s.Eng.store(table)
-	if !ok {
-		return 0, fmt.Errorf("relation %q does not exist", table)
-	}
-	target, err := newInsertTarget(store, table, columns, nil)
+	n := 0
+	err := s.WithTxn(func(t *txn.Txn) error {
+		store, err := s.writeTarget(t, table)
+		if err != nil {
+			return err
+		}
+		target, err := newInsertTarget(store, table, columns, nil)
+		if err != nil {
+			return err
+		}
+		for _, in := range rows {
+			full, err := target.build(in)
+			if err == nil {
+				_, _, err = s.insertRow(store, t, full, nil, nil)
+			}
+			if err != nil {
+				return err
+			}
+			n++
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	t, implicit := s.ensureTxn()
-	n := 0
-	for _, in := range rows {
-		full, err := target.build(in)
-		if err == nil {
-			_, _, err = s.insertRow(store, t, full, nil, nil)
-		}
-		if err != nil {
-			if implicit {
-				_ = s.finishImplicit(t, false)
-			} else {
-				s.txnFailed = true
-			}
-			return 0, err
-		}
-		n++
-	}
-	if implicit {
-		if err := s.finishImplicit(t, true); err != nil {
-			return 0, err
-		}
-	}
 	return n, nil
 }
+
+// writeTarget resolves the table a write (or a SELECT … FOR UPDATE) names
+// and takes t's shared relation lock on it, held to the end of t like a row
+// lock. DDL that would
+// erase or reshape the rows (TRUNCATE, DROP TABLE, ALTER TABLE) and a shard
+// move's write block take the lock exclusively, so they wait for t and t
+// waits for them. A write that waited resolves the name again: the holder
+// may have dropped the table, or moved it to another node and dropped this
+// copy. The statement then fails with ErrRelationGone having done nothing.
+func (s *Session) writeTarget(t *txn.Txn, name string) (*storage, error) {
+	store, ok := s.Eng.store(name)
+	if !ok {
+		return nil, fmt.Errorf("relation %q does not exist", name)
+	}
+	key := lock.TableKey(store.table.ID)
+	if s.Eng.Locks.TryAcquire(t.XID, key, lock.Shared) {
+		return store, nil
+	}
+	sp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "lock_wait", "")
+	err := s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, lock.Shared, t.AbortCh())
+	sp.Finish()
+	if err != nil {
+		return nil, err
+	}
+	if now, ok := s.Eng.store(name); !ok || now != store {
+		return nil, fmt.Errorf("relation %q does not exist: %w", name, ErrRelationGone)
+	}
+	return store, nil
+}
+
+// ErrRelationGone fails a write that waited for its table's relation lock
+// and found the table gone. The write has done nothing, so its transaction
+// stays usable: a coordinator plans the statement again against the shard's
+// new placement (a move) or reports the drop.
+var ErrRelationGone = errors.New("it was dropped or moved while the write waited for its lock")

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -902,7 +903,7 @@ func (s *Session) execStmtForward(stmt sql.Statement, params []types.Datum) (*Re
 	}
 
 	res, err := s.execute(stmt, params)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrRelationGone) {
 		s.abortFailedStatement()
 	}
 	if sp != nil {
@@ -932,10 +933,10 @@ func (s *Session) abortFailedStatement() {
 	s.txn = nil
 	s.txnFailed = true
 	s.Eng.Txns.Abort(t)
-	s.Eng.Locks.ReleaseAll(t.XID)
 	if t.DidWrite() {
 		s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID})
 	}
+	s.Eng.Locks.ReleaseAll(t.XID)
 }
 
 func (s *Session) execute(stmt sql.Statement, params []types.Datum) (*Result, error) {
@@ -997,7 +998,7 @@ func (s *Session) execDML(fn func(*txn.Txn) (*Result, error)) (*Result, error) {
 
 // statementFailed marks an explicit transaction failed.
 func (s *Session) statementFailed(err error) error {
-	if s.explicit {
+	if s.explicit && !errors.Is(err, ErrRelationGone) {
 		s.txnFailed = true
 	}
 	return err
@@ -1112,7 +1113,10 @@ func (s *Session) execFinishPrepared(gid string, commit bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Eng.Locks.ReleaseAll(t.XID)
+	// The outcome record goes into the log before the locks are released,
+	// as at every transaction end: whoever the release lets in (a shard
+	// move's write block) finds it there.
+	defer s.Eng.Locks.ReleaseAll(t.XID)
 	// FinishPrepared flips only the clog — no callbacks run (the owning
 	// session detached at PREPARE) — so SSI is finalized explicitly.
 	s.Eng.finalizePreparedSSI(t.XID, commit)

@@ -81,8 +81,9 @@ type oracleSession struct {
 	// touched are the heap keys the open transaction wrote, by table: a
 	// prepared transaction keeps their row locks until it is resolved
 	touched map[string][]int64
-	// locked are the tables the open transaction updated or deleted in
-	locked map[string]bool
+	// wrote are the tables the open transaction wrote to: it holds their
+	// relation locks shared until it ends, or is resolved once prepared
+	wrote map[string]bool
 }
 
 type oracleRun struct {
@@ -98,8 +99,8 @@ type oracleRun struct {
 	// pending lists those gids, oldest first
 	busy    map[string]map[string][]int64
 	pending []string
-	// busyTables are the tables a pending prepared transaction holds row
-	// locks in, by gid
+	// busyTables are the tables a pending prepared transaction wrote to, by
+	// gid
 	busyTables map[string]map[string]bool
 	nextCol    int
 }
@@ -118,7 +119,7 @@ func runRecoverySchedule(t *testing.T, seed uint64, holdLog bool) *Engine {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		r.sess = append(r.sess, &oracleSession{s: r.e.NewSession(), touched: map[string][]int64{}, locked: map[string]bool{}})
+		r.sess = append(r.sess, &oracleSession{s: r.e.NewSession(), touched: map[string][]int64{}, wrote: map[string]bool{}})
 	}
 	r.createTable("h0")
 	r.createTable("c0")
@@ -170,16 +171,16 @@ func (r *oracleRun) end(os *oracleSession, how string) {
 		_, _ = os.s.Exec("ROLLBACK")
 	}
 	os.open = false
-	os.touched, os.locked = map[string][]int64{}, map[string]bool{}
+	os.touched, os.wrote = map[string][]int64{}, map[string]bool{}
 }
 
-// rowLocked reports whether a transaction still open or prepared holds row
-// locks in table. Row locks name a TID, and TRUNCATE — which takes no lock
-// and is not transactional — hands the same TIDs out again: the next writer
-// of the table would wait for that transaction, here for ever.
-func (r *oracleRun) rowLocked(table string) bool {
+// written reports whether a transaction still open or prepared wrote to
+// table. DDL that erases or reshapes the table waits for it — in this
+// single-threaded schedule, for ever — so the schedule leaves the table's
+// DDL until it has ended.
+func (r *oracleRun) written(table string) bool {
 	for _, os := range r.sess {
-		if os.locked[table] {
+		if os.wrote[table] {
 			return true
 		}
 	}
@@ -205,7 +206,7 @@ func (r *oracleRun) step() {
 	os := r.sess[si]
 	defer func() {
 		if !os.open { // autocommit: the statement's locks are gone
-			os.touched, os.locked = map[string][]int64{}, map[string]bool{}
+			os.touched, os.wrote = map[string][]int64{}, map[string]bool{}
 		}
 	}()
 	switch op := r.pick(100); {
@@ -222,6 +223,7 @@ func (r *oracleRun) step() {
 		table := tables[r.pick(len(tables))]
 		key := r.nextKey
 		r.nextKey++
+		os.wrote[table] = true
 		r.exec(os, fmt.Sprintf("INSERT INTO %s (k, v, s) VALUES ($1, $2, $3)", table),
 			key, int64(r.pick(20)), fmt.Sprintf("s%d", r.pick(5)))
 		if table[0] == 'h' {
@@ -234,6 +236,7 @@ func (r *oracleRun) step() {
 			return
 		}
 		table := tables[r.pick(len(tables))]
+		os.wrote[table] = true
 		var rows []types.Row
 		for n := 1 + r.pick(6); n > 0; n-- {
 			key := r.nextKey
@@ -262,7 +265,7 @@ func (r *oracleRun) step() {
 			return
 		}
 		os.touched[table] = append(os.touched[table], key)
-		os.locked[table] = true
+		os.wrote[table] = true
 		if op < 50 {
 			r.exec(os, fmt.Sprintf("UPDATE %s SET v = $1 WHERE k = $2", table), int64(r.pick(20)), key)
 		} else {
@@ -280,7 +283,7 @@ func (r *oracleRun) step() {
 		if os.open {
 			gid := fmt.Sprintf("g%d", r.nextKey)
 			r.nextKey++
-			r.busy[gid], r.busyTables[gid] = os.touched, os.locked
+			r.busy[gid], r.busyTables[gid] = os.touched, os.wrote
 			r.pending = append(r.pending, gid)
 			r.end(os, "PREPARE TRANSACTION '"+gid+"'")
 		}
@@ -298,6 +301,9 @@ func (r *oracleRun) step() {
 		}
 	case op < 82: // CREATE or DROP TABLE, names reused
 		name := oracleTables[r.pick(len(oracleTables))]
+		if r.written(name) {
+			return
+		}
 		if r.live[name] {
 			_, _ = r.e.NewSession().Exec("DROP TABLE " + name)
 			r.live[name] = false
@@ -306,7 +312,7 @@ func (r *oracleRun) step() {
 		}
 	case op < 85:
 		if tables := r.liveTables(""); len(tables) > 0 {
-			if table := tables[r.pick(len(tables))]; !r.rowLocked(table) {
+			if table := tables[r.pick(len(tables))]; !r.written(table) {
 				_, _ = r.e.NewSession().Exec("TRUNCATE " + table)
 			}
 		}
@@ -317,8 +323,10 @@ func (r *oracleRun) step() {
 		}
 	case op < 89:
 		if tables := r.liveTables("h"); len(tables) > 0 {
-			r.nextCol++
-			_, _ = r.e.NewSession().Exec(fmt.Sprintf("ALTER TABLE %s ADD COLUMN x%d bigint", tables[r.pick(len(tables))], r.nextCol))
+			if table := tables[r.pick(len(tables))]; !r.written(table) {
+				r.nextCol++
+				_, _ = r.e.NewSession().Exec(fmt.Sprintf("ALTER TABLE %s ADD COLUMN x%d bigint", table, r.nextCol))
+			}
 		}
 	case op < 93:
 		r.e.Checkpoint()
@@ -327,11 +335,13 @@ func (r *oracleRun) step() {
 		if len(tables) == 0 {
 			return
 		}
-		insert := fmt.Sprintf("INSERT INTO %s (k, v, s) VALUES ($1, $2, $3)", tables[r.pick(len(tables))])
+		table := tables[r.pick(len(tables))]
+		insert := fmt.Sprintf("INSERT INTO %s (k, v, s) VALUES ($1, $2, $3)", table)
 		if !os.open {
 			r.exec(os, "BEGIN")
 			os.open = true
 		}
+		os.wrote[table] = true
 		r.exec(os, insert, r.nextKey, int64(r.pick(20)), "open")
 		_, _ = r.e.NewSession().Exec(insert, r.nextKey+1, int64(r.pick(20)), "committed")
 		r.nextKey += 2

@@ -1,0 +1,201 @@
+package engine
+
+import (
+	"errors"
+	"strings"
+	"testing"
+	"time"
+)
+
+// async runs q on s and returns the channel its error arrives on.
+func async(s *Session, q string) <-chan error {
+	ch := make(chan error, 1)
+	go func() {
+		_, err := s.Exec(q)
+		ch <- err
+	}()
+	return ch
+}
+
+// stillWaiting reports whether ch stays empty for a while: the statement
+// behind it is blocked.
+func stillWaiting(ch <-chan error) bool {
+	select {
+	case <-ch:
+		return false
+	case <-time.After(50 * time.Millisecond):
+		return true
+	}
+}
+
+// wait returns the statement's error, failing the test when it does not end.
+func wait(t *testing.T, ch <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("statement still blocked")
+		return nil
+	}
+}
+
+func openWriter(t *testing.T, e *Engine) *Session {
+	t.Helper()
+	mustExec(t, e.NewSession(), "CREATE TABLE r (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, e.NewSession(), "INSERT INTO r VALUES (1, 1)")
+	a := e.NewSession()
+	mustExec(t, a, "BEGIN")
+	mustExec(t, a, "INSERT INTO r VALUES (2, 2)")
+	return a
+}
+
+// TestTruncateWaitsForWriter: TRUNCATE waits for an open writer of the
+// table, so the writer's committed row cannot vanish behind a TRUNCATE that
+// had already returned — the serial order is the writer, then TRUNCATE.
+func TestTruncateWaitsForWriter(t *testing.T) {
+	e := newTestEngine(t)
+	a := openWriter(t, e)
+	ddl := async(e.NewSession(), "TRUNCATE r")
+	if !stillWaiting(ddl) {
+		t.Fatal("TRUNCATE returned while a writer of the table was open")
+	}
+	mustExec(t, a, "COMMIT")
+	if err := wait(t, ddl); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e.NewSession(), "INSERT INTO r VALUES (3, 3)")
+	if n := mustExec(t, e.NewSession(), "SELECT count(*) FROM r").Rows[0][0]; n != int64(1) {
+		t.Fatalf("count(*) = %v after writer, TRUNCATE, insert: want 1", n)
+	}
+}
+
+// TestDropTableWaitsForWriter: DROP TABLE waits for an open writer, whose
+// COMMIT therefore lands in a table that still exists.
+func TestDropTableWaitsForWriter(t *testing.T) {
+	e := newTestEngine(t)
+	a := openWriter(t, e)
+	ddl := async(e.NewSession(), "DROP TABLE r")
+	if !stillWaiting(ddl) {
+		t.Fatal("DROP TABLE returned while a writer of the table was open")
+	}
+	mustExec(t, a, "COMMIT")
+	if err := wait(t, ddl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.NewSession().Exec("SELECT count(*) FROM r"); err == nil {
+		t.Fatal("the table outlived DROP TABLE")
+	}
+}
+
+// TestAlterWaitsForWriter: ALTER TABLE … ADD COLUMN is ordered after an open
+// writer: it waits, and the writer's row gets the new column as NULL.
+func TestAlterWaitsForWriter(t *testing.T) {
+	e := newTestEngine(t)
+	a := openWriter(t, e)
+	ddl := async(e.NewSession(), "ALTER TABLE r ADD COLUMN w bigint")
+	if !stillWaiting(ddl) {
+		t.Fatal("ALTER TABLE returned while a writer of the table was open")
+	}
+	mustExec(t, a, "INSERT INTO r VALUES (3, 3)") // the writer is not held up
+	mustExec(t, a, "COMMIT")
+	if err := wait(t, ddl); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, e.NewSession(), "SELECT k, v, w FROM r ORDER BY k")
+	if len(res.Rows) != 3 || res.Rows[2][2] != nil {
+		t.Fatalf("rows after the ALTER: %v", res.Rows)
+	}
+}
+
+// TestReaderNotBlockedByWaitingDDL: a DDL queued for the exclusive lock
+// blocks later writers, never MVCC readers.
+func TestReaderNotBlockedByWaitingDDL(t *testing.T) {
+	e := newTestEngine(t)
+	a := openWriter(t, e)
+	ddl := async(e.NewSession(), "TRUNCATE r")
+	if !stillWaiting(ddl) {
+		t.Fatal("TRUNCATE did not wait")
+	}
+	read := async(e.NewSession(), "SELECT count(*) FROM r")
+	if err := wait(t, read); err != nil {
+		t.Fatal(err)
+	}
+	late := async(e.NewSession(), "INSERT INTO r VALUES (9, 9)")
+	if !stillWaiting(late) {
+		t.Fatal("a writer arriving behind the queued TRUNCATE went ahead of it")
+	}
+	mustExec(t, a, "COMMIT")
+	if err := wait(t, ddl); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(t, late); err != nil {
+		t.Fatal(err)
+	}
+	if n := mustExec(t, e.NewSession(), "SELECT count(*) FROM r").Rows[0][0]; n != int64(1) {
+		t.Fatalf("count(*) = %v, want the late insert alone", n)
+	}
+}
+
+// TestWriterWokenByDropKeepsItsBlock: a write that waits for a DROP TABLE
+// fails with ErrRelationGone, having done nothing, and its transaction block
+// stays usable — what lets a coordinator plan the write again elsewhere.
+func TestWriterWokenByDropKeepsItsBlock(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE r (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "CREATE TABLE other (k bigint PRIMARY KEY)")
+	d := e.NewSession()
+	mustExec(t, d, "BEGIN")
+	mustExec(t, d, "TRUNCATE r") // holds the exclusive lock to the block's end
+	w := e.NewSession()
+	mustExec(t, w, "BEGIN")
+	mustExec(t, w, "INSERT INTO other VALUES (1)")
+	write := async(w, "INSERT INTO r VALUES (1, 1)")
+	if !stillWaiting(write) {
+		t.Fatal("the write did not wait for the open TRUNCATE")
+	}
+	mustExec(t, d, "DROP TABLE r")
+	mustExec(t, d, "COMMIT")
+	if err := wait(t, write); !errors.Is(err, ErrRelationGone) {
+		t.Fatalf("write woken by the drop: %v, want ErrRelationGone", err)
+	}
+	mustExec(t, w, "INSERT INTO other VALUES (2)")
+	mustExec(t, w, "COMMIT")
+	if n := mustExec(t, s, "SELECT count(*) FROM other").Rows[0][0]; n != int64(2) {
+		t.Fatalf("the block lost its writes: %v rows", n)
+	}
+}
+
+// TestDDLWriterDeadlock: a DDL holding one table's exclusive lock waits for a
+// writer of a second table that waits for the first — a cycle the local
+// detector breaks within its interval by cancelling the younger side.
+func TestDDLWriterDeadlock(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE r1 (k bigint PRIMARY KEY)")
+	mustExec(t, s, "CREATE TABLE r2 (k bigint PRIMARY KEY)")
+	ddl, writer := e.NewSession(), e.NewSession()
+	mustExec(t, ddl, "BEGIN") // older
+	mustExec(t, ddl, "TRUNCATE r1")
+	mustExec(t, writer, "BEGIN")
+	mustExec(t, writer, "INSERT INTO r2 VALUES (1)")
+	truncate := async(ddl, "TRUNCATE r2")
+	if !stillWaiting(truncate) {
+		t.Fatal("TRUNCATE r2 did not wait for its writer")
+	}
+	start := time.Now()
+	write := async(writer, "INSERT INTO r1 VALUES (1)")
+	err := wait(t, write)
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("writer: %v, want the deadlock victim's error", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the cycle lasted %v with a 20ms detector", took)
+	}
+	mustExec(t, writer, "ROLLBACK")
+	if err := wait(t, truncate); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, ddl, "COMMIT")
+}

@@ -10,6 +10,7 @@ import (
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
+	"citusgo/internal/lock"
 	"citusgo/internal/sql"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
@@ -47,19 +48,25 @@ func (s *Session) ExecUtilityLocal(stmt sql.Statement) (*Result, error) {
 		}
 		return &Result{Tag: "CREATE INDEX"}, nil
 	case *sql.DropTableStmt:
-		if err := s.Eng.DropTable(st.Name, st.IfExists); err != nil {
+		if err := s.exclusive(st.Name, func() error { return s.Eng.DropTable(st.Name, st.IfExists) }); err != nil {
 			return nil, s.statementFailed(err)
 		}
 		return &Result{Tag: "DROP TABLE"}, nil
 	case *sql.TruncateStmt:
-		store, ok := s.Eng.store(st.Name)
-		if !ok {
-			return nil, s.statementFailed(fmt.Errorf("relation %q does not exist", st.Name))
+		err := s.exclusive(st.Name, func() error {
+			store, ok := s.Eng.store(st.Name)
+			if !ok {
+				return fmt.Errorf("relation %q does not exist", st.Name)
+			}
+			s.Eng.truncateStorage(store)
+			return nil
+		})
+		if err != nil {
+			return nil, s.statementFailed(err)
 		}
-		s.Eng.truncateStorage(store)
 		return &Result{Tag: "TRUNCATE TABLE"}, nil
 	case *sql.AlterTableAddColumnStmt:
-		if err := s.Eng.addColumn(st); err != nil {
+		if err := s.exclusive(st.Table, func() error { return s.Eng.addColumn(st) }); err != nil {
 			return nil, s.statementFailed(err)
 		}
 		return &Result{Tag: "ALTER TABLE"}, nil
@@ -72,6 +79,70 @@ func (s *Session) ExecUtilityLocal(stmt sql.Statement) (*Result, error) {
 		return s.execCall(st)
 	}
 	return nil, fmt.Errorf("unsupported statement %T", stmt)
+}
+
+// exclusive runs DDL that erases or reshapes a table's rows under the
+// table's exclusive relation lock, held to the end of the session's
+// transaction (the statement's own outside a block): it waits for the
+// writers holding the lock, and the writers that come after wait for it.
+// Replay takes no lock: the log it applies has ordered its DDL already.
+func (s *Session) exclusive(table string, ddl func() error) error {
+	if s.Eng.applyMode.Load() {
+		return ddl()
+	}
+	return s.WithTxn(func(t *txn.Txn) error {
+		if _, err := s.lockExclusive(t, table); err != nil {
+			return err
+		}
+		return ddl() // a missing table is the DDL's to report (IF EXISTS)
+	})
+}
+
+// lockExclusive takes t's exclusive relation lock on table, reporting
+// whether there is such a table.
+func (s *Session) lockExclusive(t *txn.Txn, table string) (bool, error) {
+	store, ok := s.Eng.store(table)
+	if !ok {
+		return false, nil
+	}
+	return true, s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, lock.TableKey(store.table.ID), lock.Exclusive, t.AbortCh())
+}
+
+// LockExclusive takes the exclusive relation lock on each table, in order,
+// for the session's open transaction block, which keeps them to its end —
+// PostgreSQL's LOCK TABLE. A shard move takes it on the source shards of the
+// group it is about to flip (§3.4): it waits out their open and prepared
+// writers, and holds off every later one, whichever coordinator sent it.
+func (s *Session) LockExclusive(tables ...string) error {
+	if !s.InTransaction() {
+		return fmt.Errorf("LOCK TABLE can only be used in transaction blocks")
+	}
+	for _, name := range tables {
+		found, err := s.lockExclusive(s.txn, name)
+		if err == nil && !found {
+			err = fmt.Errorf("relation %q does not exist", name)
+		}
+		if err != nil {
+			return s.statementFailed(err)
+		}
+	}
+	return nil
+}
+
+// CancelWaiters cancels the transactions queued on the relation locks of the
+// tables. A shard move whose source copy survives the flip (its drop failed)
+// calls it before it ends its write block: the writes it held off were
+// planned against the old placement, and must not land on the orphan.
+func (e *Engine) CancelWaiters(tables ...string) {
+	for _, name := range tables {
+		if store, ok := e.store(name); ok {
+			for _, xid := range e.Locks.Waiters(lock.TableKey(store.table.ID)) {
+				if t, ok := e.Txns.Active(xid); ok {
+					t.Cancel()
+				}
+			}
+		}
+	}
 }
 
 func (s *Session) execCall(st *sql.CallStmt) (*Result, error) {
@@ -475,6 +546,32 @@ type replayTarget struct{ e *Engine }
 
 // ReplayTarget returns the wal.Applier that rebuilds this engine from a log.
 func (e *Engine) ReplayTarget() wal.Applier { return replayTarget{e} }
+
+// ApplyTxn applies one committed transaction of another node's log — its
+// insert and delete records, in order, through wal.ApplyRecord — as a
+// transaction of this node, logged here like any other: the apply half of a
+// shard move's catch-up (§3.4). A delete takes away one live row with the
+// image's values, as replay does.
+func (e *Engine) ApplyTxn(recs []wal.Record) error {
+	if e.Crashed() {
+		return fmt.Errorf("node %s is down", e.Name)
+	}
+	t := e.Txns.Begin()
+	for _, rec := range recs {
+		rec.XID = t.XID
+		if err := wal.ApplyRecord(replayTarget{e}, rec); err != nil {
+			e.Txns.Abort(t)
+			e.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID})
+			return err
+		}
+		e.WAL.Append(rec)
+	}
+	if err := e.Txns.Commit(t); err != nil {
+		return err
+	}
+	e.WAL.Append(wal.Record{Type: wal.RecCommit, XID: t.XID})
+	return nil
+}
 
 func (r replayTarget) ApplyDDL(ddl string) error {
 	stmt, err := sql.Parse(ddl)

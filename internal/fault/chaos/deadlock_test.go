@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -129,5 +130,53 @@ func TestNoFalseVictimWhenPollsDrop(t *testing.T) {
 	}
 	if _, err := s2.Exec("COMMIT"); err != nil {
 		t.Fatalf("s2 commit: %v (seed %d)", err, h.Seed)
+	}
+}
+
+// TestMoveOpenBlockDeadlock: a shard move blocking writes to a co-located
+// group waits for an open block that wrote to one of its shards, while the
+// block waits behind the move's exclusive lock on the other. The source's
+// deadlock detector breaks the cycle within its interval by cancelling the
+// younger side, the move: it fails retryably, placements as they were, and
+// the block commits.
+func TestMoveOpenBlockDeadlock(t *testing.T) {
+	m := newMoveSetup(t, Options{})
+	m.h.CreateTable("mw")
+	k := m.onShard[0]
+	m.h.MustExec("INSERT INTO mw (k, v) VALUES ($1, 0)", k)
+	w := m.h.C.Session()
+	for _, q := range []string{"BEGIN", "UPDATE mw SET v = 1 WHERE k = $1"} {
+		if _, err := w.Exec(q, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := m.start()
+	// the move takes its lock on mv's shard, then waits for the block on mw's
+	src := m.h.C.Engines[m.from-1]
+	for deadline := time.Now().Add(5 * time.Second); len(src.LockGraph()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the move never waited for the open block")
+		}
+	}
+	start := time.Now()
+	if _, err := w.Exec("UPDATE mv SET v = 1 WHERE k = $1", k); err != nil {
+		t.Fatalf("the block lost the deadlock: %v", err)
+	}
+	err := <-moved
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("move: %v, want it cancelled as the deadlock victim", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("the cycle lasted %v under a 20ms detector", took)
+	}
+	if cur, _ := m.h.C.Meta.PrimaryPlacement(m.sh.ID); cur != m.from {
+		t.Fatalf("the cancelled move left the group on %d", cur)
+	}
+	if _, err := w.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	m.moved(m.h.C.Coordinator().MoveShardPlacement(m.h.S, m.sh.ID, m.from, m.to))
+	if v := m.value("mv", k); v != 1 {
+		t.Fatalf("v = %d after the retried move, want the block's 1", v)
 	}
 }

@@ -20,6 +20,8 @@ import (
 //     always hold the same batch value (all-or-none);
 //   - recovery leaves no dangling prepared transactions.
 //
+// It ends with one cell of the shard-move matrix.
+//
 // The seed is logged on every run; failures reproduce with FAULT_SEED=<n>.
 func TestChaosSmoke(t *testing.T) {
 	h := New(t, Options{
@@ -153,4 +155,9 @@ func TestChaosSmoke(t *testing.T) {
 	if committed == 0 {
 		t.Fatalf("no writer ever committed — cluster never made progress (seed %d)", h.Seed)
 	}
+
+	// One cell of the shard-move matrix (TestRebalanceMoveMatrix): a 2PC
+	// writer held off by a move's write block, the move failing at its flip,
+	// then a retried move with a writer planned again behind it.
+	t.Run("move", func(t *testing.T) { runMoveCell(t, "metadata_flip", "2pc") })
 }

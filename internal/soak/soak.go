@@ -59,10 +59,11 @@ const (
 	ClassILike   = "ilike"
 	ClassLedger  = "ledger"
 	ClassSSIBank = "ssibank"
+	ClassMove    = "move"
 )
 
 // Classes lists every workload class in report order.
-var Classes = []string{ClassTPCC, ClassYCSB, ClassILike, ClassLedger, ClassSSIBank}
+var Classes = []string{ClassTPCC, ClassYCSB, ClassILike, ClassLedger, ClassSSIBank, ClassMove}
 
 var (
 	metOps = obs.Default().Counter("soak_ops_total",
@@ -175,6 +176,7 @@ var classRates = map[string]float64{
 	ClassILike:   8,
 	ClassLedger:  12,
 	ClassSSIBank: 30,
+	ClassMove:    0.5,
 }
 
 // classSLOs are deliberately loose: the point of the report is the
@@ -186,6 +188,7 @@ var classSLOs = map[string]SLO{
 	ClassILike:   {P50: 100 * time.Millisecond, P99: time.Second, P999: 4 * time.Second},
 	ClassLedger:  {P50: 100 * time.Millisecond, P99: time.Second, P999: 4 * time.Second},
 	ClassSSIBank: {P50: 50 * time.Millisecond, P99: 500 * time.Millisecond, P999: 2 * time.Second},
+	ClassMove:    {P50: time.Second, P99: 4 * time.Second, P999: 8 * time.Second},
 }
 
 // runner is one soak run's live state.
@@ -307,8 +310,8 @@ func Run(cfg Config) (*Report, error) {
 		r.wg.Add(1)
 		go r.dispatch(d, int64(i))
 		workers := maxInFlight
-		if d.name == ClassLedger {
-			workers = 1 // the ledger is a single sequential writer by design
+		if d.name == ClassLedger || d.name == ClassMove {
+			workers = 1 // one ledger writer by design; one move of the group at a time
 		}
 		for wi := 0; wi < workers; wi++ {
 			w := &classWorker{
@@ -416,6 +419,8 @@ func (r *runner) setup() error {
 			d.op = r.opLedger
 		case ClassSSIBank:
 			d.op = r.opBank
+		case ClassMove:
+			d.op = r.opMove
 		}
 		r.classes = append(r.classes, d)
 	}

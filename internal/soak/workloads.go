@@ -1,6 +1,6 @@
 package soak
 
-// The five workload-class operations. Each op runs on one classWorker's
+// The six workload-class operations. Each op runs on one classWorker's
 // coordinator session; errors are classified by the caller (retryable
 // serialization/deadlock aborts vs real errors). The ledger and bank
 // classes carry extra state because they feed invariant checks.
@@ -11,21 +11,26 @@ import (
 	"strings"
 	"sync"
 
+	"citusgo/internal/citus"
+	"citusgo/internal/engine"
 	"citusgo/internal/fault"
 	"citusgo/internal/ssi"
 	"citusgo/internal/workload/gharchive"
 )
 
 // isRetryable classifies errors that a production client would simply
-// retry: serialization failures (SSI pivot aborts) and deadlock victims.
-// Everything else (crashed nodes, injected faults, sync-repl timeouts)
-// counts as an error.
+// retry: serialization failures (SSI pivot aborts), deadlock victims, a
+// multi-shard write that waited out a shard move and found one of its
+// shards moved (the statement fails whole), and a move that gave way to the
+// group's writers. Everything else (crashed nodes, injected faults,
+// sync-repl timeouts) counts as an error.
 func isRetryable(err error) bool {
-	if errors.Is(err, ssi.ErrSerializationFailure) {
+	if errors.Is(err, ssi.ErrSerializationFailure) || errors.Is(err, citus.ErrWriteBlockTimeout) {
 		return true
 	}
 	msg := err.Error()
-	return strings.Contains(msg, "could not serialize") || strings.Contains(msg, "deadlock")
+	return strings.Contains(msg, "could not serialize") || strings.Contains(msg, "deadlock") ||
+		strings.Contains(msg, engine.ErrRelationGone.Error())
 }
 
 // ---------------------------------------------------------------------------
@@ -190,6 +195,33 @@ func (l *ledgerState) ack(batch int64) {
 	l.mu.Lock()
 	l.acked = append(l.acked, batch)
 	l.mu.Unlock()
+}
+
+// ---------------------------------------------------------------------------
+// Shard moves (the rebalancer under traffic)
+
+// opMove moves the shard group of the ledger's first key — its ledger row,
+// the log's shard of the same index and every other co-located shard of it
+// — to another worker, and the next time on, under the mixed traffic, with
+// the acked-write and 2PC-atomicity checks watching the ledger.
+func (r *runner) opMove(w *classWorker) error {
+	if r.failoverActive.Load() {
+		return nil
+	}
+	sh, err := r.c.Meta.ShardForValue("soak_ledger", r.ledger.keys[0])
+	if err != nil {
+		return err
+	}
+	from, err := r.c.Meta.PrimaryPlacement(sh.ID)
+	if err != nil {
+		return err
+	}
+	for _, n := range r.c.Meta.WorkerNodes() {
+		if n.ID != from && !n.Down {
+			return r.c.Coordinator().MoveShardPlacement(w.sess, sh.ID, from, n.ID)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

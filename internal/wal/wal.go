@@ -148,8 +148,8 @@ type Base struct {
 	Image any
 }
 
-// settled reports whether the image's snapshot saw xid ended.
-func (b *Base) settled(xid uint64) bool {
+// Settled reports whether the image's snapshot saw xid ended.
+func (b *Base) Settled(xid uint64) bool {
 	if xid >= b.Xmax {
 		return false
 	}
@@ -462,11 +462,30 @@ func (l *Log) holdLocked(kind string, lsn int64) *Holder {
 func (l *Log) BeginCheckpoint() (at int64, open map[uint64]int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.beginLocked()
+}
+
+func (l *Log) beginLocked() (at int64, open map[uint64]int64) {
 	open = make(map[uint64]int64, len(l.open))
 	for xid, lsn := range l.open {
 		open[xid] = lsn
 	}
 	return l.nextLSN, open
+}
+
+// BeginHold is BeginCheckpoint for a reader of the records that follow the
+// position, a shard move's catch-up: under the same lock it holds the log
+// from the first record of the oldest transaction then open (from at when
+// none is).
+func (l *Log) BeginHold(kind string) (h *Holder, at int64, open map[uint64]int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	at, open = l.beginLocked()
+	from := at
+	for _, lsn := range open {
+		from = min(from, lsn)
+	}
+	return l.holdLocked(kind, from), at, open
 }
 
 // Checkpoint puts b under the log and cuts the records nobody can need any
@@ -618,7 +637,7 @@ func (l *Log) RecoverInto(dst *Log, a Applier, upTo int64) error {
 		}
 	}
 	skip := func(r Record) bool {
-		if base != nil && base.settled(r.XID) {
+		if base != nil && base.Settled(r.XID) {
 			return true
 		}
 		if r.LSN < wiped[r.Table] {
@@ -662,7 +681,7 @@ func (l *Log) RecoverInto(dst *Log, a Applier, upTo int64) error {
 		case RecAbort:
 			a.ApplyAbort(r.XID)
 		case RecPrepare:
-			if base != nil && base.settled(r.XID) {
+			if base != nil && base.Settled(r.XID) {
 				continue // resolved before the image was taken
 			}
 			switch gidOutcome[r.GID] {
