@@ -78,7 +78,13 @@ race:
 # an open writer across the block, a co-located join mid-move, an MX writer,
 # the start point), its deadlock with an open block, a move giving way to an
 # idle writer, and the matrix of two co-located tables x every stage x
-# {autocommit, open block, 2PC, multi-shard} writers
+# {autocommit, open block, 2PC, multi-shard} writers; and 20 times under
+# -race, the wake-ups that replaced the sleep-poll loops: the notifier itself
+# (a broadcast wakes, a timed-out wait leaves no one parked, no wake-up lost
+# among concurrent writers and waiters), a checkpoint waking a parked stream,
+# a sync wait woken by its lagging standby's failure, a promotion flipping as
+# its winner reaches the tip, a sync commit costing only the standby's apply,
+# and a session parked on the connection limit proceeding on a Put or Discard
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
@@ -97,6 +103,9 @@ stress:
 	go test -race -run 'TestSharedRelationLock|TestUpgradeSoleSharedHolder|TestSharedWaitEdges' -count=20 -timeout 10m ./internal/lock
 	go test -race -run 'TestTruncateWaitsForWriter|TestDropTableWaitsForWriter|TestAlterWaitsForWriter|TestReaderNotBlockedByWaitingDDL|TestWriterWokenByDropKeepsItsBlock|TestDDLWriterDeadlock' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestMove|TestRebalanceMoveMatrix' -count=20 -timeout 10m ./internal/fault/chaos
+	go test -race -run 'TestBroadcastWakesWaiter|TestTimedOutWaitLeavesNoOneParked|TestWakeNeverMissed|TestCheckpointWakesParkedStream|TestWaitSyncWakesWhenLaggingStandbyFails|TestPromoteReturnsWhenWinnerReachesTip|TestWaitFreeWakesOnPutAndDiscard' -count=20 -timeout 10m ./internal/wake ./internal/wal ./internal/repl ./internal/pool
+	go test -race -run 'TestSyncCommitLatency' -count=20 -timeout 10m ./internal/cluster
+	go test -race -run 'TestParkedSessionProceedsOnPutOrDiscard' -count=20 -timeout 10m ./internal/citus
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
@@ -213,8 +222,10 @@ soak-smoke:
 # engine rebuilt from base + tail, one
 # rebuilt from the whole log and the live one must agree), and the index
 # oracle (a byte script driving a B-tree and a GIN against a sorted slice and
-# a map, every search compared after every step); longer local runs just
-# extend the same corpus:
+# a map, every search compared after every step), and the SQL parser (parse
+# never panics; parse -> deparse -> parse is a fixed point, seeded with the
+# SQL strings of its tests and of the workload generators); longer local runs
+# just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzCodecParity -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzPipelineSeq -fuzztime 10m
@@ -222,6 +233,7 @@ soak-smoke:
 #   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzRecovery -fuzztime 10m
 #   go test ./internal/index -fuzz FuzzIndex -fuzztime 10m
+#   go test ./internal/sql -fuzz FuzzParseDeparse -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
@@ -230,6 +242,7 @@ fuzz-smoke:
 	go test ./internal/jsonb -run '^$$' -fuzz FuzzJSONB -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzRecovery -fuzztime 15s
 	go test ./internal/index -run '^$$' -fuzz FuzzIndex -fuzztime 15s
+	go test ./internal/sql -run '^$$' -fuzz FuzzParseDeparse -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

@@ -128,6 +128,5 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	fmt.Println("\nciutsd: shutting down")
-	time.Sleep(100 * time.Millisecond)
+	fmt.Println("\ncitusd: shutting down")
 }

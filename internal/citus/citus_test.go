@@ -614,6 +614,71 @@ func TestStoredProcedureDelegation(t *testing.T) {
 	expectRows(t, mustExec(t, s, "SELECT total FROM wh WHERE w_id = 2"), "70")
 }
 
+// TestCallIsOneTransaction: the statements of a procedure run in its CALL's
+// transaction, whether the coordinator runs the CALL or delegates it to the
+// worker that owns its distribution argument: a procedure that writes two
+// rows and then fails leaves neither, and one that succeeds leaves both.
+func TestCallIsOneTransaction(t *testing.T) {
+	c := newCluster(t, 2)
+	for _, eng := range c.Engines {
+		eng.RegisterProcedure("put_two", func(s *engine.Session, args []types.Datum) error {
+			for i, k := range args[:2] {
+				if _, err := s.Exec("INSERT INTO ct (k, v) VALUES ($1, $2)", k, int64(i)); err != nil {
+					return err
+				}
+			}
+			if args[2].(bool) {
+				return fmt.Errorf("put_two fails after its inserts")
+			}
+			return nil
+		})
+	}
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE ct (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('ct', 'k')")
+	keys := keysOnWorkers(t, c, "ct", 4)
+	// the coordinator runs the CALL: two inserts, one per worker
+	if _, err := s.Exec(fmt.Sprintf("CALL put_two(%d, %d, true)", keys[0], keys[1])); err == nil {
+		t.Fatal("the failing procedure succeeded")
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM ct"), "0")
+	mustExec(t, s, fmt.Sprintf("CALL put_two(%d, %d, false)", keys[0], keys[1]))
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM ct"), "2")
+
+	// delegated: the worker that owns the first argument runs the CALL
+	mustExec(t, s, "SELECT start_metadata_sync_to_node('worker1')")
+	mustExec(t, s, "SELECT start_metadata_sync_to_node('worker2')")
+	for _, node := range c.Nodes {
+		node.RegisterDistributedProcedure("put_two", citus.DistProcedure{ArgIndex: 0, ColocatedWith: "ct"})
+	}
+	if _, err := s.Exec(fmt.Sprintf("CALL put_two(%d, %d, true)", keys[2], keys[3])); err == nil {
+		t.Fatal("the failing delegated procedure succeeded")
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM ct"), "2")
+	mustExec(t, s, fmt.Sprintf("CALL put_two(%d, %d, false)", keys[2], keys[3]))
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM ct"), "4")
+}
+
+// keysOnWorkers returns n distinct keys of table, alternating between the
+// cluster's two workers.
+func keysOnWorkers(t *testing.T, c *cluster.Cluster, table string, n int) []int64 {
+	t.Helper()
+	var keys []int64
+	for k := int64(1); len(keys) < n && k < 10000; k++ {
+		sh, err := c.Meta.ShardForValue(table, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node, err := c.Meta.PrimaryPlacement(sh.ID); err == nil && node == 2+len(keys)%2 {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < n {
+		t.Fatalf("found %d keys of %s alternating between the workers", len(keys), table)
+	}
+	return keys
+}
+
 func TestSingleNodeCluster(t *testing.T) {
 	// "the smallest possible Citus cluster is a single server" (§3.2)
 	c := newCluster(t, 0)

@@ -92,7 +92,7 @@ func (n *Node) executeTasks(s *engine.Session, tasks []task) ([]*engine.Result, 
 		return nil, nil
 	}
 	n.inflight.Add(1)
-	defer n.inflight.Add(-1)
+	defer n.executorDone()
 	st := n.state(s)
 
 	writeTasks := 0
@@ -522,7 +522,7 @@ func (n *Node) acquireConn(p *pool.NodePool, nodeID int, mustHave bool) (*worker
 			return nil, err
 		}
 		metConnWaits.Inc()
-		time.Sleep(200 * time.Microsecond)
+		p.WaitFree()
 	}
 }
 

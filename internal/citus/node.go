@@ -25,6 +25,7 @@ import (
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
 	"citusgo/internal/pool"
+	"citusgo/internal/wake"
 	"citusgo/internal/wal"
 	"citusgo/internal/wire"
 )
@@ -140,10 +141,12 @@ type Node struct {
 	// contract is met (sync: all standbys acked; async: lag within bound).
 	SyncWaiter func(nodeID int) error
 
-	// inflight counts executeTasks invocations in progress; readRR is the
-	// round-robin cursor for replica-read placement choice; nodeLat caches
-	// the per-node task-latency histogram children.
+	// inflight counts executeTasks invocations in progress, and idle wakes
+	// WaitExecutorIdle when it drops to zero; readRR is the round-robin
+	// cursor for replica-read placement choice; nodeLat caches the per-node
+	// task-latency histogram children.
 	inflight atomic.Int64
+	idle     wake.Notifier
 	readRR   atomic.Uint64
 	nodeLat  sync.Map // int -> *obs.Histogram
 }
@@ -247,14 +250,15 @@ func (n *Node) Close() {
 // quiesce gate: rewiring dialers while an executor retry loop holds a
 // connection to the old engine incarnation races the retry's re-dial.
 func (n *Node) WaitExecutorIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for n.inflight.Load() != 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(100 * time.Microsecond)
+	return n.idle.Wait(time.Now().Add(timeout), func() bool { return n.inflight.Load() == 0 })
+}
+
+// executorDone ends an executeTasks call; the last one out wakes
+// WaitExecutorIdle.
+func (n *Node) executorDone() {
+	if n.inflight.Add(-1) == 0 {
+		n.idle.Broadcast()
 	}
-	return true
 }
 
 // RegisterDistributedProcedure enables worker delegation for a stored

@@ -348,6 +348,59 @@ func TestRefreshUnderLimitGetsItsSlotBack(t *testing.T) {
 	}
 }
 
+// TestParkedSessionProceedsOnPutOrDiscard: a session parked on a saturated
+// shared connection limit proceeds when the session holding the slot gives
+// its connection back — to the pool at COMMIT (Put), or closed after it died
+// inside the block (Discard).
+func TestParkedSessionProceedsOnPutOrDiscard(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	c := pipelineCluster(t, citus.Config{MaxSharedPoolSize: 1})
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE pk (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('pk', 'k')")
+	key := keysOnNodes(t, c, "pk", 2)[0]
+	mustExec(t, s, "INSERT INTO pk (k, v) VALUES ($1, 0)", key)
+	for _, end := range []string{"put", "discard"} {
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, "UPDATE pk SET v = v + 1 WHERE k = $1", key) // worker 2's only slot
+		waitsFrom := obs.Default().Snapshot().Sum("executor_conn_waits_total")
+		parked := make(chan error, 1)
+		go func() {
+			_, err := c.Session().Exec("SELECT v FROM pk WHERE k = $1", key)
+			parked <- err
+		}()
+		for obs.Default().Snapshot().Sum("executor_conn_waits_total") == waitsFrom {
+			time.Sleep(100 * time.Microsecond) // until the second session is turned away at the limit
+		}
+		select {
+		case err := <-parked:
+			t.Fatalf("%s: the second session ran (%v) while the slot was held", end, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if end == "put" {
+			mustExec(t, s, "COMMIT")
+		} else {
+			fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "query", Action: fault.ActDropConn, Count: 1})
+			if _, err := s.Exec("UPDATE pk SET v = v + 1 WHERE k = $1", key); err == nil {
+				t.Fatal("discard: the UPDATE on a dropped connection succeeded")
+			}
+			fault.Reset()
+			mustExec(t, s, "ROLLBACK")
+		}
+		select {
+		case err := <-parked:
+			if err != nil {
+				t.Fatalf("%s: the parked session: %v", end, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the parked session never proceeded", end)
+		}
+	}
+	expectRows(t, mustExec(t, s, "SELECT v FROM pk WHERE k = $1", key), "1")
+	noConnCheckedOut(t, c, 2, 3)
+}
+
 // TestRetryRedialsInsideItsSlot: at a shared limit of one connection per
 // worker, a read whose connection dies re-dials inside the slot that
 // connection held (pool.Replace). Alone, the retrying session never waits for

@@ -136,25 +136,16 @@ func New(cfg Config) (*Cluster, error) {
 			addrs = append(addrs, srv.Addr())
 		}
 	}
-	for i, node := range c.Nodes {
-		for j := range c.Nodes {
-			i, j := i, j
-			target := c.Engines[j]
-			if cfg.UseTCP {
-				addr := addrs[j]
-				nodeName := target.Name
-				node.SetDialer(j+1, func() (*wire.Conn, error) {
-					return wire.Dial(addr, nodeName)
-				})
-			} else {
-				rtt := cfg.NetworkRTT
-				if i == j {
-					rtt = 0 // loopback: co-located coordinator/worker
-				}
-				node.SetDialer(j+1, func() (*wire.Conn, error) {
-					return wire.DialLocal(target, rtt), nil
-				})
+	for _, node := range c.Nodes {
+		for j, target := range c.Engines {
+			if !cfg.UseTCP {
+				c.dialLocal(node, j+1, target)
+				continue
 			}
+			addr, nodeName := addrs[j], target.Name
+			node.SetDialer(j+1, func() (*wire.Conn, error) {
+				return wire.Dial(addr, nodeName)
+			})
 			node.RegisterPeerEngine(j+1, target)
 		}
 	}
@@ -203,12 +194,7 @@ func New(cfg Config) (*Cluster, error) {
 					Standby: true, StandbyOf: primaryID,
 				})
 				for _, node := range c.Nodes {
-					target := sbEng
-					rtt := cfg.NetworkRTT
-					node.SetDialer(sbID, func() (*wire.Conn, error) {
-						return wire.DialLocal(target, rtt), nil
-					})
-					node.RegisterPeerEngine(sbID, target)
+					c.dialLocal(node, sbID, sbEng)
 				}
 				targets = append(targets, repl.StandbyTarget{
 					NodeID: sbID, Name: name,
@@ -230,6 +216,20 @@ func New(cfg Config) (*Cluster, error) {
 		node.StartDaemons()
 	}
 	return c, nil
+}
+
+// dialLocal lets node reach eng, node nodeID, over the in-process transport:
+// at the cluster's RTT, or none when node dials itself (a co-located
+// coordinator and worker).
+func (c *Cluster) dialLocal(node *citus.Node, nodeID int, eng *engine.Engine) {
+	rtt := c.cfg.NetworkRTT
+	if node.ID == nodeID {
+		rtt = 0
+	}
+	node.SetDialer(nodeID, func() (*wire.Conn, error) {
+		return wire.DialLocal(eng, rtt), nil
+	})
+	node.RegisterPeerEngine(nodeID, eng)
 }
 
 // newEngine builds one node engine with the cluster's configuration
@@ -339,31 +339,18 @@ func (c *Cluster) restartNode(i int) error {
 	// on a half-rewired mesh). Wait for in-flight executions to drain
 	// before rewiring; under sustained load this is bounded best-effort.
 	for j, peer := range c.Nodes {
-		if j == i {
-			continue
+		if j != i {
+			peer.WaitExecutorIdle(time.Second)
 		}
-		peer.WaitExecutorIdle(time.Second)
 	}
 	c.mu.Lock()
 	c.Engines[i] = eng
 	c.Nodes[i] = node
 	c.mu.Unlock()
 	for j, peer := range c.Nodes {
-		target := c.Engines[j]
-		rtt := c.cfg.NetworkRTT
-		if i == j {
-			rtt = 0
-		}
-		node.SetDialer(j+1, func() (*wire.Conn, error) {
-			return wire.DialLocal(target, rtt), nil
-		})
-		node.RegisterPeerEngine(j+1, target)
+		c.dialLocal(node, j+1, c.Engines[j])
 		if j != i {
-			peerRTT := c.cfg.NetworkRTT
-			peer.SetDialer(i+1, func() (*wire.Conn, error) {
-				return wire.DialLocal(eng, peerRTT), nil
-			})
-			peer.RegisterPeerEngine(i+1, eng)
+			c.dialLocal(peer, i+1, eng)
 		}
 	}
 	if c.Repl != nil {
@@ -420,10 +407,9 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	eng.Txns.AdvanceXIDBase(uint64(nodeID) << 40)
 	// Quiesce in-flight executions before rewiring (see RestartWorker).
 	for j, peer := range c.Nodes {
-		if j == i {
-			continue
+		if j != i {
+			peer.WaitExecutorIdle(time.Second)
 		}
-		peer.WaitExecutorIdle(time.Second)
 	}
 	c.mu.Lock()
 	c.Engines[i] = eng
@@ -432,15 +418,9 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	// The demoted node runs no Citus layer (standbys are bare engines and
 	// dial no one); live nodes re-dial it for replica reads.
 	for j, peer := range c.Nodes {
-		if j == i {
-			continue
+		if j != i {
+			c.dialLocal(peer, nodeID, eng)
 		}
-		target := eng
-		rtt := c.cfg.NetworkRTT
-		peer.SetDialer(nodeID, func() (*wire.Conn, error) {
-			return wire.DialLocal(target, rtt), nil
-		})
-		peer.RegisterPeerEngine(nodeID, eng)
 	}
 	if err := c.Repl.AddStandby(primaryID, repl.StandbyTarget{
 		NodeID: nodeID, Name: eng.Name,
@@ -455,13 +435,8 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	if !ok {
 		return fmt.Errorf("promoted node %d lost its replication group", primaryID)
 	}
-	deadline := time.Now().Add(repl.SyncTimeout)
-	for g.Applied()[nodeID] < tip {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("standby %s stuck at LSN %d catching up to %d",
-				eng.Name, g.Applied()[nodeID], tip)
-		}
-		time.Sleep(time.Millisecond)
+	if applied := g.WaitApplied(nodeID, tip, repl.SyncTimeout); applied < tip {
+		return fmt.Errorf("standby %s stuck at LSN %d catching up to %d", eng.Name, applied, tip)
 	}
 	c.Meta.SetNodeDown(nodeID, false)
 	return nil

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,5 +363,42 @@ func TestStandbyTakesPrimaryBases(t *testing.T) {
 		if err != nil || got.Rows[0][0] != want.Rows[0][0] || got.Rows[0][1] != want.Rows[0][1] {
 			t.Fatalf("%s on the rejoined standby: %v, %v; on its primary: %v", sh.ShardName(), got, err, want.Rows)
 		}
+	}
+}
+
+// TestSyncCommitLatency: on an idle replicated cluster a sync-mode commit
+// costs the standby's apply time and nothing on top. The median single-row
+// insert under sync replication, measured interleaved with async
+// replication so both see the same host, stays under 300 µs or within twice
+// the async median, whichever is larger: the second bound covers a loaded
+// or instrumented (-race) run where every insert is slow. A sync wait that
+// polled would pay the host's sleep floor, up to a millisecond, per commit.
+func TestSyncCommitLatency(t *testing.T) {
+	const n = 300
+	modes := []repl.Mode{repl.ModeSync, repl.ModeAsync}
+	sessions := make([]*engine.Session, len(modes))
+	lat := make([][]time.Duration, len(modes))
+	for i, mode := range modes {
+		c := replCluster(t, mode, 0)
+		defer c.Close()
+		sessions[i] = c.Session()
+	}
+	for k := 0; k < n; k++ {
+		for i, s := range sessions {
+			start := time.Now()
+			if _, err := s.Exec("INSERT INTO r (k, v) VALUES ($1, $1)", int64(k)); err != nil {
+				t.Fatal(err)
+			}
+			lat[i] = append(lat[i], time.Since(start))
+		}
+	}
+	med := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	syncMed, asyncMed := med(lat[0]), med(lat[1])
+	t.Logf("median insert: sync %v, async %v", syncMed, asyncMed)
+	if bound := max(300*time.Microsecond, 2*asyncMed); syncMed > bound {
+		t.Fatalf("a sync-mode insert takes %v at the median, over %v (async-mode %v)", syncMed, bound, asyncMed)
 	}
 }

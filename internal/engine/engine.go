@@ -652,6 +652,9 @@ type Session struct {
 	txn       *txn.Txn
 	explicit  bool
 	txnFailed bool
+	// inCall is set while a CALL runs its procedure: the procedure's
+	// statements run in the CALL's transaction, implicit or not.
+	inCall bool
 	// block is the coordinator's name for the open transaction block, when a
 	// coordinator opened it (OpenBlock). It is scoped to the block: endBlock
 	// clears it, so a pooled connection's session carries nothing of it on.
@@ -678,8 +681,10 @@ type cachedStmt struct {
 // one-off literal statements churn through without LRU bookkeeping.
 const sessionStmtCacheCap = 256
 
-// InTransaction reports whether an explicit transaction block is open.
-func (s *Session) InTransaction() bool { return s.txn != nil && s.explicit }
+// InTransaction reports whether the statement running now is part of a
+// transaction that outlives it: an explicit block, or the transaction of the
+// CALL whose procedure runs the statement.
+func (s *Session) InTransaction() bool { return s.txn != nil && (s.explicit || s.inCall) }
 
 // Txn returns the currently running transaction, if any.
 func (s *Session) Txn() *txn.Txn { return s.txn }
@@ -976,22 +981,14 @@ func (s *Session) execute(stmt sql.Statement, params []types.Datum) (*Result, er
 	}
 }
 
-// execDML wraps a write in the implicit-transaction protocol.
+// execDML wraps a write in the implicit-transaction protocol (WithTxn).
 func (s *Session) execDML(fn func(*txn.Txn) (*Result, error)) (*Result, error) {
-	t, implicit := s.ensureTxn()
-	res, err := fn(t)
-	if implicit {
-		if err != nil {
-			_ = s.finishImplicit(t, false)
-			return nil, err
-		}
-		if cerr := s.finishImplicit(t, true); cerr != nil {
-			return nil, cerr
-		}
-		return res, nil
-	}
-	if err != nil {
-		return nil, s.statementFailed(err)
+	var res *Result
+	if err := s.WithTxn(func(t *txn.Txn) (err error) {
+		res, err = fn(t)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -1005,18 +1002,9 @@ func (s *Session) statementFailed(err error) error {
 }
 
 func (s *Session) runPlan(plan Plan, params []types.Datum) (*Result, error) {
-	t, implicit := s.ensureTxn()
-	res, err := plan.Execute(s, params)
-	if implicit {
-		if err != nil {
-			_ = s.finishImplicit(t, false)
-			return nil, err
-		}
-		if cerr := s.finishImplicit(t, true); cerr != nil {
-			return nil, cerr
-		}
-	} else if err != nil {
-		return nil, s.statementFailed(err)
+	res, err := s.execDML(func(*txn.Txn) (*Result, error) { return plan.Execute(s, params) })
+	if err != nil {
+		return nil, err
 	}
 	if res.Tag == "" {
 		res.Affected = res.NumRows()

@@ -162,22 +162,15 @@ func (s *Session) execCall(st *sql.CallStmt) (*Result, error) {
 		}
 		args[i] = v
 	}
-	t, implicit := s.ensureTxn()
-	err := proc(s, args)
-	if implicit {
-		if err != nil {
-			_ = s.finishImplicit(t, false)
+	// the procedure's statements run in the CALL's transaction
+	defer func(was bool) { s.inCall = was }(s.inCall)
+	s.inCall = true
+	return s.execDML(func(*txn.Txn) (*Result, error) {
+		if err := proc(s, args); err != nil {
 			return nil, err
 		}
-		if cerr := s.finishImplicit(t, true); cerr != nil {
-			return nil, cerr
-		}
 		return &Result{Tag: "CALL"}, nil
-	}
-	if err != nil {
-		return nil, s.statementFailed(err)
-	}
-	return &Result{Tag: "CALL"}, nil
+	})
 }
 
 func (e *Engine) addColumn(st *sql.AlterTableAddColumnStmt) error {

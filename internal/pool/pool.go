@@ -9,9 +9,11 @@ package pool
 import (
 	"errors"
 	"sync"
+	"time"
 
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
+	"citusgo/internal/wake"
 	"citusgo/internal/wire"
 )
 
@@ -47,6 +49,9 @@ type NodePool struct {
 	mu    sync.Mutex
 	idle  []*wire.Conn
 	total int
+	// freed wakes the sessions parked in WaitFree when a connection comes
+	// back or a slot is given up.
+	freed wake.Notifier
 
 	gets, dials, limitWaits, discards *obs.Counter
 	open                              *obs.Gauge
@@ -109,6 +114,7 @@ func (p *NodePool) dialInSlot() (*wire.Conn, error) {
 		p.mu.Lock()
 		p.total--
 		p.mu.Unlock()
+		p.freed.Broadcast()
 		return nil, err
 	}
 	p.gets.Inc()
@@ -142,6 +148,7 @@ func (p *NodePool) Put(c *wire.Conn) {
 	p.mu.Lock()
 	p.idle = append(p.idle, c)
 	p.mu.Unlock()
+	p.freed.Broadcast()
 }
 
 // Discard closes a connection and releases its slot.
@@ -150,8 +157,19 @@ func (p *NodePool) Discard(c *wire.Conn) {
 	p.mu.Lock()
 	p.total--
 	p.mu.Unlock()
+	p.freed.Broadcast()
 	p.discards.Inc()
 	p.open.Dec()
+}
+
+// WaitFree blocks until Get would find an idle connection or a free slot
+// under the limit: until another session Puts or Discards one.
+func (p *NodePool) WaitFree() {
+	p.freed.Wait(time.Time{}, func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.idle) > 0 || p.limit <= 0 || p.total < p.limit
+	})
 }
 
 // Stats reports (total open, idle cached) connections.
@@ -168,6 +186,7 @@ func (p *NodePool) CloseAll() {
 	p.idle = nil
 	p.total -= len(idle)
 	p.mu.Unlock()
+	p.freed.Broadcast()
 	p.open.Add(int64(-len(idle)))
 	for _, c := range idle {
 		_ = c.Close()

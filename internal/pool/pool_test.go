@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"citusgo/internal/engine"
 	"citusgo/internal/wire"
@@ -143,5 +144,42 @@ func TestReplaceKeepsTheSlot(t *testing.T) {
 	}
 	if total, _ := p.Stats(); total != 0 {
 		t.Fatalf("after a failed Replace: %d open, want 0", total)
+	}
+}
+
+// TestWaitFreeWakesOnPutAndDiscard: a caller parked on the limit stays
+// parked while every slot is taken and proceeds when another caller Puts a
+// connection back, and again when one is Discarded.
+func TestWaitFreeWakesOnPutAndDiscard(t *testing.T) {
+	var dials atomic.Int64
+	p := New("n", 1, newDialer(t, &dials))
+	for _, free := range []func(*wire.Conn){p.Put, p.Discard} {
+		held, err := p.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan *wire.Conn, 1)
+		go func() {
+			for {
+				c, err := p.Get()
+				if err == nil {
+					got <- c
+					return
+				}
+				p.WaitFree()
+			}
+		}()
+		select {
+		case <-got:
+			t.Fatal("a Get past the limit succeeded")
+		case <-time.After(20 * time.Millisecond):
+		}
+		free(held)
+		select {
+		case c := <-got:
+			p.Discard(c)
+		case <-time.After(5 * time.Second):
+			t.Fatal("the parked caller was not woken")
+		}
 	}
 }

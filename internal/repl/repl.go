@@ -8,9 +8,12 @@
 // WAL (the standby "has the WAL", so a promoted or restarted standby can
 // itself be replayed or replicated from) and then applied incrementally
 // through wal.ApplyRecord; the stream ack then advances, which is what
-// sync-commit waits and lag accounting observe — and what the primary's log
-// keeps its records for: an open stream holds everything above its ack
-// against the primary's checkpoints.
+// lag accounting observes — and what the primary's log keeps its records
+// for: an open stream holds everything above its ack against the primary's
+// checkpoints. The standby's applied LSN advances with it, and the shipper
+// wakes every wait on the group (sync commits, the async throttle, a
+// promotion's drain, a rejoin's catch-up): each is a condition on applied
+// LSNs, checked again on every wake-up and never on a timer.
 //
 // A standby takes no checkpoints of its own. Its log holds the primary's
 // records under the primary's LSNs, so the primary's base image is a base
@@ -49,6 +52,7 @@ import (
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
+	"citusgo/internal/wake"
 	"citusgo/internal/wal"
 )
 
@@ -84,17 +88,11 @@ type Config struct {
 	// (default 256): a write path finding a standby further behind blocks
 	// until it catches back into the bound.
 	MaxAsyncLag int64
-	// PollInterval is the shipper's stream wait quantum (default 10ms);
-	// waking is event-driven, this only bounds shutdown latency.
-	PollInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxAsyncLag <= 0 {
 		c.MaxAsyncLag = 256
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * time.Millisecond
 	}
 	return c
 }
@@ -138,10 +136,12 @@ var (
 
 // Group replicates one primary's WAL to its standbys.
 type Group struct {
-	primaryID   int
 	primaryName string
 	log         *wal.Log
 	cfg         Config
+	// acks wakes the waits on the group: a shipper broadcasts after every
+	// applied record and when it stops, failed or detached.
+	acks wake.Notifier
 
 	mu       sync.Mutex
 	standbys []*standby
@@ -152,8 +152,8 @@ type Group struct {
 
 // NewGroup starts shipping primary's WAL to the targets. Shipping begins
 // at LSN 0: groups are created at node boot, before any writes exist.
-func NewGroup(primaryID int, primaryName string, log *wal.Log, cfg Config, targets []StandbyTarget) *Group {
-	g := &Group{primaryID: primaryID, primaryName: primaryName, log: log, cfg: cfg.withDefaults()}
+func NewGroup(primaryName string, log *wal.Log, cfg Config, targets []StandbyTarget) *Group {
+	g := &Group{primaryName: primaryName, log: log, cfg: cfg.withDefaults()}
 	for _, t := range targets {
 		if err := g.resumeStandby(t, 0); err != nil {
 			panic(err) // a group is created with its node, before the log's first checkpoint
@@ -188,49 +188,50 @@ func (g *Group) resumeStandby(t StandbyTarget, appliedLSN int64) error {
 	return nil
 }
 
-// ship is the per-standby replication loop.
+// shipRetryBackoff spaces the retries of a record whose ship failed.
+const shipRetryBackoff = 10 * time.Millisecond
+
+// ship is the per-standby replication loop. It parks in Next until the
+// primary's log has a record for it, a new base, or an end.
 func (g *Group) ship(sb *standby) {
 	defer close(sb.done)
+	// a standby that stops, failed or detached, wakes the waits on the
+	// group: a failed one is no longer waited for
+	defer g.acks.Broadcast()
 	// a standby that has stopped applying holds the primary's log no longer
 	defer sb.stream.Close()
 	for {
 		g.takeBase(sb)
-		rec, ok := sb.stream.Next(g.cfg.PollInterval)
+		rec, ok := sb.stream.Next(0)
 		if !ok {
 			if sb.stream.Done() {
 				return // closed, or sealed log drained to tip
 			}
-			sb.lag.Set(sb.stream.Lag())
-			continue
+			continue // a new base
 		}
 		// repl.ship models the network hop: delays grow lag, errors are
 		// retried from the same record (streaming replication never skips),
 		// panics kill the shipper like a walsender crash.
-		for {
-			if err := fault.CheckKey(fault.PointReplShip, sb.Name); err == nil {
-				break
-			}
+		for fault.CheckKey(fault.PointReplShip, sb.Name) != nil {
 			if sb.stream.Done() {
 				return
 			}
-			time.Sleep(g.cfg.PollInterval)
+			time.Sleep(shipRetryBackoff)
 		}
-		if err := fault.CheckKey(fault.PointReplApply, sb.Name); err == nil {
+		// an injected apply error wedges the standby (disk full,
+		// divergence) like a real one: it drops out of the group
+		err := fault.CheckKey(fault.PointReplApply, sb.Name)
+		if err == nil {
 			err = g.apply(sb, rec)
-			if err != nil {
-				metApplyErrors.With(sb.Name).Inc()
-				sb.failed.Store(true)
-				return
-			}
-		} else {
-			// injected apply error: the standby is wedged (disk full,
-			// divergence) and drops out of the group
+		}
+		if err != nil {
 			metApplyErrors.With(sb.Name).Inc()
 			sb.failed.Store(true)
 			return
 		}
 		sb.stream.Ack(rec.LSN)
 		sb.applied.Store(rec.LSN)
+		g.acks.Broadcast()
 		sb.shipped.Inc()
 		sb.lag.Set(sb.stream.Lag())
 	}
@@ -267,9 +268,6 @@ func stripLSN(rec wal.Record) wal.Record {
 	return rec
 }
 
-// PrimaryID returns the node whose WAL this group ships.
-func (g *Group) PrimaryID() int { return g.primaryID }
-
 // live returns the standbys still shipping (not failed, not detached).
 func (g *Group) live() []*standby {
 	g.mu.Lock()
@@ -283,35 +281,55 @@ func (g *Group) live() []*standby {
 	return out
 }
 
-// Applied returns each live standby's applied LSN by node ID.
-func (g *Group) Applied() map[int]int64 {
-	out := map[int]int64{}
-	for _, sb := range g.live() {
-		out[sb.NodeID] = sb.applied.Load()
+// behind counts the live standbys that have not applied lsn. It reads the
+// standbys in place: every waiter on the group runs it after every applied
+// record.
+func (g *Group) behind(lsn int64) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, sb := range g.standbys {
+		if !sb.failed.Load() && sb.applied.Load() < lsn {
+			n++
+		}
 	}
-	return out
+	return n
 }
 
 // WaitSync blocks until every live standby has applied at least lsn, or
-// the timeout elapses. Used by the commit path in sync mode.
+// the timeout elapses. Used by the commit path in sync mode. A standby that
+// fails meanwhile is no longer waited for.
 func (g *Group) WaitSync(lsn int64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		behind := 0
-		for _, sb := range g.live() {
-			if sb.applied.Load() < lsn {
-				behind++
-			}
-		}
-		if behind == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("repl: %d standby(s) of %s behind LSN %d after %v",
-				behind, g.primaryName, lsn, timeout)
-		}
-		time.Sleep(50 * time.Microsecond)
+	behind := 0
+	if g.acks.Wait(time.Now().Add(timeout), func() bool {
+		behind = g.behind(lsn)
+		return behind == 0
+	}) {
+		return nil
 	}
+	return fmt.Errorf("repl: %d standby(s) of %s behind LSN %d after %v",
+		behind, g.primaryName, lsn, timeout)
+}
+
+// WaitApplied blocks until standby nodeID has applied lsn, it fails, or the
+// timeout elapses, and returns the LSN it has applied (0 when it is not a
+// live standby of the group).
+func (g *Group) WaitApplied(nodeID int, lsn int64, timeout time.Duration) int64 {
+	for _, sb := range g.live() {
+		if sb.NodeID == nodeID {
+			g.drain(sb, lsn, time.Now().Add(timeout))
+			if sb.failed.Load() {
+				return 0
+			}
+			return sb.applied.Load()
+		}
+	}
+	return 0
+}
+
+// drain waits until sb has applied lsn, it fails, or the deadline passes.
+func (g *Group) drain(sb *standby, lsn int64, deadline time.Time) {
+	g.acks.Wait(deadline, func() bool { return sb.applied.Load() >= lsn || sb.failed.Load() })
 }
 
 // WaitLag blocks until every live standby trails the log tip, as it is now,
@@ -394,7 +412,7 @@ func (m *Manager) Mode() Mode { return m.cfg.Mode }
 
 // AddGroup registers (and starts) replication for one primary.
 func (m *Manager) AddGroup(primaryID int, primaryName string, log *wal.Log, targets []StandbyTarget) *Group {
-	g := NewGroup(primaryID, primaryName, log, m.cfg, targets)
+	g := NewGroup(primaryName, log, m.cfg, targets)
 	m.mu.Lock()
 	m.groups[primaryID] = g
 	m.mu.Unlock()
@@ -509,15 +527,13 @@ func (m *Manager) Promote(failedPrimary int) (int, error) {
 	}
 	tip := g.log.LastLSN()
 	deadline := time.Now().Add(SyncTimeout)
-	for winner.applied.Load() < tip {
+	g.drain(winner, tip, deadline)
+	if applied := winner.applied.Load(); applied < tip {
 		if winner.failed.Load() {
 			return 0, fmt.Errorf("repl: standby %s failed during promotion drain", winner.Name)
 		}
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("repl: standby %s stuck at LSN %d draining to %d",
-				winner.Name, winner.applied.Load(), tip)
-		}
-		time.Sleep(50 * time.Microsecond)
+		return 0, fmt.Errorf("repl: standby %s stuck at LSN %d draining to %d",
+			winner.Name, applied, tip)
 	}
 
 	if err := fault.CheckKey(fault.PointReplPromote, "flip"); err != nil {
@@ -535,10 +551,10 @@ func (m *Manager) Promote(failedPrimary int) (int, error) {
 		if sb == winner || sb.WAL == nil || winner.WAL == nil {
 			continue
 		}
-		for sb.applied.Load()+1 < winner.WAL.FirstLSN() && sb.applied.Load() < tip &&
-			!sb.failed.Load() && time.Now().Before(deadline) {
-			time.Sleep(50 * time.Microsecond)
-		}
+		g.acks.Wait(deadline, func() bool {
+			applied := sb.applied.Load()
+			return applied+1 >= winner.WAL.FirstLSN() || applied >= tip || sb.failed.Load()
+		})
 	}
 	g.Stop()
 	var ng *Group

@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -63,6 +65,15 @@ func (m *memApplier) rowCount(table string) int {
 	return len(m.rows[table])
 }
 
+// Applied returns each live standby's applied LSN by node ID.
+func (g *Group) Applied() map[int]int64 {
+	out := map[int]int64{}
+	for _, sb := range g.live() {
+		out[sb.NodeID] = sb.applied.Load()
+	}
+	return out
+}
+
 func appendTxn(l *wal.Log, xid uint64, table string, k int64) {
 	l.Append(wal.Record{Type: wal.RecInsert, XID: xid, Table: table, Row: types.Row{k}})
 	l.Append(wal.Record{Type: wal.RecCommit, XID: xid})
@@ -73,7 +84,7 @@ func TestSyncShippingAppliesAndAcks(t *testing.T) {
 	primary := wal.New()
 	a := newMemApplier()
 	sbLog := wal.New()
-	g := NewGroup(2, "w1", primary, Config{Mode: ModeSync},
+	g := NewGroup("w1", primary, Config{Mode: ModeSync},
 		[]StandbyTarget{{NodeID: 4, Name: "w1-sb1", WAL: sbLog, Apply: a}})
 	defer g.Stop()
 
@@ -103,7 +114,7 @@ func TestShipErrorRetriesWithoutSkipping(t *testing.T) {
 	defer fault.Reset()
 	primary := wal.New()
 	a := newMemApplier()
-	g := NewGroup(2, "w1", primary, Config{Mode: ModeSync, PollInterval: time.Millisecond},
+	g := NewGroup("w1", primary, Config{Mode: ModeSync},
 		[]StandbyTarget{{NodeID: 4, Name: "w1-sb1", Apply: a}})
 	defer g.Stop()
 
@@ -127,7 +138,7 @@ func TestAsyncLagIsBounded(t *testing.T) {
 	primary := wal.New()
 	a := newMemApplier()
 	const maxLag = 8
-	g := NewGroup(2, "w1", primary, Config{Mode: ModeAsync, MaxAsyncLag: maxLag, PollInterval: time.Millisecond},
+	g := NewGroup("w1", primary, Config{Mode: ModeAsync, MaxAsyncLag: maxLag},
 		[]StandbyTarget{{NodeID: 4, Name: "w1-sb1", Apply: a}})
 	defer g.Stop()
 
@@ -320,7 +331,7 @@ func TestStandbyTakesBaseAfterItsTip(t *testing.T) {
 	}
 
 	sbLog := wal.New()
-	g := NewGroup(2, "w1", primary, Config{Mode: ModeSync},
+	g := NewGroup("w1", primary, Config{Mode: ModeSync},
 		[]StandbyTarget{{NodeID: 4, Name: "w1-sb1", WAL: sbLog, Apply: newMemApplier()}})
 	defer g.Stop()
 	appendTxn(primary, 21, "t", 100)
@@ -388,5 +399,93 @@ func TestAddStandbyBelowBaseTakesBaseBackup(t *testing.T) {
 	if !committed || l.LastLSN() != primary.LastLSN() {
 		t.Fatalf("the stream did not bring the in-flight transaction's outcome (committed %v, tip %d of %d)",
 			committed, l.LastLSN(), primary.LastLSN())
+	}
+}
+
+// TestWaitSyncWakesWhenLaggingStandbyFails: a sync wait whose only lagging
+// standby drops out of the group returns at once, not at its timeout.
+func TestWaitSyncWakesWhenLaggingStandbyFails(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	primary := wal.New()
+	arrived, release := fault.ArmGate(fault.PointReplApply, "w1-sb2")
+	g := NewGroup("w1", primary, Config{Mode: ModeSync}, []StandbyTarget{
+		{NodeID: 4, Name: "w1-sb1", Apply: newMemApplier()},
+		{NodeID: 5, Name: "w1-sb2", Apply: newMemApplier()},
+	})
+	defer g.Stop()
+	appendTxn(primary, 10, "t", 1)
+	<-arrived // w1-sb2 holds its first record
+	done := make(chan error, 1)
+	go func() { done <- g.WaitSync(primary.LastLSN(), SyncTimeout) }()
+	select {
+	case err := <-done:
+		t.Fatalf("the wait returned (%v) with w1-sb2 behind", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	start := time.Now()
+	release(errors.New("disk full"))
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("wait after the lagging standby failed: %v", err)
+		}
+		if d := time.Since(start); d > SyncTimeout/5 {
+			t.Fatalf("the wait returned %v after the standby failed", d)
+		}
+	case <-time.After(SyncTimeout / 2):
+		t.Fatal("the standby's failure did not wake the wait")
+	}
+}
+
+// stampApplier notes when it applies a commit.
+type stampApplier struct {
+	*memApplier
+	committed chan time.Time
+}
+
+func (a stampApplier) ApplyCommit(xid uint64) {
+	a.memApplier.ApplyCommit(xid)
+	a.committed <- time.Now()
+}
+
+// TestPromoteReturnsWhenWinnerReachesTip: the promotion's drain ends on the
+// winner's applying the sealed tip, not on a timer's next tick: from the
+// winner's last apply to the flip takes well under a millisecond (a poll
+// would pay the host's sleep floor, a millisecond on some hosts).
+func TestPromoteReturnsWhenWinnerReachesTip(t *testing.T) {
+	fault.Reset()
+	defer fault.Reset()
+	const rounds = 7
+	lat := make([]time.Duration, 0, rounds)
+	for r := 0; r < rounds; r++ {
+		m := NewManager(promoteCatalog(), Config{Mode: ModeSync})
+		primary := wal.New()
+		a := stampApplier{newMemApplier(), make(chan time.Time, 1)}
+		held, release := fault.ArmGate(fault.PointReplApply, "w1-sb1")
+		m.AddGroup(2, "w1", primary, []StandbyTarget{{NodeID: 4, Name: "w1-sb1", Apply: a}})
+		appendTxn(primary, 10, "t", 1)
+		<-held
+		primary.Seal()
+		flip, resume := fault.ArmGate(fault.PointReplPromote, "flip")
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.Promote(2)
+			done <- err
+		}()
+		time.Sleep(2 * time.Millisecond) // let the drain park
+		release(nil)
+		applied := <-a.committed
+		<-flip
+		lat = append(lat, time.Since(applied))
+		resume(nil)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		m.Stop()
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if med := lat[rounds/2]; med > time.Millisecond {
+		t.Fatalf("drain to flip took %v at the median (all: %v)", med, lat)
 	}
 }

@@ -413,7 +413,10 @@ func (s *CreateTableStmt) String() string {
 		}
 	}
 	if len(s.PrimaryKey) > 0 {
-		sb.WriteString(", PRIMARY KEY (")
+		if len(s.Columns) > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("PRIMARY KEY (")
 		for i, c := range s.PrimaryKey {
 			if i > 0 {
 				sb.WriteString(", ")
@@ -579,7 +582,13 @@ type SetStmt struct {
 
 func (s *SetStmt) stmt() {}
 
-func (s *SetStmt) String() string { return "SET " + s.Name + " = " + s.Value.String() }
+func (s *SetStmt) String() string {
+	parts := strings.Split(s.Name, ".")
+	for i, p := range parts {
+		parts[i] = quoteIdent(p)
+	}
+	return "SET " + strings.Join(parts, ".") + " = " + s.Value.String()
+}
 
 // ExplainStmt is EXPLAIN [ANALYZE] <statement>.
 type ExplainStmt struct {
@@ -737,7 +746,7 @@ func (*FuncCall) expr() {}
 
 func (e *FuncCall) String() string {
 	var sb strings.Builder
-	sb.WriteString(e.Name + "(")
+	sb.WriteString(quoteIdent(e.Name) + "(")
 	if e.Star {
 		sb.WriteString("*")
 	} else {
@@ -764,7 +773,7 @@ type NamedArg struct {
 
 func (*NamedArg) expr() {}
 
-func (e *NamedArg) String() string { return e.Name + " := " + e.Value.String() }
+func (e *NamedArg) String() string { return quoteIdent(e.Name) + " := " + e.Value.String() }
 
 // CaseExpr is CASE [operand] WHEN ... THEN ... ELSE ... END.
 type CaseExpr struct {

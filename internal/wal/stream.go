@@ -22,8 +22,8 @@ type Stream struct {
 	pos    int64   // LSN of the last record delivered
 	hold   *Holder // at acked+1
 	behind bool
+	seen   *Base // the newest base Next has reported, or the log's at opening
 	closed atomic.Bool
-	stop   chan struct{}
 }
 
 // StreamFrom opens a stream delivering records with LSN > lsn (0 streams
@@ -37,9 +37,10 @@ func (l *Log) StreamFrom(lsn int64) *Stream {
 	if lsn < 0 {
 		lsn = 0
 	}
-	s := &Stream{l: l, pos: lsn, stop: make(chan struct{})}
+	s := &Stream{l: l, pos: lsn}
 	l.mu.Lock()
 	s.behind = lsn+1 < l.first
+	s.seen = l.base.Load()
 	s.hold = l.holdLocked("standby", lsn+1)
 	if s.behind {
 		delete(l.holders, s.hold)
@@ -52,57 +53,35 @@ func (l *Log) StreamFrom(lsn int64) *Stream {
 // when it was opened.
 func (s *Stream) Behind() bool { return s.behind }
 
-// Next returns the next record, blocking up to timeout for one to be
-// appended. ok=false means no record was delivered: either the wait timed
-// out, or the stream is done (closed, or the log is sealed and fully
-// drained) — distinguish with Done.
+// Next returns the next record. With none to deliver it parks until one is
+// appended, the log is sealed, a checkpoint puts a new base under the log,
+// the stream is closed, or timeout passes (0: no limit). ok=false means no
+// record was delivered: the stream is done (closed, or the log is sealed and
+// fully drained) — distinguish with Done — or a new base or the timeout came
+// first.
 func (s *Stream) Next(timeout time.Duration) (rec Record, ok bool) {
-	var timer *time.Timer
-	var expired <-chan time.Time
-	for {
-		if s.closed.Load() || s.behind {
-			return Record{}, false
-		}
-		s.l.mu.Lock()
-		if i := s.pos + 1 - s.l.first; i < int64(len(s.l.records)) {
-			rec = s.l.records[i]
-			s.pos++
-			s.l.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			return rec, true
-		}
-		if s.l.sealed.Load() {
-			s.l.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			return Record{}, false
-		}
-		watch := s.l.watch
-		s.l.waiters++
-		s.l.mu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(timeout)
-			expired = timer.C
-		}
-		select {
-		case <-watch:
-			continue
-		case <-s.stop:
-			timer.Stop()
-		case <-expired:
-		}
-		// not woken: leave the count as found, unless a wake-up has just
-		// reset it
-		s.l.mu.Lock()
-		if s.l.watch == watch {
-			s.l.waiters--
-		}
-		s.l.mu.Unlock()
-		return Record{}, false
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
+	s.l.wake.Wait(deadline, func() bool {
+		if s.closed.Load() || s.behind {
+			return true
+		}
+		s.l.mu.Lock()
+		defer s.l.mu.Unlock()
+		if i := s.pos + 1 - s.l.first; i < int64(len(s.l.records)) {
+			rec, ok = s.l.records[i], true
+			s.pos++
+			return true
+		}
+		if b := s.l.base.Load(); b != s.seen {
+			s.seen = b
+			return true
+		}
+		return s.l.sealed.Load()
+	})
+	return rec, ok
 }
 
 // Done reports whether the stream will never deliver another record: it
@@ -114,13 +93,6 @@ func (s *Stream) Done() bool {
 	s.l.mu.Lock()
 	defer s.l.mu.Unlock()
 	return s.l.sealed.Load() && s.pos >= s.l.nextLSN-1
-}
-
-// Pos returns the LSN of the last record delivered by Next.
-func (s *Stream) Pos() int64 {
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
-	return s.pos
 }
 
 // Ack records that every record up to lsn has been durably applied by the
@@ -153,7 +125,7 @@ func (s *Stream) Lag() int64 {
 // the log stops holding records for it.
 func (s *Stream) Close() {
 	if s.closed.CompareAndSwap(false, true) {
-		close(s.stop)
 		s.hold.Release()
+		s.l.wake.Broadcast()
 	}
 }

@@ -199,3 +199,34 @@ func TestStreamConcurrentAppendDelivery(t *testing.T) {
 		t.Fatalf("delivered %d records, want %d", last, writers*perWriter)
 	}
 }
+
+// TestCheckpointWakesParkedStream: a new base ends a parked Next with no
+// record, as an append would with one, so a subscriber that follows the
+// primary's bases sees each one without waiting for the next record.
+func TestCheckpointWakesParkedStream(t *testing.T) {
+	l := New()
+	l.Append(Record{Type: RecCommit, XID: 1})
+	s := l.StreamFrom(1)
+	defer s.Close()
+	done := make(chan bool, 1)
+	go func() {
+		_, ok := s.Next(0)
+		done <- ok
+	}()
+	time.Sleep(10 * time.Millisecond) // let the reader park
+	at, _ := l.BeginCheckpoint()
+	l.Checkpoint(&Base{Redo: at, At: at})
+	select {
+	case ok := <-done:
+		if ok || s.Done() {
+			t.Fatalf("woken by a base: ok=%v done=%v, want neither", ok, s.Done())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a checkpoint did not wake the parked Next")
+	}
+	// the base is reported once: the next Next waits for a record
+	l.Append(Record{Type: RecCommit, XID: 2})
+	if rec, ok := s.Next(time.Second); !ok || rec.XID != 2 {
+		t.Fatalf("after the base: %+v ok=%v", rec, ok)
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/types"
+	"citusgo/internal/wake"
 )
 
 // RecordType enumerates WAL record kinds.
@@ -238,11 +239,9 @@ type Log struct {
 	ckptAt int64
 	due    chan struct{}
 
-	// watch wakes streams parked in Next: closed and replaced under mu by an
-	// append or a Seal that finds waiters > 0, so a log nobody is streaming
-	// from pays nothing per record.
-	watch   chan struct{}
-	waiters int
+	// wake wakes streams parked in Next after an append, a new base or a
+	// Seal; a log nobody is streaming from pays one atomic load per record.
+	wake wake.Notifier
 
 	// sealed freezes the log at a crash instant: appends racing with the
 	// crash are dropped, modeling writes that never reached stable storage
@@ -258,7 +257,6 @@ func New() *Log {
 		open:    make(map[uint64]int64),
 		holders: make(map[*Holder]struct{}),
 		due:     make(chan struct{}, 1),
-		watch:   make(chan struct{}),
 	}
 }
 
@@ -271,22 +269,9 @@ func New() *Log {
 func (l *Log) Seal() {
 	l.mu.Lock()
 	l.sealed.Store(true)
-	l.wakeLocked()
 	l.mu.Unlock()
+	l.wake.Broadcast()
 }
-
-// wakeLocked wakes every Stream parked in Next. Callers hold l.mu.
-func (l *Log) wakeLocked() {
-	if l.waiters == 0 {
-		return
-	}
-	close(l.watch)
-	l.watch = make(chan struct{})
-	l.waiters = 0
-}
-
-// Sealed reports whether the log has been frozen by Seal.
-func (l *Log) Sealed() bool { return l.sealed.Load() }
 
 // durable reports whether a record type represents a durability point —
 // where a real WAL would fsync before acknowledging.
@@ -323,9 +308,9 @@ func (l *Log) Append(rec Record) int64 {
 	l.nextLSN++
 	l.records = append(l.records, rec)
 	l.noteLocked(rec)
-	l.wakeLocked()
 	due := l.nextLSN-l.ckptAt == CheckpointEvery
 	l.mu.Unlock()
+	l.wake.Broadcast()
 	if due {
 		select {
 		case l.due <- struct{}{}:
@@ -543,6 +528,7 @@ func (l *Log) Checkpoint(b *Base) bool {
 		}
 	}
 	l.base.Store(b)
+	l.wake.Broadcast()
 	metCheckpoints.Inc()
 	metBaseLSN.With(l.Node).Set(l.first - 1)
 	return true
