@@ -84,7 +84,13 @@ race:
 # among concurrent writers and waiters), a checkpoint waking a parked stream,
 # a sync wait woken by its lagging standby's failure, a promotion flipping as
 # its winner reaches the tip, a sync commit costing only the standby's apply,
-# and a session parked on the connection limit proceeding on a Put or Discard
+# and a session parked on the connection limit proceeding on a Put or Discard;
+# and 20 times under -race, COPY as tasks of the executor: a failed multi-shard
+# COPY leaving nothing, COPY inside BEGIN ... ROLLBACK and COMMIT, floats
+# INSERT..SELECT moves as typed rows, a reference table's COPY on every
+# replica, the INSERT..SELECT clauses COPY cannot carry refused, a
+# distribution whose copy fails leaving the table local with its rows, a NULL
+# distribution value refused up front, and COPY under 2PC faults
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
@@ -106,6 +112,8 @@ stress:
 	go test -race -run 'TestBroadcastWakesWaiter|TestTimedOutWaitLeavesNoOneParked|TestWakeNeverMissed|TestCheckpointWakesParkedStream|TestWaitSyncWakesWhenLaggingStandbyFails|TestPromoteReturnsWhenWinnerReachesTip|TestWaitFreeWakesOnPutAndDiscard' -count=20 -timeout 10m ./internal/wake ./internal/wal ./internal/repl ./internal/pool
 	go test -race -run 'TestSyncCommitLatency' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestParkedSessionProceedsOnPutOrDiscard' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestFailedCopyLeavesNothing|TestCopyInTransactionBlock|TestInsertSelectKeepsFloats|TestReferenceCopyReachesEveryReplica|TestInsertSelectRefusesRowClauses|TestFailedDistributionKeepsRows|TestDistributionRefusesNullKeys' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestCopyTwoPhaseCommitFaults' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure
@@ -224,7 +232,8 @@ soak-smoke:
 # oracle (a byte script driving a B-tree and a GIN against a sorted slice and
 # a map, every search compared after every step), and the SQL parser (parse
 # never panics; parse -> deparse -> parse is a fixed point, seeded with the
-# SQL strings of its tests and of the workload generators); longer local runs
+# SQL strings of its tests and of the workload generators; a literal of a
+# fuzzed datum deparses to text that parses back to the same datum); longer local runs
 # just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzCodecParity -fuzztime 10m

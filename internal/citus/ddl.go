@@ -9,7 +9,6 @@ import (
 	"citusgo/internal/expr"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
-	"citusgo/internal/wire"
 )
 
 // utilityHook intercepts utility statements on Citus tables (§3.8: "Citus
@@ -265,44 +264,22 @@ func (n *Node) snapshotLocalRows(s *engine.Session, table string) ([]types.Row, 
 	return res.Rows, nil
 }
 
-// moveLocalDataToShards routes the shell table's existing rows to the new
-// shards (create_distributed_table preserves existing data).
-func (n *Node) moveLocalDataToShards(s *engine.Session, table string, dt *metadata.DistTable, rows []types.Row) error {
+// moveLocalDataToShards copies the shell table's existing rows into the new
+// shards (create_distributed_table preserves existing data). The copy is a
+// transaction of its own, committed before the shell is emptied; if it
+// fails, the metadata is removed again and the table is the local one it
+// was, every row in place.
+func (n *Node) moveLocalDataToShards(table string, dt *metadata.DistTable, rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	tbl, _ := n.Eng.Catalog.Get(table)
-	distOrd := tbl.ColumnIndex(dt.DistColumn)
-	cols := tbl.ColumnNames()
-
-	shards := n.Meta.Shards(table)
-	byShard := map[int][]types.Row{}
-	for _, row := range rows {
-		if dt.Type == metadata.ReferenceTable {
-			byShard[0] = append(byShard[0], row)
-			continue
-		}
-		sh, err := n.Meta.ShardForValue(table, row[distOrd])
-		if err != nil {
-			return err
-		}
-		byShard[sh.Index] = append(byShard[sh.Index], row)
-	}
-	for idx, rows := range byShard {
-		sh := shards[idx]
-		for _, nodeID := range n.Meta.Placements(sh.ID) {
-			var copyErr error
-			n.withNodeConn(nodeID, func(c *wire.Conn) error {
-				_, copyErr = c.Copy(sh.ShardName(), cols, rows)
-				return copyErr
-			})
-			if copyErr != nil {
-				return copyErr
-			}
-		}
+	sess := n.Eng.NewSession()
+	if _, err := n.writeRows(sess, dt, tbl.ColumnNames(), rows, "COPY", "COPY"); err != nil {
+		n.Meta.RemoveTable(table)
+		return err
 	}
 	// the shell table stays empty from here on
-	sess := n.Eng.NewSession()
 	_, err := sess.ExecUtilityLocal(&sql.TruncateStmt{Name: table})
 	return err
 }

@@ -59,8 +59,8 @@ const (
 // execution (§3.5: "a distributed query plan consists of a set of tasks").
 type task struct {
 	nodeID     int
-	shardGroup int64 // co-located shard group for connection affinity; -1 none
-	sql        string
+	shardGroup int64  // co-located shard group for connection affinity; -1 none
+	sql        string // the statement; for a COPY task, the shard it loads
 	params     []types.Datum
 	isWrite    bool
 	isDDL      bool   // shard DDL: fans out like a write for sync-replication waits
@@ -75,6 +75,10 @@ type task struct {
 	// placement of the same shard (a reference table's): the statement's
 	// affected count and RETURNING rows come from the other task.
 	replica bool
+	// copyRows make the task a COPY of these rows, columns copyCols, into
+	// the shard named by sql (copyTasks).
+	copyCols []string
+	copyRows []types.Row
 }
 
 // executeTasks is the adaptive executor (§3.6.1). It runs tasks over the
@@ -632,9 +636,10 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 }
 
 // sendTask is the issue step: it enqueues t's request on pl, the task's text
-// and its parameters. The worker session behind a pooled connection parses a
-// text once and keeps the tree (engine.Session.ExecForward), so a repeated
-// task shape costs the worker a map lookup.
+// and its parameters, or a COPY task's rows. The worker session behind a
+// pooled connection parses a text once and keeps the tree
+// (engine.Session.ExecForward), so a repeated task shape costs the worker a
+// map lookup.
 func sendTask(pl *wire.Pipeline, t *task) issuedTask {
 	// executor.task, keyed "read"/"write": fails or delays a task at the
 	// moment of issue, before anything reaches the wire.
@@ -644,6 +649,9 @@ func sendTask(pl *wire.Pipeline, t *task) issuedTask {
 	}
 	if err := fault.CheckKey(fault.PointExecutorTask, kind); err != nil {
 		return issuedTask{err: err}
+	}
+	if t.copyRows != nil {
+		return issuedTask{pd: pl.Copy(t.sql, t.copyCols, t.copyRows)}
 	}
 	return issuedTask{pd: pl.Query(t.sql, t.params...)}
 }

@@ -10,7 +10,6 @@ import (
 	"citusgo/internal/citus"
 	"citusgo/internal/cluster"
 	"citusgo/internal/fault"
-	"citusgo/internal/types"
 )
 
 // TestSharedConnectionLimitRespected floods the coordinator with parallel
@@ -139,12 +138,6 @@ func TestErrorCases(t *testing.T) {
 	if _, err := s.Exec("SELECT create_distributed_table('ec3', 'name', colocate_with := 'ec')"); err == nil {
 		t.Fatal("type-mismatched colocation accepted")
 	}
-	// COPY inside a transaction block
-	mustExec(t, s, "BEGIN")
-	if _, err := s.CopyFrom("ec", []string{"k", "v"}, []types.Row{{int64(1), int64(1)}}); err == nil {
-		t.Fatal("COPY in transaction accepted")
-	}
-	s.Exec("ROLLBACK")
 }
 
 func TestExplainShowsPlannerHierarchy(t *testing.T) {

@@ -178,10 +178,8 @@ func (n *Node) planColocatedInsertSelect(ins *sql.InsertStmt, dt *metadata.DistT
 }
 
 // planRepartitionInsertSelect builds strategy 2: the pushdownable SELECT
-// runs per source shard, its rows are repartitioned by the destination's
-// distribution column into intermediate results on the destination's
-// placement nodes, and per-shard INSERT ... SELECT FROM intermediate tasks
-// complete the move.
+// runs per source shard, and its rows are repartitioned by the destination's
+// distribution column into one COPY task per destination shard placement.
 func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.DistTable, params []types.Datum) (engine.Plan, error) {
 	if dt.Type != metadata.DistributedTable {
 		return nil, nil
@@ -209,6 +207,9 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 	pos := n.destDistColumnPosition(ins, dt)
 	if pos == -1 {
 		return nil, nil
+	}
+	if err := refuseRowClauses(ins); err != nil {
+		return nil, err
 	}
 	cols := ins.Columns
 	if len(cols) == 0 {
@@ -253,17 +254,33 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 			}
 		}
 		// phase 2: repartition rows by the destination distribution column
-		// and build the insert tasks
-		return n.buildInsertTasks(ins.Table, dt, cols, rows, nil)
+		// into COPY tasks
+		return n.copyTasks(dt, cols, rows, "insert")
 	}
 	return plan, nil
 }
 
 // planInsertSelectViaCoordinator builds strategy 3: distributed SELECT,
-// then route the rows into the destination within the same distributed
+// then COPY the rows into the destination within the same distributed
 // transaction.
 func (n *Node) planInsertSelectViaCoordinator(ins *sql.InsertStmt, params []types.Datum) (engine.Plan, error) {
+	if err := refuseRowClauses(ins); err != nil {
+		return nil, err
+	}
 	return &insertSelectCoordinatorPlan{node: n, ins: ins}, nil
+}
+
+// refuseRowClauses rejects what the repartition and via-coordinator
+// strategies cannot carry: their rows reach the destination as COPY, which
+// has no ON CONFLICT and returns no rows.
+func refuseRowClauses(ins *sql.InsertStmt) error {
+	switch {
+	case ins.OnConflict != nil:
+		return fmt.Errorf("ON CONFLICT is not supported in INSERT ... SELECT that repartitions its rows or pulls them to the coordinator")
+	case len(ins.Returning) > 0:
+		return fmt.Errorf("RETURNING is not supported in INSERT ... SELECT that repartitions its rows or pulls them to the coordinator")
+	}
+	return nil
 }
 
 type insertSelectCoordinatorPlan struct {
@@ -293,11 +310,7 @@ func (p *insertSelectCoordinatorPlan) Execute(s *engine.Session, params []types.
 		if len(res.Rows) > 0 && len(res.Rows[0]) != len(cols) {
 			return nil, fmt.Errorf("INSERT has %d target columns but SELECT returns %d", len(cols), len(res.Rows[0]))
 		}
-		tasks, err := n.buildInsertTasks(p.ins.Table, dt, cols, res.Rows, nil)
-		if err != nil {
-			return nil, err
-		}
-		return (&distPlan{node: n, tasks: tasks, isDML: true, tag: "INSERT 0"}).Execute(s, nil)
+		return n.writeRows(s, dt, cols, res.Rows, "insert", "INSERT 0")
 	}
 	// destination is a plain local table
 	ncopied, err := s.CopyFrom(p.ins.Table, cols, res.Rows)

@@ -58,9 +58,8 @@ type Config struct {
 	RecoveryGrace time.Duration
 	// PipelineWindow bounds how many requests the executor keeps in flight
 	// per worker connection (the libpq-pipeline-mode window): task queues
-	// and COPY streams issue through it. 1 is serial issue, every request on
-	// a connection its own round trip (the ablation A4 baseline; see
-	// docs/wire.md). 0 = 32.
+	// issue through it. 1 is serial issue, every request on a connection its
+	// own round trip (the ablation A4 baseline; see docs/wire.md). 0 = 32.
 	PipelineWindow int
 }
 
@@ -123,9 +122,6 @@ type Node struct {
 	distSeq  atomic.Uint64
 	stopOnce sync.Once
 	stopCh   chan struct{}
-
-	// stats
-	copyStatementsTotal atomic.Int64
 
 	// procedures with a distribution argument (§3.8 stored procedure
 	// delegation): name -> spec

@@ -382,9 +382,21 @@ func (n *Node) CreateDistributedTable(s *engine.Session, table, distColumn, colo
 	if n.Meta.IsCitusTable(table) {
 		return fmt.Errorf("table %q is already distributed", table)
 	}
-	distColType, _, err := n.localColumnType(table, distColumn)
+	distColType, tbl, err := n.localColumnType(table, distColumn)
 	if err != nil {
 		return err
+	}
+	// existing rows move into the shards; a NULL distribution value has no
+	// shard, so it is refused before anything is created
+	rows, err := n.snapshotLocalRows(s, table)
+	if err != nil {
+		return err
+	}
+	distOrd := tbl.ColumnIndex(distColumn)
+	for _, row := range rows {
+		if row[distOrd] == nil {
+			return fmt.Errorf("cannot distribute table %q: its distribution column %q contains NULL values", table, distColumn)
+		}
 	}
 	ct, indexes, err := n.schemaStatements(table)
 	if err != nil {
@@ -454,14 +466,10 @@ func (n *Node) CreateDistributedTable(s *engine.Session, table, distColumn, colo
 			return fmt.Errorf("creating shard %d: %w", i, err)
 		}
 	}
-	rows, err := n.snapshotLocalRows(s, table)
-	if err != nil {
-		return err
-	}
 	if err := n.Meta.AddTable(dt, shards, placements); err != nil {
 		return err
 	}
-	return n.moveLocalDataToShards(s, table, dt, rows)
+	return n.moveLocalDataToShards(table, dt, rows)
 }
 
 // tableInColocationGroup finds any existing table of a group (for placement
@@ -516,7 +524,7 @@ func (n *Node) CreateReferenceTable(s *engine.Session, table string) error {
 	if err := n.Meta.AddTable(dt, []*metadata.Shard{shard}, map[int64][]int{shard.ID: nodeIDs}); err != nil {
 		return err
 	}
-	return n.moveLocalDataToShards(s, table, dt, rows)
+	return n.moveLocalDataToShards(table, dt, rows)
 }
 
 // StartMetadataSync marks a node as holding the distributed metadata so it

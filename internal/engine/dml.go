@@ -913,6 +913,9 @@ func returningNames(items []sql.SelectItem, store *storage) []string {
 // Values are positional per the column list (nil = all columns).
 func (s *Session) CopyFrom(table string, columns []string, rows []types.Row) (int, error) {
 	metStatements["copy"].Inc()
+	if s.txnFailed {
+		return 0, errTxnAborted
+	}
 	if hook := s.Eng.CopyHook; hook != nil {
 		handled, n, err := hook(s, table, columns, rows)
 		if handled {

@@ -879,7 +879,7 @@ func (s *Session) execStmtForward(stmt sql.Statement, params []types.Datum) (*Re
 	}
 
 	if s.txnFailed {
-		return nil, fmt.Errorf("current transaction is aborted, commands ignored until end of transaction block")
+		return nil, errTxnAborted
 	}
 
 	// Open the statement span: a new root trace on an untraced session
@@ -992,6 +992,10 @@ func (s *Session) execDML(fn func(*txn.Txn) (*Result, error)) (*Result, error) {
 	}
 	return res, nil
 }
+
+// errTxnAborted refuses every statement but COMMIT and ROLLBACK in a failed
+// transaction block.
+var errTxnAborted = errors.New("current transaction is aborted, commands ignored until end of transaction block")
 
 // statementFailed marks an explicit transaction failed.
 func (s *Session) statementFailed(err error) error {

@@ -260,12 +260,24 @@ func AppendFormat(dst []byte, d Datum) []byte {
 
 // QuoteLiteral renders a datum as a SQL literal suitable for embedding in a
 // generated query (the distributed planner deparses shard queries as text,
-// exactly like Citus does).
+// exactly like Citus does). A number no bare numeral spells — NaN, an
+// infinity, the int64 whose magnitude is no int64 — is a string cast to its
+// type: a bare NaN would parse as a column, -9223372036854775808 as a float.
 func QuoteLiteral(d Datum) string {
 	switch v := d.(type) {
 	case nil:
 		return "NULL"
-	case int64, float64, bool:
+	case int64:
+		if v == math.MinInt64 {
+			return "'" + Format(v) + "'::bigint"
+		}
+		return Format(v)
+	case float64:
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return "'" + Format(v) + "'::double precision"
+		}
+		return Format(v)
+	case bool:
 		return Format(v)
 	case time.Time:
 		return "'" + Format(v) + "'::timestamp"

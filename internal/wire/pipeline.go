@@ -166,15 +166,6 @@ func (pd *Pending) EncodedResult() (*engine.Result, error) {
 	return respToEncodedResult(resp), nil
 }
 
-// Affected returns the request's affected-row count, mirroring Conn.Copy.
-func (pd *Pending) Affected() (int, error) {
-	resp, err := pd.result()
-	if err != nil {
-		return 0, err
-	}
-	return resp.Affected, nil
-}
-
 func (pd *Pending) result() (*Response, error) {
 	if !pd.done {
 		return nil, errNotDrained

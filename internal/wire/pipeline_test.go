@@ -76,8 +76,8 @@ func testPipelineBehavior(t *testing.T, conn *Conn) {
 	if err := pl.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if n, err := cp.Affected(); err != nil || n != 2 {
-		t.Fatalf("pipelined copy: %d %v", n, err)
+	if res, err := cp.Result(); err != nil || res.Affected != 2 {
+		t.Fatalf("pipelined copy: %v %v", res, err)
 	}
 }
 

@@ -429,8 +429,8 @@ func TestMalformedJSONBFailsOnlyItsRequest(t *testing.T) {
 		if err := pl.Flush(); err != nil {
 			t.Fatalf("case %d: a refused datum poisoned the window: %v", i, err)
 		}
-		if n, err := before.Affected(); err != nil || n != 1 {
-			t.Fatalf("case %d: request before the refused one: %d %v", i, n, err)
+		if res, err := before.Result(); err != nil || res.Affected != 1 {
+			t.Fatalf("case %d: request before the refused one: %v %v", i, res, err)
 		}
 		if err := middle.Err(); err == nil || IsTransient(err) || !strings.Contains(err.Error(), jsonb.ErrMalformed.Error()) {
 			t.Fatalf("case %d: refused request inside a window: %v", i, err)
