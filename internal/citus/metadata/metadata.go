@@ -543,7 +543,10 @@ func (c *Catalog) PromoteNode(oldPrimary, newPrimary int) error {
 	return nil
 }
 
-// ShardForValue routes a distribution column value to its shard by hash.
+// ShardForValue routes a distribution column value to its shard by hash. The
+// value is hashed as the distribution column's type, the type the row is
+// stored with: '21' and 21 are one key of a bigint column. A value that does
+// not coerce is an error.
 func (c *Catalog) ShardForValue(table string, v types.Datum) (*Shard, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -557,6 +560,10 @@ func (c *Catalog) ShardForValue(table string, v types.Datum) (*Shard, error) {
 			return nil, fmt.Errorf("reference table %q has no shard", table)
 		}
 		return shards[0], nil
+	}
+	v, err := types.CoerceTo(v, t.DistColType)
+	if err != nil {
+		return nil, err
 	}
 	h := types.HashDatum(v)
 	for _, sh := range c.shards[table] {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
@@ -230,12 +231,21 @@ func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []typ
 	if !n.canCoordinate() {
 		return nil, fmt.Errorf("node %d cannot plan distributed queries: metadata is not synced (run start_metadata_sync_to_node)", n.ID)
 	}
-	// fast path: repeated router statements plan from the distributed-plan
-	// cache, skipping the tier walk below entirely
-	if !n.Eng.Features().NoPlanCache {
-		if plan, handled, err := n.planCache.tryPlan(n, stmt, params); handled || err != nil {
-			return plan, err
-		}
+	// fast path and router: one analysis, bound to this execution's values.
+	// The plan cache keeps the analysis per statement shape; with the cache
+	// off the statement is analyzed here, every time.
+	var router *distPlan
+	var err error
+	if n.Eng.Features().NoPlanCache {
+		router, err = n.analyzeRouter(stmt).plan(n, params, false)
+	} else {
+		router, err = n.planCache.plan(n, stmt, params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if router != nil {
+		return router, nil
 	}
 	switch st := stmt.(type) {
 	case *sql.SelectStmt:
@@ -243,120 +253,11 @@ func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []typ
 	case *sql.InsertStmt:
 		return n.planDistInsert(st, params)
 	case *sql.UpdateStmt:
-		return n.planDistModify(st, st.Table, st.Where, params)
+		return n.planDistModify(st, st.Table, params)
 	case *sql.DeleteStmt:
-		return n.planDistModify(st, st.Table, st.Where, params)
+		return n.planDistModify(st, st.Table, params)
 	}
 	return nil, nil
-}
-
-// ---------------------------------------------------------------------------
-// Distribution-column filter extraction
-
-// collectDistFilters finds `col = const` conjuncts on a distribution column
-// anywhere in the statement and returns the value per distributed table.
-// The router and fast-path planners both use it.
-func (n *Node) collectDistFilters(stmt sql.Statement, params []types.Datum) map[string]types.Datum {
-	// map range names to table names across all FROM clauses; tables keeps
-	// each table once so unqualified conjuncts probe it once (ranges holds
-	// both alias and name entries, which would double-probe)
-	ranges := map[string]string{}
-	var tables []string
-	sql.WalkTables(stmt, func(bt *sql.BaseTable) {
-		name := bt.Name
-		if _, seen := ranges[name]; !seen {
-			tables = append(tables, name)
-		}
-		ranges[bt.RefName()] = name
-		ranges[name] = name
-	})
-
-	values := map[string]types.Datum{} // table name -> dist col value
-	record := func(qualifier, col string, val types.Datum) {
-		tryTable := func(tbl string) {
-			dt, ok := n.Meta.Table(tbl)
-			if !ok || dt.Type != metadata.DistributedTable || dt.DistColumn != col {
-				return
-			}
-			if _, exists := values[tbl]; !exists {
-				values[tbl] = val
-			}
-		}
-		if qualifier != "" {
-			if tbl, ok := ranges[qualifier]; ok {
-				tryTable(tbl)
-			}
-			return
-		}
-		for _, tbl := range tables {
-			tryTable(tbl)
-		}
-	}
-
-	visitConjunct := func(e sql.Expr) {
-		b, ok := e.(*sql.BinaryExpr)
-		if !ok || b.Op != sql.OpEq {
-			return
-		}
-		cr, crOK := b.L.(*sql.ColumnRef)
-		other := b.R
-		if !crOK {
-			cr, crOK = b.R.(*sql.ColumnRef)
-			other = b.L
-		}
-		if !crOK {
-			return
-		}
-		ev, err := expr.Compile(other, nil)
-		if err != nil {
-			return
-		}
-		val, err := ev(&expr.Ctx{Params: params})
-		if err != nil || val == nil {
-			return
-		}
-		record(cr.Table, cr.Name, val)
-	}
-
-	var walkConjunctSources func(sel *sql.SelectStmt)
-	var visitTableRef func(tr sql.TableRef)
-	visitTableRef = func(tr sql.TableRef) {
-		switch t := tr.(type) {
-		case *sql.JoinRef:
-			visitTableRef(t.Left)
-			visitTableRef(t.Right)
-			for _, c := range splitAnd(t.On) {
-				visitConjunct(c)
-			}
-		case *sql.SubqueryRef:
-			walkConjunctSources(t.Select)
-		}
-	}
-	walkConjunctSources = func(sel *sql.SelectStmt) {
-		if sel == nil {
-			return
-		}
-		for _, c := range splitAnd(sel.Where) {
-			visitConjunct(c)
-		}
-		for _, tr := range sel.From {
-			visitTableRef(tr)
-		}
-	}
-
-	switch st := stmt.(type) {
-	case *sql.SelectStmt:
-		walkConjunctSources(st)
-	case *sql.UpdateStmt:
-		for _, c := range splitAnd(st.Where) {
-			visitConjunct(c)
-		}
-	case *sql.DeleteStmt:
-		for _, c := range splitAnd(st.Where) {
-			visitConjunct(c)
-		}
-	}
-	return values
 }
 
 func splitAnd(e sql.Expr) []sql.Expr {
@@ -401,116 +302,263 @@ func (n *Node) shardNameRewriter(shardIndex int) func(string) string {
 // ---------------------------------------------------------------------------
 // Router planner (and fast path)
 
-// planRouter attempts to scope the whole statement to one co-located shard
-// group (§3.5). Returns nil when the query is not routable.
-func (n *Node) planRouter(stmt sql.Statement, params []types.Datum, isWrite bool, tag string) (*distPlan, error) {
-	dist := n.distTablesIn(stmt)
+// routerShape is the router planner's analysis of one statement (§3.5): what
+// a one-task plan needs that no parameter value changes. The plan cache keeps
+// it per normalized statement shape, so a fast-path execution only binds it;
+// with the cache off, or for a statement the cache does not normalize, every
+// execution analyzes afresh. No field changes once the shape is shared but
+// taskSQL, which memoizes per-shard-group deparses under mu.
+type routerShape struct {
+	stmt sql.Statement // read-only; cloned for each shard group's deparse
+	// pins evaluate each distributed table's distribution value, in the order
+	// the statement references the tables. A read of reference tables alone
+	// has none and goes to the local replica.
+	pins       []routerPin
+	colocation int
+	isWrite    bool
+	isDML      bool
+	tag        string
 
-	// Reference-table-only statements route to the local replica (reads)
-	// — writes to reference tables are handled by the DML planners.
-	if len(dist) == 0 {
-		clone, err := sql.CloneStatement(stmt)
+	key         string // the normalized text, for a shape the plan cache holds
+	metaVersion int64
+
+	mu      sync.Mutex
+	taskSQL map[int]string // shard index -> deparsed task SQL
+}
+
+// routerPin is one distributed table's `distcol = <expr>` conjunct, its value
+// side compiled against the (caller + lifted) parameters.
+type routerPin struct {
+	table string
+	value expr.Evaluator
+}
+
+// analyzeRouter decides whether stmt can be scoped to one co-located shard
+// group. Every distributed table needs a `distcol = <expr>` conjunct — in the
+// WHERE, a JOIN … ON or a FROM subquery, the column qualified or not — and
+// all of them one co-location group. Reference tables ride along. Returns nil
+// for a statement the router never plans; pushdown, join order and
+// multi-shard DML take it.
+func (n *Node) analyzeRouter(stmt sql.Statement) *routerShape {
+	s := &routerShape{stmt: stmt}
+	var target string // a DML statement's table
+	var where sql.Expr
+	switch st := stmt.(type) {
+	case *sql.SelectStmt:
+		// SELECT … FOR UPDATE takes row locks on the worker: the task is a
+		// write, so it joins the distributed transaction and goes to the
+		// primary placement (locks on a standby would protect nothing)
+		s.isWrite = st.ForUpdate
+	case *sql.UpdateStmt:
+		target, where = st.Table, st.Where
+		s.isWrite, s.isDML, s.tag = true, true, "UPDATE"
+	case *sql.DeleteStmt:
+		target, where = st.Table, st.Where
+		s.isWrite, s.isDML, s.tag = true, true, "DELETE"
+	default:
+		return nil
+	}
+	if dt, ok := n.Meta.Table(target); s.isDML && (!ok || dt.Type != metadata.DistributedTable) {
+		return nil // a write to a reference table goes to every replica
+	}
+
+	// range names (aliases and names) across every FROM clause; tables holds
+	// each table once, the candidates of an unqualified column
+	ranges := map[string]string{}
+	var tables []string
+	sql.WalkTables(stmt, func(bt *sql.BaseTable) {
+		if _, seen := ranges[bt.Name]; !seen {
+			tables = append(tables, bt.Name)
+		}
+		ranges[bt.RefName()] = bt.Name
+		ranges[bt.Name] = bt.Name
+	})
+	values := map[string]expr.Evaluator{} // table -> its first pin
+	visitConjunct := func(e sql.Expr) {
+		b, ok := e.(*sql.BinaryExpr)
+		if !ok || b.Op != sql.OpEq {
+			return
+		}
+		cr, crOK := b.L.(*sql.ColumnRef)
+		other := b.R
+		if !crOK {
+			cr, crOK = b.R.(*sql.ColumnRef)
+			other = b.L
+		}
+		if !crOK {
+			return
+		}
+		// a column on the other side (a join predicate) does not compile
+		ev, err := expr.Compile(other, nil)
+		if err != nil {
+			return
+		}
+		candidates := tables
+		if cr.Table != "" {
+			tbl, ok := ranges[cr.Table]
+			if !ok {
+				return
+			}
+			candidates = []string{tbl}
+		}
+		for _, tbl := range candidates {
+			dt, ok := n.Meta.Table(tbl)
+			if ok && dt.Type == metadata.DistributedTable && dt.DistColumn == cr.Name && values[tbl] == nil {
+				values[tbl] = ev
+			}
+		}
+	}
+	visitWhere := func(w sql.Expr) {
+		for _, c := range splitAnd(w) {
+			visitConjunct(c)
+		}
+	}
+	var visitSelect func(sel *sql.SelectStmt)
+	var visitTableRef func(tr sql.TableRef)
+	visitTableRef = func(tr sql.TableRef) {
+		switch t := tr.(type) {
+		case *sql.JoinRef:
+			visitTableRef(t.Left)
+			visitTableRef(t.Right)
+			visitWhere(t.On)
+		case *sql.SubqueryRef:
+			visitSelect(t.Select)
+		}
+	}
+	visitSelect = func(sel *sql.SelectStmt) {
+		if sel == nil {
+			return
+		}
+		visitWhere(sel.Where)
+		for _, tr := range sel.From {
+			visitTableRef(tr)
+		}
+	}
+	if sel, ok := stmt.(*sql.SelectStmt); ok {
+		visitSelect(sel)
+	} else {
+		visitWhere(where)
+	}
+
+	for _, tbl := range n.distTablesIn(stmt) {
+		dt, _ := n.Meta.Table(tbl)
+		if values[tbl] == nil || (len(s.pins) > 0 && dt.ColocationID != s.colocation) {
+			return nil
+		}
+		s.colocation = dt.ColocationID
+		s.pins = append(s.pins, routerPin{table: tbl, value: values[tbl]})
+	}
+	return s
+}
+
+// plan binds the shape to one execution's parameters: every pin must be a
+// non-NULL value of its distribution column's type, and all must land on one
+// shard index. The placements are the current ones, so a shard move
+// redirects the next execution without evicting the shape. hit marks a
+// plan-cache hit for tracing and EXPLAIN ANALYZE. Returns nil when the values
+// do not route (a nil shape never does); the planner walks on.
+func (s *routerShape) plan(n *Node, params []types.Datum, hit bool) (*distPlan, error) {
+	if s == nil {
+		return nil, nil
+	}
+	cacheMark := ""
+	if hit {
+		cacheMark = "hit"
+	}
+	if len(s.pins) == 0 {
+		text, err := s.sqlFor(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		sql.RewriteTables(clone, n.shardNameRewriter(0))
 		return &distPlan{
-			node:    n,
-			tasks:   []task{{nodeID: n.ID, shardGroup: -1, sql: clone.String(), params: params, isWrite: isWrite}},
-			isDML:   isWrite,
-			tag:     tag,
+			node: n,
+			tasks: []task{{
+				nodeID: n.ID, shardGroup: -1,
+				sql: text, params: params, isWrite: s.isWrite, cache: cacheMark,
+			}},
 			explain: []string{"Custom Scan (Citus Router)", "  Task Count: 1 (reference table, local replica)"},
 		}, nil
 	}
 
-	values := n.collectDistFilters(stmt, params)
-
-	// every distributed table needs a distribution column filter, all in
-	// the same co-location group, all landing on the same shard index
-	shardIndex := -1
-	colocation := -1
-	var groupShard *metadata.Shard
-	for _, tbl := range dist {
-		val, ok := values[tbl]
-		if !ok {
+	ctx := &expr.Ctx{Params: params}
+	var sh *metadata.Shard
+	for _, p := range s.pins {
+		val, err := p.value(ctx)
+		if err != nil || val == nil {
 			return nil, nil
 		}
-		dt, _ := n.Meta.Table(tbl)
-		if colocation == -1 {
-			colocation = dt.ColocationID
-		} else if dt.ColocationID != colocation {
+		psh, err := n.Meta.ShardForValue(p.table, val)
+		if err != nil || (sh != nil && psh.Index != sh.Index) {
 			return nil, nil
 		}
-		sh, err := n.Meta.ShardForValue(tbl, val)
-		if err != nil {
-			return nil, err
-		}
-		if shardIndex == -1 {
-			shardIndex = sh.Index
-			groupShard = sh
-		} else if sh.Index != shardIndex {
-			return nil, nil
-		}
+		sh = psh
 	}
-
-	nodeID, err := n.Meta.PrimaryPlacement(groupShard.ID)
+	nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
 	if err != nil {
 		return nil, err
 	}
-	clone, err := sql.CloneStatement(stmt)
+	text, err := s.sqlFor(n, sh.Index)
 	if err != nil {
 		return nil, err
 	}
-	sql.RewriteTables(clone, n.shardNameRewriter(shardIndex))
-	group := metadata.ShardGroupID(colocation, shardIndex)
 	var readNodes []int
-	if !isWrite {
-		readNodes = n.Meta.ReadPlacements(groupShard.ID)
+	if !s.isWrite {
+		readNodes = n.Meta.ReadPlacements(sh.ID)
+	}
+	cachedPlan := ""
+	if s.key != "" {
+		cachedPlan = "cached plan, "
 	}
 	return &distPlan{
 		node: n,
 		tasks: []task{{
-			nodeID: nodeID, shardGroup: group,
-			sql: clone.String(), params: params, isWrite: isWrite,
-			readNodes: readNodes,
+			nodeID: nodeID, shardGroup: metadata.ShardGroupID(s.colocation, sh.Index),
+			sql: text, params: params, isWrite: s.isWrite,
+			cache: cacheMark, readNodes: readNodes,
 		}},
-		isDML: isWrite,
-		tag:   tag,
+		isDML: s.isDML,
+		tag:   s.tag,
 		explain: []string{
 			"Custom Scan (Citus Router)",
-			fmt.Sprintf("  Task Count: 1 (shard group %d on node %d)", shardIndex, nodeID),
+			fmt.Sprintf("  Task Count: 1 (%sshard group %d on node %d)", cachedPlan, sh.Index, nodeID),
 		},
 	}, nil
+}
+
+// sqlFor returns the task SQL for one shard index, deparsed at most once per
+// (shape, shard group).
+func (s *routerShape) sqlFor(n *Node, shardIndex int) (string, error) {
+	s.mu.Lock()
+	text, ok := s.taskSQL[shardIndex]
+	s.mu.Unlock()
+	if ok {
+		return text, nil
+	}
+	clone, err := sql.CloneStatement(s.stmt)
+	if err != nil {
+		return "", err
+	}
+	sql.RewriteTables(clone, n.shardNameRewriter(shardIndex))
+	text = clone.String()
+	s.mu.Lock()
+	if s.taskSQL == nil {
+		s.taskSQL = make(map[int]string)
+	}
+	s.taskSQL[shardIndex] = text
+	s.mu.Unlock()
+	return text, nil
 }
 
 // ---------------------------------------------------------------------------
 // SELECT planning
 
+// planDistSelect plans a SELECT the router could not scope to one shard group.
 func (n *Node) planDistSelect(sel *sql.SelectStmt, params []types.Datum) (engine.Plan, error) {
-	// fast path / router
-	plan, err := n.planRouter(sel, params, false, "")
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		if sel.ForUpdate {
-			// SELECT ... FOR UPDATE takes row locks on the worker; treat
-			// the task as a write so it joins the distributed transaction
-			// (and pin it to the primary placement — locks on a standby
-			// would not protect anything).
-			for i := range plan.tasks {
-				plan.tasks[i].isWrite = true
-				plan.tasks[i].readNodes = nil
-			}
-			plan.isDML = false
-		}
-		return plan, nil
-	}
 	if sel.ForUpdate {
 		return nil, fmt.Errorf("SELECT FOR UPDATE requires a distribution column filter")
 	}
 	// logical pushdown
-	plan, err = n.planPushdown(sel, params)
+	plan, err := n.planPushdown(sel, params)
 	if err != nil || plan != nil {
 		return plan, err
 	}
@@ -651,7 +699,10 @@ func (n *Node) planReferenceWrite(stmt sql.Statement, params []types.Datum, tag 
 	}, nil
 }
 
-func (n *Node) planDistModify(stmt sql.Statement, table string, where sql.Expr, params []types.Datum) (engine.Plan, error) {
+// planDistModify plans an UPDATE or DELETE the router could not scope to one
+// shard: a reference table's on every replica, a distributed table's on
+// every shard.
+func (n *Node) planDistModify(stmt sql.Statement, table string, params []types.Datum) (engine.Plan, error) {
 	dt, ok := n.Meta.Table(table)
 	if !ok {
 		return nil, nil
@@ -662,16 +713,6 @@ func (n *Node) planDistModify(stmt sql.Statement, table string, where sql.Expr, 
 	}
 	if dt.Type == metadata.ReferenceTable {
 		return n.planReferenceWrite(stmt, params, tag)
-	}
-
-	// router: single shard when the distribution column is pinned
-	plan, err := n.planRouter(stmt, params, true, tag)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		plan.tag = tag
-		return plan, nil
 	}
 
 	// multi-shard parallel DML (§3.8 / Table 2 "Parallel, distributed DML")

@@ -19,13 +19,36 @@ type accessPath struct {
 
 // isConstExpr reports whether e references no columns (it may reference
 // parameters) and returns its evaluator, typed after the column it bounds
-// exactly as the scan's recheck filter types it (expr.CompileAgainst).
+// exactly as the scan's recheck filter types it (expr.CompileAgainst), its
+// value coerced as an index probe (probeKey).
 func isConstExpr(e sql.Expr, colTyp types.Type) (expr.Evaluator, bool) {
 	ev, err := expr.CompileAgainst(e, nil, colTyp)
 	if err != nil {
 		return nil, false
 	}
-	return ev, true
+	return probeKey(ev, colTyp), true
+}
+
+// probeKey types a string probing a B-tree the way PostgreSQL types an
+// untyped literal: as the indexed column. The tree orders a bigint column's
+// keys as numbers, and a '7' compared among them as text misses the 7 the
+// recheck filter would accept. A string that does not parse stays a string;
+// other kinds already compare with the column's as the filter compares them.
+func probeKey(ev expr.Evaluator, colTyp types.Type) expr.Evaluator {
+	switch colTyp {
+	case types.Int, types.Float, types.Bool, types.Timestamp:
+	default:
+		return ev
+	}
+	return func(c *expr.Ctx) (types.Datum, error) {
+		v, err := ev(c)
+		if s, isStr := v.(string); isStr && err == nil {
+			if typed, cerr := types.CoerceTo(s, colTyp); cerr == nil {
+				return typed, nil
+			}
+		}
+		return v, err
+	}
 }
 
 // colBound is one "col <op> const" fact extracted from the WHERE clause.

@@ -188,6 +188,47 @@ func TestIndexScanIsUsed(t *testing.T) {
 	expectRows(t, res, "10")
 }
 
+// TestIndexProbeTakesColumnType: a quoted number probing a bigint B-tree finds
+// the rows the filter finds — for SELECT, UPDATE and DELETE, by equality and
+// by range, as a literal and as a parameter. `k + 0` keeps a conjunct off the
+// index, so it is the filter path's answer.
+func TestIndexProbeTakesColumnType(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE loc (k bigint PRIMARY KEY, v bigint)")
+	for k := 1; k <= 50; k++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO loc VALUES (%d, %d)", k, k*10))
+	}
+	plan := rowsToString(mustExec(t, s, "EXPLAIN SELECT v FROM loc WHERE k = '7'").Rows)
+	if !strings.Contains(plan, "Index Scan using loc_pkey") {
+		t.Fatalf("expected an index scan:\n%s", plan)
+	}
+	for _, tc := range []struct {
+		index, filter string
+		params        []types.Datum
+	}{
+		{"SELECT v FROM loc WHERE k = '7'", "SELECT v FROM loc WHERE k + 0 = '7'", nil},
+		{"SELECT v FROM loc WHERE k = $1", "SELECT v FROM loc WHERE k + 0 = $1", []types.Datum{"7"}},
+		// the filter path orders a bigint against '45' as text, so its range
+		// takes an integer
+		{"SELECT count(*) FROM loc WHERE k >= '45'", "SELECT count(*) FROM loc WHERE k + 0 >= 45", nil},
+		{"SELECT count(*) FROM loc WHERE k BETWEEN '3' AND '9'", "SELECT count(*) FROM loc WHERE k + 0 BETWEEN 3 AND 9", nil},
+	} {
+		want := rowsToString(mustExec(t, s, tc.filter, tc.params...).Rows)
+		if got := rowsToString(mustExec(t, s, tc.index, tc.params...).Rows); got != want || got == "" {
+			t.Errorf("%s: index path %q, filter path %q", tc.index, got, want)
+		}
+	}
+	if res := mustExec(t, s, "UPDATE loc SET v = 0 WHERE k = '8'"); res.Affected != 1 {
+		t.Errorf("UPDATE ... WHERE k = '8' affected %d rows, want 1", res.Affected)
+	}
+	if res := mustExec(t, s, "DELETE FROM loc WHERE k = '9'"); res.Affected != 1 {
+		t.Errorf("DELETE ... WHERE k = '9' affected %d rows, want 1", res.Affected)
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM loc WHERE v = 0"), "1")
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM loc"), "49")
+}
+
 func TestCompositeKeyIndex(t *testing.T) {
 	e := newTestEngine(t)
 	s := e.NewSession()

@@ -341,15 +341,22 @@ func TestBatchScanChargesWhatScanCharges(t *testing.T) {
 
 // TestBatchScanConcurrentWriters: batched scans run beside inserts, deletes
 // and vacuum (run it under -race). A scan sees each committed row at most
-// once and never a half-written one.
+// once and never a half-written one. Each round waits for the writer to
+// have vacuumed since the one before, and the writer keeps the table's live
+// rows under a budget, deleting its oldest past it, so the rows a scan reads
+// and a vacuum checks stay bounded however long the reader takes.
 func TestBatchScanConcurrentWriters(t *testing.T) {
+	const liveBudget = 2048
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	stop := make(chan struct{})
+	vacuumed := make(chan struct{}, 1)
+	trims := 0
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var live []TID // committed rows, oldest first
 		for i := int64(0); ; i++ {
 			select {
 			case <-stop:
@@ -365,13 +372,31 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 				mgr.Abort(w)
 			} else {
 				_ = mgr.Commit(w)
+				if i%3 != 0 {
+					live = append(live, tid)
+				}
+			}
+			if len(live) > liveBudget {
+				d := mgr.Begin()
+				for _, old := range live[:liveBudget/2] {
+					tbl.MarkDeleted(old, d.XID, NilTID)
+				}
+				_ = mgr.Commit(d)
+				live = append(live[:0], live[liveBudget/2:]...)
+				tbl.Vacuum(mgr, mgr.GlobalXmin())
+				trims++
 			}
 			if i%64 == 0 {
 				tbl.Vacuum(mgr, mgr.GlobalXmin())
+				select {
+				case vacuumed <- struct{}{}:
+				default:
+				}
 			}
 		}
 	}()
 	for round := 0; round < 200; round++ {
+		<-vacuumed
 		seen := map[int64]bool{}
 		for b := tbl.NewBatchScan(mgr, mgr.TakeSnapshot(nil)); ; {
 			rows, ok := b.Next()
@@ -389,6 +414,9 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if trims == 0 {
+		t.Fatalf("the writer never reached its budget of %d live rows", liveBudget)
+	}
 }
 
 // TestTIDScanMatchesGet: a TID scan over an index's candidate list — sparse,

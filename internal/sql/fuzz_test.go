@@ -21,6 +21,9 @@ import (
 // The seeds are the string literals of this package's tests and of the
 // workload generators, with their format verbs filled in.
 //
+// Renaming its tables to shard names (the suffix taken from i) commutes with
+// deparse, and the renamed text parses.
+//
 // Each input also carries a datum (literalDatum picks it from kind, i, fl
 // and str): a Literal holding it must deparse to text that parses back to
 // an equal datum, NaN, infinities, -0, quotes and backslashes included.
@@ -57,6 +60,20 @@ func FuzzParseDeparse(f *testing.F) {
 		}
 		if got := again.String(); got != text {
 			t.Fatalf("%q deparses to\n%q, which deparses to\n%q", src, text, got)
+		}
+		// renaming tables to shards commutes with deparse: a task's text is
+		// the same whether the shard names go into the statement as parsed
+		// or into a parse of its deparse, which is what the plan cache's
+		// per-shard-group memo renames
+		rename := func(name string) string { return name + "_" + strconv.FormatUint(uint64(i)%1000000, 10) }
+		RewriteTables(again, rename)
+		viaText := again.String()
+		RewriteTables(stmt, rename)
+		if direct := stmt.String(); direct != viaText {
+			t.Fatalf("%q renamed to shards deparses to\n%q, but its deparse parsed and renamed to\n%q", src, direct, viaText)
+		}
+		if _, err := Parse(viaText); err != nil {
+			t.Fatalf("%q renamed to shards deparses to %q, which does not parse: %v", src, viaText, err)
 		}
 	})
 }
