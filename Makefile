@@ -43,8 +43,10 @@ race:
 # DDL-under-load stress tests 100 times each — however DDL interleaves with
 # cached router statements and pipelined windows, no error of any kind reaches
 # a session and every read sees its own writes — and 20 times under -race
-# the plan cache's differential oracle (every router shape cached, hit and
-# uncached: same rows, affected counts, EXPLAIN and node), then the
+# the plan cache's differential oracles (every router shape cached, hit and
+# uncached: same rows, affected counts, EXPLAIN and node; every fan-out shape
+# the same way, and again after CREATE INDEX, ADD COLUMN and a shard move),
+# then the
 # slow-start ramp test and the real-TCP benchmark's own tests under the race
 # detector, which is where the ramp's wg.Add/wg.Wait race first showed; and
 # 20 times under -race, concurrent sessions sharing the coordinator's merge
@@ -95,7 +97,7 @@ race:
 # distribution value refused up front, and COPY under 2PC faults
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
-	go test -race -run 'TestRouterCacheParity' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
 	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound|TestRefreshUnderLimitGetsItsSlotBack|TestRetryRedialsInsideItsSlot' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestDDLBetweenExecutions|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestImplicitTxnKeepsPinnedConns|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus

@@ -5,3 +5,18 @@ import "citusgo/internal/pool"
 // PoolForTest hands a test the shared connection pool toward a node, so it
 // can put a connection into a state no executor path leaves one in.
 func (n *Node) PoolForTest(nodeID int) (*pool.NodePool, error) { return n.poolFor(nodeID) }
+
+// ParseTreesForTest counts the parse trees of text the coordinator's plan
+// cache has been handed: one for every parse of the client's statement that
+// the session statement cache did not spare.
+func (n *Node) ParseTreesForTest(text string) int {
+	n.planCache.mu.Lock()
+	defer n.planCache.mu.Unlock()
+	trees := 0
+	for stmt := range n.planCache.fp {
+		if stmt.String() == text {
+			trees++
+		}
+	}
+	return trees
+}

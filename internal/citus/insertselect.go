@@ -146,13 +146,12 @@ func (n *Node) destDistColumnPosition(ins *sql.InsertStmt, dt *metadata.DistTabl
 // the co-located shards in parallel").
 func (n *Node) planColocatedInsertSelect(ins *sql.InsertStmt, dt *metadata.DistTable, params []types.Datum) (engine.Plan, error) {
 	shards := n.Meta.Shards(dt.Name)
+	texts, err := n.shardTexts(ins, shardIndexes(shards)...)
+	if err != nil {
+		return nil, err
+	}
 	var tasks []task
-	for _, sh := range shards {
-		clone, err := sql.CloneStatement(ins)
-		if err != nil {
-			return nil, err
-		}
-		sql.RewriteTables(clone, n.shardNameRewriter(sh.Index))
+	for i, sh := range shards {
 		nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
 		if err != nil {
 			return nil, err
@@ -160,7 +159,7 @@ func (n *Node) planColocatedInsertSelect(ins *sql.InsertStmt, dt *metadata.DistT
 		tasks = append(tasks, task{
 			nodeID:     nodeID,
 			shardGroup: metadata.ShardGroupID(dt.ColocationID, sh.Index),
-			sql:        clone.String(),
+			sql:        texts[i],
 			params:     params,
 			isWrite:    true,
 		})
@@ -215,8 +214,11 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 	if len(cols) == 0 {
 		cols = n.tableColumnsFromSchema(dt)
 	}
-	srcTable := dist[0]
-	srcShards := n.Meta.Shards(srcTable)
+	srcShards := n.Meta.Shards(dist[0])
+	srcTexts, err := n.shardTexts(sel, shardIndexes(srcShards)...)
+	if err != nil {
+		return nil, err
+	}
 	plan := &distPlan{
 		node:  n,
 		isDML: true,
@@ -229,19 +231,14 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 	plan.prepare = func(s *engine.Session, params []types.Datum) ([]task, error) {
 		// phase 1: run the SELECT per source shard and collect rows
 		var selTasks []task
-		for _, sh := range srcShards {
-			clone, err := sql.CloneStatement(sel)
-			if err != nil {
-				return nil, err
-			}
-			sql.RewriteTables(clone, n.shardNameRewriter(sh.Index))
+		for i, sh := range srcShards {
 			nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
 			if err != nil {
 				return nil, err
 			}
 			// the SELECT feeds a durable INSERT: pin it to the primary so an
 			// async standby's bounded staleness can't leak into written rows
-			selTasks = append(selTasks, task{nodeID: nodeID, shardGroup: -1, sql: clone.String(), params: params})
+			selTasks = append(selTasks, task{nodeID: nodeID, shardGroup: -1, sql: srcTexts[i], params: params})
 		}
 		results, err := n.executeTasks(s, selTasks)
 		if err != nil {

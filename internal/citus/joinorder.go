@@ -94,12 +94,13 @@ func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smal
 		}
 		return name
 	})
-	inner, err := n.planPushdown(rewritten.(*sql.SelectStmt), params)
-	if err != nil {
+	shape, err := n.analyzePushdown(rewritten.(*sql.SelectStmt))
+	if shape == nil || err != nil {
 		return nil, err
 	}
-	if inner == nil {
-		return nil, nil
+	inner, err := shape.plan(n, params, false)
+	if err != nil {
+		return nil, err
 	}
 	inner.explain = append([]string{
 		"Custom Scan (Citus Adaptive)",
@@ -183,12 +184,16 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 	if err != nil {
 		return nil, err
 	}
+	if pq.topN {
+		metTopNPushdowns.Add(1)
+	}
+	// every bucket's task runs the same text: the buckets share their names
+	workerSQL := pq.worker.String()
 
 	plan := &distPlan{
 		node:          n,
 		columns:       pq.columns,
-		mergeName:     fmt.Sprintf("citus_merge_%d", seq),
-		mergeQuery:    pq.merge.String(),
+		merge:         pq.merge,
 		cleanupPrefix: fmt.Sprintf("citus_repart_%d_", seq),
 		explain: []string{
 			"Custom Scan (Citus Adaptive)",
@@ -207,13 +212,9 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 		if err := n.repartitionTable(s, b, keyB, nameB, workers); err != nil {
 			return nil, err
 		}
-		var tasks []task
-		for _, w := range workers {
-			clone, err := sql.CloneStatement(pq.worker)
-			if err != nil {
-				return nil, err
-			}
-			tasks = append(tasks, task{nodeID: w.ID, shardGroup: -1, sql: clone.String(), params: params})
+		tasks := make([]task, len(workers))
+		for i, w := range workers {
+			tasks[i] = task{nodeID: w.ID, shardGroup: -1, sql: workerSQL, params: params}
 		}
 		return tasks, nil
 	}

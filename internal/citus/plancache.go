@@ -10,29 +10,39 @@ import (
 	"citusgo/internal/types"
 )
 
-// The coordinator distributed-plan cache: the router planner's analysis of a
-// statement (routerShape, planner.go) is kept per normalized statement shape —
-// constant literals lifted into synthetic parameters — and per metadata
-// version. A hit re-runs only the bind: evaluating the distribution values,
-// hashing them to a shard and looking up the current placements. The
-// parse-tree clone, the planner-tier walk and the analysis are skipped, and
-// the shape memoizes the deparsed task SQL per shard group, so clone.String()
-// runs once per (statement shape × shard group) instead of once per
-// execution. This is the plan caching that makes Citus' fast-path planner
-// cheap on repeated single-shard OLTP statements.
+// The coordinator distributed-plan cache keeps the planners' analyses, so a
+// repeated statement only binds one:
+//
+//   - the router planner's (routerShape, planner.go), per normalized
+//     statement shape — constant literals lifted into synthetic parameters.
+//     A hit evaluates the distribution values, hashes them to a shard and
+//     looks up its current placements; the shape memoizes the deparsed task
+//     SQL per shard group. This is the plan caching that makes Citus'
+//     fast-path planner cheap on repeated single-shard OLTP statements.
+//   - the logical pushdown planner's (pushdownShape, pushdown.go), per
+//     statement text, for a SELECT the router does not scope to one shard
+//     group. Literals are not lifted: they stay in the worker texts, where
+//     the worker types them after the column they meet (expr.CompileAgainst
+//     types a constant, not a parameter). A hit looks up each shard's
+//     current placements; the task texts and the parsed merge query were
+//     made at install.
+//
+// Both are stamped with the metadata version they were analyzed under, and
+// dropped on a mismatch. The parse-tree clones, the planner-tier walk and
+// the analyses are skipped on a hit.
 
 var (
 	metPlanCacheHits = obs.Default().Counter("citus_plancache_hits",
-		"router statements planned from the coordinator plan cache").With()
+		"router and pushdown statements planned from the coordinator plan cache").With()
 	metPlanCacheMisses = obs.Default().Counter("citus_plancache_misses",
-		"router statements analyzed and installed into the coordinator plan cache").With()
+		"router and pushdown statements analyzed and installed into the coordinator plan cache").With()
 	metPlanCacheInvalidations = obs.Default().Counter("citus_plancache_invalidations",
 		"coordinator plan-cache entries dropped after a metadata version change").With()
 )
 
-// planCacheMaxEntries bounds both the entry map and the negative cache; on
-// overflow the map is flushed wholesale (repeated shapes re-enter on the
-// next execution, one-off shapes churn through without LRU bookkeeping).
+// planCacheMaxEntries bounds each map of the cache; on overflow the map is
+// flushed wholesale (repeated shapes re-enter on the next execution, one-off
+// shapes churn through without LRU bookkeeping).
 const planCacheMaxEntries = 512
 
 // planCache is per-node and shared by all sessions planning on it.
@@ -44,6 +54,8 @@ type planCache struct {
 	// analysis cost is paid once per (shape, metadata version) instead of per
 	// execution.
 	negative map[string]int64
+	// pushdown holds the pushdown planner's shapes by statement text.
+	pushdown map[string]*pushdownShape
 	// fp memoizes normalizeStatement by AST identity: the engine session
 	// statement cache hands the planner the same parse tree for repeated
 	// statement text, so the per-execution key render (a full deparse)
@@ -60,21 +72,23 @@ type fingerprint struct {
 	ok      bool // false: the shape is not cacheable
 	key     string
 	lifted  []types.Datum
-	nParams int // caller parameter count the synthetic numbering assumed
+	nParams int    // caller parameter count the synthetic numbering assumed
+	text    string // the statement's own text, the pushdown key; "" until needed
 }
 
 func newPlanCache() *planCache {
 	return &planCache{
 		entries:  make(map[string]*routerShape),
 		negative: make(map[string]int64),
+		pushdown: make(map[string]*pushdownShape),
 		fp:       make(map[sql.Statement]fingerprint),
 	}
 }
 
-// plan is the fast path: normalize, look the shape up — analyzing and
-// installing it on a miss — and bind it. A statement normalizeStatement
-// rejects (a join, a FROM subquery) is analyzed on every execution, as with
-// the cache off. nil: the values do not route, or the shape never does.
+// plan is the fast path: the router's shape for the statement, bound, and
+// for a SELECT the router does not scope to one shard group, the pushdown
+// planner's. nil: neither planner takes the statement (join order and
+// multi-shard DML do).
 func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*distPlan, error) {
 	pc.mu.Lock()
 	f, have := pc.fp[stmt]
@@ -82,6 +96,9 @@ func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*d
 	if !have || f.nParams != len(params) {
 		key, lifted, ok := normalizeStatement(stmt, len(params))
 		f = fingerprint{ok: ok, key: key, lifted: lifted, nParams: len(params)}
+		if ok && len(lifted) == 0 {
+			f.text = key
+		}
 		pc.mu.Lock()
 		if len(pc.fp) >= planCacheMaxEntries {
 			pc.fp = make(map[sql.Statement]fingerprint)
@@ -89,6 +106,22 @@ func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*d
 		pc.fp[stmt] = f
 		pc.mu.Unlock()
 	}
+	p, err := pc.planRouter(n, stmt, f, params)
+	if p != nil || err != nil {
+		return p, err
+	}
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok || sel.ForUpdate {
+		return nil, nil
+	}
+	return pc.planPushdown(n, sel, f, params)
+}
+
+// planRouter normalizes, looks the router shape up — analyzing and installing
+// it on a miss — and binds it. A statement normalizeStatement rejects (a
+// join, a FROM subquery) is analyzed on every execution, as with the cache
+// off. nil: the values do not route, or the shape never does.
+func (pc *planCache) planRouter(n *Node, stmt sql.Statement, f fingerprint, params []types.Datum) (*distPlan, error) {
 	if !f.ok {
 		return n.analyzeRouter(stmt).plan(n, params, false)
 	}
@@ -110,8 +143,7 @@ func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*d
 	if s != nil && s.metaVersion != ver {
 		delete(pc.entries, f.key)
 		s = nil
-		pc.invalidations.Add(1)
-		metPlanCacheInvalidations.Inc()
+		pc.invalidated()
 	}
 	pc.mu.Unlock()
 
@@ -127,13 +159,7 @@ func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*d
 		// uncached path would, and nothing is counted
 		return nil, err
 	}
-	if hit {
-		pc.hits.Add(1)
-		metPlanCacheHits.Inc()
-	} else {
-		pc.misses.Add(1)
-		metPlanCacheMisses.Inc()
-	}
+	pc.count(hit)
 	return p, nil
 }
 
@@ -164,6 +190,95 @@ func (pc *planCache) install(n *Node, key string, ver int64) *routerShape {
 	}
 	pc.entries[key] = s
 	return s
+}
+
+// planPushdown looks the pushdown shape of sel up by the statement's own
+// text — analyzing and installing it on a miss — and binds it. nil: the join
+// tree is not co-located (the join-order planner's).
+func (pc *planCache) planPushdown(n *Node, sel *sql.SelectStmt, f fingerprint, params []types.Datum) (*distPlan, error) {
+	key := f.text
+	if key == "" {
+		key = sel.String()
+		pc.mu.Lock()
+		if e, ok := pc.fp[sel]; ok {
+			e.text = key
+			pc.fp[sel] = e
+		}
+		pc.mu.Unlock()
+	}
+	ver := n.Meta.Version()
+
+	pc.mu.Lock()
+	s := pc.pushdown[key]
+	if s != nil && s.metaVersion != ver {
+		delete(pc.pushdown, key)
+		s = nil
+		pc.invalidated()
+	}
+	pc.mu.Unlock()
+
+	hit := s != nil
+	if !hit {
+		var err error
+		if s, err = pc.installPushdown(n, sel, key, ver); s == nil || err != nil {
+			return nil, err
+		}
+	}
+	p, err := s.plan(n, params, hit)
+	if err != nil {
+		return nil, err
+	}
+	pc.count(hit)
+	return p, nil
+}
+
+// installPushdown analyzes a private parse of the statement text, so the
+// shape shares no node with the session's tree, and caches it under the
+// metadata version it was analyzed at. A SELECT the pushdown planner does
+// not take is turned away before the parse and not remembered: the
+// join-order planner it goes to costs far more than the check.
+func (pc *planCache) installPushdown(n *Node, sel *sql.SelectStmt, key string, ver int64) (*pushdownShape, error) {
+	if _, _, ok := n.pushdownTarget(sel); !ok {
+		return nil, nil
+	}
+	stmt, err := sql.Parse(key)
+	if err != nil {
+		return nil, err
+	}
+	s, err := n.analyzePushdown(stmt.(*sql.SelectStmt))
+	if s == nil || err != nil {
+		return nil, err
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if prev, ok := pc.pushdown[key]; ok && prev.metaVersion == ver {
+		return prev, nil
+	}
+	s.key, s.metaVersion = key, ver
+	if len(pc.pushdown) >= planCacheMaxEntries {
+		pc.pushdown = make(map[string]*pushdownShape)
+	}
+	pc.pushdown[key] = s
+	return s, nil
+}
+
+// count records one statement planned from a cached shape (hit) or from one
+// analyzed and installed for it.
+func (pc *planCache) count(hit bool) {
+	if hit {
+		pc.hits.Add(1)
+		metPlanCacheHits.Inc()
+	} else {
+		pc.misses.Add(1)
+		metPlanCacheMisses.Inc()
+	}
+}
+
+// invalidated records one entry dropped for its metadata version; pc.mu is
+// held.
+func (pc *planCache) invalidated() {
+	pc.invalidations.Add(1)
+	metPlanCacheInvalidations.Inc()
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +394,9 @@ func (pc *planCache) stats() (entries []planCacheEntryStat, hits, misses, invali
 		e.mu.Lock()
 		entries = append(entries, planCacheEntryStat{key: e.key, shardGroups: len(e.taskSQL)})
 		e.mu.Unlock()
+	}
+	for _, e := range pc.pushdown {
+		entries = append(entries, planCacheEntryStat{key: e.key, shardGroups: len(e.taskSQL)})
 	}
 	pc.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })

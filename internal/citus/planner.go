@@ -51,10 +51,10 @@ type distPlan struct {
 	stmt  sql.Statement
 
 	// merge: load task results into an intermediate result on the
-	// coordinator and run the merge ("master") query over it locally.
-	mergeName  string
-	mergeQuery string
-	mergeCols  []string
+	// coordinator and run the merge ("master") query over it locally. The
+	// statement may be shared through the plan cache and is never changed:
+	// each execution runs a shallow copy whose FROM names its own relation.
+	merge *sql.SelectStmt
 
 	// cleanup of intermediate results on every involved node: everything
 	// named cleanupPrefix+<member>. The prefix ends in "_" so that query 1's
@@ -103,9 +103,9 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 		return res, nil
 	}
 
-	if p.mergeQuery != "" {
+	if p.merge != nil {
 		var rows []types.Row
-		cols := p.mergeCols
+		var cols []string
 		for _, r := range results {
 			if r != nil {
 				if cols == nil {
@@ -115,14 +115,19 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 			}
 		}
 		metCitusMergeRows.Add(int64(len(rows)))
-		p.node.Eng.RegisterIntermediateResult(p.mergeName, &engine.IntermediateResult{
+		name := fmt.Sprintf("citus_merge_%d", p.node.distSeq.Add(1))
+		p.node.Eng.RegisterIntermediateResult(name, &engine.IntermediateResult{
 			Columns: cols,
 			Rows:    rows,
 		})
 		// By exact name: a prefix drop of citus_merge_1 would take the
 		// citus_merge_10…19 of concurrent sessions with it.
-		defer p.node.Eng.DropIntermediateResult(p.mergeName)
-		res, err := s.Exec(p.mergeQuery, params...)
+		defer p.node.Eng.DropIntermediateResult(name)
+		// Parsed once, when the plan was made: no text is parsed here, and
+		// none enters the session's statement cache.
+		merge := *p.merge
+		merge.From = []sql.TableRef{&sql.BaseTable{Name: name}}
+		res, err := s.ExecStmt(&merge, params)
 		if err != nil {
 			return nil, fmt.Errorf("merge step failed: %w", err)
 		}
@@ -231,21 +236,21 @@ func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []typ
 	if !n.canCoordinate() {
 		return nil, fmt.Errorf("node %d cannot plan distributed queries: metadata is not synced (run start_metadata_sync_to_node)", n.ID)
 	}
-	// fast path and router: one analysis, bound to this execution's values.
-	// The plan cache keeps the analysis per statement shape; with the cache
-	// off the statement is analyzed here, every time.
-	var router *distPlan
+	// fast path, router and logical pushdown: an analysis bound to this
+	// execution's values. The plan cache keeps the analyses per statement;
+	// with the cache off the statement is analyzed here, every time.
+	var plan *distPlan
 	var err error
 	if n.Eng.Features().NoPlanCache {
-		router, err = n.analyzeRouter(stmt).plan(n, params, false)
+		plan, err = n.planUncached(stmt, params)
 	} else {
-		router, err = n.planCache.plan(n, stmt, params)
+		plan, err = n.planCache.plan(n, stmt, params)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if router != nil {
-		return router, nil
+	if plan != nil {
+		return plan, nil
 	}
 	switch st := stmt.(type) {
 	case *sql.SelectStmt:
@@ -258,6 +263,24 @@ func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []typ
 		return n.planDistModify(st, st.Table, params)
 	}
 	return nil, nil
+}
+
+// planUncached is the plan cache's work without the cache: the router's
+// analysis, and for a SELECT the router does not scope to one shard group,
+// the pushdown planner's. nil: neither planner takes the statement.
+func (n *Node) planUncached(stmt sql.Statement, params []types.Datum) (*distPlan, error) {
+	if p, err := n.analyzeRouter(stmt).plan(n, params, false); p != nil || err != nil {
+		return p, err
+	}
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok || sel.ForUpdate {
+		return nil, nil
+	}
+	s, err := n.analyzePushdown(sel)
+	if s == nil || err != nil {
+		return nil, err
+	}
+	return s.plan(n, params, false)
 }
 
 func splitAnd(e sql.Expr) []sql.Expr {
@@ -297,6 +320,32 @@ func (n *Node) shardNameRewriter(shardIndex int) func(string) string {
 		}
 		return name
 	}
+}
+
+// shardTexts deparses stmt once per shard index, its tables renamed to that
+// shard group's shards. stmt is parsed once, into a private clone that is
+// renamed, deparsed and put back per index; stmt itself is never touched.
+func (n *Node) shardTexts(stmt sql.Statement, indexes ...int) ([]string, error) {
+	clone, err := sql.CloneStatement(stmt)
+	if err != nil {
+		return nil, err
+	}
+	texts := make([]string, len(indexes))
+	for i, idx := range indexes {
+		restore := sql.RenameTables(clone, n.shardNameRewriter(idx))
+		texts[i] = clone.String()
+		restore()
+	}
+	return texts, nil
+}
+
+// shardIndexes lists the shard indexes of shards, in order.
+func shardIndexes(shards []*metadata.Shard) []int {
+	idx := make([]int, len(shards))
+	for i, sh := range shards {
+		idx[i] = sh.Index
+	}
+	return idx
 }
 
 // ---------------------------------------------------------------------------
@@ -534,12 +583,11 @@ func (s *routerShape) sqlFor(n *Node, shardIndex int) (string, error) {
 	if ok {
 		return text, nil
 	}
-	clone, err := sql.CloneStatement(s.stmt)
+	texts, err := n.shardTexts(s.stmt, shardIndex)
 	if err != nil {
 		return "", err
 	}
-	sql.RewriteTables(clone, n.shardNameRewriter(shardIndex))
-	text = clone.String()
+	text = texts[0]
 	s.mu.Lock()
 	if s.taskSQL == nil {
 		s.taskSQL = make(map[int]string)
@@ -552,18 +600,13 @@ func (s *routerShape) sqlFor(n *Node, shardIndex int) (string, error) {
 // ---------------------------------------------------------------------------
 // SELECT planning
 
-// planDistSelect plans a SELECT the router could not scope to one shard group.
+// planDistSelect plans a SELECT neither the router nor the pushdown planner
+// took: the logical join-order planner's broadcast and repartition joins.
 func (n *Node) planDistSelect(sel *sql.SelectStmt, params []types.Datum) (engine.Plan, error) {
 	if sel.ForUpdate {
 		return nil, fmt.Errorf("SELECT FOR UPDATE requires a distribution column filter")
 	}
-	// logical pushdown
-	plan, err := n.planPushdown(sel, params)
-	if err != nil || plan != nil {
-		return plan, err
-	}
-	// logical join order (broadcast / repartition joins)
-	plan, err = n.planJoinOrder(sel, params)
+	plan, err := n.planJoinOrder(sel, params)
 	if err != nil || plan != nil {
 		return plan, err
 	}
@@ -675,19 +718,17 @@ func (n *Node) planDistInsert(ins *sql.InsertStmt, params []types.Datum) (engine
 // to all nodes"), under 2PC. The first replica's task reports the count and
 // any RETURNING rows; the others are replicas.
 func (n *Node) planReferenceWrite(stmt sql.Statement, params []types.Datum, tag string) (engine.Plan, error) {
-	clone, err := sql.CloneStatement(stmt)
+	texts, err := n.shardTexts(stmt, 0)
 	if err != nil {
 		return nil, err
 	}
-	sql.RewriteTables(clone, n.shardNameRewriter(0))
-	text := clone.String()
 	var tasks []task
 	// active nodes only: a standby's reference replica is maintained by its
 	// primary's WAL stream, and writing to it directly would double-apply
 	for i, node := range n.Meta.ActiveNodes() {
 		tasks = append(tasks, task{
 			nodeID: node.ID, shardGroup: -1,
-			sql: text, params: params, isWrite: true, replica: i > 0,
+			sql: texts[0], params: params, isWrite: true, replica: i > 0,
 		})
 	}
 	return &distPlan{
@@ -717,13 +758,12 @@ func (n *Node) planDistModify(stmt sql.Statement, table string, params []types.D
 
 	// multi-shard parallel DML (§3.8 / Table 2 "Parallel, distributed DML")
 	shards := n.Meta.Shards(table)
+	texts, err := n.shardTexts(stmt, shardIndexes(shards)...)
+	if err != nil {
+		return nil, err
+	}
 	var tasks []task
-	for _, sh := range shards {
-		clone, err := sql.CloneStatement(stmt)
-		if err != nil {
-			return nil, err
-		}
-		sql.RewriteTables(clone, n.shardNameRewriter(sh.Index))
+	for i, sh := range shards {
 		nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
 		if err != nil {
 			return nil, err
@@ -731,7 +771,7 @@ func (n *Node) planDistModify(stmt sql.Statement, table string, params []types.D
 		tasks = append(tasks, task{
 			nodeID:     nodeID,
 			shardGroup: metadata.ShardGroupID(dt.ColocationID, sh.Index),
-			sql:        clone.String(),
+			sql:        texts[i],
 			params:     params,
 			isWrite:    true,
 		})

@@ -10,70 +10,119 @@ import (
 	"citusgo/internal/types"
 )
 
-// planPushdown implements the logical pushdown planner (§3.5): when the
-// whole join tree is co-located it plans one task per shard group, pushing
-// as much computation to the workers as possible, and a coordinator-side
-// merge ("master") query over the collected intermediate results. Top-level
-// aggregates are split into worker-side partial aggregates and a
-// coordinator-side combine step (count→sum, avg→sum/count, ...).
-func (n *Node) planPushdown(sel *sql.SelectStmt, params []types.Datum) (*distPlan, error) {
+// pushdownShape is the logical pushdown planner's analysis of one SELECT
+// (§3.5): the worker query deparsed once per shard group, the merge query
+// over their collected results, and the EXPLAIN. Nothing in it depends on a
+// parameter value or on where a shard's placements are, so the plan cache
+// keeps it per statement text and metadata version, and a bind only looks up
+// the current placements. No field changes once the shape is shared.
+type pushdownShape struct {
+	table      string // the distributed table whose shards the tasks cover
+	colocation int
+	taskSQL    []string        // by shard index
+	merge      *sql.SelectStmt // read-only: each execution runs a copy (distPlan.Execute)
+	columns    []string
+	explain    []string
+	topN       bool // the workers apply ORDER BY … LIMIT (pushTopNToWorkers)
+
+	key         string // the statement text, for a shape the plan cache holds
+	metaVersion int64
+}
+
+// pushdownTarget reports whether the whole join tree of sel is co-located,
+// so the pushdown planner can plan it, and which table's shards its tasks
+// cover. A SELECT it rejects goes to the join-order planner.
+func (n *Node) pushdownTarget(sel *sql.SelectStmt) (table string, colocation int, ok bool) {
 	dist := n.distTablesIn(sel)
 	if len(dist) == 0 {
-		return nil, nil
+		return "", 0, false
 	}
-	colocation := -1
+	colocation = -1
 	for _, tbl := range dist {
 		dt, _ := n.Meta.Table(tbl)
 		if colocation == -1 {
 			colocation = dt.ColocationID
 		} else if dt.ColocationID != colocation {
-			return nil, nil // different co-location groups: join-order planner
+			return "", 0, false // different co-location groups: join-order planner
 		}
 	}
-	if !n.joinsAreColocated(sel) {
+	if !n.joinsAreColocated(sel) || n.subqueriesPushdownable(sel) != nil {
+		return "", 0, false
+	}
+	return dist[0], colocation, true
+}
+
+// analyzePushdown implements the logical pushdown planner (§3.5): when the
+// whole join tree is co-located it plans one task per shard group, pushing
+// as much computation to the workers as possible, and a coordinator-side
+// merge ("master") query over the collected intermediate results. Top-level
+// aggregates are split into worker-side partial aggregates and a
+// coordinator-side combine step (count→sum, avg→sum/count, ...). Returns nil
+// for a SELECT pushdownTarget rejects.
+func (n *Node) analyzePushdown(sel *sql.SelectStmt) (*pushdownShape, error) {
+	table, colocation, ok := n.pushdownTarget(sel)
+	if !ok {
 		return nil, nil
 	}
-	if err := n.subqueriesPushdownable(sel); err != nil {
-		return nil, nil //nolint:nilerr // fall through to the join-order planner
-	}
-
-	irName := fmt.Sprintf("citus_merge_%d", n.distSeq.Add(1))
-	pq, err := n.buildPushdownQueries(sel, irName)
+	pq, err := n.buildPushdownQueries(sel, fmt.Sprintf("citus_merge_%d", n.distSeq.Add(1)))
 	if err != nil {
 		return nil, err
 	}
+	texts, err := n.shardTexts(pq.worker, shardIndexes(n.Meta.Shards(table))...)
+	if err != nil {
+		return nil, err
+	}
+	return &pushdownShape{
+		table:      table,
+		colocation: colocation,
+		taskSQL:    texts,
+		merge:      pq.merge,
+		columns:    pq.columns,
+		topN:       pq.topN,
+		explain: []string{
+			"Custom Scan (Citus Adaptive)",
+			fmt.Sprintf("  Task Count: %d (logical pushdown, co-located)", len(texts)),
+			"  Merge Step: " + pq.merge.String(),
+		},
+	}, nil
+}
 
-	shards := n.Meta.Shards(dist[0])
-	var tasks []task
-	for _, sh := range shards {
-		clone, err := sql.CloneStatement(pq.worker)
-		if err != nil {
-			return nil, err
-		}
-		sql.RewriteTables(clone, n.shardNameRewriter(sh.Index))
+// plan binds the shape to one execution: one task per shard of the table,
+// on its current primary and read placements, carrying the caller's
+// parameters. hit marks a plan-cache hit for tracing.
+func (s *pushdownShape) plan(n *Node, params []types.Datum, hit bool) (*distPlan, error) {
+	shards := n.Meta.Shards(s.table)
+	if len(shards) != len(s.taskSQL) {
+		return nil, fmt.Errorf("the shards of %q changed while the statement was planned", s.table)
+	}
+	cacheMark := ""
+	if hit {
+		cacheMark = "hit"
+	}
+	tasks := make([]task, len(shards))
+	for i, sh := range shards {
 		nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
 		if err != nil {
 			return nil, err
 		}
-		tasks = append(tasks, task{
+		tasks[i] = task{
 			nodeID:     nodeID,
-			shardGroup: metadata.ShardGroupID(colocation, sh.Index),
-			sql:        clone.String(),
+			shardGroup: metadata.ShardGroupID(s.colocation, sh.Index),
+			sql:        s.taskSQL[i],
 			params:     params,
+			cache:      cacheMark,
 			readNodes:  n.Meta.ReadPlacements(sh.ID),
-		})
+		}
+	}
+	if s.topN {
+		metTopNPushdowns.Add(1)
 	}
 	return &distPlan{
-		node:       n,
-		tasks:      tasks,
-		columns:    pq.columns,
-		mergeName:  irName,
-		mergeQuery: pq.merge.String(),
-		explain: []string{
-			"Custom Scan (Citus Adaptive)",
-			fmt.Sprintf("  Task Count: %d (logical pushdown, co-located)", len(tasks)),
-			"  Merge Step: " + pq.merge.String(),
-		},
+		node:    n,
+		tasks:   tasks,
+		columns: s.columns,
+		merge:   s.merge,
+		explain: s.explain,
 	}, nil
 }
 
@@ -296,6 +345,7 @@ type pushdownQueries struct {
 	worker  *sql.SelectStmt
 	merge   *sql.SelectStmt
 	columns []string
+	topN    bool // pushTopNToWorkers gave the worker ORDER BY … LIMIT
 }
 
 // buildPushdownQueries splits the top-level select into the per-shard
@@ -535,9 +585,8 @@ func (n *Node) buildPartialAggMerge(sel *sql.SelectStmt, irName string) (*pushdo
 	worker.Limit = nil
 	worker.Offset = nil
 
-	n.pushTopNToWorkers(sel, pr, worker)
-
-	return &pushdownQueries{worker: worker, merge: merge, columns: columns}, nil
+	topN := n.pushTopNToWorkers(sel, pr, worker)
+	return &pushdownQueries{worker: worker, merge: merge, columns: columns, topN: topN}, nil
 }
 
 // pushTopNToWorkers ships ORDER BY ... LIMIT down to the workers of a
@@ -556,19 +605,19 @@ func (n *Node) buildPartialAggMerge(sel *sql.SelectStmt, irName string) (*pushdo
 //
 // Only literal LIMIT/OFFSET values are pushed (parameters would need
 // binding before plan-cache time); anything else leaves the worker query
-// unbounded, exactly as before.
-func (n *Node) pushTopNToWorkers(sel *sql.SelectStmt, pr *partialRewriter, worker *sql.SelectStmt) {
+// unbounded, exactly as before. Reports whether it pushed.
+func (n *Node) pushTopNToWorkers(sel *sql.SelectStmt, pr *partialRewriter, worker *sql.SelectStmt) bool {
 	if n.Eng.Features().NoTopNPushdown || sel.Limit == nil || sel.Having != nil || len(sel.OrderBy) == 0 {
-		return
+		return false
 	}
 	limit, ok := literalInt(sel.Limit)
 	if !ok || limit < 0 {
-		return
+		return false
 	}
 	offset := int64(0)
 	if sel.Offset != nil {
 		if offset, ok = literalInt(sel.Offset); !ok || offset < 0 {
-			return
+			return false
 		}
 	}
 	orderBy := make([]sql.OrderItem, 0, len(sel.OrderBy))
@@ -579,7 +628,7 @@ func (n *Node) pushTopNToWorkers(sel *sql.SelectStmt, pr *partialRewriter, worke
 		if lit, isLit := e.(*sql.Literal); isLit {
 			pos, isInt := lit.Value.(int64)
 			if !isInt || pos < 1 || int(pos) > len(sel.Columns) {
-				return
+				return false
 			}
 			e = sel.Columns[pos-1].Expr
 		} else if cr, isRef := e.(*sql.ColumnRef); isRef && cr.Table == "" {
@@ -592,7 +641,7 @@ func (n *Node) pushTopNToWorkers(sel *sql.SelectStmt, pr *partialRewriter, worke
 		}
 		gi, isGroup := pr.groupText[e.String()]
 		if !isGroup {
-			return
+			return false
 		}
 		// group i is worker output column wg<i>, at position i+1
 		orderBy = append(orderBy, sql.OrderItem{
@@ -602,7 +651,7 @@ func (n *Node) pushTopNToWorkers(sel *sql.SelectStmt, pr *partialRewriter, worke
 	}
 	worker.OrderBy = orderBy
 	worker.Limit = &sql.Literal{Value: limit + offset}
-	metTopNPushdowns.Add(1)
+	return true
 }
 
 func literalInt(e sql.Expr) (int64, bool) {

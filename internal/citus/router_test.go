@@ -53,8 +53,8 @@ type parityStep struct {
 	params []types.Datum
 }
 
-// parityOutcome is what one step showed a client: its rows, tag and affected
-// count (or error), and its EXPLAIN, with the cache's own marker and the
+// parityOutcome is what one step showed a client: its columns, rows, tag and
+// affected count (or error), and its EXPLAIN, with the cache's own marker and the
 // merge relation's number removed.
 type parityOutcome struct {
 	result, explain string
@@ -66,7 +66,8 @@ type parityOutcome struct {
 // the same order, so the n-th runs must match — rows, affected counts and
 // EXPLAIN text, which names the node the task goes to — and on the cached
 // cluster the two runs must plan alike. A shape that falls through to
-// pushdown or join order falls through on both.
+// pushdown or join order falls through on both; a pushdown shape is a hit of
+// its own (TestPushdownCacheParity).
 func TestRouterCacheParity(t *testing.T) {
 	cached := newParityCluster(t, engine.Features{})
 	uncached := newParityCluster(t, engine.Features{NoPlanCache: true})
@@ -120,10 +121,11 @@ func TestRouterCacheParity(t *testing.T) {
 			{sql: "SELECT pa.v, pref.name FROM pa, pref WHERE pa.k = 3 AND pref.id = pa.k"},
 		}},
 		{name: "reference only", hit: true, steps: []parityStep{{sql: "SELECT name FROM pref WHERE id = 2"}}},
-		{name: "pins on two shards", steps: []parityStep{
+		// the router does not take these; the pushdown shape is cached
+		{name: "pins on two shards", hit: true, steps: []parityStep{
 			{sql: fmt.Sprintf("SELECT pa.v, pb.w FROM pa JOIN pb ON pa.k = pb.k WHERE pa.k = 1 AND pb.k = %d", other)},
 		}},
-		{name: "null pin", steps: []parityStep{
+		{name: "null pin", hit: true, steps: []parityStep{
 			{sql: "SELECT v FROM pa WHERE k = $1", params: []types.Datum{nil}},
 			{sql: "SELECT v FROM pa WHERE k = NULL"},
 		}},
@@ -207,7 +209,7 @@ func runParitySteps(t *testing.T, c *cluster.Cluster, steps []parityStep) []pari
 		if err != nil {
 			out[i].result = "error: " + err.Error()
 		} else {
-			out[i].result = fmt.Sprintf("%s [%s, %d]", rowsText(res), res.Tag, res.Affected)
+			out[i].result = fmt.Sprintf("%v: %s [%s, %d]", res.Columns, rowsText(res), res.Tag, res.Affected)
 		}
 		switch step.sql {
 		case "BEGIN", "COMMIT":

@@ -126,18 +126,32 @@ func (e *Engine) CopyStart(tables []string) (start *wal.Base, rows [][]types.Row
 			h.Release()
 			return nil, nil, nil, fmt.Errorf("relation %q does not exist", name)
 		}
-		if st.heap != nil {
-			rows = append(rows, e.heapRows(st, snap))
-			continue
-		}
 		var rs []types.Row
-		st.col.Scan(e.Txns, snap, nil, func(r types.Row) bool {
-			rs = append(rs, r.Clone())
-			return true
-		})
-		rows = append(rows, rs)
+		if st.heap != nil {
+			rs = e.heapRows(st, snap)
+		} else {
+			st.col.Scan(e.Txns, snap, nil, func(r types.Row) bool {
+				rs = append(rs, r.Clone())
+				return true
+			})
+		}
+		rows = append(rows, padRows(rs, len(st.table.Columns)))
 	}
 	return newBase(at, open, snap), rows, h, nil
+}
+
+// padRows widens the rows stored before an ALTER TABLE … ADD COLUMN to the
+// table's width with the NULLs a scan reads in their place, so a copy of
+// them loads column for column.
+func padRows(rows []types.Row, width int) []types.Row {
+	for i, r := range rows {
+		if len(r) < width {
+			wide := make(types.Row, width)
+			copy(wide, r)
+			rows[i] = wide
+		}
+	}
+	return rows
 }
 
 // RecoverFrom makes this engine, fresh from New, the continuation of the

@@ -742,8 +742,8 @@ func (s *Session) finishImplicit(t *txn.Txn, commit bool) error {
 // Exec parses and executes one statement. Repeated statements skip the
 // parser: parsed trees are cached per session keyed by query text and
 // invalidated when DDL bumps the engine schema version. The cached tree is
-// reused as-is — the only AST mutator in the tree (sql.RewriteTables) runs
-// exclusively on clones, so re-execution is safe.
+// reused as-is — the AST mutators in the tree (sql.RewriteTables and
+// sql.RenameTables) run exclusively on clones, so re-execution is safe.
 func (s *Session) Exec(query string, params ...types.Datum) (*Result, error) {
 	return decoded(s.ExecForward(query, params...))
 }

@@ -209,16 +209,18 @@ func TestIndexProbeTakesColumnType(t *testing.T) {
 	}{
 		{"SELECT v FROM loc WHERE k = '7'", "SELECT v FROM loc WHERE k + 0 = '7'", nil},
 		{"SELECT v FROM loc WHERE k = $1", "SELECT v FROM loc WHERE k + 0 = $1", []types.Datum{"7"}},
-		// the filter path orders a bigint against '45' as text, so its range
-		// takes an integer
-		{"SELECT count(*) FROM loc WHERE k >= '45'", "SELECT count(*) FROM loc WHERE k + 0 >= 45", nil},
-		{"SELECT count(*) FROM loc WHERE k BETWEEN '3' AND '9'", "SELECT count(*) FROM loc WHERE k + 0 BETWEEN 3 AND 9", nil},
+		// the string takes the bigint type of k + 0 as it takes k's: both
+		// paths count 45..50, not the textual 45..50 and 5..9
+		{"SELECT count(*) FROM loc WHERE k >= '45'", "SELECT count(*) FROM loc WHERE k + 0 >= '45'", nil},
+		{"SELECT count(*) FROM loc WHERE k BETWEEN '3' AND '9'", "SELECT count(*) FROM loc WHERE k + 0 BETWEEN '3' AND '9'", nil},
+		{"SELECT count(*) FROM loc WHERE k < '10'", "SELECT count(*) FROM loc WHERE '10' > k + 0", nil},
 	} {
 		want := rowsToString(mustExec(t, s, tc.filter, tc.params...).Rows)
 		if got := rowsToString(mustExec(t, s, tc.index, tc.params...).Rows); got != want || got == "" {
 			t.Errorf("%s: index path %q, filter path %q", tc.index, got, want)
 		}
 	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM loc WHERE k + 0 >= '45'"), "6")
 	if res := mustExec(t, s, "UPDATE loc SET v = 0 WHERE k = '8'"); res.Affected != 1 {
 		t.Errorf("UPDATE ... WHERE k = '8' affected %d rows, want 1", res.Affected)
 	}

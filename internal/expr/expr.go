@@ -145,7 +145,7 @@ func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		typ := columnType(n.E, r)
+		typ := operandType(n.E, r)
 		lo, err := CompileAgainst(n.Lo, r, typ)
 		if err != nil {
 			return nil, err
@@ -262,11 +262,11 @@ func compile(e sql.Expr, r Resolver) (Evaluator, error) {
 
 func compileBinary(n *sql.BinaryExpr, r Resolver) (Evaluator, error) {
 	op := n.Op
-	// a comparison types each side after the column on the other side
+	// a comparison types each side after the operand on the other side
 	lTyp, rTyp := types.Unknown, types.Unknown
 	switch op {
 	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-		lTyp, rTyp = columnType(n.L, r), columnType(n.R, r)
+		lTyp, rTyp = operandType(n.L, r), operandType(n.R, r)
 	}
 	l, err := CompileAgainst(n.L, r, rTyp)
 	if err != nil {

@@ -73,39 +73,82 @@ func fold(e sql.Expr, ev Evaluator) (_ Evaluator, v types.Datum, isConst bool) {
 	return constant(v), v, true
 }
 
-// columnType returns the declared type of e when it is a bare column
-// reference that resolves in r, and types.Unknown otherwise.
-func columnType(e sql.Expr, r Resolver) types.Type {
-	cr, ok := e.(*sql.ColumnRef)
-	if !ok || r == nil {
-		return types.Unknown
+// operandType returns the type a comparison operand gives an untyped
+// constant on its other side: a column's declared type (resolved in r), a
+// cast's target, a number's or boolean literal's type, and an arithmetic
+// expression's over numeric operands (bigint when both are, else double).
+// Anything else is types.Unknown.
+func operandType(e sql.Expr, r Resolver) types.Type {
+	switch x := e.(type) {
+	case *sql.ColumnRef:
+		if r == nil {
+			return types.Unknown
+		}
+		if _, typ, err := r.Resolve(x.Table, x.Name); err == nil {
+			return typ
+		}
+	case *sql.CastExpr:
+		return x.To
+	case *sql.Literal:
+		switch x.Value.(type) {
+		case int64:
+			return types.Int
+		case float64:
+			return types.Float
+		case bool:
+			return types.Bool
+		}
+	case *sql.UnaryExpr:
+		if x.Op == "-" {
+			return operandType(x.E, r)
+		}
+	case *sql.BinaryExpr:
+		switch x.Op {
+		case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod:
+			l, rt := operandType(x.L, r), operandType(x.R, r)
+			switch {
+			case l == types.Int && rt == types.Int:
+				return types.Int
+			case (l == types.Int || l == types.Float) && (rt == types.Int || rt == types.Float):
+				return types.Float
+			}
+		}
 	}
-	_, typ, err := r.Resolve(cr.Table, cr.Name)
-	if err != nil {
-		return types.Unknown
-	}
-	return typ
+	return types.Unknown
 }
 
 // CompileAgainst compiles e, one side of a comparison whose other side is
-// a column declared colTyp. An untyped literal takes the column's type, as
-// in PostgreSQL: when colTyp is Timestamp or Date and e folds to a string
-// that parses as a timestamp, the constant is coerced once here, so every
-// row compares time against time instead of formatting the column value
-// and comparing text (which also gets '1994-01-01' wrong against midnight).
-// A string that does not parse keeps the textual comparison, and so does
-// one with a time of day against a Date column: truncating it would make
-// date_col = '1994-01-01 12:00:00' true.
+// of type colTyp (operandType). An untyped string constant takes that type,
+// as in PostgreSQL, coerced once here so every row compares like with like:
+//
+//   - a bigint, double or boolean: k + 0 >= '45' compares numbers, where the
+//     textual comparison would put '5' after '45';
+//   - a timestamp or date, when the string parses as one: time compares
+//     against time instead of formatting the column value and comparing
+//     text (which also gets '1994-01-01' wrong against midnight). A string
+//     with a time of day stays text against a Date column: truncating it
+//     would make date_col = '1994-01-01 12:00:00' true.
+//
+// A string that does not parse as the type keeps the textual comparison.
 func CompileAgainst(e sql.Expr, r Resolver, colTyp types.Type) (Evaluator, error) {
 	ev, err := compile(e, r)
 	if err != nil {
 		return nil, err
 	}
 	ev, v, isConst := fold(e, ev)
-	if s, isStr := v.(string); isConst && isStr && (colTyp == types.Timestamp || colTyp == types.Date) {
+	s, isStr := v.(string)
+	if !isConst || !isStr {
+		return ev, nil
+	}
+	switch colTyp {
+	case types.Timestamp, types.Date:
 		ts, perr := types.ParseTimestamp(s)
 		if perr == nil && (colTyp == types.Timestamp || ts.Equal(ts.Truncate(24*time.Hour))) {
 			return constant(ts), nil
+		}
+	case types.Int, types.Float, types.Bool:
+		if typed, cerr := types.CoerceTo(s, colTyp); cerr == nil {
+			return constant(typed), nil
 		}
 	}
 	return ev, nil

@@ -66,8 +66,19 @@ func FuzzParseDeparse(f *testing.F) {
 		// or into a parse of its deparse, which is what the plan cache's
 		// per-shard-group memo renames
 		rename := func(name string) string { return name + "_" + strconv.FormatUint(uint64(i)%1000000, 10) }
+		// an undone rename leaves the tree as it was: the planner renders
+		// every shard's text from one parse, renaming and restoring it
+		restore := RenameTables(again, rename)
+		renamed := again.String()
+		restore()
+		if got := again.String(); got != text {
+			t.Fatalf("%q renamed to shards and restored deparses to\n%q, not\n%q", src, got, text)
+		}
 		RewriteTables(again, rename)
 		viaText := again.String()
+		if viaText != renamed {
+			t.Fatalf("%q renamed twice deparses to\n%q, then\n%q", src, renamed, viaText)
+		}
 		RewriteTables(stmt, rename)
 		if direct := stmt.String(); direct != viaText {
 			t.Fatalf("%q renamed to shards deparses to\n%q, but its deparse parsed and renamed to\n%q", src, direct, viaText)

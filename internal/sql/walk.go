@@ -201,69 +201,85 @@ func CloneStatement(stmt Statement) (Statement, error) {
 // RewriteTables renames table references in place (clone first if the
 // statement is shared). DML target tables are renamed too.
 func RewriteTables(stmt Statement, rename func(string) string) {
+	rewriteTables(stmt, rename, func(slot *string, v string) { *slot = v })
+}
+
+// RenameTables is RewriteTables that can be undone: restore puts back every
+// name and range name the rename changed, so one tree can be deparsed under
+// many renamings (one per shard) and left as it was.
+func RenameTables(stmt Statement, rename func(string) string) (restore func()) {
+	var slots []*string
+	var old []string
+	rewriteTables(stmt, rename, func(slot *string, v string) {
+		slots, old = append(slots, slot), append(old, *slot)
+		*slot = v
+	})
+	return func() {
+		for i := len(slots) - 1; i >= 0; i-- {
+			*slots[i] = old[i]
+		}
+	}
+}
+
+// renamer renames the name fields of a tree through set, which stores one
+// new value.
+type renamer struct {
+	rename func(string) string
+	set    func(slot *string, v string)
+}
+
+func (r renamer) name(slot *string) { r.set(slot, r.rename(*slot)) }
+
+// table renames one base table, keeping the original name visible as the
+// range name so column qualifications (t.col) keep resolving after the
+// rewrite.
+func (r renamer) table(bt *BaseTable) {
+	if bt.Alias == "" {
+		r.set(&bt.Alias, bt.Name)
+	}
+	r.name(&bt.Name)
+}
+
+func rewriteTables(stmt Statement, rename func(string) string, set func(slot *string, v string)) {
+	r := renamer{rename: rename, set: set}
 	switch st := stmt.(type) {
 	case *InsertStmt:
-		st.Table = rename(st.Table)
-		if st.Select != nil {
-			rewriteSelectTables(st.Select, rename)
-		}
+		r.name(&st.Table)
+		walkSelectTables(st.Select, r.table)
 	case *UpdateStmt:
-		st.Table = rename(st.Table)
+		r.name(&st.Table)
 	case *DeleteStmt:
-		st.Table = rename(st.Table)
+		r.name(&st.Table)
 	case *SelectStmt:
-		rewriteSelectTables(st, rename)
+		walkSelectTables(st, r.table)
 	case *CreateIndexStmt:
-		st.Table = rename(st.Table)
-		st.Name = rename(st.Name)
+		r.name(&st.Table)
+		r.name(&st.Name)
 	case *DropTableStmt:
-		st.Name = rename(st.Name)
+		r.name(&st.Name)
 	case *TruncateStmt:
-		st.Name = rename(st.Name)
+		r.name(&st.Name)
 	case *AlterTableAddColumnStmt:
-		st.Table = rename(st.Table)
+		r.name(&st.Table)
 	case *CopyStmt:
-		st.Table = rename(st.Table)
+		r.name(&st.Table)
 	case *ExplainStmt:
-		RewriteTables(st.Stmt, rename)
+		rewriteTables(st.Stmt, rename, set)
 	}
-	RewriteDMLSubqueries(stmt, rename)
-}
-
-func rewriteSelectTables(sel *SelectStmt, rename func(string) string) {
-	walkSelectTables(sel, func(bt *BaseTable) {
-		// keep the original name visible as the range name so column
-		// qualifications (t.col) keep resolving after the rewrite
-		if bt.Alias == "" {
-			bt.Alias = bt.Name
-		}
-		bt.Name = rename(bt.Name)
-	})
-}
-
-// RewriteDMLSubqueries renames tables inside WHERE/SET subqueries of
-// UPDATE/DELETE (rewriteSelectTables only covers SELECT trees).
-func RewriteDMLSubqueries(stmt Statement, rename func(string) string) {
-	visit := func(e Expr) {
-		walkExprTables(e, func(bt *BaseTable) {
-			if bt.Alias == "" {
-				bt.Alias = bt.Name
-			}
-			bt.Name = rename(bt.Name)
-		})
-	}
+	// tables inside WHERE/SET subqueries of UPDATE/DELETE and VALUES rows of
+	// INSERT (the cases above only cover SELECT trees)
 	switch st := stmt.(type) {
 	case *UpdateStmt:
-		visit(st.Where)
+		walkExprTables(st.Where, r.table)
 		for _, a := range st.Set {
-			visit(a.Value)
+			walkExprTables(a.Value, r.table)
 		}
 	case *DeleteStmt:
-		visit(st.Where)
+		walkExprTables(st.Where, r.table)
 	case *InsertStmt:
 		for _, row := range st.Rows {
 			for _, e := range row {
-				visit(e)
+				walkExprTables(e, r.table)
 			}
 		}
 	}
