@@ -45,7 +45,10 @@ race:
 # a session and every read sees its own writes — and 20 times under -race
 # the plan cache's differential oracles (every router shape cached, hit and
 # uncached: same rows, affected counts, EXPLAIN and node; every fan-out shape
-# the same way, and again after CREATE INDEX, ADD COLUMN and a shard move),
+# the same way, and again after CREATE INDEX, ADD COLUMN and a shard move;
+# TestWorkerPlanCacheParity: every worker SELECT, UPDATE and DELETE served by
+# its kept plan agrees with an engine that keeps none, and again after CREATE
+# INDEX, ADD COLUMN, TRUNCATE, SET transaction_isolation and SetFeatures),
 # then the
 # slow-start ramp test and the real-TCP benchmark's own tests under the race
 # detector, which is where the ramp's wg.Add/wg.Wait race first showed; and
@@ -98,6 +101,7 @@ race:
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestWorkerPlanCacheParity' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestSlowStartRampRace' -count=10 -timeout 10m ./internal/citus
 	go test -race -run 'TestConcurrentMergeSessions|TestPipelineWindowParity|TestIssueFaultNeverDropsTasks|TestTransientRetryBound|TestRefreshUnderLimitGetsItsSlotBack|TestRetryRedialsInsideItsSlot' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestBlockOpenFailureExecutesNothing|TestDDLBetweenExecutions|TestStalePlanInsideBlock|TestPooledConnCarriesNoTxnState|TestImplicitTxnKeepsPinnedConns|TestCommitFlightTransportErrorsDiscard' -count=20 -timeout 10m ./internal/citus

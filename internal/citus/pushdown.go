@@ -381,7 +381,8 @@ func (n *Node) buildPushdownQueries(sel *sql.SelectStmt, irName string) (*pushdo
 }
 
 // buildPassthroughMerge makes the worker run (a clone of) the original
-// query and the merge re-apply ORDER BY / LIMIT / OFFSET over the union.
+// query and the merge re-apply DISTINCT / ORDER BY / LIMIT / OFFSET over the
+// union.
 func (n *Node) buildPassthroughMerge(sel *sql.SelectStmt, irName string) (*pushdownQueries, error) {
 	workerStmt, err := sql.CloneStatement(sel)
 	if err != nil {
@@ -412,10 +413,14 @@ func (n *Node) buildPassthroughMerge(sel *sql.SelectStmt, irName string) (*pushd
 		}
 	}
 
+	// A row the workers made distinct can still arrive from several shards:
+	// DISTINCT applies again over the union (before the LIMIT, so each
+	// worker's limit+offset distinct rows are enough).
 	merge := &sql.SelectStmt{
-		From:   []sql.TableRef{&sql.BaseTable{Name: irName}},
-		Limit:  sel.Limit,
-		Offset: sel.Offset,
+		Distinct: sel.Distinct,
+		From:     []sql.TableRef{&sql.BaseTable{Name: irName}},
+		Limit:    sel.Limit,
+		Offset:   sel.Offset,
 	}
 
 	if hasStar {

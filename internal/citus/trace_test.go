@@ -195,8 +195,8 @@ func normalizedLines(t *testing.T, res *engine.Result) string {
 
 // TestDistributedExplainAnalyzeRouter pins the EXPLAIN ANALYZE output of a
 // router query: the first execution analyzes and installs the plan
-// (plancache miss, worker-side parse), repeats hit the cache and skip the
-// parse.
+// (plancache miss, worker-side parse and plan), repeats hit the cache and
+// skip the worker's parse and plan (its session keeps both).
 func TestDistributedExplainAnalyzeRouter(t *testing.T) {
 	_, s := newTracedCluster(t)
 
@@ -217,7 +217,6 @@ Custom Scan (Citus Router)
 Distributed Tasks (1):
   Task (shard group 1048576, node 2, plancache hit): rows=1, attempt 1, X ms
     execute on worker1: X ms
-      plan on worker1: X ms
 Actual Rows: 1
 Execution Time: X ms`)
 	if hit != wantHit {

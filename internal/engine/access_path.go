@@ -14,7 +14,7 @@ type accessPath struct {
 	loIncl, hiIncl   bool
 
 	gin        *ginIndex
-	ginPattern string
+	ginPattern expr.Evaluator // bound when the scan opens
 }
 
 // isConstExpr reports whether e references no columns (it may reference
@@ -64,10 +64,13 @@ type colBound struct {
 
 // chooseAccessPath inspects the conjuncts pushed into a scan and picks the
 // best available index: longest equality prefix on a btree, else a range on
-// a btree's first column, else a trigram GIN for %substring% patterns.
-func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope, params []types.Datum) (*accessPath, error) {
+// a btree's first column, else a trigram GIN for %substring% patterns. It
+// reads no parameter value — every key, bound and pattern is an evaluator the
+// scan runs when it opens — so the path holds for any $n a later execution
+// brings.
+func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope) *accessPath {
 	if st.col != nil || len(conjuncts) == 0 {
-		return nil, nil
+		return nil
 	}
 
 	// Extract per-column bounds.
@@ -189,7 +192,7 @@ func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope,
 		}
 	}
 	if best != nil {
-		return best, nil
+		return best
 	}
 
 	// Trigram GIN for ILIKE/LIKE '%...%' on the indexed expression.
@@ -199,18 +202,12 @@ func (s *Session) chooseAccessPath(st *storage, conjuncts []sql.Expr, sc *scope,
 			if lc.E.String() != indexedText {
 				continue
 			}
-			patEv, isConst := isConstExpr(lc.Pattern, types.Unknown)
-			if !isConst {
-				continue
+			if patEv, isConst := isConstExpr(lc.Pattern, types.Unknown); isConst {
+				return &accessPath{gin: g, ginPattern: patEv}
 			}
-			v, err := patEv(&expr.Ctx{Params: params})
-			if err != nil || v == nil {
-				continue
-			}
-			return &accessPath{gin: g, ginPattern: types.Format(v)}, nil
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // indexColumnOrds maps a btree index's key expressions to column ordinals;

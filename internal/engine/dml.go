@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -37,9 +38,7 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 		}
 		inputRows = rows
 	} else {
-		ctx := &expr.Ctx{Params: params, ExecSubquery: func(sel *sql.SelectStmt) ([]types.Row, error) {
-			return s.runSubquery(sel, params)
-		}}
+		ctx := s.evalCtx(params)
 		for _, exprRow := range st.Rows {
 			if len(exprRow) != target.width {
 				return nil, fmt.Errorf("INSERT has %d expressions but %d target columns", len(exprRow), target.width)
@@ -434,58 +433,102 @@ type dmlTarget struct {
 	row types.Row
 }
 
-// collectTargets finds the visible rows matching WHERE, via an index when
-// possible.
-func (s *Session) collectTargets(store *storage, where sql.Expr, params []types.Datum, t *txn.Txn) ([]dmlTarget, *scope, error) {
+// targetPlan is what an UPDATE, a DELETE or a SELECT … FOR UPDATE decides
+// before it reads a row: the table's scope under the statement's range name,
+// the WHERE compiled over it, the access path chosen for the WHERE's
+// conjuncts, and an UPDATE's SET list. It reads no parameter value, so a
+// statement cache entry keeps it (targetsFor).
+type targetPlan struct {
+	store *storage
+	sc    *scope
+	where expr.Evaluator // nil: every row
+	path  *accessPath
+	sets  []compiledSet
+}
+
+// compiledSet is one assignment of an UPDATE's SET list.
+type compiledSet struct {
+	ord int
+	ev  expr.Evaluator
+}
+
+// planTargets plans the rows of store that where selects, the table visible
+// under rangeName.
+func (s *Session) planTargets(store *storage, rangeName string, where sql.Expr) (*targetPlan, error) {
 	if store.heap == nil {
-		return nil, nil, fmt.Errorf("%q is a columnar table: UPDATE/DELETE are not supported on columnar storage", store.table.Name)
+		return nil, fmt.Errorf("%q is a columnar table: UPDATE/DELETE are not supported on columnar storage", store.table.Name)
 	}
-	sc := &scope{}
-	for _, c := range store.table.Columns {
-		sc.cols = append(sc.cols, scopeCol{table: store.table.Name, name: c.Name, typ: c.Type})
+	cols := make([]scopeCol, len(store.table.Columns))
+	for i, c := range store.table.Columns {
+		cols[i] = scopeCol{name: c.Name, typ: c.Type}
 	}
-	var filter expr.Evaluator
-	conjuncts := splitConjuncts(where)
+	tp := &targetPlan{store: store, sc: tableScope(rangeName, cols)}
 	if where != nil {
 		var err error
-		filter, err = expr.Compile(where, sc)
-		if err != nil {
-			return nil, nil, err
+		if tp.where, err = expr.Compile(where, tp.sc); err != nil {
+			return nil, err
 		}
 	}
+	tp.path = s.chooseAccessPath(store, splitConjuncts(where), tp.sc)
+	return tp, nil
+}
+
+// targetsFor returns the target plan entry keeps, when the schema version
+// is still the one entry was parsed under. The check is made here, after
+// writeTarget: a write that waited for its relation lock behind a TRUNCATE
+// or an ALTER TABLE must not run a plan made before it. Otherwise it plans
+// with plan and, unless the entry is stale, keeps the result there.
+func (s *Session) targetsFor(entry *cachedStmt, plan func() (*targetPlan, error)) (*targetPlan, error) {
+	fresh := entry != nil && entry.ver == s.Eng.schemaVer.Load()
+	if fresh && entry.dml != nil {
+		return entry.dml, nil
+	}
+	sp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "plan", "")
+	tp, err := plan()
+	sp.Finish()
+	if err == nil && fresh {
+		entry.dml = tp
+	}
+	return tp, err
+}
+
+// matches reports whether row passes the WHERE (NULL is no match).
+func (tp *targetPlan) matches(ctx *expr.Ctx, row types.Row) (bool, error) {
+	if tp.where == nil {
+		return true, nil
+	}
+	ctx.Row = row
+	v, err := tp.where(ctx)
+	b, ok := v.(bool)
+	return ok && b, err
+}
+
+// collectTargets finds the visible rows matching the plan's WHERE, via an
+// index when the plan found one.
+func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]dmlTarget, error) {
+	store := tp.store
 	snap := s.snapshot(t)
 	hooks := s.ssiFor(t, snap)
-	ctx := &expr.Ctx{Params: params, ExecSubquery: func(sel *sql.SelectStmt) ([]types.Row, error) {
-		return s.runSubquery(sel, params)
-	}}
 	var targets []dmlTarget
 	var evalErr error
 	visit := func(tid heap.TID, row types.Row) bool {
-		if filter != nil {
-			ctx.Row = row
-			v, err := filter(ctx)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if b, ok := v.(bool); !ok || !b {
-				return true
-			}
+		ok, err := tp.matches(ctx, row)
+		if err != nil {
+			evalErr = err
+			return false
 		}
-		targets = append(targets, dmlTarget{tid: tid, row: row})
+		if ok {
+			targets = append(targets, dmlTarget{tid: tid, row: row})
+		}
 		return true
 	}
 
-	path, err := s.chooseAccessPath(store, conjuncts, sc, params)
-	if err != nil {
-		return nil, nil, err
-	}
-	if path != nil && path.idx != nil && len(path.eqKey) > 0 {
+	if path := tp.path; path != nil && path.idx != nil && len(path.eqKey) > 0 {
 		key := make(index.Key, len(path.eqKey))
 		for i, ev := range path.eqKey {
 			v, err := ev(ctx)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			key[i] = v
 		}
@@ -505,7 +548,7 @@ func (s *Session) collectTargets(store *storage, where sql.Expr, params []types.
 				continue
 			}
 			if err := hooks.observeTuple(tup); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if !heap.Visible(s.Eng.Txns, snap, tup) {
 				continue
@@ -529,15 +572,15 @@ func (s *Session) collectTargets(store *storage, where sql.Expr, params []types.
 			return visit(tid, tup.Row)
 		})
 		if ssiErr != nil {
-			return nil, nil, ssiErr
+			return nil, ssiErr
 		}
 	} else {
 		store.heap.Scan(s.Eng.Txns, snap, visit)
 	}
 	if evalErr != nil {
-		return nil, nil, evalErr
+		return nil, evalErr
 	}
-	return targets, sc, nil
+	return targets, nil
 }
 
 // lockAndChase acquires the row lock on the version a DML statement will
@@ -596,25 +639,6 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 	}
 }
 
-// recheckPredicate re-evaluates WHERE on the chased-to row version.
-func (s *Session) recheckPredicate(where sql.Expr, sc *scope, row types.Row, params []types.Datum) (bool, error) {
-	if where == nil {
-		return true, nil
-	}
-	ev, err := expr.Compile(where, sc)
-	if err != nil {
-		return false, err
-	}
-	v, err := ev(&expr.Ctx{Params: params, Row: row, ExecSubquery: func(sel *sql.SelectStmt) ([]types.Row, error) {
-		return s.runSubquery(sel, params)
-	}})
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	return ok && b, nil
-}
-
 // writeNewVersion inserts the new row version, links the update chain, and
 // maintains indexes and WAL.
 func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, newRow types.Row, params []types.Datum) error {
@@ -650,43 +674,45 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 	return nil
 }
 
-func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.Txn) (*Result, error) {
-	store, err := s.writeTarget(t, stmt.Table)
+// planUpdate is planTargets with the SET list compiled over the same scope.
+func (s *Session) planUpdate(stmt *sql.UpdateStmt, store *storage) (*targetPlan, error) {
+	tp, err := s.planTargets(store, cmp.Or(stmt.Alias, stmt.Table), stmt.Where)
 	if err != nil {
 		return nil, err
 	}
-	targets, sc, err := s.collectTargets(store, stmt.Where, params, t)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Alias != "" {
-		for i := range sc.cols {
-			sc.cols[i].table = stmt.Alias
-		}
-	}
-	type compiledSet struct {
-		ord int
-		ev  expr.Evaluator
-	}
-	sets := make([]compiledSet, len(stmt.Set))
+	tp.sets = make([]compiledSet, len(stmt.Set))
 	for i, a := range stmt.Set {
 		ord := store.table.ColumnIndex(a.Column)
 		if ord == -1 {
 			return nil, fmt.Errorf("column %q of relation %q does not exist", a.Column, stmt.Table)
 		}
-		ev, err := expr.Compile(a.Value, sc)
+		ev, err := expr.Compile(a.Value, tp.sc)
 		if err != nil {
 			return nil, err
 		}
-		sets[i] = compiledSet{ord: ord, ev: ev}
+		tp.sets[i] = compiledSet{ord: ord, ev: ev}
+	}
+	return tp, nil
+}
+
+func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.Txn, entry *cachedStmt) (*Result, error) {
+	store, err := s.writeTarget(t, stmt.Table)
+	if err != nil {
+		return nil, err
+	}
+	tp, err := s.targetsFor(entry, func() (*targetPlan, error) { return s.planUpdate(stmt, store) })
+	if err != nil {
+		return nil, err
+	}
+	ctx := s.evalCtx(params)
+	targets, err := s.collectTargets(tp, ctx, t)
+	if err != nil {
+		return nil, err
 	}
 
 	affected := 0
 	var returning []types.Row
 	seen := make(map[heap.TID]struct{})
-	ctx := &expr.Ctx{Params: params, ExecSubquery: func(sel *sql.SelectStmt) ([]types.Row, error) {
-		return s.runSubquery(sel, params)
-	}}
 	for _, tgt := range targets {
 		latestTID, tup, exists, err := s.lockAndChase(store, t, tgt.tid)
 		if err != nil {
@@ -705,7 +731,7 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 			if s.ssiState(t) != nil {
 				return nil, fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
 			}
-			ok, err := s.recheckPredicate(stmt.Where, sc, tup.Row, params)
+			ok, err := tp.matches(ctx, tup.Row)
 			if err != nil {
 				return nil, err
 			}
@@ -720,7 +746,7 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 			newRow = padded
 		}
 		ctx.Row = tup.Row
-		for _, cs := range sets {
+		for _, cs := range tp.sets {
 			v, err := cs.ev(ctx)
 			if err != nil {
 				return nil, err
@@ -757,12 +783,19 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 	return res, nil
 }
 
-func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.Txn) (*Result, error) {
+func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.Txn, entry *cachedStmt) (*Result, error) {
 	store, err := s.writeTarget(t, stmt.Table)
 	if err != nil {
 		return nil, err
 	}
-	targets, sc, err := s.collectTargets(store, stmt.Where, params, t)
+	tp, err := s.targetsFor(entry, func() (*targetPlan, error) {
+		return s.planTargets(store, cmp.Or(stmt.Alias, stmt.Table), stmt.Where)
+	})
+	if err != nil {
+		return nil, err
+	}
+	ctx := s.evalCtx(params)
+	targets, err := s.collectTargets(tp, ctx, t)
 	if err != nil {
 		return nil, err
 	}
@@ -785,7 +818,7 @@ func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.
 			if ssiW != nil {
 				return nil, fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
 			}
-			ok, err := s.recheckPredicate(stmt.Where, sc, tup.Row, params)
+			ok, err := tp.matches(ctx, tup.Row)
 			if err != nil {
 				return nil, err
 			}
@@ -820,16 +853,16 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 		if err != nil {
 			return nil, err
 		}
-		targets, sc, err := s.collectTargets(store, sel.Where, params, t)
+		tp, err := s.planTargets(store, bt.RefName(), sel.Where)
 		if err != nil {
 			return nil, err
 		}
-		if bt.Alias != "" {
-			for i := range sc.cols {
-				sc.cols[i].table = bt.Alias
-			}
+		ctx := s.evalCtx(params)
+		targets, err := s.collectTargets(tp, ctx, t)
+		if err != nil {
+			return nil, err
 		}
-		items, err := expandStars(sel.Columns, sc)
+		items, err := expandStars(sel.Columns, tp.sc)
 		if err != nil {
 			return nil, err
 		}
@@ -837,12 +870,11 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 		names := make([]string, len(items))
 		for i, it := range items {
 			names[i] = outputName(it)
-			if evals[i], err = expr.Compile(it.Expr, sc); err != nil {
+			if evals[i], err = expr.Compile(it.Expr, tp.sc); err != nil {
 				return nil, err
 			}
 		}
 		res := &Result{Columns: names}
-		ctx := &expr.Ctx{Params: params}
 		for _, tgt := range targets {
 			latestTID, tup, exists, err := s.lockAndChase(store, t, tgt.tid)
 			if err != nil {
@@ -852,7 +884,7 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 				continue
 			}
 			if latestTID != tgt.tid {
-				ok, err := s.recheckPredicate(sel.Where, sc, tup.Row, params)
+				ok, err := tp.matches(ctx, tup.Row)
 				if err != nil {
 					return nil, err
 				}

@@ -207,9 +207,10 @@ type Engine struct {
 
 	nextObjID atomic.Int64
 
-	// schemaVer is bumped by DDL (table/index create/drop, column adds) and
-	// keys the per-session statement cache: a cached statement whose version
-	// no longer matches is re-parsed.
+	// schemaVer is bumped by DDL (table/index create/drop, column adds,
+	// TRUNCATE) and by SetFeatures, and stamps the per-session statement
+	// cache: a cached statement whose version no longer matches is
+	// re-parsed and re-planned.
 	schemaVer atomic.Int64
 
 	// features is what Features returns; never nil.
@@ -255,8 +256,13 @@ func (e *Engine) bumpSchemaVersion() { e.schemaVer.Add(1) }
 func (e *Engine) Features() Features { return *e.features.Load() }
 
 // SetFeatures switches optimisations on a running engine; statements that
-// start afterwards see the new set.
-func (e *Engine) SetFeatures(f Features) { e.features.Store(&f) }
+// start afterwards see the new set. It bumps the schema version, as DDL
+// does: a plan kept in a session's statement cache was made under the old
+// set (NoVectorized is read when a SELECT is planned).
+func (e *Engine) SetFeatures(f Features) {
+	e.features.Store(&f)
+	e.bumpSchemaVersion()
+}
 
 // SetApplyMode flags the engine as a WAL-application target (replication
 // standby or restart replay): DDL stops self-logging because the applier
@@ -664,16 +670,34 @@ type Session struct {
 	}
 
 	// stmtCache holds parsed statements keyed by query text — on a worker,
-	// the texts of the tasks its coordinators send, which is all that stands
-	// between a repeated task and the parser. Entries carry the schema
-	// version they were parsed under and are dropped on mismatch. Sessions
-	// are single-threaded, so no lock.
-	stmtCache map[string]cachedStmt
+	// the texts of the tasks its coordinators send — and the plans their
+	// executions made, which is all that stands between a repeated task and
+	// the parser and planner. Entries carry the schema version they were
+	// parsed under and are dropped on mismatch. Sessions are
+	// single-threaded, so no lock.
+	stmtCache map[string]*cachedStmt
+	// stmtCacheVer is the schema version stmtCache's kept plans were last
+	// checked against (dropStalePlans).
+	stmtCacheVer int64
 }
 
+// cachedStmt is one statement cache entry: a parse tree, the schema version
+// it was parsed under — the one stamp for everything in the entry — and the
+// engine's own plan of it, kept by the first execution that planned it
+// locally. A SELECT keeps its Plan, an UPDATE or a DELETE its targetPlan; an
+// INSERT keeps none. A kept plan reads no parameter value, so it serves
+// every execution of the text. It is not kept when it reads an intermediate
+// result (a relation that lives and dies by name, outside the schema
+// version).
 type cachedStmt struct {
 	stmt sql.Statement
 	ver  int64
+	sel  Plan
+	// selSSI records whether sel was planned for an SSI-tracked session:
+	// vecSource declines heap scans under SERIALIZABLE, so a session on the
+	// other side of that line plans again.
+	selSSI bool
+	dml    *targetPlan
 }
 
 // sessionStmtCacheCap bounds the per-session statement cache. On overflow
@@ -740,10 +764,11 @@ func (s *Session) finishImplicit(t *txn.Txn, commit bool) error {
 }
 
 // Exec parses and executes one statement. Repeated statements skip the
-// parser: parsed trees are cached per session keyed by query text and
-// invalidated when DDL bumps the engine schema version. The cached tree is
-// reused as-is — the AST mutators in the tree (sql.RewriteTables and
-// sql.RenameTables) run exclusively on clones, so re-execution is safe.
+// parser and the planner: parsed trees and their plans are cached per
+// session keyed by query text and invalidated when DDL bumps the engine
+// schema version. The cached tree is reused as-is — the AST mutators in the
+// tree (sql.RewriteTables and sql.RenameTables) run exclusively on clones,
+// so re-execution is safe.
 func (s *Session) Exec(query string, params ...types.Datum) (*Result, error) {
 	return decoded(s.ExecForward(query, params...))
 }
@@ -767,13 +792,16 @@ func (s *Session) ExecForward(query string, params ...types.Datum) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		return s.execStmtForward(stmt, params)
+		return s.execStmtForward(stmt, params, nil)
 	}
 	ver := s.Eng.schemaVer.Load()
+	if ver != s.stmtCacheVer {
+		s.dropStalePlans(ver)
+	}
 	if cs, ok := s.stmtCache[query]; ok {
 		if cs.ver == ver {
 			metStmtCacheHits.Inc()
-			return s.execStmtForward(cs.stmt, params)
+			return s.execStmtForward(cs.stmt, params, cs)
 		}
 		delete(s.stmtCache, query)
 		metStmtCacheInvalid.Inc()
@@ -782,16 +810,31 @@ func (s *Session) ExecForward(query string, params ...types.Datum) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	var entry *cachedStmt
 	if cacheableStmt(stmt) {
 		metStmtCacheMisses.Inc()
-		if s.stmtCache == nil {
-			s.stmtCache = make(map[string]cachedStmt)
-		} else if len(s.stmtCache) >= sessionStmtCacheCap {
-			s.stmtCache = make(map[string]cachedStmt)
+		if s.stmtCache == nil || len(s.stmtCache) >= sessionStmtCacheCap {
+			s.stmtCache = make(map[string]*cachedStmt)
 		}
-		s.stmtCache[query] = cachedStmt{stmt: stmt, ver: ver}
+		entry = &cachedStmt{stmt: stmt, ver: ver}
+		s.stmtCache[query] = entry
 	}
-	return s.execStmtForward(stmt, params)
+	return s.execStmtForward(stmt, params, entry)
+}
+
+// dropStalePlans lets go of the plans of every entry older than ver as soon
+// as the session sees the version move, not when each entry's text comes
+// back, which it may never do: a plan holds its tables' storage and index
+// objects, and a DROP TABLE, a TRUNCATE or a shard move has just let go of
+// them. The parse trees stay, to be found stale — and counted — at their next
+// lookup.
+func (s *Session) dropStalePlans(ver int64) {
+	for _, cs := range s.stmtCache {
+		if cs.ver != ver {
+			cs.sel, cs.dml = nil, nil
+		}
+	}
+	s.stmtCacheVer = ver
 }
 
 // parse wraps sql.Parse in a "parse" span when the session carries a
@@ -835,11 +878,13 @@ func (s *Session) ExecScript(script string) error {
 
 // ExecStmt executes a parsed statement with bound parameters.
 func (s *Session) ExecStmt(stmt sql.Statement, params []types.Datum) (*Result, error) {
-	return decoded(s.execStmtForward(stmt, params))
+	return decoded(s.execStmtForward(stmt, params, nil))
 }
 
-// execStmtForward is to ExecStmt what ExecForward is to Exec.
-func (s *Session) execStmtForward(stmt sql.Statement, params []types.Datum) (*Result, error) {
+// execStmtForward is to ExecStmt what ExecForward is to Exec. entry, when
+// not nil, is the statement cache entry stmt came from: execution takes a
+// kept plan from it, or keeps the plan it makes there.
+func (s *Session) execStmtForward(stmt sql.Statement, params []types.Datum, entry *cachedStmt) (*Result, error) {
 	kind := stmtKind(stmt)
 	metStatements[kind].Inc()
 	label := s.queryLabel
@@ -907,7 +952,7 @@ func (s *Session) execStmtForward(stmt sql.Statement, params []types.Datum) (*Re
 		}
 	}
 
-	res, err := s.execute(stmt, params)
+	res, err := s.execute(stmt, params, entry)
 	if err != nil && !errors.Is(err, ErrRelationGone) {
 		s.abortFailedStatement()
 	}
@@ -944,8 +989,10 @@ func (s *Session) abortFailedStatement() {
 	s.Eng.Locks.ReleaseAll(t.XID)
 }
 
-func (s *Session) execute(stmt sql.Statement, params []types.Datum) (*Result, error) {
-	// Planner hook: the distributed layer takes over planning here.
+func (s *Session) execute(stmt sql.Statement, params []types.Datum, entry *cachedStmt) (*Result, error) {
+	// Planner hook: the distributed layer takes over planning here. It is
+	// asked before a kept plan is used, so a table that has become
+	// distributed is never read through a local plan made before it was.
 	if hook := s.Eng.PlannerHook; hook != nil {
 		plan, err := hook(s, stmt, params)
 		if err != nil {
@@ -961,9 +1008,7 @@ func (s *Session) execute(stmt sql.Statement, params []types.Datum) (*Result, er
 		if st.ForUpdate && len(st.From) == 1 {
 			return s.execLockingSelect(st, params)
 		}
-		psp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "plan", "")
-		plan, err := s.planSelect(st, params)
-		psp.Finish()
+		plan, err := s.selectPlan(st, entry)
 		if err != nil {
 			return nil, err
 		}
@@ -971,14 +1016,43 @@ func (s *Session) execute(stmt sql.Statement, params []types.Datum) (*Result, er
 	case *sql.InsertStmt:
 		return s.execDML(func(t *txn.Txn) (*Result, error) { return s.execInsert(st, params, t) })
 	case *sql.UpdateStmt:
-		return s.execDML(func(t *txn.Txn) (*Result, error) { return s.execUpdate(st, params, t) })
+		return s.execDML(func(t *txn.Txn) (*Result, error) { return s.execUpdate(st, params, t, entry) })
 	case *sql.DeleteStmt:
-		return s.execDML(func(t *txn.Txn) (*Result, error) { return s.execDelete(st, params, t) })
+		return s.execDML(func(t *txn.Txn) (*Result, error) { return s.execDelete(st, params, t, entry) })
 	case *sql.ExplainStmt:
 		return s.execExplain(st, params)
 	default:
 		return s.execUtility(stmt)
 	}
+}
+
+// selectPlan returns the plan entry keeps of sel when it was made on the
+// same side of SSI tracking as the session is now. Otherwise it plans sel
+// and keeps the plan in entry, unless the plan reads an intermediate result.
+func (s *Session) selectPlan(sel *sql.SelectStmt, entry *cachedStmt) (Plan, error) {
+	ssiTracked := s.ssiTracked()
+	if entry != nil && entry.sel != nil && entry.selSSI == ssiTracked {
+		return entry.sel, nil
+	}
+	psp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "plan", "")
+	plan, err := s.planSelect(sel)
+	psp.Finish()
+	if err == nil && entry != nil && !s.Eng.readsIntermediate(sel) {
+		entry.sel, entry.selSSI = plan, ssiTracked
+	}
+	return plan, err
+}
+
+// readsIntermediate reports whether sel names a relation that is not a
+// table of this node: the planner read it as an intermediate result.
+func (e *Engine) readsIntermediate(sel *sql.SelectStmt) bool {
+	found := false
+	sql.WalkTables(sel, func(bt *sql.BaseTable) {
+		if _, ok := e.store(bt.Name); !ok {
+			found = true
+		}
+	})
+	return found
 }
 
 // execDML wraps a write in the implicit-transaction protocol (WithTxn).

@@ -54,12 +54,7 @@ func (p *localPlan) Execute(s *Session, params []types.Datum) (*Result, error) {
 		snap: s.snapshot(t),
 	}
 	ec.ssi = s.ssiFor(t, ec.snap)
-	ec.eval = &expr.Ctx{
-		Params: params,
-		ExecSubquery: func(sel *sql.SelectStmt) ([]types.Row, error) {
-			return s.runSubquery(sel, params)
-		},
-	}
+	ec.eval = s.evalCtx(params)
 	res := &Result{Columns: p.root.columns()}
 	err := p.root.run(ec, func(row types.Row) error {
 		res.Rows = append(res.Rows, row)
@@ -69,6 +64,15 @@ func (p *localPlan) Execute(s *Session, params []types.Datum) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// evalCtx is a statement's evaluation context: its parameters, and its
+// uncorrelated subqueries, each run once (expr.Ctx caches the rows) inside
+// the current transaction.
+func (s *Session) evalCtx(params []types.Datum) *expr.Ctx {
+	return &expr.Ctx{Params: params, ExecSubquery: func(sel *sql.SelectStmt) ([]types.Row, error) {
+		return s.runSubquery(sel, params)
+	}}
 }
 
 // runSubquery executes an uncorrelated subquery inside the current
@@ -84,7 +88,7 @@ func (s *Session) runSubquery(sel *sql.SelectStmt, params []types.Datum) ([]type
 		plan = p
 	}
 	if plan == nil {
-		p, err := s.planSelect(sel, params)
+		p, err := s.planSelect(sel)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +304,7 @@ type ginScanNode struct {
 	st      *storage
 	idx     *ginIndex
 	cols    []string
-	pattern string
+	pattern expr.Evaluator // the LIKE pattern, evaluated when the scan runs
 	filter  expr.Evaluator
 	// conjuncts keeps the WHERE conjunct ASTs compiled into filter, as
 	// seqScanNode.conjuncts does and for the same planner.
@@ -314,8 +318,21 @@ func (n *ginScanNode) explain(indent string) []string {
 		indent + "  -> Bitmap Index Scan using " + n.idx.def.Name + " (trigram)"}
 }
 
+// searchGIN asks idx for the candidates of pattern, evaluated for this
+// execution. usable is false — the caller scans the pages instead — when the
+// pattern is NULL, when it fails (the recheck filter evaluates the same
+// pattern and reports the error at the first row), or when the index cannot
+// search it.
+func searchGIN(ec *execCtx, idx *ginIndex, pattern expr.Evaluator) (candidates []heap.TID, usable bool) {
+	p, err := ec.evalWith(pattern, nil)
+	if err != nil || p == nil {
+		return nil, false
+	}
+	return idx.gin.Search(types.Format(p))
+}
+
 func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	candidates, usable := n.idx.gin.Search(n.pattern)
+	candidates, usable := searchGIN(ec, n.idx, n.pattern)
 	if !usable {
 		seq := &seqScanNode{st: n.st, cols: n.cols, filter: n.filter}
 		return seq.run(ec, emit)

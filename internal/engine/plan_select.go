@@ -9,9 +9,12 @@ import (
 	"citusgo/internal/types"
 )
 
-// planSelect builds an executable plan for a SELECT statement.
-func (s *Session) planSelect(sel *sql.SelectStmt, params []types.Datum) (Plan, error) {
-	root, err := s.planSelectNode(sel, params)
+// planSelect builds an executable plan for a SELECT statement. The plan
+// reads no parameter value — its evaluators take them from the execution's
+// context — so a statement cache entry may keep it for every later
+// execution (cachedStmt).
+func (s *Session) planSelect(sel *sql.SelectStmt) (Plan, error) {
+	root, err := s.planSelectNode(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +199,7 @@ type planned struct {
 	sc *scope
 }
 
-func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (node, error) {
+func (s *Session) planSelectNode(sel *sql.SelectStmt) (node, error) {
 	var cur planned
 	pool := newPool(sel.Where)
 	pool.needed = collectNeededColumns(sel)
@@ -205,16 +208,16 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 		cur = planned{n: oneRowNode{}, sc: &scope{}}
 	} else {
 		var err error
-		cur, err = s.planTableRef(sel.From[0], pool, params)
+		cur, err = s.planTableRef(sel.From[0], pool)
 		if err != nil {
 			return nil, err
 		}
 		for _, tr := range sel.From[1:] {
-			right, err := s.planTableRef(tr, pool, params)
+			right, err := s.planTableRef(tr, pool)
 			if err != nil {
 				return nil, err
 			}
-			cur, err = s.buildJoin(sql.CrossJoin, cur, right, nil, pool, params)
+			cur, err = s.buildJoin(sql.CrossJoin, cur, right, nil, pool)
 			if err != nil {
 				return nil, err
 			}
@@ -286,7 +289,7 @@ func (s *Session) planSelectNode(sel *sql.SelectStmt, params []types.Datum) (nod
 			vecAgg = vecN
 			cur = planned{n: vecN, sc: vecScope}
 		} else {
-			aggN, aggScope, err := buildAggNode(cur, groupBy, rw, params, s)
+			aggN, aggScope, err := buildAggNode(cur, groupBy, rw)
 			if err != nil {
 				return nil, err
 			}
@@ -499,12 +502,12 @@ func expandStars(items []sql.SelectItem, sc *scope) ([]sql.SelectItem, error) {
 // ---------------------------------------------------------------------------
 // FROM planning
 
-func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool, params []types.Datum) (planned, error) {
+func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool) (planned, error) {
 	switch t := tr.(type) {
 	case *sql.BaseTable:
-		return s.planBaseTable(t, pool, params)
+		return s.planBaseTable(t, pool)
 	case *sql.SubqueryRef:
-		child, err := s.planSelectNode(t.Select, params)
+		child, err := s.planSelectNode(t.Select)
 		if err != nil {
 			return planned{}, err
 		}
@@ -527,17 +530,17 @@ func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool, params []typ
 		if t.Type == sql.LeftJoin {
 			// WHERE conjuncts must not push below the null-producing side,
 			// and ON conjuncts on the outer side do not filter it
-			left, err := s.planTableRef(t.Left, pool, params)
+			left, err := s.planTableRef(t.Left, pool)
 			if err != nil {
 				return planned{}, err
 			}
-			right, err := s.planTableRef(t.Right, onPool, params)
+			right, err := s.planTableRef(t.Right, onPool)
 			if err != nil {
 				return planned{}, err
 			}
-			return s.buildJoin(t.Type, left, right, onPool, nil, params)
+			return s.buildJoin(t.Type, left, right, onPool, nil)
 		}
-		left, err := s.planTableRef(t.Left, leftPool, params)
+		left, err := s.planTableRef(t.Left, leftPool)
 		if err != nil {
 			return planned{}, err
 		}
@@ -548,7 +551,7 @@ func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool, params []typ
 			}
 			left = planned{n: &filterNode{child: left.n, pred: pred, conjuncts: taken}, sc: left.sc}
 		}
-		right, err := s.planTableRef(t.Right, pool, params)
+		right, err := s.planTableRef(t.Right, pool)
 		if err != nil {
 			return planned{}, err
 		}
@@ -559,7 +562,7 @@ func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool, params []typ
 			}
 			right = planned{n: &filterNode{child: right.n, pred: pred, conjuncts: taken}, sc: right.sc}
 		}
-		return s.buildJoin(t.Type, left, right, onPool, pool, params)
+		return s.buildJoin(t.Type, left, right, onPool, pool)
 	}
 	return planned{}, fmt.Errorf("unsupported FROM item %T", tr)
 }
@@ -574,7 +577,7 @@ func (n *renameNode) run(ec *execCtx, emit func(types.Row) error) error {
 	return n.child.run(ec, emit)
 }
 
-func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool, params []types.Datum) (planned, error) {
+func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool) (planned, error) {
 	rangeName := t.RefName()
 	st, ok := s.Eng.store(t.Name)
 	if !ok {
@@ -613,10 +616,7 @@ func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool, params []t
 	}
 	colNames := st.table.ColumnNames()
 
-	path, err := s.chooseAccessPath(st, taken, sc, params)
-	if err != nil {
-		return planned{}, err
-	}
+	path := s.chooseAccessPath(st, taken, sc)
 	var n node
 	switch {
 	case path != nil && path.gin != nil:
@@ -640,7 +640,7 @@ func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool, params []t
 // particular, comma-syntax joins ("FROM a, b WHERE a.x = b.y") pull their
 // equi-join conjuncts out of WHERE so they become hash-join keys instead
 // of a filter over a cross product.
-func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, wherePool *conjunctPool, params []types.Datum) (planned, error) {
+func (s *Session) buildJoin(jt sql.JoinType, left, right planned, onPool, wherePool *conjunctPool) (planned, error) {
 	combined := left.sc.concat(right.sc)
 	var onConjuncts []sql.Expr
 	if onPool != nil {
@@ -853,7 +853,7 @@ func (rw *aggRewriter) rewrite(e sql.Expr) sql.Expr {
 }
 
 // buildAggNode compiles the aggregation node and its output scope.
-func buildAggNode(input planned, groupBy []sql.Expr, rw *aggRewriter, params []types.Datum, s *Session) (node, *scope, error) {
+func buildAggNode(input planned, groupBy []sql.Expr, rw *aggRewriter) (node, *scope, error) {
 	groupEvals := make([]expr.Evaluator, len(groupBy))
 	for i, g := range groupBy {
 		ev, err := expr.Compile(g, input.sc)

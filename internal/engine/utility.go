@@ -387,6 +387,8 @@ func (e *Engine) truncateStorage(store *storage) {
 		store.gins[name] = &ginIndex{def: g.def, gin: index.NewGIN(), eval: g.eval}
 	}
 	e.logDDL(store.table.Name, "TRUNCATE "+store.table.Name, true)
+	// the index objects are new: a kept plan must not probe the old ones
+	e.bumpSchemaVersion()
 }
 
 // Vacuum reclaims dead tuples table-wide or for one table, cleaning index
@@ -459,7 +461,7 @@ func (s *Session) execExplain(st *sql.ExplainStmt, params []types.Datum) (*Resul
 	}
 	if plan == nil {
 		if inner, ok := st.Stmt.(*sql.SelectStmt); ok {
-			p, err := s.planSelect(inner, params)
+			p, err := s.planSelect(inner)
 			if err != nil {
 				return nil, err
 			}
@@ -510,7 +512,7 @@ func (s *Session) runExplainAnalyze(stmt sql.Statement, plan Plan, params []type
 	if plan != nil {
 		res, err = s.runPlan(plan, params)
 	} else {
-		res, err = s.execute(stmt, params)
+		res, err = s.execute(stmt, params, nil)
 	}
 	if err != nil {
 		return nil, err

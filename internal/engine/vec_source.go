@@ -281,7 +281,7 @@ type heapSource struct {
 	out        []int          // what is read above the scan
 	derived    []*derivedExpr // what is computed for it
 	gin        *ginIndex
-	pattern    string
+	pattern    expr.Evaluator
 }
 
 func (h *heapSource) explain(indent string) []string {
@@ -300,7 +300,7 @@ func (h *heapSource) open(ec *execCtx, _ int) ([]chunkCursor, error) {
 	cur := &heapCursor{src: h, chain: filterChain{filters: filters},
 		probe: make([]vec.Vector, len(h.st.table.Columns))}
 	if h.gin != nil {
-		if candidates, usable := h.gin.gin.Search(h.pattern); usable {
+		if candidates, usable := searchGIN(ec, h.gin, h.pattern); usable {
 			cur.byIndex = true
 			cur.stats.ginCandidates = int64(len(candidates))
 			cur.scan = h.st.heap.NewTIDScan(ec.sess.Eng.Txns, ec.snap, candidates)
@@ -549,7 +549,7 @@ func (c *joinCursor) report(st *vecStats) {
 func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilterSpec, derived []*derivedExpr) (chunkSource, bool) {
 	// heapScan is the source over a heap table's pages, or over the candidates
 	// of a GIN search for pattern when gin is set.
-	heapScan := func(st *storage, conjuncts []sql.Expr, gin *ginIndex, pattern string) (chunkSource, bool) {
+	heapScan := func(st *storage, conjuncts []sql.Expr, gin *ginIndex, pattern expr.Evaluator) (chunkSource, bool) {
 		filters, ok := compileVecFilters(conjuncts, sc)
 		if !ok || s.ssiTracked() {
 			return nil, false
@@ -574,7 +574,7 @@ func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilt
 		return s.vecSource(x.child, sc, out, append(filters, extra...), derived)
 	case *seqScanNode:
 		if x.st.col == nil {
-			return heapScan(x.st, x.conjuncts, nil, "")
+			return heapScan(x.st, x.conjuncts, nil, nil)
 		}
 		filters, ok := compileVecFilters(x.conjuncts, sc)
 		if !ok || len(derived) > 0 {
