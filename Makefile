@@ -97,7 +97,14 @@ race:
 # INSERT..SELECT moves as typed rows, a reference table's COPY on every
 # replica, the INSERT..SELECT clauses COPY cannot carry refused, a
 # distribution whose copy fails leaving the table local with its rows, a NULL
-# distribution value refused up front, and COPY under 2PC faults
+# distribution value refused up front, and COPY under 2PC faults; and 20 times
+# under -race, relations reaching workers one way: expression subqueries
+# (TestSubqueryMatchesLocalTable) and non-co-located joins, broadcast at 2
+# workers and repartitioned at 4 (TestJoinOrderMatchesLocalTable), against
+# local tables holding the same rows, and two sessions running subplan
+# statements at once (TestConcurrentSubplanSessions: intermediate-result names
+# are global to an engine, each session must get its own answer and no
+# relation may survive)
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
@@ -123,6 +130,7 @@ stress:
 	go test -race -run 'TestParkedSessionProceedsOnPutOrDiscard' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestFailedCopyLeavesNothing|TestCopyInTransactionBlock|TestInsertSelectKeepsFloats|TestReferenceCopyReachesEveryReplica|TestInsertSelectRefusesRowClauses|TestFailedDistributionKeepsRows|TestDistributionRefusesNullKeys' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestCopyTwoPhaseCommitFaults' -count=20 -timeout 10m ./internal/fault/chaos
+	go test -race -run 'TestSubqueryMatchesLocalTable|TestJoinOrderMatchesLocalTable|TestConcurrentSubplanSessions' -count=20 -timeout 10m ./internal/citus
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure

@@ -24,6 +24,7 @@ var (
 		"tasks placed by the adaptive executor, by task kind", "kind")
 	metTasksRead     = metTasksVec.With("read")
 	metTasksWrite    = metTasksVec.With("write")
+	metTasksResult   = metTasksVec.With("result")
 	metConnsOpenedBy = obs.Default().Counter("executor_conns_opened_total",
 		"connections the adaptive executor opened beyond its pinned set, by target node", "node")
 	metSlowStartRounds = obs.Default().Counter("executor_slow_start_rounds_total",
@@ -76,9 +77,14 @@ type task struct {
 	// affected count and RETURNING rows come from the other task.
 	replica bool
 	// copyRows make the task a COPY of these rows, columns copyCols, into
-	// the shard named by sql (copyTasks).
+	// the shard named by sql (copyTasks), or with isResult an append of them
+	// to the intermediate result named by sql (appendTask).
 	copyCols []string
 	copyRows []types.Row
+	// isResult marks an append to an intermediate result: neither a read nor
+	// a write. It is never retried or routed to a replica, since a second
+	// append would duplicate its rows, and it joins no transaction block.
+	isResult bool
 }
 
 // executeTasks is the adaptive executor (§3.6.1). It runs tasks over the
@@ -99,25 +105,31 @@ func (n *Node) executeTasks(s *engine.Session, tasks []task) ([]*engine.Result, 
 	defer n.executorDone()
 	st := n.state(s)
 
-	writeTasks := 0
+	writeTasks, resultTasks := 0, 0
 	for i := range tasks {
-		if tasks[i].isWrite {
+		switch {
+		case tasks[i].isWrite:
 			writeTasks++
+		case tasks[i].isResult:
+			resultTasks++
 		}
 	}
 	metTasksWrite.Add(int64(writeTasks))
-	metTasksRead.Add(int64(len(tasks) - writeTasks))
+	metTasksResult.Add(int64(resultTasks))
+	metTasksRead.Add(int64(len(tasks) - writeTasks - resultTasks))
 	// Replica-aware read routing: an autocommit read with placement
 	// candidates picks its node now, round-robin across healthy
 	// placements. Reads inside an explicit transaction stay on the primary
-	// so the session observes its own uncommitted writes.
+	// so the session observes its own uncommitted writes, and so do the
+	// reads of a subplan that feeds a write (evalSubplan).
 	inTxn := s.InTransaction()
+	routed := !inTxn && st.primaryReads == 0
 	for i := range tasks {
 		t := &tasks[i]
 		if t.isWrite || len(t.readNodes) == 0 {
 			continue
 		}
-		if !inTxn {
+		if routed {
 			t.nodeID = n.pickReadNode(t.readNodes)
 		}
 		if t.nodeID == t.readNodes[0] {
@@ -594,7 +606,7 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 			// reach the wire and the statement fails with this error.
 			break
 		}
-		if txnMode {
+		if txnMode && !t.isResult {
 			// The worker may be inside the block from here on, whatever
 			// becomes of the response: the connection stays with the
 			// transaction.
@@ -636,19 +648,25 @@ func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, i
 }
 
 // sendTask is the issue step: it enqueues t's request on pl, the task's text
-// and its parameters, or a COPY task's rows. The worker session behind a
-// pooled connection parses a text once and keeps the tree
+// and its parameters, or a COPY or append task's rows. The worker session
+// behind a pooled connection parses a text once and keeps the tree
 // (engine.Session.ExecForward), so a repeated task shape costs the worker a
 // map lookup.
 func sendTask(pl *wire.Pipeline, t *task) issuedTask {
-	// executor.task, keyed "read"/"write": fails or delays a task at the
-	// moment of issue, before anything reaches the wire.
+	// executor.task, keyed "read"/"write"/"result": fails or delays a task
+	// at the moment of issue, before anything reaches the wire.
 	kind := "read"
-	if t.isWrite {
+	switch {
+	case t.isWrite:
 		kind = "write"
+	case t.isResult:
+		kind = "result"
 	}
 	if err := fault.CheckKey(fault.PointExecutorTask, kind); err != nil {
 		return issuedTask{err: err}
+	}
+	if t.isResult {
+		return issuedTask{pd: pl.AppendResult(t.sql, t.copyCols, t.copyRows)}
 	}
 	if t.copyRows != nil {
 		return issuedTask{pd: pl.Copy(t.sql, t.copyCols, t.copyRows)}
@@ -672,9 +690,9 @@ func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issued
 	attempts := 1 // recorded on the task span
 	// Transient transport failures (connection reset, dropped response) on
 	// idempotent work retry on a fresh connection with doubling backoff.
-	// Only read-only tasks outside a transaction block qualify: a write or
-	// an in-transaction task may have taken effect on the worker before
-	// the response was lost, so re-running it is not safe.
+	// Only read-only tasks outside a transaction block qualify: a write, an
+	// append or an in-transaction task may have taken effect on the worker
+	// before the response was lost, so re-running it is not safe.
 	//
 	// A transport-level failure also means the connection's streams can no
 	// longer be trusted (the transport may even be closed): it is marked
@@ -685,7 +703,7 @@ func (n *Node) finishTask(s *engine.Session, wc *workerConn, t *task, is *issued
 	if wire.IsTransient(err) || wire.IsBlockRefused(err) {
 		wc.broken = true
 	}
-	retryable := !t.isWrite && !txnMode && wc.pool != nil
+	retryable := !t.isWrite && !t.isResult && !txnMode && wc.pool != nil
 	for retryable && wire.IsTransient(err) && attempts < maxTaskAttempts {
 		time.Sleep(taskRetryBackoff << (attempts - 1))
 		if n.refreshConn(wc) != nil {

@@ -17,8 +17,9 @@ import (
 //  2. repartition: no merge step needed but not co-located — the SELECT
 //     result is repartitioned by the destination's distribution column
 //     before insertion;
-//  3. via coordinator: the SELECT needs a coordinator merge — run it as a
-//     distributed SELECT and route the rows back into the destination.
+//  3. via coordinator: the SELECT needs a coordinator merge or has a subplan
+//     of its own — run it as a subplan, a distributed SELECT reading primary
+//     placements, and route the rows back into the destination.
 func (n *Node) planInsertSelect(ins *sql.InsertStmt, dt *metadata.DistTable, params []types.Datum) (engine.Plan, error) {
 	if n.colocatedInsertSelectOK(ins, dt) {
 		return n.planColocatedInsertSelect(ins, dt, params)
@@ -257,9 +258,9 @@ func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.Dis
 	return plan, nil
 }
 
-// planInsertSelectViaCoordinator builds strategy 3: distributed SELECT,
-// then COPY the rows into the destination within the same distributed
-// transaction.
+// planInsertSelectViaCoordinator builds strategy 3: the SELECT as a subplan
+// (evalSubplan), then COPY the rows into the destination within the same
+// distributed transaction.
 func (n *Node) planInsertSelectViaCoordinator(ins *sql.InsertStmt, params []types.Datum) (engine.Plan, error) {
 	if err := refuseRowClauses(ins); err != nil {
 		return nil, err
@@ -290,11 +291,12 @@ func (p *insertSelectCoordinatorPlan) ExplainLines() []string {
 	return []string{
 		"Custom Scan (Citus INSERT ... SELECT)",
 		"  INSERT/SELECT method: pull to coordinator",
+		"  Distributed Subplan: " + p.ins.Select.String(),
 	}
 }
 
 func (p *insertSelectCoordinatorPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	res, err := s.ExecStmt(p.ins.Select, params)
+	res, err := p.node.evalSubplan(s, p.ins.Select, params, true)
 	if err != nil {
 		return nil, err
 	}

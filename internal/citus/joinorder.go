@@ -2,6 +2,7 @@ package citus
 
 import (
 	"fmt"
+	"slices"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
@@ -22,7 +23,7 @@ func (n *Node) planJoinOrder(sel *sql.SelectStmt, params []types.Datum) (*distPl
 	if len(dist) != 2 {
 		return nil, nil // N-way non-co-located joins are a known limitation
 	}
-	// subqueries with their own distributed tables are out of scope here
+	// a FROM subquery that needs a merge step is out of scope here
 	if err := n.subqueriesPushdownable(sel); err != nil {
 		return nil, nil //nolint:nilerr
 	}
@@ -40,19 +41,47 @@ func (n *Node) planJoinOrder(sel *sql.SelectStmt, params []types.Datum) (*distPl
 	workers := int64(len(n.Meta.WorkerNodes()))
 
 	// network-traffic cost model: broadcast ships the relation to every
-	// worker; repartition ships each relation once
-	costBroadcastA := rowsA * workers
-	costBroadcastB := rowsB * workers
-	costRepartition := rowsA + rowsB
-
-	switch {
-	case costBroadcastA <= costBroadcastB && costBroadcastA <= costRepartition:
-		return n.planBroadcastJoin(sel, params, a, b)
-	case costBroadcastB <= costRepartition:
-		return n.planBroadcastJoin(sel, params, b, a)
-	default:
+	// worker; repartition ships each relation once. The preserved side of an
+	// outer join is never broadcast: every task would emit the rows that find
+	// no match in its own shard.
+	preserved := preservedTables(sel)
+	small, cost := "", rowsA+rowsB
+	if !preserved[b] && rowsB*workers <= cost {
+		small, cost = b, rowsB*workers
+	}
+	if !preserved[a] && rowsA*workers <= cost {
+		small = a
+	}
+	if small == "" {
 		return n.planRepartitionJoin(sel, params, a, b)
 	}
+	return n.planBroadcastJoin(sel, params, small)
+}
+
+// preservedTables names the tables on the preserved side of a LEFT JOIN,
+// FROM subqueries' joins included.
+func preservedTables(sel *sql.SelectStmt) map[string]bool {
+	preserved := map[string]bool{}
+	var visit func(tr sql.TableRef, keep bool)
+	visit = func(tr sql.TableRef, keep bool) {
+		switch t := tr.(type) {
+		case *sql.JoinRef:
+			visit(t.Left, keep || t.Type == sql.LeftJoin)
+			visit(t.Right, keep)
+		case *sql.SubqueryRef:
+			for _, tr := range t.Select.From {
+				visit(tr, keep)
+			}
+		case *sql.BaseTable:
+			if keep {
+				preserved[t.Name] = true
+			}
+		}
+	}
+	for _, tr := range sel.From {
+		visit(tr, false)
+	}
+	return preserved
 }
 
 // distTableRows sums the row estimates of a table's shards.
@@ -77,10 +106,10 @@ func (n *Node) distTableRows(table string) (int64, error) {
 	return total, nil
 }
 
-// planBroadcastJoin materializes smallTable on every worker as an
-// intermediate result and delegates the rewritten query to the pushdown
-// planner (§3.5 "broadcast joins").
-func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smallTable, bigTable string) (*distPlan, error) {
+// planBroadcastJoin replicates smallTable, as the subplan `SELECT * FROM
+// smallTable`, to the nodes the other table's tasks run on, and plans the
+// rewritten query with the pushdown planner (§3.5 "broadcast joins").
+func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smallTable string) (*distPlan, error) {
 	prefix := fmt.Sprintf("citus_bcast_%d_", n.distSeq.Add(1))
 	irName := prefix + "rel"
 
@@ -98,56 +127,13 @@ func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smal
 	if shape == nil || err != nil {
 		return nil, err
 	}
-	inner, err := shape.plan(n, params, false)
+	plan, err := shape.plan(n, params, false)
 	if err != nil {
 		return nil, err
 	}
-	inner.explain = append([]string{
-		"Custom Scan (Citus Adaptive)",
-		fmt.Sprintf("  Join-Order: broadcast join, %s replicated to all workers as %s", smallTable, irName),
-	}, inner.explain[1:]...)
-	inner.cleanupPrefix = prefix
-	for _, node := range n.Meta.ActiveNodes() {
-		inner.cleanupNodes = append(inner.cleanupNodes, node.ID)
-	}
-
-	// the tasks read the broadcast intermediate result, which is shipped to
-	// primary workers only — pin them there instead of replica-routing
-	for i := range inner.tasks {
-		inner.tasks[i].readNodes = nil
-	}
-
-	innerPrepare := inner.prepare
-	staticTasks := inner.tasks
-	inner.tasks = nil
-	inner.prepare = func(s *engine.Session, params []types.Datum) ([]task, error) {
-		// subplan: pull the small table (as a distributed SELECT) and ship
-		// it to every worker
-		res, err := s.Exec("SELECT * FROM " + smallTable)
-		if err != nil {
-			return nil, err
-		}
-		for _, node := range n.Meta.WorkerNodes() {
-			if node.ID == n.ID {
-				continue // appended locally below
-			}
-			var serr error
-			n.withNodeConn(node.ID, func(c *wire.Conn) error {
-				serr = c.AppendIntermediateResult(irName, res.Columns, res.Rows)
-				return serr
-			})
-			if serr != nil {
-				return nil, serr
-			}
-		}
-		// the coordinator may also run tasks (0+1 clusters, reference joins)
-		n.Eng.AppendIntermediateResult(irName, res.Columns, res.Rows)
-		if innerPrepare != nil {
-			return innerPrepare(s, params)
-		}
-		return staticTasks, nil
-	}
-	return inner, nil
+	plan.withSubplans([]subplan{{name: irName, sel: selectAll(smallTable)}}, prefix,
+		fmt.Sprintf("  Join-Order: broadcast join, %s replicated to every task node as %s", smallTable, irName))
+	return plan, nil
 }
 
 // planRepartitionJoin re-partitions both relations on the join key into
@@ -160,25 +146,21 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 		return nil, fmt.Errorf("cannot repartition: no equality join condition between %q and %q", a, b)
 	}
 	seq := n.distSeq.Add(1)
-	nameA := fmt.Sprintf("citus_repart_%d_a", seq)
-	nameB := fmt.Sprintf("citus_repart_%d_b", seq)
+	prefix := fmt.Sprintf("citus_repart_%d_", seq)
+	sides := []repartSide{{a, keyA, prefix + "a"}, {b, keyB, prefix + "b"}}
 
 	workers := n.Meta.WorkerNodes()
-	buckets := len(workers)
-
 	rewritten, err := sql.CloneStatement(sel)
 	if err != nil {
 		return nil, err
 	}
 	sql.RewriteTables(rewritten, func(name string) string {
-		switch name {
-		case a:
-			return nameA
-		case b:
-			return nameB
-		default:
-			return name
+		for _, side := range sides {
+			if name == side.table {
+				return side.name
+			}
 		}
+		return name
 	})
 	pq, err := n.buildPushdownQueries(rewritten.(*sql.SelectStmt), fmt.Sprintf("citus_merge_%d", seq))
 	if err != nil {
@@ -191,25 +173,18 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 	workerSQL := pq.worker.String()
 
 	plan := &distPlan{
-		node:          n,
-		columns:       pq.columns,
-		merge:         pq.merge,
-		cleanupPrefix: fmt.Sprintf("citus_repart_%d_", seq),
+		node:    n,
+		columns: pq.columns,
+		merge:   pq.merge,
 		explain: []string{
 			"Custom Scan (Citus Adaptive)",
-			fmt.Sprintf("  Join-Order: re-partition join on %s.%s = %s.%s into %d buckets", a, keyA, b, keyB, buckets),
+			fmt.Sprintf("  Join-Order: re-partition join on %s.%s = %s.%s into %d buckets", a, keyA, b, keyB, len(workers)),
 			"  Merge Step: " + pq.merge.String(),
 		},
 	}
-	for _, node := range n.Meta.ActiveNodes() {
-		plan.cleanupNodes = append(plan.cleanupNodes, node.ID)
-	}
-
+	plan.cleanupOn(prefix)
 	plan.prepare = func(s *engine.Session, params []types.Datum) ([]task, error) {
-		if err := n.repartitionTable(s, a, keyA, nameA, workers); err != nil {
-			return nil, err
-		}
-		if err := n.repartitionTable(s, b, keyB, nameB, workers); err != nil {
+		if err := n.repartitionTables(s, workers, sides); err != nil {
 			return nil, err
 		}
 		tasks := make([]task, len(workers))
@@ -220,6 +195,10 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 	}
 	return plan, nil
 }
+
+// repartSide is one relation of a repartition join: its table, join key and
+// bucket relation name.
+type repartSide struct{ table, key, name string }
 
 // findJoinKey locates the equality conjunct joining tables a and b and
 // returns the two column names.
@@ -263,60 +242,54 @@ func (n *Node) findJoinKey(sel *sql.SelectStmt, a, b string) (string, string, bo
 	return "", "", false
 }
 
-// repartitionTable reads each shard of a table (filters/projections could
-// be pushed here; we ship full rows) and redistributes the rows by the hash
-// of the join key into one intermediate result per worker.
-func (n *Node) repartitionTable(s *engine.Session, table, key, irName string, workers []*metadata.Node) error {
-	shards := n.Meta.Shards(table)
-	var selTasks []task
-	for _, sh := range shards {
-		nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
-		if err != nil {
-			return err
+// repartitionTables reads every shard of each side's table (filters and
+// projections could be pushed here; we ship full rows), hashes the rows on
+// the side's join key into one bucket per worker, and ships all the buckets
+// as append tasks of one executeTasks call: bucket i of a side becomes its
+// relation on workers[i].
+func (n *Node) repartitionTables(s *engine.Session, workers []*metadata.Node, sides []repartSide) error {
+	var reads []task
+	bounds := []int{0} // side i's reads are reads[bounds[i]:bounds[i+1]]
+	for _, side := range sides {
+		for _, sh := range n.Meta.Shards(side.table) {
+			nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
+			if err != nil {
+				return err
+			}
+			reads = append(reads, task{
+				nodeID: nodeID, shardGroup: -1,
+				sql:       "SELECT * FROM " + sh.ShardName(),
+				readNodes: n.Meta.ReadPlacements(sh.ID),
+			})
 		}
-		selTasks = append(selTasks, task{
-			nodeID: nodeID, shardGroup: -1,
-			sql:       "SELECT * FROM " + sh.ShardName(),
-			readNodes: n.Meta.ReadPlacements(sh.ID),
-		})
+		bounds = append(bounds, len(reads))
 	}
-	results, err := n.executeTasks(s, selTasks)
+	results, err := n.executeTasks(s, reads)
 	if err != nil {
 		return err
 	}
-	var cols []string
-	keyIdx := -1
-	buckets := make([][]types.Row, len(workers))
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if cols == nil {
+	var appends []task
+	for i, side := range sides {
+		var cols []string
+		buckets := make([][]types.Row, len(workers))
+		for _, r := range results[bounds[i]:bounds[i+1]] {
+			if r == nil {
+				continue
+			}
 			cols = r.Columns
-			for i, c := range cols {
-				if c == key {
-					keyIdx = i
-				}
-			}
+			keyIdx := slices.Index(cols, side.key)
 			if keyIdx == -1 {
-				return fmt.Errorf("join key %q not found in %q", key, table)
+				return fmt.Errorf("join key %q not found in %q", side.key, side.table)
+			}
+			for _, row := range r.DecodeRows() {
+				bucket := int(uint32(types.HashDatum(row[keyIdx]))) % len(workers)
+				buckets[bucket] = append(buckets[bucket], row)
 			}
 		}
-		for _, row := range r.DecodeRows() {
-			h := types.HashDatum(row[keyIdx])
-			bucket := int(uint32(h)) % len(workers)
-			buckets[bucket] = append(buckets[bucket], row)
+		for w, node := range workers {
+			appends = append(appends, appendTask(node.ID, side.name, cols, buckets[w]))
 		}
 	}
-	for i, w := range workers {
-		var serr error
-		n.withNodeConn(w.ID, func(c *wire.Conn) error {
-			serr = c.AppendIntermediateResult(irName, cols, buckets[i])
-			return serr
-		})
-		if serr != nil {
-			return serr
-		}
-	}
-	return nil
+	_, err = n.executeTasks(s, appends)
+	return err
 }

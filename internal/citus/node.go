@@ -376,6 +376,11 @@ type sessState struct {
 
 	distID     string
 	registered bool // transaction callbacks installed
+
+	// primaryReads counts the subplans feeding a write that are running now
+	// (evalSubplan): while it is above zero no read goes to a standby. Only
+	// the session's goroutine touches it.
+	primaryReads int
 }
 
 // workerConn wraps a pooled connection with transaction state.

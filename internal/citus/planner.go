@@ -29,18 +29,23 @@ var (
 
 // distPlan is the distributed query plan a planner hook returns — the
 // equivalent of the CustomScan node Citus injects into the PostgreSQL plan
-// (§3.5): a set of tasks, optionally preceded by subplan phases (broadcast /
-// repartition data movement) and followed by a coordinator-side merge query
-// over the collected worker results.
+// (§3.5): a set of tasks, optionally preceded by subplans (subplan.go) or a
+// repartition, and followed by a coordinator-side merge query over the
+// collected worker results.
 type distPlan struct {
 	node    *Node
 	columns []string
 	explain []string
 
-	// tasks, or prepare to build them at execution time (join-order plans
-	// move data first).
+	// tasks, or prepare to build them at execution time (a repartition join
+	// moves data first).
 	tasks   []task
 	prepare func(s *engine.Session, params []types.Datum) ([]task, error)
+
+	// subplans are evaluated and shipped to the task nodes before the tasks
+	// run; feedsWrite: the statement writes, so they read primaries.
+	subplans   []subplan
+	feedsWrite bool
 
 	// DML plans sum affected rows instead of returning them. stmt is the
 	// statement the plan was made for, planned again when its one task — a
@@ -57,10 +62,10 @@ type distPlan struct {
 	merge *sql.SelectStmt
 
 	// cleanup of intermediate results on every involved node: everything
-	// named cleanupPrefix+<member>. The prefix ends in "_" so that query 1's
-	// prefix cannot match query 10's relations.
-	cleanupPrefix string
-	cleanupNodes  []int
+	// named prefix+<member> for each of cleanupPrefixes. A prefix ends in "_"
+	// so that query 1's prefix cannot match query 10's relations.
+	cleanupPrefixes []string
+	cleanupNodes    []int
 }
 
 func (p *distPlan) Columns() []string      { return p.columns }
@@ -68,13 +73,16 @@ func (p *distPlan) ExplainLines() []string { return p.explain }
 
 func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
 	tasks := p.tasks
+	var err error
 	if p.prepare != nil {
-		var err error
 		tasks, err = p.prepare(s, params)
-		if err != nil {
-			p.cleanup()
-			return nil, err
-		}
+	}
+	if err == nil && len(p.subplans) > 0 {
+		err = p.node.runSubplans(s, p, tasks, params)
+	}
+	if err != nil {
+		p.cleanup()
+		return nil, err
 	}
 	results, err := p.node.executeTasks(s, tasks)
 	if err != nil {
@@ -181,18 +189,32 @@ func (p *distPlan) replan(s *engine.Session, tasks []task, params []types.Datum,
 	return again
 }
 
-func (p *distPlan) cleanup() {
-	if p.cleanupPrefix == "" {
-		return
+// cleanupOn makes p drop the relations named prefix+<member> on every active
+// node once it has run.
+func (p *distPlan) cleanupOn(prefix string) {
+	p.cleanupPrefixes = append(p.cleanupPrefixes, prefix)
+	if p.cleanupNodes == nil {
+		for _, node := range p.node.Meta.ActiveNodes() {
+			p.cleanupNodes = append(p.cleanupNodes, node.ID)
+		}
 	}
+}
+
+func (p *distPlan) cleanup() {
 	for _, nodeID := range p.cleanupNodes {
 		if nodeID == p.node.ID {
-			p.node.Eng.DropIntermediateResults(p.cleanupPrefix)
+			for _, prefix := range p.cleanupPrefixes {
+				p.node.Eng.DropIntermediateResults(prefix)
+			}
 			continue
 		}
-		nodeID := nodeID
 		p.node.withNodeConn(nodeID, func(c *wire.Conn) error {
-			return c.DropIntermediateResults(p.cleanupPrefix)
+			for _, prefix := range p.cleanupPrefixes {
+				if err := c.DropIntermediateResults(prefix); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
 	}
 }
@@ -218,10 +240,11 @@ func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []typ
 		return plan, err
 	}
 	// Route on FROM-clause tables only: a query whose distributed
-	// references live solely in expression subqueries runs locally, and
-	// each subquery is recursively planned as a distributed query when the
-	// engine executes it (the engine's subquery executor re-enters this
-	// hook).
+	// references live solely in expression subqueries runs locally, and the
+	// engine's subquery executor re-enters this hook for each subquery, which
+	// is planned as a distributed query. A distributed statement's own
+	// expression subqueries that cannot run in its shard tasks become
+	// subplans below (planSubplans).
 	names := sql.FromTables(stmt)
 	touchesCitus := false
 	for _, name := range names {
@@ -252,6 +275,15 @@ func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []typ
 	if plan != nil {
 		return plan, nil
 	}
+	if plan, err := n.planSubplans(stmt, params); plan != nil || err != nil {
+		return plan, err
+	}
+	return n.planDistributed(stmt, params)
+}
+
+// planDistributed walks the planners the plan cache does not hold: join
+// order, INSERT, multi-shard and reference-table UPDATE and DELETE.
+func (n *Node) planDistributed(stmt sql.Statement, params []types.Datum) (engine.Plan, error) {
 	switch st := stmt.(type) {
 	case *sql.SelectStmt:
 		return n.planDistSelect(st, params)
@@ -386,7 +418,7 @@ type routerPin struct {
 // group. Every distributed table needs a `distcol = <expr>` conjunct — in the
 // WHERE, a JOIN … ON or a FROM subquery, the column qualified or not — and
 // all of them one co-location group. Reference tables ride along. Returns nil
-// for a statement the router never plans; pushdown, join order and
+// for a statement the router never plans; pushdown, join order, subplans and
 // multi-shard DML take it.
 func (n *Node) analyzeRouter(stmt sql.Statement) *routerShape {
 	s := &routerShape{stmt: stmt}
@@ -496,6 +528,9 @@ func (n *Node) analyzeRouter(stmt sql.Statement) *routerShape {
 		}
 		s.colocation = dt.ColocationID
 		s.pins = append(s.pins, routerPin{table: tbl, value: values[tbl]})
+	}
+	if n.needsSubplans(stmt) {
+		return nil // the shard task would run the subquery over its shard only
 	}
 	return s
 }
@@ -610,7 +645,7 @@ func (n *Node) planDistSelect(sel *sql.SelectStmt, params []types.Datum) (engine
 	if err != nil || plan != nil {
 		return plan, err
 	}
-	return nil, fmt.Errorf("complex distributed queries of this shape are not supported (non-co-located correlated subqueries are a known limitation, see paper §2.4)")
+	return nil, fmt.Errorf("complex distributed queries of this shape are not supported (a join of more than two non-co-located tables, a FROM subquery that needs a merge step, or a join without an equality condition, see paper §2.4)")
 }
 
 // ---------------------------------------------------------------------------

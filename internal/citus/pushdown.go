@@ -242,12 +242,16 @@ func (n *Node) joinsAreColocated(sel *sql.SelectStmt) bool {
 	return true
 }
 
-// subqueriesPushdownable checks that no FROM subquery needs a global merge
-// step: a subquery referencing distributed tables must either group by a
-// distribution column or be a plain filter/projection (§3.5: "subqueries do
-// not require a global merge step (e.g. a GROUP BY must include the
-// distribution column)").
+// subqueriesPushdownable checks that every subquery can run inside the shard
+// tasks: no FROM subquery needs a global merge step — a subquery referencing
+// distributed tables must either group by a distribution column or be a
+// plain filter/projection (§3.5: "subqueries do not require a global merge
+// step (e.g. a GROUP BY must include the distribution column)") — and no
+// expression subquery needs a subplan (needsSubplans).
 func (n *Node) subqueriesPushdownable(sel *sql.SelectStmt) error {
+	if n.needsSubplans(sel) {
+		return fmt.Errorf("an expression subquery needs a subplan")
+	}
 	var check func(s *sql.SelectStmt, topLevel bool) error
 	var checkTR func(tr sql.TableRef) error
 	checkTR = func(tr sql.TableRef) error {
@@ -268,42 +272,59 @@ func (n *Node) subqueriesPushdownable(sel *sql.SelectStmt) error {
 				return err
 			}
 		}
-		if topLevel {
-			return nil
+		if !topLevel && n.needsMerge(s) {
+			return fmt.Errorf("subquery requires a global merge step")
 		}
-		dist := n.distTablesIn(s)
-		if len(dist) == 0 {
-			return nil
-		}
-		hasAgg := len(s.GroupBy) > 0
-		for _, it := range s.Columns {
-			if it.Expr != nil && expr.ContainsAggregate(it.Expr) {
-				hasAgg = true
-			}
-		}
-		if !hasAgg && s.Limit == nil && !s.Distinct {
-			return nil // plain filter/projection subquery
-		}
-		if n.groupByIncludesDistCol(s) {
-			return nil
-		}
-		return fmt.Errorf("subquery requires a global merge step")
+		return nil
 	}
 	return check(sel, true)
 }
 
+// needsMerge reports whether a subquery over distributed tables needs a
+// global merge step: it aggregates, limits or de-duplicates across shards
+// rather than being a plain filter/projection or grouping by a distribution
+// column.
+func (n *Node) needsMerge(s *sql.SelectStmt) bool {
+	if len(n.distTablesIn(s)) == 0 {
+		return false
+	}
+	hasAgg := len(s.GroupBy) > 0
+	for _, it := range s.Columns {
+		if it.Expr != nil && expr.ContainsAggregate(it.Expr) {
+			hasAgg = true
+		}
+	}
+	if !hasAgg && s.Limit == nil && !s.Distinct {
+		return false
+	}
+	return !n.groupByIncludesDistCol(s)
+}
+
 // groupByIncludesDistCol reports whether the select groups by the
-// distribution column of one of its distributed tables.
+// distribution column of one of its distributed tables. A column qualified
+// with a table's range must be that table's distribution column: b.k is none
+// when b is a reference table, or a broadcast relation, that has a k.
 func (n *Node) groupByIncludesDistCol(s *sql.SelectStmt) bool {
 	distCols := map[string]bool{}
+	ranges := map[string]string{} // table range name -> its distribution column, "" for none
 	sql.WalkTables(s, func(bt *sql.BaseTable) {
+		ranges[bt.RefName()] = ""
 		if dt, ok := n.Meta.Table(bt.Name); ok && dt.Type == metadata.DistributedTable {
 			distCols[dt.DistColumn] = true
+			ranges[bt.RefName()] = dt.DistColumn
 		}
 	})
 	groupBy := resolvePositionalGroupBy(s)
 	for _, g := range groupBy {
-		if cr, ok := g.(*sql.ColumnRef); ok && distCols[cr.Name] {
+		cr, ok := g.(*sql.ColumnRef)
+		if !ok {
+			continue
+		}
+		if distCol, isTable := ranges[cr.Table]; cr.Table != "" && isTable {
+			if distCol == cr.Name {
+				return true
+			}
+		} else if distCols[cr.Name] {
 			return true
 		}
 	}

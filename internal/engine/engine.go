@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -576,6 +577,19 @@ func (e *Engine) DropIntermediateResults(prefix string) {
 			delete(e.intermediate, name)
 		}
 	}
+}
+
+// IntermediateResults lists the names of the node's intermediate results,
+// sorted.
+func (e *Engine) IntermediateResults() []string {
+	e.imu.RLock()
+	defer e.imu.RUnlock()
+	names := make([]string, 0, len(e.intermediate))
+	for name := range e.intermediate {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 func (e *Engine) intermediateResult(name string) (*IntermediateResult, bool) {

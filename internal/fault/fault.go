@@ -32,7 +32,7 @@ const (
 	PointWireRecv        = "wire.recv"         // key: request kind
 	PointPoolDial        = "pool.dial"         // key: node name
 	PointPoolCheckout    = "pool.checkout"     // key: node name
-	PointExecutorTask    = "executor.task"     // key: "read" | "write"
+	PointExecutorTask    = "executor.task"     // key: "read" | "write" | "result"
 	Point2PCPrepare      = "2pc.prepare"       // key: worker node ID (decimal)
 	Point2PCCommitRecord = "2pc.commit_record" // key: global transaction ID
 	Point2PCCommit       = "2pc.commit"        // key: worker node ID (decimal)

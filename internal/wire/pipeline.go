@@ -135,6 +135,13 @@ func (p *Pipeline) Copy(table string, columns []string, rows []types.Row) *Pendi
 	})
 }
 
+// AppendResult enqueues rows for the peer's intermediate result name,
+// created by the first append. A result is not a table: no WAL, no locks,
+// no transaction block.
+func (p *Pipeline) AppendResult(name string, columns []string, rows []types.Row) *Pending {
+	return p.enqueue(Request{Kind: ReqAppendResult, Hdr: p.c.hdr(), Name: name, Columns: columns, Rows: rows})
+}
+
 // errNotDrained reports accessor misuse: the response isn't in yet.
 var errNotDrained = errors.New("wire: pending request not drained; call Pipeline.Flush first")
 

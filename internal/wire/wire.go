@@ -49,8 +49,9 @@ const (
 	// ReqCancelDist cancels the local transaction belonging to a
 	// distributed transaction id (deadlock victim).
 	ReqCancelDist
-	// ReqAppendResult appends rows to a named intermediate result
-	// (repartition/broadcast data movement).
+	// ReqAppendResult appends rows to a named intermediate result: the
+	// adaptive executor's append tasks (Pipeline.AppendResult) ship
+	// subplan results, broadcast relations and repartition buckets.
 	ReqAppendResult
 	// ReqDropResults drops intermediate results by prefix.
 	ReqDropResults
@@ -484,14 +485,6 @@ func (c *Conn) CancelDistTxn(distID string) (bool, error) {
 		return false, err
 	}
 	return resp.OK, nil
-}
-
-// AppendIntermediateResult ships rows into a named relation on the peer.
-func (c *Conn) AppendIntermediateResult(name string, columns []string, rows []types.Row) error {
-	_, err := c.call(Request{
-		Kind: ReqAppendResult, Name: name, Columns: columns, Rows: rows,
-	})
-	return err
 }
 
 // DropIntermediateResults removes relations by prefix.

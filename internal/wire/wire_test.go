@@ -65,7 +65,12 @@ func testConnBehavior(t *testing.T, conn *Conn) {
 	}
 
 	// intermediate results
-	if err := conn.AppendIntermediateResult("ir1", []string{"x"}, []types.Row{{int64(42)}}); err != nil {
+	pl := conn.Pipeline(0)
+	pd := pl.AppendResult("ir1", []string{"x"}, []types.Row{{int64(42)}})
+	if err := pl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pd.Err(); err != nil {
 		t.Fatal(err)
 	}
 	res, err = conn.Query("SELECT x FROM ir1")
