@@ -104,7 +104,16 @@ race:
 # local tables holding the same rows, and two sessions running subplan
 # statements at once (TestConcurrentSubplanSessions: intermediate-result names
 # are global to an engine, each session must get its own answer and no
-# relation may survive)
+# relation may survive); and 20 times under -race, the one transport: a crash
+# while a pipelined window's middle request is parked at wal.fsync failing the
+# whole window with a ConnError (TestCrashLosesTheWindow), a crash and restart
+# and a failover and rejoin with every node listening on TCP
+# (TestTCPCrashAndRestart, TestTCPFailoverAndRejoin), a prepared transaction a
+# restart adopts holding its row and relation locks, its updates keeping their
+# chain (TestAdoptedPreparedHoldsItsLocks), and two MX coordinators shipping
+# subplan results to one worker at once (TestMXCoordinatorsShipDistinctResults:
+# the names carry the coordinating node); then TestChaosSmoke 100 times under
+# -race
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
@@ -131,6 +140,10 @@ stress:
 	go test -race -run 'TestFailedCopyLeavesNothing|TestCopyInTransactionBlock|TestInsertSelectKeepsFloats|TestReferenceCopyReachesEveryReplica|TestInsertSelectRefusesRowClauses|TestFailedDistributionKeepsRows|TestDistributionRefusesNullKeys' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestCopyTwoPhaseCommitFaults' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestSubqueryMatchesLocalTable|TestJoinOrderMatchesLocalTable|TestConcurrentSubplanSessions' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestCrashLosesTheWindow|TestAdoptedPreparedHoldsItsLocks' -count=20 -timeout 10m ./internal/wire ./internal/engine
+	go test -race -run 'TestTCPCrashAndRestart|TestTCPFailoverAndRejoin' -count=20 -timeout 10m ./internal/cluster
+	go test -race -run 'TestMXCoordinatorsShipDistinctResults' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestChaosSmoke$$' -count=100 -timeout 20m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 
 # run every benchmark once so benchmark code can't bit-rot (the figure

@@ -110,7 +110,7 @@ func (n *Node) distTableRows(table string) (int64, error) {
 // smallTable`, to the nodes the other table's tasks run on, and plans the
 // rewritten query with the pushdown planner (§3.5 "broadcast joins").
 func (n *Node) planBroadcastJoin(sel *sql.SelectStmt, params []types.Datum, smallTable string) (*distPlan, error) {
-	prefix := fmt.Sprintf("citus_bcast_%d_", n.distSeq.Add(1))
+	prefix := n.resultName("bcast") + "_"
 	irName := prefix + "rel"
 
 	rewritten, err := sql.CloneStatement(sel)
@@ -145,8 +145,7 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 	if !ok {
 		return nil, fmt.Errorf("cannot repartition: no equality join condition between %q and %q", a, b)
 	}
-	seq := n.distSeq.Add(1)
-	prefix := fmt.Sprintf("citus_repart_%d_", seq)
+	prefix := n.resultName("repart") + "_"
 	sides := []repartSide{{a, keyA, prefix + "a"}, {b, keyB, prefix + "b"}}
 
 	workers := n.Meta.WorkerNodes()
@@ -162,7 +161,7 @@ func (n *Node) planRepartitionJoin(sel *sql.SelectStmt, params []types.Datum, a,
 		}
 		return name
 	})
-	pq, err := n.buildPushdownQueries(rewritten.(*sql.SelectStmt), fmt.Sprintf("citus_merge_%d", seq))
+	pq, err := n.buildPushdownQueries(rewritten.(*sql.SelectStmt), n.resultName("merge"))
 	if err != nil {
 		return nil, err
 	}

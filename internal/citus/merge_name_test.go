@@ -30,15 +30,15 @@ func TestMergeDropIsExact(t *testing.T) {
 	for _, r := range mustExec(t, s, "EXPLAIN SELECT count(*) FROM mn").Rows {
 		plan.WriteString(types.Format(r[0]) + "\n")
 	}
-	m := regexp.MustCompile(`citus_merge_(\d+)`).FindStringSubmatch(plan.String())
+	m := regexp.MustCompile(`(citus_merge_\d+_)(\d+)`).FindStringSubmatch(plan.String())
 	if m == nil {
 		t.Fatalf("no merge relation in plan:\n%s", plan.String())
 	}
-	seq, _ := strconv.Atoi(m[1])
+	seq, _ := strconv.Atoi(m[2])
 	eng := c.Coordinator().Eng
 	var longer []string
 	for d := 1; d <= 5; d++ {
-		name := fmt.Sprintf("citus_merge_%d0", seq+d)
+		name := fmt.Sprintf("%s%d0", m[1], seq+d)
 		eng.RegisterIntermediateResult(name, &engine.IntermediateResult{
 			Columns: []string{"x"}, Rows: []types.Row{{int64(d)}},
 		})

@@ -358,6 +358,14 @@ func (n *Node) nextDistTxnID() string {
 	return fmt.Sprintf("%d:%d:%d", n.ID, time.Now().UnixNano(), n.distSeq.Add(1))
 }
 
+// resultName names a new intermediate result of one of this node's plans:
+// citus_<kind>_<node ID>_<n>. Such relations are global to an engine, and
+// with metadata synced every node coordinates, each counting its own n — so
+// the node is in the name.
+func (n *Node) resultName(kind string) string {
+	return fmt.Sprintf("citus_%s_%d_%d", kind, n.ID, n.distSeq.Add(1))
+}
+
 // ---------------------------------------------------------------------------
 // Session state
 

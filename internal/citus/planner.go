@@ -123,7 +123,7 @@ func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Res
 			}
 		}
 		metCitusMergeRows.Add(int64(len(rows)))
-		name := fmt.Sprintf("citus_merge_%d", p.node.distSeq.Add(1))
+		name := p.node.resultName("merge")
 		p.node.Eng.RegisterIntermediateResult(name, &engine.IntermediateResult{
 			Columns: cols,
 			Rows:    rows,

@@ -64,7 +64,7 @@ func (n *Node) analyzePushdown(sel *sql.SelectStmt) (*pushdownShape, error) {
 	if !ok {
 		return nil, nil
 	}
-	pq, err := n.buildPushdownQueries(sel, fmt.Sprintf("citus_merge_%d", n.distSeq.Add(1)))
+	pq, err := n.buildPushdownQueries(sel, n.resultName("merge"))
 	if err != nil {
 		return nil, err
 	}

@@ -197,7 +197,7 @@ func newParityCluster(t *testing.T, f engine.Features) *cluster.Cluster {
 }
 
 // mergeNameRE matches a merge step's relation, numbered per query.
-var mergeNameRE = regexp.MustCompile(`citus_merge_\d+`)
+var mergeNameRE = regexp.MustCompile(`citus_merge_\d+_\d+`)
 
 // runParitySteps runs the steps in one session and reports each one.
 func runParitySteps(t *testing.T, c *cluster.Cluster, steps []parityStep) []parityOutcome {

@@ -120,7 +120,7 @@ func (n *Node) planSubplans(stmt sql.Statement, params []types.Datum) (engine.Pl
 	if err != nil {
 		return nil, err
 	}
-	prefix := fmt.Sprintf("%s%d_", subplanPrefix, n.distSeq.Add(1))
+	prefix := n.resultName("sub") + "_"
 	var subs []subplan
 	var explain []string
 	n.eachSubplan(rewritten, func(slot **sql.SelectStmt) {

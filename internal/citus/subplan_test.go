@@ -1,6 +1,8 @@
 package citus_test
 
 import (
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -119,5 +121,79 @@ func TestSubplansFeedingWritesReadPrimaries(t *testing.T) {
 	mustExec(t, s, "COMMIT")
 	if standby != 0 {
 		t.Errorf("%d reads feeding a write went to a standby", standby)
+	}
+}
+
+// TestMXCoordinatorsShipDistinctResults: two workers of a metadata-synced
+// cluster coordinate subplan statements whose results land on the same
+// workers at once. Intermediate results are global to an engine and each node
+// counts its own names, so the names carry the coordinating node. Both
+// nodes' counters are lined up first; then one statement is held right after
+// its first append landed while the other runs whole. Each must get its own
+// answer, and no result may survive either.
+func TestMXCoordinatorsShipDistinctResults(t *testing.T) {
+	defer fault.Reset()
+	c, err := cluster.New(cluster.Config{Workers: 2, ShardCount: 8, SyncMetadata: true,
+		Citus: citus.Config{DeadlockInterval: -1, RecoveryInterval: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	subqueryTables(t, c)
+	qa := "SELECT count(*), sum(k) FROM d WHERE g IN (SELECT w FROM d2 WHERE w < 2)"
+	qb := "SELECT count(*), sum(k) FROM d WHERE g IN (SELECT w FROM d2 WHERE w >= 2)"
+	sa, sb := c.SessionOn(1), c.SessionOn(2)
+	wantA, wantB := rowsText(mustExec(t, sa, qa)), rowsText(mustExec(t, sb, qb))
+
+	// EXPLAIN names a statement's first subplan citus_sub_…<n>_0, n the
+	// node's counter; a cached fan-out SELECT moves it by one
+	subplanSeq := regexp.MustCompile(`citus_sub_(?:\d+_)?(\d+)_0`)
+	seq := func(s *engine.Session, q string) int {
+		t.Helper()
+		m := subplanSeq.FindStringSubmatch(rowsText(mustExec(t, s, "EXPLAIN "+q)))
+		if m == nil {
+			t.Fatalf("no subplan in the plan of %s", q)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	for i := 0; ; i++ {
+		a, b := seq(sa, qa), seq(sb, qb)
+		if a == b {
+			break
+		}
+		if i == 20 {
+			t.Fatalf("the two nodes' counters do not line up: %d, %d", a, b)
+		}
+		lagging := sa
+		if b < a {
+			lagging = sb
+		}
+		for range max(a-b, b-a) {
+			mustExec(t, lagging, "SELECT count(*) FROM d")
+		}
+	}
+
+	arrived, release := fault.ArmGate(fault.PointWireRecv, "append_result")
+	done := make(chan error, 1)
+	var gotA string
+	go func() {
+		res, err := sa.Exec(qa)
+		if err == nil {
+			gotA = rowsText(res)
+		}
+		done <- err
+	}()
+	<-arrived
+	resB, errB := sb.Exec(qb)
+	release(nil)
+	if errA := <-done; errA != nil || gotA != wantA {
+		t.Errorf("held coordinator: %q, %v; want %q", gotA, errA, wantA)
+	}
+	if errB != nil || rowsText(resB) != wantB {
+		t.Errorf("other coordinator: %v, %v; want %q", resB, errB, wantB)
+	}
+	if names := leftoverResults(c); len(names) > 0 {
+		t.Errorf("intermediate results survive: %v", names)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // requests share a flight and nothing else: the same statements, run at
 // window 1 (serial issue) and window 8 over a shared connection limit of 2,
 // return the same rows and errors and move pool_discards_total and
-// executor_task_retries_total by the same amounts step for step — over the
-// in-process transport and over real TCP, where a window is one write each
-// way, and the two transports agree with each other as well. A two-node
+// executor_task_retries_total by the same amounts step for step — over
+// in-process socket pairs and over real TCP, a window one write each way on
+// both, and the two agree with each other as well. A two-node
 // transaction of one-task statements also moves engine_statements_total by
 // the same amounts, the count of a transaction's requests (a statement for
 // each, and one for each block opened): no window adds a request of its own.

@@ -84,9 +84,9 @@ func budgetCluster(tb testing.TB) (c *Cluster, log *wireLog, onNode2 [2]int64, o
 	tb.Cleanup(c.Close)
 	log = &wireLog{}
 	log.reset()
-	for j, srv := range c.servers {
-		addr, name := srv.Addr(), c.Engines[j].Name
-		c.Coordinator().SetDialer(j+1, func() (*wire.Conn, error) {
+	for id, srv := range c.servers {
+		addr, name := srv.Addr(), srv.Eng.Name
+		c.Coordinator().SetDialer(id, func() (*wire.Conn, error) {
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err

@@ -632,9 +632,12 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 			}
 			cur = tup.Next // updated: chase to the successor
 		default:
-			// Deleter is still in progress yet we hold the row lock — it
-			// must be resolving right now (clog flip happens after lock
-			// release only for prepared txns mid-switch). Retry.
+			// The deleter is in progress, yet this session holds the row
+			// lock: a writer that stamped the version without it (one
+			// replayed from the log). Wait for its end, then look again.
+			if !s.Eng.Txns.WaitEnd(tup.Xmax, t) {
+				return heap.NilTID, heap.Tuple{}, false, lock.ErrAborted
+			}
 		}
 	}
 }
@@ -670,7 +673,7 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 	old, _ := store.heap.Get(oldTID)
 	t.MarkWrite()
 	s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Row: old.Row})
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Row: newRow})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Row: newRow, Update: true})
 	return nil
 }
 

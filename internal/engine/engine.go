@@ -225,9 +225,9 @@ type Engine struct {
 	stopCtx    context.Context
 	stopCancel context.CancelFunc
 
-	// crashed marks the node as "process killed" for chaos tests: the
-	// in-process transport refuses requests against a crashed engine, so
-	// every client sees connection failures exactly as if the peer died.
+	// crashed marks the node as "process killed" for chaos tests: the wire
+	// server answers nothing once its engine has crashed, so every client
+	// sees connection failures exactly as if the peer died.
 	crashed atomic.Bool
 
 	// ddlMu orders DDL against checkpoints: a DDL holds it shared from its
@@ -284,7 +284,43 @@ func (e *Engine) FinishRecovery() int {
 	for _, xid := range aborted {
 		e.Locks.ReleaseAll(xid)
 	}
+	e.relockPrepared()
 	return len(aborted)
+}
+
+// relockPrepared gives every prepared transaction the log handed this engine
+// the locks it held where it was prepared: the shared relation lock on each
+// heap table it wrote, and the row lock on each version it deleted or
+// updated. Without them DDL does not wait for it, and a writer of one of its
+// rows takes the free row lock, then finds the version's deleter in progress.
+func (e *Engine) relockPrepared() {
+	prepared := map[uint64]bool{}
+	for _, p := range e.Txns.ListPrepared() {
+		prepared[p.XID] = true
+	}
+	if len(prepared) == 0 {
+		return
+	}
+	e.mu.RLock()
+	var stores []*storage
+	for _, st := range e.stores {
+		if st.heap != nil {
+			stores = append(stores, st)
+		}
+	}
+	e.mu.RUnlock()
+	for _, st := range stores {
+		st.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
+			if prepared[tup.Xmax] {
+				e.Locks.TryAcquire(tup.Xmax, lock.Key{Table: st.table.ID, Tuple: int64(tid)}, lock.Exclusive)
+				e.Locks.TryAcquire(tup.Xmax, lock.TableKey(st.table.ID), lock.Shared)
+			}
+			if prepared[tup.Xmin] {
+				e.Locks.TryAcquire(tup.Xmin, lock.TableKey(st.table.ID), lock.Shared)
+			}
+			return true
+		})
+	}
 }
 
 // ddlEntry is one statement of the schema's history and the table it is
@@ -1193,9 +1229,15 @@ func (s *Session) execFinishPrepared(gid string, commit bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The outcome record goes into the log before the locks are released,
-	// as at every transaction end: whoever the release lets in (a shard
+	// The transaction stays listed as prepared until its outcome record is
+	// in the log. A recovery round that lists this node in between must
+	// still find it: finding it gone, it takes the coordinator's commit
+	// record for resolved and drops it, and a crash before the record is
+	// durable brings the transaction back prepared with no record left to
+	// commit it. The record goes into the log before the locks are released
+	// too, as at every transaction end: whoever the release lets in (a shard
 	// move's write block) finds it there.
+	defer s.Eng.Txns.ForgetPrepared(gid)
 	defer s.Eng.Locks.ReleaseAll(t.XID)
 	// FinishPrepared flips only the clog — no callbacks run (the owning
 	// session detached at PREPARE) — so SSI is finalized explicitly.

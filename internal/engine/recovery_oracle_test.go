@@ -350,7 +350,7 @@ func (r *oracleRun) step() {
 		if !os.open {
 			return
 		}
-		arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommit.String())
+		arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommit.String()+"@"+r.e.Name)
 		done := make(chan struct{})
 		go func() {
 			r.end(os, "COMMIT")

@@ -227,7 +227,7 @@ func TestTwoPhaseCommitFlightMatrix(t *testing.T) {
 			// the other participant alone.
 			name: "participant 0 crashed inside PREPARE TRANSACTION before its record was durable",
 			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
-				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecPrepare.String())
+				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecPrepare.String()+"@"+h.C.Engines[nodeIDs[0]-1].Name)
 				done := commit(s)
 				<-arrived
 				if err := h.C.CrashWorker(nodeIDs[0] - 1); err != nil {
@@ -248,9 +248,36 @@ func TestTwoPhaseCommitFlightMatrix(t *testing.T) {
 			// must still be there for recovery to commit it.
 			name: "participant 0 crashed inside COMMIT PREPARED before its record was durable",
 			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
-				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommitPrepared.String())
+				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommitPrepared.String()+"@"+h.C.Engines[nodeIDs[0]-1].Name)
 				done := commit(s)
 				<-arrived
+				if err := h.C.CrashWorker(nodeIDs[0] - 1); err != nil {
+					t.Fatal(err)
+				}
+				release(nil)
+				err := <-done
+				if err := h.C.RestartWorker(nodeIDs[0] - 1); err != nil {
+					t.Fatal(err)
+				}
+				return err
+			},
+			wantCommitErr: false, wantVisible: true, wantDangling: 1,
+		},
+		{
+			// The same death with a recovery round while participant 0 is
+			// parked: its COMMIT PREPARED has not made the record durable, so
+			// the round must still find the transaction prepared there and
+			// keep the commit record. Finding it gone — taken out of the
+			// prepared set before its record was in the log — the round took
+			// the record for resolved and dropped it, and the restart, which
+			// adopts the transaction again, had it rolled back while
+			// participant 1 committed: a torn transaction.
+			name: "recovery runs while participant 0's COMMIT PREPARED is not yet durable",
+			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
+				arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommitPrepared.String()+"@"+h.C.Engines[nodeIDs[0]-1].Name)
+				done := commit(s)
+				<-arrived
+				h.C.Coordinator().RecoverTwoPhaseCommits()
 				if err := h.C.CrashWorker(nodeIDs[0] - 1); err != nil {
 					t.Fatal(err)
 				}

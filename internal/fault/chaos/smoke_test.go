@@ -73,6 +73,12 @@ func TestChaosSmoke(t *testing.T) {
 	const txnsPerWriter = 30
 	lastCommitted := make([]int64, writers)
 	attempts := make([]int64, writers)
+	// underway closes at the first commit of any writer: the crashes come
+	// mid-workload, not before it, however slow the host is to get there —
+	// with worker 1 down every attempt fails at once, and a writer can spend
+	// all its attempts inside one outage.
+	underway := make(chan struct{})
+	var firstCommit sync.Once
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -84,6 +90,7 @@ func TestChaosSmoke(t *testing.T) {
 				attempts[w] = batch
 				if err := h.UpdateAll(s, "smoke", perWriter[w], batch); err == nil {
 					lastCommitted[w] = batch
+					firstCommit.Do(func() { close(underway) })
 				}
 			}
 		}(w)
@@ -108,6 +115,10 @@ func TestChaosSmoke(t *testing.T) {
 	// Kill worker 1 mid-workload and bring it back from its WAL — base image
 	// and tail — and then once more: the second incarnation's log must carry
 	// everything the first recovered.
+	select {
+	case <-underway:
+	case <-time.After(10 * time.Second): // the progress check below fails
+	}
 	for crash := 0; crash < 2; crash++ {
 		time.Sleep(30 * time.Millisecond)
 		if err := h.C.CrashWorker(1); err != nil {

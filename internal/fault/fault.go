@@ -38,7 +38,7 @@ const (
 	Point2PCCommit       = "2pc.commit"        // key: worker node ID (decimal)
 	Point2PCAbort        = "2pc.abort"         // key: worker node ID (decimal)
 	PointWALAppend       = "wal.append"        // key: record type string
-	PointWALFsync        = "wal.fsync"         // key: record type string
+	PointWALFsync        = "wal.fsync"         // key: "<record type>@<node name>"
 	PointMetaSync        = "metadata.sync"     // key: target node name
 	PointRebalanceMove   = "rebalance.move"    // key: move stage ("create_shard", "snapshot_copy", "catchup", "metadata_flip", "drop_source")
 	PointReplShip        = "repl.ship"         // key: standby node name (per shipped record)
@@ -259,6 +259,10 @@ func Fired(point string) int64 {
 	defer totalsMu.Unlock()
 	return fireTotal[point]
 }
+
+// Armed reports whether any rule is armed: a seam whose key costs something
+// to build asks first.
+func Armed() bool { return armedCount.Load() != 0 }
 
 // Check reports the injected fault (if any) for a point with no key.
 func Check(point string) error { return CheckKey(point, "") }

@@ -12,12 +12,24 @@ import (
 
 func newDialer(t *testing.T, dialCount *atomic.Int64) Dialer {
 	t.Helper()
-	e := engine.New(engine.Config{Name: "n"})
-	t.Cleanup(e.Close)
+	srv := newServer(t)
 	return func() (*wire.Conn, error) {
 		dialCount.Add(1)
-		return wire.DialLocal(e, 0), nil
+		return srv.Connect(0)
 	}
+}
+
+// newServer serves a fresh engine to in-process connections.
+func newServer(t *testing.T) *wire.Server {
+	t.Helper()
+	e := engine.New(engine.Config{Name: "n"})
+	t.Cleanup(e.Close)
+	srv, err := wire.Serve(e, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
 func TestGetPutReuses(t *testing.T) {
@@ -94,14 +106,13 @@ func TestUnlimitedPool(t *testing.T) {
 // dial — a Get made while Replace waits for its dialer is turned away — and
 // the pool counts one connection before, during and after.
 func TestReplaceKeepsTheSlot(t *testing.T) {
-	e := engine.New(engine.Config{Name: "n"})
-	t.Cleanup(e.Close)
+	srv := newServer(t)
 	dialing, proceed := make(chan struct{}, 1), make(chan struct{}, 1)
 	proceed <- struct{}{} // the first dial goes straight through
 	p := New("n", 1, func() (*wire.Conn, error) {
 		dialing <- struct{}{}
 		<-proceed
-		return wire.DialLocal(e, 0), nil
+		return srv.Connect(0)
 	})
 	old, err := p.Get()
 	if err != nil {

@@ -29,7 +29,7 @@ func newMemApplier() *memApplier {
 
 func (m *memApplier) ApplyBase(*wal.Base) error { return nil }
 func (m *memApplier) ApplyDDL(string) error     { return nil }
-func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row) error {
+func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row, _ bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rows[table] = append(m.rows[table], row)

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"citusgo/internal/wake"
 )
 
 // Status is a transaction's commit-log state.
@@ -111,11 +113,12 @@ func (t *Txn) AbortCh() <-chan struct{} { return t.abortCh }
 // deadlock detectors. Safe to call multiple times.
 func (t *Txn) Cancel() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.aborted {
 		t.aborted = true
 		close(t.abortCh)
 	}
+	t.mu.Unlock()
+	t.mgr.ended.Broadcast()
 }
 
 // Cancelled reports whether Cancel was called.
@@ -167,6 +170,9 @@ type Manager struct {
 	status   map[uint64]Status
 	active   map[uint64]*Txn
 	prepared map[string]*preparedTxn
+
+	// ended wakes WaitEnd: every status change and every Cancel broadcasts.
+	ended wake.Notifier
 }
 
 type preparedTxn struct {
@@ -176,6 +182,10 @@ type preparedTxn struct {
 	// adopted from WAL replay, which report infinite age: their
 	// coordinator is gone, so recovery must not wait out a grace period.
 	at time.Time
+	// ended: FinishPrepared has set its outcome, and its outcome record is
+	// on its way to the log. It is still listed, for recovery, until
+	// ForgetPrepared; snapshots see it ended.
+	ended bool
 }
 
 // NewManager creates a transaction manager. XIDs start at 2 (XID 1 is the
@@ -215,6 +225,9 @@ func (m *Manager) TakeSnapshot(self *Txn) Snapshot {
 		}
 	}
 	for _, p := range m.prepared {
+		if p.ended {
+			continue
+		}
 		inProgress[p.txn.XID] = struct{}{}
 		if p.txn.XID < min {
 			min = p.txn.XID
@@ -298,9 +311,18 @@ func (m *Manager) Abort(t *Txn) {
 
 func (m *Manager) finish(t *Txn, st Status) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.status[t.XID] = st
 	delete(m.active, t.XID)
+	m.mu.Unlock()
+	m.ended.Broadcast()
+}
+
+// WaitEnd parks until transaction xid is no longer in progress, or until
+// waiter is cancelled, and reports whether xid ended. A writer holding a row
+// lock that still finds the version's deleter in progress waits here.
+func (m *Manager) WaitEnd(xid uint64, waiter *Txn) bool {
+	m.ended.Wait(time.Time{}, func() bool { return m.Status(xid) != InProgress || waiter.Cancelled() })
+	return m.Status(xid) != InProgress
 }
 
 // Prepare performs the first phase of 2PC: the transaction leaves the
@@ -328,22 +350,35 @@ func (m *Manager) Prepare(t *Txn, gid string) error {
 }
 
 // FinishPrepared resolves a prepared transaction. It returns the prepared
-// local transaction so the engine can release its locks.
+// local transaction so the engine can release its locks. The transaction
+// stays listed (ListPrepared) until ForgetPrepared: its outcome record is
+// not in the log yet, and until it is, a crash brings it back prepared.
 func (m *Manager) FinishPrepared(gid string, commit bool) (*Txn, error) {
 	m.mu.Lock()
 	p, ok := m.prepared[gid]
-	if !ok {
+	if !ok || p.ended {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("prepared transaction with identifier %q does not exist", gid)
 	}
-	delete(m.prepared, gid)
+	p.ended = true
 	st := Aborted
 	if commit {
 		st = Committed
 	}
 	m.status[p.txn.XID] = st
 	m.mu.Unlock()
+	m.ended.Broadcast()
 	return p.txn, nil
+}
+
+// ForgetPrepared takes a finished prepared transaction off the list, once
+// its outcome record is in the log.
+func (m *Manager) ForgetPrepared(gid string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p, ok := m.prepared[gid]; ok && p.ended {
+		delete(m.prepared, gid)
+	}
 }
 
 // PreparedInfo describes one pending prepared transaction; the 2PC recovery
@@ -392,11 +427,12 @@ func (m *Manager) ActiveTxns() []*Txn {
 // the XID allocator past it. Used by WAL replay when rebuilding a node.
 func (m *Manager) ForceStatus(xid uint64, st Status) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.status[xid] = st
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
 	}
+	m.mu.Unlock()
+	m.ended.Broadcast()
 }
 
 // MarkReplicating records a replicated writer as in-progress unless its
@@ -426,6 +462,7 @@ func (m *Manager) MarkReplicating(xid uint64) {
 // their fate belongs to the coordinator's 2PC recovery. Returns the
 // aborted XIDs.
 func (m *Manager) AbortInDoubt() []uint64 {
+	defer m.ended.Broadcast()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	preparedXIDs := make(map[uint64]struct{}, len(m.prepared))

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestBeginCommitVisibility(t *testing.T) {
@@ -182,5 +183,31 @@ func TestForceStatusAndAdoptPrepared(t *testing.T) {
 	}
 	if m.Status(200) != Aborted {
 		t.Fatal("adopted prepared transaction not aborted")
+	}
+}
+
+// TestWaitEnd: a writer waiting out a deleter that holds no lock wakes when
+// the deleter ends, and when it is cancelled itself.
+func TestWaitEnd(t *testing.T) {
+	m := NewManager()
+	deleter, waiter := m.Begin(), m.Begin()
+	ended := make(chan bool, 1)
+	go func() { ended <- m.WaitEnd(deleter.XID, waiter) }()
+	select {
+	case <-ended:
+		t.Fatal("WaitEnd returned while the deleter was in progress")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := m.Commit(deleter); err != nil {
+		t.Fatal(err)
+	}
+	if !<-ended {
+		t.Fatal("WaitEnd did not report the deleter's end")
+	}
+	other := m.Begin()
+	go func() { ended <- m.WaitEnd(other.XID, waiter) }()
+	waiter.Cancel()
+	if <-ended {
+		t.Fatal("WaitEnd reported an end after its waiter was cancelled")
 	}
 }

@@ -21,7 +21,7 @@ var sleepAllowed = map[string]string{
 	"internal/citus/executor.go finishTask":       "retry backoff after a transient task error",
 	"internal/repl/repl.go ship":                  "retry backoff after a failed ship",
 	"internal/workload/workload.go RunClosedLoop": "think time between a client's operations",
-	"internal/wire/wire.go recv":                  "simulated network round trip, until the figures come from a model",
+	"internal/wire/tcp.go recv":                   "simulated network round trip, until the figures come from a model",
 	"internal/bufpool/bufpool.go Access":          "simulated page-miss latency, until the figures come from a model",
 	"internal/fault/chaos/chaos.go Quiesce":       "chaos harness: waits for a cluster under faults to settle",
 	"internal/soak/invariants.go quiesce2PC":      "soak harness: waits for in-doubt transactions to resolve",

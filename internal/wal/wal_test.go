@@ -24,7 +24,7 @@ func newMemApplier() *memApplier {
 
 func (m *memApplier) ApplyBase(b *Base) error   { m.base = b; return nil }
 func (m *memApplier) ApplyDDL(ddl string) error { return nil }
-func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row) error {
+func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row, _ bool) error {
 	m.tables[table] = append(m.tables[table], row)
 	return nil
 }

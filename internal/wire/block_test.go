@@ -172,11 +172,11 @@ func TestStartWritesNow(t *testing.T) {
 		t.Fatalf("Finish: %+v, %v", res, err)
 	}
 
-	local := DialLocal(e, 0)
+	local := connect(t, e, 0)
 	defer local.Close()
 	for _, conn := range []*Conn{tcp, local} {
 		// two connections' statements started, then finished: a flight
-		other := DialLocal(e, 0)
+		other := connect(t, e, 0)
 		a, b := conn.Start("SELECT count(*) FROM sw"), other.Start("SELECT k FROM sw")
 		if res, err := other.Finish(b); err != nil || len(res.Rows) != 1 {
 			t.Fatalf("%+v, %v", res, err)

@@ -60,7 +60,7 @@ func (c *Conn) Pipeline(window int) *Pipeline {
 type Pending struct {
 	kind RequestKind
 	seq  uint64
-	req  Request // until the response is in: a transport may hold on to it
+	req  Request // send takes its address: it lives in the Pending's allocation
 	resp Response
 	err  error
 	done bool

@@ -8,6 +8,7 @@ import (
 
 	"citusgo/internal/fault"
 	"citusgo/internal/types"
+	"citusgo/internal/wal"
 )
 
 func testPipelineBehavior(t *testing.T, conn *Conn) {
@@ -83,7 +84,7 @@ func testPipelineBehavior(t *testing.T, conn *Conn) {
 
 func TestPipelineLocal(t *testing.T) {
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	testPipelineBehavior(t, conn)
 }
@@ -108,7 +109,7 @@ func TestPipelineTCP(t *testing.T) {
 func TestPipelineOneRTTPerBatch(t *testing.T) {
 	e := newEngine(t)
 	const rtt = 3 * time.Millisecond
-	conn := DialLocal(e, rtt)
+	conn := connect(t, e, rtt)
 	defer conn.Close()
 
 	start := time.Now()
@@ -143,7 +144,7 @@ func TestPipelineOneRTTPerBatch(t *testing.T) {
 func TestPipelineTransportFaultPoisonsBatch(t *testing.T) {
 	defer fault.Reset()
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	mustQ(t, conn, "CREATE TABLE f (k bigint PRIMARY KEY)")
 
@@ -183,7 +184,7 @@ func TestPipelineTransportFaultPoisonsBatch(t *testing.T) {
 func TestPipelineDropConnMidBatch(t *testing.T) {
 	defer fault.Reset()
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	mustQ(t, conn, "CREATE TABLE d (k bigint PRIMARY KEY)")
 
 	fault.Reset()
@@ -214,7 +215,7 @@ func TestPipelineDropConnMidBatch(t *testing.T) {
 // drained is a protocol-misuse error, not a bogus result.
 func TestPipelinePendingBeforeFlush(t *testing.T) {
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	pl := conn.Pipeline(0)
 	pd := pl.Query("SELECT 1")
@@ -231,7 +232,7 @@ func TestPipelinePendingBeforeFlush(t *testing.T) {
 
 func TestSeqCorrelationOnSingleRoundTrips(t *testing.T) {
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	for i := 0; i < 3; i++ {
 		if err := conn.Ping(); err != nil {
@@ -240,5 +241,39 @@ func TestSeqCorrelationOnSingleRoundTrips(t *testing.T) {
 	}
 	if conn.seq != 3 {
 		t.Fatalf("sequence not advancing: %d", conn.seq)
+	}
+}
+
+// TestCrashLosesTheWindow: the engine crashes while the middle request of a
+// pipelined window is parked at wal.fsync, inside its commit. A dead node
+// answers nothing: not the request it was handling, and not the one before it
+// in the window, whose response was still unwritten. Every request of the
+// window fails with a ConnError.
+func TestCrashLosesTheWindow(t *testing.T) {
+	defer fault.Reset()
+	e := newEngine(t)
+	conn := connect(t, e, 0)
+	defer conn.Close()
+	mustQ(t, conn, "CREATE TABLE w (k bigint PRIMARY KEY)")
+
+	arrived, release := fault.ArmGate(fault.PointWALFsync, wal.RecCommit.String()+"@"+e.Name)
+	pl := conn.Pipeline(0)
+	window := []*Pending{
+		pl.Query("SELECT count(*) FROM w"),
+		pl.Query("INSERT INTO w (k) VALUES (1)"),
+		pl.Query("SELECT count(*) FROM w"),
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- pl.Flush() }()
+	<-arrived
+	e.Crash()
+	release(nil)
+	if err := <-flushed; !IsTransient(err) {
+		t.Fatalf("flush after the crash: %v, want a ConnError", err)
+	}
+	for i, pd := range window {
+		if err := pd.Err(); !IsTransient(err) {
+			t.Errorf("request %d of the window: %v, want a ConnError", i, err)
+		}
 	}
 }

@@ -24,6 +24,22 @@ func newEngine(t *testing.T) *engine.Engine {
 	return e
 }
 
+// connect opens an in-process connection to e: a socket pair into a server
+// of its own, paying rtt per flushed batch.
+func connect(t *testing.T, e *engine.Engine, rtt time.Duration) *Conn {
+	t.Helper()
+	srv, err := Serve(e, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := srv.Connect(rtt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
 func testConnBehavior(t *testing.T, conn *Conn) {
 	t.Helper()
 	if err := conn.Ping(); err != nil {
@@ -87,7 +103,7 @@ func testConnBehavior(t *testing.T, conn *Conn) {
 
 func TestLocalTransport(t *testing.T) {
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	testConnBehavior(t, conn)
 }
@@ -109,8 +125,8 @@ func TestTCPTransport(t *testing.T) {
 
 func TestSessionStatePerConnection(t *testing.T) {
 	e := newEngine(t)
-	c1 := DialLocal(e, 0)
-	c2 := DialLocal(e, 0)
+	c1 := connect(t, e, 0)
+	c2 := connect(t, e, 0)
 	defer c1.Close()
 	defer c2.Close()
 	if _, err := c1.Query("CREATE TABLE s (k bigint PRIMARY KEY)"); err != nil {
@@ -132,12 +148,12 @@ func TestSessionStatePerConnection(t *testing.T) {
 
 func TestConnCloseRollsBackOpenTransaction(t *testing.T) {
 	e := newEngine(t)
-	c1 := DialLocal(e, 0)
+	c1 := connect(t, e, 0)
 	mustQ(t, c1, "CREATE TABLE r (k bigint PRIMARY KEY)")
 	mustQ(t, c1, "BEGIN")
 	mustQ(t, c1, "INSERT INTO r (k) VALUES (1)")
 	_ = c1.Close()
-	c2 := DialLocal(e, 0)
+	c2 := connect(t, e, 0)
 	defer c2.Close()
 	res, err := c2.Query("SELECT count(*) FROM r")
 	if err != nil || res.Rows[0][0].(int64) != 0 {
@@ -152,7 +168,7 @@ func TestConnCloseRollsBackOpenTransaction(t *testing.T) {
 // parsed again, and the last is still a hit — in process and over TCP.
 func TestConnKeepsNoStatementState(t *testing.T) {
 	dial := map[string]func(*testing.T, *engine.Engine) *Conn{
-		"local": func(_ *testing.T, e *engine.Engine) *Conn { return DialLocal(e, 0) },
+		"local": func(t *testing.T, e *engine.Engine) *Conn { return connect(t, e, 0) },
 		"tcp": func(t *testing.T, e *engine.Engine) *Conn {
 			srv, err := Serve(e, "127.0.0.1:0")
 			if err != nil {
@@ -206,7 +222,7 @@ func TestConnKeepsNoStatementState(t *testing.T) {
 
 func TestSimulatedRTT(t *testing.T) {
 	e := newEngine(t)
-	conn := DialLocal(e, 3*time.Millisecond)
+	conn := connect(t, e, 3*time.Millisecond)
 	defer conn.Close()
 	start := time.Now()
 	for i := 0; i < 5; i++ {
@@ -221,7 +237,7 @@ func TestSimulatedRTT(t *testing.T) {
 
 func TestLockGraphOverWire(t *testing.T) {
 	e := newEngine(t)
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	edges, err := conn.LockGraph()
 	if err != nil || len(edges) != 0 {
@@ -286,7 +302,7 @@ func TestZeroValueHeaderAccepted(t *testing.T) {
 func TestTraceSpansRequest(t *testing.T) {
 	e := newEngine(t)
 	e.Tracer = trace.New(3, "node", trace.Config{})
-	conn := DialLocal(e, 0)
+	conn := connect(t, e, 0)
 	defer conn.Close()
 	conn.SetTrace(99, 100)
 	mustQ(t, conn, "CREATE TABLE ts (k bigint)")
@@ -307,7 +323,7 @@ func TestTraceSpansRequest(t *testing.T) {
 
 	// a tracer-less node answers with an empty set, not an error
 	plain := newEngine(t)
-	c2 := DialLocal(plain, 0)
+	c2 := connect(t, plain, 0)
 	defer c2.Close()
 	if spans, err := c2.TraceSpans(99); err != nil || len(spans) != 0 {
 		t.Fatalf("tracer-less node: spans=%v err=%v", spans, err)
