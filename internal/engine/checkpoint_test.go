@@ -83,3 +83,33 @@ func TestCheckpointWalkSparesTheBufferPool(t *testing.T) {
 		t.Fatalf("%d records held after a checkpoint at rest", e.WAL.Len())
 	}
 }
+
+// TestRestartGivesOutNoDeadXID: a transaction the crash caught open — the
+// newest XID in the log, its records without an outcome — is aborted by the
+// restart, and its XID is never handed out again. Otherwise the restarted
+// node's next transaction took the same XID, and once it committed, a second
+// restart read the dead transaction's update as committed by it.
+func TestRestartGivesOutNoDeadXID(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE r (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "INSERT INTO r VALUES (1, 9), (2, 0)")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE r SET v = 10 WHERE k = 1")
+	e.Crash()
+	e.WAL.Seal()
+
+	e2 := newTestEngine(t)
+	if err := e2.RecoverFrom(e.WAL, 0); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e2.NewSession(), "UPDATE r SET v = 1 WHERE k = 2")
+	e2.Crash()
+	e2.WAL.Seal()
+
+	e3 := newTestEngine(t)
+	if err := e3.RecoverFrom(e2.WAL, 0); err != nil {
+		t.Fatal(err)
+	}
+	expectRows(t, mustExec(t, e3.NewSession(), "SELECT k, v FROM r ORDER BY k"), "1|9\n2|1")
+}
