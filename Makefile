@@ -112,8 +112,14 @@ race:
 # restart adopts holding its row and relation locks, its updates keeping their
 # chain (TestAdoptedPreparedHoldsItsLocks), and two MX coordinators shipping
 # subplan results to one worker at once (TestMXCoordinatorsShipDistinctResults:
-# the names carry the coordinating node); then TestChaosSmoke 100 times under
-# -race
+# the names carry the coordinating node); and 20 times under -race, the node
+# functions a coordinator calls as statements: the deadlock detector's polls
+# dropped and slowed at node.call (TestDeadlockDetectedUnderLockGraphFaults,
+# exactly three drops; TestNoFalseVictimWhenPollsDrop), the merged SSI check
+# failing closed when a participant's edge poll fails at node.call or its
+# checkout at pool.checkout (TestSSIEdgePollFailsClosed), and a restore point
+# failing, naming the node, when a node's checkout fails
+# (TestRestorePointNeedsEveryNode); then TestChaosSmoke 100 times under -race
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
@@ -143,6 +149,9 @@ stress:
 	go test -race -run 'TestCrashLosesTheWindow|TestAdoptedPreparedHoldsItsLocks' -count=20 -timeout 10m ./internal/wire ./internal/engine
 	go test -race -run 'TestTCPCrashAndRestart|TestTCPFailoverAndRejoin' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestMXCoordinatorsShipDistinctResults' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestDeadlockDetectedUnderLockGraphFaults|TestNoFalseVictimWhenPollsDrop' -count=20 -timeout 10m ./internal/fault/chaos
+	go test -race -run 'TestSSIEdgePollFailsClosed' -count=20 -timeout 10m ./internal/cluster
+	go test -race -run 'TestRestorePointNeedsEveryNode' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestChaosSmoke$$' -count=100 -timeout 20m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 

@@ -1,6 +1,7 @@
 package citus
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -61,7 +62,7 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 		// runPlan/WithTxn always ensure a transaction before execution
 		panic("citus: registerTxnCallbacks without a transaction")
 	}
-	t.DistID = st.distID
+	t.SetDistID(st.distID)
 	localXID := t.XID
 	// The trace context of the statement that opened the distributed
 	// transaction. 2PC spans attach here so the commit protocol shows up in
@@ -415,63 +416,56 @@ func (n *Node) RecoverTwoPhaseCommits() int {
 	// PREPARED / ROLLBACK PREPARED outcome. Resolving them here would race
 	// the stream and could roll back a transaction the primary committed.
 	for _, node := range n.Meta.ActiveNodes() {
-		listed := false
-		n.withNodeConn(node.ID, func(c *wire.Conn) error {
-			pendings, err := c.ListPrepared()
-			if err != nil {
-				return err
+		pendings, err := n.callNode(node.ID, "citus_node_list_prepared", "SELECT citus_node_list_prepared()")
+		if err != nil {
+			// skipped for this round; its transactions wait for the next
+			listedAll = false
+			continue
+		}
+		for _, p := range pendings.Rows {
+			gid, ageNs := p[0].(string), p[2].(int64)
+			if !strings.HasPrefix(gid, myPrefix) {
+				continue
 			}
-			listed = true
-			var firstErr error
-			for _, p := range pendings {
-				if !strings.HasPrefix(p.GID, myPrefix) {
+			delete(unclaimed, gid)
+			// Grace period: a transaction prepared moments ago almost
+			// certainly has a live coordinator txn about to write its
+			// commit record and resolve it. The Active check below
+			// covers most of that window, but it reads *current* state
+			// while this prepared list may be stale — the coordinator can
+			// finish (txn no longer active, records already deleted) after
+			// the list was taken, and the daemon would wrongly ROLLBACK
+			// PREPARED a transaction whose COMMIT PREPARED already
+			// happened. Skipping young prepared transactions closes that
+			// race; WAL-adopted orphans report infinite age and are never
+			// graced.
+			if grace > 0 && ageNs < int64(grace) {
+				continue
+			}
+			// still running locally? (the transaction may be between
+			// prepare and commit-prepared right now)
+			if xid, ok := gidLocalXID(gid); ok {
+				if _, active := n.Eng.Txns.Active(xid); active {
 					continue
 				}
-				delete(unclaimed, p.GID)
-				// Grace period: a transaction prepared moments ago almost
-				// certainly has a live coordinator txn about to write its
-				// commit record and resolve it. The Active check below
-				// covers most of that window, but it reads *current* state
-				// while this ListPrepared snapshot may be stale — the
-				// coordinator can finish (txn no longer active, records
-				// already deleted) after the snapshot was taken, and the
-				// daemon would wrongly ROLLBACK PREPARED a transaction whose
-				// COMMIT PREPARED already happened. Skipping young prepared
-				// transactions closes that race; WAL-adopted orphans report
-				// infinite age and are never graced.
-				if grace > 0 && p.AgeNs < int64(grace) {
-					continue
-				}
-				// still running locally? (the transaction may be between
-				// prepare and commit-prepared right now)
-				if xid, ok := gidLocalXID(p.GID); ok {
-					if _, active := n.Eng.Txns.Active(xid); active {
-						continue
-					}
-				}
+			}
+			n.commitMu.Lock()
+			_, committed := n.commitRecords[gid]
+			n.commitMu.Unlock()
+			verb := "ROLLBACK PREPARED"
+			if committed {
+				verb = "COMMIT PREPARED"
+			}
+			if _, err := n.callNode(node.ID, verb, verb+" "+types.QuoteString(gid)); err != nil {
+				continue
+			}
+			resolved++
+			if committed {
 				n.commitMu.Lock()
-				_, committed := n.commitRecords[p.GID]
+				n.dropCommitRecordLocked(gid)
 				n.commitMu.Unlock()
-				var qerr error
-				if committed {
-					_, qerr = c.Query("COMMIT PREPARED " + types.QuoteString(p.GID))
-				} else {
-					_, qerr = c.Query("ROLLBACK PREPARED " + types.QuoteString(p.GID))
-				}
-				if qerr == nil {
-					resolved++
-					if committed {
-						n.commitMu.Lock()
-						n.dropCommitRecordLocked(p.GID)
-						n.commitMu.Unlock()
-					}
-				} else if firstErr == nil {
-					firstErr = qerr
-				}
 			}
-			return firstErr
-		})
-		listedAll = listedAll && listed
+		}
 	}
 	// A record whose transaction no node that could hold it still has
 	// prepared is resolved — its COMMIT PREPARED went through and only the
@@ -499,24 +493,45 @@ func gidLocalXID(gid string) (uint64, bool) {
 	return xid, err == nil
 }
 
-// withNodeConn borrows a pooled connection to a node. If fn reports an
-// error the connection is discarded instead of returned: a failed round
-// trip (connection drop, node crash) leaves it suspect, and recycling it
-// would wedge every later daemon poll on a dead connection.
-func (n *Node) withNodeConn(nodeID int, fn func(*wire.Conn) error) {
+// callNode runs one statement on another node over a connection from that
+// node's pool: a node function (SELECT citus_node_wait_edges(), ...), or 2PC
+// recovery's COMMIT PREPARED and ROLLBACK PREPARED. fn names the call for the
+// node.call fault point. Every error comes back, a failed checkout included.
+// A transport error discards the connection, which a dead peer would
+// otherwise leave in the pool to wedge every later call; any other outcome
+// returns it. The checkout never waits for a slot (pool.Get answers ErrLimit
+// at the limit): the daemons that call this must not queue behind the very
+// transactions they are there to break up, and skip the node for the round.
+func (n *Node) callNode(nodeID int, fn, stmt string, params ...types.Datum) (*engine.Result, error) {
 	p, err := n.poolFor(nodeID)
 	if err != nil {
-		return
+		return nil, err
 	}
 	c, err := p.Get()
 	if err != nil {
-		return
+		return nil, err
 	}
-	if err := fn(c); err != nil {
+	var res *engine.Result
+	// node.call, keyed by fn: an injected drop discards the connection as a
+	// lost peer would.
+	if err = fault.CheckKey(fault.PointNodeCall, fn); err == nil {
+		res, err = c.Query(stmt, params...)
+	}
+	if wire.IsTransient(err) || errors.Is(err, fault.ErrDropConn) {
 		p.Discard(c)
-		return
+	} else {
+		p.Put(c)
 	}
-	p.Put(c)
+	return res, err
+}
+
+// callText is the statement that calls fn with n parameters.
+func callText(fn string, n int) string {
+	params := make([]string, n)
+	for i := range params {
+		params[i] = "$" + strconv.Itoa(i+1)
+	}
+	return "SELECT " + fn + "(" + strings.Join(params, ", ") + ")"
 }
 
 // ---------------------------------------------------------------------------
@@ -541,7 +556,7 @@ func (n *Node) deadlockLoop() {
 // distributed transaction id, or "".
 //
 // The same poll piggybacks the nodes' SSI rw-antidependency edges
-// (LockGraphEx carries both in one round trip) and dooms any in-flight
+// (citus_node_wait_edges returns both in one statement) and dooms any in-flight
 // distributed transaction that already forms a dangerous structure in the
 // merged conflict graph — the background half of cluster-wide pivot abort.
 func (n *Node) CheckDistributedDeadlock() string {
@@ -569,14 +584,13 @@ func (n *Node) CheckDistributedDeadlock() string {
 		if node.ID == n.ID {
 			continue
 		}
-		n.withNodeConn(node.ID, func(c *wire.Conn) error {
-			les, ses, err := c.LockGraphEx()
-			if err == nil {
-				collect(node.ID, les)
-				ssiEdges = append(ssiEdges, ses...)
-			}
-			return err
-		})
+		// a node that cannot be asked is skipped for this round: a missing
+		// edge can hide a cycle until the next poll, never invent one
+		if res, err := n.callNode(node.ID, "citus_node_wait_edges", "SELECT citus_node_wait_edges()"); err == nil {
+			les, ses := parseWaitEdges(res.Rows)
+			collect(node.ID, les)
+			ssiEdges = append(ssiEdges, ses...)
+		}
 	}
 	n.doomActivePivots(ssiEdges)
 
@@ -620,12 +634,42 @@ func (n *Node) CheckDistributedDeadlock() string {
 		if node.ID == n.ID {
 			continue
 		}
-		n.withNodeConn(node.ID, func(c *wire.Conn) error {
-			_, err := c.CancelDistTxn(victim)
-			return err
-		})
+		_, _ = n.callNode(node.ID, "citus_node_cancel_dist", "SELECT citus_node_cancel_dist($1)", victim)
 	}
 	return victim
+}
+
+var waitEdgeColumns = []string{"kind", "from_xid", "to_xid", "from_dist", "to_dist", "from_commit_ns", "to_commit_ns"}
+
+// waitEdgeRows is citus_node_wait_edges' relation: a "lock" row per waits-for
+// edge (from waits for to; xids and dist txn ids) and an "rw" row per
+// rw-antidependency (from read what to wrote; dist txn ids and commit times).
+func waitEdgeRows(locks []engine.LockEdge, rws []ssi.WireEdge) []types.Row {
+	rows := make([]types.Row, 0, len(locks)+len(rws))
+	for _, e := range locks {
+		rows = append(rows, types.Row{"lock", int64(e.WaiterXID), int64(e.HolderXID), e.WaiterDist, e.HolderDist, int64(0), int64(0)})
+	}
+	for _, e := range rws {
+		rows = append(rows, types.Row{"rw", int64(0), int64(0), e.From, e.To, e.FromCommitNs, e.ToCommitNs})
+	}
+	return rows
+}
+
+// parseWaitEdges reads waitEdgeRows back.
+func parseWaitEdges(rows []types.Row) ([]engine.LockEdge, []ssi.WireEdge) {
+	var locks []engine.LockEdge
+	var rws []ssi.WireEdge
+	for _, r := range rows {
+		from, to := r[3].(string), r[4].(string)
+		if r[0] == "lock" {
+			locks = append(locks, engine.LockEdge{
+				WaiterXID: uint64(r[1].(int64)), HolderXID: uint64(r[2].(int64)), WaiterDist: from, HolderDist: to,
+			})
+		} else {
+			rws = append(rws, ssi.WireEdge{From: from, To: to, FromCommitNs: r[5].(int64), ToCommitNs: r[6].(int64)})
+		}
+	}
+	return locks, rws
 }
 
 // findCycleStr finds one cycle in a string-keyed digraph.

@@ -8,7 +8,6 @@ import (
 	"citusgo/internal/engine"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
-	"citusgo/internal/wire"
 )
 
 // planJoinOrder is the logical join-order planner (§3.5): it handles join
@@ -84,24 +83,30 @@ func preservedTables(sel *sql.SelectStmt) map[string]bool {
 	return preserved
 }
 
-// distTableRows sums the row estimates of a table's shards.
+// distTableRows sums the row estimates of a table's shards: this node's
+// from its engine, every other node's in one call for all of its shards.
 func (n *Node) distTableRows(table string) (int64, error) {
-	var total int64
+	shardsOn := map[int][]types.Datum{}
 	for _, sh := range n.Meta.Shards(table) {
 		nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
 		if err != nil {
 			return 0, err
 		}
-		var rows int64
-		var rerr error
-		n.withNodeConn(nodeID, func(c *wire.Conn) error {
-			rows, rerr = c.TableRows(sh.ShardName())
-			return rerr
-		})
-		if rerr != nil {
-			return 0, rerr
+		shardsOn[nodeID] = append(shardsOn[nodeID], sh.ShardName())
+	}
+	var total int64
+	for nodeID, names := range shardsOn {
+		if nodeID == n.ID {
+			for _, name := range names {
+				total += n.Eng.TableRows(name.(string))
+			}
+			continue
 		}
-		total += rows
+		res, err := n.callNode(nodeID, "citus_node_table_rows", callText("citus_node_table_rows", len(names)), names...)
+		if err != nil {
+			return 0, fmt.Errorf("row estimate of %s on node %d: %w", table, nodeID, err)
+		}
+		total += res.Rows[0][0].(int64)
 	}
 	return total, nil
 }

@@ -14,7 +14,6 @@ import (
 	"citusgo/internal/obs"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
-	"citusgo/internal/wire"
 )
 
 // Merge-step observability: ablation A5's TopN variant asserts the
@@ -201,6 +200,10 @@ func (p *distPlan) cleanupOn(prefix string) {
 }
 
 func (p *distPlan) cleanup() {
+	prefixes := make([]types.Datum, len(p.cleanupPrefixes))
+	for i, prefix := range p.cleanupPrefixes {
+		prefixes[i] = prefix
+	}
 	for _, nodeID := range p.cleanupNodes {
 		if nodeID == p.node.ID {
 			for _, prefix := range p.cleanupPrefixes {
@@ -208,14 +211,7 @@ func (p *distPlan) cleanup() {
 			}
 			continue
 		}
-		p.node.withNodeConn(nodeID, func(c *wire.Conn) error {
-			for _, prefix := range p.cleanupPrefixes {
-				if err := c.DropIntermediateResults(prefix); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		_, _ = p.node.callNode(nodeID, "citus_node_drop_results", callText("citus_node_drop_results", len(prefixes)), prefixes...)
 	}
 }
 

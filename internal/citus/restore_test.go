@@ -2,7 +2,12 @@ package citus_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"citusgo/internal/citus"
+	"citusgo/internal/cluster"
+	"citusgo/internal/fault"
 )
 
 // TestClusterRestoreToPoint exercises the full §3.9 flow: a consistent
@@ -89,6 +94,34 @@ func TestClusterRestoreToPoint(t *testing.T) {
 		}
 	}
 	expectRows(t, mustExec(t, rs, "SELECT count(*) FROM facts"), "30")
+}
+
+// TestRestorePointNeedsEveryNode: a restore point is consistent only if
+// every active node has it, so a node the coordinator cannot get a
+// connection to fails create_restore_point, naming the node.
+func TestRestorePointNeedsEveryNode(t *testing.T) {
+	defer fault.Reset()
+	c, err := cluster.New(cluster.Config{Workers: 2, ShardCount: 4,
+		Citus: citus.Config{DeadlockInterval: -1, RecoveryInterval: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fault.Arm(fault.Rule{Point: fault.PointPoolCheckout, Key: "node-3", Action: fault.ActError, Count: 1})
+	_, err = c.Session().Exec("SELECT create_restore_point('rp')")
+	if err == nil || !strings.Contains(err.Error(), "node 3") {
+		t.Fatalf("create_restore_point with node 3 unreachable: %v, want an error naming node 3", err)
+	}
+	if _, ferr := c.Engines[2].WAL.FindRestorePoint("rp"); ferr == nil {
+		t.Fatal("node 3 has the restore point its checkout failed for")
+	}
+	// with every node reachable the point is made everywhere
+	mustExec(t, c.Session(), "SELECT create_restore_point('rp2')")
+	for _, eng := range c.Engines {
+		if _, err := eng.WAL.FindRestorePoint("rp2"); err != nil {
+			t.Fatalf("%s: %v", eng.Name, err)
+		}
+	}
 }
 
 func TestCitusTablesView(t *testing.T) {

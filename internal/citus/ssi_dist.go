@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"strconv"
 
-	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/ssi"
-	"citusgo/internal/wire"
 )
 
 var (
@@ -63,31 +61,18 @@ func (n *Node) ssiMergedCheck(distID string, participants []*workerConn, traceID
 
 	edges := n.Eng.SSIWireEdges()
 	polledNodes := 0
-	seen := make(map[int]bool, len(participants))
+	seen := map[int]bool{n.ID: true} // this node's edges are in already
 	for _, wc := range participants {
 		if seen[wc.nodeID] {
 			continue
 		}
 		seen[wc.nodeID] = true
-		// ssi.edge_poll, keyed by worker node ID: chaos schedules fail a
-		// poll here to prove the check fails closed.
-		if err := fault.CheckKey(fault.PointSSIEdgePoll, strconv.Itoa(wc.nodeID)); err != nil {
+		res, err := n.callNode(wc.nodeID, "citus_node_wait_edges", "SELECT citus_node_wait_edges()")
+		if err != nil {
 			return release, ssiPollFailure(wc.nodeID, err)
 		}
-		var nodeEdges []ssi.WireEdge
-		polled := false
-		n.withNodeConn(wc.nodeID, func(c *wire.Conn) error {
-			es, err := c.SSIEdges()
-			if err != nil {
-				return err
-			}
-			nodeEdges, polled = es, true
-			return nil
-		})
-		if !polled {
-			return release, ssiPollFailure(wc.nodeID, fmt.Errorf("connection failed"))
-		}
 		polledNodes++
+		_, nodeEdges := parseWaitEdges(res.Rows)
 		edges = append(edges, nodeEdges...)
 	}
 	if sp != nil {
@@ -128,11 +113,7 @@ func (n *Node) doomActivePivots(edges []ssi.WireEdge) {
 			if node.ID == n.ID {
 				continue
 			}
-			dist := dist
-			n.withNodeConn(node.ID, func(c *wire.Conn) error {
-				_, err := c.DoomDistTxn(dist)
-				return err
-			})
+			_, _ = n.callNode(node.ID, "citus_node_doom_dist", "SELECT citus_node_doom_dist($1)", dist)
 		}
 	}
 }

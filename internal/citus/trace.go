@@ -7,10 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"citusgo/internal/engine"
+	"citusgo/internal/jsonb"
 	"citusgo/internal/trace"
 	"citusgo/internal/types"
-	"citusgo/internal/wire"
 )
 
 // Trace reassembly: spans are recorded in per-node ring buffers (the
@@ -28,50 +27,74 @@ func (n *Node) CollectTrace(traceID uint64) []trace.Span {
 		if node.ID == n.ID {
 			continue
 		}
-		n.withNodeConn(node.ID, func(c *wire.Conn) error {
-			remote, err := c.TraceSpans(traceID)
-			if err == nil {
-				spans = append(spans, remote...)
-			}
-			return err
-		})
+		// a node that cannot be asked leaves its spans out: the trace is
+		// an observation, and EXPLAIN ANALYZE must not fail for it
+		if res, err := n.callNode(node.ID, "citus_node_trace_spans", "SELECT citus_node_trace_spans($1)", int64(traceID)); err == nil {
+			spans = append(spans, parseSpans(res.Rows)...)
+		}
 	}
 	trace.SortSpans(spans)
 	return spans
 }
 
-// tracePlan implements `SELECT citus_trace(<trace_id>)`: one row per span
-// of the reassembled distributed trace.
-type tracePlan struct {
-	node *Node
-	arg  func() (types.Datum, error)
-}
+var traceColumns = []string{"trace_id", "span_id", "parent_id", "node", "kind", "label", "duration_us", "attrs"}
 
-func (p *tracePlan) Columns() []string {
-	return []string{"trace_id", "span_id", "parent_id", "node", "kind", "label", "duration_us", "attrs"}
-}
-func (p *tracePlan) ExplainLines() []string { return []string{"Citus Trace"} }
-
-func (p *tracePlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	v, err := p.arg()
-	if err != nil {
-		return nil, err
-	}
-	id, err := types.CoerceTo(v, types.Int)
-	if err != nil || id == nil {
-		return nil, fmt.Errorf("citus_trace: trace id must be an integer")
-	}
-	res := &engine.Result{Columns: p.Columns()}
-	for _, sp := range p.node.CollectTrace(uint64(id.(int64))) {
-		res.Rows = append(res.Rows, types.Row{
+// traceRows is citus_trace's relation: one row per span of the reassembled
+// distributed trace.
+func traceRows(spans []trace.Span) []types.Row {
+	rows := make([]types.Row, 0, len(spans))
+	for _, sp := range spans {
+		rows = append(rows, types.Row{
 			int64(sp.TraceID), int64(sp.SpanID), int64(sp.ParentID),
 			sp.Node, sp.Kind, sp.Label,
 			sp.Duration.Microseconds(),
 			strings.TrimSpace(trace.FormatAttrs(sp.Attrs)),
 		})
 	}
-	res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-	return res, nil
+	return rows
+}
+
+var spanColumns = []string{"trace_id", "span_id", "parent_id", "node_id", "node", "kind", "label", "attrs", "start", "duration_ns"}
+
+// spanRows is citus_node_trace_spans' relation: every field of each span.
+// The attributes travel as one jsonb array of [key, value] pairs, which
+// keeps their order, duplicate keys and any bytes in them.
+func spanRows(spans []trace.Span) []types.Row {
+	rows := make([]types.Row, 0, len(spans))
+	for _, sp := range spans {
+		attrs := make([]any, len(sp.Attrs))
+		for i, a := range sp.Attrs {
+			attrs[i] = []string{a.K, a.V}
+		}
+		rows = append(rows, types.Row{
+			int64(sp.TraceID), int64(sp.SpanID), int64(sp.ParentID), int64(sp.NodeID),
+			sp.Node, sp.Kind, sp.Label, jsonb.FromGo(attrs), sp.Start, int64(sp.Duration),
+		})
+	}
+	return rows
+}
+
+// parseSpans reads spanRows back.
+func parseSpans(rows []types.Row) []trace.Span {
+	spans := make([]trace.Span, len(rows))
+	for i, r := range rows {
+		spans[i] = trace.Span{
+			TraceID: uint64(r[0].(int64)), SpanID: uint64(r[1].(int64)), ParentID: uint64(r[2].(int64)),
+			NodeID: int(r[3].(int64)), Node: r[4].(string), Kind: r[5].(string), Label: r[6].(string),
+			Start: r[8].(time.Time), Duration: time.Duration(r[9].(int64)),
+		}
+		attrs := r[7].(jsonb.Value)
+		na, _ := attrs.ArrayLength()
+		for j := 0; j < na; j++ {
+			pair, _ := attrs.Index(j)
+			k, _ := pair.Index(0)
+			v, _ := pair.Index(1)
+			ks, _ := k.Text()
+			vs, _ := v.Text()
+			spans[i].Attrs = append(spans[i].Attrs, trace.Attr{K: ks, V: vs})
+		}
+	}
+	return spans
 }
 
 // ExplainAnalyzeLines implements engine.ExplainAnalyzer: after the traced

@@ -2,7 +2,9 @@ package citus
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
@@ -11,7 +13,6 @@ import (
 	"citusgo/internal/obs"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
-	"citusgo/internal/wire"
 )
 
 // matchUDF intercepts the Citus user-defined functions — the SQL-callable
@@ -25,108 +26,82 @@ import (
 //	SELECT create_restore_point('name')
 //	SELECT citus_recover_prepared_transactions()
 //	SELECT citus_move_shard_placement(shard_id, from_node, to_node)
+//	SELECT citus_tables()
 //	SELECT citus_stat_counters()
+//	SELECT citus_plancache_stats()
 //	SELECT citus_stat_activity()
 //	SELECT citus_stat_ssi()
 //	SELECT citus_trace(trace_id)
+//
+// and the node functions (nodeFunction), the remote procedure calls.
 func (n *Node) matchUDF(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, bool, error) {
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok || len(sel.From) != 0 || len(sel.Columns) != 1 {
-		return nil, false, nil
-	}
-	fc, ok := sel.Columns[0].Expr.(*sql.FuncCall)
+	call, ok := parseUDFCall(stmt, params)
 	if !ok {
 		return nil, false, nil
 	}
-	name := strings.ToLower(fc.Name)
-
-	evalArg := func(i int) (types.Datum, error) {
-		if i >= len(fc.Args) {
-			return nil, fmt.Errorf("%s: missing argument %d", name, i+1)
-		}
-		arg := fc.Args[i]
-		if na, isNamed := arg.(*sql.NamedArg); isNamed {
-			arg = na.Value
-		}
-		ev, err := expr.Compile(arg, nil)
-		if err != nil {
-			return nil, err
-		}
-		return ev(&expr.Ctx{Params: params})
+	if plan := nodeFunction(n.Eng, n.ID, call); plan != nil {
+		return plan, true, nil
 	}
-	namedArg := func(argName string) (types.Datum, bool, error) {
-		for _, a := range fc.Args {
-			if na, isNamed := a.(*sql.NamedArg); isNamed && strings.EqualFold(na.Name, argName) {
-				ev, err := expr.Compile(na.Value, nil)
-				if err != nil {
-					return nil, false, err
-				}
-				v, err := ev(&expr.Ctx{Params: params})
-				return v, true, err
-			}
-		}
-		return nil, false, nil
-	}
-
+	name := call.name
 	switch name {
 	case "create_distributed_table":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
-			tableV, err := evalArg(0)
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+			tableV, err := call.arg(0)
 			if err != nil {
 				return nil, err
 			}
-			colV, err := evalArg(1)
+			colV, err := call.arg(1)
 			if err != nil {
 				return nil, err
 			}
 			colocate := ""
-			if v, ok, err := namedArg("colocate_with"); err != nil {
+			if v, ok, err := call.named("colocate_with"); err != nil {
 				return nil, err
 			} else if ok {
 				colocate = types.Format(v)
-			} else if len(fc.Args) >= 3 {
-				if v, err := evalArg(2); err == nil && v != nil {
+			} else if len(call.args) >= 3 {
+				if v, err := call.arg(2); err == nil && v != nil {
 					colocate = types.Format(v)
 				}
 			}
 			return nil, n.CreateDistributedTable(s, types.Format(tableV), types.Format(colV), colocate)
-		}}, true, nil
+		}), true, nil
 
 	case "create_reference_table":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
-			tableV, err := evalArg(0)
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+			table, err := call.text()
 			if err != nil {
 				return nil, err
 			}
-			return nil, n.CreateReferenceTable(s, types.Format(tableV))
-		}}, true, nil
+			return nil, n.CreateReferenceTable(s, table)
+		}), true, nil
 
 	case "start_metadata_sync_to_node":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
-			nodeV, err := evalArg(0)
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+			node, err := call.text()
 			if err != nil {
 				return nil, err
 			}
-			return nil, n.StartMetadataSync(types.Format(nodeV))
-		}}, true, nil
+			return nil, n.StartMetadataSync(node)
+		}), true, nil
 
 	case "rebalance_table_shards":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
 			moves, err := n.RebalanceTableShards(s)
 			return int64(moves), err
-		}}, true, nil
+		}), true, nil
 
 	case "citus_move_shard_placement":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
-			shardV, err := evalArg(0)
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+			shardV, err := call.arg(0)
 			if err != nil {
 				return nil, err
 			}
-			fromV, err := evalArg(1)
+			fromV, err := call.arg(1)
 			if err != nil {
 				return nil, err
 			}
-			toV, err := evalArg(2)
+			toV, err := call.arg(2)
 			if err != nil {
 				return nil, err
 			}
@@ -134,242 +109,423 @@ func (n *Node) matchUDF(s *engine.Session, stmt sql.Statement, params []types.Da
 			from, _ := types.CoerceTo(fromV, types.Int)
 			to, _ := types.CoerceTo(toV, types.Int)
 			return nil, n.MoveShardPlacement(s, shardID.(int64), int(from.(int64)), int(to.(int64)))
-		}}, true, nil
+		}), true, nil
 
 	case "create_restore_point":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
-			nameV, err := evalArg(0)
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+			point, err := call.text()
 			if err != nil {
 				return nil, err
 			}
-			return n.CreateRestorePoint(types.Format(nameV))
-		}}, true, nil
-
-	case "citus_node_create_restore_point":
-		// node-local part of create_restore_point, invoked over the wire
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
-			nameV, err := evalArg(0)
-			if err != nil {
-				return nil, err
-			}
-			return n.Eng.WAL.RestorePoint(types.Format(nameV)), nil
-		}}, true, nil
+			return n.CreateRestorePoint(point)
+		}), true, nil
 
 	case "citus_recover_prepared_transactions":
-		return &udfPlan{name: name, fn: func(s *engine.Session) (types.Datum, error) {
+		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
 			return int64(n.RecoverTwoPhaseCommits()), nil
-		}}, true, nil
+		}), true, nil
 
 	case "citus_tables":
 		// introspection: one row per citus table (the citus_tables view)
-		return &tablesPlan{node: n}, true, nil
+		return &udfPlan{columns: tablesColumns, label: "Citus Tables Metadata", rows: n.tablesRows}, true, nil
 
 	case "citus_stat_counters":
-		// observability: one row per metric in the global obs registry
-		return &statCountersPlan{}, true, nil
+		// observability: one row per metric in the global obs registry — the
+		// SQL-queryable counterpart of the citus_stat_* views (§5–6 of the
+		// paper's operational story)
+		return &udfPlan{columns: nameValueColumns, label: "Citus Stat Counters", rows: statCountersRows}, true, nil
 
 	case "citus_plancache_stats":
 		// observability: the coordinator distributed-plan cache
-		return &planCacheStatsPlan{node: n}, true, nil
+		return &udfPlan{columns: nameValueColumns, label: "Citus Plan Cache Stats", rows: n.planCacheStatsRows}, true, nil
 
 	case "citus_stat_ssi":
 		// observability: per-session SSI state (locks, conflict edges,
 		// doomed flags) across the cluster
-		return &statSSIPlan{node: n, clusterWide: true}, true, nil
-
-	case "citus_node_stat_ssi":
-		// node-local part of citus_stat_ssi, invoked over the wire
-		return &statSSIPlan{node: n}, true, nil
+		return &udfPlan{columns: statSSIColumns, label: "Citus Stat SSI", rows: n.clusterRows("citus_node_stat_ssi", func() []types.Row {
+			return statSSIRows(n.Eng, n.ID)
+		})}, true, nil
 
 	case "citus_stat_activity":
 		// observability: active/prepared transactions across the cluster
-		return &statActivityPlan{node: n, clusterWide: true}, true, nil
-
-	case "citus_node_stat_activity":
-		// node-local part of citus_stat_activity, invoked over the wire
-		return &statActivityPlan{node: n}, true, nil
+		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: n.clusterRows("citus_node_stat_activity", func() []types.Row {
+			return statActivityRows(n.Eng, n.ID)
+		})}, true, nil
 
 	case "citus_trace":
 		// observability: the reassembled distributed trace, one row per span
-		return &tracePlan{node: n, arg: func() (types.Datum, error) { return evalArg(0) }}, true, nil
+		return &udfPlan{columns: traceColumns, label: "Citus Trace", rows: func(*engine.Session) ([]types.Row, error) {
+			id, err := call.traceID()
+			if err != nil {
+				return nil, err
+			}
+			return traceRows(n.CollectTrace(id)), nil
+		}}, true, nil
 	}
 	return nil, false, nil
 }
 
-// statCountersPlan renders the obs registry as a two-column relation — the
-// SQL-queryable counterpart of the citus_stat_* views (§5–6 of the paper's
-// operational story).
-type statCountersPlan struct{}
+// nodeFunction plans a node function: what one node answers about itself,
+// and everything a coordinator asks another node. A coordinator sends them as
+// ordinary statements (callNode); every node answers them, a standby running
+// no Citus layer included (NodeFunctions).
+//
+//	SELECT citus_node_wait_edges()
+//	SELECT citus_node_cancel_dist(dist_txn_id)
+//	SELECT citus_node_doom_dist(dist_txn_id)
+//	SELECT citus_node_drop_results(prefix, ...)
+//	SELECT citus_node_table_rows(table, ...)
+//	SELECT citus_node_list_prepared()
+//	SELECT citus_node_trace_spans(trace_id)
+//	SELECT citus_node_create_restore_point(name)
+//	SELECT citus_node_stat_activity()
+//	SELECT citus_node_stat_ssi()
+func nodeFunction(eng *engine.Engine, nodeID int, call *udfCall) *udfPlan {
+	name := call.name
+	switch name {
+	case "citus_node_wait_edges":
+		// the deadlock detector's poll and the SSI check's: the node's lock
+		// waits and rw-antidependencies, in one statement
+		return &udfPlan{columns: waitEdgeColumns, label: "Citus Node Wait Edges", rows: func(*engine.Session) ([]types.Row, error) {
+			return waitEdgeRows(eng.LockGraph(), eng.SSIWireEdges()), nil
+		}}
 
-func (p *statCountersPlan) Columns() []string      { return []string{"name", "value"} }
-func (p *statCountersPlan) ExplainLines() []string { return []string{"Citus Stat Counters"} }
-
-func (p *statCountersPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	snap := obs.Default().Snapshot()
-	res := &engine.Result{Columns: p.Columns()}
-	for _, k := range snap.Keys() {
-		res.Rows = append(res.Rows, types.Row{k, snap[k]})
-	}
-	res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-	return res, nil
-}
-
-// planCacheStatsPlan renders this node's distributed-plan cache as a
-// name/value relation: aggregate counters first, then one
-// `shard_groups[<normalized sql>]` row per cached entry reporting how many
-// per-shard-group deparses it has memoized.
-type planCacheStatsPlan struct{ node *Node }
-
-func (p *planCacheStatsPlan) Columns() []string      { return []string{"name", "value"} }
-func (p *planCacheStatsPlan) ExplainLines() []string { return []string{"Citus Plan Cache Stats"} }
-
-func (p *planCacheStatsPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	entries, hits, misses, invalidations := p.node.planCache.stats()
-	res := &engine.Result{Columns: p.Columns()}
-	add := func(name string, v int64) {
-		res.Rows = append(res.Rows, types.Row{name, v})
-	}
-	add("entries", int64(len(entries)))
-	add("hits", hits)
-	add("misses", misses)
-	add("invalidations", invalidations)
-	for _, e := range entries {
-		add(fmt.Sprintf("shard_groups[%s]", e.key), int64(e.shardGroups))
-	}
-	res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-	return res, nil
-}
-
-// statActivityPlan lists in-flight transactions: the local engine's active
-// and prepared transactions, and — cluster-wide from a coordinator — every
-// other node's, gathered over the wire via citus_node_stat_activity().
-type statActivityPlan struct {
-	node        *Node
-	clusterWide bool
-}
-
-func (p *statActivityPlan) Columns() []string {
-	return []string{"node_id", "xid", "dist_txn_id", "state", "trace_id", "span_kind"}
-}
-func (p *statActivityPlan) ExplainLines() []string { return []string{"Citus Stat Activity"} }
-
-func (p *statActivityPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	res := &engine.Result{Columns: p.Columns()}
-	for _, t := range p.node.Eng.Txns.ActiveTxns() {
-		traceID, spanKind := t.TraceSpan()
-		res.Rows = append(res.Rows, types.Row{int64(p.node.ID), int64(t.XID), t.DistID, "active", int64(traceID), spanKind})
-	}
-	for _, pi := range p.node.Eng.Txns.ListPrepared() {
-		res.Rows = append(res.Rows, types.Row{int64(p.node.ID), int64(pi.XID), pi.DistID, "prepared", int64(0), ""})
-	}
-	if p.clusterWide {
-		for _, node := range p.node.Meta.Nodes() {
-			if node.ID == p.node.ID {
-				continue
+	case "citus_node_cancel_dist":
+		// a deadlock victim's member: its running statement is interrupted
+		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
+			dist, err := call.text()
+			if err != nil {
+				return nil, err
 			}
-			p.node.withNodeConn(node.ID, func(c *wire.Conn) error {
-				remote, err := c.Query("SELECT citus_node_stat_activity()")
-				if err != nil {
-					return err
-				}
-				res.Rows = append(res.Rows, remote.Rows...)
-				return nil
-			})
+			return eng.CancelByDistID(dist), nil
+		})
+
+	case "citus_node_doom_dist":
+		// a pivot's member: nothing is interrupted, its commit fails with a
+		// serialization error
+		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
+			dist, err := call.text()
+			if err != nil {
+				return nil, err
+			}
+			return eng.DoomByDistID(dist), nil
+		})
+
+	case "citus_node_drop_results":
+		// drops every intermediate result whose name starts with one of the
+		// prefixes
+		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
+			prefixes, err := call.texts()
+			for _, prefix := range prefixes {
+				eng.DropIntermediateResults(prefix)
+			}
+			return nil, err
+		})
+
+	case "citus_node_table_rows":
+		// the summed row estimates of the named tables (a table's shards on
+		// the node)
+		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
+			tables, err := call.texts()
+			var total int64
+			for _, table := range tables {
+				total += eng.TableRows(table)
+			}
+			return total, err
+		})
+
+	case "citus_node_list_prepared":
+		// 2PC recovery's read of the node's prepared transactions
+		return &udfPlan{columns: preparedColumns, label: "Citus Node Prepared", rows: func(*engine.Session) ([]types.Row, error) {
+			return preparedRows(eng), nil
+		}}
+
+	case "citus_node_trace_spans":
+		// the node-local part of citus_trace: the node's ring-buffered spans
+		// of one trace
+		return &udfPlan{columns: spanColumns, label: "Citus Node Trace Spans", rows: func(*engine.Session) ([]types.Row, error) {
+			id, err := call.traceID()
+			if err != nil {
+				return nil, err
+			}
+			return spanRows(eng.Tracer.Collect(id)), nil
+		}}
+
+	case "citus_node_create_restore_point":
+		// the node-local part of create_restore_point
+		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
+			point, err := call.text()
+			if err != nil {
+				return nil, err
+			}
+			return eng.WAL.RestorePoint(point), nil
+		})
+
+	case "citus_node_stat_activity":
+		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: func(*engine.Session) ([]types.Row, error) {
+			return statActivityRows(eng, nodeID), nil
+		}}
+
+	case "citus_node_stat_ssi":
+		return &udfPlan{columns: statSSIColumns, label: "Citus Stat SSI", rows: func(*engine.Session) ([]types.Row, error) {
+			return statSSIRows(eng, nodeID), nil
+		}}
+	}
+	return nil
+}
+
+// NodeFunctions is the planner hook of an engine that runs no Citus layer (a
+// standby, promoted or not): it answers the node functions, so a coordinator
+// asks it what it asks every other node, and leaves every other statement to
+// the engine.
+func NodeFunctions(eng *engine.Engine, nodeID int) engine.PlannerHook {
+	return func(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, error) {
+		if call, ok := parseUDFCall(stmt, params); ok {
+			if plan := nodeFunction(eng, nodeID, call); plan != nil {
+				return plan, nil
+			}
+		}
+		return nil, nil
+	}
+}
+
+// udfCall is a statement that calls a UDF: SELECT fn(args), with nothing
+// else in it.
+type udfCall struct {
+	name   string // lower case
+	args   []sql.Expr
+	params []types.Datum
+}
+
+func parseUDFCall(stmt sql.Statement, params []types.Datum) (*udfCall, bool) {
+	sel, ok := stmt.(*sql.SelectStmt)
+	if !ok || len(sel.From) != 0 || len(sel.Columns) != 1 {
+		return nil, false
+	}
+	fc, ok := sel.Columns[0].Expr.(*sql.FuncCall)
+	if !ok {
+		return nil, false
+	}
+	return &udfCall{name: strings.ToLower(fc.Name), args: fc.Args, params: params}, true
+}
+
+func (c *udfCall) eval(e sql.Expr) (types.Datum, error) {
+	ev, err := expr.Compile(e, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ev(&expr.Ctx{Params: c.params})
+}
+
+// arg evaluates the i-th argument, named or not.
+func (c *udfCall) arg(i int) (types.Datum, error) {
+	if i >= len(c.args) {
+		return nil, fmt.Errorf("%s: missing argument %d", c.name, i+1)
+	}
+	arg := c.args[i]
+	if na, isNamed := arg.(*sql.NamedArg); isNamed {
+		arg = na.Value
+	}
+	return c.eval(arg)
+}
+
+// named evaluates the argument passed by name, if there is one.
+func (c *udfCall) named(argName string) (types.Datum, bool, error) {
+	for _, a := range c.args {
+		if na, isNamed := a.(*sql.NamedArg); isNamed && strings.EqualFold(na.Name, argName) {
+			v, err := c.eval(na.Value)
+			return v, true, err
 		}
 	}
-	res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-	return res, nil
+	return nil, false, nil
 }
 
-// statSSIPlan lists per-transaction SSI state the node's ssi.Manager
+// text is the first argument as text.
+func (c *udfCall) text() (string, error) {
+	v, err := c.arg(0)
+	return types.Format(v), err
+}
+
+// texts is every argument as text (the variadic node functions).
+func (c *udfCall) texts() ([]string, error) {
+	out := make([]string, len(c.args))
+	for i := range c.args {
+		v, err := c.arg(i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = types.Format(v)
+	}
+	return out, nil
+}
+
+// traceID is the first argument as a trace id.
+func (c *udfCall) traceID() (uint64, error) {
+	v, err := c.arg(0)
+	if err != nil {
+		return 0, err
+	}
+	id, err := types.CoerceTo(v, types.Int)
+	if err != nil || id == nil {
+		return 0, fmt.Errorf("%s: trace id must be an integer", c.name)
+	}
+	return uint64(id.(int64)), nil
+}
+
+// udfPlan is the plan of every Citus UDF: its columns, its EXPLAIN label and
+// the function that makes its rows when it executes.
+type udfPlan struct {
+	columns []string
+	label   string
+	rows    func(s *engine.Session) ([]types.Row, error)
+}
+
+func (p *udfPlan) Columns() []string      { return p.columns }
+func (p *udfPlan) ExplainLines() []string { return []string{p.label} }
+
+func (p *udfPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
+	rows, err := p.rows(s)
+	if err != nil {
+		return nil, err
+	}
+	return &engine.Result{Columns: p.columns, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
+}
+
+// scalarUDF is the plan of a UDF that returns one value: one row of one
+// column, named after the function.
+func scalarUDF(name string, fn func(s *engine.Session) (types.Datum, error)) *udfPlan {
+	return &udfPlan{columns: []string{name}, label: "Citus UDF " + name, rows: func(s *engine.Session) ([]types.Row, error) {
+		v, err := fn(s)
+		if err != nil {
+			return nil, err
+		}
+		return []types.Row{{v}}, nil
+	}}
+}
+
+// clusterRows makes the cluster-wide view of a node-local one: this node's
+// rows, then every other node's, each gathered by calling fn there. A node
+// that cannot be asked fails the view, naming the node.
+func (n *Node) clusterRows(fn string, local func() []types.Row) func(*engine.Session) ([]types.Row, error) {
+	return func(*engine.Session) ([]types.Row, error) {
+		rows := local()
+		for _, node := range n.Meta.Nodes() {
+			if node.ID == n.ID {
+				continue
+			}
+			remote, err := n.callNode(node.ID, fn, "SELECT "+fn+"()")
+			if err != nil {
+				return nil, fmt.Errorf("%s on node %d: %w", fn, node.ID, err)
+			}
+			rows = append(rows, remote.Rows...)
+		}
+		return rows, nil
+	}
+}
+
+var nameValueColumns = []string{"name", "value"}
+
+// statCountersRows renders the obs registry as name/value rows.
+func statCountersRows(*engine.Session) ([]types.Row, error) {
+	snap := obs.Default().Snapshot()
+	var rows []types.Row
+	for _, k := range snap.Keys() {
+		rows = append(rows, types.Row{k, snap[k]})
+	}
+	return rows, nil
+}
+
+// planCacheStatsRows renders this node's distributed-plan cache as
+// name/value rows: aggregate counters first, then one
+// `shard_groups[<normalized sql>]` row per cached entry reporting how many
+// per-shard-group deparses it has memoized.
+func (n *Node) planCacheStatsRows(*engine.Session) ([]types.Row, error) {
+	entries, hits, misses, invalidations := n.planCache.stats()
+	rows := []types.Row{
+		{"entries", int64(len(entries))},
+		{"hits", hits},
+		{"misses", misses},
+		{"invalidations", invalidations},
+	}
+	for _, e := range entries {
+		rows = append(rows, types.Row{fmt.Sprintf("shard_groups[%s]", e.key), int64(e.shardGroups)})
+	}
+	return rows, nil
+}
+
+var statActivityColumns = []string{"node_id", "xid", "dist_txn_id", "state", "trace_id", "span_kind"}
+
+// statActivityRows lists a node's in-flight transactions: active and
+// prepared.
+func statActivityRows(eng *engine.Engine, nodeID int) []types.Row {
+	var rows []types.Row
+	for _, t := range eng.Txns.ActiveTxns() {
+		traceID, spanKind := t.TraceSpan()
+		rows = append(rows, types.Row{int64(nodeID), int64(t.XID), t.DistID(), "active", int64(traceID), spanKind})
+	}
+	for _, pi := range eng.Txns.ListPrepared() {
+		rows = append(rows, types.Row{int64(nodeID), int64(pi.XID), pi.DistID, "prepared", int64(0), ""})
+	}
+	return rows
+}
+
+var statSSIColumns = []string{"node_id", "xid", "dist_txn_id", "state", "doomed",
+	"in_conflicts", "out_conflicts", "siread_locks", "commit_seq"}
+
+// statSSIRows lists the per-transaction SSI state a node's ssi.Manager
 // tracks — pg_stat-style: one row per serializable transaction (including
 // committed ones retained for conflict detection), with its conflict-edge
-// counts, SIREAD lock count, and doomed flag. Cluster-wide from a
-// coordinator it gathers every other node's rows over the wire via
-// citus_node_stat_ssi().
-type statSSIPlan struct {
-	node        *Node
-	clusterWide bool
-}
-
-func (p *statSSIPlan) Columns() []string {
-	return []string{"node_id", "xid", "dist_txn_id", "state", "doomed",
-		"in_conflicts", "out_conflicts", "siread_locks", "commit_seq"}
-}
-func (p *statSSIPlan) ExplainLines() []string { return []string{"Citus Stat SSI"} }
-
-func (p *statSSIPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	res := &engine.Result{Columns: p.Columns()}
-	for _, ss := range p.node.Eng.SSISessions() {
-		res.Rows = append(res.Rows, types.Row{
-			int64(p.node.ID), int64(ss.XID), ss.DistID, ss.State, ss.Doomed,
+// counts, SIREAD lock count, and doomed flag.
+func statSSIRows(eng *engine.Engine, nodeID int) []types.Row {
+	var rows []types.Row
+	for _, ss := range eng.SSISessions() {
+		rows = append(rows, types.Row{
+			int64(nodeID), int64(ss.XID), ss.DistID, ss.State, ss.Doomed,
 			int64(ss.InConflicts), int64(ss.OutConflicts), int64(ss.SIREADLocks),
 			int64(ss.CommitSeq),
 		})
 	}
-	if p.clusterWide {
-		for _, node := range p.node.Meta.Nodes() {
-			if node.ID == p.node.ID {
-				continue
-			}
-			p.node.withNodeConn(node.ID, func(c *wire.Conn) error {
-				remote, err := c.Query("SELECT citus_node_stat_ssi()")
-				if err != nil {
-					return err
-				}
-				res.Rows = append(res.Rows, remote.Rows...)
-				return nil
-			})
-		}
-	}
-	res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-	return res, nil
+	return rows
 }
 
-// tablesPlan renders the citus_tables metadata view.
-type tablesPlan struct{ node *Node }
+var tablesColumns = []string{"table_name", "citus_table_type", "distribution_column", "colocation_id", "shard_count"}
 
-func (p *tablesPlan) Columns() []string {
-	return []string{"table_name", "citus_table_type", "distribution_column", "colocation_id", "shard_count"}
-}
-func (p *tablesPlan) ExplainLines() []string { return []string{"Citus Tables Metadata"} }
-
-func (p *tablesPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	res := &engine.Result{Columns: p.Columns()}
-	for _, dt := range p.node.Meta.Tables() {
+// tablesRows renders the citus_tables metadata view.
+func (n *Node) tablesRows(*engine.Session) ([]types.Row, error) {
+	var rows []types.Row
+	for _, dt := range n.Meta.Tables() {
 		kind := "distributed"
 		distCol := dt.DistColumn
 		if dt.Type == metadata.ReferenceTable {
 			kind = "reference"
 			distCol = "<none>"
 		}
-		res.Rows = append(res.Rows, types.Row{
+		rows = append(rows, types.Row{
 			dt.Name, kind, distCol, int64(dt.ColocationID), int64(dt.ShardCount),
 		})
 	}
-	res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
-	return res, nil
+	return rows, nil
 }
 
-// udfPlan runs a Citus UDF as a one-row plan.
-type udfPlan struct {
-	name string
-	fn   func(s *engine.Session) (types.Datum, error)
-}
+var preparedColumns = []string{"gid", "dist_txn_id", "age_ns"}
 
-func (p *udfPlan) Columns() []string      { return []string{p.name} }
-func (p *udfPlan) ExplainLines() []string { return []string{"Citus UDF " + p.name} }
-
-func (p *udfPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	v, err := p.fn(s)
-	if err != nil {
-		return nil, err
+// preparedRows lists a node's pending prepared transactions with how long
+// each has been sitting prepared, by the node's clock. The 2PC recovery
+// daemon uses the age as a grace period: a freshly prepared transaction
+// usually has a live coordinator about to resolve it. Transactions adopted
+// from WAL replay have no prepare time and report MaxInt64: their
+// coordinator is certainly gone.
+func preparedRows(eng *engine.Engine) []types.Row {
+	var rows []types.Row
+	now := time.Now()
+	for _, p := range eng.Txns.ListPrepared() {
+		age := int64(math.MaxInt64)
+		if !p.PreparedAt.IsZero() {
+			age = now.Sub(p.PreparedAt).Nanoseconds()
+		}
+		rows = append(rows, types.Row{p.GID, p.DistID, age})
 	}
-	return &engine.Result{
-		Columns: []string{p.name},
-		Rows:    []types.Row{{v}},
-		Tag:     "SELECT 1",
-	}, nil
+	return rows
 }
 
 // ---------------------------------------------------------------------------
@@ -560,13 +716,9 @@ func (n *Node) CreateRestorePoint(name string) (types.Datum, error) {
 		if node.ID == n.ID {
 			continue
 		}
-		var rerr error
-		n.withNodeConn(node.ID, func(c *wire.Conn) error {
-			_, rerr = c.Query(fmt.Sprintf("SELECT citus_node_create_restore_point(%s)", types.QuoteString(name)))
-			return rerr
-		})
-		if rerr != nil {
-			return nil, fmt.Errorf("restore point on node %d: %w", node.ID, rerr)
+		if _, err := n.callNode(node.ID, "citus_node_create_restore_point",
+			"SELECT citus_node_create_restore_point($1)", name); err != nil {
+			return nil, fmt.Errorf("restore point on node %d: %w", node.ID, err)
 		}
 	}
 	return lsn, nil

@@ -170,6 +170,10 @@ func New(cfg Config) (*Cluster, error) {
 				// range disjoint from any primary's, so a replicated XID can
 				// never collide with a locally assigned one.
 				sbEng.Txns.AdvanceXIDBase(uint64(sbID) << 40)
+				// No Citus layer, but the node functions: a coordinator
+				// asks a standby, and the primary it may be promoted to,
+				// what it asks every node.
+				sbEng.PlannerHook = citus.NodeFunctions(sbEng, sbID)
 				c.standbys[sbID] = sbEng
 				meta.AddNode(&metadata.Node{
 					ID: sbID, Name: name,
@@ -420,14 +424,16 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	// Standby-local sessions (replica reads) allocate XIDs from a range
 	// disjoint from any primary's, same as standbys booted at New.
 	eng.Txns.AdvanceXIDBase(uint64(nodeID) << 40)
+	eng.PlannerHook = citus.NodeFunctions(eng, nodeID)
 	// Quiesce in-flight executions before rewiring (see RestartWorker).
 	c.quiesce(i)
 	c.mu.Lock()
 	c.Engines[i] = eng
 	c.standbys[nodeID] = eng
 	c.mu.Unlock()
-	// The demoted node runs no Citus layer (standbys are bare engines and
-	// dial no one); live nodes re-dial it for replica reads.
+	// The demoted node runs no Citus layer (standbys are bare engines but
+	// for the node functions, and dial no one); live nodes re-dial it for
+	// replica reads.
 	if err := c.serve(nodeID, eng); err != nil {
 		return err
 	}

@@ -66,17 +66,24 @@ func TestNetworkRTTOnlyBetweenDistinctNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// loopback (coordinator to itself) pays nothing
+	// loopback (coordinator to itself) pays nothing: five statements in under
+	// a millisecond, where one charged RTT alone is two. A charged RTT is a
+	// sleep no attempt can beat, so the best of a few attempts keeps a
+	// scheduler stall on a loaded host from reading as one.
 	self := c.ConnTo(0)
 	defer self.Close()
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		if err := self.Ping(); err != nil {
-			t.Fatal(err)
+	best := time.Hour
+	for attempt := 0; attempt < 10 && best >= time.Millisecond; attempt++ {
+		start := time.Now()
+		for i := 0; i < 5; i++ {
+			if _, err := self.Query("SELECT 1"); err != nil {
+				t.Fatal(err)
+			}
 		}
+		best = min(best, time.Since(start))
 	}
-	if time.Since(start) > time.Millisecond {
-		t.Fatal("loopback connection paid network RTT")
+	if best >= time.Millisecond {
+		t.Fatalf("loopback connection paid network RTT: 5 statements took %v at best", best)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"citusgo/internal/citus"
 	"citusgo/internal/engine"
+	"citusgo/internal/fault"
 	"citusgo/internal/ssi"
 )
 
@@ -239,5 +240,55 @@ func TestDistributedSSIStress(t *testing.T) {
 		if sum < 0 {
 			t.Fatalf("pair %d: sum(balance) = %d — write-skew anomaly under SSI", p, sum)
 		}
+	}
+}
+
+// TestSSIEdgePollFailsClosed: the merged check of a serializable cross-node
+// commit cannot vouch for a participant whose edges it did not read. When
+// the poll fails (node.call) or no connection to the participant can be had
+// (pool.checkout), the commit fails with a serialization error and neither
+// participant commits.
+func TestSSIEdgePollFailsClosed(t *testing.T) {
+	defer fault.Reset()
+	c, keyA, keyB := ssiCluster(t, citus.Config{DeadlockInterval: -1, RecoveryInterval: -1})
+	sh, err := c.Meta.ShardForValue("accounts", keyA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeA, _ := c.Meta.PrimaryPlacement(sh.ID)
+	for _, rule := range []fault.Rule{
+		{Point: fault.PointNodeCall, Key: "citus_node_wait_edges", Action: fault.ActError, Count: 1},
+		{Point: fault.PointPoolCheckout, Key: fmt.Sprintf("node-%d", nodeA), Action: fault.ActError, Count: 1},
+	} {
+		t.Run(rule.Point, func(t *testing.T) {
+			fault.Reset()
+			s := c.Session()
+			mustExec(t, s, "SET TRANSACTION ISOLATION LEVEL SERIALIZABLE")
+			mustExec(t, s, "BEGIN")
+			mustExec(t, s, fmt.Sprintf("UPDATE accounts SET balance = balance - 10 WHERE k = %d", keyA))
+			mustExec(t, s, fmt.Sprintf("UPDATE accounts SET balance = balance + 10 WHERE k = %d", keyB))
+			fault.Arm(rule)
+			_, err := s.Exec("COMMIT")
+			if !ssi.IsSerializationFailure(err) {
+				t.Fatalf("commit with a failed edge poll: %v, want a serialization failure", err)
+			}
+			if fault.Fired(rule.Point) != 1 {
+				t.Fatalf("%s fired %d times, want once", rule.Point, fault.Fired(rule.Point))
+			}
+			if s.InTransaction() {
+				_, _ = s.Exec("ROLLBACK")
+			}
+			for _, k := range []int64{keyA, keyB} {
+				res := exec(t, c.Session(), fmt.Sprintf("SELECT balance FROM accounts WHERE k = %d", k))
+				if res.Rows[0][0] != int64(100) {
+					t.Fatalf("account %d holds %v after the failed commit, want 100", k, res.Rows[0][0])
+				}
+			}
+			for _, eng := range c.Engines {
+				if p := eng.Txns.ListPrepared(); len(p) != 0 {
+					t.Fatalf("%s kept prepared transactions: %v", eng.Name, p)
+				}
+			}
+		})
 	}
 }

@@ -51,8 +51,8 @@ func TestTCPCrashAndRestart(t *testing.T) {
 	if _, err := countOverTCP(t, c); err == nil {
 		t.Fatal("a fan-out over a crashed worker succeeded")
 	}
-	if err := c.ConnTo(1).Ping(); !wire.IsTransient(err) {
-		t.Fatalf("a ping of a crashed worker: %v, want the refusal as a ConnError", err)
+	if _, err := c.ConnTo(1).Query("SELECT 1"); !wire.IsTransient(err) {
+		t.Fatalf("a SELECT 1 on a crashed worker: %v, want the refusal as a ConnError", err)
 	}
 	if err := c.RestartWorker(1); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestTCPCrashAndRestart(t *testing.T) {
 	if n, err := countOverTCP(t, c); err != nil || n != 40 {
 		t.Fatalf("after the restart: %d rows, %v; want 40", n, err)
 	}
-	if err := c.ConnTo(1).Ping(); err != nil {
+	if _, err := c.ConnTo(1).Query("SELECT 1"); err != nil {
 		t.Fatalf("the restarted worker over TCP: %v", err)
 	}
 }

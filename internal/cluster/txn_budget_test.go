@@ -152,7 +152,8 @@ func txn(tb testing.TB, s *engine.Session, stmts []string, keys []int64) {
 // in one flight, so a cross-node one is 6 requests in 4 waits (it was 14
 // requests in 10). A serializable transaction costs the same: the isolation
 // level rides the block. Its cross-node commit adds what the merged SSI check
-// needs, one edge poll per participant node, and nothing for the level. Tasks
+// needs, one edge poll per participant node (a query: SELECT
+// citus_node_wait_edges()), and nothing for the level. Tasks
 // and transaction control are the same kind of request; executor_tasks_total
 // says that two of each transaction's are its tasks.
 func TestTxnRoundTripBudget(t *testing.T) {
@@ -181,7 +182,7 @@ func TestTxnRoundTripBudget(t *testing.T) {
 			map[string]int{"query": 3}, 3,
 			map[string]int64{"dtxn_single_node_commits_total": 1}},
 		{"serializable cross-node two-writer", true, twoUpdates, []int64{onNode2[0], onNode3},
-			map[string]int{"query": 6, "ssi_edges": 2}, 4 + 2,
+			map[string]int{"query": 6 + 2}, 4 + 2,
 			map[string]int64{"dtxn_2pc_commits_total": 1, "ssi_dist_checks_total": 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

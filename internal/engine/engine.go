@@ -537,10 +537,10 @@ func (e *Engine) LockGraph() []LockEdge {
 	for _, edge := range edges {
 		le := LockEdge{WaiterXID: edge.Waiter, HolderXID: edge.Holder}
 		if t, ok := e.Txns.Active(edge.Waiter); ok {
-			le.WaiterDist = t.DistID
+			le.WaiterDist = t.DistID()
 		}
 		if t, ok := e.Txns.Active(edge.Holder); ok {
-			le.HolderDist = t.DistID
+			le.HolderDist = t.DistID()
 		}
 		out = append(out, le)
 	}
@@ -551,7 +551,7 @@ func (e *Engine) LockGraph() []LockEdge {
 // transaction (deadlock victim chosen by the coordinator).
 func (e *Engine) CancelByDistID(distID string) bool {
 	for _, t := range e.Txns.ActiveTxns() {
-		if t.DistID == distID {
+		if t.DistID() == distID {
 			t.Cancel()
 			return true
 		}
@@ -770,7 +770,9 @@ func (s *Session) ensureTxn() (*txn.Txn, bool) {
 		return s.txn, false
 	}
 	t := s.Eng.Txns.Begin()
-	t.DistID = s.block.distID
+	if s.block.distID != "" {
+		t.SetDistID(s.block.distID)
+	}
 	if s.TraceID != 0 {
 		t.SetTraceSpan(s.TraceID, s.curSpanKind)
 	}

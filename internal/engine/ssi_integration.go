@@ -66,7 +66,7 @@ func (s *Session) maybeRegisterSSI(t *txn.Txn) {
 		return
 	}
 	t.OnPreCommit(func() error {
-		if err := fault.CheckKey(fault.PointSSICheck, t.DistID); err != nil {
+		if err := fault.CheckKey(fault.PointSSICheck, t.DistID()); err != nil {
 			return err
 		}
 		return e.SSI.PreCommit(st)

@@ -27,10 +27,10 @@ func TestDeadlockDetectedUnderLockGraphFaults(t *testing.T) {
 	h := New(t, Options{DeadlockInterval: 40 * time.Millisecond})
 	k1, k2 := crossKeys(t, h, "dlf")
 
-	// Every poll round trip is slowed; the first three poll responses are
-	// lost entirely (and take their pooled connections with them).
-	fault.Arm(fault.Rule{Point: fault.PointWireSend, Key: "lock_graph", Action: fault.ActDelay, Delay: 2 * time.Millisecond})
-	fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "lock_graph", Action: fault.ActDropConn, Count: 3})
+	// Every poll is slowed; the first three are lost entirely (and take
+	// their pooled connections with them).
+	fault.Arm(fault.Rule{Point: fault.PointNodeCall, Key: "citus_node_wait_edges", Action: fault.ActDelay, Delay: 2 * time.Millisecond})
+	fault.Arm(fault.Rule{Point: fault.PointNodeCall, Key: "citus_node_wait_edges", Action: fault.ActDropConn, Count: 3})
 
 	s1 := h.C.Session()
 	s2 := h.C.Session()
@@ -69,8 +69,10 @@ func TestDeadlockDetectedUnderLockGraphFaults(t *testing.T) {
 	if failures == 0 {
 		t.Fatalf("expected the detector to cancel one transaction (seed %d)", h.Seed)
 	}
-	if fault.Fired(fault.PointWireRecv) != 3 {
-		t.Fatalf("lock-graph drops fired %d times, want 3", fault.Fired(fault.PointWireRecv))
+	// the delay fires at every poll, so what fired beyond the polls is
+	// the drops
+	if drops := fault.Fired(fault.PointNodeCall) - fault.Hits(fault.PointNodeCall); drops != 3 {
+		t.Fatalf("lock-graph drops fired %d times, want 3", drops)
 	}
 	s1.Exec("ROLLBACK")
 	s2.Exec("ROLLBACK")
@@ -85,7 +87,7 @@ func TestNoFalseVictimWhenPollsDrop(t *testing.T) {
 	h := New(t, Options{}) // detector daemon off; polled manually
 	k1, k2 := crossKeys(t, h, "dln")
 
-	fault.Arm(fault.Rule{Point: fault.PointWireRecv, Key: "lock_graph", Action: fault.ActDropConn})
+	fault.Arm(fault.Rule{Point: fault.PointNodeCall, Key: "citus_node_wait_edges", Action: fault.ActDropConn})
 
 	s1 := h.C.Session()
 	s2 := h.C.Session()
@@ -113,7 +115,7 @@ func TestNoFalseVictimWhenPollsDrop(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if fault.Fired(fault.PointWireRecv) == 0 {
+	if fault.Fired(fault.PointNodeCall) == 0 {
 		t.Fatal("lock-graph polls were expected to fail")
 	}
 	// Neither session was cancelled: s1 commits, unblocking s2.

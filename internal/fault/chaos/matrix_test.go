@@ -302,7 +302,7 @@ func TestTwoPhaseCommitFlightMatrix(t *testing.T) {
 			// and their deletion, and rolls the straggler back all the same.
 			name: "coordinator cancelled behind its commit records and ROLLBACK PREPARED lost on participant 0",
 			run: func(t *testing.T, h *Harness, s *engine.Session, nodeIDs []int) error {
-				distID := s.Txn().DistID
+				distID := s.Txn().DistID()
 				arrived, release := fault.ArmGate(fault.Point2PCCommitRecord, "")
 				fault.Arm(fault.Rule{Point: fault.Point2PCAbort, Key: strconv.Itoa(nodeIDs[0]), Action: fault.ActError, Count: 1})
 				done := commit(s)

@@ -45,7 +45,7 @@ const (
 	PointReplApply       = "repl.apply"        // key: standby node name (before applying a record)
 	PointReplPromote     = "repl.promote"      // key: promotion stage ("drain", "flip")
 	PointSSICheck        = "ssi.check"         // key: distributed txn id ("" for local txns)
-	PointSSIEdgePoll     = "ssi.edge_poll"     // key: worker node ID (decimal)
+	PointNodeCall        = "node.call"         // key: the node function a coordinator calls (e.g. "citus_node_wait_edges")
 	PointSoakAck         = "soak.ack"          // key: soak workload class; canary for the soak's acked-write ledger
 	PointEngineBlockOpen = "engine.block_open" // key: distributed txn id; a worker session opening a coordinator's transaction block
 )

@@ -84,11 +84,11 @@ func TestCountLimitsFiringsAndRearmsFastPath(t *testing.T) {
 func TestKeyMatching(t *testing.T) {
 	Reset()
 	defer Reset()
-	Arm(Rule{Point: PointWireSend, Key: "lock_graph", Action: ActError})
+	Arm(Rule{Point: PointWireSend, Key: "copy", Action: ActError})
 	if err := CheckKey(PointWireSend, "query"); err != nil {
 		t.Fatalf("non-matching key fired: %v", err)
 	}
-	if err := CheckKey(PointWireSend, "lock_graph"); !errors.Is(err, ErrInjected) {
+	if err := CheckKey(PointWireSend, "copy"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("matching key did not fire: %v", err)
 	}
 	// Empty rule key matches any check key.

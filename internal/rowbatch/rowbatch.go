@@ -42,9 +42,9 @@ const (
 // value is a zone offset in seconds east of UTC.
 const zoneUTC = math.MinInt32
 
-// TimeSize is the length of a time in wire form: seconds since the Unix
+// timeSize is the length of a time in wire form: seconds since the Unix
 // epoch (int64), nanoseconds (uint32), zone (int32).
-const TimeSize = 16
+const timeSize = 16
 
 // ErrMalformed is wrapped by every Parse failure other than a refused jsonb
 // document, which wraps jsonb.ErrMalformed.
@@ -69,7 +69,7 @@ func appendDatum(dst []byte, d types.Datum) ([]byte, error) {
 		dst = binary.AppendUvarint(append(dst, tagString), uint64(len(v)))
 		return append(dst, v...), nil
 	case time.Time:
-		return AppendTime(append(dst, tagTime), v), nil
+		return appendTime(append(dst, tagTime), v), nil
 	case jsonb.Value:
 		dst = binary.AppendUvarint(append(dst, tagJSONB), uint64(v.WireSize()))
 		return v.AppendWire(dst), nil
@@ -77,9 +77,9 @@ func appendDatum(dst []byte, d types.Datum) ([]byte, error) {
 	return dst, fmt.Errorf("rowbatch: %T is not a datum", d)
 }
 
-// AppendTime appends t's wire form, TimeSize bytes. The monotonic clock
+// appendTime appends t's wire form, timeSize bytes. The monotonic clock
 // reading and the zone's name do not travel.
-func AppendTime(dst []byte, t time.Time) []byte {
+func appendTime(dst []byte, t time.Time) []byte {
 	zone := int32(zoneUTC)
 	if t.Location() != time.UTC {
 		_, off := t.Zone()
@@ -176,7 +176,7 @@ func Parse(b []byte) (Batch, []byte, error) {
 			}
 			i++
 		case tagTime:
-			i += TimeSize
+			i += timeSize
 			bt.times++
 		case tagString, tagJSONB:
 			var l int
@@ -299,9 +299,9 @@ func (bt Batch) Cells() []types.Datum {
 			cells[k] = types.BoxString(&strs[0])
 			strs, i = strs[1:], i+int(l)
 		case tagTime:
-			times[0] = DecodeTime(b[i:])
+			times[0] = decodeTime(b[i:])
 			cells[k] = types.BoxTime(&times[0])
-			times, i = times[1:], i+TimeSize
+			times, i = times[1:], i+timeSize
 		case tagJSONB:
 			l, w := binary.Uvarint(b[i:])
 			i += w
@@ -326,7 +326,7 @@ func rowBytes(b []byte, ncols int) int {
 		case tagBool:
 			i++
 		case tagTime:
-			i += TimeSize
+			i += timeSize
 		case tagString, tagJSONB:
 			l, w := binary.Uvarint(b[i:])
 			i += w + int(l)
@@ -339,11 +339,11 @@ func rowBytes(b []byte, ncols int) int {
 	return n
 }
 
-// DecodeTime rebuilds a time from the TimeSize bytes at the start of b the
+// decodeTime rebuilds a time from the timeSize bytes at the start of b the
 // way time.Time's own binary form does: UTC stays UTC, an offset that is the
 // local zone's at that instant becomes Local, any other offset a fixed zone
 // without a name.
-func DecodeTime(b []byte) time.Time {
+func decodeTime(b []byte) time.Time {
 	sec := int64(binary.LittleEndian.Uint64(b))
 	nsec := binary.LittleEndian.Uint32(b[8:])
 	zone := int32(binary.LittleEndian.Uint32(b[12:]))

@@ -110,7 +110,7 @@ type TxnState struct {
 	t   *txn.Txn
 	m   *Manager
 
-	// dist is the distributed transaction id, refreshed from t.DistID on
+	// dist is the distributed transaction id, refreshed from t.DistID() on
 	// every entry point called from the session goroutine (the field is
 	// written by the session, so only that goroutine may read it; pollers
 	// read this copy under the manager lock instead).
@@ -192,13 +192,13 @@ func (m *Manager) Register(t *txn.Txn) (st *TxnState, isNew bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if st, ok := m.states[t.XID]; ok {
-		st.dist = t.DistID
+		st.dist = t.DistID()
 		return st, false
 	}
 	m.seq++
 	st = &TxnState{
 		xid: t.XID, t: t, m: m,
-		dist:       t.DistID,
+		dist:       t.DistID(),
 		beginSeq:   m.seq,
 		in:         make(map[*TxnState]struct{}),
 		out:        make(map[*TxnState]struct{}),
@@ -224,7 +224,7 @@ func (m *Manager) OnRead(st *TxnState, k Key) {
 	if st.aborted || st.finished {
 		return
 	}
-	st.dist = st.t.DistID
+	st.dist = st.t.DistID()
 	m.acquireLocked(st, k)
 }
 
@@ -320,7 +320,7 @@ func (m *Manager) ConflictOut(st *TxnState, writerXID uint64) error {
 	if st.aborted || st.finished {
 		return nil
 	}
-	st.dist = st.t.DistID
+	st.dist = st.t.DistID()
 	w, ok := m.states[writerXID]
 	if !ok || w == st || w.aborted {
 		// Untracked writer: a non-serializable concurrent transaction.
@@ -340,7 +340,7 @@ func (m *Manager) OnWrite(st *TxnState, keys ...Key) error {
 	if st.aborted || st.finished {
 		return nil
 	}
-	st.dist = st.t.DistID
+	st.dist = st.t.DistID()
 	for _, k := range keys {
 		for r := range m.locks[k] {
 			if r == st || r.aborted {
@@ -428,7 +428,7 @@ func (m *Manager) dangerousLocked(p *TxnState) bool {
 func (m *Manager) PreCommit(st *TxnState) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st.dist = st.t.DistID
+	st.dist = st.t.DistID()
 	if st.aborted {
 		return ErrSerializationFailure
 	}

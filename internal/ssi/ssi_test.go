@@ -160,7 +160,7 @@ func TestConflictOutCommittedWriter(t *testing.T) {
 func TestDoomedTxnFailsAtCommit(t *testing.T) {
 	clog, m := newTestMgr()
 	tx := clog.Begin()
-	tx.DistID = "1:100:1"
+	tx.SetDistID("1:100:1")
 	st, _ := m.Register(tx)
 	if !m.Doom("1:100:1") {
 		t.Fatal("Doom should find the active dist txn")
@@ -330,10 +330,10 @@ func TestDistGraphPivot(t *testing.T) {
 func TestExportSkipsLocalAndAborted(t *testing.T) {
 	clog, m := newTestMgr()
 	td1 := clog.Begin()
-	td1.DistID = "d1"
+	td1.SetDistID("d1")
 	sd1, _ := m.Register(td1)
 	td2 := clog.Begin()
-	td2.DistID = "d2"
+	td2.SetDistID("d2")
 	sd2, _ := m.Register(td2)
 	tl, sl := begin(t, clog, m) // local-only txn
 

@@ -32,11 +32,11 @@ const (
 // Txn is one node-local transaction.
 type Txn struct {
 	XID uint64
-	// DistID tags the distributed transaction this local transaction is
-	// part of ("" when purely local). The coordinator assigns it and
-	// propagates it to workers; the distributed deadlock detector merges
-	// lock-graph nodes that share a DistID.
-	DistID string
+
+	// distID is DistID's value; the deadlock detector, the cancel and doom
+	// node functions and citus_stat_activity read it from other sessions'
+	// goroutines while the transaction runs, hence an atomic.
+	distID atomic.Pointer[string]
 
 	mgr *Manager
 
@@ -97,6 +97,20 @@ func (t *Txn) SetTraceSpan(traceID uint64, kind string) {
 	t.traceID.Store(traceID)
 	t.spanKind.Store(boxKind(kind))
 }
+
+// DistID tags the distributed transaction this local transaction is part of
+// ("" when purely local). The coordinator assigns it and propagates it to
+// workers; the distributed deadlock detector merges lock-graph nodes that
+// share a DistID. Safe to call from any goroutine.
+func (t *Txn) DistID() string {
+	if id := t.distID.Load(); id != nil {
+		return *id
+	}
+	return ""
+}
+
+// SetDistID sets DistID.
+func (t *Txn) SetDistID(id string) { t.distID.Store(&id) }
 
 // TraceSpan returns the transaction's current trace ID and span kind
 // (0, "" when untraced). Safe to call from any goroutine.
@@ -398,7 +412,7 @@ func (m *Manager) ListPrepared() []PreparedInfo {
 	defer m.mu.RUnlock()
 	out := make([]PreparedInfo, 0, len(m.prepared))
 	for gid, p := range m.prepared {
-		out = append(out, PreparedInfo{GID: gid, XID: p.txn.XID, DistID: p.txn.DistID, PreparedAt: p.at})
+		out = append(out, PreparedInfo{GID: gid, XID: p.txn.XID, DistID: p.txn.DistID(), PreparedAt: p.at})
 	}
 	return out
 }

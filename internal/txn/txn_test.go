@@ -211,3 +211,31 @@ func TestWaitEnd(t *testing.T) {
 		t.Fatal("WaitEnd reported an end after its waiter was cancelled")
 	}
 }
+
+// TestDistIDReadWhileSet: a running transaction's DistID is set by its own
+// session while the deadlock detector, the cancel node function and
+// citus_stat_activity read it from other goroutines (run under -race).
+func TestDistIDReadWhileSet(t *testing.T) {
+	m := NewManager()
+	tx := m.Begin()
+	if tx.DistID() != "" {
+		t.Fatalf("a new transaction's DistID is %q", tx.DistID())
+	}
+	done := make(chan string)
+	go func() {
+		var last string
+		for i := 0; i < 100; i++ {
+			for _, a := range m.ActiveTxns() {
+				last = a.DistID()
+			}
+		}
+		done <- last
+	}()
+	tx.SetDistID("1:2:3")
+	if got := <-done; got != "" && got != "1:2:3" {
+		t.Fatalf("a reader saw DistID %q", got)
+	}
+	if tx.DistID() != "1:2:3" {
+		t.Fatalf("DistID %q after SetDistID", tx.DistID())
+	}
+}

@@ -44,7 +44,7 @@ func TestBlockOpensWithItsStatement(t *testing.T) {
 	if resp := h.handle(blockReq("7:1:1", "INSERT INTO b (k) VALUES (1)")); resp.Err != "" {
 		t.Fatalf("first request of the block: %s", resp.Err)
 	}
-	if !h.sess.InTransaction() || h.sess.Txn().DistID != "7:1:1" {
+	if !h.sess.InTransaction() || h.sess.Txn().DistID() != "7:1:1" {
 		t.Fatalf("the request did not open its block: in transaction %v, txn %+v", h.sess.InTransaction(), h.sess.Txn())
 	}
 	if n := countRows(t, e, "b"); n != 0 {
@@ -59,7 +59,7 @@ func TestBlockOpensWithItsStatement(t *testing.T) {
 	if err := respErr(&resp); !IsBlockRefused(err) {
 		t.Fatalf("request naming another block: %v, want ErrBlockRefused", err)
 	}
-	if open := h.sess.Txn(); open == nil || open.DistID != "7:1:1" {
+	if open := h.sess.Txn(); open == nil || open.DistID() != "7:1:1" {
 		t.Fatalf("the refused request disturbed the open block: %+v", open)
 	}
 
@@ -125,17 +125,17 @@ func TestBlockOpensWithItsStatement(t *testing.T) {
 // the request header with two values; any other fails its own request under
 // its own Seq and the stream carries on.
 func TestBlockIsolationByteChecked(t *testing.T) {
-	good := encodeRequests(t, &Request{Kind: ReqPing, Seq: 1})
-	bad := encodeRequests(t, &Request{Kind: ReqPing, Seq: 2, Hdr: Header{Version: HeaderV2, Block: Block{DistID: "d", Serializable: true}}})
+	good := encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 1})
+	bad := encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 2, Hdr: Header{Version: HeaderV2, Block: Block{DistID: "d", Serializable: true}}})
 	if bad[lenSize+reqHdrSize-1] != blockSerializable {
 		t.Fatalf("the isolation byte is not where the header table says: % x", bad[:lenSize+reqHdrSize])
 	}
 	bad[lenSize+reqHdrSize-1] = blockSerializable + 1
-	resps, err := serveBytes(t, append(append(good, bad...), encodeRequests(t, &Request{Kind: ReqPing, Seq: 3})...))
+	resps, err := serveBytes(t, append(append(good, bad...), encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 3})...))
 	if err != io.EOF || len(resps) != 3 {
 		t.Fatalf("%d responses, %v; want all three answered", len(resps), err)
 	}
-	if !resps[0].OK || !resps[2].OK || resps[1].Seq != 2 || !strings.Contains(resps[1].Err, "isolation") {
+	if resps[0].Err != "" || resps[2].Err != "" || resps[1].Seq != 2 || !strings.Contains(resps[1].Err, "isolation") {
 		t.Fatalf("responses %+v %+v %+v", resps[0], resps[1], resps[2])
 	}
 }

@@ -4,12 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
-	"citusgo/internal/engine"
 	"citusgo/internal/rowbatch"
-	"citusgo/internal/ssi"
-	"citusgo/internal/trace"
 )
 
 // The frame codec. Every message on a TCP connection, in both directions, is
@@ -21,7 +17,7 @@ import (
 //	uint64  Seq
 //	...     request: Hdr (version, trace id, span id, block isolation), then
 //	        the fields, the block's dist txn id first
-//	        response: flags, then the fields
+//	        response: the fields
 //
 // Integers in the header are fixed-width little-endian; in the fields,
 // lengths and counts are uvarints and signed numbers zigzag varints. Rows and
@@ -31,20 +27,18 @@ import (
 // codecVersion is the second thing a receiver reads, after the length. A
 // frame with any other version closes the connection: the nodes of a cluster
 // change version together. Version 2 added the transaction block to the
-// request header.
-const codecVersion = 2
+// request header; version 3 took the node calls' fields and the flags byte
+// out of the response.
+const codecVersion = 3
 
 // MaxFrameSize bounds the length a frame may claim. The largest frame the
 // repository's benchmark sends is a COPY batch of about half a megabyte.
 const MaxFrameSize = 64 << 20
 
 const (
-	lenSize      = 4
-	prefixSize   = 1 + 1 + 8               // version, kind, seq: what both directions share
-	reqHdrSize   = prefixSize + 1 + 16 + 1 // + Hdr: version, trace id, span id, block isolation
-	respHdrSize  = prefixSize + 1          // + flags
-	respFlagOK   = 1 << 0
-	respFlagMask = respFlagOK
+	lenSize    = 4
+	prefixSize = 1 + 1 + 8               // version, kind, seq: what both directions share
+	reqHdrSize = prefixSize + 1 + 16 + 1 // + Hdr: version, trace id, span id, block isolation
 	// the block isolation byte: 0 is read committed
 	blockSerializable = 1
 )
@@ -109,15 +103,9 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 func appendResponse(dst []byte, resp *Response, kind RequestKind) ([]byte, error) {
 	start := len(dst)
 	dst = beginFrame(dst, kind, resp.Seq)
-	var flags byte
-	if resp.OK {
-		flags |= respFlagOK
-	}
-	dst = append(dst, flags)
 	dst = appendString(dst, resp.Err)
 	dst = appendString(dst, resp.Tag)
 	dst = binary.AppendVarint(dst, int64(resp.Affected))
-	dst = binary.AppendVarint(dst, resp.Count)
 	dst = appendStrings(dst, resp.Columns)
 	if resp.Rows == nil {
 		dst = append(dst, resp.Batch.Bytes()...)
@@ -126,44 +114,6 @@ func appendResponse(dst []byte, resp *Response, kind RequestKind) ([]byte, error
 		if dst, err = rowbatch.Append(dst, resp.Rows); err != nil {
 			return dst[:start], err
 		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Edges)))
-	for _, e := range resp.Edges {
-		dst = binary.AppendUvarint(dst, e.WaiterXID)
-		dst = binary.AppendUvarint(dst, e.HolderXID)
-		dst = appendString(dst, e.WaiterDist)
-		dst = appendString(dst, e.HolderDist)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(resp.SSIEdges)))
-	for _, e := range resp.SSIEdges {
-		dst = appendString(dst, e.From)
-		dst = appendString(dst, e.To)
-		dst = binary.AppendVarint(dst, e.FromCommitNs)
-		dst = binary.AppendVarint(dst, e.ToCommitNs)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Prepared)))
-	for _, p := range resp.Prepared {
-		dst = appendString(dst, p.GID)
-		dst = appendString(dst, p.DistID)
-		dst = binary.AppendVarint(dst, p.AgeNs)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(resp.Spans)))
-	for i := range resp.Spans {
-		s := &resp.Spans[i]
-		dst = binary.AppendUvarint(dst, s.TraceID)
-		dst = binary.AppendUvarint(dst, s.SpanID)
-		dst = binary.AppendUvarint(dst, s.ParentID)
-		dst = binary.AppendVarint(dst, int64(s.NodeID))
-		dst = appendString(dst, s.Node)
-		dst = appendString(dst, s.Kind)
-		dst = appendString(dst, s.Label)
-		dst = binary.AppendUvarint(dst, uint64(len(s.Attrs)))
-		for _, a := range s.Attrs {
-			dst = appendString(dst, a.K)
-			dst = appendString(dst, a.V)
-		}
-		dst = rowbatch.AppendTime(dst, s.Start)
-		dst = binary.AppendVarint(dst, int64(s.Duration))
 	}
 	return endFrame(dst, start)
 }
@@ -237,58 +187,16 @@ func decodeRequest(frame []byte, req *Request) error {
 // into resp, overwriting every field. The response's rows stay in wire form
 // in Batch, which aliases frame; every other field is copied out.
 func decodeResponse(frame []byte, resp *Response) error {
-	if len(frame) < respHdrSize {
+	if len(frame) < prefixSize {
 		return fmt.Errorf("%w: response header cut short", errBody)
 	}
-	flags := frame[prefixSize]
-	if flags&^respFlagMask != 0 {
-		return fmt.Errorf("%w: unknown response flags %#x", errBody, flags)
-	}
-	*resp = Response{Seq: binary.LittleEndian.Uint64(frame[2:]), OK: flags&respFlagOK != 0}
-	r := reader{b: frame[respHdrSize:]}
+	*resp = Response{Seq: binary.LittleEndian.Uint64(frame[2:])}
+	r := reader{b: frame[prefixSize:]}
 	resp.Err = r.str()
 	resp.Tag = r.str()
 	resp.Affected = int(r.varint())
-	resp.Count = r.varint()
 	resp.Columns = r.strs()
 	resp.Batch = r.batch()
-	if n := r.count(4); n > 0 {
-		resp.Edges = make([]engine.LockEdge, n)
-		for i := range resp.Edges {
-			resp.Edges[i] = engine.LockEdge{
-				WaiterXID: r.uvarint(), HolderXID: r.uvarint(), WaiterDist: r.str(), HolderDist: r.str(),
-			}
-		}
-	}
-	if n := r.count(4); n > 0 {
-		resp.SSIEdges = make([]ssi.WireEdge, n)
-		for i := range resp.SSIEdges {
-			resp.SSIEdges[i] = ssi.WireEdge{From: r.str(), To: r.str(), FromCommitNs: r.varint(), ToCommitNs: r.varint()}
-		}
-	}
-	if n := r.count(3); n > 0 {
-		resp.Prepared = make([]PreparedTxn, n)
-		for i := range resp.Prepared {
-			resp.Prepared[i] = PreparedTxn{GID: r.str(), DistID: r.str(), AgeNs: r.varint()}
-		}
-	}
-	if n := r.count(9 + rowbatch.TimeSize); n > 0 {
-		resp.Spans = make([]trace.Span, n)
-		for i := range resp.Spans {
-			s := &resp.Spans[i]
-			s.TraceID, s.SpanID, s.ParentID = r.uvarint(), r.uvarint(), r.uvarint()
-			s.NodeID = int(r.varint())
-			s.Node, s.Kind, s.Label = r.str(), r.str(), r.str()
-			if na := r.count(2); na > 0 {
-				s.Attrs = make(trace.Attrs, na)
-				for j := range s.Attrs {
-					s.Attrs[j] = trace.Attr{K: r.str(), V: r.str()}
-				}
-			}
-			s.Start = r.time()
-			s.Duration = time.Duration(r.varint())
-		}
-	}
 	return r.finish()
 }
 
@@ -383,14 +291,6 @@ func (r *reader) strs() []string {
 		out[i], all = all[:l], all[l:]
 	}
 	return out
-}
-
-func (r *reader) time() time.Time {
-	if len(r.b) < rowbatch.TimeSize {
-		r.fail("time cut short")
-		return time.Time{}
-	}
-	return rowbatch.DecodeTime(r.bytes(rowbatch.TimeSize))
 }
 
 // batch checks the batch at the reader's position. A refused batch keeps

@@ -15,11 +15,8 @@ import (
 	"testing"
 	"time"
 
-	"citusgo/internal/engine"
 	"citusgo/internal/jsonb"
 	"citusgo/internal/rowbatch"
-	"citusgo/internal/ssi"
-	"citusgo/internal/trace"
 	"citusgo/internal/types"
 )
 
@@ -52,12 +49,6 @@ type gobResponse struct {
 	Affected int
 	Err      string
 	Seq      uint64
-	Edges    []engine.LockEdge
-	SSIEdges []ssi.WireEdge
-	Prepared []PreparedTxn
-	Spans    []trace.Span
-	Count    int64
-	OK       bool
 }
 
 // gobJSONB is a jsonb datum inside a gob message: its wire form, as
@@ -153,15 +144,13 @@ func requestViaGob(t testing.TB, req *Request) *Request {
 func responseViaGob(t testing.TB, resp *Response) *Response {
 	in := gobResponse{
 		Columns: resp.Columns, Rows: toGobRows(resp.Rows), Tag: resp.Tag, Affected: resp.Affected, Err: resp.Err,
-		Seq: resp.Seq, Edges: resp.Edges, SSIEdges: resp.SSIEdges, Prepared: resp.Prepared, Spans: resp.Spans,
-		Count: resp.Count, OK: resp.OK,
+		Seq: resp.Seq,
 	}
 	var out gobResponse
 	gobRoundTrip(t, &in, &out)
 	return &Response{
 		Columns: out.Columns, Rows: fromGobRows(t, out.Rows), Tag: out.Tag, Affected: out.Affected, Err: out.Err,
-		Seq: out.Seq, Edges: out.Edges, SSIEdges: out.SSIEdges, Prepared: out.Prepared, Spans: out.Spans,
-		Count: out.Count, OK: out.OK,
+		Seq: out.Seq,
 	}
 }
 
@@ -364,7 +353,7 @@ func (g *gen) rows() []types.Row {
 
 func (g *gen) request() *Request {
 	req := &Request{
-		Kind: RequestKind(g.n(int(ReqDoomDist) + 3)), // every kind and two unknown ones
+		Kind: RequestKind(g.n(16)), // the live kinds, the retired ones through 13, and two past them
 		Hdr:  Header{Version: g.byte(), TraceID: g.u64(), SpanID: g.u64()},
 		SQL:  g.str(), Table: g.str(), Columns: g.strs(), Rows: g.rows(), Name: g.str(), Seq: g.u64(),
 	}
@@ -381,26 +370,7 @@ func (g *gen) request() *Request {
 func (g *gen) response() *Response {
 	resp := &Response{
 		Columns: g.strs(), Rows: g.rows(), Tag: g.str(), Affected: int(int32(g.u64())), Err: g.str(),
-		Seq: g.u64(), Count: int64(g.u64()), OK: g.byte()%2 == 1,
-	}
-	for i := g.n(3); i > 0; i-- {
-		resp.Edges = append(resp.Edges, engine.LockEdge{WaiterXID: g.u64(), HolderXID: g.u64(), WaiterDist: g.str(), HolderDist: g.str()})
-	}
-	for i := g.n(3); i > 0; i-- {
-		resp.SSIEdges = append(resp.SSIEdges, ssi.WireEdge{From: g.str(), To: g.str(), FromCommitNs: int64(g.u64()), ToCommitNs: int64(g.u64())})
-	}
-	for i := g.n(3); i > 0; i-- {
-		resp.Prepared = append(resp.Prepared, PreparedTxn{GID: g.str(), DistID: g.str(), AgeNs: int64(g.u64())})
-	}
-	for i := g.n(3); i > 0; i-- {
-		sp := trace.Span{
-			TraceID: g.u64(), SpanID: g.u64(), ParentID: g.u64(), NodeID: int(int32(g.u64())),
-			Node: g.str(), Kind: g.str(), Label: g.str(), Start: g.time(), Duration: time.Duration(g.u64()),
-		}
-		for j := g.n(3); j > 0; j-- {
-			sp.Attrs = append(sp.Attrs, trace.Attr{K: g.str(), V: g.str()})
-		}
-		resp.Spans = append(resp.Spans, sp)
+		Seq: g.u64(),
 	}
 	return resp
 }
@@ -440,7 +410,8 @@ func FuzzCodecParity(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(bytes.Repeat([]byte{15, 0xff}, 200)) // 1 MiB strings
-	for kind := 0; kind <= int(ReqDoomDist)+2; kind++ {
+	// every kind byte an earlier version used, and two past them
+	for kind := 0; kind <= 15; kind++ {
 		seed := []byte{byte(kind)}
 		for i := 0; i < 300; i++ {
 			seed = append(seed, byte(i*7+kind*13))
@@ -464,7 +435,7 @@ func TestCodecParity(t *testing.T) {
 	every := types.Row{nil, int64(math.MinInt64), math.NaN(), math.Inf(1), math.Inf(-1), true, "", bigString,
 		time.Time{}, when, when.In(time.FixedZone("", 5*3600+1800)), time.Unix(1, 2),
 		jsonb.Value{}, jsonb.MustParse(`{"a": {"b": [1, {"c": [true, null, "x"]}]}}`)}
-	for kind := ReqQuery; kind <= ReqDoomDist; kind++ {
+	for _, kind := range []RequestKind{ReqQuery, ReqCopy, ReqAppendResult, 13} {
 		checkRequestParity(t, &Request{Kind: kind})
 		checkRequestParity(t, &Request{
 			Kind: kind, Hdr: Header{Version: HeaderV2, TraceID: 1 << 63, SpanID: 7, Block: Block{DistID: "1:1609556645000000006:42", Serializable: true}},
@@ -473,12 +444,7 @@ func TestCodecParity(t *testing.T) {
 		})
 		checkResponseParity(t, &Response{}, kind)
 		checkResponseParity(t, &Response{
-			Columns: []string{"", "x"}, Rows: []types.Row{every.Clone()}, Tag: "SELECT 1", Affected: -1, Err: "e", Seq: 9, Count: math.MinInt64, OK: true,
-			Edges:    []engine.LockEdge{{WaiterXID: 1, HolderXID: math.MaxUint64, WaiterDist: "a", HolderDist: ""}},
-			SSIEdges: []ssi.WireEdge{{From: "f", To: "t", FromCommitNs: -1, ToCommitNs: math.MaxInt64}},
-			Prepared: []PreparedTxn{{GID: "g", DistID: "d", AgeNs: math.MaxInt64}, {}},
-			Spans: []trace.Span{{TraceID: 1, SpanID: 2, ParentID: 3, NodeID: -4, Node: "n", Kind: "k", Label: "l",
-				Attrs: trace.Attrs{{K: "k", V: "v"}, {}}, Start: when, Duration: -time.Second}, {}},
+			Columns: []string{"", "x"}, Rows: []types.Row{every.Clone()}, Tag: "SELECT 1", Affected: -1, Err: "e", Seq: 9,
 		}, kind)
 	}
 	// nil and empty rows both arrive as no rows; empty Columns as none
@@ -529,8 +495,10 @@ func serveBytes(t *testing.T, in []byte) ([]*Response, error) {
 }
 
 func TestFrameLimits(t *testing.T) {
-	ping := func(seq uint64) []byte { return encodeRequests(t, &Request{Kind: ReqPing, Seq: seq}) }
-	okPing := func(r *Response, seq uint64) bool { return r.OK && r.Err == "" && r.Seq == seq }
+	ping := func(seq uint64) []byte { return encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: seq}) }
+	okPing := func(r *Response, seq uint64) bool {
+		return r.Err == "" && r.Seq == seq && len(r.Rows) == 1 && r.Rows[0][0] == int64(1)
+	}
 
 	t.Run("oversize length closes, allocating nothing for it", func(t *testing.T) {
 		// "4-byte prefix claims 4 GiB, 10 bytes follow", behind a good request
@@ -630,12 +598,13 @@ func TestFrameLimits(t *testing.T) {
 
 	t.Run("a retired kind fails only its request", func(t *testing.T) {
 		// 9 and 10 are what a peer from before the prepared-statement pair
-		// was deleted sends; they name no request here, and the kinds on
-		// either side of them kept their bytes
-		if ReqPing != 8 || ReqTraceSpans != 11 || ReqDoomDist != 13 {
-			t.Fatalf("request kinds renumbered: ping %d, trace_spans %d, doom_dist %d", ReqPing, ReqTraceSpans, ReqDoomDist)
+		// was deleted sends, 2, 3, 5-8 and 11-13 one from before the node
+		// calls became node functions; they name no request here, and the
+		// live kinds kept their bytes
+		if ReqQuery != 0 || ReqCopy != 1 || ReqAppendResult != 4 {
+			t.Fatalf("request kinds renumbered: query %d, copy %d, append_result %d", ReqQuery, ReqCopy, ReqAppendResult)
 		}
-		for _, kind := range []RequestKind{9, 10} {
+		for _, kind := range []RequestKind{2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
 			old := encodeRequests(t, &Request{Kind: kind, Name: "cs_1", SQL: "SELECT 1", Params: []types.Datum{int64(1)}, Seq: 2})
 			resps, err := serveBytes(t, append(append(ping(1), old...), ping(3)...))
 			if err != io.EOF || len(resps) != 3 || !okPing(resps[0], 1) || !okPing(resps[2], 3) {
@@ -689,7 +658,7 @@ func TestServerAnswersBeforeWaiting(t *testing.T) {
 	}
 	defer raw.Close()
 	_ = raw.SetDeadline(time.Now().Add(10 * time.Second))
-	first := encodeRequests(t, &Request{Kind: ReqPing, Seq: 1})
+	first := encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 1})
 	second := encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 2})
 	if _, err := raw.Write(append(bytes.Clone(first), second[:len(second)/2]...)); err != nil {
 		t.Fatal(err)

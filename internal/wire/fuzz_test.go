@@ -6,7 +6,7 @@ package wire
 //     connection runs (serve: cut a frame, decode the request, handle it,
 //     encode the response): whatever the bytes are, it returns without
 //     panicking. Seeds cover every request kind plus malformed variants
-//     (bogus kind, truncated frames, absurd field values).
+//     (bogus and retired kinds, truncated frames, absurd field values).
 //   - FuzzCodecParity (codec_test.go) builds requests and responses from the
 //     fuzzer's bytes and requires the frame codec to round-trip them to what
 //     the previous codec, encoding/gob, round-trips them to.
@@ -52,7 +52,8 @@ func FuzzWireFraming(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0xff})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, codecVersion, 0, 0, 0, 0, 0}) // 4 GiB claimed
-	f.Add(encodeRequests(f, &Request{Kind: ReqPing, Seq: 1}))
+	// retired: an earlier version's ping
+	f.Add(encodeRequests(f, &Request{Kind: 8, Seq: 1}))
 	f.Add(encodeRequests(f,
 		&Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 1},
 		&Request{Kind: ReqQuery, SQL: "INSERT INTO t VALUES (1, 'x')", Seq: 2},
@@ -63,27 +64,31 @@ func FuzzWireFraming(f *testing.F) {
 		&Request{Kind: 10, Name: "p1", Params: []types.Datum{int64(2)}, Seq: 2},
 		&Request{Kind: 10, Name: "missing", Seq: 3},
 	))
+	// the retired node calls, as an earlier version sent them: table rows,
+	// prepared list, lock graph, SSI edges (6, 7, 2, 12)
 	f.Add(encodeRequests(f,
 		&Request{Kind: ReqCopy, Table: "t", Columns: []string{"k", "v"}, Rows: []types.Row{{int64(7), "z"}}},
-		&Request{Kind: ReqTableRows, Table: "t"},
-		&Request{Kind: ReqListPrepared},
-		&Request{Kind: ReqLockGraph},
-		&Request{Kind: ReqSSIEdges},
+		&Request{Kind: 6, Table: "t"},
+		&Request{Kind: 7},
+		&Request{Kind: 2},
+		&Request{Kind: 12},
 	))
+	// and cancel, doom, drop results, trace spans (3, 13, 5, 11) among live
+	// kinds
 	f.Add(encodeRequests(f,
 		&Request{Kind: RequestKind(200), SQL: "nonsense"},
 		&Request{Kind: ReqQuery, SQL: "", Hdr: Header{Version: 77, TraceID: ^uint64(0)}},
-		&Request{Kind: ReqCancelDist, Name: "no-such-dist-txn"},
-		&Request{Kind: ReqDoomDist, Name: ""},
-		&Request{Kind: ReqDropResults, Name: "../weird//prefix"},
+		&Request{Kind: 3, Name: "no-such-dist-txn"},
+		&Request{Kind: 13, Name: ""},
+		&Request{Kind: 5, Name: "../weird//prefix"},
 		&Request{Kind: ReqAppendResult, Name: "r", Columns: []string{"a"}, Rows: []types.Row{{nil}}},
-		&Request{Kind: ReqTraceSpans, Hdr: Header{Version: HeaderV1, TraceID: 42}},
+		&Request{Kind: 11, Hdr: Header{Version: HeaderV1, TraceID: 42}},
 		&Request{Kind: ReqQuery, SQL: "SELECT $1", Params: []types.Datum{jsonb.MustParse(`{"a": [1, "x"]}`)}},
 	))
 	// a frame of another codec version in the middle of a stream
-	other := encodeRequests(f, &Request{Kind: ReqPing, Seq: 2})
+	other := encodeRequests(f, &Request{Kind: 8, Seq: 2})
 	other[lenSize] = codecVersion + 1
-	f.Add(append(encodeRequests(f, &Request{Kind: ReqPing, Seq: 1}), other...))
+	f.Add(append(encodeRequests(f, &Request{Kind: 8, Seq: 1}), other...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := engine.New(engine.Config{Name: "fuzz"})

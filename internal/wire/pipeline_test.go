@@ -235,7 +235,7 @@ func TestSeqCorrelationOnSingleRoundTrips(t *testing.T) {
 	conn := connect(t, e, 0)
 	defer conn.Close()
 	for i := 0; i < 3; i++ {
-		if err := conn.Ping(); err != nil {
+		if _, err := conn.Query("SELECT 1"); err != nil {
 			t.Fatal(err)
 		}
 	}

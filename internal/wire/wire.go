@@ -9,16 +9,12 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
-	"time"
 
 	"citusgo/internal/engine"
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/rowbatch"
-	"citusgo/internal/ssi"
-	"citusgo/internal/trace"
 	"citusgo/internal/types"
 )
 
@@ -33,43 +29,24 @@ var (
 // prefix.
 type RequestKind uint8
 
-// The values are the protocol. 9 and 10 are retired (an earlier version's
-// prepared-statement pair) and stay unassigned: a frame from a peer that
-// still sends one is an unknown kind, refused under its own Seq, never some
-// other request.
+// The values are the protocol. Three kinds are live; every other byte is
+// refused. 2, 3 and 5–13 are retired: 9 and 10 were an earlier version's
+// prepared-statement pair, the rest its private node calls (lock graph,
+// cancel, drop results, table rows, prepared list, ping, trace spans, SSI
+// edges, doom), which are now node functions a coordinator sends as
+// statements. A frame from a peer that still sends one is an unknown kind,
+// refused under its own Seq, never some other request.
 const (
-	// ReqQuery executes SQL, with its parameters, and returns rows.
-	ReqQuery RequestKind = iota
+	// ReqQuery executes SQL, with its parameters, and returns rows. It is
+	// also how a coordinator calls a worker's node functions
+	// (SELECT citus_node_wait_edges(), ...).
+	ReqQuery RequestKind = 0
 	// ReqCopy bulk-loads pre-parsed rows into a table.
-	ReqCopy
-	// ReqLockGraph returns the node's waits-for edges (distributed
-	// deadlock detection polls this).
-	ReqLockGraph
-	// ReqCancelDist cancels the local transaction belonging to a
-	// distributed transaction id (deadlock victim).
-	ReqCancelDist
+	ReqCopy RequestKind = 1
 	// ReqAppendResult appends rows to a named intermediate result: the
 	// adaptive executor's append tasks (Pipeline.AppendResult) ship
 	// subplan results, broadcast relations and repartition buckets.
-	ReqAppendResult
-	// ReqDropResults drops intermediate results by prefix.
-	ReqDropResults
-	// ReqTableRows returns a table's estimated row count.
-	ReqTableRows
-	// ReqListPrepared lists pending prepared transactions (2PC recovery).
-	ReqListPrepared
-	// ReqPing checks liveness.
-	ReqPing
-	// ReqTraceSpans returns the node's ring-buffered spans for the trace
-	// id in the request header (citus_trace reassembly).
-	ReqTraceSpans RequestKind = iota + 2 // 11: past the retired 9 and 10
-	// ReqSSIEdges returns the node's cross-transaction rw-antidependency
-	// edges (the coordinator's merged SSI conflict graph polls this; the
-	// edges also piggyback on every ReqLockGraph response).
-	ReqSSIEdges
-	// ReqDoomDist dooms the local member of a distributed transaction: its
-	// commit will fail with a serialization error (cluster-wide pivot abort).
-	ReqDoomDist
+	ReqAppendResult RequestKind = 4
 )
 
 // String names the request kind; fault-injection rules key wire.send /
@@ -80,26 +57,8 @@ func (k RequestKind) String() string {
 		return "query"
 	case ReqCopy:
 		return "copy"
-	case ReqLockGraph:
-		return "lock_graph"
-	case ReqCancelDist:
-		return "cancel_dist"
 	case ReqAppendResult:
 		return "append_result"
-	case ReqDropResults:
-		return "drop_results"
-	case ReqTableRows:
-		return "table_rows"
-	case ReqListPrepared:
-		return "list_prepared"
-	case ReqPing:
-		return "ping"
-	case ReqTraceSpans:
-		return "trace_spans"
-	case ReqSSIEdges:
-		return "ssi_edges"
-	case ReqDoomDist:
-		return "doom_dist"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -151,7 +110,7 @@ type Request struct {
 	Table   string
 	Columns []string
 	Rows    []types.Row // all of one length (rowbatch.Append)
-	Name    string      // intermediate result name / dist txn id / prefix
+	Name    string      // intermediate result name
 
 	// Seq is the per-connection correlation id, assigned by the client
 	// and echoed in the matching Response. Requests and responses travel
@@ -177,25 +136,6 @@ type Response struct {
 	// Seq echoes the request's correlation id (zero from a pre-Seq
 	// server; clients only verify it when nonzero).
 	Seq uint64
-
-	Edges    []engine.LockEdge
-	SSIEdges []ssi.WireEdge
-	Prepared []PreparedTxn
-	Spans    []trace.Span
-	Count    int64
-	OK       bool
-}
-
-// PreparedTxn mirrors txn.PreparedInfo over the wire.
-type PreparedTxn struct {
-	GID    string
-	DistID string
-	// AgeNs is how long the transaction has been sitting prepared on the
-	// worker, by the worker's clock. The 2PC recovery daemon uses it as a
-	// grace period: a freshly prepared transaction usually has a live
-	// coordinator about to resolve it. Transactions re-adopted from WAL
-	// replay report MaxInt64 (their coordinator is certainly gone).
-	AgeNs int64
 }
 
 // transport is a connection's client side: tcpTransport, refused, or a
@@ -316,18 +256,13 @@ func (c *Conn) recv(kind RequestKind, seq uint64) (Response, error) {
 	return resp, nil
 }
 
-// roundTrip is one request with nothing else in flight: send, then recv.
-func (c *Conn) roundTrip(req Request) (Response, error) {
+// call is one request with nothing else in flight: send, then recv. The
+// peer's Response.Err comes back as the error.
+func (c *Conn) call(req Request) (Response, error) {
 	if err := c.send(&req); err != nil {
 		return Response{}, err
 	}
-	return c.recv(req.Kind, req.Seq)
-}
-
-// call is roundTrip for requests whose response can carry a semantic
-// error: the peer's Response.Err comes back as the error.
-func (c *Conn) call(req Request) (Response, error) {
-	resp, err := c.roundTrip(req)
+	resp, err := c.recv(req.Kind, req.Seq)
 	if err != nil {
 		return Response{}, err
 	}
@@ -440,101 +375,6 @@ func (c *Conn) Copy(table string, columns []string, rows []types.Row) (int, erro
 	return resp.Affected, nil
 }
 
-// LockGraph polls the node's waits-for edges.
-func (c *Conn) LockGraph() ([]engine.LockEdge, error) {
-	edges, _, err := c.LockGraphEx()
-	return edges, err
-}
-
-// LockGraphEx polls the node's waits-for edges together with its SSI
-// rw-antidependency edges — one round trip feeds both the distributed
-// deadlock detector and the background pivot-abort scan.
-func (c *Conn) LockGraphEx() ([]engine.LockEdge, []ssi.WireEdge, error) {
-	resp, err := c.call(Request{Kind: ReqLockGraph})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Edges, resp.SSIEdges, nil
-}
-
-// SSIEdges polls the node's rw-antidependency edges (the coordinator's
-// pre-commit merged conflict-graph check).
-func (c *Conn) SSIEdges() ([]ssi.WireEdge, error) {
-	resp, err := c.call(Request{Kind: ReqSSIEdges})
-	if err != nil {
-		return nil, err
-	}
-	return resp.SSIEdges, nil
-}
-
-// DoomDistTxn dooms the local member of a distributed transaction: unlike
-// CancelDistTxn it does not interrupt running statements — the member's
-// commit fails with a retryable serialization error instead.
-func (c *Conn) DoomDistTxn(distID string) (bool, error) {
-	resp, err := c.roundTrip(Request{Kind: ReqDoomDist, Name: distID})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
-}
-
-// CancelDistTxn cancels the local participant of a distributed transaction.
-func (c *Conn) CancelDistTxn(distID string) (bool, error) {
-	resp, err := c.roundTrip(Request{Kind: ReqCancelDist, Name: distID})
-	if err != nil {
-		return false, err
-	}
-	return resp.OK, nil
-}
-
-// DropIntermediateResults removes relations by prefix.
-func (c *Conn) DropIntermediateResults(prefix string) error {
-	_, err := c.roundTrip(Request{Kind: ReqDropResults, Name: prefix})
-	return err
-}
-
-// TableRows fetches the peer's row-count estimate for a table.
-func (c *Conn) TableRows(table string) (int64, error) {
-	resp, err := c.roundTrip(Request{Kind: ReqTableRows, Table: table})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
-}
-
-// ListPrepared lists the peer's pending prepared transactions.
-func (c *Conn) ListPrepared() ([]PreparedTxn, error) {
-	resp, err := c.call(Request{Kind: ReqListPrepared})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Prepared, nil
-}
-
-// TraceSpans fetches the peer's ring-buffered spans for a trace — the
-// remote half of citus_trace() reassembly.
-func (c *Conn) TraceSpans(traceID uint64) ([]trace.Span, error) {
-	resp, err := c.call(Request{
-		Kind: ReqTraceSpans, Hdr: Header{Version: HeaderV1, TraceID: traceID},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Spans, nil
-}
-
-// Ping checks the peer is alive.
-func (c *Conn) Ping() error {
-	resp, err := c.roundTrip(Request{Kind: ReqPing})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return errors.New("ping failed")
-	}
-	return nil
-}
-
 // respToResult is the result a client asked for: the rows decoded. It must
 // run before the connection's next recv (see tcpTransport.recv).
 func respToResult(resp *Response) *engine.Result {
@@ -624,39 +464,9 @@ func (h *handler) handle(req *Request) Response {
 			return Response{Err: err.Error()}
 		}
 		return Response{Affected: n, Tag: fmt.Sprintf("COPY %d", n)}
-	case ReqLockGraph:
-		return Response{Edges: h.eng.LockGraph(), SSIEdges: h.eng.SSIWireEdges()}
-	case ReqSSIEdges:
-		return Response{SSIEdges: h.eng.SSIWireEdges()}
-	case ReqCancelDist:
-		return Response{OK: h.eng.CancelByDistID(req.Name)}
-	case ReqDoomDist:
-		return Response{OK: h.eng.DoomByDistID(req.Name)}
 	case ReqAppendResult:
 		h.eng.AppendIntermediateResult(req.Name, req.Columns, req.Rows)
-		return Response{OK: true}
-	case ReqDropResults:
-		h.eng.DropIntermediateResults(req.Name)
-		return Response{OK: true}
-	case ReqTableRows:
-		return Response{Count: h.eng.TableRows(req.Table)}
-	case ReqListPrepared:
-		var out []PreparedTxn
-		now := time.Now()
-		for _, p := range h.eng.Txns.ListPrepared() {
-			// Adopted-from-WAL transactions have no prepare timestamp:
-			// report infinite age so recovery never graces them.
-			age := int64(math.MaxInt64)
-			if !p.PreparedAt.IsZero() {
-				age = now.Sub(p.PreparedAt).Nanoseconds()
-			}
-			out = append(out, PreparedTxn{GID: p.GID, DistID: p.DistID, AgeNs: age})
-		}
-		return Response{Prepared: out}
-	case ReqPing:
-		return Response{OK: true}
-	case ReqTraceSpans:
-		return Response{Spans: h.eng.Tracer.Collect(req.Hdr.TraceID)}
+		return Response{}
 	}
 	return Response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
 }
