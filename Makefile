@@ -119,7 +119,11 @@ race:
 # failing closed when a participant's edge poll fails at node.call or its
 # checkout at pool.checkout (TestSSIEdgePollFailsClosed), and a restore point
 # failing, naming the node, when a node's checkout fails
-# (TestRestorePointNeedsEveryNode); then TestChaosSmoke 100 times under -race
+# (TestRestorePointNeedsEveryNode); and 20 times under -race, the trigram
+# index's maintenance against a sequential scan (TestGINMatchesSeqScan: LIKE
+# and ILIKE through each index and with it taken out, after COPY, UPDATE,
+# DELETE and VACUUM, and TRUNCATE, every key byte-equal to the evaluator's
+# text); then TestChaosSmoke 100 times under -race
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
@@ -152,6 +156,7 @@ stress:
 	go test -race -run 'TestDeadlockDetectedUnderLockGraphFaults|TestNoFalseVictimWhenPollsDrop' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestSSIEdgePollFailsClosed' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRestorePointNeedsEveryNode' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestGINMatchesSeqScan' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestChaosSmoke$$' -count=100 -timeout 20m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 
@@ -269,7 +274,10 @@ soak-smoke:
 # engine rebuilt from base + tail, one
 # rebuilt from the whole log and the live one must agree), and the index
 # oracle (a byte script driving a B-tree and a GIN against a sorted slice and
-# a map, every search compared after every step), and the SQL parser (parse
+# a map, every search compared after every step), the trigram index's
+# maintenance (documents of a fuzzed seed through COPY, UPDATE, DELETE and
+# VACUUM, and TRUNCATE: each index answers LIKE and ILIKE as a sequential scan
+# does, and keys the row the way the evaluator's text reads), and the SQL parser (parse
 # never panics; parse -> deparse -> parse is a fixed point, seeded with the
 # SQL strings of its tests and of the workload generators; a literal of a
 # fuzzed datum deparses to text that parses back to the same datum); longer local runs
@@ -281,6 +289,7 @@ soak-smoke:
 #   go test ./internal/jsonb -fuzz FuzzJSONB -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzRecovery -fuzztime 10m
 #   go test ./internal/index -fuzz FuzzIndex -fuzztime 10m
+#   go test ./internal/engine -fuzz FuzzGINParity -fuzztime 10m
 #   go test ./internal/sql -fuzz FuzzParseDeparse -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
@@ -290,6 +299,7 @@ fuzz-smoke:
 	go test ./internal/jsonb -run '^$$' -fuzz FuzzJSONB -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzRecovery -fuzztime 15s
 	go test ./internal/index -run '^$$' -fuzz FuzzIndex -fuzztime 15s
+	go test ./internal/engine -run '^$$' -fuzz FuzzGINParity -fuzztime 15s
 	go test ./internal/sql -run '^$$' -fuzz FuzzParseDeparse -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally

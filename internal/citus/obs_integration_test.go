@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"citusgo/internal/citus"
+	"citusgo/internal/cluster"
 	"citusgo/internal/engine"
 )
 
@@ -124,6 +126,38 @@ func TestObsStatActivity(t *testing.T) {
 	}
 	if active < 1 {
 		t.Errorf("citus_stat_activity returned %d active rows, want >= 1", active)
+	}
+}
+
+// TestStatActivityShowsOnlyTheCaller: on an idle cluster of two workers,
+// citus_stat_activity() lists one transaction, its own statement's on the
+// coordinator; the citus_node_stat_activity() each worker runs for it leaves
+// out the transaction that statement runs in. In process and over TCP.
+func TestStatActivityShowsOnlyTheCaller(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
+			c, err := cluster.New(cluster.Config{Workers: 2, ShardCount: 4, UseTCP: tcp,
+				// no daemon asks the workers anything while the view is read
+				Citus: citus.Config{DeadlockInterval: -1, RecoveryInterval: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			s := c.Session()
+			for i := 0; i < 3; i++ {
+				res := mustExec(t, s, "SELECT citus_stat_activity()")
+				if len(res.Rows) != 1 {
+					t.Fatalf("citus_stat_activity() = %v, want the caller's row alone", res.Rows)
+				}
+				if r := res.Rows[0]; r[0] != int64(c.Nodes[0].ID) || r[3] != "active" {
+					t.Fatalf("citus_stat_activity() = %v, want the coordinator's active transaction", r)
+				}
+			}
+			worker := mustExec(t, c.SessionOn(1), "SELECT citus_node_stat_activity()")
+			if len(worker.Rows) != 0 {
+				t.Fatalf("an idle worker's citus_node_stat_activity() = %v, want no rows", worker.Rows)
+			}
+		})
 	}
 }
 

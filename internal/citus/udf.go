@@ -12,6 +12,7 @@ import (
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
 	"citusgo/internal/sql"
+	"citusgo/internal/txn"
 	"citusgo/internal/types"
 )
 
@@ -149,7 +150,7 @@ func (n *Node) matchUDF(s *engine.Session, stmt sql.Statement, params []types.Da
 	case "citus_stat_activity":
 		// observability: active/prepared transactions across the cluster
 		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: n.clusterRows("citus_node_stat_activity", func() []types.Row {
-			return statActivityRows(n.Eng, n.ID)
+			return statActivityRows(n.Eng, n.ID, nil)
 		})}, true, nil
 
 	case "citus_trace":
@@ -262,8 +263,9 @@ func nodeFunction(eng *engine.Engine, nodeID int, call *udfCall) *udfPlan {
 		})
 
 	case "citus_node_stat_activity":
-		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: func(*engine.Session) ([]types.Row, error) {
-			return statActivityRows(eng, nodeID), nil
+		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: func(s *engine.Session) ([]types.Row, error) {
+			// the asking statement's own transaction is no activity of the node's
+			return statActivityRows(eng, nodeID, s.Txn()), nil
 		}}
 
 	case "citus_node_stat_ssi":
@@ -455,11 +457,14 @@ func (n *Node) planCacheStatsRows(*engine.Session) ([]types.Row, error) {
 
 var statActivityColumns = []string{"node_id", "xid", "dist_txn_id", "state", "trace_id", "span_kind"}
 
-// statActivityRows lists a node's in-flight transactions: active and
-// prepared.
-func statActivityRows(eng *engine.Engine, nodeID int) []types.Row {
+// statActivityRows lists a node's in-flight transactions, active and
+// prepared, but for skip (nil skips none).
+func statActivityRows(eng *engine.Engine, nodeID int, skip *txn.Txn) []types.Row {
 	var rows []types.Row
 	for _, t := range eng.Txns.ActiveTxns() {
+		if t == skip {
+			continue
+		}
 		traceID, spanKind := t.TraceSpan()
 		rows = append(rows, types.Row{int64(nodeID), int64(t.XID), t.DistID(), "active", int64(traceID), spanKind})
 	}

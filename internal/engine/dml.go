@@ -413,12 +413,13 @@ func (s *Session) insertIndexEntries(store *storage, row types.Row, tid heap.TID
 		bidx.tree.Insert(key, tid)
 	}
 	for _, g := range store.gins {
-		v, err := g.eval(ctx)
+		text, ok, err := g.appendKey(s.ginKey[:0], ctx)
+		s.ginKey = text
 		if err != nil {
 			return err
 		}
-		if v != nil {
-			g.gin.Insert(types.Format(v), tid)
+		if ok {
+			g.gin.InsertBytes(text, tid)
 		}
 	}
 	return nil

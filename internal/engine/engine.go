@@ -173,6 +173,28 @@ type ginIndex struct {
 	def  *catalog.IndexDef
 	gin  *index.GIN
 	eval expr.Evaluator // the indexed text expression
+	// derived is the expression again when it is a derived text over a jsonb
+	// column (vec_derived.go), which appendKey reads out of the document the
+	// way the dashboard's recheck does; nil for any other.
+	derived *derivedExpr
+}
+
+// appendKey appends the text row is indexed under to dst; ok is false for
+// NULL, which is not indexed. It is the one place the key is computed:
+// inserts, the CREATE INDEX backfill and VACUUM's removes all ask it.
+func (g *ginIndex) appendKey(dst []byte, ctx *expr.Ctx) (key []byte, ok bool, err error) {
+	if d := g.derived; d != nil {
+		if d.base >= len(ctx.Row) {
+			return dst, false, nil // written before ADD COLUMN: the column is NULL
+		}
+		key, ok = d.appendText(dst, ctx.Row[d.base])
+		return key, ok, nil
+	}
+	v, err := g.eval(ctx)
+	if err != nil || v == nil {
+		return dst, false, err
+	}
+	return types.AppendFormat(dst, v), true, nil
 }
 
 // Engine is one database node.
@@ -729,6 +751,8 @@ type Session struct {
 	// stmtCacheVer is the schema version stmtCache's kept plans were last
 	// checked against (dropStalePlans).
 	stmtCacheVer int64
+	// ginKey is insertIndexEntries' scratch for trigram index keys.
+	ginKey []byte
 }
 
 // cachedStmt is one statement cache entry: a parse tree, the schema version

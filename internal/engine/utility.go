@@ -278,6 +278,9 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 			return err
 		}
 		g := &ginIndex{def: def, gin: index.NewGIN(), eval: ev}
+		if d, ok := compileDerived(def.Exprs[0], sc); ok && d.textValued() {
+			g.derived = d
+		}
 		store.mu.Lock()
 		store.gins[def.Name] = g
 		store.mu.Unlock()
@@ -324,16 +327,16 @@ func (e *Engine) backfillBTree(store *storage, b *btreeIndex) error {
 
 func (e *Engine) backfillGIN(store *storage, g *ginIndex) error {
 	var buildErr error
+	var key []byte
 	ctx := &expr.Ctx{}
 	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
 		ctx.Row = tup.Row
-		v, err := g.eval(ctx)
-		if err != nil {
-			buildErr = err
+		var ok bool
+		if key, ok, buildErr = g.appendKey(key[:0], ctx); buildErr != nil {
 			return false
 		}
-		if v != nil {
-			g.gin.Insert(types.Format(v), tid)
+		if ok {
+			g.gin.InsertBytes(key, tid)
 		}
 		return true
 	})
@@ -384,7 +387,9 @@ func (e *Engine) truncateStorage(store *storage) {
 		store.btrees[name] = &btreeIndex{def: b.def, tree: index.NewBTree(len(b.evals)), evals: b.evals}
 	}
 	for name, g := range store.gins {
-		store.gins[name] = &ginIndex{def: g.def, gin: index.NewGIN(), eval: g.eval}
+		empty := *g
+		empty.gin = index.NewGIN()
+		store.gins[name] = &empty
 	}
 	e.logDDL(store.table.Name, "TRUNCATE "+store.table.Name, true)
 	// the index objects are new: a kept plan must not probe the old ones
@@ -417,6 +422,7 @@ func (e *Engine) Vacuum(table string) int {
 		}
 		st.mu.Lock()
 		var key index.Key
+		var text []byte
 		ctx := &expr.Ctx{}
 		for _, vt := range reclaimed {
 			ctx.Row = vt.Row
@@ -428,8 +434,9 @@ func (e *Engine) Vacuum(table string) int {
 			}
 			for _, g := range st.gins {
 				// the index keeps no text: recompute what was indexed
-				if v, err := g.eval(ctx); err == nil && v != nil {
-					g.gin.Remove(types.Format(v), vt.TID)
+				var ok bool
+				if text, ok, _ = g.appendKey(text[:0], ctx); ok {
+					g.gin.RemoveBytes(text, vt.TID)
 				}
 			}
 		}

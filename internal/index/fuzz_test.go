@@ -69,6 +69,24 @@ type refEntry struct {
 	tid heap.TID
 }
 
+// trigramSet is the reference's own trigram extraction: the ascending,
+// duplicate-free set of pg_trgm's padded trigrams ("  w", " wo", …, "rd ")
+// of every word of the lower-cased text, a word being a run of ASCII letters
+// and digits.
+func trigramSet(text string) []uint32 {
+	var set []uint32
+	for _, w := range strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
+	}) {
+		padded := "  " + w + " "
+		for i := 0; i+3 <= len(padded); i++ {
+			set = append(set, uint32(padded[i])<<16|uint32(padded[i+1])<<8|uint32(padded[i+2]))
+		}
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
 type liveDoc struct {
 	text  string
 	grams []uint32
@@ -166,7 +184,7 @@ func (s *indexScript) ginInsert(tid heap.TID, text string) {
 		return
 	}
 	s.gin.Insert(text, tid)
-	doc := liveDoc{text, appendTrigrams(nil, text)}
+	doc := liveDoc{text, trigramSet(text)}
 	s.live[tid] = doc
 	for _, g := range doc.grams {
 		s.grams[g]++

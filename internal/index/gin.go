@@ -61,7 +61,10 @@ func lowerASCII(c byte) byte {
 	return c
 }
 
-func isASCII(s string) bool {
+// text is what the index is given: a string, or the bytes of one.
+type text interface{ ~string | ~[]byte }
+
+func isASCII[T text](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= 0x80 {
 			return false
@@ -70,74 +73,88 @@ func isASCII(s string) bool {
 	return true
 }
 
-// appendTrigrams returns the lower-cased trigram set of s, ascending and
-// without duplicates, built in the empty slice dst (which lends a caller's
-// stack buffer), using pg_trgm's padding convention (two leading and
-// one trailing space per word; a word is a run of letters and digits).
-// ASCII text, the common case, is folded byte by byte; only other text pays
-// for strings.ToLower, after which the bytes of its multi-byte runes
-// separate words like any other non-alphanumeric.
-func appendTrigrams(dst []uint32, s string) []uint32 {
+// eachTrigram calls fn with the lower-cased trigrams of s in text order, once
+// per occurrence: a trigram the text repeats comes as often as it occurs.
+// pg_trgm's padding convention applies (two leading and one trailing space
+// per word; a word is a run of letters and digits). ASCII text, the common
+// case, is folded byte by byte; only other text pays for strings.ToLower,
+// after which the bytes of its multi-byte runes separate words like any
+// other non-alphanumeric. Nothing is collected, so nothing is sorted or
+// allocated, however long the text.
+func eachTrigram[T text](s T, fn func(gram uint32)) {
 	if !isASCII(s) {
-		s = strings.ToLower(s)
+		eachWordTrigram(strings.ToLower(string(s)), fn)
+		return
 	}
+	eachWordTrigram(s, fn)
+}
+
+func eachWordTrigram[T text](s T, fn func(gram uint32)) {
 	a, b := byte(' '), byte(' ')
 	inWord := false
 	for i := 0; i < len(s); i++ {
 		c := lowerASCII(s[i])
 		if isAlnum(c) {
-			dst = append(dst, pack(a, b, c))
+			fn(pack(a, b, c))
 			a, b, inWord = b, c, true
 		} else if inWord {
-			dst = append(dst, pack(a, b, ' '))
+			fn(pack(a, b, ' '))
 			a, b, inWord = ' ', ' ', false
 		}
 	}
 	if inWord {
-		dst = append(dst, pack(a, b, ' '))
+		fn(pack(a, b, ' '))
 	}
-	slices.Sort(dst)
-	return slices.Compact(dst)
 }
 
 // Insert indexes text under tid. Rows usually arrive in TID order (COPY,
-// index build), which makes every posting an append.
-func (g *GIN) Insert(text string, tid heap.TID) {
-	var stack [128]uint32
-	grams := appendTrigrams(stack[:0], text)
+// index build), which makes every posting an append; a trigram the text
+// repeats finds tid already last in its list and costs one comparison.
+func (g *GIN) Insert(text string, tid heap.TID) { insertText(g, text, tid) }
+
+// InsertBytes is Insert for text held in bytes.
+func (g *GIN) InsertBytes(text []byte, tid heap.TID) { insertText(g, text, tid) }
+
+// insertText and removeText take the lock before extracting: handing each
+// trigram over as it comes costs less than collecting a row's first.
+func insertText[T text](g *GIN, text T, tid heap.TID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	added := false
-	for _, gram := range grams {
+	eachTrigram(text, func(gram uint32) {
 		l := g.posting[gram]
 		if l == nil {
 			l = &postingList{}
 			g.posting[gram] = l
 		}
 		added = l.insert(tid) || added
-	}
+	})
 	if added {
 		g.tuples++
 	}
 }
 
-// Remove drops tid, which was inserted with text, from the index.
-func (g *GIN) Remove(text string, tid heap.TID) {
-	var stack [128]uint32
-	grams := appendTrigrams(stack[:0], text)
+// Remove drops tid, which was inserted with text, from the index. A trigram
+// the text repeats finds tid gone the second time.
+func (g *GIN) Remove(text string, tid heap.TID) { removeText(g, text, tid) }
+
+// RemoveBytes is Remove for text held in bytes.
+func (g *GIN) RemoveBytes(text []byte, tid heap.TID) { removeText(g, text, tid) }
+
+func removeText[T text](g *GIN, text T, tid heap.TID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	removed := false
-	for _, gram := range grams {
+	eachTrigram(text, func(gram uint32) {
 		l := g.posting[gram]
 		if l == nil || !l.remove(tid) {
-			continue
+			return
 		}
 		removed = true
 		if len(l.blocks) == 0 {
 			delete(g.posting, gram)
 		}
-	}
+	})
 	if removed {
 		g.tuples--
 	}
@@ -243,6 +260,8 @@ func (l *postingList) insert(tid heap.TID) bool {
 	}
 	last := &l.blocks[len(l.blocks)-1]
 	switch {
+	case tid == last.last: // the row's trigram again: answered before any decoding
+		return false
 	case tid > last.last && last.n < ginBlockLen:
 		l.data = binary.AppendUvarint(l.data, uint64(tid-last.last))
 		last.last = tid

@@ -279,26 +279,88 @@ func containsWord(s, w string) bool {
 
 func gramString(g uint32) string { return string([]byte{byte(g >> 16), byte(g >> 8), byte(g)}) }
 
+// trigramsOf collects what eachTrigram hands on, in its order.
+func trigramsOf[T text](s T) []uint32 {
+	var grams []uint32
+	eachTrigram(s, func(g uint32) { grams = append(grams, g) })
+	return grams
+}
+
 func TestTrigramsExtraction(t *testing.T) {
-	// pg_trgm padding: "  fix " yields "  f", " fi", "fix", "ix "; the set
-	// comes out ascending, each trigram once, lower-cased
+	// pg_trgm padding: "  fix " yields "  f", " fi", "fix", "ix "; the
+	// trigrams come out lower-cased, in text order, once per occurrence
 	for _, c := range []struct {
 		text string
 		want []string
 	}{
-		{"Fix Bug", []string{"  b", "  f", " bu", " fi", "bug", "fix", "ix ", "ug "}},
-		{"a-a A", []string{"  a", " a "}},
+		{"Fix Bug", []string{"  f", " fi", "fix", "ix ", "  b", " bu", "bug", "ug "}},
+		{"a-a A", []string{"  a", " a ", "  a", " a ", "  a", " a "}},
 		{"", nil},
 		{"?! ...", nil},
 		{"ÉaB9é", []string{"  a", " ab", "ab9", "b9 "}},    // non-ASCII letters separate words
-		{"\u212Aey", []string{"  k", " ke", "ey ", "key"}}, // the Kelvin sign lower-cases to k
+		{"\u212Aey", []string{"  k", " ke", "key", "ey "}}, // the Kelvin sign lower-cases to k
 	} {
+		grams := trigramsOf(c.text)
 		var got []string
-		for _, g := range appendTrigrams(nil, c.text) {
+		for _, g := range grams {
 			got = append(got, gramString(g))
 		}
 		if !slices.Equal(got, c.want) {
 			t.Errorf("trigrams of %q = %q, want %q", c.text, got, c.want)
+		}
+		if b := trigramsOf([]byte(c.text)); !slices.Equal(b, grams) {
+			t.Errorf("trigrams of %q as bytes differ from those of the string", c.text)
+		}
+		slices.Sort(grams)
+		if grams = slices.Compact(grams); !slices.Equal(grams, trigramSet(c.text)) {
+			t.Errorf("trigram set of %q differs from the reference's", c.text)
+		}
+	}
+}
+
+// TestGINRepeatedTrigramsPostOnce indexes texts that repeat their trigrams
+// many times over, a thousand occurrences and more, under TIDs in order,
+// shuffled, and spanning several blocks: each row must be posted once per
+// distinct trigram, and removing it must leave none of its postings.
+func TestGINRepeatedTrigramsPostOnce(t *testing.T) {
+	text := strings.Repeat("postgres Postgres POSTGRES fix ", 40)
+	bytesText := []byte(strings.Repeat("bug BUG ", 40))
+	set := trigramSet(text)
+	if n := len(trigramsOf(text)); n < 1000 || n <= 10*len(set) {
+		t.Fatalf("%d trigrams, %d distinct: not enough repeats", n, len(set))
+	}
+	rows := 3 * ginBlockLen
+	for _, order := range []string{"in order", "shuffled"} {
+		tids := make([]heap.TID, rows)
+		for i := range tids {
+			tids[i] = heap.TID(i)
+		}
+		if order == "shuffled" {
+			rand.New(rand.NewSource(3)).Shuffle(rows, func(i, j int) { tids[i], tids[j] = tids[j], tids[i] })
+		}
+		g := NewGIN()
+		for _, tid := range tids {
+			g.Insert(text, tid)
+			g.InsertBytes(bytesText, tid+heap.TID(rows))
+		}
+		if g.Len() != 2*rows {
+			t.Fatalf("%s: Len %d, want %d", order, g.Len(), 2*rows)
+		}
+		for _, gram := range append(set, trigramSet(string(bytesText))...) {
+			l := g.posting[gram]
+			if l == nil || l.len() != rows {
+				t.Fatalf("%s: %q posts %v rows, want %d", order, gramString(gram), l, rows)
+			}
+			if err := l.check(); err != nil {
+				t.Fatalf("%s: %q: %v", order, gramString(gram), err)
+			}
+		}
+		for _, tid := range tids {
+			g.Remove(text, tid)
+			g.RemoveBytes(bytesText, tid+heap.TID(rows))
+		}
+		if g.Len() != 0 || len(g.posting) != 0 {
+			t.Fatalf("%s: Len %d and %d lists after removing every row", order, g.Len(), len(g.posting))
 		}
 	}
 }
@@ -328,7 +390,7 @@ func TestGINAgainstBruteForce(t *testing.T) {
 		indexed := 0
 		var patterns []string
 		for _, text := range live {
-			if len(appendTrigrams(nil, text)) > 0 {
+			if len(trigramsOf(text)) > 0 {
 				indexed++
 			}
 			if r := []rune(text); len(r) >= 3 && len(patterns) < 40 {

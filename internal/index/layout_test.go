@@ -217,7 +217,7 @@ func TestGINBytesPerPosting(t *testing.T) {
 	texts := ingestTexts(6250)
 	postings := 0
 	for _, s := range texts {
-		postings += len(appendTrigrams(nil, s))
+		postings += len(trigramSet(s))
 	}
 	per := liveBytes(func() any {
 		g := NewGIN()
