@@ -280,7 +280,10 @@ soak-smoke:
 # does, and keys the row the way the evaluator's text reads), and the SQL parser (parse
 # never panics; parse -> deparse -> parse is a fixed point, seeded with the
 # SQL strings of its tests and of the workload generators; a literal of a
-# fuzzed datum deparses to text that parses back to the same datum); longer local runs
+# fuzzed datum deparses to text that parses back to the same datum), and the
+# heap tuple's bytes (every datum kind written by INSERT, COPY and UPDATE reads
+# back the same through Get, the row scan, the vectorized decode, log replay,
+# a checkpoint restore and a standby's apply); longer local runs
 # just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzCodecParity -fuzztime 10m
@@ -291,6 +294,7 @@ soak-smoke:
 #   go test ./internal/index -fuzz FuzzIndex -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzGINParity -fuzztime 10m
 #   go test ./internal/sql -fuzz FuzzParseDeparse -fuzztime 10m
+#   go test ./internal/engine -fuzz FuzzTupleBytes -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
@@ -301,6 +305,7 @@ fuzz-smoke:
 	go test ./internal/index -run '^$$' -fuzz FuzzIndex -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzGINParity -fuzztime 15s
 	go test ./internal/sql -run '^$$' -fuzz FuzzParseDeparse -fuzztime 15s
+	go test ./internal/engine -run '^$$' -fuzz FuzzTupleBytes -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

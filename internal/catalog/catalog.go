@@ -144,6 +144,11 @@ func (c *Catalog) Create(stmt *sql.CreateTableStmt) (*Table, error) {
 		}
 		return nil, fmt.Errorf("relation %q already exists", t.Name)
 	}
+	for _, def := range t.Indexes {
+		if c.indexOwner(def.Name) != nil {
+			return nil, fmt.Errorf("relation %q already exists", def.Name)
+		}
+	}
 	t.ID = c.nextID.Add(1)
 	c.tables[t.Name] = t
 	return t, nil
@@ -168,7 +173,10 @@ func (c *Catalog) Drop(name string) bool {
 	return true
 }
 
-// AddIndex attaches an index definition to its table.
+// AddIndex attaches an index definition to its table. Index names are
+// unique across the catalog, as in PostgreSQL's relation namespace: DROP INDEX
+// names no table, so the name alone must say which index it drops, on this
+// node and on every node that replays the statement.
 func (c *Catalog) AddIndex(def *IndexDef) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -176,13 +184,52 @@ func (c *Catalog) AddIndex(def *IndexDef) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("relation %q does not exist", def.Table)
 	}
-	for _, existing := range t.Indexes {
-		if existing.Name == def.Name {
-			return nil, fmt.Errorf("index %q already exists", def.Name)
-		}
+	if c.indexOwner(def.Name) != nil {
+		return nil, fmt.Errorf("index %q already exists", def.Name)
 	}
 	t.Indexes = append(t.Indexes, def)
 	return t, nil
+}
+
+// indexOwner returns the table that has an index called name, or nil. The
+// caller holds mu.
+func (c *Catalog) indexOwner(name string) *Table {
+	for _, t := range c.tables {
+		for _, def := range t.Indexes {
+			if def.Name == name {
+				return t
+			}
+		}
+	}
+	return nil
+}
+
+// IndexTable returns the name of the table that has an index called name.
+func (c *Catalog) IndexTable(name string) (string, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if t := c.indexOwner(name); t != nil {
+		return t.Name, true
+	}
+	return "", false
+}
+
+// DropIndex detaches the index called name from table. The table's index
+// list is replaced, not edited: a reader may hold the old one.
+func (c *Catalog) DropIndex(table, name string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, ok := c.tables[table]
+	if !ok {
+		return fmt.Errorf("relation %q does not exist", table)
+	}
+	for i, def := range t.Indexes {
+		if def.Name == name {
+			t.Indexes = append(t.Indexes[:i:i], t.Indexes[i+1:]...)
+			return nil
+		}
+	}
+	return fmt.Errorf("index %q does not exist", name)
 }
 
 // AddColumn appends a column to an existing table (ALTER TABLE ADD COLUMN).

@@ -86,6 +86,51 @@ func TestIndexManagement(t *testing.T) {
 	}
 }
 
+// An index name is taken across the whole catalog, the primary key's
+// <table>_pkey included, so DROP INDEX <name> resolves to one table on every
+// node that runs or replays it.
+func TestIndexNamesUniqueAcrossTables(t *testing.T) {
+	c := New()
+	create(t, c, "CREATE TABLE a (k bigint PRIMARY KEY, x bigint)")
+	create(t, c, "CREATE TABLE b (k bigint PRIMARY KEY, y bigint)")
+	col := func(name string) []sql.Expr { return []sql.Expr{&sql.ColumnRef{Name: name}} }
+	if _, err := c.AddIndex(&IndexDef{Name: "i", Table: "a", Using: "btree", Exprs: col("x")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, def := range []*IndexDef{
+		{Name: "i", Table: "b", Using: "btree", Exprs: col("y")},
+		{Name: "a_pkey", Table: "b", Using: "btree", Exprs: col("y")},
+	} {
+		if _, err := c.AddIndex(def); err == nil {
+			t.Fatalf("index %q accepted on %q beside the one on another table", def.Name, def.Table)
+		}
+	}
+	if tbl, ok := c.IndexTable("i"); !ok || tbl != "a" {
+		t.Fatalf("IndexTable(i) = %q, %v; want a", tbl, ok)
+	}
+	// a table whose primary key's index would take a name in use
+	if _, err := c.AddIndex(&IndexDef{Name: "c_pkey", Table: "a", Using: "btree", Exprs: col("x")}); err != nil {
+		t.Fatal(err)
+	}
+	stmt, _ := sql.Parse("CREATE TABLE c (k bigint PRIMARY KEY)")
+	if _, err := c.Create(stmt.(*sql.CreateTableStmt)); err == nil {
+		t.Fatal("CREATE TABLE c accepted while a's index c_pkey exists")
+	}
+	if _, ok := c.Get("c"); ok {
+		t.Fatal("the refused table was registered")
+	}
+	// a dropped index's name is free again, on any table
+	if err := c.DropIndex("a", "i"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddIndex(&IndexDef{Name: "i", Table: "b", Using: "btree", Exprs: col("y")}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, _ := c.IndexTable("i"); tbl != "b" {
+		t.Fatalf("IndexTable(i) = %q, want b", tbl)
+	}
+}
+
 func TestAddColumnAndDrop(t *testing.T) {
 	c := New()
 	create(t, c, "CREATE TABLE m (a bigint)")

@@ -746,3 +746,68 @@ func TestConsistentRestorePoint(t *testing.T) {
 	defer restored.Close()
 	expectRows(t, mustExec(t, restored.Session(), "SELECT sum(v) FROM rp"), "6")
 }
+
+// TestDistributedDropIndex: DROP INDEX of a distributed table's index drops
+// it from every shard placement and from the shell table, and the next
+// CREATE INDEX of the name builds it again everywhere.
+func TestDistributedDropIndex(t *testing.T) {
+	c := newCluster(t, 2)
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE dd (id bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('dd', 'id')")
+	for i := 0; i < 40; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO dd VALUES (%d, %d)", i, i%4))
+	}
+	shardIndexes := func() int {
+		n := 0
+		for _, sh := range c.Meta.Shards("dd") {
+			for _, nodeID := range c.Meta.Placements(sh.ID) {
+				for _, node := range c.Nodes {
+					if _, ok := node.Eng.Catalog.IndexTable(fmt.Sprintf("dd_v_%d", sh.ID)); ok && node.ID == nodeID {
+						n++
+					}
+				}
+			}
+		}
+		return n
+	}
+	mustExec(t, s, "CREATE INDEX dd_v ON dd (v)")
+	if n := shardIndexes(); n != len(c.Meta.Shards("dd")) {
+		t.Fatalf("%d shard placements have dd_v, want one per shard (%d)", n, len(c.Meta.Shards("dd")))
+	}
+	mustExec(t, s, "DROP INDEX dd_v")
+	if n := shardIndexes(); n != 0 {
+		t.Fatalf("%d shard placements still have dd_v", n)
+	}
+	if _, ok := c.Coordinator().Eng.Catalog.IndexTable("dd_v"); ok {
+		t.Fatal("the shell table still has dd_v")
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM dd WHERE v = 1"), "10")
+	mustExec(t, s, "DROP INDEX IF EXISTS dd_v")
+	if _, err := s.Exec("DROP INDEX dd_v"); err == nil {
+		t.Fatal("DROP INDEX of a dropped index succeeded")
+	}
+	mustExec(t, s, "CREATE INDEX dd_v ON dd (v)")
+	if n := shardIndexes(); n != len(c.Meta.Shards("dd")) {
+		t.Fatalf("after CREATE INDEX again, %d shard placements have dd_v", n)
+	}
+
+	// an index name in use on another table is refused before any shard of
+	// the second table gets an index, so DROP INDEX dd_v names one table
+	mustExec(t, s, "CREATE TABLE de (id bigint PRIMARY KEY, w bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('de', 'id')")
+	if _, err := s.Exec("CREATE INDEX dd_v ON de (w)"); err == nil {
+		t.Fatal("CREATE INDEX dd_v ON de succeeded beside dd's dd_v")
+	}
+	mustExec(t, s, "CREATE INDEX IF NOT EXISTS dd_v ON de (w)")
+	for _, sh := range c.Meta.Shards("de") {
+		for _, node := range c.Nodes {
+			if _, ok := node.Eng.Catalog.IndexTable(fmt.Sprintf("dd_v_%d", sh.ID)); ok {
+				t.Fatalf("node %d has dd_v on de's shard %d", node.ID, sh.ID)
+			}
+		}
+	}
+	if table, _ := c.Coordinator().Eng.Catalog.IndexTable("dd_v"); table != "dd" {
+		t.Fatalf("dd_v is on %q, want dd", table)
+	}
+}

@@ -21,6 +21,14 @@ func (n *Node) utilityHook(s *engine.Session, stmt sql.Statement) (bool, *engine
 		if !n.Meta.IsCitusTable(st.Table) {
 			return false, nil, nil
 		}
+		// the name is checked on the shell before any shard gets the index,
+		// which the shell would otherwise refuse after the shards took it
+		if table, taken := s.Eng.Catalog.IndexTable(st.Name); taken {
+			if st.IfNotExists {
+				return true, &engine.Result{Tag: "CREATE INDEX"}, nil
+			}
+			return true, nil, fmt.Errorf("index %q already exists on %q", st.Name, table)
+		}
 		if err := n.propagateCreateIndex(s, st); err != nil {
 			return true, nil, err
 		}
@@ -31,6 +39,22 @@ func (n *Node) utilityHook(s *engine.Session, stmt sql.Statement) (bool, *engine
 		}
 		n.Meta.BumpVersion()
 		return true, &engine.Result{Tag: "CREATE INDEX"}, nil
+	case *sql.DropIndexStmt:
+		table, ok := s.Eng.Catalog.IndexTable(st.Name)
+		if !ok || !n.Meta.IsCitusTable(table) || st.Name == table+"_pkey" {
+			return false, nil, nil // the shell table's own answer, or its refusal
+		}
+		if err := n.forEachShardDDL(s, table, func(sh *metadata.Shard) sql.Statement {
+			return &sql.DropIndexStmt{Name: shardIndexName(st.Name, sh), IfExists: true}
+		}); err != nil {
+			return true, nil, err
+		}
+		// and from the shell table, so that no shard made later has it
+		if _, err := s.ExecUtilityLocal(st); err != nil {
+			return true, nil, err
+		}
+		n.Meta.BumpVersion()
+		return true, &engine.Result{Tag: "DROP INDEX"}, nil
 	case *sql.TruncateStmt:
 		if !n.Meta.IsCitusTable(st.Name) {
 			return false, nil, nil
@@ -111,17 +135,16 @@ func (n *Node) forEachShardDDL(s *engine.Session, table string, build func(*meta
 
 // propagateCreateIndex creates per-shard indexes (shard-suffixed names).
 func (n *Node) propagateCreateIndex(s *engine.Session, st *sql.CreateIndexStmt) error {
-	var tasks []task
-	for _, sh := range n.Meta.Shards(st.Table) {
+	return n.forEachShardDDL(s, st.Table, func(sh *metadata.Shard) sql.Statement {
 		clone := *st
-		clone.Name = fmt.Sprintf("%s_%d", st.Name, sh.ID)
-		clone.Table = sh.ShardName()
-		for _, nodeID := range n.Meta.Placements(sh.ID) {
-			tasks = append(tasks, task{nodeID: nodeID, shardGroup: -1, sql: clone.String(), isDDL: true})
-		}
-	}
-	_, err := n.executeTasks(s, tasks)
-	return err
+		clone.Name, clone.Table = shardIndexName(st.Name, sh), sh.ShardName()
+		return &clone
+	})
+}
+
+// shardIndexName is what a distributed index is called on one of its shards.
+func shardIndexName(name string, sh *metadata.Shard) string {
+	return fmt.Sprintf("%s_%d", name, sh.ID)
 }
 
 // maybeDelegateCall implements stored-procedure delegation (§3.8): a

@@ -182,13 +182,13 @@ func (n *Node) moveGroup(s *engine.Session, group []*metadata.Shard, from, to in
 	if !ok {
 		return fmt.Errorf("node %d engine is not reachable for replication", from)
 	}
-	start, rows, hold, err := src.CopyStart(names)
+	start, tuples, hold, err := src.CopyStart(names)
 	if err != nil {
 		return err
 	}
 	defer hold.Release()
 	for i, name := range names {
-		if _, err := dst.NewSession().CopyFrom(name, nil, rows[i]); err != nil {
+		if _, err := dst.NewSession().CopyTuples(name, tuples[i]); err != nil {
 			return err
 		}
 	}
@@ -294,7 +294,7 @@ func (c *catchup) run(src, dst *engine.Engine) error {
 		case wal.RecAbort, wal.RecAbortPrepared:
 			delete(c.pending, r.XID)
 		case wal.RecDDL: // below At, the DDL the snapshot — and the copy — saw
-			if r.LSN >= c.start.At && c.shards[ddlTable(r.Name)] {
+			if r.LSN >= c.start.At && c.shards[ddlTable(dst, r.Name)] {
 				return fmt.Errorf("moving shard group: %q ran on the source during the move", r.Name)
 			}
 		}
@@ -302,9 +302,13 @@ func (c *catchup) run(src, dst *engine.Engine) error {
 	return nil
 }
 
-// ddlTable is the table a DDL statement changes.
-func ddlTable(ddl string) string {
+// ddlTable is the table a DDL statement changes; a dropped index's is the
+// table that has an index of that name on dst, the move's target.
+func ddlTable(dst *engine.Engine, ddl string) string {
 	switch st, _ := sql.Parse(ddl); st := st.(type) {
+	case *sql.DropIndexStmt:
+		table, _ := dst.Catalog.IndexTable(st.Name)
+		return table
 	case *sql.AlterTableAddColumnStmt:
 		return st.Table
 	case *sql.CreateIndexStmt:

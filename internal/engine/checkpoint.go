@@ -5,6 +5,7 @@ import (
 
 	"citusgo/internal/columnar"
 	"citusgo/internal/heap"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
 	"citusgo/internal/wal"
@@ -12,10 +13,10 @@ import (
 
 // image is what a checkpoint captures of a node (wal.Base.Image): the schema
 // as the DDL that built it, and of every table what one snapshot saw
-// committed. It copies no row and no column: a heap table's rows are the
-// slices its tuples hold, a columnar table's stripes are the table's own,
-// frozen. Both are immutable, so the image, the engine it was taken from and
-// any engine later rebuilt from it share them.
+// committed. It copies no row and no column: a heap table's rows are its
+// tuples' bytes (heap.Tuple.Data), a columnar table's stripes are the table's
+// own, frozen. Both are immutable, so the image, the engine it was taken from
+// and any engine later rebuilt from it share them.
 type image struct {
 	ddl    []string
 	tables []tableImage
@@ -23,7 +24,7 @@ type image struct {
 
 type tableImage struct {
 	name    string
-	rows    []types.Row           // heap
+	tuples  [][]byte              // heap
 	stripes []columnar.StripeView // columnar
 }
 
@@ -69,7 +70,7 @@ func (e *Engine) Checkpoint() bool {
 		if st.col != nil {
 			ti.stripes = st.col.FrozenStripes(e.Txns, snap)
 		} else {
-			ti.rows = e.heapRows(st, snap)
+			ti.tuples = e.heapTuples(st, snap)
 		}
 		img.tables = append(img.tables, ti)
 	}
@@ -91,22 +92,26 @@ func newBase(at int64, open map[uint64]int64, snap txn.Snapshot) *wal.Base {
 	return &wal.Base{Redo: redo, At: at, Xmax: snap.Xmax, InProgress: snap.InProgress}
 }
 
-// heapRows is what snap sees of a heap table. AllTuples, not Scan: the walk
-// is not a query and must not evict what queries keep in the buffer pool.
-func (e *Engine) heapRows(st *storage, snap txn.Snapshot) []types.Row {
-	rows := make([]types.Row, 0, max(st.heap.EstimatedRows(), 0))
+// heapTuples is what snap sees of a heap table, its tuples' own bytes.
+// AllTuples, not Scan: the walk is not a query and must not evict what
+// queries keep in the buffer pool.
+func (e *Engine) heapTuples(st *storage, snap txn.Snapshot) [][]byte {
+	tuples := make([][]byte, 0, max(st.heap.EstimatedRows(), 0))
 	st.heap.AllTuples(func(_ heap.TID, tup heap.Tuple) bool {
 		if heap.Visible(e.Txns, snap, tup) {
-			rows = append(rows, tup.Row)
+			tuples = append(tuples, tup.Data)
 		}
 		return true
 	})
-	return rows
+	return tuples
 }
 
 // CopyStart is the start point of a logical copy of some of the node's
-// tables, a shard move's (§3.4): the rows of each that one snapshot sees,
-// and where in the log the stream of what follows begins. It is taken the
+// tables, a shard move's (§3.4): the tuples of each that one snapshot sees —
+// a heap table's own bytes, a columnar table's rows encoded as a heap stores
+// them (rowbatch.EncodeRow) — and where in the log the stream of what follows
+// begins. The copy loads them as they are (Session.CopyTuples), so the
+// delete records the stream brings find their tuples byte for byte. It is taken the
 // way a checkpoint takes its base: the log's position first, under its
 // append lock, which here also holds the log from the first record of every
 // transaction then open; the snapshot after. Replaying the records from
@@ -115,7 +120,7 @@ func (e *Engine) heapRows(st *storage, snap txn.Snapshot) []types.Row {
 // The cluster runs in process, so a move reaches the source's log through
 // its engine; a networked deployment would use a replication slot created
 // with an exported snapshot.
-func (e *Engine) CopyStart(tables []string) (start *wal.Base, rows [][]types.Row, h *wal.Holder, err error) {
+func (e *Engine) CopyStart(tables []string) (start *wal.Base, tuples [][][]byte, h *wal.Holder, err error) {
 	h, at, open := e.WAL.BeginHold("shard_move")
 	t := e.Txns.Begin() // keeps vacuum below the snapshot while it is read
 	defer e.Txns.Abort(t)
@@ -126,32 +131,26 @@ func (e *Engine) CopyStart(tables []string) (start *wal.Base, rows [][]types.Row
 			h.Release()
 			return nil, nil, nil, fmt.Errorf("relation %q does not exist", name)
 		}
-		var rs []types.Row
+		var ts [][]byte
 		if st.heap != nil {
-			rs = e.heapRows(st, snap)
+			ts = e.heapTuples(st, snap)
 		} else {
 			st.col.Scan(e.Txns, snap, nil, func(r types.Row) bool {
-				rs = append(rs, r.Clone())
+				var data []byte
+				if data, err = rowbatch.EncodeRow(r); err != nil {
+					return false
+				}
+				ts = append(ts, data)
 				return true
 			})
+			if err != nil {
+				h.Release()
+				return nil, nil, nil, err
+			}
 		}
-		rows = append(rows, padRows(rs, len(st.table.Columns)))
+		tuples = append(tuples, ts)
 	}
-	return newBase(at, open, snap), rows, h, nil
-}
-
-// padRows widens the rows stored before an ALTER TABLE … ADD COLUMN to the
-// table's width with the NULLs a scan reads in their place, so a copy of
-// them loads column for column.
-func padRows(rows []types.Row, width int) []types.Row {
-	for i, r := range rows {
-		if len(r) < width {
-			wide := make(types.Row, width)
-			copy(wide, r)
-			rows[i] = wide
-		}
-	}
-	return rows
+	return newBase(at, open, snap), tuples, h, nil
 }
 
 // RecoverFrom makes this engine, fresh from New, the continuation of the
@@ -192,9 +191,9 @@ func (r replayTarget) ApplyBase(b *wal.Base) error {
 			continue
 		}
 		store.mu.Lock()
-		for _, row := range ti.rows {
-			tid := store.heap.Insert(bootstrapXID, row)
-			if err := sess.insertIndexEntries(store, row, tid, nil); err != nil {
+		for _, data := range ti.tuples {
+			tid := store.heap.Insert(bootstrapXID, data)
+			if err := sess.insertIndexEntries(store, data, tid, nil); err != nil {
 				store.mu.Unlock()
 				return err
 			}

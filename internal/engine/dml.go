@@ -4,12 +4,15 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"time"
 
 	"citusgo/internal/catalog"
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
+	"citusgo/internal/jsonb"
 	"citusgo/internal/lock"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/ssi"
 	"citusgo/internal/txn"
@@ -69,7 +72,7 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 		if err != nil {
 			return nil, err
 		}
-		ret, didInsert, err := s.insertRow(store, t, full, st.OnConflict, params)
+		ret, didInsert, err := s.insertRow(store, t, full, nil, st.OnConflict, params)
 		if err != nil {
 			return nil, err
 		}
@@ -165,11 +168,19 @@ func (it *insertTarget) build(in types.Row) (types.Row, error) {
 
 // insertRow performs the physical insert: foreign key check, unique check
 // (with ON CONFLICT handling), heap/columnar write, index maintenance, WAL.
+// data is full encoded (rowbatch.EncodeRow), nil to have it encoded here:
+// the one encoding of the row, which the heap and the log both keep.
 // Returns the row to use for RETURNING and whether a row was inserted (or
 // updated via ON CONFLICT DO UPDATE).
-func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, onConflict *sql.OnConflictClause, params []types.Datum) (types.Row, bool, error) {
+func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []byte, onConflict *sql.OnConflictClause, params []types.Datum) (types.Row, bool, error) {
 	if err := s.checkForeignKeys(store, t, full); err != nil {
 		return nil, false, err
+	}
+	if data == nil {
+		var err error
+		if data, err = rowbatch.EncodeRow(full); err != nil {
+			return nil, false, err
+		}
 	}
 	ssiW := s.ssiWriter(t)
 	if store.col != nil {
@@ -179,7 +190,7 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, onConfli
 		}
 		store.col.Insert(t.XID, full)
 		t.MarkWrite()
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Row: full})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data})
 		return full, true, nil
 	}
 	// SIREAD probes for the insert: the table (seq-scan readers) and every
@@ -244,8 +255,8 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, onConfli
 		}
 		return row, true, nil
 	}
-	tid := store.heap.Insert(t.XID, full)
-	if err := s.insertIndexEntries(store, full, tid, params); err != nil {
+	tid := store.heap.Insert(t.XID, data)
+	if err := s.insertIndexEntries(store, data, tid, params); err != nil {
 		store.mu.Unlock()
 		return nil, false, err
 	}
@@ -257,7 +268,7 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, onConfli
 		return nil, false, err
 	}
 	t.MarkWrite()
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Row: full})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data})
 	return full, true, nil
 }
 
@@ -279,8 +290,8 @@ func (s *Session) conflictUpdate(store *storage, t *txn.Txn, tid heap.TID, exclu
 	for _, c := range store.table.Columns {
 		sc.cols = append(sc.cols, scopeCol{table: "excluded", name: c.Name, typ: c.Type})
 	}
-	combined := append(append(types.Row{}, tup.Row...), excluded...)
-	newRow := tup.Row.Clone()
+	newRow := store.fullRow(tup.Row())
+	combined := append(append(types.Row{}, newRow...), excluded...)
 	ctx := &expr.Ctx{Params: params, Row: combined}
 	for _, a := range set {
 		ord := store.table.ColumnIndex(a.Column)
@@ -374,8 +385,9 @@ func (s *Session) refExists(ref *storage, t *txn.Txn, col string, val types.Datu
 	}
 	found := false
 	if ref.heap != nil {
-		ref.heap.Scan(s.Eng.Txns, snap, func(_ heap.TID, row types.Row) bool {
-			if ord < len(row) && row[ord] != nil && types.Compare(row[ord], val) == 0 {
+		var scratch rowbatch.Decoder
+		ref.heap.Scan(s.Eng.Txns, snap, func(_ heap.TID, data []byte) bool {
+			if row := scratch.Decode(data); ord < len(row) && row[ord] != nil && types.Compare(row[ord], val) == 0 {
 				found = true
 				return false
 			}
@@ -400,9 +412,16 @@ func (b *btreeIndex) evalKey(key index.Key, ctx *expr.Ctx) (index.Key, error) {
 	return key, nil
 }
 
-// insertIndexEntries adds tid to every index. Caller holds store.mu.
-func (s *Session) insertIndexEntries(store *storage, row types.Row, tid heap.TID, params []types.Datum) error {
-	ctx := &expr.Ctx{Params: params, Row: row}
+// insertIndexEntries adds tid, whose tuple is data, to every index. Caller
+// holds store.mu. The keys are taken from data, decoded into the session's
+// scratch, never from the row as it arrived: a COPY frame's decoded rows keep
+// each row's strings and documents in an array of that row's, a second copy
+// of the tuple, which a key would keep alive.
+func (s *Session) insertIndexEntries(store *storage, data []byte, tid heap.TID, params []types.Datum) error {
+	if len(store.btrees) == 0 && len(store.gins) == 0 {
+		return nil
+	}
+	ctx := &expr.Ctx{Params: params, Row: s.keyRow.Decode(data)}
 	var scratch [4]types.Datum
 	key := scratch[:0]
 	for _, bidx := range store.btrees {
@@ -410,7 +429,7 @@ func (s *Session) insertIndexEntries(store *storage, row types.Row, tid heap.TID
 		if key, err = bidx.evalKey(key, ctx); err != nil {
 			return err
 		}
-		bidx.tree.Insert(key, tid)
+		bidx.insert(key, tid)
 	}
 	for _, g := range store.gins {
 		text, ok, err := g.appendKey(s.ginKey[:0], ctx)
@@ -423,6 +442,35 @@ func (s *Session) insertIndexEntries(store *storage, row types.Row, tid heap.TID
 		}
 	}
 	return nil
+}
+
+// insert adds tid under key, each datum boxed anew (ownDatum): an entry
+// keeps alive its own boxes and the bytes of the tuple a string or a
+// document aliases, never the arrays a row was decoded into.
+func (b *btreeIndex) insert(key index.Key, tid heap.TID) {
+	for i, d := range key {
+		key[i] = ownDatum(d)
+	}
+	b.tree.Insert(key, tid)
+}
+
+// ownDatum boxes d's value anew, for a datum read out of storage that will
+// be written again (rowbatch.Decoder) to be kept. A string or a document goes
+// on aliasing the bytes it was decoded from.
+func ownDatum(d types.Datum) types.Datum {
+	switch v := d.(type) {
+	case int64:
+		return v
+	case float64:
+		return v
+	case string:
+		return v
+	case time.Time:
+		return v
+	case jsonb.Value:
+		return v
+	}
+	return d
 }
 
 // ---------------------------------------------------------------------------
@@ -512,7 +560,10 @@ func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]d
 	hooks := s.ssiFor(t, snap)
 	var targets []dmlTarget
 	var evalErr error
-	visit := func(tid heap.TID, row types.Row) bool {
+	// a tuple that is not a target gives its decoded row's storage back
+	var rows rowbatch.Arena
+	visit := func(tid heap.TID, data []byte) bool {
+		row := rows.Decode(data, nil)
 		ok, err := tp.matches(ctx, row)
 		if err != nil {
 			evalErr = err
@@ -520,6 +571,8 @@ func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]d
 		}
 		if ok {
 			targets = append(targets, dmlTarget{tid: tid, row: row})
+		} else {
+			rows.Unread()
 		}
 		return true
 	}
@@ -555,7 +608,7 @@ func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]d
 				continue
 			}
 			hooks.lockTuple(store.table.ID, tid)
-			if !visit(tid, tup.Row) {
+			if !visit(tid, tup.Data) {
 				break
 			}
 		}
@@ -570,7 +623,7 @@ func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]d
 			if !heap.Visible(s.Eng.Txns, snap, tup) {
 				return true
 			}
-			return visit(tid, tup.Row)
+			return visit(tid, tup.Data)
 		})
 		if ssiErr != nil {
 			return nil, ssiErr
@@ -646,6 +699,10 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 // writeNewVersion inserts the new row version, links the update chain, and
 // maintains indexes and WAL.
 func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, newRow types.Row, params []types.Datum) error {
+	data, err := rowbatch.EncodeRow(newRow)
+	if err != nil {
+		return err
+	}
 	ssiW := s.ssiWriter(t)
 	if ssiW != nil {
 		// Probe readers of the old version (any granularity) and of the
@@ -654,27 +711,27 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 		keys := tupleWriteKeys(store.table.ID, oldTID)
 		keys = s.indexWriteKeys(store, keys, newRow, params)
 		if old, ok := store.heap.Get(oldTID); ok {
-			keys = s.indexWriteKeys(store, keys, old.Row, params)
+			keys = s.indexWriteKeys(store, keys, old.Row(), params)
 		}
 		if err := ssiW.writeProbe(keys...); err != nil {
 			return err
 		}
 	}
-	newTID := store.heap.Insert(t.XID, newRow)
+	newTID := store.heap.Insert(t.XID, data)
 	if err := ssiW.writeProbe(ssi.PageKey(store.table.ID, tidPage(newTID))); err != nil {
 		return err
 	}
 	store.heap.MarkDeleted(oldTID, t.XID, newTID)
 	store.mu.Lock()
-	err := s.insertIndexEntries(store, newRow, newTID, params)
+	err = s.insertIndexEntries(store, data, newTID, params)
 	store.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	old, _ := store.heap.Get(oldTID)
 	t.MarkWrite()
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Row: old.Row})
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Row: newRow, Update: true})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Tuple: old.Data})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data, Update: true})
 	return nil
 }
 
@@ -729,13 +786,16 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 			continue
 		}
 		seen[latestTID] = struct{}{}
+		// the version the scan decoded, unless the chase moved past it
+		old := tgt.row
 		if latestTID != tgt.tid {
 			// A SERIALIZABLE transaction never chases to a version written
 			// after its snapshot: the concurrent update is a conflict.
 			if s.ssiState(t) != nil {
 				return nil, fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
 			}
-			ok, err := tp.matches(ctx, tup.Row)
+			old = tup.Row()
+			ok, err := tp.matches(ctx, old)
 			if err != nil {
 				return nil, err
 			}
@@ -743,13 +803,11 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 				continue
 			}
 		}
-		newRow := tup.Row.Clone()
-		if len(newRow) < len(store.table.Columns) {
-			padded := make(types.Row, len(store.table.Columns))
-			copy(padded, newRow)
-			newRow = padded
-		}
-		ctx.Row = tup.Row
+		// every SET reads the old version; the values are then written into
+		// it, which is this statement's own decoded copy of the tuple
+		ctx.Row = old
+		var setBuf [8]types.Datum
+		vals := setBuf[:0]
 		for _, cs := range tp.sets {
 			v, err := cs.ev(ctx)
 			if err != nil {
@@ -763,7 +821,11 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 			} else if col.NotNull {
 				return nil, fmt.Errorf("null value in column %q violates not-null constraint", col.Name)
 			}
-			newRow[cs.ord] = v
+			vals = append(vals, v)
+		}
+		newRow := store.fullRow(old)
+		for i, cs := range tp.sets {
+			newRow[cs.ord] = vals[i]
 		}
 		if err := s.checkForeignKeys(store, t, newRow); err != nil {
 			return nil, err
@@ -818,11 +880,13 @@ func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.
 			continue
 		}
 		seen[latestTID] = struct{}{}
+		old := tgt.row
 		if latestTID != tgt.tid {
 			if ssiW != nil {
 				return nil, fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
 			}
-			ok, err := tp.matches(ctx, tup.Row)
+			old = tup.Row()
+			ok, err := tp.matches(ctx, old)
 			if err != nil {
 				return nil, err
 			}
@@ -831,14 +895,14 @@ func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.
 			}
 		}
 		if ssiW != nil {
-			keys := s.indexWriteKeys(store, tupleWriteKeys(store.table.ID, latestTID), tup.Row, params)
+			keys := s.indexWriteKeys(store, tupleWriteKeys(store.table.ID, latestTID), old, params)
 			if err := ssiW.writeProbe(keys...); err != nil {
 				return nil, err
 			}
 		}
 		store.heap.MarkDeleted(latestTID, t.XID, heap.NilTID)
 		t.MarkWrite()
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Row: tup.Row})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Tuple: tup.Data})
 		affected++
 	}
 	return &Result{Tag: fmt.Sprintf("DELETE %d", affected), Affected: affected}, nil
@@ -887,8 +951,10 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 			if !exists {
 				continue
 			}
+			row := tgt.row
 			if latestTID != tgt.tid {
-				ok, err := tp.matches(ctx, tup.Row)
+				row = tup.Row()
+				ok, err := tp.matches(ctx, row)
 				if err != nil {
 					return nil, err
 				}
@@ -896,7 +962,7 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 					continue
 				}
 			}
-			ctx.Row = tup.Row
+			ctx.Row = row
 			out := make(types.Row, len(evals))
 			for i, ev := range evals {
 				if out[i], err = ev(ctx); err != nil {
@@ -971,9 +1037,34 @@ func (s *Session) CopyFrom(table string, columns []string, rows []types.Row) (in
 		for _, in := range rows {
 			full, err := target.build(in)
 			if err == nil {
-				_, _, err = s.insertRow(store, t, full, nil, nil)
+				_, _, err = s.insertRow(store, t, full, nil, nil, nil)
 			}
 			if err != nil {
+				return err
+			}
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// CopyTuples bulk-inserts tuples as another copy of the table stored them
+// (Engine.CopyStart): a shard move's snapshot copy. Each is stored as it is,
+// so the delete records the move's catch-up brings find it byte for byte; one
+// written before an ALTER TABLE … ADD COLUMN stays as short as it was.
+func (s *Session) CopyTuples(table string, tuples [][]byte) (int, error) {
+	n := 0
+	err := s.WithTxn(func(t *txn.Txn) error {
+		store, err := s.writeTarget(t, table)
+		if err != nil {
+			return err
+		}
+		for _, data := range tuples {
+			if _, _, err := s.insertRow(store, t, store.fullRow(rowbatch.DecodeRow(data)), data, nil, nil); err != nil {
 				return err
 			}
 			n++

@@ -79,7 +79,7 @@ func stmtKind(stmt sql.Statement) string {
 		return "delete"
 	case *sql.CopyStmt:
 		return "copy"
-	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.DropTableStmt,
+	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.DropTableStmt, *sql.DropIndexStmt,
 		*sql.TruncateStmt, *sql.AlterTableAddColumnStmt:
 		return "ddl"
 	case *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt,
@@ -161,6 +161,17 @@ type storage struct {
 	mu     sync.RWMutex // guards the index maps and unique-insert check
 	btrees map[string]*btreeIndex
 	gins   map[string]*ginIndex
+}
+
+// fullRow is row, a tuple's decoded, as wide as the table: a tuple stored
+// before an ALTER TABLE … ADD COLUMN is shorter, and reads NULL past its end.
+func (st *storage) fullRow(row types.Row) types.Row {
+	if n := len(st.table.Columns); len(row) < n {
+		wide := make(types.Row, n)
+		copy(wide, row)
+		return wide
+	}
+	return row
 }
 
 type btreeIndex struct {
@@ -751,8 +762,10 @@ type Session struct {
 	// stmtCacheVer is the schema version stmtCache's kept plans were last
 	// checked against (dropStalePlans).
 	stmtCacheVer int64
-	// ginKey is insertIndexEntries' scratch for trigram index keys.
+	// ginKey is insertIndexEntries' scratch for trigram index keys, and
+	// keyRow what it decodes a tuple into to take its keys from.
 	ginKey []byte
+	keyRow rowbatch.Decoder
 }
 
 // cachedStmt is one statement cache entry: a parse tree, the schema version

@@ -8,8 +8,19 @@ import (
 	"time"
 
 	"citusgo/internal/heap"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/types"
 )
+
+// mustEncode encodes a row as a heap tuple holds it.
+func mustEncode(t testing.TB, row ...types.Datum) []byte {
+	t.Helper()
+	b, err := rowbatch.EncodeRow(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
@@ -305,6 +316,11 @@ func TestOnConflict(t *testing.T) {
 	}
 	mustExec(t, s, "INSERT INTO t (k, v) VALUES (1, 'new') ON CONFLICT (k) DO UPDATE SET v = excluded.v")
 	expectRows(t, mustExec(t, s, "SELECT v FROM t WHERE k = 1"), "new")
+	// the conflicting row was written before the column was added: excluded.*
+	// still lines up with the table's columns
+	mustExec(t, s, "ALTER TABLE t ADD COLUMN n bigint")
+	mustExec(t, s, "INSERT INTO t (k, v, n) VALUES (1, 'late', 7) ON CONFLICT (k) DO UPDATE SET v = excluded.v, n = excluded.n")
+	expectRows(t, mustExec(t, s, "SELECT v, n FROM t WHERE k = 1"), "late|7")
 }
 
 func TestReturning(t *testing.T) {
@@ -798,5 +814,82 @@ func TestSessionStmtCacheBounded(t *testing.T) {
 	}
 	if _, ok := s.stmtCache[text(texts-1)]; !ok {
 		t.Fatal("the last text is not cached")
+	}
+}
+
+// TestDropIndex: DROP INDEX takes a B-tree or a GIN index away — plans kept
+// from before it stop searching it, writes stop maintaining it — refuses a
+// primary key's and an unknown index unless IF EXISTS, and a node rebuilt
+// from the log, with or without a checkpoint under it, has no such index.
+func TestDropIndex(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE di (k bigint PRIMARY KEY, v bigint, body text)")
+	mustExec(t, s, "CREATE INDEX di_v ON di (v)")
+	mustExec(t, s, "CREATE INDEX di_body ON di USING gin ((body) gin_trgm_ops)")
+	for i := 0; i < 20; i++ {
+		mustExec(t, s, "INSERT INTO di VALUES ($1, $2, $3)", int64(i), int64(i%5), fmt.Sprintf("body %d", i))
+	}
+	byV, byBody := "SELECT count(*) FROM di WHERE v = 3", "SELECT count(*) FROM di WHERE body LIKE '%ody 1%'"
+	plans := func() string {
+		return rowsToString(mustExec(t, s, "EXPLAIN "+byV).Rows) + rowsToString(mustExec(t, s, "EXPLAIN "+byBody).Rows)
+	}
+	if p := plans(); !strings.Contains(p, "di_v") || !strings.Contains(p, "di_body") {
+		t.Fatalf("the indexes are not searched:\n%s", p)
+	}
+	expectRows(t, mustExec(t, s, byV), "4")
+	expectRows(t, mustExec(t, s, byBody), "11")
+
+	mustExec(t, s, "DROP INDEX di_v")
+	mustExec(t, s, "DROP INDEX IF EXISTS di_body")
+	if p := plans(); strings.Contains(p, "di_v") || strings.Contains(p, "di_body") {
+		t.Fatalf("a dropped index is still searched:\n%s", p)
+	}
+	mustExec(t, s, "UPDATE di SET v = 3 WHERE k = 0")
+	mustExec(t, s, "INSERT INTO di VALUES (100, 3, 'body 100')")
+	expectRows(t, mustExec(t, s, byV), "6")
+	expectRows(t, mustExec(t, s, byBody), "12")
+	st, _ := e.store("di")
+	if len(st.btrees) != 1 || len(st.gins) != 0 {
+		t.Fatalf("%d B-trees and %d GIN indexes left, want the primary key's alone", len(st.btrees), len(st.gins))
+	}
+
+	mustExec(t, s, "DROP INDEX IF EXISTS di_v")
+	// index names are one namespace: another table cannot take di_body or
+	// di_pkey, so DROP INDEX and its replay always find the same table
+	mustExec(t, s, "CREATE TABLE dj (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "CREATE INDEX di_body ON di (body)")
+	for _, q := range []string{"CREATE INDEX di_body ON dj (v)", "CREATE INDEX di_pkey ON dj (v)"} {
+		if _, err := s.Exec(q); err == nil {
+			t.Fatalf("%s succeeded", q)
+		}
+	}
+	mustExec(t, s, "CREATE INDEX IF NOT EXISTS di_body ON dj (v)")
+	mustExec(t, s, "DROP INDEX di_body")
+	if st, _ := e.store("di"); len(st.btrees) != 1 {
+		t.Fatalf("DROP INDEX di_body left di with %d B-trees", len(st.btrees))
+	}
+	for _, q := range []string{"DROP INDEX di_v", "DROP INDEX di_pkey"} {
+		if _, err := s.Exec(q); err == nil {
+			t.Fatalf("%s succeeded", q)
+		}
+	}
+
+	// the same schema on a node rebuilt from the log, then from a base
+	for _, checkpoint := range []bool{false, true} {
+		if checkpoint && !e.Checkpoint() {
+			t.Fatal("the checkpoint was not taken")
+		}
+		r := newTestEngine(t)
+		if err := r.RecoverFrom(e.WAL, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.Catalog.IndexTable("di_v"); ok {
+			t.Fatalf("checkpoint %v: the rebuilt node has di_v", checkpoint)
+		}
+		rs := r.NewSession()
+		expectRows(t, mustExec(t, rs, byV), "6")
+		mustExec(t, rs, "CREATE INDEX di_v ON di (v)")
+		expectRows(t, mustExec(t, rs, byV), "6")
 	}
 }

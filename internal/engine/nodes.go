@@ -11,6 +11,7 @@ import (
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
@@ -131,8 +132,9 @@ type seqScanNode struct {
 	st     *storage
 	cols   []string
 	filter expr.Evaluator
-	// needed lists column ordinals referenced by the query (columnar
-	// projection pushdown); nil = all.
+	// needed lists column ordinals referenced by the query, ascending: the
+	// columns a columnar scan reads and a heap scan decodes, the others
+	// reading NULL; nil = all.
 	needed []int
 	// conjuncts keeps the WHERE conjunct ASTs compiled into filter, so the
 	// planner can re-plan an aggregate over this scan through the
@@ -176,7 +178,14 @@ func (n *seqScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 		// table-granularity lock, so conflicts are caught write-side.
 		ec.ssi.lockTable(n.st.table.ID)
 		n.st.col.Scan(ec.sess.Eng.Txns, ec.snap, n.needed, visit)
-	} else if ec.ssi != nil {
+		return scanErr
+	}
+	var rows rowbatch.Arena
+	visitTuple := func(data []byte) bool {
+		scanErr = decodeFiltered(ec, &rows, data, n.needed, n.filter, emit)
+		return scanErr == nil
+	}
+	if ec.ssi != nil {
 		// A sequential scan reads the whole relation: table-granularity
 		// SIREAD lock, plus a read-side conflict check against concurrent
 		// writers of every tuple version — including versions our snapshot
@@ -191,14 +200,27 @@ func (n *seqScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 			if !heap.Visible(ec.sess.Eng.Txns, ec.snap, tup) {
 				return true
 			}
-			return visit(tup.Row)
+			return visitTuple(tup.Data)
 		})
 	} else {
-		n.st.heap.Scan(ec.sess.Eng.Txns, ec.snap, func(_ heap.TID, row types.Row) bool {
-			return visit(row)
+		n.st.heap.Scan(ec.sess.Eng.Txns, ec.snap, func(_ heap.TID, data []byte) bool {
+			return visitTuple(data)
 		})
 	}
 	return scanErr
+}
+
+// decodeFiltered decodes a heap tuple's needed columns (all when needed is
+// nil) and emits the row if it passes filter; a row the filter drops gives
+// its storage back to rows.
+func decodeFiltered(ec *execCtx, rows *rowbatch.Arena, data []byte, needed []int, filter expr.Evaluator, emit func(types.Row) error) error {
+	row := rows.Decode(data, needed)
+	ok, err := ec.filterPasses(filter, row)
+	if err != nil || !ok {
+		rows.Unread()
+		return err
+	}
+	return emit(row)
 }
 
 // indexScanNode fetches tuples through a btree index.
@@ -207,6 +229,7 @@ type indexScanNode struct {
 	idx    *btreeIndex
 	cols   []string
 	filter expr.Evaluator
+	needed []int // as seqScanNode's
 	// key bounds: eqKey for full/prefix equality, or rangeLo/rangeHi for a
 	// range on the first key column; all evaluate to constants.
 	eqKey            []expr.Evaluator
@@ -272,6 +295,7 @@ func (n *indexScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 }
 
 func (n *indexScanNode) emitTIDs(ec *execCtx, tids []heap.TID, emit func(types.Row) error) error {
+	var rows rowbatch.Arena
 	for _, tid := range tids {
 		tup, ok := n.st.heap.Get(tid)
 		if !ok {
@@ -284,14 +308,7 @@ func (n *indexScanNode) emitTIDs(ec *execCtx, tids []heap.TID, emit func(types.R
 			continue
 		}
 		ec.ssi.lockTuple(n.st.table.ID, tid)
-		ok2, err := ec.filterPasses(n.filter, tup.Row)
-		if err != nil {
-			return err
-		}
-		if !ok2 {
-			continue
-		}
-		if err := emit(tup.Row); err != nil {
+		if err := decodeFiltered(ec, &rows, tup.Data, n.needed, n.filter, emit); err != nil {
 			return err
 		}
 	}
@@ -306,6 +323,7 @@ type ginScanNode struct {
 	cols    []string
 	pattern expr.Evaluator // the LIKE pattern, evaluated when the scan runs
 	filter  expr.Evaluator
+	needed  []int // as seqScanNode's
 	// conjuncts keeps the WHERE conjunct ASTs compiled into filter, as
 	// seqScanNode.conjuncts does and for the same planner.
 	conjuncts []sql.Expr
@@ -334,11 +352,12 @@ func searchGIN(ec *execCtx, idx *ginIndex, pattern expr.Evaluator) (candidates [
 func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 	candidates, usable := searchGIN(ec, n.idx, n.pattern)
 	if !usable {
-		seq := &seqScanNode{st: n.st, cols: n.cols, filter: n.filter}
+		seq := &seqScanNode{st: n.st, cols: n.cols, filter: n.filter, needed: n.needed}
 		return seq.run(ec, emit)
 	}
 	// GIN search is lossy and pattern-shaped: conservative table lock.
 	ec.ssi.lockTable(n.st.table.ID)
+	var rows rowbatch.Arena
 	for _, tid := range candidates {
 		tup, ok := n.st.heap.Get(tid)
 		if !ok {
@@ -350,14 +369,7 @@ func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 		if !heap.Visible(ec.sess.Eng.Txns, ec.snap, tup) {
 			continue
 		}
-		pass, err := ec.filterPasses(n.filter, tup.Row)
-		if err != nil {
-			return err
-		}
-		if !pass {
-			continue
-		}
-		if err := emit(tup.Row); err != nil {
+		if err := decodeFiltered(ec, &rows, tup.Data, n.needed, n.filter, emit); err != nil {
 			return err
 		}
 	}

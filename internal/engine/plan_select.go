@@ -106,7 +106,7 @@ func collectNeededColumns(sel *sql.SelectStmt) map[string]map[string]bool {
 	return needed
 }
 
-// neededFor resolves the ordinal set a columnar scan must read; nil means
+// neededFor resolves the ordinal set a scan must read, ascending; nil means
 // all columns.
 func (p *conjunctPool) neededFor(rangeName string, cols []scopeCol) []int {
 	if p == nil || p.needed == nil {
@@ -617,19 +617,20 @@ func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool) (planned, 
 	colNames := st.table.ColumnNames()
 
 	path := s.chooseAccessPath(st, taken, sc)
+	needed := pool.neededFor(rangeName, baseCols)
 	var n node
 	switch {
 	case path != nil && path.gin != nil:
-		n = &ginScanNode{st: st, idx: path.gin, cols: colNames, pattern: path.ginPattern, filter: filter, conjuncts: taken}
+		n = &ginScanNode{st: st, idx: path.gin, cols: colNames, pattern: path.ginPattern, filter: filter, needed: needed, conjuncts: taken}
 	case path != nil && path.idx != nil:
 		n = &indexScanNode{
-			st: st, idx: path.idx, cols: colNames, filter: filter,
+			st: st, idx: path.idx, cols: colNames, filter: filter, needed: needed,
 			eqKey: path.eqKey, rangeLo: path.rangeLo, rangeHi: path.rangeHi,
 			loIncl: path.loIncl, hiIncl: path.hiIncl,
 		}
 	default:
 		n = &seqScanNode{st: st, cols: colNames, filter: filter,
-			needed: pool.neededFor(rangeName, baseCols), conjuncts: taken}
+			needed: needed, conjuncts: taken}
 	}
 	return planned{n: n, sc: sc}, nil
 }

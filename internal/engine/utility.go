@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"time"
@@ -11,6 +12,8 @@ import (
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
 	"citusgo/internal/lock"
+	"citusgo/internal/obs"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
@@ -52,6 +55,18 @@ func (s *Session) ExecUtilityLocal(stmt sql.Statement) (*Result, error) {
 			return nil, s.statementFailed(err)
 		}
 		return &Result{Tag: "DROP TABLE"}, nil
+	case *sql.DropIndexStmt:
+		table, ok := s.Eng.Catalog.IndexTable(st.Name)
+		if !ok {
+			if st.IfExists {
+				return &Result{Tag: "DROP INDEX"}, nil
+			}
+			return nil, s.statementFailed(fmt.Errorf("index %q does not exist", st.Name))
+		}
+		if err := s.exclusive(table, func() error { return s.Eng.DropIndex(table, st) }); err != nil {
+			return nil, s.statementFailed(err)
+		}
+		return &Result{Tag: "DROP INDEX"}, nil
 	case *sql.TruncateStmt:
 		err := s.exclusive(st.Name, func() error {
 			store, ok := s.Eng.store(st.Name)
@@ -313,13 +328,14 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 func (e *Engine) backfillBTree(store *storage, b *btreeIndex) error {
 	var buildErr error
 	var key index.Key
+	var scratch rowbatch.Decoder
 	ctx := &expr.Ctx{}
 	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-		ctx.Row = tup.Row
+		ctx.Row = scratch.Decode(tup.Data)
 		if key, buildErr = b.evalKey(key, ctx); buildErr != nil {
 			return false
 		}
-		b.tree.Insert(key, tid)
+		b.insert(key, tid)
 		return true
 	})
 	return buildErr
@@ -328,9 +344,10 @@ func (e *Engine) backfillBTree(store *storage, b *btreeIndex) error {
 func (e *Engine) backfillGIN(store *storage, g *ginIndex) error {
 	var buildErr error
 	var key []byte
+	var scratch rowbatch.Decoder
 	ctx := &expr.Ctx{}
 	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-		ctx.Row = tup.Row
+		ctx.Row = scratch.Decode(tup.Data)
 		var ok bool
 		if key, ok, buildErr = g.appendKey(key[:0], ctx); buildErr != nil {
 			return false
@@ -341,6 +358,32 @@ func (e *Engine) backfillGIN(store *storage, g *ginIndex) error {
 		return true
 	})
 	return buildErr
+}
+
+// DropIndex drops the B-tree or GIN index st names from table, which has
+// it, unless st says IF EXISTS and it has gone since. A primary key's index
+// stays: the key needs it.
+func (e *Engine) DropIndex(table string, st *sql.DropIndexStmt) error {
+	e.ddlMu.RLock()
+	defer e.ddlMu.RUnlock()
+	store, ok := e.store(table)
+	if ok && st.Name == table+"_pkey" && len(store.table.PrimaryKey) > 0 {
+		return fmt.Errorf("cannot drop index %q: the primary key of %q needs it", st.Name, table)
+	}
+	if !ok || e.Catalog.DropIndex(table, st.Name) != nil {
+		if st.IfExists {
+			return nil
+		}
+		return fmt.Errorf("index %q does not exist", st.Name)
+	}
+	store.mu.Lock()
+	delete(store.btrees, st.Name)
+	delete(store.gins, st.Name)
+	store.mu.Unlock()
+	e.logDDL(table, st.String(), false)
+	// a kept plan that searches the index must be made again
+	e.bumpSchemaVersion()
+	return nil
 }
 
 // DropTable removes a table and its storage.
@@ -423,9 +466,10 @@ func (e *Engine) Vacuum(table string) int {
 		st.mu.Lock()
 		var key index.Key
 		var text []byte
+		var scratch rowbatch.Decoder
 		ctx := &expr.Ctx{}
 		for _, vt := range reclaimed {
-			ctx.Row = vt.Row
+			ctx.Row = scratch.Decode(vt.Data)
 			for _, b := range st.btrees {
 				var err error
 				if key, err = b.evalKey(key, ctx); err == nil {
@@ -608,17 +652,17 @@ func (r replayTarget) ApplyDDL(ddl string) error {
 	}
 }
 
-func (r replayTarget) ApplyInsert(xid uint64, table string, row types.Row, update bool) error {
+func (r replayTarget) ApplyInsert(xid uint64, table string, tuple []byte, update bool) error {
 	r.e.Txns.MarkReplicating(xid)
 	store, ok := r.e.store(table)
 	if !ok {
 		return fmt.Errorf("replay: relation %q does not exist", table)
 	}
 	if store.col != nil {
-		store.col.Insert(xid, row)
+		store.col.Insert(xid, rowbatch.DecodeRow(tuple))
 		return nil
 	}
-	tid := store.heap.Insert(xid, row)
+	tid := store.heap.Insert(xid, tuple)
 	if old, ok := r.deleted[xid]; ok && update && old.table == table {
 		store.heap.MarkDeleted(old.tid, xid, tid)
 	}
@@ -626,10 +670,18 @@ func (r replayTarget) ApplyInsert(xid uint64, table string, row types.Row, updat
 	sess := r.e.NewSession()
 	store.mu.Lock()
 	defer store.mu.Unlock()
-	return sess.insertIndexEntries(store, row, tid, nil)
+	return sess.insertIndexEntries(store, tuple, tid, nil)
 }
 
-func (r replayTarget) ApplyDelete(xid uint64, table string, row types.Row) error {
+var metReplayDeleteTuples = obs.Default().Counter("engine_replay_delete_tuples_total",
+	"tuple versions a replayed delete compared with the image it carries").With()
+
+// ApplyDelete deletes the live version whose bytes are the record's: every
+// copy of a table — a standby's, a restarted node's, a moved shard's — holds
+// the tuples its primary wrote, byte for byte. The candidates are the
+// versions a unique index holds under the image's key, when the table has
+// one; every tuple otherwise.
+func (r replayTarget) ApplyDelete(xid uint64, table string, tuple []byte) error {
 	r.e.Txns.MarkReplicating(xid)
 	// Only the delete right before an update's insert is the update's own.
 	delete(r.deleted, xid)
@@ -637,27 +689,54 @@ func (r replayTarget) ApplyDelete(xid uint64, table string, row types.Row) error
 	if !ok || store.heap == nil {
 		return nil
 	}
-	target := hashKeyString(row)
-	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-		// Match the live version: skip tuples from aborted writers (dead
-		// twins with identical content), and treat an aborted deleter's
-		// xmax as clear — after a failover the rejoined standby may carry
-		// stamps from dead-timeline transactions that end-of-recovery
-		// aborted, and the new primary's deletes must still land.
-		if hashKeyString(tup.Row) != target {
-			return true
-		}
-		if r.e.Txns.Status(tup.Xmin) == txn.Aborted {
-			return true
-		}
-		if tup.Xmax == 0 || r.e.Txns.Status(tup.Xmax) == txn.Aborted {
-			store.heap.MarkDeleted(tid, xid, heap.NilTID)
-			r.deleted[xid] = replayedDelete{table, tid}
+	// match deletes tup, and reports so, when it is the live version: tuples
+	// from aborted writers (dead twins with identical content) are skipped,
+	// and an aborted deleter's xmax is treated as clear — after a failover
+	// the rejoined standby may carry stamps from dead-timeline transactions
+	// that end-of-recovery aborted, and the new primary's deletes must still
+	// land.
+	match := func(tid heap.TID, tup heap.Tuple) bool {
+		metReplayDeleteTuples.Inc()
+		if tup.Dead() || !bytes.Equal(tup.Data, tuple) || r.e.Txns.Status(tup.Xmin) == txn.Aborted {
 			return false
 		}
+		if tup.Xmax != 0 && r.e.Txns.Status(tup.Xmax) != txn.Aborted {
+			return false
+		}
+		store.heap.MarkDeleted(tid, xid, heap.NilTID)
+		r.deleted[xid] = replayedDelete{table, tid}
 		return true
-	})
+	}
+	if tids, ok := store.uniqueCandidates(tuple); ok {
+		for _, tid := range tids {
+			if tup, ok := store.heap.Get(tid); ok && match(tid, tup) {
+				break
+			}
+		}
+		return nil
+	}
+	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool { return !match(tid, tup) })
 	return nil
+}
+
+// uniqueCandidates returns the TIDs a unique index of the table holds under
+// the key of tuple — every version ever indexed under it that vacuum has not
+// reclaimed — and false when the table has no unique index, or the key has a
+// NULL (which a unique index does not hold to one row) or fails to evaluate.
+func (st *storage) uniqueCandidates(tuple []byte) ([]heap.TID, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for _, b := range st.btrees {
+		if !b.def.Unique {
+			continue
+		}
+		key, err := b.evalKey(nil, &expr.Ctx{Row: rowbatch.DecodeRow(tuple)})
+		if err != nil || slices.Contains(key, nil) {
+			return nil, false
+		}
+		return b.tree.SearchEqual(key), true
+	}
+	return nil, false
 }
 
 func (r replayTarget) ApplyCommit(xid uint64) {

@@ -9,6 +9,8 @@ import (
 	"citusgo/internal/columnar"
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
+	"citusgo/internal/jsonb"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/vec"
 )
@@ -262,13 +264,14 @@ func (c *columnarCursor) report(st *vecStats) { st.add(&c.stats) }
 const heapChunkRows = 4096
 
 // heapSource scans a heap table through heap.BatchScan: the pages and the
-// visibility of the row-at-a-time scan, a batch of visible rows at a time.
-// The columns the filters read become vectors first, in scratch vectors no
-// one else sees; the columns read above the scan are then built from the
-// rows that passed alone, appended to the chunk being gathered, and the
-// derived columns computed for those rows from their jsonb columns' scratch
-// vectors. So a chunk is dense — no selection — and a row the filters drop
-// costs one value a filter column. One cursor: the pages are read in order.
+// visibility of the row-at-a-time scan, a batch of visible tuples at a time.
+// The columns the filters read are decoded first, straight from the tuples'
+// bytes into scratch vectors no one else sees; the columns read above the
+// scan are then decoded for the rows that passed alone, appended to the chunk
+// being gathered, and the derived columns computed for those rows from their
+// jsonb columns' scratch vectors. So a chunk is dense — no selection — a row
+// the filters drop costs one value a filter column, and no column a plan does
+// not read is decoded. One cursor: the pages are read in order.
 //
 // With gin set it is the vectorized form of ginScanNode: the index's
 // candidates for the pattern fetched a batch at a time (heap.NewTIDScan) in
@@ -316,8 +319,9 @@ type heapCursor struct {
 	scan    *heap.BatchScan
 	byIndex bool // the scan fetches a GIN search's candidates
 	chain   filterChain
-	probe   []vec.Vector // the filter columns of the batch at hand
-	text    []byte       // the derived columns' scratch
+	probe   []vec.Vector  // the filter columns of the batch at hand
+	docs    []jsonb.Value // what the probe's documents point at
+	text    []byte        // the derived columns' scratch
 	stats   vecStats
 }
 
@@ -327,23 +331,23 @@ func (c *heapCursor) next() ([]vec.Vector, int, vec.Sel, bool, error) {
 	var chunk []vec.Vector
 	n := 0
 	for n < heapChunkRows {
-		rows, ok := c.scan.Next()
+		tuples, ok := c.scan.Next()
 		if !ok {
 			break
 		}
 		if !c.byIndex {
 			c.stats.heapBatches++
-			c.stats.heapRows += int64(len(rows))
+			c.stats.heapRows += int64(len(tuples))
 		}
 		for _, col := range c.src.filterCols {
 			c.probe[col].Reset()
-			c.probe[col].AppendColumn(rows, col, nil)
 		}
+		c.docs = decodeColumns(c.probe, c.src.filterCols, tuples, nil, c.docs[:0])
 		sel := c.chain.apply(c.probe)
 		if none(sel) {
 			continue
 		}
-		passed := len(rows)
+		passed := len(tuples)
 		if sel != nil {
 			passed = len(sel)
 		}
@@ -354,12 +358,11 @@ func (c *heapCursor) next() ([]vec.Vector, int, vec.Sel, bool, error) {
 		if first {
 			chunk = make([]vec.Vector, len(c.probe)+len(c.src.derived))
 		}
-		for _, col := range c.src.out {
-			chunk[col].AppendColumn(rows, col, sel)
-		}
+		// the chunk's documents are its own: it is handed on
+		decodeColumns(chunk, c.src.out, tuples, sel, nil)
 		for _, d := range c.src.derived {
 			var err error
-			if c.text, err = d.fill(&chunk[d.ord], &c.probe[d.base], sel, len(rows), c.text); err != nil {
+			if c.text, err = d.fill(&chunk[d.ord], &c.probe[d.base], sel, len(tuples), c.text); err != nil {
 				return nil, 0, nil, false, err
 			}
 		}
@@ -378,6 +381,79 @@ func (c *heapCursor) next() ([]vec.Vector, int, vec.Sel, bool, error) {
 		n += passed
 	}
 	return chunk, n, nil, n > 0, nil
+}
+
+// decodeColumns appends columns cols, ascending, of tuples sel — all of them
+// when sel is nil — to vs[col] for each col, straight from the tuples' bytes:
+// each tuple walked once, as far as its last column needed, every value
+// appended unboxed, a string as it lies in the tuple. Past a short tuple's
+// end (stored before an ALTER TABLE … ADD COLUMN) a column is NULL. A jsonb
+// document is boxed pointing into docs, which it returns longer: one array
+// for many documents, not an allocation each, made when docs has no room.
+// Only a scratch vector's documents may go into an array used before.
+func decodeColumns(vs []vec.Vector, cols []int, tuples [][]byte, sel vec.Sel, docs []jsonb.Value) []jsonb.Value {
+	m := len(tuples)
+	if sel != nil {
+		m = len(sel)
+	}
+	var buf [16]rowbatch.Pos
+	picked := buf[:0]
+	if len(cols) > len(buf) {
+		picked = make([]rowbatch.Pos, len(cols))
+	}
+	picked = picked[:len(cols)]
+	var grownBuf [16]bool
+	grown := grownBuf[:0]
+	if len(cols) > len(grownBuf) {
+		grown = make([]bool, len(cols))
+	}
+	grown, toGrow := grown[:len(cols)], len(cols)
+	for j := 0; j < m; j++ {
+		tuple := tuples[j]
+		if sel != nil {
+			tuple = tuples[sel[j]]
+		}
+		rowbatch.Pick(tuple, cols, picked)
+		for k, p := range picked {
+			fd := p.In(tuple)
+			v := &vs[cols[k]]
+			switch fd.Kind() {
+			case rowbatch.Null:
+				v.Append(nil)
+			case rowbatch.Int64:
+				v.AppendInt(fd.Int64())
+			case rowbatch.Float64:
+				v.AppendFloat(fd.Float64())
+			case rowbatch.Bool:
+				v.AppendBool(fd.Bool())
+			case rowbatch.String:
+				v.AppendString(fd.Text())
+			case rowbatch.Time:
+				if ns, ok := fd.UnixNano(); ok {
+					v.AppendUnixNano(ns)
+				} else {
+					v.AppendTime(fd.Time())
+				}
+			case rowbatch.JSONB:
+				if len(docs) == cap(docs) {
+					// a new array: the documents boxed so far keep the old one
+					docs = make([]jsonb.Value, 0, max(m-j, 2*cap(docs)))
+				}
+				docs = append(docs, fd.JSONB())
+				v.Append(rowbatch.BoxJSONB(&docs[len(docs)-1]))
+			}
+		}
+		// the first value that is not NULL gives a vector its kind: room
+		// for the rest
+		for k := 0; toGrow > 0 && k < len(cols); k++ {
+			if v := &vs[cols[k]]; !grown[k] && v.Kind != vec.KindNull {
+				v.Reserve(m - j - 1)
+				grown[k] = true
+				toGrow--
+			}
+		}
+	}
+	return docs
 }
 
 func (c *heapCursor) report(st *vecStats) { st.add(&c.stats) }

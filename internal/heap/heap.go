@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"citusgo/internal/bufpool"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
 )
@@ -27,13 +28,19 @@ func (t TID) page() int32 { return int32(t / TuplesPerPage) }
 func (t TID) slot() int   { return int(t % TuplesPerPage) }
 
 // Tuple is one stored row version: 48 bytes, so a page of TuplesPerPage
-// slots is exactly a size class of the Go allocator.
+// slots is exactly a size class of the Go allocator. The row is one byte
+// image, a batch of that one row (rowbatch.EncodeRow): pointer-free, written
+// once and never again, and the same array the write-ahead log's records and
+// a checkpoint's image hold.
 type Tuple struct {
 	Xmin uint64 // 0 once vacuum has reclaimed the slot
 	Xmax uint64
 	Next TID // newer version in the update chain, NilTID if latest
-	Row  types.Row
+	Data []byte
 }
+
+// Row decodes the tuple's row; its strings and documents alias Data.
+func (tup Tuple) Row() types.Row { return rowbatch.DecodeRow(tup.Data) }
 
 // Dead reports whether vacuum has reclaimed the slot. No transaction has XID
 // 0 (txn.Manager starts at 2), so no live version has Xmin 0 — but a
@@ -64,8 +71,10 @@ func NewTable(id int64, pool *bufpool.Pool) *Table {
 	return &Table{ID: id, pool: pool}
 }
 
-// Insert appends a new tuple version created by xid and returns its TID.
-func (t *Table) Insert(xid uint64, row types.Row) TID {
+// Insert appends a new tuple version created by xid, whose row data holds
+// (rowbatch.EncodeRow), and returns its TID. data is the tuple's from now on:
+// nobody may write it again.
+func (t *Table) Insert(xid uint64, data []byte) TID {
 	t.mu.Lock()
 	var pg *page
 	if n := len(t.pages); n > 0 && len(t.pages[n-1].tuples) < TuplesPerPage {
@@ -76,7 +85,7 @@ func (t *Table) Insert(xid uint64, row types.Row) TID {
 	}
 	pageIdx := len(t.pages) - 1
 	slot := len(pg.tuples)
-	pg.tuples = append(pg.tuples, Tuple{Xmin: xid, Xmax: 0, Next: NilTID, Row: row})
+	pg.tuples = append(pg.tuples, Tuple{Xmin: xid, Xmax: 0, Next: NilTID, Data: data})
 	t.mu.Unlock()
 
 	t.nLive.Add(1)
@@ -179,15 +188,15 @@ func (v *scanVisibility) visible(tup *Tuple) bool {
 	return v.sees
 }
 
-// Scan iterates all visible tuples under snapshot s, calling fn for each;
-// fn returning false stops the scan. Page accesses are charged to the
-// buffer pool.
-func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, row types.Row) bool) {
+// Scan iterates all visible tuples under snapshot s, calling fn with each
+// one's data (Tuple.Data); fn returning false stops the scan. Page accesses
+// are charged to the buffer pool.
+func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, data []byte) bool) {
 	t.mu.RLock()
 	numPages := len(t.pages)
 	t.mu.RUnlock()
 	vis := scanVisibility{mgr: mgr, s: s}
-	// one buffer for the whole scan: fn is handed a tuple's row, never the
+	// one buffer for the whole scan: fn is handed a tuple's data, never the
 	// tuple, so nothing can keep a reference into it
 	tuples := make([]Tuple, 0, TuplesPerPage)
 	for p := 0; p < numPages; p++ {
@@ -205,7 +214,7 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, row type
 				continue
 			}
 			tid := TID(int64(p)*TuplesPerPage + int64(slot))
-			if !fn(tid, tuples[slot].Row) {
+			if !fn(tid, tuples[slot].Data) {
 				return
 			}
 		}
@@ -220,17 +229,17 @@ const BatchPages = 4
 // BatchScan is Scan for a vectorized reader: the same pages in the same
 // order, each charged to the buffer pool as Scan charges it and its
 // visibility decided the same way, under the table lock — and the visible
-// rows handed on BatchPages pages at a time, for the reader to turn the
-// columns it needs into vectors (vec.Vector.AppendColumn). Started by
-// NewTIDScan it reads the tuples an index named instead of every page, as
-// many to a batch.
+// tuples handed on undecoded, BatchPages pages at a time, for the reader to
+// decode the columns it needs straight into vectors (rowbatch.Pick).
+// Started by NewTIDScan it reads the tuples an index named instead of every
+// page, as many to a batch.
 type BatchScan struct {
 	t    *Table
 	vis  scanVisibility
 	tids []TID // nil: every page
 	// pos of end pages — or tids — are read
 	pos, end int
-	rows     []types.Row
+	tuples   [][]byte
 }
 
 // batchTuples is the most tuple slots one batch covers.
@@ -242,7 +251,7 @@ func (t *Table) NewBatchScan(mgr *txn.Manager, s txn.Snapshot) *BatchScan {
 	numPages := len(t.pages)
 	t.mu.RUnlock()
 	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, end: numPages,
-		rows: make([]types.Row, 0, min(numPages*TuplesPerPage, batchTuples))}
+		tuples: make([][]byte, 0, min(numPages*TuplesPerPage, batchTuples))}
 }
 
 // NewTIDScan starts a batched fetch of the tuples at tids, an index's
@@ -252,29 +261,29 @@ func (t *Table) NewBatchScan(mgr *txn.Manager, s txn.Snapshot) *BatchScan {
 // one look at the commit log.
 func (t *Table) NewTIDScan(mgr *txn.Manager, s txn.Snapshot, tids []TID) *BatchScan {
 	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, tids: tids, end: len(tids),
-		rows: make([]types.Row, 0, min(len(tids), batchTuples))}
+		tuples: make([][]byte, 0, min(len(tids), batchTuples))}
 }
 
 // Progress returns how many of the scan's pages — of its TIDs, for a TID
 // scan — have been read, and how many there are.
 func (b *BatchScan) Progress() (read, total int) { return b.pos, b.end }
 
-// Next returns the visible rows of the next batch that has any, and false
+// Next returns the visible tuples of the next batch that has any, and false
 // when the scan is over. The slice is the scan's own, good until the next
-// call; the rows, like every stored row, are immutable.
-func (b *BatchScan) Next() ([]types.Row, bool) {
-	b.rows = b.rows[:0]
-	for len(b.rows) == 0 && b.pos < b.end {
+// call; the tuples, like every stored tuple, are immutable.
+func (b *BatchScan) Next() ([][]byte, bool) {
+	b.tuples = b.tuples[:0]
+	for len(b.tuples) == 0 && b.pos < b.end {
 		if b.tids != nil {
 			b.readTIDs()
 		} else {
 			b.readPages()
 		}
 	}
-	return b.rows, len(b.rows) > 0
+	return b.tuples, len(b.tuples) > 0
 }
 
-// readPages appends the visible rows of the next BatchPages pages.
+// readPages appends the visible tuples of the next BatchPages pages.
 func (b *BatchScan) readPages() {
 	t := b.t
 	for end := min(b.pos+BatchPages, b.end); b.pos < end; b.pos++ {
@@ -287,7 +296,7 @@ func (b *BatchScan) readPages() {
 			tuples := t.pages[b.pos].tuples
 			for slot := range tuples {
 				if b.vis.visible(&tuples[slot]) {
-					b.rows = append(b.rows, tuples[slot].Row)
+					b.tuples = append(b.tuples, tuples[slot].Data)
 				}
 			}
 		}
@@ -295,7 +304,7 @@ func (b *BatchScan) readPages() {
 	}
 }
 
-// readTIDs appends the visible rows among the next batchTuples TIDs: every
+// readTIDs appends the visible tuples among the next batchTuples TIDs: every
 // page access first, as Get charges them, then all the tuples under one hold
 // of the table lock.
 func (b *BatchScan) readTIDs() {
@@ -313,7 +322,7 @@ func (b *BatchScan) readTIDs() {
 		// a TID past the table's end: dropped or truncated since the index was read
 		if p := int(tid.page()); tid >= 0 && p < len(t.pages) && tid.slot() < len(t.pages[p].tuples) {
 			if tup := &t.pages[p].tuples[tid.slot()]; b.vis.visible(tup) {
-				b.rows = append(b.rows, tup.Row)
+				b.tuples = append(b.tuples, tup.Data)
 			}
 		}
 	}
@@ -356,11 +365,11 @@ func (t *Table) LatestVersion(tid TID) (TID, Tuple, bool) {
 	}
 }
 
-// VacuumedTuple reports one reclaimed version: its TID and the row image,
-// which the caller needs to delete the matching index entries.
+// VacuumedTuple reports one reclaimed version: its TID and the tuple's
+// data, which the caller decodes to delete the matching index entries.
 type VacuumedTuple struct {
-	TID TID
-	Row types.Row
+	TID  TID
+	Data []byte
 }
 
 // Vacuum reclaims dead tuple versions: versions deleted by a transaction
@@ -385,10 +394,10 @@ func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64) []VacuumedTuple {
 			}
 			if dead {
 				reclaimed = append(reclaimed, VacuumedTuple{
-					TID: TID(int64(p)*TuplesPerPage + int64(slot)),
-					Row: tup.Row,
+					TID:  TID(int64(p)*TuplesPerPage + int64(slot)),
+					Data: tup.Data,
 				})
-				tup.Xmin, tup.Xmax, tup.Row = 0, 0, nil
+				tup.Xmin, tup.Xmax, tup.Data = 0, 0, nil
 				t.nLive.Add(-1)
 			}
 		}

@@ -7,33 +7,52 @@ import (
 	"unsafe"
 
 	"citusgo/internal/bufpool"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
 )
+
+// enc encodes one row as the engine stores it.
+func enc(row ...types.Datum) []byte {
+	b, err := rowbatch.EncodeRow(row)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// decodeAll decodes a batch of tuples.
+func decodeAll(tuples [][]byte) []types.Row {
+	rows := make([]types.Row, len(tuples))
+	for i, tup := range tuples {
+		rows[i] = rowbatch.DecodeRow(tup)
+	}
+	return rows
+}
 
 func TestInsertAndScanVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, types.Row{int64(1), "one"})
+	tbl.Insert(t1.XID, enc(int64(1), "one"))
 
 	// invisible to others before commit
 	snap := mgr.TakeSnapshot(nil)
 	count := 0
-	tbl.Scan(mgr, snap, func(TID, types.Row) bool { count++; return true })
+	tbl.Scan(mgr, snap, func(TID, []byte) bool { count++; return true })
 	if count != 0 {
 		t.Fatal("uncommitted insert visible")
 	}
 	// visible to itself
 	selfSnap := mgr.TakeSnapshot(t1)
-	tbl.Scan(mgr, selfSnap, func(TID, types.Row) bool { count++; return true })
+	tbl.Scan(mgr, selfSnap, func(TID, []byte) bool { count++; return true })
 	if count != 1 {
 		t.Fatal("own insert invisible")
 	}
 	_ = mgr.Commit(t1)
 	count = 0
-	tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, types.Row) bool { count++; return true })
+	tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, []byte) bool { count++; return true })
 	if count != 1 {
 		t.Fatal("committed insert invisible")
 	}
@@ -43,7 +62,7 @@ func TestDeleteVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := tbl.Insert(t1.XID, types.Row{int64(1)})
+	tid := tbl.Insert(t1.XID, enc(int64(1)))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
@@ -65,7 +84,7 @@ func TestAbortedDeleteStaysVisible(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := tbl.Insert(t1.XID, types.Row{int64(1)})
+	tid := tbl.Insert(t1.XID, enc(int64(1)))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
@@ -80,16 +99,16 @@ func TestUpdateChain(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	v1 := tbl.Insert(t1.XID, types.Row{int64(1), "v1"})
+	v1 := tbl.Insert(t1.XID, enc(int64(1), "v1"))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	v2 := tbl.Insert(t2.XID, types.Row{int64(1), "v2"})
+	v2 := tbl.Insert(t2.XID, enc(int64(1), "v2"))
 	tbl.MarkDeleted(v1, t2.XID, v2)
 	_ = mgr.Commit(t2)
 
 	latestTID, tup, ok := tbl.LatestVersion(v1)
-	if !ok || latestTID != v2 || tup.Row[1] != "v2" {
+	if !ok || latestTID != v2 || tup.Row()[1] != "v2" {
 		t.Fatalf("chain: tid=%d ok=%v", latestTID, ok)
 	}
 	// only the new version is visible
@@ -103,11 +122,11 @@ func TestVacuumReclaims(t *testing.T) {
 	tbl := NewTable(1, nil)
 	var lastTID TID
 	t1 := mgr.Begin()
-	lastTID = tbl.Insert(t1.XID, types.Row{int64(0)})
+	lastTID = tbl.Insert(t1.XID, enc(int64(0)))
 	_ = mgr.Commit(t1)
 	for i := 0; i < 5; i++ {
 		tn := mgr.Begin()
-		newTID := tbl.Insert(tn.XID, types.Row{int64(i + 1)})
+		newTID := tbl.Insert(tn.XID, enc(int64(i+1)))
 		tbl.MarkDeleted(lastTID, tn.XID, newTID)
 		lastTID = newTID
 		_ = mgr.Commit(tn)
@@ -117,7 +136,7 @@ func TestVacuumReclaims(t *testing.T) {
 		t.Fatalf("reclaimed %d, want 5", len(reclaimed))
 	}
 	for _, vt := range reclaimed {
-		if vt.Row == nil {
+		if vt.Data == nil {
 			t.Fatal("vacuum must report the row image for index cleanup")
 		}
 	}
@@ -137,7 +156,7 @@ func TestVacuumRespectsHorizon(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := tbl.Insert(t1.XID, types.Row{int64(1)})
+	tid := tbl.Insert(t1.XID, enc(int64(1)))
 	_ = mgr.Commit(t1)
 
 	// an old reader is still running
@@ -159,7 +178,7 @@ func TestAbortedInsertVacuumed(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, types.Row{int64(1)})
+	tbl.Insert(t1.XID, enc(int64(1)))
 	mgr.Abort(t1)
 	if reclaimed := tbl.Vacuum(mgr, mgr.GlobalXmin()); len(reclaimed) != 1 {
 		t.Fatalf("aborted insert not reclaimed: %d", len(reclaimed))
@@ -172,7 +191,7 @@ func TestTIDAddressing(t *testing.T) {
 	t1 := mgr.Begin()
 	var tids []TID
 	for i := 0; i < TuplesPerPage*3+5; i++ {
-		tids = append(tids, tbl.Insert(t1.XID, types.Row{int64(i)}))
+		tids = append(tids, tbl.Insert(t1.XID, enc(int64(i))))
 	}
 	_ = mgr.Commit(t1)
 	if tbl.NumPages() != 4 {
@@ -180,7 +199,7 @@ func TestTIDAddressing(t *testing.T) {
 	}
 	for i, tid := range tids {
 		tup, ok := tbl.Get(tid)
-		if !ok || tup.Row[0].(int64) != int64(i) {
+		if !ok || tup.Row()[0].(int64) != int64(i) {
 			t.Fatalf("get(%d) = %v, %v", tid, tup, ok)
 		}
 	}
@@ -196,7 +215,7 @@ func TestTruncate(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, types.Row{int64(1)})
+	tbl.Insert(t1.XID, enc(int64(1)))
 	_ = mgr.Commit(t1)
 	tbl.Truncate()
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 0 || tbl.EstimatedRows() != 0 {
@@ -206,7 +225,7 @@ func TestTruncate(t *testing.T) {
 
 func visibleCount(tbl *Table, mgr *txn.Manager, snap txn.Snapshot) int {
 	count := 0
-	tbl.Scan(mgr, snap, func(TID, types.Row) bool { count++; return true })
+	tbl.Scan(mgr, snap, func(TID, []byte) bool { count++; return true })
 	return count
 }
 
@@ -227,16 +246,16 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 	writers := []*txn.Txn{committed, committed, aborted, aborted, running, running, prepared, prepared, self, self,
 		committed, aborted, committed, running, committed, prepared, committed, self, committed}
 	for i, w := range writers {
-		tbl.Insert(w.XID, types.Row{int64(i)})
+		tbl.Insert(w.XID, enc(int64(i)))
 	}
 	// committed tuples with a deleter of every kind, each twice
 	for i, d := range []*txn.Txn{deleter, deleter, abortedDeleter, abortedDeleter, runningDeleter, runningDeleter, prepared, self, self} {
-		tid := tbl.Insert(committed.XID, types.Row{int64(100 + i)})
+		tid := tbl.Insert(committed.XID, enc(int64(100+i)))
 		tbl.MarkDeleted(tid, d.XID, NilTID)
 	}
 	// the snapshot's own insert, deleted by itself
-	tbl.MarkDeleted(tbl.Insert(self.XID, types.Row{int64(200)}), self.XID, NilTID)
-	tbl.Insert(committed.XID, types.Row{int64(201)})
+	tbl.MarkDeleted(tbl.Insert(self.XID, enc(int64(200))), self.XID, NilTID)
+	tbl.Insert(committed.XID, enc(int64(201)))
 
 	_ = mgr.Commit(committed)
 	mgr.Abort(aborted)
@@ -266,7 +285,7 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 				t.Errorf("%s snapshot, tuple %d (%+v): memo says %v, Visible %v", name, i, tuples[i], got, full)
 			}
 			if full {
-				want = append(want, tuples[i].Row)
+				want = append(want, tuples[i].Row())
 			}
 			seen[full]++
 		}
@@ -275,9 +294,10 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 		}
 
 		var scanned, batched []types.Row
-		tbl.Scan(mgr, s, func(_ TID, row types.Row) bool { scanned = append(scanned, row); return true })
+		tbl.Scan(mgr, s, func(_ TID, data []byte) bool { scanned = append(scanned, rowbatch.DecodeRow(data)); return true })
 		for b := tbl.NewBatchScan(mgr, s); ; {
-			rows, ok := b.Next()
+			batch, ok := b.Next()
+			rows := decodeAll(batch)
 			if !ok {
 				break
 			}
@@ -309,7 +329,7 @@ func TestBatchScanChargesWhatScanCharges(t *testing.T) {
 		tbl := NewTable(1, pool)
 		w := mgr.Begin()
 		for i := 0; i < pages*TuplesPerPage-7; i++ {
-			tbl.Insert(w.XID, types.Row{int64(i)})
+			tbl.Insert(w.XID, enc(int64(i)))
 		}
 		_ = mgr.Commit(w)
 		pool.SetCapacity(capacity)
@@ -317,7 +337,7 @@ func TestBatchScanChargesWhatScanCharges(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			rows := 0
 			if kind == "Scan" {
-				tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, types.Row) bool { rows++; return true })
+				tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, []byte) bool { rows++; return true })
 			} else {
 				for b := tbl.NewBatchScan(mgr, mgr.TakeSnapshot(nil)); ; {
 					batch, ok := b.Next()
@@ -364,7 +384,7 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 			default:
 			}
 			w := mgr.Begin()
-			tid := tbl.Insert(w.XID, types.Row{i, i * 2})
+			tid := tbl.Insert(w.XID, enc(i, i*2))
 			if i%3 == 0 {
 				tbl.MarkDeleted(tid, w.XID, NilTID)
 			}
@@ -399,7 +419,8 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 		<-vacuumed
 		seen := map[int64]bool{}
 		for b := tbl.NewBatchScan(mgr, mgr.TakeSnapshot(nil)); ; {
-			rows, ok := b.Next()
+			batch, ok := b.Next()
+			rows := decodeAll(batch)
 			if !ok {
 				break
 			}
@@ -435,7 +456,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 		var tids []TID
 		for i := 0; i < tuples; i++ {
 			w := mgr.Begin()
-			tid := tbl.Insert(w.XID, types.Row{int64(i)})
+			tid := tbl.Insert(w.XID, enc(int64(i)))
 			switch {
 			case i%7 == 0:
 				mgr.Abort(w)
@@ -450,7 +471,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 			}
 		}
 		open := mgr.Begin() // still running when the snapshot is taken
-		tids = append(tids, tbl.Insert(open.XID, types.Row{int64(-1)}), TID(100*TuplesPerPage), NilTID)
+		tids = append(tids, tbl.Insert(open.XID, enc(int64(-1))), TID(100*TuplesPerPage), NilTID)
 		tbl.Vacuum(mgr, mgr.GlobalXmin())
 		pool.SetCapacity(4)
 		pool.SetIOLatency(0, 1) // count, do not sleep
@@ -459,13 +480,14 @@ func TestTIDScanMatchesGet(t *testing.T) {
 			if kind == "Get" {
 				for _, tid := range tids {
 					if tup, ok := tbl.Get(tid); ok && Visible(mgr, snap, tup) {
-						got[kind] = append(got[kind], tup.Row[0].(int64))
+						got[kind] = append(got[kind], tup.Row()[0].(int64))
 					}
 				}
 				continue
 			}
 			for b := tbl.NewTIDScan(mgr, snap, tids); ; {
-				rows, ok := b.Next()
+				batch, ok := b.Next()
+				rows := decodeAll(batch)
 				if !ok {
 					if read, total := b.Progress(); read != total || total != len(tids) {
 						t.Fatalf("a finished scan of %d TIDs reports %d of %d read", len(tids), read, total)
@@ -506,8 +528,8 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	aborted, committed := mgr.Begin(), mgr.Begin()
-	dead := tbl.Insert(aborted.XID, types.Row{int64(0)})
-	live := tbl.Insert(committed.XID, types.Row{int64(1)})
+	dead := tbl.Insert(aborted.XID, enc(int64(0)))
+	live := tbl.Insert(committed.XID, enc(int64(1)))
 	mgr.Abort(aborted)
 	_ = mgr.Commit(committed)
 	if n := len(tbl.Vacuum(mgr, mgr.GlobalXmin())); n != 1 {
@@ -522,7 +544,7 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 		t.Fatalf("a snapshot outside a transaction has Self %d", snap.Self)
 	}
 	tup, ok := tbl.Get(dead)
-	if !ok || !tup.Dead() || tup.Row != nil {
+	if !ok || !tup.Dead() || tup.Data != nil {
 		t.Fatalf("Get(reclaimed) = %+v, %v: want a dead slot without its row", tup, ok)
 	}
 	if Visible(mgr, snap, tup) {
@@ -535,7 +557,7 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 		}
 	}
 	var scanned []TID
-	tbl.Scan(mgr, snap, func(tid TID, _ types.Row) bool { scanned = append(scanned, tid); return true })
+	tbl.Scan(mgr, snap, func(tid TID, _ []byte) bool { scanned = append(scanned, tid); return true })
 	only("Scan", scanned)
 	var all []TID
 	tbl.AllTuples(func(tid TID, _ Tuple) bool { all = append(all, tid); return true })
@@ -546,7 +568,7 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 	} {
 		var rows []types.Row
 		for batch, ok := b.Next(); ok; batch, ok = b.Next() {
-			rows = append(rows, batch...)
+			rows = append(rows, decodeAll(batch)...)
 		}
 		if len(rows) != 1 || rows[0][0] != int64(1) {
 			t.Errorf("%s returned %v, want only the live row", name, rows)

@@ -435,6 +435,11 @@ func FromValidWire(dst, b []byte) (Value, []byte) {
 	return Value{b: v}, dst[n:]
 }
 
+// ViewValidWire is FromValidWire without the copy: the datum aliases b, a
+// wire form that ValidateWire has accepted and that nothing writes again (a
+// heap tuple's). Its capacity ends with its bytes.
+func ViewValidWire(b []byte) Value { return Value{b: b[1:len(b):len(b)]} }
+
 // FromWire is ValidateWire followed by FromValidWire into bytes of its own:
 // nothing is parsed, a receiver pays for the check and the copy.
 func FromWire(b []byte) (Value, error) {

@@ -9,6 +9,7 @@ import (
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/fault"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/types"
 	"citusgo/internal/wal"
 )
@@ -29,14 +30,14 @@ func newMemApplier() *memApplier {
 
 func (m *memApplier) ApplyBase(*wal.Base) error { return nil }
 func (m *memApplier) ApplyDDL(string) error     { return nil }
-func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row, _ bool) error {
+func (m *memApplier) ApplyInsert(xid uint64, table string, tup []byte, _ bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rows[table] = append(m.rows[table], row)
+	m.rows[table] = append(m.rows[table], rowbatch.DecodeRow(tup))
 	m.applied++
 	return nil
 }
-func (m *memApplier) ApplyDelete(uint64, string, types.Row) error { return nil }
+func (m *memApplier) ApplyDelete(uint64, string, []byte) error { return nil }
 func (m *memApplier) ApplyCommit(xid uint64) {
 	m.mu.Lock()
 	m.commits[xid] = true
@@ -74,8 +75,17 @@ func (g *Group) Applied() map[int]int64 {
 	return out
 }
 
+// tuple encodes one row the way the heap stores it.
+func tuple(row ...types.Datum) []byte {
+	b, err := rowbatch.EncodeRow(row)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func appendTxn(l *wal.Log, xid uint64, table string, k int64) {
-	l.Append(wal.Record{Type: wal.RecInsert, XID: xid, Table: table, Row: types.Row{k}})
+	l.Append(wal.Record{Type: wal.RecInsert, XID: xid, Table: table, Tuple: tuple(k)})
 	l.Append(wal.Record{Type: wal.RecCommit, XID: xid})
 }
 
@@ -368,8 +378,8 @@ func TestAddStandbyBelowBaseTakesBaseBackup(t *testing.T) {
 	}
 	at, _ := primary.BeginCheckpoint()
 	primary.Checkpoint(&wal.Base{Redo: at, At: at, Xmax: 30, Image: "image"})
-	appendTxn(primary, 50, "t", 20)                                                                 // the tail
-	primary.Append(wal.Record{Type: wal.RecInsert, XID: 51, Table: "t", Row: types.Row{int64(21)}}) // in flight
+	appendTxn(primary, 50, "t", 20)                                                               // the tail
+	primary.Append(wal.Record{Type: wal.RecInsert, XID: 51, Table: "t", Tuple: tuple(int64(21))}) // in flight
 
 	a, l := newMemApplier(), wal.New()
 	if err := m.AddStandby(2, StandbyTarget{NodeID: 4, Name: "w1-sb1", WAL: l, Apply: a}, 5); err == nil {

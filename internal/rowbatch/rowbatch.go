@@ -9,10 +9,14 @@
 // parsed batch into one backing array for all cells and one more per kind of
 // value present (box.go), whatever the number of rows and columns, and copies
 // the bytes of each row's strings and jsonb documents into one array of that
-// row's own. A datum which outlives its request (a heap tuple) thus keeps
-// alive one small slot per datum of its batch and the bytes of its row —
-// which the tuple holding the row keeps alive anyway — and never the frame
-// the batch arrived in.
+// row's own, so that a datum which outlives its request never keeps the
+// frame the batch arrived in alive.
+//
+// A heap tuple is a batch of one row (tuple.go): EncodeRow writes it once,
+// DecodeRow reads it back with its strings and documents aliasing it, an
+// Arena decodes a scan's rows, only the columns it reads, into chunks shared
+// by many rows, and Pick finds the columns a vectorized scan reads without
+// decoding the rest.
 package rowbatch
 
 import (

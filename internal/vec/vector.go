@@ -167,6 +167,17 @@ func (v *Vector) AppendTime(t time.Time) {
 	v.grew()
 }
 
+// AppendUnixNano is AppendTime of the UTC time ns nanoseconds after the Unix
+// epoch.
+func (v *Vector) AppendUnixNano(ns int64) {
+	if v.Kind != KindTime {
+		v.Append(nanosTime(ns))
+		return
+	}
+	v.Ints = append(v.Ints, ns)
+	v.grew()
+}
+
 // AppendText is Append(string(b)): the string is made only when the
 // dictionary does not hold it yet.
 func (v *Vector) AppendText(b []byte) {
@@ -175,6 +186,28 @@ func (v *Vector) AppendText(b []byte) {
 		return
 	}
 	v.Codes = append(v.Codes, v.codeBytes(b))
+	v.grew()
+}
+
+// AppendString is Append(s), and keeps s itself, not a copy: a reader that
+// decodes strings out of immutable bytes (a heap tuple's) appends them as
+// they lie.
+func (v *Vector) AppendString(s string) {
+	if v.Kind != KindString {
+		v.Append(s)
+		return
+	}
+	v.Codes = append(v.Codes, v.code(s))
+	v.grew()
+}
+
+// AppendBool is Append(b).
+func (v *Vector) AppendBool(b bool) {
+	if v.Kind != KindBool {
+		v.Append(b)
+		return
+	}
+	v.Bools = append(v.Bools, b)
 	v.grew()
 }
 
@@ -215,26 +248,6 @@ func (v *Vector) Append(d types.Datum) {
 		v.Codes = append(v.Codes, v.code(d.(string)))
 	case KindGeneric:
 		v.Datums = append(v.Datums, d)
-	}
-}
-
-// AppendColumn appends column col of rows sel (all of them when sel is nil),
-// NULL where a row is shorter: how a row store's tuples become a chunk. Room
-// for all of them is made once, when the first value has given the vector its
-// kind.
-func (v *Vector) AppendColumn(rows []types.Row, col int, sel Sel) {
-	m := selLen(sel, len(rows))
-	grown := false
-	for j := 0; j < m; j++ {
-		var d types.Datum
-		if r := rows[sel.at(j)]; col < len(r) {
-			d = r[col]
-		}
-		v.Append(d)
-		if !grown && v.Kind != KindNull {
-			v.Reserve(m - j - 1)
-			grown = true
-		}
 	}
 }
 

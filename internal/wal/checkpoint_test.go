@@ -4,14 +4,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"citusgo/internal/types"
 )
 
 // appendCommitted appends one committed single-insert transaction and
 // returns the LSN of its commit record.
 func appendCommitted(l *Log, xid uint64, k int64) int64 {
-	l.Append(Record{Type: RecInsert, XID: xid, Table: "t", Row: types.Row{k}})
+	l.Append(Record{Type: RecInsert, XID: xid, Table: "t", Tuple: tuple(k)})
 	return l.Append(Record{Type: RecCommit, XID: xid})
 }
 
@@ -52,7 +50,7 @@ func TestCheckpointCutsBelowRedo(t *testing.T) {
 func TestCheckpointRedoFollowsOpenTransactions(t *testing.T) {
 	l := New()
 	appendCommitted(l, 10, 1)
-	first := l.Append(Record{Type: RecInsert, XID: 11, Table: "t", Row: types.Row{int64(2)}}) // stays open
+	first := l.Append(Record{Type: RecInsert, XID: 11, Table: "t", Tuple: tuple(int64(2))}) // stays open
 	appendCommitted(l, 12, 3)
 	at, open := l.BeginCheckpoint()
 	if open[11] != first || len(open) != 1 {
@@ -217,7 +215,7 @@ func TestRecoverIntoContinuesTheLog(t *testing.T) {
 	appendCommitted(l, 10, 1)
 	l.Checkpoint(baseAt(l, 11))
 	appendCommitted(l, 11, 2)
-	l.Append(Record{Type: RecInsert, XID: 12, Table: "t", Row: types.Row{int64(3)}}) // in flight
+	l.Append(Record{Type: RecInsert, XID: 12, Table: "t", Tuple: tuple(int64(3))}) // in flight
 	l.Seal()
 
 	dst := New()
@@ -242,9 +240,9 @@ func TestRecoverIntoSkipsWhatTheImageReflects(t *testing.T) {
 	l.Append(Record{Type: RecDDL, Name: "CREATE TABLE t"})
 	// 10 is in progress across the checkpoint; it wrote to t before t was
 	// truncated, and after
-	redo := l.Append(Record{Type: RecInsert, XID: 10, Table: "t", Row: types.Row{int64(1)}})
+	redo := l.Append(Record{Type: RecInsert, XID: 10, Table: "t", Tuple: tuple(int64(1))})
 	l.Append(Record{Type: RecDDL, Name: "TRUNCATE t", Table: "t"})
-	l.Append(Record{Type: RecInsert, XID: 10, Table: "t", Row: types.Row{int64(2)}})
+	l.Append(Record{Type: RecInsert, XID: 10, Table: "t", Tuple: tuple(int64(2))})
 	appendCommitted(l, 11, 3) // ended before the snapshot
 	at, _ := l.BeginCheckpoint()
 	l.Checkpoint(&Base{Redo: redo, At: at, Xmax: 12, InProgress: map[uint64]struct{}{10: {}}})

@@ -4,14 +4,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"citusgo/internal/types"
 )
 
 func TestStreamDeliversInOrder(t *testing.T) {
 	l := New()
 	for i := 0; i < 5; i++ {
-		l.Append(Record{Type: RecInsert, XID: uint64(i), Table: "t", Row: types.Row{int64(i)}})
+		l.Append(Record{Type: RecInsert, XID: uint64(i), Table: "t", Tuple: tuple(int64(i))})
 	}
 	s := l.StreamFrom(0)
 	defer s.Close()

@@ -1,5 +1,5 @@
 // Package wal implements a per-node write-ahead log. Records describe
-// logical changes (insert/delete with table name and row values) plus
+// logical changes (insert/delete with table name and the tuple's bytes) plus
 // transaction control, including PREPARE records for two-phase commit and
 // named restore points.
 //
@@ -25,7 +25,6 @@ import (
 
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
-	"citusgo/internal/types"
 	"citusgo/internal/wake"
 )
 
@@ -106,9 +105,11 @@ type Record struct {
 	// table whose rows the statement threw away (TRUNCATE, DROP TABLE), empty
 	// for every other DDL.
 	Table string
-	Row   types.Row // insert: the new row; delete: the key image
-	GID   string    // prepared transaction identifier
-	Name  string    // restore point name / DDL text
+	// Tuple is an insert's new tuple and a delete's old one: the heap's own
+	// byte image of the row (heap.Tuple.Data), shared, never copied.
+	Tuple []byte
+	GID   string // prepared transaction identifier
+	Name  string // restore point name / DDL text
 }
 
 // CheckpointEvery is how many records a log takes in between two checkpoints
@@ -147,7 +148,7 @@ type Base struct {
 	// and a standby's log takes the base over once it has the records below.
 	Tip int64
 	// Image is the node's own: the Applier of the engine that built it
-	// loads it (ApplyBase). It shares row slices and column vectors with the
+	// loads it (ApplyBase). It shares tuple bytes and column vectors with the
 	// engine it was taken from, which never writes to either again.
 	Image any
 }
@@ -544,10 +545,11 @@ type Applier interface {
 	// ApplyBase loads a checkpoint's image into an empty target.
 	ApplyBase(b *Base) error
 	ApplyDDL(ddl string) error
-	// ApplyInsert adds row; update makes it the successor of the version
-	// xid's last ApplyDelete removed (Record.Update).
-	ApplyInsert(xid uint64, table string, row types.Row, update bool) error
-	ApplyDelete(xid uint64, table string, row types.Row) error
+	// ApplyInsert adds the tuple; update makes it the successor of the
+	// version xid's last ApplyDelete removed (Record.Update).
+	ApplyInsert(xid uint64, table string, tuple []byte, update bool) error
+	// ApplyDelete deletes the live version whose bytes are tuple's.
+	ApplyDelete(xid uint64, table string, tuple []byte) error
 	ApplyCommit(xid uint64)
 	ApplyAbort(xid uint64)
 	ApplyPrepare(xid uint64, gid string)
@@ -668,14 +670,14 @@ func (l *Log) RecoverInto(dst *Log, a Applier, upTo int64) error {
 			if skip(r) {
 				continue
 			}
-			if err := a.ApplyInsert(r.XID, r.Table, r.Row, r.Update); err != nil {
+			if err := a.ApplyInsert(r.XID, r.Table, r.Tuple, r.Update); err != nil {
 				return err
 			}
 		case RecDelete:
 			if skip(r) {
 				continue
 			}
-			if err := a.ApplyDelete(r.XID, r.Table, r.Row); err != nil {
+			if err := a.ApplyDelete(r.XID, r.Table, r.Tuple); err != nil {
 				return err
 			}
 		case RecCommit:
@@ -722,9 +724,9 @@ func ApplyRecord(a Applier, rec Record) error {
 	case RecDDL:
 		return a.ApplyDDL(rec.Name)
 	case RecInsert:
-		return a.ApplyInsert(rec.XID, rec.Table, rec.Row, rec.Update)
+		return a.ApplyInsert(rec.XID, rec.Table, rec.Tuple, rec.Update)
 	case RecDelete:
-		return a.ApplyDelete(rec.XID, rec.Table, rec.Row)
+		return a.ApplyDelete(rec.XID, rec.Table, rec.Tuple)
 	case RecCommit:
 		a.ApplyCommit(rec.XID)
 	case RecAbort:

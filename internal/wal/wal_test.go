@@ -3,8 +3,18 @@ package wal
 import (
 	"testing"
 
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/types"
 )
+
+// tuple encodes one row the way the heap stores it.
+func tuple(row ...types.Datum) []byte {
+	b, err := rowbatch.EncodeRow(row)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 // memApplier is a reference replay target.
 type memApplier struct {
@@ -24,12 +34,12 @@ func newMemApplier() *memApplier {
 
 func (m *memApplier) ApplyBase(b *Base) error   { m.base = b; return nil }
 func (m *memApplier) ApplyDDL(ddl string) error { return nil }
-func (m *memApplier) ApplyInsert(xid uint64, table string, row types.Row, _ bool) error {
-	m.tables[table] = append(m.tables[table], row)
+func (m *memApplier) ApplyInsert(xid uint64, table string, tup []byte, _ bool) error {
+	m.tables[table] = append(m.tables[table], rowbatch.DecodeRow(tup))
 	return nil
 }
-func (m *memApplier) ApplyDelete(xid uint64, table string, row types.Row) error {
-	key := types.Format(row[0])
+func (m *memApplier) ApplyDelete(xid uint64, table string, tup []byte) error {
+	key := types.Format(rowbatch.DecodeRow(tup)[0])
 	rows := m.tables[table]
 	for i, r := range rows {
 		if types.Format(r[0]) == key {
@@ -48,13 +58,13 @@ func (m *memApplier) ApplyAbortPrepared(gid string)       { delete(m.prepared, g
 func TestReplaySkipsUncommittedAndAborted(t *testing.T) {
 	l := New()
 	// committed txn 5
-	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Row: types.Row{int64(1)}})
+	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Tuple: tuple(int64(1))})
 	l.Append(Record{Type: RecCommit, XID: 5})
 	// aborted txn 6
-	l.Append(Record{Type: RecInsert, XID: 6, Table: "t", Row: types.Row{int64(2)}})
+	l.Append(Record{Type: RecInsert, XID: 6, Table: "t", Tuple: tuple(int64(2))})
 	l.Append(Record{Type: RecAbort, XID: 6})
 	// crashed txn 7 (no outcome)
-	l.Append(Record{Type: RecInsert, XID: 7, Table: "t", Row: types.Row{int64(3)}})
+	l.Append(Record{Type: RecInsert, XID: 7, Table: "t", Tuple: tuple(int64(3))})
 	l.Seal()
 
 	a := newMemApplier()
@@ -68,7 +78,7 @@ func TestReplaySkipsUncommittedAndAborted(t *testing.T) {
 
 func TestReplayPreparedStaysPending(t *testing.T) {
 	l := New()
-	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Row: types.Row{int64(1)}})
+	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Tuple: tuple(int64(1))})
 	l.Append(Record{Type: RecPrepare, XID: 5, GID: "g1"})
 
 	a := newMemApplier()
@@ -87,10 +97,10 @@ func TestReplayPreparedStaysPending(t *testing.T) {
 
 func TestReplayResolvedPrepared(t *testing.T) {
 	l := New()
-	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Row: types.Row{int64(1)}})
+	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Tuple: tuple(int64(1))})
 	l.Append(Record{Type: RecPrepare, XID: 5, GID: "g1"})
 	l.Append(Record{Type: RecCommitPrepared, XID: 5, GID: "g1"})
-	l.Append(Record{Type: RecInsert, XID: 6, Table: "t", Row: types.Row{int64(2)}})
+	l.Append(Record{Type: RecInsert, XID: 6, Table: "t", Tuple: tuple(int64(2))})
 	l.Append(Record{Type: RecPrepare, XID: 6, GID: "g2"})
 	l.Append(Record{Type: RecAbortPrepared, XID: 6, GID: "g2"})
 
@@ -108,10 +118,10 @@ func TestReplayResolvedPrepared(t *testing.T) {
 
 func TestReplayUpToRestorePoint(t *testing.T) {
 	l := New()
-	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Row: types.Row{int64(1)}})
+	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Tuple: tuple(int64(1))})
 	l.Append(Record{Type: RecCommit, XID: 5})
 	lsn := l.RestorePoint("checkpoint")
-	l.Append(Record{Type: RecInsert, XID: 6, Table: "t", Row: types.Row{int64(2)}})
+	l.Append(Record{Type: RecInsert, XID: 6, Table: "t", Tuple: tuple(int64(2))})
 	l.Append(Record{Type: RecCommit, XID: 6})
 
 	found, err := l.FindRestorePoint("checkpoint")
@@ -135,7 +145,7 @@ func TestReplayUpToRestorePoint(t *testing.T) {
 // replays as pending-prepared, never as half-applied.
 func TestRestorePointAtomicityOf2PC(t *testing.T) {
 	l := New()
-	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Row: types.Row{int64(1)}})
+	l.Append(Record{Type: RecInsert, XID: 5, Table: "t", Tuple: tuple(int64(1))})
 	l.Append(Record{Type: RecPrepare, XID: 5, GID: "g1"})
 	lsn := l.RestorePoint("rp")
 	l.Append(Record{Type: RecCommitPrepared, XID: 5, GID: "g1"})
