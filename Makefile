@@ -123,7 +123,12 @@ race:
 # index's maintenance against a sequential scan (TestGINMatchesSeqScan: LIKE
 # and ILIKE through each index and with it taken out, after COPY, UPDATE,
 # DELETE and VACUUM, and TRUNCATE, every key byte-equal to the evaluator's
-# text); then TestChaosSmoke 100 times under -race
+# text); and 20 times under -race, the function registry every node serves
+# its functions from (TestFunctionParity: every function's SELECT fn(args)
+# and SELECT * FROM fn(args) forms agree, functions filtered, grouped and
+# joined, kept plans calling them again; TestNodeFunctionsOverWire: the node
+# functions over the wire, on a standby too, while it registers them again);
+# then TestChaosSmoke 100 times under -race
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
 	go test -race -run 'TestRouterCacheParity|TestPushdownCacheParity' -count=20 -timeout 10m ./internal/citus
@@ -157,6 +162,7 @@ stress:
 	go test -race -run 'TestSSIEdgePollFailsClosed' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRestorePointNeedsEveryNode' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestGINMatchesSeqScan' -count=20 -timeout 10m ./internal/engine
+	go test -race -run 'TestFunctionParity|TestNodeFunctionsOverWire' -count=20 -timeout 10m ./internal/wire
 	go test -race -run 'TestChaosSmoke$$' -count=100 -timeout 20m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 

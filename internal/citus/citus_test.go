@@ -3,6 +3,7 @@ package citus_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -613,6 +614,57 @@ func TestStoredProcedureDelegation(t *testing.T) {
 	mustExec(t, s, "CALL add_payment(2, 70)")
 	expectRows(t, mustExec(t, s, "SELECT total FROM wh WHERE w_id = 1"), "50")
 	expectRows(t, mustExec(t, s, "SELECT total FROM wh WHERE w_id = 2"), "70")
+}
+
+// TestDelegatedCallBindsParams: a CALL whose distribution argument is a
+// parameter routes on the bound value, and the worker that owns that value's
+// shard runs it with the parameters shipped along.
+func TestDelegatedCallBindsParams(t *testing.T) {
+	c := newCluster(t, 2)
+	var mu sync.Mutex
+	ranOn := map[string]int{}
+	for _, eng := range c.Engines {
+		eng.RegisterProcedure("add_payment", func(s *engine.Session, args []types.Datum) error {
+			mu.Lock()
+			ranOn[s.Eng.Name]++
+			mu.Unlock()
+			_, err := s.Exec("UPDATE wh SET total = total + $1 WHERE w_id = $2", args[1], args[0])
+			return err
+		})
+	}
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE wh (w_id bigint PRIMARY KEY, total bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('wh', 'w_id')")
+	key := keysOnWorkers(t, c, "wh", 1)[0]
+	mustExec(t, s, "INSERT INTO wh (w_id, total) VALUES ($1, 0)", key)
+	mustExec(t, s, "SELECT start_metadata_sync_to_node('worker1')")
+	mustExec(t, s, "SELECT start_metadata_sync_to_node('worker2')")
+	for _, node := range c.Nodes {
+		node.RegisterDistributedProcedure("add_payment", citus.DistProcedure{ArgIndex: 0, ColocatedWith: "wh"})
+	}
+	mustExec(t, s, "CALL add_payment($1, $2)", key, int64(50))
+	expectRows(t, mustExec(t, s, "SELECT total FROM wh WHERE w_id = $1", key), "50")
+	sh, err := c.Meta.ShardForValue("wh", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := c.Meta.PrimaryPlacement(sh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{c.Engines[owner-1].Name: 1}; fmt.Sprint(ranOn) != fmt.Sprint(want) {
+		t.Fatalf("the procedure ran on %v, want once on the owner of key %d, %v", ranOn, key, want)
+	}
+	// a distribution argument that needs a subquery is not routed on: the
+	// coordinator runs the CALL, the subquery in its transaction, which commits
+	mustExec(t, s, "CALL add_payment((SELECT w_id FROM wh), 7)")
+	if s.Txn() != nil {
+		t.Fatal("an autocommit CALL left its transaction open")
+	}
+	expectRows(t, mustExec(t, c.Session(), "SELECT total FROM wh WHERE w_id = $1", key), "57")
+	if got := ranOn[c.Engines[0].Name]; got != 1 {
+		t.Fatalf("the procedure ran %d times on the coordinator, want once", got)
+	}
 }
 
 // TestCallIsOneTransaction: the statements of a procedure run in its CALL's

@@ -6,7 +6,6 @@ import (
 	"citusgo/internal/catalog"
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
-	"citusgo/internal/expr"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
 )
@@ -15,7 +14,7 @@ import (
 // preserves [DDL as transactional, online operations] by taking the same
 // locks as PostgreSQL and propagating the DDL commands to shards via the
 // executor").
-func (n *Node) utilityHook(s *engine.Session, stmt sql.Statement) (bool, *engine.Result, error) {
+func (n *Node) utilityHook(s *engine.Session, stmt sql.Statement, params []types.Datum) (bool, *engine.Result, error) {
 	switch st := stmt.(type) {
 	case *sql.CreateIndexStmt:
 		if !n.Meta.IsCitusTable(st.Table) {
@@ -110,7 +109,7 @@ func (n *Node) utilityHook(s *engine.Session, stmt sql.Statement) (bool, *engine
 		}
 		return true, &engine.Result{Tag: "VACUUM"}, nil
 	case *sql.CallStmt:
-		return n.maybeDelegateCall(s, st)
+		return n.maybeDelegateCall(s, st, params)
 	}
 	return false, nil, nil
 }
@@ -148,9 +147,10 @@ func shardIndexName(name string, sh *metadata.Shard) string {
 }
 
 // maybeDelegateCall implements stored-procedure delegation (§3.8): a
-// procedure registered with a distribution argument is shipped to the
-// worker owning the matching shard, avoiding per-statement round trips.
-func (n *Node) maybeDelegateCall(s *engine.Session, st *sql.CallStmt) (bool, *engine.Result, error) {
+// procedure registered with a distribution argument is shipped, with the
+// statement's parameters, to the worker owning the shard its bound value
+// routes to, avoiding per-statement round trips.
+func (n *Node) maybeDelegateCall(s *engine.Session, st *sql.CallStmt, params []types.Datum) (bool, *engine.Result, error) {
 	spec, ok := n.distProcedure(st.Name)
 	if !ok || !n.canCoordinate() {
 		return false, nil, nil
@@ -159,18 +159,13 @@ func (n *Node) maybeDelegateCall(s *engine.Session, st *sql.CallStmt) (bool, *en
 		// inside a transaction block the coordinator keeps control
 		return false, nil, nil
 	}
-	if spec.ArgIndex >= len(st.Args) {
+	// route on the bound parameters alone: an argument that needs a
+	// subquery is evaluated by the local CALL, inside its transaction
+	args, err := n.Eng.BindArgs(st.Name, st.Args, params)
+	if err != nil || spec.ArgIndex >= len(args) || args[spec.ArgIndex] == nil {
 		return false, nil, nil
 	}
-	ev, err := expr.Compile(st.Args[spec.ArgIndex], nil)
-	if err != nil {
-		return false, nil, nil // non-constant distribution argument
-	}
-	val, err := ev(&expr.Ctx{})
-	if err != nil || val == nil {
-		return false, nil, nil
-	}
-	sh, err := n.Meta.ShardForValue(spec.ColocatedWith, val)
+	sh, err := n.Meta.ShardForValue(spec.ColocatedWith, args[spec.ArgIndex])
 	if err != nil {
 		return true, nil, err
 	}
@@ -186,6 +181,7 @@ func (n *Node) maybeDelegateCall(s *engine.Session, st *sql.CallStmt) (bool, *en
 		nodeID:     nodeID,
 		shardGroup: metadata.ShardGroupID(dt.ColocationID, sh.Index),
 		sql:        st.String(),
+		params:     params,
 		isWrite:    true,
 	}})
 	if err != nil {

@@ -174,6 +174,7 @@ func NewNode(id int, eng *engine.Engine, meta *metadata.Catalog, cfg Config) *No
 	eng.PlannerHook = n.plannerHook
 	eng.UtilityHook = n.utilityHook
 	eng.CopyHook = n.copyHook
+	n.registerFunctions()
 	return n
 }
 

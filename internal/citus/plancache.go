@@ -74,6 +74,7 @@ type fingerprint struct {
 	lifted  []types.Datum
 	nParams int    // caller parameter count the synthetic numbering assumed
 	text    string // the statement's own text, the pushdown key; "" until needed
+	callsFn bool   // the statement reads a function: no planner takes it
 }
 
 func newPlanCache() *planCache {
@@ -95,7 +96,7 @@ func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*d
 	pc.mu.Unlock()
 	if !have || f.nParams != len(params) {
 		key, lifted, ok := normalizeStatement(stmt, len(params))
-		f = fingerprint{ok: ok, key: key, lifted: lifted, nParams: len(params)}
+		f = fingerprint{ok: ok, key: key, lifted: lifted, nParams: len(params), callsFn: sql.CallsFunction(stmt)}
 		if ok && len(lifted) == 0 {
 			f.text = key
 		}
@@ -105,6 +106,9 @@ func (pc *planCache) plan(n *Node, stmt sql.Statement, params []types.Datum) (*d
 		}
 		pc.fp[stmt] = f
 		pc.mu.Unlock()
+	}
+	if f.callsFn {
+		return nil, errUnsupportedShape // the shards' nodes would call it
 	}
 	p, err := pc.planRouter(n, stmt, f, params)
 	if p != nil || err != nil {

@@ -1,6 +1,7 @@
 package citus
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -232,9 +233,6 @@ func (n *Node) plannerHook(s *engine.Session, stmt sql.Statement, params []types
 }
 
 func (n *Node) planStatement(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, error) {
-	if plan, handled, err := n.matchUDF(s, stmt, params); handled {
-		return plan, err
-	}
 	// Route on FROM-clause tables only: a query whose distributed
 	// references live solely in expression subqueries runs locally, and the
 	// engine's subquery executor re-enters this hook for each subquery, which
@@ -297,6 +295,9 @@ func (n *Node) planDistributed(stmt sql.Statement, params []types.Datum) (engine
 // analysis, and for a SELECT the router does not scope to one shard group,
 // the pushdown planner's. nil: neither planner takes the statement.
 func (n *Node) planUncached(stmt sql.Statement, params []types.Datum) (*distPlan, error) {
+	if sql.CallsFunction(stmt) {
+		return nil, errUnsupportedShape // the shards' nodes would call it
+	}
 	if p, err := n.analyzeRouter(stmt).plan(n, params, false); p != nil || err != nil {
 		return p, err
 	}
@@ -641,8 +642,11 @@ func (n *Node) planDistSelect(sel *sql.SelectStmt, params []types.Datum) (engine
 	if err != nil || plan != nil {
 		return plan, err
 	}
-	return nil, fmt.Errorf("complex distributed queries of this shape are not supported (a join of more than two non-co-located tables, a FROM subquery that needs a merge step, or a join without an equality condition, see paper §2.4)")
+	return nil, errUnsupportedShape
 }
+
+// errUnsupportedShape refuses the distributed queries no planner takes.
+var errUnsupportedShape = errors.New("complex distributed queries of this shape are not supported (a join of more than two non-co-located tables, a FROM subquery that needs a merge step, a join without an equality condition, or a function read beside a distributed table, see paper §2.4)")
 
 // ---------------------------------------------------------------------------
 // DML planning

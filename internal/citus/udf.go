@@ -3,22 +3,20 @@ package citus
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
-	"citusgo/internal/expr"
 	"citusgo/internal/fault"
 	"citusgo/internal/obs"
-	"citusgo/internal/sql"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
 )
 
-// matchUDF intercepts the Citus user-defined functions — the SQL-callable
-// control plane the paper describes in §3.1 ("UDFs ... are primarily used
-// to manipulate the Citus metadata and implement remote procedure calls"):
+// registerFunctions registers the Citus user-defined functions on the
+// node's engine — the SQL-callable control plane the paper describes in §3.1
+// ("UDFs ... are primarily used to manipulate the Citus metadata and
+// implement remote procedure calls"), ordinary functions to the engine:
 //
 //	SELECT create_distributed_table('t', 'col' [, colocate_with := '...'])
 //	SELECT create_reference_table('t')
@@ -27,377 +25,158 @@ import (
 //	SELECT create_restore_point('name')
 //	SELECT citus_recover_prepared_transactions()
 //	SELECT citus_move_shard_placement(shard_id, from_node, to_node)
-//	SELECT citus_tables()
-//	SELECT citus_stat_counters()
-//	SELECT citus_plancache_stats()
-//	SELECT citus_stat_activity()
-//	SELECT citus_stat_ssi()
-//	SELECT citus_trace(trace_id)
+//	SELECT * FROM citus_tables()
+//	SELECT * FROM citus_stat_counters()
+//	SELECT * FROM citus_plancache_stats()
+//	SELECT * FROM citus_stat_activity()
+//	SELECT * FROM citus_stat_ssi()
+//	SELECT * FROM citus_trace(trace_id)
 //
-// and the node functions (nodeFunction), the remote procedure calls.
-func (n *Node) matchUDF(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, bool, error) {
-	call, ok := parseUDFCall(stmt, params)
-	if !ok {
-		return nil, false, nil
-	}
-	if plan := nodeFunction(n.Eng, n.ID, call); plan != nil {
-		return plan, true, nil
-	}
-	name := call.name
-	switch name {
-	case "create_distributed_table":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
-			tableV, err := call.arg(0)
-			if err != nil {
-				return nil, err
-			}
-			colV, err := call.arg(1)
-			if err != nil {
-				return nil, err
-			}
-			colocate := ""
-			if v, ok, err := call.named("colocate_with"); err != nil {
-				return nil, err
-			} else if ok {
-				colocate = types.Format(v)
-			} else if len(call.args) >= 3 {
-				if v, err := call.arg(2); err == nil && v != nil {
-					colocate = types.Format(v)
-				}
-			}
-			return nil, n.CreateDistributedTable(s, types.Format(tableV), types.Format(colV), colocate)
-		}), true, nil
-
-	case "create_reference_table":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
-			table, err := call.text()
-			if err != nil {
-				return nil, err
-			}
-			return nil, n.CreateReferenceTable(s, table)
-		}), true, nil
-
-	case "start_metadata_sync_to_node":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
-			node, err := call.text()
-			if err != nil {
-				return nil, err
-			}
-			return nil, n.StartMetadataSync(node)
-		}), true, nil
-
-	case "rebalance_table_shards":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+// and the node functions (RegisterNodeFunctions), the remote procedure calls.
+func (n *Node) registerFunctions() {
+	RegisterNodeFunctions(n.Eng, n.ID)
+	for _, f := range []engine.Function{
+		textScalar("create_distributed_table", []string{"table_name", "distribution_column", "colocate_with"}, 1, func(s *engine.Session, args []string) (types.Datum, error) {
+			return nil, n.CreateDistributedTable(s, args[0], args[1], args[2])
+		}),
+		textScalar("create_reference_table", []string{"table_name"}, 0, func(s *engine.Session, args []string) (types.Datum, error) {
+			return nil, n.CreateReferenceTable(s, args[0])
+		}),
+		textScalar("start_metadata_sync_to_node", []string{"node_name"}, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
+			return nil, n.StartMetadataSync(args[0])
+		}),
+		scalar("rebalance_table_shards", nil, func(s *engine.Session, _ []types.Datum) (types.Datum, error) {
 			moves, err := n.RebalanceTableShards(s)
 			return int64(moves), err
-		}), true, nil
-
-	case "citus_move_shard_placement":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
-			shardV, err := call.arg(0)
-			if err != nil {
-				return nil, err
+		}),
+		scalar("citus_move_shard_placement", []string{"shard_id", "source_node", "target_node"}, func(s *engine.Session, args []types.Datum) (types.Datum, error) {
+			var ids [3]int64
+			for i, what := range []string{"shard id", "source node", "target node"} {
+				var err error
+				if ids[i], err = intArg("citus_move_shard_placement", what, args[i]); err != nil {
+					return nil, err
+				}
 			}
-			fromV, err := call.arg(1)
-			if err != nil {
-				return nil, err
-			}
-			toV, err := call.arg(2)
-			if err != nil {
-				return nil, err
-			}
-			shardID, _ := types.CoerceTo(shardV, types.Int)
-			from, _ := types.CoerceTo(fromV, types.Int)
-			to, _ := types.CoerceTo(toV, types.Int)
-			return nil, n.MoveShardPlacement(s, shardID.(int64), int(from.(int64)), int(to.(int64)))
-		}), true, nil
-
-	case "create_restore_point":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
-			point, err := call.text()
-			if err != nil {
-				return nil, err
-			}
-			return n.CreateRestorePoint(point)
-		}), true, nil
-
-	case "citus_recover_prepared_transactions":
-		return scalarUDF(name, func(s *engine.Session) (types.Datum, error) {
+			return nil, n.MoveShardPlacement(s, ids[0], int(ids[1]), int(ids[2]))
+		}),
+		textScalar("create_restore_point", []string{"name"}, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
+			return n.CreateRestorePoint(args[0])
+		}),
+		scalar("citus_recover_prepared_transactions", nil, func(*engine.Session, []types.Datum) (types.Datum, error) {
 			return int64(n.RecoverTwoPhaseCommits()), nil
-		}), true, nil
-
-	case "citus_tables":
+		}),
 		// introspection: one row per citus table (the citus_tables view)
-		return &udfPlan{columns: tablesColumns, label: "Citus Tables Metadata", rows: n.tablesRows}, true, nil
-
-	case "citus_stat_counters":
+		{Name: "citus_tables", Columns: tablesColumns, Call: n.tablesRows},
 		// observability: one row per metric in the global obs registry — the
 		// SQL-queryable counterpart of the citus_stat_* views (§5–6 of the
 		// paper's operational story)
-		return &udfPlan{columns: nameValueColumns, label: "Citus Stat Counters", rows: statCountersRows}, true, nil
-
-	case "citus_plancache_stats":
+		{Name: "citus_stat_counters", Columns: nameValueColumns, Call: statCountersRows},
 		// observability: the coordinator distributed-plan cache
-		return &udfPlan{columns: nameValueColumns, label: "Citus Plan Cache Stats", rows: n.planCacheStatsRows}, true, nil
-
-	case "citus_stat_ssi":
-		// observability: per-session SSI state (locks, conflict edges,
-		// doomed flags) across the cluster
-		return &udfPlan{columns: statSSIColumns, label: "Citus Stat SSI", rows: n.clusterRows("citus_node_stat_ssi", func() []types.Row {
+		{Name: "citus_plancache_stats", Columns: nameValueColumns, Call: n.planCacheStatsRows},
+		// observability: per-session SSI state (locks, conflict edges, doomed
+		// flags) across the cluster
+		{Name: "citus_stat_ssi", Columns: statSSIColumns, Call: n.clusterRows("citus_node_stat_ssi", func() []types.Row {
 			return statSSIRows(n.Eng, n.ID)
-		})}, true, nil
-
-	case "citus_stat_activity":
+		})},
 		// observability: active/prepared transactions across the cluster
-		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: n.clusterRows("citus_node_stat_activity", func() []types.Row {
+		{Name: "citus_stat_activity", Columns: statActivityColumns, Call: n.clusterRows("citus_node_stat_activity", func() []types.Row {
 			return statActivityRows(n.Eng, n.ID, nil)
-		})}, true, nil
-
-	case "citus_trace":
+		})},
 		// observability: the reassembled distributed trace, one row per span
-		return &udfPlan{columns: traceColumns, label: "Citus Trace", rows: func(*engine.Session) ([]types.Row, error) {
-			id, err := call.traceID()
+		{Name: "citus_trace", Columns: traceColumns, Args: []string{"trace_id"}, Call: func(_ *engine.Session, args []types.Datum) ([]types.Row, error) {
+			id, err := intArg("citus_trace", "trace id", args[0])
 			if err != nil {
 				return nil, err
 			}
-			return traceRows(n.CollectTrace(id)), nil
-		}}, true, nil
+			return traceRows(n.CollectTrace(uint64(id))), nil
+		}},
+	} {
+		n.Eng.RegisterFunction(f)
 	}
-	return nil, false, nil
 }
 
-// nodeFunction plans a node function: what one node answers about itself,
-// and everything a coordinator asks another node. A coordinator sends them as
-// ordinary statements (callNode); every node answers them, a standby running
-// no Citus layer included (NodeFunctions).
+// RegisterNodeFunctions registers the node functions on an engine: what one
+// node answers about itself, and everything a coordinator asks another node.
+// A coordinator sends them as ordinary statements (callNode); every node
+// answers them, a standby running no Citus layer included.
 //
-//	SELECT citus_node_wait_edges()
+//	SELECT * FROM citus_node_wait_edges()
 //	SELECT citus_node_cancel_dist(dist_txn_id)
 //	SELECT citus_node_doom_dist(dist_txn_id)
 //	SELECT citus_node_drop_results(prefix, ...)
 //	SELECT citus_node_table_rows(table, ...)
-//	SELECT citus_node_list_prepared()
-//	SELECT citus_node_trace_spans(trace_id)
+//	SELECT * FROM citus_node_list_prepared()
+//	SELECT * FROM citus_node_trace_spans(trace_id)
 //	SELECT citus_node_create_restore_point(name)
-//	SELECT citus_node_stat_activity()
-//	SELECT citus_node_stat_ssi()
-func nodeFunction(eng *engine.Engine, nodeID int, call *udfCall) *udfPlan {
-	name := call.name
-	switch name {
-	case "citus_node_wait_edges":
+//	SELECT * FROM citus_node_stat_activity()
+//	SELECT * FROM citus_node_stat_ssi()
+func RegisterNodeFunctions(eng *engine.Engine, nodeID int) {
+	for _, f := range []engine.Function{
 		// the deadlock detector's poll and the SSI check's: the node's lock
 		// waits and rw-antidependencies, in one statement
-		return &udfPlan{columns: waitEdgeColumns, label: "Citus Node Wait Edges", rows: func(*engine.Session) ([]types.Row, error) {
+		{Name: "citus_node_wait_edges", Columns: waitEdgeColumns, Call: func(*engine.Session, []types.Datum) ([]types.Row, error) {
 			return waitEdgeRows(eng.LockGraph(), eng.SSIWireEdges()), nil
-		}}
-
-	case "citus_node_cancel_dist":
+		}},
 		// a deadlock victim's member: its running statement is interrupted
-		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
-			dist, err := call.text()
-			if err != nil {
-				return nil, err
-			}
-			return eng.CancelByDistID(dist), nil
-		})
-
-	case "citus_node_doom_dist":
+		textScalar("citus_node_cancel_dist", []string{"dist_txn_id"}, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
+			return eng.CancelByDistID(args[0]), nil
+		}),
 		// a pivot's member: nothing is interrupted, its commit fails with a
 		// serialization error
-		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
-			dist, err := call.text()
-			if err != nil {
-				return nil, err
-			}
-			return eng.DoomByDistID(dist), nil
-		})
-
-	case "citus_node_drop_results":
+		textScalar("citus_node_doom_dist", []string{"dist_txn_id"}, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
+			return eng.DoomByDistID(args[0]), nil
+		}),
 		// drops every intermediate result whose name starts with one of the
 		// prefixes
-		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
-			prefixes, err := call.texts()
-			for _, prefix := range prefixes {
+		textScalar("citus_node_drop_results", nil, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
+			for _, prefix := range args {
 				eng.DropIntermediateResults(prefix)
 			}
-			return nil, err
-		})
-
-	case "citus_node_table_rows":
+			return nil, nil
+		}),
 		// the summed row estimates of the named tables (a table's shards on
 		// the node)
-		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
-			tables, err := call.texts()
+		textScalar("citus_node_table_rows", nil, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
 			var total int64
-			for _, table := range tables {
+			for _, table := range args {
 				total += eng.TableRows(table)
 			}
-			return total, err
-		})
-
-	case "citus_node_list_prepared":
+			return total, nil
+		}),
 		// 2PC recovery's read of the node's prepared transactions
-		return &udfPlan{columns: preparedColumns, label: "Citus Node Prepared", rows: func(*engine.Session) ([]types.Row, error) {
+		{Name: "citus_node_list_prepared", Columns: preparedColumns, Call: func(*engine.Session, []types.Datum) ([]types.Row, error) {
 			return preparedRows(eng), nil
-		}}
-
-	case "citus_node_trace_spans":
+		}},
 		// the node-local part of citus_trace: the node's ring-buffered spans
 		// of one trace
-		return &udfPlan{columns: spanColumns, label: "Citus Node Trace Spans", rows: func(*engine.Session) ([]types.Row, error) {
-			id, err := call.traceID()
+		{Name: "citus_node_trace_spans", Columns: spanColumns, Args: []string{"trace_id"}, Call: func(_ *engine.Session, args []types.Datum) ([]types.Row, error) {
+			id, err := intArg("citus_node_trace_spans", "trace id", args[0])
 			if err != nil {
 				return nil, err
 			}
-			return spanRows(eng.Tracer.Collect(id)), nil
-		}}
-
-	case "citus_node_create_restore_point":
+			return spanRows(eng.Tracer.Collect(uint64(id))), nil
+		}},
 		// the node-local part of create_restore_point
-		return scalarUDF(name, func(*engine.Session) (types.Datum, error) {
-			point, err := call.text()
-			if err != nil {
-				return nil, err
-			}
-			return eng.WAL.RestorePoint(point), nil
-		})
-
-	case "citus_node_stat_activity":
-		return &udfPlan{columns: statActivityColumns, label: "Citus Stat Activity", rows: func(s *engine.Session) ([]types.Row, error) {
+		textScalar("citus_node_create_restore_point", []string{"name"}, 0, func(_ *engine.Session, args []string) (types.Datum, error) {
+			return eng.WAL.RestorePoint(args[0]), nil
+		}),
+		{Name: "citus_node_stat_activity", Columns: statActivityColumns, Call: func(s *engine.Session, _ []types.Datum) ([]types.Row, error) {
 			// the asking statement's own transaction is no activity of the node's
 			return statActivityRows(eng, nodeID, s.Txn()), nil
-		}}
-
-	case "citus_node_stat_ssi":
-		return &udfPlan{columns: statSSIColumns, label: "Citus Stat SSI", rows: func(*engine.Session) ([]types.Row, error) {
+		}},
+		{Name: "citus_node_stat_ssi", Columns: statSSIColumns, Call: func(*engine.Session, []types.Datum) ([]types.Row, error) {
 			return statSSIRows(eng, nodeID), nil
-		}}
-	}
-	return nil
-}
-
-// NodeFunctions is the planner hook of an engine that runs no Citus layer (a
-// standby, promoted or not): it answers the node functions, so a coordinator
-// asks it what it asks every other node, and leaves every other statement to
-// the engine.
-func NodeFunctions(eng *engine.Engine, nodeID int) engine.PlannerHook {
-	return func(s *engine.Session, stmt sql.Statement, params []types.Datum) (engine.Plan, error) {
-		if call, ok := parseUDFCall(stmt, params); ok {
-			if plan := nodeFunction(eng, nodeID, call); plan != nil {
-				return plan, nil
-			}
-		}
-		return nil, nil
+		}},
+	} {
+		eng.RegisterFunction(f)
 	}
 }
 
-// udfCall is a statement that calls a UDF: SELECT fn(args), with nothing
-// else in it.
-type udfCall struct {
-	name   string // lower case
-	args   []sql.Expr
-	params []types.Datum
-}
-
-func parseUDFCall(stmt sql.Statement, params []types.Datum) (*udfCall, bool) {
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok || len(sel.From) != 0 || len(sel.Columns) != 1 {
-		return nil, false
-	}
-	fc, ok := sel.Columns[0].Expr.(*sql.FuncCall)
-	if !ok {
-		return nil, false
-	}
-	return &udfCall{name: strings.ToLower(fc.Name), args: fc.Args, params: params}, true
-}
-
-func (c *udfCall) eval(e sql.Expr) (types.Datum, error) {
-	ev, err := expr.Compile(e, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ev(&expr.Ctx{Params: c.params})
-}
-
-// arg evaluates the i-th argument, named or not.
-func (c *udfCall) arg(i int) (types.Datum, error) {
-	if i >= len(c.args) {
-		return nil, fmt.Errorf("%s: missing argument %d", c.name, i+1)
-	}
-	arg := c.args[i]
-	if na, isNamed := arg.(*sql.NamedArg); isNamed {
-		arg = na.Value
-	}
-	return c.eval(arg)
-}
-
-// named evaluates the argument passed by name, if there is one.
-func (c *udfCall) named(argName string) (types.Datum, bool, error) {
-	for _, a := range c.args {
-		if na, isNamed := a.(*sql.NamedArg); isNamed && strings.EqualFold(na.Name, argName) {
-			v, err := c.eval(na.Value)
-			return v, true, err
-		}
-	}
-	return nil, false, nil
-}
-
-// text is the first argument as text.
-func (c *udfCall) text() (string, error) {
-	v, err := c.arg(0)
-	return types.Format(v), err
-}
-
-// texts is every argument as text (the variadic node functions).
-func (c *udfCall) texts() ([]string, error) {
-	out := make([]string, len(c.args))
-	for i := range c.args {
-		v, err := c.arg(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = types.Format(v)
-	}
-	return out, nil
-}
-
-// traceID is the first argument as a trace id.
-func (c *udfCall) traceID() (uint64, error) {
-	v, err := c.arg(0)
-	if err != nil {
-		return 0, err
-	}
-	id, err := types.CoerceTo(v, types.Int)
-	if err != nil || id == nil {
-		return 0, fmt.Errorf("%s: trace id must be an integer", c.name)
-	}
-	return uint64(id.(int64)), nil
-}
-
-// udfPlan is the plan of every Citus UDF: its columns, its EXPLAIN label and
-// the function that makes its rows when it executes.
-type udfPlan struct {
-	columns []string
-	label   string
-	rows    func(s *engine.Session) ([]types.Row, error)
-}
-
-func (p *udfPlan) Columns() []string      { return p.columns }
-func (p *udfPlan) ExplainLines() []string { return []string{p.label} }
-
-func (p *udfPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	rows, err := p.rows(s)
-	if err != nil {
-		return nil, err
-	}
-	return &engine.Result{Columns: p.columns, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
-}
-
-// scalarUDF is the plan of a UDF that returns one value: one row of one
-// column, named after the function.
-func scalarUDF(name string, fn func(s *engine.Session) (types.Datum, error)) *udfPlan {
-	return &udfPlan{columns: []string{name}, label: "Citus UDF " + name, rows: func(s *engine.Session) ([]types.Row, error) {
-		v, err := fn(s)
+// scalar is a function that returns one value: one row of one column, named
+// after the function.
+func scalar(name string, args []string, fn func(s *engine.Session, args []types.Datum) (types.Datum, error)) engine.Function {
+	return engine.Function{Name: name, Columns: []string{name}, Args: args, Call: func(s *engine.Session, args []types.Datum) ([]types.Row, error) {
+		v, err := fn(s, args)
 		if err != nil {
 			return nil, err
 		}
@@ -405,11 +184,41 @@ func scalarUDF(name string, fn func(s *engine.Session) (types.Datum, error)) *ud
 	}}
 }
 
+// textScalar is a scalar function of text arguments. Each one is required: a
+// NULL argument, a left-out one included, fails. Only the last optional
+// declared arguments may be NULL, and are then "".
+func textScalar(name string, args []string, optional int, fn func(s *engine.Session, args []string) (types.Datum, error)) engine.Function {
+	return scalar(name, args, func(s *engine.Session, vals []types.Datum) (types.Datum, error) {
+		texts := make([]string, len(vals))
+		for i, v := range vals {
+			if v != nil {
+				texts[i] = types.Format(v)
+			} else if i < len(vals)-optional {
+				what := fmt.Sprintf("argument %d", i+1)
+				if i < len(args) {
+					what = args[i]
+				}
+				return nil, fmt.Errorf("%s: missing %s", name, what)
+			}
+		}
+		return fn(s, texts)
+	})
+}
+
+// intArg is an argument of fn, what it is, as an integer.
+func intArg(fn, what string, v types.Datum) (int64, error) {
+	id, err := types.CoerceTo(v, types.Int)
+	if err != nil || id == nil {
+		return 0, fmt.Errorf("%s: %s must be an integer", fn, what)
+	}
+	return id.(int64), nil
+}
+
 // clusterRows makes the cluster-wide view of a node-local one: this node's
 // rows, then every other node's, each gathered by calling fn there. A node
 // that cannot be asked fails the view, naming the node.
-func (n *Node) clusterRows(fn string, local func() []types.Row) func(*engine.Session) ([]types.Row, error) {
-	return func(*engine.Session) ([]types.Row, error) {
+func (n *Node) clusterRows(fn string, local func() []types.Row) func(*engine.Session, []types.Datum) ([]types.Row, error) {
+	return func(*engine.Session, []types.Datum) ([]types.Row, error) {
 		rows := local()
 		for _, node := range n.Meta.Nodes() {
 			if node.ID == n.ID {
@@ -428,7 +237,7 @@ func (n *Node) clusterRows(fn string, local func() []types.Row) func(*engine.Ses
 var nameValueColumns = []string{"name", "value"}
 
 // statCountersRows renders the obs registry as name/value rows.
-func statCountersRows(*engine.Session) ([]types.Row, error) {
+func statCountersRows(*engine.Session, []types.Datum) ([]types.Row, error) {
 	snap := obs.Default().Snapshot()
 	var rows []types.Row
 	for _, k := range snap.Keys() {
@@ -441,7 +250,7 @@ func statCountersRows(*engine.Session) ([]types.Row, error) {
 // name/value rows: aggregate counters first, then one
 // `shard_groups[<normalized sql>]` row per cached entry reporting how many
 // per-shard-group deparses it has memoized.
-func (n *Node) planCacheStatsRows(*engine.Session) ([]types.Row, error) {
+func (n *Node) planCacheStatsRows(*engine.Session, []types.Datum) ([]types.Row, error) {
 	entries, hits, misses, invalidations := n.planCache.stats()
 	rows := []types.Row{
 		{"entries", int64(len(entries))},
@@ -496,7 +305,7 @@ func statSSIRows(eng *engine.Engine, nodeID int) []types.Row {
 var tablesColumns = []string{"table_name", "citus_table_type", "distribution_column", "colocation_id", "shard_count"}
 
 // tablesRows renders the citus_tables metadata view.
-func (n *Node) tablesRows(*engine.Session) ([]types.Row, error) {
+func (n *Node) tablesRows(*engine.Session, []types.Datum) ([]types.Row, error) {
 	var rows []types.Row
 	for _, dt := range n.Meta.Tables() {
 		kind := "distributed"

@@ -173,7 +173,7 @@ func New(cfg Config) (*Cluster, error) {
 				// No Citus layer, but the node functions: a coordinator
 				// asks a standby, and the primary it may be promoted to,
 				// what it asks every node.
-				sbEng.PlannerHook = citus.NodeFunctions(sbEng, sbID)
+				citus.RegisterNodeFunctions(sbEng, sbID)
 				c.standbys[sbID] = sbEng
 				meta.AddNode(&metadata.Node{
 					ID: sbID, Name: name,
@@ -424,7 +424,7 @@ func (c *Cluster) rejoinStandby(i, primaryID int) error {
 	// Standby-local sessions (replica reads) allocate XIDs from a range
 	// disjoint from any primary's, same as standbys booted at New.
 	eng.Txns.AdvanceXIDBase(uint64(nodeID) << 40)
-	eng.PlannerHook = citus.NodeFunctions(eng, nodeID)
+	citus.RegisterNodeFunctions(eng, nodeID)
 	// Quiesce in-flight executions before rewiring (see RestartWorker).
 	c.quiesce(i)
 	c.mu.Lock()

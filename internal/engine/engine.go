@@ -8,7 +8,9 @@
 // planner plugs in here, equivalent to the planner_hook + CustomScan
 // combination described in §3.1 of the paper), UtilityHook intercepts
 // commands that do not go through the planner (DDL, COPY), and transaction
-// callbacks on txn.Txn drive distributed commit.
+// callbacks on txn.Txn drive distributed commit. An extension's functions,
+// the Citus UDFs among them, are no hook: they are entries of the engine's
+// one function registry (RegisterFunction), read by CALL and as relations.
 package engine
 
 import (
@@ -144,11 +146,24 @@ type Plan interface {
 type PlannerHook func(s *Session, stmt sql.Statement, params []types.Datum) (Plan, error)
 
 // UtilityHook lets an extension intercept utility statements (DDL, COPY,
-// CALL, ...). Return handled=false to fall through to local handling.
-type UtilityHook func(s *Session, stmt sql.Statement) (handled bool, res *Result, err error)
+// CALL, ...), given the statement's bound parameters. Return handled=false
+// to fall through to local handling.
+type UtilityHook func(s *Session, stmt sql.Statement, params []types.Datum) (handled bool, res *Result, err error)
 
-// Procedure is a registered stored procedure; it runs inside the calling
-// session's transaction.
+// Function is an entry of the engine's function registry. A function has
+// result columns and is a relation: FROM fn(args), or SELECT fn(args) as the
+// whole target list. A procedure has none and is run by CALL fn(args). Either
+// runs inside the calling session's transaction.
+type Function struct {
+	Name    string
+	Columns []string
+	// Args are the declared argument names, which name := value binds by; a
+	// function that declares none takes its arguments by position only.
+	Args []string
+	Call func(s *Session, args []types.Datum) ([]types.Row, error)
+}
+
+// Procedure is a stored procedure: a function with no result.
 type Procedure func(s *Session, args []types.Datum) error
 
 // storage bundles a table's definition with its physical storage and
@@ -232,9 +247,9 @@ type Engine struct {
 	// for parse/plan/execute, lock waits, and WAL appends.
 	Tracer *trace.Tracer
 
-	mu         sync.RWMutex
-	stores     map[string]*storage
-	procedures map[string]Procedure
+	mu        sync.RWMutex
+	stores    map[string]*storage
+	functions map[string]*Function
 
 	imu          sync.RWMutex
 	intermediate map[string]*IntermediateResult
@@ -447,7 +462,7 @@ func New(cfg Config) *Engine {
 		Pool:         bufpool.New(cfg.BufferPool),
 		WAL:          wal.New(),
 		stores:       make(map[string]*storage),
-		procedures:   make(map[string]Procedure),
+		functions:    make(map[string]*Function),
 		intermediate: make(map[string]*IntermediateResult),
 		stopCh:       make(chan struct{}),
 	}
@@ -592,18 +607,61 @@ func (e *Engine) CancelByDistID(distID string) bool {
 	return false
 }
 
-// RegisterProcedure installs a stored procedure on this node.
-func (e *Engine) RegisterProcedure(name string, p Procedure) {
+// RegisterFunction installs a function on this node, replacing one of the
+// same name.
+func (e *Engine) RegisterFunction(f Function) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.procedures[strings.ToLower(name)] = p
+	e.functions[strings.ToLower(f.Name)] = &f
 }
 
-func (e *Engine) procedure(name string) (Procedure, bool) {
+// RegisterProcedure installs a stored procedure on this node.
+func (e *Engine) RegisterProcedure(name string, p Procedure) {
+	e.RegisterFunction(Function{Name: name, Call: func(s *Session, args []types.Datum) ([]types.Row, error) {
+		return nil, p(s, args)
+	}})
+}
+
+func (e *Engine) function(name string) (*Function, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	p, ok := e.procedures[strings.ToLower(name)]
-	return p, ok
+	f, ok := e.functions[strings.ToLower(name)]
+	return f, ok
+}
+
+// args evaluates a call's arguments in f's declared order: the positional
+// ones first, then each named one at the position its name is declared at.
+// An argument left out is NULL.
+func (f *Function) args(args []sql.Expr, ctx *expr.Ctx) ([]types.Datum, error) {
+	vals := make([]types.Datum, max(len(f.Args), len(args)))
+	for i, a := range args {
+		pos := i
+		if na, named := a.(*sql.NamedArg); named {
+			if pos = slices.IndexFunc(f.Args, func(d string) bool { return strings.EqualFold(d, na.Name) }); pos < 0 {
+				return nil, fmt.Errorf("function %s has no argument named %q", f.Name, na.Name)
+			}
+			a = na.Value
+		}
+		ev, err := expr.Compile(a, nil)
+		if err == nil {
+			vals[pos], err = ev(ctx)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
+}
+
+// BindArgs evaluates the arguments of a call of the registered function or
+// procedure name, in declared order, with the statement's parameters bound
+// and nothing else: an argument that needs a subquery fails.
+func (e *Engine) BindArgs(name string, args []sql.Expr, params []types.Datum) ([]types.Datum, error) {
+	f, ok := e.function(name)
+	if !ok {
+		return nil, fmt.Errorf("function %q does not exist", name)
+	}
+	return f.args(args, &expr.Ctx{Params: params})
 }
 
 // RegisterIntermediateResult installs a named in-memory relation readable
@@ -1111,7 +1169,7 @@ func (s *Session) execute(stmt sql.Statement, params []types.Datum, entry *cache
 	case *sql.ExplainStmt:
 		return s.execExplain(st, params)
 	default:
-		return s.execUtility(stmt)
+		return s.execUtility(stmt, params)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"citusgo/internal/heap"
 	"citusgo/internal/rowbatch"
+	"citusgo/internal/sql"
 	"citusgo/internal/types"
 )
 
@@ -788,6 +789,53 @@ func TestStoredProcedure(t *testing.T) {
 	mustExec(t, s, "INSERT INTO t (k, v) VALUES (7, 0)")
 	mustExec(t, s, "CALL bump(5, 7)")
 	expectRows(t, mustExec(t, s, "SELECT v FROM t WHERE k = 7"), "5")
+	// the CALL's arguments bind the statement's parameters
+	mustExec(t, s, "CALL bump($1, $2)", int64(5), int64(7))
+	expectRows(t, mustExec(t, s, "SELECT v FROM t WHERE k = 7"), "10")
+	// an argument's subquery runs in the CALL's own transaction, which
+	// commits with it
+	mustExec(t, s, "CALL bump((SELECT 5), 7)")
+	if s.Txn() != nil {
+		t.Fatal("an autocommit CALL left its transaction open")
+	}
+	expectRows(t, mustExec(t, e.NewSession(), "SELECT v FROM t WHERE k = 7"), "15")
+}
+
+// TestCountStarReadsNoColumn: a scan for a query that names none of its
+// table's columns reads none of them, an empty set and not nil, which reads
+// every one, and row at a time still counts every row: of a heap table, rows
+// stored before an ADD COLUMN included, and of a columnar table.
+func TestCountStarReadsNoColumn(t *testing.T) {
+	e := newTestEngine(t)
+	e.SetFeatures(Features{NoVectorized: true})
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE h (k bigint PRIMARY KEY, v text)")
+	mustExec(t, s, "CREATE TABLE c (k bigint, v text) USING columnar")
+	for i := 0; i < 10; i++ {
+		mustExec(t, s, "INSERT INTO h (k, v) VALUES ($1, 'x')", int64(i))
+		mustExec(t, s, "INSERT INTO c (k, v) VALUES ($1, 'x')", int64(i))
+	}
+	mustExec(t, s, "ALTER TABLE h ADD COLUMN w bigint")
+	mustExec(t, s, "INSERT INTO h (k, v, w) VALUES (10, 'y', 1)")
+	for table, want := range map[string]string{"h": "11", "c": "10"} {
+		q := "SELECT count(*) FROM " + table
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := &conjunctPool{needed: collectNeededColumns(stmt.(*sql.SelectStmt))}
+		if needed := pool.neededFor(table, []scopeCol{{name: "k"}, {name: "v"}}); needed == nil || len(needed) != 0 {
+			t.Fatalf("%s reads columns %#v, want an empty set (nil reads all)", q, needed)
+		}
+		expectRows(t, mustExec(t, s, q), want)
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM h WHERE w IS NULL"), "10")
+	// the columnar scan of no column loads no column chunk's pages
+	hits, misses := e.Pool.Stats()
+	expectRows(t, mustExec(t, s, "SELECT count(*) FROM c"), "10")
+	if h, m := e.Pool.Stats(); h+m != hits+misses {
+		t.Fatalf("count(*) on a columnar table touched %d pages", h+m-hits-misses)
+	}
 }
 
 // TestSessionStmtCacheBounded: the statement cache is all the per-text state a

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -376,27 +375,29 @@ func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 	return nil
 }
 
-// intermediateScanNode reads a registered intermediate result, the relation
-// type the distributed executor materializes for merge steps and
-// repartition joins.
+// intermediateScanNode reads rows that are not stored in a table, taken
+// from its source when it runs: a registered intermediate result, the
+// relation type the distributed executor materializes for merge steps and
+// repartition joins, or the rows a function returns.
 type intermediateScanNode struct {
-	name   string
+	label  string // its EXPLAIN line
 	cols   []string
 	filter expr.Evaluator
+	source func(ec *execCtx) ([]types.Row, error)
 }
 
 func (n *intermediateScanNode) columns() []string { return n.cols }
 
 func (n *intermediateScanNode) explain(indent string) []string {
-	return []string{indent + "Intermediate Result Scan on " + n.name}
+	return []string{indent + n.label}
 }
 
 func (n *intermediateScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	ir, ok := ec.sess.Eng.intermediateResult(n.name)
-	if !ok {
-		return fmt.Errorf("intermediate result %q does not exist", n.name)
+	rows, err := n.source(ec)
+	if err != nil {
+		return err
 	}
-	for _, row := range ir.Rows {
+	for _, row := range rows {
 		pass, err := ec.filterPasses(n.filter, row)
 		if err != nil {
 			return err

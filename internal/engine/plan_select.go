@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -14,6 +15,11 @@ import (
 // context — so a statement cache entry may keep it for every later
 // execution (cachedStmt).
 func (s *Session) planSelect(sel *sql.SelectStmt) (Plan, error) {
+	if fn := s.Eng.functionTarget(sel); fn != nil {
+		all := *sel
+		all.Columns, all.From = []sql.SelectItem{{Star: true}}, []sql.TableRef{fn}
+		sel = &all
+	}
 	root, err := s.planSelectNode(sel)
 	if err != nil {
 		return nil, err
@@ -107,7 +113,7 @@ func collectNeededColumns(sel *sql.SelectStmt) map[string]map[string]bool {
 }
 
 // neededFor resolves the ordinal set a scan must read, ascending; nil means
-// all columns.
+// all columns, and an empty set none (SELECT count(*) FROM t).
 func (p *conjunctPool) neededFor(rangeName string, cols []scopeCol) []int {
 	if p == nil || p.needed == nil {
 		return nil
@@ -120,7 +126,7 @@ func (p *conjunctPool) neededFor(rangeName string, cols []scopeCol) []int {
 		return nil // t.*
 	}
 	unqual := p.needed[neededColumnsAll]
-	var out []int
+	out := []int{}
 	for i, c := range cols {
 		if (rangedOK && ranged[c.name]) || (unqual != nil && unqual[c.name]) {
 			out = append(out, i)
@@ -506,6 +512,8 @@ func (s *Session) planTableRef(tr sql.TableRef, pool *conjunctPool) (planned, er
 	switch t := tr.(type) {
 	case *sql.BaseTable:
 		return s.planBaseTable(t, pool)
+	case *sql.FuncRef:
+		return s.planFunction(t, pool)
 	case *sql.SubqueryRef:
 		child, err := s.planSelectNode(t.Select)
 		if err != nil {
@@ -577,24 +585,74 @@ func (n *renameNode) run(ec *execCtx, emit func(types.Row) error) error {
 	return n.child.run(ec, emit)
 }
 
+// planIntermediate plans the scan of rows a source makes when the plan
+// runs, under the range name rangeName: an intermediate result's or a
+// function's.
+func planIntermediate(n *intermediateScanNode, rangeName string, pool *conjunctPool) (planned, error) {
+	sc := &scope{}
+	for _, name := range n.cols {
+		sc.cols = append(sc.cols, scopeCol{table: rangeName, name: name})
+	}
+	if taken := pool.takeResolvable(sc); len(taken) > 0 {
+		var err error
+		if n.filter, err = expr.Compile(andJoin(taken), sc); err != nil {
+			return planned{}, err
+		}
+	}
+	return planned{n: n, sc: sc}, nil
+}
+
+// planFunction plans FROM fn(args): a scan that calls the function each time
+// the plan runs, with that execution's parameters.
+func (s *Session) planFunction(t *sql.FuncRef, pool *conjunctPool) (planned, error) {
+	f, ok := s.Eng.function(t.Name)
+	if !ok {
+		return planned{}, fmt.Errorf("function %q does not exist", t.Name)
+	}
+	if f.Columns == nil {
+		return planned{}, fmt.Errorf("%s is a procedure: run it with CALL", f.Name)
+	}
+	return planIntermediate(&intermediateScanNode{label: "Function Scan on " + f.Name, cols: f.Columns,
+		source: func(ec *execCtx) ([]types.Row, error) {
+			vals, err := f.args(t.Args, ec.eval)
+			if err != nil {
+				return nil, err
+			}
+			return f.Call(ec.sess, vals)
+		}}, cmp.Or(t.Alias, t.Name), pool)
+}
+
+// functionTarget is the function a FROM-less SELECT names as its one
+// target, SELECT fn(args), when fn is registered: the statement reads as
+// SELECT * FROM fn(args). nil for any other statement.
+func (e *Engine) functionTarget(sel *sql.SelectStmt) *sql.FuncRef {
+	if len(sel.From) != 0 || len(sel.Columns) != 1 {
+		return nil
+	}
+	fc, ok := sel.Columns[0].Expr.(*sql.FuncCall)
+	if !ok || fc.Star || fc.Distinct {
+		return nil
+	}
+	if _, ok := e.function(fc.Name); !ok {
+		return nil
+	}
+	return &sql.FuncRef{Name: fc.Name, Args: fc.Args}
+}
+
 func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool) (planned, error) {
 	rangeName := t.RefName()
 	st, ok := s.Eng.store(t.Name)
 	if !ok {
 		if ir, isIR := s.Eng.intermediateResult(t.Name); isIR {
-			sc := &scope{}
-			for _, name := range ir.Columns {
-				sc.cols = append(sc.cols, scopeCol{table: rangeName, name: name})
-			}
-			var filter expr.Evaluator
-			if taken := pool.takeResolvable(sc); len(taken) > 0 {
-				var err error
-				filter, err = expr.Compile(andJoin(taken), sc)
-				if err != nil {
-					return planned{}, err
-				}
-			}
-			return planned{n: &intermediateScanNode{name: t.Name, cols: ir.Columns, filter: filter}, sc: sc}, nil
+			name := t.Name
+			return planIntermediate(&intermediateScanNode{label: "Intermediate Result Scan on " + name, cols: ir.Columns,
+				source: func(ec *execCtx) ([]types.Row, error) {
+					ir, ok := ec.sess.Eng.intermediateResult(name)
+					if !ok {
+						return nil, fmt.Errorf("intermediate result %q does not exist", name)
+					}
+					return ir.Rows, nil
+				}}, rangeName, pool)
 		}
 		return planned{}, fmt.Errorf("relation %q does not exist", t.Name)
 	}

@@ -23,15 +23,18 @@ import (
 // execUtility handles statements that do not go through the planner. The
 // UtilityHook runs first, mirroring PostgreSQL's ProcessUtility hook that
 // Citus uses to intercept DDL and COPY on distributed tables (§3.1).
-func (s *Session) execUtility(stmt sql.Statement) (*Result, error) {
+func (s *Session) execUtility(stmt sql.Statement, params []types.Datum) (*Result, error) {
 	if hook := s.Eng.UtilityHook; hook != nil {
-		handled, res, err := hook(s, stmt)
+		handled, res, err := hook(s, stmt, params)
 		if err != nil {
 			return nil, s.statementFailed(err)
 		}
 		if handled {
 			return res, nil
 		}
+	}
+	if st, ok := stmt.(*sql.CallStmt); ok {
+		return s.execCall(st, params)
 	}
 	return s.ExecUtilityLocal(stmt)
 }
@@ -90,8 +93,6 @@ func (s *Session) ExecUtilityLocal(stmt sql.Statement) (*Result, error) {
 		return &Result{Tag: fmt.Sprintf("VACUUM %d", n), Affected: n}, nil
 	case *sql.CopyStmt:
 		return nil, fmt.Errorf("COPY FROM STDIN requires the streaming protocol; use Session.CopyFrom")
-	case *sql.CallStmt:
-		return s.execCall(st)
 	}
 	return nil, fmt.Errorf("unsupported statement %T", stmt)
 }
@@ -160,28 +161,24 @@ func (e *Engine) CancelWaiters(tables ...string) {
 	}
 }
 
-func (s *Session) execCall(st *sql.CallStmt) (*Result, error) {
-	proc, ok := s.Eng.procedure(st.Name)
+func (s *Session) execCall(st *sql.CallStmt, params []types.Datum) (*Result, error) {
+	proc, ok := s.Eng.function(st.Name)
 	if !ok {
 		return nil, s.statementFailed(fmt.Errorf("procedure %q does not exist", st.Name))
 	}
-	args := make([]types.Datum, len(st.Args))
-	for i, a := range st.Args {
-		ev, err := expr.Compile(a, nil)
-		if err != nil {
-			return nil, s.statementFailed(err)
-		}
-		v, err := ev(&expr.Ctx{})
-		if err != nil {
-			return nil, s.statementFailed(err)
-		}
-		args[i] = v
+	if proc.Columns != nil {
+		return nil, s.statementFailed(fmt.Errorf("%s is not a procedure", proc.Name))
 	}
-	// the procedure's statements run in the CALL's transaction
+	// the arguments, their subqueries included, and the procedure's
+	// statements run in the CALL's transaction
 	defer func(was bool) { s.inCall = was }(s.inCall)
 	s.inCall = true
 	return s.execDML(func(*txn.Txn) (*Result, error) {
-		if err := proc(s, args); err != nil {
+		args, err := proc.args(st.Args, s.evalCtx(params))
+		if err != nil {
+			return nil, err
+		}
+		if _, err := proc.Call(s, args); err != nil {
 			return nil, err
 		}
 		return &Result{Tag: "CALL"}, nil

@@ -169,6 +169,24 @@ func (t *SubqueryRef) String() string {
 	return "(" + t.Select.String() + ") AS " + quoteIdent(t.Alias)
 }
 
+// FuncRef is a function in the FROM clause, fn(args) [AS alias]: the
+// relation of the rows it returns.
+type FuncRef struct {
+	Name  string
+	Args  []Expr
+	Alias string
+}
+
+func (*FuncRef) tableRef() {}
+
+func (t *FuncRef) String() string {
+	s := (&FuncCall{Name: t.Name, Args: t.Args}).String()
+	if t.Alias != "" {
+		s += " AS " + quoteIdent(t.Alias)
+	}
+	return s
+}
+
 // JoinType distinguishes join kinds.
 type JoinType int
 
@@ -644,16 +662,7 @@ type CallStmt struct {
 func (s *CallStmt) stmt() {}
 
 func (s *CallStmt) String() string {
-	var sb strings.Builder
-	sb.WriteString("CALL " + quoteIdent(s.Name) + "(")
-	for i, a := range s.Args {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(a.String())
-	}
-	sb.WriteString(")")
-	return sb.String()
+	return "CALL " + (&FuncCall{Name: s.Name, Args: s.Args}).String()
 }
 
 // ---------------------------------------------------------------------------

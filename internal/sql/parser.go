@@ -234,24 +234,9 @@ func (p *parser) parseStatement() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectOp("("); err != nil {
+		args, err := p.parseArgs()
+		if err != nil {
 			return nil, err
-		}
-		var args []Expr
-		if !p.acceptOp(")") {
-			for {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.acceptOp(",") {
-					break
-				}
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
 		}
 		return &CallStmt{Name: name, Args: args}, nil
 	}
@@ -477,16 +462,48 @@ func (p *parser) parseTablePrimary() (TableRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	bt := &BaseTable{Name: name}
+	var args []Expr
+	isFunc := p.peek().kind == tkOp && p.peek().val == "("
+	if isFunc {
+		if args, err = p.parseArgs(); err != nil {
+			return nil, err
+		}
+	}
+	alias := ""
 	if p.acceptKw("AS") {
-		bt.Alias, err = p.ident()
-		if err != nil {
+		if alias, err = p.ident(); err != nil {
 			return nil, err
 		}
 	} else if p.peek().kind == tkIdent {
-		bt.Alias = p.next().val
+		alias = p.next().val
 	}
-	return bt, nil
+	if isFunc {
+		return &FuncRef{Name: name, Args: args, Alias: alias}, nil
+	}
+	return &BaseTable{Name: name, Alias: alias}, nil
+}
+
+// parseArgs parses the parenthesized argument list of a CALL or of a
+// function in FROM.
+func (p *parser) parseArgs() ([]Expr, error) {
+	if err := p.expectOp("("); err != nil {
+		return nil, err
+	}
+	var args []Expr
+	if p.acceptOp(")") {
+		return nil, nil
+	}
+	for {
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, a)
+		if !p.acceptOp(",") {
+			break
+		}
+	}
+	return args, p.expectOp(")")
 }
 
 func (p *parser) parseInsert() (Statement, error) {

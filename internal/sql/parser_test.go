@@ -234,6 +234,49 @@ func TestParseSetAndCall(t *testing.T) {
 	}
 }
 
+// TestParseFunctionInFrom: a function in FROM is a relation that deparses
+// to its own text (these texts also seed FuzzParseDeparse), and no walker
+// takes it for a table: it is neither listed nor renamed.
+func TestParseFunctionInFrom(t *testing.T) {
+	stmt := roundTrip(t, "SELECT * FROM citus_tables()")
+	if fr, ok := stmt.(*SelectStmt).From[0].(*FuncRef); !ok || fr.Name != "citus_tables" || len(fr.Args) != 0 || fr.Alias != "" {
+		t.Fatalf("FROM fn(): %#v", stmt.(*SelectStmt).From[0])
+	}
+	stmt = roundTrip(t, "SELECT f.kind FROM citus_trace($1, 'x') AS f")
+	if fr, ok := stmt.(*SelectStmt).From[0].(*FuncRef); !ok || len(fr.Args) != 2 || fr.Alias != "f" {
+		t.Fatalf("FROM fn($1, 'x') AS f: %#v", stmt.(*SelectStmt).From[0])
+	}
+	stmt = roundTrip(t, "SELECT t.v, s.state FROM t JOIN citus_stat_activity() s ON s.xid = t.k WHERE t.k IN (SELECT xid FROM citus_stat_ssi())")
+	if got := FromTables(stmt); len(got) != 1 || got[0] != "t" {
+		t.Fatalf("FromTables: %v", got)
+	}
+	if got := StatementTables(stmt); len(got) != 1 || got[0] != "t" {
+		t.Fatalf("StatementTables: %v", got)
+	}
+	WalkTables(stmt, func(bt *BaseTable) {
+		if bt.Name != "t" {
+			t.Fatalf("WalkTables visits %q", bt.Name)
+		}
+	})
+	if !CallsFunction(stmt) || CallsFunction(roundTrip(t, "SELECT count(*) FROM t")) {
+		t.Fatal("CallsFunction")
+	}
+	text := stmt.String()
+	restore := RenameTables(stmt, func(name string) string { return name + "_102008" })
+	want := "SELECT t.v, s.state FROM t_102008 AS t JOIN citus_stat_activity() AS s ON (s.xid = t.k) WHERE (t.k IN (SELECT xid FROM citus_stat_ssi()))"
+	if got := stmt.String(); got != want {
+		t.Fatalf("renamed:\n%s\nwant:\n%s", got, want)
+	}
+	restore()
+	if stmt.String() != text {
+		t.Fatalf("restored: %s", stmt)
+	}
+	RewriteTables(stmt, func(name string) string { return name + "_102008" })
+	if got := stmt.String(); got != want {
+		t.Fatalf("rewritten:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestParseCaseExpr(t *testing.T) {
 	stmt := roundTrip(t, "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t")
 	sel := stmt.(*SelectStmt)

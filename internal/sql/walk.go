@@ -4,8 +4,30 @@ package sql
 // those in FROM subqueries and expression subqueries. The distributed
 // planner uses it to find which tables a query touches and — via the
 // pointer — to rewrite table names to shard names before deparsing, exactly
-// the rewrite Citus performs.
+// the rewrite Citus performs. A function in FROM is no table: it is skipped.
 func WalkTables(stmt Statement, fn func(*BaseTable)) {
+	walkRelations(stmt, func(tr TableRef) {
+		if bt, ok := tr.(*BaseTable); ok {
+			fn(bt)
+		}
+	})
+}
+
+// CallsFunction reports whether a FROM clause of stmt, in a subquery or not,
+// calls a function.
+func CallsFunction(stmt Statement) bool {
+	found := false
+	walkRelations(stmt, func(tr TableRef) {
+		if _, ok := tr.(*FuncRef); ok {
+			found = true
+		}
+	})
+	return found
+}
+
+// walkRelations visits every relation a statement reads or writes: each base
+// table and each function in FROM.
+func walkRelations(stmt Statement, fn func(TableRef)) {
 	switch st := stmt.(type) {
 	case *SelectStmt:
 		walkSelectTables(st, fn)
@@ -29,7 +51,7 @@ func WalkTables(stmt Statement, fn func(*BaseTable)) {
 		fn(&BaseTable{Name: st.Table})
 		walkExprTables(st.Where, fn)
 	case *ExplainStmt:
-		WalkTables(st.Stmt, fn)
+		walkRelations(st.Stmt, fn)
 	case *CreateIndexStmt:
 		fn(&BaseTable{Name: st.Table})
 	case *DropTableStmt:
@@ -43,7 +65,7 @@ func WalkTables(stmt Statement, fn func(*BaseTable)) {
 	}
 }
 
-func walkSelectTables(sel *SelectStmt, fn func(*BaseTable)) {
+func walkSelectTables(sel *SelectStmt, fn func(TableRef)) {
 	if sel == nil {
 		return
 	}
@@ -63,10 +85,15 @@ func walkSelectTables(sel *SelectStmt, fn func(*BaseTable)) {
 	}
 }
 
-func walkTableRef(tr TableRef, fn func(*BaseTable)) {
+func walkTableRef(tr TableRef, fn func(TableRef)) {
 	switch t := tr.(type) {
 	case *BaseTable:
 		fn(t)
+	case *FuncRef:
+		fn(t)
+		for _, a := range t.Args {
+			walkExprTables(a, fn)
+		}
 	case *SubqueryRef:
 		walkSelectTables(t.Select, fn)
 	case *JoinRef:
@@ -76,7 +103,7 @@ func walkTableRef(tr TableRef, fn func(*BaseTable)) {
 	}
 }
 
-func walkExprTables(e Expr, fn func(*BaseTable)) {
+func walkExprTables(e Expr, fn func(TableRef)) {
 	if e == nil {
 		return
 	}
@@ -232,8 +259,12 @@ func (r renamer) name(slot *string) { r.set(slot, r.rename(*slot)) }
 
 // table renames one base table, keeping the original name visible as the
 // range name so column qualifications (t.col) keep resolving after the
-// rewrite.
-func (r renamer) table(bt *BaseTable) {
+// rewrite. A function keeps its name.
+func (r renamer) table(tr TableRef) {
+	bt, ok := tr.(*BaseTable)
+	if !ok {
+		return
+	}
 	if bt.Alias == "" {
 		r.set(&bt.Alias, bt.Name)
 	}
