@@ -34,7 +34,7 @@ func (n *Node) copyHook(s *engine.Session, table string, columns []string, rows 
 		}
 		cols = tbl.ColumnNames()
 	}
-	res, err := n.writeRows(s, dt, cols, rows, "COPY", "COPY")
+	res, err := n.writeRows(s, dt, cols, rows)
 	if err != nil {
 		return true, 0, err
 	}
@@ -43,12 +43,12 @@ func (n *Node) copyHook(s *engine.Session, table string, columns []string, rows 
 
 // writeRows routes rows into dt's shards (copyTasks) and runs the COPY
 // tasks as one distributed write in the session's transaction.
-func (n *Node) writeRows(s *engine.Session, dt *metadata.DistTable, cols []string, rows []types.Row, verb, tag string) (*engine.Result, error) {
-	tasks, err := n.copyTasks(dt, cols, rows, verb)
+func (n *Node) writeRows(s *engine.Session, dt *metadata.DistTable, cols []string, rows []types.Row) (*engine.Result, error) {
+	tasks, err := n.copyTasks(dt, cols, rows)
 	if err != nil {
 		return nil, err
 	}
-	plan := &distPlan{node: n, tasks: tasks, isDML: true, tag: tag}
+	plan := &distPlan{node: n, tasks: tasks, isDML: true, tag: "COPY"}
 	var res *engine.Result
 	err = s.WithTxn(func(*txn.Txn) (err error) {
 		res, err = plan.Execute(s, nil)
@@ -57,12 +57,42 @@ func (n *Node) writeRows(s *engine.Session, dt *metadata.DistTable, cols []strin
 	return res, err
 }
 
-// copyTasks is the one way typed rows reach shards: it groups them by the
-// shard their distribution column hashes to (a reference table's one shard
-// takes them all) and makes a COPY task per shard placement, in shard order,
-// every placement but the first a replica. verb names the statement in the
-// errors: "COPY", or "insert" for INSERT..SELECT.
-func (n *Node) copyTasks(dt *metadata.DistTable, cols []string, rows []types.Row, verb string) ([]task, error) {
+// copyTasks is the one way typed rows reach shards: a COPY task per
+// placement of each shard routeRows gives rows, in shard order, every
+// placement but the first a replica.
+func (n *Node) copyTasks(dt *metadata.DistTable, cols []string, rows []types.Row) ([]task, error) {
+	routed, err := n.routeRows(dt, cols, rows, "COPY")
+	if err != nil {
+		return nil, err
+	}
+	var tasks []task
+	for _, r := range routed {
+		for i, nodeID := range n.Meta.Placements(r.shard.ID) {
+			tasks = append(tasks, task{
+				nodeID:     nodeID,
+				shardGroup: metadata.ShardGroupID(dt.ColocationID, r.shard.Index),
+				sql:        r.shard.ShardName(),
+				copyCols:   cols,
+				copyRows:   r.rows,
+				isWrite:    true,
+				replica:    i > 0,
+			})
+		}
+	}
+	return tasks, nil
+}
+
+// shardRows are the rows routed to one shard.
+type shardRows struct {
+	shard *metadata.Shard
+	rows  []types.Row
+}
+
+// routeRows groups rows by the shard their distribution column hashes to (a
+// reference table's one shard takes them all), in shard order, leaving out
+// shards that get none. verb names the statement in the errors: "COPY", or
+// "insert" for INSERT..SELECT.
+func (n *Node) routeRows(dt *metadata.DistTable, cols []string, rows []types.Row, verb string) ([]shardRows, error) {
 	shards := n.Meta.Shards(dt.Name)
 	byShard := make([][]types.Row, len(shards)) // by shard index
 	if dt.Type == metadata.ReferenceTable {
@@ -83,23 +113,11 @@ func (n *Node) copyTasks(dt *metadata.DistTable, cols []string, rows []types.Row
 			byShard[sh.Index] = append(byShard[sh.Index], row)
 		}
 	}
-	var tasks []task
-	for idx, shardRows := range byShard {
-		if len(shardRows) == 0 {
-			continue
-		}
-		sh := shards[idx]
-		for i, nodeID := range n.Meta.Placements(sh.ID) {
-			tasks = append(tasks, task{
-				nodeID:     nodeID,
-				shardGroup: metadata.ShardGroupID(dt.ColocationID, sh.Index),
-				sql:        sh.ShardName(),
-				copyCols:   cols,
-				copyRows:   shardRows,
-				isWrite:    true,
-				replica:    i > 0,
-			})
+	var routed []shardRows
+	for idx, r := range byShard {
+		if len(r) > 0 {
+			routed = append(routed, shardRows{shards[idx], r})
 		}
 	}
-	return tasks, nil
+	return routed, nil
 }

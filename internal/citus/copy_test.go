@@ -157,14 +157,14 @@ func TestInsertSelectKeepsFloats(t *testing.T) {
 	if _, err := s.CopyFrom("fsrc", []string{"k", "f"}, rows); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ method, q string }{
-		{"repartition", "INSERT INTO fdst (k, f) SELECT k, f FROM fsrc"},
+	for _, tc := range []struct{ name, q string }{
+		{"pull to coordinator, no merge step", "INSERT INTO fdst (k, f) SELECT k, f FROM fsrc"},
 		{"pull to coordinator", "INSERT INTO fdst (k, f) SELECT k, f FROM fsrc ORDER BY k LIMIT 10"},
 	} {
-		t.Run(tc.method, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			mustExec(t, s, "TRUNCATE fdst")
-			if plan := rowsText(mustExec(t, s, "EXPLAIN "+tc.q)); !strings.Contains(plan, tc.method) {
-				t.Fatalf("plan is not %s:\n%s", tc.method, plan)
+			if plan := rowsText(mustExec(t, s, "EXPLAIN "+tc.q)); !strings.Contains(plan, "pull to coordinator") {
+				t.Fatalf("plan is not pull to coordinator:\n%s", plan)
 			}
 			if res := mustExec(t, s, tc.q); res.Tag != "INSERT 0 5" {
 				t.Fatalf("tag %q", res.Tag)
@@ -198,37 +198,4 @@ func TestReferenceCopyReachesEveryReplica(t *testing.T) {
 	for i := range c.Engines {
 		expectRows(t, mustExec(t, c.SessionOn(i), "SELECT count(*), sum(v) FROM "+shard), "25|300")
 	}
-}
-
-// TestInsertSelectRefusesRowClauses: the strategies that COPY their rows
-// into the destination cannot honour ON CONFLICT or RETURNING, and say so
-// instead of dropping them.
-func TestInsertSelectRefusesRowClauses(t *testing.T) {
-	c := newCluster(t, 2)
-	s := c.Session()
-	mustExec(t, s, "CREATE TABLE isrc (k bigint PRIMARY KEY, d bigint)")
-	mustExec(t, s, "SELECT create_distributed_table('isrc', 'k')")
-	mustExec(t, s, "CREATE TABLE idst (d bigint PRIMARY KEY, n bigint)")
-	mustExec(t, s, "SELECT create_distributed_table('idst', 'd')")
-	mustExec(t, s, "INSERT INTO isrc (k, d) VALUES (1, 1), (2, 2), (3, 3), (4, 1)")
-	mustExec(t, s, "INSERT INTO idst (d, n) VALUES (1, 0)")
-
-	for _, tc := range []struct{ method, q, clause string }{
-		{"repartition", "INSERT INTO idst (d, n) SELECT d, k FROM isrc ON CONFLICT (d) DO NOTHING", "ON CONFLICT"},
-		{"repartition", "INSERT INTO idst (d, n) SELECT d, k FROM isrc WHERE d > 1 RETURNING d", "RETURNING"},
-		{"pull to coordinator", "INSERT INTO idst (d, n) SELECT d, count(*) FROM isrc GROUP BY d ON CONFLICT (d) DO NOTHING", "ON CONFLICT"},
-		{"pull to coordinator", "INSERT INTO idst (d, n) SELECT d, count(*) FROM isrc WHERE d > 1 GROUP BY d RETURNING d", "RETURNING"},
-	} {
-		t.Run(tc.method+" "+tc.clause, func(t *testing.T) {
-			noClause := tc.q[:strings.Index(tc.q, " "+tc.clause)]
-			if plan := rowsText(mustExec(t, s, "EXPLAIN "+noClause)); !strings.Contains(plan, tc.method) {
-				t.Fatalf("plan is not %s:\n%s", tc.method, plan)
-			}
-			_, err := s.Exec(tc.q)
-			if err == nil || !strings.Contains(err.Error(), tc.clause+" is not supported") {
-				t.Fatalf("%s: %v, want a %s refusal", tc.q, err, tc.clause)
-			}
-		})
-	}
-	expectRows(t, mustExec(t, s, "SELECT d, n FROM idst"), "1|0")
 }

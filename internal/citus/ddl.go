@@ -294,7 +294,7 @@ func (n *Node) moveLocalDataToShards(table string, dt *metadata.DistTable, rows 
 	}
 	tbl, _ := n.Eng.Catalog.Get(table)
 	sess := n.Eng.NewSession()
-	if _, err := n.writeRows(sess, dt, tbl.ColumnNames(), rows, "COPY", "COPY"); err != nil {
+	if _, err := n.writeRows(sess, dt, tbl.ColumnNames(), rows); err != nil {
 		n.Meta.RemoveTable(table)
 		return err
 	}

@@ -378,6 +378,7 @@ func (n *Node) releaseSessionConns(st *sessState) {
 // 2PC recovery daemon (§3.7.2)
 
 func (n *Node) recoveryLoop() {
+	defer n.daemons.Done()
 	ticker := time.NewTicker(n.Cfg.RecoveryInterval)
 	defer ticker.Stop()
 	for {
@@ -538,6 +539,7 @@ func callText(fn string, n int) string {
 // Distributed deadlock detection (§3.7.3)
 
 func (n *Node) deadlockLoop() {
+	defer n.daemons.Done()
 	ticker := time.NewTicker(n.Cfg.DeadlockInterval)
 	defer ticker.Stop()
 	for {

@@ -5,34 +5,34 @@ import (
 
 	"citusgo/internal/citus/metadata"
 	"citusgo/internal/engine"
+	"citusgo/internal/expr"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
 )
 
-// planInsertSelect picks among the three INSERT..SELECT strategies of §3.8:
+// planInsertSelect picks between the INSERT..SELECT strategies of §3.8. Both
+// end in tasks that run "INSERT INTO dest_shard (cols) SELECT … [ON CONFLICT
+// …] [RETURNING …]" on the destination's placements:
 //
 //  1. co-located: source and destination share a co-location group and the
 //     SELECT is pushdownable without a merge step — each shard pair runs
 //     "INSERT INTO dest_shard SELECT ... FROM src_shard" in parallel;
-//  2. repartition: no merge step needed but not co-located — the SELECT
-//     result is repartitioned by the destination's distribution column
-//     before insertion;
-//  3. via coordinator: the SELECT needs a coordinator merge or has a subplan
-//     of its own — run it as a subplan, a distributed SELECT reading primary
-//     placements, and route the rows back into the destination.
+//  2. pull to coordinator: every other INSERT..SELECT, into a distributed,
+//     reference or local table — run the SELECT as a subplan, a distributed
+//     SELECT reading primary placements, and ship each destination shard's
+//     rows to its placements as an intermediate result the INSERT reads.
+//
+// dt is nil for a local destination.
 func (n *Node) planInsertSelect(ins *sql.InsertStmt, dt *metadata.DistTable, params []types.Datum) (engine.Plan, error) {
 	if n.colocatedInsertSelectOK(ins, dt) {
 		return n.planColocatedInsertSelect(ins, dt, params)
 	}
-	if plan, err := n.planRepartitionInsertSelect(ins, dt, params); plan != nil || err != nil {
-		return plan, err
-	}
-	return n.planInsertSelectViaCoordinator(ins, params)
+	return &pullInsertSelect{node: n, ins: ins, dt: dt}, nil
 }
 
 // colocatedInsertSelectOK checks strategy 1's preconditions.
 func (n *Node) colocatedInsertSelectOK(ins *sql.InsertStmt, dt *metadata.DistTable) bool {
-	if dt.Type != metadata.DistributedTable {
+	if dt == nil || dt.Type != metadata.DistributedTable {
 		return false
 	}
 	sel := ins.Select
@@ -51,7 +51,7 @@ func (n *Node) colocatedInsertSelectOK(ins *sql.InsertStmt, dt *metadata.DistTab
 	// the SELECT must not need a merge step
 	hasAgg := len(sel.GroupBy) > 0
 	for _, it := range sel.Columns {
-		if !it.Star && containsAgg(it.Expr) {
+		if !it.Star && expr.ContainsAggregate(it.Expr) {
 			hasAgg = true
 		}
 	}
@@ -83,48 +83,6 @@ func (n *Node) colocatedInsertSelectOK(ins *sql.InsertStmt, dt *metadata.DistTab
 		}
 	}
 	return false
-}
-
-func containsAgg(e sql.Expr) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	var walk func(x sql.Expr)
-	walk = func(x sql.Expr) {
-		if fc, ok := x.(*sql.FuncCall); ok {
-			switch fc.Name {
-			case "count", "sum", "avg", "min", "max":
-				found = true
-			}
-			for _, a := range fc.Args {
-				walk(a)
-			}
-			return
-		}
-		switch t := x.(type) {
-		case *sql.BinaryExpr:
-			walk(t.L)
-			walk(t.R)
-		case *sql.UnaryExpr:
-			walk(t.E)
-		case *sql.CastExpr:
-			walk(t.E)
-		case *sql.CaseExpr:
-			if t.Operand != nil {
-				walk(t.Operand)
-			}
-			for _, w := range t.Whens {
-				walk(w.When)
-				walk(w.Then)
-			}
-			if t.Else != nil {
-				walk(t.Else)
-			}
-		}
-	}
-	walk(e)
-	return found
 }
 
 // destDistColumnPosition finds the destination distribution column's index
@@ -177,117 +135,15 @@ func (n *Node) planColocatedInsertSelect(ins *sql.InsertStmt, dt *metadata.DistT
 	}, nil
 }
 
-// planRepartitionInsertSelect builds strategy 2: the pushdownable SELECT
-// runs per source shard, and its rows are repartitioned by the destination's
-// distribution column into one COPY task per destination shard placement.
-func (n *Node) planRepartitionInsertSelect(ins *sql.InsertStmt, dt *metadata.DistTable, params []types.Datum) (engine.Plan, error) {
-	if dt.Type != metadata.DistributedTable {
-		return nil, nil
-	}
-	sel := ins.Select
-	dist := n.distTablesIn(sel)
-	if len(dist) == 0 {
-		return nil, nil
-	}
-	if !n.joinsAreColocated(sel) || n.subqueriesPushdownable(sel) != nil {
-		return nil, nil
-	}
-	hasAgg := len(sel.GroupBy) > 0
-	for _, it := range sel.Columns {
-		if !it.Star && containsAgg(it.Expr) {
-			hasAgg = true
-		}
-	}
-	if hasAgg && !n.groupByIncludesDistCol(sel) {
-		return nil, nil // needs a merge step: via-coordinator strategy
-	}
-	if sel.Limit != nil || sel.Offset != nil || sel.Distinct {
-		return nil, nil
-	}
-	pos := n.destDistColumnPosition(ins, dt)
-	if pos == -1 {
-		return nil, nil
-	}
-	if err := refuseRowClauses(ins); err != nil {
-		return nil, err
-	}
-	cols := ins.Columns
-	if len(cols) == 0 {
-		cols = n.tableColumnsFromSchema(dt)
-	}
-	srcShards := n.Meta.Shards(dist[0])
-	srcTexts, err := n.shardTexts(sel, shardIndexes(srcShards)...)
-	if err != nil {
-		return nil, err
-	}
-	plan := &distPlan{
-		node:  n,
-		isDML: true,
-		tag:   "INSERT 0",
-		explain: []string{
-			"Custom Scan (Citus INSERT ... SELECT)",
-			"  INSERT/SELECT method: repartition",
-		},
-	}
-	plan.prepare = func(s *engine.Session, params []types.Datum) ([]task, error) {
-		// phase 1: run the SELECT per source shard and collect rows
-		var selTasks []task
-		for i, sh := range srcShards {
-			nodeID, err := n.Meta.PrimaryPlacement(sh.ID)
-			if err != nil {
-				return nil, err
-			}
-			// the SELECT feeds a durable INSERT: pin it to the primary so an
-			// async standby's bounded staleness can't leak into written rows
-			selTasks = append(selTasks, task{nodeID: nodeID, shardGroup: -1, sql: srcTexts[i], params: params})
-		}
-		results, err := n.executeTasks(s, selTasks)
-		if err != nil {
-			return nil, err
-		}
-		var rows []types.Row
-		for _, r := range results {
-			if r != nil {
-				rows = append(rows, r.DecodeRows()...)
-			}
-		}
-		// phase 2: repartition rows by the destination distribution column
-		// into COPY tasks
-		return n.copyTasks(dt, cols, rows, "insert")
-	}
-	return plan, nil
-}
-
-// planInsertSelectViaCoordinator builds strategy 3: the SELECT as a subplan
-// (evalSubplan), then COPY the rows into the destination within the same
-// distributed transaction.
-func (n *Node) planInsertSelectViaCoordinator(ins *sql.InsertStmt, params []types.Datum) (engine.Plan, error) {
-	if err := refuseRowClauses(ins); err != nil {
-		return nil, err
-	}
-	return &insertSelectCoordinatorPlan{node: n, ins: ins}, nil
-}
-
-// refuseRowClauses rejects what the repartition and via-coordinator
-// strategies cannot carry: their rows reach the destination as COPY, which
-// has no ON CONFLICT and returns no rows.
-func refuseRowClauses(ins *sql.InsertStmt) error {
-	switch {
-	case ins.OnConflict != nil:
-		return fmt.Errorf("ON CONFLICT is not supported in INSERT ... SELECT that repartitions its rows or pulls them to the coordinator")
-	case len(ins.Returning) > 0:
-		return fmt.Errorf("RETURNING is not supported in INSERT ... SELECT that repartitions its rows or pulls them to the coordinator")
-	}
-	return nil
-}
-
-type insertSelectCoordinatorPlan struct {
+// pullInsertSelect is strategy 2.
+type pullInsertSelect struct {
 	node *Node
 	ins  *sql.InsertStmt
+	dt   *metadata.DistTable // nil: a local destination
 }
 
-func (p *insertSelectCoordinatorPlan) Columns() []string { return nil }
-func (p *insertSelectCoordinatorPlan) ExplainLines() []string {
+func (p *pullInsertSelect) Columns() []string { return nil }
+func (p *pullInsertSelect) ExplainLines() []string {
 	return []string{
 		"Custom Scan (Citus INSERT ... SELECT)",
 		"  INSERT/SELECT method: pull to coordinator",
@@ -295,26 +151,61 @@ func (p *insertSelectCoordinatorPlan) ExplainLines() []string {
 	}
 }
 
-func (p *insertSelectCoordinatorPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
-	res, err := p.node.evalSubplan(s, p.ins.Select, params, true)
+// Execute runs the SELECT, then, in one executeTasks call, appends each
+// destination shard's rows to citus_insert_<n>_<shard index> on the nodes of
+// that shard's placements, and has every placement insert its result; a
+// reference table's placements but the first are replicas, so each row counts
+// once. A local destination reads the rows registered on this node.
+func (p *pullInsertSelect) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
+	n := p.node
+	res, err := n.evalSubplan(s, p.ins.Select, params, true)
 	if err != nil {
 		return nil, err
+	}
+	// named by position: the SELECT's own names may repeat ("?column?")
+	names := make([]string, len(res.Columns))
+	for i := range names {
+		names[i] = fmt.Sprintf("column%d", i+1)
+	}
+	prefix := n.resultName("insert") + "_"
+	insert := func(table, result string) *sql.InsertStmt {
+		return &sql.InsertStmt{Table: table, Columns: p.ins.Columns, Select: selectAll(result), OnConflict: p.ins.OnConflict, Returning: p.ins.Returning}
+	}
+	if p.dt == nil {
+		name := prefix + "0"
+		n.Eng.RegisterIntermediateResult(name, &engine.IntermediateResult{Columns: names, Rows: res.Rows})
+		defer n.Eng.DropIntermediateResult(name)
+		return s.ExecStmt(insert(p.ins.Table, name), params)
 	}
 	cols := p.ins.Columns
-	n := p.node
-	if dt, ok := n.Meta.Table(p.ins.Table); ok {
-		if len(cols) == 0 {
-			cols = n.tableColumnsFromSchema(dt)
-		}
-		if len(res.Rows) > 0 && len(res.Rows[0]) != len(cols) {
-			return nil, fmt.Errorf("INSERT has %d target columns but SELECT returns %d", len(cols), len(res.Rows[0]))
-		}
-		return n.writeRows(s, dt, cols, res.Rows, "insert", "INSERT 0")
+	if len(cols) == 0 {
+		cols = n.tableColumnsFromSchema(p.dt)
 	}
-	// destination is a plain local table
-	ncopied, err := s.CopyFrom(p.ins.Table, cols, res.Rows)
+	routed, err := n.routeRows(p.dt, cols, res.Rows, "insert")
 	if err != nil {
 		return nil, err
 	}
-	return &engine.Result{Tag: fmt.Sprintf("INSERT 0 %d", ncopied), Affected: ncopied}, nil
+	plan := &distPlan{node: n, isDML: true, tag: "INSERT 0"}
+	plan.cleanupOn(prefix)
+	var appends []task
+	for _, r := range routed {
+		name := fmt.Sprintf("%s%d", prefix, r.shard.Index)
+		text := insert(r.shard.ShardName(), name).String()
+		for i, nodeID := range n.Meta.Placements(r.shard.ID) {
+			appends = append(appends, appendTask(nodeID, name, names, r.rows))
+			plan.tasks = append(plan.tasks, task{
+				nodeID:     nodeID,
+				shardGroup: metadata.ShardGroupID(p.dt.ColocationID, r.shard.Index),
+				sql:        text,
+				params:     params,
+				isWrite:    true,
+				replica:    i > 0,
+			})
+		}
+	}
+	if _, err := n.executeTasks(s, appends); err != nil {
+		plan.cleanup()
+		return nil, err
+	}
+	return plan.Execute(s, params)
 }

@@ -122,6 +122,7 @@ type Node struct {
 	distSeq  atomic.Uint64
 	stopOnce sync.Once
 	stopCh   chan struct{}
+	daemons  sync.WaitGroup // the running maintenance loops
 
 	// procedures with a distribution argument (§3.8 stored procedure
 	// delegation): name -> spec
@@ -221,16 +222,20 @@ func (n *Node) canCoordinate() bool {
 // detection and 2PC recovery (the "background worker" of §3.1).
 func (n *Node) StartDaemons() {
 	if n.Cfg.DeadlockInterval > 0 {
+		n.daemons.Add(1)
 		go n.deadlockLoop()
 	}
 	if n.Cfg.RecoveryInterval > 0 {
+		n.daemons.Add(1)
 		go n.recoveryLoop()
 	}
 }
 
-// Close stops daemons and drops pooled connections.
+// Close stops the daemons, waiting out a poll or recovery round in flight,
+// and drops pooled connections.
 func (n *Node) Close() {
 	n.stopOnce.Do(func() { close(n.stopCh) })
+	n.daemons.Wait()
 	n.mu.Lock()
 	pools := make([]*pool.NodePool, 0, len(n.pools))
 	for _, p := range n.pools {

@@ -653,16 +653,11 @@ var errUnsupportedShape = errors.New("complex distributed queries of this shape 
 
 func (n *Node) planDistInsert(ins *sql.InsertStmt, params []types.Datum) (engine.Plan, error) {
 	dt, ok := n.Meta.Table(ins.Table)
-	if !ok {
-		// INSERT into a local table selecting from citus tables: run the
-		// distributed SELECT, then insert locally.
-		if ins.Select != nil {
-			return n.planInsertSelectViaCoordinator(ins, params)
-		}
-		return nil, nil
-	}
 	if ins.Select != nil {
-		return n.planInsertSelect(ins, dt, params)
+		return n.planInsertSelect(ins, dt, params) // dt nil: a local table
+	}
+	if !ok {
+		return nil, nil
 	}
 
 	if dt.Type == metadata.ReferenceTable {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"citusgo/internal/citus"
 	"citusgo/internal/cluster"
@@ -121,6 +122,45 @@ func TestRestorePointNeedsEveryNode(t *testing.T) {
 		if _, err := eng.WAL.FindRestorePoint("rp2"); err != nil {
 			t.Fatalf("%s: %v", eng.Name, err)
 		}
+	}
+}
+
+// TestCloseWaitsForDaemons: Node.Close returns only once a deadlock poll
+// already in flight has finished. Otherwise a closed cluster's poll goes on
+// calling nodes, and can take a one-shot fault rule armed by the next test,
+// as TestRestorePointNeedsEveryNode's pool.checkout rule.
+func TestCloseWaitsForDaemons(t *testing.T) {
+	defer fault.Reset()
+	c, err := cluster.New(cluster.Config{Workers: 2, ShardCount: 4,
+		Citus: citus.Config{DeadlockInterval: 5 * time.Millisecond, RecoveryInterval: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	arrived, release := fault.ArmGate(fault.PointNodeCall, "citus_node_wait_edges")
+	defer release(nil)
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no deadlock poll reached node.call")
+	}
+	closed := make(chan struct{})
+	go func() {
+		for _, n := range c.Nodes {
+			n.Close()
+		}
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a deadlock poll was parked")
+	case <-time.After(100 * time.Millisecond):
+	}
+	release(nil)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return once the poll was released")
 	}
 }
 

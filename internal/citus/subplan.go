@@ -28,11 +28,13 @@ import (
 //   - the broadcast join: the small table is the subplan `SELECT * FROM
 //     small` (planBroadcastJoin);
 //   - the repartition join, for the shipping half only: its buckets are made
-//     from shard reads, not from a SELECT (repartitionTables).
+//     from shard reads, not from a SELECT (repartitionTables);
+//   - INSERT..SELECT that is not co-located: its SELECT is a subplan whose
+//     rows are split by destination shard, each shard's to the nodes of its
+//     placements (pullInsertSelect).
 //
 // One rule decides where a subplan reads: a subplan of a statement that
-// writes reads primary placements (evalSubplan), and so does the
-// via-coordinator INSERT..SELECT's SELECT.
+// writes reads primary placements (evalSubplan).
 
 // subplanPrefix begins the name of every expression subquery's result.
 const subplanPrefix = "citus_sub_"

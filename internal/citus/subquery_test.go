@@ -135,13 +135,13 @@ func TestSubqueryMatchesLocalTable(t *testing.T) {
 	}
 }
 
-// leftoverResults lists the subplan, broadcast and repartition results still
-// registered on any engine of the cluster.
+// leftoverResults lists the subplan, broadcast, repartition and INSERT..SELECT
+// results still registered on any engine of the cluster.
 func leftoverResults(c *cluster.Cluster) []string {
 	var out []string
 	for _, eng := range c.Engines {
 		for _, name := range eng.IntermediateResults() {
-			for _, prefix := range []string{"citus_sub_", "citus_bcast_", "citus_repart_"} {
+			for _, prefix := range []string{"citus_sub_", "citus_bcast_", "citus_repart_", "citus_insert_"} {
 				if strings.HasPrefix(name, prefix) {
 					out = append(out, eng.Name+":"+name)
 				}

@@ -397,11 +397,11 @@ func (e *Engine) logDDL(table, ddl string, wipes bool) {
 }
 
 // IntermediateResult is a named, in-memory relation used by the
-// distributed executor for broadcast and repartition joins and for
-// coordinator-side merge queries over worker results.
+// distributed executor for subplans, broadcast and repartition joins,
+// INSERT..SELECT's rows and coordinator-side merge queries over worker
+// results.
 type IntermediateResult struct {
 	Columns []string
-	Types   []types.Type
 	Rows    []types.Row
 }
 
