@@ -68,7 +68,11 @@ race:
 # session's cache, readers of a columnar stripe's typed vectors seeing a
 # consistent prefix while its transaction keeps appending to them, readers of a
 # stripe's views while a checkpoint freezes it into clipped arrays, batched heap
-# scans beside inserts, deletes and vacuum, the vectorized dashboard fetching
+# scans beside inserts, deletes and vacuum, and 20 times under -race page
+# compaction beside batch scans, TID scans, Gets and checkpoint images
+# (TestCompactionBesideReaders) and 20 rounds of UPDATE and VACUUM over every
+# row leaving one version's worth (TestVacuumChurnKeepsOneVersion), the
+# vectorized dashboard fetching
 # its GIN candidates in batches beside COPY, deletes and vacuum, and the
 # checkpoint's seams: a stream reading across cuts that race its acks, two
 # tables scanning and growing over the stripes an image lets them share, a
@@ -104,7 +108,9 @@ race:
 # results are shared by name on each node, each statement's must be its own),
 # floats it moves as typed rows (TestInsertSelectKeepsFloats),
 # an aggregate under BETWEEN, IN, IS NULL or LIKE never run shard by shard
-# (TestInsertSelectHiddenAggregate), and Node.Close waiting out a deadlock
+# (TestInsertSelectHiddenAggregate) and merged before its predicate, as on a
+# local table (TestAggregateUnderPredicateMatchesLocalTable), and Node.Close
+# waiting out a deadlock
 # poll parked at node.call (TestCloseWaitsForDaemons); and 20 times
 # under -race, relations reaching workers one way: expression subqueries
 # (TestSubqueryMatchesLocalTable) and non-co-located joins, broadcast at 2
@@ -149,6 +155,8 @@ stress:
 	go test -race -run 'TestConnKeepsNoStatementState|TestSessionStmtCacheBounded' -count=20 -timeout 10m ./internal/wire ./internal/engine
 	go test -race -run 'TestOwnStripeViewIsAPrefix|TestInProgressXminConcurrentScan|TestAdoptedStripesAreShared|TestFrozenVectorIsClipped' -count=10 -timeout 10m ./internal/columnar
 	go test -race -run 'TestBatchScanConcurrentWriters' -count=10 -timeout 10m ./internal/heap
+	go test -race -run 'TestCompactionBesideReaders' -count=20 -timeout 10m ./internal/heap
+	go test -race -run 'TestVacuumChurnKeepsOneVersion' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestDashboardUnderConcurrentCopy' -count=10 -timeout 10m ./internal/engine
 	go test -race -run 'TestIndexConcurrentReadersAndWriters' -count=10 -timeout 10m ./internal/index
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
@@ -161,7 +169,7 @@ stress:
 	go test -race -run 'TestSyncCommitLatency' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestParkedSessionProceedsOnPutOrDiscard' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestFailedCopyLeavesNothing|TestCopyInTransactionBlock|TestReferenceCopyReachesEveryReplica|TestFailedDistributionKeepsRows|TestDistributionRefusesNullKeys' -count=20 -timeout 10m ./internal/citus
-	go test -race -run 'TestInsertSelectMatchesLocalTable|TestConcurrentInsertSelectSessions|TestInsertSelectKeepsFloats|TestInsertSelectHiddenAggregate|TestCloseWaitsForDaemons' -count=20 -timeout 10m ./internal/citus
+	go test -race -run 'TestInsertSelectMatchesLocalTable|TestConcurrentInsertSelectSessions|TestInsertSelectKeepsFloats|TestInsertSelectHiddenAggregate|TestAggregateUnderPredicateMatchesLocalTable|TestCloseWaitsForDaemons' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestCopyTwoPhaseCommitFaults' -count=20 -timeout 10m ./internal/fault/chaos
 	go test -race -run 'TestSubqueryMatchesLocalTable|TestJoinOrderMatchesLocalTable|TestConcurrentSubplanSessions' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestCrashLosesTheWindow|TestAdoptedPreparedHoldsItsLocks' -count=20 -timeout 10m ./internal/wire ./internal/engine

@@ -1,6 +1,7 @@
 package citus
 
 import (
+	"cmp"
 	"fmt"
 
 	"citusgo/internal/citus/metadata"
@@ -169,7 +170,8 @@ func (p *pullInsertSelect) Execute(s *engine.Session, params []types.Datum) (*en
 	}
 	prefix := n.resultName("insert") + "_"
 	insert := func(table, result string) *sql.InsertStmt {
-		return &sql.InsertStmt{Table: table, Columns: p.ins.Columns, Select: selectAll(result), OnConflict: p.ins.OnConflict, Returning: p.ins.Returning}
+		return &sql.InsertStmt{Table: table, Alias: cmp.Or(p.ins.Alias, p.ins.Table), Columns: p.ins.Columns,
+			Select: selectAll(result), OnConflict: p.ins.OnConflict, Returning: p.ins.Returning}
 	}
 	if p.dt == nil {
 		name := prefix + "0"

@@ -75,7 +75,7 @@ var localTwin = strings.NewReplacer("isrc", "lsrc", "idst", "ldst", "idk", "ldk"
 func TestInsertSelectMatchesLocalTable(t *testing.T) {
 	c := newCluster(t, 2)
 	s := insertSelectTables(t, c)
-	const colocated, pull = "pushdown (co-located)", "pull to coordinator"
+	const colocated, pull, router = "pushdown (co-located)", "pull to coordinator", "Router Insert"
 	const reset = "DELETE FROM idst WHERE d <> 1"
 
 	for _, tc := range []struct {
@@ -105,6 +105,13 @@ func TestInsertSelectMatchesLocalTable(t *testing.T) {
 		{name: "null distribution value", q: "INSERT INTO idst (d, n) SELECT v, k FROM isrc", dest: "idst", method: pull, err: `cannot insert NULL into distribution column "d"`},
 		{name: "rolled back", q: "INSERT INTO idk (k, v) SELECT k + 400, v FROM isrc WHERE g = 1 RETURNING k", dest: "idk", method: pull, block: "ROLLBACK"},
 		{name: "committed", q: "INSERT INTO idst (d, n) SELECT g + 10, count(*) FROM isrc GROUP BY g", dest: "idst", method: pull, block: "COMMIT"},
+		// the target named, or aliased, in ON CONFLICT … DO UPDATE and RETURNING
+		{name: "values, target named", before: reset, q: "INSERT INTO idst (d, n) VALUES (1, 5), (2, 5) ON CONFLICT (d) DO UPDATE SET n = idst.n + excluded.n RETURNING idst.d, idst.n", dest: "idst", method: router},
+		{name: "values, target aliased", q: "INSERT INTO idst AS t (d, n) VALUES (2, 7), (3, 1) ON CONFLICT (d) DO UPDATE SET n = t.n + excluded.n RETURNING t.d, t.n, n", dest: "idst", method: router},
+		{name: "co-located, target named", q: "INSERT INTO idk (k, v) SELECT k, g FROM isrc WHERE k <= 12 ON CONFLICT (k) DO UPDATE SET v = idk.v + excluded.v RETURNING idk.k, idk.v", dest: "idk", method: colocated},
+		{name: "co-located, target aliased", q: "INSERT INTO idk AS t (k, v) SELECT k, g FROM isrc WHERE k <= 14 ON CONFLICT (k) DO UPDATE SET v = t.v * 2 RETURNING t.k, t.v", dest: "idk", method: colocated},
+		{name: "pulled, target named", q: "INSERT INTO idst (d, n) SELECT g, count(*) FROM isrc GROUP BY g ON CONFLICT (d) DO UPDATE SET n = idst.n + excluded.n RETURNING idst.d, idst.n", dest: "idst", method: pull},
+		{name: "pulled, target aliased", q: "INSERT INTO iref AS t (k, v) SELECT k, g FROM isrc WHERE k % 2 = 0 ON CONFLICT (k) DO UPDATE SET v = t.v + excluded.v RETURNING t.k, t.v", dest: "iref", method: pull},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := rowsText(mustExec(t, s, "EXPLAIN "+tc.q))
@@ -235,5 +242,49 @@ func TestInsertSelectHiddenAggregate(t *testing.T) {
 		}
 		mustExec(t, s, "TRUNCATE pdst")
 		mustExec(t, s, "TRUNCATE ldst")
+	}
+}
+
+// TestAggregateUnderPredicateMatchesLocalTable: a cross-shard SELECT whose
+// target list or HAVING puts an aggregate under BETWEEN, IN, IS NULL or LIKE
+// merges the partial aggregates first and evaluates the predicate over the
+// merged value, answering what a local table holding the same rows answers.
+func TestAggregateUnderPredicateMatchesLocalTable(t *testing.T) {
+	c := newCluster(t, 2)
+	s := c.Session()
+	for _, q := range []string{
+		"CREATE TABLE psrc (k bigint PRIMARY KEY, s text)",
+		"SELECT create_distributed_table('psrc', 'k')",
+		"CREATE TABLE lsrc (k bigint PRIMARY KEY, s text)",
+	} {
+		mustExec(t, s, q)
+	}
+	for k := 1; k <= 7; k++ {
+		for _, table := range []string{"psrc", "lsrc"} {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES (%d, 'a%d')", table, k, k%3))
+		}
+	}
+	for _, q := range []string{
+		"SELECT 1, CASE WHEN count(*) BETWEEN 1 AND 1000 THEN 7 ELSE 0 END FROM psrc",
+		"SELECT count(*) NOT BETWEEN 8 AND 9 FROM psrc",
+		"SELECT max(s) IS NULL FROM psrc",
+		"SELECT min(s) IS NOT NULL, max(k) IS NULL FROM psrc WHERE k > 100",
+		"SELECT count(*) IN (3, 4) FROM psrc",
+		"SELECT sum(k) NOT IN (28, 29) FROM psrc",
+		"SELECT CASE WHEN min(s) LIKE 'a%' THEN 1 ELSE 0 END FROM psrc",
+		"SELECT max(s) NOT ILIKE 'A2' FROM psrc",
+		"SELECT s, count(*) FROM psrc GROUP BY s HAVING count(*) BETWEEN 1 AND 2",
+		"SELECT s FROM psrc GROUP BY s HAVING max(k) IN (6, 7)",
+		"SELECT s, min(k) FROM psrc GROUP BY s HAVING s LIKE 'a%' AND max(k) IS NOT NULL",
+	} {
+		want := mustExec(t, s, strings.ReplaceAll(q, "psrc", "lsrc"))
+		got, err := s.Exec(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		if sortedText(got) != sortedText(want) {
+			t.Errorf("%s:\ndistributed:\n%s\nlocal:\n%s", q, sortedText(got), sortedText(want))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package citus
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -714,6 +715,7 @@ func (n *Node) planDistInsert(ins *sql.InsertStmt, params []types.Datum) (engine
 		rows := byShard[idx]
 		clone := &sql.InsertStmt{
 			Table:      shards[idx].ShardName(),
+			Alias:      cmp.Or(ins.Alias, ins.Table), // RETURNING and ON CONFLICT name the table
 			Columns:    cols,
 			Rows:       rows,
 			OnConflict: ins.OnConflict,

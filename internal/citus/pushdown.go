@@ -761,15 +761,53 @@ func (pr *partialRewriter) rewrite(e sql.Expr) (sql.Expr, error) {
 			return nil, err
 		}
 		return out, nil
+	case *sql.BetweenExpr:
+		ops, err := pr.rewriteAll(x.E, x.Lo, x.Hi)
+		if err != nil {
+			return nil, err
+		}
+		return &sql.BetweenExpr{E: ops[0], Lo: ops[1], Hi: ops[2], Not: x.Not}, nil
+	case *sql.InExpr:
+		if x.Subquery != nil {
+			break
+		}
+		ops, err := pr.rewriteAll(append([]sql.Expr{x.E}, x.List...)...)
+		if err != nil {
+			return nil, err
+		}
+		return &sql.InExpr{E: ops[0], List: ops[1:], Not: x.Not}, nil
+	case *sql.IsNullExpr:
+		sub, err := pr.rewrite(x.E)
+		if err != nil {
+			return nil, err
+		}
+		return &sql.IsNullExpr{E: sub, Not: x.Not}, nil
+	case *sql.LikeExpr:
+		ops, err := pr.rewriteAll(x.E, x.Pattern)
+		if err != nil {
+			return nil, err
+		}
+		return &sql.LikeExpr{E: ops[0], Pattern: ops[1], ILike: x.ILike, Not: x.Not}, nil
 	case *sql.ColumnRef:
 		return nil, fmt.Errorf("column %q must appear in the GROUP BY clause or be used in an aggregate function", x.Name)
-	default:
-		// literals and other leaf expressions pass through
-		if !expr.ContainsAggregate(e) && !referencesColumns(e) {
-			return e, nil
-		}
-		return nil, fmt.Errorf("expression %s is not supported in cross-shard aggregation", e.String())
 	}
+	// literals and other leaf expressions pass through
+	if !expr.ContainsAggregate(e) && !referencesColumns(e) {
+		return e, nil
+	}
+	return nil, fmt.Errorf("expression %s is not supported in cross-shard aggregation", e.String())
+}
+
+// rewriteAll rewrites each of es.
+func (pr *partialRewriter) rewriteAll(es ...sql.Expr) ([]sql.Expr, error) {
+	out := make([]sql.Expr, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], err = pr.rewrite(e); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func referencesColumns(e sql.Expr) bool {

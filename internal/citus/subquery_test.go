@@ -99,6 +99,11 @@ func TestSubqueryMatchesLocalTable(t *testing.T) {
 		{q: "UPDATE %[1]s SET v = (SELECT count(*) FROM %[2]s) WHERE k = 2", write: true},
 		{q: "DELETE FROM %[1]s WHERE k = 8 AND k < (SELECT count(*) FROM %[1]s)", write: true},
 		{q: "UPDATE %[1]s SET s = 'top' WHERE k IN (SELECT k FROM %[2]s WHERE w = 4)", pushable: true, write: true},
+		// the target named in SET, WHERE and RETURNING keeps resolving on
+		// the shards, whose tables are named otherwise
+		{q: "UPDATE %[1]s SET g = %[1]s.g + 1 WHERE %[1]s.k = 3 RETURNING %[1]s.k, %[1]s.g", pushable: true, write: true},
+		{q: "UPDATE %[1]s AS t SET v = t.k WHERE t.g > 2 RETURNING t.k, t.v", pushable: true, write: true},
+		{q: "DELETE FROM %[1]s WHERE %[1]s.k = 9", pushable: true, write: true},
 	} {
 		var got [2]string
 		for i, tables := range [][2]string{{"d", "d2"}, {"l", "l2"}} {

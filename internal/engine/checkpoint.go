@@ -14,9 +14,10 @@ import (
 // image is what a checkpoint captures of a node (wal.Base.Image): the schema
 // as the DDL that built it, and of every table what one snapshot saw
 // committed. It copies no row and no column: a heap table's rows are its
-// tuples' bytes (heap.Tuple.Data), a columnar table's stripes are the table's
-// own, frozen. Both are immutable, so the image, the engine it was taken from
-// and any engine later rebuilt from it share them.
+// pages' arrays (heap.Image), a columnar table's stripes are the table's
+// own, frozen. Both are immutable, so the image and the engine it was taken
+// from share them; an engine rebuilt from it copies the rows into pages of
+// its own.
 type image struct {
 	ddl    []string
 	tables []tableImage
@@ -24,7 +25,7 @@ type image struct {
 
 type tableImage struct {
 	name    string
-	tuples  [][]byte              // heap
+	heap    heap.Image
 	stripes []columnar.StripeView // columnar
 }
 
@@ -70,7 +71,7 @@ func (e *Engine) Checkpoint() bool {
 		if st.col != nil {
 			ti.stripes = st.col.FrozenStripes(e.Txns, snap)
 		} else {
-			ti.tuples = e.heapTuples(st, snap)
+			ti.heap = st.heap.Image(e.Txns, snap)
 		}
 		img.tables = append(img.tables, ti)
 	}
@@ -90,20 +91,6 @@ func newBase(at int64, open map[uint64]int64, snap txn.Snapshot) *wal.Base {
 		}
 	}
 	return &wal.Base{Redo: redo, At: at, Xmax: snap.Xmax, InProgress: snap.InProgress}
-}
-
-// heapTuples is what snap sees of a heap table, its tuples' own bytes.
-// AllTuples, not Scan: the walk is not a query and must not evict what
-// queries keep in the buffer pool.
-func (e *Engine) heapTuples(st *storage, snap txn.Snapshot) [][]byte {
-	tuples := make([][]byte, 0, max(st.heap.EstimatedRows(), 0))
-	st.heap.AllTuples(func(_ heap.TID, tup heap.Tuple) bool {
-		if heap.Visible(e.Txns, snap, tup) {
-			tuples = append(tuples, tup.Data)
-		}
-		return true
-	})
-	return tuples
 }
 
 // CopyStart is the start point of a logical copy of some of the node's
@@ -133,7 +120,12 @@ func (e *Engine) CopyStart(tables []string) (start *wal.Base, tuples [][][]byte,
 		}
 		var ts [][]byte
 		if st.heap != nil {
-			ts = e.heapTuples(st, snap)
+			img := st.heap.Image(e.Txns, snap)
+			ts = make([][]byte, 0, img.Len())
+			img.Each(func(tuple []byte) bool {
+				ts = append(ts, tuple)
+				return true
+			})
 		} else {
 			st.col.Scan(e.Txns, snap, nil, func(r types.Row) bool {
 				var data []byte
@@ -190,15 +182,17 @@ func (r replayTarget) ApplyBase(b *wal.Base) error {
 			store.col.Adopt(ti.stripes, bootstrapXID)
 			continue
 		}
+		var err error
 		store.mu.Lock()
-		for _, data := range ti.tuples {
-			tid := store.heap.Insert(bootstrapXID, data)
-			if err := sess.insertIndexEntries(store, data, tid, nil); err != nil {
-				store.mu.Unlock()
-				return err
-			}
-		}
+		ti.heap.Each(func(tuple []byte) bool {
+			tid, stored := store.heap.InsertTuple(bootstrapXID, tuple)
+			err = sess.insertIndexEntries(store, stored, tid, nil)
+			return err == nil
+		})
 		store.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	// The next transaction here must not take an XID the old incarnation
 	// gave out: its standbys' clogs know them.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"citusgo/internal/catalog"
@@ -72,7 +73,7 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 		if err != nil {
 			return nil, err
 		}
-		ret, didInsert, err := s.insertRow(store, t, full, nil, st.OnConflict, params)
+		ret, didInsert, err := s.insertRow(store, t, full, nil, st, params)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +81,7 @@ func (s *Session) execInsert(st *sql.InsertStmt, params []types.Datum, t *txn.Tx
 			inserted++
 		}
 		if len(st.Returning) > 0 && ret != nil {
-			row, err := s.evalReturning(store, st.Returning, ret, params)
+			row, err := s.evalReturning(store, cmp.Or(st.Alias, st.Table), st.Returning, ret, params)
 			if err != nil {
 				return nil, err
 			}
@@ -168,25 +169,27 @@ func (it *insertTarget) build(in types.Row) (types.Row, error) {
 
 // insertRow performs the physical insert: foreign key check, unique check
 // (with ON CONFLICT handling), heap/columnar write, index maintenance, WAL.
-// data is full encoded (rowbatch.EncodeRow), nil to have it encoded here:
-// the one encoding of the row, which the heap and the log both keep.
+// data is full as another copy of the table encoded it (Session.CopyTuples),
+// to be stored byte for byte, or nil to have the heap encode full into its
+// page: the one encoding of the row, which the heap and the log both keep.
+// st is the INSERT statement, for its ON CONFLICT clause, nil for a COPY.
 // Returns the row to use for RETURNING and whether a row was inserted (or
 // updated via ON CONFLICT DO UPDATE).
-func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []byte, onConflict *sql.OnConflictClause, params []types.Datum) (types.Row, bool, error) {
+func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []byte, st *sql.InsertStmt, params []types.Datum) (types.Row, bool, error) {
 	if err := s.checkForeignKeys(store, t, full); err != nil {
 		return nil, false, err
-	}
-	if data == nil {
-		var err error
-		if data, err = rowbatch.EncodeRow(full); err != nil {
-			return nil, false, err
-		}
 	}
 	ssiW := s.ssiWriter(t)
 	if store.col != nil {
 		// Columnar readers hold table-granularity SIREAD locks only.
 		if err := ssiW.writeProbe(ssi.TableKey(store.table.ID)); err != nil {
 			return nil, false, err
+		}
+		if data == nil {
+			var err error
+			if data, err = rowbatch.EncodeRow(full); err != nil {
+				return nil, false, err
+			}
 		}
 		store.col.Insert(t.XID, full)
 		t.MarkWrite()
@@ -243,19 +246,28 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 	}
 	if conflictTID != heap.NilTID {
 		store.mu.Unlock()
-		if onConflict == nil {
+		if st == nil || st.OnConflict == nil {
 			return nil, false, fmt.Errorf("duplicate key value violates unique constraint on %q", store.table.Name)
 		}
-		if len(onConflict.DoUpdate) == 0 {
+		if len(st.OnConflict.DoUpdate) == 0 {
 			return nil, false, nil // DO NOTHING
 		}
-		row, err := s.conflictUpdate(store, t, conflictTID, full, onConflict.DoUpdate, params)
+		row, err := s.conflictUpdate(store, t, conflictTID, full, cmp.Or(st.Alias, st.Table), st.OnConflict.DoUpdate, params)
 		if err != nil {
 			return nil, false, err
 		}
 		return row, true, nil
 	}
-	tid := store.heap.Insert(t.XID, data)
+	var tid heap.TID
+	if data != nil {
+		tid, data = store.heap.InsertTuple(t.XID, data)
+	} else {
+		var err error
+		if tid, data, err = store.heap.Insert(t.XID, full); err != nil {
+			store.mu.Unlock()
+			return nil, false, err
+		}
+	}
 	if err := s.insertIndexEntries(store, data, tid, params); err != nil {
 		store.mu.Unlock()
 		return nil, false, err
@@ -273,8 +285,9 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 }
 
 // conflictUpdate implements ON CONFLICT DO UPDATE: the conflicting row is
-// locked and updated; "excluded" refers to the row proposed for insertion.
-func (s *Session) conflictUpdate(store *storage, t *txn.Txn, tid heap.TID, excluded types.Row, set []sql.Assignment, params []types.Datum) (types.Row, error) {
+// locked and updated; name (the target's range name) refers to it and
+// "excluded" to the row proposed for insertion.
+func (s *Session) conflictUpdate(store *storage, t *txn.Txn, tid heap.TID, excluded types.Row, name string, set []sql.Assignment, params []types.Datum) (types.Row, error) {
 	latestTID, tup, exists, err := s.lockAndChase(store, t, tid)
 	if err != nil {
 		return nil, err
@@ -285,7 +298,7 @@ func (s *Session) conflictUpdate(store *storage, t *txn.Txn, tid heap.TID, exclu
 	// scope: table columns then excluded.*
 	sc := &scope{}
 	for _, c := range store.table.Columns {
-		sc.cols = append(sc.cols, scopeCol{table: store.table.Name, name: c.Name, typ: c.Type})
+		sc.cols = append(sc.cols, scopeCol{table: name, name: c.Name, typ: c.Type})
 	}
 	for _, c := range store.table.Columns {
 		sc.cols = append(sc.cols, scopeCol{table: "excluded", name: c.Name, typ: c.Type})
@@ -445,8 +458,8 @@ func (s *Session) insertIndexEntries(store *storage, data []byte, tid heap.TID, 
 }
 
 // insert adds tid under key, each datum boxed anew (ownDatum): an entry
-// keeps alive its own boxes and the bytes of the tuple a string or a
-// document aliases, never the arrays a row was decoded into.
+// keeps alive its own boxes and bytes, never the arrays a row was decoded
+// into nor the page array its tuple lies in.
 func (b *btreeIndex) insert(key index.Key, tid heap.TID) {
 	for i, d := range key {
 		key[i] = ownDatum(d)
@@ -455,8 +468,10 @@ func (b *btreeIndex) insert(key index.Key, tid heap.TID) {
 }
 
 // ownDatum boxes d's value anew, for a datum read out of storage that will
-// be written again (rowbatch.Decoder) to be kept. A string or a document goes
-// on aliasing the bytes it was decoded from.
+// be written again (rowbatch.Decoder) to be kept. A string or a document is
+// copied out of the bytes it was decoded from: those are a page's array,
+// which a compaction replaces (heap.Table.Vacuum), and a key aliasing it
+// would keep the old array alive as long as the key lives.
 func ownDatum(d types.Datum) types.Datum {
 	switch v := d.(type) {
 	case int64:
@@ -464,11 +479,11 @@ func ownDatum(d types.Datum) types.Datum {
 	case float64:
 		return v
 	case string:
-		return v
+		return strings.Clone(v)
 	case time.Time:
 		return v
 	case jsonb.Value:
-		return v
+		return jsonb.ViewValidWire(v.AppendWire(make([]byte, 0, v.WireSize())))
 	}
 	return d
 }
@@ -699,10 +714,6 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 // writeNewVersion inserts the new row version, links the update chain, and
 // maintains indexes and WAL.
 func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, newRow types.Row, params []types.Datum) error {
-	data, err := rowbatch.EncodeRow(newRow)
-	if err != nil {
-		return err
-	}
 	ssiW := s.ssiWriter(t)
 	if ssiW != nil {
 		// Probe readers of the old version (any granularity) and of the
@@ -717,7 +728,10 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 			return err
 		}
 	}
-	newTID := store.heap.Insert(t.XID, data)
+	newTID, data, err := store.heap.Insert(t.XID, newRow)
+	if err != nil {
+		return err
+	}
 	if err := ssiW.writeProbe(ssi.PageKey(store.table.ID, tidPage(newTID))); err != nil {
 		return err
 	}
@@ -835,7 +849,7 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 		}
 		affected++
 		if len(stmt.Returning) > 0 {
-			row, err := s.evalReturning(store, stmt.Returning, newRow, params)
+			row, err := s.evalReturning(store, cmp.Or(stmt.Alias, stmt.Table), stmt.Returning, newRow, params)
 			if err != nil {
 				return nil, err
 			}
@@ -976,10 +990,12 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 	})
 }
 
-func (s *Session) evalReturning(store *storage, items []sql.SelectItem, row types.Row, params []types.Datum) (types.Row, error) {
+// evalReturning evaluates a RETURNING list over row, a row of store's table,
+// which the statement calls name.
+func (s *Session) evalReturning(store *storage, name string, items []sql.SelectItem, row types.Row, params []types.Datum) (types.Row, error) {
 	sc := &scope{}
 	for _, c := range store.table.Columns {
-		sc.cols = append(sc.cols, scopeCol{table: store.table.Name, name: c.Name, typ: c.Type})
+		sc.cols = append(sc.cols, scopeCol{table: name, name: c.Name, typ: c.Type})
 	}
 	expanded, err := expandStars(items, sc)
 	if err != nil {

@@ -2,10 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"citusgo/internal/heap"
+	"citusgo/internal/index"
+	"citusgo/internal/jsonb"
 	"citusgo/internal/rowbatch"
 	"citusgo/internal/types"
 	"citusgo/internal/vec"
@@ -43,14 +48,27 @@ func copyAsReceived(t *testing.T, s *Session, table string, rows []types.Row) {
 	}
 }
 
+// txnDDL and txnRows are txn_mixed's shape: a bigint key, a bigint and a
+// 50-byte text.
+const txnDDL = "CREATE TABLE accounts (key bigint PRIMARY KEY, v bigint, filler text)"
+
+func txnRows(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{int64(i), int64(i % 1000), fmt.Sprintf("%050d", i)}
+	}
+	return rows
+}
+
 // TestHeapBytesPerRow gates what a stored row costs: its tuple, its slot and
 // its primary key entry. The log is sealed first — it drops what is appended
 // to it — so what is measured is the table's alone. The crud shape
-// (crud_point's: a bigint key and ten 50-byte texts) must fit 720 bytes; a
-// row of the ingest shape (ingest_live's: a text key and a jsonb document)
-// must cost at most a quarter more than its tuple's encoding — a key that
-// pinned the array the COPY decoded the row into would keep a second copy of
-// the document.
+// (crud_point's: a bigint key and ten 50-byte texts) must fit 640 bytes, the
+// txn shape (txn_mixed's: two bigints and a 50-byte text) 160 (144 measured,
+// about 10 more under -race); a row of the ingest shape (ingest_live's: a
+// text key and a jsonb document) must cost at most a quarter more than its
+// tuple's encoding — a key that pinned the array the COPY decoded the row
+// into would keep a second copy of the document.
 func TestHeapBytesPerRow(t *testing.T) {
 	const n = 20_000
 	crud := func(i int) types.Row {
@@ -75,7 +93,8 @@ func TestHeapBytesPerRow(t *testing.T) {
 				}
 				return rows
 			},
-			func(float64) float64 { return 720 }},
+			func(float64) float64 { return 640 }},
+		{"txn", txnDDL, func() []types.Row { return txnRows(n) }, func(float64) float64 { return 160 }},
 		{"ingest", pushEventsDDL, func() []types.Row { return pushEvents(1, 0, n) },
 			func(encoded float64) float64 { return 1.25 * encoded }},
 	} {
@@ -106,6 +125,74 @@ func TestHeapBytesPerRow(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesPerRow: a checkpoint's image of a heap table holds its
+// pages' arrays and a bit per tuple, not a slice header per row, so taking
+// one of a 20 000-row table allocates at most 8 bytes a row.
+func TestCheckpointBytesPerRow(t *testing.T) {
+	const n = 20_000
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, txnDDL)
+	copyAsReceived(t, s, "accounts", txnRows(n))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if !e.Checkpoint() {
+		t.Fatal("the checkpoint was not taken")
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("a checkpoint allocated %.2f bytes per row", per)
+	if per > 8 {
+		t.Errorf("a checkpoint allocated %.2f bytes per row, want at most 8", per)
+	}
+}
+
+// TestVacuumChurnKeepsOneVersion: 20 rounds of UPDATE of every row of a
+// 10 000-row table, each followed by VACUUM, leave the engine costing at most
+// 1.5 times what it cost after the first round, when it held one version of
+// each row beside structures that one round of churn has grown to their
+// steady size (the lock table's map, B-tree leaves split by a second entry
+// under each key): vacuum compacts the pages it reclaimed versions on, and a
+// page none is left on keeps neither its array nor its slots. The log is
+// sealed, as in TestHeapBytesPerRow, so that the table alone is measured.
+func TestVacuumChurnKeepsOneVersion(t *testing.T) {
+	const n, rounds = 10_000, 20
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, txnDDL)
+	e.WAL.Seal()
+	rows := txnRows(n)
+	var before, loaded, one, churned runtime.MemStats
+	measure := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.ReadMemStats(m)
+	}
+	measure(&before)
+	copyAsReceived(t, s, "accounts", rows)
+	measure(&loaded)
+	for r := 0; r < rounds; r++ {
+		mustExec(t, s, "UPDATE accounts SET v = v + 1, filler = $1", fmt.Sprintf("%050d", r))
+		mustExec(t, s, "VACUUM accounts")
+		if r == 0 {
+			measure(&one)
+		}
+	}
+	measure(&churned)
+	runtime.KeepAlive(rows)
+	per := func(m runtime.MemStats) float64 { return (float64(m.HeapAlloc) - float64(before.HeapAlloc)) / n }
+	t.Logf("live bytes per row: %.0f loaded, %.0f after one round of UPDATE and VACUUM, %.0f after %d",
+		per(loaded), per(one), per(churned), rounds)
+	if per(churned) > 1.5*per(one) {
+		t.Errorf("%.0f live bytes per row after %d rounds of UPDATE and VACUUM, want at most 1.5 × %.0f", per(churned), rounds, per(one))
+	}
+	sum := rounds * n
+	for _, row := range rows {
+		sum += int(row[1].(int64))
+	}
+	expectRows(t, mustExec(t, s, "SELECT count(*), sum(v) FROM accounts"), fmt.Sprintf("%d|%d", n, sum))
+}
+
 // TestDecodeColumnsReservesOnce: a vector gets room for the rest of the
 // batch at its first value that is not NULL, so a column whose first rows
 // are NULL grows once, not by doubling through the batch.
@@ -134,5 +221,47 @@ func TestDecodeColumnsReservesOnce(t *testing.T) {
 	// twice: once small, once for the whole batch
 	if allocs > 8 {
 		t.Fatalf("decodeColumns made %.0f allocations for %d values", allocs, m)
+	}
+}
+
+// TestIndexKeysOwnTheirBytes: a B-tree key over text or jsonb holds its own
+// copy of the bytes, not a view of the tuple's page array — the array a
+// compaction replaces, which a key would otherwise keep alive as long as it
+// lives.
+func TestIndexKeysOwnTheirBytes(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, "CREATE TABLE kt (k text PRIMARY KEY, d jsonb)")
+	mustExec(t, s, "CREATE INDEX kt_d ON kt (d)")
+	for i := 0; i < 100; i++ {
+		mustExec(t, s, "INSERT INTO kt VALUES ($1, $2)", fmt.Sprintf("key-%03d", i), jsonb.MustParse(fmt.Sprintf(`{"n": %d}`, i)))
+	}
+	st, _ := e.store("kt")
+	checked := 0
+	for _, b := range st.btrees {
+		b.tree.Range(nil, nil, true, true, func(key index.Key, tids []heap.TID) bool {
+			tup, ok := st.heap.Get(tids[0])
+			if !ok {
+				t.Fatalf("%s: TID %d of key %v resolves to nothing", b.def.Name, tids[0], key)
+			}
+			var p unsafe.Pointer
+			switch v := key[0].(type) {
+			case string:
+				p = unsafe.Pointer(unsafe.StringData(v))
+			case jsonb.Value:
+				p = reflect.ValueOf(v).Field(0).UnsafePointer()
+			default:
+				t.Fatalf("%s: key %v is a %T", b.def.Name, key, key[0])
+			}
+			start := uintptr(unsafe.Pointer(unsafe.SliceData(tup.Data)))
+			if at := uintptr(p); at >= start && at < start+uintptr(len(tup.Data)) {
+				t.Fatalf("%s: key %v lies in its tuple's bytes", b.def.Name, key)
+			}
+			checked++
+			return true
+		})
+	}
+	if checked != 200 {
+		t.Fatalf("checked %d keys, want 200", checked)
 	}
 }

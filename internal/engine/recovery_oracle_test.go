@@ -15,7 +15,9 @@ import (
 // UPDATE, DELETE and COPY on heap and columnar tables from three sessions,
 // commits, rollbacks, PREPARE TRANSACTION resolved later or left pending,
 // CREATE/DROP TABLE under a handful of reused names, TRUNCATE, CREATE INDEX,
-// ADD COLUMN — runs with checkpoints forced at random points: between
+// ADD COLUMN, bursts of UPDATE and DELETE followed by VACUUM, which compacts
+// pages between checkpoints and inside the windows replay covers — runs with
+// checkpoints forced at random points: between
 // statements, so also between a transaction's first write and its commit —
 // among them right after an open transaction's columnar insert with a
 // committed row behind it in the same stripe, which the image then holds as
@@ -209,7 +211,7 @@ func (r *oracleRun) step() {
 			os.touched, os.wrote = map[string][]int64{}, map[string]bool{}
 		}
 	}()
-	switch op := r.pick(100); {
+	switch op := r.pick(104); {
 	case op < 8:
 		if !os.open {
 			r.exec(os, "BEGIN")
@@ -346,6 +348,31 @@ func (r *oracleRun) step() {
 		_, _ = r.e.NewSession().Exec(insert, r.nextKey+1, int64(r.pick(20)), "committed")
 		r.nextKey += 2
 		r.e.Checkpoint()
+	case op < 100: // UPDATE and DELETE churn over the session's own keys, committed, then VACUUM: pages compact
+		tables := r.liveTables("h")
+		if len(tables) == 0 {
+			return
+		}
+		table := tables[r.pick(len(tables))]
+		mine := r.keys[table][si]
+		if os.open {
+			r.end(os, "COMMIT")
+		}
+		for n := 0; n < 40 && len(mine) > 0; n++ {
+			key := mine[r.pick(len(mine))]
+			if r.isBusy(table, key) {
+				continue
+			}
+			os.touched[table] = append(os.touched[table], key)
+			os.wrote[table] = true
+			if n%10 == 9 {
+				r.exec(os, fmt.Sprintf("DELETE FROM %s WHERE k = $1", table), key)
+			} else {
+				r.exec(os, fmt.Sprintf("UPDATE %s SET v = $1, s = $2 WHERE k = $3", table),
+					int64(r.pick(20)), fmt.Sprintf("churn%d", r.pick(1000)), key)
+			}
+		}
+		_, _ = r.e.NewSession().Exec("VACUUM " + table)
 	default: // a checkpoint inside COMMIT: clog flipped, commit record not yet written
 		if !os.open {
 			return

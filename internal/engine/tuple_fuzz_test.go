@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
@@ -26,7 +27,10 @@ import (
 // from UTC, in UTC, Local or a fixed zone as it was. The name of a fixed zone
 // is not kept: the wire form drops it too (rowbatch.decodeTime), and nothing
 // reads it — types.Format prints a time in UTC. A row written before ALTER
-// TABLE … ADD COLUMN reads the added columns as NULL.
+// TABLE … ADD COLUMN reads the added columns as NULL. Then every row is
+// updated and vacuumed until a compaction has moved a live version to a
+// fresh page array, and read back again through Get, both scans and a
+// restore of a checkpoint taken after it.
 //
 //	go test ./internal/engine -run '^$' -fuzz FuzzTupleBytes -fuzztime 15s
 func FuzzTupleBytes(f *testing.F) {
@@ -147,6 +151,50 @@ func tupleRoundTrip(t *testing.T, vals types.Row) {
 		check(how, selectAll(r))
 		check(how+", vectorized", vecRows(r, "ft"))
 	}
+
+	// Every row updated and vacuumed until a compaction has moved a live
+	// version into a fresh array (a row longer than half a page never
+	// shares its page, so never moves), then read back every way again.
+	moved, longest := false, 0
+	for round := 0; round < 16 && !moved; round++ {
+		mustExec(t, s, "UPDATE ft SET i = i")
+		before := liveArrays(e, "ft")
+		mustExec(t, s, "VACUUM ft")
+		after := liveArrays(e, "ft")
+		for tid, at := range after {
+			moved = moved || at != before[tid]
+		}
+	}
+	st, _ := e.store("ft")
+	st.heap.AllTuples(func(_ heap.TID, tup heap.Tuple) bool { longest = max(longest, len(tup.Data)); return true })
+	if !moved && longest < 4096 {
+		t.Fatalf("16 rounds of UPDATE and VACUUM over tuples of at most %d bytes moved no live version", longest)
+	}
+	check("Get after a compaction", getRows(e, "ft"))
+	check("the row scan after a compaction", selectAll(e))
+	check("the vectorized scan after a compaction", vecRows(e, "ft"))
+	if !e.Checkpoint() {
+		t.Fatal("the checkpoint was not taken")
+	}
+	r := newTestEngine(t)
+	if err := r.RecoverFrom(e.WAL, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("restore of a checkpoint after a compaction", selectAll(r))
+}
+
+// liveArrays returns where the bytes of each live version of table start.
+func liveArrays(e *Engine, table string) map[heap.TID]*byte {
+	st, _ := e.store(table)
+	snap := e.Txns.TakeSnapshot(nil)
+	at := map[heap.TID]*byte{}
+	st.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
+		if heap.Visible(e.Txns, snap, tup) {
+			at[tid] = unsafe.SliceData(tup.Data)
+		}
+		return true
+	})
+	return at
 }
 
 // getRows reads the live version of every row of table through Get.

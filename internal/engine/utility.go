@@ -659,7 +659,7 @@ func (r replayTarget) ApplyInsert(xid uint64, table string, tuple []byte, update
 		store.col.Insert(xid, rowbatch.DecodeRow(tuple))
 		return nil
 	}
-	tid := store.heap.Insert(xid, tuple)
+	tid, stored := store.heap.InsertTuple(xid, tuple)
 	if old, ok := r.deleted[xid]; ok && update && old.table == table {
 		store.heap.MarkDeleted(old.tid, xid, tid)
 	}
@@ -667,7 +667,7 @@ func (r replayTarget) ApplyInsert(xid uint64, table string, tuple []byte, update
 	sess := r.e.NewSession()
 	store.mu.Lock()
 	defer store.mu.Unlock()
-	return sess.insertIndexEntries(store, tuple, tid, nil)
+	return sess.insertIndexEntries(store, stored, tid, nil)
 }
 
 var metReplayDeleteTuples = obs.Default().Counter("engine_replay_delete_tuples_total",

@@ -5,18 +5,27 @@
 package heap
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"citusgo/internal/bufpool"
+	"citusgo/internal/obs"
 	"citusgo/internal/rowbatch"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
 )
 
-// TuplesPerPage fixes how many tuple slots one simulated page holds; the
-// buffer pool charges I/O per page.
+// TuplesPerPage is the most tuple slots one page holds; the buffer pool
+// charges I/O per page.
 const TuplesPerPage = 64
+
+// maxPageBytes bounds the array a page's tuples are packed into: the
+// allocator's largest size class, so that no page is a large object rounded
+// up to whole 8 KiB spans. A page of long tuples holds fewer than
+// TuplesPerPage; a tuple longer than this gets a page of its own.
+const maxPageBytes = 32 << 10
 
 // TID addresses a tuple version: page*TuplesPerPage + slot.
 type TID int64
@@ -27,16 +36,15 @@ const NilTID TID = -1
 func (t TID) page() int32 { return int32(t / TuplesPerPage) }
 func (t TID) slot() int   { return int(t % TuplesPerPage) }
 
-// Tuple is one stored row version: 48 bytes, so a page of TuplesPerPage
-// slots is exactly a size class of the Go allocator. The row is one byte
-// image, a batch of that one row (rowbatch.EncodeRow): pointer-free, written
-// once and never again, and the same array the write-ahead log's records and
-// a checkpoint's image hold.
+// Tuple is one row version as the heap hands it out: its slot's stamps and
+// its row, a batch of that one row (rowbatch.AppendTuple) in its page's
+// array — pointer-free, written once and never again, and the same bytes the
+// write-ahead log's records and a checkpoint's image hold.
 type Tuple struct {
 	Xmin uint64 // 0 once vacuum has reclaimed the slot
 	Xmax uint64
-	Next TID // newer version in the update chain, NilTID if latest
-	Data []byte
+	Next TID    // newer version in the update chain, NilTID if latest
+	Data []byte // nil once reclaimed
 }
 
 // Row decodes the tuple's row; its strings and documents alias Data.
@@ -48,8 +56,39 @@ func (tup Tuple) Row() types.Row { return rowbatch.DecodeRow(tup.Data) }
 // Dead before it compares Xmin with Self.
 func (tup Tuple) Dead() bool { return tup.Xmin == 0 }
 
+// slot is a tuple version as its page keeps it: 32 bytes and no pointer. Its
+// bytes are data[off:off+n] of the page's array; n is 0 once a compaction has
+// dropped them.
+type slot struct {
+	xmin, xmax uint64 // xmin 0: reclaimed
+	next       TID
+	off, n     uint32
+}
+
+// page holds up to TuplesPerPage versions, their bytes back to back in one
+// array in slot order. The array is never reallocated and never written
+// below its end, so every Data slice handed out stays valid as it is; a
+// compaction moves the live tuples to a fresh array and leaves the old one
+// to whoever still reads it.
 type page struct {
-	tuples []Tuple
+	slots []slot // nil once every version on the page is reclaimed and compacted away
+	data  []byte
+	dead  int // bytes of data that reclaimed versions hold
+}
+
+// bytes returns the bytes of the version in sl, a slot of pg.
+func (pg *page) bytes(sl *slot) []byte {
+	return pg.data[sl.off : sl.off+sl.n : sl.off+sl.n]
+}
+
+// tuple returns the version in slot s.
+func (pg *page) tuple(s int) Tuple {
+	sl := &pg.slots[s]
+	tup := Tuple{Xmin: sl.xmin, Xmax: sl.xmax, Next: sl.next}
+	if sl.xmin != 0 {
+		tup.Data = pg.bytes(sl)
+	}
+	return tup
 }
 
 // Table is one MVCC heap.
@@ -58,8 +97,15 @@ type Table struct {
 	pool *bufpool.Pool
 
 	mu    sync.RWMutex
-	pages []*page
-	nLive atomic.Int64
+	pages []page
+	// dirty has bit p set while page p may hold a version vacuum could
+	// reclaim: from the write that stamped it until a pass finds only
+	// versions that a later write alone can make reclaimable.
+	dirty []uint64
+	// how many tuples have been stored and their bytes: the mean a new
+	// page's array is sized by
+	stored, storedBytes int64
+	nLive               atomic.Int64
 }
 
 // NewTable creates an empty heap for table id, charging page accesses to
@@ -71,30 +117,104 @@ func NewTable(id int64, pool *bufpool.Pool) *Table {
 	return &Table{ID: id, pool: pool}
 }
 
-// Insert appends a new tuple version created by xid, whose row data holds
-// (rowbatch.EncodeRow), and returns its TID. data is the tuple's from now on:
-// nobody may write it again.
-func (t *Table) Insert(xid uint64, data []byte) TID {
-	t.mu.Lock()
-	var pg *page
-	if n := len(t.pages); n > 0 && len(t.pages[n-1].tuples) < TuplesPerPage {
-		pg = t.pages[n-1]
-	} else {
-		pg = &page{tuples: make([]Tuple, 0, TuplesPerPage)}
-		t.pages = append(t.pages, pg)
+// Insert stores a new version of row created by xid, encoded straight into
+// a page, and returns its TID and its bytes, which are the page's: the log
+// may keep them, nobody may write them. It fails where rowbatch.TupleSize
+// fails.
+func (t *Table) Insert(xid uint64, row types.Row) (TID, []byte, error) {
+	n, err := rowbatch.TupleSize(row)
+	if err != nil {
+		return NilTID, nil, err
 	}
-	pageIdx := len(t.pages) - 1
-	slot := len(pg.tuples)
-	pg.tuples = append(pg.tuples, Tuple{Xmin: xid, Xmax: 0, Next: NilTID, Data: data})
+	t.mu.Lock()
+	p, pg := t.room(n)
+	data, err := rowbatch.AppendTuple(pg.data, row)
+	if err != nil {
+		t.mu.Unlock()
+		return NilTID, nil, err
+	}
+	tid, tuple := t.place(p, pg, data, xid)
 	t.mu.Unlock()
-
-	t.nLive.Add(1)
-	t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(pageIdx)})
-	return TID(int64(pageIdx)*TuplesPerPage + int64(slot))
+	t.inserted(tid)
+	return tid, tuple, nil
 }
 
-// Get returns a copy of the tuple at tid (charging a page access) and
-// whether it exists.
+// InsertTuple is Insert of a row another copy of the table encoded — a log
+// record, a checkpoint's image, a moved shard's tuple — copied into a page
+// byte for byte.
+func (t *Table) InsertTuple(xid uint64, tuple []byte) (TID, []byte) {
+	t.mu.Lock()
+	p, pg := t.room(len(tuple))
+	tid, stored := t.place(p, pg, append(pg.data, tuple...), xid)
+	t.mu.Unlock()
+	t.inserted(tid)
+	return tid, stored
+}
+
+// room returns the page a tuple of n bytes goes to: the last, while it has a
+// free slot and n bytes of room in its array, else a new one. A new page's
+// array has room for TuplesPerPage tuples of the mean length stored so far,
+// up to maxPageBytes, and is rounded up to its size class: a page of shorter
+// tuples than that takes them to its last slot, one of longer ones to the end
+// of its array.
+func (t *Table) room(n int) (int, *page) {
+	if k := len(t.pages); k > 0 {
+		if pg := &t.pages[k-1]; len(pg.slots) < TuplesPerPage && cap(pg.data)-len(pg.data) >= n {
+			return k - 1, pg
+		}
+	}
+	mean := int((t.storedBytes + int64(n)) / (t.stored + 1))
+	data := slices.Grow([]byte(nil), max(min(TuplesPerPage*mean, maxPageBytes), n))
+	slots := min(TuplesPerPage, cap(data)/max(mean, 1))
+	t.pages = append(t.pages, page{slots: make([]slot, 0, slots), data: data})
+	return len(t.pages) - 1, &t.pages[len(t.pages)-1]
+}
+
+// place records the tuple data ends with, appended into pg's array in the
+// room room made, as a version created by xid in the next slot of page p.
+func (t *Table) place(p int, pg *page, data []byte, xid uint64) (TID, []byte) {
+	if cap(data) != cap(pg.data) {
+		panic("heap: a tuple outgrew the room its page made for it")
+	}
+	off := len(pg.data)
+	pg.data = data
+	pg.slots = append(pg.slots, slot{xmin: xid, next: NilTID, off: uint32(off), n: uint32(len(data) - off)})
+	sl := &pg.slots[len(pg.slots)-1]
+	t.stored++
+	t.storedBytes += int64(sl.n)
+	t.markDirty(p)
+	return TID(int64(p)*TuplesPerPage + int64(len(pg.slots)-1)), pg.bytes(sl)
+}
+
+// inserted counts the new version at tid live and charges its page access.
+func (t *Table) inserted(tid TID) {
+	t.nLive.Add(1)
+	t.pool.Access(bufpool.PageID{Table: t.ID, Page: tid.page()})
+}
+
+// markDirty sets page p's bit in t.dirty. Caller holds t.mu.
+func (t *Table) markDirty(p int) {
+	for len(t.dirty) <= p/64 {
+		t.dirty = append(t.dirty, 0)
+	}
+	t.dirty[p/64] |= 1 << (p % 64)
+}
+
+// at returns the page and slot of tid, and false when there is no such
+// slot. Caller holds t.mu.
+func (t *Table) at(tid TID) (*page, int, bool) {
+	if tid < 0 {
+		return nil, 0, false
+	}
+	p, s := int(tid.page()), tid.slot()
+	if p >= len(t.pages) || s >= len(t.pages[p].slots) {
+		return nil, 0, false
+	}
+	return &t.pages[p], s, true
+}
+
+// Get returns the tuple at tid (charging a page access) and whether it
+// exists.
 func (t *Table) Get(tid TID) (Tuple, bool) {
 	if tid < 0 {
 		return Tuple{}, false
@@ -102,11 +222,11 @@ func (t *Table) Get(tid TID) (Tuple, bool) {
 	t.pool.Access(bufpool.PageID{Table: t.ID, Page: tid.page()})
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	p := int(tid.page())
-	if p >= len(t.pages) || tid.slot() >= len(t.pages[p].tuples) {
+	pg, s, ok := t.at(tid)
+	if !ok {
 		return Tuple{}, false
 	}
-	return t.pages[p].tuples[tid.slot()], true
+	return pg.tuple(s), true
 }
 
 // MarkDeleted stamps the tuple at tid with deleting transaction xid and,
@@ -116,13 +236,13 @@ func (t *Table) Get(tid TID) (Tuple, bool) {
 func (t *Table) MarkDeleted(tid TID, xid uint64, newVersion TID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := int(tid.page())
-	if p >= len(t.pages) || tid.slot() >= len(t.pages[p].tuples) {
+	pg, s, ok := t.at(tid)
+	if !ok {
 		return false
 	}
-	tup := &t.pages[p].tuples[tid.slot()]
-	tup.Xmax = xid
-	tup.Next = newVersion
+	pg.slots[s].xmax = xid
+	pg.slots[s].next = newVersion
+	t.markDirty(int(tid.page()))
 	return true
 }
 
@@ -132,33 +252,36 @@ func (t *Table) MarkDeleted(tid TID, xid uint64, newVersion TID) bool {
 func (t *Table) ClearDelete(tid TID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := int(tid.page())
-	if p < len(t.pages) && tid.slot() < len(t.pages[p].tuples) {
-		tup := &t.pages[p].tuples[tid.slot()]
-		tup.Xmax = 0
-		tup.Next = NilTID
+	if pg, s, ok := t.at(tid); ok {
+		pg.slots[s].xmax = 0
+		pg.slots[s].next = NilTID
 	}
 }
 
 // Visible applies the MVCC visibility rules for tuple tup under snapshot s.
 func Visible(mgr *txn.Manager, s txn.Snapshot, tup Tuple) bool {
-	if tup.Dead() {
-		return false
+	return visible(mgr, s, tup.Xmin, tup.Xmax)
+}
+
+// visible is Visible of a version stamped xmin and xmax.
+func visible(mgr *txn.Manager, s txn.Snapshot, xmin, xmax uint64) bool {
+	if xmin == 0 {
+		return false // reclaimed
 	}
-	if tup.Xmin == s.Self {
+	if xmin == s.Self {
 		// our own insert: visible unless we deleted it ourselves
-		return tup.Xmax != s.Self
+		return xmax != s.Self
 	}
-	if !mgr.Sees(s, tup.Xmin) {
+	if !mgr.Sees(s, xmin) {
 		return false
 	}
-	if tup.Xmax == 0 {
+	if xmax == 0 {
 		return true
 	}
-	if tup.Xmax == s.Self {
+	if xmax == s.Self {
 		return false
 	}
-	return !mgr.Sees(s, tup.Xmax)
+	return !mgr.Sees(s, xmax)
 }
 
 // scanVisibility decides visibility for one scan under one snapshot, and
@@ -175,46 +298,52 @@ type scanVisibility struct {
 	sees bool
 }
 
-// visible is Visible(v.mgr, v.s, *tup). Only a live tuple that nobody has
-// deleted and that another transaction wrote is answered from memory; every
-// other takes the full rules.
-func (v *scanVisibility) visible(tup *Tuple) bool {
-	if tup.Dead() || tup.Xmax != 0 || tup.Xmin == v.s.Self {
-		return Visible(v.mgr, v.s, *tup)
+// visible is visible(v.mgr, v.s, sl.xmin, sl.xmax). Only a live version that
+// nobody has deleted and that another transaction wrote is answered from
+// memory; every other takes the full rules.
+func (v *scanVisibility) visible(sl *slot) bool {
+	if sl.xmin == 0 || sl.xmax != 0 || sl.xmin == v.s.Self {
+		return visible(v.mgr, v.s, sl.xmin, sl.xmax)
 	}
-	if tup.Xmin != v.xmin {
-		v.xmin, v.sees = tup.Xmin, v.mgr.Sees(v.s, tup.Xmin)
+	if sl.xmin != v.xmin {
+		v.xmin, v.sees = sl.xmin, v.mgr.Sees(v.s, sl.xmin)
 	}
 	return v.sees
+}
+
+// readPage copies page p's slots into slots and returns them with the
+// page's array, or false when the table has no page p (dropped or truncated
+// since the caller began): a reader visits them without the table lock, the
+// array being immutable up to the length it has now.
+func (t *Table) readPage(p int, slots []slot) ([]slot, []byte, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if p >= len(t.pages) {
+		return slots, nil, false
+	}
+	return append(slots[:0], t.pages[p].slots...), t.pages[p].data, true
 }
 
 // Scan iterates all visible tuples under snapshot s, calling fn with each
 // one's data (Tuple.Data); fn returning false stops the scan. Page accesses
 // are charged to the buffer pool.
 func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, data []byte) bool) {
-	t.mu.RLock()
-	numPages := len(t.pages)
-	t.mu.RUnlock()
+	numPages := t.NumPages()
 	vis := scanVisibility{mgr: mgr, s: s}
-	// one buffer for the whole scan: fn is handed a tuple's data, never the
-	// tuple, so nothing can keep a reference into it
-	tuples := make([]Tuple, 0, TuplesPerPage)
+	slots := make([]slot, 0, TuplesPerPage) // one buffer for the whole scan
 	for p := 0; p < numPages; p++ {
 		t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(p)})
-		t.mu.RLock()
-		if p >= len(t.pages) { // dropped or truncated since the scan began
-			t.mu.RUnlock()
+		var data []byte
+		var ok bool
+		if slots, data, ok = t.readPage(p, slots); !ok {
 			return
 		}
-		// copy the page's tuples so fn runs without the table lock
-		tuples = append(tuples[:0], t.pages[p].tuples...)
-		t.mu.RUnlock()
-		for slot := range tuples {
-			if !vis.visible(&tuples[slot]) {
+		for i := range slots {
+			sl := &slots[i]
+			if !vis.visible(sl) {
 				continue
 			}
-			tid := TID(int64(p)*TuplesPerPage + int64(slot))
-			if !fn(tid, tuples[slot].Data) {
+			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), data[sl.off:sl.off+sl.n:sl.off+sl.n]) {
 				return
 			}
 		}
@@ -247,9 +376,7 @@ const batchTuples = BatchPages * TuplesPerPage
 
 // NewBatchScan starts a batched scan of the pages the table has now.
 func (t *Table) NewBatchScan(mgr *txn.Manager, s txn.Snapshot) *BatchScan {
-	t.mu.RLock()
-	numPages := len(t.pages)
-	t.mu.RUnlock()
+	numPages := t.NumPages()
 	return &BatchScan{t: t, vis: scanVisibility{mgr: mgr, s: s}, end: numPages,
 		tuples: make([][]byte, 0, min(numPages*TuplesPerPage, batchTuples))}
 }
@@ -293,10 +420,10 @@ func (b *BatchScan) readPages() {
 		// is asked once a page (scanVisibility), and nothing is copied.
 		t.mu.RLock()
 		if b.pos < len(t.pages) { // else dropped or truncated since the scan began
-			tuples := t.pages[b.pos].tuples
-			for slot := range tuples {
-				if b.vis.visible(&tuples[slot]) {
-					b.tuples = append(b.tuples, tuples[slot].Data)
+			pg := &t.pages[b.pos]
+			for i := range pg.slots {
+				if sl := &pg.slots[i]; b.vis.visible(sl) {
+					b.tuples = append(b.tuples, pg.bytes(sl))
 				}
 			}
 		}
@@ -320,9 +447,9 @@ func (b *BatchScan) readTIDs() {
 	defer t.mu.RUnlock()
 	for _, tid := range batch {
 		// a TID past the table's end: dropped or truncated since the index was read
-		if p := int(tid.page()); tid >= 0 && p < len(t.pages) && tid.slot() < len(t.pages[p].tuples) {
-			if tup := &t.pages[p].tuples[tid.slot()]; b.vis.visible(tup) {
-				b.tuples = append(b.tuples, tup.Data)
+		if pg, s, ok := t.at(tid); ok {
+			if sl := &pg.slots[s]; b.vis.visible(sl) {
+				b.tuples = append(b.tuples, pg.bytes(sl))
 			}
 		}
 	}
@@ -331,19 +458,21 @@ func (b *BatchScan) readTIDs() {
 // AllTuples visits every non-dead tuple version regardless of visibility
 // (index builds, replication).
 func (t *Table) AllTuples(fn func(tid TID, tup Tuple) bool) {
-	t.mu.RLock()
-	numPages := len(t.pages)
-	t.mu.RUnlock()
-	tuples := make([]Tuple, 0, TuplesPerPage) // reused: fn gets each tuple by value
+	numPages := t.NumPages()
+	slots := make([]slot, 0, TuplesPerPage) // reused: fn gets each tuple by value
 	for p := 0; p < numPages; p++ {
-		t.mu.RLock()
-		tuples = append(tuples[:0], t.pages[p].tuples...)
-		t.mu.RUnlock()
-		for slot := range tuples {
-			if tuples[slot].Dead() {
+		var data []byte
+		var ok bool
+		if slots, data, ok = t.readPage(p, slots); !ok {
+			return
+		}
+		for i := range slots {
+			sl := &slots[i]
+			if sl.xmin == 0 {
 				continue
 			}
-			if !fn(TID(int64(p)*TuplesPerPage+int64(slot)), tuples[slot]) {
+			tup := Tuple{Xmin: sl.xmin, Xmax: sl.xmax, Next: sl.next, Data: data[sl.off : sl.off+sl.n : sl.off+sl.n]}
+			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), tup) {
 				return
 			}
 		}
@@ -374,41 +503,173 @@ type VacuumedTuple struct {
 
 // Vacuum reclaims dead tuple versions: versions deleted by a transaction
 // that committed before the global xmin horizon, and versions created by
-// aborted transactions. Slots are tombstoned (Dead; TIDs stay stable), and the
-// reclaimed tuples are returned so the caller can vacuum indexes.
+// aborted transactions. It visits only the pages written since a pass last
+// found nothing on them to wait for (Table.dirty). Slots are tombstoned
+// (Dead; TIDs stay stable), a page whose reclaimed versions hold more than
+// half its bytes is compacted, and the reclaimed tuples are returned so the
+// caller can vacuum indexes.
 func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64) []VacuumedTuple {
 	var reclaimed []VacuumedTuple
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for p, pg := range t.pages {
-		for slot := range pg.tuples {
-			tup := &pg.tuples[slot]
-			if tup.Dead() {
-				continue
-			}
-			dead := false
-			if mgr.Status(tup.Xmin) == txn.Aborted {
-				dead = true
-			} else if tup.Xmax != 0 && tup.Xmax < horizon && mgr.Status(tup.Xmax) == txn.Committed {
-				dead = true
-			}
-			if dead {
-				reclaimed = append(reclaimed, VacuumedTuple{
-					TID:  TID(int64(p)*TuplesPerPage + int64(slot)),
-					Data: tup.Data,
-				})
-				tup.Xmin, tup.Xmax, tup.Data = 0, 0, nil
-				t.nLive.Add(-1)
+	for w := range t.dirty {
+		for word := t.dirty[w]; word != 0; word &= word - 1 {
+			bit := bits.TrailingZeros64(word)
+			var settled bool
+			if reclaimed, settled = t.vacuumPage(mgr, horizon, w*64+bit, reclaimed); settled {
+				t.dirty[w] &^= 1 << bit
 			}
 		}
 	}
 	return reclaimed
 }
 
+// vacuumPage reclaims the dead versions of page p, appending them to
+// reclaimed, and compacts the page when they hold more than half its bytes.
+// It reports whether the page is settled: every version left on it is
+// committed and not deleted, or deleted by a transaction that aborted — only
+// a later write can make one reclaimable. Caller holds t.mu.
+func (t *Table) vacuumPage(mgr *txn.Manager, horizon uint64, p int, reclaimed []VacuumedTuple) ([]VacuumedTuple, bool) {
+	pg := &t.pages[p]
+	settled := true
+	for i := range pg.slots {
+		sl := &pg.slots[i]
+		if sl.xmin == 0 {
+			continue
+		}
+		dead, stable := false, true
+		switch mgr.Status(sl.xmin) {
+		case txn.Aborted:
+			dead = true
+		case txn.InProgress:
+			stable = false
+		}
+		if !dead && sl.xmax != 0 {
+			switch mgr.Status(sl.xmax) {
+			case txn.Committed:
+				dead, stable = sl.xmax < horizon, false
+			case txn.InProgress:
+				stable = false
+			}
+		}
+		if !dead {
+			settled = settled && stable
+			continue
+		}
+		reclaimed = append(reclaimed, VacuumedTuple{TID: TID(int64(p)*TuplesPerPage + int64(i)), Data: pg.bytes(sl)})
+		pg.dead += int(sl.n)
+		sl.xmin, sl.xmax = 0, 0
+		t.nLive.Add(-1)
+	}
+	if 2*pg.dead > len(pg.data) {
+		pg.compact()
+	}
+	return reclaimed, settled
+}
+
+var metCompactions = obs.Default().Counter("heap_page_compactions_total",
+	"heap pages vacuum moved into a fresh array of their live tuples").With()
+
+// compact moves the page's live versions into a fresh array of exactly
+// their length, in slot order, and drops the reclaimed ones' bytes; the old
+// array stays as it was for whoever reads it. A page left with no live
+// version drops its slots too: its TIDs no longer resolve. Caller holds t.mu.
+func (pg *page) compact() {
+	var data []byte
+	if live := len(pg.data) - pg.dead; live > 0 {
+		data = make([]byte, 0, live)
+	}
+	for i := range pg.slots {
+		sl := &pg.slots[i]
+		if sl.xmin == 0 {
+			sl.off, sl.n = 0, 0
+			continue
+		}
+		off := len(data)
+		data = append(data, pg.bytes(sl)...)
+		sl.off = uint32(off)
+	}
+	if data == nil {
+		pg.slots = nil
+	}
+	pg.data, pg.dead = data, 0
+	metCompactions.Inc()
+}
+
+// Image is what one snapshot saw of a table, page by page: each page's
+// array as it stood and which of the tuples packed in it were seen — no
+// copy of a tuple and no slice header per tuple. The arrays are immutable up
+// to the lengths held, so the image stays what it was while the table goes
+// on.
+type Image []pageImage
+
+// pageImage is one page of an Image: the page's array, and a bit per tuple
+// in it, in the order they are packed, set for those the snapshot saw.
+type pageImage struct {
+	data []byte
+	seen uint64
+}
+
+// Image returns what snapshot s sees of the table: of the pages it has now,
+// as a page added later holds only versions s cannot see. Like AllTuples it
+// is not a query, and charges the buffer pool nothing.
+func (t *Table) Image(mgr *txn.Manager, s txn.Snapshot) Image {
+	numPages := t.NumPages()
+	img := make(Image, 0, numPages)
+	slots := make([]slot, 0, TuplesPerPage)
+	for p := 0; p < numPages; p++ {
+		var data []byte
+		var ok bool
+		if slots, data, ok = t.readPage(p, slots); !ok {
+			break
+		}
+		var seen uint64
+		k := 0
+		for i := range slots {
+			sl := &slots[i]
+			if sl.n == 0 {
+				continue // its bytes are compacted away
+			}
+			if visible(mgr, s, sl.xmin, sl.xmax) {
+				seen |= 1 << k
+			}
+			k++
+		}
+		if seen != 0 {
+			img = append(img, pageImage{data: data, seen: seen})
+		}
+	}
+	return img
+}
+
+// Each calls fn with every tuple the image saw, in TID order; fn returning
+// false stops.
+func (img Image) Each(fn func(tuple []byte) bool) {
+	for _, pi := range img {
+		pos := 0
+		for k := 0; pi.seen>>k != 0; k++ {
+			n := pos + rowbatch.TupleLen(pi.data[pos:])
+			if pi.seen&(1<<k) != 0 && !fn(pi.data[pos:n:n]) {
+				return
+			}
+			pos = n
+		}
+	}
+}
+
+// Len returns how many tuples the image saw.
+func (img Image) Len() int {
+	n := 0
+	for _, pi := range img {
+		n += bits.OnesCount64(pi.seen)
+	}
+	return n
+}
+
 // Truncate drops all data.
 func (t *Table) Truncate() {
 	t.mu.Lock()
-	t.pages = nil
+	t.pages, t.dirty = nil, nil
 	t.mu.Unlock()
 	t.nLive.Store(0)
 	t.pool.Forget(t.ID)

@@ -1,7 +1,11 @@
 package heap
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -21,6 +25,15 @@ func enc(row ...types.Datum) []byte {
 	return b
 }
 
+// ins inserts one row as the engine does and returns its TID.
+func ins(tbl *Table, xid uint64, row ...types.Datum) TID {
+	tid, _, err := tbl.Insert(xid, row)
+	if err != nil {
+		panic(err)
+	}
+	return tid
+}
+
 // decodeAll decodes a batch of tuples.
 func decodeAll(tuples [][]byte) []types.Row {
 	rows := make([]types.Row, len(tuples))
@@ -35,7 +48,7 @@ func TestInsertAndScanVisibility(t *testing.T) {
 	tbl := NewTable(1, nil)
 
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, enc(int64(1), "one"))
+	ins(tbl, t1.XID, int64(1), "one")
 
 	// invisible to others before commit
 	snap := mgr.TakeSnapshot(nil)
@@ -62,7 +75,7 @@ func TestDeleteVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := tbl.Insert(t1.XID, enc(int64(1)))
+	tid := ins(tbl, t1.XID, int64(1))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
@@ -84,7 +97,7 @@ func TestAbortedDeleteStaysVisible(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := tbl.Insert(t1.XID, enc(int64(1)))
+	tid := ins(tbl, t1.XID, int64(1))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
@@ -99,11 +112,11 @@ func TestUpdateChain(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	v1 := tbl.Insert(t1.XID, enc(int64(1), "v1"))
+	v1 := ins(tbl, t1.XID, int64(1), "v1")
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	v2 := tbl.Insert(t2.XID, enc(int64(1), "v2"))
+	v2 := ins(tbl, t2.XID, int64(1), "v2")
 	tbl.MarkDeleted(v1, t2.XID, v2)
 	_ = mgr.Commit(t2)
 
@@ -122,11 +135,11 @@ func TestVacuumReclaims(t *testing.T) {
 	tbl := NewTable(1, nil)
 	var lastTID TID
 	t1 := mgr.Begin()
-	lastTID = tbl.Insert(t1.XID, enc(int64(0)))
+	lastTID = ins(tbl, t1.XID, int64(0))
 	_ = mgr.Commit(t1)
 	for i := 0; i < 5; i++ {
 		tn := mgr.Begin()
-		newTID := tbl.Insert(tn.XID, enc(int64(i+1)))
+		newTID := ins(tbl, tn.XID, int64(i+1))
 		tbl.MarkDeleted(lastTID, tn.XID, newTID)
 		lastTID = newTID
 		_ = mgr.Commit(tn)
@@ -156,7 +169,7 @@ func TestVacuumRespectsHorizon(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := tbl.Insert(t1.XID, enc(int64(1)))
+	tid := ins(tbl, t1.XID, int64(1))
 	_ = mgr.Commit(t1)
 
 	// an old reader is still running
@@ -178,7 +191,7 @@ func TestAbortedInsertVacuumed(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, enc(int64(1)))
+	ins(tbl, t1.XID, int64(1))
 	mgr.Abort(t1)
 	if reclaimed := tbl.Vacuum(mgr, mgr.GlobalXmin()); len(reclaimed) != 1 {
 		t.Fatalf("aborted insert not reclaimed: %d", len(reclaimed))
@@ -191,7 +204,7 @@ func TestTIDAddressing(t *testing.T) {
 	t1 := mgr.Begin()
 	var tids []TID
 	for i := 0; i < TuplesPerPage*3+5; i++ {
-		tids = append(tids, tbl.Insert(t1.XID, enc(int64(i))))
+		tids = append(tids, ins(tbl, t1.XID, int64(i)))
 	}
 	_ = mgr.Commit(t1)
 	if tbl.NumPages() != 4 {
@@ -215,7 +228,7 @@ func TestTruncate(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, enc(int64(1)))
+	ins(tbl, t1.XID, int64(1))
 	_ = mgr.Commit(t1)
 	tbl.Truncate()
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 0 || tbl.EstimatedRows() != 0 {
@@ -246,16 +259,16 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 	writers := []*txn.Txn{committed, committed, aborted, aborted, running, running, prepared, prepared, self, self,
 		committed, aborted, committed, running, committed, prepared, committed, self, committed}
 	for i, w := range writers {
-		tbl.Insert(w.XID, enc(int64(i)))
+		ins(tbl, w.XID, int64(i))
 	}
 	// committed tuples with a deleter of every kind, each twice
 	for i, d := range []*txn.Txn{deleter, deleter, abortedDeleter, abortedDeleter, runningDeleter, runningDeleter, prepared, self, self} {
-		tid := tbl.Insert(committed.XID, enc(int64(100+i)))
+		tid := ins(tbl, committed.XID, int64(100+i))
 		tbl.MarkDeleted(tid, d.XID, NilTID)
 	}
 	// the snapshot's own insert, deleted by itself
-	tbl.MarkDeleted(tbl.Insert(self.XID, enc(int64(200))), self.XID, NilTID)
-	tbl.Insert(committed.XID, enc(int64(201)))
+	tbl.MarkDeleted(ins(tbl, self.XID, int64(200)), self.XID, NilTID)
+	ins(tbl, committed.XID, int64(201))
 
 	_ = mgr.Commit(committed)
 	mgr.Abort(aborted)
@@ -271,17 +284,21 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 
 	for name, s := range map[string]txn.Snapshot{"outside": mgr.TakeSnapshot(nil), "own": mgr.TakeSnapshot(self)} {
 		var tuples []Tuple
+		var slots []slot
 		var want []types.Row
 		tbl.mu.RLock()
 		for _, pg := range tbl.pages {
-			tuples = append(tuples, pg.tuples...)
+			for i := range pg.slots {
+				tuples = append(tuples, pg.tuple(i))
+			}
+			slots = append(slots, pg.slots...)
 		}
 		tbl.mu.RUnlock()
 		vis := scanVisibility{mgr: mgr, s: s}
 		seen := map[bool]int{}
 		for i := range tuples {
 			full := Visible(mgr, s, tuples[i])
-			if got := vis.visible(&tuples[i]); got != full {
+			if got := vis.visible(&slots[i]); got != full {
 				t.Errorf("%s snapshot, tuple %d (%+v): memo says %v, Visible %v", name, i, tuples[i], got, full)
 			}
 			if full {
@@ -329,7 +346,7 @@ func TestBatchScanChargesWhatScanCharges(t *testing.T) {
 		tbl := NewTable(1, pool)
 		w := mgr.Begin()
 		for i := 0; i < pages*TuplesPerPage-7; i++ {
-			tbl.Insert(w.XID, enc(int64(i)))
+			ins(tbl, w.XID, int64(i))
 		}
 		_ = mgr.Commit(w)
 		pool.SetCapacity(capacity)
@@ -384,7 +401,7 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 			default:
 			}
 			w := mgr.Begin()
-			tid := tbl.Insert(w.XID, enc(i, i*2))
+			tid := ins(tbl, w.XID, i, i*2)
 			if i%3 == 0 {
 				tbl.MarkDeleted(tid, w.XID, NilTID)
 			}
@@ -456,7 +473,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 		var tids []TID
 		for i := 0; i < tuples; i++ {
 			w := mgr.Begin()
-			tid := tbl.Insert(w.XID, enc(int64(i)))
+			tid := ins(tbl, w.XID, int64(i))
 			switch {
 			case i%7 == 0:
 				mgr.Abort(w)
@@ -471,7 +488,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 			}
 		}
 		open := mgr.Begin() // still running when the snapshot is taken
-		tids = append(tids, tbl.Insert(open.XID, enc(int64(-1))), TID(100*TuplesPerPage), NilTID)
+		tids = append(tids, ins(tbl, open.XID, int64(-1)), TID(100*TuplesPerPage), NilTID)
 		tbl.Vacuum(mgr, mgr.GlobalXmin())
 		pool.SetCapacity(4)
 		pool.SetIOLatency(0, 1) // count, do not sleep
@@ -511,12 +528,21 @@ func TestTIDScanMatchesGet(t *testing.T) {
 	}
 }
 
-// TestTupleSize: a slot is 48 bytes, so a page of TuplesPerPage slots (3 072
-// bytes) is exactly one of the allocator's size classes; one more field would
-// round every page up to the next (4 096).
+// TestTupleSize: a page keeps a version in a slot of at most 32 bytes that
+// holds no pointer — its bytes are an offset and a length into the page's
+// array — so a page's TuplesPerPage slots fill one size class of 2 048 bytes
+// and the garbage collector never scans them.
 func TestTupleSize(t *testing.T) {
-	if n := unsafe.Sizeof(Tuple{}); n != 48 {
-		t.Fatalf("a Tuple is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(slot{}); n > 32 {
+		t.Fatalf("a slot is %d bytes, want at most 32", n)
+	}
+	st := reflect.TypeOf(slot{})
+	for i := 0; i < st.NumField(); i++ {
+		switch f := st.Field(i); f.Type.Kind() {
+		case reflect.Uint64, reflect.Int64, reflect.Uint32:
+		default:
+			t.Errorf("slot field %s is a %s: a slot holds numbers only", f.Name, f.Type)
+		}
 	}
 }
 
@@ -528,8 +554,8 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	aborted, committed := mgr.Begin(), mgr.Begin()
-	dead := tbl.Insert(aborted.XID, enc(int64(0)))
-	live := tbl.Insert(committed.XID, enc(int64(1)))
+	dead := ins(tbl, aborted.XID, int64(0))
+	live := ins(tbl, committed.XID, int64(1))
 	mgr.Abort(aborted)
 	_ = mgr.Commit(committed)
 	if n := len(tbl.Vacuum(mgr, mgr.GlobalXmin())); n != 1 {
@@ -576,5 +602,149 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 	}
 	if _, tup, ok := tbl.LatestVersion(dead); ok && !tup.Dead() {
 		t.Errorf("LatestVersion(reclaimed) = %+v: a live version", tup)
+	}
+}
+
+// churnRow is version ver of key k in TestCompactionBesideReaders: a text
+// whose length and letters both depend on k and ver, so that a tuple read
+// from the wrong offset, or from an array rewritten under it, shows.
+func churnRow(k, ver int64) []byte {
+	return enc(k, ver, strings.Repeat(string(rune('a'+(k+ver)%26)), int(8+(k*7+ver)%40)))
+}
+
+// TestCompactionBesideReaders: vacuum compacts pages while batch scans, TID
+// scans, Gets and checkpoint images read the table (run it under -race). A
+// writer updates every row in turn and vacuums, so that pages go dead and
+// are rewritten, a round of that for each round a reader finishes; each
+// reader holds a snapshot — a transaction's, which holds vacuum's horizon
+// back — and must see every key exactly once, its tuple byte for byte the
+// one the version it sees was written as, however many compactions ran
+// while it read.
+func TestCompactionBesideReaders(t *testing.T) {
+	const keys, rounds = 200, 30
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	current := make([]TID, keys) // the writer's own
+	w := mgr.Begin()
+	for k := range current {
+		current[k], _ = tbl.InsertTuple(w.XID, churnRow(int64(k), 0))
+	}
+	_ = mgr.Commit(w)
+	compactions := metCompactions.Value()
+	stop, read := make(chan struct{}), make(chan struct{}, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ver := int64(0)
+		for k := 0; ; k = (k + 1) % keys {
+			if k == 0 {
+				select {
+				case <-stop:
+					return
+				case <-read:
+				}
+				ver++
+				tbl.Vacuum(mgr, mgr.GlobalXmin())
+			}
+			w := mgr.Begin()
+			tid, _ := tbl.InsertTuple(w.XID, churnRow(int64(k), ver))
+			tbl.MarkDeleted(current[k], w.XID, tid)
+			if k%17 == 0 { // an aborted update: its version dies at once, the old one lives on
+				mgr.Abort(w)
+				continue
+			}
+			_ = mgr.Commit(w)
+			current[k] = tid
+		}
+	}()
+	// check verifies one reader's tuples: each decodes to a key and a
+	// version whose tuple it is, byte for byte, and no key comes twice. The
+	// readers run beside the test's goroutine: they report with Errorf and
+	// stop at their next round.
+	check := func(reader string, tuples [][]byte, seen []bool) {
+		t.Helper()
+		for _, tup := range tuples {
+			row := rowbatch.DecodeRow(tup)
+			k, ver := row[0].(int64), row[1].(int64)
+			if !bytes.Equal(tup, churnRow(k, ver)) || seen[k] {
+				t.Errorf("%s: tuple %q (key %d seen before: %v)", reader, tup, k, seen[k])
+				return
+			}
+			seen[k] = true
+		}
+	}
+	every := func(reader string, seen []bool) {
+		t.Helper()
+		if k := slices.Index(seen, false); k >= 0 {
+			t.Errorf("%s: key %d not seen", reader, k)
+		}
+	}
+	var rg sync.WaitGroup
+	readers := map[string]func(s txn.Snapshot) []bool{
+		"BatchScan": func(s txn.Snapshot) []bool {
+			seen := make([]bool, keys)
+			b := tbl.NewBatchScan(mgr, s)
+			for batch, ok := b.Next(); ok; batch, ok = b.Next() {
+				check("BatchScan", batch, seen)
+				runtime.Gosched()
+			}
+			return seen
+		},
+		"Get and TIDScan": func(s txn.Snapshot) []bool {
+			var candidates, tids []TID
+			tbl.AllTuples(func(tid TID, _ Tuple) bool { candidates = append(candidates, tid); return true })
+			seen := make([]bool, keys)
+			for _, tid := range candidates {
+				if tup, ok := tbl.Get(tid); ok && Visible(mgr, s, tup) {
+					check("Get", [][]byte{tup.Data}, seen)
+					tids = append(tids, tid)
+				}
+				if len(tids)%16 == 0 {
+					runtime.Gosched()
+				}
+			}
+			again := make([]bool, keys)
+			b := tbl.NewTIDScan(mgr, s, tids)
+			for batch, ok := b.Next(); ok; batch, ok = b.Next() {
+				check("TIDScan", batch, again)
+			}
+			every("TIDScan", again)
+			return seen
+		},
+		"Image": func(s txn.Snapshot) []bool {
+			seen := make([]bool, keys)
+			img := tbl.Image(mgr, s)
+			runtime.Gosched()
+			img.Each(func(tup []byte) bool {
+				check("Image", [][]byte{tup}, seen)
+				return true
+			})
+			if img.Len() != keys {
+				t.Errorf("Image: Len %d, want %d", img.Len(), keys)
+			}
+			return seen
+		},
+	}
+	for name := range readers {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for round := 0; round < rounds && !t.Failed(); round++ {
+				r := mgr.Begin()
+				every(name, readers[name](mgr.TakeSnapshot(r)))
+				mgr.Abort(r)
+				select {
+				case read <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	rg.Wait()
+	close(stop)
+	wg.Wait()
+	if metCompactions.Value() == compactions {
+		t.Fatal("no page was compacted while the readers read")
 	}
 }

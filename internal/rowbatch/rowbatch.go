@@ -12,11 +12,11 @@
 // row's own, so that a datum which outlives its request never keeps the
 // frame the batch arrived in alive.
 //
-// A heap tuple is a batch of one row (tuple.go): EncodeRow writes it once,
-// DecodeRow reads it back with its strings and documents aliasing it, an
-// Arena decodes a scan's rows, only the columns it reads, into chunks shared
-// by many rows, and Pick finds the columns a vectorized scan reads without
-// decoding the rest.
+// A heap tuple is a batch of one row (tuple.go): AppendTuple writes it once,
+// into its heap page, DecodeRow reads it back with its strings and documents
+// aliasing it, an Arena decodes a scan's rows, only the columns it reads,
+// into chunks shared by many rows, and Pick finds the columns a vectorized
+// scan reads without decoding the rest.
 package rowbatch
 
 import (

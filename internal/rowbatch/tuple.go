@@ -3,6 +3,7 @@ package rowbatch
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -12,38 +13,84 @@ import (
 	"citusgo/internal/types"
 )
 
-// A heap tuple is its row as a batch of that one row. EncodeRow writes it
-// once, into an array of exactly its length, and nothing writes it again:
-// the heap, the write-ahead log and a checkpoint's image all hold that one
-// array. DecodeRow reads it back as a row whose strings and jsonb documents
-// alias it, and an Arena does so for the many rows of a scan; Pick finds the
-// datums of a few columns, for a reader that wants them unboxed (the
-// vectorized heap scan). A tuple stored before an ALTER
-// TABLE … ADD COLUMN has fewer datums than its table has columns: the
-// columns past its end read as NULL.
+// A heap tuple is its row as a batch of that one row. AppendTuple writes it
+// once, into the array of the heap page that stores it (TupleSize says how
+// much room to make first), and nothing writes it again: the heap, the
+// write-ahead log and a checkpoint's image all hold that one array. EncodeRow
+// writes one into an array of its own, for a row no heap stores (a columnar
+// table's log record). DecodeRow reads a tuple back as a row whose strings
+// and jsonb documents alias it, and an Arena does so for the many rows of a
+// scan; Pick finds the datums of a few columns, for a reader that wants them
+// unboxed (the vectorized heap scan); TupleLen finds where a tuple ends among
+// others packed behind it. A tuple stored before an ALTER TABLE … ADD COLUMN
+// has fewer datums than its table has columns: the columns past its end read
+// as NULL.
 
 // EncodeRow returns row as a batch of that one row, in an array of exactly
-// its length. It fails on a row without datums and on a Go type that is not
-// a datum.
+// its length. It fails where TupleSize fails.
 func EncodeRow(row types.Row) ([]byte, error) {
+	n, err := TupleSize(row)
+	if err != nil {
+		return nil, err
+	}
+	return AppendTuple(make([]byte, 0, n), row)
+}
+
+// TupleSize returns how many bytes AppendTuple appends for row. It fails on a
+// row without datums and on a Go type that is not a datum.
+func TupleSize(row types.Row) (int, error) {
 	if len(row) == 0 {
-		return nil, errors.New("rowbatch: rows without columns")
+		return 0, errors.New("rowbatch: rows without columns")
 	}
 	n := uvarintLen(uint64(len(row))) + 1
 	for _, d := range row {
-		n += datumSize(d)
+		k := datumSize(d)
+		if k == 0 {
+			return 0, fmt.Errorf("rowbatch: %T is not a datum", d)
+		}
+		n += k
 	}
-	return AppendCells(make([]byte, 0, n), row)
+	return n, nil
 }
 
-// datumSize is how many bytes appendDatum appends for d; a Go type that is
-// not a datum counts for its tag, and appendDatum refuses it.
+// AppendTuple appends row as a batch of that one row: TupleSize bytes, which
+// fit in dst's capacity when the caller made room for them. On an error dst
+// comes back as it was.
+func AppendTuple(dst []byte, row types.Row) ([]byte, error) {
+	if len(row) == 0 {
+		return dst, errors.New("rowbatch: rows without columns")
+	}
+	start := len(dst)
+	dst = append(binary.AppendUvarint(dst, uint64(len(row))), 1)
+	for _, d := range row {
+		var err error
+		if dst, err = appendDatum(dst, d); err != nil {
+			return dst[:start], err
+		}
+	}
+	return dst, nil
+}
+
+// TupleLen returns the length of the tuple b starts with: tuples packed back
+// to back, a heap page's, are read one after the other by it.
+func TupleLen(b []byte) int {
+	n, i := header(b)
+	for ; n > 0; n-- {
+		_, _, i = datumAt(b, i)
+	}
+	return i
+}
+
+// datumSize is how many bytes appendDatum appends for d, 0 for a Go type
+// that is not a datum.
 func datumSize(d types.Datum) int {
 	switch v := d.(type) {
-	case int64, float64:
-		return 9
+	case nil:
+		return 1
 	case bool:
 		return 2
+	case int64, float64:
+		return 9
 	case string:
 		return 1 + uvarintLen(uint64(len(v))) + len(v)
 	case time.Time:
@@ -52,7 +99,7 @@ func datumSize(d types.Datum) int {
 		n := v.WireSize()
 		return 1 + uvarintLen(uint64(n)) + n
 	}
-	return 1
+	return 0
 }
 
 func uvarintLen(x uint64) int {
@@ -63,7 +110,7 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// DecodeRow decodes a tuple EncodeRow wrote. Its strings and jsonb documents
+// DecodeRow decodes a tuple AppendTuple wrote. Its strings and jsonb documents
 // alias tuple, which must never be written again; its other datums point
 // into one array per kind present, as Batch.Cells's do.
 func DecodeRow(tuple []byte) types.Row {

@@ -226,6 +226,7 @@ func (t *JoinRef) String() string {
 // InsertStmt is INSERT INTO ... VALUES / SELECT.
 type InsertStmt struct {
 	Table      string
+	Alias      string // INSERT INTO t AS alias: the name RETURNING and ON CONFLICT see
 	Columns    []string
 	Rows       [][]Expr    // VALUES form
 	Select     *SelectStmt // INSERT .. SELECT form
@@ -250,6 +251,9 @@ func (s *InsertStmt) stmt() {}
 func (s *InsertStmt) String() string {
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO " + quoteIdent(s.Table))
+	if s.Alias != "" {
+		sb.WriteString(" AS " + quoteIdent(s.Alias))
+	}
 	if len(s.Columns) > 0 {
 		sb.WriteString(" (")
 		for i, c := range s.Columns {

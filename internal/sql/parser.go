@@ -516,6 +516,11 @@ func (p *parser) parseInsert() (Statement, error) {
 		return nil, err
 	}
 	ins := &InsertStmt{Table: name}
+	if p.acceptKw("AS") {
+		if ins.Alias, err = p.ident(); err != nil {
+			return nil, err
+		}
+	}
 	if p.acceptOp("(") {
 		for {
 			c, err := p.ident()

@@ -132,6 +132,11 @@ func TestParseInsertForms(t *testing.T) {
 	if len(stmt.(*InsertStmt).Returning) != 1 {
 		t.Fatal("lost RETURNING")
 	}
+
+	stmt = roundTrip(t, "INSERT INTO t AS x (k, v) VALUES (1, 2) ON CONFLICT (k) DO UPDATE SET v = x.v + excluded.v RETURNING x.k")
+	if stmt.(*InsertStmt).Alias != "x" {
+		t.Fatal("lost the target's alias")
+	}
 }
 
 func TestParseUpdateDelete(t *testing.T) {

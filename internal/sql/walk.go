@@ -261,26 +261,31 @@ func (r renamer) name(slot *string) { r.set(slot, r.rename(*slot)) }
 // range name so column qualifications (t.col) keep resolving after the
 // rewrite. A function keeps its name.
 func (r renamer) table(tr TableRef) {
-	bt, ok := tr.(*BaseTable)
-	if !ok {
-		return
+	if bt, ok := tr.(*BaseTable); ok {
+		r.target(&bt.Name, &bt.Alias)
 	}
-	if bt.Alias == "" {
-		r.set(&bt.Alias, bt.Name)
+}
+
+// target renames the table *name, whose range name is *alias, as table
+// does: a statement's target keeps its name visible too (RETURNING t.col,
+// ON CONFLICT … SET n = t.n + 1, UPDATE t SET n = t.n + 1).
+func (r renamer) target(name, alias *string) {
+	if *alias == "" {
+		r.set(alias, *name)
 	}
-	r.name(&bt.Name)
+	r.name(name)
 }
 
 func rewriteTables(stmt Statement, rename func(string) string, set func(slot *string, v string)) {
 	r := renamer{rename: rename, set: set}
 	switch st := stmt.(type) {
 	case *InsertStmt:
-		r.name(&st.Table)
+		r.target(&st.Table, &st.Alias)
 		walkSelectTables(st.Select, r.table)
 	case *UpdateStmt:
-		r.name(&st.Table)
+		r.target(&st.Table, &st.Alias)
 	case *DeleteStmt:
-		r.name(&st.Table)
+		r.target(&st.Table, &st.Alias)
 	case *SelectStmt:
 		walkSelectTables(st, r.table)
 	case *CreateIndexStmt:
