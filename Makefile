@@ -70,8 +70,10 @@ race:
 # stripe's views while a checkpoint freezes it into clipped arrays, batched heap
 # scans beside inserts, deletes and vacuum, and 20 times under -race page
 # compaction beside batch scans, TID scans, Gets and checkpoint images
-# (TestCompactionBesideReaders) and 20 rounds of UPDATE and VACUUM over every
-# row leaving one version's worth (TestVacuumChurnKeepsOneVersion), the
+# (TestCompactionBesideReaders), 20 rounds of UPDATE and VACUUM over every
+# row leaving one version's worth (TestVacuumChurnKeepsOneVersion) and
+# primary-key lookups that each find their one row while other sessions
+# update rows heap-only and vacuum (TestHOTVacuumRace), the
 # vectorized dashboard fetching
 # its GIN candidates in batches beside COPY, deletes and vacuum, and the
 # checkpoint's seams: a stream reading across cuts that race its acks, two
@@ -157,6 +159,7 @@ stress:
 	go test -race -run 'TestBatchScanConcurrentWriters' -count=10 -timeout 10m ./internal/heap
 	go test -race -run 'TestCompactionBesideReaders' -count=20 -timeout 10m ./internal/heap
 	go test -race -run 'TestVacuumChurnKeepsOneVersion' -count=20 -timeout 10m ./internal/engine
+	go test -race -run 'TestHOTVacuumRace' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestDashboardUnderConcurrentCopy' -count=10 -timeout 10m ./internal/engine
 	go test -race -run 'TestIndexConcurrentReadersAndWriters' -count=10 -timeout 10m ./internal/index
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
@@ -306,8 +309,11 @@ soak-smoke:
 # fuzzed datum deparses to text that parses back to the same datum), and the
 # heap tuple's bytes (every datum kind written by INSERT, COPY and UPDATE reads
 # back the same through Get, the row scan, the vectorized decode, log replay,
-# a checkpoint restore and a standby's apply); longer local runs
-# just extend the same corpus:
+# a checkpoint restore and a standby's apply), and heap-only updates (a
+# schedule of inserts, updates that keep or change an indexed column, deletes,
+# VACUUM and CREATE INDEX, with an old snapshot held open: every query through
+# an index returns what it returns on a twin table with none); longer local
+# runs just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzCodecParity -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzPipelineSeq -fuzztime 10m
@@ -318,6 +324,7 @@ soak-smoke:
 #   go test ./internal/engine -fuzz FuzzGINParity -fuzztime 10m
 #   go test ./internal/sql -fuzz FuzzParseDeparse -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzTupleBytes -fuzztime 10m
+#   go test ./internal/engine -fuzz FuzzHOTParity -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
@@ -329,6 +336,7 @@ fuzz-smoke:
 	go test ./internal/engine -run '^$$' -fuzz FuzzGINParity -fuzztime 15s
 	go test ./internal/sql -run '^$$' -fuzz FuzzParseDeparse -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzTupleBytes -fuzztime 15s
+	go test ./internal/engine -run '^$$' -fuzz FuzzHOTParity -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

@@ -226,18 +226,24 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 			store.mu.Unlock()
 			return nil, false, err
 		}
-		for _, tid := range bidx.tree.SearchEqual(key) {
-			latestTID, tup, ok := store.heap.LatestVersion(tid)
+		for _, tid := range store.versions(nil, bidx.tree.SearchEqual(key)) {
+			tup, ok := store.heap.Get(tid)
 			if !ok || tup.Dead() {
 				continue
 			}
 			if s.Eng.Txns.Status(tup.Xmin) == txn.Aborted {
 				continue
 			}
-			if tup.Xmax != 0 && s.Eng.Txns.Status(tup.Xmax) != txn.Aborted {
-				continue // deleted
+			if tup.Xmax != 0 {
+				// Deleted, or updated: its successor is on the chain, or has
+				// an entry of its own if it changed the key. Another's update
+				// still in progress counts, as an insert in progress does: it
+				// may abort.
+				if st := s.Eng.Txns.Status(tup.Xmax); tup.Xmax == t.XID || st == txn.Committed || st == txn.InProgress && tup.Next == heap.NilTID {
+					continue
+				}
 			}
-			conflictTID = latestTID
+			conflictTID = tid
 			break
 		}
 		if conflictTID != heap.NilTID {
@@ -374,27 +380,12 @@ func (s *Session) refExists(ref *storage, t *txn.Txn, col string, val types.Datu
 	}
 	ref.mu.RUnlock()
 	if viaIndex != nil && ref.heap != nil {
-		var key index.Key
-		if len(viaIndex.def.Exprs) == 1 {
-			key = index.Key{val}
-			for _, tid := range viaIndex.tree.SearchEqual(key) {
-				if tup, ok := ref.heap.Get(tid); ok && heap.Visible(s.Eng.Txns, snap, tup) {
-					return true
-				}
+		for _, tid := range ref.searchVersions(viaIndex, index.Key{val}) {
+			if tup, ok := ref.heap.Get(tid); ok && heap.Visible(s.Eng.Txns, snap, tup) {
+				return true
 			}
-			return false
 		}
-		found := false
-		viaIndex.tree.SearchPrefix(index.Key{val}, func(_ index.Key, tids []heap.TID) bool {
-			for _, tid := range tids {
-				if tup, ok := ref.heap.Get(tid); ok && heap.Visible(s.Eng.Txns, snap, tup) {
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-		return found
+		return false
 	}
 	found := false
 	if ref.heap != nil {
@@ -601,15 +592,7 @@ func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]d
 			}
 			key[i] = v
 		}
-		var tids []heap.TID
-		if len(key) == len(path.idx.evals) {
-			tids = path.idx.tree.SearchEqual(key)
-		} else {
-			path.idx.tree.SearchPrefix(key, func(_ index.Key, ts []heap.TID) bool {
-				tids = append(tids, ts...)
-				return true
-			})
-		}
+		tids := store.searchVersions(path.idx, key)
 		hooks.lockIndexKey(store.table.ID, path.idx.def.Name, indexKeyString(key))
 		for _, tid := range tids {
 			tup, ok := store.heap.Get(tid)
@@ -711,38 +694,37 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 	}
 }
 
-// writeNewVersion inserts the new row version, links the update chain, and
-// maintains indexes and WAL.
+// writeNewVersion inserts the new row version and links the update chain to
+// it, heap-only when the update kept every indexed column (linkVersion), and
+// logs the update.
 func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, newRow types.Row, params []types.Datum) error {
 	ssiW := s.ssiWriter(t)
+	old, _ := store.heap.Get(oldTID)
 	if ssiW != nil {
 		// Probe readers of the old version (any granularity) and of the
 		// index keys of both versions: a reader who searched a key the row
 		// moves into — or out of — conflicts with this write.
 		keys := tupleWriteKeys(store.table.ID, oldTID)
 		keys = s.indexWriteKeys(store, keys, newRow, params)
-		if old, ok := store.heap.Get(oldTID); ok {
+		if old.Data != nil {
 			keys = s.indexWriteKeys(store, keys, old.Row(), params)
 		}
 		if err := ssiW.writeProbe(keys...); err != nil {
 			return err
 		}
 	}
+	store.mu.Lock()
 	newTID, data, err := store.heap.Insert(t.XID, newRow)
+	if err == nil {
+		err = s.linkVersion(store, t.XID, oldTID, old.Data, newTID, data, params)
+	}
+	store.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	if err := ssiW.writeProbe(ssi.PageKey(store.table.ID, tidPage(newTID))); err != nil {
 		return err
 	}
-	store.heap.MarkDeleted(oldTID, t.XID, newTID)
-	store.mu.Lock()
-	err = s.insertIndexEntries(store, data, newTID, params)
-	store.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	old, _ := store.heap.Get(oldTID)
 	t.MarkWrite()
 	s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Tuple: old.Data})
 	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data, Update: true})
@@ -914,7 +896,7 @@ func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.
 				return nil, err
 			}
 		}
-		store.heap.MarkDeleted(latestTID, t.XID, heap.NilTID)
+		store.heap.MarkDeleted(latestTID, t.XID, heap.NilTID, false)
 		t.MarkWrite()
 		s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Tuple: tup.Data})
 		affected++

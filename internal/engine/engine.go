@@ -173,9 +173,14 @@ type storage struct {
 	heap  *heap.Table
 	col   *columnar.Table
 
-	mu     sync.RWMutex // guards the index maps and unique-insert check
+	// mu guards the index maps and the unique-insert check, and orders the
+	// writers of index entries and HOT links against index readers (hot.go)
+	mu     sync.RWMutex
 	btrees map[string]*btreeIndex
 	gins   map[string]*ginIndex
+	// hotCols are the columns some index reads, ascending: an update that
+	// keeps their bytes is heap-only (setIndexes)
+	hotCols []int
 }
 
 // fullRow is row, a tuple's decoded, as wide as the table: a tuple stored

@@ -243,13 +243,7 @@ func (n *indexScanNode) explain(indent string) []string {
 }
 
 func (n *indexScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	var tids []heap.TID
-	collect := func(_ index.Key, ts []heap.TID) bool {
-		tids = append(tids, ts...)
-		return true
-	}
-	switch {
-	case len(n.eqKey) > 0:
+	if len(n.eqKey) > 0 {
 		key := make(index.Key, len(n.eqKey))
 		for i, ev := range n.eqKey {
 			v, err := ec.evalWith(ev, nil)
@@ -258,38 +252,41 @@ func (n *indexScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 			}
 			key[i] = v
 		}
-		if len(key) == len(n.idx.evals) {
-			tids = n.idx.tree.SearchEqual(key)
-		} else {
-			n.idx.tree.SearchPrefix(key, collect)
-		}
+		tids := n.st.searchVersions(n.idx, key)
 		// Phantom protection: lock the searched key itself so an insert
 		// producing it later collides even though no tuple exists yet.
 		// Full-key equality gets a key lock + per-tuple locks in emitTIDs;
 		// prefix searches are conservatively covered by the same key hash
 		// of the prefix.
 		ec.ssi.lockIndexKey(n.st.table.ID, n.idx.def.Name, indexKeyString(key))
-	default:
-		// Range scans have unbounded phantom exposure: table-granularity
-		// SIREAD lock.
-		ec.ssi.lockTable(n.st.table.ID)
-		var lo, hi index.Key
-		if n.rangeLo != nil {
-			v, err := ec.evalWith(n.rangeLo, nil)
-			if err != nil {
-				return err
-			}
-			lo = index.Key{v}
-		}
-		if n.rangeHi != nil {
-			v, err := ec.evalWith(n.rangeHi, nil)
-			if err != nil {
-				return err
-			}
-			hi = index.Key{v}
-		}
-		n.idx.tree.Range(lo, hi, n.loIncl, n.hiIncl, collect)
+		return n.emitTIDs(ec, tids, emit)
 	}
+	// Range scans have unbounded phantom exposure: table-granularity
+	// SIREAD lock.
+	ec.ssi.lockTable(n.st.table.ID)
+	var lo, hi index.Key
+	if n.rangeLo != nil {
+		v, err := ec.evalWith(n.rangeLo, nil)
+		if err != nil {
+			return err
+		}
+		lo = index.Key{v}
+	}
+	if n.rangeHi != nil {
+		v, err := ec.evalWith(n.rangeHi, nil)
+		if err != nil {
+			return err
+		}
+		hi = index.Key{v}
+	}
+	var roots []heap.TID
+	n.st.mu.RLock()
+	n.idx.tree.Range(lo, hi, n.loIncl, n.hiIncl, func(_ index.Key, ts []heap.TID) bool {
+		roots = append(roots, ts...)
+		return true
+	})
+	tids := n.st.versions(nil, roots)
+	n.st.mu.RUnlock()
 	return n.emitTIDs(ec, tids, emit)
 }
 
@@ -335,21 +332,28 @@ func (n *ginScanNode) explain(indent string) []string {
 		indent + "  -> Bitmap Index Scan using " + n.idx.def.Name + " (trigram)"}
 }
 
-// searchGIN asks idx for the candidates of pattern, evaluated for this
-// execution. usable is false — the caller scans the pages instead — when the
-// pattern is NULL, when it fails (the recheck filter evaluates the same
-// pattern and reports the error at the first row), or when the index cannot
-// search it.
-func searchGIN(ec *execCtx, idx *ginIndex, pattern expr.Evaluator) (candidates []heap.TID, usable bool) {
+// searchGIN asks idx, an index of st, for the candidates of pattern,
+// evaluated for this execution: the versions its entries stand for
+// (storage.versions), which the caller's filter rechecks — a GIN is lossy,
+// and the recheck of a version reached through a HOT link is the same.
+// usable is false — the caller scans the pages instead — when the pattern is
+// NULL, when it fails (the recheck filter evaluates the same pattern and
+// reports the error at the first row), or when the index cannot search it.
+func searchGIN(ec *execCtx, st *storage, idx *ginIndex, pattern expr.Evaluator) (candidates []heap.TID, usable bool) {
 	p, err := ec.evalWith(pattern, nil)
 	if err != nil || p == nil {
 		return nil, false
 	}
-	return idx.gin.Search(types.Format(p))
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if candidates, usable = idx.gin.Search(types.Format(p)); usable {
+		candidates = st.versions(nil, candidates)
+	}
+	return candidates, usable
 }
 
 func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	candidates, usable := searchGIN(ec, n.idx, n.pattern)
+	candidates, usable := searchGIN(ec, n.st, n.idx, n.pattern)
 	if !usable {
 		seq := &seqScanNode{st: n.st, cols: n.cols, filter: n.filter, needed: n.needed}
 		return seq.run(ec, emit)

@@ -16,7 +16,9 @@ import (
 // commits, rollbacks, PREPARE TRANSACTION resolved later or left pending,
 // CREATE/DROP TABLE under a handful of reused names, TRUNCATE, CREATE INDEX,
 // ADD COLUMN, bursts of UPDATE and DELETE followed by VACUUM, which compacts
-// pages between checkpoints and inside the windows replay covers — runs with
+// pages between checkpoints and inside the windows replay covers, and bursts
+// of updates that keep every indexed column (heap-only) then of updates that
+// change one — v, or the primary key — with a VACUUM after each — runs with
 // checkpoints forced at random points: between
 // statements, so also between a transaction's first write and its commit —
 // among them right after an open transaction's columnar insert with a
@@ -211,7 +213,7 @@ func (r *oracleRun) step() {
 			os.touched, os.wrote = map[string][]int64{}, map[string]bool{}
 		}
 	}()
-	switch op := r.pick(104); {
+	switch op := r.pick(110); {
 	case op < 8:
 		if !os.open {
 			r.exec(os, "BEGIN")
@@ -373,6 +375,36 @@ func (r *oracleRun) step() {
 			}
 		}
 		_, _ = r.e.NewSession().Exec("VACUUM " + table)
+	case op < 106: // updates that keep every indexed column, VACUUM, updates that change one, VACUUM
+		tables := r.liveTables("h")
+		if len(tables) == 0 {
+			return
+		}
+		table := tables[r.pick(len(tables))]
+		mine := r.keys[table][si]
+		if os.open {
+			r.end(os, "COMMIT")
+		}
+		for phase := 0; phase < 2; phase++ {
+			for n := 0; n < 12 && len(mine) > 0; n++ {
+				i := r.pick(len(mine))
+				if r.isBusy(table, mine[i]) {
+					continue
+				}
+				os.wrote[table] = true
+				switch {
+				case phase == 0: // s is in no index: heap-only
+					r.exec(os, fmt.Sprintf("UPDATE %s SET s = $1 WHERE k = $2", table), fmt.Sprintf("hot%d", r.pick(1000)), mine[i])
+				case n%3 == 0: // a new primary key
+					r.exec(os, fmt.Sprintf("UPDATE %s SET k = $1 WHERE k = $2", table), r.nextKey, mine[i])
+					mine[i] = r.nextKey
+					r.nextKey++
+				default: // v: a new key in the v index, when there is one
+					r.exec(os, fmt.Sprintf("UPDATE %s SET v = $1 WHERE k = $2", table), int64(r.pick(20)), mine[i])
+				}
+			}
+			_, _ = r.e.NewSession().Exec("VACUUM " + table)
+		}
 	default: // a checkpoint inside COMMIT: clog flipped, commit record not yet written
 		if !os.open {
 			return

@@ -271,7 +271,8 @@ func (e *Engine) CreateIndex(st *sql.CreateIndexStmt) error {
 }
 
 // attachIndex compiles the index expressions and optionally backfills from
-// existing rows.
+// existing rows, under store.mu: no write, no vacuum and no reader of an
+// index runs until the new index holds every row (hot.go).
 func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill bool) error {
 	if store.col != nil {
 		return fmt.Errorf("columnar table %q does not support indexes", store.table.Name)
@@ -280,6 +281,8 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 	for _, c := range store.table.Columns {
 		sc.cols = append(sc.cols, scopeCol{table: store.table.Name, name: c.Name, typ: c.Type})
 	}
+	var register func()
+	var insert func(ctx *expr.Ctx, tid heap.TID) error
 	switch def.Using {
 	case "gin":
 		if len(def.Exprs) != 1 {
@@ -293,13 +296,16 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 		if d, ok := compileDerived(def.Exprs[0], sc); ok && d.textValued() {
 			g.derived = d
 		}
-		store.mu.Lock()
-		store.gins[def.Name] = g
-		store.mu.Unlock()
-		if backfill {
-			return e.backfillGIN(store, g)
+		register = func() { store.gins[def.Name] = g }
+		var key []byte
+		insert = func(ctx *expr.Ctx, tid heap.TID) error {
+			var ok bool
+			var err error
+			if key, ok, err = g.appendKey(key[:0], ctx); ok {
+				g.gin.InsertBytes(key, tid)
+			}
+			return err
 		}
-		return nil
 	case "", "btree":
 		evals := make([]expr.Evaluator, len(def.Exprs))
 		for i, x := range def.Exprs {
@@ -310,51 +316,27 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 			evals[i] = ev
 		}
 		b := &btreeIndex{def: def, tree: index.NewBTree(len(evals)), evals: evals}
-		store.mu.Lock()
-		store.btrees[def.Name] = b
-		store.mu.Unlock()
-		if backfill {
-			return e.backfillBTree(store, b)
+		register = func() { store.btrees[def.Name] = b }
+		var key index.Key
+		insert = func(ctx *expr.Ctx, tid heap.TID) error {
+			var err error
+			if key, err = b.evalKey(key, ctx); err == nil {
+				b.insert(key, tid)
+			}
+			return err
 		}
-		return nil
 	default:
 		return fmt.Errorf("unsupported index access method %q", def.Using)
 	}
-}
-
-func (e *Engine) backfillBTree(store *storage, b *btreeIndex) error {
-	var buildErr error
-	var key index.Key
-	var scratch rowbatch.Decoder
-	ctx := &expr.Ctx{}
-	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-		ctx.Row = scratch.Decode(tup.Data)
-		if key, buildErr = b.evalKey(key, ctx); buildErr != nil {
-			return false
-		}
-		b.insert(key, tid)
-		return true
-	})
-	return buildErr
-}
-
-func (e *Engine) backfillGIN(store *storage, g *ginIndex) error {
-	var buildErr error
-	var key []byte
-	var scratch rowbatch.Decoder
-	ctx := &expr.Ctx{}
-	store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-		ctx.Row = scratch.Decode(tup.Data)
-		var ok bool
-		if key, ok, buildErr = g.appendKey(key[:0], ctx); buildErr != nil {
-			return false
-		}
-		if ok {
-			g.gin.InsertBytes(key, tid)
-		}
-		return true
-	})
-	return buildErr
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	register()
+	var err error
+	if backfill {
+		err = e.NewSession().backfill(store, store.indexColumns(def.Exprs), insert)
+	}
+	store.setIndexes()
+	return err
 }
 
 // DropIndex drops the B-tree or GIN index st names from table, which has
@@ -376,6 +358,7 @@ func (e *Engine) DropIndex(table string, st *sql.DropIndexStmt) error {
 	store.mu.Lock()
 	delete(store.btrees, st.Name)
 	delete(store.gins, st.Name)
+	store.setIndexes()
 	store.mu.Unlock()
 	e.logDDL(table, st.String(), false)
 	// a kept plan that searches the index must be made again
@@ -436,8 +419,9 @@ func (e *Engine) truncateStorage(store *storage) {
 	e.bumpSchemaVersion()
 }
 
-// Vacuum reclaims dead tuples table-wide or for one table, cleaning index
-// entries for the reclaimed versions. Returns the reclaimed tuple count.
+// Vacuum reclaims dead tuples table-wide or for one table, moving or
+// removing the index entries of the reclaimed versions (storage.repointer).
+// Returns the reclaimed tuple count.
 // This is the operation whose single-threadedness in PostgreSQL motivates
 // the paper's observation that sharding parallelizes auto-vacuum (§2.3).
 func (e *Engine) Vacuum(table string) int {
@@ -455,32 +439,8 @@ func (e *Engine) Vacuum(table string) int {
 		if st.heap == nil {
 			continue
 		}
-		reclaimed := st.heap.Vacuum(e.Txns, horizon)
-		total += len(reclaimed)
-		if len(reclaimed) == 0 {
-			continue
-		}
 		st.mu.Lock()
-		var key index.Key
-		var text []byte
-		var scratch rowbatch.Decoder
-		ctx := &expr.Ctx{}
-		for _, vt := range reclaimed {
-			ctx.Row = scratch.Decode(vt.Data)
-			for _, b := range st.btrees {
-				var err error
-				if key, err = b.evalKey(key, ctx); err == nil {
-					b.tree.Remove(key, vt.TID)
-				}
-			}
-			for _, g := range st.gins {
-				// the index keeps no text: recompute what was indexed
-				var ok bool
-				if text, ok, _ = g.appendKey(text[:0], ctx); ok {
-					g.gin.RemoveBytes(text, vt.TID)
-				}
-			}
-		}
+		total += st.heap.Vacuum(e.Txns, horizon, st.hotCols, st.repointer())
 		st.mu.Unlock()
 	}
 	return total
@@ -659,14 +619,16 @@ func (r replayTarget) ApplyInsert(xid uint64, table string, tuple []byte, update
 		store.col.Insert(xid, rowbatch.DecodeRow(tuple))
 		return nil
 	}
-	tid, stored := store.heap.InsertTuple(xid, tuple)
-	if old, ok := r.deleted[xid]; ok && update && old.table == table {
-		store.heap.MarkDeleted(old.tid, xid, tid)
-	}
-	delete(r.deleted, xid)
 	sess := r.e.NewSession()
 	store.mu.Lock()
 	defer store.mu.Unlock()
+	tid, stored := store.heap.InsertTuple(xid, tuple)
+	old, ok := r.deleted[xid]
+	delete(r.deleted, xid)
+	if ok && update && old.table == table {
+		prev, _ := store.heap.Get(old.tid)
+		return sess.linkVersion(store, xid, old.tid, prev.Data, tid, stored, nil)
+	}
 	return sess.insertIndexEntries(store, stored, tid, nil)
 }
 
@@ -700,7 +662,7 @@ func (r replayTarget) ApplyDelete(xid uint64, table string, tuple []byte) error 
 		if tup.Xmax != 0 && r.e.Txns.Status(tup.Xmax) != txn.Aborted {
 			return false
 		}
-		store.heap.MarkDeleted(tid, xid, heap.NilTID)
+		store.heap.MarkDeleted(tid, xid, heap.NilTID, false)
 		r.deleted[xid] = replayedDelete{table, tid}
 		return true
 	}
@@ -716,9 +678,9 @@ func (r replayTarget) ApplyDelete(xid uint64, table string, tuple []byte) error 
 	return nil
 }
 
-// uniqueCandidates returns the TIDs a unique index of the table holds under
-// the key of tuple — every version ever indexed under it that vacuum has not
-// reclaimed — and false when the table has no unique index, or the key has a
+// uniqueCandidates returns the versions a unique index of the table holds
+// under the key of tuple — every version ever indexed under it that vacuum
+// has not reclaimed, with their HOT chains — and false when the table has no unique index, or the key has a
 // NULL (which a unique index does not hold to one row) or fails to evaluate.
 func (st *storage) uniqueCandidates(tuple []byte) ([]heap.TID, bool) {
 	st.mu.RLock()
@@ -731,7 +693,7 @@ func (st *storage) uniqueCandidates(tuple []byte) ([]heap.TID, bool) {
 		if err != nil || slices.Contains(key, nil) {
 			return nil, false
 		}
-		return b.tree.SearchEqual(key), true
+		return st.versions(nil, b.tree.SearchEqual(key)), true
 	}
 	return nil, false
 }

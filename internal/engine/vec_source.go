@@ -303,7 +303,7 @@ func (h *heapSource) open(ec *execCtx, _ int) ([]chunkCursor, error) {
 	cur := &heapCursor{src: h, chain: filterChain{filters: filters},
 		probe: make([]vec.Vector, len(h.st.table.Columns))}
 	if h.gin != nil {
-		if candidates, usable := searchGIN(ec, h.gin, h.pattern); usable {
+		if candidates, usable := searchGIN(ec, h.st, h.gin, h.pattern); usable {
 			cur.byIndex = true
 			cur.stats.ginCandidates = int64(len(candidates))
 			cur.scan = h.st.heap.NewTIDScan(ec.sess.Eng.Txns, ec.snap, candidates)

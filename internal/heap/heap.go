@@ -1,10 +1,12 @@
 // Package heap implements MVCC heap storage: append-only tuple versions
 // stamped with creating (xmin) and deleting (xmax) transaction ids, update
-// chains, snapshot-based visibility, and vacuum. This is the row store that
-// backs regular tables and shards on every node.
+// chains, heap-only (HOT) versions that no index entry points at, snapshot-
+// based visibility, and vacuum. This is the row store that backs regular
+// tables and shards on every node.
 package heap
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -45,6 +47,10 @@ type Tuple struct {
 	Xmax uint64
 	Next TID    // newer version in the update chain, NilTID if latest
 	Data []byte // nil once reclaimed
+	// HOT: Next is heap-only, an update that kept every indexed column's
+	// bytes; HeapOnly: no index entry points at this version, the HOT link
+	// of the one before it is how an index reaches it.
+	HOT, HeapOnly bool
 }
 
 // Row decodes the tuple's row; its strings and documents alias Data.
@@ -57,12 +63,37 @@ func (tup Tuple) Row() types.Row { return rowbatch.DecodeRow(tup.Data) }
 func (tup Tuple) Dead() bool { return tup.Xmin == 0 }
 
 // slot is a tuple version as its page keeps it: 32 bytes and no pointer. Its
-// bytes are data[off:off+n] of the page's array; n is 0 once a compaction has
-// dropped them.
+// bytes are data[off:off+len()] of the page's array; len() is 0 once a
+// compaction has dropped them. The top bits of n are the version's HOT flags.
 type slot struct {
 	xmin, xmax uint64 // xmin 0: reclaimed
 	next       TID
 	off, n     uint32
+}
+
+const (
+	// slotHOT marks a version whose successor (next) is heap-only.
+	slotHOT = 1 << 31
+	// slotHeapOnly marks a version no index entry points at.
+	slotHeapOnly = 1 << 30
+	// maxTupleBytes bounds a tuple's length: the bits of slot.n below the
+	// flags.
+	maxTupleBytes = slotHeapOnly - 1
+)
+
+// len is the length of the version's bytes.
+func (sl *slot) len() uint32 { return sl.n & maxTupleBytes }
+
+// is reports whether the slot has flag f.
+func (sl *slot) is(f uint32) bool { return sl.n&f != 0 }
+
+// set sets flag f when on, and clears it otherwise.
+func (sl *slot) set(f uint32, on bool) {
+	if on {
+		sl.n |= f
+	} else {
+		sl.n &^= f
+	}
 }
 
 // page holds up to TuplesPerPage versions, their bytes back to back in one
@@ -78,15 +109,25 @@ type page struct {
 
 // bytes returns the bytes of the version in sl, a slot of pg.
 func (pg *page) bytes(sl *slot) []byte {
-	return pg.data[sl.off : sl.off+sl.n : sl.off+sl.n]
+	return slotBytes(pg.data, sl)
+}
+
+// slotBytes returns the bytes of the version in sl, in data, its page's array.
+func slotBytes(data []byte, sl *slot) []byte {
+	end := sl.off + sl.len()
+	return data[sl.off:end:end]
 }
 
 // tuple returns the version in slot s.
 func (pg *page) tuple(s int) Tuple {
-	sl := &pg.slots[s]
-	tup := Tuple{Xmin: sl.xmin, Xmax: sl.xmax, Next: sl.next}
+	return slotTuple(pg.data, &pg.slots[s])
+}
+
+// slotTuple returns the version in sl, a slot of the page whose array is data.
+func slotTuple(data []byte, sl *slot) Tuple {
+	tup := Tuple{Xmin: sl.xmin, Xmax: sl.xmax, Next: sl.next, HOT: sl.is(slotHOT), HeapOnly: sl.is(slotHeapOnly)}
 	if sl.xmin != 0 {
-		tup.Data = pg.bytes(sl)
+		tup.Data = slotBytes(data, sl)
 	}
 	return tup
 }
@@ -120,11 +161,14 @@ func NewTable(id int64, pool *bufpool.Pool) *Table {
 // Insert stores a new version of row created by xid, encoded straight into
 // a page, and returns its TID and its bytes, which are the page's: the log
 // may keep them, nobody may write them. It fails where rowbatch.TupleSize
-// fails.
+// fails, and on a row longer than maxTupleBytes.
 func (t *Table) Insert(xid uint64, row types.Row) (TID, []byte, error) {
 	n, err := rowbatch.TupleSize(row)
 	if err != nil {
 		return NilTID, nil, err
+	}
+	if n > maxTupleBytes {
+		return NilTID, nil, fmt.Errorf("heap: a row of %d bytes is longer than a tuple can be (%d)", n, maxTupleBytes)
 	}
 	t.mu.Lock()
 	p, pg := t.room(n)
@@ -181,7 +225,7 @@ func (t *Table) place(p int, pg *page, data []byte, xid uint64) (TID, []byte) {
 	pg.slots = append(pg.slots, slot{xmin: xid, next: NilTID, off: uint32(off), n: uint32(len(data) - off)})
 	sl := &pg.slots[len(pg.slots)-1]
 	t.stored++
-	t.storedBytes += int64(sl.n)
+	t.storedBytes += int64(sl.len())
 	t.markDirty(p)
 	return TID(int64(p)*TuplesPerPage + int64(len(pg.slots)-1)), pg.bytes(sl)
 }
@@ -230,31 +274,75 @@ func (t *Table) Get(tid TID) (Tuple, bool) {
 }
 
 // MarkDeleted stamps the tuple at tid with deleting transaction xid and,
-// when newVersion != NilTID, links the update chain. The caller must hold
-// the row lock. Overwriting an aborted deleter's xmax is allowed, like
-// PostgreSQL reusing the xmax of a rolled-back update.
-func (t *Table) MarkDeleted(tid TID, xid uint64, newVersion TID) bool {
+// when newVersion != NilTID, links the update chain. hot says the update kept
+// the bytes of every column an index reads: tid gets a HOT link, and
+// newVersion, which then has no index entry of its own, is heap-only. The
+// caller must hold the row lock. Overwriting an aborted deleter's xmax, and
+// its link, is allowed, like PostgreSQL reusing the xmax of a rolled-back
+// update.
+func (t *Table) MarkDeleted(tid TID, xid uint64, newVersion TID, hot bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pg, s, ok := t.at(tid)
 	if !ok {
 		return false
 	}
-	pg.slots[s].xmax = xid
-	pg.slots[s].next = newVersion
+	sl := &pg.slots[s]
+	sl.xmax, sl.next = xid, newVersion
+	sl.set(slotHOT, hot && newVersion != NilTID)
+	if npg, ns, ok := t.at(newVersion); ok && hot {
+		npg.slots[ns].set(slotHeapOnly, true)
+	}
 	t.markDirty(int(tid.page()))
 	return true
 }
 
-// ClearDelete undoes MarkDeleted after the deleting transaction aborted the
-// statement (not used for whole-transaction abort, which is handled by the
-// clog: an aborted xmax is simply ignored by visibility checks).
-func (t *Table) ClearDelete(tid TID) {
+// HOTChain appends to dst the TIDs of the versions an index entry at root
+// stands for: root, then each heap-only successor its HOT links reach, for as
+// long as that version holds the same bytes as root in every column cols
+// lists (rowbatch.SameColumns) — the recheck of a version reached through a
+// link. The caller keeps vacuum and CREATE INDEX, which move HOT links and
+// index entries together, out while it walks and until it has read the
+// index the TIDs came from.
+func (t *Table) HOTChain(dst []TID, root TID, cols []int) []TID {
+	dst = append(dst, root)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	pg, s, ok := t.at(root)
+	if !ok || pg.slots[s].xmin == 0 {
+		return dst
+	}
+	sl := &pg.slots[s]
+	first := pg.bytes(sl)
+	for sl.is(slotHOT) {
+		next := sl.next
+		npg, ns, ok := t.at(next)
+		if !ok {
+			break
+		}
+		sl = &npg.slots[ns]
+		if sl.xmin == 0 || !rowbatch.SameColumns(first, npg.bytes(sl), cols) {
+			break
+		}
+		dst = append(dst, next)
+	}
+	return dst
+}
+
+// BreakHOT cuts the HOT link of the version at tid: its successor becomes a
+// root, which the caller gives index entries of its own (CREATE INDEX, for a
+// successor whose key in the new index is not its predecessor's).
+func (t *Table) BreakHOT(tid TID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if pg, s, ok := t.at(tid); ok {
-		pg.slots[s].xmax = 0
-		pg.slots[s].next = NilTID
+	pg, s, ok := t.at(tid)
+	if !ok || !pg.slots[s].is(slotHOT) {
+		return
+	}
+	sl := &pg.slots[s]
+	sl.set(slotHOT, false)
+	if npg, ns, ok := t.at(sl.next); ok {
+		npg.slots[ns].set(slotHeapOnly, false)
 	}
 }
 
@@ -343,7 +431,7 @@ func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, data []b
 			if !vis.visible(sl) {
 				continue
 			}
-			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), data[sl.off:sl.off+sl.n:sl.off+sl.n]) {
+			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), slotBytes(data, sl)) {
 				return
 			}
 		}
@@ -471,34 +559,11 @@ func (t *Table) AllTuples(fn func(tid TID, tup Tuple) bool) {
 			if sl.xmin == 0 {
 				continue
 			}
-			tup := Tuple{Xmin: sl.xmin, Xmax: sl.xmax, Next: sl.next, Data: data[sl.off : sl.off+sl.n : sl.off+sl.n]}
-			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), tup) {
+			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), slotTuple(data, sl)) {
 				return
 			}
 		}
 	}
-}
-
-// LatestVersion follows the update chain from tid to the newest version,
-// returning its TID and tuple.
-func (t *Table) LatestVersion(tid TID) (TID, Tuple, bool) {
-	for {
-		tup, ok := t.Get(tid)
-		if !ok {
-			return NilTID, Tuple{}, false
-		}
-		if tup.Next == NilTID {
-			return tid, tup, true
-		}
-		tid = tup.Next
-	}
-}
-
-// VacuumedTuple reports one reclaimed version: its TID and the tuple's
-// data, which the caller decodes to delete the matching index entries.
-type VacuumedTuple struct {
-	TID  TID
-	Data []byte
 }
 
 // Vacuum reclaims dead tuple versions: versions deleted by a transaction
@@ -506,65 +571,139 @@ type VacuumedTuple struct {
 // aborted transactions. It visits only the pages written since a pass last
 // found nothing on them to wait for (Table.dirty). Slots are tombstoned
 // (Dead; TIDs stay stable), a page whose reclaimed versions hold more than
-// half its bytes is compacted, and the reclaimed tuples are returned so the
-// caller can vacuum indexes.
-func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64) []VacuumedTuple {
-	var reclaimed []VacuumedTuple
+// half its bytes is compacted, and it returns how many versions it reclaimed.
+//
+// A HOT chain goes as one: a dead root is reclaimed with the dead heap-only
+// versions its links lead to (rechecked as HOTChain rechecks them, against
+// cols), and repoint is called for it — before its slot is cleared — with
+// the root's TID and bytes, for the caller to move the root's index entries
+// to the first version of the chain that stays, which becomes a root, or to
+// remove them when none does. A heap-only version whose creator aborted is
+// reclaimed alone: it has no index entry. repoint runs under the table's
+// lock and must not use the table. The caller keeps readers of the indexes
+// out for the whole pass.
+func (t *Table) Vacuum(mgr *txn.Manager, horizon uint64, cols []int, repoint func(root TID, data []byte, to TID)) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	n := 0
+	for w := range t.dirty {
+		for word := t.dirty[w]; word != 0; word &= word - 1 {
+			n += t.prunePage(mgr, horizon, cols, w*64+bits.TrailingZeros64(word), repoint)
+		}
+	}
+	// A chain's versions may lie on other pages than its root; every one of
+	// them was stamped by a write and is on a dirty page.
 	for w := range t.dirty {
 		for word := t.dirty[w]; word != 0; word &= word - 1 {
 			bit := bits.TrailingZeros64(word)
-			var settled bool
-			if reclaimed, settled = t.vacuumPage(mgr, horizon, w*64+bit, reclaimed); settled {
+			pg := &t.pages[w*64+bit]
+			if 2*pg.dead > len(pg.data) {
+				pg.compact()
+			}
+			if pg.settled(mgr) {
 				t.dirty[w] &^= 1 << bit
 			}
 		}
 	}
-	return reclaimed
+	return n
 }
 
-// vacuumPage reclaims the dead versions of page p, appending them to
-// reclaimed, and compacts the page when they hold more than half its bytes.
-// It reports whether the page is settled: every version left on it is
-// committed and not deleted, or deleted by a transaction that aborted — only
-// a later write can make one reclaimable. Caller holds t.mu.
-func (t *Table) vacuumPage(mgr *txn.Manager, horizon uint64, p int, reclaimed []VacuumedTuple) ([]VacuumedTuple, bool) {
-	pg := &t.pages[p]
-	settled := true
-	for i := range pg.slots {
-		sl := &pg.slots[i]
-		if sl.xmin == 0 {
-			continue
-		}
-		dead, stable := false, true
-		switch mgr.Status(sl.xmin) {
-		case txn.Aborted:
-			dead = true
+// fate says what vacuum makes of the version in sl: dead, reclaimable now,
+// or else whether it is stable — committed and not deleted, or deleted by a
+// transaction that aborted: only a later write can make it reclaimable.
+func fate(mgr *txn.Manager, horizon uint64, sl *slot) (dead, stable bool) {
+	stable = true
+	switch mgr.Status(sl.xmin) {
+	case txn.Aborted:
+		return true, false
+	case txn.InProgress:
+		stable = false
+	}
+	if sl.xmax != 0 {
+		switch mgr.Status(sl.xmax) {
+		case txn.Committed:
+			return sl.xmax < horizon, false
 		case txn.InProgress:
 			stable = false
 		}
-		if !dead && sl.xmax != 0 {
-			switch mgr.Status(sl.xmax) {
-			case txn.Committed:
-				dead, stable = sl.xmax < horizon, false
-			case txn.InProgress:
-				stable = false
-			}
-		}
-		if !dead {
-			settled = settled && stable
+	}
+	return false, stable
+}
+
+// prunePage reclaims the dead roots of page p with their chains' dead
+// prefixes, and its orphaned heap-only versions, and returns how many
+// versions it reclaimed. Caller holds t.mu.
+func (t *Table) prunePage(mgr *txn.Manager, horizon uint64, cols []int, p int, repoint func(TID, []byte, TID)) int {
+	n := 0
+	pg := &t.pages[p]
+	var chain []TID
+	for i := range pg.slots {
+		sl := &pg.slots[i]
+		tid := TID(int64(p)*TuplesPerPage + int64(i))
+		if sl.xmin == 0 {
 			continue
 		}
-		reclaimed = append(reclaimed, VacuumedTuple{TID: TID(int64(p)*TuplesPerPage + int64(i)), Data: pg.bytes(sl)})
-		pg.dead += int(sl.n)
-		sl.xmin, sl.xmax = 0, 0
-		t.nLive.Add(-1)
+		if sl.is(slotHeapOnly) {
+			// reclaimed with its root, unless its creator aborted: then no
+			// live version links to it
+			if mgr.Status(sl.xmin) == txn.Aborted {
+				t.reclaim(tid)
+				n++
+			}
+			continue
+		}
+		if dead, _ := fate(mgr, horizon, sl); !dead {
+			continue
+		}
+		data := pg.bytes(sl)
+		chain = append(chain[:0], tid)
+		to := NilTID
+		for cur := sl; cur.is(slotHOT); {
+			npg, ns, ok := t.at(cur.next)
+			if !ok {
+				break
+			}
+			next := &npg.slots[ns]
+			if next.xmin == 0 || !rowbatch.SameColumns(data, npg.bytes(next), cols) {
+				break
+			}
+			if dead, _ := fate(mgr, horizon, next); !dead {
+				to = cur.next
+				next.set(slotHeapOnly, false)
+				break
+			}
+			chain = append(chain, cur.next)
+			cur = next
+		}
+		repoint(tid, data, to)
+		for _, v := range chain {
+			t.reclaim(v)
+		}
+		n += len(chain)
 	}
-	if 2*pg.dead > len(pg.data) {
-		pg.compact()
+	return n
+}
+
+// reclaim tombstones the version at tid. Its HOT link stays: nothing reads
+// it. Caller holds t.mu.
+func (t *Table) reclaim(tid TID) {
+	pg, s, _ := t.at(tid)
+	sl := &pg.slots[s]
+	pg.dead += int(sl.len())
+	sl.xmin, sl.xmax = 0, 0
+	t.nLive.Add(-1)
+}
+
+// settled reports whether every version left on the page is stable (fate).
+func (pg *page) settled(mgr *txn.Manager) bool {
+	for i := range pg.slots {
+		if sl := &pg.slots[i]; sl.xmin != 0 {
+			if _, stable := fate(mgr, 0, sl); !stable {
+				return false
+			}
+		}
 	}
-	return reclaimed, settled
+	return true
 }
 
 var metCompactions = obs.Default().Counter("heap_page_compactions_total",
@@ -627,7 +766,7 @@ func (t *Table) Image(mgr *txn.Manager, s txn.Snapshot) Image {
 		k := 0
 		for i := range slots {
 			sl := &slots[i]
-			if sl.n == 0 {
+			if sl.len() == 0 {
 				continue // its bytes are compacted away
 			}
 			if visible(mgr, s, sl.xmin, sl.xmax) {

@@ -34,6 +34,12 @@ func ins(tbl *Table, xid uint64, row ...types.Datum) TID {
 	return tid
 }
 
+// vacuum runs a pass over a table no index reads and returns how many
+// versions it reclaimed.
+func vacuum(tbl *Table, mgr *txn.Manager) int {
+	return tbl.Vacuum(mgr, mgr.GlobalXmin(), nil, func(TID, []byte, TID) {})
+}
+
 // decodeAll decodes a batch of tuples.
 func decodeAll(tuples [][]byte) []types.Row {
 	rows := make([]types.Row, len(tuples))
@@ -79,7 +85,7 @@ func TestDeleteVisibility(t *testing.T) {
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	tbl.MarkDeleted(tid, t2.XID, NilTID)
+	tbl.MarkDeleted(tid, t2.XID, NilTID, false)
 	// deleter no longer sees it; others still do
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(t2)) != 0 {
 		t.Fatal("deleter still sees deleted row")
@@ -101,7 +107,7 @@ func TestAbortedDeleteStaysVisible(t *testing.T) {
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	tbl.MarkDeleted(tid, t2.XID, NilTID)
+	tbl.MarkDeleted(tid, t2.XID, NilTID, false)
 	mgr.Abort(t2)
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 1 {
 		t.Fatal("row deleted by an aborted transaction must stay visible")
@@ -117,12 +123,14 @@ func TestUpdateChain(t *testing.T) {
 
 	t2 := mgr.Begin()
 	v2 := ins(tbl, t2.XID, int64(1), "v2")
-	tbl.MarkDeleted(v1, t2.XID, v2)
+	tbl.MarkDeleted(v1, t2.XID, v2, false)
 	_ = mgr.Commit(t2)
 
-	latestTID, tup, ok := tbl.LatestVersion(v1)
-	if !ok || latestTID != v2 || tup.Row()[1] != "v2" {
-		t.Fatalf("chain: tid=%d ok=%v", latestTID, ok)
+	if old, ok := tbl.Get(v1); !ok || old.Next != v2 || old.HOT {
+		t.Fatalf("chain: %+v ok=%v", old, ok)
+	}
+	if tup, ok := tbl.Get(v2); !ok || tup.Row()[1] != "v2" || tup.HeapOnly {
+		t.Fatalf("new version: %+v ok=%v", tup, ok)
 	}
 	// only the new version is visible
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 1 {
@@ -140,18 +148,19 @@ func TestVacuumReclaims(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tn := mgr.Begin()
 		newTID := ins(tbl, tn.XID, int64(i+1))
-		tbl.MarkDeleted(lastTID, tn.XID, newTID)
+		tbl.MarkDeleted(lastTID, tn.XID, newTID, false)
 		lastTID = newTID
 		_ = mgr.Commit(tn)
 	}
-	reclaimed := tbl.Vacuum(mgr, mgr.GlobalXmin())
-	if len(reclaimed) != 5 {
-		t.Fatalf("reclaimed %d, want 5", len(reclaimed))
-	}
-	for _, vt := range reclaimed {
-		if vt.Data == nil {
-			t.Fatal("vacuum must report the row image for index cleanup")
+	roots := 0
+	n := tbl.Vacuum(mgr, mgr.GlobalXmin(), nil, func(_ TID, data []byte, to TID) {
+		if data == nil || to != NilTID {
+			t.Fatalf("a root of no HOT chain was reported with bytes %v and successor %d", data, to)
 		}
+		roots++
+	})
+	if n != 5 || roots != 5 {
+		t.Fatalf("reclaimed %d versions and reported %d roots, want 5 of each", n, roots)
 	}
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 1 {
 		t.Fatal("live row lost by vacuum")
@@ -160,8 +169,8 @@ func TestVacuumReclaims(t *testing.T) {
 		t.Fatalf("estimate = %d", tbl.EstimatedRows())
 	}
 	// vacuum is idempotent
-	if again := tbl.Vacuum(mgr, mgr.GlobalXmin()); len(again) != 0 {
-		t.Fatalf("second vacuum reclaimed %d", len(again))
+	if again := vacuum(tbl, mgr); again != 0 {
+		t.Fatalf("second vacuum reclaimed %d", again)
 	}
 }
 
@@ -175,14 +184,14 @@ func TestVacuumRespectsHorizon(t *testing.T) {
 	// an old reader is still running
 	oldReader := mgr.Begin()
 	t2 := mgr.Begin()
-	tbl.MarkDeleted(tid, t2.XID, NilTID)
+	tbl.MarkDeleted(tid, t2.XID, NilTID, false)
 	_ = mgr.Commit(t2)
 
-	if reclaimed := tbl.Vacuum(mgr, mgr.GlobalXmin()); len(reclaimed) != 0 {
+	if reclaimed := vacuum(tbl, mgr); reclaimed != 0 {
 		t.Fatal("vacuum reclaimed a version an old snapshot may need")
 	}
 	_ = mgr.Commit(oldReader)
-	if reclaimed := tbl.Vacuum(mgr, mgr.GlobalXmin()); len(reclaimed) != 1 {
+	if reclaimed := vacuum(tbl, mgr); reclaimed != 1 {
 		t.Fatal("vacuum should reclaim after the old reader finished")
 	}
 }
@@ -193,8 +202,8 @@ func TestAbortedInsertVacuumed(t *testing.T) {
 	t1 := mgr.Begin()
 	ins(tbl, t1.XID, int64(1))
 	mgr.Abort(t1)
-	if reclaimed := tbl.Vacuum(mgr, mgr.GlobalXmin()); len(reclaimed) != 1 {
-		t.Fatalf("aborted insert not reclaimed: %d", len(reclaimed))
+	if reclaimed := vacuum(tbl, mgr); reclaimed != 1 {
+		t.Fatalf("aborted insert not reclaimed: %d", reclaimed)
 	}
 }
 
@@ -264,10 +273,10 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 	// committed tuples with a deleter of every kind, each twice
 	for i, d := range []*txn.Txn{deleter, deleter, abortedDeleter, abortedDeleter, runningDeleter, runningDeleter, prepared, self, self} {
 		tid := ins(tbl, committed.XID, int64(100+i))
-		tbl.MarkDeleted(tid, d.XID, NilTID)
+		tbl.MarkDeleted(tid, d.XID, NilTID, false)
 	}
 	// the snapshot's own insert, deleted by itself
-	tbl.MarkDeleted(ins(tbl, self.XID, int64(200)), self.XID, NilTID)
+	tbl.MarkDeleted(ins(tbl, self.XID, int64(200)), self.XID, NilTID, false)
 	ins(tbl, committed.XID, int64(201))
 
 	_ = mgr.Commit(committed)
@@ -278,7 +287,7 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 	_ = mgr.Commit(deleter)
 	mgr.Abort(abortedDeleter)
 	// a version vacuum has reclaimed
-	if reclaimed := tbl.Vacuum(mgr, 0); len(reclaimed) == 0 {
+	if reclaimed := tbl.Vacuum(mgr, 0, nil, func(TID, []byte, TID) {}); reclaimed == 0 {
 		t.Fatal("vacuum reclaimed nothing: no dead tuple in the table")
 	}
 
@@ -403,7 +412,7 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 			w := mgr.Begin()
 			tid := ins(tbl, w.XID, i, i*2)
 			if i%3 == 0 {
-				tbl.MarkDeleted(tid, w.XID, NilTID)
+				tbl.MarkDeleted(tid, w.XID, NilTID, false)
 			}
 			if i%5 == 0 {
 				mgr.Abort(w)
@@ -416,15 +425,15 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 			if len(live) > liveBudget {
 				d := mgr.Begin()
 				for _, old := range live[:liveBudget/2] {
-					tbl.MarkDeleted(old, d.XID, NilTID)
+					tbl.MarkDeleted(old, d.XID, NilTID, false)
 				}
 				_ = mgr.Commit(d)
 				live = append(live[:0], live[liveBudget/2:]...)
-				tbl.Vacuum(mgr, mgr.GlobalXmin())
+				vacuum(tbl, mgr)
 				trims++
 			}
 			if i%64 == 0 {
-				tbl.Vacuum(mgr, mgr.GlobalXmin())
+				vacuum(tbl, mgr)
 				select {
 				case vacuumed <- struct{}{}:
 				default:
@@ -478,7 +487,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 			case i%7 == 0:
 				mgr.Abort(w)
 			case i%11 == 0:
-				tbl.MarkDeleted(tid, w.XID, NilTID)
+				tbl.MarkDeleted(tid, w.XID, NilTID, false)
 				_ = mgr.Commit(w)
 			default:
 				_ = mgr.Commit(w)
@@ -489,7 +498,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 		}
 		open := mgr.Begin() // still running when the snapshot is taken
 		tids = append(tids, ins(tbl, open.XID, int64(-1)), TID(100*TuplesPerPage), NilTID)
-		tbl.Vacuum(mgr, mgr.GlobalXmin())
+		vacuum(tbl, mgr)
 		pool.SetCapacity(4)
 		pool.SetIOLatency(0, 1) // count, do not sleep
 		snap := mgr.TakeSnapshot(nil)
@@ -558,11 +567,11 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 	live := ins(tbl, committed.XID, int64(1))
 	mgr.Abort(aborted)
 	_ = mgr.Commit(committed)
-	if n := len(tbl.Vacuum(mgr, mgr.GlobalXmin())); n != 1 {
+	if n := vacuum(tbl, mgr); n != 1 {
 		t.Fatalf("vacuum reclaimed %d versions, want the aborted insert", n)
 	}
 	stale := mgr.Begin()
-	tbl.MarkDeleted(dead, stale.XID, NilTID)
+	tbl.MarkDeleted(dead, stale.XID, NilTID, false)
 	_ = mgr.Commit(stale)
 
 	snap := mgr.TakeSnapshot(nil)
@@ -600,8 +609,8 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 			t.Errorf("%s returned %v, want only the live row", name, rows)
 		}
 	}
-	if _, tup, ok := tbl.LatestVersion(dead); ok && !tup.Dead() {
-		t.Errorf("LatestVersion(reclaimed) = %+v: a live version", tup)
+	if chain := tbl.HOTChain(nil, dead, nil); len(chain) != 1 {
+		t.Errorf("HOTChain(reclaimed) = %v: links past a reclaimed slot", chain)
 	}
 }
 
@@ -645,11 +654,11 @@ func TestCompactionBesideReaders(t *testing.T) {
 				case <-read:
 				}
 				ver++
-				tbl.Vacuum(mgr, mgr.GlobalXmin())
+				vacuum(tbl, mgr)
 			}
 			w := mgr.Begin()
 			tid, _ := tbl.InsertTuple(w.XID, churnRow(int64(k), ver))
-			tbl.MarkDeleted(current[k], w.XID, tid)
+			tbl.MarkDeleted(current[k], w.XID, tid, false)
 			if k%17 == 0 { // an aborted update: its version dies at once, the old one lives on
 				mgr.Abort(w)
 				continue
@@ -746,5 +755,165 @@ func TestCompactionBesideReaders(t *testing.T) {
 	wg.Wait()
 	if metCompactions.Value() == compactions {
 		t.Fatal("no page was compacted while the readers read")
+	}
+}
+
+// hotCols are the columns the HOT tests' imagined index reads: the key.
+var hotCols = []int{0}
+
+// update stores row as the successor of the version at old, by a
+// transaction that commits, heap-only when hot.
+func update(t *testing.T, tbl *Table, tx *txn.Txn, old TID, hot bool, row ...types.Datum) TID {
+	t.Helper()
+	tid := ins(tbl, tx.XID, row...)
+	if !tbl.MarkDeleted(old, tx.XID, tid, hot) {
+		t.Fatalf("no version at %d", old)
+	}
+	return tid
+}
+
+// repoints runs a vacuum pass and returns what it reported for each root it
+// reclaimed — root → the version its entry moves to — and how many versions
+// it reclaimed.
+func repoints(tbl *Table, mgr *txn.Manager) (map[TID]TID, int) {
+	moved := map[TID]TID{}
+	n := tbl.Vacuum(mgr, mgr.GlobalXmin(), hotCols, func(root TID, _ []byte, to TID) { moved[root] = to })
+	return moved, n
+}
+
+// TestHOTChain: a heap-only update sets the old version's HOT link and the
+// new one's heap-only mark; HOTChain walks the links from the root, and
+// stops at a version whose key bytes differ from the root's or that is
+// reached by a link an update that changed the key left.
+func TestHOTChain(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	t1 := mgr.Begin()
+	root := ins(tbl, t1.XID, int64(1), "a")
+	_ = mgr.Commit(t1)
+	t2 := mgr.Begin()
+	h1 := update(t, tbl, t2, root, true, int64(1), "b")
+	h2 := update(t, tbl, t2, h1, true, int64(1), "c")
+	_ = mgr.Commit(t2)
+	if tup, _ := tbl.Get(root); !tup.HOT || tup.HeapOnly {
+		t.Fatalf("root: HOT %v, heap-only %v", tup.HOT, tup.HeapOnly)
+	}
+	if tup, _ := tbl.Get(h1); !tup.HOT || !tup.HeapOnly {
+		t.Fatalf("first successor: HOT %v, heap-only %v", tup.HOT, tup.HeapOnly)
+	}
+	if chain := tbl.HOTChain(nil, root, hotCols); !slices.Equal(chain, []TID{root, h1, h2}) {
+		t.Fatalf("HOTChain = %v, want %v", chain, []TID{root, h1, h2})
+	}
+	if chain := tbl.HOTChain(nil, h1, hotCols); !slices.Equal(chain, []TID{h1, h2}) {
+		t.Fatalf("HOTChain from the middle = %v", chain)
+	}
+	// a link to a version whose key differs is not followed: the recheck
+	t3 := mgr.Begin()
+	moved := update(t, tbl, t3, h2, true, int64(2), "d")
+	_ = mgr.Commit(t3)
+	if chain := tbl.HOTChain(nil, root, hotCols); !slices.Equal(chain, []TID{root, h1, h2}) {
+		t.Fatalf("HOTChain followed a link to key 2: %v", chain)
+	}
+	if chain := tbl.HOTChain(nil, moved, hotCols); !slices.Equal(chain, []TID{moved}) {
+		t.Fatalf("HOTChain from a version nothing links on from = %v", chain)
+	}
+	// an indexed update of the tip: no link
+	t4 := mgr.Begin()
+	indexed := update(t, tbl, t4, moved, false, int64(3), "e")
+	_ = mgr.Commit(t4)
+	if tup, _ := tbl.Get(moved); tup.HOT || tup.Next != indexed {
+		t.Fatalf("indexed update: HOT %v, next %d", tup.HOT, tup.Next)
+	}
+	if tup, _ := tbl.Get(indexed); tup.HeapOnly {
+		t.Fatal("an indexed update's version is heap-only")
+	}
+	tbl.BreakHOT(h1)
+	if tup, _ := tbl.Get(h2); tup.HeapOnly {
+		t.Fatal("BreakHOT left its successor heap-only")
+	}
+	if chain := tbl.HOTChain(nil, root, hotCols); !slices.Equal(chain, []TID{root, h1}) {
+		t.Fatalf("HOTChain past a cut link = %v", chain)
+	}
+}
+
+// TestVacuumRepointsHOTRoot: vacuum reclaims a dead root with the dead
+// versions its links lead to and reports the first that stays, which
+// becomes a root; a chain that ends is reported with NilTID; a heap-only
+// version whose creator aborted goes alone, reported to nobody.
+func TestVacuumRepointsHOTRoot(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	t0 := mgr.Begin()
+	root := ins(tbl, t0.XID, int64(1), "v0")
+	ended := ins(tbl, t0.XID, int64(2), "v0")
+	orphanRoot := ins(tbl, t0.XID, int64(3), "v0")
+	_ = mgr.Commit(t0)
+	cur := root
+	for i := 1; i <= 3; i++ {
+		tx := mgr.Begin()
+		cur = update(t, tbl, tx, cur, true, int64(1), "v"+string(rune('0'+i)))
+		_ = mgr.Commit(tx)
+	}
+	td := mgr.Begin()
+	gone := update(t, tbl, td, ended, true, int64(2), "v1")
+	tbl.MarkDeleted(gone, td.XID, NilTID, false)
+	_ = mgr.Commit(td)
+	ta := mgr.Begin()
+	orphan := update(t, tbl, ta, orphanRoot, true, int64(3), "v1")
+	mgr.Abort(ta)
+
+	moved, n := repoints(tbl, mgr)
+	if want := map[TID]TID{root: cur, ended: NilTID}; !reflect.DeepEqual(moved, want) {
+		t.Fatalf("vacuum reported %v, want %v", moved, want)
+	}
+	if n != 3+2+1 {
+		t.Fatalf("vacuum reclaimed %d versions, want 6", n)
+	}
+	if tup, _ := tbl.Get(cur); tup.HeapOnly || tup.Dead() {
+		t.Fatalf("the version the entry moved to: heap-only %v, dead %v", tup.HeapOnly, tup.Dead())
+	}
+	if tup, _ := tbl.Get(orphan); !tup.Dead() {
+		t.Fatal("the aborted heap-only version was not reclaimed")
+	}
+	if chain := tbl.HOTChain(nil, orphanRoot, hotCols); !slices.Equal(chain, []TID{orphanRoot}) {
+		t.Fatalf("HOTChain into a reclaimed version = %v", chain)
+	}
+	if again, n := repoints(tbl, mgr); len(again) != 0 || n != 0 {
+		t.Fatalf("a second pass reported %v and reclaimed %d", again, n)
+	}
+}
+
+// TestVacuumKeepsChainBehindLiveRoot: a version that is dead to every
+// snapshot stays while a version before it on its chain is still seen — its
+// updater committed after an open reader's snapshot, though with a smaller
+// XID — so the chain is never cut in the middle; once the reader ends the
+// whole prefix goes and the entry moves to the tip.
+func TestVacuumKeepsChainBehindLiveRoot(t *testing.T) {
+	mgr := txn.NewManager()
+	tbl := NewTable(1, nil)
+	t0 := mgr.Begin()
+	root := ins(tbl, t0.XID, int64(1), "a")
+	_ = mgr.Commit(t0)
+	late := mgr.Begin()   // updates the middle version last
+	reader := mgr.Begin() // sees root
+	snap := mgr.TakeSnapshot(reader)
+	early := mgr.Begin() // updates root first
+	h1 := update(t, tbl, early, root, true, int64(1), "b")
+	_ = mgr.Commit(early)
+	h2 := update(t, tbl, late, h1, true, int64(1), "c")
+	_ = mgr.Commit(late)
+	if moved, n := repoints(tbl, mgr); len(moved) != 0 || n != 0 {
+		t.Fatalf("vacuum reported %v and reclaimed %d under an open reader", moved, n)
+	}
+	if chain := tbl.HOTChain(nil, root, hotCols); !slices.Equal(chain, []TID{root, h1, h2}) {
+		t.Fatalf("HOTChain = %v", chain)
+	}
+	if tup, _ := tbl.Get(root); !Visible(mgr, snap, tup) {
+		t.Fatal("the reader lost its version")
+	}
+	_ = mgr.Commit(reader)
+	moved, n := repoints(tbl, mgr)
+	if want := map[TID]TID{root: h2}; !reflect.DeepEqual(moved, want) || n != 2 {
+		t.Fatalf("vacuum reported %v and reclaimed %d, want %v and 2", moved, n, want)
 	}
 }

@@ -255,6 +255,23 @@ func (t *BTree) Remove(key Key, tid heap.TID) bool {
 	return false
 }
 
+// Repoint moves the entry (key, from) to tid to in place: the key and its
+// leaf stay as they are, so nothing splits. Vacuum calls it when it reclaims
+// the root of a HOT chain and the chain goes on. It reports whether there
+// was such an entry.
+func (t *BTree) Repoint(key Key, from, to heap.TID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	leaf := t.findLeaf(key)
+	for i := t.lowerBound(leaf, key); i < len(leaf.tids) && CompareKeys(t.key(leaf, i), key) == 0; i++ {
+		if leaf.tids[i] == from {
+			leaf.tids[i] = to
+			return true
+		}
+	}
+	return false
+}
+
 func (t *BTree) findLeaf(key Key) *btreeNode {
 	n := t.root
 	for n.children != nil {

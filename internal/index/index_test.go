@@ -52,6 +52,29 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 	}
 }
 
+// TestBTreeRepoint: an entry moved to another TID keeps its key, its place
+// among the entries under the key and the tree's size; a missing entry is
+// reported as such.
+func TestBTreeRepoint(t *testing.T) {
+	bt := NewBTree(1)
+	for i := 0; i < 500; i++ {
+		bt.Insert(Key{int64(i % 50)}, heap.TID(i))
+	}
+	if !bt.Repoint(Key{int64(7)}, 57, 9000) {
+		t.Fatal("Repoint found no entry (7, 57)")
+	}
+	if bt.Repoint(Key{int64(8)}, 57, 9001) {
+		t.Fatal("Repoint moved an entry under another key")
+	}
+	want := []heap.TID{7, 9000, 107, 157, 207, 257, 307, 357, 407, 457}
+	if got := bt.SearchEqual(Key{int64(7)}); !slices.Equal(got, want) {
+		t.Fatalf("key 7 holds %v, want %v", got, want)
+	}
+	if bt.Len() != 500 {
+		t.Fatalf("Len() = %d after Repoint, want 500", bt.Len())
+	}
+}
+
 func TestBTreeRangeScan(t *testing.T) {
 	bt := NewBTree(1)
 	for i := 0; i < 500; i += 2 { // even keys only

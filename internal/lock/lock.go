@@ -81,8 +81,17 @@ func (ls *lockState) holds(txn uint64, mode Mode) bool {
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Key]*lockState
+	// peak is the most entries locks has held since it was last made: a Go
+	// map keeps the buckets it grew to when its entries go, so one
+	// transaction's many row locks would stay in memory after their release
+	// (shrink).
+	peak  int
 	owned map[uint64][]Key
 }
+
+// minShrinkPeak is the smallest peak shrink rebuilds the lock table after: a
+// table that small costs less than rebuilding it each time it empties.
+const minShrinkPeak = 1024
 
 // NewManager creates an empty lock manager.
 func NewManager() *Manager {
@@ -132,8 +141,24 @@ func (m *Manager) state(key Key) *lockState {
 	if !ok {
 		ls = &lockState{}
 		m.locks[key] = ls
+		m.peak = max(m.peak, len(m.locks))
 	}
 	return ls
+}
+
+// shrink rebuilds the lock table once it holds less than a quarter of its
+// peak, so that what the table costs follows the locks held now. Each
+// rebuild copies at most a quarter of the entries the table lost since the
+// last, so the copying is paid for by the releases.
+func (m *Manager) shrink() {
+	if m.peak < minShrinkPeak || len(m.locks) >= m.peak/4 {
+		return
+	}
+	locks := make(map[Key]*lockState, len(m.locks))
+	for k, ls := range m.locks {
+		locks[k] = ls
+	}
+	m.locks, m.peak = locks, len(locks)
 }
 
 // tryLocked grants txn's request when it is already covered, or when
@@ -218,6 +243,7 @@ func (m *Manager) wakeLocked(key Key, ls *lockState) {
 	}
 	if len(ls.queue) == 0 && len(ls.owners) == 0 {
 		delete(m.locks, key)
+		m.shrink()
 	}
 }
 

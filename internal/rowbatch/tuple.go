@@ -452,3 +452,48 @@ func (f Field) UnixNano() (int64, bool) {
 
 // JSONB reads a JSONB field as a document aliasing the tuple.
 func (f Field) JSONB() jsonb.Value { return jsonb.ViewValidWire(f.v) }
+
+// SameColumns reports whether tuples a and b hold the same bytes in every
+// column cols lists, ascending: the same type and a value written the same
+// way. A column past a tuple's end (one stored before an ALTER TABLE … ADD
+// COLUMN) is NULL. No datum is read, so two values are the same only when
+// they are written alike: a time in another zone, or a float's other zero,
+// differs.
+func SameColumns(a, b []byte, cols []int) bool {
+	ca, cb := newCursor(a), newCursor(b)
+	for _, want := range cols {
+		ta, va := ca.seek(want)
+		tb, vb := cb.seek(want)
+		if ta != tb || string(va) != string(vb) {
+			return false
+		}
+	}
+	return true
+}
+
+// cursor walks a tuple's datums front to back.
+type cursor struct {
+	tuple []byte
+	n     int // datums in the tuple
+	i     int // where datum c's tag is
+	c     int
+}
+
+func newCursor(tuple []byte) cursor {
+	n, i := header(tuple)
+	return cursor{tuple: tuple, n: n, i: i}
+}
+
+// seek returns the tag and the value bytes of datum want, at or after the
+// cursor's; NULL past the tuple's end.
+func (k *cursor) seek(want int) (tag byte, value []byte) {
+	if want >= k.n {
+		return tagNull, nil
+	}
+	var at, end int
+	for ; k.c <= want; k.c++ {
+		tag, at, end = datumAt(k.tuple, k.i)
+		k.i = end
+	}
+	return tag, k.tuple[at:end]
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"citusgo/internal/citus"
 	"citusgo/internal/engine"
@@ -203,11 +204,39 @@ func (l *ledgerState) ack(batch int64) {
 // opMove moves the shard group of the ledger's first key — its ledger row,
 // the log's shard of the same index and every other co-located shard of it
 // — to another worker, and the next time on, under the mixed traffic, with
-// the acked-write and 2PC-atomicity checks watching the ledger.
+// the acked-write and 2PC-atomicity checks watching the ledger. A move whose
+// write block gave way to the group's writers (citus.ErrWriteBlockTimeout)
+// is retried, as that error asks, after a pause — 20 ms, doubling to 320 ms
+// — and counted as a retry each time, until it is done, fails otherwise, or
+// the run stops. The block waits for the group's writers at most one
+// deadlock-detection interval, which the soak keeps short, and a 2PC commit
+// the fault brew delays can hold the group longer than that. A retry that
+// falls in a failover waits it out and looks the placement up again.
 func (r *runner) opMove(w *classWorker) error {
 	if r.failoverActive.Load() {
 		return nil
 	}
+	retries := metOps.With(ClassMove, "retry")
+	pause := 20 * time.Millisecond
+	for {
+		err := r.moveLedgerGroup(w)
+		if !errors.Is(err, citus.ErrWriteBlockTimeout) {
+			return err
+		}
+		for wait := true; wait; wait = r.failoverActive.Load() {
+			select {
+			case <-r.stop:
+				return err
+			case <-time.After(pause):
+			}
+		}
+		retries.Inc()
+		pause = min(2*pause, 320*time.Millisecond)
+	}
+}
+
+// moveLedgerGroup makes one attempt at opMove's move.
+func (r *runner) moveLedgerGroup(w *classWorker) error {
 	sh, err := r.c.Meta.ShardForValue("soak_ledger", r.ledger.keys[0])
 	if err != nil {
 		return err
