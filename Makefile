@@ -83,7 +83,9 @@ race:
 # delta against a checkpoint of its source, a coordinator restart reading
 # back only the commit records its log still holds, and index readers (Range,
 # SearchEqual, GIN Search) beside writers whose inserts and removes split
-# B-tree leaves and re-encode posting-list blocks; and 20 times under -race,
+# B-tree leaves and re-encode posting-list blocks, and beside a B-tree whose
+# int64 key columns are made datum columns by a NULL and a float
+# (TestBTreeDemotesBesideReaders); and 20 times under -race,
 # relation locks in both modes (sharing, upgrades, the waits-for edges of a
 # shared wait), DDL waiting for the writers it would erase and a write woken
 # by a drop keeping its block, a DDL-versus-writer deadlock, and shard moves
@@ -161,7 +163,7 @@ stress:
 	go test -race -run 'TestVacuumChurnKeepsOneVersion' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestHOTVacuumRace' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestDashboardUnderConcurrentCopy' -count=10 -timeout 10m ./internal/engine
-	go test -race -run 'TestIndexConcurrentReadersAndWriters' -count=10 -timeout 10m ./internal/index
+	go test -race -run 'TestIndexConcurrentReadersAndWriters|TestBTreeDemotesBesideReaders' -count=10 -timeout 10m ./internal/index
 	go test -race -run 'TestStreamAcrossConcurrentCheckpoints|TestAppendWakesNoOne' -count=10 -timeout 10m ./internal/wal
 	go test -race -run 'TestStandbyTakesPrimaryBases|TestSecondCrashOfARestartedWorker' -count=20 -timeout 10m ./internal/cluster
 	go test -race -run 'TestRejoinBelowTheNewPrimarysBase|TestRebalanceMoveDeltaSurvivesCheckpoint|TestRestartedCoordinatorForgetsResolvedCommitRecords' -count=20 -timeout 10m ./internal/fault/chaos

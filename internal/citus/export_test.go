@@ -1,6 +1,10 @@
 package citus
 
-import "citusgo/internal/pool"
+import (
+	"citusgo/internal/pool"
+	"citusgo/internal/sql"
+	"citusgo/internal/types"
+)
 
 // PoolForTest hands a test the shared connection pool toward a node, so it
 // can put a connection into a state no executor path leaves one in.
@@ -19,4 +23,19 @@ func (n *Node) ParseTreesForTest(text string) int {
 		}
 	}
 	return trees
+}
+
+// RouterPlanForTest plans q as the router planner does at every execution
+// of it, and reports whether the plan was made with its EXPLAIN text, and
+// the lines it renders when asked.
+func (n *Node) RouterPlanForTest(q string, params ...types.Datum) (built bool, lines []string, err error) {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		return false, nil, err
+	}
+	p, err := n.analyzeRouter(stmt).plan(n, params, false)
+	if err != nil || p == nil {
+		return false, nil, err
+	}
+	return p.explain != nil, p.ExplainLines(), nil
 }

@@ -38,6 +38,11 @@ type distPlan struct {
 	columns []string
 	explain []string
 
+	// A router plan to a shard leaves explain nil and keeps what its EXPLAIN
+	// says: it is made at every execution and explained only under EXPLAIN.
+	routeShard, routeNode int
+	routeCached           bool
+
 	// tasks, or prepare to build them at execution time (a repartition join
 	// moves data first).
 	tasks   []task
@@ -69,8 +74,21 @@ type distPlan struct {
 	cleanupNodes    []int
 }
 
-func (p *distPlan) Columns() []string      { return p.columns }
-func (p *distPlan) ExplainLines() []string { return p.explain }
+func (p *distPlan) Columns() []string { return p.columns }
+
+func (p *distPlan) ExplainLines() []string {
+	if p.explain != nil {
+		return p.explain
+	}
+	cached := ""
+	if p.routeCached {
+		cached = "cached plan, "
+	}
+	return []string{"Custom Scan (Citus Router)", fmt.Sprintf("  Task Count: 1 (%sshard group %d on node %d)", cached, p.routeShard, p.routeNode)}
+}
+
+// refRouterExplain is the EXPLAIN of a router plan to a reference table.
+var refRouterExplain = []string{"Custom Scan (Citus Router)", "  Task Count: 1 (reference table, local replica)"}
 
 func (p *distPlan) Execute(s *engine.Session, params []types.Datum) (*engine.Result, error) {
 	tasks := p.tasks
@@ -558,7 +576,7 @@ func (s *routerShape) plan(n *Node, params []types.Datum, hit bool) (*distPlan, 
 				nodeID: n.ID, shardGroup: -1,
 				sql: text, params: params, isWrite: s.isWrite, cache: cacheMark,
 			}},
-			explain: []string{"Custom Scan (Citus Router)", "  Task Count: 1 (reference table, local replica)"},
+			explain: refRouterExplain,
 		}, nil
 	}
 
@@ -587,10 +605,6 @@ func (s *routerShape) plan(n *Node, params []types.Datum, hit bool) (*distPlan, 
 	if !s.isWrite {
 		readNodes = n.Meta.ReadPlacements(sh.ID)
 	}
-	cachedPlan := ""
-	if s.key != "" {
-		cachedPlan = "cached plan, "
-	}
 	return &distPlan{
 		node: n,
 		tasks: []task{{
@@ -598,12 +612,11 @@ func (s *routerShape) plan(n *Node, params []types.Datum, hit bool) (*distPlan, 
 			sql: text, params: params, isWrite: s.isWrite,
 			cache: cacheMark, readNodes: readNodes,
 		}},
-		isDML: s.isDML,
-		tag:   s.tag,
-		explain: []string{
-			"Custom Scan (Citus Router)",
-			fmt.Sprintf("  Task Count: 1 (%sshard group %d on node %d)", cachedPlan, sh.Index, nodeID),
-		},
+		isDML:       s.isDML,
+		tag:         s.tag,
+		routeShard:  sh.Index,
+		routeNode:   nodeID,
+		routeCached: s.key != "",
 	}, nil
 }
 

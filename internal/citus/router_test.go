@@ -47,6 +47,29 @@ func TestDistributionValueHashedAsColumnType(t *testing.T) {
 	expectRows(t, mustExec(t, s, "SELECT count(*) FROM d"), "203")
 }
 
+// TestRouterPlanExplainsOnDemand: a router plan made for an execution
+// builds no EXPLAIN text; asked for it, it renders what EXPLAIN prints for
+// the statement, apart from the plan cache's marker.
+func TestRouterPlanExplainsOnDemand(t *testing.T) {
+	c := newCluster(t, 2)
+	s := c.Session()
+	mustExec(t, s, "CREATE TABLE d (k bigint PRIMARY KEY, v bigint)")
+	mustExec(t, s, "SELECT create_distributed_table('d', 'k')")
+	for _, q := range []string{"SELECT v FROM d WHERE k = 7", "UPDATE d SET v = 1 WHERE k = 7"} {
+		built, lines, err := c.Coordinator().RouterPlanForTest(q)
+		if err != nil || lines == nil {
+			t.Fatalf("%s: no router plan (%v)", q, err)
+		}
+		if built {
+			t.Errorf("%s: the router plan was made with its EXPLAIN text", q)
+		}
+		explain := strings.ReplaceAll(rowsText(mustExec(t, s, "EXPLAIN "+q)), "cached plan, ", "")
+		if got := strings.Join(lines, "\n"); got != explain {
+			t.Errorf("%s: the plan renders\n%s\nEXPLAIN prints\n%s", q, got, explain)
+		}
+	}
+}
+
 // parityStep is one statement of a router shape.
 type parityStep struct {
 	sql    string

@@ -67,7 +67,8 @@ func (p *distPlan) withSubplans(subs []subplan, prefix string, explain ...string
 	for i := range p.tasks {
 		p.tasks[i].readNodes = nil
 	}
-	p.explain = slices.Concat(p.explain[:1], explain, p.explain[1:])
+	lines := p.ExplainLines()
+	p.explain = slices.Concat(lines[:1], explain, lines[1:])
 }
 
 // runSubplans evaluates p's subplans and ships each to every node one of

@@ -4,14 +4,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"strings"
-	"time"
 
 	"citusgo/internal/catalog"
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
 	"citusgo/internal/index"
-	"citusgo/internal/jsonb"
 	"citusgo/internal/lock"
 	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
@@ -226,7 +223,7 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 			store.mu.Unlock()
 			return nil, false, err
 		}
-		for _, tid := range store.versions(nil, bidx.tree.SearchEqual(key)) {
+		for _, tid := range store.lookup(bidx, key) {
 			tup, ok := store.heap.Get(tid)
 			if !ok || tup.Dead() {
 				continue
@@ -403,7 +400,8 @@ func (s *Session) refExists(ref *storage, t *txn.Txn, col string, val types.Datu
 
 // evalKey evaluates the index's key over ctx.Row into key's backing array
 // and returns it. Callers reuse one key row after row: BTree.Insert copies
-// a key in, and the tree's searches only read it.
+// a key in, out of the arrays it was decoded from, and the tree's searches
+// only read it.
 func (b *btreeIndex) evalKey(key index.Key, ctx *expr.Ctx) (index.Key, error) {
 	key = key[:0]
 	for _, ev := range b.evals {
@@ -433,7 +431,7 @@ func (s *Session) insertIndexEntries(store *storage, data []byte, tid heap.TID, 
 		if key, err = bidx.evalKey(key, ctx); err != nil {
 			return err
 		}
-		bidx.insert(key, tid)
+		bidx.tree.Insert(key, tid)
 	}
 	for _, g := range store.gins {
 		text, ok, err := g.appendKey(s.ginKey[:0], ctx)
@@ -446,37 +444,6 @@ func (s *Session) insertIndexEntries(store *storage, data []byte, tid heap.TID, 
 		}
 	}
 	return nil
-}
-
-// insert adds tid under key, each datum boxed anew (ownDatum): an entry
-// keeps alive its own boxes and bytes, never the arrays a row was decoded
-// into nor the page array its tuple lies in.
-func (b *btreeIndex) insert(key index.Key, tid heap.TID) {
-	for i, d := range key {
-		key[i] = ownDatum(d)
-	}
-	b.tree.Insert(key, tid)
-}
-
-// ownDatum boxes d's value anew, for a datum read out of storage that will
-// be written again (rowbatch.Decoder) to be kept. A string or a document is
-// copied out of the bytes it was decoded from: those are a page's array,
-// which a compaction replaces (heap.Table.Vacuum), and a key aliasing it
-// would keep the old array alive as long as the key lives.
-func ownDatum(d types.Datum) types.Datum {
-	switch v := d.(type) {
-	case int64:
-		return v
-	case float64:
-		return v
-	case string:
-		return strings.Clone(v)
-	case time.Time:
-		return v
-	case jsonb.Value:
-		return jsonb.ViewValidWire(v.AppendWire(make([]byte, 0, v.WireSize())))
-	}
-	return d
 }
 
 // ---------------------------------------------------------------------------

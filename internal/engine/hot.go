@@ -88,21 +88,24 @@ func (st *storage) versions(dst, tids []heap.TID) []heap.TID {
 	return dst
 }
 
-// searchVersions is versions of what a B-tree search returns: the entries
-// under key, every key column given, or — when key is a prefix — under each
-// key it begins.
+// searchVersions is lookup under st.mu.
 func (st *storage) searchVersions(b *btreeIndex, key index.Key) []heap.TID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	return st.lookup(b, key)
+}
+
+// lookup is versions of what a B-tree search finds, walked from the leaf:
+// the entries under key, every key column given, or — when key is a prefix
+// — under each key it begins. Caller holds st.mu.
+func (st *storage) lookup(b *btreeIndex, key index.Key) (tids []heap.TID) {
+	visit := func(roots []heap.TID) { tids = st.versions(tids, roots) }
 	if len(key) == len(b.evals) {
-		return st.versions(nil, b.tree.SearchEqual(key))
+		b.tree.SearchEqual(key, visit)
+	} else {
+		b.tree.SearchPrefix(key, func(roots []heap.TID) bool { visit(roots); return true })
 	}
-	var roots []heap.TID
-	b.tree.SearchPrefix(key, func(_ index.Key, ts []heap.TID) bool {
-		roots = append(roots, ts...)
-		return true
-	})
-	return st.versions(nil, roots)
+	return tids
 }
 
 // linkVersion makes the version at newTID, whose bytes are data, the

@@ -279,13 +279,12 @@ func (n *indexScanNode) run(ec *execCtx, emit func(types.Row) error) error {
 		}
 		hi = index.Key{v}
 	}
-	var roots []heap.TID
+	var tids []heap.TID
 	n.st.mu.RLock()
-	n.idx.tree.Range(lo, hi, n.loIncl, n.hiIncl, func(_ index.Key, ts []heap.TID) bool {
-		roots = append(roots, ts...)
+	n.idx.tree.Range(lo, hi, n.loIncl, n.hiIncl, func(roots []heap.TID) bool {
+		tids = n.st.versions(tids, roots)
 		return true
 	})
-	tids := n.st.versions(nil, roots)
 	n.st.mu.RUnlock()
 	return n.emitTIDs(ec, tids, emit)
 }

@@ -321,7 +321,7 @@ func (e *Engine) attachIndex(store *storage, def *catalog.IndexDef, backfill boo
 		insert = func(ctx *expr.Ctx, tid heap.TID) error {
 			var err error
 			if key, err = b.evalKey(key, ctx); err == nil {
-				b.insert(key, tid)
+				b.tree.Insert(key, tid)
 			}
 			return err
 		}
@@ -693,7 +693,7 @@ func (st *storage) uniqueCandidates(tuple []byte) ([]heap.TID, bool) {
 		if err != nil || slices.Contains(key, nil) {
 			return nil, false
 		}
-		return st.versions(nil, b.tree.SearchEqual(key)), true
+		return st.lookup(b, key), true
 	}
 	return nil, false
 }

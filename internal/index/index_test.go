@@ -20,16 +20,16 @@ func TestBTreeBasicOperations(t *testing.T) {
 	if bt.Len() != 1000 {
 		t.Fatalf("len = %d", bt.Len())
 	}
-	if got := bt.SearchEqual(Key{int64(437)}); len(got) != 1 || got[0] != 437 {
+	if got := searchEqual(bt, Key{int64(437)}); len(got) != 1 || got[0] != 437 {
 		t.Fatalf("search: %v", got)
 	}
-	if got := bt.SearchEqual(Key{int64(5000)}); got != nil {
+	if got := searchEqual(bt, Key{int64(5000)}); got != nil {
 		t.Fatalf("absent key found: %v", got)
 	}
 	if !bt.Remove(Key{int64(437)}, 437) {
 		t.Fatal("remove failed")
 	}
-	if got := bt.SearchEqual(Key{int64(437)}); got != nil {
+	if got := searchEqual(bt, Key{int64(437)}); got != nil {
 		t.Fatal("removed key still present")
 	}
 	if bt.Remove(Key{int64(437)}, 437) {
@@ -42,12 +42,12 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		bt.Insert(Key{"same"}, heap.TID(i))
 	}
-	got := bt.SearchEqual(Key{"same"})
+	got := searchEqual(bt, Key{"same"})
 	if len(got) != 10 {
 		t.Fatalf("want 10 postings, got %d", len(got))
 	}
 	bt.Remove(Key{"same"}, 3)
-	if got := bt.SearchEqual(Key{"same"}); len(got) != 9 {
+	if got := searchEqual(bt, Key{"same"}); len(got) != 9 {
 		t.Fatalf("want 9 postings after remove, got %d", len(got))
 	}
 }
@@ -67,7 +67,7 @@ func TestBTreeRepoint(t *testing.T) {
 		t.Fatal("Repoint moved an entry under another key")
 	}
 	want := []heap.TID{7, 9000, 107, 157, 207, 257, 307, 357, 407, 457}
-	if got := bt.SearchEqual(Key{int64(7)}); !slices.Equal(got, want) {
+	if got := searchEqual(bt, Key{int64(7)}); !slices.Equal(got, want) {
 		t.Fatalf("key 7 holds %v, want %v", got, want)
 	}
 	if bt.Len() != 500 {
@@ -80,9 +80,9 @@ func TestBTreeRangeScan(t *testing.T) {
 	for i := 0; i < 500; i += 2 { // even keys only
 		bt.Insert(Key{int64(i)}, heap.TID(i))
 	}
-	var got []int64
-	bt.Range(Key{int64(100)}, Key{int64(110)}, true, true, func(k Key, tids []heap.TID) bool {
-		got = append(got, k[0].(int64))
+	var got []int64 // each key's one TID is the key
+	bt.Range(Key{int64(100)}, Key{int64(110)}, true, true, func(tids []heap.TID) bool {
+		got = append(got, int64(tids[0]))
 		return true
 	})
 	want := []int64{100, 102, 104, 106, 108, 110}
@@ -96,8 +96,8 @@ func TestBTreeRangeScan(t *testing.T) {
 	}
 	// exclusive bounds
 	got = got[:0]
-	bt.Range(Key{int64(100)}, Key{int64(110)}, false, false, func(k Key, _ []heap.TID) bool {
-		got = append(got, k[0].(int64))
+	bt.Range(Key{int64(100)}, Key{int64(110)}, false, false, func(tids []heap.TID) bool {
+		got = append(got, int64(tids[0]))
 		return true
 	})
 	if len(got) != 4 || got[0] != 102 || got[3] != 108 {
@@ -105,7 +105,7 @@ func TestBTreeRangeScan(t *testing.T) {
 	}
 	// unbounded from the left
 	count := 0
-	bt.Range(nil, Key{int64(10)}, true, true, func(Key, []heap.TID) bool {
+	bt.Range(nil, Key{int64(10)}, true, true, func([]heap.TID) bool {
 		count++
 		return true
 	})
@@ -122,14 +122,14 @@ func TestBTreeCompositeKeysAndPrefix(t *testing.T) {
 		}
 	}
 	var hits int
-	bt.SearchPrefix(Key{int64(3)}, func(k Key, tids []heap.TID) bool {
+	bt.SearchPrefix(Key{int64(3)}, func(tids []heap.TID) bool {
 		hits += len(tids)
 		return true
 	})
 	if hits != 10 {
 		t.Fatalf("prefix scan found %d, want 10", hits)
 	}
-	got := bt.SearchEqual(Key{int64(3), int64(7)})
+	got := searchEqual(bt, Key{int64(3), int64(7)})
 	if len(got) != 1 || got[0] != 307 {
 		t.Fatalf("composite exact: %v", got)
 	}
@@ -164,14 +164,16 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 			}
 		}
 	}
-	// full-scan comparison
+	// full-scan comparison: the leaves' keys, and Range's runs over them
 	var treeKeys []int64
-	bt.Range(nil, nil, true, true, func(k Key, tids []heap.TID) bool {
-		treeKeys = append(treeKeys, k[0].(int64))
-		want := ref[k[0].(int64)]
-		if len(tids) != len(want) {
-			t.Fatalf("key %v has %d postings, want %d", k, len(tids), len(want))
+	var runs []int
+	for _, e := range bt.all() {
+		if k := e.key[0].(int64); len(treeKeys) == 0 || treeKeys[len(treeKeys)-1] != k {
+			treeKeys = append(treeKeys, k)
 		}
+	}
+	bt.Range(nil, nil, true, true, func(tids []heap.TID) bool {
+		runs = append(runs, len(tids))
 		return true
 	})
 	var refKeys []int64
@@ -181,12 +183,12 @@ func TestBTreeMatchesReferenceModel(t *testing.T) {
 		}
 	}
 	sort.Slice(refKeys, func(i, j int) bool { return refKeys[i] < refKeys[j] })
-	if len(treeKeys) != len(refKeys) {
-		t.Fatalf("tree has %d keys, reference %d", len(treeKeys), len(refKeys))
+	if len(treeKeys) != len(refKeys) || len(runs) != len(refKeys) {
+		t.Fatalf("tree has %d keys in %d runs, reference %d", len(treeKeys), len(runs), len(refKeys))
 	}
 	for i := range refKeys {
-		if treeKeys[i] != refKeys[i] {
-			t.Fatalf("key order mismatch at %d: %d vs %d", i, treeKeys[i], refKeys[i])
+		if treeKeys[i] != refKeys[i] || runs[i] != len(ref[refKeys[i]]) {
+			t.Fatalf("key %d: %d with %d postings, reference %d with %d", i, treeKeys[i], runs[i], refKeys[i], len(ref[refKeys[i]]))
 		}
 	}
 }

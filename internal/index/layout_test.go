@@ -13,21 +13,54 @@ import (
 	"citusgo/internal/types"
 )
 
-// check verifies the tree's invariants: every node's keys are width
-// datums an entry, a leaf's keys are sorted and lie within the separators
-// above it (so a run of equal keys never straddles two leaves), the spare
-// capacity of a leaf's keys holds no datum, every leaf is at one depth,
-// the leaf chain visits the leaves in key order, and Len counts them all.
+// key returns entry i of n as datums.
+func (t *BTree) key(n *btreeNode, i int) Key { return t.lay.appendKey(nil, n, i) }
+
+// all returns the tree's entries in key order, read from its leaves.
+func (t *BTree) all() []refEntry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	l := t.root
+	for !l.leaf() {
+		l = l.children[0]
+	}
+	var all []refEntry
+	for ; l != nil; l = l.next {
+		for i, tid := range l.tids {
+			all = append(all, refEntry{t.key(l, i), tid})
+		}
+	}
+	return all
+}
+
+// searchEqual returns a copy of the TIDs SearchEqual visits, nil for none.
+func searchEqual(bt *BTree, key Key) (tids []heap.TID) {
+	bt.SearchEqual(key, func(ts []heap.TID) { tids = slices.Clone(ts) })
+	return tids
+}
+
+// check verifies the tree's invariants: every node's arrays hold its keys
+// at the layout's strides, and a leaf's spare capacity holds no string or
+// datum; a leaf's keys are sorted and lie within the separators above it
+// (so a run of equal keys never straddles two leaves), every leaf is at one
+// depth, the leaf chain visits the leaves in key order, and Len counts them
+// all.
 func (t *BTree) check() error {
-	w := t.width
+	w := t.lay.stride
 	var leaves []*btreeNode
 	depth := -1
 	var walk func(n *btreeNode, lo, hi Key, d int) error
 	walk = func(n *btreeNode, lo, hi Key, d int) error {
-		if len(n.keys)%w != 0 {
-			return fmt.Errorf("node holds %d datums at width %d", len(n.keys), w)
+		cnt, r := n.len(), n.refs
+		if r == nil {
+			if w[kindText]+w[kindDatum] > 0 {
+				return fmt.Errorf("a node of text or datum keys has no refs")
+			}
+			r = &refs{}
 		}
-		cnt := len(n.keys) / w
+		if len(n.ints) != cnt*w[kindInt] || len(r.strs) != cnt*w[kindText] || len(r.datums) != cnt*w[kindDatum] {
+			return fmt.Errorf("node of %d keys holds %d ints, %d strings and %d datums at strides %v", cnt, len(n.ints), len(r.strs), len(r.datums), w)
+		}
 		for i := 0; i < cnt; i++ {
 			k := t.key(n, i)
 			if lo != nil && CompareKeys(k, lo) < 0 || hi != nil && CompareKeys(k, hi) >= 0 {
@@ -35,18 +68,20 @@ func (t *BTree) check() error {
 			}
 			if i > 0 {
 				c := CompareKeys(t.key(n, i-1), k)
-				if c > 0 || c == 0 && n.children != nil {
+				if c > 0 || c == 0 && !n.leaf() {
 					return fmt.Errorf("keys out of order at %d: %v then %v", i, t.key(n, i-1), k)
 				}
 			}
 		}
-		if n.children == nil {
-			if len(n.tids) != cnt {
-				return fmt.Errorf("leaf has %d keys and %d tids", cnt, len(n.tids))
-			}
-			for _, d := range n.keys[len(n.keys):cap(n.keys)] {
+		if n.leaf() {
+			for _, d := range r.datums[len(r.datums):cap(r.datums)] {
 				if d != nil {
 					return fmt.Errorf("leaf pins %v in its spare capacity", d)
+				}
+			}
+			for _, s := range r.strs[len(r.strs):cap(r.strs)] {
+				if s != "" {
+					return fmt.Errorf("leaf pins %q in its spare capacity", s)
 				}
 			}
 			if depth == -1 {
@@ -57,8 +92,8 @@ func (t *BTree) check() error {
 			leaves = append(leaves, n)
 			return nil
 		}
-		if len(n.children) != cnt+1 || n.tids != nil {
-			return fmt.Errorf("inner node has %d separators, %d children, %d tids", cnt, len(n.children), len(n.tids))
+		if n.tids != nil {
+			return fmt.Errorf("inner node has %d tids", len(n.tids))
 		}
 		for i, c := range n.children {
 			clo, chi := lo, hi
@@ -166,30 +201,37 @@ func liveBytes(build func() any) float64 {
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
-// TestBTreeBytesPerEntry gates what an entry of a one-column int64 index
-// costs: its key's interface value, its TID and its share of the nodes.
-// The boxed int64 is allocated before the measurement: the engine's key
-// shares it with the heap tuple.
+// TestBTreeBytesPerEntry gates what an entry of a one-column index costs:
+// its key in the leaf's array, its TID and its share of the nodes. An int64
+// key is 8 bytes in the leaf; a text key (ingest_live's event ids) is a
+// string header in the leaf and its bytes, which the tree copies. The keys
+// are made before the measurement, so a tree that kept the caller's box or
+// bytes would measure less than it costs; one that made a box of its own
+// would measure more.
 func TestBTreeBytesPerEntry(t *testing.T) {
 	const n = 100_000
+	sequential := func() []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		return p
+	}
+	random := func() []int { return rand.New(rand.NewSource(1)).Perm(n) }
 	for _, c := range []struct {
-		order string
+		name  string
 		perm  func() []int
+		key   func(i int) types.Datum
 		limit float64
 	}{
-		{"sequential", func() []int {
-			p := make([]int, n)
-			for i := range p {
-				p[i] = i
-			}
-			return p
-		}, 40},
-		{"random", func() []int { return rand.New(rand.NewSource(1)).Perm(n) }, 56},
+		{"int64 sequential", sequential, func(i int) types.Datum { return int64(i) }, 18},
+		{"int64 random", random, func(i int) types.Datum { return int64(i) }, 28},
+		{"text sequential", sequential, func(i int) types.Datum { return fmt.Sprintf("evt-%012d", i) }, 48},
+		{"text random", random, func(i int) types.Datum { return fmt.Sprintf("evt-%012d", i) }, 62},
 	} {
-		order := c.perm()
 		keys := make([]types.Datum, n)
-		for i := range keys {
-			keys[i] = int64(order[i])
+		for i, k := range c.perm() {
+			keys[i] = c.key(k)
 		}
 		var bt *BTree
 		per := liveBytes(func() any {
@@ -199,9 +241,9 @@ func TestBTreeBytesPerEntry(t *testing.T) {
 			}
 			return bt
 		}) / n
-		t.Logf("%s: %.1f B/entry", c.order, per)
+		t.Logf("%s: %.1f B/entry", c.name, per)
 		if per > c.limit {
-			t.Errorf("%s: %.1f B/entry, want <= %.0f", c.order, per, c.limit)
+			t.Errorf("%s: %.1f B/entry, want <= %.0f", c.name, per, c.limit)
 		}
 		if err := bt.check(); err != nil {
 			t.Fatal(err)
@@ -248,7 +290,7 @@ func TestBTreeRightmostSplitFillsLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := bt.root
-	for l.children != nil {
+	for !l.leaf() {
 		l = l.children[0]
 	}
 	var sizes []int
@@ -280,19 +322,16 @@ func TestBTreeRunLongerThanALeaf(t *testing.T) {
 	if err := bt.check(); err != nil {
 		t.Fatal(err)
 	}
-	if got := bt.SearchEqual(Key{int64(7), "run"}); !slices.Equal(got, want) {
+	if got := searchEqual(bt, Key{int64(7), "run"}); !slices.Equal(got, want) {
 		t.Fatalf("SearchEqual of the run: %d TIDs, want %d in insertion order", len(got), len(want))
 	}
-	calls := 0
-	bt.SearchPrefix(Key{int64(7)}, func(k Key, tids []heap.TID) bool {
-		calls++
-		if k[1] == "run" && !slices.Equal(tids, want) {
-			t.Fatalf("the run's callback got %d TIDs", len(tids))
-		}
+	var calls [][]heap.TID
+	bt.SearchPrefix(Key{int64(7)}, func(tids []heap.TID) bool {
+		calls = append(calls, slices.Clone(tids))
 		return true
 	})
-	if calls != 2 { // (7, "run") and (7, "x")
-		t.Fatalf("%d callbacks under prefix 7, want 2", calls)
+	if len(calls) != 2 || !slices.Equal(calls[0], want) || !slices.Equal(calls[1], []heap.TID{7}) {
+		t.Fatalf("callbacks under prefix 7: %v, want the run's %d TIDs then (7, \"x\")'s", calls, len(want))
 	}
 	for _, tid := range want {
 		if !bt.Remove(Key{int64(7), "run"}, tid) {
@@ -373,9 +412,21 @@ func TestGINSearchSkipsBlocks(t *testing.T) {
 // throughout must always be seen, and every answer must be ordered.
 func TestIndexConcurrentReadersAndWriters(t *testing.T) {
 	const stable = 300
+	// a TID names its key: stable i is (2i, "stable"), churn i (2i+1,
+	// "churn") and run i (stable, "run")
+	const churn, run = 10_000, 20_000
+	keyOf := func(tid heap.TID) Key {
+		switch {
+		case tid >= run:
+			return Key{int64(stable), "run"}
+		case tid >= churn:
+			return Key{int64(2*(tid-churn) + 1), "churn"}
+		}
+		return Key{int64(2 * tid), "stable"}
+	}
 	bt, g := NewBTree(2), NewGIN()
 	for i := 0; i < stable; i++ {
-		bt.Insert(Key{int64(2 * i), "stable"}, heap.TID(i))
+		bt.Insert(keyOf(heap.TID(i)), heap.TID(i))
 		g.Insert("stable postgres", heap.TID(1000*i))
 	}
 	var wg sync.WaitGroup
@@ -387,12 +438,12 @@ func TestIndexConcurrentReadersAndWriters(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for round := 0; round < 20; round++ {
 			for _, i := range rng.Perm(2 * stable) {
-				bt.Insert(Key{int64(2*i + 1), "churn"}, heap.TID(i))
-				bt.Insert(Key{int64(stable), "run"}, heap.TID(i))
+				bt.Insert(keyOf(heap.TID(churn+i)), heap.TID(churn+i))
+				bt.Insert(keyOf(heap.TID(run+i)), heap.TID(run+i))
 			}
 			for _, i := range rng.Perm(2 * stable) {
-				bt.Remove(Key{int64(2*i + 1), "churn"}, heap.TID(i))
-				bt.Remove(Key{int64(stable), "run"}, heap.TID(i))
+				bt.Remove(keyOf(heap.TID(churn+i)), heap.TID(churn+i))
+				bt.Remove(keyOf(heap.TID(run+i)), heap.TID(run+i))
 			}
 		}
 	}()
@@ -425,12 +476,13 @@ func TestIndexConcurrentReadersAndWriters(t *testing.T) {
 		seen := 0
 		var prev Key
 		var err error
-		bt.Range(nil, nil, true, true, func(k Key, tids []heap.TID) bool {
+		bt.Range(nil, nil, true, true, func(tids []heap.TID) bool {
+			k := keyOf(tids[0])
 			if prev != nil && CompareKeys(prev, k) >= 0 {
 				err = fmt.Errorf("Range: %v after %v", k, prev)
 				return false
 			}
-			prev = slices.Clone(k)
+			prev = k
 			if k[1] == "stable" {
 				seen++
 			}
@@ -442,7 +494,7 @@ func TestIndexConcurrentReadersAndWriters(t *testing.T) {
 		if seen != stable {
 			return fmt.Errorf("Range saw %d stable keys, want %d", seen, stable)
 		}
-		if got := bt.SearchEqual(Key{int64(stable), "stable"}); !slices.Equal(got, []heap.TID{stable / 2}) {
+		if got := searchEqual(bt, Key{int64(stable), "stable"}); !slices.Equal(got, []heap.TID{stable / 2}) {
 			return fmt.Errorf("SearchEqual of a stable key: %v", got)
 		}
 		if cands, _ := g.Search("%stable%"); len(cands) != stable || !slices.IsSorted(cands) {
@@ -472,6 +524,84 @@ func TestIndexConcurrentReadersAndWriters(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if err := bt.check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBTreeDemotesBesideReaders: each column of a two-column int64 tree is
+// made a datum column — by a NULL, then by a float — while other goroutines
+// run SearchEqual and Range on the tree and a writer keeps inserting and
+// removing (run under -race by make stress). Every stable entry is found by
+// every search, and the tree ends with both columns datums.
+func TestBTreeDemotesBesideReaders(t *testing.T) {
+	const stable = 1000
+	bt := NewBTree(2)
+	for i := 0; i < stable; i++ {
+		bt.Insert(Key{int64(2 * i), int64(i)}, heap.TID(i))
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := r; ; n += 7919 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := n % stable
+				if got := searchEqual(bt, Key{int64(2 * i), int64(i)}); !slices.Equal(got, []heap.TID{heap.TID(i)}) {
+					errs <- fmt.Errorf("SearchEqual of stable key %d: %v", i, got)
+					return
+				}
+				seen := 0
+				bt.Range(Key{int64(0)}, Key{int64(2 * stable)}, true, false, func(tids []heap.TID) bool {
+					for _, tid := range tids {
+						if tid < stable {
+							seen++
+						}
+					}
+					return true
+				})
+				if seen != stable {
+					errs <- fmt.Errorf("Range saw %d stable entries, want %d", seen, stable)
+					return
+				}
+			}
+		}()
+	}
+	odd := func(i int, d types.Datum) {
+		tid := heap.TID(stable + i)
+		bt.Insert(Key{int64(2*i + 1), int64(i)}, tid)
+		bt.Insert(Key{d, int64(i)}, tid+stable)
+		if i%2 == 0 {
+			bt.Remove(Key{int64(2*i + 1), int64(i)}, tid)
+		}
+	}
+	for i := 0; i < stable; i++ {
+		odd(i, int64(-1-i))
+	}
+	bt.Insert(Key{int64(-1), nil}, 3*stable) // column 1 demotes
+	for i := 0; i < stable; i++ {
+		odd(i, int64(-1-i))
+	}
+	bt.Insert(Key{0.5, int64(0)}, 3*stable+1) // column 0 demotes
+	for i := 0; i < stable; i++ {
+		odd(i, float64(i)+0.5)
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if !slices.Equal(bt.lay.kind, []colKind{kindDatum, kindDatum}) {
+		t.Fatalf("column kinds %v, want both datums", bt.lay.kind)
 	}
 	if err := bt.check(); err != nil {
 		t.Fatal(err)
@@ -511,7 +641,7 @@ func BenchmarkBTreeSearchEqual(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bt.SearchEqual(Key{keys[i%n]})
+		bt.SearchEqual(Key{keys[i%n]}, func([]heap.TID) {})
 	}
 }
 
