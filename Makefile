@@ -314,8 +314,11 @@ soak-smoke:
 # a checkpoint restore and a standby's apply), and heap-only updates (a
 # schedule of inserts, updates that keep or change an indexed column, deletes,
 # VACUUM and CREATE INDEX, with an old snapshot held open: every query through
-# an index returns what it returns on a twin table with none); longer local
-# runs just extend the same corpus:
+# an index returns what it returns on a twin table with none), and the paged
+# commit log (Begin, commit, abort, prepare and the replay paths at page
+# boundaries and across 1<<40 base jumps, against a map of statuses, with the
+# snapshot's in-progress list and the log's size checked after every step);
+# longer local runs just extend the same corpus:
 #   go test ./internal/wire -fuzz FuzzWireFraming -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzCodecParity -fuzztime 10m
 #   go test ./internal/wire -fuzz FuzzPipelineSeq -fuzztime 10m
@@ -327,6 +330,7 @@ soak-smoke:
 #   go test ./internal/sql -fuzz FuzzParseDeparse -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzTupleBytes -fuzztime 10m
 #   go test ./internal/engine -fuzz FuzzHOTParity -fuzztime 10m
+#   go test ./internal/txn -fuzz FuzzClog -fuzztime 10m
 fuzz-smoke:
 	go test ./internal/wire -run '^$$' -fuzz FuzzWireFraming -fuzztime 15s
 	go test ./internal/wire -run '^$$' -fuzz FuzzCodecParity -fuzztime 15s
@@ -339,6 +343,7 @@ fuzz-smoke:
 	go test ./internal/sql -run '^$$' -fuzz FuzzParseDeparse -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzTupleBytes -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzHOTParity -fuzztime 15s
+	go test ./internal/txn -run '^$$' -fuzz FuzzClog -fuzztime 15s
 
 # the full CI pipeline (.github/workflows/ci.yml), reproducible locally
 ci: build vet fmt-check lint test race stress bench-smoke trace-smoke chaos-smoke soak-smoke fuzz-smoke

@@ -63,7 +63,6 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 		panic("citus: registerTxnCallbacks without a transaction")
 	}
 	t.SetDistID(st.distID)
-	localXID := t.XID
 	// The trace context of the statement that opened the distributed
 	// transaction. 2PC spans attach here so the commit protocol shows up in
 	// the same trace as the work it makes atomic (the callbacks may fire
@@ -149,7 +148,7 @@ func (n *Node) registerTxnCallbacks(s *engine.Session, st *sessState) {
 				continue
 			}
 			met2pcPrepares.Inc()
-			gids[i] = fmt.Sprintf("citus_%d_%d_%d", n.ID, localXID, i)
+			gids[i] = gidFor(st.distID, i)
 			stmts[i] = flightStmt{wc: wc, point: fault.Point2PCPrepare,
 				sql: "PREPARE TRANSACTION " + types.QuoteString(gids[i])}
 		}
@@ -445,10 +444,8 @@ func (n *Node) RecoverTwoPhaseCommits() int {
 			}
 			// still running locally? (the transaction may be between
 			// prepare and commit-prepared right now)
-			if xid, ok := gidLocalXID(gid); ok {
-				if _, active := n.Eng.Txns.Active(xid); active {
-					continue
-				}
+			if distID, ok := gidDistID(gid); ok && n.runningDist(distID) {
+				continue
 			}
 			n.commitMu.Lock()
 			_, committed := n.commitRecords[gid]
@@ -484,14 +481,49 @@ func (n *Node) RecoverTwoPhaseCommits() int {
 	return resolved
 }
 
-// gidLocalXID parses the coordinator-local XID out of a 2PC gid.
-func gidLocalXID(gid string) (uint64, bool) {
+// gidFor names participant i's prepared transaction of the distributed
+// transaction distID (node:start:seq, nextDistTxnID):
+// citus_<node>_<start>_<seq>_<i>, start and seq in base 36 to keep the name,
+// which the logs of both sides hold, short. The start time keeps it unique
+// across the coordinator's restarts, which no counter of its own would.
+func gidFor(distID string, i int) string {
+	node, rest, _ := strings.Cut(distID, ":")
+	start, seq, _ := strings.Cut(rest, ":")
+	b := append(make([]byte, 0, 40), "citus_"...)
+	b = append(append(b, node...), '_')
+	b = append(appendBase36(b, start), '_')
+	b = append(appendBase36(b, seq), '_')
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
+
+func appendBase36(b []byte, decimal string) []byte {
+	v, _ := strconv.ParseUint(decimal, 10, 64)
+	return strconv.AppendUint(b, v, 36)
+}
+
+// gidDistID parses the distributed transaction id out of a gidFor gid.
+func gidDistID(gid string) (string, bool) {
 	parts := strings.Split(gid, "_")
-	if len(parts) != 4 {
-		return 0, false
+	if len(parts) != 5 {
+		return "", false
 	}
-	xid, err := strconv.ParseUint(parts[2], 10, 64)
-	return xid, err == nil
+	start, err1 := strconv.ParseUint(parts[2], 36, 64)
+	seq, err2 := strconv.ParseUint(parts[3], 36, 64)
+	if err1 != nil || err2 != nil {
+		return "", false
+	}
+	return fmt.Sprintf("%s:%d:%d", parts[1], start, seq), true
+}
+
+// runningDist reports whether this node still runs the distributed
+// transaction's local member.
+func (n *Node) runningDist(distID string) bool {
+	for _, t := range n.Eng.Txns.ActiveTxns() {
+		if t.DistID() == distID {
+			return true
+		}
+	}
+	return false
 }
 
 // callNode runs one statement on another node over a connection from that
@@ -566,17 +598,17 @@ func (n *Node) CheckDistributedDeadlock() string {
 	type edge struct{ from, to string }
 	var edges []edge
 	var ssiEdges []ssi.WireEdge
-	vertexName := func(nodeID int, xid uint64, dist string) string {
+	vertexName := func(nodeID int, vid uint64, dist string) string {
 		if dist != "" {
 			return "d:" + dist
 		}
-		return fmt.Sprintf("l:%d:%d", nodeID, xid)
+		return fmt.Sprintf("l:%d:%d", nodeID, vid)
 	}
 	collect := func(nodeID int, les []engine.LockEdge) {
 		for _, le := range les {
 			edges = append(edges, edge{
-				from: vertexName(nodeID, le.WaiterXID, le.WaiterDist),
-				to:   vertexName(nodeID, le.HolderXID, le.HolderDist),
+				from: vertexName(nodeID, le.WaiterVID, le.WaiterDist),
+				to:   vertexName(nodeID, le.HolderVID, le.HolderDist),
 			})
 		}
 	}
@@ -641,15 +673,15 @@ func (n *Node) CheckDistributedDeadlock() string {
 	return victim
 }
 
-var waitEdgeColumns = []string{"kind", "from_xid", "to_xid", "from_dist", "to_dist", "from_commit_ns", "to_commit_ns"}
+var waitEdgeColumns = []string{"kind", "from_vid", "to_vid", "from_dist", "to_dist", "from_commit_ns", "to_commit_ns"}
 
 // waitEdgeRows is citus_node_wait_edges' relation: a "lock" row per waits-for
-// edge (from waits for to; xids and dist txn ids) and an "rw" row per
+// edge (from waits for to; virtual and dist txn ids) and an "rw" row per
 // rw-antidependency (from read what to wrote; dist txn ids and commit times).
 func waitEdgeRows(locks []engine.LockEdge, rws []ssi.WireEdge) []types.Row {
 	rows := make([]types.Row, 0, len(locks)+len(rws))
 	for _, e := range locks {
-		rows = append(rows, types.Row{"lock", int64(e.WaiterXID), int64(e.HolderXID), e.WaiterDist, e.HolderDist, int64(0), int64(0)})
+		rows = append(rows, types.Row{"lock", int64(e.WaiterVID), int64(e.HolderVID), e.WaiterDist, e.HolderDist, int64(0), int64(0)})
 	}
 	for _, e := range rws {
 		rows = append(rows, types.Row{"rw", int64(0), int64(0), e.From, e.To, e.FromCommitNs, e.ToCommitNs})
@@ -665,7 +697,7 @@ func parseWaitEdges(rows []types.Row) ([]engine.LockEdge, []ssi.WireEdge) {
 		from, to := r[3].(string), r[4].(string)
 		if r[0] == "lock" {
 			locks = append(locks, engine.LockEdge{
-				WaiterXID: uint64(r[1].(int64)), HolderXID: uint64(r[2].(int64)), WaiterDist: from, HolderDist: to,
+				WaiterVID: uint64(r[1].(int64)), HolderVID: uint64(r[2].(int64)), WaiterDist: from, HolderDist: to,
 			})
 		} else {
 			rws = append(rws, ssi.WireEdge{From: from, To: to, FromCommitNs: r[5].(int64), ToCommitNs: r[6].(int64)})

@@ -563,14 +563,16 @@ type issuedTask struct {
 // round trip of its own, and at any window a request whose block cannot be
 // entered executes nothing. Serializable sessions pass the isolation level
 // along, so the worker's transaction registers for SSI tracking where the
-// data lives (docs/ssi.md).
+// data lives (docs/ssi.md); repeatable read sessions pass theirs, so the
+// worker's transaction keeps its first statement's snapshot.
 // Semantic errors fail their own task; a transport failure marks the
 // connection broken, poisons the rest of the window, and — for read-only
 // tasks outside a transaction — re-issues the failed tasks one by one on a
 // fresh connection, with writes never retried.
 func (n *Node) runTaskWindow(s *engine.Session, st *sessState, wc *workerConn, idxs []int, tasks []task, results []*engine.Result, txnMode bool) error {
 	if txnMode {
-		wc.conn.SetBlock(wire.Block{DistID: st.distID, Serializable: s.Serializable() && n.ssiActive()})
+		wc.conn.SetBlock(wire.Block{DistID: st.distID, Serializable: s.Serializable() && n.ssiActive(),
+			RepeatableRead: s.RepeatableRead()})
 		defer wc.conn.ClearBlock()
 	}
 	pl := wc.conn.Pipeline(n.Cfg.PipelineWindow)

@@ -264,10 +264,11 @@ func (n *Node) planCacheStatsRows(*engine.Session, []types.Datum) ([]types.Row, 
 	return rows, nil
 }
 
-var statActivityColumns = []string{"node_id", "xid", "dist_txn_id", "state", "trace_id", "span_kind"}
+var statActivityColumns = []string{"node_id", "xid", "dist_txn_id", "state", "trace_id", "span_kind", "vid"}
 
 // statActivityRows lists a node's in-flight transactions, active and
-// prepared, but for skip (nil skips none).
+// prepared, but for skip (nil skips none). A transaction is named by its
+// virtual ID (vid); xid is 0 until it writes.
 func statActivityRows(eng *engine.Engine, nodeID int, skip *txn.Txn) []types.Row {
 	var rows []types.Row
 	for _, t := range eng.Txns.ActiveTxns() {
@@ -275,16 +276,16 @@ func statActivityRows(eng *engine.Engine, nodeID int, skip *txn.Txn) []types.Row
 			continue
 		}
 		traceID, spanKind := t.TraceSpan()
-		rows = append(rows, types.Row{int64(nodeID), int64(t.XID), t.DistID(), "active", int64(traceID), spanKind})
+		rows = append(rows, types.Row{int64(nodeID), int64(t.XID()), t.DistID(), "active", int64(traceID), spanKind, int64(t.VID)})
 	}
 	for _, pi := range eng.Txns.ListPrepared() {
-		rows = append(rows, types.Row{int64(nodeID), int64(pi.XID), pi.DistID, "prepared", int64(0), ""})
+		rows = append(rows, types.Row{int64(nodeID), int64(pi.XID), pi.DistID, "prepared", int64(0), "", int64(pi.VID)})
 	}
 	return rows
 }
 
 var statSSIColumns = []string{"node_id", "xid", "dist_txn_id", "state", "doomed",
-	"in_conflicts", "out_conflicts", "siread_locks", "commit_seq"}
+	"in_conflicts", "out_conflicts", "siread_locks", "commit_seq", "vid"}
 
 // statSSIRows lists the per-transaction SSI state a node's ssi.Manager
 // tracks — pg_stat-style: one row per serializable transaction (including
@@ -296,7 +297,7 @@ func statSSIRows(eng *engine.Engine, nodeID int) []types.Row {
 		rows = append(rows, types.Row{
 			int64(nodeID), int64(ss.XID), ss.DistID, ss.State, ss.Doomed,
 			int64(ss.InConflicts), int64(ss.OutConflicts), int64(ss.SIREADLocks),
-			int64(ss.CommitSeq),
+			int64(ss.CommitSeq), int64(ss.VID),
 		})
 	}
 	return rows

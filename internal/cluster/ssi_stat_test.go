@@ -46,7 +46,7 @@ func TestStatSSIGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCols := []string{"node_id", "xid", "dist_txn_id", "state", "doomed",
-		"in_conflicts", "out_conflicts", "siread_locks", "commit_seq"}
+		"in_conflicts", "out_conflicts", "siread_locks", "commit_seq", "vid"}
 	if got := strings.Join(res.Columns, ","); got != strings.Join(wantCols, ",") {
 		t.Fatalf("citus_stat_ssi columns = %s, want %s", got, strings.Join(wantCols, ","))
 	}
@@ -120,7 +120,7 @@ func TestStatSSIGolden(t *testing.T) {
 
 // normalizeStatSSI rewrites citus_stat_ssi rows into deterministic strings:
 // node ids become role labels (coordinator / worker hosting keyA / worker
-// hosting keyB), the volatile xid and dist_txn_id columns are dropped, and
+// hosting keyB), the volatile xid, dist_txn_id and vid columns are dropped, and
 // commit_seq collapses to set/unset. Rows are sorted for a stable
 // comparison.
 func normalizeStatSSI(t *testing.T, c *Cluster, rows []types.Row, keyA, keyB int64) []string {

@@ -20,15 +20,15 @@ func TestBatchVisibility(t *testing.T) {
 	tbl := NewTable(1, 2, nil)
 
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, types.Row{int64(1), "committed"})
+	tbl.Insert(t1.XID(), types.Row{int64(1), "committed"})
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	tbl.Insert(t2.XID, types.Row{int64(2), "aborted"})
+	tbl.Insert(t2.XID(), types.Row{int64(2), "aborted"})
 	mgr.Abort(t2)
 
 	t3 := mgr.Begin()
-	tbl.Insert(t3.XID, types.Row{int64(3), "in-progress"})
+	tbl.Insert(t3.XID(), types.Row{int64(3), "in-progress"})
 
 	views := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(nil))
 	if len(views) != 1 {
@@ -57,9 +57,9 @@ func TestChunkStats(t *testing.T) {
 	t1 := mgr.Begin()
 	d1 := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
 	d2 := time.Date(2024, 7, 1, 0, 0, 0, 0, time.UTC)
-	tbl.Insert(t1.XID, types.Row{int64(7), nil, d2, int64(1)})
-	tbl.Insert(t1.XID, types.Row{int64(-3), nil, d1, "mixed"})
-	tbl.Insert(t1.XID, types.Row{int64(12), nil, nil, int64(2)})
+	tbl.Insert(t1.XID(), types.Row{int64(7), nil, d2, int64(1)})
+	tbl.Insert(t1.XID(), types.Row{int64(-3), nil, d1, "mixed"})
+	tbl.Insert(t1.XID(), types.Row{int64(12), nil, nil, int64(2)})
 	_ = mgr.Commit(t1)
 
 	v := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(nil))[0]
@@ -94,7 +94,7 @@ func TestInProgressXminConcurrentScan(t *testing.T) {
 
 	base := mgr.Begin()
 	for i := 0; i < 100; i++ {
-		tbl.Insert(base.XID, types.Row{int64(i), "base"})
+		tbl.Insert(base.XID(), types.Row{int64(i), "base"})
 	}
 	_ = mgr.Commit(base)
 
@@ -106,7 +106,7 @@ func TestInProgressXminConcurrentScan(t *testing.T) {
 		defer wg.Done()
 		w := mgr.Begin()
 		for i := 0; i < extra; i++ {
-			tbl.Insert(w.XID, types.Row{int64(1000 + i), "extra"})
+			tbl.Insert(w.XID(), types.Row{int64(1000 + i), "extra"})
 		}
 		_ = mgr.Commit(w)
 		close(writerDone)
@@ -152,7 +152,7 @@ func TestTruncateDuringScan(t *testing.T) {
 	load := func(tag string, n int) {
 		w := mgr.Begin()
 		for i := 0; i < n; i++ {
-			tbl.Insert(w.XID, types.Row{int64(i), tag})
+			tbl.Insert(w.XID(), types.Row{int64(i), tag})
 		}
 		_ = mgr.Commit(w)
 	}
@@ -217,8 +217,8 @@ func TestScanScratchRowAliasing(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, 1, nil)
 	w := mgr.Begin()
-	tbl.Insert(w.XID, types.Row{int64(1)})
-	tbl.Insert(w.XID, types.Row{int64(2)})
+	tbl.Insert(w.XID(), types.Row{int64(1)})
+	tbl.Insert(w.XID(), types.Row{int64(2)})
 	_ = mgr.Commit(w)
 
 	var retained []types.Row
@@ -281,7 +281,7 @@ func TestChunkKinds(t *testing.T) {
 	}
 	w := mgr.Begin()
 	for _, row := range inserted {
-		tbl.Insert(w.XID, row)
+		tbl.Insert(w.XID(), row)
 	}
 	view := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(w))[0]
 	chunk := tbl.LoadChunk(view, nil, nil)
@@ -300,7 +300,7 @@ func TestChunkKinds(t *testing.T) {
 		{int64(4), int64(5), "z", 4.5, day},
 	}
 	for _, row := range foreign {
-		tbl.Insert(w.XID, row)
+		tbl.Insert(w.XID(), row)
 	}
 	inserted = append(inserted, foreign...)
 	_ = mgr.Commit(w)
@@ -367,7 +367,7 @@ func TestTimestampRoundTrip(t *testing.T) {
 	var inserted []types.Row
 	for _, ts := range times {
 		inserted = append(inserted, types.Row{utc, ts})
-		tbl.Insert(w.XID, inserted[len(inserted)-1])
+		tbl.Insert(w.XID(), inserted[len(inserted)-1])
 	}
 	_ = mgr.Commit(w)
 	snap := mgr.TakeSnapshot(nil)
@@ -395,7 +395,7 @@ func TestStringDictionaryInStripe(t *testing.T) {
 		tbl := NewTable(1, 1, nil)
 		w := mgr.Begin()
 		for i := 0; i < StripeRows; i++ {
-			tbl.Insert(w.XID, types.Row{fmt.Sprintf("v%05d", i%distinct)})
+			tbl.Insert(w.XID(), types.Row{fmt.Sprintf("v%05d", i%distinct)})
 		}
 		_ = mgr.Commit(w)
 		snap := mgr.TakeSnapshot(nil)
@@ -435,7 +435,7 @@ func TestOwnStripeViewIsAPrefix(t *testing.T) {
 		return row
 	}
 	const total = 3000
-	tbl.Insert(w.XID, rowAt(0))
+	tbl.Insert(w.XID(), rowAt(0))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -481,7 +481,7 @@ func TestOwnStripeViewIsAPrefix(t *testing.T) {
 		}()
 	}
 	for i := 1; i < total; i++ {
-		tbl.Insert(w.XID, rowAt(i))
+		tbl.Insert(w.XID(), rowAt(i))
 	}
 	close(stop)
 	wg.Wait()
@@ -502,7 +502,7 @@ func TestAdoptedStripesAreShared(t *testing.T) {
 	src := NewTable(1, 2, nil)
 	load := func(tx *txn.Txn, tag string, n int) {
 		for r := 0; r < n; r++ {
-			src.Insert(tx.XID, types.Row{int64(r), tag})
+			src.Insert(tx.XID(), types.Row{int64(r), tag})
 		}
 	}
 	commit := func() {
@@ -542,7 +542,7 @@ func TestAdoptedStripesAreShared(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				tx := mgr.Begin()
-				tbl.Insert(tx.XID, types.Row{int64(i), "more"})
+				tbl.Insert(tx.XID(), types.Row{int64(i), "more"})
 				if err := mgr.Commit(tx); err != nil {
 					t.Error(err)
 				}
@@ -604,7 +604,7 @@ func TestFrozenVectorIsClipped(t *testing.T) {
 	const n = 1000
 	for i := 0; i < n; i++ {
 		w := mgr.Begin()
-		tbl.Insert(w.XID, rowAt(i))
+		tbl.Insert(w.XID(), rowAt(i))
 		_ = mgr.Commit(w)
 	}
 	views := tbl.VisibleStripes(mgr, mgr.TakeSnapshot(nil))

@@ -14,7 +14,7 @@ func TestInsertAndScan(t *testing.T) {
 	tbl := NewTable(1, 3, nil)
 	t1 := mgr.Begin()
 	for i := 0; i < 100; i++ {
-		tbl.Insert(t1.XID, types.Row{int64(i), float64(i) * 1.5, "x"})
+		tbl.Insert(t1.XID(), types.Row{int64(i), float64(i) * 1.5, "x"})
 	}
 	_ = mgr.Commit(t1)
 	count := 0
@@ -37,7 +37,7 @@ func TestStripeVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, 1, nil)
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, types.Row{int64(1)})
+	tbl.Insert(t1.XID(), types.Row{int64(1)})
 	// uncommitted stripes are invisible to other snapshots
 	count := 0
 	tbl.Scan(mgr, mgr.TakeSnapshot(nil), nil, func(types.Row) bool { count++; return true })
@@ -66,7 +66,7 @@ func TestTransactionsShareAStripe(t *testing.T) {
 	load := func(n int) {
 		tn := mgr.Begin()
 		for i := 0; i < n; i++ {
-			tbl.Insert(tn.XID, types.Row{int64(i)})
+			tbl.Insert(tn.XID(), types.Row{int64(i)})
 		}
 		_ = mgr.Commit(tn)
 	}
@@ -99,7 +99,7 @@ func TestSegmentVisibility(t *testing.T) {
 	tbl := NewTable(1, 2, nil)
 	insert := func(tbl *Table, tx *txn.Txn, tag string, n int) {
 		for i := 0; i < n; i++ {
-			tbl.Insert(tx.XID, types.Row{int64(i), tag})
+			tbl.Insert(tx.XID(), types.Row{int64(i), tag})
 		}
 	}
 	// each view's tags, views apart by "|"
@@ -186,7 +186,7 @@ func TestViewsChargeTheirOwnPages(t *testing.T) {
 	load := func(n int, commit bool) {
 		tn := mgr.Begin()
 		for i := 0; i < n; i++ {
-			tbl.Insert(tn.XID, types.Row{int64(i), int64(i)})
+			tbl.Insert(tn.XID(), types.Row{int64(i), int64(i)})
 		}
 		if commit {
 			_ = mgr.Commit(tn)
@@ -225,7 +225,7 @@ func TestColumnProjectionReducesIO(t *testing.T) {
 		for c := range row {
 			row[c] = int64(i * c)
 		}
-		wide.Insert(t1.XID, row)
+		wide.Insert(t1.XID(), row)
 	}
 	_ = mgr.Commit(t1)
 
@@ -246,7 +246,7 @@ func TestTruncate(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, 1, nil)
 	t1 := mgr.Begin()
-	tbl.Insert(t1.XID, types.Row{int64(1)})
+	tbl.Insert(t1.XID(), types.Row{int64(1)})
 	_ = mgr.Commit(t1)
 	tbl.Truncate()
 	if tbl.EstimatedRows() != 0 || len(tbl.stripes) != 0 {

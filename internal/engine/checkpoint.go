@@ -85,7 +85,7 @@ func (e *Engine) Checkpoint() bool {
 // saw ended, carries what it saw forward.
 func newBase(at int64, open map[uint64]int64, snap txn.Snapshot) *wal.Base {
 	redo := at
-	for xid := range snap.InProgress {
+	for _, xid := range snap.InProgress {
 		if lsn, ok := open[xid]; ok && lsn < redo {
 			redo = lsn
 		}
@@ -109,7 +109,11 @@ func newBase(at int64, open map[uint64]int64, snap txn.Snapshot) *wal.Base {
 // with an exported snapshot.
 func (e *Engine) CopyStart(tables []string) (start *wal.Base, tuples [][][]byte, h *wal.Holder, err error) {
 	h, at, open := e.WAL.BeginHold("shard_move")
-	t := e.Txns.Begin() // keeps vacuum below the snapshot while it is read
+	// a transaction in a slot of its own keeps vacuum below the snapshot
+	// while it is read; it takes no XID
+	proc := e.Txns.NewProc()
+	defer proc.Close()
+	t := proc.Begin()
 	defer e.Txns.Abort(t)
 	snap := e.Txns.TakeSnapshot(t)
 	for _, name := range tables {

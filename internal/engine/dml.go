@@ -188,9 +188,9 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 				return nil, false, err
 			}
 		}
-		store.col.Insert(t.XID, full)
+		store.col.Insert(t.EnsureXID(), full)
 		t.MarkWrite()
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID(), Table: store.table.Name, Tuple: data})
 		return full, true, nil
 	}
 	// SIREAD probes for the insert: the table (seq-scan readers) and every
@@ -236,7 +236,7 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 				// an entry of its own if it changed the key. Another's update
 				// still in progress counts, as an insert in progress does: it
 				// may abort.
-				if st := s.Eng.Txns.Status(tup.Xmax); tup.Xmax == t.XID || st == txn.Committed || st == txn.InProgress && tup.Next == heap.NilTID {
+				if st := s.Eng.Txns.Status(tup.Xmax); tup.Xmax == t.XID() || st == txn.Committed || st == txn.InProgress && tup.Next == heap.NilTID {
 					continue
 				}
 			}
@@ -263,10 +263,10 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 	}
 	var tid heap.TID
 	if data != nil {
-		tid, data = store.heap.InsertTuple(t.XID, data)
+		tid, data = store.heap.InsertTuple(t.EnsureXID(), data)
 	} else {
 		var err error
-		if tid, data, err = store.heap.Insert(t.XID, full); err != nil {
+		if tid, data, err = store.heap.Insert(t.EnsureXID(), full); err != nil {
 			store.mu.Unlock()
 			return nil, false, err
 		}
@@ -283,7 +283,7 @@ func (s *Session) insertRow(store *storage, t *txn.Txn, full types.Row, data []b
 		return nil, false, err
 	}
 	t.MarkWrite()
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID(), Table: store.table.Name, Tuple: data})
 	return full, true, nil
 }
 
@@ -609,6 +609,9 @@ func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]d
 // deleter committed, we follow the update chain to the successor version
 // and recheck there; when it aborted, we overwrite its xmax.
 func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.TID, heap.Tuple, bool, error) {
+	// A row lock makes t a writer: it takes its XID here, as PostgreSQL's
+	// row locks, stamped in the tuple, do.
+	t.EnsureXID()
 	cur := tid
 	for {
 		tup, ok := store.heap.Get(cur)
@@ -620,15 +623,15 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 		// in-progress deleter of this version.
 		key := lock.Key{Table: store.table.ID, Tuple: int64(cur)}
 		var err error
-		if s.TraceID != 0 && !s.Eng.Locks.TryAcquire(t.XID, key, lock.Exclusive) {
+		if s.TraceID != 0 && !s.Eng.Locks.TryAcquire(t.VID, key, lock.Exclusive) {
 			// Contended and traced: the blocking wait gets its own span
 			// (uncontended acquisitions stay span-free, keeping the hot
 			// path cheap and the trace focused on actual waiting).
 			sp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "lock_wait", "")
-			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, lock.Exclusive, t.AbortCh())
+			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.VID, key, lock.Exclusive, t.AbortCh())
 			sp.Finish()
 		} else if s.TraceID == 0 {
-			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, lock.Exclusive, t.AbortCh())
+			err = s.Eng.Locks.Acquire(s.Eng.stopCtx, t.VID, key, lock.Exclusive, t.AbortCh())
 		}
 		if err != nil {
 			return heap.NilTID, heap.Tuple{}, false, err
@@ -641,7 +644,7 @@ func (s *Session) lockAndChase(store *storage, t *txn.Txn, tid heap.TID) (heap.T
 			return heap.NilTID, heap.Tuple{}, false, nil
 		}
 		switch {
-		case tup.Xmax == 0 || tup.Xmax == t.XID ||
+		case tup.Xmax == 0 || tup.Xmax == t.XID() ||
 			s.Eng.Txns.Status(tup.Xmax) == txn.Aborted:
 			// tip of the chain (an aborted deleter's xmax is overwritable)
 			return cur, tup, true, nil
@@ -681,9 +684,9 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 		}
 	}
 	store.mu.Lock()
-	newTID, data, err := store.heap.Insert(t.XID, newRow)
+	newTID, data, err := store.heap.Insert(t.EnsureXID(), newRow)
 	if err == nil {
-		err = s.linkVersion(store, t.XID, oldTID, old.Data, newTID, data, params)
+		err = s.linkVersion(store, t.XID(), oldTID, old.Data, newTID, data, params)
 	}
 	store.mu.Unlock()
 	if err != nil {
@@ -693,8 +696,8 @@ func (s *Session) writeNewVersion(store *storage, t *txn.Txn, oldTID heap.TID, n
 		return err
 	}
 	t.MarkWrite()
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Tuple: old.Data})
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID, Table: store.table.Name, Tuple: data, Update: true})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID(), Table: store.table.Name, Tuple: old.Data})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecInsert, XID: t.XID(), Table: store.table.Name, Tuple: data, Update: true})
 	return nil
 }
 
@@ -863,9 +866,9 @@ func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.
 				return nil, err
 			}
 		}
-		store.heap.MarkDeleted(latestTID, t.XID, heap.NilTID, false)
+		store.heap.MarkDeleted(latestTID, t.EnsureXID(), heap.NilTID, false)
 		t.MarkWrite()
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID, Table: store.table.Name, Tuple: tup.Data})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID(), Table: store.table.Name, Tuple: tup.Data})
 		affected++
 	}
 	return &Result{Tag: fmt.Sprintf("DELETE %d", affected), Affected: affected}, nil
@@ -1056,11 +1059,11 @@ func (s *Session) writeTarget(t *txn.Txn, name string) (*storage, error) {
 		return nil, fmt.Errorf("relation %q does not exist", name)
 	}
 	key := lock.TableKey(store.table.ID)
-	if s.Eng.Locks.TryAcquire(t.XID, key, lock.Shared) {
+	if s.Eng.Locks.TryAcquire(t.VID, key, lock.Shared) {
 		return store, nil
 	}
 	sp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "lock_wait", "")
-	err := s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, key, lock.Shared, t.AbortCh())
+	err := s.Eng.Locks.Acquire(s.Eng.stopCtx, t.VID, key, lock.Shared, t.AbortCh())
 	sp.Finish()
 	if err != nil {
 		return nil, err

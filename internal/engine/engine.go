@@ -334,9 +334,6 @@ func (e *Engine) SetApplyMode(on bool) { e.applyMode.Store(on) }
 // them. Returns the number of in-doubt transactions aborted.
 func (e *Engine) FinishRecovery() int {
 	aborted := e.Txns.AbortInDoubt()
-	for _, xid := range aborted {
-		e.Locks.ReleaseAll(xid)
-	}
 	e.relockPrepared()
 	return len(aborted)
 }
@@ -347,9 +344,9 @@ func (e *Engine) FinishRecovery() int {
 // updated. Without them DDL does not wait for it, and a writer of one of its
 // rows takes the free row lock, then finds the version's deleter in progress.
 func (e *Engine) relockPrepared() {
-	prepared := map[uint64]bool{}
+	prepared := map[uint64]uint64{} // XID -> the lock owner, its VID
 	for _, p := range e.Txns.ListPrepared() {
-		prepared[p.XID] = true
+		prepared[p.XID] = p.VID
 	}
 	if len(prepared) == 0 {
 		return
@@ -364,12 +361,12 @@ func (e *Engine) relockPrepared() {
 	e.mu.RUnlock()
 	for _, st := range stores {
 		st.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-			if prepared[tup.Xmax] {
-				e.Locks.TryAcquire(tup.Xmax, lock.Key{Table: st.table.ID, Tuple: int64(tid)}, lock.Exclusive)
-				e.Locks.TryAcquire(tup.Xmax, lock.TableKey(st.table.ID), lock.Shared)
+			if vid, ok := prepared[tup.Xmax]; ok {
+				e.Locks.TryAcquire(vid, lock.Key{Table: st.table.ID, Tuple: int64(tid)}, lock.Exclusive)
+				e.Locks.TryAcquire(vid, lock.TableKey(st.table.ID), lock.Shared)
 			}
-			if prepared[tup.Xmin] {
-				e.Locks.TryAcquire(tup.Xmin, lock.TableKey(st.table.ID), lock.Shared)
+			if vid, ok := prepared[tup.Xmin]; ok {
+				e.Locks.TryAcquire(vid, lock.TableKey(st.table.ID), lock.Shared)
 			}
 			return true
 		})
@@ -458,6 +455,7 @@ type Features struct {
 // New creates a node and starts its local deadlock detector.
 func New(cfg Config) *Engine {
 	txns := txn.NewManager()
+	txns.SetNode(cfg.Name)
 	e := &Engine{
 		Name:         cfg.Name,
 		Catalog:      catalog.New(),
@@ -555,30 +553,31 @@ func (e *Engine) deadlockDetectorLoop(interval time.Duration) {
 }
 
 // CheckLocalDeadlock runs one deadlock check, cancelling the youngest
-// transaction of a cycle if one exists. Returns the cancelled XID or 0.
+// transaction of a cycle if one exists. Returns the cancelled transaction's
+// VID or 0.
 func (e *Engine) CheckLocalDeadlock() uint64 {
 	cycle := lock.FindCycle(e.Locks.Edges())
 	if len(cycle) == 0 {
 		return 0
 	}
 	var victim uint64
-	for _, xid := range cycle {
-		if xid > victim {
-			victim = xid
+	for _, vid := range cycle {
+		if vid > victim {
+			victim = vid
 		}
 	}
-	if t, ok := e.Txns.Active(victim); ok {
+	if t, ok := e.Txns.ByVID(victim); ok {
 		t.Cancel()
 		return victim
 	}
 	return 0
 }
 
-// LockEdges exposes the node's waits-for graph together with the
-// distributed transaction id of each participant; the distributed deadlock
-// detector polls this from every node (paper §3.7.3).
+// LockEdge is one edge of the node's waits-for graph, its transactions
+// named by virtual ID and distributed transaction id; the distributed
+// deadlock detector polls these from every node (paper §3.7.3).
 type LockEdge struct {
-	WaiterXID, HolderXID   uint64
+	WaiterVID, HolderVID   uint64
 	WaiterDist, HolderDist string
 }
 
@@ -588,11 +587,11 @@ func (e *Engine) LockGraph() []LockEdge {
 	edges := e.Locks.Edges()
 	out := make([]LockEdge, 0, len(edges))
 	for _, edge := range edges {
-		le := LockEdge{WaiterXID: edge.Waiter, HolderXID: edge.Holder}
-		if t, ok := e.Txns.Active(edge.Waiter); ok {
+		le := LockEdge{WaiterVID: edge.Waiter, HolderVID: edge.Holder}
+		if t, ok := e.Txns.ByVID(edge.Waiter); ok {
 			le.WaiterDist = t.DistID()
 		}
-		if t, ok := e.Txns.Active(edge.Holder); ok {
+		if t, ok := e.Txns.ByVID(edge.Holder); ok {
 			le.HolderDist = t.DistID()
 		}
 		out = append(out, le)
@@ -801,7 +800,10 @@ type Session struct {
 	// a plan node appends a line about what this execution did.
 	analyzeNotes *[]string
 
-	txn       *txn.Txn
+	txn *txn.Txn
+	// proc is the session's slot in the node's proc array, registered at
+	// its first transaction (ensureTxn) and closed by Close.
+	proc      *txn.Proc
 	explicit  bool
 	txnFailed bool
 	// inCall is set while a CALL runs its procedure: the procedure's
@@ -811,8 +813,9 @@ type Session struct {
 	// coordinator opened it (OpenBlock). It is scoped to the block: endBlock
 	// clears it, so a pooled connection's session carries nothing of it on.
 	block struct {
-		distID       string
-		serializable bool
+		distID         string
+		serializable   bool
+		repeatableRead bool
 	}
 
 	// stmtCache holds parsed statements keyed by query text — on a worker,
@@ -869,7 +872,10 @@ func (s *Session) ensureTxn() (*txn.Txn, bool) {
 	if s.txn != nil {
 		return s.txn, false
 	}
-	t := s.Eng.Txns.Begin()
+	if s.proc == nil {
+		s.proc = s.Eng.Txns.NewProc()
+	}
+	t := s.proc.Begin()
 	if s.block.distID != "" {
 		t.SetDistID(s.block.distID)
 	}
@@ -883,7 +889,7 @@ func (s *Session) ensureTxn() (*txn.Txn, bool) {
 
 func (s *Session) finishImplicit(t *txn.Txn, commit bool) error {
 	s.txn = nil
-	defer s.Eng.Locks.ReleaseAll(t.XID)
+	defer s.Eng.Locks.ReleaseAll(t.VID)
 	// Read-only transactions write no commit/abort record, like
 	// PostgreSQL's xid-less transactions: there is nothing to make
 	// durable, and — critically for replication — a standby serving
@@ -900,18 +906,18 @@ func (s *Session) finishImplicit(t *txn.Txn, commit bool) error {
 	}
 	if commit {
 		if err := s.Eng.Txns.Commit(t); err != nil {
-			s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID})
+			s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID()})
 			return err
 		}
 		// The commit record's WAL append is the durability point (the
 		// stand-in for an fsync), so it gets its own span when traced.
 		sp := s.Eng.Tracer.StartSpan(s.TraceID, s.SpanID, "wal_fsync", "")
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecCommit, XID: t.XID})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecCommit, XID: t.XID()})
 		sp.Finish()
 		return nil
 	}
 	s.Eng.Txns.Abort(t)
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID()})
 	return nil
 }
 
@@ -1136,9 +1142,9 @@ func (s *Session) abortFailedStatement() {
 	s.txnFailed = true
 	s.Eng.Txns.Abort(t)
 	if t.DidWrite() {
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID()})
 	}
-	s.Eng.Locks.ReleaseAll(t.XID)
+	s.Eng.Locks.ReleaseAll(t.VID)
 }
 
 func (s *Session) execute(stmt sql.Statement, params []types.Datum, entry *cachedStmt) (*Result, error) {
@@ -1247,12 +1253,13 @@ func (s *Session) runPlan(plan Plan, params []types.Datum) (*Result, error) {
 // names distID: BEGIN, with the distributed transaction id and the isolation
 // level given to the block itself, not to the session. With no block open it
 // opens one, and the transaction enrols in SSI tracking there and then if the
-// block is serializable; with that same block already open it does nothing;
-// inside any other block it fails, having changed nothing. The wire server
+// block is serializable (a serializable or repeatable read block runs under
+// its first statement's snapshot); with that same block already open it does
+// nothing; inside any other block it fails, having changed nothing. The wire server
 // calls it as one step with executing the statement of a request that
 // carries a block, so a statement never runs outside the block it was sent
 // for.
-func (s *Session) OpenBlock(distID string, serializable bool) error {
+func (s *Session) OpenBlock(distID string, serializable, repeatableRead bool) error {
 	if s.explicit {
 		if s.block.distID == distID {
 			return nil
@@ -1265,7 +1272,7 @@ func (s *Session) OpenBlock(distID string, serializable bool) error {
 		return err
 	}
 	metStatements["txn_control"].Inc()
-	s.block.distID, s.block.serializable = distID, serializable
+	s.block.distID, s.block.serializable, s.block.repeatableRead = distID, serializable, repeatableRead
 	s.ensureTxn()
 	s.explicit = true
 	return nil
@@ -1276,7 +1283,16 @@ func (s *Session) OpenBlock(distID string, serializable bool) error {
 // its isolation level.
 func (s *Session) endBlock() {
 	s.txn, s.explicit, s.txnFailed = nil, false, false
-	s.block.distID, s.block.serializable = "", false
+	s.block.distID, s.block.serializable, s.block.repeatableRead = "", false, false
+}
+
+// Close gives the session's slot in the proc array back. A session left
+// open gives it back when it is collected (txn.Proc).
+func (s *Session) Close() {
+	if s.proc != nil {
+		s.proc.Close()
+		s.proc = nil
+	}
 }
 
 func (s *Session) execCommit() (*Result, error) {
@@ -1322,7 +1338,7 @@ func (s *Session) execPrepareTransaction(gid string) (*Result, error) {
 	// The session leaves the transaction; its locks stay held by the
 	// prepared transaction until COMMIT/ROLLBACK PREPARED.
 	s.endBlock()
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecPrepare, XID: t.XID, GID: gid})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecPrepare, XID: t.XID(), GID: gid})
 	return &Result{Tag: "PREPARE TRANSACTION"}, nil
 }
 
@@ -1340,25 +1356,26 @@ func (s *Session) execFinishPrepared(gid string, commit bool) (*Result, error) {
 	// too, as at every transaction end: whoever the release lets in (a shard
 	// move's write block) finds it there.
 	defer s.Eng.Txns.ForgetPrepared(gid)
-	defer s.Eng.Locks.ReleaseAll(t.XID)
+	defer s.Eng.Locks.ReleaseAll(t.VID)
 	// FinishPrepared flips only the clog — no callbacks run (the owning
 	// session detached at PREPARE) — so SSI is finalized explicitly.
-	s.Eng.finalizePreparedSSI(t.XID, commit)
+	s.Eng.finalizePreparedSSI(t.VID, commit)
 	if commit {
-		s.Eng.WAL.Append(wal.Record{Type: wal.RecCommitPrepared, XID: t.XID, GID: gid})
+		s.Eng.WAL.Append(wal.Record{Type: wal.RecCommitPrepared, XID: t.XID(), GID: gid})
 		return &Result{Tag: "COMMIT PREPARED"}, nil
 	}
-	s.Eng.WAL.Append(wal.Record{Type: wal.RecAbortPrepared, XID: t.XID, GID: gid})
+	s.Eng.WAL.Append(wal.Record{Type: wal.RecAbortPrepared, XID: t.XID(), GID: gid})
 	return &Result{Tag: "ROLLBACK PREPARED"}, nil
 }
 
-// Snapshot returns a statement snapshot for the current transaction: a
-// fresh one per statement (READ COMMITTED, the default), or the cached
-// transaction-lifetime snapshot for SSI-tracked transactions (SERIALIZABLE
-// is defined over one snapshot for the whole transaction).
+// snapshot returns a statement snapshot for the current transaction: a
+// fresh one per statement (READ COMMITTED, the default), or the
+// transaction's held snapshot under REPEATABLE READ and for SSI-tracked
+// transactions (SERIALIZABLE is defined over one snapshot for the whole
+// transaction).
 func (s *Session) snapshot(t *txn.Txn) txn.Snapshot {
-	if st := s.ssiState(t); st != nil {
-		return st.Snapshot(func() txn.Snapshot { return s.Eng.Txns.TakeSnapshot(t) })
+	if s.RepeatableRead() || s.ssiTracked() {
+		return s.Eng.Txns.HeldSnapshot(t)
 	}
 	return s.Eng.Txns.TakeSnapshot(t)
 }

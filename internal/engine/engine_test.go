@@ -616,7 +616,7 @@ func TestReclaimedSlotStaysInvisible(t *testing.T) {
 		t.Fatalf("vacuum reclaimed %d versions (root %d), want the aborted insert", n, root)
 	}
 	stale := e.Txns.Begin()
-	st.heap.MarkDeleted(root, stale.XID, heap.NilTID, false)
+	st.heap.MarkDeleted(root, stale.XID(), heap.NilTID, false)
 	if err := e.Txns.Commit(stale); err != nil {
 		t.Fatal(err)
 	}

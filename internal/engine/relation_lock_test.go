@@ -233,7 +233,7 @@ func TestAdoptedPreparedHoldsItsLocks(t *testing.T) {
 	update := async(restarted.NewSession(), "UPDATE r SET v = v + 100 WHERE k = 1")
 	queued := func() bool {
 		for _, edge := range restarted.Locks.Edges() {
-			if edge.Holder == prepared[0].XID {
+			if edge.Holder == prepared[0].VID {
 				return true
 			}
 		}

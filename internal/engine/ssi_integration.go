@@ -45,6 +45,12 @@ func (s *Session) Serializable() bool {
 	return s.block.serializable || strings.EqualFold(s.Settings["transaction_isolation"], "serializable")
 }
 
+// RepeatableRead reports whether transactions of the session run REPEATABLE
+// READ: every statement under the snapshot its first one took.
+func (s *Session) RepeatableRead() bool {
+	return s.block.repeatableRead || strings.EqualFold(s.Settings["transaction_isolation"], "repeatable read")
+}
+
 // ssiTracked reports whether the session's transactions get SSI tracking:
 // they run SERIALIZABLE and the engine has SSI on. With Features.NoSSI,
 // SERIALIZABLE is accepted and runs under plain snapshot isolation.
@@ -80,7 +86,7 @@ func (s *Session) ssiState(t *txn.Txn) *ssi.TxnState {
 	if t == nil || !s.ssiTracked() {
 		return nil
 	}
-	return s.Eng.SSI.StateFor(t.XID)
+	return s.Eng.SSI.StateFor(t.VID)
 }
 
 // finalizePreparedSSI closes out SSI tracking for a prepared transaction:

@@ -121,7 +121,7 @@ func (s *Session) lockExclusive(t *txn.Txn, table string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	return true, s.Eng.Locks.Acquire(s.Eng.stopCtx, t.XID, lock.TableKey(store.table.ID), lock.Exclusive, t.AbortCh())
+	return true, s.Eng.Locks.Acquire(s.Eng.stopCtx, t.VID, lock.TableKey(store.table.ID), lock.Exclusive, t.AbortCh())
 }
 
 // LockExclusive takes the exclusive relation lock on each table, in order,
@@ -152,8 +152,8 @@ func (s *Session) LockExclusive(tables ...string) error {
 func (e *Engine) CancelWaiters(tables ...string) {
 	for _, name := range tables {
 		if store, ok := e.store(name); ok {
-			for _, xid := range e.Locks.Waiters(lock.TableKey(store.table.ID)) {
-				if t, ok := e.Txns.Active(xid); ok {
+			for _, vid := range e.Locks.Waiters(lock.TableKey(store.table.ID)) {
+				if t, ok := e.Txns.ByVID(vid); ok {
 					t.Cancel()
 				}
 			}
@@ -577,10 +577,10 @@ func (e *Engine) ApplyTxn(recs []wal.Record) error {
 	t := e.Txns.Begin()
 	target := e.ReplayTarget()
 	for _, rec := range recs {
-		rec.XID = t.XID
+		rec.XID = t.XID()
 		if err := wal.ApplyRecord(target, rec); err != nil {
 			e.Txns.Abort(t)
-			e.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID})
+			e.WAL.Append(wal.Record{Type: wal.RecAbort, XID: t.XID()})
 			return err
 		}
 		e.WAL.Append(rec)
@@ -588,7 +588,7 @@ func (e *Engine) ApplyTxn(recs []wal.Record) error {
 	if err := e.Txns.Commit(t); err != nil {
 		return err
 	}
-	e.WAL.Append(wal.Record{Type: wal.RecCommit, XID: t.XID})
+	e.WAL.Append(wal.Record{Type: wal.RecCommit, XID: t.XID()})
 	return nil
 }
 
@@ -715,12 +715,12 @@ func (r replayTarget) ApplyPrepare(xid uint64, gid string) {
 func (r replayTarget) ApplyCommitPrepared(gid string) {
 	if t, err := r.e.Txns.FinishPrepared(gid, true); err == nil {
 		r.e.Txns.ForgetPrepared(gid)
-		r.e.Locks.ReleaseAll(t.XID)
+		r.e.Locks.ReleaseAll(t.VID)
 	}
 }
 func (r replayTarget) ApplyAbortPrepared(gid string) {
 	if t, err := r.e.Txns.FinishPrepared(gid, false); err == nil {
 		r.e.Txns.ForgetPrepared(gid)
-		r.e.Locks.ReleaseAll(t.XID)
+		r.e.Locks.ReleaseAll(t.VID)
 	}
 }

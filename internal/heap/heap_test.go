@@ -54,7 +54,7 @@ func TestInsertAndScanVisibility(t *testing.T) {
 	tbl := NewTable(1, nil)
 
 	t1 := mgr.Begin()
-	ins(tbl, t1.XID, int64(1), "one")
+	ins(tbl, t1.XID(), int64(1), "one")
 
 	// invisible to others before commit
 	snap := mgr.TakeSnapshot(nil)
@@ -81,11 +81,11 @@ func TestDeleteVisibility(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := ins(tbl, t1.XID, int64(1))
+	tid := ins(tbl, t1.XID(), int64(1))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	tbl.MarkDeleted(tid, t2.XID, NilTID, false)
+	tbl.MarkDeleted(tid, t2.XID(), NilTID, false)
 	// deleter no longer sees it; others still do
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(t2)) != 0 {
 		t.Fatal("deleter still sees deleted row")
@@ -103,11 +103,11 @@ func TestAbortedDeleteStaysVisible(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := ins(tbl, t1.XID, int64(1))
+	tid := ins(tbl, t1.XID(), int64(1))
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	tbl.MarkDeleted(tid, t2.XID, NilTID, false)
+	tbl.MarkDeleted(tid, t2.XID(), NilTID, false)
 	mgr.Abort(t2)
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 1 {
 		t.Fatal("row deleted by an aborted transaction must stay visible")
@@ -118,12 +118,12 @@ func TestUpdateChain(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	v1 := ins(tbl, t1.XID, int64(1), "v1")
+	v1 := ins(tbl, t1.XID(), int64(1), "v1")
 	_ = mgr.Commit(t1)
 
 	t2 := mgr.Begin()
-	v2 := ins(tbl, t2.XID, int64(1), "v2")
-	tbl.MarkDeleted(v1, t2.XID, v2, false)
+	v2 := ins(tbl, t2.XID(), int64(1), "v2")
+	tbl.MarkDeleted(v1, t2.XID(), v2, false)
 	_ = mgr.Commit(t2)
 
 	if old, ok := tbl.Get(v1); !ok || old.Next != v2 || old.HOT {
@@ -143,12 +143,12 @@ func TestVacuumReclaims(t *testing.T) {
 	tbl := NewTable(1, nil)
 	var lastTID TID
 	t1 := mgr.Begin()
-	lastTID = ins(tbl, t1.XID, int64(0))
+	lastTID = ins(tbl, t1.XID(), int64(0))
 	_ = mgr.Commit(t1)
 	for i := 0; i < 5; i++ {
 		tn := mgr.Begin()
-		newTID := ins(tbl, tn.XID, int64(i+1))
-		tbl.MarkDeleted(lastTID, tn.XID, newTID, false)
+		newTID := ins(tbl, tn.XID(), int64(i+1))
+		tbl.MarkDeleted(lastTID, tn.XID(), newTID, false)
 		lastTID = newTID
 		_ = mgr.Commit(tn)
 	}
@@ -178,13 +178,13 @@ func TestVacuumRespectsHorizon(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	tid := ins(tbl, t1.XID, int64(1))
+	tid := ins(tbl, t1.XID(), int64(1))
 	_ = mgr.Commit(t1)
 
 	// an old reader is still running
 	oldReader := mgr.Begin()
 	t2 := mgr.Begin()
-	tbl.MarkDeleted(tid, t2.XID, NilTID, false)
+	tbl.MarkDeleted(tid, t2.XID(), NilTID, false)
 	_ = mgr.Commit(t2)
 
 	if reclaimed := vacuum(tbl, mgr); reclaimed != 0 {
@@ -200,7 +200,7 @@ func TestAbortedInsertVacuumed(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	ins(tbl, t1.XID, int64(1))
+	ins(tbl, t1.XID(), int64(1))
 	mgr.Abort(t1)
 	if reclaimed := vacuum(tbl, mgr); reclaimed != 1 {
 		t.Fatalf("aborted insert not reclaimed: %d", reclaimed)
@@ -213,7 +213,7 @@ func TestTIDAddressing(t *testing.T) {
 	t1 := mgr.Begin()
 	var tids []TID
 	for i := 0; i < TuplesPerPage*3+5; i++ {
-		tids = append(tids, ins(tbl, t1.XID, int64(i)))
+		tids = append(tids, ins(tbl, t1.XID(), int64(i)))
 	}
 	_ = mgr.Commit(t1)
 	if tbl.NumPages() != 4 {
@@ -237,7 +237,7 @@ func TestTruncate(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	ins(tbl, t1.XID, int64(1))
+	ins(tbl, t1.XID(), int64(1))
 	_ = mgr.Commit(t1)
 	tbl.Truncate()
 	if visibleCount(tbl, mgr, mgr.TakeSnapshot(nil)) != 0 || tbl.EstimatedRows() != 0 {
@@ -268,16 +268,16 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 	writers := []*txn.Txn{committed, committed, aborted, aborted, running, running, prepared, prepared, self, self,
 		committed, aborted, committed, running, committed, prepared, committed, self, committed}
 	for i, w := range writers {
-		ins(tbl, w.XID, int64(i))
+		ins(tbl, w.XID(), int64(i))
 	}
 	// committed tuples with a deleter of every kind, each twice
 	for i, d := range []*txn.Txn{deleter, deleter, abortedDeleter, abortedDeleter, runningDeleter, runningDeleter, prepared, self, self} {
-		tid := ins(tbl, committed.XID, int64(100+i))
-		tbl.MarkDeleted(tid, d.XID, NilTID, false)
+		tid := ins(tbl, committed.XID(), int64(100+i))
+		tbl.MarkDeleted(tid, d.XID(), NilTID, false)
 	}
 	// the snapshot's own insert, deleted by itself
-	tbl.MarkDeleted(ins(tbl, self.XID, int64(200)), self.XID, NilTID, false)
-	ins(tbl, committed.XID, int64(201))
+	tbl.MarkDeleted(ins(tbl, self.XID(), int64(200)), self.XID(), NilTID, false)
+	ins(tbl, committed.XID(), int64(201))
 
 	_ = mgr.Commit(committed)
 	mgr.Abort(aborted)
@@ -355,7 +355,7 @@ func TestBatchScanChargesWhatScanCharges(t *testing.T) {
 		tbl := NewTable(1, pool)
 		w := mgr.Begin()
 		for i := 0; i < pages*TuplesPerPage-7; i++ {
-			ins(tbl, w.XID, int64(i))
+			ins(tbl, w.XID(), int64(i))
 		}
 		_ = mgr.Commit(w)
 		pool.SetCapacity(capacity)
@@ -410,9 +410,9 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 			default:
 			}
 			w := mgr.Begin()
-			tid := ins(tbl, w.XID, i, i*2)
+			tid := ins(tbl, w.XID(), i, i*2)
 			if i%3 == 0 {
-				tbl.MarkDeleted(tid, w.XID, NilTID, false)
+				tbl.MarkDeleted(tid, w.XID(), NilTID, false)
 			}
 			if i%5 == 0 {
 				mgr.Abort(w)
@@ -425,7 +425,7 @@ func TestBatchScanConcurrentWriters(t *testing.T) {
 			if len(live) > liveBudget {
 				d := mgr.Begin()
 				for _, old := range live[:liveBudget/2] {
-					tbl.MarkDeleted(old, d.XID, NilTID, false)
+					tbl.MarkDeleted(old, d.XID(), NilTID, false)
 				}
 				_ = mgr.Commit(d)
 				live = append(live[:0], live[liveBudget/2:]...)
@@ -482,12 +482,12 @@ func TestTIDScanMatchesGet(t *testing.T) {
 		var tids []TID
 		for i := 0; i < tuples; i++ {
 			w := mgr.Begin()
-			tid := ins(tbl, w.XID, int64(i))
+			tid := ins(tbl, w.XID(), int64(i))
 			switch {
 			case i%7 == 0:
 				mgr.Abort(w)
 			case i%11 == 0:
-				tbl.MarkDeleted(tid, w.XID, NilTID, false)
+				tbl.MarkDeleted(tid, w.XID(), NilTID, false)
 				_ = mgr.Commit(w)
 			default:
 				_ = mgr.Commit(w)
@@ -497,7 +497,7 @@ func TestTIDScanMatchesGet(t *testing.T) {
 			}
 		}
 		open := mgr.Begin() // still running when the snapshot is taken
-		tids = append(tids, ins(tbl, open.XID, int64(-1)), TID(100*TuplesPerPage), NilTID)
+		tids = append(tids, ins(tbl, open.XID(), int64(-1)), TID(100*TuplesPerPage), NilTID)
 		vacuum(tbl, mgr)
 		pool.SetCapacity(4)
 		pool.SetIOLatency(0, 1) // count, do not sleep
@@ -563,15 +563,15 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	aborted, committed := mgr.Begin(), mgr.Begin()
-	dead := ins(tbl, aborted.XID, int64(0))
-	live := ins(tbl, committed.XID, int64(1))
+	dead := ins(tbl, aborted.XID(), int64(0))
+	live := ins(tbl, committed.XID(), int64(1))
 	mgr.Abort(aborted)
 	_ = mgr.Commit(committed)
 	if n := vacuum(tbl, mgr); n != 1 {
 		t.Fatalf("vacuum reclaimed %d versions, want the aborted insert", n)
 	}
 	stale := mgr.Begin()
-	tbl.MarkDeleted(dead, stale.XID, NilTID, false)
+	tbl.MarkDeleted(dead, stale.XID(), NilTID, false)
 	_ = mgr.Commit(stale)
 
 	snap := mgr.TakeSnapshot(nil)
@@ -636,7 +636,7 @@ func TestCompactionBesideReaders(t *testing.T) {
 	current := make([]TID, keys) // the writer's own
 	w := mgr.Begin()
 	for k := range current {
-		current[k], _ = tbl.InsertTuple(w.XID, churnRow(int64(k), 0))
+		current[k], _ = tbl.InsertTuple(w.XID(), churnRow(int64(k), 0))
 	}
 	_ = mgr.Commit(w)
 	compactions := metCompactions.Value()
@@ -657,8 +657,8 @@ func TestCompactionBesideReaders(t *testing.T) {
 				vacuum(tbl, mgr)
 			}
 			w := mgr.Begin()
-			tid, _ := tbl.InsertTuple(w.XID, churnRow(int64(k), ver))
-			tbl.MarkDeleted(current[k], w.XID, tid, false)
+			tid, _ := tbl.InsertTuple(w.XID(), churnRow(int64(k), ver))
+			tbl.MarkDeleted(current[k], w.XID(), tid, false)
 			if k%17 == 0 { // an aborted update: its version dies at once, the old one lives on
 				mgr.Abort(w)
 				continue
@@ -765,8 +765,8 @@ var hotCols = []int{0}
 // transaction that commits, heap-only when hot.
 func update(t *testing.T, tbl *Table, tx *txn.Txn, old TID, hot bool, row ...types.Datum) TID {
 	t.Helper()
-	tid := ins(tbl, tx.XID, row...)
-	if !tbl.MarkDeleted(old, tx.XID, tid, hot) {
+	tid := ins(tbl, tx.XID(), row...)
+	if !tbl.MarkDeleted(old, tx.XID(), tid, hot) {
 		t.Fatalf("no version at %d", old)
 	}
 	return tid
@@ -789,7 +789,7 @@ func TestHOTChain(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t1 := mgr.Begin()
-	root := ins(tbl, t1.XID, int64(1), "a")
+	root := ins(tbl, t1.XID(), int64(1), "a")
 	_ = mgr.Commit(t1)
 	t2 := mgr.Begin()
 	h1 := update(t, tbl, t2, root, true, int64(1), "b")
@@ -844,9 +844,9 @@ func TestVacuumRepointsHOTRoot(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t0 := mgr.Begin()
-	root := ins(tbl, t0.XID, int64(1), "v0")
-	ended := ins(tbl, t0.XID, int64(2), "v0")
-	orphanRoot := ins(tbl, t0.XID, int64(3), "v0")
+	root := ins(tbl, t0.XID(), int64(1), "v0")
+	ended := ins(tbl, t0.XID(), int64(2), "v0")
+	orphanRoot := ins(tbl, t0.XID(), int64(3), "v0")
 	_ = mgr.Commit(t0)
 	cur := root
 	for i := 1; i <= 3; i++ {
@@ -856,7 +856,7 @@ func TestVacuumRepointsHOTRoot(t *testing.T) {
 	}
 	td := mgr.Begin()
 	gone := update(t, tbl, td, ended, true, int64(2), "v1")
-	tbl.MarkDeleted(gone, td.XID, NilTID, false)
+	tbl.MarkDeleted(gone, td.XID(), NilTID, false)
 	_ = mgr.Commit(td)
 	ta := mgr.Begin()
 	orphan := update(t, tbl, ta, orphanRoot, true, int64(3), "v1")
@@ -892,7 +892,7 @@ func TestVacuumKeepsChainBehindLiveRoot(t *testing.T) {
 	mgr := txn.NewManager()
 	tbl := NewTable(1, nil)
 	t0 := mgr.Begin()
-	root := ins(tbl, t0.XID, int64(1), "a")
+	root := ins(tbl, t0.XID(), int64(1), "a")
 	_ = mgr.Commit(t0)
 	late := mgr.Begin()   // updates the middle version last
 	reader := mgr.Begin() // sees root

@@ -106,6 +106,9 @@ type pageRef struct {
 // TxnState is the SSI bookkeeping for one local transaction. All mutable
 // fields are guarded by the owning Manager's mutex.
 type TxnState struct {
+	vid uint64
+	// xid is the transaction's XID once it has taken one (bindLocked): the
+	// name tuple stamps give a writer.
 	xid uint64
 	t   *txn.Txn
 	m   *Manager
@@ -135,69 +138,65 @@ type TxnState struct {
 	locks      map[Key]struct{}
 	tableLocks map[int64]int
 	pageTuples map[pageRef]int
-
-	// snapshot caches the transaction-level snapshot: SERIALIZABLE runs
-	// every statement under the first statement's snapshot (SSI is defined
-	// over snapshot-isolation transactions, not READ COMMITTED).
-	snap    txn.Snapshot
-	hasSnap bool
-}
-
-// Snapshot returns the transaction-level snapshot, taking it via take on
-// first use.
-func (st *TxnState) Snapshot(take func() txn.Snapshot) txn.Snapshot {
-	st.m.mu.Lock()
-	if st.hasSnap {
-		s := st.snap
-		st.m.mu.Unlock()
-		return s
-	}
-	st.m.mu.Unlock()
-	// Take the snapshot outside the manager lock (the txn manager has its
-	// own), then publish it; sessions are single-threaded so there is no
-	// racing second taker.
-	s := take()
-	st.m.mu.Lock()
-	if !st.hasSnap {
-		st.snap, st.hasSnap = s, true
-	}
-	s = st.snap
-	st.m.mu.Unlock()
-	return s
 }
 
 // Manager is the per-node SSI state: every serializable transaction's lock
 // set and conflict edges, including transactions retained past commit.
 type Manager struct {
-	clog *txn.Manager
-
-	mu     sync.Mutex
-	seq    uint64
+	mu  sync.Mutex
+	seq uint64
+	// states holds the tracked transactions by virtual ID, writers by XID
+	// too: a reader meets a writer through the XID in a tuple's stamp.
 	states map[uint64]*TxnState
+	byXID  map[uint64]*TxnState
 	locks  map[Key]map[*TxnState]struct{}
 }
 
-// NewManager creates a node-local SSI manager over the node's commit log.
+// NewManager creates a node-local SSI manager, told by the node's
+// transaction manager of each XID a transaction takes.
 func NewManager(clog *txn.Manager) *Manager {
-	return &Manager{
-		clog:   clog,
+	m := &Manager{
 		states: make(map[uint64]*TxnState),
+		byXID:  make(map[uint64]*TxnState),
 		locks:  make(map[Key]map[*TxnState]struct{}),
+	}
+	clog.OnXID(m.bindXID)
+	return m
+}
+
+// bindXID indexes a tracked transaction by the XID it has just taken.
+func (m *Manager) bindXID(t *txn.Txn) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.states) == 0 {
+		return
+	}
+	if st, ok := m.states[t.VID]; ok && st.t == t {
+		m.bindLocked(st)
+	}
+}
+
+func (m *Manager) bindLocked(st *TxnState) {
+	if st.xid == 0 {
+		if st.xid = st.t.XID(); st.xid != 0 {
+			m.byXID[st.xid] = st
+		}
 	}
 }
 
 // Register enrolls a transaction in SSI tracking. Idempotent: the second
-// call for the same XID returns the existing state with isNew = false.
+// call for the same transaction returns the existing state with isNew =
+// false.
 func (m *Manager) Register(t *txn.Txn) (st *TxnState, isNew bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st, ok := m.states[t.XID]; ok {
+	if st, ok := m.states[t.VID]; ok {
 		st.dist = t.DistID()
 		return st, false
 	}
 	m.seq++
 	st = &TxnState{
-		xid: t.XID, t: t, m: m,
+		vid: t.VID, t: t, m: m,
 		dist:       t.DistID(),
 		beginSeq:   m.seq,
 		in:         make(map[*TxnState]struct{}),
@@ -206,15 +205,17 @@ func (m *Manager) Register(t *txn.Txn) (st *TxnState, isNew bool) {
 		tableLocks: make(map[int64]int),
 		pageTuples: make(map[pageRef]int),
 	}
-	m.states[t.XID] = st
+	m.states[t.VID] = st
+	m.bindLocked(st)
 	return st, true
 }
 
-// StateFor returns the tracked state for a local XID, or nil.
-func (m *Manager) StateFor(xid uint64) *TxnState {
+// StateFor returns the tracked state for a local transaction's virtual ID,
+// or nil.
+func (m *Manager) StateFor(vid uint64) *TxnState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.states[xid]
+	return m.states[vid]
 }
 
 // OnRead records a SIREAD lock for st, applying granularity promotion.
@@ -321,7 +322,7 @@ func (m *Manager) ConflictOut(st *TxnState, writerXID uint64) error {
 		return nil
 	}
 	st.dist = st.t.DistID()
-	w, ok := m.states[writerXID]
+	w, ok := m.byXID[writerXID]
 	if !ok || w == st || w.aborted {
 		// Untracked writer: a non-serializable concurrent transaction.
 		// SSI only guarantees serializability among SERIALIZABLE
@@ -506,7 +507,10 @@ func (m *Manager) dropLocked(st *TxnState) {
 	for k := range st.locks {
 		m.releaseOneLocked(st, k)
 	}
-	delete(m.states, st.xid)
+	delete(m.states, st.vid)
+	if st.xid != 0 {
+		delete(m.byXID, st.xid)
+	}
 }
 
 // gcLocked drains committed transactions no live snapshot can overlap: a
@@ -544,6 +548,9 @@ func (m *Manager) Stats() (txns, locks int) {
 // "committed") until gc drains them, exactly mirroring PostgreSQL's
 // SERIALIZABLEXACT retention.
 type SessionState struct {
+	// VID is the transaction's virtual ID, XID its XID (0 while it has
+	// written nothing).
+	VID      uint64
 	XID      uint64
 	DistID   string
 	BeginSeq uint64
@@ -578,6 +585,7 @@ func (m *Manager) Sessions() []SessionState {
 			state = "committed"
 		}
 		out = append(out, SessionState{
+			VID:          st.vid,
 			XID:          st.xid,
 			DistID:       st.dist,
 			BeginSeq:     st.beginSeq,

@@ -17,7 +17,7 @@ func begin(t *testing.T, clog *txn.Manager, m *Manager) (*txn.Txn, *TxnState) {
 	tx := clog.Begin()
 	st, isNew := m.Register(tx)
 	if !isNew {
-		t.Fatalf("expected new SSI state for xid %d", tx.XID)
+		t.Fatalf("expected new SSI state for xid %d", tx.XID())
 	}
 	return tx, st
 }
@@ -137,7 +137,7 @@ func TestConflictOutCommittedWriter(t *testing.T) {
 		t.Fatalf("writer commit: %v", err)
 	}
 	// Reader observes the concurrent committed writer's version.
-	if err := m.ConflictOut(sr, tw.XID); err != nil {
+	if err := m.ConflictOut(sr, tw.XID()); err != nil {
 		t.Fatalf("ConflictOut: %v", err)
 	}
 	// Now another txn reads something the reader writes: reader becomes a
@@ -289,7 +289,7 @@ func TestAbortUnlinksEverything(t *testing.T) {
 	if len(s2.in) != 0 {
 		t.Fatal("aborted reader must be unlinked from writer's in-set")
 	}
-	if _, ok := m.states[t1.XID]; ok {
+	if _, ok := m.states[t1.VID]; ok {
 		t.Fatal("aborted state must be dropped")
 	}
 }

@@ -1,5 +1,6 @@
-// Package txn implements the per-node transaction manager: XID allocation,
-// the commit log (clog), MVCC snapshots, prepared transactions for
+// Package txn implements the per-node transaction manager: virtual IDs and
+// the sessions' proc array, XID allocation at a transaction's first write,
+// the paged commit log (clog.go), MVCC snapshots, prepared transactions for
 // two-phase commit, and transaction lifecycle callbacks.
 //
 // The callback set mirrors the PostgreSQL hooks the paper lists in §3.1
@@ -13,10 +14,13 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"citusgo/internal/obs"
 	"citusgo/internal/wake"
 )
 
@@ -29,9 +33,19 @@ const (
 	Aborted
 )
 
-// Txn is one node-local transaction.
+// Txn is one node-local transaction. Its identity is VID, a virtual ID
+// taken from a counter when it begins (PostgreSQL's virtual transaction id):
+// the lock manager, SSI, the deadlock graph, cancel and doom and
+// citus_stat_activity know it by that. It takes an XID — an entry in the
+// commit log and in the snapshots of others — only when it first writes
+// (EnsureXID): a heap write, a row lock, a data WAL record, PREPARE. A
+// read-only transaction never takes one.
 type Txn struct {
-	XID uint64
+	VID uint64
+
+	// xid is 0 until EnsureXID. Other sessions' goroutines read it
+	// (citus_stat_activity, vacuum's horizon), hence an atomic.
+	xid atomic.Uint64
 
 	// distID is DistID's value; the deadlock detector, the cancel and doom
 	// node functions and citus_stat_activity read it from other sessions'
@@ -39,6 +53,12 @@ type Txn struct {
 	distID atomic.Pointer[string]
 
 	mgr *Manager
+	// slot is the session slot the transaction runs in; nil for one begun
+	// by Manager.Begin or adopted from the log.
+	slot *procSlot
+
+	// ended is set when the transaction commits or aborts.
+	ended atomic.Bool
 
 	mu         sync.Mutex
 	abortCh    chan struct{}
@@ -51,6 +71,11 @@ type Txn struct {
 	// whose deleter this snapshot still sees as running must survive).
 	snapMin atomic.Uint64
 
+	// held is the transaction snapshot (HeldSnapshot) once taken. Only the
+	// transaction's own session goroutine touches it.
+	held    Snapshot
+	hasHeld bool
+
 	// traceID/spanKind identify the trace and current span kind of the
 	// statement driving this transaction; citus_stat_activity reads them
 	// from other sessions' goroutines, hence atomics.
@@ -62,6 +87,25 @@ type Txn struct {
 	// (a read-only commit is not a durability point). Only the
 	// transaction's own session goroutine touches it.
 	wrote bool
+}
+
+// XID returns the transaction's XID, 0 while it has none. Safe to call from
+// any goroutine.
+func (t *Txn) XID() uint64 { return t.xid.Load() }
+
+// EnsureXID returns the transaction's XID, assigning one at the first call:
+// from here on the transaction is in the commit log and in every snapshot
+// taken while it runs. Callers are the transaction's own session.
+func (t *Txn) EnsureXID() uint64 {
+	if xid := t.xid.Load(); xid != 0 {
+		return xid
+	}
+	m := t.mgr
+	m.mu.Lock()
+	xid := m.assignLocked(t)
+	m.mu.Unlock()
+	m.xidsAssigned(t)
+	return xid
 }
 
 // MarkWrite records that the transaction wrote data (DML WAL append).
@@ -120,8 +164,19 @@ func (t *Txn) TraceSpan() (uint64, string) {
 }
 
 // AbortCh is closed when the transaction is cancelled (deadlock victim or
-// explicit cancel); lock waits select on it.
-func (t *Txn) AbortCh() <-chan struct{} { return t.abortCh }
+// explicit cancel); lock waits select on it. It is made on first use: most
+// transactions never wait.
+func (t *Txn) AbortCh() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.abortCh == nil {
+		t.abortCh = make(chan struct{})
+		if t.aborted {
+			close(t.abortCh)
+		}
+	}
+	return t.abortCh
+}
 
 // Cancel marks the transaction aborted and wakes any lock wait. Used by the
 // deadlock detectors. Safe to call multiple times.
@@ -129,7 +184,9 @@ func (t *Txn) Cancel() {
 	t.mu.Lock()
 	if !t.aborted {
 		t.aborted = true
-		close(t.abortCh)
+		if t.abortCh != nil {
+			close(t.abortCh)
+		}
 	}
 	t.mu.Unlock()
 	t.mgr.ended.Broadcast()
@@ -169,21 +226,100 @@ func (t *Txn) takeCallbacks() (pre []func() error, post []func(bool)) {
 	return pre, post
 }
 
-// Snapshot is an MVCC snapshot: transactions with XID >= Xmax or in the
-// InProgress set at snapshot time are invisible.
+// Snapshot is an MVCC snapshot: transactions with XID >= Xmax or in
+// InProgress at snapshot time are invisible.
 type Snapshot struct {
-	Xmax       uint64
-	InProgress map[uint64]struct{}
-	Self       uint64
+	Xmax uint64
+	// InProgress is the XIDs running when the snapshot was taken, sorted
+	// (PostgreSQL's xip). It is shared with the manager and other
+	// snapshots: never modify it.
+	InProgress []uint64
+	// Self is the XID of the transaction the snapshot is for, 0 while it
+	// has none.
+	Self uint64
+}
+
+// Running reports whether xid was in progress when the snapshot was taken.
+func (s Snapshot) Running(xid uint64) bool {
+	if len(s.InProgress) == 0 || xid < s.InProgress[0] {
+		return false
+	}
+	_, found := slices.BinarySearch(s.InProgress, xid)
+	return found
+}
+
+// procSlot is one entry of the manager's proc array: the transaction a
+// session is running, if any.
+type procSlot struct {
+	cur atomic.Pointer[Txn]
+}
+
+// Proc is a session's slot in the manager's proc array, PostgreSQL's
+// PGPROC: registered once per session, it holds the session's running
+// transaction. Through it vacuum's horizon (GlobalXmin) sees the snapshot of
+// a transaction that has no XID, and citus_stat_activity, the deadlock
+// detectors and cancel find it, without a per-transaction entry anywhere.
+type Proc struct {
+	m    *Manager
+	slot *procSlot
+}
+
+// NewProc registers a session slot. Close it when the session goes away; a
+// Proc nobody closes gives its slot back once the garbage collector finds
+// it unreachable (the array holds the slot, not the Proc).
+func (m *Manager) NewProc() *Proc {
+	p := &Proc{m: m, slot: &procSlot{}}
+	m.mu.Lock()
+	m.procs = append(m.procs, p.slot)
+	m.mu.Unlock()
+	runtime.SetFinalizer(p, (*Proc).Close)
+	return p
+}
+
+// Close takes the slot out of the proc array.
+func (p *Proc) Close() {
+	runtime.SetFinalizer(p, nil)
+	m := p.m
+	m.mu.Lock()
+	if i := slices.Index(m.procs, p.slot); i >= 0 {
+		last := len(m.procs) - 1
+		m.procs[i] = m.procs[last]
+		m.procs[last] = nil
+		m.procs = m.procs[:last]
+	}
+	m.mu.Unlock()
+}
+
+// Begin starts a transaction in the slot. It takes a virtual ID and nothing
+// else: no lock, no XID, no commit-log entry.
+func (p *Proc) Begin() *Txn {
+	t := &Txn{VID: p.m.nextVID.Add(1), mgr: p.m, slot: p.slot}
+	p.slot.cur.Store(t)
+	return t
 }
 
 // Manager allocates transactions and tracks their status.
 type Manager struct {
-	mu       sync.RWMutex
-	nextXID  uint64
-	status   map[uint64]Status
-	active   map[uint64]*Txn
+	mu      sync.RWMutex
+	nextXID uint64
+	clog    clog
+	// active holds the running transactions that have an XID, but for the
+	// prepared ones.
+	active map[uint64]*Txn
+	// xip is the sorted XIDs of the active and the unfinished prepared
+	// transactions. It is replaced, never modified, so a snapshot shares it.
+	xip      []uint64
 	prepared map[string]*preparedTxn
+	procs    []*procSlot
+
+	nextVID atomic.Uint64
+
+	// onXID, when set, is told of every XID a transaction takes (the SSI
+	// manager indexes the writers it tracks by XID).
+	onXID func(t *Txn)
+
+	metXIDs *obs.Counter
+	metClog *obs.Gauge
 
 	// ended wakes WaitEnd: every status change and every Cancel broadcasts.
 	ended wake.Notifier
@@ -202,75 +338,125 @@ type preparedTxn struct {
 	ended bool
 }
 
+var (
+	metXIDsAssigned = obs.Default().Counter("txn_xids_assigned_total",
+		"XIDs a node gave out: one per transaction that wrote, locked a row or prepared; readers take none", "node")
+	metClogBytes = obs.Default().Gauge("txn_clog_bytes",
+		"bytes of a node's commit log: 8 KiB pages of 32768 two-bit entries, one allocated per range of XIDs used", "node")
+)
+
 // NewManager creates a transaction manager. XIDs start at 2 (XID 1 is the
 // bootstrap transaction that loads initial data, treated as committed).
 func NewManager() *Manager {
-	return &Manager{
+	m := &Manager{
 		nextXID:  2,
-		status:   map[uint64]Status{1: Committed},
 		active:   make(map[uint64]*Txn),
 		prepared: make(map[string]*preparedTxn),
 	}
+	m.SetNode("")
+	m.clog.set(1, Committed)
+	return m
 }
 
-// Begin starts a new transaction.
+// SetNode labels the manager's metrics with the node's name.
+func (m *Manager) SetNode(name string) {
+	m.metXIDs = metXIDsAssigned.With(name)
+	m.metClog = metClogBytes.With(name)
+	m.metClog.Set(int64(m.clog.bytes()))
+}
+
+// OnXID installs f to be told of each XID a transaction takes, outside the
+// manager's lock.
+func (m *Manager) OnXID(f func(t *Txn)) { m.onXID = f }
+
+// ClogBytes is the memory the commit log takes.
+func (m *Manager) ClogBytes() int { return m.clog.bytes() }
+
+// Begin starts a transaction outside any session, with its XID: a writer
+// the engine runs itself (a shard move's catch-up) and tests.
 func (m *Manager) Begin() *Txn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	t := &Txn{VID: m.nextVID.Add(1), mgr: m}
+	t.EnsureXID()
+	return t
+}
+
+// assignLocked gives t the next XID. Callers hold mu.
+func (m *Manager) assignLocked(t *Txn) uint64 {
 	xid := m.nextXID
 	m.nextXID++
-	t := &Txn{XID: xid, mgr: m, abortCh: make(chan struct{})}
-	m.status[xid] = InProgress
+	m.setLocked(xid, InProgress)
 	m.active[xid] = t
-	return t
+	// XIDs are handed out in order, so xid sorts last; the three-index
+	// slice makes append copy, leaving the published slice alone
+	m.xip = append(m.xip[:len(m.xip):len(m.xip)], xid)
+	t.xid.Store(xid)
+	return xid
+}
+
+// xidsAssigned counts the XID t took and tells onXID.
+func (m *Manager) xidsAssigned(t *Txn) {
+	m.metXIDs.Inc()
+	if m.onXID != nil {
+		m.onXID(t)
+	}
+}
+
+// setLocked writes xid's commit-log entry, keeping the clog gauge. Callers
+// hold mu.
+func (m *Manager) setLocked(xid uint64, st Status) {
+	before := m.clog.bytes()
+	m.clog.set(xid, st)
+	if after := m.clog.bytes(); after != before {
+		m.metClog.Set(int64(after))
+	}
+}
+
+// dropXIPLocked takes xid out of xip. Callers hold mu.
+func (m *Manager) dropXIPLocked(xid uint64) {
+	if i, ok := slices.BinarySearch(m.xip, xid); ok {
+		m.xip = slices.Delete(slices.Clone(m.xip), i, i+1)
+	}
 }
 
 // TakeSnapshot captures the set of concurrently running transactions. With
 // per-statement snapshots this gives READ COMMITTED, PostgreSQL's default.
+// It allocates nothing: the snapshot shares the manager's xip.
 func (m *Manager) TakeSnapshot(self *Txn) Snapshot {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	inProgress := make(map[uint64]struct{}, len(m.active)+len(m.prepared))
-	min := m.nextXID
-	for xid := range m.active {
-		inProgress[xid] = struct{}{}
-		if xid < min {
-			min = xid
-		}
-	}
-	for _, p := range m.prepared {
-		if p.ended {
-			continue
-		}
-		inProgress[p.txn.XID] = struct{}{}
-		if p.txn.XID < min {
-			min = p.txn.XID
-		}
-	}
-	s := Snapshot{Xmax: m.nextXID, InProgress: inProgress}
+	s := Snapshot{Xmax: m.nextXID, InProgress: m.xip}
 	if self != nil {
-		s.Self = self.XID
-		if self.XID < min {
-			min = self.XID
+		min := m.nextXID
+		if len(m.xip) > 0 {
+			min = m.xip[0]
 		}
+		s.Self = self.XID()
+		// published under mu: GlobalXmin, also under it, sees either this
+		// bound or the XIDs it was computed from, which cannot end before
+		// mu is released
 		self.snapMin.Store(min)
 	}
 	return s
 }
 
-// Status returns the commit-log status of a transaction.
-func (m *Manager) Status(xid uint64) Status {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st, ok := m.status[xid]
-	if !ok {
-		return Aborted // unknown: crashed before commit
+// HeldSnapshot returns t's transaction snapshot, taking it at the first
+// call: REPEATABLE READ and SERIALIZABLE run every statement under the first
+// statement's snapshot. Self is t's XID as of now, which it may have taken
+// after the snapshot.
+func (m *Manager) HeldSnapshot(t *Txn) Snapshot {
+	if !t.hasHeld {
+		t.held, t.hasHeld = m.TakeSnapshot(t), true
 	}
-	return st
+	s := t.held
+	s.Self = t.XID()
+	return s
 }
 
+// Status returns the commit-log status of a transaction. It takes no lock.
+func (m *Manager) Status(xid uint64) Status { return m.clog.status(xid) }
+
 // Sees reports whether a tuple stamped with writer xid is visible under
-// snapshot s, consulting the commit log.
+// snapshot s, consulting the commit log. It takes no lock.
 func (m *Manager) Sees(s Snapshot, xid uint64) bool {
 	if xid == 0 {
 		return false
@@ -278,13 +464,10 @@ func (m *Manager) Sees(s Snapshot, xid uint64) bool {
 	if xid == s.Self {
 		return true
 	}
-	if xid >= s.Xmax {
+	if xid >= s.Xmax || s.Running(xid) {
 		return false
 	}
-	if _, busy := s.InProgress[xid]; busy {
-		return false
-	}
-	return m.Status(xid) == Committed
+	return m.clog.code(xid) == clogCommitted
 }
 
 // Commit finalizes a transaction: pre-commit callbacks run first and may
@@ -323,12 +506,21 @@ func (m *Manager) Abort(t *Txn) {
 	}
 }
 
+// finish ends t. A transaction with no XID has nothing to record and no one
+// waiting on it: it only leaves its slot.
 func (m *Manager) finish(t *Txn, st Status) {
-	m.mu.Lock()
-	m.status[t.XID] = st
-	delete(m.active, t.XID)
-	m.mu.Unlock()
-	m.ended.Broadcast()
+	t.ended.Store(true)
+	if xid := t.XID(); xid != 0 {
+		m.mu.Lock()
+		m.setLocked(xid, st)
+		delete(m.active, xid)
+		m.dropXIPLocked(xid)
+		m.mu.Unlock()
+		m.ended.Broadcast()
+	}
+	if t.slot != nil {
+		t.slot.cur.CompareAndSwap(t, nil)
+	}
 }
 
 // WaitEnd parks until transaction xid is no longer in progress, or until
@@ -341,7 +533,8 @@ func (m *Manager) WaitEnd(xid uint64, waiter *Txn) bool {
 
 // Prepare performs the first phase of 2PC: the transaction leaves the
 // active set but keeps its locks and stays in-progress in the clog under
-// the given global identifier, exactly like PREPARE TRANSACTION.
+// the given global identifier, exactly like PREPARE TRANSACTION. It takes
+// the XID a transaction that wrote nothing yet has not.
 func (m *Manager) Prepare(t *Txn, gid string) error {
 	// Pre-commit work that cannot fail later must happen at prepare time.
 	pre, _ := t.takeCallbacks()
@@ -351,15 +544,28 @@ func (m *Manager) Prepare(t *Txn, gid string) error {
 		}
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, exists := m.prepared[gid]; exists {
+		m.mu.Unlock()
 		return fmt.Errorf("transaction identifier %q is already in use", gid)
 	}
-	if _, ok := m.active[t.XID]; !ok {
-		return fmt.Errorf("transaction %d is not active", t.XID)
+	xid := t.XID()
+	if _, ok := m.active[xid]; t.ended.Load() || xid != 0 && !ok {
+		m.mu.Unlock()
+		return fmt.Errorf("transaction %d is not active", t.VID)
 	}
-	delete(m.active, t.XID)
+	assigned := xid == 0
+	if assigned {
+		xid = m.assignLocked(t)
+	}
+	delete(m.active, xid)
 	m.prepared[gid] = &preparedTxn{txn: t, gid: gid, at: time.Now()}
+	m.mu.Unlock()
+	if assigned {
+		m.xidsAssigned(t)
+	}
+	if t.slot != nil {
+		t.slot.cur.CompareAndSwap(t, nil)
+	}
 	return nil
 }
 
@@ -379,7 +585,8 @@ func (m *Manager) FinishPrepared(gid string, commit bool) (*Txn, error) {
 	if commit {
 		st = Committed
 	}
-	m.status[p.txn.XID] = st
+	m.setLocked(p.txn.XID(), st)
+	m.dropXIPLocked(p.txn.XID())
 	m.mu.Unlock()
 	m.ended.Broadcast()
 	return p.txn, nil
@@ -400,6 +607,7 @@ func (m *Manager) ForgetPrepared(gid string) {
 type PreparedInfo struct {
 	GID    string
 	XID    uint64
+	VID    uint64
 	DistID string
 	// PreparedAt is when Prepare ran; zero for WAL-adopted transactions
 	// (treated as infinitely old by the recovery grace period).
@@ -412,27 +620,45 @@ func (m *Manager) ListPrepared() []PreparedInfo {
 	defer m.mu.RUnlock()
 	out := make([]PreparedInfo, 0, len(m.prepared))
 	for gid, p := range m.prepared {
-		out = append(out, PreparedInfo{GID: gid, XID: p.txn.XID, DistID: p.txn.DistID(), PreparedAt: p.at})
+		out = append(out, PreparedInfo{GID: gid, XID: p.txn.XID(), VID: p.txn.VID, DistID: p.txn.DistID(), PreparedAt: p.at})
 	}
 	return out
 }
 
-// Active returns the running transaction with the given XID, if any.
-func (m *Manager) Active(xid uint64) (*Txn, bool) {
+// ByVID returns the running transaction with virtual ID vid, if any: the
+// lock manager's and the deadlock graph's name for it.
+func (m *Manager) ByVID(vid uint64) (*Txn, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	t, ok := m.active[xid]
-	return t, ok
+	for _, p := range m.procs {
+		if t := p.cur.Load(); t != nil && t.VID == vid {
+			return t, true
+		}
+	}
+	for _, t := range m.active {
+		if t.VID == vid {
+			return t, true
+		}
+	}
+	return nil, false
 }
 
-// ActiveTxns snapshots all running transactions (used by deadlock victim
-// selection: the youngest transaction has the highest XID).
+// ActiveTxns snapshots all running transactions, with an XID or not (used
+// by deadlock victim selection: the youngest transaction has the highest
+// VID).
 func (m *Manager) ActiveTxns() []*Txn {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]*Txn, 0, len(m.active))
+	var out []*Txn
+	for _, p := range m.procs {
+		if t := p.cur.Load(); t != nil {
+			out = append(out, t)
+		}
+	}
 	for _, t := range m.active {
-		out = append(out, t)
+		if t.slot == nil {
+			out = append(out, t)
+		}
 	}
 	return out
 }
@@ -441,7 +667,7 @@ func (m *Manager) ActiveTxns() []*Txn {
 // the XID allocator past it. Used by WAL replay when rebuilding a node.
 func (m *Manager) ForceStatus(xid uint64, st Status) {
 	m.mu.Lock()
-	m.status[xid] = st
+	m.setLocked(xid, st)
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
 	}
@@ -455,10 +681,14 @@ func (m *Manager) ForceStatus(xid uint64, st Status) {
 // this marker the writer's status would read as Aborted (unknown XID) and
 // vacuum could reclaim a tuple whose commit is still in flight.
 func (m *Manager) MarkReplicating(xid uint64) {
+	// every path that gives an XID a status also moves nextXID past it
+	if m.clog.code(xid) != clogUnknown {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.status[xid]; !ok {
-		m.status[xid] = InProgress
+	if m.clog.code(xid) == clogUnknown {
+		m.setLocked(xid, InProgress)
 	}
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
@@ -481,28 +711,27 @@ func (m *Manager) AbortInDoubt() []uint64 {
 	defer m.mu.Unlock()
 	preparedXIDs := make(map[uint64]struct{}, len(m.prepared))
 	for _, p := range m.prepared {
-		preparedXIDs[p.txn.XID] = struct{}{}
+		preparedXIDs[p.txn.XID()] = struct{}{}
 	}
 	var aborted []uint64
-	for xid, st := range m.status {
-		if st != InProgress {
-			continue
-		}
+	m.clog.eachInProgress(func(xid uint64) {
 		if _, live := m.active[xid]; live {
-			continue
+			return
 		}
 		if _, prep := preparedXIDs[xid]; prep {
-			continue
+			return
 		}
-		m.status[xid] = Aborted
 		aborted = append(aborted, xid)
+	})
+	for _, xid := range aborted {
+		m.setLocked(xid, Aborted)
 	}
 	return aborted
 }
 
 // AdvanceXIDBase moves the XID allocator to at least base. Standby nodes
-// allocate local (read-session) XIDs from a disjoint range so they can
-// never collide with XIDs replicated from the primary's WAL.
+// allocate local XIDs from a disjoint range so they can never collide with
+// XIDs replicated from the primary's WAL.
 func (m *Manager) AdvanceXIDBase(base uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -516,9 +745,13 @@ func (m *Manager) AdvanceXIDBase(base uint64) {
 func (m *Manager) AdoptPrepared(xid uint64, gid string) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{XID: xid, mgr: m, abortCh: make(chan struct{})}
-	m.status[xid] = InProgress
+	t := &Txn{VID: m.nextVID.Add(1), mgr: m}
+	t.xid.Store(xid)
+	m.setLocked(xid, InProgress)
 	m.prepared[gid] = &preparedTxn{txn: t, gid: gid}
+	if i, found := slices.BinarySearch(m.xip, xid); !found {
+		m.xip = slices.Insert(slices.Clone(m.xip), i, xid)
+	}
 	if xid >= m.nextXID {
 		m.nextXID = xid + 1
 	}
@@ -528,21 +761,26 @@ func (m *Manager) AdoptPrepared(xid uint64, gid string) *Txn {
 // GlobalXmin returns the vacuum horizon: the oldest transaction any live
 // snapshot may still consider in-progress. Tuples whose deleter committed
 // below this horizon are invisible to every possible snapshot and can be
-// reclaimed. Like PostgreSQL's OldestXmin, it is the minimum over active
-// transactions of their snapshot xmins (not just their own XIDs): a tuple
-// deleted by an old-XID transaction that committed *after* a concurrent
-// statement's snapshot was taken must survive until that statement ends.
+// reclaimed. Like PostgreSQL's OldestXmin, it is the minimum over running
+// transactions of their XIDs and their snapshot xmins: a tuple deleted by an
+// old-XID transaction that committed *after* a concurrent statement's
+// snapshot was taken must survive until that statement ends. A transaction
+// with no XID counts through its session's slot.
 func (m *Manager) GlobalXmin() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	xmin := m.nextXID
+	if len(m.xip) > 0 && m.xip[0] < xmin {
+		xmin = m.xip[0]
+	}
 	consider := func(t *Txn) {
-		bound := t.snapMin.Load()
-		if bound == 0 || t.XID < bound {
-			bound = t.XID
-		}
-		if bound < xmin {
+		if bound := t.snapMin.Load(); bound != 0 && bound < xmin {
 			xmin = bound
+		}
+	}
+	for _, p := range m.procs {
+		if t := p.cur.Load(); t != nil {
+			consider(t)
 		}
 	}
 	for _, t := range m.active {

@@ -56,7 +56,7 @@ func TestCheckpointRedoFollowsOpenTransactions(t *testing.T) {
 	if open[11] != first || len(open) != 1 {
 		t.Fatalf("open = %v, want only 11 at %d", open, first)
 	}
-	l.Checkpoint(&Base{Redo: open[11], At: at, Xmax: 13, InProgress: map[uint64]struct{}{11: {}}})
+	l.Checkpoint(&Base{Redo: open[11], At: at, Xmax: 13, InProgress: []uint64{11}})
 	if l.FirstLSN() != first {
 		t.Fatalf("cut to %d, want the open transaction's first record %d", l.FirstLSN(), first)
 	}
@@ -245,7 +245,7 @@ func TestRecoverIntoSkipsWhatTheImageReflects(t *testing.T) {
 	l.Append(Record{Type: RecInsert, XID: 10, Table: "t", Tuple: tuple(int64(2))})
 	appendCommitted(l, 11, 3) // ended before the snapshot
 	at, _ := l.BeginCheckpoint()
-	l.Checkpoint(&Base{Redo: redo, At: at, Xmax: 12, InProgress: map[uint64]struct{}{10: {}}})
+	l.Checkpoint(&Base{Redo: redo, At: at, Xmax: 12, InProgress: []uint64{10}})
 	l.Append(Record{Type: RecDDL, Name: "CREATE INDEX i ON t"})
 	l.Append(Record{Type: RecCommit, XID: 10})
 	l.Seal()

@@ -20,6 +20,7 @@ package wal
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -138,9 +139,10 @@ type Base struct {
 	At int64
 	// Xmax and InProgress are the snapshot's: a transaction below Xmax and
 	// not in InProgress had ended, so the image holds its rows if it
-	// committed and replay skips its records either way.
+	// committed and replay skips its records either way. InProgress is
+	// sorted.
 	Xmax       uint64
-	InProgress map[uint64]struct{}
+	InProgress []uint64
 	// Tip is the next LSN when the base went under the log it was built on;
 	// Checkpoint sets it. The snapshot was taken before that, so whatever the
 	// image holds was visible on the node before any record from Tip on
@@ -158,7 +160,7 @@ func (b *Base) Settled(xid uint64) bool {
 	if xid >= b.Xmax {
 		return false
 	}
-	_, busy := b.InProgress[xid]
+	_, busy := slices.BinarySearch(b.InProgress, xid)
 	return !busy
 }
 

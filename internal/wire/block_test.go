@@ -122,15 +122,15 @@ func TestBlockOpensWithItsStatement(t *testing.T) {
 }
 
 // TestBlockIsolationByteChecked: the block's isolation level is one byte of
-// the request header with two values; any other fails its own request under
-// its own Seq and the stream carries on.
+// the request header with three values; any other fails its own request
+// under its own Seq and the stream carries on.
 func TestBlockIsolationByteChecked(t *testing.T) {
 	good := encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 1})
 	bad := encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 2, Hdr: Header{Version: HeaderV2, Block: Block{DistID: "d", Serializable: true}}})
 	if bad[lenSize+reqHdrSize-1] != blockSerializable {
 		t.Fatalf("the isolation byte is not where the header table says: % x", bad[:lenSize+reqHdrSize])
 	}
-	bad[lenSize+reqHdrSize-1] = blockSerializable + 1
+	bad[lenSize+reqHdrSize-1] = blockRepeatableRead + 1
 	resps, err := serveBytes(t, append(append(good, bad...), encodeRequests(t, &Request{Kind: ReqQuery, SQL: "SELECT 1", Seq: 3})...))
 	if err != io.EOF || len(resps) != 3 {
 		t.Fatalf("%d responses, %v; want all three answered", len(resps), err)

@@ -40,7 +40,8 @@ const (
 	prefixSize = 1 + 1 + 8               // version, kind, seq: what both directions share
 	reqHdrSize = prefixSize + 1 + 16 + 1 // + Hdr: version, trace id, span id, block isolation
 	// the block isolation byte: 0 is read committed
-	blockSerializable = 1
+	blockSerializable   = 1
+	blockRepeatableRead = 2
 )
 
 // errFrame marks a frame whose prefix cannot be trusted — too long, too
@@ -79,8 +80,11 @@ func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, req.Hdr.TraceID)
 	dst = binary.LittleEndian.AppendUint64(dst, req.Hdr.SpanID)
 	var isolation byte
-	if req.Hdr.Block.Serializable {
+	switch {
+	case req.Hdr.Block.Serializable:
 		isolation = blockSerializable
+	case req.Hdr.Block.RepeatableRead:
+		isolation = blockRepeatableRead
 	}
 	dst = append(dst, isolation)
 	dst = appendString(dst, req.Hdr.Block.DistID)
@@ -155,7 +159,7 @@ func decodeRequest(frame []byte, req *Request) error {
 		return fmt.Errorf("%w: request header cut short", errBody)
 	}
 	isolation := frame[reqHdrSize-1]
-	if isolation > blockSerializable {
+	if isolation > blockRepeatableRead {
 		return fmt.Errorf("%w: unknown block isolation level %d", errBody, isolation)
 	}
 	*req = Request{
@@ -165,7 +169,7 @@ func decodeRequest(frame []byte, req *Request) error {
 			Version: frame[prefixSize],
 			TraceID: binary.LittleEndian.Uint64(frame[prefixSize+1:]),
 			SpanID:  binary.LittleEndian.Uint64(frame[prefixSize+9:]),
-			Block:   Block{Serializable: isolation == blockSerializable},
+			Block:   Block{Serializable: isolation == blockSerializable, RepeatableRead: isolation == blockRepeatableRead},
 		},
 	}
 	r := reader{b: frame[reqHdrSize:]}

@@ -54,7 +54,7 @@ func TestLockGraphOverWire(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Fatalf("edges of an idle node: %v", res.Rows)
 	}
-	want := []string{"kind", "from_xid", "to_xid", "from_dist", "to_dist", "from_commit_ns", "to_commit_ns"}
+	want := []string{"kind", "from_vid", "to_vid", "from_dist", "to_dist", "from_commit_ns", "to_commit_ns"}
 	if !reflect.DeepEqual(res.Columns, want) {
 		t.Fatalf("columns %v, want %v", res.Columns, want)
 	}
@@ -67,7 +67,7 @@ func TestLockGraphOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	holderXID := holder.Txn().XID
+	holderVID := holder.Txn().VID
 	done := make(chan error, 1)
 	go func() {
 		_, err := waiter.Exec("UPDATE lw SET v = 2 WHERE k = 1")
@@ -79,8 +79,8 @@ func TestLockGraphOverWire(t *testing.T) {
 		}
 		res = query(t, conn, "SELECT citus_node_wait_edges()")
 	}
-	if r := res.Rows[0]; len(res.Rows) != 1 || r[0] != "lock" || r[2] != int64(holderXID) || r[1] == r[2] {
-		t.Fatalf("edges %v, want one lock edge toward xid %d", res.Rows, holderXID)
+	if r := res.Rows[0]; len(res.Rows) != 1 || r[0] != "lock" || r[2] != int64(holderVID) || r[1] == r[2] {
+		t.Fatalf("edges %v, want one lock edge toward vid %d", res.Rows, holderVID)
 	}
 	if _, err := holder.Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)

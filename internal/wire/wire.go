@@ -96,9 +96,12 @@ type Header struct {
 type Block struct {
 	// DistID is the distributed transaction id; "" means no block.
 	DistID string
-	// Serializable is the block's isolation level: the worker's transaction
-	// enrols in SSI tracking when the block opens (docs/ssi.md).
-	Serializable bool
+	// Serializable and RepeatableRead are the block's isolation level:
+	// under either the worker's transaction keeps its first statement's
+	// snapshot, and a serializable one enrols in SSI tracking when the
+	// block opens (docs/ssi.md). Neither is read committed.
+	Serializable   bool
+	RepeatableRead bool
 }
 
 // Request is one protocol request.
@@ -436,7 +439,7 @@ func (h *handler) enterBlock(req *Request) error {
 	if req.Hdr.Version < HeaderV2 || b.DistID == "" {
 		return nil
 	}
-	if err := h.sess.OpenBlock(b.DistID, b.Serializable); err != nil {
+	if err := h.sess.OpenBlock(b.DistID, b.Serializable, b.RepeatableRead); err != nil {
 		return errors.New(blockRefusedPrefix + err.Error())
 	}
 	return nil
@@ -480,9 +483,11 @@ func resultResponse(res *engine.Result) Response {
 	}
 }
 
-// closeSession aborts any open transaction when the client goes away.
+// closeSession aborts any open transaction when the client goes away, and
+// closes the session.
 func (h *handler) closeSession() {
 	if h.sess.InTransaction() {
 		_, _ = h.sess.Exec("ROLLBACK")
 	}
+	h.sess.Close()
 }
