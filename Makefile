@@ -146,6 +146,10 @@ race:
 # and SELECT * FROM fn(args) forms agree, functions filtered, grouped and
 # joined, kept plans calling them again; TestNodeFunctionsOverWire: the node
 # functions over the wire, on a standby too, while it registers them again);
+# and 20 times under -race, REPEATABLE READ sessions incrementing one row,
+# each failing with the concurrent-update serialization error instead of
+# following the row's update chain, and retrying: no increment lost
+# (TestRepeatableReadRetriesConcurrentUpdates);
 # then TestChaosSmoke 100 times under -race
 stress:
 	go test -run 'TestPlanCacheStressInvalidation|TestPipelineStressMisdelivery' -count=100 -timeout 15m ./internal/citus
@@ -185,6 +189,7 @@ stress:
 	go test -race -run 'TestRestorePointNeedsEveryNode' -count=20 -timeout 10m ./internal/citus
 	go test -race -run 'TestGINMatchesSeqScan' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestFunctionParity|TestNodeFunctionsOverWire' -count=20 -timeout 10m ./internal/wire
+	go test -race -run 'TestRepeatableReadRetriesConcurrentUpdates' -count=20 -timeout 10m ./internal/engine
 	go test -race -run 'TestChaosSmoke$$' -count=100 -timeout 20m ./internal/fault/chaos
 	go test -race -count=3 -timeout 20m ./benchmark
 

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"citusgo/internal/expr"
+	"citusgo/internal/heap"
+	"citusgo/internal/index"
+	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/types"
 )
 
-// accessPath is the planner's choice of how to read a table.
+// accessPath is the planner's choice of how to read a table; nil reads every
+// page (storage.read).
 type accessPath struct {
 	idx              *btreeIndex
 	eqKey            []expr.Evaluator
@@ -229,4 +233,138 @@ func indexColumnOrds(bidx *btreeIndex, sc *scope) ([]int, bool) {
 		return nil, false
 	}
 	return ords, true
+}
+
+// read executes path over st under ec's snapshot, for the scans, the
+// targets of UPDATE, DELETE and SELECT … FOR UPDATE, and FK checks alike:
+// every page when path is nil — a columnar table's stripes — else an index's
+// candidates. It evaluates the path's key, bounds or pattern, takes the
+// path's SIREAD lock, fetches the candidate versions, records each for SSI,
+// and hands emit each one the snapshot sees, with its needed columns (nil:
+// all) decoded, when it passes filter. A columnar row has no TID
+// (heap.NilTID).
+//
+// The SIREAD locks: an equality search locks the searched key — phantom
+// protection, an insert producing the key later collides although no tuple
+// holds it yet; a prefix search is covered by the hash of the prefix — and
+// each tuple it returns. Anything with wider phantom exposure (a range, a
+// lossy GIN search, every page) locks the table; a range locks its tuples
+// too, which the table lock covers.
+func (st *storage) read(ec *execCtx, path *accessPath, needed []int, filter expr.Evaluator, emit func(tid heap.TID, row types.Row) error) error {
+	id, mgr := st.table.ID, ec.sess.Eng.Txns
+	if st.col != nil {
+		ec.ssi.lockTable(id)
+		var err error
+		st.col.Scan(mgr, ec.snap, needed, func(row types.Row) bool {
+			var ok bool
+			if ok, err = ec.filterPasses(filter, row); ok {
+				err = emit(heap.NilTID, row)
+			}
+			return err == nil
+		})
+		return err
+	}
+	var rows rowbatch.Arena
+	lockTuples := false
+	visit := func(tid heap.TID, tup heap.Tuple, visible bool) error {
+		// a version the snapshot cannot see is still read around: its
+		// concurrent writer is an rw-antidependency
+		if err := ec.ssi.observeTuple(tup); err != nil || !visible {
+			return err
+		}
+		if lockTuples {
+			ec.ssi.lockTuple(id, tid)
+		}
+		row := rows.Decode(tup.Data, needed)
+		if ok, err := ec.filterPasses(filter, row); err != nil || !ok {
+			rows.Unread() // a row the filter drops gives its storage back
+			return err
+		}
+		return emit(tid, row)
+	}
+	if path == nil || len(path.eqKey) == 0 {
+		ec.ssi.lockTable(id)
+	}
+	var tids []heap.TID
+	byIndex := path != nil
+	switch {
+	case path == nil:
+	case path.gin != nil:
+		tids, byIndex = searchGIN(ec, st, path.gin, path.ginPattern)
+	case len(path.eqKey) > 0:
+		key := make(index.Key, len(path.eqKey))
+		for i, ev := range path.eqKey {
+			v, err := ec.evalWith(ev, nil)
+			if err != nil {
+				return err
+			}
+			key[i] = v
+		}
+		if ec.ssi != nil { // the key's text is made only for a lock
+			ec.ssi.lockIndexKey(id, path.idx.def.Name, indexKeyString(key))
+		}
+		tids, lockTuples = st.searchVersions(path.idx, key), true
+	default:
+		lo, err := boundKey(ec, path.rangeLo)
+		if err != nil {
+			return err
+		}
+		hi, err := boundKey(ec, path.rangeHi)
+		if err != nil {
+			return err
+		}
+		st.mu.RLock()
+		path.idx.tree.Range(lo, hi, path.loIncl, path.hiIncl, func(roots []heap.TID) bool {
+			tids = st.versions(tids, roots)
+			return true
+		})
+		st.mu.RUnlock()
+		lockTuples = true
+	}
+	if !byIndex {
+		var err error
+		st.heap.Scan(mgr, ec.snap, func(tid heap.TID, tup heap.Tuple, visible bool) bool {
+			err = visit(tid, tup, visible)
+			return err == nil
+		})
+		return err
+	}
+	for _, tid := range tids {
+		if tup, ok := st.heap.Get(tid); ok {
+			if err := visit(tid, tup, heap.Visible(mgr, ec.snap, tup)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// searchGIN asks idx, an index of st, for the candidates of pattern,
+// evaluated for this execution: the versions its entries stand for
+// (storage.versions), which the caller's filter rechecks — a GIN is lossy,
+// and the recheck of a version reached through a HOT link is the same.
+// usable is false — the caller scans the pages instead — when the pattern is
+// NULL, when it fails (the recheck filter evaluates the same pattern and
+// reports the error at the first row), or when the index cannot search it.
+func searchGIN(ec *execCtx, st *storage, idx *ginIndex, pattern expr.Evaluator) (candidates []heap.TID, usable bool) {
+	p, err := ec.evalWith(pattern, nil)
+	if err != nil || p == nil {
+		return nil, false
+	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if candidates, usable = idx.gin.Search(types.Format(p)); usable {
+		candidates = st.versions(nil, candidates)
+	}
+	return candidates, usable
+}
+
+// boundKey evaluates one bound of a range path into a one-column key, nil
+// when the range is open on that side.
+func boundKey(ec *execCtx, ev expr.Evaluator) (index.Key, error) {
+	if ev == nil {
+		return nil, nil
+	}
+	v, err := ec.evalWith(ev, nil)
+	return index.Key{v}, err
 }

@@ -360,42 +360,31 @@ func (s *Session) checkForeignKeys(store *storage, t *txn.Txn, row types.Row) er
 	return nil
 }
 
-// refExists checks whether a referenced key is visible, preferring an index.
+// refExists reports whether a version of ref that t's snapshot sees holds
+// val in col, found through a B-tree whose first column is col when ref has
+// one. It takes no SIREAD lock.
 func (s *Session) refExists(ref *storage, t *txn.Txn, col string, val types.Datum) bool {
-	snap := s.snapshot(t)
 	ord := ref.table.ColumnIndex(col)
 	if ord == -1 {
 		return false
 	}
+	// an index is searched for val; without one, every row is compared with it
+	var path *accessPath
+	filter := func(c *expr.Ctx) (types.Datum, error) {
+		return ord < len(c.Row) && c.Row[ord] != nil && types.Compare(c.Row[ord], val) == 0, nil
+	}
 	ref.mu.RLock()
-	var viaIndex *btreeIndex
 	for _, bidx := range ref.btrees {
 		if cr, ok := bidx.def.Exprs[0].(*sql.ColumnRef); ok && cr.Name == col {
-			viaIndex = bidx
+			key := func(*expr.Ctx) (types.Datum, error) { return val, nil }
+			path, filter = &accessPath{idx: bidx, eqKey: []expr.Evaluator{key}}, nil
 			break
 		}
 	}
 	ref.mu.RUnlock()
-	if viaIndex != nil && ref.heap != nil {
-		for _, tid := range ref.searchVersions(viaIndex, index.Key{val}) {
-			if tup, ok := ref.heap.Get(tid); ok && heap.Visible(s.Eng.Txns, snap, tup) {
-				return true
-			}
-		}
-		return false
-	}
-	found := false
-	if ref.heap != nil {
-		var scratch rowbatch.Decoder
-		ref.heap.Scan(s.Eng.Txns, snap, func(_ heap.TID, data []byte) bool {
-			if row := scratch.Decode(data); ord < len(row) && row[ord] != nil && types.Compare(row[ord], val) == 0 {
-				found = true
-				return false
-			}
-			return true
-		})
-	}
-	return found
+	ec := &execCtx{sess: s, txn: t, snap: s.snapshot(t), eval: &expr.Ctx{}}
+	err := ref.read(ec, path, []int{ord}, filter, func(heap.TID, types.Row) error { return errStop })
+	return errors.Is(err, errStop)
 }
 
 // evalKey evaluates the index's key over ctx.Row into key's backing array
@@ -514,92 +503,58 @@ func (s *Session) targetsFor(entry *cachedStmt, plan func() (*targetPlan, error)
 	return tp, err
 }
 
-// matches reports whether row passes the WHERE (NULL is no match).
-func (tp *targetPlan) matches(ctx *expr.Ctx, row types.Row) (bool, error) {
-	if tp.where == nil {
-		return true, nil
-	}
-	ctx.Row = row
-	v, err := tp.where(ctx)
-	b, ok := v.(bool)
-	return ok && b, err
-}
+// errConcurrentUpdate fails a transaction that holds its snapshot when a row
+// it would lock was updated since: snapshot isolation's first updater wins.
+var errConcurrentUpdate = fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
 
-// collectTargets finds the visible rows matching the plan's WHERE, via an
-// index when the plan found one.
-func (s *Session) collectTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn) ([]dmlTarget, error) {
-	store := tp.store
+// lockTargets row-locks the rows tp selects, in one loop for UPDATE, DELETE
+// and SELECT … FOR UPDATE: it collects the visible rows matching the WHERE
+// through the plan's access path, locks each (lockAndChase), skips a version
+// it already locked, and rechecks the WHERE on a version the chase moved to,
+// as PostgreSQL's READ COMMITTED does. A transaction that holds its snapshot
+// (Session.holdsSnapshot) never chases: a row updated after its snapshot
+// fails it with errConcurrentUpdate. visit gets each locked version's TID
+// and tuple, and its row.
+func (s *Session) lockTargets(tp *targetPlan, ctx *expr.Ctx, t *txn.Txn, visit func(tid heap.TID, tup heap.Tuple, row types.Row) error) error {
 	snap := s.snapshot(t)
-	hooks := s.ssiFor(t, snap)
+	ec := &execCtx{sess: s, txn: t, snap: snap, eval: ctx, ssi: s.ssiFor(t, snap)}
 	var targets []dmlTarget
-	var evalErr error
-	// a tuple that is not a target gives its decoded row's storage back
-	var rows rowbatch.Arena
-	visit := func(tid heap.TID, data []byte) bool {
-		row := rows.Decode(data, nil)
-		ok, err := tp.matches(ctx, row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if ok {
-			targets = append(targets, dmlTarget{tid: tid, row: row})
-		} else {
-			rows.Unread()
-		}
-		return true
+	if err := tp.store.read(ec, tp.path, nil, tp.where, func(tid heap.TID, row types.Row) error {
+		targets = append(targets, dmlTarget{tid: tid, row: row})
+		return nil
+	}); err != nil {
+		return err
 	}
-
-	if path := tp.path; path != nil && path.idx != nil && len(path.eqKey) > 0 {
-		key := make(index.Key, len(path.eqKey))
-		for i, ev := range path.eqKey {
-			v, err := ev(ctx)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
+	seen := make(map[heap.TID]struct{})
+	for _, tgt := range targets {
+		tid, tup, exists, err := s.lockAndChase(tp.store, t, tgt.tid)
+		if err != nil {
+			return err
 		}
-		tids := store.searchVersions(path.idx, key)
-		hooks.lockIndexKey(store.table.ID, path.idx.def.Name, indexKeyString(key))
-		for _, tid := range tids {
-			tup, ok := store.heap.Get(tid)
+		if _, dup := seen[tid]; !exists || dup {
+			continue
+		}
+		seen[tid] = struct{}{}
+		// the version the scan decoded, unless the chase moved past it
+		row := tgt.row
+		if tid != tgt.tid {
+			if s.holdsSnapshot() {
+				return errConcurrentUpdate
+			}
+			row = tup.Row()
+			ok, err := ec.filterPasses(tp.where, row)
+			if err != nil {
+				return err
+			}
 			if !ok {
 				continue
 			}
-			if err := hooks.observeTuple(tup); err != nil {
-				return nil, err
-			}
-			if !heap.Visible(s.Eng.Txns, snap, tup) {
-				continue
-			}
-			hooks.lockTuple(store.table.ID, tid)
-			if !visit(tid, tup.Data) {
-				break
-			}
 		}
-	} else if hooks != nil {
-		hooks.lockTable(store.table.ID)
-		var ssiErr error
-		store.heap.AllTuples(func(tid heap.TID, tup heap.Tuple) bool {
-			if err := hooks.observeTuple(tup); err != nil {
-				ssiErr = err
-				return false
-			}
-			if !heap.Visible(s.Eng.Txns, snap, tup) {
-				return true
-			}
-			return visit(tid, tup.Data)
-		})
-		if ssiErr != nil {
-			return nil, ssiErr
+		if err := visit(tid, tup, row); err != nil {
+			return err
 		}
-	} else {
-		store.heap.Scan(s.Eng.Txns, snap, visit)
 	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return targets, nil
+	return nil
 }
 
 // lockAndChase acquires the row lock on the version a DML statement will
@@ -732,43 +687,9 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 		return nil, err
 	}
 	ctx := s.evalCtx(params)
-	targets, err := s.collectTargets(tp, ctx, t)
-	if err != nil {
-		return nil, err
-	}
-
 	affected := 0
 	var returning []types.Row
-	seen := make(map[heap.TID]struct{})
-	for _, tgt := range targets {
-		latestTID, tup, exists, err := s.lockAndChase(store, t, tgt.tid)
-		if err != nil {
-			return nil, err
-		}
-		if !exists {
-			continue
-		}
-		if _, dup := seen[latestTID]; dup {
-			continue
-		}
-		seen[latestTID] = struct{}{}
-		// the version the scan decoded, unless the chase moved past it
-		old := tgt.row
-		if latestTID != tgt.tid {
-			// A SERIALIZABLE transaction never chases to a version written
-			// after its snapshot: the concurrent update is a conflict.
-			if s.ssiState(t) != nil {
-				return nil, fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
-			}
-			old = tup.Row()
-			ok, err := tp.matches(ctx, old)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	err = s.lockTargets(tp, ctx, t, func(tid heap.TID, _ heap.Tuple, old types.Row) error {
 		// every SET reads the old version; the values are then written into
 		// it, which is this statement's own decoded copy of the tuple
 		ctx.Row = old
@@ -777,15 +698,15 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 		for _, cs := range tp.sets {
 			v, err := cs.ev(ctx)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			col := store.table.Columns[cs.ord]
 			if v != nil {
 				if v, err = expr.CastDatum(v, col.Type); err != nil {
-					return nil, fmt.Errorf("column %q: %w", col.Name, err)
+					return fmt.Errorf("column %q: %w", col.Name, err)
 				}
 			} else if col.NotNull {
-				return nil, fmt.Errorf("null value in column %q violates not-null constraint", col.Name)
+				return fmt.Errorf("null value in column %q violates not-null constraint", col.Name)
 			}
 			vals = append(vals, v)
 		}
@@ -794,19 +715,23 @@ func (s *Session) execUpdate(stmt *sql.UpdateStmt, params []types.Datum, t *txn.
 			newRow[cs.ord] = vals[i]
 		}
 		if err := s.checkForeignKeys(store, t, newRow); err != nil {
-			return nil, err
+			return err
 		}
-		if err := s.writeNewVersion(store, t, latestTID, newRow, params); err != nil {
-			return nil, err
+		if err := s.writeNewVersion(store, t, tid, newRow, params); err != nil {
+			return err
 		}
 		affected++
 		if len(stmt.Returning) > 0 {
 			row, err := s.evalReturning(store, cmp.Or(stmt.Alias, stmt.Table), stmt.Returning, newRow, params)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			returning = append(returning, row)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{Tag: fmt.Sprintf("UPDATE %d", affected), Affected: affected, Rows: returning}
 	if len(stmt.Returning) > 0 {
@@ -826,50 +751,23 @@ func (s *Session) execDelete(stmt *sql.DeleteStmt, params []types.Datum, t *txn.
 	if err != nil {
 		return nil, err
 	}
-	ctx := s.evalCtx(params)
-	targets, err := s.collectTargets(tp, ctx, t)
-	if err != nil {
-		return nil, err
-	}
 	affected := 0
-	seen := make(map[heap.TID]struct{})
 	ssiW := s.ssiWriter(t)
-	for _, tgt := range targets {
-		latestTID, tup, exists, err := s.lockAndChase(store, t, tgt.tid)
-		if err != nil {
-			return nil, err
-		}
-		if !exists {
-			continue
-		}
-		if _, dup := seen[latestTID]; dup {
-			continue
-		}
-		seen[latestTID] = struct{}{}
-		old := tgt.row
-		if latestTID != tgt.tid {
-			if ssiW != nil {
-				return nil, fmt.Errorf("could not serialize access due to concurrent update: %w", ssi.ErrSerializationFailure)
-			}
-			old = tup.Row()
-			ok, err := tp.matches(ctx, old)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
+	err = s.lockTargets(tp, s.evalCtx(params), t, func(tid heap.TID, tup heap.Tuple, old types.Row) error {
 		if ssiW != nil {
-			keys := s.indexWriteKeys(store, tupleWriteKeys(store.table.ID, latestTID), old, params)
+			keys := s.indexWriteKeys(store, tupleWriteKeys(store.table.ID, tid), old, params)
 			if err := ssiW.writeProbe(keys...); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		store.heap.MarkDeleted(latestTID, t.EnsureXID(), heap.NilTID, false)
+		store.heap.MarkDeleted(tid, t.EnsureXID(), heap.NilTID, false)
 		t.MarkWrite()
 		s.Eng.WAL.Append(wal.Record{Type: wal.RecDelete, XID: t.XID(), Table: store.table.Name, Tuple: tup.Data})
 		affected++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Tag: fmt.Sprintf("DELETE %d", affected), Affected: affected}, nil
 }
@@ -891,11 +789,6 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 		if err != nil {
 			return nil, err
 		}
-		ctx := s.evalCtx(params)
-		targets, err := s.collectTargets(tp, ctx, t)
-		if err != nil {
-			return nil, err
-		}
 		items, err := expandStars(sel.Columns, tp.sc)
 		if err != nil {
 			return nil, err
@@ -909,33 +802,21 @@ func (s *Session) execLockingSelect(sel *sql.SelectStmt, params []types.Datum) (
 			}
 		}
 		res := &Result{Columns: names}
-		for _, tgt := range targets {
-			latestTID, tup, exists, err := s.lockAndChase(store, t, tgt.tid)
-			if err != nil {
-				return nil, err
-			}
-			if !exists {
-				continue
-			}
-			row := tgt.row
-			if latestTID != tgt.tid {
-				row = tup.Row()
-				ok, err := tp.matches(ctx, row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
+		ctx := s.evalCtx(params)
+		err = s.lockTargets(tp, ctx, t, func(_ heap.TID, _ heap.Tuple, row types.Row) error {
 			ctx.Row = row
 			out := make(types.Row, len(evals))
 			for i, ev := range evals {
+				var err error
 				if out[i], err = ev(ctx); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			res.Rows = append(res.Rows, out)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
 		return res, nil

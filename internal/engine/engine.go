@@ -1368,13 +1368,18 @@ func (s *Session) execFinishPrepared(gid string, commit bool) (*Result, error) {
 	return &Result{Tag: "ROLLBACK PREPARED"}, nil
 }
 
+// holdsSnapshot reports whether the session's transactions run every
+// statement under the snapshot their first one took: REPEATABLE READ, and
+// SERIALIZABLE with SSI on or off (snapshot isolation, which SSI builds on).
+// Such a transaction never follows an update chain past its snapshot
+// (lockTargets).
+func (s *Session) holdsSnapshot() bool { return s.RepeatableRead() || s.Serializable() }
+
 // snapshot returns a statement snapshot for the current transaction: a
 // fresh one per statement (READ COMMITTED, the default), or the
-// transaction's held snapshot under REPEATABLE READ and for SSI-tracked
-// transactions (SERIALIZABLE is defined over one snapshot for the whole
-// transaction).
+// transaction's held snapshot when the session holds one.
 func (s *Session) snapshot(t *txn.Txn) txn.Snapshot {
-	if s.RepeatableRead() || s.ssiTracked() {
+	if s.holdsSnapshot() {
 		return s.Eng.Txns.HeldSnapshot(t)
 	}
 	return s.Eng.Txns.TakeSnapshot(t)

@@ -9,8 +9,6 @@ import (
 
 	"citusgo/internal/expr"
 	"citusgo/internal/heap"
-	"citusgo/internal/index"
-	"citusgo/internal/rowbatch"
 	"citusgo/internal/sql"
 	"citusgo/internal/txn"
 	"citusgo/internal/types"
@@ -126,9 +124,12 @@ func (ec *execCtx) filterPasses(pred expr.Evaluator, row types.Row) (bool, error
 // ---------------------------------------------------------------------------
 // Scans
 
-// seqScanNode scans a heap or columnar table.
-type seqScanNode struct {
+// scanNode reads a base table through its access path (storage.read): a
+// heap table's pages, or a columnar table's stripes, when path is nil, else
+// an index's candidates, which filter rechecks.
+type scanNode struct {
 	st     *storage
+	path   *accessPath
 	cols   []string
 	filter expr.Evaluator
 	// needed lists column ordinals referenced by the query, ascending: the
@@ -137,17 +138,24 @@ type seqScanNode struct {
 	needed []int
 	// conjuncts keeps the WHERE conjunct ASTs compiled into filter, so the
 	// planner can re-plan an aggregate over this scan through the
-	// vectorized columnar path (vec_exec.go).
+	// vectorized path (vec_source.go).
 	conjuncts []sql.Expr
-	label     string
 }
 
-func (n *seqScanNode) columns() []string { return n.cols }
+func (n *scanNode) columns() []string { return n.cols }
 
-func (n *seqScanNode) explain(indent string) []string {
-	s := indent + "Seq Scan on " + n.st.table.Name
+func (n *scanNode) explain(indent string) []string {
+	name := n.st.table.Name
+	switch {
+	case n.path != nil && n.path.gin != nil:
+		return []string{indent + "Bitmap Heap Scan on " + name,
+			indent + "  -> Bitmap Index Scan using " + n.path.gin.def.Name + " (trigram)"}
+	case n.path != nil:
+		return []string{indent + "Index Scan using " + n.path.idx.def.Name + " on " + name}
+	}
+	s := indent + "Seq Scan on " + name
 	if n.st.col != nil {
-		s = indent + "Columnar Scan on " + n.st.table.Name
+		s = indent + "Columnar Scan on " + name
 	}
 	if n.filter != nil {
 		s += " (filtered)"
@@ -155,227 +163,8 @@ func (n *seqScanNode) explain(indent string) []string {
 	return []string{s}
 }
 
-func (n *seqScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	var scanErr error
-	visit := func(row types.Row) bool {
-		ok, err := ec.filterPasses(n.filter, row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		if err := emit(row); err != nil {
-			scanErr = err
-			return false
-		}
-		return true
-	}
-	if n.st.col != nil {
-		// Columnar tables carry no per-tuple SIREAD state: the scan takes a
-		// table-granularity lock, so conflicts are caught write-side.
-		ec.ssi.lockTable(n.st.table.ID)
-		n.st.col.Scan(ec.sess.Eng.Txns, ec.snap, n.needed, visit)
-		return scanErr
-	}
-	var rows rowbatch.Arena
-	visitTuple := func(data []byte) bool {
-		scanErr = decodeFiltered(ec, &rows, data, n.needed, n.filter, emit)
-		return scanErr == nil
-	}
-	if ec.ssi != nil {
-		// A sequential scan reads the whole relation: table-granularity
-		// SIREAD lock, plus a read-side conflict check against concurrent
-		// writers of every tuple version — including versions our snapshot
-		// cannot see (reading *around* a concurrent write is exactly the
-		// rw-antidependency).
-		ec.ssi.lockTable(n.st.table.ID)
-		n.st.heap.AllTuples(func(_ heap.TID, tup heap.Tuple) bool {
-			if err := ec.ssi.observeTuple(tup); err != nil {
-				scanErr = err
-				return false
-			}
-			if !heap.Visible(ec.sess.Eng.Txns, ec.snap, tup) {
-				return true
-			}
-			return visitTuple(tup.Data)
-		})
-	} else {
-		n.st.heap.Scan(ec.sess.Eng.Txns, ec.snap, func(_ heap.TID, data []byte) bool {
-			return visitTuple(data)
-		})
-	}
-	return scanErr
-}
-
-// decodeFiltered decodes a heap tuple's needed columns (all when needed is
-// nil) and emits the row if it passes filter; a row the filter drops gives
-// its storage back to rows.
-func decodeFiltered(ec *execCtx, rows *rowbatch.Arena, data []byte, needed []int, filter expr.Evaluator, emit func(types.Row) error) error {
-	row := rows.Decode(data, needed)
-	ok, err := ec.filterPasses(filter, row)
-	if err != nil || !ok {
-		rows.Unread()
-		return err
-	}
-	return emit(row)
-}
-
-// indexScanNode fetches tuples through a btree index.
-type indexScanNode struct {
-	st     *storage
-	idx    *btreeIndex
-	cols   []string
-	filter expr.Evaluator
-	needed []int // as seqScanNode's
-	// key bounds: eqKey for full/prefix equality, or rangeLo/rangeHi for a
-	// range on the first key column; all evaluate to constants.
-	eqKey            []expr.Evaluator
-	rangeLo, rangeHi expr.Evaluator
-	loIncl, hiIncl   bool
-}
-
-func (n *indexScanNode) columns() []string { return n.cols }
-
-func (n *indexScanNode) explain(indent string) []string {
-	return []string{indent + "Index Scan using " + n.idx.def.Name + " on " + n.st.table.Name}
-}
-
-func (n *indexScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	if len(n.eqKey) > 0 {
-		key := make(index.Key, len(n.eqKey))
-		for i, ev := range n.eqKey {
-			v, err := ec.evalWith(ev, nil)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-		}
-		tids := n.st.searchVersions(n.idx, key)
-		// Phantom protection: lock the searched key itself so an insert
-		// producing it later collides even though no tuple exists yet.
-		// Full-key equality gets a key lock + per-tuple locks in emitTIDs;
-		// prefix searches are conservatively covered by the same key hash
-		// of the prefix.
-		ec.ssi.lockIndexKey(n.st.table.ID, n.idx.def.Name, indexKeyString(key))
-		return n.emitTIDs(ec, tids, emit)
-	}
-	// Range scans have unbounded phantom exposure: table-granularity
-	// SIREAD lock.
-	ec.ssi.lockTable(n.st.table.ID)
-	var lo, hi index.Key
-	if n.rangeLo != nil {
-		v, err := ec.evalWith(n.rangeLo, nil)
-		if err != nil {
-			return err
-		}
-		lo = index.Key{v}
-	}
-	if n.rangeHi != nil {
-		v, err := ec.evalWith(n.rangeHi, nil)
-		if err != nil {
-			return err
-		}
-		hi = index.Key{v}
-	}
-	var tids []heap.TID
-	n.st.mu.RLock()
-	n.idx.tree.Range(lo, hi, n.loIncl, n.hiIncl, func(roots []heap.TID) bool {
-		tids = n.st.versions(tids, roots)
-		return true
-	})
-	n.st.mu.RUnlock()
-	return n.emitTIDs(ec, tids, emit)
-}
-
-func (n *indexScanNode) emitTIDs(ec *execCtx, tids []heap.TID, emit func(types.Row) error) error {
-	var rows rowbatch.Arena
-	for _, tid := range tids {
-		tup, ok := n.st.heap.Get(tid)
-		if !ok {
-			continue
-		}
-		if err := ec.ssi.observeTuple(tup); err != nil {
-			return err
-		}
-		if !heap.Visible(ec.sess.Eng.Txns, ec.snap, tup) {
-			continue
-		}
-		ec.ssi.lockTuple(n.st.table.ID, tid)
-		if err := decodeFiltered(ec, &rows, tup.Data, n.needed, n.filter, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ginScanNode answers %substring% searches via the trigram index, with the
-// full WHERE clause as recheck (GIN is lossy).
-type ginScanNode struct {
-	st      *storage
-	idx     *ginIndex
-	cols    []string
-	pattern expr.Evaluator // the LIKE pattern, evaluated when the scan runs
-	filter  expr.Evaluator
-	needed  []int // as seqScanNode's
-	// conjuncts keeps the WHERE conjunct ASTs compiled into filter, as
-	// seqScanNode.conjuncts does and for the same planner.
-	conjuncts []sql.Expr
-}
-
-func (n *ginScanNode) columns() []string { return n.cols }
-
-func (n *ginScanNode) explain(indent string) []string {
-	return []string{indent + "Bitmap Heap Scan on " + n.st.table.Name,
-		indent + "  -> Bitmap Index Scan using " + n.idx.def.Name + " (trigram)"}
-}
-
-// searchGIN asks idx, an index of st, for the candidates of pattern,
-// evaluated for this execution: the versions its entries stand for
-// (storage.versions), which the caller's filter rechecks — a GIN is lossy,
-// and the recheck of a version reached through a HOT link is the same.
-// usable is false — the caller scans the pages instead — when the pattern is
-// NULL, when it fails (the recheck filter evaluates the same pattern and
-// reports the error at the first row), or when the index cannot search it.
-func searchGIN(ec *execCtx, st *storage, idx *ginIndex, pattern expr.Evaluator) (candidates []heap.TID, usable bool) {
-	p, err := ec.evalWith(pattern, nil)
-	if err != nil || p == nil {
-		return nil, false
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if candidates, usable = idx.gin.Search(types.Format(p)); usable {
-		candidates = st.versions(nil, candidates)
-	}
-	return candidates, usable
-}
-
-func (n *ginScanNode) run(ec *execCtx, emit func(types.Row) error) error {
-	candidates, usable := searchGIN(ec, n.st, n.idx, n.pattern)
-	if !usable {
-		seq := &seqScanNode{st: n.st, cols: n.cols, filter: n.filter, needed: n.needed}
-		return seq.run(ec, emit)
-	}
-	// GIN search is lossy and pattern-shaped: conservative table lock.
-	ec.ssi.lockTable(n.st.table.ID)
-	var rows rowbatch.Arena
-	for _, tid := range candidates {
-		tup, ok := n.st.heap.Get(tid)
-		if !ok {
-			continue
-		}
-		if err := ec.ssi.observeTuple(tup); err != nil {
-			return err
-		}
-		if !heap.Visible(ec.sess.Eng.Txns, ec.snap, tup) {
-			continue
-		}
-		if err := decodeFiltered(ec, &rows, tup.Data, n.needed, n.filter, emit); err != nil {
-			return err
-		}
-	}
-	return nil
+func (n *scanNode) run(ec *execCtx, emit func(types.Row) error) error {
+	return n.st.read(ec, n.path, n.needed, n.filter, func(_ heap.TID, row types.Row) error { return emit(row) })
 }
 
 // intermediateScanNode reads rows that are not stored in a table, taken
@@ -773,7 +562,7 @@ type filterNode struct {
 	child node
 	pred  expr.Evaluator
 	// conjuncts keeps the WHERE/ON conjunct ASTs compiled into pred, as
-	// seqScanNode.conjuncts does and for the same planner; nil above an
+	// scanNode.conjuncts does and for the same planner; nil above an
 	// aggregate (HAVING) and above a subquery.
 	conjuncts []sql.Expr
 }

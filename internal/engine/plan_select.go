@@ -672,24 +672,8 @@ func (s *Session) planBaseTable(t *sql.BaseTable, pool *conjunctPool) (planned, 
 			return planned{}, err
 		}
 	}
-	colNames := st.table.ColumnNames()
-
-	path := s.chooseAccessPath(st, taken, sc)
-	needed := pool.neededFor(rangeName, baseCols)
-	var n node
-	switch {
-	case path != nil && path.gin != nil:
-		n = &ginScanNode{st: st, idx: path.gin, cols: colNames, pattern: path.ginPattern, filter: filter, needed: needed, conjuncts: taken}
-	case path != nil && path.idx != nil:
-		n = &indexScanNode{
-			st: st, idx: path.idx, cols: colNames, filter: filter, needed: needed,
-			eqKey: path.eqKey, rangeLo: path.rangeLo, rangeHi: path.rangeHi,
-			loIncl: path.loIncl, hiIncl: path.hiIncl,
-		}
-	default:
-		n = &seqScanNode{st: st, cols: colNames, filter: filter,
-			needed: needed, conjuncts: taken}
-	}
+	n := &scanNode{st: st, path: s.chooseAccessPath(st, taken, sc), cols: st.table.ColumnNames(),
+		filter: filter, needed: pool.neededFor(rangeName, baseCols), conjuncts: taken}
 	return planned{n: n, sc: sc}, nil
 }
 

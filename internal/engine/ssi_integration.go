@@ -1,9 +1,9 @@
 package engine
 
 // SSI integration: sessions running under `SET transaction_isolation =
-// 'serializable'` register with the node's ssi.Manager. Read paths (seq
-// scan, index scan, GIN scan, DML target collection) take SIREAD locks and
-// record read-side rw-antidependencies; write paths (insert, new-version
+// 'serializable'` register with the node's ssi.Manager. The read path
+// (storage.read: scans, DML targets) takes SIREAD locks and records
+// read-side rw-antidependencies; write paths (insert, new-version
 // write, delete) probe the SIREAD table for readers of what they overwrite.
 // The dangerous-structure check runs in the transaction's pre-commit
 // callback — and, for 2PC participants, at PREPARE TRANSACTION, which is

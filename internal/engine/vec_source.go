@@ -273,7 +273,7 @@ const heapChunkRows = 4096
 // the filters drop costs one value a filter column, and no column a plan does
 // not read is decoded. One cursor: the pages are read in order.
 //
-// With gin set it is the vectorized form of ginScanNode: the index's
+// With gin set it is the vectorized form of a scanNode's GIN path: the index's
 // candidates for the pattern fetched a batch at a time (heap.NewTIDScan) in
 // place of every page, and the filters — the whole WHERE clause, as there —
 // the recheck. A pattern the index cannot search opens the page scan.
@@ -648,9 +648,14 @@ func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilt
 			return nil, false
 		}
 		return s.vecSource(x.child, sc, out, append(filters, extra...), derived)
-	case *seqScanNode:
-		if x.st.col == nil {
+	case *scanNode:
+		switch {
+		case x.st.col == nil && x.path == nil:
 			return heapScan(x.st, x.conjuncts, nil, nil)
+		case x.st.col == nil && x.path.gin != nil:
+			return heapScan(x.st, x.conjuncts, x.path.gin, x.path.ginPattern)
+		case x.st.col == nil: // a B-tree's candidates
+			return nil, false
 		}
 		filters, ok := compileVecFilters(x.conjuncts, sc)
 		if !ok || len(derived) > 0 {
@@ -658,8 +663,6 @@ func (s *Session) vecSource(p node, sc *scope, out map[int]bool, extra []vecFilt
 		}
 		filters = append(filters, extra...)
 		return &columnarSource{st: x.st, filters: filters, load: sortedOrds(filterColumns(filters, out))}, true
-	case *ginScanNode:
-		return heapScan(x.st, x.conjuncts, x.idx, x.pattern)
 	case *hashJoinNode:
 		if x.joinType == sql.LeftJoin || x.leftSc == nil || len(derived) > 0 {
 			return nil, false

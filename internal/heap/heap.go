@@ -412,26 +412,31 @@ func (t *Table) readPage(p int, slots []slot) ([]slot, []byte, bool) {
 	return append(slots[:0], t.pages[p].slots...), t.pages[p].data, true
 }
 
-// Scan iterates all visible tuples under snapshot s, calling fn with each
-// one's data (Tuple.Data); fn returning false stops the scan. Page accesses
-// are charged to the buffer pool.
-func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, data []byte) bool) {
-	numPages := t.NumPages()
+// Scan visits every tuple version vacuum has not reclaimed, with whether
+// snapshot s sees it; fn returning false stops the scan. Page accesses are
+// charged to the buffer pool. A reader checking for concurrent writers (SSI)
+// looks at the versions it cannot see too; any other skips them.
+func (t *Table) Scan(mgr *txn.Manager, s txn.Snapshot, fn func(tid TID, tup Tuple, visible bool) bool) {
 	vis := scanVisibility{mgr: mgr, s: s}
+	t.eachSlot(true, func(tid TID, data []byte, sl *slot) bool { return fn(tid, slotTuple(data, sl), vis.visible(sl)) })
+}
+
+// eachSlot visits the slot of every version not reclaimed, page by page, each
+// page charged to the buffer pool when charge is set.
+func (t *Table) eachSlot(charge bool, fn func(tid TID, data []byte, sl *slot) bool) {
+	numPages := t.NumPages()
 	slots := make([]slot, 0, TuplesPerPage) // one buffer for the whole scan
 	for p := 0; p < numPages; p++ {
-		t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(p)})
+		if charge {
+			t.pool.Access(bufpool.PageID{Table: t.ID, Page: int32(p)})
+		}
 		var data []byte
 		var ok bool
 		if slots, data, ok = t.readPage(p, slots); !ok {
 			return
 		}
 		for i := range slots {
-			sl := &slots[i]
-			if !vis.visible(sl) {
-				continue
-			}
-			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), slotBytes(data, sl)) {
+			if sl := &slots[i]; sl.xmin != 0 && !fn(TID(int64(p)*TuplesPerPage+int64(i)), data, sl) {
 				return
 			}
 		}
@@ -544,26 +549,10 @@ func (b *BatchScan) readTIDs() {
 }
 
 // AllTuples visits every non-dead tuple version regardless of visibility
-// (index builds, replication).
+// (index builds, replication). It is not a query, and charges the buffer
+// pool nothing.
 func (t *Table) AllTuples(fn func(tid TID, tup Tuple) bool) {
-	numPages := t.NumPages()
-	slots := make([]slot, 0, TuplesPerPage) // reused: fn gets each tuple by value
-	for p := 0; p < numPages; p++ {
-		var data []byte
-		var ok bool
-		if slots, data, ok = t.readPage(p, slots); !ok {
-			return
-		}
-		for i := range slots {
-			sl := &slots[i]
-			if sl.xmin == 0 {
-				continue
-			}
-			if !fn(TID(int64(p)*TuplesPerPage+int64(i)), slotTuple(data, sl)) {
-				return
-			}
-		}
-	}
+	t.eachSlot(false, func(tid TID, data []byte, sl *slot) bool { return fn(tid, slotTuple(data, sl)) })
 }
 
 // Vacuum reclaims dead tuple versions: versions deleted by a transaction

@@ -59,19 +59,19 @@ func TestInsertAndScanVisibility(t *testing.T) {
 	// invisible to others before commit
 	snap := mgr.TakeSnapshot(nil)
 	count := 0
-	tbl.Scan(mgr, snap, func(TID, []byte) bool { count++; return true })
+	tbl.Scan(mgr, snap, visibleOnly(func(TID, []byte) bool { count++; return true }))
 	if count != 0 {
 		t.Fatal("uncommitted insert visible")
 	}
 	// visible to itself
 	selfSnap := mgr.TakeSnapshot(t1)
-	tbl.Scan(mgr, selfSnap, func(TID, []byte) bool { count++; return true })
+	tbl.Scan(mgr, selfSnap, visibleOnly(func(TID, []byte) bool { count++; return true }))
 	if count != 1 {
 		t.Fatal("own insert invisible")
 	}
 	_ = mgr.Commit(t1)
 	count = 0
-	tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, []byte) bool { count++; return true })
+	tbl.Scan(mgr, mgr.TakeSnapshot(nil), visibleOnly(func(TID, []byte) bool { count++; return true }))
 	if count != 1 {
 		t.Fatal("committed insert invisible")
 	}
@@ -247,7 +247,7 @@ func TestTruncate(t *testing.T) {
 
 func visibleCount(tbl *Table, mgr *txn.Manager, snap txn.Snapshot) int {
 	count := 0
-	tbl.Scan(mgr, snap, func(TID, []byte) bool { count++; return true })
+	tbl.Scan(mgr, snap, visibleOnly(func(TID, []byte) bool { count++; return true }))
 	return count
 }
 
@@ -320,7 +320,7 @@ func TestScanVisibilityMatchesVisible(t *testing.T) {
 		}
 
 		var scanned, batched []types.Row
-		tbl.Scan(mgr, s, func(_ TID, data []byte) bool { scanned = append(scanned, rowbatch.DecodeRow(data)); return true })
+		tbl.Scan(mgr, s, visibleOnly(func(_ TID, data []byte) bool { scanned = append(scanned, rowbatch.DecodeRow(data)); return true }))
 		for b := tbl.NewBatchScan(mgr, s); ; {
 			batch, ok := b.Next()
 			rows := decodeAll(batch)
@@ -363,7 +363,7 @@ func TestBatchScanChargesWhatScanCharges(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			rows := 0
 			if kind == "Scan" {
-				tbl.Scan(mgr, mgr.TakeSnapshot(nil), func(TID, []byte) bool { rows++; return true })
+				tbl.Scan(mgr, mgr.TakeSnapshot(nil), visibleOnly(func(TID, []byte) bool { rows++; return true }))
 			} else {
 				for b := tbl.NewBatchScan(mgr, mgr.TakeSnapshot(nil)); ; {
 					batch, ok := b.Next()
@@ -592,7 +592,7 @@ func TestReclaimedSlotInvisible(t *testing.T) {
 		}
 	}
 	var scanned []TID
-	tbl.Scan(mgr, snap, func(tid TID, _ []byte) bool { scanned = append(scanned, tid); return true })
+	tbl.Scan(mgr, snap, visibleOnly(func(tid TID, _ []byte) bool { scanned = append(scanned, tid); return true }))
 	only("Scan", scanned)
 	var all []TID
 	tbl.AllTuples(func(tid TID, _ Tuple) bool { all = append(all, tid); return true })
@@ -916,4 +916,10 @@ func TestVacuumKeepsChainBehindLiveRoot(t *testing.T) {
 	if want := map[TID]TID{root: h2}; !reflect.DeepEqual(moved, want) || n != 2 {
 		t.Fatalf("vacuum reported %v and reclaimed %d, want %v and 2", moved, n, want)
 	}
+}
+
+// visibleOnly adapts fn, which wants the tuples a snapshot sees, to Scan, which
+// visits every version.
+func visibleOnly(fn func(TID, []byte) bool) func(TID, Tuple, bool) bool {
+	return func(tid TID, tup Tuple, visible bool) bool { return !visible || fn(tid, tup.Data) }
 }
